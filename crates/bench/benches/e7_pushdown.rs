@@ -2,9 +2,8 @@
 //! run-granularity pushdown, across selectivities on the lineitem-like
 //! table — plus the storage surfaces the same plan runs on since the
 //! catalog redesign (sharded fan-in, lazy file-backed scans, the
-//! plan-fingerprint result cache), the morsel-driven executor against
-//! its static-partition baseline on a skew-tiered table, and
-//! I/O-overlapped prefetch on a lazy table.
+//! plan-fingerprint result cache), the lease-driven executor on a
+//! skew-tiered table, and I/O-overlapped prefetch on a lazy table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lcdc_bench::lineitem;
@@ -124,16 +123,12 @@ fn bench_storage_surfaces(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Morsel-driven executor vs the static contiguous partitioner on a
-/// table whose pushdown tiers are *skewed*: the first 12 of 16 segments
-/// zone-prune for free, the last 4 are noise that must decompress at
-/// the row tier. A static 4-way split hands all 4 expensive segments to
-/// one worker (they are contiguous) — the whole query waits on it —
-/// while the shared morsel queue spreads them across whoever is idle.
-/// The morsel executor also refuses to oversubscribe the hardware
-/// (workers are capped at `available_parallelism`), so on small
-/// machines the static baseline additionally pays for threads that can
-/// never run concurrently.
+/// The executor on a table whose pushdown tiers are *skewed*: the first
+/// 12 of 16 segments zone-prune for free, the last 4 are noise that
+/// must decompress at the row tier. Threads lease short runs of
+/// segments from the one job, so the expensive tail spreads across
+/// whoever is idle instead of tail-blocking one contiguous partition,
+/// and the lease cap never exceeds `available_parallelism`.
 fn bench_morsel_skew(c: &mut Criterion) {
     const SEG_ROWS: usize = 16_384;
     const SEGMENTS: usize = 16;
@@ -170,10 +165,6 @@ fn bench_morsel_skew(c: &mut Criterion) {
     let want = builder.execute().unwrap();
     for threads in [2usize, 4, 8] {
         assert_eq!(builder.execute_parallel(threads).unwrap().rows, want.rows);
-        assert_eq!(
-            builder.execute_parallel_static(threads).unwrap().rows,
-            want.rows
-        );
     }
 
     let mut group = c.benchmark_group("e7/morsel_skew");
@@ -181,17 +172,6 @@ fn bench_morsel_skew(c: &mut Criterion) {
         b.iter(|| black_box(&builder).execute().unwrap())
     });
     for threads in [4usize, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("static", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    black_box(&builder)
-                        .execute_parallel_static(threads)
-                        .unwrap()
-                })
-            },
-        );
         group.bench_with_input(
             BenchmarkId::new("morsel", threads),
             &threads,
@@ -205,7 +185,7 @@ fn bench_morsel_skew(c: &mut Criterion) {
 /// both columns is undecidable from the zone map, so a full pass
 /// fetches every frame; the per-column LRU (capacity 16 of 32 frames)
 /// guarantees each pass re-reads everything. With prefetch, a
-/// background fetcher decodes frame N+1..N+4 while the scan filters
+/// prefetch helper warms frames N+1..N+4 while the scan filters
 /// frame N — same reads, overlapped instead of serial.
 fn bench_prefetch(c: &mut Criterion) {
     const SEG_ROWS: usize = 8_192;

@@ -297,8 +297,8 @@ fn e7_pushdown() {
     }
     println!("(zone maps skip disjoint segments; fully-covered segments aggregate compressed)");
 
-    // Parallel scan: the same pushdown pipeline, segments split across
-    // workers (store::par). Answers asserted equal.
+    // Parallel scan: the same pushdown pipeline, segments leased by
+    // several threads from the one job. Answers asserted equal.
     let q = Query::new(
         "shipdate",
         Predicate::Range {
@@ -307,15 +307,14 @@ fn e7_pushdown() {
         },
         "price",
     );
-    let sequential = q.run_pushdown(&table).unwrap();
+    let builder = q.builder(&table);
+    let sequential = builder.execute().unwrap();
     for threads in [1usize, 2, 4, 8] {
-        let parallel = lcdc_store::run_pushdown_parallel(&q, &table, threads).unwrap();
-        assert_eq!(parallel.agg, sequential.agg);
+        let parallel = builder.execute_parallel(threads).unwrap();
+        assert_eq!(parallel.rows, sequential.rows);
     }
-    let seq_t = time_median(5, || q.run_pushdown(&table).unwrap());
-    let par_t = time_median(5, || {
-        lcdc_store::run_pushdown_parallel(&q, &table, 4).unwrap()
-    });
+    let seq_t = time_median(5, || builder.execute().unwrap());
+    let par_t = time_median(5, || builder.execute_parallel(4).unwrap());
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "parallel scan (~100% selectivity, 4 workers on {cores} core(s)): {:.2} ms vs {:.2} ms sequential ({:.1}x)",

@@ -11,11 +11,10 @@
 //!   sharded table first *prunes whole shards* whose per-column key
 //!   ranges the spec's bounds exclude (no source touched, visible as
 //!   [`QueryStats::shards_pruned`]), then runs the same compiled plan
-//!   over every surviving shard through **one shared morsel pool** —
-//!   all shards' segments in a single work queue, all workers pulling
-//!   from it — and merges the per-shard sink states and [`QueryStats`]
-//!   associatively: the same merge the intra-table parallel executor
-//!   uses, one level up.
+//!   over every surviving shard as **one job** — all shards' segments
+//!   in a single morsel list, every executing thread leasing from it —
+//!   and merges the partial sink states and [`QueryStats`]
+//!   associatively: the same merge intra-table parallelism uses.
 //! * **Result caching** — results are cached under
 //!   `(table name, plan fingerprint)` and validated against the entry's
 //!   version: a version bump silently invalidates every cached result
@@ -37,9 +36,7 @@
 //! Tables may mix backends freely: resident shards, lazily-backed
 //! shards ([`crate::file::open_table_lazy`]), or both.
 
-use crate::query::{
-    run_plans, ExecOptions, JoinRight, QueryResult, QuerySpec, QueryStats, SinkState,
-};
+use crate::query::{execute_shards, ExecOptions, JoinRight, QueryResult, QuerySpec, QueryStats};
 use crate::schema::TableSchema;
 use crate::table::Table;
 use crate::{Result, StoreError};
@@ -241,14 +238,14 @@ impl ShardedTable {
         self.shards.iter().map(|s| s.io_reads()).sum()
     }
 
-    /// Run `spec` over the shards with one shared worker pool: every
-    /// live shard's segments become morsels in a single queue that all
-    /// `threads` workers pull from, so a slow shard borrows the idle
-    /// shards' workers instead of tail-blocking its own. Before any
-    /// source is touched, **shard pruning** intersects the spec's
-    /// bounds with each shard's per-column key range (resident segment
-    /// metadata): a shard the bounds exclude contributes its segment
-    /// count to `segments` / `segments_pruned` (and bumps
+    /// Run `spec` over the shards as **one job**: every live shard's
+    /// segments become morsels in a single list that all `threads`
+    /// threads lease from, so a slow shard borrows the idle shards'
+    /// threads instead of tail-blocking its own. Before any source is
+    /// touched, **shard pruning** intersects the spec's bounds with
+    /// each shard's per-column key range (resident segment metadata):
+    /// a shard the bounds exclude contributes its segment count to
+    /// `segments` / `segments_pruned` (and bumps
     /// [`QueryStats::shards_pruned`]) but is never visited or read —
     /// nor compiled, except shard 0 when *every* shard is pruned, which
     /// compiles once purely to shape the empty result.
@@ -259,51 +256,9 @@ impl ShardedTable {
     }
 
     /// [`Self::execute_parallel`] with explicit [`ExecOptions`]
-    /// (worker count plus prefetch depth for lazily-backed shards).
+    /// (lease cap plus prefetch depth for lazily-backed shards).
     pub fn execute_opts(&self, spec: &QuerySpec, opts: &ExecOptions) -> Result<QueryResult> {
-        self.execute_opts_join(spec, opts, None)
-    }
-
-    /// [`Self::execute_opts`] with a join's right side already resolved
-    /// — every live shard's plan carries the same shared right-side
-    /// handle, so shard-to-shard join work interleaves in the one
-    /// morsel queue like any other sink.
-    pub(crate) fn execute_opts_join(
-        &self,
-        spec: &QuerySpec,
-        opts: &ExecOptions,
-        right: Option<&Arc<JoinRight>>,
-    ) -> Result<QueryResult> {
-        let mut pruned = QueryStats::default();
-        let mut live: Vec<&Arc<Table>> = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            if shard_excluded(shard, spec) {
-                pruned.shards_pruned += 1;
-                pruned.segments += shard.num_segments();
-                pruned.segments_pruned += shard.num_segments();
-            } else {
-                live.push(shard);
-            }
-        }
-        // Shards share a schema, so any shard's compiled plan shapes
-        // the result: the first live plan does double duty, and only an
-        // all-pruned fan-in compiles (against shard 0, purely for the
-        // sink shape) without executing.
-        let (shape, state, mut stats) = if live.is_empty() {
-            let shape = spec.compile_join(&self.shards[0], false, right)?;
-            let state = SinkState::for_sink(&shape.sink);
-            (shape, state, QueryStats::default())
-        } else {
-            let plans = live
-                .iter()
-                .map(|shard| spec.compile_join(shard, false, right))
-                .collect::<Result<Vec<_>>>()?;
-            let (state, stats) = run_plans(&plans, opts)?;
-            let shape = plans.into_iter().next().expect("live is non-empty");
-            (shape, state, stats)
-        };
-        stats.absorb(&pruned);
-        QueryResult::from_state(&shape, state, stats)
+        execute_shards(&self.shards, spec, None, opts)
     }
 
     /// Sequential [`Self::execute_parallel`].
@@ -380,26 +335,6 @@ fn derive_routing(shards: &[Arc<Table>], key: &str) -> Result<ShardRouting> {
             .iter()
             .map(|&(_, hi)| hi)
             .collect(),
-    })
-}
-
-/// Whether `spec`'s bounds prove `shard` holds no matching row, from
-/// the shard's per-column `[min, max]` alone — a table-level zone map.
-/// A CNF excludes the shard when any clause does; a (possibly
-/// disjunctive) clause excludes it only when *every* leaf is disjoint
-/// from its column's shard range. Unknown columns never prune here —
-/// compilation reports them properly.
-pub(crate) fn shard_excluded(shard: &Table, spec: &QuerySpec) -> bool {
-    spec.clauses.iter().any(|clause| {
-        !clause.is_empty()
-            && clause.iter().all(|(column, predicate)| {
-                shard
-                    .schema()
-                    .index_of(column)
-                    .and_then(|idx| shard.column_range(idx))
-                    .map(|(lo, hi)| predicate.zone_decides(lo, hi) == Some(false))
-                    .unwrap_or(false)
-            })
     })
 }
 
@@ -491,6 +426,14 @@ impl CatalogTable {
         }
     }
 
+    /// The snapshot's shard handles (one for a single table).
+    pub(crate) fn shards(&self) -> &[Arc<Table>] {
+        match self {
+            CatalogTable::Single(t) => std::slice::from_ref(t),
+            CatalogTable::Sharded(s) => s.shards(),
+        }
+    }
+
     /// Run `spec` against this snapshot with explicit [`ExecOptions`]
     /// — the execution half of [`Catalog::execute_versioned_with`]'s
     /// seam: the catalog hands a closure this handle, and the closure
@@ -511,15 +454,7 @@ impl CatalogTable {
         opts: &ExecOptions,
         join: Option<&ResolvedJoin>,
     ) -> Result<QueryResult> {
-        let right = join.map(|j| &j.right);
-        match self {
-            CatalogTable::Single(t) => {
-                let plan = spec.compile_join(t, false, right)?;
-                let (state, stats) = run_plans(std::slice::from_ref(&plan), opts)?;
-                QueryResult::from_state(&plan, state, stats)
-            }
-            CatalogTable::Sharded(s) => s.execute_opts_join(spec, opts, right),
-        }
+        execute_shards(self.shards(), spec, join.map(|j| &j.right), opts)
     }
 }
 
@@ -547,10 +482,7 @@ fn resolve_join(table: &CatalogTable, on: &str, version: u64) -> Result<Resolved
         .schema()
         .index_of(on)
         .ok_or_else(|| StoreError::NoSuchColumn(on.to_string()))?;
-    let shards = match table {
-        CatalogTable::Single(t) => vec![Arc::clone(t)],
-        CatalogTable::Sharded(s) => s.shards().to_vec(),
-    };
+    let shards = table.shards().to_vec();
     Ok(ResolvedJoin {
         right: Arc::new(JoinRight { shards, key }),
         version,
@@ -897,10 +829,7 @@ impl Catalog {
         let entry = tables
             .get_mut(name)
             .ok_or_else(|| StoreError::NoSuchTable(name.to_string()))?;
-        let mut shards: Vec<Arc<Table>> = match &entry.table {
-            CatalogTable::Single(t) => vec![Arc::clone(t)],
-            CatalogTable::Sharded(s) => s.shards().to_vec(),
-        };
+        let mut shards = entry.table.shards().to_vec();
         let schema = shards[0].schema().clone();
         if shard.schema() != &schema {
             return Err(StoreError::Shape(format!(
@@ -981,8 +910,8 @@ impl Catalog {
         self.execute_parallel(name, spec, 1)
     }
 
-    /// [`Self::execute`] with `threads` workers pulling from one shared
-    /// morsel queue across all shards.
+    /// [`Self::execute`] with up to `threads` threads leasing from the
+    /// one job's morsel list across all shards.
     pub fn execute_parallel(
         &self,
         name: &str,
@@ -992,7 +921,7 @@ impl Catalog {
         self.execute_opts(name, spec, &ExecOptions::threads(threads))
     }
 
-    /// [`Self::execute`] under explicit [`ExecOptions`] — worker count
+    /// [`Self::execute`] under explicit [`ExecOptions`] — lease cap
     /// plus prefetch depth for lazily-backed shards.
     pub fn execute_opts(
         &self,

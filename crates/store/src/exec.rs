@@ -12,7 +12,7 @@
 
 use crate::agg::AggResult;
 use crate::predicate::Predicate;
-use crate::query::{Agg, QueryBuilder, SinkState};
+use crate::query::{Agg, QueryBuilder, QueryResult};
 use crate::table::Table;
 use crate::Result;
 
@@ -48,54 +48,41 @@ impl Query {
         }
     }
 
-    /// The equivalent logical plan.
+    /// The equivalent logical plan: the filter, then every aggregate of
+    /// the column (an aggregate sink folds them all in one pass anyway).
     pub fn builder<'t>(&self, table: &'t Table) -> QueryBuilder<'t> {
+        let col = self.agg_column.as_str();
         QueryBuilder::scan(table)
             .filter(&self.filter_column, self.predicate.clone())
-            .aggregate(&[Agg::Sum(&self.agg_column)])
+            .aggregate(&[Agg::Sum(col), Agg::Min(col), Agg::Max(col), Agg::Count])
     }
 
     /// Decompress-everything baseline.
     pub fn run_naive(&self, table: &Table) -> Result<QueryOutput> {
-        self.run_mode(table, true)
+        self.builder(table).execute_naive().map(output)
     }
 
     /// Compression-aware execution through every pushdown tier.
     pub fn run_pushdown(&self, table: &Table) -> Result<QueryOutput> {
-        self.run_mode(table, false)
-    }
-
-    fn run_mode(&self, table: &Table, naive: bool) -> Result<QueryOutput> {
-        let builder = self.builder(table);
-        let plan = if naive {
-            builder.compile_naive()?
-        } else {
-            builder.compile()?
-        };
-        let (state, stats) = plan.run()?;
-        Ok(QueryOutput {
-            agg: take_agg(state),
-            stats,
-        })
-    }
-
-    /// Parallel pushdown execution (see [`crate::par`]).
-    pub(crate) fn run_parallel(&self, table: &Table, threads: usize) -> Result<QueryOutput> {
-        let plan = self.builder(table).compile()?;
-        let (state, stats) = plan.run_parallel(threads)?;
-        Ok(QueryOutput {
-            agg: take_agg(state),
-            stats,
-        })
+        self.builder(table).execute().map(output)
     }
 }
 
-/// Extract the single tracked column's full [`AggResult`] from a
-/// finished aggregate sink.
-fn take_agg(state: SinkState) -> AggResult {
-    match state {
-        SinkState::Aggregate { acc } => acc.per_col[0],
-        _ => unreachable!("filtered-aggregate plan has an aggregate sink"),
+/// Reassemble the aggregated column's [`AggResult`] from the
+/// `[sum, min, max, count]` row [`Query::builder`] requests.
+fn output(result: QueryResult) -> QueryOutput {
+    let agg = match result.aggregates() {
+        Some(&[Some(sum), min, max, Some(count)]) => AggResult {
+            sum,
+            min,
+            max,
+            count: count as usize,
+        },
+        _ => unreachable!("filtered-aggregate plan yields [sum, min, max, count]"),
+    };
+    QueryOutput {
+        agg,
+        stats: result.stats,
     }
 }
 

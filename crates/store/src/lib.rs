@@ -35,9 +35,12 @@
 //! pushdown tier each segment's scheme offers — zone-map pruning from
 //! FOR/STEP model metadata, run-granularity predicates on RLE/RPE,
 //! code-granularity on DICT, run-weighted aggregation, part-column
-//! distinct — and materialises rows only as the last resort. The same
-//! per-segment pipeline drives [`QueryBuilder::execute_parallel`], so
-//! every operator parallelises, and a naive decompress-everything mode
+//! distinct — and materialises rows only as the last resort. One
+//! executor drives that per-segment pipeline everywhere — a query
+//! compiles once into a job whose segments the calling thread, its
+//! helpers ([`QueryBuilder::execute_parallel`], [`ExecOptions`]) or
+//! `lcdc serve`'s worker pool lease — so every operator parallelises,
+//! and a naive decompress-everything mode
 //! ([`QueryBuilder::execute_naive`]) keeps the pushdown/fusion
 //! experiments (E7-E9) honest. One [`QueryStats`] records the
 //! segment/row/tier accounting uniformly across operators.
@@ -70,12 +73,6 @@
 //! appended to the column files without rewriting existing ones, the
 //! manifest rewritten last so torn writes are rejected on open.
 //!
-//! The pre-planner entry points — [`Query`] (filter + aggregate),
-//! [`groupby`](mod@groupby), [`topk`](mod@topk),
-//! [`distinct`](mod@distinct), [`run_pushdown_parallel`] — survive as
-//! thin adapters over the planner, so existing callers and benches keep
-//! working unchanged.
-//!
 //! Deliberately small: no transactions, no SQL — the paper's claims are
 //! about scans over compressed columns, and that is what is here, built
 //! on the same `lcdc-colops` kernels the decompression plans use.
@@ -96,7 +93,6 @@ pub mod file;
 pub(crate) mod fnv;
 pub mod groupby;
 pub mod join;
-pub mod par;
 pub mod predicate;
 pub mod query;
 pub mod schema;
@@ -116,7 +112,6 @@ pub use exec::{Query, QueryOutput};
 pub use fault::{FaultPlan, FaultSite};
 pub use file::{append_table, load_table, open_table_lazy, read_segment, save_table};
 pub use join::{join_count_compressed, join_count_naive};
-pub use par::{par_materialize, run_pushdown_parallel};
 pub use predicate::{InList, Predicate, PushdownStats};
 pub use query::{
     Agg, ExecOptions, JoinSpec, PhysicalPlan, QueryArgs, QueryBuilder, QueryResult, QuerySpec,
@@ -148,8 +143,8 @@ pub enum StoreError {
     Io(std::io::Error),
     /// A persisted file is malformed or fails its checksum.
     CorruptFile(String),
-    /// A request's deadline expired before its query finished; the
-    /// worker pool abandoned the query's unclaimed morsels.
+    /// A request's deadline expired before its query finished; its
+    /// job abandoned the unclaimed morsels.
     DeadlineExceeded {
         /// The deadline that expired, in milliseconds.
         deadline_ms: u64,

@@ -1,9 +1,10 @@
-//! Cooperative cancellation for pool-scheduled queries.
+//! Cooperative cancellation for executing queries.
 //!
 //! A [`CancelToken`] is the one object a request, its session thread,
-//! and the worker pool all share: an abandon flag plus an optional
-//! deadline instant. Nothing is interrupted preemptively — the pool
-//! checks the token at every lease claim and between morsels, and the
+//! and its [`super::Job`] all share: an abandon flag plus an optional
+//! deadline instant (in-process jobs carry an unbounded token that
+//! never fires). Nothing is interrupted preemptively — the job checks
+//! the token at every lease claim and between morsels, and the
 //! session checks it on every wait tick — so a fired token drains a
 //! query at morsel granularity: unclaimed morsels are abandoned, the
 //! in-flight admission slot frees, and the submitter gets a *typed*

@@ -10,6 +10,7 @@
 //! * [`QueryBuilder`] — the familiar fluent builder: a `QuerySpec`
 //!   under construction plus the table it will run against.
 
+use super::job::{ExecOptions, Job};
 use super::physical::{
     clause_zone, resolve, AggSpec, ClauseZone, JoinRight, Leaf, PhysicalPlan, Sink,
 };
@@ -57,6 +58,15 @@ struct OwnedAgg {
     kind: AggKind,
     column: Option<String>,
 }
+
+/// The options behind [`QueryBuilder::execute`]: one lease at a time,
+/// no prefetch, no shared top-k bound.
+const SEQUENTIAL: ExecOptions = ExecOptions {
+    threads: 1,
+    prefetch: 0,
+    prefetch_auto: false,
+    topk_shared_bound: false,
+};
 
 /// One CNF clause: a disjunction of `(column, predicate)` leaves. A
 /// single-leaf clause is the ordinary conjunct.
@@ -299,17 +309,19 @@ impl QuerySpec {
     /// [`crate::source::SegmentMeta`] alone, visible in
     /// [`PhysicalPlan::display`].
     ///
-    /// `right` is the join's resolved right side, supplied by the
-    /// executors that carry one (catalog execution, the worker pool,
-    /// [`QueryBuilder::join`]). A spec with a join and no right side
-    /// fails in `compile_sink` — the right table can only come from
-    /// whoever holds the catalog snapshot.
-    pub(crate) fn compile_join<'t>(
+    /// The plan owns its `table` snapshot handle, so it outlives the
+    /// caller's borrow: a query compiles once (at job construction) and
+    /// any thread executes its segments. `right` is the join's resolved
+    /// right side, supplied by the callers that carry one (catalog
+    /// execution, [`QueryBuilder::join`]). A spec with a join and no
+    /// right side fails in `compile_sink` — the right table can only
+    /// come from whoever holds the catalog snapshot.
+    pub(crate) fn compile_join(
         &self,
-        table: &'t Table,
+        table: &Arc<Table>,
         naive: bool,
         right: Option<&Arc<JoinRight>>,
-    ) -> Result<PhysicalPlan<'t>> {
+    ) -> Result<PhysicalPlan> {
         let mut clauses = Vec::with_capacity(self.clauses.len());
         for clause in &self.clauses {
             if clause.is_empty() {
@@ -337,7 +349,7 @@ impl QuerySpec {
         }
         let sink = self.compile_sink(table, right)?;
         Ok(PhysicalPlan {
-            table,
+            table: Arc::clone(table),
             filters: clauses,
             sink,
             naive,
@@ -611,70 +623,58 @@ impl<'t> QueryBuilder<'t> {
     }
 
     /// Resolve names and operators into a [`PhysicalPlan`].
-    pub fn compile(&self) -> Result<PhysicalPlan<'t>> {
-        self.spec
-            .compile_join(self.table, false, self.resolved_right()?.as_ref())
+    pub fn compile(&self) -> Result<PhysicalPlan> {
+        self.compile_mode(false)
     }
 
     /// Compile to the decompress-everything baseline plan.
-    pub fn compile_naive(&self) -> Result<PhysicalPlan<'t>> {
-        self.spec
-            .compile_join(self.table, true, self.resolved_right()?.as_ref())
+    pub fn compile_naive(&self) -> Result<PhysicalPlan> {
+        self.compile_mode(true)
     }
 
-    /// The sink's build side when this builder carries a join: the
-    /// in-hand right table with the key column resolved against its
-    /// schema.
-    fn resolved_right(&self) -> Result<Option<Arc<JoinRight>>> {
-        match (&self.spec.join, &self.right) {
-            (Some(join), Some(table)) => Ok(Some(Arc::new(JoinRight {
+    /// Compile against an owned handle to the borrowed table (a `Table`
+    /// is a bundle of `Arc`'d sources, so the clone copies no data),
+    /// resolving the in-hand right table when this builder carries a
+    /// join: its key column against its own schema.
+    fn compile_mode(&self, naive: bool) -> Result<PhysicalPlan> {
+        let right = match (&self.spec.join, &self.right) {
+            (Some(join), Some(table)) => Some(Arc::new(JoinRight {
                 key: resolve(table, &join.on)?,
                 shards: vec![Arc::clone(table)],
-            }))),
-            _ => Ok(None),
-        }
+            })),
+            _ => None,
+        };
+        self.spec
+            .compile_join(&Arc::new(self.table.clone()), naive, right.as_ref())
     }
 
-    /// Compile and run with every pushdown tier enabled.
+    /// Compile and run with every pushdown tier enabled, sequentially
+    /// on the calling thread — the reference every other configuration
+    /// must reproduce (no shared top-k bound: its counters stay the
+    /// baseline).
     pub fn execute(&self) -> Result<QueryResult> {
-        let plan = self.compile()?;
-        let (state, stats) = plan.run()?;
-        QueryResult::from_state(&plan, state, stats)
+        Job::over_plan(self.compile()?, &SEQUENTIAL).run()
     }
 
     /// Compile and run the naive baseline (for comparisons and tests).
     pub fn execute_naive(&self) -> Result<QueryResult> {
-        let plan = self.compile_naive()?;
-        let (state, stats) = plan.run()?;
-        QueryResult::from_state(&plan, state, stats)
+        Job::over_plan(self.compile_naive()?, &SEQUENTIAL).run()
     }
 
-    /// Compile and run the pushdown plan with `threads` workers pulling
-    /// single segments from one shared morsel queue. Answers are
-    /// identical to [`execute`](Self::execute); top-k prune counters
-    /// may differ (each worker tightens its own threshold).
+    /// Compile and run the pushdown plan with up to `threads` threads
+    /// leasing segments from the one job. Answers are identical to
+    /// [`execute`](Self::execute); top-k prune counters may differ
+    /// (each lease slot tightens its own threshold).
     pub fn execute_parallel(&self, threads: usize) -> Result<QueryResult> {
-        self.execute_opts(&super::ExecOptions::threads(threads))
+        self.execute_opts(&ExecOptions::threads(threads))
     }
 
-    /// Compile and run under explicit [`super::ExecOptions`] — worker
-    /// count plus I/O prefetch depth for lazily-backed tables. Answers
-    /// are identical to [`execute`](Self::execute) for every option
+    /// Compile and run under explicit [`ExecOptions`] — lease cap plus
+    /// I/O prefetch depth for lazily-backed tables. Answers are
+    /// identical to [`execute`](Self::execute) for every option
     /// combination.
-    pub fn execute_opts(&self, opts: &super::ExecOptions) -> Result<QueryResult> {
-        let plan = self.compile()?;
-        let (state, stats) = super::run_plans(std::slice::from_ref(&plan), opts)?;
-        QueryResult::from_state(&plan, state, stats)
-    }
-
-    /// Compile and run with the pre-morsel static partitioner: each of
-    /// `threads` workers is bound up front to one contiguous slice of
-    /// the visit order. The measured baseline for the morsel executor
-    /// (benchmarks only — skewed segment costs tail-block it).
-    pub fn execute_parallel_static(&self, threads: usize) -> Result<QueryResult> {
-        let plan = self.compile()?;
-        let (state, stats) = plan.run_parallel_static(threads)?;
-        QueryResult::from_state(&plan, state, stats)
+    pub fn execute_opts(&self, opts: &ExecOptions) -> Result<QueryResult> {
+        Job::over_plan(self.compile()?, opts).run()
     }
 
     /// The physical plan as text, one operator per line.

@@ -25,13 +25,18 @@
 //!   in code space (DICT) or run space (RLE/RPE/CONST) without
 //!   decompressing the key column ([`QueryStats::groups_folded`],
 //!   [`QueryStats::rows_undecoded`]), and parallel top-k shares one
-//!   discovered threshold across every worker and shard
+//!   discovered threshold across every lease and shard
 //!   ([`QueryStats::topk_segments_skipped`]).
 //!
 //! Execution is per segment end-to-end, which makes the segment the
-//! unit of parallelism for **every** operator
-//! ([`QueryBuilder::execute_parallel`]), and every operator reports into
-//! one [`QueryStats`] so the naive/pushdown separation stays measurable
+//! unit of parallelism for **every** operator, and there is one
+//! executor (`job.rs`): a query compiles once into a job — plans that
+//! own their table snapshots, the segment visit order, the partial
+//! results — and whoever runs it (the calling thread and its scoped
+//! helpers under [`ExecOptions`], or `lcdc serve`'s worker pool) claims
+//! short leases of segments and pushes them through the same
+//! per-segment pipeline. Every operator reports into one
+//! [`QueryStats`] so the naive/pushdown separation stays measurable
 //! across the whole API.
 //!
 //! ```
@@ -59,19 +64,21 @@
 //! ```
 
 pub mod args;
+mod cancel;
+mod job;
 mod logical;
-mod morsel;
 mod physical;
 mod result;
 
 pub use args::QueryArgs;
+pub use job::ExecOptions;
 pub use logical::{Agg, JoinSpec, QueryBuilder, QuerySpec};
-pub use morsel::ExecOptions;
 pub use physical::{PhysicalPlan, QueryStats};
 pub use result::{QueryResult, Rows};
 
-pub(crate) use morsel::run_plans;
-pub(crate) use physical::{JoinRight, Sink, SinkState, TOPK_BOUND_UNSET};
+pub(crate) use cancel::CancelToken;
+pub(crate) use job::{execute_shards, Job, Lease};
+pub(crate) use physical::JoinRight;
 
 #[cfg(test)]
 mod tests {

@@ -12,9 +12,10 @@
 //! The filter CNF is evaluated at the cheapest granularity that decides
 //! it, and the sink consumes the surviving selection — structurally off
 //! the compressed form where the scheme allows, by materialising rows
-//! only as the last resort. Segments are independent, so the same
-//! per-segment pipeline drives both the sequential and the parallel
-//! executors.
+//! only as the last resort. Segments are independent, so one
+//! per-segment pipeline — [`PhysicalPlan::execute_segment`], called
+//! only by the executor's lease loop (`super::job`) — serves every
+//! schedule, from one thread to the server's pool.
 
 use crate::agg::{aggregate_plain, aggregate_segment, AggKind, AggResult};
 use crate::predicate::{Predicate, PushdownStats};
@@ -79,7 +80,7 @@ pub struct QueryStats {
     /// executing (0 or 1 per [`crate::Catalog::execute`] call; stats
     /// from the original execution are replaced by this marker).
     pub result_cache_hits: usize,
-    /// Payload fetches served from a frame the background prefetcher
+    /// Payload fetches served from a frame the job's prefetcher
     /// had already warmed — the proof that I/O overlapped the scan.
     /// Only lazily-backed sources ever report these.
     pub prefetch_hits: usize,
@@ -111,8 +112,8 @@ pub struct QueryStats {
     /// decoded (naive) group-by always reports 0 here.
     pub rows_undecoded: usize,
     /// Segments skipped against the *shared* top-k bound — the
-    /// process-wide threshold morsel workers and shard fan-ins publish
-    /// into, letting late workers prune with early workers' heaps
+    /// job-wide threshold every lease slot and shard of a fan-in
+    /// publishes into, letting late leases prune with early ones' heaps
     /// (see [`crate::ExecOptions::topk_shared_bound`]). Sequential
     /// [`crate::QueryBuilder::execute`] runs prune against the heap
     /// directly and report 0 here.
@@ -306,13 +307,13 @@ pub(crate) enum SinkState {
     TopK {
         heap: BinaryHeap<Reverse<i128>>,
         k: usize,
-        /// The process-wide k-th bound shared across morsel workers and
-        /// shard fan-ins (`None` on sequential reference runs): every
-        /// worker whose heap holds `k` values publishes its threshold
-        /// here, and every worker consults it before visiting a
-        /// segment, so late workers prune with early workers' work.
+        /// The job-wide k-th bound shared across lease slots and shard
+        /// fan-ins (`None` on sequential reference runs): every slot
+        /// whose heap holds `k` values publishes its threshold here,
+        /// and every lease consults it before visiting a segment, so
+        /// late leases prune with early leases' work.
         shared: Option<Arc<AtomicI64>>,
-        /// The threshold this worker last wrote into `shared`
+        /// The threshold this slot last wrote into `shared`
         /// ([`TOPK_BOUND_UNSET`] before the first publication) —
         /// the reference point publication batching measures
         /// improvements against.
@@ -341,9 +342,9 @@ impl SinkState {
         SinkState::for_sink_shared(sink, None)
     }
 
-    /// [`SinkState::for_sink`] with a shared top-k bound attached (the
-    /// morsel executor hands every worker the same `Arc`). Non-top-k
-    /// sinks ignore the bound.
+    /// [`SinkState::for_sink`] with a shared top-k bound attached (a
+    /// job hands every slot the same `Arc`). Non-top-k sinks ignore
+    /// the bound.
     pub(crate) fn for_sink_shared(sink: &Sink, bound: Option<Arc<AtomicI64>>) -> SinkState {
         match sink {
             Sink::Aggregate { cols, .. } => SinkState::Aggregate {
@@ -400,11 +401,11 @@ impl SinkState {
     }
 
     /// Publish any batched-but-unpublished top-k threshold improvement
-    /// into the shared bound. Workers call this when they stop drawing
-    /// morsels (end of queue, end of a scheduler lease) so an
-    /// improvement held back by publication batching still reaches the
-    /// workers that keep running. No-op for non-top-k sinks, unshared
-    /// runs, and workers whose last publication is already current.
+    /// into the shared bound. The executor calls this at the end of
+    /// every lease so an improvement held back by publication batching
+    /// still reaches the leases that keep running. No-op for non-top-k
+    /// sinks, unshared runs, and slots whose last publication is
+    /// already current.
     pub(crate) fn flush_topk_bound(&mut self) {
         if let SinkState::TopK {
             heap,
@@ -579,8 +580,10 @@ impl Materializer {
 
 /// A compiled query: resolved columns, filter CNF, one sink.
 #[derive(Debug, Clone)]
-pub struct PhysicalPlan<'t> {
-    pub(crate) table: &'t Table,
+pub struct PhysicalPlan {
+    /// The table snapshot the plan reads — owned, so a compiled plan
+    /// outlives its builder and any thread may execute its segments.
+    pub(crate) table: Arc<Table>,
     /// CNF clauses, each `(column index, column name, predicate)`
     /// leaves ORed together — evaluated in order, short-circuiting per
     /// segment.
@@ -594,7 +597,7 @@ pub struct PhysicalPlan<'t> {
     pub(crate) reordered: bool,
 }
 
-impl<'t> PhysicalPlan<'t> {
+impl PhysicalPlan {
     /// Human-readable plan, one operator per line.
     pub fn display(&self) -> String {
         let mut out = format!(
@@ -665,65 +668,6 @@ impl<'t> PhysicalPlan<'t> {
             ),
         });
         out
-    }
-
-    /// Run sequentially and return the sink state plus counters.
-    pub(crate) fn run(&self) -> Result<(SinkState, QueryStats)> {
-        let mut state = SinkState::for_sink(&self.sink);
-        let mut stats = QueryStats::default();
-        for seg_idx in self.segment_order() {
-            self.execute_segment(seg_idx, &mut state, &mut stats)?;
-        }
-        Ok((state, stats))
-    }
-
-    /// Run with `threads` workers pulling single segments from one
-    /// shared queue over the visit order (morsel-driven: skewed
-    /// per-segment costs rebalance automatically); partial sink states
-    /// and counters merge associatively.
-    pub(crate) fn run_parallel(&self, threads: usize) -> Result<(SinkState, QueryStats)> {
-        super::morsel::run_plans(
-            std::slice::from_ref(self),
-            &super::morsel::ExecOptions::threads(threads),
-        )
-    }
-
-    /// The pre-morsel parallel executor: `threads` workers, each bound
-    /// up front to one *contiguous* slice of the visit order. Kept as
-    /// the measured baseline the morsel executor is compared against
-    /// (see the E7 `morsel_skew` bench) — a skewed tier distribution
-    /// tail-blocks this one.
-    pub(crate) fn run_parallel_static(&self, threads: usize) -> Result<(SinkState, QueryStats)> {
-        let order = self.segment_order();
-        let threads = threads.clamp(1, order.len().max(1));
-        let chunk = order.len().div_ceil(threads).max(1);
-
-        let partials: Vec<Result<(SinkState, QueryStats)>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for piece in order.chunks(chunk) {
-                handles.push(scope.spawn(move || {
-                    let mut state = SinkState::for_sink(&self.sink);
-                    let mut stats = QueryStats::default();
-                    for &seg_idx in piece {
-                        self.execute_segment(seg_idx, &mut state, &mut stats)?;
-                    }
-                    Ok((state, stats))
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("plan worker panicked"))
-                .collect()
-        });
-
-        let mut state = SinkState::for_sink(&self.sink);
-        let mut stats = QueryStats::default();
-        for partial in partials {
-            let (part_state, part_stats) = partial?;
-            state.merge(part_state);
-            stats.absorb(&part_stats);
-        }
-        Ok((state, stats))
     }
 
     /// The order segments are visited in. Top-k visits best-max first
@@ -817,7 +761,7 @@ impl<'t> PhysicalPlan<'t> {
                 }
                 continue;
             }
-            match clause_zone(self.table, clause, seg_idx, || ()) {
+            match clause_zone(&self.table, clause, seg_idx, || ()) {
                 ClauseZone::AllRows => {}
                 ClauseZone::Empty => {
                     // Clause zone-proves the segment empty: no fetch at
@@ -1035,7 +979,7 @@ impl<'t> PhysicalPlan<'t> {
         // Pass 1 — zone maps across *all* alternatives before any
         // payload work: one leaf proven all-matching settles the clause
         // even if an earlier leaf would have needed a fetch.
-        let undecided = match clause_zone(self.table, clause, seg_idx, || {
+        let undecided = match clause_zone(&self.table, clause, seg_idx, || {
             stats.pushdown.zonemap_hits += 1
         }) {
             ClauseZone::AllRows => return Ok(ClauseOutcome::AllRows),

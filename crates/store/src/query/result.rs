@@ -1,6 +1,6 @@
 //! Query results: one shape per sink, plus the unified counters.
 
-use super::physical::{AggSpec, PhysicalPlan, QueryStats, Sink, SinkState};
+use super::physical::{AggSpec, QueryStats, Sink, SinkState};
 use crate::agg::AggKind;
 use crate::Result;
 
@@ -95,11 +95,11 @@ impl QueryResult {
     }
 
     pub(crate) fn from_state(
-        plan: &PhysicalPlan<'_>,
+        sink: &Sink,
         state: SinkState,
         stats: QueryStats,
     ) -> Result<QueryResult> {
-        let rows = match (state, &plan.sink) {
+        let rows = match (state, sink) {
             (SinkState::Aggregate { acc }, Sink::Aggregate { specs, .. }) => Rows::Aggregates(
                 specs
                     .iter()

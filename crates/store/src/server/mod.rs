@@ -1,8 +1,8 @@
 //! `lcdc serve`: a concurrent query service over the catalog.
 //!
 //! Everything below this module serves one process at a time: a CLI
-//! invocation opens a table, runs one query (spawning its own workers),
-//! and exits. This module makes the catalog a long-lived *service*
+//! invocation opens a table, runs one query (driving it on its own
+//! thread plus a few helpers), and exits. This module makes the catalog a long-lived *service*
 //! without changing what a query means:
 //!
 //! * **One wire protocol** (`protocol.rs`): length-prefixed, FNV-1a
@@ -10,11 +10,13 @@
 //!   `lcdc query` flag vector — the server parses it with
 //!   [`crate::QueryArgs`], the exact grammar the CLI uses, so the two
 //!   front doors cannot drift.
-//! * **One worker pool** (`pool.rs`): every client's query becomes a
-//!   queue of segment morsels leased by a fixed set of workers.
+//! * **One worker pool** (`pool.rs`): every client's query compiles
+//!   once into the same [`crate::query`] job in-process callers drive
+//!   themselves, and a fixed set of workers leases segments from it.
 //!   Concurrency is a *server* property (`--threads`), not a per-query
-//!   spawn; queries interleave fairly at lease granularity and a
-//!   client's own `--threads` caps its share.
+//!   spawn; queries interleave fairly at lease granularity, a client's
+//!   own `--threads` caps its share, and its `--prefetch` is work the
+//!   waiting session thread does.
 //! * **Admission control**: at most `max_inflight` query/ingest
 //!   requests execute at once; the next one gets a typed
 //!   [`Response::Busy`] with the observed load, so overload is a
@@ -58,7 +60,6 @@
 //! assert_eq!(report.served, 1);
 //! ```
 
-mod cancel;
 mod client;
 mod metrics;
 mod pool;
@@ -80,13 +81,16 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How often the accept loop and [`Server::wait`] poll the shutdown
-/// flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(50);
+/// flag — and so the longest a connecting client waits to be accepted.
+/// Short enough that connections are accepted in arrival order: at
+/// 50 ms, clients tens of milliseconds apart were accepted as one batch
+/// and their sessions raced to submit.
+const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Tunables for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Workers in the shared morsel pool — the server's *total*
+    /// Workers in the shared pool — the server's *total*
     /// execution width, shared by all clients. Defaults to the host's
     /// available parallelism.
     pub threads: usize,

@@ -1,113 +1,38 @@
-//! The server's shared morsel worker pool.
+//! The server's shared worker pool.
 //!
-//! In-process callers parallelise with [`crate::ExecOptions::threads`]:
-//! every `execute_opts` spawns scoped workers for its own query. A
-//! server cannot do that — N concurrent clients each spawning
-//! `available_parallelism` workers is N-fold oversubscription, and the
-//! thread count stops being a configuration. Here the relationship is
-//! inverted: **one** pool of `threads` long-lived workers executes
-//! *every* query, and a query is just a queue of morsels
-//! (`(shard, segment)` units, exactly the morsel executor's) those
-//! workers lease from.
+//! In-process callers drive a query's [`Job`] on the calling thread
+//! plus a few scoped helpers ([`Job::run`]). A server cannot do that —
+//! N concurrent clients each spawning `available_parallelism` helpers
+//! is N-fold oversubscription, and the thread count stops being a
+//! configuration. Here the relationship is inverted: **one** pool of
+//! `threads` long-lived workers drives *every* query's job, one lease
+//! at a time. The job is the executor's; what is the pool's own is:
 //!
 //! * **Fair interleaving.** Jobs live in a round-robin queue. A worker
-//!   takes one *lease* — up to [`LEASE_MORSELS`] segments — from the
-//!   front job, re-enqueues the job at the back if it still has
-//!   unclaimed segments, then executes the lease. Segments of different
-//!   queries interleave at lease granularity, so a short aggregate is
-//!   never stuck behind a giant group-by's whole segment list.
+//!   claims one *lease* from the front job, re-enqueues the job at the
+//!   back if it still has unclaimed segments, then executes the lease.
+//!   Segments of different queries interleave at lease granularity, so
+//!   a short aggregate is never stuck behind a giant group-by's whole
+//!   segment list.
 //! * **Per-client width caps.** A job's [`crate::ExecOptions::threads`]
-//!   bounds how many leases of it may execute at once: a client that
-//!   asks for `--threads 1` gets sequential execution (and sequential
-//!   per-worker accounting) even on a wide pool, while capped jobs
+//!   bounds how many of its leases may execute at once: a client that
+//!   asks for `--threads 1` gets sequential execution (and the
+//!   sequential counter ledger) even on a wide pool, while capped jobs
 //!   rotate past so the pool never idles on one client's modesty.
-//! * **Unchanged answers.** A lease executes segments through the same
-//!   [`PhysicalPlan::execute_segment`] pipeline as every other
-//!   executor, accumulates a partial [`SinkState`], and merges it
-//!   associatively under the job's lock — the merge discipline the
-//!   morsel executor already proves schedule-independent. Shard
-//!   pruning, the shared top-k bound (one atomic per job, flushed at
-//!   lease end), and the stats ledger all carry over.
+//! * **The width proof.** `peak_leases` is the high-water mark of
+//!   leases executing across all jobs — bounded by the worker count by
+//!   construction, and reported so tests can hold the server to it.
 //!
-//! Plans borrow tables, so long-lived workers cannot hold them across
-//! jobs: a lease re-compiles the spec against the shards it actually
-//! touches (a metadata-only walk, microseconds against segment
-//! execution) and drops the plans with the lease. The job owns `Arc`
-//! handles to its snapshot's shards, so a concurrent
+//! A job owns `Arc` handles to its snapshot's shards, so a concurrent
 //! [`crate::Catalog::ingest`] publishing new versions never invalidates
 //! an executing lease.
 
-use super::cancel::CancelToken;
-use crate::catalog::{shard_excluded, CatalogTable, ResolvedJoin};
-use crate::query::{
-    ExecOptions, JoinRight, PhysicalPlan, QueryResult, QuerySpec, QueryStats, Sink, SinkState,
-    TOPK_BOUND_UNSET,
-};
-use crate::table::Table;
+use crate::query::{Job, Lease};
 use crate::{Result, StoreError};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// Segments one lease claims at a time. Small enough that queries
-/// interleave finely (a worker revisits the queue every few segments),
-/// large enough that queue locking stays off the per-segment path.
-const LEASE_MORSELS: usize = 8;
-
-/// How often [`PendingQuery::wait_while`] wakes its caller between
-/// deliveries — the cadence at which a session notices an expired
-/// deadline or a vanished client while its query executes.
-const WAIT_TICK: Duration = Duration::from_millis(25);
-
-/// One queued query: the spec, its snapshot's live shards, and the
-/// claim/merge bookkeeping every lease goes through.
-struct Job {
-    spec: QuerySpec,
-    /// The snapshot's shards that survived shard pruning, in order.
-    tables: Vec<Arc<Table>>,
-    /// The sink shape (owned — outlives any compiled plan), for
-    /// constructing per-lease partial states.
-    sink: Sink,
-    /// The job-wide shared top-k bound, when the sink is top-k and the
-    /// client left [`ExecOptions::topk_shared_bound`] on.
-    bound: Option<Arc<AtomicI64>>,
-    /// Every `(shard index, segment index)` to execute, in visit order.
-    morsels: Vec<(usize, usize)>,
-    /// Most leases of this job allowed to execute at once (the
-    /// client's `threads`, clamped to the pool width).
-    max_leases: usize,
-    /// Most leases ever executing at once, for tests and metrics.
-    peak_leases: AtomicUsize,
-    /// The request's cancellation token: checked at every lease claim
-    /// and between morsels, so a fired token abandons all unclaimed
-    /// work within one lease.
-    cancel: Arc<CancelToken>,
-    /// The join's resolved right side when the spec carries one —
-    /// shared by every lease's re-compiled plan, so all leases probe
-    /// the same right-table snapshot.
-    right: Option<Arc<JoinRight>>,
-    inner: Mutex<JobInner>,
-}
-
-struct JobInner {
-    /// Next unclaimed morsel index.
-    next: usize,
-    /// Morsels executed *and merged*.
-    completed: usize,
-    /// Leases currently executing.
-    active_leases: usize,
-    /// Merged partial sink states.
-    merged: Option<SinkState>,
-    stats: QueryStats,
-    /// First error any lease hit; the job aborts (no new leases) and
-    /// delivers it once in-flight leases finish.
-    error: Option<StoreError>,
-    /// Taken exactly once, by whichever lease finishes the job.
-    done: Option<SyncSender<Result<(SinkState, QueryStats)>>>,
-}
 
 struct PoolState {
     queue: VecDeque<Arc<Job>>,
@@ -127,7 +52,7 @@ struct PoolShared {
 
 /// The fixed-width worker pool. Construct once per server
 /// ([`WorkerPool::new`] spawns the workers immediately), submit
-/// queries from any thread with [`WorkerPool::submit`], and
+/// jobs from any thread with [`WorkerPool::submit`], and
 /// [`WorkerPool::stop`] drains and joins on shutdown.
 pub(crate) struct WorkerPool {
     threads: usize,
@@ -176,7 +101,7 @@ impl WorkerPool {
         })
     }
 
-    /// The configured worker count.
+    /// The configured worker count — the width jobs are built for.
     pub(crate) fn threads(&self) -> usize {
         self.threads
     }
@@ -189,136 +114,27 @@ impl WorkerPool {
         self.shared.peak_leases.load(Ordering::Relaxed)
     }
 
-    /// Execute `spec` against a catalog snapshot on the shared pool,
-    /// blocking until the merged result is ready — [`Self::submit`]
-    /// plus an uninterruptible wait, for tests with no connection to
-    /// watch. (Sessions use `submit` + [`PendingQuery::wait_while`].)
+    /// Execute `spec` against a catalog snapshot on the pool, blocking
+    /// until the result is ready — what a session does, minus the
+    /// connection to watch.
     #[cfg(test)]
     pub(crate) fn execute(
         &self,
-        table: &CatalogTable,
-        spec: &QuerySpec,
-        opts: &ExecOptions,
-        cancel: Arc<CancelToken>,
-    ) -> Result<QueryResult> {
-        self.submit(table, spec, opts, cancel, None)?
-            .wait_while(|| Ok(()))
+        table: &crate::CatalogTable,
+        spec: &crate::QuerySpec,
+        opts: &crate::ExecOptions,
+        cancel: Arc<crate::query::CancelToken>,
+    ) -> Result<crate::QueryResult> {
+        let job = Job::over_shards(table.shards(), spec, None, opts, self.threads, cancel)?;
+        let job = Arc::new(job);
+        self.submit(&job)?;
+        job.wait_while(|| Ok(()))
     }
 
-    /// Queue `spec` against a catalog snapshot on the shared pool and
-    /// return a [`PendingQuery`] the caller waits on. Semantically
-    /// identical to [`crate::Catalog::execute_opts`]'s execution
-    /// strategy: shard pruning first, then every live shard's segments
-    /// through the standard per-segment pipeline — just scheduled onto
-    /// the server's fixed workers instead of per-query spawns.
-    /// `opts.threads` caps this job's concurrent leases;
-    /// `opts.prefetch` is ignored (the pool spawns no per-query fetcher
-    /// threads — its width is the server's whole execution budget).
-    ///
-    /// `cancel` is checked here (an already-expired deadline queues
-    /// nothing), at every lease claim, and between morsels; a fired
-    /// token surfaces through the delivered outcome as the typed
-    /// deadline/cancelled error.
-    ///
-    /// `join` is the spec's right side, resolved by the catalog against
-    /// the same snapshot as `table` — required when the spec joins,
-    /// ignored otherwise.
-    pub(crate) fn submit(
-        &self,
-        table: &CatalogTable,
-        spec: &QuerySpec,
-        opts: &ExecOptions,
-        cancel: Arc<CancelToken>,
-        join: Option<&ResolvedJoin>,
-    ) -> Result<PendingQuery> {
-        cancel.check()?;
-        let right = join.map(|j| Arc::clone(&j.right));
-        // Shard pruning, exactly as the in-process sharded fan-in does:
-        // an excluded shard is counted, never compiled or read.
-        let mut pruned = QueryStats::default();
-        let all: Vec<Arc<Table>> = match table {
-            CatalogTable::Single(t) => vec![Arc::clone(t)],
-            CatalogTable::Sharded(s) => s.shards().to_vec(),
-        };
-        let mut tables = Vec::with_capacity(all.len());
-        for shard in &all {
-            if shard_excluded(shard, spec) {
-                pruned.shards_pruned += 1;
-                pruned.segments += shard.num_segments();
-                pruned.segments_pruned += shard.num_segments();
-            } else {
-                tables.push(Arc::clone(shard));
-            }
-        }
-
-        // Compile on the submitting thread: this validates the spec
-        // (unknown columns error here, before anything queues) and
-        // publishes the morsel list. The plans borrow `tables`, so they
-        // drop before the job takes ownership; leases re-compile.
-        let Some(shape_table) = tables.first().or_else(|| all.first()) else {
-            return Err(StoreError::Shape("table has no shards".into()));
-        };
-        let mut morsels = Vec::new();
-        let sink = {
-            let plans = tables
-                .iter()
-                .map(|t| spec.compile_join(t, false, right.as_ref()))
-                .collect::<Result<Vec<_>>>()?;
-            let shape = match plans.first() {
-                Some(plan) => plan,
-                // Every shard pruned: compile purely for the sink
-                // shape, like the in-process fan-in.
-                None => &spec.compile_join(shape_table, false, right.as_ref())?,
-            };
-            for (p, plan) in plans.iter().enumerate() {
-                morsels.extend(plan.segment_order().into_iter().map(|s| (p, s)));
-            }
-            if morsels.is_empty() {
-                // Nothing to queue: deliver the empty sink state
-                // immediately; the normal wait path shapes it.
-                let (done, recv) = sync_channel(1);
-                let _ = done.send(Ok((
-                    SinkState::for_sink(&shape.sink),
-                    QueryStats::default(),
-                )));
-                return Ok(PendingQuery {
-                    recv,
-                    shape_table: Arc::clone(shape_table),
-                    spec: spec.clone(),
-                    pruned,
-                    right,
-                });
-            }
-            shape.sink.clone()
-        };
-
-        let bound = (opts.topk_shared_bound && matches!(sink, Sink::TopK { .. }))
-            .then(|| Arc::new(AtomicI64::new(TOPK_BOUND_UNSET)));
-        let (done, recv) = sync_channel(1);
-        let shape_table = Arc::clone(shape_table);
-        let total = morsels.len();
-        let job = Arc::new(Job {
-            spec: spec.clone(),
-            tables,
-            sink,
-            bound,
-            morsels,
-            max_leases: opts.threads.clamp(1, self.threads),
-            peak_leases: AtomicUsize::new(0),
-            cancel,
-            right: right.clone(),
-            inner: Mutex::new(JobInner {
-                next: 0,
-                completed: 0,
-                active_leases: 0,
-                merged: None,
-                stats: QueryStats::default(),
-                error: None,
-                done: Some(done),
-            }),
-        });
-        debug_assert_eq!(job.morsels.len(), total);
-
+    /// Queue `job` for the workers; the caller collects it with
+    /// [`Job::wait_while`]. The job was compiled by the submitter —
+    /// workers only ever claim and execute leases.
+    pub(crate) fn submit(&self, job: &Arc<Job>) -> Result<()> {
         {
             // A poisoned pool lock means a worker panicked mid-scan;
             // the queue itself is valid at every step, so recover the
@@ -331,16 +147,10 @@ impl WorkerPool {
             if state.stopping {
                 return Err(StoreError::Shape("worker pool is shutting down".into()));
             }
-            state.queue.push_back(Arc::clone(&job));
+            state.queue.push_back(Arc::clone(job));
         }
         self.shared.work_ready.notify_all();
-        Ok(PendingQuery {
-            recv,
-            shape_table,
-            spec: spec.clone(),
-            pruned,
-            right,
-        })
+        Ok(())
     }
 
     /// Drain queued jobs, then stop and join every worker. Queued and
@@ -359,9 +169,8 @@ impl WorkerPool {
         let workers =
             std::mem::take(&mut *self.workers.lock().unwrap_or_else(PoisonError::into_inner));
         for handle in workers {
-            // A worker that panicked already delivered its job an error
-            // (or abandoned it to the drain); shutdown proceeds either
-            // way.
+            // A worker that panicked abandoned its job to the session's
+            // deadline/disconnect tick; shutdown proceeds either way.
             if handle.join().is_err() {
                 eprintln!("lcdc server: a pool worker panicked; continuing shutdown");
             }
@@ -369,253 +178,54 @@ impl WorkerPool {
     }
 }
 
-/// A submitted query the caller has not collected yet: the delivery
-/// channel plus everything needed to shape the merged sink state into
-/// a [`QueryResult`] on the caller's thread.
-pub(crate) struct PendingQuery {
-    recv: Receiver<Result<(SinkState, QueryStats)>>,
-    shape_table: Arc<Table>,
-    spec: QuerySpec,
-    pruned: QueryStats,
-    /// The join's right side, carried so the shaping re-compile on the
-    /// caller's thread can rebuild the same plan.
-    right: Option<Arc<JoinRight>>,
-}
-
-impl PendingQuery {
-    /// Block until the pool delivers, calling `tick` roughly every
-    /// [`WAIT_TICK`] — the session's chance to poll its connection and
-    /// fire the job's [`CancelToken`]. A `tick` error abandons the
-    /// wait immediately with that error: the job's token is expected to
-    /// be fired too, so the pool drops its unclaimed morsels at the
-    /// next claim and delivers to a dead receiver (harmless — the
-    /// sync channel holds one outcome without a reader).
-    pub(crate) fn wait_while(self, mut tick: impl FnMut() -> Result<()>) -> Result<QueryResult> {
-        let outcome = loop {
-            match self.recv.recv_timeout(WAIT_TICK) {
-                Ok(outcome) => break outcome?,
-                Err(RecvTimeoutError::Timeout) => tick()?,
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(StoreError::Shape("worker pool stopped mid-query".into()))
-                }
-            }
-        };
-        let (state, mut stats) = outcome;
-        // Shape the merged state on the caller's thread; any live
-        // shard's plan shapes identically (shared schema).
-        let shape = self
-            .spec
-            .compile_join(&self.shape_table, false, self.right.as_ref())?;
-        stats.absorb(&self.pruned);
-        QueryResult::from_state(&shape, state, stats)
-    }
-}
-
-/// What a worker decided to do with the job at the queue front.
-enum Claim {
-    /// Execute `morsels[start..end]`.
-    Lease { start: usize, end: usize },
-    /// Job finished, aborted, or fully claimed — drop it from the
-    /// queue.
-    Drop,
-    /// Job is at its lease cap — rotate it to the back and look at the
-    /// next one.
-    Capped,
-}
-
-fn claim(job: &Job) -> Claim {
-    let mut inner = job.inner.lock().unwrap_or_else(PoisonError::into_inner);
-    if inner.error.is_some() || inner.next >= job.morsels.len() {
-        return Claim::Drop;
-    }
-    // A fired token abandons every unclaimed morsel right here — the
-    // next worker to even look at the job drops it. With no lease in
-    // flight this claim is the job's last observer, so it also
-    // delivers; otherwise the last finishing lease does.
-    if let Err(e) = job.cancel.check() {
-        inner.error = Some(e);
-        inner.next = job.morsels.len();
-        if inner.active_leases == 0 {
-            deliver(&mut inner, job.morsels.len());
-        }
-        return Claim::Drop;
-    }
-    if inner.active_leases >= job.max_leases {
-        return Claim::Capped;
-    }
-    let start = inner.next;
-    let end = (start + LEASE_MORSELS).min(job.morsels.len());
-    inner.next = end;
-    inner.active_leases += 1;
-    // ordering: advisory per-job high-water mark; the load/store pair
-    // is serialized by `job.inner`, which every claim holds here.
-    let peak = job.peak_leases.load(Ordering::Relaxed);
-    job.peak_leases
-        .store(peak.max(inner.active_leases), Ordering::Relaxed); // ordering: as above
-    Claim::Lease { start, end }
-}
-
 fn worker_loop(shared: &PoolShared) {
-    loop {
-        // Find a job to lease from, holding the queue lock only for the
-        // scan itself.
-        let mut leased = None;
-        {
-            let mut state = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                let mut rotations = 0;
-                while rotations < state.queue.len() {
-                    let Some(job) = state.queue.pop_front() else {
-                        // Unreachable given the loop bound, but an empty
-                        // queue simply ends the scan.
-                        break;
-                    };
-                    match claim(&job) {
-                        Claim::Lease { start, end } => {
-                            // Unclaimed segments remain: keep the job
-                            // rotating so other workers (and later
-                            // visits) interleave it with its peers.
-                            let unclaimed = job
-                                .inner
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .next
-                                < job.morsels.len();
-                            if unclaimed {
-                                state.queue.push_back(Arc::clone(&job));
-                            }
-                            leased = Some((job, start, end));
-                            break;
-                        }
-                        Claim::Drop => {
-                            // Not re-enqueued; rotation count unchanged
-                            // (the queue shrank instead).
-                        }
-                        Claim::Capped => {
-                            state.queue.push_back(job);
-                            rotations += 1;
-                        }
-                    }
-                }
-                if leased.is_some() {
-                    break;
-                }
-                if state.queue.is_empty() && state.stopping {
-                    return;
-                }
-                state = shared
-                    .work_ready
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-        let Some((job, start, end)) = leased else {
-            // Only reachable if the scan loop is broken out of without
-            // a lease; re-scan rather than crash the worker.
-            continue;
-        };
-        run_lease(shared, &job, start, end);
+    while let Some((job, lease)) = next_lease(shared) {
+        // ordering: advisory concurrency gauge; correctness of lease
+        // accounting lives in the job, not in these counters.
+        let active = shared.active_leases.fetch_add(1, Ordering::Relaxed) + 1;
+        // ordering: monotonic high-water mark folded from the gauge
+        // above; readers only ever see it after joining or stopping
+        // the pool.
+        shared.peak_leases.fetch_max(active, Ordering::Relaxed);
+        job.run_lease(lease);
+        // ordering: advisory gauge decrement, paired with the fetch_add
+        // above; never synchronizes data.
+        shared.active_leases.fetch_sub(1, Ordering::Relaxed);
         // A finished lease may unblock a capped sibling or finish the
         // drain another worker is waiting on.
         shared.work_ready.notify_all();
     }
 }
 
-fn run_lease(shared: &PoolShared, job: &Job, start: usize, end: usize) {
-    // ordering: advisory concurrency gauge; correctness of lease
-    // accounting lives in `job.inner`, not in these counters.
-    let active = shared.active_leases.fetch_add(1, Ordering::Relaxed) + 1;
-    // ordering: monotonic high-water mark folded from the gauge above;
-    // readers only ever see it after joining or stopping the pool.
-    shared.peak_leases.fetch_max(active, Ordering::Relaxed);
-
-    let mut state = SinkState::for_sink_shared(&job.sink, job.bound.clone());
-    let mut stats = QueryStats::default();
-    let mut plans: Vec<Option<PhysicalPlan<'_>>> = job.tables.iter().map(|_| None).collect();
-    let mut error = None;
-    for &(p, s) in job.morsels.get(start..end).unwrap_or_default() {
-        // Morsel-granular cancellation: a deadline that expires (or a
-        // client that vanishes) mid-lease stops this lease at the next
-        // segment boundary instead of finishing its whole claim.
-        if let Err(e) = job.cancel.check() {
-            error = Some(e);
-            break;
-        }
-        let (Some(slot), Some(table)) = (plans.get_mut(p), job.tables.get(p)) else {
-            // Morsels are built as indexes into `job.tables`, so this
-            // is internal corruption — fail the job, not the process.
-            error = Some(StoreError::Shape(format!(
-                "lease morsel names unknown shard {p}"
-            )));
-            break;
-        };
-        let plan = match slot {
-            Some(plan) => plan,
-            None => match job.spec.compile_join(table, false, job.right.as_ref()) {
-                Ok(plan) => slot.insert(plan),
-                Err(e) => {
-                    error = Some(e);
-                    break;
-                }
-            },
-        };
-        if let Err(e) = plan.execute_segment(s, &mut state, &mut stats) {
-            error = Some(e);
-            break;
-        }
-    }
-    // Lease over: publish any batched top-k improvement to the leases
-    // still running.
-    state.flush_topk_bound();
-    // ordering: advisory gauge decrement, paired with the fetch_add
-    // above; never synchronizes data.
-    shared.active_leases.fetch_sub(1, Ordering::Relaxed);
-
-    let mut inner = job.inner.lock().unwrap_or_else(PoisonError::into_inner);
-    inner.active_leases -= 1;
-    match error {
-        Some(e) => {
-            // First error wins; unclaimed morsels are abandoned (the
-            // queue scan drops the job on sight of the error).
-            if inner.error.is_none() {
-                inner.error = Some(e);
+/// Block until some queued job hands out a lease; `None` once the pool
+/// is stopping and the queue has drained. The queue lock is held only
+/// for the scan itself, never while a lease executes.
+fn next_lease(shared: &PoolShared) -> Option<(Arc<Job>, Lease)> {
+    let mut state = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
+    loop {
+        // One pass over the queue. A job with unclaimed segments
+        // keeps rotating — leased or at its cap — so other workers (and
+        // later visits) interleave it with its peers; a finished,
+        // failed or fully claimed one drops out.
+        for _ in 0..state.queue.len() {
+            let Some(job) = state.queue.pop_front() else {
+                break;
+            };
+            let lease = job.claim();
+            if job.has_unclaimed() {
+                state.queue.push_back(Arc::clone(&job));
+            }
+            if let Some(lease) = lease {
+                return Some((job, lease));
             }
         }
-        None => {
-            match &mut inner.merged {
-                Some(merged) => merged.merge(state),
-                slot @ None => *slot = Some(state),
-            }
-            inner.stats.absorb(&stats);
-            inner.completed += end - start;
+        if state.queue.is_empty() && state.stopping {
+            return None;
         }
-    }
-    let finished =
-        inner.active_leases == 0 && (inner.error.is_some() || inner.completed == job.morsels.len());
-    if finished {
-        deliver(&mut inner, job.morsels.len());
-    }
-}
-
-/// Deliver a finished job's outcome to its submitter. Callers hold the
-/// job's `inner` lock and have established that no lease is active and
-/// the job is done (error recorded or every morsel merged).
-fn deliver(inner: &mut JobInner, total: usize) {
-    if let Some(done) = inner.done.take() {
-        let outcome = match (inner.error.take(), inner.merged.take()) {
-            (Some(e), _) => Err(e),
-            (None, Some(merged)) => Ok((merged, inner.stats)),
-            // `completed == total` with a non-empty morsel list
-            // guarantees at least one merge; guard anyway.
-            (None, None) => Err(StoreError::Shape(format!(
-                "job completed {} of {total} morsels without a merged state",
-                inner.completed
-            ))),
-        };
-        // The submitter may have given up (deadline answered early,
-        // stopping server); a dead receiver is not the worker's
-        // problem.
-        let _ = done.send(outcome);
+        state = shared
+            .work_ready
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner);
     }
 }
 
@@ -624,10 +234,11 @@ mod tests {
     use super::*;
     use crate::catalog::shard_table;
     use crate::predicate::Predicate;
-    use crate::query::Agg;
+    use crate::query::{Agg, CancelToken};
     use crate::schema::TableSchema;
     use crate::segment::CompressionPolicy;
-    use crate::ShardedTable;
+    use crate::table::Table;
+    use crate::{CatalogTable, ExecOptions, QuerySpec, ShardedTable};
     use lcdc_core::{ColumnData, DType};
 
     fn orders(n: u64) -> Table {
@@ -720,21 +331,76 @@ mod tests {
 
     #[test]
     fn client_thread_cap_bounds_a_jobs_leases() {
-        let table = orders(50_000);
-        let handle = CatalogTable::Single(Arc::new(table));
-        let pool = WorkerPool::new(4).unwrap();
-        let spec = QuerySpec::new()
-            .filter("qty", Predicate::Range { lo: 0, hi: 49 })
-            .group_by("day")
-            .aggregate(&[Agg::Sum("qty")]);
-        // A sequential client on a wide pool: execution must never run
-        // two of its leases at once. Observed via the job's own peak,
-        // which `execute` does not expose — so drive the internals the
-        // way `execute` does, with a cap of 1.
-        let got = pool
-            .execute(&handle, &spec, &ExecOptions::threads(1), nocancel())
-            .unwrap();
-        assert!(got.stats.segments > 0);
+        // A sequential client on a wide pool: execution never runs two
+        // of its leases at once (the job's own peak), and — because
+        // partial states belong to the job's slots, not to leases — it
+        // reports exactly the in-process sequential ledger. Every table
+        // here spans ~200 segments, far more than one lease.
+        let schema = TableSchema::new(&[("day", DType::U64), ("qty", DType::U64)]);
+        let n = 50_000u64;
+        let dict = Table::build(
+            schema,
+            &[
+                ColumnData::U64((0..n).map(|i| 1 + i / 100).collect()),
+                ColumnData::U64((0..n).map(|i| (i * 17) % 23).collect()),
+            ],
+            &[
+                CompressionPolicy::Auto,
+                CompressionPolicy::Fixed("dict[codes=ns]".into()),
+            ],
+            256,
+        )
+        .unwrap();
+        let catalog = crate::Catalog::with_cache_capacity(0);
+        catalog.register("orders", orders(n));
+        catalog.register("dict", dict);
+        catalog.register("right", orders(5000));
+        let mut cases: Vec<(&str, QuerySpec)> =
+            specs().into_iter().map(|spec| ("orders", spec)).collect();
+        cases.push((
+            "dict",
+            QuerySpec::new()
+                .group_by("qty")
+                .aggregate(&[Agg::Sum("day"), Agg::Count]),
+        ));
+        cases.push((
+            "orders",
+            QuerySpec::new()
+                .filter("qty", Predicate::Range { lo: 5, hi: 45 })
+                .join("right", "day"),
+        ));
+
+        let pool = WorkerPool::new(3).unwrap();
+        let opts = ExecOptions::threads(1);
+        for (name, spec) in &cases {
+            let want = catalog.execute_opts(name, spec, &opts).unwrap();
+            // The session's path: the catalog resolves the snapshot,
+            // the job compiles once, the pool drives it.
+            let (got, _) = catalog
+                .execute_versioned_with(name, spec, |table, join| {
+                    let right = join.map(|j| &j.right);
+                    let width = pool.threads();
+                    let job =
+                        Job::over_shards(table.shards(), spec, right, &opts, width, nocancel())?;
+                    let job = Arc::new(job);
+                    pool.submit(&job)?;
+                    let result = job.wait_while(|| Ok(()))?;
+                    assert_eq!(job.peak_leases(), 1, "{spec:?}");
+                    Ok(result)
+                })
+                .unwrap();
+            assert_eq!(got.rows, want.rows, "{spec:?}");
+            assert_eq!(got.stats, want.stats, "{spec:?}");
+        }
+        let (_, dict_spec) = &cases[cases.len() - 2];
+        let folded = catalog
+            .execute_opts("dict", dict_spec, &opts)
+            .unwrap()
+            .stats;
+        assert!(
+            folded.rows_undecoded > 0,
+            "code-space tier fired: {folded:?}"
+        );
         pool.stop();
     }
 

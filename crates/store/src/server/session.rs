@@ -17,18 +17,19 @@
 //! saturated server, which they could not do from inside its queue.
 //!
 //! Queries run under a [`CancelToken`]: the wire deadline (or the
-//! server default) arms it, and while the pool executes, the session
-//! ticks — re-checking the token and peeking the socket for a vanished
-//! client. An expired or cancelled query answers a *typed*
+//! server default) arms it, the session compiles the query once into
+//! its [`Job`], and while the pool drives that job the session waits on
+//! it — running the job's prefetcher when the client asked for one,
+//! and ticking: re-checking the token and peeking the socket for a
+//! vanished client. An expired or cancelled query answers a *typed*
 //! [`Response::Deadline`] / [`Response::Cancelled`] immediately,
-//! freeing its admission slot; the pool abandons its unclaimed morsels
+//! freeing its admission slot; the job abandons its unclaimed morsels
 //! at the next lease boundary.
 
-use super::cancel::CancelToken;
 use super::metrics::{ConnectionStats, Outcome};
 use super::protocol::{Request, Response};
 use super::Shared;
-use crate::query::QueryArgs;
+use crate::query::{CancelToken, Job, QueryArgs};
 use crate::StoreError;
 use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
@@ -256,20 +257,27 @@ fn query(
         return busy(shared);
     };
     // The serving-layer seam: cache probe + version capture in the
-    // catalog, execution on the shared pool. `opts.threads` caps this
-    // client's pool leases; `opts.prefetch` never spawns server
-    // threads. While the pool runs, the session ticks: an expired
-    // deadline or a vanished client turns into a typed answer *now* —
-    // the admission slot frees on return, and the pool drops the
-    // query's unclaimed morsels at its next token check.
+    // catalog, then the query compiles once — here, on the session
+    // thread — into the job the shared pool drives. `opts.threads`
+    // caps this client's pool leases; `opts.prefetch` is work this
+    // thread does while it waits, never a server thread. Between
+    // prefetch steps the session ticks: an expired deadline or a
+    // vanished client turns into a typed answer *now* — the admission
+    // slot frees on return, and the job drops its unclaimed morsels at
+    // its next token check.
     let outcome = shared
         .catalog
         .execute_versioned_with(table, &parsed.spec, |t, join| {
-            let pending =
-                shared
-                    .pool
-                    .submit(t, &parsed.spec, &parsed.opts, Arc::clone(token), join)?;
-            pending.wait_while(|| {
+            let job = Arc::new(Job::over_shards(
+                t.shards(),
+                &parsed.spec,
+                join.map(|j| &j.right),
+                &parsed.opts,
+                shared.pool.threads(),
+                Arc::clone(token),
+            )?);
+            shared.pool.submit(&job)?;
+            job.wait_while(|| {
                 token.check()?;
                 if client_vanished(stream) {
                     token.cancel();

@@ -566,6 +566,10 @@ impl SegmentSource for FileSource {
 #[derive(Debug)]
 pub struct ChainedSource {
     base: Arc<dyn SegmentSource>,
+    /// `base.num_segments()`, recorded once: sources are immutable, and
+    /// asking a nested chain again walks every level below this one —
+    /// per call, at every level, O(depth²) per lookup.
+    base_segments: usize,
     tail: ResidentSource,
 }
 
@@ -573,6 +577,7 @@ impl ChainedSource {
     /// Chain `tail` segments after every segment of `base`.
     pub fn new(base: Arc<dyn SegmentSource>, tail: Vec<Segment>) -> ChainedSource {
         ChainedSource {
+            base_segments: base.num_segments(),
             base,
             tail: ResidentSource::new(tail),
         }
@@ -581,24 +586,22 @@ impl ChainedSource {
 
 impl SegmentSource for ChainedSource {
     fn num_segments(&self) -> usize {
-        self.base.num_segments() + self.tail.num_segments()
+        self.base_segments + self.tail.num_segments()
     }
 
     fn meta(&self, idx: usize) -> &SegmentMeta {
-        let n = self.base.num_segments();
-        if idx < n {
+        if idx < self.base_segments {
             self.base.meta(idx)
         } else {
-            self.tail.meta(idx - n)
+            self.tail.meta(idx - self.base_segments)
         }
     }
 
     fn segment(&self, idx: usize) -> Result<Arc<Segment>> {
-        let n = self.base.num_segments();
-        if idx < n {
+        if idx < self.base_segments {
             self.base.segment(idx)
         } else {
-            self.tail.segment(idx - n)
+            self.tail.segment(idx - self.base_segments)
         }
     }
 
@@ -607,7 +610,7 @@ impl SegmentSource for ChainedSource {
     }
 
     fn prefetch(&self, idx: usize) -> bool {
-        idx < self.base.num_segments() && self.base.prefetch(idx)
+        idx < self.base_segments && self.base.prefetch(idx)
     }
 
     fn take_prefetch_counters(&self) -> (usize, usize) {
@@ -886,6 +889,52 @@ mod tests {
         assert!(chained.prefetch(1));
         assert_eq!(chained.cache_capacity(), Some(2));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A resident source that counts `num_segments` calls.
+    #[derive(Debug)]
+    struct CountingSource {
+        inner: ResidentSource,
+        num_segments_calls: AtomicUsize,
+    }
+
+    impl SegmentSource for CountingSource {
+        fn num_segments(&self) -> usize {
+            self.num_segments_calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.num_segments()
+        }
+
+        fn meta(&self, idx: usize) -> &SegmentMeta {
+            self.inner.meta(idx)
+        }
+
+        fn segment(&self, idx: usize) -> Result<Arc<Segment>> {
+            self.inner.segment(idx)
+        }
+    }
+
+    #[test]
+    fn nested_chains_look_up_without_rewalking_the_base() {
+        let stub = Arc::new(CountingSource {
+            inner: ResidentSource::new(segments()),
+            num_segments_calls: AtomicUsize::new(0),
+        });
+        let mut chain: Arc<dyn SegmentSource> = Arc::clone(&stub) as Arc<dyn SegmentSource>;
+        for _ in 0..32 {
+            chain = Arc::new(ChainedSource::new(chain, segments()));
+        }
+        stub.num_segments_calls.store(0, Ordering::Relaxed);
+        let last = chain.num_segments() - 1;
+        assert_eq!(last, 4 * 33 - 1);
+        assert_eq!(chain.meta(last).rows, 100);
+        assert_eq!(chain.meta(0).min, 0, "base lookups still reach the stub");
+        assert!(chain.segment(last).is_ok());
+        assert!(!chain.prefetch(last));
+        assert_eq!(
+            stub.num_segments_calls.load(Ordering::Relaxed),
+            0,
+            "each level recorded its base's segment count at construction"
+        );
     }
 
     #[test]

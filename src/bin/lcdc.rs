@@ -39,9 +39,9 @@
 //! shard fan-in). `--lazy` opens columns as lazy `FileSource`s so only
 //! the segments the plan touches are read from disk; `--repeat 2`
 //! demonstrates the result cache on the second run. `--prefetch auto`
-//! lets the background fetcher tune its own depth from observed
+//! lets the prefetcher tune its own depth from observed
 //! hit/wasted ratios (a number pins the depth/cap instead), and
-//! `--topk-shared-bound=off` disables the cross-worker top-k threshold
+//! `--topk-shared-bound=off` disables the job-wide top-k threshold
 //! for A/B runs. `ingest` appends a
 //! row batch — one raw binary per column, in schema order — to a saved
 //! table without rewriting existing frames; against a *sharded* catalog

@@ -9,7 +9,9 @@ use lcdc::store::{
     open_table_lazy, save_table, shard_table, Agg, Catalog, CatalogTable, CompressionPolicy,
     ExecOptions, Predicate, QuerySpec, QueryStats, Table, TableSchema,
 };
+use lcdc::store::{Client, Response, Server, ServerConfig};
 use std::path::Path;
+use std::sync::Arc;
 
 fn build_table(seed: u64, n: usize, seg_rows: usize) -> Table {
     let schema = TableSchema::new(&[
@@ -267,6 +269,65 @@ fn prefetch_depth_is_clamped_below_cache_capacity() {
         (got.stats.prefetch_hits, got.stats.prefetch_wasted),
         (0, 0),
         "prefetch disabled outright"
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// The served surface of the same fixture: `--prefetch` over the wire
+/// means what it means in process. The session thread runs the job's
+/// prefetcher while it waits on the pool, so a wire query with a
+/// window reports real hits, reads each frame exactly once (the same
+/// I/O as without), answers identically — and the server still
+/// executes no wider than its pool.
+#[test]
+fn prefetch_over_the_wire_overlaps_without_extra_reads() {
+    const POOL_THREADS: usize = 2;
+    let root = std::env::temp_dir().join(format!("lcdc_wire_prefetch_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    // ~27 segments per shard against 8-frame caches: a sequential pass
+    // evicts everything it read, so every query reads every frame.
+    let table = build_table(23, 24_000, 300);
+    let catalog = Arc::new(lazy_sharded_catalog(&table, 3, &root));
+    let config = ServerConfig {
+        threads: POOL_THREADS,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(Arc::clone(&catalog), "127.0.0.1:0", config).expect("serves");
+    let mut client = Client::connect(server.addr()).expect("connects");
+
+    // Undecidable from every zone map (see the clamp test): both
+    // touched columns fetch every frame on every pass.
+    let base = ["--filter", "noise=0..249", "--sum", "steps", "--count"];
+    let mut run = |extra: &[&str]| {
+        let args: Vec<String> = base.iter().chain(extra).map(|s| s.to_string()).collect();
+        let (handle, _) = catalog.get("t").expect("registered");
+        let before = handle.io_reads();
+        match client.query("t", &args).expect("answers") {
+            Response::Rows { rows, stats, .. } => (rows, stats, handle.io_reads() - before),
+            other => panic!("expected rows, got {other:?}"),
+        }
+    };
+    let (plain_rows, plain_stats, plain_reads) = run(&[]);
+    let (rows, stats, reads) = run(&["--prefetch", "4"]);
+    assert!(plain_reads > 0);
+    assert_eq!(
+        (plain_stats.prefetch_hits, plain_stats.prefetch_wasted),
+        (0, 0),
+        "no window, no prefetcher"
+    );
+    assert_eq!(rows, plain_rows);
+    assert!(
+        stats.prefetch_hits > 0,
+        "the session warmed frames: {stats:?}"
+    );
+    assert_eq!(reads, plain_reads, "same I/O, overlapped: {stats:?}");
+    assert_eq!(core_accounting(&stats), core_accounting(&plain_stats));
+
+    let report = server.shutdown();
+    assert!(
+        report.peak_leases <= POOL_THREADS as u64,
+        "peak {} leases on a {POOL_THREADS}-wide pool",
+        report.peak_leases
     );
     std::fs::remove_dir_all(&root).ok();
 }
