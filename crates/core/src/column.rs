@@ -14,6 +14,7 @@
 //! is bit-exact — the interpreter needs only one numeric type.
 
 use crate::error::{CoreError, Result};
+use std::borrow::Cow;
 
 /// Element type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -147,9 +148,16 @@ impl ColumnData {
 
     /// Whole column in `u64` transport form.
     pub fn to_transport(&self) -> Vec<u64> {
+        self.as_transport().into_owned()
+    }
+
+    /// Whole column in `u64` transport form, borrowed when the column
+    /// already is `U64` (what part columns — codes, lengths, positions —
+    /// decode to), converted otherwise.
+    pub fn as_transport(&self) -> Cow<'_, [u64]> {
         match self {
             ColumnData::U32(v) => v.iter().map(|&x| x as u64).collect(),
-            ColumnData::U64(v) => v.clone(),
+            ColumnData::U64(v) => Cow::Borrowed(v),
             ColumnData::I32(v) => v.iter().map(|&x| x as i64 as u64).collect(),
             ColumnData::I64(v) => v.iter().map(|&x| x as u64).collect(),
         }
@@ -257,6 +265,15 @@ mod tests {
         assert_eq!(t[0], u64::MAX); // sign-extended
         let back = ColumnData::from_transport(DType::I32, t);
         assert_eq!(back, c);
+    }
+
+    #[test]
+    fn as_transport_borrows_only_u64() {
+        let plain = ColumnData::U64(vec![3, u64::MAX]);
+        assert!(matches!(plain.as_transport(), Cow::Borrowed(_)));
+        let signed = ColumnData::I32(vec![-1, 2]);
+        assert!(matches!(signed.as_transport(), Cow::Owned(_)));
+        assert_eq!(*signed.as_transport(), signed.to_transport()[..]);
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //! through it.
 
 use crate::segment::Segment;
-use crate::Result;
-use lcdc_colops::Bitmap;
+use crate::{Result, StoreError};
+use lcdc_colops::{Bitmap, Scalar};
 use lcdc_core::schemes::for_;
-use lcdc_core::ColumnData;
+use lcdc_core::{with_column, ColumnData};
 
 /// Supported aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,6 +30,13 @@ pub enum AggKind {
     /// Row count.
     Count,
 }
+
+/// A native column element, as the typed sink kernels see it: ordered
+/// and copyable at its own width, widened to `i128` only where a sum or
+/// a result needs it.
+pub(crate) trait Native: Scalar + Into<i128> {}
+
+impl<T: Scalar + Into<i128>> Native for T {}
 
 /// An aggregate's running state / final value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,10 +54,7 @@ pub struct AggResult {
 impl AggResult {
     /// Fold one value in.
     pub fn push(&mut self, v: i128) {
-        self.sum += v;
-        self.min = Some(self.min.map_or(v, |m| m.min(v)));
-        self.max = Some(self.max.map_or(v, |m| m.max(v)));
-        self.count += 1;
+        self.push_weighted(v, 1);
     }
 
     /// Fold `v` in `weight` times (run-granularity path).
@@ -77,25 +81,40 @@ impl AggResult {
         };
         self.count += other.count;
     }
+
+    /// The aggregate of a stream of native values: extrema compared at
+    /// the element's own width, the sum exact in `i128`.
+    pub(crate) fn of<T: Native>(values: impl Iterator<Item = T>) -> AggResult {
+        let (mut lo, mut hi) = (T::max_value(), T::min_value());
+        let (mut sum, mut count) = (0i128, 0usize);
+        for v in values {
+            lo = lo.min(v);
+            hi = hi.max(v);
+            sum += v.into();
+            count += 1;
+        }
+        AggResult {
+            sum,
+            min: (count > 0).then(|| lo.into()),
+            max: (count > 0).then(|| hi.into()),
+            count,
+        }
+    }
+}
+
+/// Aggregate rows `rows` of a plain column (one slice fold; the run
+/// tier's unit of work).
+pub(crate) fn aggregate_rows(col: &ColumnData, rows: std::ops::Range<usize>) -> AggResult {
+    with_column!(col, |v| AggResult::of(v[rows].iter().copied()))
 }
 
 /// Aggregate a plain column (the naive path), optionally under a
 /// selection bitmap.
 pub fn aggregate_plain(col: &ColumnData, selection: Option<&Bitmap>) -> AggResult {
-    let mut acc = AggResult::default();
-    match selection {
-        None => {
-            for i in 0..col.len() {
-                acc.push(col.get_numeric(i).expect("in range"));
-            }
-        }
-        Some(bitmap) => {
-            for i in bitmap.iter_ones() {
-                acc.push(col.get_numeric(i).expect("in range"));
-            }
-        }
-    }
-    acc
+    with_column!(col, |v| match selection {
+        None => AggResult::of(v.iter().copied()),
+        Some(bitmap) => AggResult::of(bitmap.iter_ones().map(|i| v[i])),
+    })
 }
 
 /// Fold run values weighted by their lengths — the run-granularity
@@ -104,13 +123,27 @@ pub fn aggregate_plain(col: &ColumnData, selection: Option<&Bitmap>) -> AggResul
 /// rows, as produced by [`Segment::run_structure`].
 pub fn aggregate_runs(values: &ColumnData, ends: &[u64], n: usize) -> AggResult {
     let mut acc = AggResult::default();
-    let mut start = 0usize;
-    for run in 0..values.len() {
-        let end = (ends.get(run).copied().unwrap_or(n as u64) as usize).min(n);
-        acc.push_weighted(values.get_numeric(run).expect("in range"), end - start);
-        start = end;
-    }
+    for_each_run(values, ends, n, |v, rows| acc.push_weighted(v, rows.len()));
     acc
+}
+
+/// Visit each run of a [`Segment::run_structure`] as `(value, row
+/// range)`, clamped to `n` rows.
+pub(crate) fn for_each_run(
+    values: &ColumnData,
+    ends: &[u64],
+    n: usize,
+    mut f: impl FnMut(i128, std::ops::Range<usize>),
+) {
+    let mut start = 0usize;
+    with_column!(
+        values,
+        |values| for (run, &v) in values.iter().enumerate() {
+            let end = ends.get(run).map_or(n, |&end| (end as usize).min(n));
+            f(v.into(), start..end.max(start));
+            start = end.max(start);
+        }
+    )
 }
 
 /// Aggregate a compressed segment without materialising it, when its
@@ -130,31 +163,23 @@ pub fn aggregate_segment(segment: &Segment, selection: Option<&Bitmap>) -> Resul
         // sum = Σ_seg refs[seg]·|seg| + Σ offsets. MIN/MAX need the
         // per-segment offset extrema; computed on the offsets part alone.
         let scheme = segment.scheme()?;
-        let seg_len = segment.compressed.params.require("l")? as usize;
+        let seg_len = (segment.compressed.params.require("l")? as usize).max(1);
         let refs = scheme.decompress_part(&segment.compressed, for_::ROLE_REFS)?;
         let offsets = scheme.decompress_part(&segment.compressed, for_::ROLE_OFFSETS)?;
-        let n = segment.num_rows();
         let mut acc = AggResult::default();
-        for seg in 0..refs.len() {
-            let base = refs.get_numeric(seg).expect("in range");
-            let lo = seg * seg_len;
-            let hi = ((seg + 1) * seg_len).min(n);
-            let mut seg_min = i128::MAX;
-            let mut seg_max = i128::MIN;
-            let mut seg_sum = 0i128;
-            for i in lo..hi {
-                let off = offsets.get_numeric(i).expect("in range");
-                seg_sum += off;
-                seg_min = seg_min.min(off);
-                seg_max = seg_max.max(off);
+        with_column!(&offsets, |offsets| {
+            let offsets = &offsets[..offsets.len().min(segment.num_rows())];
+            for (seg, chunk) in offsets.chunks(seg_len).enumerate() {
+                let base = refs.get_numeric(seg).ok_or_else(|| {
+                    StoreError::Shape(format!("for segment has no reference for block {seg}"))
+                })?;
+                let mut part = AggResult::of(chunk.iter().copied());
+                part.sum += base * chunk.len() as i128;
+                part.min = part.min.map(|m| m + base);
+                part.max = part.max.map(|m| m + base);
+                acc.merge(&part);
             }
-            if hi > lo {
-                acc.sum += base * (hi - lo) as i128 + seg_sum;
-                acc.min = Some(acc.min.map_or(base + seg_min, |m| m.min(base + seg_min)));
-                acc.max = Some(acc.max.map_or(base + seg_max, |m| m.max(base + seg_max)));
-                acc.count += hi - lo;
-            }
-        }
+        });
         return Ok(acc);
     }
     Ok(aggregate_plain(&segment.decompress()?, None))

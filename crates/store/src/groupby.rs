@@ -21,7 +21,6 @@
 use crate::agg::AggResult;
 use crate::segment::Segment;
 use crate::{Result, StoreError};
-use lcdc_core::schemes::dict;
 use std::collections::HashMap;
 
 /// Grouped aggregates keyed by the group value.
@@ -65,10 +64,8 @@ pub fn group_agg_compressed(keys: &[Segment], values: &[Segment]) -> Result<Grou
             continue;
         }
         if kseg.scheme_base() == "dict" {
-            let scheme = kseg.scheme()?;
-            let dict_values = scheme.decompress_part(&kseg.compressed, dict::ROLE_DICT)?;
-            let codes = scheme.decompress_part(&kseg.compressed, dict::ROLE_CODES)?;
-            let codes = codes.to_transport();
+            let (dict_values, codes) = kseg.dict_parts()?;
+            let codes = codes.as_transport();
             let v = vseg.decompress()?;
             let v_numeric = v.to_numeric();
             scratch.clear();

@@ -11,14 +11,14 @@
 //!   multiplying lengths — `Σ_v count_a(v)·count_b(v)` computed at run
 //!   granularity.
 
+use crate::agg::for_each_run;
+use crate::hash::IntMap;
 use crate::segment::Segment;
 use crate::Result;
-use lcdc_core::schemes::{dict, rle, rpe};
-use lcdc_core::ColumnData;
-use std::collections::HashMap;
+use lcdc_core::{with_column, ColumnData};
 
 /// Value -> total row count, the histogram both join paths reduce to.
-type Histogram = HashMap<i128, u64>;
+pub(crate) type Histogram = IntMap<i128, u64>;
 
 /// One segment's join build side at the best structural granularity —
 /// what the planner's join sink caches per `(shard, segment)` and the
@@ -27,10 +27,10 @@ type Histogram = HashMap<i128, u64>;
 pub(crate) struct SegmentHistogram {
     /// value -> row count.
     pub(crate) hist: Histogram,
-    /// The dictionary side when the segment is DICT-compressed:
-    /// `(value -> code, per-code row counts)` — what the join sink's
-    /// code→code translation tier probes instead of `hist`.
-    pub(crate) dict: Option<(HashMap<i128, usize>, Vec<u64>)>,
+    /// Whether `hist` was counted off a dictionary (one entry per
+    /// touched dictionary entry): a DICT left side probing it is the
+    /// join sink's code→code translation tier.
+    pub(crate) dict: bool,
     /// Rows consumed without decompressing the row form (the whole
     /// segment for const/dict/rle/rpe; 0 for the decoded fallback).
     pub(crate) undecoded_rows: usize,
@@ -41,8 +41,8 @@ impl SegmentHistogram {
     /// from a zone map alone, with no payload in hand.
     pub(crate) fn constant(value: i128, rows: usize) -> SegmentHistogram {
         SegmentHistogram {
-            hist: Histogram::from([(value, rows as u64)]),
-            dict: None,
+            hist: Histogram::from_iter([(value, rows as u64)]),
+            dict: false,
             undecoded_rows: rows,
         }
     }
@@ -50,24 +50,41 @@ impl SegmentHistogram {
     /// The fully-decoded build side (the naive baseline's only tier).
     pub(crate) fn decoded(col: &ColumnData) -> SegmentHistogram {
         SegmentHistogram {
-            hist: histogram_plain(col),
-            dict: None,
+            hist: histogram_rows(col, 0..col.len()),
+            dict: false,
             undecoded_rows: 0,
         }
     }
 }
 
-fn histogram_plain(col: &ColumnData) -> Histogram {
-    let mut h = Histogram::new();
-    for i in 0..col.len() {
-        *h.entry(col.get_numeric(i).expect("in range")).or_insert(0) += 1;
+/// Histogram rows `rows` of a plain column, one hash update per row —
+/// the decoded tier of both join sides.
+pub(crate) fn histogram_rows(col: &ColumnData, rows: impl Iterator<Item = usize>) -> Histogram {
+    let mut hist = Histogram::default();
+    with_column!(col, |keys| rows.for_each(|i| {
+        *hist.entry(keys[i].into()).or_insert(0) += 1;
+    }));
+    hist
+}
+
+/// Selected rows per dictionary code: the DICT tiers' one pass over the
+/// codes, shared by both join sides and the group-by sink. `codes` must
+/// be validated against `entries` ([`Segment::dict_parts`]).
+pub(crate) fn count_codes(
+    codes: &[u64],
+    entries: usize,
+    selected: impl Iterator<Item = usize>,
+) -> Vec<u64> {
+    let mut counts = vec![0u64; entries];
+    for i in selected {
+        counts[codes[i] as usize] += 1;
     }
-    h
+    counts
 }
 
 /// Histogram one compressed segment at the best structural tier: CONST
-/// from its zone map, DICT by counting codes (each distinct value
-/// decoded once, with the dictionary side kept for code→code joins),
+/// from its zone map, DICT by counting codes (each touched dictionary
+/// entry decoded once),
 /// RLE/RPE one entry per run with run-length weights, full row
 /// decompression only as the last resort.
 pub(crate) fn segment_histogram(segment: &Segment) -> Result<SegmentHistogram> {
@@ -75,81 +92,41 @@ pub(crate) fn segment_histogram(segment: &Segment) -> Result<SegmentHistogram> {
     match segment.scheme_base() {
         "const" => return Ok(SegmentHistogram::constant(segment.min, n)),
         "dict" => {
-            let scheme = segment.scheme()?;
-            let values = scheme.decompress_part(&segment.compressed, dict::ROLE_DICT)?;
-            let codes = scheme.decompress_part(&segment.compressed, dict::ROLE_CODES)?;
-            let codes = codes.to_transport();
-            let mut counts = vec![0u64; values.len()];
-            for i in 0..n {
-                counts[codes[i] as usize] += 1;
-            }
-            let mut hist = Histogram::with_capacity(values.len());
-            let mut value_to_code = HashMap::with_capacity(values.len());
-            for (code, &count) in counts.iter().enumerate() {
-                let value = values.get_numeric(code).expect("in range");
-                value_to_code.insert(value, code);
-                if count > 0 {
-                    *hist.entry(value).or_insert(0) += count;
+            let (values, codes) = segment.dict_parts()?;
+            let counts = count_codes(&codes.as_transport(), values.len(), 0..n);
+            // `+=`, not insert: only a compressor's dictionary is
+            // known to hold each value once.
+            let mut hist = Histogram::default();
+            with_column!(
+                &values,
+                |values| for (&value, &count) in values.iter().zip(&counts) {
+                    if count > 0 {
+                        *hist.entry(value.into()).or_insert(0) += count;
+                    }
                 }
-            }
+            );
             return Ok(SegmentHistogram {
                 hist,
-                dict: Some((value_to_code, counts)),
+                dict: true,
                 undecoded_rows: n,
             });
         }
         _ => {}
     }
-    let scheme_id = segment.compressed.scheme_id.as_str();
-    let run_parts = if scheme_id == "rle" || scheme_id.starts_with("rle[") {
-        let scheme = segment.scheme()?;
-        let values = scheme.decompress_part(&segment.compressed, rle::ROLE_VALUES)?;
-        let lengths = scheme.decompress_part(&segment.compressed, rle::ROLE_LENGTHS)?;
-        let weights: Vec<u64> = (0..lengths.len())
-            .map(|i| lengths.get_numeric(i).expect("in range") as u64)
-            .collect();
-        Some((values, weights))
-    } else if scheme_id == "rpe" || scheme_id.starts_with("rpe[") {
-        let scheme = segment.scheme()?;
-        let values = scheme.decompress_part(&segment.compressed, rpe::ROLE_VALUES)?;
-        let positions = scheme.decompress_part(&segment.compressed, rpe::ROLE_POSITIONS)?;
-        let mut weights = Vec::with_capacity(positions.len());
-        let mut start = 0i128;
-        for i in 0..positions.len() {
-            let end = positions.get_numeric(i).expect("in range");
-            weights.push((end - start) as u64);
-            start = end;
-        }
-        Some((values, weights))
-    } else {
-        None
-    };
-    match run_parts {
-        Some((values, weights)) => {
-            let mut hist = Histogram::with_capacity(values.len());
-            for (i, &w) in weights.iter().enumerate() {
-                *hist
-                    .entry(values.get_numeric(i).expect("in range"))
-                    .or_insert(0) += w;
-            }
+    match segment.run_structure()? {
+        Some((values, ends)) => {
+            let mut hist = Histogram::with_capacity_and_hasher(values.len(), Default::default());
+            for_each_run(&values, &ends, n, |value, rows| {
+                *hist.entry(value).or_insert(0) += rows.len() as u64;
+            });
             Ok(SegmentHistogram {
                 hist,
-                dict: None,
+                dict: false,
                 undecoded_rows: n,
             })
         }
         None => Ok(SegmentHistogram::decoded(&segment.decompress()?)),
     }
-}
-
-/// Histogram of a compressed segment at the best available granularity:
-/// zone-map probe for CONST, per-code counting for DICT, one hash
-/// update per *run* for the RLE family, per row otherwise. The
-/// planner's join sink builds on the same kernel
-/// (`segment_histogram`), so the standalone cardinality identity
-/// below regression-tests the operator's build side.
-pub fn histogram_segment(segment: &Segment) -> Result<Histogram> {
-    Ok(segment_histogram(segment)?.hist)
 }
 
 fn merge(into: &mut Histogram, from: Histogram) {
@@ -169,13 +146,13 @@ fn join_cardinality(a: &Histogram, b: &Histogram) -> u128 {
 
 /// Naive equi-join cardinality: decompress both segment lists fully.
 pub fn join_count_naive(a: &[Segment], b: &[Segment]) -> Result<u128> {
-    let mut ha = Histogram::new();
+    let mut ha = Histogram::default();
     for seg in a {
-        merge(&mut ha, histogram_plain(&seg.decompress()?));
+        merge(&mut ha, SegmentHistogram::decoded(&seg.decompress()?).hist);
     }
-    let mut hb = Histogram::new();
+    let mut hb = Histogram::default();
     for seg in b {
-        merge(&mut hb, histogram_plain(&seg.decompress()?));
+        merge(&mut hb, SegmentHistogram::decoded(&seg.decompress()?).hist);
     }
     Ok(join_cardinality(&ha, &hb))
 }
@@ -183,13 +160,13 @@ pub fn join_count_naive(a: &[Segment], b: &[Segment]) -> Result<u128> {
 /// Run-aware equi-join cardinality: RLE/RPE sides are hashed one entry
 /// per run via partial decompression.
 pub fn join_count_compressed(a: &[Segment], b: &[Segment]) -> Result<u128> {
-    let mut ha = Histogram::new();
+    let mut ha = Histogram::default();
     for seg in a {
-        merge(&mut ha, histogram_segment(seg)?);
+        merge(&mut ha, segment_histogram(seg)?.hist);
     }
-    let mut hb = Histogram::new();
+    let mut hb = Histogram::default();
     for seg in b {
-        merge(&mut hb, histogram_segment(seg)?);
+        merge(&mut hb, segment_histogram(seg)?.hist);
     }
     Ok(join_cardinality(&ha, &hb))
 }
@@ -301,8 +278,8 @@ mod tests {
         assert_eq!(built.undecoded_rows, 40, "const side never decodes");
         let built = segment_histogram(&sb[0]).unwrap();
         assert_eq!(built.undecoded_rows, 40, "dict side counts codes");
-        let (value_to_code, counts) = built.dict.expect("dict side kept");
-        assert_eq!(value_to_code.len(), 4);
-        assert_eq!(counts.iter().sum::<u64>(), 40);
+        assert!(built.dict, "counted off the dictionary");
+        assert_eq!(built.hist.len(), 4);
+        assert_eq!(built.hist.values().sum::<u64>(), 40);
     }
 }

@@ -92,6 +92,7 @@ pub mod fault;
 pub mod file;
 pub(crate) mod fnv;
 pub mod groupby;
+pub(crate) mod hash;
 pub mod join;
 pub mod predicate;
 pub mod query;

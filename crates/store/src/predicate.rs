@@ -234,7 +234,7 @@ impl Predicate {
                 }
                 let codes = scheme
                     .decompress_part(&segment.compressed, lcdc_core::schemes::dict::ROLE_CODES)?;
-                for (i, &code) in codes.to_transport().iter().enumerate() {
+                for (i, &code) in codes.as_transport().iter().enumerate() {
                     if selected.get(code as usize).copied().unwrap_or(false) {
                         bitmap.set(i);
                     }
@@ -251,7 +251,7 @@ impl Predicate {
             }
             let codes = scheme
                 .decompress_part(&segment.compressed, lcdc_core::schemes::dict::ROLE_CODES)?;
-            for (i, &code) in codes.to_transport().iter().enumerate() {
+            for (i, &code) in codes.as_transport().iter().enumerate() {
                 if (code_lo..code_hi).contains(&code) {
                     bitmap.set(i);
                 }

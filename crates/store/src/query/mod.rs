@@ -65,6 +65,7 @@
 
 pub mod args;
 mod cancel;
+mod groups;
 mod job;
 mod logical;
 mod physical;

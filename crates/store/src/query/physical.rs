@@ -17,16 +17,22 @@
 //! only by the executor's lease loop (`super::job`) — serves every
 //! schedule, from one thread to the server's pool.
 
-use crate::agg::{aggregate_plain, aggregate_segment, AggKind, AggResult};
+use super::groups::GroupTable;
+use crate::agg::{
+    aggregate_plain, aggregate_rows, aggregate_runs, aggregate_segment, for_each_run, AggKind,
+    AggResult, Native,
+};
+use crate::hash::{IntMap, IntSet};
+use crate::join::{count_codes, histogram_rows, segment_histogram, SegmentHistogram};
 use crate::predicate::{Predicate, PushdownStats};
 use crate::segment::Segment;
 use crate::table::Table;
 use crate::{Result, StoreError};
 use lcdc_colops::Bitmap;
 use lcdc_core::schemes::{const_, dict, rle, rpe, sparse};
-use lcdc_core::ColumnData;
+use lcdc_core::{with_column, ColumnData};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -261,30 +267,12 @@ impl GroupAcc {
         }
     }
 
-    /// Zero the accumulator in place, keeping its `per_col` allocation
-    /// (the dict tier's scratch reset between segments).
-    fn reset(&mut self) {
-        self.per_col.fill(AggResult::default());
-        self.rows = 0;
-    }
-
     fn merge(&mut self, other: &GroupAcc) {
         for (a, b) in self.per_col.iter_mut().zip(&other.per_col) {
             a.merge(b);
         }
         self.rows += other.rows;
     }
-}
-
-/// The group-by sink's working set for one segment visit: the
-/// destination hash table, the reusable dense code-space scratch, and
-/// the resolved key/value columns — bundled so the per-tier dispatch
-/// stays below clippy's argument budget.
-struct GroupBySink<'s> {
-    groups: &'s mut HashMap<i128, GroupAcc>,
-    scratch: &'s mut Vec<GroupAcc>,
-    key: usize,
-    cols: &'s [usize],
 }
 
 /// Running sink state; merged associatively across parallel partials
@@ -295,14 +283,7 @@ pub(crate) enum SinkState {
         acc: GroupAcc,
     },
     Groups {
-        groups: HashMap<i128, GroupAcc>,
-        cols: usize,
-        /// Per-worker dense accumulator for the DICT code-space tier,
-        /// indexed by dictionary code. Reused across segments (cleared
-        /// and resized per dictionary) so the hot loop never allocates;
-        /// never merged across workers — its contents fold into
-        /// `groups` at the end of each segment visit.
-        scratch: Vec<GroupAcc>,
+        table: GroupTable,
     },
     TopK {
         heap: BinaryHeap<Reverse<i128>>,
@@ -323,17 +304,17 @@ pub(crate) enum SinkState {
         pending_publish: usize,
     },
     Distinct {
-        set: HashSet<i128>,
+        set: IntSet<i128>,
     },
     Join {
         /// key value → number of joined `(left row, right row)` pairs.
-        pairs: HashMap<i128, i128>,
+        pairs: IntMap<i128, i128>,
         /// Per-worker build-side cache: `(right shard, right segment)` →
         /// its histogram at the best structural granularity, built once
         /// per worker and reused across every left segment the worker
         /// visits. Never merged across workers — only `pairs` is the
         /// answer.
-        cache: HashMap<(usize, usize), crate::join::SegmentHistogram>,
+        cache: IntMap<(usize, usize), SegmentHistogram>,
     },
 }
 
@@ -350,10 +331,12 @@ impl SinkState {
             Sink::Aggregate { cols, .. } => SinkState::Aggregate {
                 acc: GroupAcc::new(cols.len()),
             },
-            Sink::GroupBy { cols, .. } => SinkState::Groups {
-                groups: HashMap::new(),
-                cols: cols.len(),
-                scratch: Vec::new(),
+            Sink::GroupBy { cols, specs, .. } => SinkState::Groups {
+                table: GroupTable::new((0..cols.len()).map(|slot| {
+                    specs.iter().any(|spec| {
+                        spec.slot == Some(slot) && matches!(spec.kind, AggKind::Min | AggKind::Max)
+                    })
+                })),
             },
             Sink::TopK { k, .. } => SinkState::TopK {
                 heap: BinaryHeap::with_capacity(k + 1),
@@ -363,11 +346,11 @@ impl SinkState {
                 pending_publish: 0,
             },
             Sink::Distinct { .. } => SinkState::Distinct {
-                set: HashSet::new(),
+                set: IntSet::default(),
             },
             Sink::Join { .. } => SinkState::Join {
-                pairs: HashMap::new(),
-                cache: HashMap::new(),
+                pairs: IntMap::default(),
+                cache: IntMap::default(),
             },
         }
     }
@@ -375,14 +358,7 @@ impl SinkState {
     pub(crate) fn merge(&mut self, other: SinkState) {
         match (self, other) {
             (SinkState::Aggregate { acc }, SinkState::Aggregate { acc: o }) => acc.merge(&o),
-            (SinkState::Groups { groups, cols, .. }, SinkState::Groups { groups: o, .. }) => {
-                for (key, g) in o {
-                    groups
-                        .entry(key)
-                        .or_insert_with(|| GroupAcc::new(*cols))
-                        .merge(&g);
-                }
-            }
+            (SinkState::Groups { table }, SinkState::Groups { table: o }) => table.merge(&o),
             (SinkState::TopK { heap, k, .. }, SinkState::TopK { heap: o, .. }) => {
                 for Reverse(v) in o {
                     push_topk(heap, *k, v);
@@ -448,6 +424,27 @@ enum Selection {
     All,
     /// The surviving rows.
     Mask(Bitmap),
+}
+
+impl Selection {
+    /// How many of a segment's `n` rows are selected.
+    fn count(&self, n: usize) -> usize {
+        match self {
+            Selection::All => n,
+            Selection::Mask(mask) => mask.count_ones(),
+        }
+    }
+
+    /// The selected row indices of an `n`-row segment, ascending. Drive
+    /// it with `for_each`: internal iteration runs each arm as its own
+    /// loop.
+    fn rows(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
+        let (all, mask) = match self {
+            Selection::All => (0..n, None),
+            Selection::Mask(mask) => (0..0, Some(mask.iter_ones())),
+        };
+        all.chain(mask.into_iter().flatten())
+    }
 }
 
 /// What one CNF clause decided for one segment.
@@ -569,11 +566,22 @@ impl Materializer {
             stats.rows_materialized += self.n;
             self.charged = true;
         }
-        if let Some((_, plain)) = self.cache.iter().find(|(c, _)| *c == col) {
-            return Ok(Rc::clone(plain));
+        let plain = match self.cache.iter().find(|(c, _)| *c == col) {
+            Some((_, plain)) => Rc::clone(plain),
+            None => {
+                let plain = Rc::new(seg.decompress()?);
+                self.cache.push((col, Rc::clone(&plain)));
+                plain
+            }
+        };
+        // The row kernels index plain columns by row position.
+        if plain.len() != self.n {
+            return Err(StoreError::Shape(format!(
+                "column {col} decoded to {} rows in a segment of {}",
+                plain.len(),
+                self.n
+            )));
         }
-        let plain = Rc::new(seg.decompress()?);
-        self.cache.push((col, Rc::clone(&plain)));
         Ok(plain)
     }
 }
@@ -874,19 +882,8 @@ impl PhysicalPlan {
             (Sink::Aggregate { cols, .. }, SinkState::Aggregate { acc }) => {
                 self.sink_aggregate(seg_idx, n, &selection, cols, acc, &mut mat, stats)
             }
-            (
-                Sink::GroupBy { key, cols, .. },
-                SinkState::Groups {
-                    groups, scratch, ..
-                },
-            ) => {
-                let sink = GroupBySink {
-                    groups,
-                    scratch,
-                    key: *key,
-                    cols,
-                };
-                self.sink_group_by(seg_idx, n, &selection, sink, &mut mat, stats)
+            (Sink::GroupBy { key, cols, .. }, SinkState::Groups { table }) => {
+                self.sink_group_by(seg_idx, n, &selection, *key, cols, table, &mut mat, stats)
             }
             (
                 Sink::TopK { col, k },
@@ -1158,7 +1155,7 @@ impl PhysicalPlan {
     ) -> Result<AggResult> {
         if let Some((values, ends)) = seg.run_structure()? {
             stats.values_processed += values.len();
-            return Ok(crate::agg::aggregate_runs(&values, &ends, n));
+            return Ok(aggregate_runs(&values, &ends, n));
         }
         if seg.compressed.scheme_id.starts_with("for(") {
             stats.values_processed += n;
@@ -1169,39 +1166,57 @@ impl PhysicalPlan {
         Ok(aggregate_plain(&plain, None))
     }
 
+    /// The plain rows of every value column of a group-by, in `cols`
+    /// order.
+    fn value_columns(
+        &self,
+        cols: &[usize],
+        seg_idx: usize,
+        mat: &mut Materializer,
+        stats: &mut QueryStats,
+    ) -> Result<Vec<Rc<ColumnData>>> {
+        cols.iter()
+            .map(|col| {
+                let seg = self.fetch(*col, seg_idx, mat, stats)?;
+                mat.decompress(*col, &seg, stats)
+            })
+            .collect()
+    }
+
     /// The group-by sink, tiered by the *key segment's* scheme tag —
-    /// the aggregation-pushdown mirror of the filter tiers:
+    /// the aggregation-pushdown mirror of the filter tiers. Each tier
+    /// resolves keys to [`GroupTable`] slots at its own granularity;
+    /// the value columns then fold in slot space:
     ///
     /// 1. **CONST**: the whole segment is one group; value columns fold
     ///    through the structural whole-segment aggregator, the key is
     ///    read off the zone map. One hash probe, zero key rows decoded.
-    /// 2. **DICT**: aggregate directly on dictionary codes into the
-    ///    worker's dense `scratch` vector (indexed by code — no hash
-    ///    probe, no key decode per row), then decode each *distinct*
-    ///    key exactly once when folding scratch into the hash table.
+    /// 2. **DICT**: count rows per dictionary code, resolve each
+    ///    *touched* code's key once (the only place a dictionary entry
+    ///    is read), then fold every value column through its code's
+    ///    slot — no hash probe, no key decode per row.
     /// 3. **RLE/RPE** (full selection): probe the hash table once per
-    ///    run, folding the run's rows with run-length multiplicity.
-    /// 4. Fallback: decompress the key, hash per selected row.
+    ///    run, folding the run's rows as one slice per value column.
+    /// 4. Fallback: decompress the key and resolve a slot per selected
+    ///    row.
     ///
     /// [`QueryStats::groups_folded`] counts the key units tiers 1–3
     /// fold; [`QueryStats::rows_undecoded`] counts the rows whose key
     /// those tiers never decompressed.
+    #[allow(clippy::too_many_arguments)]
     fn sink_group_by(
         &self,
         seg_idx: usize,
         n: usize,
         selection: &Selection,
-        sink: GroupBySink<'_>,
+        key: usize,
+        cols: &[usize],
+        table: &mut GroupTable,
         mat: &mut Materializer,
         stats: &mut QueryStats,
     ) -> Result<()> {
-        let GroupBySink {
-            groups,
-            scratch,
-            key,
-            cols,
-        } = sink;
         let kseg = self.fetch(key, seg_idx, mat, stats)?;
+        let selected = selection.count(n);
         if !self.naive {
             match kseg.scheme_base() {
                 // Tier 1 — CONST key: one group owns the whole segment.
@@ -1210,100 +1225,44 @@ impl PhysicalPlan {
                 "const" => {
                     stats.values_processed += 1;
                     stats.groups_folded += 1;
-                    let acc = groups
-                        .entry(kseg.min)
-                        .or_insert_with(|| GroupAcc::new(cols.len()));
-                    match selection {
-                        Selection::All => {
-                            if cols.is_empty() {
-                                stats.segments_structural += 1;
+                    stats.rows_undecoded += selected;
+                    if cols.is_empty() {
+                        stats.segments_structural += 1;
+                    }
+                    let slot = table.slot(kseg.min, selected);
+                    for (slot_col, col) in cols.iter().enumerate() {
+                        let seg = self.fetch(*col, seg_idx, mat, stats)?;
+                        let part = match selection {
+                            Selection::All => {
+                                self.aggregate_whole_segment(*col, &seg, n, mat, stats)?
                             }
-                            for (slot, col) in cols.iter().enumerate() {
-                                let seg = self.fetch(*col, seg_idx, mat, stats)?;
-                                let part =
-                                    self.aggregate_whole_segment(*col, &seg, n, mat, stats)?;
-                                acc.per_col[slot].merge(&part);
+                            Selection::Mask(mask) => {
+                                aggregate_plain(&*mat.decompress(*col, &seg, stats)?, Some(mask))
                             }
-                            acc.rows += n;
-                            stats.rows_undecoded += n;
-                        }
-                        Selection::Mask(mask) => {
-                            if cols.is_empty() {
-                                stats.segments_structural += 1;
-                            }
-                            for (slot, col) in cols.iter().enumerate() {
-                                let seg = self.fetch(*col, seg_idx, mat, stats)?;
-                                let plain = mat.decompress(*col, &seg, stats)?;
-                                acc.per_col[slot].merge(&aggregate_plain(&plain, Some(mask)));
-                            }
-                            acc.rows += mask.count_ones();
-                            stats.rows_undecoded += mask.count_ones();
-                        }
+                        };
+                        table.absorb(slot_col, slot, &part);
                     }
                     return Ok(());
                 }
                 // Tier 2 — DICT key: dense code-space aggregation.
                 "dict" => {
-                    let scheme = kseg.scheme()?;
-                    let dict_values = scheme.decompress_part(&kseg.compressed, dict::ROLE_DICT)?;
-                    let codes = scheme.decompress_part(&kseg.compressed, dict::ROLE_CODES)?;
-                    let codes = codes.to_transport();
-                    // Reset the scratch in place when its shape still
-                    // fits (the common case: equal-height dictionaries
-                    // across segments) so the per-segment setup
-                    // allocates nothing; reshape only when the
-                    // dictionary size or aggregate count changed.
-                    let fits = scratch.len() == dict_values.len()
-                        && scratch
-                            .first()
-                            .is_none_or(|acc| acc.per_col.len() == cols.len());
-                    if fits {
-                        scratch.iter_mut().for_each(GroupAcc::reset);
-                    } else {
-                        scratch.clear();
-                        scratch.resize(dict_values.len(), GroupAcc::new(cols.len()));
-                    }
-                    let plains: Vec<Rc<ColumnData>> = cols
-                        .iter()
-                        .map(|col| {
-                            let seg = self.fetch(*col, seg_idx, mat, stats)?;
-                            mat.decompress(*col, &seg, stats)
-                        })
-                        .collect::<Result<_>>()?;
-                    let mut fold = |i: usize| {
-                        let acc = &mut scratch[codes[i] as usize];
-                        acc.rows += 1;
-                        for (slot, plain) in plains.iter().enumerate() {
-                            acc.per_col[slot].push(plain.get_numeric(i).expect("in range"));
-                        }
-                    };
-                    match selection {
-                        Selection::All => {
-                            stats.values_processed += n;
-                            stats.rows_undecoded += n;
-                            (0..n).for_each(&mut fold);
-                        }
-                        Selection::Mask(mask) => {
-                            stats.values_processed += mask.count_ones();
-                            stats.rows_undecoded += mask.count_ones();
-                            mask.iter_ones().for_each(&mut fold);
-                        }
-                    }
+                    let (dict_values, codes) = kseg.dict_parts()?;
+                    let codes = codes.as_transport();
+                    let plains = self.value_columns(cols, seg_idx, mat, stats)?;
+                    stats.values_processed += selected;
+                    stats.rows_undecoded += selected;
                     if cols.is_empty() {
                         stats.segments_structural += 1;
                     }
-                    // Merge: decode each *distinct* touched key exactly
-                    // once — the only place a dictionary entry is read.
-                    for (code, acc) in scratch.iter().enumerate() {
-                        if acc.rows == 0 {
-                            continue;
-                        }
-                        stats.groups_folded += 1;
-                        groups
-                            .entry(dict_values.get_numeric(code).expect("in range"))
-                            .or_insert_with(|| GroupAcc::new(cols.len()))
-                            .merge(acc);
-                    }
+                    let counts = count_codes(&codes, dict_values.len(), selection.rows(n));
+                    stats.groups_folded += counts.iter().filter(|&&count| count > 0).count();
+                    with_column!(&dict_values, |keys| table.resolve(
+                        keys.iter()
+                            .zip(&counts)
+                            .map(|(&key, &count)| (key.into(), count as usize))
+                    ));
+                    let codes = &codes[..n];
+                    fold_values(table, &plains, selection, |i| codes[i] as usize);
                     return Ok(());
                 }
                 _ => {}
@@ -1318,59 +1277,31 @@ impl PhysicalPlan {
                     if cols.is_empty() {
                         stats.segments_structural += 1;
                     }
-                    let plains: Vec<Rc<ColumnData>> = cols
-                        .iter()
-                        .map(|col| {
-                            let seg = self.fetch(*col, seg_idx, mat, stats)?;
-                            mat.decompress(*col, &seg, stats)
-                        })
-                        .collect::<Result<_>>()?;
-                    let mut start = 0usize;
-                    for (run, &run_end) in run_ends.iter().enumerate().take(run_values.len()) {
-                        let end = (run_end as usize).min(n);
-                        let acc = groups
-                            .entry(run_values.get_numeric(run).expect("in range"))
-                            .or_insert_with(|| GroupAcc::new(cols.len()));
-                        acc.rows += end - start;
-                        for (slot, plain) in plains.iter().enumerate() {
-                            for i in start..end {
-                                acc.per_col[slot].push(plain.get_numeric(i).expect("in range"));
-                            }
+                    let plains = self.value_columns(cols, seg_idx, mat, stats)?;
+                    for_each_run(&run_values, &run_ends, n, |key, rows| {
+                        let slot = table.slot(key, rows.len());
+                        for (col, plain) in plains.iter().enumerate() {
+                            table.absorb(col, slot, &aggregate_rows(plain, rows.clone()));
                         }
-                        start = end;
-                    }
+                    });
                     return Ok(());
                 }
             }
         }
         // Tier 4 — fallback: hash per selected row.
         let keys = mat.decompress(key, &kseg, stats)?;
-        let plains: Vec<Rc<ColumnData>> = cols
-            .iter()
-            .map(|col| {
-                let seg = self.fetch(*col, seg_idx, mat, stats)?;
-                mat.decompress(*col, &seg, stats)
-            })
-            .collect::<Result<_>>()?;
-        let mut fold = |i: usize| {
-            let acc = groups
-                .entry(keys.get_numeric(i).expect("in range"))
-                .or_insert_with(|| GroupAcc::new(cols.len()));
-            acc.rows += 1;
-            for (slot, plain) in plains.iter().enumerate() {
-                acc.per_col[slot].push(plain.get_numeric(i).expect("in range"));
-            }
+        let plains = self.value_columns(cols, seg_idx, mat, stats)?;
+        stats.values_processed += selected;
+        let picked = |i| match selection {
+            Selection::All => true,
+            Selection::Mask(mask) => mask.get(i),
         };
-        match selection {
-            Selection::All => {
-                stats.values_processed += n;
-                (0..n).for_each(&mut fold);
-            }
-            Selection::Mask(mask) => {
-                stats.values_processed += mask.count_ones();
-                mask.iter_ones().for_each(&mut fold);
-            }
-        }
+        with_column!(&*keys, |keys| table.resolve(
+            keys.iter()
+                .enumerate()
+                .map(|(i, &key)| (key.into(), usize::from(picked(i))))
+        ));
+        fold_values(table, &plains, selection, |i| i);
         Ok(())
     }
 
@@ -1395,33 +1326,21 @@ impl PhysicalPlan {
             if let Some((values, ends)) = seg.run_structure()? {
                 stats.values_processed += values.len();
                 stats.segments_structural += 1;
-                let mut start = 0usize;
-                for run in 0..values.len() {
-                    let end = (ends.get(run).copied().unwrap_or(n as u64) as usize).min(n);
-                    let v = values.get_numeric(run).expect("in range");
-                    for _ in 0..(end - start).min(k) {
+                for_each_run(&values, &ends, n, |v, rows| {
+                    for _ in 0..rows.len().min(k) {
                         push_topk(heap, k, v);
                     }
-                    start = end;
-                }
+                });
                 return Ok(());
             }
         }
         let plain = mat.decompress(col, &seg, stats)?;
-        match selection {
-            Selection::All => {
-                stats.values_processed += n;
-                for i in 0..n {
-                    push_topk(heap, k, plain.get_numeric(i).expect("in range"));
-                }
-            }
-            Selection::Mask(mask) => {
-                stats.values_processed += mask.count_ones();
-                for i in mask.iter_ones() {
-                    push_topk(heap, k, plain.get_numeric(i).expect("in range"));
-                }
-            }
-        }
+        stats.values_processed += selection.count(n);
+        with_column!(&*plain, |values| selection.rows(n).for_each(|i| push_topk(
+            heap,
+            k,
+            values[i].into()
+        )));
         Ok(())
     }
 
@@ -1432,7 +1351,7 @@ impl PhysicalPlan {
         n: usize,
         selection: &Selection,
         col: usize,
-        set: &mut HashSet<i128>,
+        set: &mut IntSet<i128>,
         mat: &mut Materializer,
         stats: &mut QueryStats,
     ) -> Result<()> {
@@ -1446,28 +1365,20 @@ impl PhysicalPlan {
                 for role in roles {
                     let part = scheme.decompress_part(&seg.compressed, role)?;
                     stats.values_processed += part.len();
-                    for i in 0..part.len() {
-                        set.insert(part.get_numeric(i).expect("in range"));
-                    }
+                    with_column!(&part, |part| set
+                        .extend(part.iter().map(|&v| i128::from(v))));
                 }
                 return Ok(());
             }
         }
         let plain = mat.decompress(col, &seg, stats)?;
-        match selection {
-            Selection::All => {
-                stats.values_processed += n;
-                for i in 0..n {
-                    set.insert(plain.get_numeric(i).expect("in range"));
-                }
-            }
-            Selection::Mask(mask) => {
-                stats.values_processed += mask.count_ones();
-                for i in mask.iter_ones() {
-                    set.insert(plain.get_numeric(i).expect("in range"));
-                }
-            }
-        }
+        stats.values_processed += selection.count(n);
+        with_column!(&*plain, |values| collect_distinct(
+            values,
+            selection,
+            (seg.min, seg.max),
+            set
+        ));
         Ok(())
     }
 
@@ -1559,29 +1470,13 @@ impl PhysicalPlan {
                 slot.insert(self.join_right_side(right, shard_idx, rseg, stats)?);
             }
             let build = &cache[&(shard_idx, rseg)];
-            if let (false, Some((lvals, lcounts)), Some((v2c, rcounts))) =
-                (self.naive, &left.codes, &build.dict)
-            {
-                // DICT⋈DICT: translate left codes into the right
-                // dictionary and multiply counts in code space. A left
-                // code with no entry in the right dictionary drops
-                // here, without either side decoding a row.
-                stats.join_code_translations += 1;
-                for (code, &lc) in lcounts.iter().enumerate() {
-                    if lc == 0 {
-                        continue;
-                    }
-                    let v = lvals.get_numeric(code).expect("in range");
-                    if let Some(&rcode) = v2c.get(&v) {
-                        let rc = rcounts[rcode];
-                        if rc > 0 {
-                            *pairs.entry(v).or_insert(0) += lc as i128 * rc as i128;
-                        }
-                    }
-                }
-                continue;
-            }
-            for (&v, &lc) in &left.hist {
+            // DICT⋈DICT: the left dictionary's touched entries probe
+            // the right dictionary's, multiplying per-code counts. A
+            // left code with no entry on the right drops here, without
+            // either side decoding a row. Every other pair probes the
+            // same way, by whatever unit each side was counted in.
+            stats.join_code_translations += usize::from(left.dict && build.dict);
+            for &(v, lc) in &left.entries {
                 if let Some(&rc) = build.hist.get(&v) {
                     *pairs.entry(v).or_insert(0) += lc as i128 * rc as i128;
                 }
@@ -1590,8 +1485,8 @@ impl PhysicalPlan {
         Ok(())
     }
 
-    /// Histogram the selected left keys of one segment at the best
-    /// structural tier (see [`Self::sink_join`] for the tier list).
+    /// The selected left keys of one segment at the best structural
+    /// tier (see [`Self::sink_join`] for the tier list).
     fn join_left_side(
         &self,
         seg_idx: usize,
@@ -1602,98 +1497,62 @@ impl PhysicalPlan {
         stats: &mut QueryStats,
     ) -> Result<JoinLeft> {
         let kseg = self.fetch(key, seg_idx, mat, stats)?;
+        let selected = selection.count(n);
+        let structural = |entries| JoinLeft {
+            entries,
+            dict: false,
+        };
         if !self.naive {
             match kseg.scheme_base() {
                 // CONST key: the zone map is the histogram.
                 "const" => {
-                    let selected = match selection {
-                        Selection::All => n,
-                        Selection::Mask(mask) => mask.count_ones(),
-                    };
                     stats.join_rows_undecoded += selected;
                     stats.values_processed += 1;
-                    let mut hist = HashMap::new();
-                    hist.insert(kseg.min, selected as u64);
-                    return Ok(JoinLeft { hist, codes: None });
+                    return Ok(structural(vec![(kseg.min, selected as u64)]));
                 }
                 // DICT key: count selected rows per dictionary code;
-                // each *distinct* selected key decodes exactly once,
-                // into the value histogram non-dict rights probe.
+                // each *distinct* selected key decodes exactly once.
                 "dict" => {
-                    let scheme = kseg.scheme()?;
-                    let dict_values = scheme.decompress_part(&kseg.compressed, dict::ROLE_DICT)?;
-                    let codes = scheme.decompress_part(&kseg.compressed, dict::ROLE_CODES)?;
-                    let codes = codes.to_transport();
-                    let mut counts = vec![0u64; dict_values.len()];
-                    let selected = match selection {
-                        Selection::All => {
-                            for i in 0..n {
-                                counts[codes[i] as usize] += 1;
-                            }
-                            n
-                        }
-                        Selection::Mask(mask) => {
-                            for i in mask.iter_ones() {
-                                counts[codes[i] as usize] += 1;
-                            }
-                            mask.count_ones()
-                        }
-                    };
+                    let (dict_values, codes) = kseg.dict_parts()?;
+                    let counts =
+                        count_codes(&codes.as_transport(), dict_values.len(), selection.rows(n));
                     stats.join_rows_undecoded += selected;
                     stats.values_processed += selected;
-                    let mut hist = HashMap::new();
-                    for (code, &c) in counts.iter().enumerate() {
-                        if c > 0 {
-                            *hist
-                                .entry(dict_values.get_numeric(code).expect("in range"))
-                                .or_insert(0u64) += c;
-                        }
-                    }
+                    let entries = with_column!(&dict_values, |values| values
+                        .iter()
+                        .zip(counts)
+                        .filter(|&(_, count)| count > 0)
+                        .map(|(&value, count)| (value.into(), count))
+                        .collect());
                     return Ok(JoinLeft {
-                        hist,
-                        codes: Some((dict_values, counts)),
+                        entries,
+                        dict: true,
                     });
                 }
                 _ => {}
             }
-            // RLE/RPE key + full selection: one histogram entry per run.
+            // RLE/RPE key + full selection: one entry per run.
             if matches!(selection, Selection::All) {
                 if let Some((values, ends)) = kseg.run_structure()? {
                     stats.join_rows_undecoded += n;
                     stats.values_processed += values.len();
-                    let mut hist = HashMap::with_capacity(values.len());
-                    let mut start = 0usize;
-                    for run in 0..values.len() {
-                        let end = (ends.get(run).copied().unwrap_or(n as u64) as usize).min(n);
-                        *hist
-                            .entry(values.get_numeric(run).expect("in range"))
-                            .or_insert(0u64) += (end - start) as u64;
-                        start = end;
-                    }
-                    return Ok(JoinLeft { hist, codes: None });
+                    let mut entries = Vec::with_capacity(values.len());
+                    for_each_run(&values, &ends, n, |value, rows| {
+                        entries.push((value, rows.len() as u64));
+                    });
+                    return Ok(structural(entries));
                 }
             }
         }
         // Fallback (and the whole naive baseline): decompress the key,
         // hash one selected row at a time.
         let plain = mat.decompress(key, &kseg, stats)?;
-        let mut hist: HashMap<i128, u64> = HashMap::new();
-        let mut add = |i: usize| {
-            *hist
-                .entry(plain.get_numeric(i).expect("in range"))
-                .or_insert(0) += 1;
-        };
-        match selection {
-            Selection::All => {
-                stats.values_processed += n;
-                (0..n).for_each(&mut add);
-            }
-            Selection::Mask(mask) => {
-                stats.values_processed += mask.count_ones();
-                mask.iter_ones().for_each(&mut add);
-            }
-        }
-        Ok(JoinLeft { hist, codes: None })
+        stats.values_processed += selected;
+        Ok(structural(
+            histogram_rows(&plain, selection.rows(n))
+                .into_iter()
+                .collect(),
+        ))
     }
 
     /// Build (once per worker, cached by the caller) the build side of
@@ -1709,16 +1568,14 @@ impl PhysicalPlan {
         shard_idx: usize,
         rseg: usize,
         stats: &mut QueryStats,
-    ) -> Result<crate::join::SegmentHistogram> {
+    ) -> Result<SegmentHistogram> {
         let shard = &right.shards[shard_idx];
         if !self.naive {
             let rmeta = shard.meta_at(right.key, rseg);
             let base = rmeta.expr.split(['(', '[']).next().unwrap_or(&rmeta.expr);
             if base == "const" {
                 stats.join_rows_undecoded += rmeta.rows;
-                return Ok(crate::join::SegmentHistogram::constant(
-                    rmeta.min, rmeta.rows,
-                ));
+                return Ok(SegmentHistogram::constant(rmeta.min, rmeta.rows));
             }
         }
         let seg = shard.source_at(right.key).segment(rseg)?;
@@ -1726,9 +1583,9 @@ impl PhysicalPlan {
         if self.naive {
             let plain = seg.decompress()?;
             stats.rows_materialized += plain.len();
-            return Ok(crate::join::SegmentHistogram::decoded(&plain));
+            return Ok(SegmentHistogram::decoded(&plain));
         }
-        let built = crate::join::segment_histogram(&seg)?;
+        let built = segment_histogram(&seg)?;
         if built.undecoded_rows == 0 {
             // The decoded fallback materialised the segment's rows.
             stats.rows_materialized += shard.meta_at(right.key, rseg).rows;
@@ -1738,13 +1595,68 @@ impl PhysicalPlan {
     }
 }
 
-/// The probe side of one left-segment join visit: a value→count
-/// histogram of the selected keys plus — for DICT key segments — the
-/// dictionary part and per-code selected counts that the code→code
-/// translation tier folds without decoding.
+/// The group-by value fold: every value column's selected rows into
+/// `table`, row `i` under key unit `unit_of(i)` — one typed pass per
+/// column.
+fn fold_values(
+    table: &mut GroupTable,
+    plains: &[Rc<ColumnData>],
+    selection: &Selection,
+    unit_of: impl Fn(usize) -> usize,
+) {
+    for (col, plain) in plains.iter().enumerate() {
+        with_column!(&**plain, |values| table.fold(
+            col,
+            values,
+            selection.rows(values.len()),
+            &unit_of
+        ));
+    }
+}
+
+/// The probe side of one left-segment join visit: `(key, selected
+/// rows)` entries — one per distinct key on the CONST, DICT and row
+/// tiers, one per run on the run tier — and whether they came off a
+/// dictionary, which a DICT right side answers by code translation.
 struct JoinLeft {
-    hist: HashMap<i128, u64>,
-    codes: Option<(ColumnData, Vec<u64>)>,
+    entries: Vec<(i128, u64)>,
+    dict: bool,
+}
+
+/// The distinct sink's row kernel. `zone` is the segment's resident
+/// zone map, which bounds its values like FOR's reference bounds its
+/// offsets: when the span `max − min` fits a bitmap no larger than the
+/// decoded rows themselves, mark `v − min` per selected row and insert
+/// only the set bits — at most `span` table inserts instead of one per
+/// row. A wider span hashes per row. A value outside the zone map (a
+/// frame that lies about its bounds) is hashed directly, so the answer
+/// never depends on the zone map being right.
+fn collect_distinct<T: Native>(
+    values: &[T],
+    selection: &Selection,
+    (min, max): (i128, i128),
+    set: &mut IntSet<i128>,
+) {
+    let rows = selection.rows(values.len());
+    let span = max.saturating_sub(min).saturating_add(1);
+    if span < 1 || span > 8 * std::mem::size_of_val(values) as i128 {
+        return rows.for_each(|i| {
+            set.insert(values[i].into());
+        });
+    }
+    // Transport form: `v − min` in wrapping u64 is exact for every
+    // in-zone value, whatever the element's signedness.
+    let (span, base) = (span as u64, min as u64);
+    let mut seen = Bitmap::new_zeroed(span as usize);
+    rows.for_each(|i| {
+        let offset = values[i].to_u64().wrapping_sub(base);
+        if offset < span {
+            seen.set(offset as usize);
+        } else {
+            set.insert(values[i].into());
+        }
+    });
+    set.extend(seen.iter_ones().map(|offset| min + offset as i128));
 }
 
 /// Which part columns carry a segment's distinct candidates, per scheme.

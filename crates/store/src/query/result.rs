@@ -106,13 +106,13 @@ impl QueryResult {
                     .map(|spec| eval_spec(spec, &acc.per_col, acc.rows))
                     .collect(),
             ),
-            (SinkState::Groups { groups, .. }, Sink::GroupBy { specs, .. }) => {
-                let mut out: Vec<(i128, Vec<AggValue>)> = groups
-                    .into_iter()
-                    .map(|(key, acc)| {
+            (SinkState::Groups { table, .. }, Sink::GroupBy { specs, .. }) => {
+                let mut out: Vec<(i128, Vec<AggValue>)> = table
+                    .groups()
+                    .map(|(key, rows, per_col)| {
                         let values = specs
                             .iter()
-                            .map(|spec| eval_spec(spec, &acc.per_col, acc.rows))
+                            .map(|spec| eval_spec(spec, &per_col, rows))
                             .collect();
                         (key, values)
                     })

@@ -95,16 +95,42 @@ impl Segment {
             let scheme = self.scheme()?;
             let values = scheme.decompress_part(&self.compressed, rle::ROLE_VALUES)?;
             let lengths = scheme.decompress_part(&self.compressed, rle::ROLE_LENGTHS)?;
-            let ends = lcdc_colops::prefix_sum_inclusive(&lengths.to_transport());
+            let ends = lcdc_colops::prefix_sum_inclusive(&lengths.as_transport());
             return Ok(Some((values, ends)));
         }
         if scheme_id == "rpe" || scheme_id.starts_with("rpe[") {
             let scheme = self.scheme()?;
             let values = scheme.decompress_part(&self.compressed, rpe::ROLE_VALUES)?;
-            let positions = scheme.decompress_part(&self.compressed, rpe::ROLE_POSITIONS)?;
-            return Ok(Some((values, positions.to_transport())));
+            let ends = match scheme.decompress_part(&self.compressed, rpe::ROLE_POSITIONS)? {
+                ColumnData::U64(positions) => positions,
+                other => other.to_transport(),
+            };
+            return Ok(Some((values, ends)));
         }
         Ok(None)
+    }
+
+    /// The `(dictionary, codes)` parts of a DICT segment, validated
+    /// once so the code-space tiers may index by code: one code per
+    /// row, every code inside the dictionary. A checksummed frame can
+    /// still carry a code past its dictionary; full decompression
+    /// rejects that in `gather`, and this does with the same error.
+    pub(crate) fn dict_parts(&self) -> Result<(ColumnData, ColumnData)> {
+        use lcdc_core::schemes::dict;
+        let scheme = self.scheme()?;
+        let values = scheme.decompress_part(&self.compressed, dict::ROLE_DICT)?;
+        let codes = scheme.decompress_part(&self.compressed, dict::ROLE_CODES)?;
+        let max_code = codes.as_transport().iter().copied().max();
+        if codes.len() != self.num_rows() || max_code.is_some_and(|c| c >= values.len() as u64) {
+            return Err(lcdc_core::CoreError::CorruptParts(format!(
+                "dict segment of {} rows holds {} codes up to {max_code:?} over {} entries",
+                self.num_rows(),
+                codes.len(),
+                values.len()
+            ))
+            .into());
+        }
+        Ok((values, codes))
     }
 
     /// Internal consistency check used by table assembly.

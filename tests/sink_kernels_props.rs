@@ -1,0 +1,603 @@
+//! The typed sink kernels' contract, differentially and for every
+//! element type: for each sink × key/value dtype in {U32, U64, I32,
+//! I64} × {full selection, mask, empty mask} × key scheme {dict, rle,
+//! rpe, const, ns, for, id},
+//!
+//! ```text
+//! pushdown rows == execute_naive rows == an independent i128 oracle
+//! ```
+//!
+//! where the oracle is a `BTreeMap` fold over the raw `i128` values —
+//! it shares no code with the store. The fixtures carry each type's
+//! extremes (`i64::MIN`, `u64::MAX`), a whole segment of the maximum
+//! (the sum must be exact in `i128`), negative keys through the
+//! distinct bitmap, and spans just inside and just outside the bitmap
+//! bound. A second part hand-builds frames no compressor would emit —
+//! a DICT code past its dictionary, a zone map that lies — and checks
+//! the code-space tiers answer with a typed error or the right rows,
+//! never a panic.
+
+use lcdc::core::scheme::Params;
+use lcdc::core::schemes::dict;
+use lcdc::core::{ColumnData, Compressed, DType, Part, PartData};
+use lcdc::store::{
+    Agg, CompressionPolicy, Predicate, QueryBuilder, QueryResult, Rows, Segment, Table, TableSchema,
+};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+const DTYPES: [DType; 4] = [DType::U32, DType::U64, DType::I32, DType::I64];
+const SEG_ROWS: usize = 4096;
+const ROWS: usize = 3 * SEG_ROWS - 100;
+
+fn bounds(dtype: DType) -> (i128, i128) {
+    match dtype {
+        DType::U32 => (0, u32::MAX as i128),
+        DType::U64 => (0, u64::MAX as i128),
+        DType::I32 => (i32::MIN as i128, i32::MAX as i128),
+        DType::I64 => (i64::MIN as i128, i64::MAX as i128),
+    }
+}
+
+/// A tiny deterministic generator (the oracle must not share the
+/// store's dependencies either).
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.0 >> 11
+    }
+}
+
+/// Runny keys over a 12-value domain that includes the type's extremes
+/// and, for signed types, negatives around zero.
+fn keys(dtype: DType, seed: u64) -> Vec<i128> {
+    let (lo, hi) = bounds(dtype);
+    let mid = if dtype.signed() { -3 } else { 1 << 20 };
+    let domain = [
+        lo,
+        lo + 1,
+        hi,
+        hi - 1,
+        mid,
+        mid + 1,
+        mid + 2,
+        0,
+        7,
+        8,
+        1000,
+        65_537,
+    ];
+    let mut rng = Lcg(seed);
+    let mut out = Vec::with_capacity(ROWS);
+    while out.len() < ROWS {
+        let key = domain[rng.next() as usize % domain.len()];
+        let run = 1 + rng.next() as usize % 40;
+        out.extend(std::iter::repeat_n(key, run.min(ROWS - out.len())));
+    }
+    out
+}
+
+/// Values: the whole first segment is the type's maximum, the rest is
+/// spread over the full range, minimum included.
+fn values(dtype: DType, seed: u64) -> Vec<i128> {
+    let (lo, hi) = bounds(dtype);
+    let mut rng = Lcg(seed ^ 0xABCD);
+    (0..ROWS)
+        .map(|i| match i {
+            _ if i < SEG_ROWS => hi,
+            _ if i % 97 == 0 => lo,
+            _ => lo + (rng.next() as i128 * 0x1_0001) % (hi - lo + 1),
+        })
+        .collect()
+}
+
+/// The selector column: values in {0, 1, 2, 4, 5, 6}, so `sel <= 2`
+/// masks every segment and `sel == 3` empties every segment at the
+/// data tier (the zone map cannot decide either).
+fn selector() -> Vec<i128> {
+    (0..ROWS as i128)
+        .map(|i| [0, 1, 2, 4, 5, 6][(i * 7 % 6) as usize])
+        .collect()
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Sel {
+    Full,
+    Mask,
+    Empty,
+}
+
+const SELECTIONS: [Sel; 3] = [Sel::Full, Sel::Mask, Sel::Empty];
+
+impl Sel {
+    fn keeps(self, sel: i128) -> bool {
+        match self {
+            Sel::Full => true,
+            Sel::Mask => sel <= 2,
+            Sel::Empty => sel == 3,
+        }
+    }
+
+    fn apply<'t>(self, builder: QueryBuilder<'t>) -> QueryBuilder<'t> {
+        match self {
+            Sel::Full => builder,
+            Sel::Mask => builder.filter("sel", Predicate::Range { lo: 0, hi: 2 }),
+            Sel::Empty => builder.filter("sel", Predicate::Eq(3)),
+        }
+    }
+}
+
+/// The key schemes under test, spelled for the type's signedness.
+/// `const` needs constant data and has its own fixture below.
+fn key_schemes(dtype: DType) -> [&'static str; 6] {
+    if dtype.signed() {
+        [
+            "dict[codes=ns]",
+            "rle[values=ns_zz,lengths=ns]",
+            "rpe[values=id,positions=ns]",
+            "ns_zz",
+            "for(l=128)[offsets=ns]",
+            "id",
+        ]
+    } else {
+        [
+            "dict[codes=ns]",
+            "rle[values=ns,lengths=ns]",
+            "rpe[values=ns,positions=ns]",
+            "ns",
+            "for(l=128)[offsets=ns]",
+            "id",
+        ]
+    }
+}
+
+struct Fixture {
+    table: Table,
+    key: Vec<i128>,
+    val: Vec<i128>,
+    sel: Vec<i128>,
+}
+
+fn fixture(key: (DType, Vec<i128>, &str), val: (DType, Vec<i128>)) -> Fixture {
+    let sel = selector();
+    let column =
+        |dtype, values: &[i128]| ColumnData::from_numeric(dtype, values).expect("in range");
+    let table = Table::build(
+        TableSchema::new(&[("key", key.0), ("val", val.0), ("sel", DType::U32)]),
+        &[
+            column(key.0, &key.1),
+            column(val.0, &val.1),
+            column(DType::U32, &sel),
+        ],
+        &[
+            CompressionPolicy::Fixed(key.2.into()),
+            CompressionPolicy::Auto,
+            CompressionPolicy::Fixed("ns".into()),
+        ],
+        SEG_ROWS,
+    )
+    .unwrap_or_else(|e| panic!("{:?} key under {}: {e}", key.0, key.2));
+    Fixture {
+        table,
+        key: key.1,
+        val: val.1,
+        sel,
+    }
+}
+
+impl Fixture {
+    fn selected(&self, sel: Sel) -> impl Iterator<Item = usize> + '_ {
+        (0..self.key.len()).filter(move |&i| sel.keeps(self.sel[i]))
+    }
+}
+
+/// Pushdown and naive must agree with each other and with `want`.
+fn check(what: &str, builder: &QueryBuilder<'_>, want: &Rows) -> QueryResult {
+    let push = builder
+        .execute()
+        .unwrap_or_else(|e| panic!("{what}: pushdown: {e}"));
+    let naive = builder
+        .execute_naive()
+        .unwrap_or_else(|e| panic!("{what}: naive: {e}"));
+    assert_eq!(&push.rows, want, "{what}: pushdown vs oracle");
+    assert_eq!(&naive.rows, want, "{what}: naive vs oracle");
+    assert_eq!(naive.stats.rows_undecoded, 0, "{what}: the oracle decodes");
+    push
+}
+
+const AGGS: [Agg<'static>; 4] = [
+    Agg::Sum("val"),
+    Agg::Min("val"),
+    Agg::Max("val"),
+    Agg::Count,
+];
+
+/// `[sum, min, max, count]` of `values`, in `AGGS` order.
+fn agg_row(values: impl Iterator<Item = i128>) -> Vec<Option<i128>> {
+    let (mut sum, mut min, mut max, mut count) = (0i128, None, None, 0i128);
+    for v in values {
+        sum += v;
+        min = Some(min.map_or(v, |m: i128| m.min(v)));
+        max = Some(max.map_or(v, |m: i128| m.max(v)));
+        count += 1;
+    }
+    vec![Some(sum), min, max, Some(count)]
+}
+
+/// A join's right (build) side: the table, its raw keys, its label.
+type Right = (Arc<Table>, Vec<i128>, String);
+
+fn check_all_sinks(what: &str, f: &Fixture, rights: &[Right]) {
+    for sel in SELECTIONS {
+        let what = format!("{what}, {sel:?}");
+        let scan = || sel.apply(QueryBuilder::scan(&f.table));
+
+        let want = Rows::Aggregates(agg_row(f.selected(sel).map(|i| f.val[i])));
+        check(
+            &format!("aggregate: {what}"),
+            &scan().aggregate(&AGGS),
+            &want,
+        );
+
+        let mut groups: BTreeMap<i128, Vec<i128>> = BTreeMap::new();
+        for i in f.selected(sel) {
+            groups.entry(f.key[i]).or_default().push(f.val[i]);
+        }
+        let want = Rows::Groups(
+            groups
+                .iter()
+                .map(|(&key, vals)| (key, agg_row(vals.iter().copied())))
+                .collect(),
+        );
+        check(
+            &format!("group-by: {what}"),
+            &scan().group_by("key").aggregate(&AGGS),
+            &want,
+        );
+        // A SUM-only plan keeps no extrema; a COUNT-only one no values.
+        let sums = |pick: fn(&[Option<i128>]) -> Vec<Option<i128>>| match &want {
+            Rows::Groups(rows) => {
+                Rows::Groups(rows.iter().map(|(key, row)| (*key, pick(row))).collect())
+            }
+            _ => unreachable!(),
+        };
+        check(
+            &format!("group-by sum: {what}"),
+            &scan().group_by("key").aggregate(&[Agg::Sum("val")]),
+            &sums(|row| vec![row[0]]),
+        );
+        check(
+            &format!("group-by count: {what}"),
+            &scan().group_by("key").aggregate(&[Agg::Count]),
+            &sums(|row| vec![row[3]]),
+        );
+
+        for (column, data) in [("key", &f.key), ("val", &f.val)] {
+            let mut ranked: Vec<i128> = f.selected(sel).map(|i| data[i]).collect();
+            ranked.sort_unstable_by(|a, b| b.cmp(a));
+            ranked.truncate(50);
+            check(
+                &format!("top-k {column}: {what}"),
+                &scan().top_k(column, 50),
+                &Rows::TopK(ranked),
+            );
+            let distinct: BTreeSet<i128> = f.selected(sel).map(|i| data[i]).collect();
+            check(
+                &format!("distinct {column}: {what}"),
+                &scan().distinct(column),
+                &Rows::Distinct(distinct.into_iter().collect()),
+            );
+        }
+
+        let mut left: BTreeMap<i128, i128> = BTreeMap::new();
+        for i in f.selected(sel) {
+            *left.entry(f.key[i]).or_default() += 1;
+        }
+        for (right, right_keys, right_what) in rights {
+            let mut pairs: BTreeMap<i128, i128> = BTreeMap::new();
+            for key in right_keys {
+                if let Some(&count) = left.get(key) {
+                    *pairs.entry(*key).or_default() += count;
+                }
+            }
+            check(
+                &format!("join with {right_what}: {what}"),
+                &scan().join("right", Arc::clone(right), "key"),
+                &Rows::Joined(pairs.into_iter().collect()),
+            );
+        }
+    }
+}
+
+/// A right (build) side for the join: a short key column of the same
+/// type under its own scheme, overlapping the left domain partly.
+fn right_side(dtype: DType, scheme: &str, seed: u64) -> Right {
+    let mut key = keys(dtype, seed ^ 0x51DE);
+    key.truncate(SEG_ROWS + 500);
+    let (lo, _) = bounds(dtype);
+    // Drop one extreme and add a key the left side never holds.
+    for k in key.iter_mut() {
+        if *k == lo + 1 {
+            *k = 424_242;
+        }
+    }
+    let table = Table::build(
+        TableSchema::new(&[("key", dtype)]),
+        &[ColumnData::from_numeric(dtype, &key).expect("in range")],
+        &[CompressionPolicy::Fixed(scheme.into())],
+        SEG_ROWS,
+    )
+    .expect("right side builds");
+    (Arc::new(table), key, format!("right side under {scheme}"))
+}
+
+/// One key dtype's slice of the matrix (a test each, so they run side
+/// by side). Value dtypes rotate with the scheme index — every (key
+/// dtype, value dtype) pair occurs — and each left scheme joins a right
+/// side under the same scheme and under the next one.
+fn every_sink_selection_and_key_scheme_matches_the_oracle(k: usize) {
+    let key_dtype = DTYPES[k];
+    for (s, scheme) in key_schemes(key_dtype).into_iter().enumerate() {
+        let seed = (k * 16 + s) as u64 + 1;
+        let rights = [scheme, key_schemes(key_dtype)[(s + 1) % 6]]
+            .map(|right_scheme| right_side(key_dtype, right_scheme, seed));
+        for val_dtype in [DTYPES[(k + s) % 4], DTYPES[(k + s + 1) % 4]] {
+            let f = fixture(
+                (key_dtype, keys(key_dtype, seed), scheme),
+                (val_dtype, values(val_dtype, seed)),
+            );
+            let what = format!("{key_dtype:?} key under {scheme}, {val_dtype:?} values");
+            check_all_sinks(&what, &f, &rights);
+        }
+    }
+}
+
+#[test]
+fn u32_keys_match_the_oracle() {
+    every_sink_selection_and_key_scheme_matches_the_oracle(0);
+}
+
+#[test]
+fn u64_keys_match_the_oracle() {
+    every_sink_selection_and_key_scheme_matches_the_oracle(1);
+}
+
+#[test]
+fn i32_keys_match_the_oracle() {
+    every_sink_selection_and_key_scheme_matches_the_oracle(2);
+}
+
+#[test]
+fn i64_keys_match_the_oracle() {
+    every_sink_selection_and_key_scheme_matches_the_oracle(3);
+}
+
+/// CONST keys: each segment holds one key (the type's extremes among
+/// them), so every key tier-1 folds is read off a zone map.
+#[test]
+fn const_key_segments_match_the_oracle() {
+    for (k, dtype) in DTYPES.into_iter().enumerate() {
+        let (lo, hi) = bounds(dtype);
+        let per_segment = [hi, lo, hi];
+        let key: Vec<i128> = (0..ROWS).map(|i| per_segment[i / SEG_ROWS]).collect();
+        let val_dtype = DTYPES[(k + 1) % 4];
+        let f = fixture((dtype, key, "const"), (val_dtype, values(val_dtype, 9)));
+        let rights = ["const", "id"].map(|right_scheme| {
+            let right_key = vec![hi; 300];
+            let right = Table::build(
+                TableSchema::new(&[("key", dtype)]),
+                &[ColumnData::from_numeric(dtype, &right_key).unwrap()],
+                &[CompressionPolicy::Fixed(right_scheme.into())],
+                SEG_ROWS,
+            )
+            .unwrap();
+            (
+                Arc::new(right),
+                right_key,
+                format!("right side under {right_scheme}"),
+            )
+        });
+        check_all_sinks(&format!("{dtype:?} const key"), &f, &rights);
+    }
+}
+
+/// The distinct row kernel marks `v − min` in a bitmap when the zone
+/// span fits one no larger than the decoded segment (here 4096 rows of
+/// 4 or 8 bytes), and hashes per row otherwise. Both sides of that
+/// bound, negative keys, and a masked selection must agree with the
+/// oracle.
+#[test]
+fn distinct_spans_around_the_bitmap_bound() {
+    for dtype in DTYPES {
+        let bound = 8 * SEG_ROWS as i128 * dtype.bytes() as i128;
+        let base = if dtype.signed() { -70_000 } else { 5 };
+        for span in [1, 11, bound - 1, bound, bound + 1, 3 * bound] {
+            // Values scattered inside [base, base + span), both ends hit.
+            let mut rng = Lcg(span as u64);
+            let data: Vec<i128> = (0..SEG_ROWS)
+                .map(|i| match i {
+                    0 => base,
+                    1 => base + span - 1,
+                    _ => base + (rng.next() as i128 % span),
+                })
+                .collect();
+            let table = Table::build(
+                TableSchema::new(&[("v", dtype), ("sel", DType::U32)]),
+                &[
+                    ColumnData::from_numeric(dtype, &data).unwrap(),
+                    ColumnData::U32((0..SEG_ROWS as u32).map(|i| i % 5).collect()),
+                ],
+                &[
+                    CompressionPolicy::Fixed("id".into()),
+                    CompressionPolicy::Fixed("ns".into()),
+                ],
+                SEG_ROWS,
+            )
+            .unwrap();
+            let what = format!("{dtype:?} span {span}");
+            let all: BTreeSet<i128> = data.iter().copied().collect();
+            let push = check(
+                &what,
+                &QueryBuilder::scan(&table).distinct("v"),
+                &Rows::Distinct(all.into_iter().collect()),
+            );
+            assert_eq!(
+                push.stats.rows_materialized, SEG_ROWS,
+                "{what}: the row tier"
+            );
+            let masked: BTreeSet<i128> = (0..SEG_ROWS)
+                .filter(|i| i % 5 <= 1)
+                .map(|i| data[i])
+                .collect();
+            check(
+                &format!("{what}, masked"),
+                &QueryBuilder::scan(&table)
+                    .filter("sel", Predicate::Range { lo: 0, hi: 1 })
+                    .distinct("v"),
+                &Rows::Distinct(masked.into_iter().collect()),
+            );
+        }
+    }
+}
+
+// -- frames no compressor would emit ----------------------------------
+
+fn hand_built(compressed: Compressed, expr: &str, zone: (i128, i128)) -> Segment {
+    Segment {
+        compressed,
+        expr: expr.into(),
+        min: zone.0,
+        max: zone.1,
+    }
+}
+
+/// A two-column table: `key` is the hand-built segment, `sel` an honest
+/// selector over the same rows.
+fn around(key: Segment) -> Table {
+    let n = key.num_rows();
+    let sel = Segment::build(
+        &ColumnData::U32((0..n as u32).map(|i| i % 4).collect()),
+        &CompressionPolicy::Fixed("ns".into()),
+    )
+    .unwrap();
+    Table::from_segments(
+        TableSchema::new(&[("key", key.compressed.dtype), ("sel", DType::U32)]),
+        vec![vec![key], vec![sel]],
+        n,
+    )
+    .expect("shapes agree")
+}
+
+/// A DICT frame whose last code points one past its dictionary. The
+/// frame checksums and reloads fine — nothing about its bytes is torn —
+/// so only the tiers that index by code can notice.
+fn dict_with_code_past_the_dictionary() -> Segment {
+    let codes: Vec<u64> = (0..200u64).map(|i| i % 3).chain([3]).collect();
+    hand_built(
+        Compressed {
+            scheme_id: "dict".into(),
+            n: codes.len(),
+            dtype: DType::I64,
+            params: Params::new(),
+            parts: vec![
+                Part {
+                    role: dict::ROLE_DICT,
+                    data: PartData::Plain(ColumnData::I64(vec![-4, 10, 99])),
+                },
+                Part {
+                    role: dict::ROLE_CODES,
+                    data: PartData::Plain(ColumnData::U64(codes)),
+                },
+            ],
+        },
+        "dict",
+        (-4, 99),
+    )
+}
+
+#[test]
+fn a_dict_code_past_the_dictionary_is_a_typed_error_in_every_tier() {
+    let honest = Table::build(
+        TableSchema::new(&[("key", DType::I64)]),
+        &[ColumnData::I64(vec![-4, 10, 10, 99])],
+        &[CompressionPolicy::Fixed("dict[codes=ns]".into())],
+        64,
+    )
+    .unwrap();
+    let dir = std::env::temp_dir().join(format!("lcdc_sink_kernels_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let resident = around(dict_with_code_past_the_dictionary());
+    lcdc::store::save_table(&resident, &dir).expect("the frame itself is well-formed");
+    let reloaded = lcdc::store::open_table_lazy(&dir, 4).expect("and reloads: checksums hold");
+
+    for (surface, table) in [("resident", &resident), ("reloaded", &reloaded)] {
+        let masked = || QueryBuilder::scan(table).filter("sel", Predicate::Range { lo: 1, hi: 3 });
+        let corrupt_on_either_side = [
+            QueryBuilder::scan(table).join("honest", Arc::new(honest.clone()), "key"),
+            QueryBuilder::scan(&honest).join("corrupt", Arc::new(table.clone()), "key"),
+        ];
+        let queries = [
+            (
+                "group-by",
+                QueryBuilder::scan(table)
+                    .group_by("key")
+                    .aggregate(&[Agg::Count]),
+            ),
+            (
+                "masked group-by",
+                masked().group_by("key").aggregate(&[Agg::Sum("sel")]),
+            ),
+            ("masked distinct", masked().distinct("key")),
+            ("join, corrupt left", corrupt_on_either_side[0].clone()),
+            ("join, corrupt right", corrupt_on_either_side[1].clone()),
+            (
+                "masked join",
+                masked().join("honest", Arc::new(honest.clone()), "key"),
+            ),
+        ];
+        for (what, query) in &queries {
+            for (path, result) in [
+                ("pushdown", query.execute()),
+                ("naive", query.execute_naive()),
+            ] {
+                assert!(
+                    result.is_err(),
+                    "{surface} {what} on the {path} path answered {:?}",
+                    result.map(|r| r.rows)
+                );
+            }
+        }
+        // A full-selection DISTINCT reads only the dictionary part: it
+        // never touches the bad code, so it may answer — but the
+        // decoded oracle, which gathers through the codes, must not.
+        let distinct = QueryBuilder::scan(table).distinct("key");
+        assert!(
+            distinct.execute_naive().is_err(),
+            "{surface} naive distinct"
+        );
+        if let Ok(result) = distinct.execute() {
+            assert_eq!(result.rows, Rows::Distinct(vec![-4, 10, 99]), "{surface}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A zone map that lies (narrower than the data) may cost the distinct
+/// bitmap its shortcut, never its answer: out-of-zone values are
+/// hashed directly.
+#[test]
+fn distinct_does_not_trust_the_zone_map_for_its_answer() {
+    let data = ColumnData::I32(vec![-9, 5, 6, 7, 5, 400, -9, 6]);
+    let honest = Segment::build(&data, &CompressionPolicy::Fixed("id".into())).unwrap();
+    let table = around(hand_built(honest.compressed, "id", (5, 7)));
+    let result = QueryBuilder::scan(&table)
+        .distinct("key")
+        .execute()
+        .unwrap();
+    assert_eq!(result.rows, Rows::Distinct(vec![-9, 5, 6, 7, 400]));
+}
