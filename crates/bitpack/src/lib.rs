@@ -22,8 +22,8 @@ pub mod pack;
 pub mod width;
 pub mod zigzag;
 
-pub use block::{BlockPacked, BLOCK_LEN};
-pub use pack::Packed;
+pub use block::{block_words, BlockPacked, BLOCK_LEN};
+pub use pack::{Packed, GROUP_LEN};
 pub use width::{bits_needed_u64, max_width, width_histogram, width_percentile};
 pub use zigzag::{zigzag_decode_i64, zigzag_encode_i64};
 

@@ -12,35 +12,48 @@ use crate::{ColOpsError, Result};
 /// Errors with [`ColOpsError::IndexOutOfBounds`] on the first offending
 /// index and [`ColOpsError::BadIndexValue`] for negative indices.
 pub fn gather<T: Scalar, I: IndexScalar>(values: &[T], indices: &[I]) -> Result<Vec<T>> {
-    let mut out = Vec::with_capacity(indices.len());
-    for &raw in indices {
-        let idx = raw.to_index().ok_or(ColOpsError::BadIndexValue)?;
-        let v = values
-            .get(idx)
-            .copied()
-            .ok_or(ColOpsError::IndexOutOfBounds {
-                index: idx,
-                len: values.len(),
-            })?;
-        out.push(v);
-    }
-    Ok(out)
+    gather_by(values, indices, I::to_index)
 }
 
 /// Gather with `usize` indices, the common internal case.
 pub fn gather_usize<T: Scalar>(values: &[T], indices: &[usize]) -> Result<Vec<T>> {
-    let mut out = Vec::with_capacity(indices.len());
-    for &idx in indices {
-        let v = values
-            .get(idx)
-            .copied()
-            .ok_or(ColOpsError::IndexOutOfBounds {
-                index: idx,
-                len: values.len(),
-            })?;
-        out.push(v);
+    gather_by(values, indices, Some)
+}
+
+/// One pre-sized pass with no `Result` per element: an index that is
+/// unrepresentable or past the end gathers a default and lowers a flag.
+/// Only then is the column rescanned, to report the *first* offending
+/// index.
+fn gather_by<T: Scalar, I: Copy>(
+    values: &[T],
+    indices: &[I],
+    to_index: impl Fn(I) -> Option<usize>,
+) -> Result<Vec<T>> {
+    let mut all_in_range = true;
+    let out = indices
+        .iter()
+        .map(|&raw| match to_index(raw).and_then(|i| values.get(i)) {
+            Some(&v) => v,
+            None => {
+                all_in_range = false;
+                T::default()
+            }
+        })
+        .collect();
+    if all_in_range {
+        return Ok(out);
     }
-    Ok(out)
+    let first_bad = indices
+        .iter()
+        .map(|&raw| to_index(raw))
+        .find(|i| i.is_none_or(|i| i >= values.len()));
+    Err(match first_bad.flatten() {
+        Some(index) => ColOpsError::IndexOutOfBounds {
+            index,
+            len: values.len(),
+        },
+        None => ColOpsError::BadIndexValue,
+    })
 }
 
 #[cfg(test)]
@@ -66,6 +79,29 @@ mod tests {
         assert_eq!(
             gather(&values, &[0u64, 5]),
             Err(ColOpsError::IndexOutOfBounds { index: 5, len: 1 })
+        );
+    }
+
+    #[test]
+    fn first_offending_index_reported() {
+        // The gather loop only notes *that* an index was bad; the error
+        // still names the first one in column order, whichever kind.
+        let values = [1u32, 2];
+        assert_eq!(
+            gather(&values, &[0u64, 7, 1, 9]),
+            Err(ColOpsError::IndexOutOfBounds { index: 7, len: 2 })
+        );
+        assert_eq!(
+            gather(&values, &[5i64, -1]),
+            Err(ColOpsError::IndexOutOfBounds { index: 5, len: 2 })
+        );
+        assert_eq!(
+            gather(&values, &[-1i64, 5]),
+            Err(ColOpsError::BadIndexValue)
+        );
+        assert_eq!(
+            gather_usize(&values, &[1, 2, 3]),
+            Err(ColOpsError::IndexOutOfBounds { index: 2, len: 2 })
         );
     }
 

@@ -40,10 +40,10 @@ pub fn scatter_into<T: Scalar, I: IndexScalar>(
     }
     for (&v, &raw) in src.iter().zip(positions) {
         let idx = raw.to_index().ok_or(ColOpsError::BadIndexValue)?;
-        let slot = out.get_mut(idx).ok_or(ColOpsError::IndexOutOfBounds {
-            index: idx,
-            len: positions.len(),
-        })?;
+        let len = out.len();
+        let slot = out
+            .get_mut(idx)
+            .ok_or(ColOpsError::IndexOutOfBounds { index: idx, len })?;
         *slot = v;
     }
     Ok(())
@@ -64,10 +64,10 @@ pub fn scatter_add_into<T: Scalar, I: IndexScalar>(
     }
     for (&v, &raw) in src.iter().zip(positions) {
         let idx = raw.to_index().ok_or(ColOpsError::BadIndexValue)?;
-        let slot = out.get_mut(idx).ok_or(ColOpsError::IndexOutOfBounds {
-            index: idx,
-            len: positions.len(),
-        })?;
+        let len = out.len();
+        let slot = out
+            .get_mut(idx)
+            .ok_or(ColOpsError::IndexOutOfBounds { index: idx, len })?;
         *slot = slot.wadd(v);
     }
     Ok(())
@@ -101,10 +101,14 @@ mod tests {
 
     #[test]
     fn out_of_bounds_rejected() {
-        assert!(matches!(
-            scatter(&[1u32], &[4u64], 3, 0),
-            Err(ColOpsError::IndexOutOfBounds { index: 4, .. })
-        ));
+        // `len` is the indexed column's length, not the position count.
+        let expected = Err(ColOpsError::IndexOutOfBounds { index: 4, len: 3 });
+        assert_eq!(scatter(&[1u32], &[4u64], 3, 0), expected);
+        let mut out = [0u32; 3];
+        assert_eq!(
+            scatter_add_into(&[1u32], &[4u64], &mut out),
+            expected.map(|_| ())
+        );
     }
 
     #[test]

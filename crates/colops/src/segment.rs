@@ -38,21 +38,29 @@ pub fn segment_reduce<T: Scalar>(
         .collect())
 }
 
-/// Replicate one value per segment across the full column length —
-/// the fused form of Alg. 2's `Gather(refs, id ÷ ℓ)` step.
-pub fn replicate_segments<T: Scalar>(refs: &[T], seg_len: usize, n: usize) -> Result<Vec<T>> {
+/// Check that one value per segment is there for every segment of an
+/// `n`-element column: the validation [`replicate_segments`] does, for
+/// callers that fuse the replication into their own loop.
+pub fn check_segments(num_refs: usize, seg_len: usize, n: usize) -> Result<()> {
     if seg_len == 0 {
         return Err(ColOpsError::EmptyInput(
             "replicate_segments: zero segment length",
         ));
     }
     let needed = n.div_ceil(seg_len);
-    if refs.len() < needed {
+    if num_refs < needed {
         return Err(ColOpsError::IndexOutOfBounds {
             index: needed - 1,
-            len: refs.len(),
+            len: num_refs,
         });
     }
+    Ok(())
+}
+
+/// Replicate one value per segment across the full column length —
+/// the fused form of Alg. 2's `Gather(refs, id ÷ ℓ)` step.
+pub fn replicate_segments<T: Scalar>(refs: &[T], seg_len: usize, n: usize) -> Result<Vec<T>> {
+    check_segments(refs.len(), seg_len, n)?;
     let mut out = Vec::with_capacity(n);
     let mut remaining = n;
     for &r in refs {

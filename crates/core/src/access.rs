@@ -7,7 +7,8 @@
 //!
 //! | Scheme | Access cost | Why |
 //! |---|---|---|
-//! | ID, NS, varwidth | O(1) | direct bit arithmetic |
+//! | ID, NS | O(1) | direct bit arithmetic |
+//! | varwidth | O(i/128) | sum the preceding blocks' width bytes, then bit arithmetic |
 //! | DICT | O(1) | code lookup + dictionary index |
 //! | FOR / STEP / pstep* | O(1) | `refs[i/ℓ] + offsets[i]` |
 //! | linear / poly2 | O(1) | evaluate the frame + residual |

@@ -4,27 +4,45 @@
 //! through storage or a network. The format here is deliberately plain —
 //! little-endian, length-prefixed, no alignment games — because the
 //! *interesting* structure (parts, params, nesting) is the paper's
-//! columnar view itself, serialised one-to-one:
+//! columnar view itself, serialised one-to-one (version 2):
 //!
 //! ```text
-//! compressed := MAGIC u16-version scheme_id dtype u64-n params parts
+//! compressed := MAGIC u16-version form
+//! form       := scheme_id dtype u64-n params parts
 //! params     := u16-count { str-key i64-value }*
 //! parts      := u16-count { str-role u8-kind payload }*
-//! payload    := plain | bits | blocks | compressed   (by kind)
+//! payload    := plain | bits | blocks | form          (by kind)
+//! plain      := dtype u64-len { element }*
+//! bits       := u8-width u64-len { u64-word }*         ⌈len·width/64⌉ words
+//! blocks     := u64-len { u8-width }* { u64-word }*    ⌈len/128⌉ widths, then
+//!                                                      Σ ⌈lenᵢ·widthᵢ/64⌉ words
 //! ```
+//!
+//! Every packed payload is stored packed — the frame costs what the size
+//! model ([`Compressed::compressed_bytes`]) says plus headers, and
+//! reading it re-packs nothing. Forms nest at most [`MAX_NESTING`] deep.
+//! Version 1 stored block payloads unpacked; no v1 data was ever
+//! persisted, so a v1 frame is rejected as an unsupported version.
 //!
 //! Strings are u16-length-prefixed UTF-8; columns are a dtype byte plus
 //! u64-count plus raw little-endian words. Every reader validates
-//! lengths and tags and fails with [`CoreError::CorruptParts`] rather
-//! than panicking — corrupted inputs are a test fixture here, not a UB
-//! source.
+//! lengths and tags against the input before allocating and fails with
+//! [`CoreError::CorruptParts`] (or the packing kernel's typed error)
+//! rather than panicking — corrupted inputs are a test fixture here, not
+//! a UB source.
 
 use crate::column::{ColumnData, DType};
 use crate::error::{CoreError, Result};
 use crate::scheme::{Compressed, Params, Part, PartData};
+use lcdc_bitpack::{block_words, BlockPacked, Packed, BLOCK_LEN};
 
 const MAGIC: &[u8; 4] = b"LCDC";
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
+
+/// Deepest nesting of forms a frame may hold: the outermost form is
+/// level 1. Candidate schemes nest at most 3 deep; the cap keeps a
+/// hostile frame from recursing the reader off its stack.
+pub const MAX_NESTING: usize = 8;
 
 const KIND_PLAIN: u8 = 0;
 const KIND_BITS: u8 = 1;
@@ -42,9 +60,8 @@ pub fn to_bytes(c: &Compressed) -> Vec<u8> {
 
 /// Deserialise a compressed form from bytes.
 pub fn from_bytes(bytes: &[u8]) -> Result<Compressed> {
-    let mut r = Reader { bytes, pos: 0 };
-    let magic = r.take(4)?;
-    if magic != MAGIC {
+    let mut r = Reader { rest: bytes };
+    if r.take(4)? != MAGIC {
         return Err(CoreError::CorruptParts("bad magic".into()));
     }
     let version = r.u16()?;
@@ -53,11 +70,11 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Compressed> {
             "unsupported version {version}"
         )));
     }
-    let c = read_compressed(&mut r)?;
-    if r.pos != bytes.len() {
+    let c = read_compressed(&mut r, 1)?;
+    if !r.rest.is_empty() {
         return Err(CoreError::CorruptParts(format!(
             "{} trailing bytes after compressed form",
-            bytes.len() - r.pos
+            r.rest.len()
         )));
     }
     Ok(c)
@@ -88,12 +105,9 @@ fn write_compressed(out: &mut Vec<u8>, c: &Compressed) {
             }
             PartData::Blocks(blocks) => {
                 out.push(KIND_BLOCKS);
-                // Stored via its unpacked values and re-packed on read:
-                // block packing is deterministic, so this round-trips
-                // bit-exactly while keeping the format simple.
-                let values = blocks.unpack();
-                write_u64(out, values.len() as u64);
-                write_words(out, &values);
+                write_u64(out, blocks.len() as u64);
+                out.extend_from_slice(blocks.widths());
+                write_words(out, blocks.words());
             }
             PartData::Nested(nested) => {
                 out.push(KIND_NESTED);
@@ -103,7 +117,13 @@ fn write_compressed(out: &mut Vec<u8>, c: &Compressed) {
     }
 }
 
-fn read_compressed(r: &mut Reader<'_>) -> Result<Compressed> {
+/// Read one form at nesting level `depth` (1 = outermost).
+fn read_compressed(r: &mut Reader<'_>, depth: usize) -> Result<Compressed> {
+    if depth > MAX_NESTING {
+        return Err(CoreError::CorruptParts(format!(
+            "forms nested deeper than {MAX_NESTING}"
+        )));
+    }
     let scheme_id = r.string()?;
     let dtype = dtype_from_tag(r.u8()?)?;
     let n = r.u64()? as usize;
@@ -127,14 +147,18 @@ fn read_compressed(r: &mut Reader<'_>) -> Result<Compressed> {
                 let len = r.u64()? as usize;
                 let expected_words = (len as u128 * width as u128).div_ceil(64) as usize;
                 let words = r.words(expected_words)?;
-                PartData::Bits(lcdc_bitpack::Packed::from_raw_parts(words, width, len)?)
+                PartData::Bits(Packed::from_raw_parts(words, width, len)?)
             }
             KIND_BLOCKS => {
+                // Each count is implied by what precedes it and checked
+                // against the input by `take` before anything is
+                // allocated; `from_raw_parts` rejects a width over 64.
                 let len = r.u64()? as usize;
-                let values = r.words(len)?;
-                PartData::Blocks(lcdc_bitpack::BlockPacked::pack(&values))
+                let widths = r.take(len.div_ceil(BLOCK_LEN))?;
+                let words = r.words(block_words(widths, len))?;
+                PartData::Blocks(BlockPacked::from_raw_parts(widths.to_vec(), words, len)?)
             }
-            KIND_NESTED => PartData::Nested(Box::new(read_compressed(r)?)),
+            KIND_NESTED => PartData::Nested(Box::new(read_compressed(r, depth + 1)?)),
             other => {
                 return Err(CoreError::CorruptParts(format!(
                     "unknown part kind {other}"
@@ -217,18 +241,10 @@ fn write_column(out: &mut Vec<u8>, col: &ColumnData) {
     out.push(dtype_tag(col.dtype()));
     write_u64(out, col.len() as u64);
     match col {
-        ColumnData::U32(v) => v
-            .iter()
-            .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-        ColumnData::U64(v) => v
-            .iter()
-            .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-        ColumnData::I32(v) => v
-            .iter()
-            .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-        ColumnData::I64(v) => v
-            .iter()
-            .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
+        ColumnData::U32(v) => write_le(out, v, |x| x.to_le_bytes()),
+        ColumnData::U64(v) => write_words(out, v),
+        ColumnData::I32(v) => write_le(out, v, |x| x.to_le_bytes()),
+        ColumnData::I64(v) => write_le(out, v, |x| x.to_le_bytes()),
     }
 }
 
@@ -236,29 +252,11 @@ fn read_column(r: &mut Reader<'_>) -> Result<ColumnData> {
     let dtype = dtype_from_tag(r.u8()?)?;
     let len = r.u64()? as usize;
     Ok(match dtype {
-        DType::U32 => {
-            let raw = r.take(len.checked_mul(4).ok_or_else(len_overflow)?)?;
-            ColumnData::U32(
-                raw.chunks_exact(4)
-                    .map(|b| u32::from_le_bytes(b.try_into().expect("4")))
-                    .collect(),
-            )
-        }
+        DType::U32 => ColumnData::U32(r.elements(len, u32::from_le_bytes)?),
         DType::U64 => ColumnData::U64(r.words(len)?),
-        DType::I32 => {
-            let raw = r.take(len.checked_mul(4).ok_or_else(len_overflow)?)?;
-            ColumnData::I32(
-                raw.chunks_exact(4)
-                    .map(|b| i32::from_le_bytes(b.try_into().expect("4")))
-                    .collect(),
-            )
-        }
-        DType::I64 => ColumnData::I64(r.words(len)?.into_iter().map(|w| w as i64).collect()),
+        DType::I32 => ColumnData::I32(r.elements(len, i32::from_le_bytes)?),
+        DType::I64 => ColumnData::I64(r.elements(len, i64::from_le_bytes)?),
     })
-}
-
-fn len_overflow() -> CoreError {
-    CoreError::CorruptParts("length overflows".into())
 }
 
 fn write_u16(out: &mut Vec<u8>, v: u16) {
@@ -275,50 +273,68 @@ fn write_str(out: &mut Vec<u8>, s: &str) {
 }
 
 fn write_words(out: &mut Vec<u8>, words: &[u64]) {
-    for w in words {
-        out.extend_from_slice(&w.to_le_bytes());
+    write_le(out, words, |w| w.to_le_bytes());
+}
+
+/// Append `N`-byte little-endian elements in bulk: one reservation,
+/// then fixed-size stores the compiler turns into a copy.
+fn write_le<T: Copy, const N: usize>(out: &mut Vec<u8>, values: &[T], le: impl Fn(T) -> [u8; N]) {
+    let start = out.len();
+    out.resize(start + values.len() * N, 0);
+    let (_, dst) = out.split_at_mut(start);
+    for (dst, &v) in dst.as_chunks_mut::<N>().0.iter_mut().zip(values) {
+        *dst = le(v);
     }
 }
 
+/// The unread rest of the input.
 struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+    rest: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
+        let (head, rest) = self
+            .rest
+            .split_at_checked(n)
             .ok_or_else(|| CoreError::CorruptParts("truncated input".into()))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let (head, rest) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or_else(|| CoreError::CorruptParts("truncated input".into()))?;
+        self.rest = rest;
+        Ok(*head)
     }
 
     fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.array()?))
     }
 
     fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// `n` little-endian `N`-byte elements; `n` is checked against the
+    /// input before the vector is allocated.
+    fn elements<T, const N: usize>(&mut self, n: usize, le: fn([u8; N]) -> T) -> Result<Vec<T>> {
+        let len = n
+            .checked_mul(N)
+            .ok_or_else(|| CoreError::CorruptParts("length overflows".into()))?;
+        let (chunks, _) = self.take(len)?.as_chunks::<N>();
+        Ok(chunks.iter().map(|&b| le(b)).collect())
     }
 
     fn words(&mut self, n: usize) -> Result<Vec<u64>> {
-        let raw = self.take(n.checked_mul(8).ok_or_else(len_overflow)?)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("8")))
-            .collect())
+        self.elements(n, u64::from_le_bytes)
     }
 
     fn string(&mut self) -> Result<String> {
@@ -444,15 +460,169 @@ mod tests {
         assert_eq!(other_node_scheme.decompress(&received).unwrap(), col);
     }
 
+    /// A few column shapes with different winners: runs, steps, a
+    /// trend, skewed sparse keys, narrow values with a wide tail, and
+    /// wide noise.
+    fn distributions(n: u64) -> Vec<ColumnData> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut noise = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        vec![
+            ColumnData::U64((0..n).map(|i| 20_180_101 + i / 37).collect()),
+            ColumnData::U64((0..n).map(|i| (i / 128) * 977_123 + noise(200)).collect()),
+            ColumnData::U64((0..n).map(|i| 1_000 + i * 37 + noise(64)).collect()),
+            ColumnData::U64((0..n).map(|_| (noise(32) * noise(32)) << 25).collect()),
+            ColumnData::U64(
+                (0..n)
+                    .map(|i| noise(16) << if i >= n - n / 10 { 40 } else { 0 })
+                    .collect(),
+            ),
+            ColumnData::U64((0..n).map(|_| noise(u64::MAX)).collect()),
+        ]
+    }
+
+    /// Forms in a frame: the form itself and every nested one.
+    fn forms(c: &Compressed) -> usize {
+        1 + c
+            .parts
+            .iter()
+            .map(|p| match &p.data {
+                PartData::Nested(nested) => forms(nested),
+                _ => 0,
+            })
+            .sum::<usize>()
+    }
+
     #[test]
     fn wire_size_tracks_size_model() {
-        // The wire format's payload should be within a small factor of
-        // the abstract size model (headers + role strings only).
-        let col = ColumnData::U64((0..10_000u64).map(|i| i % 50).collect());
-        let scheme = parse_scheme("for(l=128)[offsets=ns]").unwrap();
-        let c = scheme.compress(&col).unwrap();
-        let wire = to_bytes(&c).len();
-        let model = c.compressed_bytes();
-        assert!(wire < model * 2 + 256, "wire {wire} vs model {model}");
+        // The frame is the size model the chooser minimises plus
+        // headers: at most 256 bytes per form (scheme id, dtype, n,
+        // counts, and per part a role, a kind and a length) — every
+        // payload, block-packed ones included, is stored packed.
+        const HEADER_ALLOWANCE: usize = 256;
+        for col in distributions(10_000) {
+            for expr in crate::chooser::default_candidates() {
+                let Ok(c) = parse_scheme(expr).unwrap().compress(&col) else {
+                    continue;
+                };
+                let (wire, model) = (to_bytes(&c).len(), c.compressed_bytes());
+                assert!(
+                    wire <= model + HEADER_ALLOWANCE * forms(&c),
+                    "{expr}: wire {wire} vs model {model}"
+                );
+                assert!(
+                    wire >= model - 8 * c.params.len(),
+                    "{expr}: wire below payload"
+                );
+            }
+        }
+    }
+
+    /// A `varwidth` frame over 300 values (three blocks, the last
+    /// partial) and the offset of its blocks payload: `u64-len`, three
+    /// width bytes, then the words.
+    fn blocks_frame() -> (Vec<u8>, usize) {
+        let col = ColumnData::U64((0..300u64).map(|i| i % 50 + (i / 128) * 1000).collect());
+        let c = parse_scheme("varwidth").unwrap().compress(&col).unwrap();
+        let bytes = to_bytes(&c);
+        let role = bytes.windows(6).position(|w| w == b"blocks").unwrap();
+        (bytes, role + 6 + 1)
+    }
+
+    #[test]
+    fn blocks_layout_mutations_are_typed_errors() {
+        let (bytes, payload) = blocks_frame();
+        assert_eq!(bytes[payload..payload + 8], 300u64.to_le_bytes());
+        let widths = payload + 8;
+        assert!(from_bytes(&bytes).is_ok());
+
+        // A width past 64.
+        let mut wide = bytes.clone();
+        wide[widths] = 65;
+        assert!(matches!(
+            from_bytes(&wide),
+            Err(CoreError::CorruptParts(_) | CoreError::Bits(_))
+        ));
+
+        // A narrower or wider width than the words that follow: the
+        // implied word count no longer matches the rest of the frame.
+        for delta in [-1i8, 1] {
+            let mut shifted = bytes.clone();
+            shifted[widths + 1] = shifted[widths + 1].wrapping_add_signed(delta);
+            assert!(from_bytes(&shifted).is_err(), "width {delta:+}");
+        }
+
+        // Truncated widths, short words, long words.
+        assert!(from_bytes(&bytes[..widths + 2]).is_err());
+        assert!(from_bytes(&bytes[..bytes.len() - 8]).is_err());
+        let mut long = bytes.clone();
+        long.extend_from_slice(&[0; 8]);
+        assert!(from_bytes(&long).is_err());
+
+        // A length that calls for more widths than the input holds
+        // fails on the bounds check, before any allocation.
+        let mut huge = bytes.clone();
+        huge[payload..payload + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(from_bytes(&huge), Err(CoreError::CorruptParts(_))));
+
+        // Every prefix and every single-byte corruption: no panic.
+        for cut in 0..bytes.len() {
+            assert!(from_bytes(&bytes[..cut]).is_err(), "prefix of {cut} bytes");
+        }
+        for i in 0..bytes.len() {
+            let mut corrupted = bytes.clone();
+            corrupted[i] ^= 0xFF;
+            let _ = from_bytes(&corrupted);
+        }
+    }
+
+    #[test]
+    fn version_one_frames_are_rejected() {
+        let (mut bytes, _) = blocks_frame();
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        match from_bytes(&bytes) {
+            Err(CoreError::CorruptParts(msg)) => assert!(msg.contains("unsupported version 1")),
+            other => panic!("expected a version error, got {other:?}"),
+        }
+    }
+
+    /// A frame of `depth` forms, each nested in the `values` part of
+    /// the one before.
+    fn nested_frame(depth: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(MAGIC);
+        write_u16(&mut out, VERSION);
+        for level in 0..depth {
+            write_str(&mut out, "id");
+            out.push(dtype_tag(DType::U64));
+            write_u64(&mut out, 0);
+            write_u16(&mut out, 0);
+            write_u16(&mut out, 1);
+            write_str(&mut out, "values");
+            if level + 1 < depth {
+                out.push(KIND_NESTED);
+            } else {
+                out.push(KIND_PLAIN);
+                write_column(&mut out, &ColumnData::U64(Vec::new()));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        assert!(from_bytes(&nested_frame(MAX_NESTING)).is_ok());
+        assert!(matches!(
+            from_bytes(&nested_frame(MAX_NESTING + 1)),
+            Err(CoreError::CorruptParts(_))
+        ));
+        // The bomb: 200 000 nested forms in a 5 MB frame used to recurse
+        // the reader off its stack.
+        let bomb = nested_frame(200_000);
+        assert!(matches!(from_bytes(&bomb), Err(CoreError::CorruptParts(_))));
     }
 }

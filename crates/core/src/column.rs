@@ -88,6 +88,39 @@ macro_rules! with_column {
     };
 }
 
+/// Build a column of `dtype` in one allocation:
+/// `build_column!(dtype, n, |out: Vec<T>| fill)` evaluates `fill` with
+/// `T` naming the element type and `out` an empty `Vec<T>` reserved for
+/// `n` elements, and wraps what `fill` pushed. Pushing exactly `n`
+/// never reallocates and nothing is zeroed first — this is the single
+/// output allocation of a decompression.
+#[macro_export]
+macro_rules! build_column {
+    ($dtype:expr, $n:expr, |$out:ident: Vec<$T:ident>| $fill:expr) => {
+        match $dtype {
+            $crate::column::DType::U32 => {
+                $crate::build_column!(@arm U32, u32, $n, $out, $T, $fill)
+            }
+            $crate::column::DType::U64 => {
+                $crate::build_column!(@arm U64, u64, $n, $out, $T, $fill)
+            }
+            $crate::column::DType::I32 => {
+                $crate::build_column!(@arm I32, i32, $n, $out, $T, $fill)
+            }
+            $crate::column::DType::I64 => {
+                $crate::build_column!(@arm I64, i64, $n, $out, $T, $fill)
+            }
+        }
+    };
+    (@arm $variant:ident, $ty:ty, $n:expr, $out:ident, $T:ident, $fill:expr) => {{
+        #[allow(dead_code)]
+        type $T = $ty;
+        let mut $out: Vec<$ty> = Vec::with_capacity($n);
+        $fill;
+        $crate::column::ColumnData::$variant($out)
+    }};
+}
+
 impl ColumnData {
     /// Number of elements.
     pub fn len(&self) -> usize {
@@ -160,6 +193,19 @@ impl ColumnData {
             ColumnData::U64(v) => Cow::Borrowed(v),
             ColumnData::I32(v) => v.iter().map(|&x| x as i64 as u64).collect(),
             ColumnData::I64(v) => v.iter().map(|&x| x as u64).collect(),
+        }
+    }
+
+    /// The values of a `u64` column — what positions, lengths, codes
+    /// and packed offsets are stored as — or a corruption error naming
+    /// `what` for any other type.
+    pub fn expect_u64(&self, what: &str) -> Result<&[u64]> {
+        match self {
+            ColumnData::U64(v) => Ok(v),
+            other => Err(CoreError::CorruptParts(format!(
+                "{what} must be u64, found {}",
+                other.dtype().name()
+            ))),
         }
     }
 

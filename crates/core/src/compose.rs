@@ -9,6 +9,7 @@
 
 use crate::column::ColumnData;
 use crate::error::{CoreError, Result};
+use crate::parts::Parts;
 use crate::plan::Plan;
 use crate::scheme::{Compressed, PartData, Scheme};
 use crate::stats::ColumnStats;
@@ -42,34 +43,6 @@ impl Cascade {
     /// The inner `(role, scheme)` pairs.
     pub fn inner(&self) -> impl Iterator<Item = (&str, &dyn Scheme)> {
         self.inner.iter().map(|(r, s)| (r.as_str(), s.as_ref()))
-    }
-
-    fn inner_for(&self, role: &str) -> Option<&dyn Scheme> {
-        self.inner
-            .iter()
-            .find(|(r, _)| r == role)
-            .map(|(_, s)| s.as_ref())
-    }
-
-    /// Reconstruct the outer scheme's compressed form by decompressing
-    /// every nested part.
-    fn unnest(&self, c: &Compressed) -> Result<Compressed> {
-        let mut outer_c = c.clone();
-        outer_c.scheme_id = self.outer.name();
-        for part in &mut outer_c.parts {
-            if let PartData::Nested(nested) = &part.data {
-                let inner = self.inner_for(part.role).ok_or_else(|| {
-                    CoreError::CorruptParts(format!(
-                        "nested part {:?} has no inner scheme in {}",
-                        part.role,
-                        self.name()
-                    ))
-                })?;
-                nested.check_scheme(&inner.name())?;
-                part.data = PartData::Plain(inner.decompress(nested)?);
-            }
-        }
-        Ok(outer_c)
     }
 }
 
@@ -111,14 +84,23 @@ impl Scheme for Cascade {
         Ok(c)
     }
 
-    fn decompress(&self, c: &Compressed) -> Result<ColumnData> {
-        c.check_scheme(&self.name())?;
-        let outer_c = self.unnest(c)?;
-        self.outer.decompress(&outer_c)
+    /// The outer scheme decodes the cascade's form as it is: it reads
+    /// its parts through `parts`, which decodes (or streams) the nested
+    /// ones with [`Cascade::inner_for`]'s schemes.
+    fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
+        self.outer.decode(parts)
+    }
+
+    fn inner_for(&self, role: &str) -> Option<&dyn Scheme> {
+        self.inner
+            .iter()
+            .find(|(r, _)| r == role)
+            .map(|(_, s)| s.as_ref())
+            .or_else(|| self.outer.inner_for(role))
     }
 
     /// The *outer* scheme's plan; nested parts are handled by
-    /// [`Cascade::resolve_parts`], which decompresses them first. (A
+    /// [`Scheme::resolve_parts`], which decompresses them first. (A
     /// fully spliced cross-scheme plan is possible in principle — the
     /// parts are columns and the inner plans are DAGs — but keeping the
     /// boundary makes the partial-decompression experiments legible.)
@@ -126,45 +108,10 @@ impl Scheme for Cascade {
         self.outer.plan(c)
     }
 
-    fn resolve_parts(&self, c: &Compressed) -> Result<Vec<Vec<u64>>> {
-        c.parts
-            .iter()
-            .map(|p| match &p.data {
-                PartData::Plain(col) => Ok(col.to_transport()),
-                PartData::Bits(packed) => Ok(packed.unpack()),
-                PartData::Blocks(blocks) => Ok(blocks.unpack()),
-                PartData::Nested(nested) => {
-                    let inner = self.inner_for(p.role).ok_or_else(|| {
-                        CoreError::CorruptParts(format!(
-                            "nested part {:?} has no inner scheme",
-                            p.role
-                        ))
-                    })?;
-                    Ok(inner.decompress(nested)?.to_transport())
-                }
-            })
-            .collect()
-    }
-
     fn estimate(&self, _stats: &ColumnStats) -> Option<usize> {
         // Inner sizes depend on part statistics the outer scheme induces;
         // the chooser compresses candidates to compare them exactly.
         None
-    }
-
-    fn decompress_part(&self, c: &Compressed, role: &'static str) -> Result<ColumnData> {
-        match &c.part(role)?.data {
-            PartData::Nested(nested) => {
-                let inner = self.inner_for(role).ok_or_else(|| {
-                    CoreError::CorruptParts(format!(
-                        "nested part {role:?} has no inner scheme in {}",
-                        self.name()
-                    ))
-                })?;
-                inner.decompress(nested)
-            }
-            _ => self.outer.decompress_part(c, role),
-        }
     }
 }
 

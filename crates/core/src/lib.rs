@@ -20,6 +20,8 @@
 //!   compressed form ([`scheme::Compressed`]: parts + params),
 //! * [`schemes`] — the primitive schemes: ID, NS, FOR, DELTA, RLE, RPE,
 //!   DICT, STEPFUNCTION, patched FOR, variable-width NS, linear frames,
+//! * [`parts`] — the part reader decompression goes through: any part,
+//!   plain, packed or nested, as a stream of unpacked chunks,
 //! * [`compose`] — the cascade combinator,
 //! * [`rewrite`] — the paper's decomposition identities, executable,
 //! * [`morph`](mod@morph) — transcoding between compressed forms, structurally
@@ -41,6 +43,7 @@ pub mod concat;
 pub mod error;
 pub mod expr;
 pub mod morph;
+pub mod parts;
 pub mod plan;
 pub mod planopt;
 pub mod rewrite;
@@ -54,6 +57,7 @@ pub use concat::{concat, ConcatPath};
 pub use error::{CoreError, Result};
 pub use expr::{parse_scheme, SchemeExpr};
 pub use morph::{morph, morph_expr, MorphPath};
+pub use parts::{PartStream, Parts};
 pub use plan::{Node, Plan};
 pub use planopt::{optimize, OptStats};
 pub use scheme::{Compressed, Part, PartData, Scheme};

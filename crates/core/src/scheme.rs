@@ -9,10 +9,10 @@
 
 use crate::column::{ColumnData, DType};
 use crate::error::{CoreError, Result};
+use crate::parts::{PartStream, Parts};
 use crate::plan::Plan;
 use crate::stats::ColumnStats;
-
-// `DType` is used by the default `decompress_part` implementation.
+use std::borrow::Cow;
 
 /// A named part of a compressed form.
 #[derive(Debug, Clone, PartialEq)]
@@ -222,8 +222,34 @@ pub trait Scheme: std::fmt::Debug {
     /// encode the column (lossy fits are never silently accepted).
     fn compress(&self, col: &ColumnData) -> Result<Compressed>;
 
-    /// Decompress — must be the exact inverse of [`Scheme::compress`].
-    fn decompress(&self, c: &Compressed) -> Result<ColumnData>;
+    /// Rebuild the column from the parts of a form this scheme's
+    /// [`Scheme::compress`] produced — the exact inverse. Parts are read
+    /// through `parts` only, so a nested part arrives decoded (and, when
+    /// its scheme can, streamed) without the form being rewritten; the
+    /// output column is the one large allocation.
+    fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData>;
+
+    /// The scheme that compressed the part with this role, for a
+    /// composed scheme ([`crate::compose::Cascade`]); `None` otherwise.
+    fn inner_for(&self, role: &str) -> Option<&dyn Scheme> {
+        let _ = role;
+        None
+    }
+
+    /// Decompress — the exact inverse of [`Scheme::compress`]: check the
+    /// form's scheme id, then [`Scheme::decode`] its parts.
+    fn decompress(&self, c: &Compressed) -> Result<ColumnData> {
+        c.check_scheme(&self.name())?;
+        self.decode(&Parts::new(c, &|role| self.inner_for(role)))
+    }
+
+    /// Decompress as a stream of chunks, for an outer scheme to fuse its
+    /// own operator into. The default decompresses and streams the
+    /// result; schemes whose payload can be unpacked chunk by chunk
+    /// (NS, variable-width NS) stream it directly.
+    fn stream<'a>(&self, c: &'a Compressed) -> Result<PartStream<'a>> {
+        Ok(PartStream::plain(Cow::Owned(self.decompress(c)?)))
+    }
 
     /// The decompression expressed as a DAG of columnar operators
     /// (Algorithms 1 and 2 of the paper). Schemes whose decompression is
@@ -234,20 +260,13 @@ pub trait Scheme: std::fmt::Debug {
     }
 
     /// Resolve part columns into `u64` transport vectors for the plan
-    /// interpreter. The default handles plain/packed parts; cascades
-    /// override it to decompress nested parts first.
+    /// interpreter (nested parts decompressed by their inner scheme).
     fn resolve_parts(&self, c: &Compressed) -> Result<Vec<Vec<u64>>> {
+        let inner = |role: &str| self.inner_for(role);
+        let parts = Parts::new(c, &inner);
         c.parts
             .iter()
-            .map(|p| match &p.data {
-                PartData::Plain(col) => Ok(col.to_transport()),
-                PartData::Bits(packed) => Ok(packed.unpack()),
-                PartData::Blocks(blocks) => Ok(blocks.unpack()),
-                PartData::Nested(_) => Err(CoreError::CorruptParts(format!(
-                    "part {:?} is nested; resolve_parts must be overridden",
-                    p.role
-                ))),
-            })
+            .map(|p| Ok(parts.stream(p.role)?.to_transport()))
             .collect()
     }
 
@@ -262,18 +281,12 @@ pub trait Scheme: std::fmt::Debug {
     /// *Partial decompression*: materialise one part column as plain data
     /// without touching the rest of the compressed form. For RLE this
     /// yields e.g. just the run values — the handle that lets query
-    /// operators work per-run instead of per-row (paper, Lessons 1). The
-    /// default handles plain and packed parts; cascades override it to
-    /// decompress nested parts with their inner scheme.
+    /// operators work per-run instead of per-row (paper, Lessons 1).
+    /// Packed parts unpack to `u64`; nested parts are decompressed by
+    /// their inner scheme.
     fn decompress_part(&self, c: &Compressed, role: &'static str) -> Result<ColumnData> {
-        match &c.part(role)?.data {
-            PartData::Plain(col) => Ok(col.clone()),
-            PartData::Bits(packed) => Ok(ColumnData::from_transport(DType::U64, packed.unpack())),
-            PartData::Blocks(blocks) => Ok(ColumnData::from_transport(DType::U64, blocks.unpack())),
-            PartData::Nested(_) => Err(CoreError::CorruptParts(format!(
-                "part {role:?} is nested; decompress_part must be overridden"
-            ))),
-        }
+        let inner = |role: &str| self.inner_for(role);
+        Ok(Parts::new(c, &inner).column(role)?.into_owned())
     }
 }
 

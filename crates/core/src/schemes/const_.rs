@@ -11,6 +11,7 @@
 
 use crate::column::ColumnData;
 use crate::error::{CoreError, Result};
+use crate::parts::Parts;
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
@@ -57,9 +58,9 @@ impl Scheme for Const {
         })
     }
 
-    fn decompress(&self, c: &Compressed) -> Result<ColumnData> {
-        c.check_scheme("const")?;
-        let value = c.plain_part(ROLE_VALUE)?;
+    fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
+        let c = parts.form();
+        let value = parts.column(ROLE_VALUE)?;
         if c.n == 0 {
             return Ok(ColumnData::empty(c.dtype));
         }

@@ -14,12 +14,15 @@
 //! whose removal from Algorithm 1 turns RLE into RPE, which is why DELTA
 //! is the bridging scheme of the paper's central identity.
 
+use crate::build_column;
 use crate::column::{ColumnData, DType};
 use crate::error::{CoreError, Result};
+use crate::parts::Parts;
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
 use lcdc_bitpack::width::packed_bytes;
+use lcdc_colops::Scalar;
 
 /// The delta-encoding scheme.
 #[derive(Debug, Clone, Copy, Default)]
@@ -66,12 +69,14 @@ impl Scheme for Delta {
         })
     }
 
-    fn decompress(&self, c: &Compressed) -> Result<ColumnData> {
-        c.check_scheme("delta")?;
+    /// Fused decompression: a running sum carried across the chunks of
+    /// deltas as they are unpacked.
+    fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
+        let c = parts.form();
         if c.n == 0 {
             return Ok(ColumnData::empty(c.dtype));
         }
-        let deltas = c.plain_part(ROLE_DELTAS)?;
+        let deltas = parts.stream(ROLE_DELTAS)?;
         if deltas.len() + 1 != c.n {
             return Err(CoreError::CorruptParts(format!(
                 "deltas column holds {} values, expected {}",
@@ -79,15 +84,16 @@ impl Scheme for Delta {
                 c.n - 1
             )));
         }
-        let first = c.params.require("first")? as u64;
-        let mut acc = first;
-        let mut out = Vec::with_capacity(c.n);
-        out.push(acc);
-        for d in deltas.to_transport() {
-            acc = acc.wrapping_add(d);
-            out.push(acc);
-        }
-        Ok(ColumnData::from_transport(c.dtype, out))
+        let mut acc = c.params.require("first")? as u64;
+        Ok(build_column!(c.dtype, c.n, |out: Vec<T>| {
+            out.push(T::from_u64(acc));
+            deltas.for_each_chunk(|chunk| {
+                out.extend(chunk.iter().map(|&d| {
+                    acc = acc.wrapping_add(d);
+                    T::from_u64(acc)
+                }));
+            })
+        }))
     }
 
     fn plan(&self, c: &Compressed) -> Result<Plan> {

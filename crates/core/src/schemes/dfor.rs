@@ -20,12 +20,15 @@
 //! an `ns_zz` cascade on the `deltas` part for actual bit savings, as
 //! with plain DELTA.
 
+use crate::build_column;
 use crate::column::ColumnData;
 use crate::error::{CoreError, Result};
+use crate::parts::Parts;
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
-use lcdc_colops::BinOpKind;
+use lcdc_colops::segment::check_segments;
+use lcdc_colops::{BinOpKind, Scalar};
 
 /// The segment-restarted delta scheme.
 #[derive(Debug, Clone, Copy)]
@@ -85,10 +88,15 @@ impl Scheme for DeltaFor {
         })
     }
 
-    fn decompress(&self, c: &Compressed) -> Result<ColumnData> {
-        c.check_scheme(&self.name())?;
-        let bases = c.plain_part(ROLE_BASES)?.to_transport();
-        let deltas = c.plain_part(ROLE_DELTAS)?.to_transport();
+    /// Fused decompression: a running sum over the chunks of deltas as
+    /// they are unpacked, restarted from the segment's base at every
+    /// segment start (where the stored delta is 0, so the base passes
+    /// through).
+    fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
+        let c = parts.form();
+        let bases = parts.column(ROLE_BASES)?;
+        let bases = bases.as_transport();
+        let deltas = parts.stream(ROLE_DELTAS)?;
         if deltas.len() != c.n {
             return Err(CoreError::CorruptParts(format!(
                 "{} deltas for column length {}",
@@ -96,10 +104,19 @@ impl Scheme for DeltaFor {
                 c.n
             )));
         }
-        let summed = lcdc_colops::prefix_sum_segmented(&deltas, self.seg_len)?;
-        let replicated = lcdc_colops::segment::replicate_segments(&bases, self.seg_len, c.n)?;
-        let out = lcdc_colops::binary(BinOpKind::Add, &replicated, &summed)?;
-        Ok(ColumnData::from_transport(c.dtype, out))
+        check_segments(bases.len(), self.seg_len, c.n)?;
+        let mut acc = 0u64;
+        Ok(build_column!(c.dtype, c.n, |out: Vec<T>| {
+            deltas.for_each_in_segments(self.seg_len, |seg, within, piece| {
+                if within == 0 {
+                    acc = bases[seg];
+                }
+                out.extend(piece.iter().map(|&d| {
+                    acc = acc.wrapping_add(d);
+                    T::from_u64(acc)
+                }));
+            })
+        }))
     }
 
     /// Algorithm 2's replication steps feeding a segmented prefix sum:

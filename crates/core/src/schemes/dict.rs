@@ -9,10 +9,12 @@
 
 use crate::column::ColumnData;
 use crate::error::{CoreError, Result};
+use crate::parts::Parts;
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
-use crate::with_column;
+use crate::{build_column, with_column};
+use lcdc_colops::{ColOpsError, Scalar};
 
 /// The dictionary-encoding scheme.
 #[derive(Debug, Clone, Copy, Default)]
@@ -65,10 +67,15 @@ impl Scheme for Dict {
         })
     }
 
-    fn decompress(&self, c: &Compressed) -> Result<ColumnData> {
-        c.check_scheme("dict")?;
-        let dict = c.plain_part(ROLE_DICT)?.to_transport();
-        let codes = c.plain_part(ROLE_CODES)?;
+    /// Fused decompression: each unpacked chunk of codes is gathered
+    /// straight into the output — a code past the dictionary gathers a
+    /// default and lowers a flag, so the loop carries no `Result` — and
+    /// the codes column is never materialised.
+    fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
+        let c = parts.form();
+        let dict = parts.column(ROLE_DICT)?;
+        let dict = dict.as_transport();
+        let codes = parts.stream(ROLE_CODES)?;
         if codes.len() != c.n {
             return Err(CoreError::CorruptParts(format!(
                 "codes column holds {} values, expected {}",
@@ -76,8 +83,40 @@ impl Scheme for Dict {
                 c.n
             )));
         }
-        let gathered = lcdc_colops::gather(&dict, &codes.to_transport())?;
-        Ok(ColumnData::from_transport(c.dtype, gathered))
+        // The first code past the dictionary, if any; gathering stops
+        // there.
+        let mut bad = None;
+        let column = build_column!(c.dtype, c.n, |out: Vec<T>| {
+            let dict: Vec<T> = dict.iter().map(|&v| T::from_u64(v)).collect();
+            codes.for_each_chunk(|chunk| {
+                if bad.is_some() {
+                    return;
+                }
+                let entry = |code: u64| usize::try_from(code).ok().and_then(|i| dict.get(i));
+                let mut all_in_range = true;
+                out.extend(chunk.iter().map(|&code| match entry(code) {
+                    Some(&v) => v,
+                    None => {
+                        all_in_range = false;
+                        T::default()
+                    }
+                }));
+                if !all_in_range {
+                    bad = chunk.iter().copied().find(|&code| entry(code).is_none());
+                }
+            })
+        });
+        match bad {
+            Some(code) => Err(match usize::try_from(code) {
+                Ok(index) => ColOpsError::IndexOutOfBounds {
+                    index,
+                    len: dict.len(),
+                },
+                Err(_) => ColOpsError::BadIndexValue,
+            }
+            .into()),
+            None => Ok(column),
+        }
     }
 
     fn plan(&self, _c: &Compressed) -> Result<Plan> {

@@ -10,11 +10,13 @@
 
 use crate::column::ColumnData;
 use crate::error::{CoreError, Result};
+use crate::parts::{PartStream, Parts};
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
-use crate::with_column;
+use crate::{build_column, with_column};
 use lcdc_bitpack::width::packed_bytes;
+use lcdc_colops::segment::check_segments;
 use lcdc_colops::BinOpKind;
 use lcdc_colops::Scalar;
 
@@ -72,6 +74,21 @@ pub const ROLE_REFS: &str = "refs";
 /// Role of the per-element offset part (u64, non-negative).
 pub const ROLE_OFFSETS: &str = "offsets";
 
+/// The add-reference operator, fused into the offsets stream: push
+/// `refs[i / seg_len] + offsets[i]` for every offset. `refs` must cover
+/// every segment (`check_segments`).
+pub(crate) fn add_references<T: Scalar>(
+    offsets: &PartStream<'_>,
+    seg_len: usize,
+    refs: &[u64],
+    out: &mut Vec<T>,
+) {
+    offsets.for_each_in_segments(seg_len, |seg, _, piece| {
+        let r = refs[seg];
+        out.extend(piece.iter().map(|&o| T::from_u64(r.wrapping_add(o))));
+    });
+}
+
 impl Scheme for For {
     fn name(&self) -> String {
         if self.ref_first {
@@ -125,23 +142,26 @@ impl Scheme for For {
         })
     }
 
-    fn decompress(&self, c: &Compressed) -> Result<ColumnData> {
-        c.check_scheme(&self.name())?;
-        let refs = c.plain_part(ROLE_REFS)?.to_transport();
-        let offsets_part = c.plain_part(ROLE_OFFSETS)?;
+    /// Fused decompression: each chunk of offsets gets its segment's
+    /// reference added on the way into the output — no replicated
+    /// references, no unpacked offsets column.
+    fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
+        let c = parts.form();
+        let refs = parts.column(ROLE_REFS)?;
+        let refs = refs.as_transport();
+        let offsets = parts.stream(ROLE_OFFSETS)?;
         let expected_dtype = if self.ref_first {
             crate::column::DType::I64
         } else {
             crate::column::DType::U64
         };
-        if offsets_part.dtype() != expected_dtype {
+        if offsets.dtype() != expected_dtype {
             return Err(CoreError::CorruptParts(format!(
                 "offsets part must be {}, found {}",
                 expected_dtype.name(),
-                offsets_part.dtype().name()
+                offsets.dtype().name()
             )));
         }
-        let offsets = offsets_part.to_transport();
         if offsets.len() != c.n {
             return Err(CoreError::CorruptParts(format!(
                 "offsets column holds {} values, expected {}",
@@ -149,11 +169,10 @@ impl Scheme for For {
                 c.n
             )));
         }
-        // Fused decompression: replicate + add, no id/÷ materialisation.
-        let replicated = lcdc_colops::segment::replicate_segments(&refs, self.seg_len, c.n)?;
-        let mut out = vec![0u64; c.n];
-        lcdc_colops::elementwise::add_into(&replicated, &offsets, &mut out)?;
-        Ok(ColumnData::from_transport(c.dtype, out))
+        check_segments(refs.len(), self.seg_len, c.n)?;
+        Ok(build_column!(c.dtype, c.n, |out: Vec<T>| {
+            add_references(&offsets, self.seg_len, &refs, &mut out)
+        }))
     }
 
     /// Algorithm 2, literally:
@@ -195,14 +214,9 @@ impl Scheme for For {
         // With plain offsets FOR never wins; estimate the practical
         // NS-cascaded size so the chooser ranks it fairly.
         let refs = stats.n.div_ceil(self.seg_len) * stats.dtype.bytes();
-        let width = if stats.seg_len == self.seg_len {
-            stats.for_offset_width
-        } else {
-            // Statistics at another segment length: fall back to the
-            // collected one as an approximation.
-            stats.for_offset_width
-        };
-        Some(refs + packed_bytes(stats.n, width) + 16)
+        // Statistics collected at another segment length serve as an
+        // approximation.
+        Some(refs + packed_bytes(stats.n, stats.for_offset_width) + 16)
     }
 }
 

@@ -5,6 +5,7 @@
 
 use crate::column::ColumnData;
 use crate::error::Result;
+use crate::parts::Parts;
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
@@ -34,9 +35,8 @@ impl Scheme for Id {
         })
     }
 
-    fn decompress(&self, c: &Compressed) -> Result<ColumnData> {
-        c.check_scheme("id")?;
-        Ok(c.plain_part(ROLE_VALUES)?.clone())
+    fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
+        Ok(parts.column(ROLE_VALUES)?.into_owned())
     }
 
     fn plan(&self, _c: &Compressed) -> Result<Plan> {

@@ -11,13 +11,15 @@
 //! signed residuals from it, zigzagged. On trending data the residuals
 //! are far narrower than FOR's offsets, which must span the whole climb.
 
-use crate::column::ColumnData;
+use crate::build_column;
+use crate::column::{ColumnData, DType};
 use crate::error::{CoreError, Result};
+use crate::parts::Parts;
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
 use lcdc_bitpack::{zigzag_decode_i64, zigzag_encode_i64};
-use lcdc_colops::BinOpKind;
+use lcdc_colops::{BinOpKind, Scalar};
 
 /// The piecewise-linear frame scheme.
 #[derive(Debug, Clone, Copy)]
@@ -115,20 +117,24 @@ impl Scheme for LinearFor {
         })
     }
 
-    fn decompress(&self, c: &Compressed) -> Result<ColumnData> {
-        c.check_scheme(&self.name())?;
-        let bases = match c.plain_part(ROLE_BASES)? {
-            ColumnData::I64(b) => b,
-            _ => return Err(CoreError::CorruptParts("bases part must be i64".into())),
+    /// Fused reconstruction: `base + slope·i + zigzag⁻¹(r)` evaluated on
+    /// each chunk of residuals as it is unpacked. Transport arithmetic is
+    /// congruent mod 2^64, hence exact after truncation to the original
+    /// dtype.
+    fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
+        let c = parts.form();
+        let bases = parts.column(ROLE_BASES)?;
+        let slopes = parts.column(ROLE_SLOPES)?;
+        let (ColumnData::I64(bases), ColumnData::I64(slopes)) = (bases.as_ref(), slopes.as_ref())
+        else {
+            return Err(CoreError::CorruptParts(
+                "bases and slopes parts must be i64".into(),
+            ));
         };
-        let slopes = match c.plain_part(ROLE_SLOPES)? {
-            ColumnData::I64(s) => s,
-            _ => return Err(CoreError::CorruptParts("slopes part must be i64".into())),
-        };
-        let residuals = match c.plain_part(ROLE_RESIDUALS)? {
-            ColumnData::U64(r) => r,
-            _ => return Err(CoreError::CorruptParts("residuals part must be u64".into())),
-        };
+        let residuals = parts.stream(ROLE_RESIDUALS)?;
+        if residuals.dtype() != DType::U64 {
+            return Err(CoreError::CorruptParts("residuals part must be u64".into()));
+        }
         if residuals.len() != c.n {
             return Err(CoreError::CorruptParts(format!(
                 "residuals column holds {} values, expected {}",
@@ -141,18 +147,18 @@ impl Scheme for LinearFor {
                 "bases/slopes count mismatch".into(),
             ));
         }
-        // Fused reconstruction in transport arithmetic: congruent mod
-        // 2^64, hence exact after truncation to the original dtype.
-        let mut out = Vec::with_capacity(c.n);
-        for (seg, chunk) in residuals.chunks(self.seg_len).enumerate() {
-            let base = bases[seg] as u64;
-            let slope = slopes[seg] as u64;
-            for (i, &zz) in chunk.iter().enumerate() {
-                let predicted = base.wrapping_add(slope.wrapping_mul(i as u64));
-                out.push(predicted.wrapping_add(zigzag_decode_i64(zz) as u64));
-            }
-        }
-        Ok(ColumnData::from_transport(c.dtype, out))
+        Ok(build_column!(c.dtype, c.n, |out: Vec<T>| {
+            residuals.for_each_in_segments(self.seg_len, |seg, within, piece| {
+                let slope = slopes[seg] as u64;
+                let mut predicted =
+                    (bases[seg] as u64).wrapping_add(slope.wrapping_mul(within as u64));
+                out.extend(piece.iter().map(|&zz| {
+                    let value = predicted.wrapping_add(zigzag_decode_i64(zz) as u64);
+                    predicted = predicted.wrapping_add(slope);
+                    T::from_u64(value)
+                }));
+            })
+        }))
     }
 
     /// Algorithm 2 extended to a degree-1 model: gather base *and* slope

@@ -11,6 +11,7 @@
 
 use crate::column::ColumnData;
 use crate::error::{CoreError, Result};
+use crate::parts::{PartStream, Parts};
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
@@ -38,6 +39,21 @@ impl Ns {
 
 /// Role of the packed payload part.
 pub const ROLE_PACKED: &str = "packed";
+
+impl Ns {
+    /// The payload part as a stream of the column it encodes.
+    fn payload<'a>(&self, c: &'a Compressed) -> Result<PartStream<'a>> {
+        let packed = c.bits_part(ROLE_PACKED)?;
+        if packed.len() != c.n {
+            return Err(CoreError::CorruptParts(format!(
+                "NS payload holds {} values, expected {}",
+                packed.len(),
+                c.n
+            )));
+        }
+        Ok(PartStream::bits(packed, self.zigzag, c.dtype))
+    }
+}
 
 impl Scheme for Ns {
     fn name(&self) -> String {
@@ -85,23 +101,16 @@ impl Scheme for Ns {
         })
     }
 
-    fn decompress(&self, c: &Compressed) -> Result<ColumnData> {
+    fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
+        Ok(self.payload(parts.form())?.into_column().into_owned())
+    }
+
+    /// The packed payload, unpacked (and zigzag-decoded) a chunk at a
+    /// time: an outer scheme cascaded into NS never sees an unpacked
+    /// column.
+    fn stream<'a>(&self, c: &'a Compressed) -> Result<PartStream<'a>> {
         c.check_scheme(&self.name())?;
-        let packed = c.bits_part(ROLE_PACKED)?;
-        if packed.len() != c.n {
-            return Err(CoreError::CorruptParts(format!(
-                "NS payload holds {} values, expected {}",
-                packed.len(),
-                c.n
-            )));
-        }
-        let mut values = packed.unpack();
-        if self.zigzag {
-            for v in &mut values {
-                *v = lcdc_bitpack::zigzag_decode_i64(*v) as u64;
-            }
-        }
-        Ok(ColumnData::from_transport(c.dtype, values))
+        self.payload(c)
     }
 
     fn plan(&self, _c: &Compressed) -> Result<Plan> {

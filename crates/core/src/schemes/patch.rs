@@ -11,14 +11,17 @@
 
 use crate::column::ColumnData;
 use crate::error::{CoreError, Result};
+use crate::parts::Parts;
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
+use crate::schemes::for_::add_references;
 use crate::stats::ColumnStats;
-use crate::with_column;
+use crate::{build_column, with_column};
 use lcdc_bitpack::width::{bits_needed_u64, packed_bytes, width_percentile};
 use lcdc_bitpack::Packed;
-use lcdc_colops::BinOpKind;
+use lcdc_colops::segment::check_segments;
 use lcdc_colops::Scalar;
+use lcdc_colops::{BinOpKind, ColOpsError};
 
 /// FOR with a narrow packed payload and exception patches.
 #[derive(Debug, Clone, Copy)]
@@ -113,39 +116,42 @@ impl Scheme for PatchedFor {
         })
     }
 
-    fn decompress(&self, c: &Compressed) -> Result<ColumnData> {
-        c.check_scheme(&self.name())?;
-        let refs = c.plain_part(ROLE_REFS)?.to_transport();
-        let packed = c.bits_part(ROLE_OFFSETS)?;
-        if packed.len() != c.n {
+    /// Fused like FOR — reference added to each unpacked chunk on the
+    /// way out — with the exceptions patched over the output afterwards.
+    fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
+        let c = parts.form();
+        let refs = parts.column(ROLE_REFS)?;
+        let refs = refs.as_transport();
+        let offsets = parts.stream(ROLE_OFFSETS)?;
+        if offsets.len() != c.n {
             return Err(CoreError::CorruptParts(format!(
                 "offsets payload holds {} values, expected {}",
-                packed.len(),
+                offsets.len(),
                 c.n
             )));
         }
-        let mut offsets = packed.unpack();
-        let exc_positions = match c.plain_part(ROLE_EXC_POSITIONS)? {
-            ColumnData::U64(p) => p,
-            _ => {
-                return Err(CoreError::CorruptParts(
-                    "exception positions must be u64".into(),
-                ))
+        let exc_positions = parts.column(ROLE_EXC_POSITIONS)?;
+        let exc_positions = exc_positions.expect_u64("exception positions")?;
+        let exc_offsets = parts.column(ROLE_EXC_OFFSETS)?;
+        let exc_offsets = exc_offsets.expect_u64("exception offsets")?;
+        check_segments(refs.len(), self.seg_len, c.n)?;
+        if exc_offsets.len() != exc_positions.len() {
+            return Err(ColOpsError::LengthMismatch {
+                left: exc_offsets.len(),
+                right: exc_positions.len(),
             }
-        };
-        let exc_offsets = match c.plain_part(ROLE_EXC_OFFSETS)? {
-            ColumnData::U64(o) => o,
-            _ => {
-                return Err(CoreError::CorruptParts(
-                    "exception offsets must be u64".into(),
-                ))
+            .into());
+        }
+        Ok(build_column!(c.dtype, c.n, |out: Vec<T>| {
+            add_references(&offsets, self.seg_len, &refs, &mut out);
+            for (&pos, &o) in exc_positions.iter().zip(exc_offsets) {
+                let index = usize::try_from(pos).map_err(|_| ColOpsError::BadIndexValue)?;
+                let slot = out
+                    .get_mut(index)
+                    .ok_or(ColOpsError::IndexOutOfBounds { index, len: c.n })?;
+                *slot = T::from_u64(refs[index / self.seg_len].wrapping_add(o));
             }
-        };
-        lcdc_colops::scatter_into(exc_offsets, exc_positions, &mut offsets)?;
-        let replicated = lcdc_colops::segment::replicate_segments(&refs, self.seg_len, c.n)?;
-        let mut out = vec![0u64; c.n];
-        lcdc_colops::elementwise::add_into(&replicated, &offsets, &mut out)?;
-        Ok(ColumnData::from_transport(c.dtype, out))
+        }))
     }
 
     /// Algorithm 2 with one extra operator: a `ScatterOver` applying the

@@ -8,13 +8,15 @@
 //! degree 1 is [`crate::schemes::LinearFor`]; the three schemes form the
 //! model hierarchy the E6 experiment ablates.
 
-use crate::column::ColumnData;
+use crate::build_column;
+use crate::column::{ColumnData, DType};
 use crate::error::{CoreError, Result};
+use crate::parts::Parts;
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
 use lcdc_bitpack::{zigzag_decode_i64, zigzag_encode_i64};
-use lcdc_colops::BinOpKind;
+use lcdc_colops::{BinOpKind, Scalar};
 
 /// The piecewise-quadratic frame scheme.
 #[derive(Debug, Clone, Copy)]
@@ -135,19 +137,22 @@ impl Scheme for PolyFor {
         })
     }
 
-    fn decompress(&self, c: &Compressed) -> Result<ColumnData> {
-        c.check_scheme(&self.name())?;
-        let coeff = |role| -> Result<&Vec<i64>> {
-            match c.plain_part(role)? {
-                ColumnData::I64(v) => Ok(v),
+    /// Fused reconstruction: the frame polynomial plus the decoded
+    /// residual, evaluated on each chunk of residuals as it is unpacked.
+    /// Transport arithmetic: congruent mod 2^64, exact on truncation.
+    fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
+        let c = parts.form();
+        let coeff = |role| -> Result<Vec<u64>> {
+            match parts.column(role)?.as_ref() {
+                ColumnData::I64(v) => Ok(v.iter().map(|&x| x as u64).collect()),
                 _ => Err(CoreError::CorruptParts(format!("{role} part must be i64"))),
             }
         };
         let (c0, c1, c2) = (coeff(ROLE_C0)?, coeff(ROLE_C1)?, coeff(ROLE_C2)?);
-        let residuals = match c.plain_part(ROLE_RESIDUALS)? {
-            ColumnData::U64(r) => r,
-            _ => return Err(CoreError::CorruptParts("residuals part must be u64".into())),
-        };
+        let residuals = parts.stream(ROLE_RESIDUALS)?;
+        if residuals.dtype() != DType::U64 {
+            return Err(CoreError::CorruptParts("residuals part must be u64".into()));
+        }
         if residuals.len() != c.n {
             return Err(CoreError::CorruptParts(format!(
                 "residuals column holds {} values, expected {}",
@@ -161,19 +166,18 @@ impl Scheme for PolyFor {
                 "coefficient counts mismatch".into(),
             ));
         }
-        // Transport arithmetic: congruent mod 2^64, exact on truncation.
-        let mut out = Vec::with_capacity(c.n);
-        for (seg, chunk) in residuals.chunks(self.seg_len).enumerate() {
-            let (a, b, q) = (c0[seg] as u64, c1[seg] as u64, c2[seg] as u64);
-            for (i, &zz) in chunk.iter().enumerate() {
-                let i = i as u64;
-                let predicted = a
-                    .wrapping_add(b.wrapping_mul(i))
-                    .wrapping_add(q.wrapping_mul(i.wrapping_mul(i)));
-                out.push(predicted.wrapping_add(zigzag_decode_i64(zz) as u64));
-            }
-        }
-        Ok(ColumnData::from_transport(c.dtype, out))
+        Ok(build_column!(c.dtype, c.n, |out: Vec<T>| {
+            residuals.for_each_in_segments(self.seg_len, |seg, within, piece| {
+                let (a, b, q) = (c0[seg], c1[seg], c2[seg]);
+                out.extend(piece.iter().enumerate().map(|(i, &zz)| {
+                    let i = (within + i) as u64;
+                    let predicted = a
+                        .wrapping_add(b.wrapping_mul(i))
+                        .wrapping_add(q.wrapping_mul(i.wrapping_mul(i)));
+                    T::from_u64(predicted.wrapping_add(zigzag_decode_i64(zz) as u64))
+                }));
+            })
+        }))
     }
 
     /// Algorithm 2 lifted to a degree-2 model — still only standard

@@ -10,7 +10,8 @@
 //! arbitrary values, not wide offsets.
 
 use crate::column::ColumnData;
-use crate::error::{CoreError, Result};
+use crate::error::Result;
+use crate::parts::Parts;
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
@@ -92,26 +93,15 @@ impl Scheme for PatchedStep {
         })
     }
 
-    fn decompress(&self, c: &Compressed) -> Result<ColumnData> {
-        c.check_scheme(&self.name())?;
-        let refs = c.plain_part(ROLE_REFS)?.to_transport();
-        let exc_positions = match c.plain_part(ROLE_EXC_POSITIONS)? {
-            ColumnData::U64(p) => p,
-            _ => {
-                return Err(CoreError::CorruptParts(
-                    "exception positions must be u64".into(),
-                ))
-            }
-        };
-        let exc_values = match c.plain_part(ROLE_EXC_VALUES)? {
-            ColumnData::U64(v) => v,
-            _ => {
-                return Err(CoreError::CorruptParts(
-                    "exception values must be u64".into(),
-                ))
-            }
-        };
-        let mut out = lcdc_colops::segment::replicate_segments(&refs, self.seg_len, c.n)?;
+    fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
+        let c = parts.form();
+        let refs = parts.column(ROLE_REFS)?;
+        let exc_positions = parts.column(ROLE_EXC_POSITIONS)?;
+        let exc_positions = exc_positions.expect_u64("exception positions")?;
+        let exc_values = parts.column(ROLE_EXC_VALUES)?;
+        let exc_values = exc_values.expect_u64("exception values")?;
+        let mut out =
+            lcdc_colops::segment::replicate_segments(&refs.as_transport(), self.seg_len, c.n)?;
         lcdc_colops::scatter_into(exc_values, exc_positions, &mut out)?;
         Ok(ColumnData::from_transport(c.dtype, out))
     }

@@ -11,6 +11,7 @@
 
 use crate::column::ColumnData;
 use crate::error::{CoreError, Result};
+use crate::parts::Parts;
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
@@ -63,19 +64,12 @@ impl Scheme for Rle {
         })
     }
 
-    fn decompress(&self, c: &Compressed) -> Result<ColumnData> {
-        c.check_scheme("rle")?;
-        let values = c.plain_part(ROLE_VALUES)?;
-        let lengths = match c.plain_part(ROLE_LENGTHS)? {
-            ColumnData::U64(l) => l,
-            other => {
-                return Err(CoreError::CorruptParts(format!(
-                    "lengths part must be u64, found {}",
-                    other.dtype().name()
-                )))
-            }
-        };
-        let expanded = runs_expand(&values.to_transport(), lengths)?;
+    fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
+        let c = parts.form();
+        let values = parts.column(ROLE_VALUES)?;
+        let lengths = parts.column(ROLE_LENGTHS)?;
+        let lengths = lengths.expect_u64("lengths part")?;
+        let expanded = runs_expand(&values.as_transport(), lengths)?;
         if expanded.len() != c.n {
             return Err(CoreError::CorruptParts(format!(
                 "runs expand to {} values, expected {}",

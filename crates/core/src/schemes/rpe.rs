@@ -19,6 +19,7 @@
 
 use crate::column::ColumnData;
 use crate::error::{CoreError, Result};
+use crate::parts::Parts;
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
@@ -73,10 +74,12 @@ impl Scheme for Rpe {
         })
     }
 
-    fn decompress(&self, c: &Compressed) -> Result<ColumnData> {
-        c.check_scheme("rpe")?;
-        let values = c.plain_part(ROLE_VALUES)?.to_transport();
-        let positions = positions_part(c)?;
+    fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
+        let c = parts.form();
+        let values = parts.column(ROLE_VALUES)?;
+        let values = values.as_transport();
+        let positions = parts.column(ROLE_POSITIONS)?;
+        let positions = positions.expect_u64("positions part")?;
         validate_positions(positions, c.n, values.len())?;
         let mut out = Vec::with_capacity(c.n);
         let mut start = 0u64;
@@ -139,14 +142,8 @@ pub fn value_at(c: &Compressed, pos: u64) -> Result<u64> {
         .ok_or_else(|| CoreError::CorruptParts("run index past values".into()))
 }
 
-fn positions_part(c: &Compressed) -> Result<&Vec<u64>> {
-    match c.plain_part(ROLE_POSITIONS)? {
-        ColumnData::U64(p) => Ok(p),
-        other => Err(CoreError::CorruptParts(format!(
-            "positions part must be u64, found {}",
-            other.dtype().name()
-        ))),
-    }
+fn positions_part(c: &Compressed) -> Result<&[u64]> {
+    c.plain_part(ROLE_POSITIONS)?.expect_u64("positions part")
 }
 
 fn validate_positions(positions: &[u64], n: usize, num_values: usize) -> Result<()> {

@@ -18,6 +18,7 @@
 
 use crate::column::ColumnData;
 use crate::error::{CoreError, Result};
+use crate::parts::Parts;
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
@@ -75,14 +76,16 @@ impl Scheme for Sparse {
         })
     }
 
-    fn decompress(&self, c: &Compressed) -> Result<ColumnData> {
-        c.check_scheme("sparse")?;
+    fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
+        let c = parts.form();
         if c.n == 0 {
             return Ok(ColumnData::empty(c.dtype));
         }
-        let base = self.base_value(c)?;
-        let positions = exc_positions(c)?;
-        let exc_values = c.plain_part(ROLE_EXC_VALUES)?.to_transport();
+        let base = base_value(parts.column(ROLE_VALUE)?.as_ref())?;
+        let positions = parts.column(ROLE_EXC_POSITIONS)?;
+        let positions = positions.expect_u64("exception positions")?;
+        let exc_values = parts.column(ROLE_EXC_VALUES)?;
+        let exc_values = exc_values.as_transport();
         validate_exceptions(positions, &exc_values, c.n)?;
         let mut out = lcdc_colops::constant(base, c.n);
         lcdc_colops::scatter_into(&exc_values, positions, &mut out)?;
@@ -95,7 +98,7 @@ impl Scheme for Sparse {
         if c.n == 0 {
             return Plan::new(vec![Node::Const { value: 0, len: 0 }], 0);
         }
-        let base = self.base_value(c)?;
+        let base = base_value(c.plain_part(ROLE_VALUE)?)?;
         // Parts order: 0 = value, 1 = exc_positions, 2 = exc_values.
         Plan::new(
             vec![
@@ -121,12 +124,11 @@ impl Scheme for Sparse {
     }
 }
 
-impl Sparse {
-    fn base_value(&self, c: &Compressed) -> Result<u64> {
-        c.plain_part(ROLE_VALUE)?.get_transport(0).ok_or_else(|| {
-            CoreError::CorruptParts("non-empty sparse form with empty value part".into())
-        })
-    }
+/// The model value of a non-empty form, from its `value` part.
+fn base_value(value: &ColumnData) -> Result<u64> {
+    value.get_transport(0).ok_or_else(|| {
+        CoreError::CorruptParts("non-empty sparse form with empty value part".into())
+    })
 }
 
 /// O(log e) positional access: binary-search the exception positions,
@@ -147,7 +149,7 @@ pub fn value_at(c: &Compressed, pos: u64) -> Result<u64> {
             .plain_part(ROLE_EXC_VALUES)?
             .get_transport(idx)
             .ok_or_else(|| CoreError::CorruptParts("exception index past exception values".into())),
-        Err(_) => Sparse.base_value(c),
+        Err(_) => base_value(c.plain_part(ROLE_VALUE)?),
     }
 }
 
@@ -165,14 +167,9 @@ fn mode_transport(transport: &[u64]) -> Option<u64> {
         .map(|(v, _)| v)
 }
 
-fn exc_positions(c: &Compressed) -> Result<&Vec<u64>> {
-    match c.plain_part(ROLE_EXC_POSITIONS)? {
-        ColumnData::U64(p) => Ok(p),
-        other => Err(CoreError::CorruptParts(format!(
-            "exception positions must be u64, found {}",
-            other.dtype().name()
-        ))),
-    }
+fn exc_positions(c: &Compressed) -> Result<&[u64]> {
+    c.plain_part(ROLE_EXC_POSITIONS)?
+        .expect_u64("exception positions")
 }
 
 fn validate_exceptions(positions: &[u64], values: &[u64], n: usize) -> Result<()> {

@@ -13,6 +13,7 @@
 
 use crate::column::ColumnData;
 use crate::error::{CoreError, Result};
+use crate::parts::Parts;
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
@@ -74,10 +75,11 @@ impl Scheme for StepFunction {
         })
     }
 
-    fn decompress(&self, c: &Compressed) -> Result<ColumnData> {
-        c.check_scheme(&self.name())?;
-        let refs = c.plain_part(ROLE_REFS)?.to_transport();
-        let out = lcdc_colops::segment::replicate_segments(&refs, self.seg_len, c.n)?;
+    fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
+        let c = parts.form();
+        let refs = parts.column(ROLE_REFS)?;
+        let out =
+            lcdc_colops::segment::replicate_segments(&refs.as_transport(), self.seg_len, c.n)?;
         Ok(ColumnData::from_transport(c.dtype, out))
     }
 

@@ -11,6 +11,7 @@
 
 use crate::column::ColumnData;
 use crate::error::{CoreError, Result};
+use crate::parts::{PartStream, Parts};
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
@@ -37,6 +38,28 @@ impl VarWidthNs {
 
 /// Role of the per-block packed payload.
 pub const ROLE_BLOCKS: &str = "blocks";
+
+impl VarWidthNs {
+    /// The payload part as a stream of the column it encodes.
+    fn payload<'a>(&self, c: &'a Compressed) -> Result<PartStream<'a>> {
+        let blocks = match &c.part(ROLE_BLOCKS)?.data {
+            PartData::Blocks(b) => b,
+            _ => {
+                return Err(CoreError::CorruptParts(
+                    "blocks part must be block-packed".into(),
+                ))
+            }
+        };
+        if blocks.len() != c.n {
+            return Err(CoreError::CorruptParts(format!(
+                "payload holds {} values, expected {}",
+                blocks.len(),
+                c.n
+            )));
+        }
+        Ok(PartStream::blocks(blocks, self.zigzag, c.dtype))
+    }
+}
 
 impl Scheme for VarWidthNs {
     fn name(&self) -> String {
@@ -77,31 +100,15 @@ impl Scheme for VarWidthNs {
         })
     }
 
-    fn decompress(&self, c: &Compressed) -> Result<ColumnData> {
+    fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
+        Ok(self.payload(parts.form())?.into_column().into_owned())
+    }
+
+    /// The block-packed payload, unpacked (and zigzag-decoded) a block
+    /// at a time.
+    fn stream<'a>(&self, c: &'a Compressed) -> Result<PartStream<'a>> {
         c.check_scheme(&self.name())?;
-        let blocks = match &c.part(ROLE_BLOCKS)?.data {
-            PartData::Blocks(b) => b,
-            _ => {
-                return Err(CoreError::CorruptParts(
-                    "blocks part must be block-packed".into(),
-                ))
-            }
-        };
-        if blocks.len() != c.n {
-            return Err(CoreError::CorruptParts(format!(
-                "payload holds {} values, expected {}",
-                blocks.len(),
-                c.n
-            )));
-        }
-        blocks.validate().map_err(CoreError::Bits)?;
-        let mut values = blocks.unpack();
-        if self.zigzag {
-            for v in &mut values {
-                *v = lcdc_bitpack::zigzag_decode_i64(*v) as u64;
-            }
-        }
-        Ok(ColumnData::from_transport(c.dtype, values))
+        self.payload(c)
     }
 
     fn plan(&self, _c: &Compressed) -> Result<Plan> {

@@ -20,6 +20,7 @@
 
 use crate::column::ColumnData;
 use crate::error::{CoreError, Result};
+use crate::parts::Parts;
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use lcdc_colops::BinOpKind;
@@ -119,19 +120,14 @@ impl Scheme for VarStep {
         })
     }
 
-    fn decompress(&self, c: &Compressed) -> Result<ColumnData> {
-        c.check_scheme(&self.name())?;
-        let positions = positions_part(c)?;
-        let refs = c.plain_part(ROLE_REFS)?.to_transport();
-        let offsets = match c.plain_part(ROLE_OFFSETS)? {
-            ColumnData::U64(o) => o,
-            other => {
-                return Err(CoreError::CorruptParts(format!(
-                    "offsets part must be u64, found {}",
-                    other.dtype().name()
-                )))
-            }
-        };
+    fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
+        let c = parts.form();
+        let positions = parts.column(ROLE_POSITIONS)?;
+        let positions = positions.expect_u64("positions part")?;
+        let refs = parts.column(ROLE_REFS)?;
+        let refs = refs.as_transport();
+        let offsets = parts.column(ROLE_OFFSETS)?;
+        let offsets = offsets.expect_u64("offsets part")?;
         validate_form(positions, refs.len(), offsets.len(), c.n)?;
         let mut out = Vec::with_capacity(c.n);
         let mut start = 0u64;
@@ -234,14 +230,8 @@ pub fn frame_bounds(c: &Compressed) -> Result<Vec<(u64, u64, i128, i128)>> {
     Ok(bounds)
 }
 
-fn positions_part(c: &Compressed) -> Result<&Vec<u64>> {
-    match c.plain_part(ROLE_POSITIONS)? {
-        ColumnData::U64(p) => Ok(p),
-        other => Err(CoreError::CorruptParts(format!(
-            "positions part must be u64, found {}",
-            other.dtype().name()
-        ))),
-    }
+fn positions_part(c: &Compressed) -> Result<&[u64]> {
+    c.plain_part(ROLE_POSITIONS)?.expect_u64("positions part")
 }
 
 fn validate_form(positions: &[u64], num_refs: usize, num_offsets: usize, n: usize) -> Result<()> {
