@@ -91,6 +91,11 @@ impl Scheme for Cascade {
         self.outer.decode(parts)
     }
 
+    /// Visited the same way: by the outer scheme, over the nested parts.
+    fn visit_parts(&self, parts: &Parts<'_>, f: &mut dyn FnMut(&[u64])) -> Result<()> {
+        self.outer.visit_parts(parts, f)
+    }
+
     fn inner_for(&self, role: &str) -> Option<&dyn Scheme> {
         self.inner
             .iter()

@@ -212,12 +212,65 @@ impl<'a> PartStream<'a> {
 }
 
 /// Hand `raw` to `f` through `map`, a stack buffer at a time.
-fn mapped(raw: &[u64], f: &mut impl FnMut(&[u64]), map: impl Fn(u64) -> u64) {
+fn mapped(raw: &[u64], f: &mut impl FnMut(&[u64]), mut map: impl FnMut(u64) -> u64) {
     let mut buf = [0u64; CHUNK_LEN];
     for chunk in raw.chunks(CHUNK_LEN) {
         for (slot, &v) in buf.iter_mut().zip(chunk) {
             *slot = map(v);
         }
         f(&buf[..chunk.len()]);
+    }
+}
+
+/// Where a fused decoder writes the values it reconstructs: the one
+/// reserved output column ([`Scheme::decode`]) or a visitor's chunk
+/// callback ([`Scheme::visit`]). A fused scheme writes its operator
+/// once, generic over this target, so decode and visit cannot diverge.
+pub(crate) trait Emit {
+    /// Make room for the `n` values the decoder validated it will emit.
+    fn begin(&mut self, n: usize);
+
+    /// Emit `op(v)` for every `v` of `piece`, in order, as transport
+    /// values of the column being decoded.
+    fn emit(&mut self, piece: &[u64], op: impl FnMut(u64) -> u64);
+}
+
+impl<T: Scalar> Emit for Vec<T> {
+    fn begin(&mut self, n: usize) {
+        self.reserve_exact(n);
+    }
+
+    #[inline]
+    fn emit(&mut self, piece: &[u64], mut op: impl FnMut(u64) -> u64) {
+        self.extend(piece.iter().map(|&v| T::from_u64(op(v))));
+    }
+}
+
+/// A [`Scheme::visit`] callback as an [`Emit`] target: values go out a
+/// stack buffer at a time, narrowed to `dtype` the way a round trip
+/// through the decoded column would narrow them.
+pub(crate) struct Visitor<'f> {
+    f: &'f mut dyn FnMut(&[u64]),
+    dtype: DType,
+}
+
+impl<'f> Visitor<'f> {
+    /// Hand `dtype` values to `f`.
+    pub(crate) fn new(f: &'f mut dyn FnMut(&[u64]), dtype: DType) -> Self {
+        Visitor { f, dtype }
+    }
+}
+
+impl Emit for Visitor<'_> {
+    fn begin(&mut self, _n: usize) {}
+
+    #[inline]
+    fn emit(&mut self, piece: &[u64], mut op: impl FnMut(u64) -> u64) {
+        let f = &mut self.f;
+        match self.dtype {
+            DType::U64 | DType::I64 => mapped(piece, f, op),
+            DType::U32 => mapped(piece, f, |v| op(v) as u32 as u64),
+            DType::I32 => mapped(piece, f, |v| op(v) as i32 as u64),
+        }
     }
 }

@@ -212,7 +212,10 @@ fn part_kind(data: &PartData) -> &'static str {
 /// A lightweight compression scheme: a pair of total maps between plain
 /// columns and columnar compressed forms, with optional extras (an
 /// operator-DAG decompression plan, a size estimate for the chooser).
-pub trait Scheme: std::fmt::Debug {
+///
+/// Schemes are plain values, shareable across threads: a store builds
+/// a segment's scheme once and every worker decodes through it.
+pub trait Scheme: std::fmt::Debug + Send + Sync {
     /// Canonical name, including parameters (e.g. `"for(l=128)"`).
     fn name(&self) -> String;
 
@@ -241,6 +244,28 @@ pub trait Scheme: std::fmt::Debug {
     fn decompress(&self, c: &Compressed) -> Result<ColumnData> {
         c.check_scheme(&self.name())?;
         self.decode(&Parts::new(c, &|role| self.inner_for(role)))
+    }
+
+    /// Hand the decompressed column to `f` in row order, a chunk at a
+    /// time, as transport values ([`crate::column`]) — for a consumer
+    /// (a query sink) that folds values without needing the column.
+    /// Checks the form's scheme id, then [`Scheme::visit_parts`].
+    /// Validation is exactly [`Scheme::decompress`]'s, and so are the
+    /// errors; after an error, chunks already handed out are
+    /// meaningless.
+    fn visit(&self, c: &Compressed, f: &mut dyn FnMut(&[u64])) -> Result<()> {
+        c.check_scheme(&self.name())?;
+        self.visit_parts(&Parts::new(c, &|role| self.inner_for(role)), f)
+    }
+
+    /// [`Scheme::visit`] over the parts of a form (a cascade's outer
+    /// scheme visits the cascade's form). FOR, NS, VARWIDTH, DICT,
+    /// LINEAR, POLY2, DELTA, DFOR and ID run the operator of their
+    /// [`Scheme::decode`] on each chunk as it is unpacked; the default
+    /// decodes and hands out the column.
+    fn visit_parts(&self, parts: &Parts<'_>, f: &mut dyn FnMut(&[u64])) -> Result<()> {
+        PartStream::plain(Cow::Owned(self.decode(parts)?)).for_each_chunk(f);
+        Ok(())
     }
 
     /// Decompress as a stream of chunks, for an outer scheme to fuse its

@@ -17,12 +17,11 @@
 use crate::build_column;
 use crate::column::{ColumnData, DType};
 use crate::error::{CoreError, Result};
-use crate::parts::Parts;
+use crate::parts::{Emit, Parts, Visitor};
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
 use lcdc_bitpack::width::packed_bytes;
-use lcdc_colops::Scalar;
 
 /// The delta-encoding scheme.
 #[derive(Debug, Clone, Copy, Default)]
@@ -36,6 +35,35 @@ fn signed_counterpart(dtype: DType) -> DType {
     match dtype {
         DType::U32 | DType::I32 => DType::I32,
         DType::U64 | DType::I64 => DType::I64,
+    }
+}
+
+impl Delta {
+    /// Validate the parts, then reconstruct into `out`: a running sum
+    /// carried across the chunks of deltas as they are unpacked.
+    fn run(&self, parts: &Parts<'_>, out: &mut impl Emit) -> Result<()> {
+        let c = parts.form();
+        if c.n == 0 {
+            return Ok(());
+        }
+        let deltas = parts.stream(ROLE_DELTAS)?;
+        if deltas.len() + 1 != c.n {
+            return Err(CoreError::CorruptParts(format!(
+                "deltas column holds {} values, expected {}",
+                deltas.len(),
+                c.n - 1
+            )));
+        }
+        let mut acc = c.params.require("first")? as u64;
+        out.begin(c.n);
+        out.emit(&[acc], |first| first);
+        deltas.for_each_chunk(|chunk| {
+            out.emit(chunk, |d| {
+                acc = acc.wrapping_add(d);
+                acc
+            })
+        });
+        Ok(())
     }
 }
 
@@ -69,31 +97,13 @@ impl Scheme for Delta {
         })
     }
 
-    /// Fused decompression: a running sum carried across the chunks of
-    /// deltas as they are unpacked.
     fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
-        let c = parts.form();
-        if c.n == 0 {
-            return Ok(ColumnData::empty(c.dtype));
-        }
-        let deltas = parts.stream(ROLE_DELTAS)?;
-        if deltas.len() + 1 != c.n {
-            return Err(CoreError::CorruptParts(format!(
-                "deltas column holds {} values, expected {}",
-                deltas.len(),
-                c.n - 1
-            )));
-        }
-        let mut acc = c.params.require("first")? as u64;
-        Ok(build_column!(c.dtype, c.n, |out: Vec<T>| {
-            out.push(T::from_u64(acc));
-            deltas.for_each_chunk(|chunk| {
-                out.extend(chunk.iter().map(|&d| {
-                    acc = acc.wrapping_add(d);
-                    T::from_u64(acc)
-                }));
-            })
-        }))
+        Ok(build_column!(parts.form().dtype, 0, |out: Vec<T>| self
+            .run(parts, &mut out)?))
+    }
+
+    fn visit_parts(&self, parts: &Parts<'_>, f: &mut dyn FnMut(&[u64])) -> Result<()> {
+        self.run(parts, &mut Visitor::new(f, parts.form().dtype))
     }
 
     fn plan(&self, c: &Compressed) -> Result<Plan> {

@@ -23,12 +23,12 @@
 use crate::build_column;
 use crate::column::ColumnData;
 use crate::error::{CoreError, Result};
-use crate::parts::Parts;
+use crate::parts::{Emit, Parts, Visitor};
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
 use lcdc_colops::segment::check_segments;
-use lcdc_colops::{BinOpKind, Scalar};
+use lcdc_colops::BinOpKind;
 
 /// The segment-restarted delta scheme.
 #[derive(Debug, Clone, Copy)]
@@ -51,6 +51,39 @@ pub const ROLE_BASES: &str = "bases";
 /// Role of the within-segment delta part (u64 transport; the delta at
 /// each segment start is 0).
 pub const ROLE_DELTAS: &str = "deltas";
+
+impl DeltaFor {
+    /// Validate the parts, then reconstruct into `out`: a running sum
+    /// over the chunks of deltas as they are unpacked, restarted from
+    /// the segment's base at every segment start (where the stored
+    /// delta is 0, so the base passes through).
+    fn run(&self, parts: &Parts<'_>, out: &mut impl Emit) -> Result<()> {
+        let c = parts.form();
+        let bases = parts.column(ROLE_BASES)?;
+        let bases = bases.as_transport();
+        let deltas = parts.stream(ROLE_DELTAS)?;
+        if deltas.len() != c.n {
+            return Err(CoreError::CorruptParts(format!(
+                "{} deltas for column length {}",
+                deltas.len(),
+                c.n
+            )));
+        }
+        check_segments(bases.len(), self.seg_len, c.n)?;
+        out.begin(c.n);
+        let mut acc = 0u64;
+        deltas.for_each_in_segments(self.seg_len, |seg, within, piece| {
+            if within == 0 {
+                acc = bases[seg];
+            }
+            out.emit(piece, |d| {
+                acc = acc.wrapping_add(d);
+                acc
+            });
+        });
+        Ok(())
+    }
+}
 
 impl Scheme for DeltaFor {
     fn name(&self) -> String {
@@ -88,35 +121,13 @@ impl Scheme for DeltaFor {
         })
     }
 
-    /// Fused decompression: a running sum over the chunks of deltas as
-    /// they are unpacked, restarted from the segment's base at every
-    /// segment start (where the stored delta is 0, so the base passes
-    /// through).
     fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
-        let c = parts.form();
-        let bases = parts.column(ROLE_BASES)?;
-        let bases = bases.as_transport();
-        let deltas = parts.stream(ROLE_DELTAS)?;
-        if deltas.len() != c.n {
-            return Err(CoreError::CorruptParts(format!(
-                "{} deltas for column length {}",
-                deltas.len(),
-                c.n
-            )));
-        }
-        check_segments(bases.len(), self.seg_len, c.n)?;
-        let mut acc = 0u64;
-        Ok(build_column!(c.dtype, c.n, |out: Vec<T>| {
-            deltas.for_each_in_segments(self.seg_len, |seg, within, piece| {
-                if within == 0 {
-                    acc = bases[seg];
-                }
-                out.extend(piece.iter().map(|&d| {
-                    acc = acc.wrapping_add(d);
-                    T::from_u64(acc)
-                }));
-            })
-        }))
+        Ok(build_column!(parts.form().dtype, 0, |out: Vec<T>| self
+            .run(parts, &mut out)?))
+    }
+
+    fn visit_parts(&self, parts: &Parts<'_>, f: &mut dyn FnMut(&[u64])) -> Result<()> {
+        self.run(parts, &mut Visitor::new(f, parts.form().dtype))
     }
 
     /// Algorithm 2's replication steps feeding a segmented prefix sum:

@@ -9,12 +9,12 @@
 
 use crate::column::ColumnData;
 use crate::error::{CoreError, Result};
-use crate::parts::Parts;
+use crate::parts::{Emit, Parts, Visitor};
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
 use crate::{build_column, with_column};
-use lcdc_colops::{ColOpsError, Scalar};
+use lcdc_colops::ColOpsError;
 
 /// The dictionary-encoding scheme.
 #[derive(Debug, Clone, Copy, Default)]
@@ -24,6 +24,57 @@ pub struct Dict;
 pub const ROLE_DICT: &str = "dict";
 /// Role of the code part (u64 positions into the dictionary).
 pub const ROLE_CODES: &str = "codes";
+
+impl Dict {
+    /// Validate the parts, then gather each unpacked chunk of codes
+    /// into `out` — a code past the dictionary gathers a default and
+    /// lowers a flag, so the loop carries no `Result` — never
+    /// materialising the codes column. Gathering stops at the first
+    /// chunk holding a bad code, which is the error.
+    fn run(&self, parts: &Parts<'_>, out: &mut impl Emit) -> Result<()> {
+        let c = parts.form();
+        let dict = parts.column(ROLE_DICT)?;
+        let dict = dict.as_transport();
+        let codes = parts.stream(ROLE_CODES)?;
+        if codes.len() != c.n {
+            return Err(CoreError::CorruptParts(format!(
+                "codes column holds {} values, expected {}",
+                codes.len(),
+                c.n
+            )));
+        }
+        out.begin(c.n);
+        let entry = |code: u64| usize::try_from(code).ok().and_then(|i| dict.get(i));
+        let mut bad = None;
+        codes.for_each_chunk(|chunk| {
+            if bad.is_some() {
+                return;
+            }
+            let mut all_in_range = true;
+            out.emit(chunk, |code| match entry(code) {
+                Some(&v) => v,
+                None => {
+                    all_in_range = false;
+                    0
+                }
+            });
+            if !all_in_range {
+                bad = chunk.iter().copied().find(|&code| entry(code).is_none());
+            }
+        });
+        match bad {
+            Some(code) => Err(match usize::try_from(code) {
+                Ok(index) => ColOpsError::IndexOutOfBounds {
+                    index,
+                    len: dict.len(),
+                },
+                Err(_) => ColOpsError::BadIndexValue,
+            }
+            .into()),
+            None => Ok(()),
+        }
+    }
+}
 
 impl Scheme for Dict {
     fn name(&self) -> String {
@@ -67,56 +118,13 @@ impl Scheme for Dict {
         })
     }
 
-    /// Fused decompression: each unpacked chunk of codes is gathered
-    /// straight into the output — a code past the dictionary gathers a
-    /// default and lowers a flag, so the loop carries no `Result` — and
-    /// the codes column is never materialised.
     fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
-        let c = parts.form();
-        let dict = parts.column(ROLE_DICT)?;
-        let dict = dict.as_transport();
-        let codes = parts.stream(ROLE_CODES)?;
-        if codes.len() != c.n {
-            return Err(CoreError::CorruptParts(format!(
-                "codes column holds {} values, expected {}",
-                codes.len(),
-                c.n
-            )));
-        }
-        // The first code past the dictionary, if any; gathering stops
-        // there.
-        let mut bad = None;
-        let column = build_column!(c.dtype, c.n, |out: Vec<T>| {
-            let dict: Vec<T> = dict.iter().map(|&v| T::from_u64(v)).collect();
-            codes.for_each_chunk(|chunk| {
-                if bad.is_some() {
-                    return;
-                }
-                let entry = |code: u64| usize::try_from(code).ok().and_then(|i| dict.get(i));
-                let mut all_in_range = true;
-                out.extend(chunk.iter().map(|&code| match entry(code) {
-                    Some(&v) => v,
-                    None => {
-                        all_in_range = false;
-                        T::default()
-                    }
-                }));
-                if !all_in_range {
-                    bad = chunk.iter().copied().find(|&code| entry(code).is_none());
-                }
-            })
-        });
-        match bad {
-            Some(code) => Err(match usize::try_from(code) {
-                Ok(index) => ColOpsError::IndexOutOfBounds {
-                    index,
-                    len: dict.len(),
-                },
-                Err(_) => ColOpsError::BadIndexValue,
-            }
-            .into()),
-            None => Ok(column),
-        }
+        Ok(build_column!(parts.form().dtype, 0, |out: Vec<T>| self
+            .run(parts, &mut out)?))
+    }
+
+    fn visit_parts(&self, parts: &Parts<'_>, f: &mut dyn FnMut(&[u64])) -> Result<()> {
+        self.run(parts, &mut Visitor::new(f, parts.form().dtype))
     }
 
     fn plan(&self, _c: &Compressed) -> Result<Plan> {

@@ -10,7 +10,7 @@
 
 use crate::column::ColumnData;
 use crate::error::{CoreError, Result};
-use crate::parts::{PartStream, Parts};
+use crate::parts::{Emit, PartStream, Parts, Visitor};
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
@@ -74,19 +74,54 @@ pub const ROLE_REFS: &str = "refs";
 /// Role of the per-element offset part (u64, non-negative).
 pub const ROLE_OFFSETS: &str = "offsets";
 
-/// The add-reference operator, fused into the offsets stream: push
+/// The add-reference operator, fused into the offsets stream: emit
 /// `refs[i / seg_len] + offsets[i]` for every offset. `refs` must cover
 /// every segment (`check_segments`).
-pub(crate) fn add_references<T: Scalar>(
+pub(crate) fn add_references(
     offsets: &PartStream<'_>,
     seg_len: usize,
     refs: &[u64],
-    out: &mut Vec<T>,
+    out: &mut impl Emit,
 ) {
     offsets.for_each_in_segments(seg_len, |seg, _, piece| {
         let r = refs[seg];
-        out.extend(piece.iter().map(|&o| T::from_u64(r.wrapping_add(o))));
+        out.emit(piece, |o| r.wrapping_add(o));
     });
+}
+
+impl For {
+    /// Validate the parts, then run the add-reference operator into
+    /// `out`: each chunk of offsets gets its segment's reference added
+    /// on the way out — no replicated references, no unpacked offsets.
+    fn run(&self, parts: &Parts<'_>, out: &mut impl Emit) -> Result<()> {
+        let c = parts.form();
+        let refs = parts.column(ROLE_REFS)?;
+        let refs = refs.as_transport();
+        let offsets = parts.stream(ROLE_OFFSETS)?;
+        let expected_dtype = if self.ref_first {
+            crate::column::DType::I64
+        } else {
+            crate::column::DType::U64
+        };
+        if offsets.dtype() != expected_dtype {
+            return Err(CoreError::CorruptParts(format!(
+                "offsets part must be {}, found {}",
+                expected_dtype.name(),
+                offsets.dtype().name()
+            )));
+        }
+        if offsets.len() != c.n {
+            return Err(CoreError::CorruptParts(format!(
+                "offsets column holds {} values, expected {}",
+                offsets.len(),
+                c.n
+            )));
+        }
+        check_segments(refs.len(), self.seg_len, c.n)?;
+        out.begin(c.n);
+        add_references(&offsets, self.seg_len, &refs, out);
+        Ok(())
+    }
 }
 
 impl Scheme for For {
@@ -142,37 +177,13 @@ impl Scheme for For {
         })
     }
 
-    /// Fused decompression: each chunk of offsets gets its segment's
-    /// reference added on the way into the output — no replicated
-    /// references, no unpacked offsets column.
     fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
-        let c = parts.form();
-        let refs = parts.column(ROLE_REFS)?;
-        let refs = refs.as_transport();
-        let offsets = parts.stream(ROLE_OFFSETS)?;
-        let expected_dtype = if self.ref_first {
-            crate::column::DType::I64
-        } else {
-            crate::column::DType::U64
-        };
-        if offsets.dtype() != expected_dtype {
-            return Err(CoreError::CorruptParts(format!(
-                "offsets part must be {}, found {}",
-                expected_dtype.name(),
-                offsets.dtype().name()
-            )));
-        }
-        if offsets.len() != c.n {
-            return Err(CoreError::CorruptParts(format!(
-                "offsets column holds {} values, expected {}",
-                offsets.len(),
-                c.n
-            )));
-        }
-        check_segments(refs.len(), self.seg_len, c.n)?;
-        Ok(build_column!(c.dtype, c.n, |out: Vec<T>| {
-            add_references(&offsets, self.seg_len, &refs, &mut out)
-        }))
+        Ok(build_column!(parts.form().dtype, 0, |out: Vec<T>| self
+            .run(parts, &mut out)?))
+    }
+
+    fn visit_parts(&self, parts: &Parts<'_>, f: &mut dyn FnMut(&[u64])) -> Result<()> {
+        self.run(parts, &mut Visitor::new(f, parts.form().dtype))
     }
 
     /// Algorithm 2, literally:

@@ -39,6 +39,11 @@ impl Scheme for Id {
         Ok(parts.column(ROLE_VALUES)?.into_owned())
     }
 
+    fn visit_parts(&self, parts: &Parts<'_>, f: &mut dyn FnMut(&[u64])) -> Result<()> {
+        parts.stream(ROLE_VALUES)?.for_each_chunk(f);
+        Ok(())
+    }
+
     fn plan(&self, _c: &Compressed) -> Result<Plan> {
         Plan::new(vec![Node::Part(0)], 0)
     }

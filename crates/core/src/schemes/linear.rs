@@ -14,12 +14,12 @@
 use crate::build_column;
 use crate::column::{ColumnData, DType};
 use crate::error::{CoreError, Result};
-use crate::parts::Parts;
+use crate::parts::{Emit, Parts, Visitor};
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
 use lcdc_bitpack::{zigzag_decode_i64, zigzag_encode_i64};
-use lcdc_colops::{BinOpKind, Scalar};
+use lcdc_colops::BinOpKind;
 
 /// The piecewise-linear frame scheme.
 #[derive(Debug, Clone, Copy)]
@@ -52,6 +52,51 @@ pub const ROLE_BASES: &str = "bases";
 pub const ROLE_SLOPES: &str = "slopes";
 /// Role of the per-element zigzagged-residual part (u64).
 pub const ROLE_RESIDUALS: &str = "residuals";
+
+impl LinearFor {
+    /// Validate the parts, then reconstruct into `out`: `base +
+    /// slope·i + zigzag⁻¹(r)` evaluated on each chunk of residuals as it
+    /// is unpacked. Transport arithmetic is congruent mod 2^64, hence
+    /// exact after truncation to the original dtype.
+    fn run(&self, parts: &Parts<'_>, out: &mut impl Emit) -> Result<()> {
+        let c = parts.form();
+        let bases = parts.column(ROLE_BASES)?;
+        let slopes = parts.column(ROLE_SLOPES)?;
+        let (ColumnData::I64(bases), ColumnData::I64(slopes)) = (bases.as_ref(), slopes.as_ref())
+        else {
+            return Err(CoreError::CorruptParts(
+                "bases and slopes parts must be i64".into(),
+            ));
+        };
+        let residuals = parts.stream(ROLE_RESIDUALS)?;
+        if residuals.dtype() != DType::U64 {
+            return Err(CoreError::CorruptParts("residuals part must be u64".into()));
+        }
+        if residuals.len() != c.n {
+            return Err(CoreError::CorruptParts(format!(
+                "residuals column holds {} values, expected {}",
+                residuals.len(),
+                c.n
+            )));
+        }
+        if bases.len() != slopes.len() || bases.len() < c.n.div_ceil(self.seg_len) {
+            return Err(CoreError::CorruptParts(
+                "bases/slopes count mismatch".into(),
+            ));
+        }
+        out.begin(c.n);
+        residuals.for_each_in_segments(self.seg_len, |seg, within, piece| {
+            let slope = slopes[seg] as u64;
+            let mut predicted = (bases[seg] as u64).wrapping_add(slope.wrapping_mul(within as u64));
+            out.emit(piece, |zz| {
+                let value = predicted.wrapping_add(zigzag_decode_i64(zz) as u64);
+                predicted = predicted.wrapping_add(slope);
+                value
+            });
+        });
+        Ok(())
+    }
+}
 
 impl Scheme for LinearFor {
     fn name(&self) -> String {
@@ -117,50 +162,14 @@ impl Scheme for LinearFor {
         })
     }
 
-    /// Fused reconstruction: `base + slope·i + zigzag⁻¹(r)` evaluated on
-    /// each chunk of residuals as it is unpacked. Transport arithmetic is
-    /// congruent mod 2^64, hence exact after truncation to the original
-    /// dtype.
     fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
-        let c = parts.form();
-        let bases = parts.column(ROLE_BASES)?;
-        let slopes = parts.column(ROLE_SLOPES)?;
-        let (ColumnData::I64(bases), ColumnData::I64(slopes)) = (bases.as_ref(), slopes.as_ref())
-        else {
-            return Err(CoreError::CorruptParts(
-                "bases and slopes parts must be i64".into(),
-            ));
-        };
-        let residuals = parts.stream(ROLE_RESIDUALS)?;
-        if residuals.dtype() != DType::U64 {
-            return Err(CoreError::CorruptParts("residuals part must be u64".into()));
-        }
-        if residuals.len() != c.n {
-            return Err(CoreError::CorruptParts(format!(
-                "residuals column holds {} values, expected {}",
-                residuals.len(),
-                c.n
-            )));
-        }
-        if bases.len() != slopes.len() || bases.len() < c.n.div_ceil(self.seg_len) {
-            return Err(CoreError::CorruptParts(
-                "bases/slopes count mismatch".into(),
-            ));
-        }
-        Ok(build_column!(c.dtype, c.n, |out: Vec<T>| {
-            residuals.for_each_in_segments(self.seg_len, |seg, within, piece| {
-                let slope = slopes[seg] as u64;
-                let mut predicted =
-                    (bases[seg] as u64).wrapping_add(slope.wrapping_mul(within as u64));
-                out.extend(piece.iter().map(|&zz| {
-                    let value = predicted.wrapping_add(zigzag_decode_i64(zz) as u64);
-                    predicted = predicted.wrapping_add(slope);
-                    T::from_u64(value)
-                }));
-            })
-        }))
+        Ok(build_column!(parts.form().dtype, 0, |out: Vec<T>| self
+            .run(parts, &mut out)?))
     }
 
+    fn visit_parts(&self, parts: &Parts<'_>, f: &mut dyn FnMut(&[u64])) -> Result<()> {
+        self.run(parts, &mut Visitor::new(f, parts.form().dtype))
+    }
     /// Algorithm 2 extended to a degree-1 model: gather base *and* slope
     /// per element, evaluate `base + slope·(id mod ℓ)`, add the decoded
     /// residual. Still nothing but standard columnar operators.

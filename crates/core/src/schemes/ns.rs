@@ -105,6 +105,11 @@ impl Scheme for Ns {
         Ok(self.payload(parts.form())?.into_column().into_owned())
     }
 
+    fn visit_parts(&self, parts: &Parts<'_>, f: &mut dyn FnMut(&[u64])) -> Result<()> {
+        self.payload(parts.form())?.for_each_chunk(f);
+        Ok(())
+    }
+
     /// The packed payload, unpacked (and zigzag-decoded) a chunk at a
     /// time: an outer scheme cascaded into NS never sees an unpacked
     /// column.

@@ -11,12 +11,12 @@
 use crate::build_column;
 use crate::column::{ColumnData, DType};
 use crate::error::{CoreError, Result};
-use crate::parts::Parts;
+use crate::parts::{Emit, Parts, Visitor};
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
 use lcdc_bitpack::{zigzag_decode_i64, zigzag_encode_i64};
-use lcdc_colops::{BinOpKind, Scalar};
+use lcdc_colops::BinOpKind;
 
 /// The piecewise-quadratic frame scheme.
 #[derive(Debug, Clone, Copy)]
@@ -72,6 +72,53 @@ fn round_div(num: i128, den: i128) -> i128 {
         q + 1
     } else {
         q
+    }
+}
+
+impl PolyFor {
+    /// Validate the parts, then reconstruct into `out`: the frame
+    /// polynomial plus the decoded residual, evaluated on each chunk of
+    /// residuals as it is unpacked. Transport arithmetic: congruent mod
+    /// 2^64, exact on truncation.
+    fn run(&self, parts: &Parts<'_>, out: &mut impl Emit) -> Result<()> {
+        let c = parts.form();
+        let coeff = |role| -> Result<Vec<u64>> {
+            match parts.column(role)?.as_ref() {
+                ColumnData::I64(v) => Ok(v.iter().map(|&x| x as u64).collect()),
+                _ => Err(CoreError::CorruptParts(format!("{role} part must be i64"))),
+            }
+        };
+        let (c0, c1, c2) = (coeff(ROLE_C0)?, coeff(ROLE_C1)?, coeff(ROLE_C2)?);
+        let residuals = parts.stream(ROLE_RESIDUALS)?;
+        if residuals.dtype() != DType::U64 {
+            return Err(CoreError::CorruptParts("residuals part must be u64".into()));
+        }
+        if residuals.len() != c.n {
+            return Err(CoreError::CorruptParts(format!(
+                "residuals column holds {} values, expected {}",
+                residuals.len(),
+                c.n
+            )));
+        }
+        let needed = c.n.div_ceil(self.seg_len);
+        if c0.len() < needed || c1.len() != c0.len() || c2.len() != c0.len() {
+            return Err(CoreError::CorruptParts(
+                "coefficient counts mismatch".into(),
+            ));
+        }
+        out.begin(c.n);
+        residuals.for_each_in_segments(self.seg_len, |seg, within, piece| {
+            let (a, b, q) = (c0[seg], c1[seg], c2[seg]);
+            let mut i = within as u64;
+            out.emit(piece, |zz| {
+                let predicted = a
+                    .wrapping_add(b.wrapping_mul(i))
+                    .wrapping_add(q.wrapping_mul(i.wrapping_mul(i)));
+                i += 1;
+                predicted.wrapping_add(zigzag_decode_i64(zz) as u64)
+            });
+        });
+        Ok(())
     }
 }
 
@@ -137,47 +184,13 @@ impl Scheme for PolyFor {
         })
     }
 
-    /// Fused reconstruction: the frame polynomial plus the decoded
-    /// residual, evaluated on each chunk of residuals as it is unpacked.
-    /// Transport arithmetic: congruent mod 2^64, exact on truncation.
     fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
-        let c = parts.form();
-        let coeff = |role| -> Result<Vec<u64>> {
-            match parts.column(role)?.as_ref() {
-                ColumnData::I64(v) => Ok(v.iter().map(|&x| x as u64).collect()),
-                _ => Err(CoreError::CorruptParts(format!("{role} part must be i64"))),
-            }
-        };
-        let (c0, c1, c2) = (coeff(ROLE_C0)?, coeff(ROLE_C1)?, coeff(ROLE_C2)?);
-        let residuals = parts.stream(ROLE_RESIDUALS)?;
-        if residuals.dtype() != DType::U64 {
-            return Err(CoreError::CorruptParts("residuals part must be u64".into()));
-        }
-        if residuals.len() != c.n {
-            return Err(CoreError::CorruptParts(format!(
-                "residuals column holds {} values, expected {}",
-                residuals.len(),
-                c.n
-            )));
-        }
-        let needed = c.n.div_ceil(self.seg_len);
-        if c0.len() < needed || c1.len() != c0.len() || c2.len() != c0.len() {
-            return Err(CoreError::CorruptParts(
-                "coefficient counts mismatch".into(),
-            ));
-        }
-        Ok(build_column!(c.dtype, c.n, |out: Vec<T>| {
-            residuals.for_each_in_segments(self.seg_len, |seg, within, piece| {
-                let (a, b, q) = (c0[seg], c1[seg], c2[seg]);
-                out.extend(piece.iter().enumerate().map(|(i, &zz)| {
-                    let i = (within + i) as u64;
-                    let predicted = a
-                        .wrapping_add(b.wrapping_mul(i))
-                        .wrapping_add(q.wrapping_mul(i.wrapping_mul(i)));
-                    T::from_u64(predicted.wrapping_add(zigzag_decode_i64(zz) as u64))
-                }));
-            })
-        }))
+        Ok(build_column!(parts.form().dtype, 0, |out: Vec<T>| self
+            .run(parts, &mut out)?))
+    }
+
+    fn visit_parts(&self, parts: &Parts<'_>, f: &mut dyn FnMut(&[u64])) -> Result<()> {
+        self.run(parts, &mut Visitor::new(f, parts.form().dtype))
     }
 
     /// Algorithm 2 lifted to a degree-2 model — still only standard

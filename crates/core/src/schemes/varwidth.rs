@@ -104,6 +104,11 @@ impl Scheme for VarWidthNs {
         Ok(self.payload(parts.form())?.into_column().into_owned())
     }
 
+    fn visit_parts(&self, parts: &Parts<'_>, f: &mut dyn FnMut(&[u64])) -> Result<()> {
+        self.payload(parts.form())?.for_each_chunk(f);
+        Ok(())
+    }
+
     /// The block-packed payload, unpacked (and zigzag-decoded) a block
     /// at a time.
     fn stream<'a>(&self, c: &'a Compressed) -> Result<PartStream<'a>> {

@@ -1,21 +1,23 @@
 //! Aggregation, naive and compression-aware.
 //!
-//! The compression-aware paths execute *on the compressed form*:
+//! The compression-aware paths never build the column:
 //!
 //! * RLE/RPE: `SUM = Σ value·run_length`, `MIN/MAX` over run values —
 //!   one operation per run instead of per row;
-//! * FOR: `SUM = Σ refs·segment_size + Σ offsets` — the reference
-//!   replication and the elementwise add of Algorithm 2 are never
-//!   materialised.
+//! * everything else folds its value stream ([`Segment::visit`]) chunk
+//!   by chunk as the scheme's decoder reconstructs it — FOR adds its
+//!   references, DICT gathers, NS unpacks — into typed accumulators
+//!   (`fold_runs`).
 //!
 //! Both are instances of the paper's Lessons 1: once decompression is a
-//! DAG of query operators, the aggregation can be algebraically pushed
-//! through it.
+//! DAG of query operators, the aggregation can run on the parts. Sums
+//! are exact: a `u64` partial is used only where the values themselves
+//! prove it cannot overflow (`narrow_fits`); the zone map never
+//! decides an answer.
 
 use crate::segment::Segment;
-use crate::{Result, StoreError};
+use crate::Result;
 use lcdc_colops::{Bitmap, Scalar};
-use lcdc_core::schemes::for_;
 use lcdc_core::{with_column, ColumnData};
 
 /// Supported aggregate functions.
@@ -102,12 +104,6 @@ impl AggResult {
     }
 }
 
-/// Aggregate rows `rows` of a plain column (one slice fold; the run
-/// tier's unit of work).
-pub(crate) fn aggregate_rows(col: &ColumnData, rows: std::ops::Range<usize>) -> AggResult {
-    with_column!(col, |v| AggResult::of(v[rows].iter().copied()))
-}
-
 /// Aggregate a plain column (the naive path), optionally under a
 /// selection bitmap.
 pub fn aggregate_plain(col: &ColumnData, selection: Option<&Bitmap>) -> AggResult {
@@ -146,10 +142,100 @@ pub(crate) fn for_each_run(
     )
 }
 
-/// Aggregate a compressed segment without materialising it, when its
-/// scheme permits; falls back to decompress-then-fold. Selections force
-/// the fallback (run-selection interaction is handled a level up by
-/// masking materialised columns).
+/// Whether a `u64` partial sum of `len` values whose bitwise OR is `or`
+/// is exact: the OR caps every value below `2^bits(or)`, so the sum
+/// stays below `len × 2^bits(or)`. A signed column qualifies only when
+/// no value is negative (a negative transport value sets the top bit).
+pub(crate) fn narrow_fits(len: usize, or: u64, signed: bool) -> bool {
+    let bits = 64 - or.leading_zeros();
+    !(signed && bits == 64) && (len as u128) << bits <= 1u128 << 64
+}
+
+/// A transport value's number, for a column of the given signedness.
+#[inline]
+pub(crate) fn widen(v: u64, signed: bool) -> i128 {
+    if signed {
+        v as i64 as i128
+    } else {
+        v as i128
+    }
+}
+
+/// Fold transport values of one column into `acc`, exactly: the sum
+/// through a `u64` partial where [`narrow_fits`] proves it, in `i128`
+/// otherwise; MIN / MAX only when `extrema`.
+pub(crate) fn fold_transport(acc: &mut AggResult, values: &[u64], signed: bool, extrema: bool) {
+    if values.is_empty() {
+        return;
+    }
+    let (sum, or) = values
+        .iter()
+        .fold((0u64, 0u64), |(sum, or), &v| (sum.wrapping_add(v), or | v));
+    acc.sum += if narrow_fits(values.len(), or, signed) {
+        sum as i128
+    } else if signed {
+        values.iter().map(|&v| v as i64 as i128).sum::<i128>()
+    } else {
+        values.iter().map(|&v| v as i128).sum::<i128>()
+    };
+    if extrema {
+        let (lo, hi) = if signed {
+            let (lo, hi) = values.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &v| {
+                (lo.min(v as i64), hi.max(v as i64))
+            });
+            (lo as i128, hi as i128)
+        } else {
+            let (lo, hi) = values
+                .iter()
+                .fold((u64::MAX, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+            (lo as i128, hi as i128)
+        };
+        acc.min = Some(acc.min.map_or(lo, |m| m.min(lo)));
+        acc.max = Some(acc.max.map_or(hi, |m| m.max(hi)));
+    }
+    acc.count += values.len();
+}
+
+/// Fold a segment's values into one [`AggResult`] per run, straight
+/// from its value stream: run `r` covers the rows up to `ends[r]`
+/// (exclusive, clamped to the segment; a missing end is the segment's
+/// end — so `runs = 1, ends = []` folds the whole segment). Runs and
+/// ends follow [`for_each_run`]'s reading of a run structure. MIN / MAX
+/// are kept only when `extrema`; `out` receives `runs` results.
+pub(crate) fn fold_runs(
+    seg: &Segment,
+    runs: usize,
+    ends: &[u64],
+    extrema: bool,
+    out: &mut Vec<AggResult>,
+) -> Result<()> {
+    let n = seg.num_rows();
+    let signed = seg.compressed.dtype.signed();
+    let end_of = |run: usize| ends.get(run).map_or(n, |&end| (end as usize).min(n));
+    out.clear();
+    out.resize(runs, AggResult::default());
+    let (mut run, mut pos) = (0usize, 0usize);
+    seg.visit(&mut |mut chunk| {
+        while !chunk.is_empty() {
+            while run < runs && end_of(run) <= pos {
+                run += 1;
+            }
+            if run == runs {
+                return; // rows past the last run belong to no run
+            }
+            let (piece, rest) = chunk.split_at((end_of(run) - pos).min(chunk.len()));
+            fold_transport(&mut out[run], piece, signed, extrema);
+            pos += piece.len();
+            chunk = rest;
+        }
+    })
+}
+
+/// Aggregate a compressed segment without materialising it: RLE/RPE
+/// fold one weighted value per run, every other scheme folds its value
+/// stream. Selections force decompress-then-fold
+/// (run-selection interaction is handled a level up by masking
+/// materialised columns).
 pub fn aggregate_segment(segment: &Segment, selection: Option<&Bitmap>) -> Result<AggResult> {
     if let Some(bitmap) = selection {
         return Ok(aggregate_plain(&segment.decompress()?, Some(bitmap)));
@@ -157,32 +243,9 @@ pub fn aggregate_segment(segment: &Segment, selection: Option<&Bitmap>) -> Resul
     if let Some((values, ends)) = segment.run_structure()? {
         return Ok(aggregate_runs(&values, &ends, segment.num_rows()));
     }
-    let scheme_id = segment.compressed.scheme_id.as_str();
-    if scheme_id.starts_with("for(") {
-        // SUM distributes over Algorithm 2's final Elementwise(+):
-        // sum = Σ_seg refs[seg]·|seg| + Σ offsets. MIN/MAX need the
-        // per-segment offset extrema; computed on the offsets part alone.
-        let scheme = segment.scheme()?;
-        let seg_len = (segment.compressed.params.require("l")? as usize).max(1);
-        let refs = scheme.decompress_part(&segment.compressed, for_::ROLE_REFS)?;
-        let offsets = scheme.decompress_part(&segment.compressed, for_::ROLE_OFFSETS)?;
-        let mut acc = AggResult::default();
-        with_column!(&offsets, |offsets| {
-            let offsets = &offsets[..offsets.len().min(segment.num_rows())];
-            for (seg, chunk) in offsets.chunks(seg_len).enumerate() {
-                let base = refs.get_numeric(seg).ok_or_else(|| {
-                    StoreError::Shape(format!("for segment has no reference for block {seg}"))
-                })?;
-                let mut part = AggResult::of(chunk.iter().copied());
-                part.sum += base * chunk.len() as i128;
-                part.min = part.min.map(|m| m + base);
-                part.max = part.max.map(|m| m + base);
-                acc.merge(&part);
-            }
-        });
-        return Ok(acc);
-    }
-    Ok(aggregate_plain(&segment.decompress()?, None))
+    let mut out = Vec::with_capacity(1);
+    fold_runs(segment, 1, &[], true, &mut out)?;
+    Ok(out[0])
 }
 
 #[cfg(test)]
@@ -258,6 +321,31 @@ mod tests {
         assert_eq!(a.min, Some(-3));
         assert_eq!(a.max, Some(10));
         assert_eq!(a.count, 3);
+    }
+
+    #[test]
+    fn narrow_sums_only_where_the_values_prove_them() {
+        // 512 values below 2^55 sum below 2^64; one more bit may not.
+        assert!(narrow_fits(512, (1 << 55) - 1, false));
+        assert!(!narrow_fits(512, 1 << 55, false));
+        assert!(narrow_fits(1, u64::MAX, false));
+        assert!(!narrow_fits(1, u64::MAX, true), "negative values sum wide");
+        assert!(narrow_fits(64, (1 << 58) - 1, true));
+    }
+
+    #[test]
+    fn streamed_fold_matches_plain_across_the_narrow_bound() {
+        for values in [
+            vec![u64::MAX; 70],
+            vec![(1 << 58) - 1; 70],
+            (0..300).map(|i| i << 50).collect(),
+        ] {
+            check_against_plain(ColumnData::U64(values), "id");
+        }
+        check_against_plain(
+            ColumnData::I64(vec![i64::MIN, i64::MAX, -1, 0, i64::MAX]),
+            "delta[deltas=ns_zz]",
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! *detection* (bit rot, truncation), not cryptographic integrity.
 
 use crate::schema::{ColumnSchema, TableSchema};
-use crate::segment::Segment;
+use crate::segment::{SchemeKind, Segment};
 use crate::source::{FileSource, FrameLocation, SegmentMeta, SegmentSource};
 use crate::table::Table;
 use crate::{Result, StoreError};
@@ -439,6 +439,7 @@ fn read_manifest(dir: &Path) -> Result<(Vec<ColumnManifest>, usize, usize)> {
                 min,
                 max,
                 bytes: payload_bytes,
+                kind: SchemeKind::of_expr(&expr)?,
                 expr,
             });
             locations.push(FrameLocation { offset, len });
@@ -583,13 +584,7 @@ impl<'a> FileReader<'a> {
                 self.name
             )));
         }
-        let compressed = bytes::from_bytes(frame)?;
-        Ok(Segment {
-            compressed,
-            expr,
-            min,
-            max,
-        })
+        Segment::new(bytes::from_bytes(frame)?, expr, min, max)
     }
 }
 

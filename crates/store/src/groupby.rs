@@ -19,7 +19,7 @@
 //! aggregates, and parallel execution on top of the same kernels.
 
 use crate::agg::AggResult;
-use crate::segment::Segment;
+use crate::segment::{DictView, SchemeKind, Segment};
 use crate::{Result, StoreError};
 use std::collections::HashMap;
 
@@ -45,7 +45,7 @@ pub fn group_agg_naive(keys: &[Segment], values: &[Segment]) -> Result<Groups> {
 pub fn group_agg_compressed(keys: &[Segment], values: &[Segment]) -> Result<Groups> {
     check_alignment(keys, values)?;
     let mut groups = Groups::new();
-    let mut scratch: Vec<AggResult> = Vec::new();
+    let (mut scratch, mut codes): (Vec<AggResult>, Vec<u32>) = (Vec::new(), Vec::new());
     for (kseg, vseg) in keys.iter().zip(values) {
         if let Some((run_values, run_ends)) = kseg.run_structure()? {
             let v = vseg.decompress()?;
@@ -63,22 +63,20 @@ pub fn group_agg_compressed(keys: &[Segment], values: &[Segment]) -> Result<Grou
             }
             continue;
         }
-        if kseg.scheme_base() == "dict" {
-            let (dict_values, codes) = kseg.dict_parts()?;
-            let codes = codes.as_transport();
+        if kseg.kind() == SchemeKind::Dict {
+            let view = DictView::new(kseg, &mut codes, None)?;
             let v = vseg.decompress()?;
-            let v_numeric = v.to_numeric();
             scratch.clear();
-            scratch.resize(dict_values.len(), AggResult::default());
-            for (i, &value) in v_numeric.iter().enumerate() {
-                scratch[codes[i] as usize].push(value);
+            scratch.resize(view.entries.len(), AggResult::default());
+            for (&code, value) in view.codes.iter().zip(v.to_numeric()) {
+                scratch[code as usize].push(value);
             }
             for (code, acc) in scratch.iter().enumerate() {
                 if acc.count == 0 {
                     continue;
                 }
                 groups
-                    .entry(dict_values.get_numeric(code).expect("in range"))
+                    .entry(view.entries.get_numeric(code).expect("in range"))
                     .or_default()
                     .merge(acc);
             }

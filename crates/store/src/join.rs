@@ -13,7 +13,7 @@
 
 use crate::agg::for_each_run;
 use crate::hash::IntMap;
-use crate::segment::Segment;
+use crate::segment::{DictView, SchemeKind, Segment};
 use crate::Result;
 use lcdc_core::{with_column, ColumnData};
 
@@ -67,44 +67,27 @@ pub(crate) fn histogram_rows(col: &ColumnData, rows: impl Iterator<Item = usize>
     hist
 }
 
-/// Selected rows per dictionary code: the DICT tiers' one pass over the
-/// codes, shared by both join sides and the group-by sink. `codes` must
-/// be validated against `entries` ([`Segment::dict_parts`]).
-pub(crate) fn count_codes(
-    codes: &[u64],
-    entries: usize,
-    selected: impl Iterator<Item = usize>,
-) -> Vec<u64> {
-    let mut counts = vec![0u64; entries];
-    for i in selected {
-        counts[codes[i] as usize] += 1;
-    }
-    counts
-}
-
 /// Histogram one compressed segment at the best structural tier: CONST
-/// from its zone map, DICT by counting codes (each touched dictionary
-/// entry decoded once),
+/// from its zone map, DICT by counting codes into `counts` (each
+/// touched dictionary entry decoded once; `codes` is the code scratch),
 /// RLE/RPE one entry per run with run-length weights, full row
 /// decompression only as the last resort.
-pub(crate) fn segment_histogram(segment: &Segment) -> Result<SegmentHistogram> {
+pub(crate) fn segment_histogram(
+    segment: &Segment,
+    codes: &mut Vec<u32>,
+    counts: &mut Vec<u32>,
+) -> Result<SegmentHistogram> {
     let n = segment.num_rows();
-    match segment.scheme_base() {
-        "const" => return Ok(SegmentHistogram::constant(segment.min, n)),
-        "dict" => {
-            let (values, codes) = segment.dict_parts()?;
-            let counts = count_codes(&codes.as_transport(), values.len(), 0..n);
+    match segment.kind() {
+        SchemeKind::Const => return Ok(SegmentHistogram::constant(segment.min, n)),
+        SchemeKind::Dict => {
+            let view = DictView::new(segment, codes, Some(counts))?;
             // `+=`, not insert: only a compressor's dictionary is
             // known to hold each value once.
             let mut hist = Histogram::default();
-            with_column!(
-                &values,
-                |values| for (&value, &count) in values.iter().zip(&counts) {
-                    if count > 0 {
-                        *hist.entry(value.into()).or_insert(0) += count;
-                    }
-                }
-            );
+            for (value, count) in view.touched(counts) {
+                *hist.entry(value).or_insert(0) += count;
+            }
             return Ok(SegmentHistogram {
                 hist,
                 dict: true,
@@ -160,13 +143,20 @@ pub fn join_count_naive(a: &[Segment], b: &[Segment]) -> Result<u128> {
 /// Run-aware equi-join cardinality: RLE/RPE sides are hashed one entry
 /// per run via partial decompression.
 pub fn join_count_compressed(a: &[Segment], b: &[Segment]) -> Result<u128> {
+    let (mut codes, mut counts) = (Vec::new(), Vec::new());
     let mut ha = Histogram::default();
     for seg in a {
-        merge(&mut ha, segment_histogram(seg)?.hist);
+        merge(
+            &mut ha,
+            segment_histogram(seg, &mut codes, &mut counts)?.hist,
+        );
     }
     let mut hb = Histogram::default();
     for seg in b {
-        merge(&mut hb, segment_histogram(seg)?.hist);
+        merge(
+            &mut hb,
+            segment_histogram(seg, &mut codes, &mut counts)?.hist,
+        );
     }
     Ok(join_cardinality(&ha, &hb))
 }
@@ -274,9 +264,10 @@ mod tests {
         );
         // value 5 appears 40x left, 10x right.
         assert_eq!(join_count_compressed(&sa, &sb).unwrap(), 400);
-        let built = segment_histogram(&sa[0]).unwrap();
+        let (mut codes, mut counts) = (Vec::new(), Vec::new());
+        let built = segment_histogram(&sa[0], &mut codes, &mut counts).unwrap();
         assert_eq!(built.undecoded_rows, 40, "const side never decodes");
-        let built = segment_histogram(&sb[0]).unwrap();
+        let built = segment_histogram(&sb[0], &mut codes, &mut counts).unwrap();
         assert_eq!(built.undecoded_rows, 40, "dict side counts codes");
         assert!(built.dict, "counted off the dictionary");
         assert_eq!(built.hist.len(), 4);

@@ -119,7 +119,7 @@ pub use query::{
     QueryStats, Rows,
 };
 pub use schema::{ColumnSchema, TableSchema};
-pub use segment::{CompressionPolicy, Segment};
+pub use segment::{CompressionPolicy, SchemeKind, Segment};
 pub use selvec::{gather_early, gather_late, select, select_and, GatherStats, SelVec};
 pub use server::{
     Client, EndpointStats, Request, Response, RetryPolicy, Server, ServerConfig, StatsReport,

@@ -15,7 +15,7 @@
 //!    codes directly.
 //! 4. **Row granularity**: decompress and test.
 
-use crate::segment::Segment;
+use crate::segment::{DictView, SchemeKind, Segment};
 use crate::Result;
 use lcdc_colops::Bitmap;
 use lcdc_core::ColumnData;
@@ -159,22 +159,24 @@ impl Predicate {
         segment: &Segment,
         stats: Option<&mut PushdownStats>,
     ) -> Result<Bitmap> {
-        self.eval_segment_caching(segment, stats, &mut None)
+        self.eval_segment_caching(segment, stats, &mut None, &mut Vec::new())
     }
 
     /// Like [`Predicate::eval_segment`], but when the row-granularity
     /// tier has to fully decompress the segment, the plain column is
     /// handed back through `plain_out` so the caller can reuse it
-    /// instead of decompressing the same segment a second time.
-    pub fn eval_segment_caching(
+    /// instead of decompressing the same segment a second time. `codes`
+    /// is the code tier's scratch ([`DictView`]).
+    pub(crate) fn eval_segment_caching(
         &self,
         segment: &Segment,
         stats: Option<&mut PushdownStats>,
         plain_out: &mut Option<ColumnData>,
+        codes: &mut Vec<u32>,
     ) -> Result<Bitmap> {
         let n = segment.num_rows();
         let mut local_stats = PushdownStats::default();
-        let result = self.eval_segment_inner(segment, n, &mut local_stats, plain_out)?;
+        let result = self.eval_segment_inner(segment, n, &mut local_stats, plain_out, codes)?;
         if let Some(s) = stats {
             s.absorb(&local_stats);
         }
@@ -187,6 +189,7 @@ impl Predicate {
         n: usize,
         stats: &mut PushdownStats,
         plain_out: &mut Option<ColumnData>,
+        codes: &mut Vec<u32>,
     ) -> Result<Bitmap> {
         // Tier 1: zone map (`zone_decides` is predicate-shape-aware, so
         // an `In` list is never wrongly proven all-matching).
@@ -215,44 +218,32 @@ impl Predicate {
         // range into a *code* range and test codes directly, never
         // materialising the gathered values (the classic dictionary
         // pushdown; another face of "executing on the compressed form").
-        if segment.scheme_base() == "dict" && self.bounds().is_some() {
+        if segment.kind() == SchemeKind::Dict && self.bounds().is_some() {
             stats.code_granularity += 1;
-            let scheme = segment.scheme()?;
-            let dict =
-                scheme.decompress_part(&segment.compressed, lcdc_core::schemes::dict::ROLE_DICT)?;
-            let dict_numeric = dict.to_numeric();
             // Decide from the dictionary alone first — a predicate no
             // dictionary entry satisfies empties the segment without
-            // ever decompressing the per-row codes.
+            // ever decompressing the per-row codes. Otherwise the
+            // matching entries are a membership list (In) or, the
+            // dictionary being order-preserving, one code range.
+            let dict_numeric = segment.dictionary()?.to_numeric();
+            let selected: Vec<bool> = match self {
+                Predicate::In(_) => dict_numeric.iter().map(|&v| self.test(v)).collect(),
+                _ => {
+                    let (lo, hi) = self.bounds().expect("checked above");
+                    let code_lo = dict_numeric.partition_point(|&v| v < lo);
+                    let code_hi = dict_numeric.partition_point(|&v| v <= hi);
+                    (0..dict_numeric.len())
+                        .map(|code| (code_lo..code_hi).contains(&code))
+                        .collect()
+                }
+            };
             let mut bitmap = Bitmap::new_zeroed(n);
-            if let Predicate::In(_) = self {
-                // Membership per *dictionary entry* (tiny vs rows),
-                // then test the codes against the marked entries.
-                let selected: Vec<bool> = dict_numeric.iter().map(|&v| self.test(v)).collect();
-                if !selected.iter().any(|&s| s) {
-                    return Ok(bitmap);
-                }
-                let codes = scheme
-                    .decompress_part(&segment.compressed, lcdc_core::schemes::dict::ROLE_CODES)?;
-                for (i, &code) in codes.as_transport().iter().enumerate() {
-                    if selected.get(code as usize).copied().unwrap_or(false) {
-                        bitmap.set(i);
-                    }
-                }
+            if !selected.contains(&true) {
                 return Ok(bitmap);
             }
-            // Range/Eq: the dictionary is order-preserving, so the
-            // value range rewrites into one contiguous code range.
-            let (lo, hi) = self.bounds().expect("checked above");
-            let code_lo = dict_numeric.partition_point(|&v| v < lo) as u64;
-            let code_hi = dict_numeric.partition_point(|&v| v <= hi) as u64; // exclusive
-            if code_lo >= code_hi {
-                return Ok(bitmap);
-            }
-            let codes = scheme
-                .decompress_part(&segment.compressed, lcdc_core::schemes::dict::ROLE_CODES)?;
-            for (i, &code) in codes.as_transport().iter().enumerate() {
-                if (code_lo..code_hi).contains(&code) {
+            let view = DictView::new(segment, codes, None)?;
+            for (i, &code) in view.codes.iter().enumerate() {
+                if selected[code as usize] {
                     bitmap.set(i);
                 }
             }

@@ -6,10 +6,14 @@
 //! to a dense *slot*. Everything per row then happens in slot space:
 //! the value columns fold through `slots[unit of row]` into plain
 //! arrays, one typed pass per column, with no hashing, no key decode
-//! and no per-group heap object on the way.
+//! and no per-group heap object on the way. Under a full selection the
+//! value columns fold first into per-unit sums ([`UnitFold`]) straight
+//! off their streams, and each unit reaches its slot once.
 
-use crate::agg::{AggResult, Native};
+use crate::agg::{narrow_fits, widen, AggResult, Native};
 use crate::hash::IntMap;
+use crate::segment::Segment;
+use crate::{Result, StoreError};
 
 /// One value column's running aggregates, struct-of-arrays by slot.
 /// `min`/`max` are kept only when the plan asks for an extremum of the
@@ -126,6 +130,29 @@ impl GroupTable {
         }
     }
 
+    /// Whether value column `col` keeps MIN / MAX.
+    pub(crate) fn extrema(&self, col: usize) -> bool {
+        self.cols[col].extrema
+    }
+
+    /// Fold one pre-aggregated part per key unit into value column
+    /// `col`, at the slots [`GroupTable::resolve`] gave the units:
+    /// `part(u)` for every unit `u` that has selected rows.
+    pub(crate) fn absorb_units(
+        &mut self,
+        col: usize,
+        rows: impl Iterator<Item = usize>,
+        part: impl Fn(usize) -> AggResult,
+    ) {
+        let slots = std::mem::take(&mut self.slots);
+        for (unit, rows) in rows.enumerate() {
+            if rows > 0 {
+                self.absorb(col, slots[unit], &part(unit));
+            }
+        }
+        self.slots = slots;
+    }
+
     /// Fold a pre-aggregated part (a run, a whole segment) into `slot`
     /// of value column `col`.
     pub(crate) fn absorb(&mut self, col: usize, slot: usize, part: &AggResult) {
@@ -166,6 +193,103 @@ impl GroupTable {
             for (col, part) in per_col.iter().enumerate() {
                 self.absorb(col, slot, part);
             }
+        }
+    }
+}
+
+/// One value column's running sums (and extrema) per key unit of a
+/// segment — a dictionary code, or a segment-local key id — folded
+/// straight off the value stream. Sums run in `u64` while
+/// [`narrow_fits`] proves no unit's sum can overflow — every unit
+/// accumulates at most the segment's rows, each below the OR of all
+/// values seen — and switch to exact `i128` for the rest of the segment
+/// the moment it cannot. Reused across segments (per lease slot).
+#[derive(Debug, Default)]
+pub(crate) struct UnitFold {
+    narrow: Vec<u64>,
+    wide: Vec<i128>,
+    min: Vec<i128>,
+    max: Vec<i128>,
+    or: u64,
+    is_wide: bool,
+    extrema: bool,
+}
+
+impl UnitFold {
+    /// Fold `seg`'s values into the unit of each row: row `i` belongs to
+    /// `units[i]`, every unit below `count`.
+    pub(crate) fn fold(
+        &mut self,
+        seg: &Segment,
+        units: &[u32],
+        count: usize,
+        extrema: bool,
+    ) -> Result<()> {
+        let reset = |v: &mut Vec<i128>, fill| {
+            v.clear();
+            v.resize(count, fill);
+        };
+        self.narrow.clear();
+        self.narrow.resize(count, 0);
+        self.wide.clear();
+        (self.or, self.is_wide, self.extrema) = (0, false, extrema);
+        if extrema {
+            reset(&mut self.min, i128::MAX);
+            reset(&mut self.max, i128::MIN);
+        }
+        let signed = seg.compressed.dtype.signed();
+        let (mut pos, mut aligned) = (0usize, true);
+        seg.visit(&mut |chunk| {
+            let Some(rows) = units.get(pos..pos + chunk.len()) else {
+                aligned = false;
+                return;
+            };
+            pos += chunk.len();
+            self.or |= chunk.iter().fold(0, |or, &v| or | v);
+            if !self.is_wide && !narrow_fits(units.len(), self.or, signed) {
+                self.wide.extend(self.narrow.iter().map(|&s| s as i128));
+                self.is_wide = true;
+            }
+            if self.is_wide {
+                for (&unit, &v) in rows.iter().zip(chunk) {
+                    self.wide[unit as usize] += widen(v, signed);
+                }
+            } else {
+                for (&unit, &v) in rows.iter().zip(chunk) {
+                    let sum = &mut self.narrow[unit as usize];
+                    *sum = sum.wrapping_add(v);
+                }
+            }
+            if extrema {
+                for (&unit, &v) in rows.iter().zip(chunk) {
+                    let (v, unit) = (widen(v, signed), unit as usize);
+                    self.min[unit] = self.min[unit].min(v);
+                    self.max[unit] = self.max[unit].max(v);
+                }
+            }
+        })?;
+        if !aligned || pos != units.len() {
+            return Err(StoreError::Shape(format!(
+                "value segment of {} rows against {} key rows",
+                seg.num_rows(),
+                units.len()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Unit `unit`'s aggregate over the segment (its count is the
+    /// caller's: rows per unit are counted once, for every column).
+    pub(crate) fn part(&self, unit: usize) -> AggResult {
+        AggResult {
+            sum: if self.is_wide {
+                self.wide[unit]
+            } else {
+                self.narrow[unit] as i128
+            },
+            min: self.extrema.then(|| self.min[unit]),
+            max: self.extrema.then(|| self.max[unit]),
+            count: 0,
         }
     }
 }

@@ -48,7 +48,9 @@
 
 use super::cancel::CancelToken;
 use super::logical::QuerySpec;
-use super::physical::{JoinRight, PhysicalPlan, QueryStats, Sink, SinkState, TOPK_BOUND_UNSET};
+use super::physical::{
+    JoinRight, PhysicalPlan, QueryStats, Scratch, Sink, SinkState, TOPK_BOUND_UNSET,
+};
 use super::result::QueryResult;
 use crate::source::SegmentSource;
 use crate::table::Table;
@@ -256,10 +258,12 @@ impl Drop for ScanOver<'_> {
     }
 }
 
-/// A partial result: one lease slot's sink state and counters.
+/// A partial result: one lease slot's sink state and counters, plus the
+/// scratch its segment visits reuse.
 struct Slot {
     state: SinkState,
     stats: QueryStats,
+    scratch: Scratch,
 }
 
 /// A claimed run of morsels plus the slot its results accumulate in;
@@ -507,6 +511,7 @@ impl Job {
         let slot = inner.idle.pop().unwrap_or_else(|| Slot {
             state: SinkState::for_sink_shared(&self.sink, self.bound.clone()),
             stats: QueryStats::default(),
+            scratch: Scratch::default(),
         });
         Some(Lease { start, end, slot })
     }
@@ -530,7 +535,7 @@ impl Job {
                 .plans
                 .get(p)
                 .ok_or_else(|| StoreError::Shape(format!("morsel names unknown plan {p}")))?;
-            plan.execute_segment(s, &mut slot.state, &mut slot.stats)
+            plan.execute_segment(s, &mut slot.state, &mut slot.scratch, &mut slot.stats)
         });
         // Lease over: hand any improvement publication batching held
         // back to the leases still running.

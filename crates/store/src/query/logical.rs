@@ -18,6 +18,7 @@ use super::result::QueryResult;
 use crate::agg::AggKind;
 use crate::fnv::Fnv;
 use crate::predicate::Predicate;
+use crate::segment::SchemeKind;
 use crate::table::Table;
 use crate::{Result, StoreError};
 use std::sync::Arc;
@@ -462,7 +463,7 @@ fn cost_based_clause_order(table: &Table, clauses: &[Vec<Leaf>]) -> Vec<usize> {
                 ClauseZone::Undecided(leaves) => {
                     costs[idx] += leaves
                         .iter()
-                        .map(|(col, _, _)| scheme_leaf_cost(&table.meta_at(*col, seg).expr))
+                        .map(|(col, _, _)| scheme_leaf_cost(table.meta_at(*col, seg).kind))
                         .sum::<u64>();
                 }
             }
@@ -481,14 +482,13 @@ fn cost_based_clause_order(table: &Table, clauses: &[Vec<Leaf>]) -> Vec<usize> {
 /// Relative cost of deciding one predicate leaf on a segment the zone
 /// map left undecided, by the segment's compression scheme: the tiers
 /// of [`Predicate::eval_segment`], cheapest first.
-fn scheme_leaf_cost(expr: &str) -> u64 {
-    let base = expr.split(['(', '[']).next().unwrap_or(expr);
-    match base {
-        "const" => 1,
-        "rle" | "rpe" | "sparse" => 2, // run-granular bitmap painting
-        "dict" => 3,                   // code-granular membership
-        "for" | "step" | "vstep" => 6, // model algebra, partial decompress
-        _ => 8,                        // ns / delta / raw: full row tier
+fn scheme_leaf_cost(kind: SchemeKind) -> u64 {
+    match kind {
+        SchemeKind::Const => 1,
+        SchemeKind::Rle | SchemeKind::Rpe | SchemeKind::Sparse => 2, // run-granular painting
+        SchemeKind::Dict => 3,                                       // code-granular membership
+        SchemeKind::For => 6, // model algebra, partial decompress
+        SchemeKind::Ns | SchemeKind::Other => 8, // ns / delta / raw: full row tier
     }
 }
 

@@ -11,27 +11,29 @@
 //! touch bytes ([`QueryStats::segments_loaded`] counts those fetches).
 //! The filter CNF is evaluated at the cheapest granularity that decides
 //! it, and the sink consumes the surviving selection — structurally off
-//! the compressed form where the scheme allows, by materialising rows
-//! only as the last resort. Segments are independent, so one
+//! the compressed form where the scheme allows (run values, dictionary
+//! codes), folding each column's value stream ([`Segment::visit`]) under
+//! a full selection, and materialising rows only under a mask or on the
+//! naive baseline. Segments are independent, so one
 //! per-segment pipeline — [`PhysicalPlan::execute_segment`], called
 //! only by the executor's lease loop (`super::job`) — serves every
 //! schedule, from one thread to the server's pool.
 
-use super::groups::GroupTable;
+use super::groups::{GroupTable, UnitFold};
 use crate::agg::{
-    aggregate_plain, aggregate_rows, aggregate_runs, aggregate_segment, for_each_run, AggKind,
-    AggResult, Native,
+    aggregate_plain, aggregate_runs, fold_runs, for_each_run, widen, AggKind, AggResult,
 };
 use crate::hash::{IntMap, IntSet};
-use crate::join::{count_codes, histogram_rows, segment_histogram, SegmentHistogram};
+use crate::join::{histogram_rows, segment_histogram, Histogram, SegmentHistogram};
 use crate::predicate::{Predicate, PushdownStats};
-use crate::segment::Segment;
+use crate::segment::{DictView, SchemeKind, Segment};
 use crate::table::Table;
 use crate::{Result, StoreError};
-use lcdc_colops::Bitmap;
-use lcdc_core::schemes::{const_, dict, rle, rpe, sparse};
+use lcdc_colops::{Bitmap, Scalar};
+use lcdc_core::schemes::{const_, dict, ns, rle, rpe, sparse};
 use lcdc_core::{with_column, ColumnData};
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -73,14 +75,17 @@ pub struct QueryStats {
     /// lazily-backed tables. Counted once per `(column, segment)` pair
     /// per visit; zone-map-pruned segments fetch nothing.
     pub segments_loaded: usize,
-    /// Rows decompressed to feed the sink — or, in naive mode, to
-    /// evaluate filters. Counted per *row*, once per segment, even when
-    /// several columns of that segment materialise. Decompression spent
-    /// deciding a predicate on the pushdown path is reported through
-    /// [`PushdownStats::row_granularity`] instead, not here.
+    /// Rows decompressed into a plain column to feed the sink — under a
+    /// masked selection, or in naive mode (which also decodes to
+    /// evaluate filters). Counted per *row*, once per segment, even when
+    /// several columns of that segment materialise. A full selection on
+    /// the pushdown path folds value streams and charges nothing here;
+    /// decompression spent deciding a predicate is reported through
+    /// [`PushdownStats::row_granularity`] instead.
     pub rows_materialized: usize,
     /// Values fed to the sink operator — run/dictionary/part entries on
-    /// the structural paths, decompressed rows otherwise.
+    /// the structural paths, every value of a streamed column, selected
+    /// decompressed rows otherwise.
     pub values_processed: usize,
     /// Queries answered from the catalog's result cache instead of
     /// executing (0 or 1 per [`crate::Catalog::execute`] call; stats
@@ -310,11 +315,11 @@ pub(crate) enum SinkState {
         /// key value → number of joined `(left row, right row)` pairs.
         pairs: IntMap<i128, i128>,
         /// Per-worker build-side cache: `(right shard, right segment)` →
-        /// its histogram at the best structural granularity, built once
-        /// per worker and reused across every left segment the worker
-        /// visits. Never merged across workers — only `pairs` is the
-        /// answer.
-        cache: IntMap<(usize, usize), SegmentHistogram>,
+        /// its build side, built once per worker and reused across
+        /// every left segment the worker visits, with the pairs joined
+        /// against each of its keys so far. Flushed into `pairs` when
+        /// the worker's state merges — only `pairs` is the answer.
+        cache: IntMap<(usize, usize), JoinBuild>,
     },
 }
 
@@ -332,11 +337,7 @@ impl SinkState {
                 acc: GroupAcc::new(cols.len()),
             },
             Sink::GroupBy { cols, specs, .. } => SinkState::Groups {
-                table: GroupTable::new((0..cols.len()).map(|slot| {
-                    specs.iter().any(|spec| {
-                        spec.slot == Some(slot) && matches!(spec.kind, AggKind::Min | AggKind::Max)
-                    })
-                })),
+                table: GroupTable::new((0..cols.len()).map(|slot| wants_extrema(specs, slot))),
             },
             Sink::TopK { k, .. } => SinkState::TopK {
                 heap: BinaryHeap::with_capacity(k + 1),
@@ -365,11 +366,18 @@ impl SinkState {
                 }
             }
             (SinkState::Distinct { set }, SinkState::Distinct { set: o }) => set.extend(o),
-            (SinkState::Join { pairs, .. }, SinkState::Join { pairs: o, .. }) => {
-                // Fan-in merges only the answer; the other worker's
-                // build-side cache is scratch and drops here.
+            (SinkState::Join { pairs, .. }, SinkState::Join { pairs: o, cache }) => {
+                // Fan-in merges the answer: the other worker's pairs, and
+                // the pairs its cached build sides accumulated.
                 for (key, count) in o {
                     *pairs.entry(key).or_insert(0) += count;
+                }
+                for build in cache.into_values() {
+                    for (key, (_, joined)) in build.keys {
+                        if joined != 0 {
+                            *pairs.entry(key).or_insert(0) += joined;
+                        }
+                    }
                 }
             }
             _ => unreachable!("mismatched sink states"),
@@ -427,6 +435,14 @@ enum Selection {
 }
 
 impl Selection {
+    /// The surviving rows' bitmap, `None` when every row survives.
+    fn mask(&self) -> Option<&Bitmap> {
+        match self {
+            Selection::All => None,
+            Selection::Mask(mask) => Some(mask),
+        }
+    }
+
     /// How many of a segment's `n` rows are selected.
     fn count(&self, n: usize) -> usize {
         match self {
@@ -505,8 +521,9 @@ pub(crate) fn clause_zone<'c>(
     }
 }
 
-/// Fetches and decompresses columns for one segment *visit*, with three
-/// jobs:
+/// Fetches and decompresses columns for one segment *visit* — the only
+/// place a sink decodes a column (masked selections, the naive
+/// baseline) — with three jobs:
 ///
 /// * **Fetch each segment payload at most once per visit** — the source
 ///   may be disk-backed; `segments_loaded` counts one fetch per
@@ -823,6 +840,7 @@ impl PhysicalPlan {
         &self,
         seg_idx: usize,
         state: &mut SinkState,
+        scratch: &mut Scratch,
         stats: &mut QueryStats,
     ) -> Result<()> {
         stats.segments += 1;
@@ -834,7 +852,7 @@ impl PhysicalPlan {
         // The join sink runs its own pipeline: zone pair pruning first,
         // then the shared filter evaluation, then the per-pair tiers.
         if let Sink::Join { key, right } = &self.sink {
-            return self.sink_join(seg_idx, n, *key, right, state, stats);
+            return self.sink_join(seg_idx, n, *key, right, state, scratch, stats);
         }
         // Top-k threshold pruning consults only the zone map — before
         // the filters, before any payload fetch. Two bounds apply: this
@@ -869,22 +887,24 @@ impl PhysicalPlan {
             }
         }
         let mut mat = Materializer::new(n);
-        let selection = if self.naive {
-            self.eval_filters_naive(seg_idx, n, &mut mat, stats)?
-        } else {
-            self.eval_filters_pushdown(seg_idx, n, &mut mat, stats)?
-        };
-        let Some(selection) = selection else {
+        let Some(selection) = self.eval_filters(seg_idx, n, &mut mat, scratch, stats)? else {
             stats.segments_pruned += 1;
             return Ok(());
         };
         match (&self.sink, state) {
-            (Sink::Aggregate { cols, .. }, SinkState::Aggregate { acc }) => {
-                self.sink_aggregate(seg_idx, n, &selection, cols, acc, &mut mat, stats)
-            }
-            (Sink::GroupBy { key, cols, .. }, SinkState::Groups { table }) => {
-                self.sink_group_by(seg_idx, n, &selection, *key, cols, table, &mut mat, stats)
-            }
+            (Sink::Aggregate { specs, cols }, SinkState::Aggregate { acc }) => self.sink_aggregate(
+                seg_idx,
+                n,
+                &selection,
+                (specs, cols),
+                acc,
+                &mut mat,
+                scratch,
+                stats,
+            ),
+            (Sink::GroupBy { key, cols, .. }, SinkState::Groups { table }) => self.sink_group_by(
+                seg_idx, n, &selection, *key, cols, table, &mut mat, scratch, stats,
+            ),
             (
                 Sink::TopK { col, k },
                 SinkState::TopK {
@@ -946,6 +966,7 @@ impl PhysicalPlan {
         seg_idx: usize,
         predicate: &Predicate,
         mat: &mut Materializer,
+        scratch: &mut Scratch,
         stats: &mut QueryStats,
     ) -> Result<Bitmap> {
         if let Some(plain) = mat.get(col) {
@@ -953,8 +974,12 @@ impl PhysicalPlan {
         }
         let seg = self.fetch(col, seg_idx, mat, stats)?;
         let mut plain_out = None;
-        let step =
-            predicate.eval_segment_caching(&seg, Some(&mut stats.pushdown), &mut plain_out)?;
+        let step = predicate.eval_segment_caching(
+            &seg,
+            Some(&mut stats.pushdown),
+            &mut plain_out,
+            &mut scratch.codes,
+        )?;
         if let Some(plain) = plain_out {
             mat.put(col, plain);
         }
@@ -971,6 +996,7 @@ impl PhysicalPlan {
         seg_idx: usize,
         n: usize,
         mat: &mut Materializer,
+        scratch: &mut Scratch,
         stats: &mut QueryStats,
     ) -> Result<ClauseOutcome> {
         // Pass 1 — zone maps across *all* alternatives before any
@@ -986,7 +1012,7 @@ impl PhysicalPlan {
         // Pass 2 — evaluate the survivors at the cheapest data tier.
         let mut union: Option<Bitmap> = None;
         for (col, _, predicate) in undecided {
-            let step = self.eval_leaf(*col, seg_idx, predicate, mat, stats)?;
+            let step = self.eval_leaf(*col, seg_idx, predicate, mat, scratch, stats)?;
             if step.count_ones() == n {
                 return Ok(ClauseOutcome::AllRows);
             }
@@ -1012,18 +1038,23 @@ impl PhysicalPlan {
         })
     }
 
-    /// Evaluate the filter CNF with every pushdown tier.
-    /// `None` means the segment is out entirely.
-    fn eval_filters_pushdown(
+    /// Evaluate the filter CNF — row by row on the naive baseline, with
+    /// every pushdown tier otherwise. `None` means the segment is out
+    /// entirely.
+    fn eval_filters(
         &self,
         seg_idx: usize,
         n: usize,
         mat: &mut Materializer,
+        scratch: &mut Scratch,
         stats: &mut QueryStats,
     ) -> Result<Option<Selection>> {
+        if self.naive {
+            return self.eval_filters_naive(seg_idx, n, mat, stats);
+        }
         let mut mask: Option<Bitmap> = None;
         for clause in &self.filters {
-            let step = match self.eval_clause(clause, seg_idx, n, mat, stats)? {
+            let step = match self.eval_clause(clause, seg_idx, n, mat, scratch, stats)? {
                 ClauseOutcome::Empty => return Ok(None),
                 ClauseOutcome::AllRows => continue,
                 ClauseOutcome::Mask(step) => step,
@@ -1093,77 +1124,42 @@ impl PhysicalPlan {
         seg_idx: usize,
         n: usize,
         selection: &Selection,
-        cols: &[usize],
+        (specs, cols): (&[AggSpec], &[usize]),
         acc: &mut GroupAcc,
         mat: &mut Materializer,
+        scratch: &mut Scratch,
         stats: &mut QueryStats,
     ) -> Result<()> {
-        match selection {
-            Selection::All if !self.naive => {
-                // Whole segment selected: aggregate on the compressed
-                // form, never materialising the column. A count with no
-                // agg columns is answered from the zone map alone —
-                // maximally structural, matching the group-by sink's
-                // convention for its no-value-columns case.
-                let mut structural = true;
-                for (slot, col) in cols.iter().enumerate() {
-                    let seg = self.fetch(*col, seg_idx, mat, stats)?;
-                    let before = stats.rows_materialized;
-                    let part = self.aggregate_whole_segment(*col, &seg, n, mat, stats)?;
-                    structural &= stats.rows_materialized == before;
-                    acc.per_col[slot].merge(&part);
-                }
-                if structural {
-                    stats.segments_structural += 1;
-                }
-                acc.rows += n;
+        if let (Selection::All, false) = (selection, self.naive) {
+            // Whole segment selected: fold every column off its
+            // compressed form, never materialising it. A count with no
+            // agg columns is answered from the zone map alone —
+            // structural, as is a segment whose every column folds per
+            // run.
+            let mut structural = true;
+            for (slot, col) in cols.iter().enumerate() {
+                let seg = self.fetch(*col, seg_idx, mat, stats)?;
+                structural &= matches!(seg.kind(), SchemeKind::Rle | SchemeKind::Rpe);
+                let extrema = wants_extrema(specs, slot);
+                let part = aggregate_whole_segment(&seg, extrema, scratch, stats)?;
+                acc.per_col[slot].merge(&part);
             }
-            Selection::All => {
-                for (slot, col) in cols.iter().enumerate() {
-                    let seg = self.fetch(*col, seg_idx, mat, stats)?;
-                    let plain = mat.decompress(*col, &seg, stats)?;
-                    stats.values_processed += plain.len();
-                    acc.per_col[slot].merge(&aggregate_plain(&plain, None));
-                }
-                acc.rows += n;
+            if structural {
+                stats.segments_structural += 1;
             }
-            Selection::Mask(mask) => {
-                for (slot, col) in cols.iter().enumerate() {
-                    let seg = self.fetch(*col, seg_idx, mat, stats)?;
-                    let plain = mat.decompress(*col, &seg, stats)?;
-                    stats.values_processed += mask.count_ones();
-                    acc.per_col[slot].merge(&aggregate_plain(&plain, Some(mask)));
-                }
-                acc.rows += mask.count_ones();
-            }
+            acc.rows += n;
+            return Ok(());
         }
+        // A mask, or the naive baseline: fold the decoded rows.
+        let selected = selection.count(n);
+        for (slot, col) in cols.iter().enumerate() {
+            let seg = self.fetch(*col, seg_idx, mat, stats)?;
+            let plain = mat.decompress(*col, &seg, stats)?;
+            stats.values_processed += selected;
+            acc.per_col[slot].merge(&aggregate_plain(&plain, selection.mask()));
+        }
+        acc.rows += selected;
         Ok(())
-    }
-
-    /// Aggregate one whole segment, structurally where the scheme
-    /// permits: RLE/RPE fold one weighted value per *run*
-    /// (`values_processed` counts runs, like the other structural
-    /// sinks), FOR uses the reference algebra over its part columns
-    /// (every offset is touched, so `values_processed` counts rows).
-    fn aggregate_whole_segment(
-        &self,
-        col: usize,
-        seg: &Segment,
-        n: usize,
-        mat: &mut Materializer,
-        stats: &mut QueryStats,
-    ) -> Result<AggResult> {
-        if let Some((values, ends)) = seg.run_structure()? {
-            stats.values_processed += values.len();
-            return Ok(aggregate_runs(&values, &ends, n));
-        }
-        if seg.compressed.scheme_id.starts_with("for(") {
-            stats.values_processed += n;
-            return aggregate_segment(seg, None);
-        }
-        let plain = mat.decompress(col, seg, stats)?;
-        stats.values_processed += plain.len();
-        Ok(aggregate_plain(&plain, None))
     }
 
     /// The plain rows of every value column of a group-by, in `cols`
@@ -1183,7 +1179,7 @@ impl PhysicalPlan {
             .collect()
     }
 
-    /// The group-by sink, tiered by the *key segment's* scheme tag —
+    /// The group-by sink, tiered by the *key segment's* scheme kind —
     /// the aggregation-pushdown mirror of the filter tiers. Each tier
     /// resolves keys to [`GroupTable`] slots at its own granularity;
     /// the value columns then fold in slot space:
@@ -1193,12 +1189,17 @@ impl PhysicalPlan {
     ///    read off the zone map. One hash probe, zero key rows decoded.
     /// 2. **DICT**: count rows per dictionary code, resolve each
     ///    *touched* code's key once (the only place a dictionary entry
-    ///    is read), then fold every value column through its code's
-    ///    slot — no hash probe, no key decode per row.
+    ///    is read), then fold every value column per code — straight
+    ///    off its stream under a full selection ([`UnitFold`]), through
+    ///    its code's slot per selected row under a mask. No hash probe,
+    ///    no key decode per row.
     /// 3. **RLE/RPE** (full selection): probe the hash table once per
-    ///    run, folding the run's rows as one slice per value column.
-    /// 4. Fallback: decompress the key and resolve a slot per selected
-    ///    row.
+    ///    run, folding each value column's stream into per-run sums.
+    /// 4. Fallback: under a full selection the key streams into
+    ///    segment-local units (one probe per row into the segment's own
+    ///    keys, one slot resolution per distinct key) and the values
+    ///    fold per unit off their streams; under a mask, decompress the
+    ///    key and resolve a slot per selected row.
     ///
     /// [`QueryStats::groups_folded`] counts the key units tiers 1–3
     /// fold; [`QueryStats::rows_undecoded`] counts the rows whose key
@@ -1213,16 +1214,18 @@ impl PhysicalPlan {
         cols: &[usize],
         table: &mut GroupTable,
         mat: &mut Materializer,
+        scratch: &mut Scratch,
         stats: &mut QueryStats,
     ) -> Result<()> {
         let kseg = self.fetch(key, seg_idx, mat, stats)?;
         let selected = selection.count(n);
+        let full = matches!(selection, Selection::All);
         if !self.naive {
-            match kseg.scheme_base() {
+            match kseg.kind() {
                 // Tier 1 — CONST key: one group owns the whole segment.
                 // The key value is the zone map (min == max); under a
                 // full selection the value columns fold structurally.
-                "const" => {
+                SchemeKind::Const => {
                     stats.values_processed += 1;
                     stats.groups_folded += 1;
                     stats.rows_undecoded += selected;
@@ -1233,62 +1236,119 @@ impl PhysicalPlan {
                     for (slot_col, col) in cols.iter().enumerate() {
                         let seg = self.fetch(*col, seg_idx, mat, stats)?;
                         let part = match selection {
-                            Selection::All => {
-                                self.aggregate_whole_segment(*col, &seg, n, mat, stats)?
-                            }
-                            Selection::Mask(mask) => {
-                                aggregate_plain(&*mat.decompress(*col, &seg, stats)?, Some(mask))
-                            }
+                            Selection::All => aggregate_whole_segment(
+                                &seg,
+                                table.extrema(slot_col),
+                                scratch,
+                                stats,
+                            )?,
+                            Selection::Mask(_) => aggregate_plain(
+                                &*mat.decompress(*col, &seg, stats)?,
+                                selection.mask(),
+                            ),
                         };
                         table.absorb(slot_col, slot, &part);
                     }
                     return Ok(());
                 }
                 // Tier 2 — DICT key: dense code-space aggregation.
-                "dict" => {
-                    let (dict_values, codes) = kseg.dict_parts()?;
-                    let codes = codes.as_transport();
-                    let plains = self.value_columns(cols, seg_idx, mat, stats)?;
+                SchemeKind::Dict => {
+                    let counts = &mut scratch.counts;
+                    let view = dict_view(&kseg, selection, &mut scratch.codes, counts)?;
                     stats.values_processed += selected;
                     stats.rows_undecoded += selected;
+                    stats.groups_folded += counts.iter().filter(|&&count| count > 0).count();
                     if cols.is_empty() {
                         stats.segments_structural += 1;
                     }
-                    let counts = count_codes(&codes, dict_values.len(), selection.rows(n));
-                    stats.groups_folded += counts.iter().filter(|&&count| count > 0).count();
-                    with_column!(&dict_values, |keys| table.resolve(
+                    with_column!(&*view.entries, |keys| table.resolve(
                         keys.iter()
-                            .zip(&counts)
+                            .zip(counts.iter())
                             .map(|(&key, &count)| (key.into(), count as usize))
                     ));
-                    let codes = &codes[..n];
-                    fold_values(table, &plains, selection, |i| codes[i] as usize);
+                    if !full {
+                        let plains = self.value_columns(cols, seg_idx, mat, stats)?;
+                        fold_values(table, &plains, selection, |i| view.codes[i] as usize);
+                        return Ok(());
+                    }
+                    let fold = &mut scratch.fold;
+                    for (slot_col, col) in cols.iter().enumerate() {
+                        let seg = self.fetch(*col, seg_idx, mat, stats)?;
+                        let extrema = table.extrema(slot_col);
+                        fold.fold(&seg, view.codes, view.entries.len(), extrema)?;
+                        let rows = counts.iter().map(|&count| count as usize);
+                        table.absorb_units(slot_col, rows, |code| fold.part(code));
+                    }
                     return Ok(());
+                }
+                // Tier 3 — run-structured keys + full selection: probe
+                // the hash table once per run, not once per row.
+                SchemeKind::Rle | SchemeKind::Rpe if full => {
+                    if let Some((run_values, run_ends)) = kseg.run_structure()? {
+                        let runs = run_values.len();
+                        stats.values_processed += runs;
+                        stats.groups_folded += runs;
+                        stats.rows_undecoded += n;
+                        if cols.is_empty() {
+                            stats.segments_structural += 1;
+                        }
+                        let units = &mut scratch.keys;
+                        units.clear();
+                        for_each_run(&run_values, &run_ends, n, |key, rows| {
+                            units.push((key, rows.len()))
+                        });
+                        table.resolve(units.iter().copied());
+                        for (slot_col, col) in cols.iter().enumerate() {
+                            let seg = self.fetch(*col, seg_idx, mat, stats)?;
+                            let extrema = table.extrema(slot_col);
+                            fold_runs(&seg, runs, &run_ends, extrema, &mut scratch.runs)?;
+                            let rows = units.iter().map(|&(_, rows)| rows);
+                            table.absorb_units(slot_col, rows, |run| scratch.runs[run]);
+                        }
+                        return Ok(());
+                    }
                 }
                 _ => {}
             }
-            // Tier 3 — run-structured keys + full selection: probe the
-            // hash table once per run, not once per row.
-            if matches!(selection, Selection::All) {
-                if let Some((run_values, run_ends)) = kseg.run_structure()? {
-                    stats.values_processed += run_values.len();
-                    stats.groups_folded += run_values.len();
-                    stats.rows_undecoded += n;
-                    if cols.is_empty() {
-                        stats.segments_structural += 1;
-                    }
-                    let plains = self.value_columns(cols, seg_idx, mat, stats)?;
-                    for_each_run(&run_values, &run_ends, n, |key, rows| {
-                        let slot = table.slot(key, rows.len());
-                        for (col, plain) in plains.iter().enumerate() {
-                            table.absorb(col, slot, &aggregate_rows(plain, rows.clone()));
-                        }
-                    });
-                    return Ok(());
-                }
-            }
         }
-        // Tier 4 — fallback: hash per selected row.
+        // Tier 4 — fallback. Under a full selection the key streams into
+        // segment-local units — one probe per row into a table of the
+        // segment's own distinct keys, one group resolution per distinct
+        // key — and every value column folds per unit off its stream.
+        if full && !self.naive {
+            let Scratch {
+                codes: units,
+                local,
+                keys,
+                fold,
+                ..
+            } = scratch;
+            units.clear();
+            local.clear();
+            keys.clear();
+            let signed = kseg.compressed.dtype.signed();
+            kseg.visit(&mut |chunk| {
+                units.extend(chunk.iter().map(|&v| {
+                    let key = widen(v, signed);
+                    let unit = *local.entry(key).or_insert_with(|| {
+                        keys.push((key, 0));
+                        keys.len() as u32 - 1
+                    });
+                    keys[unit as usize].1 += 1;
+                    unit
+                }))
+            })?;
+            stats.values_processed += n;
+            table.resolve(keys.iter().copied());
+            for (slot_col, col) in cols.iter().enumerate() {
+                let seg = self.fetch(*col, seg_idx, mat, stats)?;
+                fold.fold(&seg, units, keys.len(), table.extrema(slot_col))?;
+                let rows = keys.iter().map(|&(_, rows)| rows);
+                table.absorb_units(slot_col, rows, |unit| fold.part(unit));
+            }
+            return Ok(());
+        }
+        // Masked (and the naive baseline): hash per selected row.
         let keys = mat.decompress(key, &kseg, stats)?;
         let plains = self.value_columns(cols, seg_idx, mat, stats)?;
         stats.values_processed += selected;
@@ -1333,6 +1393,14 @@ impl PhysicalPlan {
                 });
                 return Ok(());
             }
+            // Any other scheme: the value stream, never the column.
+            stats.values_processed += n;
+            let signed = seg.compressed.dtype.signed();
+            return seg.visit(&mut |chunk| {
+                for &v in chunk {
+                    push_topk(heap, k, widen(v, signed));
+                }
+            });
         }
         let plain = mat.decompress(col, &seg, stats)?;
         stats.values_processed += selection.count(n);
@@ -1344,6 +1412,13 @@ impl PhysicalPlan {
         Ok(())
     }
 
+    /// The distinct sink. Under a full selection, several schemes
+    /// *store* the distinct structure outright — the part column
+    /// suffices, no rows touched — and every other scheme marks its
+    /// value stream into a bitmap ([`DistinctMarks`]) over the span its
+    /// frame proves (a plain NS segment packed at most 16 bits wide:
+    /// `[0, 2^width)`) or, failing that, its zone map suggests. A mask
+    /// marks the selected rows of the decoded column.
     #[allow(clippy::too_many_arguments)]
     fn sink_distinct(
         &self,
@@ -1356,29 +1431,47 @@ impl PhysicalPlan {
         stats: &mut QueryStats,
     ) -> Result<()> {
         let seg = self.fetch(col, seg_idx, mat, stats)?;
-        // Full selection: several schemes *store* the distinct structure
-        // outright — the part column suffices, no rows touched.
+        let signed = seg.compressed.dtype.signed();
+        // The zone span, when a bitmap over it is no larger than the
+        // decoded rows themselves; an empty span hashes every value.
+        let zone = || {
+            let span = seg.max.saturating_sub(seg.min).saturating_add(1);
+            let fits = (1..=8 * (n * seg.compressed.dtype.bytes()) as i128).contains(&span);
+            (seg.min as u64, if fits { span as u64 } else { 0 })
+        };
         if matches!(selection, Selection::All) && !self.naive {
-            if let Some(roles) = distinct_part_roles(&seg) {
+            if let Some(roles) = distinct_part_roles(seg.kind()) {
                 stats.segments_structural += 1;
-                let scheme = seg.scheme()?;
                 for role in roles {
-                    let part = scheme.decompress_part(&seg.compressed, role)?;
+                    let part = seg.scheme().decompress_part(&seg.compressed, role)?;
                     stats.values_processed += part.len();
                     with_column!(&part, |part| set
                         .extend(part.iter().map(|&v| i128::from(v))));
                 }
                 return Ok(());
             }
+            let width = match seg.kind() {
+                SchemeKind::Ns => Some(seg.compressed.bits_part(ns::ROLE_PACKED)?.width()),
+                _ => None,
+            };
+            let (base, span) = match width {
+                Some(width) if width <= 16 => (0, 1 << width),
+                _ => zone(),
+            };
+            stats.values_processed += n;
+            let mut marks = DistinctMarks::new(base, span, signed, set);
+            seg.visit(&mut |chunk| marks.add_chunk(chunk))?;
+            marks.finish();
+            return Ok(());
         }
         let plain = mat.decompress(col, &seg, stats)?;
         stats.values_processed += selection.count(n);
-        with_column!(&*plain, |values| collect_distinct(
-            values,
-            selection,
-            (seg.min, seg.max),
-            set
-        ));
+        let (base, span) = zone();
+        let mut marks = DistinctMarks::new(base, span, signed, set);
+        with_column!(&*plain, |values| selection
+            .rows(n)
+            .for_each(|i| marks.add(values[i].to_u64())));
+        marks.finish();
         Ok(())
     }
 
@@ -1435,6 +1528,7 @@ impl PhysicalPlan {
     /// The naive baseline decompresses both sides row-wise, prunes
     /// nothing, and reports 0 on all three join counters — the in-plan
     /// oracle the differential harness compares against.
+    #[allow(clippy::too_many_arguments)]
     fn sink_join(
         &self,
         seg_idx: usize,
@@ -1442,9 +1536,10 @@ impl PhysicalPlan {
         key: usize,
         right: &JoinRight,
         state: &mut SinkState,
+        scratch: &mut Scratch,
         stats: &mut QueryStats,
     ) -> Result<()> {
-        let SinkState::Join { pairs, cache } = state else {
+        let SinkState::Join { cache, .. } = state else {
             unreachable!("sink/state mismatch")
         };
         let (live, pruned) = self.join_pair_scan(seg_idx, key, right);
@@ -1454,31 +1549,29 @@ impl PhysicalPlan {
             return Ok(());
         }
         let mut mat = Materializer::new(n);
-        let selection = if self.naive {
-            self.eval_filters_naive(seg_idx, n, &mut mat, stats)?
-        } else {
-            self.eval_filters_pushdown(seg_idx, n, &mut mat, stats)?
-        };
-        let Some(selection) = selection else {
+        let Some(selection) = self.eval_filters(seg_idx, n, &mut mat, scratch, stats)? else {
             stats.segments_pruned += 1;
             return Ok(());
         };
-        let left = self.join_left_side(seg_idx, n, key, &selection, &mut mat, stats)?;
+        let left = self.join_left_side(seg_idx, n, key, &selection, &mut mat, scratch, stats)?;
         for (shard_idx, rseg) in live {
-            if let std::collections::hash_map::Entry::Vacant(slot) = cache.entry((shard_idx, rseg))
-            {
-                slot.insert(self.join_right_side(right, shard_idx, rseg, stats)?);
-            }
-            let build = &cache[&(shard_idx, rseg)];
+            let build = match cache.entry((shard_idx, rseg)) {
+                Entry::Occupied(cached) => cached.into_mut(),
+                Entry::Vacant(slot) => slot.insert(JoinBuild::of(
+                    self.join_right_side(right, shard_idx, rseg, scratch, stats)?,
+                )),
+            };
             // DICT⋈DICT: the left dictionary's touched entries probe
             // the right dictionary's, multiplying per-code counts. A
             // left code with no entry on the right drops here, without
             // either side decoding a row. Every other pair probes the
-            // same way, by whatever unit each side was counted in.
+            // same way, by whatever unit each side was counted in —
+            // one probe per left unit, the pairs accumulating on the
+            // right key it found.
             stats.join_code_translations += usize::from(left.dict && build.dict);
             for &(v, lc) in &left.entries {
-                if let Some(&rc) = build.hist.get(&v) {
-                    *pairs.entry(v).or_insert(0) += lc as i128 * rc as i128;
+                if let Some((rc, joined)) = build.keys.get_mut(&v) {
+                    *joined += lc as i128 * *rc as i128;
                 }
             }
         }
@@ -1487,6 +1580,7 @@ impl PhysicalPlan {
 
     /// The selected left keys of one segment at the best structural
     /// tier (see [`Self::sink_join`] for the tier list).
+    #[allow(clippy::too_many_arguments)]
     fn join_left_side(
         &self,
         seg_idx: usize,
@@ -1494,6 +1588,7 @@ impl PhysicalPlan {
         key: usize,
         selection: &Selection,
         mat: &mut Materializer,
+        scratch: &mut Scratch,
         stats: &mut QueryStats,
     ) -> Result<JoinLeft> {
         let kseg = self.fetch(key, seg_idx, mat, stats)?;
@@ -1503,29 +1598,22 @@ impl PhysicalPlan {
             dict: false,
         };
         if !self.naive {
-            match kseg.scheme_base() {
+            match kseg.kind() {
                 // CONST key: the zone map is the histogram.
-                "const" => {
+                SchemeKind::Const => {
                     stats.join_rows_undecoded += selected;
                     stats.values_processed += 1;
                     return Ok(structural(vec![(kseg.min, selected as u64)]));
                 }
                 // DICT key: count selected rows per dictionary code;
                 // each *distinct* selected key decodes exactly once.
-                "dict" => {
-                    let (dict_values, codes) = kseg.dict_parts()?;
-                    let counts =
-                        count_codes(&codes.as_transport(), dict_values.len(), selection.rows(n));
+                SchemeKind::Dict => {
+                    let counts = &mut scratch.counts;
+                    let view = dict_view(&kseg, selection, &mut scratch.codes, counts)?;
                     stats.join_rows_undecoded += selected;
                     stats.values_processed += selected;
-                    let entries = with_column!(&dict_values, |values| values
-                        .iter()
-                        .zip(counts)
-                        .filter(|&(_, count)| count > 0)
-                        .map(|(&value, count)| (value.into(), count))
-                        .collect());
                     return Ok(JoinLeft {
-                        entries,
+                        entries: view.touched(counts),
                         dict: true,
                     });
                 }
@@ -1544,15 +1632,22 @@ impl PhysicalPlan {
                 }
             }
         }
-        // Fallback (and the whole naive baseline): decompress the key,
-        // hash one selected row at a time.
-        let plain = mat.decompress(key, &kseg, stats)?;
+        // Fallback: hash one selected key at a time — off the key's
+        // stream under a full selection, off the decoded column under a
+        // mask (and on the naive baseline).
         stats.values_processed += selected;
-        Ok(structural(
-            histogram_rows(&plain, selection.rows(n))
-                .into_iter()
-                .collect(),
-        ))
+        let hist = if matches!(selection, Selection::All) && !self.naive {
+            let (mut hist, signed) = (Histogram::default(), kseg.compressed.dtype.signed());
+            kseg.visit(&mut |chunk| {
+                for &v in chunk {
+                    *hist.entry(widen(v, signed)).or_insert(0) += 1;
+                }
+            })?;
+            hist
+        } else {
+            histogram_rows(&*mat.decompress(key, &kseg, stats)?, selection.rows(n))
+        };
+        Ok(structural(hist.into_iter().collect()))
     }
 
     /// Build (once per worker, cached by the caller) the build side of
@@ -1567,13 +1662,13 @@ impl PhysicalPlan {
         right: &JoinRight,
         shard_idx: usize,
         rseg: usize,
+        scratch: &mut Scratch,
         stats: &mut QueryStats,
     ) -> Result<SegmentHistogram> {
         let shard = &right.shards[shard_idx];
         if !self.naive {
             let rmeta = shard.meta_at(right.key, rseg);
-            let base = rmeta.expr.split(['(', '[']).next().unwrap_or(&rmeta.expr);
-            if base == "const" {
+            if rmeta.kind == SchemeKind::Const {
                 stats.join_rows_undecoded += rmeta.rows;
                 return Ok(SegmentHistogram::constant(rmeta.min, rmeta.rows));
             }
@@ -1585,7 +1680,7 @@ impl PhysicalPlan {
             stats.rows_materialized += plain.len();
             return Ok(SegmentHistogram::decoded(&plain));
         }
-        let built = segment_histogram(&seg)?;
+        let built = segment_histogram(&seg, &mut scratch.codes, &mut scratch.counts)?;
         if built.undecoded_rows == 0 {
             // The decoded fallback materialised the segment's rows.
             stats.rows_materialized += shard.meta_at(right.key, rseg).rows;
@@ -1593,6 +1688,73 @@ impl PhysicalPlan {
         stats.join_rows_undecoded += built.undecoded_rows;
         Ok(built)
     }
+}
+
+/// A DICT key segment in code space, with the selected rows of every
+/// code in `counts` — counted while the codes unpack under a full
+/// selection, over the mask's rows otherwise.
+fn dict_view<'s>(
+    seg: &'s Segment,
+    selection: &Selection,
+    codes: &'s mut Vec<u32>,
+    counts: &mut Vec<u32>,
+) -> Result<DictView<'s>> {
+    Ok(match selection {
+        Selection::All => DictView::new(seg, codes, Some(counts))?,
+        Selection::Mask(mask) => {
+            let view = DictView::new(seg, codes, None)?;
+            view.count(mask.iter_ones(), counts);
+            view
+        }
+    })
+}
+
+/// Whether the plan reads MIN or MAX of agg column `slot`: extrema are
+/// folded only where asked for.
+fn wants_extrema(specs: &[AggSpec], slot: usize) -> bool {
+    specs
+        .iter()
+        .any(|spec| spec.slot == Some(slot) && matches!(spec.kind, AggKind::Min | AggKind::Max))
+}
+
+/// Aggregate one whole segment off its compressed form: RLE/RPE fold
+/// one weighted value per *run* (`values_processed` counts runs, like
+/// the other structural sinks), every other scheme folds its value
+/// stream (every value is touched, so `values_processed` counts rows).
+/// Nothing is materialised.
+fn aggregate_whole_segment(
+    seg: &Segment,
+    extrema: bool,
+    scratch: &mut Scratch,
+    stats: &mut QueryStats,
+) -> Result<AggResult> {
+    if let Some((values, ends)) = seg.run_structure()? {
+        stats.values_processed += values.len();
+        return Ok(aggregate_runs(&values, &ends, seg.num_rows()));
+    }
+    stats.values_processed += seg.num_rows();
+    fold_runs(seg, 1, &[], extrema, &mut scratch.runs)?;
+    Ok(scratch.runs[0])
+}
+
+/// Buffers one lease slot reuses across every segment it visits — the
+/// code-space and streamed tiers' working memory. Never merged, never
+/// shared.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// A DICT key segment's codes ([`DictView`]), or the segment-local
+    /// key unit of each row.
+    codes: Vec<u32>,
+    /// Selected rows per dictionary code.
+    counts: Vec<u32>,
+    /// Segment-local key → unit, for keys without code or run structure.
+    local: IntMap<i128, u32>,
+    /// `(key, rows)` per key unit (segment-local keys, or runs).
+    keys: Vec<(i128, usize)>,
+    /// One value column's per-unit sums.
+    fold: UnitFold,
+    /// Per-run (or whole-segment) value aggregates ([`fold_runs`]).
+    runs: Vec<AggResult>,
 }
 
 /// The group-by value fold: every value column's selected rows into
@@ -1614,6 +1776,28 @@ fn fold_values(
     }
 }
 
+/// One right segment's build side as a worker caches it: every key's
+/// right rows, and the pairs this worker's left segments have joined
+/// against that key so far (flushed into the answer on merge).
+#[derive(Debug, Clone)]
+pub(crate) struct JoinBuild {
+    keys: IntMap<i128, (u64, i128)>,
+    dict: bool,
+}
+
+impl JoinBuild {
+    fn of(side: SegmentHistogram) -> JoinBuild {
+        JoinBuild {
+            keys: side
+                .hist
+                .into_iter()
+                .map(|(key, rows)| (key, (rows, 0)))
+                .collect(),
+            dict: side.dict,
+        }
+    }
+}
+
 /// The probe side of one left-segment join visit: `(key, selected
 /// rows)` entries — one per distinct key on the CONST, DICT and row
 /// tiers, one per run on the run tier — and whether they came off a
@@ -1623,50 +1807,80 @@ struct JoinLeft {
     dict: bool,
 }
 
-/// The distinct sink's row kernel. `zone` is the segment's resident
-/// zone map, which bounds its values like FOR's reference bounds its
-/// offsets: when the span `max − min` fits a bitmap no larger than the
-/// decoded rows themselves, mark `v − min` per selected row and insert
-/// only the set bits — at most `span` table inserts instead of one per
-/// row. A wider span hashes per row. A value outside the zone map (a
-/// frame that lies about its bounds) is hashed directly, so the answer
-/// never depends on the zone map being right.
-fn collect_distinct<T: Native>(
-    values: &[T],
-    selection: &Selection,
-    (min, max): (i128, i128),
-    set: &mut IntSet<i128>,
-) {
-    let rows = selection.rows(values.len());
-    let span = max.saturating_sub(min).saturating_add(1);
-    if span < 1 || span > 8 * std::mem::size_of_val(values) as i128 {
-        return rows.for_each(|i| {
-            set.insert(values[i].into());
-        });
-    }
-    // Transport form: `v − min` in wrapping u64 is exact for every
-    // in-zone value, whatever the element's signedness.
-    let (span, base) = (span as u64, min as u64);
-    let mut seen = Bitmap::new_zeroed(span as usize);
-    rows.for_each(|i| {
-        let offset = values[i].to_u64().wrapping_sub(base);
-        if offset < span {
-            seen.set(offset as usize);
-        } else {
-            set.insert(values[i].into());
+/// The distinct sink's collector. Values of `[base, base + span)`
+/// (transport order) mark one bit each — at most `span` set insertions
+/// instead of one per row — and any value outside is hashed directly,
+/// so the span only ever decides the shortcut, never the answer: a zone
+/// map that lies costs speed, not correctness.
+struct DistinctMarks<'s> {
+    base: u64,
+    words: Vec<u64>,
+    signed: bool,
+    set: &'s mut IntSet<i128>,
+}
+
+impl<'s> DistinctMarks<'s> {
+    fn new(base: u64, span: u64, signed: bool, set: &'s mut IntSet<i128>) -> Self {
+        DistinctMarks {
+            base,
+            words: vec![0; span.div_ceil(64) as usize],
+            signed,
+            set,
         }
-    });
-    set.extend(seen.iter_ones().map(|offset| min + offset as i128));
+    }
+
+    #[inline]
+    fn add(&mut self, v: u64) {
+        let offset = v.wrapping_sub(self.base);
+        match self.words.get_mut((offset >> 6) as usize) {
+            Some(word) => *word |= 1 << (offset & 63),
+            None => {
+                self.set.insert(widen(v, self.signed));
+            }
+        }
+    }
+
+    /// [`DistinctMarks::add`] over a chunk. A one-word bitmap ORs the
+    /// chunk's bits in a register first: marking one word in memory
+    /// row by row is a store-to-load chain.
+    fn add_chunk(&mut self, chunk: &[u64]) {
+        if let [word] = self.words.as_mut_slice() {
+            let (bits, far) = chunk.iter().fold((0u64, 0u64), |(bits, far), &v| {
+                let offset = v.wrapping_sub(self.base);
+                (bits | 1 << (offset & 63), far | offset >> 6)
+            });
+            if far == 0 {
+                *word |= bits;
+                return;
+            }
+        }
+        for &v in chunk {
+            self.add(v);
+        }
+    }
+
+    /// Insert every marked value into the set.
+    fn finish(self) {
+        for (word, &bits) in self.words.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let offset = (word * 64) as u64 + u64::from(bits.trailing_zeros());
+                self.set
+                    .insert(widen(self.base.wrapping_add(offset), self.signed));
+                bits &= bits - 1;
+            }
+        }
+    }
 }
 
 /// Which part columns carry a segment's distinct candidates, per scheme.
-pub(crate) fn distinct_part_roles(seg: &Segment) -> Option<Vec<&'static str>> {
-    match seg.scheme_base() {
-        "dict" => Some(vec![dict::ROLE_DICT]),
-        "rle" => Some(vec![rle::ROLE_VALUES]),
-        "rpe" => Some(vec![rpe::ROLE_VALUES]),
-        "const" => Some(vec![const_::ROLE_VALUE]),
-        "sparse" => Some(vec![sparse::ROLE_VALUE, sparse::ROLE_EXC_VALUES]),
+fn distinct_part_roles(kind: SchemeKind) -> Option<&'static [&'static str]> {
+    match kind {
+        SchemeKind::Dict => Some(&[dict::ROLE_DICT]),
+        SchemeKind::Rle => Some(&[rle::ROLE_VALUES]),
+        SchemeKind::Rpe => Some(&[rpe::ROLE_VALUES]),
+        SchemeKind::Const => Some(&[const_::ROLE_VALUE]),
+        SchemeKind::Sparse => Some(&[sparse::ROLE_VALUE, sparse::ROLE_EXC_VALUES]),
         _ => None,
     }
 }

@@ -4,11 +4,18 @@
 //! carries its compressed form, the scheme expression that produced it,
 //! and a zone map (numeric min/max) — which for FOR-family schemes is
 //! exactly the model metadata the paper says can "speed up selections".
+//!
+//! The expression is parsed once, when the segment is built or read:
+//! the segment holds the built [`Scheme`] every decode goes through and
+//! the [`SchemeKind`] every tier ladder matches on.
 
 use crate::{Result, StoreError};
 use lcdc_core::chooser;
-use lcdc_core::expr::parse_scheme;
-use lcdc_core::{ColumnData, Compressed, Scheme};
+use lcdc_core::expr::parse_expr;
+use lcdc_core::schemes::{dict, rle, rpe};
+use lcdc_core::{with_column, ColumnData, Compressed, CoreError, PartData, Parts, Scheme};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// How a table compresses its segments.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,7 +28,56 @@ pub enum CompressionPolicy {
     Auto,
 }
 
+/// The outer scheme of a segment's expression, as the tier ladders see
+/// it: `Dict` for `dict[codes=ns]`, `For` for `for(l=128)[offsets=ns]`.
+/// Every scheme-keyed dispatch (predicate tiers, code-space group-by and
+/// join, structural distinct) matches on this.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchemeKind {
+    /// One repeated value.
+    Const,
+    /// Dictionary + codes.
+    Dict,
+    /// Run values + run lengths.
+    Rle,
+    /// Run values + run end positions.
+    Rpe,
+    /// Frame of reference (either reference choice).
+    For,
+    /// Constant model + exceptions.
+    Sparse,
+    /// Plain (non-zigzag) null suppression: a packed payload whose
+    /// width bounds every value.
+    Ns,
+    /// Anything else.
+    Other,
+}
+
+impl SchemeKind {
+    /// The kind of a scheme expression's text.
+    pub fn of_expr(text: &str) -> Result<SchemeKind> {
+        Ok(SchemeKind::of_name(&parse_expr(text)?.name))
+    }
+
+    fn of_name(name: &str) -> SchemeKind {
+        match name {
+            "const" => SchemeKind::Const,
+            "dict" => SchemeKind::Dict,
+            "rle" => SchemeKind::Rle,
+            "rpe" => SchemeKind::Rpe,
+            "for" => SchemeKind::For,
+            "sparse" => SchemeKind::Sparse,
+            "ns" => SchemeKind::Ns,
+            _ => SchemeKind::Other,
+        }
+    }
+}
+
 /// One compressed segment of one column.
+///
+/// The public fields are the segment's record; the scheme built from
+/// `expr` is private and fixed at construction ([`Segment::build`],
+/// [`Segment::new`]), which checks it is the one `compressed` names.
 #[derive(Debug, Clone)]
 pub struct Segment {
     /// The compressed rows.
@@ -32,25 +88,55 @@ pub struct Segment {
     pub min: i128,
     /// Numeric maximum over the segment (zone map).
     pub max: i128,
+    scheme: Arc<dyn Scheme>,
+    kind: SchemeKind,
+}
+
+/// Parse and build an expression once: the scheme and its kind.
+fn parse(expr: &str) -> Result<(Arc<dyn Scheme>, SchemeKind)> {
+    let parsed = parse_expr(expr)?;
+    Ok((
+        Arc::from(parsed.build()?),
+        SchemeKind::of_name(&parsed.name),
+    ))
 }
 
 impl Segment {
     /// Compress `rows` under `policy`.
     pub fn build(rows: &ColumnData, policy: &CompressionPolicy) -> Result<Segment> {
         let (min, max) = rows.min_max_numeric().unwrap_or((0, -1));
-        let (expr, compressed) = match policy {
-            CompressionPolicy::None => ("id".to_string(), parse_scheme("id")?.compress(rows)?),
-            CompressionPolicy::Fixed(text) => (text.clone(), parse_scheme(text)?.compress(rows)?),
+        let expr = match policy {
+            CompressionPolicy::None => "id",
+            CompressionPolicy::Fixed(text) => text,
             CompressionPolicy::Auto => {
                 let choice = chooser::choose_best(rows)?;
-                (choice.expr, choice.compressed)
+                return Segment::new(choice.compressed, choice.expr, min, max);
             }
         };
+        let (scheme, kind) = parse(expr)?;
+        Ok(Segment {
+            compressed: scheme.compress(rows)?,
+            expr: expr.to_string(),
+            min,
+            max,
+            scheme,
+            kind,
+        })
+    }
+
+    /// A segment from its record — a frame read back, or one built by
+    /// hand. `expr` must parse to the scheme `compressed` names; a
+    /// mismatch is [`CoreError::SchemeMismatch`].
+    pub fn new(compressed: Compressed, expr: String, min: i128, max: i128) -> Result<Segment> {
+        let (scheme, kind) = parse(&expr)?;
+        compressed.check_scheme(&scheme.name())?;
         Ok(Segment {
             compressed,
             expr,
             min,
             max,
+            scheme,
+            kind,
         })
     }
 
@@ -64,23 +150,52 @@ impl Segment {
         self.compressed.compressed_bytes()
     }
 
-    /// Rebuild the scheme object for this segment.
-    pub fn scheme(&self) -> Result<Box<dyn Scheme>> {
-        Ok(parse_scheme(&self.expr)?)
+    /// The segment's scheme, built once from `expr`.
+    pub fn scheme(&self) -> &dyn Scheme {
+        self.scheme.as_ref()
     }
 
-    /// The base name of the segment's scheme — `"dict"` for
-    /// `dict[codes=ns]`, `"for"` for `for(l=128)[offsets=ns]` — the
-    /// single tag every scheme-keyed tier dispatch (predicate pushdown,
-    /// code-space group-by, structural distinct) switches on.
-    pub fn scheme_base(&self) -> &str {
-        let id = self.compressed.scheme_id.as_str();
-        id.split(['(', '[']).next().unwrap_or(id)
+    /// The segment's scheme kind, resolved once from `expr`.
+    pub fn kind(&self) -> SchemeKind {
+        self.kind
     }
 
     /// Fully decompress the segment.
     pub fn decompress(&self) -> Result<ColumnData> {
-        Ok(self.scheme()?.decompress(&self.compressed)?)
+        Ok(self.scheme.decompress(&self.compressed)?)
+    }
+
+    /// Hand the segment's rows to `f` in order, a chunk of transport
+    /// values at a time, without building the column where the scheme
+    /// can stream ([`Scheme::visit`]). Checks that exactly
+    /// [`Segment::num_rows`] values went out: the sinks index row
+    /// structure (codes, runs) by stream position.
+    pub fn visit(&self, f: &mut dyn FnMut(&[u64])) -> Result<()> {
+        let mut seen = 0usize;
+        self.scheme.visit(&self.compressed, &mut |chunk| {
+            seen += chunk.len();
+            if seen <= self.num_rows() {
+                f(chunk);
+            }
+        })?;
+        if seen != self.num_rows() {
+            return Err(StoreError::Shape(format!(
+                "segment of {} rows streamed {seen} values",
+                self.num_rows()
+            )));
+        }
+        Ok(())
+    }
+
+    /// A part column of the segment, decoded alone (partial
+    /// decompression): borrowed when stored plain.
+    fn part(&self, role: &'static str) -> Result<Cow<'_, ColumnData>> {
+        if let PartData::Plain(col) = &self.compressed.part(role)?.data {
+            return Ok(Cow::Borrowed(col));
+        }
+        Ok(Cow::Owned(
+            self.scheme.decompress_part(&self.compressed, role)?,
+        ))
     }
 
     /// Extract `(run values, exclusive run end positions)` from an
@@ -89,48 +204,36 @@ impl Segment {
     /// predicate run tier, the run-weighted aggregation, and the
     /// planner's group-by sink all build on it.
     pub fn run_structure(&self) -> Result<Option<(ColumnData, Vec<u64>)>> {
-        use lcdc_core::schemes::{rle, rpe};
-        let scheme_id = self.compressed.scheme_id.as_str();
-        if scheme_id == "rle" || scheme_id.starts_with("rle[") {
-            let scheme = self.scheme()?;
-            let values = scheme.decompress_part(&self.compressed, rle::ROLE_VALUES)?;
-            let lengths = scheme.decompress_part(&self.compressed, rle::ROLE_LENGTHS)?;
-            let ends = lcdc_colops::prefix_sum_inclusive(&lengths.as_transport());
-            return Ok(Some((values, ends)));
-        }
-        if scheme_id == "rpe" || scheme_id.starts_with("rpe[") {
-            let scheme = self.scheme()?;
-            let values = scheme.decompress_part(&self.compressed, rpe::ROLE_VALUES)?;
-            let ends = match scheme.decompress_part(&self.compressed, rpe::ROLE_POSITIONS)? {
-                ColumnData::U64(positions) => positions,
-                other => other.to_transport(),
-            };
-            return Ok(Some((values, ends)));
-        }
-        Ok(None)
+        Ok(match self.kind {
+            SchemeKind::Rle => {
+                let lengths = self.part(rle::ROLE_LENGTHS)?;
+                let ends = lcdc_colops::prefix_sum_inclusive(&lengths.as_transport());
+                Some((self.part(rle::ROLE_VALUES)?.into_owned(), ends))
+            }
+            SchemeKind::Rpe => {
+                let ends = match self.part(rpe::ROLE_POSITIONS)?.into_owned() {
+                    ColumnData::U64(positions) => positions,
+                    other => other.to_transport(),
+                };
+                Some((self.part(rpe::ROLE_VALUES)?.into_owned(), ends))
+            }
+            _ => None,
+        })
     }
 
-    /// The `(dictionary, codes)` parts of a DICT segment, validated
-    /// once so the code-space tiers may index by code: one code per
-    /// row, every code inside the dictionary. A checksummed frame can
-    /// still carry a code past its dictionary; full decompression
-    /// rejects that in `gather`, and this does with the same error.
-    pub(crate) fn dict_parts(&self) -> Result<(ColumnData, ColumnData)> {
-        use lcdc_core::schemes::dict;
-        let scheme = self.scheme()?;
-        let values = scheme.decompress_part(&self.compressed, dict::ROLE_DICT)?;
-        let codes = scheme.decompress_part(&self.compressed, dict::ROLE_CODES)?;
-        let max_code = codes.as_transport().iter().copied().max();
-        if codes.len() != self.num_rows() || max_code.is_some_and(|c| c >= values.len() as u64) {
-            return Err(lcdc_core::CoreError::CorruptParts(format!(
-                "dict segment of {} rows holds {} codes up to {max_code:?} over {} entries",
-                self.num_rows(),
-                codes.len(),
-                values.len()
+    /// A DICT segment's dictionary, in code order — checked to be of
+    /// the segment's type, as the gather's output is.
+    pub(crate) fn dictionary(&self) -> Result<Cow<'_, ColumnData>> {
+        let entries = self.part(dict::ROLE_DICT)?;
+        if entries.dtype() != self.compressed.dtype {
+            return Err(CoreError::CorruptParts(format!(
+                "{} dictionary in a {} segment",
+                entries.dtype().name(),
+                self.compressed.dtype.name()
             ))
             .into());
         }
-        Ok((values, codes))
+        Ok(entries)
     }
 
     /// Internal consistency check used by table assembly.
@@ -143,6 +246,108 @@ impl Segment {
                 self.num_rows()
             )))
         }
+    }
+}
+
+/// A DICT segment read in code space: its dictionary and one code per
+/// row, unpacked once into a caller's `u32` scratch and validated once,
+/// so the code-space tiers may index by code — every code inside the
+/// dictionary. A checksummed frame can still carry a code past its
+/// dictionary; full decompression rejects that in the gather, and this
+/// does with the same error kind.
+pub(crate) struct DictView<'a> {
+    /// The dictionary entries, in code order.
+    pub(crate) entries: Cow<'a, ColumnData>,
+    /// One code per row, each below `entries.len()`.
+    pub(crate) codes: &'a [u32],
+}
+
+impl<'a> DictView<'a> {
+    /// View `seg` (which must be [`SchemeKind::Dict`]), unpacking its
+    /// codes into `scratch` — and, given `counts`, counting the rows of
+    /// every code (`counts[code]`) in the same pass.
+    pub(crate) fn new(
+        seg: &'a Segment,
+        scratch: &'a mut Vec<u32>,
+        mut counts: Option<&mut Vec<u32>>,
+    ) -> Result<DictView<'a>> {
+        let entries = seg.dictionary()?;
+        let n = seg.num_rows();
+        let scheme = seg.scheme();
+        let inner = |role: &str| scheme.inner_for(role);
+        let codes = Parts::new(&seg.compressed, &inner).stream(dict::ROLE_CODES)?;
+        // `entries.len()` codes fit a `u32` for any dictionary a `u32`
+        // can index; a larger one is as corrupt as a code past its end.
+        let limit = (entries.len() as u64).min(1 << 32);
+        let mut bad = None::<u64>;
+        scratch.clear();
+        if let Some(counts) = counts.as_deref_mut() {
+            counts.clear();
+            counts.resize(entries.len(), 0);
+        }
+        if codes.len() == n {
+            scratch.reserve(n);
+            codes.for_each_chunk(|chunk| {
+                let start = scratch.len();
+                scratch.extend(chunk.iter().map(|&code| code as u32));
+                // The chunk's OR caps its codes: only a chunk reaching
+                // `limit` needs the per-code test (of the narrowed
+                // codes, once no high bit was lost narrowing).
+                let or = chunk.iter().fold(0, |or, &code| or | code);
+                let narrowed = scratch.get(start..).unwrap_or_default();
+                if or >= limit
+                    && (or >> 32 != 0
+                        || narrowed
+                            .iter()
+                            .fold(false, |past, &code| past | (u64::from(code) >= limit)))
+                {
+                    bad = bad.max(chunk.iter().copied().max());
+                }
+                if let (None, Some(counts)) = (bad, counts.as_deref_mut()) {
+                    for &code in narrowed {
+                        if let Some(count) = counts.get_mut(code as usize) {
+                            *count += 1;
+                        }
+                    }
+                }
+            });
+        }
+        if codes.len() != n || bad.is_some() {
+            return Err(CoreError::CorruptParts(format!(
+                "dict segment of {n} rows holds {} codes up to {bad:?} over {} entries",
+                codes.len(),
+                entries.len()
+            ))
+            .into());
+        }
+        Ok(DictView {
+            entries,
+            codes: scratch,
+        })
+    }
+
+    /// Selected rows per code: `counts[code]` over `rows` (rows of the
+    /// segment), every entry of `counts` reset first.
+    pub(crate) fn count(&self, rows: impl Iterator<Item = usize>, counts: &mut Vec<u32>) {
+        counts.clear();
+        counts.resize(self.entries.len(), 0);
+        for row in rows {
+            let code = self.codes.get(row).map(|&code| code as usize);
+            if let Some(count) = code.and_then(|code| counts.get_mut(code)) {
+                *count += 1;
+            }
+        }
+    }
+
+    /// `(entry, rows)` for every dictionary entry [`DictView::count`]
+    /// gave rows — each touched entry decoded once.
+    pub(crate) fn touched(&self, counts: &[u32]) -> Vec<(i128, u64)> {
+        with_column!(&*self.entries, |entries| entries
+            .iter()
+            .zip(counts)
+            .filter(|&(_, &rows)| rows > 0)
+            .map(|(&entry, &rows)| (entry.into(), u64::from(rows)))
+            .collect())
     }
 }
 

@@ -11,7 +11,6 @@
 
 use crate::table::Table;
 use crate::{Result, StoreError};
-use lcdc_core::schemes::{rle, rpe};
 use lcdc_core::ColumnData;
 
 /// Execution counters for [`sort_column_compressed`].
@@ -63,26 +62,10 @@ fn collect_runs(
     runs: &mut Vec<(i128, u64)>,
     stats: &mut SortStats,
 ) -> Result<()> {
-    let scheme_id = seg.compressed.scheme_id.as_str();
-    if scheme_id == "rle" || scheme_id.starts_with("rle[") {
+    if let Some((values, ends)) = seg.run_structure()? {
         stats.segments_run_aware += 1;
-        let scheme = seg.scheme()?;
-        let values = scheme.decompress_part(&seg.compressed, rle::ROLE_VALUES)?;
-        let lengths = scheme.decompress_part(&seg.compressed, rle::ROLE_LENGTHS)?;
-        let lengths = lengths.to_transport();
-        for (i, &len) in lengths.iter().enumerate() {
-            runs.push((numeric_at(&values, i)?, len));
-        }
-        return Ok(());
-    }
-    if scheme_id == "rpe" || scheme_id.starts_with("rpe[") {
-        stats.segments_run_aware += 1;
-        let scheme = seg.scheme()?;
-        let values = scheme.decompress_part(&seg.compressed, rpe::ROLE_VALUES)?;
-        let positions = scheme.decompress_part(&seg.compressed, rpe::ROLE_POSITIONS)?;
-        let positions = positions.to_transport();
         let mut start = 0u64;
-        for (i, &end) in positions.iter().enumerate() {
+        for (i, &end) in ends.iter().enumerate() {
             if end < start {
                 return Err(StoreError::Shape(format!(
                     "run position {end} precedes {start}"

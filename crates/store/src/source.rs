@@ -21,7 +21,7 @@
 //! scan without ever duplicating I/O.
 
 use crate::fault::FaultPlan;
-use crate::segment::Segment;
+use crate::segment::{SchemeKind, Segment};
 use crate::{Result, StoreError};
 use lcdc_core::DType;
 use std::collections::HashSet;
@@ -45,6 +45,8 @@ pub struct SegmentMeta {
     pub bytes: usize,
     /// The scheme expression the segment was compressed under.
     pub expr: String,
+    /// That expression's [`SchemeKind`], resolved once.
+    pub kind: SchemeKind,
 }
 
 impl SegmentMeta {
@@ -56,6 +58,7 @@ impl SegmentMeta {
             max: segment.max,
             bytes: segment.compressed_bytes(),
             expr: segment.expr.clone(),
+            kind: segment.kind(),
         }
     }
 }

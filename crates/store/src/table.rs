@@ -548,7 +548,7 @@ mod tests {
             .column_segments("a")
             .unwrap()
             .iter()
-            .all(|s| s.expr.starts_with("rle")));
+            .all(|s| s.kind() == crate::segment::SchemeKind::Rle));
         assert!(t
             .column_segments("b")
             .unwrap()

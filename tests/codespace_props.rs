@@ -241,7 +241,14 @@ fn adaptive_prefetch_preserves_answers_and_reads() {
         got.stats
     );
 
-    // Auto under an explicit cap behaves the same.
+    // Auto under an explicit cap, on two workers. The window is clamped
+    // below the 6-frame cache for *one* scan cursor; with two leases in
+    // flight a frame warmed ahead can still be evicted before either
+    // worker consumes it (whichever order the workers touch frames in),
+    // and is then read again. Each such frame is counted in
+    // `prefetch_wasted`, so the read count is bounded by it on every
+    // schedule — never exact (a loop of the binary saw 25–27 reads for
+    // 24 frames, always 24 + wasted); the answer is exact regardless.
     let capped = lcdc::store::open_table_lazy(&root, 6).unwrap();
     let got = spec
         .bind(&capped)
@@ -252,6 +259,11 @@ fn adaptive_prefetch_preserves_answers_and_reads() {
         )
         .unwrap();
     assert_eq!(got.rows, want.rows);
-    assert_eq!(capped.io_reads(), frames);
+    let reads = capped.io_reads();
+    assert!(
+        (frames..=frames + got.stats.prefetch_wasted).contains(&reads),
+        "{reads} reads for {frames} frames: {:?}",
+        got.stats
+    );
     std::fs::remove_dir_all(&root).ok();
 }

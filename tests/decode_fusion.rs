@@ -1,13 +1,15 @@
 //! The differential decode matrix for single-pass decompression.
 //!
 //! `decompress` streams packed parts chunk by chunk into one output
-//! allocation; `decompress_via_plan` interprets the scheme's operator
-//! DAG over fully materialised parts. They share no decode loop, so for
-//! every scheme × element type × length around the 64-value group and
-//! 128-value block boundaries the two must agree with each other and
-//! with the original column — and a part read as a stream must equal
-//! the part decompressed on its own. Corrupt forms must fail with the
-//! typed errors the multi-pass decoders returned, never a panic.
+//! allocation; `visit` runs the same fused operator into a chunk
+//! callback; `decompress_via_plan` interprets the scheme's operator DAG
+//! over fully materialised parts. For every scheme × element type ×
+//! length around the 64-value group and 128-value block boundaries the
+//! three must agree with each other and with the original column — and
+//! a part read as a stream must equal the part decompressed on its own.
+//! Corrupt forms must fail with the typed errors the multi-pass
+//! decoders returned, through `decompress` and `visit` alike, never a
+//! panic.
 
 use lcdc::colops::ColOpsError;
 use lcdc::core::scheme::decompress_via_plan;
@@ -85,6 +87,25 @@ fn part_alone(data: &PartData) -> Vec<u64> {
     }
 }
 
+/// The column `visit` hands out, chunks concatenated (transport form).
+fn visited(scheme: &dyn Scheme, c: &Compressed) -> Result<Vec<u64>, CoreError> {
+    let mut out = Vec::new();
+    scheme.visit(c, &mut |chunk| {
+        assert!(!chunk.is_empty(), "{}: empty chunk", c.scheme_id);
+        out.extend_from_slice(chunk);
+    })?;
+    Ok(out)
+}
+
+/// `decompress` and `visit` agree on a form: the same column, or the
+/// same error.
+fn assert_visit_agrees(scheme: &dyn Scheme, c: &Compressed, label: &str) {
+    match scheme.decompress(c) {
+        Ok(col) => assert_eq!(visited(scheme, c), Ok(col.to_transport()), "{label} visit"),
+        Err(e) => assert_eq!(visited(scheme, c), Err(e), "{label} visit"),
+    }
+}
+
 fn check(expr: &str, scheme: &dyn Scheme, col: &ColumnData) {
     let label = format!("{expr} on {} x{}", col.dtype().name(), col.len());
     let c = match scheme.compress(col) {
@@ -93,6 +114,11 @@ fn check(expr: &str, scheme: &dyn Scheme, col: &ColumnData) {
         Err(other) => panic!("{label}: {other}"),
     };
     assert_eq!(&scheme.decompress(&c).expect(&label), col, "{label}");
+    assert_eq!(
+        visited(scheme, &c).expect(&label),
+        col.to_transport(),
+        "{label} visit"
+    );
     match decompress_via_plan(scheme, &c) {
         Ok(via_plan) => assert_eq!(&via_plan, col, "{label} via plan"),
         Err(CoreError::PlanUnsupported(_)) => {}
@@ -183,6 +209,7 @@ fn code_past_the_dictionary_is_index_out_of_bounds() {
             })),
             "{expr}"
         );
+        assert_visit_agrees(scheme.as_ref(), &c, expr);
     }
 }
 
@@ -201,6 +228,7 @@ fn exception_position_past_the_column_is_index_out_of_bounds() {
             len: n
         }))
     );
+    assert_visit_agrees(scheme.as_ref(), &c, "pfor, position past the column");
     // One position short of its offsets: the scatter's length check.
     let (scheme, mut c) = compressed("pfor(l=128,keep=990)");
     let positions = plain_part_mut(&mut c, "exc_positions");
@@ -210,6 +238,7 @@ fn exception_position_past_the_column_is_index_out_of_bounds() {
         scheme.decompress(&c),
         Err(CoreError::ColOps(ColOpsError::LengthMismatch { .. }))
     ));
+    assert_visit_agrees(scheme.as_ref(), &c, "pfor, one position short");
 }
 
 #[test]
@@ -232,6 +261,7 @@ fn too_few_references_is_a_typed_error() {
             })),
             "{expr}"
         );
+        assert_visit_agrees(scheme.as_ref(), &c, expr);
     }
     for (expr, role) in [
         ("linear(l=128)[residuals=ns]", "bases"),
@@ -244,6 +274,7 @@ fn too_few_references_is_a_typed_error() {
             matches!(scheme.decompress(&c), Err(CoreError::CorruptParts(_))),
             "{expr} with short {role}"
         );
+        assert_visit_agrees(scheme.as_ref(), &c, expr);
     }
 }
 
@@ -263,6 +294,7 @@ fn payload_length_other_than_n_is_corrupt_parts() {
                 "{expr} with n = {n}: {:?}",
                 scheme.decompress(&c).map(|col| col.len())
             );
+            assert_visit_agrees(scheme.as_ref(), &c, expr);
         }
     }
 }

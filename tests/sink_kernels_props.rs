@@ -19,9 +19,10 @@
 
 use lcdc::core::scheme::Params;
 use lcdc::core::schemes::dict;
-use lcdc::core::{ColumnData, Compressed, DType, Part, PartData};
+use lcdc::core::{ColumnData, Compressed, CoreError, DType, Part, PartData};
 use lcdc::store::{
-    Agg, CompressionPolicy, Predicate, QueryBuilder, QueryResult, Rows, Segment, Table, TableSchema,
+    Agg, CompressionPolicy, ExecOptions, Predicate, QueryBuilder, QueryResult, Rows, SchemeKind,
+    Segment, StoreError, Table, TableSchema,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -406,11 +407,12 @@ fn const_key_segments_match_the_oracle() {
     }
 }
 
-/// The distinct row kernel marks `v − min` in a bitmap when the zone
-/// span fits one no larger than the decoded segment (here 4096 rows of
-/// 4 or 8 bytes), and hashes per row otherwise. Both sides of that
-/// bound, negative keys, and a masked selection must agree with the
-/// oracle.
+/// The distinct kernel marks `v − min` in a bitmap when the zone span
+/// fits one no larger than the decoded segment (here 4096 rows of 4 or
+/// 8 bytes), and hashes per value otherwise — off the value stream
+/// under a full selection, off the decoded rows under a mask. Both
+/// sides of that bound, negative keys, and a masked selection must
+/// agree with the oracle.
 #[test]
 fn distinct_spans_around_the_bitmap_bound() {
     for dtype in DTYPES {
@@ -447,8 +449,8 @@ fn distinct_spans_around_the_bitmap_bound() {
                 &Rows::Distinct(all.into_iter().collect()),
             );
             assert_eq!(
-                push.stats.rows_materialized, SEG_ROWS,
-                "{what}: the row tier"
+                push.stats.rows_materialized, 0,
+                "{what}: the value stream, never the column"
             );
             let masked: BTreeSet<i128> = (0..SEG_ROWS)
                 .filter(|i| i % 5 <= 1)
@@ -468,12 +470,7 @@ fn distinct_spans_around_the_bitmap_bound() {
 // -- frames no compressor would emit ----------------------------------
 
 fn hand_built(compressed: Compressed, expr: &str, zone: (i128, i128)) -> Segment {
-    Segment {
-        compressed,
-        expr: expr.into(),
-        min: zone.0,
-        max: zone.1,
-    }
+    Segment::new(compressed, expr.into(), zone.0, zone.1).expect("expr names the frame's scheme")
 }
 
 /// A two-column table: `key` is the hand-built segment, `sel` an honest
@@ -600,4 +597,451 @@ fn distinct_does_not_trust_the_zone_map_for_its_answer() {
         .execute()
         .unwrap();
     assert_eq!(result.rows, Rows::Distinct(vec![-9, 5, 6, 7, 400]));
+}
+
+// -- the streamed value tiers: a differential matrix --------------------
+
+const MATRIX_SEG: usize = 512;
+const MATRIX_ROWS: usize = 3 * MATRIX_SEG - 37;
+
+/// Value schemes whose full-selection tiers fold the value stream
+/// instead of a decoded column.
+const VALUE_SCHEMES: [&str; 9] = [
+    "for(l=128)[offsets=ns]",
+    "for(l=128)[offsets=varwidth]",
+    "for(l=128,first=1)[offsets=ns_zz]",
+    "pfor(l=128,keep=990)",
+    "ns",
+    "varwidth",
+    "linear(l=128)[residuals=ns]",
+    "delta[deltas=ns_zz]",
+    "id",
+];
+
+/// Value columns for the matrix: near (and, signed, around) zero; the
+/// type's extremes (a whole
+/// segment at the maximum, the minimum sprinkled in); for 64-bit types,
+/// segments straddling the `u64` partial-sum boundary — a 512-row
+/// segment's per-unit sums stay narrow below `2^55` and a 64-value
+/// chunk's below `2^58`; and, for NS, columns packing to exact widths.
+fn value_shapes(dtype: DType, scheme: &str) -> Vec<(String, Vec<i128>)> {
+    let (lo, hi) = bounds(dtype);
+    let spread = |i: usize| (i as i128 * 7919) % 1001;
+    let mut shapes = vec![(
+        "near zero".to_string(),
+        (0..MATRIX_ROWS).map(spread).collect(),
+    )];
+    if dtype.signed() {
+        shapes.push((
+            "around zero".into(),
+            (0..MATRIX_ROWS).map(|i| spread(i) - 500).collect(),
+        ));
+    }
+    let mut rng = Lcg(dtype.bits() as u64);
+    shapes.push((
+        "extremes".into(),
+        (0..MATRIX_ROWS)
+            .map(|i| match i {
+                _ if i < MATRIX_SEG => hi,
+                _ if i % 97 == 0 => lo,
+                _ => lo + (rng.next() as i128 * 0x1_0001) % (hi - lo + 1),
+            })
+            .collect(),
+    ));
+    if dtype.bits() == 64 {
+        let levels = [(1 << 55) - 1001, (1 << 55) - 500, (1 << 58) - 600];
+        shapes.push((
+            "partial-sum boundary".into(),
+            (0..MATRIX_ROWS)
+                .map(|i| levels[i / MATRIX_SEG] + spread(i))
+                .collect(),
+        ));
+    }
+    if scheme == "ns" {
+        for width in [1u32, 16, 17, 40] {
+            let top = (1i128 << width) - 1;
+            if top <= hi {
+                shapes.push((
+                    format!("ns width {width}"),
+                    (0..MATRIX_ROWS)
+                        .map(|i| {
+                            if i % 61 == 0 {
+                                top
+                            } else {
+                                (i as i128 * 7919) & top
+                            }
+                        })
+                        .collect(),
+                ));
+            }
+        }
+    }
+    shapes
+}
+
+/// The matrix table: `val` under the scheme under test, the same group
+/// keys under a DICT, RLE, CONST and fallback (FOR) key scheme, and the
+/// selector.
+fn matrix_table(dtype: DType, scheme: &str, values: &[i128]) -> Option<Table> {
+    let column = |values: &[i128]| ColumnData::from_numeric(dtype, values).expect("in range");
+    let keys: Vec<i128> = keys(dtype, dtype.bits() as u64)[..MATRIX_ROWS].to_vec();
+    let (lo, hi) = bounds(dtype);
+    let consts: Vec<i128> = (0..MATRIX_ROWS)
+        .map(|i| [hi, lo, 7][i / MATRIX_SEG])
+        .collect();
+    let sel: Vec<i128> = selector()[..MATRIX_ROWS].to_vec();
+    let rle = if dtype.signed() {
+        "rle[values=ns_zz,lengths=ns]"
+    } else {
+        "rle[values=ns,lengths=ns]"
+    };
+    let built = Table::build(
+        TableSchema::new(&[
+            ("val", dtype),
+            ("kdict", dtype),
+            ("krle", dtype),
+            ("kconst", dtype),
+            ("kflat", dtype),
+            ("sel", DType::U32),
+        ]),
+        &[
+            column(values),
+            column(&keys),
+            column(&keys),
+            column(&consts),
+            column(&keys),
+            ColumnData::from_numeric(DType::U32, &sel).expect("in range"),
+        ],
+        &[
+            CompressionPolicy::Fixed(scheme.into()),
+            CompressionPolicy::Fixed("dict[codes=ns]".into()),
+            CompressionPolicy::Fixed(rle.into()),
+            CompressionPolicy::Fixed("const".into()),
+            CompressionPolicy::Fixed("for(l=128)[offsets=ns]".into()),
+            CompressionPolicy::Fixed("ns".into()),
+        ],
+        MATRIX_SEG,
+    );
+    match built {
+        Ok(table) => Some(table),
+        Err(StoreError::Core(CoreError::NotRepresentable(_))) => None,
+        Err(other) => panic!("{scheme} over {dtype:?}: {other}"),
+    }
+}
+
+/// Every sink of the matrix over `t`, under `sel`.
+fn matrix_queries<'t>(
+    t: &'t Table,
+    sel: Sel,
+    right: &Arc<Table>,
+) -> Vec<(String, QueryBuilder<'t>)> {
+    let scan = || sel.apply(QueryBuilder::scan(t));
+    let mut queries = vec![
+        ("aggregate".to_string(), scan().aggregate(&AGGS)),
+        ("aggregate sum".into(), scan().aggregate(&[Agg::Sum("val")])),
+        ("distinct".into(), scan().distinct("val")),
+        ("top-k".into(), scan().top_k("val", 20)),
+        (
+            "join".into(),
+            scan().join("right", Arc::clone(right), "val"),
+        ),
+    ];
+    for key in ["kdict", "krle", "kconst", "kflat"] {
+        queries.push((
+            format!("group-by {key}"),
+            scan().group_by(key).aggregate(&AGGS),
+        ));
+        queries.push((
+            format!("group-by {key} sum"),
+            scan().group_by(key).aggregate(&[Agg::Sum("val")]),
+        ));
+    }
+    queries
+}
+
+/// Every sink over `table` (and its reloaded copy), full and masked, at
+/// one and two workers, must equal the decoded oracle.
+fn check_matrix(what: &str, table: &Table, values: &[i128], dir: &std::path::Path) {
+    lcdc::store::save_table(table, dir).expect("saves");
+    let reloaded = lcdc::store::open_table_lazy(dir, 4).expect("reopens");
+    let dtype = table.schema().dtype_of("val").expect("val");
+    let mut right_keys: Vec<i128> = values[..200].to_vec();
+    right_keys.push(424_242);
+    let right = Arc::new(
+        Table::build(
+            TableSchema::new(&[("val", dtype)]),
+            &[ColumnData::from_numeric(dtype, &right_keys).expect("in range")],
+            &[CompressionPolicy::Fixed("id".into())],
+            MATRIX_SEG,
+        )
+        .expect("right side builds"),
+    );
+    for sel in [Sel::Full, Sel::Mask] {
+        let on_reloaded = matrix_queries(&reloaded, sel, &right);
+        for ((name, query), (_, on_reloaded)) in matrix_queries(table, sel, &right)
+            .into_iter()
+            .zip(on_reloaded)
+        {
+            let what = format!("{what}, {sel:?} {name}");
+            let want = query
+                .execute_naive()
+                .unwrap_or_else(|e| panic!("{what}: naive: {e}"));
+            for (surface, query) in [("resident", &query), ("reloaded", &on_reloaded)] {
+                for threads in [1, 2] {
+                    let got = query
+                        .execute_opts(&ExecOptions::threads(threads))
+                        .unwrap_or_else(|e| panic!("{what} {surface} x{threads}: {e}"));
+                    assert_eq!(got.rows, want.rows, "{what} {surface} x{threads}");
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+fn value_schemes_match_the_oracle(dtype: DType) {
+    let dir = std::env::temp_dir().join(format!(
+        "lcdc_value_matrix_{}_{}",
+        dtype.name(),
+        std::process::id()
+    ));
+    for scheme in VALUE_SCHEMES {
+        let mut ran = 0;
+        for (shape, values) in value_shapes(dtype, scheme) {
+            if let Some(table) = matrix_table(dtype, scheme, &values) {
+                let what = format!("{dtype:?} {shape} under {scheme}");
+                check_matrix(&what, &table, &values, &dir);
+                ran += 1;
+            }
+        }
+        assert!(ran > 0, "{scheme} holds no {dtype:?} shape");
+    }
+}
+
+#[test]
+fn u32_value_schemes_match_the_oracle() {
+    value_schemes_match_the_oracle(DType::U32);
+}
+
+#[test]
+fn u64_value_schemes_match_the_oracle() {
+    value_schemes_match_the_oracle(DType::U64);
+}
+
+#[test]
+fn i32_value_schemes_match_the_oracle() {
+    value_schemes_match_the_oracle(DType::I32);
+}
+
+#[test]
+fn i64_value_schemes_match_the_oracle() {
+    value_schemes_match_the_oracle(DType::I64);
+}
+
+/// First-reference FOR stores signed offsets, and a block may span more
+/// than `2^63`: the reconstruction wraps, so only the decoded values —
+/// never `reference + offset` taken as numbers — are the answer. Both
+/// repros, through `aggregate_segment`, the aggregate sink and a
+/// group-by SUM, resident and reloaded.
+#[test]
+fn first_reference_for_blocks_wider_than_2_pow_63_aggregate_exactly() {
+    let cases = [
+        (
+            ColumnData::U64(vec![0, u64::MAX, 5, 7]),
+            (u64::MAX as i128 + 12, 0, u64::MAX as i128),
+        ),
+        (
+            ColumnData::I64(vec![i64::MIN, i64::MAX, 0]),
+            (-1, i64::MIN as i128, i64::MAX as i128),
+        ),
+    ];
+    let expr = "for(l=128,first=1)[offsets=ns_zz]";
+    for (col, (sum, min, max)) in cases {
+        let n = col.len();
+        let segment = Segment::build(&col, &CompressionPolicy::Fixed(expr.into())).unwrap();
+        let agg = lcdc::store::agg::aggregate_segment(&segment, None).unwrap();
+        assert_eq!((agg.sum, agg.min, agg.max), (sum, Some(min), Some(max)));
+
+        let table = Table::build(
+            TableSchema::new(&[("k", DType::U32), ("v", col.dtype())]),
+            &[ColumnData::U32(vec![1; n]), col.clone()],
+            &[
+                CompressionPolicy::Fixed("const".into()),
+                CompressionPolicy::Fixed(expr.into()),
+            ],
+            64,
+        )
+        .unwrap();
+        let dir = std::env::temp_dir().join(format!(
+            "lcdc_first_ref_{}_{}",
+            col.dtype().name(),
+            std::process::id()
+        ));
+        lcdc::store::save_table(&table, &dir).unwrap();
+        let reloaded = lcdc::store::open_table_lazy(&dir, 4).unwrap();
+        for (surface, t) in [("resident", &table), ("reloaded", &reloaded)] {
+            let aggs = [Agg::Sum("v"), Agg::Min("v"), Agg::Max("v")];
+            let want = Rows::Aggregates(vec![Some(sum), Some(min), Some(max)]);
+            check(surface, &QueryBuilder::scan(t).aggregate(&aggs), &want);
+            let want = Rows::Groups(vec![(1, vec![Some(sum)])]);
+            let group_sum = QueryBuilder::scan(t)
+                .group_by("k")
+                .aggregate(&[Agg::Sum("v")]);
+            check(surface, &group_sum, &want);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A zone map narrower than its data — here it claims a few small
+/// values over `u64::MAX`s, which a zone-trusting `u64` partial sum
+/// would overflow on — may cost the streamed tiers a shortcut, never an
+/// answer: sums, extrema and distinct values stay exact, full and
+/// masked. An NS segment's distinct bitmap is sized by its packed
+/// width, which the frame proves, so its zone map cannot shrink it.
+#[test]
+fn a_zone_map_narrower_than_its_data_costs_shortcuts_not_answers() {
+    let frames = [
+        (
+            ColumnData::U64(vec![u64::MAX, 3, u64::MAX, 5, u64::MAX - 1, 4, 0, 3]),
+            "for(l=128)[offsets=ns]",
+            (3, 5),
+        ),
+        (
+            ColumnData::U32((0..300u32).map(|i| i % 13).collect()),
+            "ns",
+            (0, 1),
+        ),
+        (
+            ColumnData::I32(vec![-9, 5, 6, 7, 5, 400, -9, 6]),
+            "id",
+            (5, 7),
+        ),
+    ];
+    for (col, expr, zone) in frames {
+        let honest = Segment::build(&col, &CompressionPolicy::Fixed(expr.into())).unwrap();
+        let table = around(hand_built(honest.compressed, expr, zone));
+        let values = col.to_numeric();
+        for (sel, rows) in [
+            (None, (0..values.len()).collect::<Vec<_>>()),
+            (
+                Some(1..=3),
+                (0..values.len()).filter(|i| i % 4 >= 1).collect(),
+            ),
+        ] {
+            let scan = || match &sel {
+                None => QueryBuilder::scan(&table),
+                Some(range) => QueryBuilder::scan(&table).filter(
+                    "sel",
+                    Predicate::Range {
+                        lo: *range.start(),
+                        hi: *range.end(),
+                    },
+                ),
+            };
+            let what = format!("{expr} under a lying zone map, selection {sel:?}");
+            let picked = || rows.iter().map(|&i| values[i]);
+            let aggs = [
+                Agg::Sum("key"),
+                Agg::Min("key"),
+                Agg::Max("key"),
+                Agg::Count,
+            ];
+            let want = Rows::Aggregates(agg_row(picked()));
+            check(&what, &scan().aggregate(&aggs), &want);
+            let distinct: BTreeSet<i128> = picked().collect();
+            let want = Rows::Distinct(distinct.into_iter().collect());
+            check(&what, &scan().distinct("key"), &want);
+        }
+    }
+}
+
+/// The streamed tiers' exact ledger: a full selection folds every value
+/// of its value (or fallback key) column off the stream — every row
+/// counted in `values_processed`, none in `rows_materialized`, and no
+/// segment structural unless its parts alone answered it; a mask
+/// charges each visited segment's rows once.
+#[test]
+fn streamed_tiers_fold_every_value_and_materialise_nothing() {
+    let values: Vec<i128> = (0..MATRIX_ROWS as i128).map(|i| 1_000 + i % 300).collect();
+    let table = matrix_table(DType::U64, "for(l=128)[offsets=ns]", &values).unwrap();
+    let segments = table.num_segments();
+    let full = [
+        (
+            "aggregate",
+            QueryBuilder::scan(&table).aggregate(&[Agg::Sum("val")]),
+        ),
+        (
+            "group-by dict",
+            QueryBuilder::scan(&table)
+                .group_by("kdict")
+                .aggregate(&[Agg::Sum("val")]),
+        ),
+        (
+            "group-by fallback",
+            QueryBuilder::scan(&table)
+                .group_by("kflat")
+                .aggregate(&[Agg::Sum("val")]),
+        ),
+        ("distinct", QueryBuilder::scan(&table).distinct("val")),
+        ("top-k", QueryBuilder::scan(&table).top_k("val", 5)),
+    ];
+    for (what, query) in full {
+        let stats = query.execute().unwrap().stats;
+        assert_eq!(stats.rows_materialized, 0, "{what}: {stats:?}");
+        assert_eq!(stats.values_processed, MATRIX_ROWS, "{what}: {stats:?}");
+        assert_eq!(stats.segments_structural, 0, "{what}: {stats:?}");
+        assert_eq!(
+            stats.segments_loaded,
+            segments * (1 + usize::from(what.starts_with("group")))
+        );
+    }
+    let stats = QueryBuilder::scan(&table)
+        .group_by("kdict")
+        .aggregate(&[Agg::Sum("val")])
+        .execute()
+        .unwrap()
+        .stats;
+    assert_eq!(
+        stats.rows_undecoded, MATRIX_ROWS,
+        "the dict key stays in code space"
+    );
+
+    let masked = QueryBuilder::scan(&table)
+        .filter("sel", Predicate::Range { lo: 0, hi: 2 })
+        .aggregate(&[Agg::Sum("val")]);
+    let stats = masked.execute().unwrap().stats;
+    let selected = selector()[..MATRIX_ROWS]
+        .iter()
+        .filter(|&&s| s <= 2)
+        .count();
+    assert_eq!(stats.rows_materialized, MATRIX_ROWS, "{stats:?}");
+    assert_eq!(stats.values_processed, selected, "{stats:?}");
+}
+
+/// A segment's expression must name the scheme its frame was compressed
+/// under: a mismatch, or an expression that does not parse, is a typed
+/// error at construction — before any tier could dispatch on it.
+#[test]
+fn an_expression_naming_another_scheme_is_a_typed_error() {
+    let frame = Segment::build(
+        &ColumnData::U64(vec![1, 2, 3]),
+        &CompressionPolicy::Fixed("ns".into()),
+    )
+    .unwrap()
+    .compressed;
+    assert!(matches!(
+        Segment::new(frame.clone(), "dict".into(), 1, 3),
+        Err(StoreError::Core(CoreError::SchemeMismatch { .. }))
+    ));
+    assert!(matches!(
+        Segment::new(frame.clone(), "ns[".into(), 1, 3),
+        Err(StoreError::Core(CoreError::Parse(_)))
+    ));
+    let segment = Segment::new(frame, "ns".into(), 1, 3).unwrap();
+    assert_eq!(segment.kind(), SchemeKind::Ns);
+    assert_eq!(
+        segment.decompress().unwrap(),
+        ColumnData::U64(vec![1, 2, 3])
+    );
 }
