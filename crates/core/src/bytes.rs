@@ -82,7 +82,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Compressed> {
 
 fn write_compressed(out: &mut Vec<u8>, c: &Compressed) {
     write_str(out, &c.scheme_id);
-    out.push(dtype_tag(c.dtype));
+    out.push(c.dtype.tag());
     write_u64(out, c.n as u64);
     write_u16(out, c.params.len() as u16);
     for (key, value) in c.params.iter() {
@@ -214,31 +214,12 @@ fn intern_key(s: &str) -> Result<&'static str> {
         .ok_or_else(|| CoreError::CorruptParts(format!("unknown role/key {s:?}")))
 }
 
-fn dtype_tag(dtype: DType) -> u8 {
-    match dtype {
-        DType::U32 => 0,
-        DType::U64 => 1,
-        DType::I32 => 2,
-        DType::I64 => 3,
-    }
-}
-
 fn dtype_from_tag(tag: u8) -> Result<DType> {
-    Ok(match tag {
-        0 => DType::U32,
-        1 => DType::U64,
-        2 => DType::I32,
-        3 => DType::I64,
-        other => {
-            return Err(CoreError::CorruptParts(format!(
-                "unknown dtype tag {other}"
-            )))
-        }
-    })
+    DType::from_tag(tag).ok_or_else(|| CoreError::CorruptParts(format!("unknown dtype tag {tag}")))
 }
 
 fn write_column(out: &mut Vec<u8>, col: &ColumnData) {
-    out.push(dtype_tag(col.dtype()));
+    out.push(col.dtype().tag());
     write_u64(out, col.len() as u64);
     match col {
         ColumnData::U32(v) => write_le(out, v, |x| x.to_le_bytes()),
@@ -598,7 +579,7 @@ mod tests {
         write_u16(&mut out, VERSION);
         for level in 0..depth {
             write_str(&mut out, "id");
-            out.push(dtype_tag(DType::U64));
+            out.push(DType::U64.tag());
             write_u64(&mut out, 0);
             write_u16(&mut out, 0);
             write_u16(&mut out, 1);

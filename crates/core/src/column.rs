@@ -57,6 +57,24 @@ impl DType {
             DType::I64 => "i64",
         }
     }
+
+    /// The one-byte tag frames, table manifests and wire messages
+    /// store the type as.
+    pub fn tag(self) -> u8 {
+        match self {
+            DType::U32 => 0,
+            DType::U64 => 1,
+            DType::I32 => 2,
+            DType::I64 => 3,
+        }
+    }
+
+    /// Inverse of [`DType::tag`]; `None` for a tag no type has.
+    pub fn from_tag(tag: u8) -> Option<DType> {
+        [DType::U32, DType::U64, DType::I32, DType::I64]
+            .into_iter()
+            .find(|d| d.tag() == tag)
+    }
 }
 
 /// A plain, uncompressed column of one of the supported element types.

@@ -504,7 +504,7 @@ struct CachedResult {
     /// (the left entry's version never moved).
     join_version: Option<u64>,
     /// The exact plan that produced `result`. The fingerprint indexes
-    /// the cache, but 64-bit FNV is not collision-free — a hit is only
+    /// the cache, but a 64-bit hash is not collision-free — a hit is only
     /// served after this spec compares equal to the query's.
     spec: QuerySpec,
     result: QueryResult,

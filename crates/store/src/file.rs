@@ -9,10 +9,10 @@
 //! <dir>/MANIFEST.lcdc    magic, version, seg_rows, num_rows,
 //!                        column count, { name, dtype, segment count,
 //!                          { offset, record_len, payload_bytes, rows,
-//!                            min, max, expr }* }*
-//! <dir>/<name>.col       { frame_len: u64, checksum: u64,
-//!                          expr: str, min: i128, max: i128,
-//!                          frame: bytes }*        (one per segment)
+//!                            min, max, expr }* }*, checksum: u64
+//! <dir>/<name>.col       { frame_len: u64, expr: str, min: i128,
+//!                          max: i128, frame: bytes,
+//!                          checksum: u64 }*       (one per segment)
 //! ```
 //!
 //! Since manifest v2 the per-segment *planner metadata* — zone map,
@@ -23,9 +23,15 @@
 //! independently addressable through the recorded offsets
 //! ([`read_segment`] reads exactly one).
 //!
-//! Checksums are FNV-1a 64 over the frame bytes — corruption
-//! *detection* (bit rot, truncation), not cryptographic integrity.
+//! Every checksum is a trailing XXH64 (`digest.rs`) over all the bytes
+//! before it: a record's covers its header as well as its frame, so the
+//! zone map and expression a record carries are as protected as its
+//! payload. Both open paths then cross-check each record against its
+//! manifest entry through one function (`decode_record`). This is
+//! corruption *detection* (bit rot, truncation), not cryptographic
+//! integrity.
 
+use crate::digest;
 use crate::schema::{ColumnSchema, TableSchema};
 use crate::segment::{SchemeKind, Segment};
 use crate::source::{FileSource, FrameLocation, SegmentMeta, SegmentSource};
@@ -33,12 +39,12 @@ use crate::table::Table;
 use crate::{Result, StoreError};
 use lcdc_core::{bytes, ColumnData, DType};
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const MANIFEST: &str = "MANIFEST.lcdc";
 const MAGIC: &[u8; 8] = b"LCDCTBL\0";
-const VERSION: u16 = 2;
+const VERSION: u16 = 3;
 
 /// Default decoded-segment cache capacity per column for
 /// [`open_table_lazy`].
@@ -52,24 +58,26 @@ struct ColumnManifest {
     locations: Vec<FrameLocation>,
 }
 
-/// One segment's on-disk record: header (frame length, checksum, expr,
-/// zone map) followed by the frame bytes. Shared by the full write and
-/// the append paths so the record format has one home.
+/// One segment's on-disk record: header (frame length, expr, zone map),
+/// the frame bytes, and a checksum over both. Shared by the full write
+/// and the append paths so the record format has one home; its reader
+/// is [`decode_record`].
 fn encode_segment_record(seg: &Segment) -> Vec<u8> {
     let frame = bytes::to_bytes(&seg.compressed);
     let mut record = Vec::with_capacity(frame.len() + 64);
     put_u64(&mut record, frame.len() as u64);
-    put_u64(&mut record, fnv1a64(&frame));
     put_str(&mut record, &seg.expr);
     put_i128(&mut record, seg.min);
     put_i128(&mut record, seg.max);
     record.extend_from_slice(&frame);
+    let sum = digest::checksum(&record);
+    put_u64(&mut record, sum);
     record
 }
 
 /// Serialize and install the manifest. The body is written to a
 /// sibling temp file and *renamed* over `MANIFEST.lcdc`, and its
-/// trailing FNV-1a checksum is the last bytes serialized — so a torn
+/// trailing checksum is the last bytes serialized — so a torn
 /// write leaves either the old manifest (appended frames past its
 /// recorded end are invisible) or a checksum-failing file that
 /// [`read_manifest`] rejects on open. Never a silently truncated view.
@@ -87,7 +95,7 @@ fn write_manifest(
     put_u16(&mut manifest, columns.len() as u16);
     for col in columns {
         put_str(&mut manifest, &col.schema.name);
-        manifest.push(dtype_tag(col.schema.dtype));
+        manifest.push(col.schema.dtype.tag());
         put_u64(&mut manifest, col.metas.len() as u64);
         // Each record: where the frame sits plus everything the
         // planner needs without reading it. Row counts are persisted,
@@ -103,11 +111,11 @@ fn write_manifest(
             put_str(&mut manifest, &meta.expr);
         }
     }
-    // Trailing FNV-1a over the manifest body: zone maps steer lazy
+    // Trailing checksum over the manifest body: zone maps steer lazy
     // pruning without ever reading frames, so manifest corruption must
     // be *detected*, not silently turned into wrong answers.
-    let checksum = fnv1a64(&manifest);
-    put_u64(&mut manifest, checksum);
+    let sum = digest::checksum(&manifest);
+    put_u64(&mut manifest, sum);
     let tmp = dir.join(format!("{MANIFEST}.tmp"));
     {
         use std::io::Write;
@@ -199,14 +207,10 @@ pub fn append_table(
     if batch_rows == 0 {
         return Ok(num_rows);
     }
-    for (idx, (col, manifest_col)) in columns.iter().zip(manifest_cols.iter_mut()).enumerate() {
+    for ((col, manifest_col), policy) in columns.iter().zip(manifest_cols.iter_mut()).zip(policies)
+    {
         let path = dir.join(column_file(&manifest_col.schema.name));
-        let expected: u64 = manifest_col
-            .locations
-            .iter()
-            .map(|loc| loc.offset + loc.len)
-            .max()
-            .unwrap_or(0);
+        let expected = recorded_end(&manifest_col.locations);
         let mut file = fs::OpenOptions::new().read(true).write(true).open(&path)?;
         let actual = file.metadata()?.len();
         if actual < expected {
@@ -225,7 +229,7 @@ pub fn append_table(
         for start in (0..batch_rows).step_by(seg_rows) {
             let end = (start + seg_rows).min(batch_rows);
             let chunk = crate::table::slice_column(col, start, end);
-            let segment = Segment::build(&chunk, &policies[idx])?;
+            let segment = Segment::build(&chunk, policy)?;
             let record = encode_segment_record(&segment);
             file.write_all(&record)?;
             manifest_col.metas.push(SegmentMeta::of(&segment));
@@ -246,49 +250,30 @@ pub fn append_table(
 /// Load a whole table from `dir` into memory, verifying every frame
 /// checksum (the eager path; see [`open_table_lazy`] for the lazy one).
 pub fn load_table(dir: &Path) -> Result<Table> {
-    let (columns, seg_rows, num_rows) = read_manifest(dir)?;
-    let mut sources: Vec<Arc<dyn SegmentSource>> = Vec::with_capacity(columns.len());
-    let mut schema_columns = Vec::with_capacity(columns.len());
-    for col in columns {
-        let data = fs::read(dir.join(column_file(&col.schema.name)))?;
-        let mut r = FileReader {
-            bytes: &data,
-            pos: 0,
-            name: &col.schema.name,
-        };
-        let mut col_segments = Vec::with_capacity(col.metas.len());
-        for meta in &col.metas {
-            let segment = r.segment()?;
-            // Heights come from the manifest, like the lazy path — the
-            // eager and lazy opens accept exactly the same directories
-            // (including non-uniform segmentations from_sources built).
-            segment.check_rows(meta.rows)?;
-            if segment.compressed.dtype != col.schema.dtype {
-                return Err(StoreError::Shape(format!(
-                    "column {} is {:?}, schema says {:?}",
-                    col.schema.name, segment.compressed.dtype, col.schema.dtype
-                )));
-            }
-            col_segments.push(segment);
+    open_with(dir, |path, col| {
+        let name = &col.schema.name;
+        let data = fs::read(path)?;
+        // Records are located and validated exactly as the lazy path
+        // does, so both opens accept the same directories (including
+        // non-uniform segmentations from_sources built) — except that
+        // bytes past the last record (a torn append) are refused here
+        // rather than ignored.
+        let mut segments = Vec::with_capacity(col.metas.len());
+        for (idx, (meta, loc)) in col.metas.iter().zip(&col.locations).enumerate() {
+            let record = record_at(&data, *loc).ok_or_else(|| {
+                StoreError::CorruptFile(format!("{name}: segment {idx} extends past end of file"))
+            })?;
+            segments.push(decode_record(record, name, idx, meta, col.schema.dtype)?);
         }
-        if r.pos != data.len() {
+        let end = recorded_end(&col.locations);
+        if end != data.len() as u64 {
             return Err(StoreError::CorruptFile(format!(
-                "{}: {} trailing bytes",
-                col.schema.name,
-                data.len() - r.pos
+                "{name}: {} trailing bytes",
+                data.len() as u64 - end
             )));
         }
-        sources.push(Arc::new(crate::source::ResidentSource::new(col_segments)));
-        schema_columns.push(col.schema);
-    }
-    Table::from_sources(
-        TableSchema {
-            columns: schema_columns,
-        },
-        sources,
-        num_rows,
-        seg_rows,
-    )
+        Ok(Arc::new(crate::source::ResidentSource::new(segments)))
+    })
 }
 
 /// Open a table from `dir` *lazily*: only the manifest is read now;
@@ -297,31 +282,35 @@ pub fn load_table(dir: &Path) -> Result<Table> {
 /// `cache_capacity` decoded segments. Planning consults manifest
 /// metadata only, so zone-map-pruned segments are never read from disk.
 pub fn open_table_lazy(dir: &Path, cache_capacity: usize) -> Result<Table> {
-    let (columns, seg_rows, num_rows) = read_manifest(dir)?;
-    let mut sources: Vec<Arc<dyn SegmentSource>> = Vec::with_capacity(columns.len());
-    let mut schema_columns = Vec::with_capacity(columns.len());
-    for col in columns {
-        let path = dir.join(column_file(&col.schema.name));
+    open_with(dir, |path, col| {
         // FileSource::new bounds-checks every frame location against
         // the file length before any fetch can allocate from it.
-        sources.push(Arc::new(FileSource::new(
+        Ok(Arc::new(FileSource::new(
             path,
             &col.schema.name,
             col.schema.dtype,
             col.metas,
             col.locations,
             cache_capacity,
-        )?));
-        schema_columns.push(col.schema);
-    }
-    Table::from_sources(
-        TableSchema {
-            columns: schema_columns,
-        },
-        sources,
-        num_rows,
-        seg_rows,
-    )
+        )?))
+    })
+}
+
+/// The skeleton both opens share: read the manifest, then build each
+/// column's source from its file path and manifest entry.
+fn open_with(
+    dir: &Path,
+    source: impl Fn(PathBuf, ColumnManifest) -> Result<Arc<dyn SegmentSource>>,
+) -> Result<Table> {
+    let (columns, seg_rows, num_rows) = read_manifest(dir)?;
+    let schema = TableSchema {
+        columns: columns.iter().map(|c| c.schema.clone()).collect(),
+    };
+    let sources = columns
+        .into_iter()
+        .map(|col| source(dir.join(column_file(&col.schema.name)), col))
+        .collect::<Result<_>>()?;
+    Table::from_sources(schema, sources, num_rows, seg_rows)
 }
 
 /// Read one segment of one column without touching any other frame:
@@ -355,69 +344,114 @@ pub fn read_segment(dir: &Path, column: &str, index: usize) -> Result<Segment> {
     Ok(Arc::try_unwrap(segment).unwrap_or_else(|arc| (*arc).clone()))
 }
 
-/// Decode one `.col` segment record (header + frame), verifying the
-/// frame checksum. Shared with [`FileSource`].
-pub(crate) fn decode_segment_record(record: &[u8], name: &str) -> Result<Segment> {
+/// Decode segment `idx` of `column` from its `.col` record and validate
+/// it against the manifest entry the planner already trusts: the
+/// record checksum, then the header's zone map and expression against
+/// `meta`, then the frame's dtype and height. The one gate every record
+/// passes on both open paths ([`load_table`] and [`FileSource`]).
+pub(crate) fn decode_record(
+    record: &[u8],
+    column: &str,
+    idx: usize,
+    meta: &SegmentMeta,
+    dtype: DType,
+) -> Result<Segment> {
+    let corrupt =
+        |what: String| StoreError::CorruptFile(format!("column {column} segment {idx}: {what}"));
+    let body =
+        digest::verified(record).ok_or_else(|| corrupt("record checksum mismatch".into()))?;
     let mut r = FileReader {
-        bytes: record,
-        pos: 0,
-        name,
+        rest: body,
+        name: column,
     };
-    let segment = r.segment()?;
-    if r.pos != record.len() {
-        return Err(StoreError::CorruptFile(format!(
-            "{name}: {} trailing bytes after segment record",
-            record.len() - r.pos
+    let frame_len = r.u64()?;
+    let expr = r.str()?;
+    let min = r.i128()?;
+    let max = r.i128()?;
+    let frame = r.rest;
+    if frame_len != frame.len() as u64 {
+        return Err(corrupt(format!(
+            "frame of {frame_len} bytes, record holds {}",
+            frame.len()
+        )));
+    }
+    // The planner already pruned on the manifest's zone map; if the
+    // record header disagrees, one of the two is corrupt — refuse
+    // rather than mix inconsistent metadata into one answer.
+    if (min, max) != (meta.min, meta.max) || expr != meta.expr {
+        return Err(corrupt("frame metadata disagrees with manifest".into()));
+    }
+    let segment = Segment::new(bytes::from_bytes(frame)?, expr, min, max)?;
+    if segment.compressed.dtype != dtype {
+        return Err(StoreError::Shape(format!(
+            "column {column} segment {idx} is {:?}, schema says {dtype:?}",
+            segment.compressed.dtype
+        )));
+    }
+    if segment.num_rows() != meta.rows {
+        return Err(corrupt(format!(
+            "holds {} rows, manifest says {}",
+            segment.num_rows(),
+            meta.rows
         )));
     }
     Ok(segment)
 }
 
+/// The bytes of the record at `loc`, or `None` when it overruns `data`.
+fn record_at(data: &[u8], loc: FrameLocation) -> Option<&[u8]> {
+    let start = usize::try_from(loc.offset).ok()?;
+    let end = start.checked_add(usize::try_from(loc.len).ok()?)?;
+    data.get(start..end)
+}
+
+/// Where the manifest says a column file's last record ends.
+fn recorded_end(locations: &[FrameLocation]) -> u64 {
+    locations
+        .iter()
+        .map(|loc| loc.offset.saturating_add(loc.len))
+        .max()
+        .unwrap_or(0)
+}
+
 fn read_manifest(dir: &Path) -> Result<(Vec<ColumnManifest>, usize, usize)> {
     let raw = fs::read(dir.join(MANIFEST))?;
     // Magic and version first — every manifest version shares that
-    // prefix, so an old-format table reports "unsupported version",
-    // not a bogus checksum mismatch.
-    if raw.len() < 10 {
-        return Err(StoreError::CorruptFile("manifest too short".into()));
-    }
-    if &raw[0..8] != MAGIC {
+    // prefix, so an old-format table reports "unsupported table
+    // version", not a bogus checksum mismatch.
+    let mut r = FileReader {
+        rest: &raw,
+        name: MANIFEST,
+    };
+    if r.array::<8>()? != *MAGIC {
         return Err(StoreError::CorruptFile("bad manifest magic".into()));
     }
-    let version = u16::from_le_bytes(raw[8..10].try_into().expect("2 bytes"));
+    let version = r.u16()?;
     if version != VERSION {
         return Err(StoreError::CorruptFile(format!(
             "unsupported table version {version}"
         )));
     }
-    // v2 carries a trailing FNV-1a over the body; verify it before
-    // believing any other field.
-    if raw.len() < 18 {
-        return Err(StoreError::CorruptFile("manifest too short".into()));
-    }
-    let (data, trailer) = raw.split_at(raw.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-    if fnv1a64(data) != stored {
-        return Err(StoreError::CorruptFile("manifest checksum mismatch".into()));
-    }
-    let mut r = FileReader {
-        bytes: data,
-        pos: 10, // past magic + version, parsed above
-        name: MANIFEST,
-    };
+    // Verify the trailing checksum before believing any other field.
+    let data = digest::verified(&raw)
+        .ok_or_else(|| StoreError::CorruptFile("manifest checksum mismatch".into()))?;
+    // Continue in the verified body, past the magic + version read above.
+    r.rest = data.get(MAGIC.len() + 2..).unwrap_or_default();
     let seg_rows = r.u64()? as usize;
     let num_rows = r.u64()? as usize;
     let width = r.u16()? as usize;
     let mut columns = Vec::with_capacity(width);
     for _ in 0..width {
         let name = r.str()?;
-        let dtype = dtype_from_tag(r.u8()?)?;
+        let tag = r.u8()?;
+        let dtype = DType::from_tag(tag)
+            .ok_or_else(|| StoreError::CorruptFile(format!("unknown dtype tag {tag}")))?;
         let count = r.u64()? as usize;
         // Each segment record is at least 66 bytes (four u64s, two
         // i128s, a u16 string length): a count the remaining manifest
         // cannot possibly hold is corruption, caught *before* any
         // count-sized allocation.
-        if count > (data.len() - r.pos) / 66 {
+        if count > r.rest.len() / 66 {
             return Err(StoreError::CorruptFile(format!(
                 "{name}: implausible segment count {count}"
             )));
@@ -455,7 +489,7 @@ fn read_manifest(dir: &Path) -> Result<(Vec<ColumnManifest>, usize, usize)> {
             locations,
         });
     }
-    if r.pos != data.len() {
+    if !r.rest.is_empty() {
         return Err(StoreError::CorruptFile("trailing manifest bytes".into()));
     }
     Ok((columns, seg_rows, num_rows))
@@ -476,31 +510,6 @@ fn column_file(name: &str) -> String {
     format!("{safe}.col")
 }
 
-use crate::fnv::fnv1a64;
-
-fn dtype_tag(dtype: DType) -> u8 {
-    match dtype {
-        DType::U32 => 0,
-        DType::U64 => 1,
-        DType::I32 => 2,
-        DType::I64 => 3,
-    }
-}
-
-fn dtype_from_tag(tag: u8) -> Result<DType> {
-    Ok(match tag {
-        0 => DType::U32,
-        1 => DType::U64,
-        2 => DType::I32,
-        3 => DType::I64,
-        other => {
-            return Err(StoreError::CorruptFile(format!(
-                "unknown dtype tag {other}"
-            )))
-        }
-    })
-}
-
 fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -518,50 +527,52 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// A bounds-checked reader over untrusted file bytes: every read fails
+/// with [`StoreError::CorruptFile`] instead of panicking when the bytes
+/// are shorter than their lengths claim.
 struct FileReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+    /// The unread rest of the input.
+    rest: &'a [u8],
     name: &'a str,
 }
 
 impl<'a> FileReader<'a> {
+    fn truncated(&self) -> StoreError {
+        StoreError::CorruptFile(format!("{}: truncated", self.name))
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        // checked_add: a corrupt length must error, not wrap in release.
-        if self
-            .pos
-            .checked_add(n)
-            .is_none_or(|end| end > self.bytes.len())
-        {
-            return Err(StoreError::CorruptFile(format!(
-                "{}: truncated at byte {}",
-                self.name, self.pos
-            )));
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
+        let (head, rest) = self
+            .rest
+            .split_at_checked(n)
+            .ok_or_else(|| self.truncated())?;
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let (head, rest) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or_else(|| self.truncated())?;
+        self.rest = rest;
+        Ok(*head)
     }
 
     fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.array()?))
     }
 
     fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn i128(&mut self) -> Result<i128> {
-        Ok(i128::from_le_bytes(
-            self.take(16)?.try_into().expect("16 bytes"),
-        ))
+        Ok(i128::from_le_bytes(self.array()?))
     }
 
     fn str(&mut self) -> Result<String> {
@@ -569,22 +580,6 @@ impl<'a> FileReader<'a> {
         let raw = self.take(len)?;
         String::from_utf8(raw.to_vec())
             .map_err(|_| StoreError::CorruptFile(format!("{}: invalid UTF-8", self.name)))
-    }
-
-    fn segment(&mut self) -> Result<Segment> {
-        let frame_len = self.u64()? as usize;
-        let checksum = self.u64()?;
-        let expr = self.str()?;
-        let min = self.i128()?;
-        let max = self.i128()?;
-        let frame = self.take(frame_len)?;
-        if fnv1a64(frame) != checksum {
-            return Err(StoreError::CorruptFile(format!(
-                "{}: frame checksum mismatch",
-                self.name
-            )));
-        }
-        Segment::new(bytes::from_bytes(frame)?, expr, min, max)
     }
 }
 
@@ -611,6 +606,75 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("lcdc_file_test_{tag}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Re-seal checksummed bytes after a deliberate edit, so the check
+    /// *behind* the checksum is what a test exercises.
+    fn restamp(sealed: &mut [u8]) {
+        let (body, sum) = sealed.split_at_mut(sealed.len() - 8);
+        sum.copy_from_slice(&digest::checksum(body).to_le_bytes());
+    }
+
+    #[test]
+    fn record_header_tamper_is_a_typed_error_on_both_opens() {
+        // Before table v3 the record checksum skipped the header and the
+        // eager open never compared it with the manifest: segment 0's
+        // `min` rewritten to 50 pruned it, and this count answered
+        // Some(0) with no error.
+        let table = Table::build(
+            TableSchema::new(&[("a", DType::U64)]),
+            &[ColumnData::U64((0..1000).collect())],
+            &[CompressionPolicy::Fixed(" ns".into())],
+            100,
+        )
+        .unwrap();
+        let count = |t: &Table| {
+            crate::QueryBuilder::scan(t)
+                .filter("a", crate::Predicate::Range { lo: 0, hi: 9 })
+                .aggregate(&[crate::Agg::Count])
+                .execute()
+                .map(|r| r.aggregates().unwrap().to_vec())
+        };
+        assert_eq!(count(&table).unwrap(), [Some(10)]);
+        // Segment 0's header: frame_len u64, expr (u16 length + " ns"),
+        // min i128, max i128. " ns" → "ns " keeps the scheme and length.
+        let expr_at = 8 + 2;
+        let min_at = expr_at + 3;
+        let max_at = min_at + 16;
+        let tampers: [(usize, &[u8]); 3] = [
+            (min_at, &50i128.to_le_bytes()),
+            (max_at, &5i128.to_le_bytes()),
+            (expr_at, b"ns "),
+        ];
+        for (i, (at, patch)) in tampers.into_iter().enumerate() {
+            let dir = tmpdir(&format!("header{i}"));
+            save_table(&table, &dir).unwrap();
+            let record_len = read_manifest(&dir).unwrap().0[0].locations[0].len as usize;
+            let path = dir.join("a.col");
+            let mut data = fs::read(&path).unwrap();
+            data[at..at + patch.len()].copy_from_slice(patch);
+            restamp(&mut data[..record_len]);
+            fs::write(&path, data).unwrap();
+            let disagrees = |e: StoreError| matches!(e, StoreError::CorruptFile(m) if m.contains("disagrees with manifest"));
+            assert!(disagrees(load_table(&dir).err().unwrap()), "tamper {i}");
+            let lazy = open_table_lazy(&dir, 4).unwrap();
+            assert!(disagrees(count(&lazy).unwrap_err()), "tamper {i}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn version_2_manifest_is_unsupported_not_a_checksum_mismatch() {
+        let dir = tmpdir("v2");
+        save_table(&sample_table(), &dir).unwrap();
+        let path = dir.join(MANIFEST);
+        let mut data = fs::read(&path).unwrap();
+        data[8..10].copy_from_slice(&2u16.to_le_bytes());
+        fs::write(&path, data).unwrap();
+        let unsupported = |e: StoreError| matches!(e, StoreError::CorruptFile(m) if m == "unsupported table version 2");
+        assert!(unsupported(load_table(&dir).err().unwrap()));
+        assert!(unsupported(open_table_lazy(&dir, 4).err().unwrap()));
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -766,9 +830,7 @@ mod tests {
         data[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         // Re-stamp the trailing checksum so the *count plausibility*
         // guard is what fires, not the checksum.
-        let body_len = data.len() - 8;
-        let checksum = fnv1a64(&data[..body_len]);
-        data[body_len..].copy_from_slice(&checksum.to_le_bytes());
+        restamp(&mut data);
         fs::write(&path, data).unwrap();
         assert!(matches!(load_table(&dir), Err(StoreError::CorruptFile(_))));
         assert!(matches!(

@@ -86,11 +86,11 @@
 pub mod agg;
 pub mod approx;
 pub mod catalog;
+pub(crate) mod digest;
 pub mod distinct;
 pub mod exec;
 pub mod fault;
 pub mod file;
-pub(crate) mod fnv;
 pub mod groupby;
 pub(crate) mod hash;
 pub mod join;

@@ -16,7 +16,7 @@ use super::physical::{
 };
 use super::result::QueryResult;
 use crate::agg::AggKind;
-use crate::fnv::Fnv;
+use crate::digest::Digest;
 use crate::predicate::Predicate;
 use crate::segment::SchemeKind;
 use crate::table::Table;
@@ -231,11 +231,11 @@ impl QuerySpec {
     }
 
     /// A stable 64-bit hash of the logical plan — identical across
-    /// processes and runs for equal plans (FNV-1a over a canonical
+    /// processes and runs for equal plans (XXH64 over a canonical
     /// encoding, no process-seeded hasher). The catalog keys its
     /// result cache on `(fingerprint, table version)`.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Digest::new();
         h.tag(b'F');
         h.usize(self.clauses.len());
         for clause in &self.clauses {

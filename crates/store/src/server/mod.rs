@@ -5,7 +5,7 @@
 //! thread plus a few helpers), and exits. This module makes the catalog a long-lived *service*
 //! without changing what a query means:
 //!
-//! * **One wire protocol** (`protocol.rs`): length-prefixed, FNV-1a
+//! * **One wire protocol** (`protocol.rs`): length-prefixed, XXH64
 //!   checksummed frames whose query payload is the verbatim
 //!   `lcdc query` flag vector — the server parses it with
 //!   [`crate::QueryArgs`], the exact grammar the CLI uses, so the two

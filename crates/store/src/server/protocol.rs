@@ -1,9 +1,9 @@
 //! The `lcdc serve` wire protocol: length-prefixed, checksummed frames
 //! over a byte stream.
 //!
-//! A frame is `[len: u32 LE] [kind: u8] [payload] [fnv: u64 LE]`, where
+//! A frame is `[len: u32 LE] [kind: u8] [payload] [sum: u64 LE]`, where
 //! `len` counts everything after itself (kind + payload + checksum) and
-//! `fnv` is [FNV-1a] over kind + payload — the same hash the persistence
+//! `sum` is [XXH64] over kind + payload — the same hash the persistence
 //! layer and [`crate::QuerySpec::fingerprint`] use, so a torn or
 //! corrupted frame is rejected loudly instead of decoded into garbage.
 //! Frames larger than [`MAX_FRAME`] are refused before any allocation;
@@ -29,10 +29,10 @@
 //! halves. Every encode/decode pair round-trips bit-exactly (see the
 //! tests at the bottom).
 //!
-//! [FNV-1a]: https://en.wikipedia.org/wiki/Fowler%E2%80%93Noll%E2%80%93Vo_hash_function
+//! [XXH64]: https://github.com/Cyan4973/xxHash/blob/dev/doc/xxhash_spec.md
 
 use super::metrics::StatsReport;
-use crate::fnv::{fnv1a64, Fnv};
+use crate::digest;
 use crate::query::{QueryStats, Rows};
 use crate::{PushdownStats, Result, StoreError};
 use lcdc_core::{ColumnData, DType};
@@ -49,7 +49,7 @@ pub(crate) const LEN_PREFIX_BYTES: usize = 4;
 /// Bytes of frame-kind tag at the start of every frame body.
 pub(crate) const KIND_BYTES: usize = 1;
 
-/// Bytes of trailing FNV-1a checksum at the end of every frame body.
+/// Bytes of trailing XXH64 checksum at the end of every frame body.
 pub(crate) const CHECKSUM_BYTES: usize = 8;
 
 /// Smallest legal frame body: a bare kind tag plus its checksum.
@@ -289,7 +289,7 @@ fn bad_tag(what: &str, tag: u8) -> StoreError {
 
 // -- framing ----------------------------------------------------------
 
-/// Write one frame: length prefix, kind, payload, FNV-1a checksum.
+/// Write one frame: length prefix, kind, payload, XXH64 checksum.
 pub(crate) fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<()> {
     let len = KIND_BYTES + payload.len() + CHECKSUM_BYTES;
     if len > MAX_FRAME {
@@ -297,18 +297,12 @@ pub(crate) fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Resul
             "frame of {len} bytes exceeds the {MAX_FRAME}-byte wire limit"
         )));
     }
-    // Stream the checksum over kind + payload so the frame can be
-    // assembled without re-slicing the buffer past the length prefix.
-    let mut sum = Fnv::new();
-    sum.byte(kind);
-    for &b in payload {
-        sum.byte(b);
-    }
     let mut body = Vec::with_capacity(LEN_PREFIX_BYTES + len);
     put_u32(&mut body, len as u32);
     body.push(kind);
     body.extend_from_slice(payload);
-    put_u64(&mut body, sum.finish());
+    let sum = digest::checksum(body.get(LEN_PREFIX_BYTES..).unwrap_or_default());
+    put_u64(&mut body, sum);
     w.write_all(&body)?;
     w.flush()?;
     Ok(())
@@ -339,19 +333,10 @@ pub(crate) fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>> {
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)
         .map_err(|_| truncated("frame body"))?;
-    let Some((content, sum_bytes)) = body.split_at_checked(len - CHECKSUM_BYTES) else {
-        return Err(truncated("frame checksum"));
-    };
-    let mut want_bytes = [0u8; CHECKSUM_BYTES];
-    for (dst, byte) in want_bytes.iter_mut().zip(sum_bytes) {
-        *dst = *byte;
-    }
-    let want = u64::from_le_bytes(want_bytes);
-    if fnv1a64(content) != want {
-        return Err(StoreError::CorruptFile(
-            "frame checksum mismatch".to_string(),
-        ));
-    }
+    // `len >= MIN_FRAME` guarantees room for the trailer, so `None`
+    // here is a mismatch.
+    let content = digest::verified(&body)
+        .ok_or_else(|| StoreError::CorruptFile("frame checksum mismatch".to_string()))?;
     let kind = content
         .first()
         .copied()
@@ -362,27 +347,8 @@ pub(crate) fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>> {
 
 // -- compound encoders ------------------------------------------------
 
-fn dtype_tag(dtype: DType) -> u8 {
-    match dtype {
-        DType::U32 => 0,
-        DType::U64 => 1,
-        DType::I32 => 2,
-        DType::I64 => 3,
-    }
-}
-
-fn dtype_from_tag(tag: u8) -> Result<DType> {
-    Ok(match tag {
-        0 => DType::U32,
-        1 => DType::U64,
-        2 => DType::I32,
-        3 => DType::I64,
-        t => return Err(bad_tag("dtype", t)),
-    })
-}
-
 fn put_column(out: &mut Vec<u8>, col: &ColumnData) {
-    out.push(dtype_tag(col.dtype()));
+    out.push(col.dtype().tag());
     let transport = col.to_transport();
     put_u64(out, transport.len() as u64);
     for v in transport {
@@ -391,7 +357,8 @@ fn put_column(out: &mut Vec<u8>, col: &ColumnData) {
 }
 
 fn take_column(cur: &mut Cursor<'_>) -> Result<ColumnData> {
-    let dtype = dtype_from_tag(cur.take_u8()?)?;
+    let tag = cur.take_u8()?;
+    let dtype = DType::from_tag(tag).ok_or_else(|| bad_tag("dtype", tag))?;
     let len = cur.take_u64()? as usize;
     if len.saturating_mul(8) > MAX_FRAME {
         return Err(StoreError::CorruptFile(format!(

@@ -172,7 +172,7 @@ impl SegmentSource for ResidentSource {
 /// Where one segment's record sits inside its column file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameLocation {
-    /// Byte offset of the record (header + frame) in the column file.
+    /// Byte offset of the record (header, frame, checksum) in the file.
     pub offset: u64,
     /// Total record length in bytes.
     pub len: u64,
@@ -328,7 +328,11 @@ impl FileSource {
     /// observe the frame without its mark, so the hits/wasted ledger
     /// stays exact even when prefetch and scan race on one frame.
     fn load_claimed(&self, idx: usize, mark_prefetched: bool) -> Result<Arc<Segment>> {
-        let result = self.load(idx);
+        let result = self
+            .read_record(idx, self.locations[idx])
+            .and_then(|record| {
+                crate::file::decode_record(&record, &self.column, idx, &self.metas[idx], self.dtype)
+            });
         let out = match result {
             Ok(segment) => {
                 let loaded = Arc::new(segment);
@@ -417,39 +421,6 @@ impl FileSource {
             file.read_exact(&mut record).map_err(read_failed)?;
         }
         Ok(record)
-    }
-
-    /// Read and decode one frame from disk, verifying its checksum and
-    /// dtype against the schema.
-    fn load(&self, idx: usize) -> Result<Segment> {
-        let loc = self.locations[idx];
-        let record = self.read_record(idx, loc)?;
-        let segment = crate::file::decode_segment_record(&record, &self.column)?;
-        if segment.compressed.dtype != self.dtype {
-            return Err(StoreError::Shape(format!(
-                "column {} segment {idx} is {:?}, schema says {:?}",
-                self.column, segment.compressed.dtype, self.dtype
-            )));
-        }
-        let meta = &self.metas[idx];
-        if segment.num_rows() != meta.rows {
-            return Err(StoreError::CorruptFile(format!(
-                "column {} segment {idx} holds {} rows, manifest says {}",
-                self.column,
-                segment.num_rows(),
-                meta.rows
-            )));
-        }
-        // The planner already pruned on the manifest's zone map; if the
-        // frame header disagrees, one of the two is corrupt — refuse
-        // rather than mix inconsistent metadata into one answer.
-        if (segment.min, segment.max) != (meta.min, meta.max) || segment.expr != meta.expr {
-            return Err(StoreError::CorruptFile(format!(
-                "column {} segment {idx}: frame metadata disagrees with manifest",
-                self.column
-            )));
-        }
-        Ok(segment)
     }
 }
 
