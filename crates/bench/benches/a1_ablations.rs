@@ -3,9 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lcdc_bench::{locally_tight_column, runs_column, trending_column};
-use lcdc_core::parse_scheme;
-use lcdc_store::{CompressionPolicy, Segment};
+use lcdc_core::{parse_scheme, ColumnData, DType};
+use lcdc_store::{CompressionPolicy, QueryBuilder, Table, TableSchema};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_ref_choice(c: &mut Criterion) {
     let col = locally_tight_column(1 << 20, 128, 256);
@@ -47,27 +48,26 @@ fn bench_model_hierarchy(c: &mut Criterion) {
 }
 
 fn bench_join(c: &mut Criterion) {
-    let a = runs_column(1 << 18, 64);
-    let b = runs_column(1 << 17, 64);
-    let build = |col| {
-        vec![Segment::build(
-            col,
-            &CompressionPolicy::Fixed("rle[values=ns,lengths=ns]".into()),
+    let build = |col: ColumnData| {
+        let rows = col.len();
+        Table::build(
+            TableSchema::new(&[("v", DType::U64)]),
+            &[col],
+            &[CompressionPolicy::Fixed("rle[values=ns,lengths=ns]".into())],
+            rows,
         )
-        .unwrap()]
+        .unwrap()
     };
-    let sa = build(&a);
-    let sb = build(&b);
-    assert_eq!(
-        lcdc_store::join_count_naive(&sa, &sb).unwrap(),
-        lcdc_store::join_count_compressed(&sa, &sb).unwrap()
-    );
+    let a = build(runs_column(1 << 18, 64));
+    let b = Arc::new(build(runs_column(1 << 17, 64)));
+    let q = QueryBuilder::scan(&a).join("b", b, "v");
+    assert_eq!(q.execute_naive().unwrap().rows, q.execute().unwrap().rows);
     let mut group = c.benchmark_group("a1/equi_join_cardinality");
     group.bench_function("decompress_then_hash", |bch| {
-        bch.iter(|| lcdc_store::join_count_naive(black_box(&sa), black_box(&sb)).unwrap())
+        bch.iter(|| black_box(&q).execute_naive().unwrap())
     });
     group.bench_function("per_run_hash", |bch| {
-        bch.iter(|| lcdc_store::join_count_compressed(black_box(&sa), black_box(&sb)).unwrap())
+        bch.iter(|| black_box(&q).execute().unwrap())
     });
     group.finish();
 }

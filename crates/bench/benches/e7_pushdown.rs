@@ -10,7 +10,7 @@ use lcdc_bench::lineitem;
 use lcdc_core::{ColumnData, DType};
 use lcdc_store::{
     open_table_lazy, save_table, shard_table, Agg, Catalog, Client, CompressionPolicy, ExecOptions,
-    Predicate, Query, QuerySpec, Response, Server, ServerConfig, ShardedTable, Table, TableSchema,
+    Predicate, QuerySpec, Response, Server, ServerConfig, ShardedTable, Table, TableSchema,
 };
 use std::hint::black_box;
 use std::sync::{Arc, Mutex};
@@ -35,24 +35,25 @@ fn bench_query(c: &mut Criterion) {
     let d0 = 19_920_101u64;
     let mut group = c.benchmark_group("e7/filtered_sum");
     for days in [4u64, 40, 400] {
-        let q = Query::new(
-            "shipdate",
-            Predicate::Range {
-                lo: d0 as i128,
-                hi: (d0 + days - 1) as i128,
-            },
-            "price",
-        );
+        let spec = QuerySpec::new()
+            .filter(
+                "shipdate",
+                Predicate::Range {
+                    lo: d0 as i128,
+                    hi: (d0 + days - 1) as i128,
+                },
+            )
+            .aggregate(&[Agg::Sum("price"), Agg::Count]);
         // Answers must agree before we time anything.
         assert_eq!(
-            q.run_naive(&table).unwrap().agg,
-            q.run_pushdown(&table).unwrap().agg
+            spec.bind(&table).execute_naive().unwrap().rows,
+            spec.bind(&table).execute().unwrap().rows
         );
         group.bench_with_input(BenchmarkId::new("naive", days), &days, |b, _| {
-            b.iter(|| q.run_naive(black_box(&table)).unwrap())
+            b.iter(|| spec.bind(black_box(&table)).execute_naive().unwrap())
         });
         group.bench_with_input(BenchmarkId::new("pushdown", days), &days, |b, _| {
-            b.iter(|| q.run_pushdown(black_box(&table)).unwrap())
+            b.iter(|| spec.bind(black_box(&table)).execute().unwrap())
         });
     }
     group.finish();

@@ -12,8 +12,8 @@ use lcdc_core::{ColumnData, DType};
 use lcdc_store::segment::CompressionPolicy;
 use lcdc_store::table::Table;
 use lcdc_store::{
-    gather_early, gather_late, select, sort_column_compressed, sort_column_naive, top_k_naive,
-    top_k_pruned, Predicate, TableSchema,
+    gather_early, gather_late, select, sort_column_compressed, sort_column_naive, Predicate,
+    QuerySpec, TableSchema,
 };
 use std::hint::black_box;
 
@@ -71,11 +71,16 @@ fn bench_topk(c: &mut Criterion) {
     let mut group = c.benchmark_group("e9/topk");
     group.throughput(Throughput::Bytes((table.num_rows() * 8) as u64));
     for k in [10usize, 1000] {
-        group.bench_with_input(BenchmarkId::new("pruned", k), &k, |b, &k| {
-            b.iter(|| top_k_pruned(black_box(&table), "v", k).unwrap())
+        let spec = QuerySpec::new().top_k("v", k);
+        assert_eq!(
+            spec.bind(&table).execute().unwrap().rows,
+            spec.bind(&table).execute_naive().unwrap().rows
+        );
+        group.bench_with_input(BenchmarkId::new("pruned", k), &k, |b, _| {
+            b.iter(|| spec.bind(black_box(&table)).execute().unwrap())
         });
-        group.bench_with_input(BenchmarkId::new("naive", k), &k, |b, &k| {
-            b.iter(|| top_k_naive(black_box(&table), "v", k).unwrap())
+        group.bench_with_input(BenchmarkId::new("naive", k), &k, |b, _| {
+            b.iter(|| spec.bind(black_box(&table)).execute_naive().unwrap())
         });
     }
     group.finish();
@@ -87,11 +92,18 @@ fn bench_topk(c: &mut Criterion) {
     let mut group = c.benchmark_group("e9/topk_rle");
     group.throughput(Throughput::Bytes((runs.num_rows() * 8) as u64));
     for k in [10usize, 1000] {
-        group.bench_with_input(BenchmarkId::new("run_structural", k), &k, |b, &k| {
-            b.iter(|| top_k_pruned(black_box(&runs), "v", k).unwrap())
+        let spec = QuerySpec::new().top_k("v", k);
+        let structural = spec.bind(&runs).execute().unwrap();
+        assert_eq!(
+            structural.rows,
+            spec.bind(&runs).execute_naive().unwrap().rows
+        );
+        assert_eq!(structural.stats.rows_materialized, 0);
+        group.bench_with_input(BenchmarkId::new("run_structural", k), &k, |b, _| {
+            b.iter(|| spec.bind(black_box(&runs)).execute().unwrap())
         });
-        group.bench_with_input(BenchmarkId::new("naive", k), &k, |b, &k| {
-            b.iter(|| top_k_naive(black_box(&runs), "v", k).unwrap())
+        group.bench_with_input(BenchmarkId::new("naive", k), &k, |b, _| {
+            b.iter(|| spec.bind(black_box(&runs)).execute_naive().unwrap())
         });
     }
     group.finish();

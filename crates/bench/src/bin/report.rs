@@ -13,7 +13,8 @@ use lcdc_bench::*;
 use lcdc_core::scheme::decompress_via_plan;
 use lcdc_core::schemes::{For, LinearFor, PatchedFor, Rle, Rpe};
 use lcdc_core::{chooser, parse_scheme, rewrite, ColumnData, Scheme};
-use lcdc_store::{CompressionPolicy, Predicate, Query, Table, TableSchema};
+use lcdc_store::{Agg, CompressionPolicy, Predicate, QueryBuilder, Table, TableSchema};
+use std::sync::Arc;
 
 const REPS: usize = 7;
 
@@ -271,24 +272,29 @@ fn e7_pushdown() {
         "selectivity", "sel_rows", "naive_ms", "push_ms", "speedup", "mat_rows"
     );
     let d0 = 19_920_101u64;
+    let filtered_sum = |hi: u64| {
+        QueryBuilder::scan(&table)
+            .filter(
+                "shipdate",
+                Predicate::Range {
+                    lo: d0 as i128,
+                    hi: hi as i128,
+                },
+            )
+            .aggregate(&[Agg::Sum("price"), Agg::Count])
+    };
     for days in [1u64, 20, 200, 1000, 2000] {
-        let q = Query::new(
-            "shipdate",
-            Predicate::Range {
-                lo: d0 as i128,
-                hi: (d0 + days - 1) as i128,
-            },
-            "price",
-        );
-        let naive = q.run_naive(&table).unwrap();
-        let push = q.run_pushdown(&table).unwrap();
-        assert_eq!(naive.agg, push.agg, "answers must agree");
-        let naive_t = time_median(3, || q.run_naive(&table).unwrap());
-        let push_t = time_median(3, || q.run_pushdown(&table).unwrap());
+        let q = filtered_sum(d0 + days - 1);
+        let naive = q.execute_naive().unwrap();
+        let push = q.execute().unwrap();
+        assert_eq!(naive.rows, push.rows, "answers must agree");
+        let selected = push.aggregates().unwrap()[1].unwrap_or(0);
+        let naive_t = time_median(3, || q.execute_naive().unwrap());
+        let push_t = time_median(3, || q.execute().unwrap());
         println!(
             "{:>11.1}% {:>10} {:>11.2} {:>11.2} {:>8.1}x {:>12}",
-            100.0 * naive.agg.count as f64 / table.num_rows() as f64,
-            naive.agg.count,
+            100.0 * selected as f64 / table.num_rows() as f64,
+            selected,
             naive_t * 1e3,
             push_t * 1e3,
             naive_t / push_t,
@@ -299,15 +305,7 @@ fn e7_pushdown() {
 
     // Parallel scan: the same pushdown pipeline, segments leased by
     // several threads from the one job. Answers asserted equal.
-    let q = Query::new(
-        "shipdate",
-        Predicate::Range {
-            lo: d0 as i128,
-            hi: (d0 + 1998) as i128,
-        },
-        "price",
-    );
-    let builder = q.builder(&table);
+    let builder = filtered_sum(d0 + 1998);
     let sequential = builder.execute().unwrap();
     for threads in [1usize, 2, 4, 8] {
         let parallel = builder.execute_parallel(threads).unwrap();
@@ -374,30 +372,36 @@ fn e8_fusion() {
     );
 }
 
-/// E9 — joins on the compressed form: run-granularity equi-join
-/// cardinality vs decompress-then-hash.
+/// E9 — joins on the compressed form: the planner's equi-join (pair
+/// count per key) with run-granularity build and probe sides vs its
+/// decompress-then-hash baseline.
 fn e9_join() {
-    header("E9  Join on compressed columns (equi-join cardinality)");
+    header("E9  Join on compressed columns (equi-join pairs per key)");
     println!(
         "{:>10} {:>12} {:>12} {:>9}",
         "mean_run", "naive_ms", "run_aware_ms", "speedup"
     );
     for mean_run in [8usize, 64, 512] {
-        let a = runs_column(1 << 19, mean_run);
-        let b = runs_column(1 << 18, mean_run);
-        let build = |col: &ColumnData| {
-            vec![lcdc_store::Segment::build(
-                col,
-                &CompressionPolicy::Fixed("rle[values=ns,lengths=ns]".into()),
+        let build = |col: ColumnData| {
+            let rows = col.len();
+            Table::build(
+                TableSchema::new(&[("v", lcdc_core::DType::U64)]),
+                &[col],
+                &[CompressionPolicy::Fixed("rle[values=ns,lengths=ns]".into())],
+                rows,
             )
-            .unwrap()]
+            .unwrap()
         };
-        let sa = build(&a);
-        let sb = build(&b);
-        let exact = lcdc_store::join_count_naive(&sa, &sb).unwrap();
-        assert_eq!(exact, lcdc_store::join_count_compressed(&sa, &sb).unwrap());
-        let naive = time_median(3, || lcdc_store::join_count_naive(&sa, &sb).unwrap());
-        let fast = time_median(3, || lcdc_store::join_count_compressed(&sa, &sb).unwrap());
+        let a = build(runs_column(1 << 19, mean_run));
+        let b = Arc::new(build(runs_column(1 << 18, mean_run)));
+        let q = QueryBuilder::scan(&a).join("b", b, "v");
+        assert_eq!(
+            q.execute_naive().unwrap().rows,
+            q.execute().unwrap().rows,
+            "join answers must agree"
+        );
+        let naive = time_median(3, || q.execute_naive().unwrap());
+        let fast = time_median(3, || q.execute().unwrap());
         println!(
             "{:>10} {:>12.2} {:>12.2} {:>8.1}x",
             mean_run,
@@ -512,17 +516,21 @@ fn e11_query_ops() {
         "k", "segs_pruned", "rows_touched", "naive_ms", "pruned_ms", "speedup"
     );
     for k in [10usize, 100, 10_000] {
-        let naive = lcdc_store::top_k_naive(&table, "v", k).unwrap();
-        let (pruned, stats) = lcdc_store::top_k_pruned(&table, "v", k).unwrap();
-        assert_eq!(naive, pruned, "top-k answers must agree");
-        let naive_t = time_median(3, || lcdc_store::top_k_naive(&table, "v", k).unwrap());
-        let pruned_t = time_median(3, || lcdc_store::top_k_pruned(&table, "v", k).unwrap());
+        let q = QueryBuilder::scan(&table).top_k("v", k);
+        let pruned = q.execute().unwrap();
+        assert_eq!(
+            q.execute_naive().unwrap().rows,
+            pruned.rows,
+            "top-k answers must agree"
+        );
+        let naive_t = time_median(3, || q.execute_naive().unwrap());
+        let pruned_t = time_median(3, || q.execute().unwrap());
         println!(
             "{:>8} {:>8}/{:<5} {:>14} {:>12.2} {:>12.2} {:>8.1}x",
             k,
-            stats.segments_pruned,
-            stats.segments_pruned + stats.segments_scanned,
-            stats.rows_materialized,
+            pruned.stats.segments_pruned,
+            pruned.stats.segments,
+            pruned.stats.rows_materialized,
             naive_t * 1e3,
             pruned_t * 1e3,
             naive_t / pruned_t
@@ -597,57 +605,42 @@ fn e11_query_ops() {
         1 << 16,
     )
     .unwrap();
-    let naive = lcdc_store::distinct_naive(&table, "v").unwrap();
-    let (fast, dstats) = lcdc_store::distinct_compressed(&table, "v").unwrap();
-    assert_eq!(naive, fast);
-    let naive_t = time_median(3, || lcdc_store::distinct_naive(&table, "v").unwrap());
-    let fast_t = time_median(3, || lcdc_store::distinct_compressed(&table, "v").unwrap());
+    let q = QueryBuilder::scan(&table).distinct("v");
+    let fast = q.execute().unwrap();
+    assert_eq!(q.execute_naive().unwrap().rows, fast.rows);
+    let naive_t = time_median(3, || q.execute_naive().unwrap());
+    let fast_t = time_median(3, || q.execute().unwrap());
     println!(
         "\ndistinct: {} values found hashing {} part entries instead of {} rows — {:.2} ms vs {:.1} ms ({:.0}x)",
-        fast.len(),
-        dstats.values_hashed,
+        fast.distinct().unwrap().len(),
+        fast.stats.values_processed,
         table.num_rows(),
         fast_t * 1e3,
         naive_t * 1e3,
         naive_t / fast_t
     );
 
-    let keys = lcdc_store::Segment::build(
-        &col,
-        &CompressionPolicy::Fixed("rle[values=ns,lengths=ns]".into()),
+    let values = ColumnData::U64(lcdc_datagen::uniform(1 << 20, 1000, SEED ^ 9));
+    let table = Table::build(
+        TableSchema::new(&[("k", lcdc_core::DType::U64), ("v", lcdc_core::DType::U64)]),
+        &[col, values],
+        &[
+            CompressionPolicy::Fixed("rle[values=ns,lengths=ns]".into()),
+            CompressionPolicy::Fixed("ns".into()),
+        ],
+        1 << 20,
     )
     .unwrap();
-    let values_col = ColumnData::U64(lcdc_datagen::uniform(1 << 20, 1000, SEED ^ 9));
-    let values =
-        lcdc_store::Segment::build(&values_col, &CompressionPolicy::Fixed("ns".into())).unwrap();
-    let gn = lcdc_store::groupby::group_agg_naive(
-        std::slice::from_ref(&keys),
-        std::slice::from_ref(&values),
-    )
-    .unwrap();
-    let gc = lcdc_store::groupby::group_agg_compressed(
-        std::slice::from_ref(&keys),
-        std::slice::from_ref(&values),
-    )
-    .unwrap();
-    assert_eq!(gn.len(), gc.len());
-    let naive_t = time_median(3, || {
-        lcdc_store::groupby::group_agg_naive(
-            std::slice::from_ref(&keys),
-            std::slice::from_ref(&values),
-        )
-        .unwrap()
-    });
-    let fast_t = time_median(3, || {
-        lcdc_store::groupby::group_agg_compressed(
-            std::slice::from_ref(&keys),
-            std::slice::from_ref(&values),
-        )
-        .unwrap()
-    });
+    let q = QueryBuilder::scan(&table)
+        .group_by("k")
+        .aggregate(&[Agg::Sum("v"), Agg::Count]);
+    let fast = q.execute().unwrap();
+    assert_eq!(q.execute_naive().unwrap().rows, fast.rows);
+    let naive_t = time_median(3, || q.execute_naive().unwrap());
+    let fast_t = time_median(3, || q.execute().unwrap());
     println!(
         "group-by: {} groups, one probe per run — {:.2} ms vs {:.1} ms naive ({:.0}x)",
-        gc.len(),
+        fast.groups().unwrap().len(),
         fast_t * 1e3,
         naive_t * 1e3,
         naive_t / fast_t

@@ -69,14 +69,8 @@ impl Scheme for Rle {
         let values = parts.column(ROLE_VALUES)?;
         let lengths = parts.column(ROLE_LENGTHS)?;
         let lengths = lengths.expect_u64("lengths part")?;
+        validate_lengths(lengths, c.n)?;
         let expanded = runs_expand(&values.as_transport(), lengths)?;
-        if expanded.len() != c.n {
-            return Err(CoreError::CorruptParts(format!(
-                "runs expand to {} values, expected {}",
-                expanded.len(),
-                c.n
-            )));
-        }
         Ok(ColumnData::from_transport(c.dtype, expanded))
     }
 
@@ -124,6 +118,22 @@ impl Scheme for Rle {
 
     fn estimate(&self, stats: &ColumnStats) -> Option<usize> {
         Some(stats.runs * (stats.dtype.bytes() + 8))
+    }
+}
+
+/// The run lengths must add up to exactly `n` — checked before the
+/// expansion allocates anything, so a crafted length cannot ask for an
+/// allocation larger than the column the frame claims to hold.
+fn validate_lengths(lengths: &[u64], n: usize) -> Result<()> {
+    let total = lengths
+        .iter()
+        .try_fold(0u64, |total, &len| total.checked_add(len));
+    match total {
+        Some(total) if total == n as u64 => Ok(()),
+        Some(total) => Err(CoreError::CorruptParts(format!(
+            "runs expand to {total} values, expected {n}"
+        ))),
+        None => Err(CoreError::CorruptParts("run lengths overflow u64".into())),
     }
 }
 

@@ -49,7 +49,6 @@ impl Criterion {
         println!("\n{name}");
         BenchmarkGroup {
             criterion: self,
-            name: name.to_string(),
             throughput: None,
         }
     }
@@ -57,7 +56,7 @@ impl Criterion {
     /// Measure a standalone function.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) {
         let cfg = (self.warmup_iters, self.samples, self.target_sample_time);
-        run_one(id, id, None, cfg, &mut f);
+        run_one(id, None, cfg, &mut f);
     }
 }
 
@@ -73,7 +72,6 @@ pub enum Throughput {
 /// A named group of measurements sharing a throughput annotation.
 pub struct BenchmarkGroup<'c> {
     criterion: &'c mut Criterion,
-    name: String,
     throughput: Option<Throughput>,
 }
 
@@ -87,9 +85,7 @@ impl BenchmarkGroup<'_> {
     pub fn bench_function<I: IntoBenchId, F: FnMut(&mut Bencher)>(&mut self, id: I, mut f: F) {
         let c = &*self.criterion;
         let cfg = (c.warmup_iters, c.samples, c.target_sample_time);
-        let id = id.into_bench_id();
-        let qualified = format!("{}/{}", self.name, id);
-        run_one(&id, &qualified, self.throughput, cfg, &mut f);
+        run_one(&id.into_bench_id(), self.throughput, cfg, &mut f);
     }
 
     /// Measure a closure that receives a borrowed input.
@@ -170,7 +166,6 @@ impl Bencher {
 
 fn run_one(
     id: &str,
-    qualified: &str,
     throughput: Option<Throughput>,
     (warmup_iters, samples, target): (u64, usize, Duration),
     f: &mut dyn FnMut(&mut Bencher),
@@ -214,32 +209,6 @@ fn run_one(
         format_ns(median),
         rate.unwrap_or_default()
     );
-    emit_jsonl(qualified, median);
-}
-
-/// When `BENCH_JSONL` names a file, append one JSON line per finished
-/// measurement: `{"name": "<group>/<id>", "median_ns": <median>}`.
-/// `scripts/bench_baseline.sh` assembles these into `BENCH_e7.json` so
-/// per-PR medians accumulate under stable names.
-fn emit_jsonl(qualified: &str, median_ns: f64) {
-    let Ok(path) = std::env::var("BENCH_JSONL") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    use std::io::Write;
-    if let Ok(mut file) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-    {
-        let name: String = qualified
-            .chars()
-            .map(|c| if c == '"' || c == '\\' { '_' } else { c })
-            .collect();
-        let _ = writeln!(file, "{{\"name\":\"{name}\",\"median_ns\":{median_ns:.1}}}");
-    }
 }
 
 fn format_ns(ns: f64) -> String {

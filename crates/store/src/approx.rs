@@ -6,7 +6,8 @@
 //!
 //! * An **approximate aggregate** is answered from the segments' zone
 //!   maps alone — a certified `[lo, hi]` interval per aggregate, with
-//!   *zero* payload bytes touched.
+//!   *zero* payload bytes touched ([`GradualAggregate::new`], then
+//!   [`GradualAggregate::interval`]).
 //! * **Gradual refinement** then decompresses segments one at a time
 //!   (widest-interval first), shrinking the interval monotonically until
 //!   it is tight enough or the budget runs out; the exact answer is the
@@ -168,11 +169,6 @@ impl<'a> GradualAggregate<'a> {
     }
 }
 
-/// One-shot zone-map-only approximation of a column's aggregates.
-pub fn approximate_aggregate(table: &Table, column: &str) -> Result<AggInterval> {
-    Ok(GradualAggregate::new(table, column)?.interval())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,7 +195,7 @@ mod tests {
     fn zone_map_interval_contains_exact_sum() {
         let (t, col) = table();
         let exact = aggregate_plain(&col, None);
-        let approx = approximate_aggregate(&t, "v").unwrap();
+        let approx = GradualAggregate::new(&t, "v").unwrap().interval();
         assert!(
             approx.contains_sum(exact.sum),
             "{approx:?} vs {}",
@@ -267,7 +263,7 @@ mod tests {
             100,
         )
         .unwrap();
-        let approx = approximate_aggregate(&t, "v").unwrap();
+        let approx = GradualAggregate::new(&t, "v").unwrap().interval();
         assert_eq!(approx.count, 0);
         assert!(approx.is_exact());
         assert_eq!(approx.min_lo, None);
@@ -276,7 +272,7 @@ mod tests {
     #[test]
     fn unknown_column_errors() {
         let (t, _) = table();
-        assert!(approximate_aggregate(&t, "nope").is_err());
+        assert!(GradualAggregate::new(&t, "nope").is_err());
     }
 
     #[test]
@@ -291,7 +287,7 @@ mod tests {
         )
         .unwrap();
         let exact = aggregate_plain(&col, None);
-        let approx = approximate_aggregate(&t, "v").unwrap();
+        let approx = GradualAggregate::new(&t, "v").unwrap().interval();
         assert!(approx.contains_sum(exact.sum));
     }
 }

@@ -718,18 +718,21 @@ mod tests {
         let table = sample_table();
         save_table(&table, &dir).unwrap();
         let loaded = load_table(&dir).unwrap();
-        let q = crate::Query::new(
-            "date",
-            crate::Predicate::Range {
-                lo: 20_180_110,
-                hi: 20_180_140,
-            },
-            "delta",
-        );
-        assert_eq!(
-            q.run_pushdown(&table).unwrap().agg,
-            q.run_pushdown(&loaded).unwrap().agg
-        );
+        let q = |t: &Table| {
+            crate::QueryBuilder::scan(t)
+                .filter(
+                    "date",
+                    crate::Predicate::Range {
+                        lo: 20_180_110,
+                        hi: 20_180_140,
+                    },
+                )
+                .aggregate(&[crate::Agg::Sum("delta"), crate::Agg::Count])
+                .execute()
+                .unwrap()
+                .rows
+        };
+        assert_eq!(q(&table), q(&loaded));
         fs::remove_dir_all(&dir).unwrap();
     }
 

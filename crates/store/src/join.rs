@@ -1,15 +1,13 @@
-//! Join kernels on compressed columns.
+//! Join build-side kernels on compressed columns.
 //!
 //! The paper (§II-B) lists joins next to selections among the operations
-//! a model-aware engine can speed up. The demonstration here is the
-//! equi-join *cardinality* (`|{(i,j) : a[i] == b[j]}|`, the core of any
-//! hash join's build/probe accounting):
-//!
-//! * the **naive** path decompresses both sides and hashes row by row;
-//! * the **run-aware** path partially decompresses only the run values
-//!   and lengths of RLE/RPE sides, hashing one entry *per run* and
-//!   multiplying lengths — `Σ_v count_a(v)·count_b(v)` computed at run
-//!   granularity.
+//! a model-aware engine can speed up. An equi-join's pair count is
+//! `Σ_v count_a(v)·count_b(v)`, so each side reduces to a value
+//! histogram, and a compressed segment can often be histogrammed
+//! without decoding its rows: CONST from its zone map, DICT by counting
+//! codes, RLE/RPE one entry *per run* weighted by run length. The
+//! planner's join sink ([`crate::QueryBuilder::join`]) builds its right
+//! side from these kernels and caches them per segment.
 
 use crate::agg::for_each_run;
 use crate::hash::IntMap;
@@ -17,12 +15,12 @@ use crate::segment::{DictView, SchemeKind, Segment};
 use crate::Result;
 use lcdc_core::{with_column, ColumnData};
 
-/// Value -> total row count, the histogram both join paths reduce to.
+/// Value -> total row count: a join side reduced to what the pair
+/// count needs.
 pub(crate) type Histogram = IntMap<i128, u64>;
 
 /// One segment's join build side at the best structural granularity —
-/// what the planner's join sink caches per `(shard, segment)` and the
-/// standalone cardinality kernels below fold together.
+/// what the planner's join sink caches per `(shard, segment)`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SegmentHistogram {
     /// value -> row count.
@@ -112,162 +110,117 @@ pub(crate) fn segment_histogram(
     }
 }
 
-fn merge(into: &mut Histogram, from: Histogram) {
-    for (value, count) in from {
-        *into.entry(value).or_insert(0) += count;
-    }
-}
-
-fn join_cardinality(a: &Histogram, b: &Histogram) -> u128 {
-    // Probe the smaller side into the larger.
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    small
-        .iter()
-        .filter_map(|(value, &ca)| large.get(value).map(|&cb| ca as u128 * cb as u128))
-        .sum()
-}
-
-/// Naive equi-join cardinality: decompress both segment lists fully.
-pub fn join_count_naive(a: &[Segment], b: &[Segment]) -> Result<u128> {
-    let mut ha = Histogram::default();
-    for seg in a {
-        merge(&mut ha, SegmentHistogram::decoded(&seg.decompress()?).hist);
-    }
-    let mut hb = Histogram::default();
-    for seg in b {
-        merge(&mut hb, SegmentHistogram::decoded(&seg.decompress()?).hist);
-    }
-    Ok(join_cardinality(&ha, &hb))
-}
-
-/// Run-aware equi-join cardinality: RLE/RPE sides are hashed one entry
-/// per run via partial decompression.
-pub fn join_count_compressed(a: &[Segment], b: &[Segment]) -> Result<u128> {
-    let (mut codes, mut counts) = (Vec::new(), Vec::new());
-    let mut ha = Histogram::default();
-    for seg in a {
-        merge(
-            &mut ha,
-            segment_histogram(seg, &mut codes, &mut counts)?.hist,
-        );
-    }
-    let mut hb = Histogram::default();
-    for seg in b {
-        merge(
-            &mut hb,
-            segment_histogram(seg, &mut codes, &mut counts)?.hist,
-        );
-    }
-    Ok(join_cardinality(&ha, &hb))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::QueryBuilder;
+    use crate::schema::TableSchema;
     use crate::segment::CompressionPolicy;
+    use crate::table::Table;
+    use std::sync::Arc;
 
-    fn segments(col: &ColumnData, expr: &str) -> Vec<Segment> {
-        vec![Segment::build(col, &CompressionPolicy::Fixed(expr.to_string())).unwrap()]
+    fn table(col: ColumnData, policy: CompressionPolicy, seg_rows: usize) -> Table {
+        let schema = TableSchema::new(&[("v", col.dtype())]);
+        Table::build(schema, &[col], &[policy], seg_rows).unwrap()
+    }
+
+    /// A one-segment table compressed with `expr`.
+    fn fixed(col: ColumnData, expr: &str) -> Table {
+        let rows = col.len().max(1);
+        table(col, CompressionPolicy::Fixed(expr.into()), rows)
+    }
+
+    /// The equi-join cardinality through the planner's join sink,
+    /// asserted equal to the decoded baseline.
+    fn join_count(a: &Table, b: &Table) -> i128 {
+        let builder = QueryBuilder::scan(a).join("b", Arc::new(b.clone()), "v");
+        let push = builder.execute().unwrap();
+        assert_eq!(push.rows, builder.execute_naive().unwrap().rows);
+        push.joined().unwrap().iter().map(|&(_, pairs)| pairs).sum()
     }
 
     #[test]
     fn paths_agree_on_runny_sides() {
-        let a = ColumnData::U64(vec![1, 1, 1, 2, 2, 3, 3, 3, 3]);
-        let b = ColumnData::U64(vec![2, 2, 2, 3, 5, 5]);
-        let sa = segments(&a, "rle[values=ns,lengths=ns]");
-        let sb = segments(&b, "rpe[values=ns,positions=ns]");
-        let naive = join_count_naive(&sa, &sb).unwrap();
-        let fast = join_count_compressed(&sa, &sb).unwrap();
+        let a = fixed(
+            ColumnData::U64(vec![1, 1, 1, 2, 2, 3, 3, 3, 3]),
+            "rle[values=ns,lengths=ns]",
+        );
+        let b = fixed(
+            ColumnData::U64(vec![2, 2, 2, 3, 5, 5]),
+            "rpe[values=ns,positions=ns]",
+        );
         // pairs: value 2 -> 2*3 = 6, value 3 -> 4*1 = 4.
-        assert_eq!(naive, 10);
-        assert_eq!(fast, 10);
+        assert_eq!(join_count(&a, &b), 10);
     }
 
     #[test]
     fn mixed_schemes_fall_back() {
-        let a = ColumnData::U64(vec![7, 8, 9, 7]);
-        let b = ColumnData::U64(vec![7, 7, 9]);
-        let sa = segments(&a, "ns");
-        let sb = segments(&b, "rle[values=ns,lengths=ns]");
-        assert_eq!(
-            join_count_naive(&sa, &sb).unwrap(),
-            join_count_compressed(&sa, &sb).unwrap()
-        );
-        assert_eq!(join_count_compressed(&sa, &sb).unwrap(), 2 * 2 + 1);
+        let a = fixed(ColumnData::U64(vec![7, 8, 9, 7]), "ns");
+        let b = fixed(ColumnData::U64(vec![7, 7, 9]), "rle[values=ns,lengths=ns]");
+        assert_eq!(join_count(&a, &b), 2 * 2 + 1);
     }
 
     #[test]
     fn empty_sides() {
-        let a = ColumnData::U64(vec![]);
-        let b = ColumnData::U64(vec![1, 2]);
-        let sa = segments(&a, "ns");
-        let sb = segments(&b, "ns");
-        assert_eq!(join_count_compressed(&sa, &sb).unwrap(), 0);
-        assert_eq!(join_count_naive(&sa, &sb).unwrap(), 0);
+        let a = fixed(ColumnData::U64(vec![]), "ns");
+        let b = fixed(ColumnData::U64(vec![1, 2]), "ns");
+        assert_eq!(join_count(&a, &b), 0);
+        assert_eq!(join_count(&b, &a), 0);
     }
 
     #[test]
     fn disjoint_sides_yield_zero() {
-        let a = ColumnData::U64(vec![1; 100]);
-        let b = ColumnData::U64(vec![2; 100]);
-        let sa = segments(&a, "rle[values=ns,lengths=ns]");
-        let sb = segments(&b, "rle[values=ns,lengths=ns]");
-        assert_eq!(join_count_compressed(&sa, &sb).unwrap(), 0);
+        let a = fixed(ColumnData::U64(vec![1; 100]), "rle[values=ns,lengths=ns]");
+        let b = fixed(ColumnData::U64(vec![2; 100]), "rle[values=ns,lengths=ns]");
+        assert_eq!(join_count(&a, &b), 0);
     }
 
     #[test]
     fn multi_segment_sides() {
-        let a = ColumnData::U64((0..4000u64).map(|i| i / 100).collect());
-        let b = ColumnData::U64((0..2000u64).map(|i| i / 25).collect());
-        let sa: Vec<Segment> = a
-            .to_transport()
-            .chunks(1000)
-            .map(|c| {
-                Segment::build(
-                    &ColumnData::U64(c.to_vec()),
-                    &CompressionPolicy::Fixed("rle[values=ns,lengths=ns]".into()),
-                )
-                .unwrap()
-            })
-            .collect();
-        let sb: Vec<Segment> = b
-            .to_transport()
-            .chunks(500)
-            .map(|c| {
-                Segment::build(&ColumnData::U64(c.to_vec()), &CompressionPolicy::Auto).unwrap()
-            })
-            .collect();
-        assert_eq!(
-            join_count_naive(&sa, &sb).unwrap(),
-            join_count_compressed(&sa, &sb).unwrap()
+        let a = table(
+            ColumnData::U64((0..4000u64).map(|i| i / 100).collect()),
+            CompressionPolicy::Fixed("rle[values=ns,lengths=ns]".into()),
+            1000,
         );
+        let b = table(
+            ColumnData::U64((0..2000u64).map(|i| i / 25).collect()),
+            CompressionPolicy::Auto,
+            500,
+        );
+        // Keys 0..40 hold 100 rows on the left and 25 on the right.
+        assert_eq!(join_count(&a, &b), 40 * 100 * 25);
     }
 
     #[test]
     fn signed_values_join() {
-        let a = ColumnData::I64(vec![-5, -5, 3]);
-        let b = ColumnData::I64(vec![-5, 3, 3]);
-        let sa = segments(&a, "rle[values=id,lengths=ns]");
-        let sb = segments(&b, "id");
-        assert_eq!(join_count_compressed(&sa, &sb).unwrap(), 2 + 2);
+        let a = fixed(
+            ColumnData::I64(vec![-5, -5, 3]),
+            "rle[values=id,lengths=ns]",
+        );
+        let b = fixed(ColumnData::I64(vec![-5, 3, 3]), "id");
+        assert_eq!(join_count(&a, &b), 2 + 2);
     }
 
     #[test]
     fn dict_and_const_sides_are_structural() {
         let a = ColumnData::U64(vec![5; 40]);
         let b = ColumnData::U64((0..40).map(|i| 3 + i % 4).collect());
-        let sa = segments(&a, "const");
-        let sb = segments(&b, "dict[codes=ns]");
-        assert_eq!(
-            join_count_naive(&sa, &sb).unwrap(),
-            join_count_compressed(&sa, &sb).unwrap()
-        );
         // value 5 appears 40x left, 10x right.
-        assert_eq!(join_count_compressed(&sa, &sb).unwrap(), 400);
+        assert_eq!(
+            join_count(
+                &fixed(a.clone(), "const"),
+                &fixed(b.clone(), "dict[codes=ns]")
+            ),
+            400
+        );
+        let build = |col: &ColumnData, expr: &str| {
+            Segment::build(col, &CompressionPolicy::Fixed(expr.into())).unwrap()
+        };
         let (mut codes, mut counts) = (Vec::new(), Vec::new());
-        let built = segment_histogram(&sa[0], &mut codes, &mut counts).unwrap();
+        let built = segment_histogram(&build(&a, "const"), &mut codes, &mut counts).unwrap();
         assert_eq!(built.undecoded_rows, 40, "const side never decodes");
-        let built = segment_histogram(&sb[0], &mut codes, &mut counts).unwrap();
+        let built =
+            segment_histogram(&build(&b, "dict[codes=ns]"), &mut codes, &mut counts).unwrap();
         assert_eq!(built.undecoded_rows, 40, "dict side counts codes");
         assert!(built.dict, "counted off the dictionary");
         assert_eq!(built.hist.len(), 4);

@@ -39,11 +39,17 @@
 //! executor drives that per-segment pipeline everywhere — a query
 //! compiles once into a job whose segments the calling thread, its
 //! helpers ([`QueryBuilder::execute_parallel`], [`ExecOptions`]) or
-//! `lcdc serve`'s worker pool lease — so every operator parallelises,
-//! and a naive decompress-everything mode
-//! ([`QueryBuilder::execute_naive`]) keeps the pushdown/fusion
-//! experiments (E7-E9) honest. One [`QueryStats`] records the
-//! segment/row/tier accounting uniformly across operators.
+//! `lcdc serve`'s worker pool lease — so every operator parallelises.
+//! [`QueryBuilder`] is the one way to run a filter, aggregate,
+//! group-by, top-k, distinct or join; its decompress-everything mode
+//! ([`QueryBuilder::execute_naive`]) is the one decoded baseline every
+//! pushdown tier is tested and benchmarked against. One [`QueryStats`]
+//! records the segment/row/tier accounting uniformly across operators.
+//!
+//! Three of the paper's §II experiments have no planner sink and stand
+//! beside it: run-aware sorting ([`sort`]), certified zone-map
+//! intervals with gradual refinement ([`GradualAggregate`]), and
+//! positional late materialisation ([`selvec`]).
 //!
 //! ## The storage API
 //!
@@ -87,13 +93,10 @@ pub mod agg;
 pub mod approx;
 pub mod catalog;
 pub(crate) mod digest;
-pub mod distinct;
-pub mod exec;
 pub mod fault;
 pub mod file;
-pub mod groupby;
 pub(crate) mod hash;
-pub mod join;
+pub(crate) mod join;
 pub mod predicate;
 pub mod query;
 pub mod schema;
@@ -103,16 +106,12 @@ pub mod server;
 pub mod sort;
 pub mod source;
 pub mod table;
-pub mod topk;
 
 pub use agg::{AggKind, AggResult};
-pub use approx::{approximate_aggregate, AggInterval, GradualAggregate};
+pub use approx::{AggInterval, GradualAggregate};
 pub use catalog::{shard_table, Catalog, CatalogTable, ResolvedJoin, ShardRouting, ShardedTable};
-pub use distinct::{distinct_compressed, distinct_naive, DistinctStats};
-pub use exec::{Query, QueryOutput};
 pub use fault::{FaultPlan, FaultSite};
 pub use file::{append_table, load_table, open_table_lazy, read_segment, save_table};
-pub use join::{join_count_compressed, join_count_naive};
 pub use predicate::{InList, Predicate, PushdownStats};
 pub use query::{
     Agg, ExecOptions, JoinSpec, PhysicalPlan, QueryArgs, QueryBuilder, QueryResult, QuerySpec,
@@ -120,14 +119,13 @@ pub use query::{
 };
 pub use schema::{ColumnSchema, TableSchema};
 pub use segment::{CompressionPolicy, SchemeKind, Segment};
-pub use selvec::{gather_early, gather_late, select, select_and, GatherStats, SelVec};
+pub use selvec::{gather_early, gather_late, select, GatherStats, SelVec};
 pub use server::{
     Client, EndpointStats, Request, Response, RetryPolicy, Server, ServerConfig, StatsReport,
 };
 pub use sort::{sort_column_compressed, sort_column_naive, SortStats};
 pub use source::{ChainedSource, FileSource, ResidentSource, SegmentMeta, SegmentSource};
 pub use table::Table;
-pub use topk::{top_k_naive, top_k_pruned, TopKStats};
 
 /// Errors produced by the store.
 #[derive(Debug)]

@@ -314,6 +314,22 @@ mod tests {
     }
 
     #[test]
+    fn top_k_on_unknown_column_errors() {
+        let t = table(CompressionPolicy::Auto, 512);
+        let top = QueryBuilder::scan(&t).top_k("nope", 3);
+        assert!(top.execute().is_err());
+        assert!(top.execute_naive().is_err());
+    }
+
+    #[test]
+    fn distinct_on_unknown_column_errors() {
+        let t = table(CompressionPolicy::Auto, 512);
+        let distinct = QueryBuilder::scan(&t).distinct("nope");
+        assert!(distinct.execute().is_err());
+        assert!(distinct.execute_naive().is_err());
+    }
+
+    #[test]
     fn repeated_column_conjuncts_decompress_once() {
         // Two row-tier conjuncts on the same ns-compressed column: the
         // second is evaluated on the plain form the first already

@@ -107,78 +107,6 @@ pub fn select(
     ))
 }
 
-/// Evaluate a conjunction of per-column predicates and collect the
-/// selected positions. Per segment, columns are tested in the given
-/// order and the running bitmap ANDs together; a segment whose running
-/// selection empties short-circuits — columns later in the conjunction
-/// are never touched for it (their zone-map tier isn't even consulted).
-/// Put the most selective predicate first.
-pub fn select_and(
-    table: &Table,
-    conjuncts: &[(&str, Predicate)],
-) -> Result<(SelVec, PushdownStats)> {
-    if conjuncts.is_empty() {
-        return Err(StoreError::Shape("empty conjunction".into()));
-    }
-    let sources: Vec<&dyn crate::source::SegmentSource> = conjuncts
-        .iter()
-        .map(|(col, _)| table.source(col))
-        .collect::<Result<_>>()?;
-    let num_segments = sources[0].num_segments();
-    let mut stats = PushdownStats::default();
-    let mut positions = Vec::new();
-    let mut base = 0u64;
-    for seg_idx in 0..num_segments {
-        let n = sources[0].meta(seg_idx).rows as u64;
-        // `None` = all rows still selected (no bitmap materialised yet).
-        let mut mask: Option<lcdc_colops::Bitmap> = None;
-        let mut emptied = false;
-        for (source, (_, pred)) in sources.iter().zip(conjuncts) {
-            if n == 0 {
-                emptied = true;
-                break;
-            }
-            let meta = source.meta(seg_idx);
-            match pred.zone_decides(meta.min, meta.max) {
-                Some(true) => {
-                    stats.zonemap_hits += 1;
-                    continue;
-                }
-                Some(false) => {
-                    stats.zonemap_hits += 1;
-                    emptied = true;
-                    break; // short-circuit: later columns never touched
-                }
-                None => {}
-            }
-            let seg = source.segment(seg_idx)?;
-            let step = pred.eval_segment(&seg, Some(&mut stats))?;
-            mask = Some(match mask {
-                None => step,
-                Some(m) => m.and(&step),
-            });
-            if mask.as_ref().expect("just set").count_ones() == 0 {
-                emptied = true;
-                break;
-            }
-        }
-        if !emptied {
-            match &mask {
-                None => positions.extend(base..base + n),
-                Some(m) => positions.extend(m.iter_ones().map(|i| base + i as u64)),
-            }
-        }
-        base += n;
-    }
-    Ok((
-        SelVec {
-            positions,
-            total_rows: table.num_rows(),
-        },
-        stats,
-    ))
-}
-
 /// Early materialisation: decompress every payload segment, index rows.
 pub fn gather_early(table: &Table, column: &str, sel: &SelVec) -> Result<ColumnData> {
     check_shape(table, sel)?;
@@ -399,59 +327,27 @@ mod tests {
 
     #[test]
     fn conjunction_matches_sequential_intersection() {
+        // Intersecting two selections equals the planner's conjunction.
         let t = table("for(l=128)");
-        // f in [10,30] AND p >= 0 (via range to max).
-        let (sel_and, _) = select_and(
-            &t,
-            &[
-                ("f", Predicate::Range { lo: 10, hi: 30 }),
-                (
-                    "p",
-                    Predicate::Range {
-                        lo: 0,
-                        hi: i64::MAX as i128,
-                    },
-                ),
-            ],
-        )
-        .unwrap();
-        let (a, _) = select(&t, "f", &Predicate::Range { lo: 10, hi: 30 }).unwrap();
-        let (b, _) = select(
-            &t,
-            "p",
-            &Predicate::Range {
+        let (f, p) = (
+            Predicate::Range { lo: 10, hi: 30 },
+            Predicate::Range {
                 lo: 0,
                 hi: i64::MAX as i128,
             },
-        )
-        .unwrap();
+        );
+        let (a, _) = select(&t, "f", &f).unwrap();
+        let (b, _) = select(&t, "p", &p).unwrap();
         let b_set: std::collections::HashSet<u64> = b.positions.iter().copied().collect();
-        let expect: Vec<u64> = a
-            .positions
-            .iter()
-            .copied()
-            .filter(|p| b_set.contains(p))
-            .collect();
-        assert_eq!(sel_and.positions, expect);
-        assert!(!sel_and.is_empty());
-    }
-
-    #[test]
-    fn conjunction_short_circuits_and_rejects_empty() {
-        let t = table("for(l=128)");
-        // First conjunct empty: second column's tiers never fire.
-        let (sel, stats) = select_and(
-            &t,
-            &[
-                ("f", Predicate::Range { lo: -10, hi: -1 }),
-                ("p", Predicate::All),
-            ],
-        )
-        .unwrap();
-        assert!(sel.is_empty());
-        // Every hit was a zone-map prune on the first column only.
-        assert_eq!(stats.total(), stats.zonemap_hits);
-        assert!(select_and(&t, &[]).is_err());
+        let both = a.positions.iter().filter(|p| b_set.contains(p)).count();
+        assert!(both > 0);
+        let planned = crate::QueryBuilder::scan(&t)
+            .filter("f", f)
+            .filter("p", p)
+            .aggregate(&[crate::Agg::Count])
+            .execute()
+            .unwrap();
+        assert_eq!(planned.aggregates().unwrap(), &[Some(both as i128)]);
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! For other schemes the segment is decompressed and run-encoded first,
 //! which still wins across segments whenever values repeat.
 
+use crate::agg::for_each_run;
+use crate::segment::Segment;
 use crate::table::Table;
 use crate::{Result, StoreError};
 use lcdc_core::ColumnData;
@@ -56,24 +58,14 @@ pub fn sort_column_compressed(table: &Table, column: &str) -> Result<(ColumnData
 }
 
 /// Push one segment's `(value, length)` runs, using partial
-/// decompression where the scheme exposes runs directly.
-fn collect_runs(
-    seg: &crate::segment::Segment,
-    runs: &mut Vec<(i128, u64)>,
-    stats: &mut SortStats,
-) -> Result<()> {
+/// decompression where the scheme exposes runs directly. Runs are walked
+/// by [`for_each_run`], which clamps them to the segment's rows.
+fn collect_runs(seg: &Segment, runs: &mut Vec<(i128, u64)>, stats: &mut SortStats) -> Result<()> {
     if let Some((values, ends)) = seg.run_structure()? {
         stats.segments_run_aware += 1;
-        let mut start = 0u64;
-        for (i, &end) in ends.iter().enumerate() {
-            if end < start {
-                return Err(StoreError::Shape(format!(
-                    "run position {end} precedes {start}"
-                )));
-            }
-            runs.push((numeric_at(&values, i)?, end - start));
-            start = end;
-        }
+        for_each_run(&values, &ends, seg.num_rows(), |value, rows| {
+            runs.push((value, rows.len() as u64));
+        });
         return Ok(());
     }
     // Generic path: decompress, run-encode the rows.
@@ -89,11 +81,6 @@ fn collect_runs(
         i = j;
     }
     Ok(())
-}
-
-fn numeric_at(col: &ColumnData, i: usize) -> Result<i128> {
-    col.get_numeric(i)
-        .ok_or_else(|| StoreError::Shape(format!("run value {i} out of range")))
 }
 
 #[cfg(test)]
@@ -160,6 +147,30 @@ mod tests {
         let (sorted, stats) = sort_column_compressed(&t, "v").unwrap();
         assert!(sorted.is_empty());
         assert_eq!(stats.rows, 0);
+    }
+
+    #[test]
+    fn overrunning_run_lengths_stop_at_the_segment_rows() {
+        use crate::source::{ResidentSource, SegmentSource};
+        use lcdc_core::{schemes::Rle, PartData, Scheme};
+        use std::sync::Arc;
+        let mut c = Rle
+            .compress(&ColumnData::U64(vec![4, 4, 4, 1, 1, 1, 1, 1, 1, 1]))
+            .unwrap();
+        // The last run claims 2^40 rows of a 10-row segment.
+        c.parts[1].data = PartData::Plain(ColumnData::U64(vec![3, 1 << 40]));
+        let seg = Segment::new(c, "rle".into(), 1, 4).unwrap();
+        let t = Table::from_sources(
+            crate::schema::TableSchema::new(&[("v", DType::U64)]),
+            vec![Arc::new(ResidentSource::new(vec![seg])) as Arc<dyn SegmentSource>],
+            10,
+            10,
+        )
+        .unwrap();
+        let (sorted, stats) = sort_column_compressed(&t, "v").unwrap();
+        assert_eq!(sorted.len(), t.num_rows());
+        assert_eq!(sorted, ColumnData::U64(vec![1, 1, 1, 1, 1, 1, 1, 4, 4, 4]));
+        assert_eq!(stats.segments_run_aware, 1);
     }
 
     #[test]

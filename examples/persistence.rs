@@ -14,7 +14,7 @@ use lcdc::core::{ColumnData, DType};
 use lcdc::store::segment::CompressionPolicy;
 use lcdc::store::table::Table;
 use lcdc::store::{
-    load_table, open_table_lazy, read_segment, save_table, Agg, Predicate, Query, QueryBuilder,
+    load_table, open_table_lazy, read_segment, save_table, Agg, Predicate, QueryBuilder,
     TableSchema,
 };
 
@@ -61,21 +61,27 @@ fn main() {
 
     // Reload and run the same query; answers must agree.
     let loaded = load_table(&dir).expect("loads");
-    let q = Query::new(
-        "date",
-        Predicate::Range {
-            lo: 20_180_120,
-            hi: 20_180_180,
-        },
-        "price",
-    );
-    let before = q.run_pushdown(&table).expect("queries");
-    let after = q.run_pushdown(&loaded).expect("queries");
-    assert_eq!(before.agg, after.agg);
-    println!(
-        "query over the reloaded table agrees: SUM = {} over {} rows ✓",
-        after.agg.sum, after.agg.count
-    );
+    let query = |t| {
+        QueryBuilder::scan(t)
+            .filter(
+                "date",
+                Predicate::Range {
+                    lo: 20_180_120,
+                    hi: 20_180_180,
+                },
+            )
+            .aggregate(&[Agg::Sum("price"), Agg::Count])
+            .execute()
+            .expect("queries")
+    };
+    let before = query(&table);
+    let after = query(&loaded);
+    assert_eq!(before.rows, after.rows);
+    let (sum, count) = match after.aggregates() {
+        Some(&[Some(sum), Some(count)]) => (sum, count),
+        other => panic!("unexpected aggregate row {other:?}"),
+    };
+    println!("query over the reloaded table agrees: SUM = {sum} over {count} rows ✓");
 
     // Lazy open: only the manifest is read now; the planner prunes on
     // manifest zone maps, so the narrow query below fetches a handful

@@ -7,7 +7,7 @@
 //! ```
 
 use lcdc::core::{ColumnData, DType};
-use lcdc::store::{CompressionPolicy, Predicate, Query, Table, TableSchema};
+use lcdc::store::{Agg, CompressionPolicy, Predicate, QueryBuilder, Table, TableSchema};
 use std::time::Instant;
 
 fn main() {
@@ -47,26 +47,31 @@ fn main() {
     }
 
     // Q: total revenue for a 30-day window.
-    let q = Query::new(
-        "shipdate",
-        Predicate::Range {
-            lo: 19_920_201,
-            hi: 19_920_301,
-        },
-        "extendedprice",
-    );
+    let q = QueryBuilder::scan(&table)
+        .filter(
+            "shipdate",
+            Predicate::Range {
+                lo: 19_920_201,
+                hi: 19_920_301,
+            },
+        )
+        .aggregate(&[Agg::Count, Agg::Sum("extendedprice")]);
 
     let start = Instant::now();
-    let naive = q.run_naive(&table).expect("naive runs");
+    let naive = q.execute_naive().expect("naive runs");
     let naive_t = start.elapsed();
     let start = Instant::now();
-    let push = q.run_pushdown(&table).expect("pushdown runs");
+    let push = q.execute().expect("pushdown runs");
     let push_t = start.elapsed();
 
-    assert_eq!(naive.agg, push.agg, "both executors must agree");
+    assert_eq!(naive.rows, push.rows, "both executors must agree");
+    let (count, revenue) = match push.aggregates() {
+        Some(&[Some(count), Some(sum)]) => (count, sum),
+        other => panic!("unexpected aggregate row {other:?}"),
+    };
     println!("\n30-day revenue query:");
-    println!("  rows selected          {:>12}", push.agg.count);
-    println!("  SUM(extendedprice)     {:>12}", push.agg.sum);
+    println!("  rows selected          {count:>12}");
+    println!("  SUM(extendedprice)     {revenue:>12}");
     println!(
         "  naive executor         {:>9.2?} ({} rows materialised)",
         naive_t, naive.stats.rows_materialized

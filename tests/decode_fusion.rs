@@ -12,6 +12,7 @@
 //! panic.
 
 use lcdc::colops::ColOpsError;
+use lcdc::core::bytes::{from_bytes, to_bytes};
 use lcdc::core::scheme::decompress_via_plan;
 use lcdc::core::{
     chooser, parse_scheme, ColumnData, Compressed, CoreError, DType, PartData, Parts, Scheme,
@@ -296,5 +297,18 @@ fn payload_length_other_than_n_is_corrupt_parts() {
             );
             assert_visit_agrees(scheme.as_ref(), &c, expr);
         }
+    }
+    // A run length past the column: rejected before the expansion
+    // allocates, whatever the sum of the lengths asks for.
+    let rle = parse_scheme("rle").unwrap();
+    let mut c = rle.compress(&ColumnData::U64(vec![3; 10])).unwrap();
+    for lengths in [vec![1u64 << 40], vec![u64::MAX, 11]] {
+        *plain_part_mut(&mut c, "lengths") = ColumnData::U64(lengths);
+        let c = from_bytes(&to_bytes(&c)).expect("the frame itself is well formed");
+        assert!(matches!(
+            rle.decompress(&c),
+            Err(CoreError::CorruptParts(_))
+        ));
+        assert_visit_agrees(rle.as_ref(), &c, "rle, run length past the column");
     }
 }

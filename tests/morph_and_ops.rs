@@ -9,8 +9,8 @@ use lcdc::core::{parse_scheme, ColumnData, DType};
 use lcdc::store::segment::CompressionPolicy;
 use lcdc::store::table::Table;
 use lcdc::store::{
-    gather_early, gather_late, select, sort_column_compressed, sort_column_naive, top_k_naive,
-    top_k_pruned, Predicate, TableSchema,
+    gather_early, gather_late, select, sort_column_compressed, sort_column_naive, Predicate,
+    QueryBuilder, TableSchema,
 };
 use proptest::prelude::*;
 
@@ -118,10 +118,27 @@ fn sort_and_topk_agree_with_naive_across_policies() {
         let (fast, _) = sort_column_compressed(&t, "v").unwrap();
         assert_eq!(fast, naive, "sort under {policy:?}");
         for k in [0usize, 1, 7, 500, 10_000] {
-            let naive = top_k_naive(&t, "v", k).unwrap();
-            let (pruned, _) = top_k_pruned(&t, "v", k).unwrap();
-            assert_eq!(pruned, naive, "top-{k} under {policy:?}");
+            let top = QueryBuilder::scan(&t).top_k("v", k);
+            let pruned = top.execute().unwrap();
+            assert_eq!(
+                pruned.rows,
+                top.execute_naive().unwrap().rows,
+                "top-{k} under {policy:?}"
+            );
         }
+    }
+}
+
+/// Nothing can enter an empty heap: every segment is pruned.
+#[test]
+fn top_k_zero_touches_nothing() {
+    let col = ColumnData::U64(lcdc::datagen::runs::runs_over_domain(6000, 30, 200, 5));
+    for policy in policies() {
+        let t = one_column_table(col.clone(), &policy, 700);
+        let top = QueryBuilder::scan(&t).top_k("v", 0).execute().unwrap();
+        assert_eq!(top.top_k().unwrap(), &[] as &[i128], "{policy:?}");
+        assert_eq!(top.stats.segments_pruned, t.num_segments(), "{policy:?}");
+        assert_eq!(top.stats.rows_materialized, 0, "{policy:?}");
     }
 }
 
@@ -189,9 +206,8 @@ proptest! {
     ) {
         let col = ColumnData::I64(values);
         let t = one_column_table(col, &CompressionPolicy::Auto, 64);
-        let naive = top_k_naive(&t, "v", k).unwrap();
-        let (pruned, _) = top_k_pruned(&t, "v", k).unwrap();
-        prop_assert_eq!(pruned, naive);
+        let top = QueryBuilder::scan(&t).top_k("v", k);
+        prop_assert_eq!(top.execute().unwrap().rows, top.execute_naive().unwrap().rows);
     }
 
     /// Arbitrary split point: structurally concatenating the two halves

@@ -6,9 +6,11 @@
 
 use lcdc::core::{ColumnData, DType};
 use lcdc::store::{
-    Agg, CompressionPolicy, Predicate, Query, QueryBuilder, Rows, Table, TableSchema,
+    Agg, CompressionPolicy, Predicate, QueryBuilder, QueryStats, ResidentSource, Rows, Segment,
+    SegmentSource, Table, TableSchema,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Three columns with different statistical structure, so the Auto
 /// chooser exercises different schemes per segment: runs (RLE family),
@@ -48,7 +50,9 @@ fn with_filters<'t>(
     builder
 }
 
-fn assert_pushdown_equals_naive(builder: &QueryBuilder<'_>, context: &str) {
+/// Pushdown, naive and parallel execution agree; returns the pushdown
+/// ledger.
+fn assert_pushdown_equals_naive(builder: &QueryBuilder<'_>, context: &str) -> QueryStats {
     let push = builder.execute().expect("pushdown runs");
     let naive = builder.execute_naive().expect("naive runs");
     assert_eq!(push.rows, naive.rows, "{context}");
@@ -61,6 +65,7 @@ fn assert_pushdown_equals_naive(builder: &QueryBuilder<'_>, context: &str) {
     // Parallel execution is the same plan over the same segments.
     let parallel = builder.execute_parallel(4).expect("parallel runs");
     assert_eq!(parallel.rows, push.rows, "{context} (parallel)");
+    push.stats
 }
 
 proptest! {
@@ -168,27 +173,237 @@ fn e2e_filter_group_by_aggregate_and_filter_top_k() {
         naive.stats.rows_materialized
     );
 
-    // The pre-planner API still answers the same questions through the
-    // adapter layer.
-    let q = Query::new(
-        "shipdate",
-        Predicate::Range {
-            lo: 19_920_130,
-            hi: 19_920_136,
-        },
-        "price",
-    );
-    let old_naive = q.run_naive(&table).expect("naive runs");
-    let old_push = q.run_pushdown(&table).expect("pushdown runs");
-    assert_eq!(old_naive.agg, old_push.agg);
-    let via_builder = per_day.execute().expect("runs");
-    let total: i128 = via_builder
+    // The per-day groups add up to the same filter's plain aggregate.
+    let week = QueryBuilder::scan(&table)
+        .filter(
+            "shipdate",
+            Predicate::Range {
+                lo: 19_920_130,
+                hi: 19_920_136,
+            },
+        )
+        .aggregate(&[Agg::Sum("price")]);
+    let total = week.execute().expect("runs");
+    assert_eq!(total.rows, week.execute_naive().expect("naive runs").rows);
+    let per_day_sum: i128 = per_day
+        .execute()
+        .expect("runs")
         .groups()
         .unwrap()
         .iter()
         .map(|(_, values)| values[0].unwrap())
         .sum();
-    assert_eq!(total, old_push.agg.sum);
+    assert_eq!(total.aggregates().unwrap(), &[Some(per_day_sum)]);
+}
+
+/// A one-column table named `v`.
+fn one_column(col: ColumnData, expr: &str, seg_rows: usize) -> Table {
+    let schema = TableSchema::new(&[("v", col.dtype())]);
+    let policy = CompressionPolicy::Fixed(expr.into());
+    Table::build(schema, &[col], &[policy], seg_rows).expect("table builds")
+}
+
+/// 100 days x 100 orders in 10 segments; quantity cycles 1..=50.
+fn orders_table(date_policy: CompressionPolicy) -> Table {
+    let n = 10_000u64;
+    let schema = TableSchema::new(&[("date", DType::U64), ("qty", DType::U64)]);
+    let date = ColumnData::U64((0..n).map(|i| 20_180_101 + i / 100).collect());
+    let qty = ColumnData::U64((0..n).map(|i| 1 + i % 50).collect());
+    Table::build(
+        schema,
+        &[date, qty],
+        &[date_policy, CompressionPolicy::Auto],
+        1000,
+    )
+    .expect("table builds")
+}
+
+/// Filter `All` never touches the filter column, and the date column's
+/// run structure lets every aggregate fold on the compressed form.
+#[test]
+fn run_encoded_aggregate_never_materializes() {
+    let rle = CompressionPolicy::Fixed("rle[values=delta[deltas=ns],lengths=ns]".into());
+    let table = orders_table(rle);
+    let all = QueryBuilder::scan(&table)
+        .filter("qty", Predicate::All)
+        .aggregate(&[
+            Agg::Sum("date"),
+            Agg::Min("date"),
+            Agg::Max("date"),
+            Agg::Count,
+        ]);
+    let stats = assert_pushdown_equals_naive(&all, "run-encoded aggregate");
+    assert_eq!(stats.rows_materialized, 0, "{stats:?}");
+    assert!(stats.segments_structural > 0, "{stats:?}");
+}
+
+/// A filter no zone map overlaps sums to zero without reading a payload.
+#[test]
+fn zone_disjoint_filter_sums_to_zero() {
+    let table = orders_table(CompressionPolicy::Auto);
+    let none = QueryBuilder::scan(&table)
+        .filter("date", Predicate::Range { lo: 1, hi: 2 })
+        .aggregate(&[Agg::Sum("qty"), Agg::Count]);
+    assert_pushdown_equals_naive(&none, "disjoint filter");
+    let result = none.execute().expect("runs");
+    assert_eq!(result.aggregates().unwrap(), &[Some(0), Some(0)]);
+    assert_eq!(result.stats.rows_materialized, 0, "{:?}", result.stats);
+    assert_eq!(result.stats.segments_pruned, table.num_segments());
+}
+
+/// A narrow date filter: naive charges each row once though it decodes
+/// both columns, and pushdown materialises under half of that.
+#[test]
+fn pushdown_materializes_fewer_rows_than_naive() {
+    let table = orders_table(CompressionPolicy::Auto);
+    let narrow = QueryBuilder::scan(&table)
+        .filter(
+            "date",
+            Predicate::Range {
+                lo: 20_180_110,
+                hi: 20_180_115,
+            },
+        )
+        .aggregate(&[
+            Agg::Sum("qty"),
+            Agg::Min("qty"),
+            Agg::Max("qty"),
+            Agg::Count,
+        ]);
+    let push = assert_pushdown_equals_naive(&narrow, "narrow filter");
+    let naive = narrow.execute_naive().expect("naive runs").stats;
+    assert_eq!(naive.rows_materialized, table.num_rows());
+    assert!(
+        push.rows_materialized * 2 < naive.rows_materialized,
+        "pushdown {} vs naive {}",
+        push.rows_materialized,
+        naive.rows_materialized
+    );
+    assert!(push.pushdown.zonemap_hits > 0, "{push:?}");
+}
+
+/// A zone-disjoint first conjunct short-circuits the second: every
+/// segment is pruned on metadata and no payload is fetched.
+#[test]
+fn disjoint_first_conjunct_short_circuits_the_rest() {
+    let rle = CompressionPolicy::Fixed("rle[values=delta[deltas=ns],lengths=ns]".into());
+    let table = orders_table(rle);
+    let none = QueryBuilder::scan(&table)
+        .filter("date", Predicate::Range { lo: 1, hi: 2 })
+        .filter("qty", Predicate::Range { lo: 1, hi: 10 })
+        .keep_filter_order()
+        .aggregate(&[Agg::Sum("qty"), Agg::Count]);
+    let result = none.execute().expect("runs");
+    assert_eq!(result.aggregates().unwrap(), &[Some(0), Some(0)]);
+    let stats = result.stats;
+    assert_eq!(stats.rows_materialized, 0, "{stats:?}");
+    assert_eq!(stats.segments_pruned, table.num_segments(), "{stats:?}");
+    assert_eq!(stats.segments_loaded, 0, "{stats:?}");
+    assert_eq!(
+        stats.pushdown.total(),
+        stats.pushdown.zonemap_hits,
+        "{stats:?}"
+    );
+}
+
+/// Later segments of a drifting walk dominate, so best-max-first order
+/// prunes the rest on zone maps alone.
+#[test]
+fn top_k_prunes_most_segments_for_small_k() {
+    let drift = ColumnData::I64((0..8000i64).map(|i| i / 4 + (i % 29) - 14).collect());
+    let drift = one_column(drift, "for(l=128)[offsets=ns]", 512);
+    let stats = assert_pushdown_equals_naive(&QueryBuilder::scan(&drift).top_k("v", 10), "top-k");
+    let scanned = stats.segments - stats.segments_pruned;
+    assert!(stats.segments_pruned > scanned * 3, "{stats:?}");
+    assert!(
+        stats.values_processed + stats.rows_materialized < 2048,
+        "{stats:?}"
+    );
+}
+
+/// 40 distinct values over 8000 rows in 8 segments, runny.
+fn runny_column(expr: &str) -> Table {
+    let runny = ColumnData::I64((0..8000i64).map(|i| ((i / 50) * 31 % 40) - 20).collect());
+    one_column(runny, expr, 1024)
+}
+
+/// Distinct over part-structured schemes reads the parts only.
+#[test]
+fn distinct_reads_parts_only_per_scheme() {
+    for expr in [
+        "dict[codes=ns]",
+        "rle[values=ns_zz,lengths=ns]",
+        "rpe",
+        "sparse[exc_positions=ns,exc_values=ns_zz]",
+    ] {
+        let t = runny_column(expr);
+        let stats = assert_pushdown_equals_naive(&QueryBuilder::scan(&t).distinct("v"), expr);
+        assert_eq!(
+            stats.segments_structural, stats.segments,
+            "{expr}: {stats:?}"
+        );
+        assert_eq!(stats.rows_materialized, 0, "{expr}: {stats:?}");
+        assert!(stats.values_processed < 8000, "{expr}: {stats:?}");
+    }
+}
+
+/// Each of the 8 DICT segments contributes its (<= 40)-entry dictionary.
+#[test]
+fn dict_distinct_reads_only_the_dictionaries() {
+    let t = runny_column("dict[codes=ns]");
+    let result = QueryBuilder::scan(&t)
+        .distinct("v")
+        .execute()
+        .expect("runs");
+    assert_eq!(result.distinct().unwrap().len(), 40);
+    let stats = result.stats;
+    assert!(stats.values_processed <= 8 * 40, "{stats:?}");
+}
+
+#[test]
+fn const_distinct_reads_one_value_per_segment() {
+    let t = one_column(ColumnData::U32(vec![9; 3000]), "const", 1000);
+    let stats = assert_pushdown_equals_naive(&QueryBuilder::scan(&t).distinct("v"), "const");
+    assert_eq!(stats.values_processed, 3, "one value per const segment");
+}
+
+/// Segments of uneven height, as a table assembled from sources may
+/// hold, group like uniform ones.
+#[test]
+fn ragged_segments_group_like_uniform_ones() {
+    let build = |values: Vec<u64>, expr: &str| {
+        Segment::build(
+            &ColumnData::U64(values),
+            &CompressionPolicy::Fixed(expr.into()),
+        )
+        .expect("segment builds")
+    };
+    let rle = "rle[values=ns,lengths=ns]";
+    let keys = vec![
+        build(vec![1; 100], rle),
+        build(vec![2; 70], rle),
+        build(vec![1; 100], rle),
+    ];
+    let values = vec![
+        build((0..100).collect(), "ns"),
+        build((0..70).collect(), "ns"),
+        build(vec![5; 100], "ns"),
+    ];
+    let sources: Vec<Arc<dyn SegmentSource>> = vec![
+        Arc::new(ResidentSource::new(keys)),
+        Arc::new(ResidentSource::new(values)),
+    ];
+    let schema = TableSchema::new(&[("k", DType::U64), ("v", DType::U64)]);
+    let table = Table::from_sources(schema, sources, 270, 100).expect("aligned");
+    let groups = QueryBuilder::scan(&table)
+        .group_by("k")
+        .aggregate(&[Agg::Sum("v"), Agg::Count]);
+    assert_pushdown_equals_naive(&groups, "ragged group-by");
+    let want = vec![
+        (1, vec![Some((0..100).sum::<i128>() + 500), Some(200)]),
+        (2, vec![Some((0..70).sum::<i128>()), Some(70)]),
+    ];
+    assert_eq!(groups.execute().expect("runs").rows, Rows::Groups(want));
 }
 
 /// The builder's explain output names every stage of the acceptance

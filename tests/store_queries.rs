@@ -3,7 +3,7 @@
 //! compression-aware paths must actually engage.
 
 use lcdc::core::{ColumnData, DType};
-use lcdc::store::{CompressionPolicy, Predicate, Query, Table, TableSchema};
+use lcdc::store::{Agg, CompressionPolicy, Predicate, QueryBuilder, Table, TableSchema};
 use proptest::prelude::*;
 
 fn lineitem_table(policy: CompressionPolicy, seg_rows: usize) -> Table {
@@ -24,6 +24,19 @@ fn lineitem_table(policy: CompressionPolicy, seg_rows: usize) -> Table {
         seg_rows,
     )
     .expect("table builds")
+}
+
+/// `SUM`, `MIN`, `MAX` and `COUNT` of `agg` over the rows where
+/// `filter` satisfies `predicate`.
+fn filtered<'t>(
+    table: &'t Table,
+    filter: &str,
+    predicate: Predicate,
+    agg: &str,
+) -> QueryBuilder<'t> {
+    QueryBuilder::scan(table)
+        .filter(filter, predicate)
+        .aggregate(&[Agg::Sum(agg), Agg::Min(agg), Agg::Max(agg), Agg::Count])
 }
 
 #[test]
@@ -47,10 +60,10 @@ fn executors_agree_across_policies() {
                 Predicate::Eq(19_920_120),
                 Predicate::Eq(25),
             ] {
-                let q = Query::new(filter, pred.clone(), agg);
-                let naive = q.run_naive(&table).expect("naive runs");
-                let push = q.run_pushdown(&table).expect("pushdown runs");
-                assert_eq!(naive.agg, push.agg, "{policy:?} {filter}/{agg} {pred:?}");
+                let q = filtered(&table, filter, pred.clone(), agg);
+                let naive = q.execute_naive().expect("naive runs");
+                let push = q.execute().expect("pushdown runs");
+                assert_eq!(naive.rows, push.rows, "{policy:?} {filter}/{agg} {pred:?}");
             }
         }
     }
@@ -88,37 +101,39 @@ fn pushdown_tiers_engage_on_runny_filter_column() {
     // Date column = long runs -> auto picks an RLE composite; a narrow
     // range query must answer mostly from zone maps + run granularity.
     let table = lineitem_table(CompressionPolicy::Auto, 2048);
-    let q = Query::new(
+    let out = filtered(
+        &table,
         "shipdate",
         Predicate::Range {
             lo: 19_920_120,
             hi: 19_920_125,
         },
         "price",
-    );
-    let out = q.run_pushdown(&table).expect("runs");
+    )
+    .execute()
+    .expect("runs");
     assert!(out.stats.pushdown.zonemap_hits > 0, "{:?}", out.stats);
     assert_eq!(out.stats.pushdown.row_granularity, 0, "{:?}", out.stats);
 }
 
 #[test]
 fn seg_rows_do_not_change_answers() {
-    let q = Query::new(
-        "shipdate",
-        Predicate::Range {
-            lo: 19_920_115,
-            hi: 19_920_140,
-        },
-        "price",
-    );
-    let reference = q
-        .run_naive(&lineitem_table(CompressionPolicy::None, 512))
+    let window = Predicate::Range {
+        lo: 19_920_115,
+        hi: 19_920_140,
+    };
+    let none = lineitem_table(CompressionPolicy::None, 512);
+    let reference = filtered(&none, "shipdate", window.clone(), "price")
+        .execute_naive()
         .expect("runs")
-        .agg;
+        .rows;
     for seg_rows in [128usize, 1000, 4096, 1 << 20] {
         let table = lineitem_table(CompressionPolicy::Auto, seg_rows);
         assert_eq!(
-            q.run_pushdown(&table).expect("runs").agg,
+            filtered(&table, "shipdate", window.clone(), "price")
+                .execute()
+                .expect("runs")
+                .rows,
             reference,
             "seg_rows={seg_rows}"
         );
@@ -131,18 +146,14 @@ proptest! {
     #[test]
     fn random_range_queries_agree(lo in 19_920_000i128..19_921_000, width in 0i128..400) {
         let table = lineitem_table(CompressionPolicy::Auto, 2048);
-        let q = Query::new("shipdate", Predicate::Range { lo, hi: lo + width }, "price");
-        let naive = q.run_naive(&table).unwrap();
-        let push = q.run_pushdown(&table).unwrap();
-        prop_assert_eq!(naive.agg, push.agg);
+        let q = filtered(&table, "shipdate", Predicate::Range { lo, hi: lo + width }, "price");
+        prop_assert_eq!(q.execute_naive().unwrap().rows, q.execute().unwrap().rows);
     }
 
     #[test]
     fn random_qty_queries_agree(lo in 0i128..60, width in 0i128..60) {
         let table = lineitem_table(CompressionPolicy::Auto, 2048);
-        let q = Query::new("qty", Predicate::Range { lo, hi: lo + width }, "price");
-        let naive = q.run_naive(&table).unwrap();
-        let push = q.run_pushdown(&table).unwrap();
-        prop_assert_eq!(naive.agg, push.agg);
+        let q = filtered(&table, "qty", Predicate::Range { lo, hi: lo + width }, "price");
+        prop_assert_eq!(q.execute_naive().unwrap().rows, q.execute().unwrap().rows);
     }
 }
