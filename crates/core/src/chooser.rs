@@ -1,22 +1,16 @@
 //! Per-column scheme choice.
 //!
 //! Real engines pick a scheme per column (or per segment) from a
-//! candidate set. The chooser here works in two stages, mirroring that
-//! practice:
-//!
-//! 1. **Estimate** — each candidate's [`crate::scheme::Scheme::estimate`]
-//!    is consulted against one-pass [`ColumnStats`] to rank candidates
-//!    cheaply (estimates are best-effort; candidates without one are
-//!    kept).
-//! 2. **Verify** — the top candidates are actually compressed and the
-//!    smallest result wins. Compression is cheap for these schemes, so
-//!    exactness beats cleverness.
+//! candidate set. The chooser here compresses *every* candidate and
+//! keeps the smallest result: compression is cheap for these schemes,
+//! so exactness beats cleverness. No estimate is consulted;
+//! [`crate::scheme::Scheme::estimate`] is the per-scheme size model an
+//! estimate-first chooser would rank by.
 
 use crate::column::ColumnData;
 use crate::error::Result;
-use crate::expr::{parse_expr, SchemeExpr};
+use crate::expr::parse_expr;
 use crate::scheme::Compressed;
-use crate::stats::ColumnStats;
 
 /// The outcome of a scheme choice.
 #[derive(Debug)]
@@ -100,81 +94,6 @@ pub fn choose_among(col: &ColumnData, candidates: &[&str]) -> Result<Choice> {
     })
 }
 
-/// Rank the default candidates by *estimated* size from statistics,
-/// without compressing. Candidates without estimators are omitted.
-/// Returns `(expression, estimated bytes)` sorted ascending.
-pub fn rank_by_estimate(stats: &ColumnStats) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    for text in default_candidates() {
-        let Ok(expr) = parse_expr(text) else { continue };
-        if let Some(est) = estimate_expr(&expr, stats) {
-            out.push((text.to_string(), est));
-        }
-    }
-    out.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-    out
-}
-
-/// Estimate a scheme expression's output size from statistics. Composite
-/// estimates use scheme-specific knowledge of which parts dominate; they
-/// are heuristics for *ranking*, not guarantees.
-pub fn estimate_expr(expr: &SchemeExpr, stats: &ColumnStats) -> Option<usize> {
-    use lcdc_bitpack::width::packed_bytes;
-    match expr.name.as_str() {
-        "id" => Some(stats.n * stats.dtype.bytes()),
-        "ns" => stats.ns_width.map(|w| packed_bytes(stats.n, w) + 16),
-        "delta" => {
-            // With an NS-zz cascade on deltas: delta width drives it.
-            if expr.subs.iter().any(|(r, _)| r == "deltas") {
-                Some(crate::schemes::delta::estimate_with_ns(stats))
-            } else {
-                Some(stats.n.saturating_sub(1) * stats.dtype.bytes() + 8)
-            }
-        }
-        "rle" => {
-            // values + lengths, both roughly narrow if cascaded.
-            let per_run = if expr.subs.is_empty() {
-                stats.dtype.bytes() + 8
-            } else {
-                8
-            };
-            Some(stats.runs * per_run + 16)
-        }
-        "rpe" => {
-            let per_run = if expr.subs.is_empty() {
-                stats.dtype.bytes() + 8
-            } else {
-                10
-            };
-            Some(stats.runs * per_run + 16)
-        }
-        "dict" => {
-            let code_width = lcdc_bitpack::bits_needed_u64(stats.distinct.max(1) as u64 - 1);
-            Some(stats.distinct * stats.dtype.bytes() + packed_bytes(stats.n, code_width) + 16)
-        }
-        "for" => {
-            let l = expr
-                .params
-                .iter()
-                .find(|(k, _)| k == "l")
-                .map(|&(_, v)| v as usize)?;
-            let refs = stats.n.div_ceil(l.max(1)) * stats.dtype.bytes();
-            Some(refs + packed_bytes(stats.n, stats.for_offset_width) + 16)
-        }
-        "pfor" => {
-            let l = expr
-                .params
-                .iter()
-                .find(|(k, _)| k == "l")
-                .map(|&(_, v)| v as usize)?;
-            let refs = stats.n.div_ceil(l.max(1)) * stats.dtype.bytes();
-            let exceptions = (stats.exception_rate * stats.n as f64) as usize * 16;
-            Some(refs + packed_bytes(stats.n, stats.for_offset_width_p99) + exceptions + 24)
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,17 +166,13 @@ mod tests {
     #[test]
     fn estimates_rank_plausibly() {
         let col = ColumnData::U64((0..100u64).flat_map(|d| [d; 50]).collect());
-        let stats = ColumnStats::collect(&col);
-        let ranked = rank_by_estimate(&stats);
-        assert!(!ranked.is_empty());
-        // The run-based schemes must be estimated far smaller than id.
-        let id_est = ranked.iter().find(|(t, _)| t == "id").unwrap().1;
-        let rle_est = ranked
-            .iter()
-            .find(|(t, _)| t.starts_with("rle["))
-            .unwrap()
-            .1;
-        assert!(rle_est * 10 < id_est);
+        let stats = crate::stats::ColumnStats::collect(&col);
+        let estimate = |text: &str| {
+            let scheme = parse_expr(text).unwrap().build().unwrap();
+            scheme.estimate(&stats).unwrap()
+        };
+        // The run-based scheme must be estimated far smaller than id.
+        assert!(estimate("rle") * 10 < estimate("id"));
     }
 
     #[test]

@@ -21,7 +21,6 @@ use crate::parts::{Emit, Parts, Visitor};
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
-use lcdc_bitpack::width::packed_bytes;
 
 /// The delta-encoding scheme.
 #[derive(Debug, Clone, Copy, Default)]
@@ -127,15 +126,10 @@ impl Scheme for Delta {
 
     fn estimate(&self, stats: &ColumnStats) -> Option<usize> {
         // Plain deltas cost as much as the input minus one element; DELTA
-        // pays off through its NS cascade (see `chooser::estimate_expr`,
-        // which uses the zigzag delta width for the cascaded form).
+        // pays off through its NS cascade, whose size `Cascade::estimate`
+        // leaves to the chooser's exact compression.
         Some(stats.n.saturating_sub(1) * stats.dtype.bytes() + 8)
     }
-}
-
-/// Estimated size of the practical `delta[deltas=ns_zz]` cascade.
-pub fn estimate_with_ns(stats: &ColumnStats) -> usize {
-    packed_bytes(stats.n.saturating_sub(1), stats.delta_zz_width.min(64)) + 24
 }
 
 #[cfg(test)]

@@ -2,26 +2,14 @@
 //!
 //! The rules are generic machinery; everything repo-specific (which
 //! files are the wire surface, the documented lock order, which condvar
-//! patterns are blessed, where protocol literals live, which counter
-//! structs must stay covered) lives in a checked-in `lint.toml` at the
-//! workspace root, parsed by the tiny hand-rolled reader below — the
-//! same no-crates.io discipline as the shims.
+//! patterns are blessed, where protocol literals live) lives in a
+//! checked-in `lint.toml` at the workspace root, parsed by the tiny
+//! hand-rolled reader below — the same no-crates.io discipline as the
+//! shims.
 //!
 //! Supported syntax (deliberately a TOML subset): `[section]` headers,
-//! `[[table]]` array-of-table headers, `key = "string"`, and
-//! `key = ["a", "b"]` single-line string arrays. `#` starts a comment.
-
-/// One counter-completeness entry: a struct and the function bodies
-/// that must each mention every one of its fields.
-#[derive(Debug, Default, Clone)]
-pub struct CounterStruct {
-    /// The struct's name.
-    pub name: String,
-    /// Workspace-relative file the struct is defined in.
-    pub file: String,
-    /// Coverage sites, as `"path#fn"` or `"path#Type::fn"`.
-    pub sites: Vec<String>,
-}
+//! `key = "string"`, and `key = ["a", "b"]` single-line string arrays.
+//! `#` starts a comment.
 
 /// The parsed `lint.toml`.
 #[derive(Debug, Default)]
@@ -42,9 +30,6 @@ pub struct Config {
     pub protocol_literals: Vec<String>,
     /// `const` name prefixes that may be defined only in the home file.
     pub protocol_const_prefixes: Vec<String>,
-    /// Counter structs under completeness enforcement (rule
-    /// `counters`).
-    pub counters: Vec<CounterStruct>,
 }
 
 impl Config {
@@ -57,14 +42,6 @@ impl Config {
             let line = raw.trim();
             let err = |msg: &str| format!("lint.toml:{}: {msg}", n + 1);
             if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if let Some(header) = line.strip_prefix("[[").and_then(|l| l.strip_suffix("]]")) {
-                match header {
-                    "counter" => config.counters.push(CounterStruct::default()),
-                    other => return Err(err(&format!("unknown table array [[{other}]]"))),
-                }
-                section = format!("[[{header}]]");
                 continue;
             }
             if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
@@ -90,17 +67,6 @@ impl Config {
                 }
                 ("protocol", "const_prefixes") => {
                     config.protocol_const_prefixes = parse_list(value).map_err(err)?
-                }
-                ("[[counter]]", _) => {
-                    let Some(counter) = config.counters.last_mut() else {
-                        return Err(err("key outside a [[counter]] entry"));
-                    };
-                    match key {
-                        "name" => counter.name = parse_str(value).map_err(err)?,
-                        "file" => counter.file = parse_str(value).map_err(err)?,
-                        "sites" => counter.sites = parse_list(value).map_err(err)?,
-                        other => return Err(err(&format!("unknown counter key `{other}`"))),
-                    }
                 }
                 (s, k) => return Err(err(&format!("unknown key `{k}` in section `{s}`"))),
             }
@@ -153,11 +119,6 @@ blessed_waits = ["loaded"]
 home = "proto.rs"
 literals = ["64 << 20"]
 const_prefixes = ["REQ_"]
-
-[[counter]]
-name = "Stats"
-file = "stats.rs"
-sites = ["stats.rs#Stats::absorb", "wire.rs#put_stats"]
 "#;
         let config = Config::parse(text).expect("parses");
         assert_eq!(config.wire_surface, ["a.rs", "b.rs"]);
@@ -165,8 +126,7 @@ sites = ["stats.rs#Stats::absorb", "wire.rs#put_stats"]
         assert_eq!(config.blessed_waits, ["loaded"]);
         assert_eq!(config.protocol_home, "proto.rs");
         assert_eq!(config.protocol_literals, ["64 << 20"]);
-        assert_eq!(config.counters.len(), 1);
-        assert_eq!(config.counters[0].sites.len(), 2);
+        assert_eq!(config.protocol_const_prefixes, ["REQ_"]);
     }
 
     #[test]

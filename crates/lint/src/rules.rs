@@ -1,4 +1,4 @@
-//! The rule engine: five workspace invariants plus annotation hygiene.
+//! The rule engine: four workspace invariants plus annotation hygiene.
 //!
 //! Every rule is a lexical scan over [`FileScan`]s — deliberately so.
 //! The stable-only toolchain rules out Miri/TSan and compiler plugins,
@@ -13,9 +13,7 @@ use crate::lexer::{lex, Kind, Token};
 use crate::scan::FileScan;
 
 /// Rule identifiers, as used in findings and `lint: allow(...)`.
-pub const RULES: &[&str] = &[
-    "panic", "ordering", "seqcst", "locks", "protocol", "counters",
-];
+pub const RULES: &[&str] = &["panic", "ordering", "seqcst", "locks", "protocol"];
 
 /// One finding: a rule violation at a file:line.
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -55,7 +53,6 @@ pub fn check(scans: &[FileScan], config: &Config) -> Vec<Finding> {
         }
         annotation_hygiene(scan, &mut findings);
     }
-    counter_completeness(scans, config, &mut findings);
     findings.sort();
     findings
 }
@@ -331,111 +328,6 @@ fn protocol_single_home(scan: &FileScan, config: &Config, out: &mut Vec<Finding>
             );
         }
     }
-}
-
-// -- rule: counters ---------------------------------------------------
-
-/// Rule `counters`: every field of a registered stats struct must be
-/// mentioned in each of its coverage sites (merge/fold, encode/decode,
-/// `Display`), so a new counter can never silently drop from fan-in or
-/// the stats endpoint.
-fn counter_completeness(scans: &[FileScan], config: &Config, out: &mut Vec<Finding>) {
-    for counter in &config.counters {
-        let Some(def_scan) = scans.iter().find(|s| s.rel == counter.file) else {
-            push_config_rot(
-                out,
-                &counter.file,
-                format!("counter struct file `{}` not found", counter.file),
-            );
-            continue;
-        };
-        let Some((fields, struct_line)) = struct_fields(def_scan, &counter.name) else {
-            push_config_rot(
-                out,
-                &counter.file,
-                format!("struct `{}` not found in {}", counter.name, counter.file),
-            );
-            continue;
-        };
-        for site in &counter.sites {
-            let Some((file, fn_spec)) = site.split_once('#') else {
-                push_config_rot(out, &counter.file, format!("malformed site `{site}`"));
-                continue;
-            };
-            let Some((site_scan, span)) = scans
-                .iter()
-                .find(|s| s.rel == file)
-                .and_then(|s| s.site(fn_spec).map(|span| (s, span)))
-            else {
-                push_config_rot(
-                    out,
-                    file,
-                    format!("coverage site `{site}` for `{}` not found", counter.name),
-                );
-                continue;
-            };
-            let body = site_scan.code.get(span.body.clone()).unwrap_or(&[]);
-            for field in &fields {
-                let mentioned = body
-                    .iter()
-                    .any(|t| t.kind == Kind::Ident && &t.text == field);
-                if !mentioned && !site_scan.allowed("counters", span.line) {
-                    finding(
-                        out,
-                        site_scan,
-                        "counters",
-                        span.line,
-                        format!(
-                            "`{}.{field}` (defined {}:{struct_line}) is missing from {fn_spec}",
-                            counter.name, counter.file
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
-fn push_config_rot(out: &mut Vec<Finding>, file: &str, msg: String) {
-    out.push(Finding {
-        file: file.to_string(),
-        line: 0,
-        rule: "counters",
-        msg,
-    });
-}
-
-/// Parse `struct Name { field: Ty, … }` field names out of a scan.
-fn struct_fields(scan: &FileScan, name: &str) -> Option<(Vec<String>, u32)> {
-    let code = &scan.code;
-    let at = code.windows(2).position(|w| {
-        w[0].kind == Kind::Ident
-            && w[0].text == "struct"
-            && w[1].kind == Kind::Ident
-            && w[1].text == name
-    })?;
-    let line = code[at].line;
-    let open = (at..code.len()).find(|&i| code[i].text == "{")?;
-    let mut fields = Vec::new();
-    let mut depth = 1usize;
-    let mut i = open + 1;
-    while i < code.len() && depth > 0 {
-        match code[i].text.as_str() {
-            "{" | "(" | "<" => depth += 1,
-            "}" | ")" | ">" => depth -= 1,
-            ":" if depth == 1 => {
-                let named = code[i - 1].kind == Kind::Ident
-                    && code.get(i + 1).is_none_or(|n| n.text != ":")
-                    && code[i - 1].text != "pub";
-                if named {
-                    fields.push(code[i - 1].text.clone());
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    Some((fields, line))
 }
 
 // -- annotation hygiene -----------------------------------------------

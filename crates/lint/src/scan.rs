@@ -2,10 +2,9 @@
 //!
 //! The rules need a little more shape than raw tokens: which tokens are
 //! *live code* (not `#[cfg(test)]`-gated, not `#[test]` functions),
-//! where each function body starts and ends, which `impl` block a
-//! function lives in, and what annotation comments sit on or above each
-//! line. This module computes all of that once per file; rules then run
-//! as cheap scans over the result.
+//! where each function body starts and ends, and what annotation
+//! comments sit on or above each line. This module computes all of that
+//! once per file; rules then run as cheap scans over the result.
 
 use crate::lexer::{lex, Kind, Token};
 use std::collections::{BTreeMap, BTreeSet};
@@ -18,16 +17,6 @@ pub struct FnSpan {
     /// Line the `fn` keyword is on.
     pub line: u32,
     /// Body range: indices into [`FileScan::code`], open brace excluded.
-    pub body: std::ops::Range<usize>,
-}
-
-/// An `impl` block's span inside [`FileScan::code`].
-#[derive(Debug)]
-pub struct ImplSpan {
-    /// The implemented type's name (`StatsReport` in
-    /// `impl fmt::Display for StatsReport`).
-    pub type_name: String,
-    /// Body range: indices into [`FileScan::code`].
     pub body: std::ops::Range<usize>,
 }
 
@@ -50,8 +39,6 @@ pub struct FileScan {
     pub code: Vec<Token>,
     /// Functions found in the live code, outermost first.
     pub fns: Vec<FnSpan>,
-    /// `impl` blocks found in the live code.
-    pub impls: Vec<ImplSpan>,
     /// Lines that carry live code tokens.
     pub code_lines: BTreeSet<u32>,
     /// Comment text per line (block comments register every spanned
@@ -83,12 +70,11 @@ impl FileScan {
         let allows = parse_allows(&comments);
         let code = strip_tests(tokens);
         let code_lines = code.iter().map(|t| t.line).collect();
-        let (fns, impls) = spans(&code);
+        let fns = fn_spans(&code);
         FileScan {
             rel: rel.to_string(),
             code,
             fns,
-            impls,
             code_lines,
             comments,
             allows,
@@ -129,23 +115,6 @@ impl FileScan {
             .iter()
             .filter(|f| f.body.contains(&i))
             .min_by_key(|f| f.body.len())
-    }
-
-    /// Find a coverage site: `"name"` is either a free `fn name` or
-    /// `"Type::name"`, a method inside `impl … Type`.
-    pub fn site(&self, name: &str) -> Option<&FnSpan> {
-        match name.split_once("::") {
-            None => self.fns.iter().find(|f| f.name == name),
-            Some((ty, method)) => self
-                .impls
-                .iter()
-                .filter(|i| i.type_name == ty)
-                .find_map(|imp| {
-                    self.fns
-                        .iter()
-                        .find(|f| f.name == method && imp.body.contains(&f.body.start))
-                }),
-        }
     }
 }
 
@@ -265,104 +234,48 @@ fn strip_tests(tokens: Vec<Token>) -> Vec<Token> {
     keep
 }
 
-/// Compute function and impl spans over the live code tokens.
-fn spans(code: &[Token]) -> (Vec<FnSpan>, Vec<ImplSpan>) {
+/// Compute function spans over the live code tokens.
+fn fn_spans(code: &[Token]) -> Vec<FnSpan> {
     let mut fns = Vec::new();
-    let mut impls = Vec::new();
-    // Pending items waiting for their opening brace, with the brace
-    // depth they were declared at.
-    let mut pending_fns: Vec<(String, u32, usize)> = Vec::new();
-    let mut pending_impl: Option<(String, usize)> = None;
-    // Open bodies: (index into fns/impls, is_fn, open depth).
-    let mut open: Vec<(usize, bool, usize)> = Vec::new();
+    // Functions waiting for their opening brace, with the brace depth
+    // they were declared at.
+    let mut pending: Vec<(String, u32, usize)> = Vec::new();
+    // Open bodies: (index into fns, open depth).
+    let mut open: Vec<(usize, usize)> = Vec::new();
     let mut depth = 0usize;
-    let mut i = 0;
-    while i < code.len() {
-        let t = &code[i];
+    for (i, t) in code.iter().enumerate() {
         match (t.kind, t.text.as_str()) {
             (Kind::Ident, "fn") => {
                 if let Some(name) = code.get(i + 1).filter(|n| n.kind == Kind::Ident) {
-                    pending_fns.push((name.text.clone(), t.line, depth));
+                    pending.push((name.text.clone(), t.line, depth));
                 }
             }
-            (Kind::Ident, "impl") => {
-                // Scan ahead to the body brace; the type is the first
-                // path after `for` (trait impls) or after the impl
-                // generics (inherent impls).
-                let mut j = i + 1;
-                let mut generic_depth = 0usize;
-                let mut after_for = false;
-                let mut first_path: Option<String> = None;
-                let mut for_path: Option<String> = None;
-                while j < code.len() {
-                    let u = &code[j];
-                    match (u.kind, u.text.as_str()) {
-                        (Kind::Punct, "<") => generic_depth += 1,
-                        (Kind::Punct, ">") => generic_depth = generic_depth.saturating_sub(1),
-                        (Kind::Punct, "{") if generic_depth == 0 => break,
-                        (Kind::Punct, ";") => break,
-                        (Kind::Ident, "for") => after_for = true,
-                        (Kind::Ident, "where") => break,
-                        (Kind::Ident, name) if generic_depth == 0 => {
-                            let slot = if after_for {
-                                &mut for_path
-                            } else {
-                                &mut first_path
-                            };
-                            *slot = Some(name.to_string()); // last segment wins
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                if let Some(ty) = for_path.or(first_path) {
-                    pending_impl = Some((ty, depth));
-                }
-            }
-            (Kind::Punct, ";") => {
-                // A bodyless declaration ends any pending item at this
-                // depth (trait method signatures, `impl Trait for T;`).
-                pending_fns.retain(|(_, _, d)| *d != depth);
-                if pending_impl.as_ref().is_some_and(|(_, d)| *d == depth) {
-                    pending_impl = None;
-                }
-            }
+            // A bodyless declaration (a trait method signature) ends any
+            // pending function at this depth.
+            (Kind::Punct, ";") => pending.retain(|(_, _, d)| *d != depth),
             (Kind::Punct, "{") => {
-                if let Some(pos) = pending_fns.iter().rposition(|(_, _, d)| *d == depth) {
-                    let (name, line, _) = pending_fns.remove(pos);
+                if let Some(pos) = pending.iter().rposition(|(_, _, d)| *d == depth) {
+                    let (name, line, _) = pending.remove(pos);
                     fns.push(FnSpan {
                         name,
                         line,
                         body: i + 1..i + 1,
                     });
-                    open.push((fns.len() - 1, true, depth));
-                } else if let Some((ty, _)) = pending_impl.take_if(|(_, d)| *d == depth) {
-                    impls.push(ImplSpan {
-                        type_name: ty,
-                        body: i + 1..i + 1,
-                    });
-                    open.push((impls.len() - 1, false, depth));
+                    open.push((fns.len() - 1, depth));
                 }
                 depth += 1;
             }
             (Kind::Punct, "}") => {
                 depth = depth.saturating_sub(1);
-                if let Some(&(idx, is_fn, d)) = open.last() {
-                    if d == depth {
-                        if is_fn {
-                            fns[idx].body.end = i;
-                        } else {
-                            impls[idx].body.end = i;
-                        }
-                        open.pop();
-                    }
+                if let Some(&(idx, _)) = open.last().filter(|&&(_, d)| d == depth) {
+                    fns[idx].body.end = i;
+                    open.pop();
                 }
             }
             _ => {}
         }
-        i += 1;
     }
-    (fns, impls)
+    fns
 }
 
 #[cfg(test)]
@@ -380,15 +293,19 @@ mod tests {
 
     #[test]
     fn fn_and_impl_spans_nest() {
-        let src = "impl fmt::Display for Report {\n  fn fmt(&self) { inner(); }\n}\nimpl Report {\n  fn other(&self) { x(); }\n}\nfn free() {}\n";
+        let src = "impl fmt::Display for Report {\n  fn fmt(&self) { inner(); }\n}\ntrait T { fn sig(&self); }\nfn free() { fn local() {} }\n";
         let scan = FileScan::new("x.rs", src);
-        assert_eq!(scan.impls.len(), 2);
-        assert_eq!(scan.impls[0].type_name, "Report");
-        let site = scan.site("Report::fmt").expect("fmt found");
-        assert_eq!(site.name, "fmt");
-        assert!(scan.site("Report::other").is_some());
-        assert!(scan.site("free").is_some());
-        assert!(scan.site("Report::free").is_none());
+        let names: Vec<&str> = scan.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["fmt", "free", "local"], "signatures have no body");
+        let body = |name: &str| {
+            let f = scan.fns.iter().find(|f| f.name == name).expect("found");
+            scan.code[f.body.clone()]
+                .iter()
+                .map(|t| t.text.as_str())
+                .collect::<String>()
+        };
+        assert_eq!(body("fmt"), "inner();");
+        assert_eq!(body("free"), "fnlocal(){}");
     }
 
     #[test]

@@ -16,10 +16,9 @@ fn fixtures_dir() -> PathBuf {
 
 /// The fixture workspace's invariant registry: every fixture file is
 /// wire surface, `alpha < beta < gamma` is the lock order, `ready` is
-/// the blessed condvar, `wire.rs` is the protocol home, and fixtures
-/// named `counters_*` register a `Stats` struct with two sites.
+/// the blessed condvar, and `wire.rs` is the protocol home.
 fn config_for(name: &str) -> Config {
-    let mut toml = format!(
+    let toml = format!(
         r#"
 [wire]
 surface = ["{name}"]
@@ -34,16 +33,6 @@ literals = ["42 << 10"]
 const_prefixes = ["REQ_"]
 "#
     );
-    if name.starts_with("counters") {
-        toml.push_str(&format!(
-            r#"
-[[counter]]
-name = "Stats"
-file = "{name}"
-sites = ["{name}#Stats::absorb", "{name}#Stats::fmt"]
-"#
-        ));
-    }
     Config::parse(&toml).expect("fixture config parses")
 }
 

@@ -15,6 +15,7 @@
 //!    codes directly.
 //! 4. **Row granularity**: decompress and test.
 
+pub use crate::query::stats::PushdownStats;
 use crate::segment::{DictView, SchemeKind, Segment};
 use crate::Result;
 use lcdc_colops::Bitmap;
@@ -268,34 +269,6 @@ impl Predicate {
             start = end.min(n);
         }
         bitmap
-    }
-}
-
-/// Counters for which pushdown tier handled each segment.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PushdownStats {
-    /// Segments answered from the zone map alone.
-    pub zonemap_hits: usize,
-    /// Segments evaluated per run.
-    pub run_granularity: usize,
-    /// Segments evaluated on dictionary codes.
-    pub code_granularity: usize,
-    /// Segments that had to be fully decompressed.
-    pub row_granularity: usize,
-}
-
-impl PushdownStats {
-    /// Add another counter set into this one.
-    pub fn absorb(&mut self, other: &PushdownStats) {
-        self.zonemap_hits += other.zonemap_hits;
-        self.run_granularity += other.run_granularity;
-        self.code_granularity += other.code_granularity;
-        self.row_granularity += other.row_granularity;
-    }
-
-    /// Total segments inspected.
-    pub fn total(&self) -> usize {
-        self.zonemap_hits + self.run_granularity + self.code_granularity + self.row_granularity
     }
 }
 

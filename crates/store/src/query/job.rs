@@ -48,10 +48,9 @@
 
 use super::cancel::CancelToken;
 use super::logical::QuerySpec;
-use super::physical::{
-    JoinRight, PhysicalPlan, QueryStats, Scratch, Sink, SinkState, TOPK_BOUND_UNSET,
-};
+use super::physical::{JoinRight, PhysicalPlan, Scratch, Sink, SinkState, TOPK_BOUND_UNSET};
 use super::result::QueryResult;
+use super::stats::QueryStats;
 use crate::source::SegmentSource;
 use crate::table::Table;
 use crate::{Result, StoreError};

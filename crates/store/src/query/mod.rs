@@ -70,12 +70,14 @@ mod job;
 mod logical;
 mod physical;
 mod result;
+pub(crate) mod stats;
 
 pub use args::QueryArgs;
 pub use job::ExecOptions;
 pub use logical::{Agg, JoinSpec, QueryBuilder, QuerySpec};
-pub use physical::{PhysicalPlan, QueryStats};
+pub use physical::PhysicalPlan;
 pub use result::{QueryResult, Rows};
+pub use stats::QueryStats;
 
 pub(crate) use cancel::CancelToken;
 pub(crate) use job::{execute_shards, Job, Lease};

@@ -20,12 +20,13 @@
 //! schedule, from one thread to the server's pool.
 
 use super::groups::{GroupTable, UnitFold};
+use super::stats::QueryStats;
 use crate::agg::{
     aggregate_plain, aggregate_runs, fold_runs, for_each_run, widen, AggKind, AggResult,
 };
 use crate::hash::{IntMap, IntSet};
 use crate::join::{histogram_rows, segment_histogram, Histogram, SegmentHistogram};
-use crate::predicate::{Predicate, PushdownStats};
+use crate::predicate::Predicate;
 use crate::segment::{DictView, SchemeKind, Segment};
 use crate::table::Table;
 use crate::{Result, StoreError};
@@ -57,124 +58,6 @@ pub(crate) const TOPK_BOUND_UNSET: i64 = i64::MIN;
 /// write traffic on the hot path. Purely a publication cadence:
 /// answers and correctness never depend on the bound at all.
 pub(crate) const TOPK_PUBLISH_BATCH: usize = 8;
-
-/// Counters describing how a query executed, unified across every
-/// operator the planner can run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryStats {
-    /// Segments visited (pruned or not).
-    pub segments: usize,
-    /// Segments that contributed no rows: zone-map disjoint, emptied by
-    /// the filter conjunction (at whatever tier decided it), or outbid
-    /// by the running top-k threshold.
-    pub segments_pruned: usize,
-    /// Segments answered from part columns alone (run values, dictionary
-    /// entries, ...) with no row materialisation.
-    pub segments_structural: usize,
-    /// Segment payloads fetched from their source — the unit of I/O for
-    /// lazily-backed tables. Counted once per `(column, segment)` pair
-    /// per visit; zone-map-pruned segments fetch nothing.
-    pub segments_loaded: usize,
-    /// Rows decompressed into a plain column to feed the sink — under a
-    /// masked selection, or in naive mode (which also decodes to
-    /// evaluate filters). Counted per *row*, once per segment, even when
-    /// several columns of that segment materialise. A full selection on
-    /// the pushdown path folds value streams and charges nothing here;
-    /// decompression spent deciding a predicate is reported through
-    /// [`PushdownStats::row_granularity`] instead.
-    pub rows_materialized: usize,
-    /// Values fed to the sink operator — run/dictionary/part entries on
-    /// the structural paths, every value of a streamed column, selected
-    /// decompressed rows otherwise.
-    pub values_processed: usize,
-    /// Queries answered from the catalog's result cache instead of
-    /// executing (0 or 1 per [`crate::Catalog::execute`] call; stats
-    /// from the original execution are replaced by this marker).
-    pub result_cache_hits: usize,
-    /// Payload fetches served from a frame the job's prefetcher
-    /// had already warmed — the proof that I/O overlapped the scan.
-    /// Only lazily-backed sources ever report these.
-    pub prefetch_hits: usize,
-    /// Frames the prefetcher loaded that no fetch consumed (the segment
-    /// turned out pruned at a data tier, or a top-k threshold outbid
-    /// it). The cost side of the overlap ledger.
-    pub prefetch_wasted: usize,
-    /// Queued prefetch warms the fetcher *dropped before loading*
-    /// because the shared top-k bound had already outbid the segment —
-    /// the zone test the executor would run at visit time, applied at
-    /// warm time. Each cancellation is I/O that `prefetch_wasted` would
-    /// otherwise have charged; the bound is monotonic, so a segment
-    /// prunable at warm time is still prunable at visit time.
-    pub prefetch_cancelled: usize,
-    /// Whole shards skipped before any source was touched because the
-    /// plan's bounds exclude the shard's key range. Their segments are
-    /// counted under `segments` / `segments_pruned`, but nothing —
-    /// metadata walk aside — was executed for them.
-    pub shards_pruned: usize,
-    /// Group-key units the group-by sink folded *structurally* —
-    /// distinct dictionary codes aggregated in code space, RLE/RPE runs
-    /// folded with run-length multiplicity, constant segments folded
-    /// whole — instead of hashing one key per row. Each folded unit
-    /// decodes its key at most once, at merge time.
-    pub groups_folded: usize,
-    /// Rows whose group key was consumed by a code-space or
-    /// run-structural tier without ever decompressing the key column.
-    /// The decompression-avoidance ledger of the aggregation tier: a
-    /// decoded (naive) group-by always reports 0 here.
-    pub rows_undecoded: usize,
-    /// Segments skipped against the *shared* top-k bound — the
-    /// job-wide threshold every lease slot and shard of a fan-in
-    /// publishes into, letting late leases prune with early ones' heaps
-    /// (see [`crate::ExecOptions::topk_shared_bound`]). Sequential
-    /// [`crate::QueryBuilder::execute`] runs prune against the heap
-    /// directly and report 0 here.
-    pub topk_segments_skipped: usize,
-    /// `(left segment, right segment)` pairs a join dismissed from
-    /// resident zone maps alone — the key ranges don't overlap, so the
-    /// pair contributes nothing and neither side's payload is fetched
-    /// for it. Counted per visited non-empty left segment against every
-    /// non-empty right segment; the naive join never prunes (0 here).
-    pub join_pairs_pruned: usize,
-    /// Rows a join side consumed through a structural tier — dictionary
-    /// codes, RLE/RPE runs, const segments — without decompressing the
-    /// key column: the selected rows of each structural left build plus
-    /// the whole rows of each structural right build (once per worker).
-    /// The decompression-avoidance ledger of the join sink: a naive
-    /// (decoded) join always reports 0 here.
-    pub join_rows_undecoded: usize,
-    /// DICT⋈DICT segment pairs the join folded through a code→code
-    /// translation of the two dictionaries — left codes that translate
-    /// multiply counts in code space; codes with no translation drop
-    /// without decoding — instead of a value-space hash probe per key.
-    pub join_code_translations: usize,
-    /// Which predicate-evaluation tier fired, per filter step.
-    pub pushdown: PushdownStats,
-}
-
-impl QueryStats {
-    /// Merge another stats record into this one (parallel partials and
-    /// shard fan-in).
-    pub fn absorb(&mut self, other: &QueryStats) {
-        self.segments += other.segments;
-        self.segments_pruned += other.segments_pruned;
-        self.segments_structural += other.segments_structural;
-        self.segments_loaded += other.segments_loaded;
-        self.rows_materialized += other.rows_materialized;
-        self.values_processed += other.values_processed;
-        self.result_cache_hits += other.result_cache_hits;
-        self.prefetch_hits += other.prefetch_hits;
-        self.prefetch_wasted += other.prefetch_wasted;
-        self.prefetch_cancelled += other.prefetch_cancelled;
-        self.shards_pruned += other.shards_pruned;
-        self.groups_folded += other.groups_folded;
-        self.rows_undecoded += other.rows_undecoded;
-        self.topk_segments_skipped += other.topk_segments_skipped;
-        self.join_pairs_pruned += other.join_pairs_pruned;
-        self.join_rows_undecoded += other.join_rows_undecoded;
-        self.join_code_translations += other.join_code_translations;
-        self.pushdown.absorb(&other.pushdown);
-    }
-}
 
 /// One resolved aggregate: what to compute, over which column slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -535,7 +418,7 @@ pub(crate) fn clause_zone<'c>(
 ///   predicate tier already decompressed a column, the sink reuses that
 ///   plain form instead of decompressing the segment again. Filter-tier
 ///   entries arrive uncharged (their cost is reported through
-///   [`PushdownStats::row_granularity`]); the charge lands when a sink
+///   [`crate::PushdownStats::row_granularity`]); the charge lands when a sink
 ///   first consumes a plain column.
 struct Materializer {
     n: usize,

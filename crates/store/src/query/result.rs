@@ -1,6 +1,7 @@
 //! Query results: one shape per sink, plus the unified counters.
 
-use super::physical::{AggSpec, QueryStats, Sink, SinkState};
+use super::physical::{AggSpec, Sink, SinkState};
+use super::stats::QueryStats;
 use crate::agg::AggKind;
 use crate::Result;
 

@@ -75,97 +75,120 @@ pub struct StatsReport {
     pub query_stats: QueryStats,
 }
 
+// Encode and `fmt` destructure exhaustively and decode builds full
+// literals: a field added to `StatsReport`, `EndpointStats` or
+// `ConnectionStats` but not wired through here fails to compile.
+
 impl StatsReport {
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.pool_threads);
-        put_u64(out, self.peak_leases);
-        put_u64(out, self.served);
-        put_u64(out, self.rejected);
-        put_u64(out, self.connections_opened);
-        put_u64(out, self.connections_closed);
-        put_u32(out, self.endpoints.len() as u32);
-        for e in &self.endpoints {
-            put_str(out, &e.endpoint);
-            put_u64(out, e.requests);
-            put_u64(out, e.errors);
-            put_u64(out, e.deadline_exceeded);
-            put_u64(out, e.cancelled);
-            put_u64(out, e.io_faults);
-            put_u64(out, e.p50_us);
-            put_u64(out, e.p99_us);
+        let StatsReport {
+            pool_threads,
+            peak_leases,
+            served,
+            rejected,
+            connections_opened,
+            connections_closed,
+            endpoints,
+            query_stats,
+        } = self;
+        put_u64(out, *pool_threads);
+        put_u64(out, *peak_leases);
+        put_u64(out, *served);
+        put_u64(out, *rejected);
+        put_u64(out, *connections_opened);
+        put_u64(out, *connections_closed);
+        put_u32(out, endpoints.len() as u32);
+        for e in endpoints {
+            let EndpointStats {
+                endpoint,
+                requests,
+                errors,
+                deadline_exceeded,
+                cancelled,
+                io_faults,
+                p50_us,
+                p99_us,
+            } = e;
+            put_str(out, endpoint);
+            put_u64(out, *requests);
+            put_u64(out, *errors);
+            put_u64(out, *deadline_exceeded);
+            put_u64(out, *cancelled);
+            put_u64(out, *io_faults);
+            put_u64(out, *p50_us);
+            put_u64(out, *p99_us);
         }
-        put_stats(out, &self.query_stats);
+        put_stats(out, query_stats);
     }
 
     pub(crate) fn decode(cur: &mut Cursor<'_>) -> Result<StatsReport> {
-        let mut report = StatsReport {
+        // Struct-literal fields evaluate in source order: the wire order.
+        Ok(StatsReport {
             pool_threads: cur.take_u64()?,
             peak_leases: cur.take_u64()?,
             served: cur.take_u64()?,
             rejected: cur.take_u64()?,
             connections_opened: cur.take_u64()?,
             connections_closed: cur.take_u64()?,
-            ..StatsReport::default()
-        };
-        let n = cur.take_u32()? as usize;
-        for _ in 0..n {
-            report.endpoints.push(EndpointStats {
-                endpoint: cur.take_str()?,
-                requests: cur.take_u64()?,
-                errors: cur.take_u64()?,
-                deadline_exceeded: cur.take_u64()?,
-                cancelled: cur.take_u64()?,
-                io_faults: cur.take_u64()?,
-                p50_us: cur.take_u64()?,
-                p99_us: cur.take_u64()?,
-            });
-        }
-        report.query_stats = take_stats(cur)?;
-        Ok(report)
+            endpoints: (0..cur.take_u32()?)
+                .map(|_| {
+                    Ok(EndpointStats {
+                        endpoint: cur.take_str()?,
+                        requests: cur.take_u64()?,
+                        errors: cur.take_u64()?,
+                        deadline_exceeded: cur.take_u64()?,
+                        cancelled: cur.take_u64()?,
+                        io_faults: cur.take_u64()?,
+                        p50_us: cur.take_u64()?,
+                        p99_us: cur.take_u64()?,
+                    })
+                })
+                .collect::<Result<_>>()?,
+            query_stats: take_stats(cur)?,
+        })
     }
 }
 
 impl std::fmt::Display for StatsReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let StatsReport {
+            pool_threads,
+            peak_leases,
+            served,
+            rejected,
+            connections_opened,
+            connections_closed,
+            endpoints,
+            query_stats,
+        } = self;
+        // A decoded report is untrusted: more closed than opened must
+        // print, not underflow.
+        let still_open = connections_opened.saturating_sub(*connections_closed);
         writeln!(
             f,
-            "served {} / rejected {} requests over {} connections \
-             ({} still open), pool {} workers (peak {} leases in flight)",
-            self.served,
-            self.rejected,
-            self.connections_closed + (self.connections_opened - self.connections_closed),
-            self.connections_opened - self.connections_closed,
-            self.pool_threads,
-            self.peak_leases,
+            "served {served} / rejected {rejected} requests over {connections_opened} \
+             connections ({still_open} still open), pool {pool_threads} workers \
+             (peak {peak_leases} leases in flight)",
         )?;
-        for e in &self.endpoints {
+        for e in endpoints {
+            let EndpointStats {
+                endpoint,
+                requests,
+                errors,
+                deadline_exceeded,
+                cancelled,
+                io_faults,
+                p50_us,
+                p99_us,
+            } = e;
             writeln!(
                 f,
-                "  {:<7} {:>6} requests, {:>4} errors ({} io-fault), \
-                 {} deadline, {} cancelled, p50 {:>7}us, p99 {:>7}us",
-                e.endpoint,
-                e.requests,
-                e.errors,
-                e.io_faults,
-                e.deadline_exceeded,
-                e.cancelled,
-                e.p50_us,
-                e.p99_us
+                "  {endpoint:<7} {requests:>6} requests, {errors:>4} errors ({io_faults} io-fault), \
+                 {deadline_exceeded} deadline, {cancelled} cancelled, p50 {p50_us:>7}us, \
+                 p99 {p99_us:>7}us",
             )?;
         }
-        let q = &self.query_stats;
-        write!(
-            f,
-            "  queries: {} segments ({} pruned), {} result-cache hits, \
-             {} rows undecoded, prefetch {}/{}/{} hit/wasted/cancelled",
-            q.segments,
-            q.segments_pruned,
-            q.result_cache_hits,
-            q.rows_undecoded,
-            q.prefetch_hits,
-            q.prefetch_wasted,
-            q.prefetch_cancelled
-        )
+        write!(f, "  queries: {query_stats}")
     }
 }
 
@@ -183,17 +206,17 @@ pub(crate) struct ConnectionStats {
 impl ConnectionStats {
     /// The one-line disconnect summary.
     pub(crate) fn summary(&self, peer: &str) -> String {
+        let ConnectionStats {
+            requests,
+            errors,
+            rejected,
+            deadline_exceeded,
+            cancelled,
+            query_stats,
+        } = self;
         format!(
-            "-- {peer}: {} requests ({} errors, {} busy-rejected, \
-             {} deadline-expired, {} cancelled), \
-             {} segments scanned, {} cache hits",
-            self.requests,
-            self.errors,
-            self.rejected,
-            self.deadline_exceeded,
-            self.cancelled,
-            self.query_stats.segments,
-            self.query_stats.result_cache_hits
+            "-- {peer}: {requests} requests ({errors} errors, {rejected} busy-rejected, \
+             {deadline_exceeded} deadline-expired, {cancelled} cancelled) {query_stats}"
         )
     }
 }
@@ -218,11 +241,8 @@ pub(crate) enum Outcome {
 
 #[derive(Debug, Default)]
 struct EndpointAcc {
-    requests: u64,
-    errors: u64,
-    deadline_exceeded: u64,
-    cancelled: u64,
-    io_faults: u64,
+    /// The counters; name and percentiles are filled in at snapshot.
+    counts: EndpointStats,
     /// Microsecond samples, ring-overwritten past the reservoir cap.
     latencies_us: Vec<u64>,
     next_slot: usize,
@@ -230,16 +250,17 @@ struct EndpointAcc {
 
 impl EndpointAcc {
     fn record(&mut self, latency: Duration, outcome: Outcome) {
-        self.requests += 1;
+        let c = &mut self.counts;
+        c.requests += 1;
         match outcome {
             Outcome::Ok => {}
-            Outcome::Error => self.errors += 1,
+            Outcome::Error => c.errors += 1,
             Outcome::IoFault => {
-                self.errors += 1;
-                self.io_faults += 1;
+                c.errors += 1;
+                c.io_faults += 1;
             }
-            Outcome::Deadline => self.deadline_exceeded += 1,
-            Outcome::Cancelled => self.cancelled += 1,
+            Outcome::Deadline => c.deadline_exceeded += 1,
+            Outcome::Cancelled => c.cancelled += 1,
         }
         let us = latency.as_micros().min(u64::MAX as u128) as u64;
         if self.latencies_us.len() < LATENCY_RESERVOIR {
@@ -268,11 +289,8 @@ impl EndpointAcc {
 
 #[derive(Debug, Default)]
 struct MetricsInner {
-    served: u64,
-    rejected: u64,
-    connections_opened: u64,
-    connections_closed: u64,
-    query_stats: QueryStats,
+    /// The totals; pool facts and endpoints are filled in at snapshot.
+    totals: StatsReport,
     endpoints: BTreeMap<&'static str, EndpointAcc>,
 }
 
@@ -284,11 +302,11 @@ pub(crate) struct ServerMetrics {
 
 impl ServerMetrics {
     pub(crate) fn connection_opened(&self) {
-        self.lock().connections_opened += 1;
+        self.lock().totals.connections_opened += 1;
     }
 
     pub(crate) fn connection_closed(&self) {
-        self.lock().connections_closed += 1;
+        self.lock().totals.connections_closed += 1;
     }
 
     /// Record one admitted request's outcome.
@@ -300,9 +318,9 @@ impl ServerMetrics {
         query_stats: Option<&QueryStats>,
     ) {
         let mut inner = self.lock();
-        inner.served += 1;
+        inner.totals.served += 1;
         if let Some(stats) = query_stats {
-            inner.query_stats.absorb(stats);
+            inner.totals.query_stats.absorb(stats);
         }
         inner
             .endpoints
@@ -314,7 +332,7 @@ impl ServerMetrics {
     /// Record one admission-control rejection.
     pub(crate) fn rejected(&self, endpoint: &'static str, latency: Duration) {
         let mut inner = self.lock();
-        inner.rejected += 1;
+        inner.totals.rejected += 1;
         inner
             .endpoints
             .entry(endpoint)
@@ -329,10 +347,6 @@ impl ServerMetrics {
         StatsReport {
             pool_threads: pool_threads as u64,
             peak_leases: peak_leases as u64,
-            served: inner.served,
-            rejected: inner.rejected,
-            connections_opened: inner.connections_opened,
-            connections_closed: inner.connections_closed,
             endpoints: inner
                 .endpoints
                 .iter()
@@ -340,17 +354,13 @@ impl ServerMetrics {
                     let (p50_us, p99_us) = acc.percentiles();
                     EndpointStats {
                         endpoint: (*name).to_string(),
-                        requests: acc.requests,
-                        errors: acc.errors,
-                        deadline_exceeded: acc.deadline_exceeded,
-                        cancelled: acc.cancelled,
-                        io_faults: acc.io_faults,
                         p50_us,
                         p99_us,
+                        ..acc.counts.clone()
                     }
                 })
                 .collect(),
-            query_stats: inner.query_stats,
+            ..inner.totals.clone()
         }
     }
 
@@ -413,7 +423,7 @@ mod tests {
         metrics.rejected("query", Duration::from_micros(5));
         metrics.connection_closed();
 
-        let report = metrics.report(3, 2);
+        let mut report = metrics.report(3, 2);
         assert_eq!(report.pool_threads, 3);
         assert_eq!(report.peak_leases, 2);
         assert_eq!(report.served, 5);
@@ -435,11 +445,20 @@ mod tests {
         assert_eq!(query.cancelled, 1);
         assert_eq!(query.io_faults, 1, "io faults are a subset of errors");
         assert!(query.p50_us <= query.p99_us);
-        // And the report survives the wire.
+        // And the report survives the wire: every field is non-zero (the
+        // query endpoint's included), so a decode that drops one fails.
+        // More connections closed than opened (an untrusted reply) must
+        // still format.
+        report.connections_closed = 2;
+        report.query_stats.pushdown.row_granularity = 3;
         let mut wire = Vec::new();
         report.encode(&mut wire);
         let back = StatsReport::decode(&mut Cursor::new(&wire)).expect("decodes");
         assert_eq!(back, report);
+        let text = back.to_string();
+        assert!(text.contains("over 1 connections (0 still open)"), "{text}");
+        let queries = "queries: segments=10 result_cache_hits=2 pushdown.row_granularity=3";
+        assert!(text.ends_with(queries), "{text}");
     }
 
     #[test]
@@ -465,7 +484,7 @@ mod tests {
             acc.record(Duration::from_micros(i), Outcome::Ok);
         }
         assert_eq!(acc.latencies_us.len(), LATENCY_RESERVOIR);
-        assert_eq!(acc.requests, LATENCY_RESERVOIR as u64 * 3);
+        assert_eq!(acc.counts.requests, LATENCY_RESERVOIR as u64 * 3);
         let (p50, p99) = acc.percentiles();
         assert!(p50 <= p99);
     }

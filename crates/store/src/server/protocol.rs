@@ -34,7 +34,7 @@
 use super::metrics::StatsReport;
 use crate::digest;
 use crate::query::{QueryStats, Rows};
-use crate::{PushdownStats, Result, StoreError};
+use crate::{Result, StoreError};
 use lcdc_core::{ColumnData, DType};
 use std::io::{Read, Write};
 
@@ -372,60 +372,12 @@ fn take_column(cur: &mut Cursor<'_>) -> Result<ColumnData> {
     Ok(ColumnData::from_transport(dtype, values))
 }
 
-/// [`QueryStats`] as a fixed-order run of `u64` counters. Encoder and
-/// decoder enumerate every field by name, so adding a counter to the
-/// struct without extending the wire form is a compile error here, not
-/// a silent truncation.
+/// [`QueryStats`] as a fixed-order run of `u64` counters: its own in
+/// declaration order, then its nested pushdown ledger's. The ledger
+/// declares each counter once, so a new counter joins the wire form by
+/// being declared.
 pub(crate) fn put_stats(out: &mut Vec<u8>, s: &QueryStats) {
-    let QueryStats {
-        segments,
-        segments_pruned,
-        segments_structural,
-        segments_loaded,
-        rows_materialized,
-        values_processed,
-        result_cache_hits,
-        prefetch_hits,
-        prefetch_wasted,
-        prefetch_cancelled,
-        shards_pruned,
-        groups_folded,
-        rows_undecoded,
-        topk_segments_skipped,
-        join_pairs_pruned,
-        join_rows_undecoded,
-        join_code_translations,
-        pushdown:
-            PushdownStats {
-                zonemap_hits,
-                run_granularity,
-                code_granularity,
-                row_granularity,
-            },
-    } = *s;
-    for v in [
-        segments,
-        segments_pruned,
-        segments_structural,
-        segments_loaded,
-        rows_materialized,
-        values_processed,
-        result_cache_hits,
-        prefetch_hits,
-        prefetch_wasted,
-        prefetch_cancelled,
-        shards_pruned,
-        groups_folded,
-        rows_undecoded,
-        topk_segments_skipped,
-        join_pairs_pruned,
-        join_rows_undecoded,
-        join_code_translations,
-        zonemap_hits,
-        run_granularity,
-        code_granularity,
-        row_granularity,
-    ] {
+    for v in s.values().into_iter().chain(s.pushdown.values()) {
         put_u64(out, v as u64);
     }
 }
@@ -433,29 +385,10 @@ pub(crate) fn put_stats(out: &mut Vec<u8>, s: &QueryStats) {
 /// Inverse of [`put_stats`].
 pub(crate) fn take_stats(cur: &mut Cursor<'_>) -> Result<QueryStats> {
     let mut s = QueryStats::default();
-    for field in [
-        &mut s.segments,
-        &mut s.segments_pruned,
-        &mut s.segments_structural,
-        &mut s.segments_loaded,
-        &mut s.rows_materialized,
-        &mut s.values_processed,
-        &mut s.result_cache_hits,
-        &mut s.prefetch_hits,
-        &mut s.prefetch_wasted,
-        &mut s.prefetch_cancelled,
-        &mut s.shards_pruned,
-        &mut s.groups_folded,
-        &mut s.rows_undecoded,
-        &mut s.topk_segments_skipped,
-        &mut s.join_pairs_pruned,
-        &mut s.join_rows_undecoded,
-        &mut s.join_code_translations,
-        &mut s.pushdown.zonemap_hits,
-        &mut s.pushdown.run_granularity,
-        &mut s.pushdown.code_granularity,
-        &mut s.pushdown.row_granularity,
-    ] {
+    for field in s.values_mut() {
+        *field = cur.take_u64()? as usize;
+    }
+    for field in s.pushdown.values_mut() {
         *field = cur.take_u64()? as usize;
     }
     Ok(s)
@@ -858,6 +791,45 @@ mod tests {
         for resp in &resps {
             assert_eq!(&roundtrip_response(resp), resp);
         }
+    }
+
+    #[test]
+    fn stats_wire_order_is_pinned() {
+        // Counter i (pushdown last) holds i + 1: the frame must carry
+        // exactly 1..=21, the order every earlier peer decodes.
+        let stats = QueryStats {
+            segments: 1,
+            segments_pruned: 2,
+            segments_structural: 3,
+            segments_loaded: 4,
+            rows_materialized: 5,
+            values_processed: 6,
+            result_cache_hits: 7,
+            prefetch_hits: 8,
+            prefetch_wasted: 9,
+            prefetch_cancelled: 10,
+            shards_pruned: 11,
+            groups_folded: 12,
+            rows_undecoded: 13,
+            topk_segments_skipped: 14,
+            join_pairs_pruned: 15,
+            join_rows_undecoded: 16,
+            join_code_translations: 17,
+            pushdown: crate::PushdownStats {
+                zonemap_hits: 18,
+                run_granularity: 19,
+                code_granularity: 20,
+                row_granularity: 21,
+            },
+        };
+        let mut wire = Vec::new();
+        put_stats(&mut wire, &stats);
+        let words: Vec<u64> = wire
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        assert_eq!(words, (1..=21).collect::<Vec<u64>>());
+        assert_eq!(take_stats(&mut Cursor::new(&wire)).unwrap(), stats);
     }
 
     #[test]

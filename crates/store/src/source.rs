@@ -28,7 +28,7 @@ use std::collections::HashSet;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// Per-segment metadata the planner can consult without loading the
 /// segment payload: the zone map, the row count, the compressed size,
@@ -161,12 +161,20 @@ impl SegmentSource for ResidentSource {
     }
 
     fn meta(&self, idx: usize) -> &SegmentMeta {
-        &self.metas[idx]
+        &self.metas[idx] // lint: allow(panic) — the trait's `meta` has no error path
     }
 
     fn segment(&self, idx: usize) -> Result<Arc<Segment>> {
-        Ok(Arc::clone(&self.segments[idx]))
+        self.segments
+            .get(idx)
+            .map(Arc::clone)
+            .ok_or_else(|| no_segment(idx, self.segments.len()))
     }
+}
+
+/// The typed error for a segment index at or past a source's end.
+fn no_segment(idx: usize, segments: usize) -> StoreError {
+    StoreError::Shape(format!("segment {idx} out of range ({segments} segments)"))
 }
 
 /// Where one segment's record sits inside its column file.
@@ -181,7 +189,9 @@ pub struct FrameLocation {
 /// Lazily loads segments from a `.col` file written by
 /// [`crate::file::save_table`], one frame per request, behind a small
 /// LRU cache. Zone maps and scheme tags come from the table manifest,
-/// so planning never touches the file.
+/// so planning never touches the file. Every mutex below guards a
+/// structure that is valid after each individual operation, so a
+/// poisoned guard is recovered rather than panicking a session.
 pub struct FileSource {
     path: PathBuf,
     column: String,
@@ -296,28 +306,38 @@ impl FileSource {
         // The cache guard drops at the end of each statement: the
         // prefetched lock is never taken while holding it (the load
         // path acquires them in the opposite order).
-        let hit = self.cache.lock().expect("cache lock").peek(&idx)?;
+        let hit = self
+            .cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .peek(&idx)?;
         if self
             .prefetched
             .lock()
-            .expect("prefetched lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .remove(&idx)
         {
             // ordering: statistics counter; drained via swap and read
             // after the consuming scan joined its workers.
             self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
         } else {
-            // lint: allow(locks) — the cache guard from the probe above
-            // was already dropped; this is a sequential re-acquisition
-            // for the LRU touch, never nested inside `prefetched`.
-            self.cache.lock().expect("cache lock").touch(&idx);
+            // The cache guard from the probe above was already dropped:
+            // a sequential re-acquisition for the LRU touch, never nested
+            // inside `prefetched`.
+            self.cache
+                .lock() // lint: allow(locks) — sequential, never nested
+                .unwrap_or_else(PoisonError::into_inner)
+                .touch(&idx);
         }
         Some(hit)
     }
 
     /// Release the single-flight claim on `idx` and wake waiters.
     fn release(&self, idx: usize) {
-        self.inflight.lock().expect("inflight lock").remove(&idx);
+        self.inflight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&idx);
         self.loaded.notify_all();
     }
 
@@ -328,11 +348,12 @@ impl FileSource {
     /// observe the frame without its mark, so the hits/wasted ledger
     /// stays exact even when prefetch and scan race on one frame.
     fn load_claimed(&self, idx: usize, mark_prefetched: bool) -> Result<Arc<Segment>> {
-        let result = self
-            .read_record(idx, self.locations[idx])
-            .and_then(|record| {
-                crate::file::decode_record(&record, &self.column, idx, &self.metas[idx], self.dtype)
-            });
+        let result = match (self.locations.get(idx), self.metas.get(idx)) {
+            (Some(&loc), Some(meta)) => self.read_record(idx, loc).and_then(|record| {
+                crate::file::decode_record(&record, &self.column, idx, meta, self.dtype)
+            }),
+            _ => Err(no_segment(idx, self.metas.len())),
+        };
         let out = match result {
             Ok(segment) => {
                 let loaded = Arc::new(segment);
@@ -340,7 +361,10 @@ impl FileSource {
                 // loading threads are joined.
                 self.io_reads.fetch_add(1, Ordering::Relaxed);
                 if mark_prefetched {
-                    self.prefetched.lock().expect("prefetched lock").insert(idx);
+                    self.prefetched
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .insert(idx);
                 }
                 // The mark-then-publish sequence is deliberate (see the
                 // doc comment); the prefetched guard is already dropped,
@@ -348,7 +372,7 @@ impl FileSource {
                 let evicted = self
                     .cache
                     .lock() // lint: allow(locks) — sequential after prefetched, never nested
-                    .expect("cache lock")
+                    .unwrap_or_else(PoisonError::into_inner)
                     .put(idx, Arc::clone(&loaded));
                 // A warmed frame pushed out before any fetch consumed
                 // it is waste, settled here at eviction time — once per
@@ -359,10 +383,13 @@ impl FileSource {
                     if self
                         .prefetched
                         .lock()
-                        .expect("prefetched lock")
+                        .unwrap_or_else(PoisonError::into_inner)
                         .remove(&evicted_idx)
                     {
-                        self.wasted.lock().expect("wasted lock").insert(evicted_idx);
+                        self.wasted
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .insert(evicted_idx);
                     }
                 }
                 Ok(loaded)
@@ -376,7 +403,7 @@ impl FileSource {
     /// The shared column-file handle, opened on first use.
     #[cfg(unix)]
     fn file(&self) -> Result<Arc<fs::File>> {
-        let mut guard = self.handle.lock().expect("handle lock");
+        let mut guard = self.handle.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(file) = &*guard {
             return Ok(Arc::clone(file));
         }
@@ -430,7 +457,7 @@ impl SegmentSource for FileSource {
     }
 
     fn meta(&self, idx: usize) -> &SegmentMeta {
-        &self.metas[idx]
+        &self.metas[idx] // lint: allow(panic) — the trait's `meta` has no error path
     }
 
     fn segment(&self, idx: usize) -> Result<Arc<Segment>> {
@@ -442,7 +469,7 @@ impl SegmentSource for FileSource {
             // (I/O happens outside every lock; waiters re-check the
             // cache on wake, so a loader's failure just hands the claim
             // to the next fetcher).
-            let mut inflight = self.inflight.lock().expect("inflight lock");
+            let mut inflight = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
             if inflight.insert(idx) {
                 drop(inflight);
                 // Re-probe before reading: the previous claim holder
@@ -455,7 +482,10 @@ impl SegmentSource for FileSource {
                 }
                 return self.load_claimed(idx, false);
             }
-            let _waited = self.loaded.wait(inflight).expect("inflight lock poisoned");
+            let _waited = self
+                .loaded
+                .wait(inflight)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -466,11 +496,17 @@ impl SegmentSource for FileSource {
     }
 
     fn prefetch(&self, idx: usize) -> bool {
-        if idx >= self.metas.len() || self.cache.lock().expect("cache lock").contains(&idx) {
+        if idx >= self.metas.len()
+            || self
+                .cache
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .contains(&idx)
+        {
             return false;
         }
         {
-            let mut inflight = self.inflight.lock().expect("inflight lock");
+            let mut inflight = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
             if !inflight.insert(idx) {
                 // Someone (the scan, most likely) is already loading it;
                 // adding a second read would defeat the overlap.
@@ -479,10 +515,14 @@ impl SegmentSource for FileSource {
         }
         // Re-probe before reading (same race as in `segment`): a claim
         // holder may have published the frame since the probe above.
-        // lint: allow(locks) — the inflight guard was dropped at the
-        // end of the claim block; cache is re-probed sequentially, not
-        // nested under inflight.
-        if self.cache.lock().expect("cache lock").contains(&idx) {
+        // The inflight guard was dropped at the end of the claim block:
+        // cache is re-probed sequentially, not nested under inflight.
+        if self
+            .cache
+            .lock() // lint: allow(locks) — sequential, never nested
+            .unwrap_or_else(PoisonError::into_inner)
+            .contains(&idx)
+        {
             self.release(idx);
             return false;
         }
@@ -504,10 +544,15 @@ impl SegmentSource for FileSource {
         let mut union: HashSet<usize> = self
             .prefetched
             .lock()
-            .expect("prefetched lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .drain()
             .collect();
-        union.extend(self.wasted.lock().expect("wasted lock").drain());
+        union.extend(
+            self.wasted
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .drain(),
+        );
         (hits, union.len())
     }
 
@@ -516,7 +561,10 @@ impl SegmentSource for FileSource {
             // ordering: advisory sample for the prefetcher's
             // self-tuning loop; staleness only delays a depth change.
             self.prefetch_hits.load(Ordering::Relaxed),
-            self.wasted.lock().expect("wasted lock").len(),
+            self.wasted
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .len(),
         )
     }
 
@@ -741,6 +789,7 @@ mod tests {
             assert_eq!(&src.segment(i).unwrap().decompress().unwrap(), plain);
         }
         assert_eq!(src.io_reads(), 0, "resident fetches are never I/O");
+        assert!(src.segment(4).is_err(), "out of range is a typed error");
     }
 
     #[test]
@@ -771,6 +820,7 @@ mod tests {
         assert!(source.prefetch(1));
         assert!(!source.prefetch(1), "already cached: no second read");
         assert!(!source.prefetch(99), "out of range is a no-op");
+        assert!(source.segment(99).is_err(), "out of range is a typed error");
         assert_eq!(source.io_reads(), 2);
 
         // Consuming one is a hit; fetching an unprefetched frame is not.

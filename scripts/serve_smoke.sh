@@ -94,6 +94,8 @@ grep -q -- --lazy "$dir/refuse.err" || fail "refusal does not name the flag"
 # The stats report is fetchable over the wire and accounts for traffic.
 "$LCDC" client --addr "$addr" --stats >"$dir/stats.txt" 2>/dev/null
 grep -q "served" "$dir/stats.txt" || fail "stats report missing"
+# The queries line is the ledger's derived `name=value` report.
+grep -q "segments=" "$dir/stats.txt" || fail "stats report lacks query counters"
 echo "serve_smoke: stats report fetched"
 
 # --- graceful shutdown: drain, final report on stderr ---------------

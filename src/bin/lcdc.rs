@@ -62,7 +62,7 @@
 use lcdc::core::{bytes, chooser, parse_scheme, ColumnData, DType};
 use lcdc::store::{
     load_table, open_table_lazy, save_table, shard_table, Catalog, Client, CompressionPolicy,
-    FaultPlan, QueryArgs, QueryResult, Response, RetryPolicy, Rows, Server, ServerConfig,
+    FaultPlan, QueryArgs, QueryStats, Response, RetryPolicy, Rows, Server, ServerConfig,
     ShardedTable, Table, TableSchema,
 };
 use std::path::{Path, PathBuf};
@@ -578,8 +578,8 @@ fn query(args: &[String]) -> Result<(), String> {
                     builder.execute_opts(&q.opts)
                 }
                 .map_err(|e| e.to_string())?;
-                print_result(&result, &q.labels);
-                print_stats(&result, table.io_reads());
+                print_result(&result.rows, &q.labels);
+                print_stats(&result.stats, table.io_reads());
             }
         }
         Some(name) => {
@@ -638,8 +638,8 @@ fn query(args: &[String]) -> Result<(), String> {
                 let result = catalog
                     .execute_opts(name, &spec, &q.opts)
                     .map_err(|e| e.to_string())?;
-                print_result(&result, &q.labels);
-                print_stats(&result, handle.io_reads());
+                print_result(&result.rows, &q.labels);
+                print_stats(&result.stats, handle.io_reads());
             }
         }
     }
@@ -1002,26 +1002,8 @@ fn client(args: &[String]) -> Result<(), String> {
             rows,
             stats,
         } => {
-            let result = QueryResult { rows, stats };
-            print_result(&result, &local.labels);
-            let s = &result.stats;
-            if s.result_cache_hits > 0 {
-                eprintln!("-- table version {version}, served from the result cache");
-            } else {
-                eprintln!(
-                    "-- table version {version}: {} segments ({} pruned), \
-                     {} rows materialized",
-                    s.segments, s.segments_pruned, s.rows_materialized
-                );
-            }
-            if s.join_pairs_pruned > 0 || s.join_rows_undecoded > 0 || s.join_code_translations > 0
-            {
-                eprintln!(
-                    "-- join: {} segment pairs pruned, {} rows undecoded, \
-                     {} code-space translations",
-                    s.join_pairs_pruned, s.join_rows_undecoded, s.join_code_translations
-                );
-            }
+            print_result(&rows, &local.labels);
+            eprintln!("-- table version {version}: {stats}");
             Ok(())
         }
         Response::Busy {
@@ -1039,9 +1021,9 @@ fn client(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn print_result(result: &lcdc::store::QueryResult, labels: &[String]) {
+fn print_result(rows: &Rows, labels: &[String]) {
     let show = |v: &Option<i128>| v.map_or("null".to_string(), |x| x.to_string());
-    match &result.rows {
+    match rows {
         Rows::Aggregates(values) => {
             for (label, v) in labels.iter().zip(values) {
                 println!("{label:<16} {}", show(v));
@@ -1068,56 +1050,8 @@ fn print_result(result: &lcdc::store::QueryResult, labels: &[String]) {
     }
 }
 
-fn print_stats(result: &lcdc::store::QueryResult, io_reads: usize) {
-    let s = &result.stats;
-    if s.result_cache_hits > 0 {
-        eprintln!("-- served from result cache");
-        return;
-    }
-    let shards = if s.shards_pruned > 0 {
-        format!(", {} whole shards pruned", s.shards_pruned)
-    } else {
-        String::new()
-    };
-    let prefetch = if s.prefetch_hits > 0 || s.prefetch_wasted > 0 || s.prefetch_cancelled > 0 {
-        format!(
-            ", prefetch {} hits / {} wasted / {} cancelled",
-            s.prefetch_hits, s.prefetch_wasted, s.prefetch_cancelled
-        )
-    } else {
-        String::new()
-    };
-    eprintln!(
-        "-- {} segments ({} pruned, {} structural{shards}), {} loaded \
-         ({io_reads} from disk so far{prefetch}), {} rows materialized, \
-         {} values processed, tiers {:?}",
-        s.segments,
-        s.segments_pruned,
-        s.segments_structural,
-        s.segments_loaded,
-        s.rows_materialized,
-        s.values_processed,
-        s.pushdown
-    );
-    if s.groups_folded > 0 || s.rows_undecoded > 0 {
-        eprintln!(
-            "-- code-space group-by: {} key units folded, {} rows undecoded",
-            s.groups_folded, s.rows_undecoded
-        );
-    }
-    if s.topk_segments_skipped > 0 {
-        eprintln!(
-            "-- shared top-k bound skipped {} segments",
-            s.topk_segments_skipped
-        );
-    }
-    if s.join_pairs_pruned > 0 || s.join_rows_undecoded > 0 || s.join_code_translations > 0 {
-        eprintln!(
-            "-- join: {} segment pairs pruned, {} rows undecoded, \
-             {} code-space translations",
-            s.join_pairs_pruned, s.join_rows_undecoded, s.join_code_translations
-        );
-    }
+fn print_stats(stats: &QueryStats, io_reads: usize) {
+    eprintln!("-- {stats} ({io_reads} frames read from disk so far)");
 }
 
 fn choose(args: &[String]) -> Result<(), String> {
