@@ -24,7 +24,9 @@ pub mod zigzag;
 
 pub use block::{block_words, BlockPacked, BLOCK_LEN};
 pub use pack::{Packed, GROUP_LEN};
-pub use width::{bits_needed_u64, max_width, width_histogram, width_percentile};
+pub use width::{
+    bits_needed_u64, histogram_percentile, max_width, width_histogram, width_percentile,
+};
 pub use zigzag::{zigzag_decode_i64, zigzag_encode_i64};
 
 /// Errors produced by packing kernels.

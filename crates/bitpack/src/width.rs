@@ -40,12 +40,17 @@ pub fn width_histogram(values: &[u64]) -> [usize; 65] {
 /// Returns 0 for an empty slice. This is the width-selection rule for
 /// patched (exception-based) schemes.
 pub fn width_percentile(values: &[u64], fraction: f64) -> u32 {
-    if values.is_empty() {
+    histogram_percentile(&width_histogram(values), values.len(), fraction)
+}
+
+/// [`width_percentile`] of the `len` values a [`width_histogram`]
+/// counted.
+pub fn histogram_percentile(hist: &[usize; 65], len: usize, fraction: f64) -> u32 {
+    if len == 0 {
         return 0;
     }
     let fraction = fraction.clamp(0.0, 1.0);
-    let need = (fraction * values.len() as f64).ceil() as usize;
-    let hist = width_histogram(values);
+    let need = (fraction * len as f64).ceil() as usize;
     let mut cum = 0usize;
     for (w, &count) in hist.iter().enumerate() {
         cum += count;

@@ -1,16 +1,33 @@
-//! Per-column scheme choice.
+//! Per-column scheme choice by branch and bound over proven size floors.
 //!
 //! Real engines pick a scheme per column (or per segment) from a
-//! candidate set. The chooser here compresses *every* candidate and
-//! keeps the smallest result: compression is cheap for these schemes,
-//! so exactness beats cleverness. No estimate is consulted;
-//! [`crate::scheme::Scheme::estimate`] is the per-scheme size model an
-//! estimate-first chooser would rank by.
+//! candidate set. The chooser keeps the smallest result — exactly the
+//! candidate an exhaustive loop (compress every candidate, keep the
+//! smallest, ties to the earlier list entry) would keep — without
+//! compressing the candidates that cannot win:
+//!
+//! 1. One [`ColumnStats`] pass over the column.
+//! 2. Every candidate reports [`Scheme::floor`]: `Some(f)` proves any
+//!    output it produces has `compressed_bytes() >= f`; `None` proves
+//!    it cannot encode the column. Cascades compose their floors from
+//!    the parts' shapes (Lessons 2: the outer scheme's parts, fed to
+//!    inner schemes), so a candidate's size is bounded before it is
+//!    built.
+//! 3. Candidates are compressed in `(floor, list index)` order. The
+//!    loop stops at the first candidate whose floor exceeds the best
+//!    size so far, or equals it with a later list index — no remaining
+//!    candidate can then beat the best, nor tie it from earlier in the
+//!    list.
+//!
+//! The default candidates are parsed once per process.
 
 use crate::column::ColumnData;
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::expr::parse_expr;
-use crate::scheme::Compressed;
+use crate::scheme::{Compressed, Scheme};
+use crate::stats::ColumnStats;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// The outcome of a scheme choice.
 #[derive(Debug)]
@@ -21,9 +38,41 @@ pub struct Choice {
     pub compressed: Compressed,
     /// Its size under the uniform size model.
     pub bytes: usize,
-    /// Every candidate that compressed successfully, with its size
-    /// (including the winner), sorted ascending.
-    pub ranking: Vec<(String, usize)>,
+    /// Every candidate once, with what the choice learned of its size,
+    /// sorted by that size (ties in list order), the winner first and
+    /// the unrepresentable last.
+    pub ranking: Vec<(String, Size)>,
+}
+
+/// What the chooser knows of one candidate's size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Size {
+    /// Compressed: its exact size.
+    Exact(usize),
+    /// Pruned without compressing: its floor, which the winner beats.
+    AtLeast(usize),
+    /// The scheme cannot encode the column.
+    NotRepresentable,
+}
+
+impl Size {
+    /// The exact size, or the floor of a pruned candidate.
+    pub fn bytes(self) -> Option<usize> {
+        match self {
+            Size::Exact(n) | Size::AtLeast(n) => Some(n),
+            Size::NotRepresentable => None,
+        }
+    }
+}
+
+impl fmt::Display for Size {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Size::Exact(n) => write!(f, "{n}"),
+            Size::AtLeast(n) => write!(f, ">= {n} (pruned)"),
+            Size::NotRepresentable => f.write_str("not representable"),
+        }
+    }
 }
 
 /// The default candidate set: one practical configuration per scheme
@@ -52,45 +101,81 @@ pub fn default_candidates() -> Vec<&'static str> {
     ]
 }
 
+/// Parsed candidates, in list order.
+type Candidates = Vec<(String, Box<dyn Scheme>)>;
+
 /// Choose the smallest-output scheme for `col` among
 /// [`default_candidates`].
 pub fn choose_best(col: &ColumnData) -> Result<Choice> {
-    choose_among(col, &default_candidates())
+    static DEFAULTS: OnceLock<Candidates> = OnceLock::new();
+    let candidates = DEFAULTS
+        .get_or_init(|| parse_candidates(&default_candidates()).expect("default candidates parse"));
+    choose(col, candidates)
 }
 
 /// Choose the smallest-output scheme for `col` among the given
 /// expressions. Candidates that fail to parse return an error; ones that
-/// fail to *compress* (e.g. plain NS on negative data) are skipped.
-/// `id` is always appended as a safety net.
+/// cannot encode the column (e.g. plain NS on negative data) are
+/// skipped. `id` is always appended as a safety net.
 pub fn choose_among(col: &ColumnData, candidates: &[&str]) -> Result<Choice> {
-    let mut ranking: Vec<(String, usize, Compressed)> = Vec::new();
-    let mut texts: Vec<String> = candidates.iter().map(|s| s.to_string()).collect();
-    if !texts.iter().any(|t| t == "id") {
-        texts.push("id".to_string());
+    choose(col, &parse_candidates(candidates)?)
+}
+
+fn parse_candidates(candidates: &[&str]) -> Result<Candidates> {
+    let mut texts: Vec<&str> = candidates.to_vec();
+    if !texts.contains(&"id") {
+        texts.push("id");
     }
-    for text in &texts {
-        let scheme = parse_expr(text)?.build()?;
-        match scheme.compress(col) {
+    texts
+        .into_iter()
+        .map(|text| Ok((text.to_string(), parse_expr(text)?.build()?)))
+        .collect()
+}
+
+fn choose(col: &ColumnData, candidates: &Candidates) -> Result<Choice> {
+    let stats = ColumnStats::collect(col);
+    let mut sizes: Vec<Size> = vec![Size::NotRepresentable; candidates.len()];
+    let mut order: Vec<(usize, usize)> = Vec::with_capacity(candidates.len());
+    for (index, (_, scheme)) in candidates.iter().enumerate() {
+        if let Some(floor) = scheme.floor(&stats) {
+            sizes[index] = Size::AtLeast(floor);
+            order.push((floor, index));
+        }
+    }
+    order.sort_unstable();
+    // (bytes, list index, form) of the best candidate so far.
+    let mut best: Option<(usize, usize, Compressed)> = None;
+    for (floor, index) in order {
+        if let Some((bytes, best_index, _)) = &best {
+            if (floor, index) > (*bytes, *best_index) {
+                break;
+            }
+        }
+        match candidates[index].1.compress(col) {
             Ok(c) => {
                 let bytes = c.compressed_bytes();
-                ranking.push((text.clone(), bytes, c));
+                sizes[index] = Size::Exact(bytes);
+                if best.as_ref().is_none_or(|b| (bytes, index) < (b.0, b.1)) {
+                    best = Some((bytes, index, c));
+                }
             }
-            Err(crate::error::CoreError::NotRepresentable(_)) => continue,
+            Err(CoreError::NotRepresentable(_)) => sizes[index] = Size::NotRepresentable,
             Err(other) => return Err(other),
         }
     }
-    // Stable sort: candidates that tie on size keep their list order, so
-    // the caller's candidate ordering doubles as a preference order.
-    ranking.sort_by_key(|&(_, bytes, _)| bytes);
-    let (expr, bytes, compressed) = ranking
-        .first()
-        .map(|(t, b, c)| (t.clone(), *b, c.clone()))
-        .expect("id always succeeds");
+    let (bytes, index, compressed) = best.expect("id always succeeds");
+    let mut ranking: Vec<(String, Size)> = candidates
+        .iter()
+        .zip(sizes)
+        .map(|((text, _), size)| (text.clone(), size))
+        .collect();
+    // Stable: equal sizes stay in list order, so the winner leads.
+    ranking.sort_by_key(|(_, size)| (size.bytes().is_none(), size.bytes()));
     Ok(Choice {
-        expr,
+        expr: candidates[index].0.clone(),
         compressed,
         bytes,
-        ranking: ranking.into_iter().map(|(t, b, _)| (t, b)).collect(),
+        ranking,
     })
 }
 
@@ -152,27 +237,41 @@ mod tests {
         let col = ColumnData::I64(vec![i64::MIN, i64::MAX, -1, 1, i64::MIN]);
         let choice = choose_among(&col, &["ns"]).unwrap();
         assert_eq!(choice.expr, "id");
+        assert_eq!(
+            choice.ranking[1],
+            ("ns".to_string(), Size::NotRepresentable)
+        );
     }
 
     #[test]
     fn ranking_is_sorted_and_complete() {
         let col = ColumnData::U32(vec![1, 1, 1, 2, 2, 3]);
         let choice = choose_best(&col).unwrap();
-        assert!(choice.ranking.windows(2).all(|w| w[0].1 <= w[1].1));
-        assert_eq!(choice.ranking[0].0, choice.expr);
-        assert!(choice.ranking.iter().any(|(t, _)| t == "id"));
+        let sizes: Vec<Option<usize>> = choice.ranking.iter().map(|(_, s)| s.bytes()).collect();
+        let known = sizes.iter().take_while(|s| s.is_some()).count();
+        assert!(sizes[..known].windows(2).all(|w| w[0] <= w[1]));
+        assert!(sizes[known..].iter().all(Option::is_none));
+        assert_eq!(
+            choice.ranking[0],
+            (choice.expr.clone(), Size::Exact(choice.bytes))
+        );
+        assert_eq!(choice.ranking.len(), default_candidates().len());
     }
 
     #[test]
-    fn estimates_rank_plausibly() {
+    fn floors_prune_run_heavy_columns() {
         let col = ColumnData::U64((0..100u64).flat_map(|d| [d; 50]).collect());
-        let stats = crate::stats::ColumnStats::collect(&col);
-        let estimate = |text: &str| {
-            let scheme = parse_expr(text).unwrap().build().unwrap();
-            scheme.estimate(&stats).unwrap()
-        };
-        // The run-based scheme must be estimated far smaller than id.
-        assert!(estimate("rle") * 10 < estimate("id"));
+        let choice = choose_best(&col).unwrap();
+        let size = |text: &str| choice.ranking.iter().find(|(t, _)| t == text).unwrap().1;
+        // The run-based scheme wins; id and the per-row schemes are
+        // priced by their floors alone.
+        assert!(choice.expr.starts_with("rle["), "chose {}", choice.expr);
+        assert!(matches!(size("id"), Size::AtLeast(40_000)));
+        assert!(matches!(
+            size("poly2(l=128)[residuals=ns]"),
+            Size::AtLeast(_)
+        ));
+        assert_eq!(size("const"), Size::NotRepresentable);
     }
 
     #[test]

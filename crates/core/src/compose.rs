@@ -113,10 +113,28 @@ impl Scheme for Cascade {
         self.outer.plan(c)
     }
 
-    fn estimate(&self, _stats: &ColumnStats) -> Option<usize> {
-        // Inner sizes depend on part statistics the outer scheme induces;
-        // the chooser compresses candidates to compare them exactly.
-        None
+    /// Lessons 2 as arithmetic: the outer floor, with each cascaded
+    /// part's plain size replaced by the inner floor over the shape the
+    /// outer derives for that part. An inner `None` is the cascade's
+    /// (the inner `compress` fails, so the cascade's does); a part the
+    /// outer derives no shape for leaves only the always-sound 0.
+    fn floor(&self, stats: &ColumnStats) -> Option<usize> {
+        let mut floor = self.outer.floor(stats)?;
+        for (role, inner) in &self.inner {
+            let Some(part) = self.outer.part_stats(stats, role) else {
+                return Some(0);
+            };
+            floor = floor.saturating_sub(part.plain_bytes()) + inner.floor(&part)?;
+        }
+        Some(floor)
+    }
+
+    /// Parts left plain keep the outer scheme's shape.
+    fn part_stats(&self, stats: &ColumnStats, role: &str) -> Option<ColumnStats> {
+        if self.inner.iter().any(|(r, _)| r == role) {
+            return None;
+        }
+        self.outer.part_stats(stats, role)
     }
 }
 

@@ -211,7 +211,7 @@ fn part_kind(data: &PartData) -> &'static str {
 
 /// A lightweight compression scheme: a pair of total maps between plain
 /// columns and columnar compressed forms, with optional extras (an
-/// operator-DAG decompression plan, a size estimate for the chooser).
+/// operator-DAG decompression plan, a size floor for the chooser).
 ///
 /// Schemes are plain values, shareable across threads: a store builds
 /// a segment's scheme once and every worker decodes through it.
@@ -295,11 +295,23 @@ pub trait Scheme: std::fmt::Debug + Send + Sync {
             .collect()
     }
 
-    /// Predicted compressed size in bytes from column statistics, for
-    /// the scheme chooser. `None` when the scheme has no estimator or
-    /// cannot encode columns with these statistics.
-    fn estimate(&self, stats: &ColumnStats) -> Option<usize> {
+    /// A proven lower bound on the size of this scheme's output, for the
+    /// scheme chooser. `Some(f)`: any successful [`Scheme::compress`] of
+    /// a column with these statistics has `compressed_bytes() >= f`.
+    /// `None`: `compress` returns [`CoreError::NotRepresentable`]. The
+    /// default, `Some(0)`, is always sound.
+    fn floor(&self, stats: &ColumnStats) -> Option<usize> {
         let _ = stats;
+        Some(0)
+    }
+
+    /// Statistics of the plain part `role` that [`Scheme::compress`]
+    /// produces for a column with these statistics, as bounds (see
+    /// [`crate::stats`]) — the shape a cascade's inner scheme is floored
+    /// over. [`Scheme::floor`] must count that part at exactly its
+    /// [`ColumnStats::plain_bytes`]. `None` when not derived.
+    fn part_stats(&self, stats: &ColumnStats, role: &str) -> Option<ColumnStats> {
+        let _ = (stats, role);
         None
     }
 

@@ -86,8 +86,9 @@ impl Scheme for Const {
         Plan::new(vec![Node::Const { value, len: c.n }], 0)
     }
 
-    fn estimate(&self, stats: &ColumnStats) -> Option<usize> {
-        (stats.distinct <= 1).then_some(stats.dtype.bytes())
+    /// The one value, when the column is one run at most.
+    fn floor(&self, stats: &ColumnStats) -> Option<usize> {
+        (stats.runs <= 1).then_some(stats.n.min(1) * stats.dtype.bytes())
     }
 }
 
@@ -136,11 +137,19 @@ mod tests {
     }
 
     #[test]
-    fn estimate_requires_single_distinct() {
-        let stats = ColumnStats::collect(&ColumnData::U32(vec![5, 5, 5]));
-        assert_eq!(Const.estimate(&stats), Some(4));
+    fn floor_requires_single_run() {
+        let col = ColumnData::U32(vec![5, 5, 5]);
+        let stats = ColumnStats::collect(&col);
+        assert_eq!(
+            Const.floor(&stats),
+            Some(Const.compress(&col).unwrap().compressed_bytes())
+        );
         let stats = ColumnStats::collect(&ColumnData::U32(vec![5, 6]));
-        assert_eq!(Const.estimate(&stats), None);
+        assert_eq!(Const.floor(&stats), None);
+        assert_eq!(
+            Const.floor(&ColumnStats::collect(&ColumnData::U32(vec![]))),
+            Some(0)
+        );
     }
 
     #[test]

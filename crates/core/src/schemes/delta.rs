@@ -124,11 +124,17 @@ impl Scheme for Delta {
         )
     }
 
-    fn estimate(&self, stats: &ColumnStats) -> Option<usize> {
-        // Plain deltas cost as much as the input minus one element; DELTA
-        // pays off through its NS cascade, whose size `Cascade::estimate`
-        // leaves to the chooser's exact compression.
-        Some(stats.n.saturating_sub(1) * stats.dtype.bytes() + 8)
+    /// The `first` parameter plus `n - 1` plain deltas.
+    fn floor(&self, stats: &ColumnStats) -> Option<usize> {
+        Some(8 + stats.n.saturating_sub(1) * stats.dtype.bytes())
+    }
+
+    /// The deltas are as wide as the column's widest adjacent delta.
+    fn part_stats(&self, stats: &ColumnStats, role: &str) -> Option<ColumnStats> {
+        (role == ROLE_DELTAS).then(|| ColumnStats {
+            zz_width: stats.delta_width,
+            ..ColumnStats::shape(stats.n.saturating_sub(1), signed_counterpart(stats.dtype))
+        })
     }
 }
 
@@ -197,6 +203,24 @@ mod tests {
         let c = cascade.compress(&col).unwrap();
         assert!(c.ratio().unwrap() > 15.0, "ratio {:?}", c.ratio());
         assert_eq!(cascade.decompress(&c).unwrap(), col);
+    }
+
+    #[test]
+    fn cascade_floor_is_exact() {
+        let cascade = Cascade::new(
+            Box::new(Delta),
+            vec![(ROLE_DELTAS, Box::new(Ns::zz()) as Box<dyn Scheme>)],
+        );
+        for col in [
+            ColumnData::U64((0..1000u64).map(|i| 20_180_101 + i * 3).collect()),
+            ColumnData::U32(vec![0, 4_000_000_000, 7]),
+            ColumnData::I64(vec![i64::MIN, i64::MAX, -1]),
+            ColumnData::U32(vec![]),
+        ] {
+            let stats = ColumnStats::collect(&col);
+            let actual = cascade.compress(&col).unwrap().compressed_bytes();
+            assert_eq!(cascade.floor(&stats), Some(actual), "{col:?}");
+        }
     }
 
     #[test]

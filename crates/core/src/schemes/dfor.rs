@@ -21,7 +21,7 @@
 //! with plain DELTA.
 
 use crate::build_column;
-use crate::column::ColumnData;
+use crate::column::{ColumnData, DType};
 use crate::error::{CoreError, Result};
 use crate::parts::{Emit, Parts, Visitor};
 use crate::plan::{Node, Plan};
@@ -164,19 +164,28 @@ impl Scheme for DeltaFor {
         )
     }
 
-    fn estimate(&self, stats: &ColumnStats) -> Option<usize> {
-        // Bare DFOR stores deltas at transport width; like DELTA it pays
-        // off through its NS cascade (see `estimate_with_ns`).
-        Some(stats.n.div_ceil(self.seg_len) * stats.dtype.bytes() + stats.n * 8 + 8)
+    /// The `l` parameter, one base per segment and `n` plain deltas.
+    fn floor(&self, stats: &ColumnStats) -> Option<usize> {
+        Some(8 + stats.n.div_ceil(self.seg_len) * stats.dtype.bytes() + stats.n * 8)
     }
-}
 
-/// Estimated size of the practical `dfor(l=ℓ)[deltas=ns_zz]` cascade.
-/// Segment restarts keep the same worst-case delta width as global
-/// DELTA, so the global zigzag width bounds the per-element cost.
-pub fn estimate_with_ns(stats: &ColumnStats, seg_len: usize) -> usize {
-    let width = stats.delta_zz_width.min(64) as usize;
-    stats.n.div_ceil(seg_len.max(1)) * stats.dtype.bytes() + (stats.n * width).div_ceil(8) + 24
+    /// The deltas are as wide as the widest in-segment delta: exact from
+    /// block statistics taken at `l`.
+    fn part_stats(&self, stats: &ColumnStats, role: &str) -> Option<ColumnStats> {
+        match role {
+            ROLE_BASES => Some(ColumnStats::shape(
+                stats.n.div_ceil(self.seg_len),
+                stats.dtype,
+            )),
+            ROLE_DELTAS => Some(ColumnStats {
+                zz_width: stats.blocks_at(self.seg_len).map_or(0, |blocks| {
+                    blocks.iter().map(|b| b.delta_width).max().unwrap_or(0)
+                }),
+                ..ColumnStats::shape(stats.n, DType::U64)
+            }),
+            _ => None,
+        }
+    }
 }
 
 /// O(ℓ) positional access: integrate only the deltas of the containing
@@ -296,6 +305,25 @@ mod tests {
     fn name_and_clamp() {
         assert_eq!(DeltaFor::new(64).name(), "dfor(l=64)");
         assert_eq!(DeltaFor::new(0).seg_len, 1);
+    }
+
+    #[test]
+    fn cascade_floor_is_exact_at_segment_length() {
+        use crate::compose::Cascade;
+        use crate::schemes::Ns;
+        let cascaded = Cascade::new(
+            Box::new(DeltaFor::new(128)),
+            vec![("deltas", Box::new(Ns::zz()) as Box<dyn Scheme>)],
+        );
+        for col in [
+            trending(),
+            ColumnData::U32(vec![0, 4_000_000_000, 7]),
+            ColumnData::I64(vec![i64::MIN, i64::MAX, -1, 0, i64::MAX, i64::MIN]),
+        ] {
+            let stats = ColumnStats::collect(&col);
+            let actual = cascaded.compress(&col).unwrap().compressed_bytes();
+            assert_eq!(cascaded.floor(&stats), Some(actual), "{col:?}");
+        }
     }
 
     #[test]

@@ -142,9 +142,27 @@ impl Scheme for Dict {
         )
     }
 
-    fn estimate(&self, stats: &ColumnStats) -> Option<usize> {
-        Some(stats.distinct * stats.dtype.bytes() + stats.n * 8)
+    /// The dictionary at its least possible size, and one code per row.
+    fn floor(&self, stats: &ColumnStats) -> Option<usize> {
+        Some(distinct_floor(stats) * stats.dtype.bytes() + stats.n * 8)
     }
+
+    /// Codes index the dictionary: the largest is at least `d - 1`.
+    fn part_stats(&self, stats: &ColumnStats, role: &str) -> Option<ColumnStats> {
+        let d = distinct_floor(stats);
+        match role {
+            ROLE_DICT => Some(ColumnStats::shape(d, stats.dtype)),
+            ROLE_CODES => Some(ColumnStats::indices(stats.n, d.saturating_sub(1))),
+            _ => None,
+        }
+    }
+}
+
+/// The fewest distinct values a column with these statistics can hold.
+fn distinct_floor(stats: &ColumnStats) -> usize {
+    stats
+        .distinct
+        .max(stats.n.min(1) + (stats.min != stats.max) as usize)
 }
 
 #[cfg(test)]
@@ -213,9 +231,12 @@ mod tests {
     }
 
     #[test]
-    fn estimate_shape() {
+    fn floor_shape() {
         let col = ColumnData::U32(vec![1, 1, 2, 2, 2]);
         let stats = ColumnStats::collect(&col);
-        assert_eq!(Dict.estimate(&stats), Some(2 * 4 + 5 * 8));
+        assert_eq!(Dict.floor(&stats), Some(2 * 4 + 5 * 8));
+        let cascade = Cascade::new(Box::new(Dict), vec![(ROLE_CODES, Box::new(Ns::plain()))]);
+        let actual = cascade.compress(&col).unwrap().compressed_bytes();
+        assert_eq!(cascade.floor(&stats), Some(actual));
     }
 }

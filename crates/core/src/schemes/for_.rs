@@ -9,13 +9,14 @@
 //! `FOR ≡ STEPFUNCTION + NS` is literal code in [`crate::rewrite`].
 
 use crate::column::ColumnData;
+use crate::column::DType;
 use crate::error::{CoreError, Result};
 use crate::parts::{Emit, PartStream, Parts, Visitor};
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
-use crate::stats::ColumnStats;
+use crate::stats::{zz_bits, zz_bits_of, BlockStats, ColumnStats};
 use crate::{build_column, with_column};
-use lcdc_bitpack::width::packed_bytes;
+use lcdc_bitpack::width::bits_needed_u64;
 use lcdc_colops::segment::check_segments;
 use lcdc_colops::BinOpKind;
 use lcdc_colops::Scalar;
@@ -221,13 +222,64 @@ impl Scheme for For {
         )
     }
 
-    fn estimate(&self, stats: &ColumnStats) -> Option<usize> {
-        // With plain offsets FOR never wins; estimate the practical
-        // NS-cascaded size so the chooser ranks it fairly.
-        let refs = stats.n.div_ceil(self.seg_len) * stats.dtype.bytes();
-        // Statistics collected at another segment length serve as an
-        // approximation.
-        Some(refs + packed_bytes(stats.n, stats.for_offset_width) + 16)
+    /// The `l` parameter, one reference per segment and `n` plain
+    /// offsets.
+    fn floor(&self, stats: &ColumnStats) -> Option<usize> {
+        Some(8 + stats.n.div_ceil(self.seg_len) * stats.dtype.bytes() + stats.n * 8)
+    }
+
+    /// Offsets from block statistics taken at `l`. Min-reference
+    /// offsets are each block shifted to start at 0, so every in-block
+    /// statistic carries over exactly. First-reference offsets are known
+    /// at each block's extremes, which bounds both NS widths.
+    fn part_stats(&self, stats: &ColumnStats, role: &str) -> Option<ColumnStats> {
+        if role == ROLE_REFS {
+            return Some(ColumnStats::shape(
+                stats.n.div_ceil(self.seg_len),
+                stats.dtype,
+            ));
+        }
+        if role != ROLE_OFFSETS {
+            return None;
+        }
+        let dtype = if self.ref_first {
+            DType::I64
+        } else {
+            DType::U64
+        };
+        let mut part = ColumnStats::shape(stats.n, dtype);
+        let Some(blocks) = stats.blocks_at(self.seg_len) else {
+            return Some(part);
+        };
+        if self.ref_first {
+            // The stored offset of each block's minimum and maximum.
+            let extremes = || {
+                blocks.iter().flat_map(|b| {
+                    [b.min, b.max].map(|v| (v as u64).wrapping_sub(b.first as u64) as i64)
+                })
+            };
+            part.zz_width = extremes().map(zz_bits).max().unwrap_or(0);
+            part.ns_width =
+                extremes().try_fold(0, |w, o| (o >= 0).then(|| w.max(bits_needed_u64(o as u64))));
+        } else {
+            let widest = blocks.iter().map(|b| b.max - b.min).max().unwrap_or(0);
+            part.blocks = blocks
+                .iter()
+                .map(|b| BlockStats {
+                    min: 0,
+                    max: b.max - b.min,
+                    first: b.first - b.min,
+                    ..*b
+                })
+                .collect();
+            part.seg_len = self.seg_len;
+            part.offset_widths = stats.offset_widths;
+            part.min = (stats.n > 0).then_some(0);
+            part.max = (stats.n > 0).then_some(widest);
+            part.ns_width = Some(bits_needed_u64(widest as u64));
+            part.zz_width = zz_bits_of(widest);
+        }
+        Some(part)
     }
 }
 
@@ -318,12 +370,25 @@ mod tests {
     }
 
     #[test]
-    fn estimate_tracks_actual_cascade() {
+    fn floor_tracks_actual_cascade() {
         let col = ColumnData::U64((0..4096u64).map(|i| 1_000_000 + i % 50).collect());
-        let stats = ColumnStats::collect(&col);
-        let est = For::new(128).estimate(&stats).unwrap();
-        let actual = For::with_ns(128).compress(&col).unwrap().compressed_bytes();
-        let ratio = est as f64 / actual as f64;
-        assert!((0.5..2.0).contains(&ratio), "est {est} vs actual {actual}");
+        let signed = ColumnData::I64((0..300).map(|i| (i % 7) * 1_000 - 3_000).collect());
+        let extremes = ColumnData::I64(vec![i64::MIN, i64::MAX, 0, -1, i64::MAX]);
+        for text in [
+            "for(l=128)[offsets=ns]",
+            "for(l=128)[offsets=varwidth]",
+            "for(l=128,first=1)[offsets=ns_zz]",
+        ] {
+            let scheme = crate::expr::parse_scheme(text).unwrap();
+            for col in [&col, &signed, &extremes] {
+                let stats = ColumnStats::collect(col);
+                let actual = scheme.compress(col).unwrap().compressed_bytes();
+                let floor = scheme.floor(&stats).unwrap();
+                assert!(floor <= actual, "{text}: floor {floor} > {actual}");
+                if text.starts_with("for(l=128)[") {
+                    assert_eq!(floor, actual, "{text} is exact at l=128");
+                }
+            }
+        }
     }
 }

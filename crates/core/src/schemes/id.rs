@@ -48,8 +48,8 @@ impl Scheme for Id {
         Plan::new(vec![Node::Part(0)], 0)
     }
 
-    fn estimate(&self, stats: &ColumnStats) -> Option<usize> {
-        Some(stats.n * stats.dtype.bytes())
+    fn floor(&self, stats: &ColumnStats) -> Option<usize> {
+        Some(stats.plain_bytes())
     }
 }
 
@@ -83,9 +83,12 @@ mod tests {
     }
 
     #[test]
-    fn estimate_is_exact() {
+    fn floor_is_exact() {
         let col = ColumnData::U32(vec![1, 2, 3]);
         let stats = ColumnStats::collect(&col);
-        assert_eq!(Id.estimate(&stats), Some(12));
+        assert_eq!(
+            Id.floor(&stats),
+            Some(Id.compress(&col).unwrap().compressed_bytes())
+        );
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Each module implements one scheme as a [`crate::scheme::Scheme`]:
 //! compression, exact-inverse decompression, an operator-DAG plan where
-//! the decompression is naturally columnar, and a size estimator for the
+//! the decompression is naturally columnar, and a proven size floor for the
 //! chooser. The set covers everything the paper names:
 //!
 //! | Module | Scheme | Paper anchor |

@@ -128,18 +128,15 @@ impl Scheme for Ns {
         }
     }
 
-    fn estimate(&self, stats: &ColumnStats) -> Option<usize> {
-        if self.zigzag {
-            // Zigzag widens by at most one bit over the magnitude width;
-            // estimate from the value range.
-            let lo = stats.min?;
-            let hi = stats.max?;
-            let mag = lo.unsigned_abs().max(hi.unsigned_abs());
-            let width = (128 - mag.leading_zeros() + 1).min(64);
-            Some(packed_bytes(stats.n, width) + 16)
+    /// Exact: the packed payload at the column's width, plus two
+    /// parameters.
+    fn floor(&self, stats: &ColumnStats) -> Option<usize> {
+        let width = if self.zigzag {
+            stats.zz_width
         } else {
-            stats.ns_width.map(|w| packed_bytes(stats.n, w) + 16)
-        }
+            stats.ns_width?
+        };
+        Some(packed_bytes(stats.n, width) + 16)
     }
 }
 
@@ -210,12 +207,15 @@ mod tests {
     }
 
     #[test]
-    fn estimate_close_to_actual() {
+    fn floor_is_exact() {
         let col = ColumnData::U64((0..500).map(|i| i % 1024).collect());
         let stats = ColumnStats::collect(&col);
-        let est = Ns::plain().estimate(&stats).unwrap();
-        let actual = Ns::plain().compress(&col).unwrap().compressed_bytes();
-        assert!(est.abs_diff(actual) <= 16, "est {est} vs actual {actual}");
+        for ns in [Ns::plain(), Ns::zz()] {
+            let actual = ns.compress(&col).unwrap().compressed_bytes();
+            assert_eq!(ns.floor(&stats), Some(actual), "{}", ns.name());
+        }
+        let negative = ColumnStats::collect(&ColumnData::I32(vec![1, -2]));
+        assert_eq!(Ns::plain().floor(&negative), None);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::schemes::for_::add_references;
 use crate::stats::ColumnStats;
 use crate::{build_column, with_column};
-use lcdc_bitpack::width::{bits_needed_u64, packed_bytes, width_percentile};
+use lcdc_bitpack::width::{bits_needed_u64, histogram_percentile, packed_bytes, width_percentile};
 use lcdc_bitpack::Packed;
 use lcdc_colops::segment::check_segments;
 use lcdc_colops::Scalar;
@@ -189,11 +189,17 @@ impl Scheme for PatchedFor {
         )
     }
 
-    fn estimate(&self, stats: &ColumnStats) -> Option<usize> {
+    /// The three parameters and one reference per segment — and, from
+    /// the histogram of offset widths taken at `l`, exactly the payload
+    /// and exceptions the percentile rule leaves.
+    fn floor(&self, stats: &ColumnStats) -> Option<usize> {
         let refs = stats.n.div_ceil(self.seg_len) * stats.dtype.bytes();
-        let payload = packed_bytes(stats.n, stats.for_offset_width_p99);
-        let exceptions = (stats.exception_rate * stats.n as f64) as usize * 16;
-        Some(refs + payload + exceptions + 24)
+        let Some(hist) = stats.offset_widths_at(self.seg_len) else {
+            return Some(24 + refs);
+        };
+        let width = histogram_percentile(hist, stats.n, self.keep_per_mille as f64 / 1000.0);
+        let exceptions: usize = hist[width as usize + 1..].iter().sum();
+        Some(24 + refs + packed_bytes(stats.n, width) + exceptions * 16)
     }
 }
 
@@ -242,6 +248,20 @@ mod tests {
             patched.compressed_bytes(),
             plain.compressed_bytes()
         );
+    }
+
+    #[test]
+    fn floor_is_exact_at_segment_length() {
+        for col in [
+            outlier_column(),
+            ColumnData::I64(vec![i64::MIN, i64::MAX, 0]),
+        ] {
+            let stats = ColumnStats::collect(&col);
+            let p = PatchedFor::new(128, 990);
+            let actual = p.compress(&col).unwrap().compressed_bytes();
+            assert_eq!(p.floor(&stats), Some(actual));
+            assert!(PatchedFor::new(64, 990).floor(&stats).unwrap() <= actual);
+        }
     }
 
     #[test]

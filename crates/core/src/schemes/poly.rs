@@ -14,7 +14,7 @@ use crate::error::{CoreError, Result};
 use crate::parts::{Emit, Parts, Visitor};
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
-use crate::stats::ColumnStats;
+use crate::stats::{residual_width, ColumnStats};
 use lcdc_bitpack::{zigzag_decode_i64, zigzag_encode_i64};
 use lcdc_colops::BinOpKind;
 
@@ -264,8 +264,33 @@ impl Scheme for PolyFor {
         )
     }
 
-    fn estimate(&self, stats: &ColumnStats) -> Option<usize> {
-        Some(stats.n.div_ceil(self.seg_len) * 24 + stats.n * 8)
+    /// The `l` parameter, 3 `i64` coefficients per segment and `n`
+    /// plain residuals.
+    fn floor(&self, stats: &ColumnStats) -> Option<usize> {
+        Some(8 + stats.n.div_ceil(self.seg_len) * 24 + stats.n * 8)
+    }
+
+    /// Residuals from block statistics taken at `l`: a quadratic's third
+    /// difference is 0, so the column's in-segment one is the
+    /// residuals'.
+    fn part_stats(&self, stats: &ColumnStats, role: &str) -> Option<ColumnStats> {
+        match role {
+            ROLE_C0 | ROLE_C1 | ROLE_C2 => Some(ColumnStats::shape(
+                stats.n.div_ceil(self.seg_len),
+                DType::I64,
+            )),
+            ROLE_RESIDUALS => Some(ColumnStats {
+                ns_width: Some(stats.blocks_at(self.seg_len).map_or(0, |blocks| {
+                    blocks
+                        .iter()
+                        .map(|b| residual_width(b.third_diff, 3))
+                        .max()
+                        .unwrap_or(0)
+                })),
+                ..ColumnStats::shape(stats.n, DType::U64)
+            }),
+            _ => None,
+        }
     }
 }
 

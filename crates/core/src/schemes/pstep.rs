@@ -134,11 +134,14 @@ impl Scheme for PatchedStep {
         )
     }
 
-    fn estimate(&self, stats: &ColumnStats) -> Option<usize> {
-        // Rough: one level per segment + exceptions at the observed
-        // non-modal rate (approximated by 1 - 1/distinct within range).
-        let refs = stats.n.div_ceil(self.seg_len) * stats.dtype.bytes();
-        Some(refs + (stats.exception_rate * stats.n as f64) as usize * 16 + 8)
+    /// One level per segment, and in each segment at least one
+    /// 16-byte exception per two in-segment run boundaries (as
+    /// [`crate::schemes::Sparse`]'s floor, segment by segment).
+    fn floor(&self, stats: &ColumnStats) -> Option<usize> {
+        let exceptions: usize = stats
+            .blocks_at(self.seg_len)
+            .map_or(0, |blocks| blocks.iter().map(|b| b.runs / 2).sum());
+        Some(8 + stats.n.div_ceil(self.seg_len) * stats.dtype.bytes() + exceptions * 16)
     }
 }
 
@@ -218,6 +221,18 @@ mod tests {
             assert_eq!(s.decompress(&c).unwrap(), col);
             assert_eq!(decompress_via_plan(&s, &c).unwrap(), col);
         }
+    }
+
+    #[test]
+    fn floor_counts_in_segment_boundaries() {
+        let col = nearly_step();
+        let actual = PatchedStep::new(128)
+            .compress(&col)
+            .unwrap()
+            .compressed_bytes();
+        let stats = ColumnStats::collect(&col);
+        assert_eq!(PatchedStep::new(128).floor(&stats), Some(actual));
+        assert!(PatchedStep::new(64).floor(&stats).unwrap() <= actual);
     }
 
     #[test]

@@ -116,8 +116,36 @@ impl Scheme for Rle {
         )
     }
 
-    fn estimate(&self, stats: &ColumnStats) -> Option<usize> {
+    /// One value and one length per run.
+    fn floor(&self, stats: &ColumnStats) -> Option<usize> {
         Some(stats.runs * (stats.dtype.bytes() + 8))
+    }
+
+    fn part_stats(&self, stats: &ColumnStats, role: &str) -> Option<ColumnStats> {
+        match role {
+            ROLE_VALUES => Some(run_values(stats)),
+            ROLE_LENGTHS => Some(ColumnStats::indices(stats.runs, stats.longest_run)),
+            _ => None,
+        }
+    }
+}
+
+/// The run values of a column (RLE's and RPE's `values` part): one per
+/// run, with the column's extremes and, adjacent runs differing, its
+/// nonzero adjacent deltas.
+pub(crate) fn run_values(stats: &ColumnStats) -> ColumnStats {
+    let mut jump_widths = stats.jump_widths;
+    jump_widths[0] = 0;
+    ColumnStats {
+        min: stats.min,
+        max: stats.max,
+        ns_width: stats.ns_width,
+        zz_width: stats.zz_width,
+        runs: stats.runs,
+        delta_width: stats.delta_width,
+        jump_widths,
+        distinct: stats.distinct,
+        ..ColumnStats::shape(stats.runs, stats.dtype)
     }
 }
 
@@ -200,10 +228,21 @@ mod tests {
     }
 
     #[test]
-    fn estimate_matches_shape() {
+    fn floor_matches_shape() {
         let col = ColumnData::U64(vec![1, 1, 1, 2, 2, 3]);
         let stats = ColumnStats::collect(&col);
-        assert_eq!(Rle.estimate(&stats), Some(3 * 16));
+        assert_eq!(Rle.floor(&stats), Some(3 * 16));
+        assert_eq!(Rle.compress(&col).unwrap().compressed_bytes(), 3 * 16);
+        let cascades = [
+            "rle[values=ns,lengths=ns]",
+            "rle[values=delta[deltas=ns_zz],lengths=ns]",
+            "rpe[values=ns,positions=ns]",
+        ];
+        for text in cascades {
+            let scheme = crate::expr::parse_scheme(text).unwrap();
+            let actual = scheme.compress(&col).unwrap().compressed_bytes();
+            assert_eq!(scheme.floor(&stats), Some(actual), "{text}");
+        }
     }
 
     #[test]

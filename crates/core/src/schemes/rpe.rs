@@ -22,6 +22,7 @@ use crate::error::{CoreError, Result};
 use crate::parts::Parts;
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
+use crate::schemes::rle::run_values;
 use crate::stats::ColumnStats;
 use crate::with_column;
 use lcdc_colops::{prefix_sum_inclusive, runs_encode};
@@ -121,8 +122,18 @@ impl Scheme for Rpe {
         )
     }
 
-    fn estimate(&self, stats: &ColumnStats) -> Option<usize> {
+    /// One value and one position per run.
+    fn floor(&self, stats: &ColumnStats) -> Option<usize> {
         Some(stats.runs * (stats.dtype.bytes() + 8))
+    }
+
+    /// The last position is the column length.
+    fn part_stats(&self, stats: &ColumnStats, role: &str) -> Option<ColumnStats> {
+        match role {
+            ROLE_VALUES => Some(run_values(stats)),
+            ROLE_POSITIONS => Some(ColumnStats::indices(stats.runs, stats.n)),
+            _ => None,
+        }
     }
 }
 

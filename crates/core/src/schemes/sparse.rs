@@ -118,9 +118,13 @@ impl Scheme for Sparse {
         )
     }
 
-    fn estimate(&self, stats: &ColumnStats) -> Option<usize> {
-        let exceptions = stats.n - stats.mode_freq;
-        Some(stats.dtype.bytes() + exceptions * (8 + stats.dtype.bytes()))
+    /// Every value but the base is an exception; every run boundary has
+    /// an exception on at least one side, and one exception touches at
+    /// most two boundaries.
+    fn floor(&self, stats: &ColumnStats) -> Option<usize> {
+        let exceptions = (stats.runs / 2).max(stats.distinct.saturating_sub(1));
+        let b = stats.dtype.bytes();
+        Some(stats.n.min(1) * b + exceptions * (8 + b))
     }
 }
 
@@ -288,9 +292,12 @@ mod tests {
     }
 
     #[test]
-    fn estimate_tracks_exception_count() {
+    fn floor_tracks_exception_count() {
         let stats = ColumnStats::collect(&sparse_col());
-        // 3 exceptions × (8-byte position + 8-byte value) + 8-byte base.
-        assert_eq!(Sparse.estimate(&stats), Some(8 + 3 * 16));
+        // 3 isolated exceptions × (8-byte position + 8-byte value) +
+        // 8-byte base: the floor is exact.
+        let actual = Sparse.compress(&sparse_col()).unwrap().compressed_bytes();
+        assert_eq!(Sparse.floor(&stats), Some(8 + 3 * 16));
+        assert_eq!(actual, 8 + 3 * 16);
     }
 }

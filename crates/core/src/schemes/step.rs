@@ -105,10 +105,15 @@ impl Scheme for StepFunction {
         )
     }
 
-    fn estimate(&self, stats: &ColumnStats) -> Option<usize> {
-        // Only valid when the column *is* a step function at this segment
-        // length; the chooser treats the estimate as a lower bound.
-        Some(stats.n.div_ceil(self.seg_len.max(1)) * stats.dtype.bytes() + 8)
+    /// Exact: the `l` parameter and one level per segment — or `None`
+    /// when block statistics at `l` show a segment holding two runs.
+    fn floor(&self, stats: &ColumnStats) -> Option<usize> {
+        if let Some(blocks) = stats.blocks_at(self.seg_len) {
+            if blocks.iter().any(|b| b.runs > 1) {
+                return None;
+            }
+        }
+        Some(8 + stats.n.div_ceil(self.seg_len) * stats.dtype.bytes())
     }
 }
 
@@ -137,6 +142,8 @@ mod tests {
             StepFunction::new(3).compress(&col),
             Err(CoreError::NotRepresentable(_))
         ));
+        let stats = ColumnStats::collect_with_seg_len(&col, 3);
+        assert_eq!(StepFunction::new(3).floor(&stats), None);
     }
 
     #[test]

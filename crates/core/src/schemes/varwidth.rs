@@ -14,8 +14,9 @@ use crate::error::{CoreError, Result};
 use crate::parts::{PartStream, Parts};
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
-use crate::stats::ColumnStats;
-use lcdc_bitpack::BlockPacked;
+use crate::stats::{zz_bits_of, BlockStats, ColumnStats};
+use lcdc_bitpack::width::{bits_needed_u64, packed_bytes};
+use lcdc_bitpack::{BlockPacked, BLOCK_LEN};
 
 /// NS with per-block widths.
 #[derive(Debug, Clone, Copy, Default)]
@@ -124,10 +125,31 @@ impl Scheme for VarWidthNs {
         }
     }
 
-    fn estimate(&self, _stats: &ColumnStats) -> Option<usize> {
-        // Per-block widths depend on value *placement*, which the scalar
-        // statistics cannot see; the chooser compresses to find out.
-        None
+    /// Exact from the block statistics at [`BLOCK_LEN`]: every block at
+    /// its own width plus its width byte, plus one parameter. Without
+    /// them, only the width bytes and the parameter.
+    fn floor(&self, stats: &ColumnStats) -> Option<usize> {
+        if !self.zigzag {
+            stats.ns_width?;
+        }
+        let width = |b: &BlockStats| {
+            if self.zigzag {
+                zz_bits_of(b.min).max(zz_bits_of(b.max))
+            } else {
+                bits_needed_u64(b.max.max(0) as u64)
+            }
+        };
+        let payload: usize = stats.blocks_at(BLOCK_LEN).map_or(0, |blocks| {
+            let lens = (0..stats.n)
+                .step_by(BLOCK_LEN)
+                .map(|i| (stats.n - i).min(BLOCK_LEN));
+            blocks
+                .iter()
+                .zip(lens)
+                .map(|(b, len)| packed_bytes(len, width(b)))
+                .sum()
+        });
+        Some(payload + stats.n.div_ceil(BLOCK_LEN) + 8)
     }
 }
 
@@ -175,6 +197,29 @@ mod tests {
             flat.compressed_bytes()
         );
         assert_eq!(VarWidthNs::plain().decompress(&var).unwrap(), col);
+    }
+
+    #[test]
+    fn floor_is_exact_at_block_length() {
+        let mut v: Vec<u64> = (0..1000).map(|i| i % 300).collect();
+        v[700] = u64::MAX;
+        let col = ColumnData::U64(v);
+        let stats = ColumnStats::collect(&col);
+        let actual = VarWidthNs::plain()
+            .compress(&col)
+            .unwrap()
+            .compressed_bytes();
+        assert_eq!(VarWidthNs::plain().floor(&stats), Some(actual));
+        let coarse = ColumnStats::collect_with_seg_len(&col, 64);
+        assert!(VarWidthNs::plain().floor(&coarse).unwrap() <= actual);
+        let signed = ColumnData::I32(vec![-100, 5, -3, 0, i32::MIN, i32::MAX]);
+        let stats = ColumnStats::collect(&signed);
+        let actual = VarWidthNs::zz()
+            .compress(&signed)
+            .unwrap()
+            .compressed_bytes();
+        assert_eq!(VarWidthNs::zz().floor(&stats), Some(actual));
+        assert_eq!(VarWidthNs::plain().floor(&stats), None);
     }
 
     #[test]

@@ -18,11 +18,13 @@
 //! Offsets are stored as a plain u64 column; cascade `offsets=ns` to
 //! realise the `w`-bit budget as actual storage.
 
-use crate::column::ColumnData;
+use crate::column::{ColumnData, DType};
 use crate::error::{CoreError, Result};
 use crate::parts::Parts;
 use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
+use crate::stats::ColumnStats;
+use lcdc_bitpack::width::bits_needed_u64;
 use lcdc_colops::BinOpKind;
 
 /// The variable-length step-frame scheme.
@@ -38,6 +40,20 @@ impl VarStep {
         VarStep {
             width: width.clamp(1, 64),
         }
+    }
+
+    /// The fewest frames a column can take: an adjacent jump wider than
+    /// the budget can never share a frame, so each one starts a frame.
+    fn frames_floor(&self, stats: &ColumnStats) -> usize {
+        let forced: usize = stats.jump_widths[self.width as usize + 1..].iter().sum();
+        stats.n.min(1) + forced
+    }
+
+    /// The column's range, when it fits the budget: then the column is
+    /// one frame and its widest offset is that range.
+    fn single_frame_range(&self, stats: &ColumnStats) -> Option<u64> {
+        let range = (stats.max? - stats.min?) as u128;
+        (range <= self.budget()).then_some(range as u64)
     }
 
     fn budget(&self) -> u128 {
@@ -138,6 +154,25 @@ impl Scheme for VarStep {
             start = end;
         }
         Ok(ColumnData::from_transport(c.dtype, out))
+    }
+
+    /// The `w` parameter, one end and one reference per frame and `n`
+    /// plain offsets.
+    fn floor(&self, stats: &ColumnStats) -> Option<usize> {
+        Some(8 + self.frames_floor(stats) * (8 + stats.dtype.bytes()) + stats.n * 8)
+    }
+
+    fn part_stats(&self, stats: &ColumnStats, role: &str) -> Option<ColumnStats> {
+        let frames = self.frames_floor(stats);
+        match role {
+            ROLE_POSITIONS => Some(ColumnStats::indices(frames, stats.n)),
+            ROLE_REFS => Some(ColumnStats::shape(frames, stats.dtype)),
+            ROLE_OFFSETS => Some(ColumnStats {
+                ns_width: Some(self.single_frame_range(stats).map_or(0, bits_needed_u64)),
+                ..ColumnStats::shape(stats.n, DType::U64)
+            }),
+            _ => None,
+        }
     }
 
     /// RPE's plan (Algorithm 1 sans line 1) composed with Algorithm 2's
@@ -380,6 +415,17 @@ mod tests {
         let mut c = s.compress(&col).unwrap();
         c.parts[2].data = PartData::Plain(ColumnData::U64(vec![0; 3]));
         assert!(matches!(s.decompress(&c), Err(CoreError::CorruptParts(_))));
+    }
+
+    #[test]
+    fn floor_counts_forced_frames() {
+        let col = uneven_steps();
+        let stats = ColumnStats::collect(&col);
+        let s = VarStep::new(4);
+        // Three jumps wider than 15 force exactly the four frames.
+        assert_eq!(s.frames_floor(&stats), 4);
+        let actual = s.compress(&col).unwrap().compressed_bytes();
+        assert_eq!(s.floor(&stats), Some(actual));
     }
 
     #[test]

@@ -4,7 +4,9 @@
 # process, drive it with scripted `lcdc client` invocations — including
 # one deterministic BUSY rejection against a --max-inflight 0 server —
 # and diff a client answer against single-process `lcdc query` on the
-# same data. Everything a human would type, verified end to end.
+# same data. Everything a human would type, verified end to end. A
+# codec leg first round-trips a raw column through `lcdc compress`
+# (the chooser) and `lcdc decompress`, and checks `lcdc choose`.
 #
 # Usage: scripts/serve_smoke.sh [--chaos]
 #   (builds the release binary if needed; cleans up after itself)
@@ -36,6 +38,27 @@ fail() {
   echo "serve_smoke: FAIL: $*" >&2
   exit 1
 }
+
+# --- codec: the chooser picks, the frame round-trips ----------------
+# A raw u64 column of runs plus noise, compressed with no --scheme (the
+# chooser), decompressed, and compared byte for byte with the input.
+perl -e 'binmode STDOUT; for $i (0..19999) {
+  $v = 5000 + int($i / 64); $v += ($i * 7919) % 1000 if $i % 37 == 0;
+  print pack("Q<", $v) }' >"$dir/raw.bin"
+"$LCDC" compress "$dir/raw.bin" -o "$dir/raw.lcdc" --dtype u64 2>"$dir/compress.err" \
+  || fail "compress: $(cat "$dir/compress.err")"
+picked="$(sed -n 's/.* with //p' "$dir/compress.err")"
+"$LCDC" decompress "$dir/raw.lcdc" -o "$dir/back.bin" 2>/dev/null || fail "decompress"
+cmp -s "$dir/raw.bin" "$dir/back.bin" || fail "codec round trip differs"
+# `choose` lists every default candidate once — exact size, pruned
+# floor, or not representable — and names the same winner.
+"$LCDC" choose "$dir/raw.bin" --dtype u64 >"$dir/choose.txt"
+sed -n '2,/^$/p' "$dir/choose.txt" | awk 'NF { print $1 }' >"$dir/listed.txt"
+[ "$(wc -l <"$dir/listed.txt")" = 19 ] || fail "choose does not list 19 candidates"
+[ "$(sort -u "$dir/listed.txt" | wc -l)" = 19 ] || fail "choose lists a candidate twice"
+grep -qxF "winner: $picked" "$dir/choose.txt" \
+  || fail "choose's winner is not compress's pick ($picked)"
+echo "serve_smoke: codec round trip with $picked"
 
 # A deterministic catalog: one sharded table, one single-dir table.
 "$LCDC" gen "$dir/cat" --table orders --rows 60000 --shards 3 --seed 7

@@ -191,48 +191,20 @@ fn read_raw_column(path: &str, dtype: DType) -> Result<ColumnData, String> {
             raw.len()
         ));
     }
-    let n = raw.len() / width;
-    let col = match dtype {
-        DType::U32 => ColumnData::U32(
-            raw.chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-                .collect(),
-        ),
-        DType::U64 => ColumnData::U64(
-            raw.chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-                .collect(),
-        ),
-        DType::I32 => ColumnData::I32(
-            raw.chunks_exact(4)
-                .map(|c| i32::from_le_bytes(c.try_into().expect("4 bytes")))
-                .collect(),
-        ),
-        DType::I64 => ColumnData::I64(
-            raw.chunks_exact(8)
-                .map(|c| i64::from_le_bytes(c.try_into().expect("8 bytes")))
-                .collect(),
-        ),
-    };
-    debug_assert_eq!(col.len(), n);
-    Ok(col)
+    // Little-endian elements, zero-extended into transport words.
+    let words = raw.chunks_exact(width).map(|element| {
+        let mut word = [0u8; 8];
+        word[..width].copy_from_slice(element);
+        u64::from_le_bytes(word)
+    });
+    Ok(ColumnData::from_transport(dtype, words.collect()))
 }
 
 fn write_raw_column(path: &str, col: &ColumnData) -> Result<(), String> {
+    let width = col.dtype().bytes();
     let mut out = Vec::with_capacity(col.uncompressed_bytes());
-    match col {
-        ColumnData::U32(v) => v
-            .iter()
-            .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-        ColumnData::U64(v) => v
-            .iter()
-            .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-        ColumnData::I32(v) => v
-            .iter()
-            .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-        ColumnData::I64(v) => v
-            .iter()
-            .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
+    for word in col.as_transport().iter() {
+        out.extend_from_slice(&word.to_le_bytes()[..width]);
     }
     std::fs::write(path, out).map_err(|e| format!("{path}: {e}"))
 }
@@ -256,14 +228,9 @@ fn compress(args: &[String]) -> Result<(), String> {
     };
     let frame = bytes::to_bytes(&compressed);
     std::fs::write(&output, &frame).map_err(|e| format!("{output}: {e}"))?;
-    eprintln!(
-        "{} rows, {} -> {} bytes ({:.2}x) with {}",
-        col.len(),
-        col.uncompressed_bytes(),
-        frame.len(),
-        col.uncompressed_bytes() as f64 / frame.len().max(1) as f64,
-        expr
-    );
+    let (rows, plain, stored) = (col.len(), col.uncompressed_bytes(), frame.len());
+    let ratio = plain as f64 / stored.max(1) as f64;
+    eprintln!("{rows} rows, {plain} -> {stored} bytes ({ratio:.2}x) with {expr}");
     Ok(())
 }
 
@@ -464,26 +431,18 @@ fn ingest(args: &[String]) -> Result<(), String> {
         .zip(&schema.columns)
         .map(|(path, col)| read_raw_column(path, col.dtype))
         .collect::<Result<_, String>>()?;
-    let rows = batch.first().map(|c| c.len()).unwrap_or(0);
     let policies = vec![policy; schema.width()];
-
-    if dirs.len() == 1 {
-        let total =
-            lcdc::store::append_table(&dirs[0], &batch, &policies).map_err(|e| e.to_string())?;
-        eprintln!(
-            "appended {rows} rows -> {} total in {}",
-            total,
-            dirs[0].display()
-        );
-        return Ok(());
-    }
-    // Sharded: derive routing from the shards' key ranges and split.
-    let key = key.ok_or("ingest into a sharded table requires --key COL")?;
-    let sharded = ShardedTable::with_key(shards, &key).map_err(|e| e.to_string())?;
-    let parts = sharded.partition_batch(&batch).map_err(|e| e.to_string())?;
+    let parts = if dirs.len() == 1 {
+        vec![batch]
+    } else {
+        // Sharded: derive routing from the shards' key ranges and split.
+        let key = key.ok_or("ingest into a sharded table requires --key COL")?;
+        let sharded = ShardedTable::with_key(shards, &key).map_err(|e| e.to_string())?;
+        sharded.partition_batch(&batch).map_err(|e| e.to_string())?
+    };
     for (dir, part) in dirs.iter().zip(&parts) {
         let part_rows = part.first().map(|c| c.len()).unwrap_or(0);
-        if part_rows == 0 {
+        if part_rows == 0 && parts.len() > 1 {
             continue;
         }
         let total = lcdc::store::append_table(dir, part, &policies).map_err(|e| e.to_string())?;
@@ -1059,22 +1018,54 @@ fn choose(args: &[String]) -> Result<(), String> {
     let dtype = opts.dtype.ok_or("choose requires --dtype")?;
     let col = read_raw_column(&opts.input, dtype)?;
     let choice = chooser::choose_best(&col).map_err(|e| e.to_string())?;
-    println!("{:<52} {:>12} {:>8}", "scheme", "bytes", "ratio");
-    for (expr, size) in &choice.ranking {
-        println!(
-            "{:<52} {:>12} {:>7.2}x",
-            expr,
-            size,
-            col.uncompressed_bytes() as f64 / (*size).max(1) as f64
-        );
-    }
-    println!("\nwinner: {}", choice.expr);
+    print!("{}", choice_report(&choice, col.uncompressed_bytes()));
     Ok(())
+}
+
+/// Every candidate once, in ranking order: its exact size and ratio, or
+/// the floor it was pruned by, or that it cannot encode the column;
+/// then the winner.
+fn choice_report(choice: &chooser::Choice, uncompressed: usize) -> String {
+    let mut out = format!("{:<52} {:>20} {:>8}\n", "scheme", "bytes", "ratio");
+    for (expr, size) in &choice.ranking {
+        let ratio = match size {
+            chooser::Size::Exact(n) => format!("{:.2}x", uncompressed as f64 / *n.max(&1) as f64),
+            _ => String::new(),
+        };
+        out += format!("{expr:<52} {:>20} {ratio:>8}", size.to_string()).trim_end();
+        out.push('\n');
+    }
+    out + &format!("\nwinner: {}\n", choice.expr)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn choose_lists_every_candidate_and_what_was_pruned() {
+        let col = ColumnData::U64((0..100u64).flat_map(|d| [d * 7; 40]).collect());
+        let choice = chooser::choose_best(&col).unwrap();
+        let report = choice_report(&choice, col.uncompressed_bytes());
+        let line = |expr: &str| {
+            let lines: Vec<&str> = report
+                .lines()
+                .filter(|l| l.starts_with(&format!("{expr} ")))
+                .collect();
+            assert_eq!(lines.len(), 1, "{expr} listed {} times", lines.len());
+            lines[0].to_string()
+        };
+        assert!(choice.expr.starts_with("rle["), "chose {}", choice.expr);
+        for expr in chooser::default_candidates() {
+            line(expr);
+        }
+        assert!(line("sparse").contains("(pruned)"));
+        assert!(line("pstep(l=128)").contains("(pruned)"));
+        assert!(line("id").contains(">= 32000 (pruned)"));
+        assert!(line("const").contains("not representable"));
+        assert!(line(&choice.expr).ends_with('x'));
+        assert!(report.ends_with(&format!("\nwinner: {}\n", choice.expr)));
+    }
 
     #[test]
     fn dtype_parsing() {
@@ -1104,10 +1095,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("lcdc_cli_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("col.bin");
-        let col = ColumnData::I64(vec![-5, 0, 1 << 40, i64::MIN]);
-        write_raw_column(path.to_str().unwrap(), &col).unwrap();
-        let back = read_raw_column(path.to_str().unwrap(), DType::I64).unwrap();
-        assert_eq!(back, col);
+        for col in [
+            ColumnData::U32(vec![7, 0, u32::MAX]),
+            ColumnData::U64(vec![7, 0, u64::MAX]),
+            ColumnData::I32(vec![-5, 0, i32::MIN, i32::MAX]),
+            ColumnData::I64(vec![-5, 0, 1 << 40, i64::MIN]),
+        ] {
+            write_raw_column(path.to_str().unwrap(), &col).unwrap();
+            let back = read_raw_column(path.to_str().unwrap(), col.dtype()).unwrap();
+            assert_eq!(back, col);
+        }
         // Misaligned length rejected.
         std::fs::write(&path, [0u8; 7]).unwrap();
         assert!(read_raw_column(path.to_str().unwrap(), DType::U64).is_err());
