@@ -2,11 +2,11 @@
 //!
 //! A query compiles **once** into a `Job` — one [`PhysicalPlan`] per
 //! live shard, the morsel list (`(plan, segment)` units in visit
-//! order), the shard-pruned ledger, a cancel token, the shared top-k
-//! bound, the prefetch window and the partial results — and execution
-//! is one loop: claim a *lease* (a short run of morsels), push it
-//! through [`PhysicalPlan::execute_segment`], return. Who runs that
-//! loop is the only thing callers differ in:
+//! order), the pruned ledger, a cancel token, the shared top-k bound,
+//! the prefetch window and the partial results — and execution is one
+//! loop: claim a *lease* (a short run of morsels), push it through
+//! [`PhysicalPlan::execute_segment`], return. Who runs that loop is the
+//! only thing callers differ in:
 //!
 //! * **In process** ([`Job::run`]): the calling thread plus
 //!   `threads − 1` scoped helpers, so `threads = 1` is sequential
@@ -16,6 +16,16 @@
 //! * **`lcdc serve`**: the server's long-lived pool workers take one
 //!   lease at a time from a round-robin queue of jobs, while the
 //!   session thread waits in [`Job::wait_while`].
+//!
+//! Pruning happens at compile, twice, on resident metadata: a shard
+//! whose key ranges the filters exclude is never compiled, and a
+//! segment whose zone maps end its visit before any fetch
+//! ([`PhysicalPlan::zone_prunes`]) never becomes a morsel. Both are
+//! charged to the pruned ledger exactly as a visit would have charged
+//! them. The morsel list of a filtered plan therefore holds only the
+//! segments the zone maps cannot exclude — a point query over hundreds
+//! of segments is one lease — except on naive, top-k and join plans,
+//! which keep every segment.
 //!
 //! Partial sink states belong to a job's lease **slots** — at most its
 //! lease cap, handed from one lease to the next and merged once when
@@ -257,6 +267,29 @@ impl Drop for ScanOver<'_> {
     }
 }
 
+/// Returns a lease's accounting when its execution unwinds, and fails
+/// its job with a typed error: the waiter gets an answer instead of a
+/// lease that never comes back. The panicked slot's partial state is
+/// dropped — a failed job's partials are never collected.
+struct LeaseUnwind<'j>(&'j Job);
+
+impl Drop for LeaseUnwind<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        let job = self.0;
+        let mut inner = job.lock();
+        // Saturating: a panic inside a drop that runs during an unwind
+        // would abort the process.
+        inner.active = inner.active.saturating_sub(1);
+        job.fail(&mut inner, StoreError::Shape("a lease panicked".into()));
+        if job.finished(&inner) {
+            job.delivered.notify_all();
+        }
+    }
+}
+
 /// A partial result: one lease slot's sink state and counters, plus the
 /// scratch its segment visits reuse.
 struct Slot {
@@ -292,9 +325,11 @@ pub(crate) struct Job {
     plans: Vec<PhysicalPlan>,
     /// The sink shape — shared by every plan (shards share a schema).
     sink: Sink,
-    /// Every `(plan, segment)` to execute, in visit order.
+    /// Every `(plan, segment)` to execute, in visit order — only the
+    /// segments the zone maps cannot exclude.
     morsels: Vec<Morsel>,
-    /// What shard pruning skipped, accounted without executing.
+    /// What shard and segment pruning skipped, accounted without
+    /// executing.
     pruned: QueryStats,
     /// Checked at every claim and between morsels, so a fired token
     /// abandons all unclaimed work within one lease.
@@ -381,15 +416,18 @@ impl Job {
     fn new(
         plans: Vec<PhysicalPlan>,
         sink: Sink,
-        pruned: QueryStats,
+        mut pruned: QueryStats,
         opts: &ExecOptions,
         width: usize,
         cancel: Arc<CancelToken>,
     ) -> Job {
-        let mut morsels: Vec<Morsel> =
-            Vec::with_capacity(plans.iter().map(|plan| plan.table.num_segments()).sum());
+        let mut morsels: Vec<Morsel> = Vec::new();
         for (p, plan) in plans.iter().enumerate() {
-            morsels.extend(plan.segment_order().into_iter().map(|s| (p, s)));
+            for s in plan.segment_order() {
+                if !plan.zone_prunes(s, &mut pruned) {
+                    morsels.push((p, s));
+                }
+            }
         }
         let lease_cap = opts
             .threads
@@ -518,27 +556,33 @@ impl Job {
     /// Execute a claimed lease through the per-segment pipeline and
     /// hand its slot back. An error (or a token that fires between
     /// morsels) fails the job: unclaimed morsels are abandoned, leases
-    /// already in flight finish their current segment.
+    /// already in flight finish their current segment. A panic fails
+    /// it too ([`LeaseUnwind`]), so nobody waits on a lease that will
+    /// never return.
     pub(crate) fn run_lease(&self, lease: Lease) {
         let Lease {
             start,
             end,
             mut slot,
         } = lease;
-        let morsels = self.morsels.get(start..end).unwrap_or_default();
-        let outcome = morsels.iter().try_for_each(|&(p, s)| {
-            self.cancel.check()?;
-            // Morsels index `plans` by construction; a miss is internal
-            // corruption — fail the job, not the process.
-            let plan = self
-                .plans
-                .get(p)
-                .ok_or_else(|| StoreError::Shape(format!("morsel names unknown plan {p}")))?;
-            plan.execute_segment(s, &mut slot.state, &mut slot.scratch, &mut slot.stats)
-        });
-        // Lease over: hand any improvement publication batching held
-        // back to the leases still running.
-        slot.state.flush_topk_bound();
+        let outcome = {
+            let _unwind = LeaseUnwind(self);
+            let morsels = self.morsels.get(start..end).unwrap_or_default();
+            let outcome = morsels.iter().try_for_each(|&(p, s)| {
+                self.cancel.check()?;
+                // Morsels index `plans` by construction; a miss is
+                // internal corruption — fail the job, not the process.
+                let plan = self
+                    .plans
+                    .get(p)
+                    .ok_or_else(|| StoreError::Shape(format!("morsel names unknown plan {p}")))?;
+                plan.execute_segment(s, &mut slot.state, &mut slot.scratch, &mut slot.stats)
+            });
+            // Lease over: hand any improvement publication batching
+            // held back to the leases still running.
+            slot.state.flush_topk_bound();
+            outcome
+        };
         let mut inner = self.lock();
         inner.active -= 1;
         inner.idle.push(slot);
@@ -686,8 +730,8 @@ impl Job {
 
     /// The frames the plans are expected to fetch, in morsel order:
     /// `(morsel position, plan, column, segment)`. Zone-pruned segments
-    /// contribute nothing — the planner publishes only work that
-    /// survives its metadata-resident pruning pass.
+    /// contribute nothing — they were charged at compile and are not
+    /// morsels at all.
     fn prefetch_entries(&self) -> Vec<(usize, usize, usize, usize)> {
         let mut entries = Vec::new();
         let mut cols: Vec<usize> = Vec::new();
@@ -877,7 +921,8 @@ impl Prefetcher<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::QuerySpec;
+    use crate::predicate::Predicate;
+    use crate::query::{Agg, QuerySpec};
     use crate::schema::TableSchema;
     use crate::segment::CompressionPolicy;
     use crate::table::Table;
@@ -989,6 +1034,91 @@ mod tests {
         assert_eq!(lease_len(1024, 64), MAX_LEASE, "cap clamps to the width");
         assert_eq!(lease_len(6, 1), 6, "one slot: nothing to balance");
         assert_eq!(lease_len(1024, 1), MAX_LEASE);
+    }
+
+    /// Three row-interleaved shards of `day = 1 + i / 100` over 20 000
+    /// rows, each sorted (so every shard spans every day), plus a
+    /// fourth holding only days 500..=520.
+    fn interleaved_shards() -> Vec<Arc<Table>> {
+        let shard = |rows: Vec<u64>| {
+            let day = rows.iter().map(|i| 1 + i / 100).collect();
+            let qty = rows.iter().map(|i| 1 + i % 50).collect();
+            let table = Table::build(
+                TableSchema::new(&[("day", DType::U64), ("qty", DType::U64)]),
+                &[ColumnData::U64(day), ColumnData::U64(qty)],
+                &[CompressionPolicy::Auto, CompressionPolicy::Auto],
+                256,
+            );
+            Arc::new(table.expect("builds"))
+        };
+        let mut shards: Vec<_> = (0..3)
+            .map(|k| shard((0..20_000).filter(|i| i % 3 == k).collect()))
+            .collect();
+        shards.push(shard((49_900..52_000).collect()));
+        shards
+    }
+
+    /// A one-day filter over sorted shards: the excluded shard is never
+    /// compiled, and of the live ones only the segments whose zone maps
+    /// overlap the day become morsels — one lease — while the ledger
+    /// stays what visiting every segment charged. Naive, top-k and join
+    /// plans keep every segment.
+    #[test]
+    fn zone_pruned_segments_never_become_morsels() {
+        let shards = interleaved_shards();
+        let live = &shards[..3];
+        let day = Predicate::Range { lo: 50, hi: 50 };
+        let filtered = QuerySpec::new().filter("day", day.clone());
+        let spec = filtered.clone().aggregate(&[Agg::Sum("qty"), Agg::Count]);
+        let opts = ExecOptions::default();
+        let cancel = || Arc::new(CancelToken::unbounded());
+
+        let overlapping: usize = live
+            .iter()
+            .map(|shard| {
+                (0..shard.num_segments())
+                    .filter(|&s| {
+                        let meta = shard.meta_at(0, s);
+                        day.zone_decides(meta.min, meta.max) != Some(false)
+                    })
+                    .count()
+            })
+            .sum();
+        let job = Job::over_shards(&shards, &spec, None, &opts, 2, cancel()).expect("compiles");
+        assert_eq!(job.morsels.len(), overlapping);
+        assert!(job.morsels.len() <= job.lease_len, "fits one lease");
+        let result = job.run().expect("runs");
+        assert_eq!(result.aggregates(), Some(&[Some(2550), Some(100)][..]));
+        // Pinned from a build that still visited every segment.
+        assert_eq!(
+            result.stats.to_string(),
+            "segments=90 segments_pruned=87 segments_loaded=6 rows_materialized=768 \
+             values_processed=100 shards_pruned=1 pushdown.zonemap_hits=78 \
+             pushdown.run_granularity=3"
+        );
+
+        let morsels = |spec: &QuerySpec, naive: bool, right: Option<&Arc<JoinRight>>| {
+            let plans: Vec<_> = live
+                .iter()
+                .map(|shard| spec.compile_join(shard, naive, right).expect("compiles"))
+                .collect();
+            let sink = plans[0].sink.clone();
+            let job = Job::new(plans, sink, QueryStats::default(), &opts, 2, cancel());
+            job.morsels.len()
+        };
+        let every: usize = live.iter().map(|shard| shard.num_segments()).sum();
+        assert_eq!(morsels(&spec, false, None), overlapping);
+        assert_eq!(morsels(&spec, true, None), every, "naive");
+        assert_eq!(
+            morsels(&filtered.clone().top_k("qty", 3), false, None),
+            every
+        );
+        let right = Arc::new(JoinRight {
+            shards: vec![Arc::clone(&shards[0])],
+            key: 0,
+        });
+        let join = filtered.join("right", "day");
+        assert_eq!(morsels(&join, false, Some(&right)), every, "join");
     }
 
     /// `flush_topk_bound` publishes a batched-but-unpublished threshold

@@ -635,13 +635,45 @@ impl PhysicalPlan {
         Ok(seg)
     }
 
+    /// Whether a visit of `seg_idx` would end before any fetch: the
+    /// segment is empty, or — walking the CNF in order — a clause the
+    /// zone maps prove empty comes before any clause they cannot
+    /// decide. If so, `stats` is charged exactly what that visit
+    /// charges (the segment, its prune, one `zonemap_hits` per decided
+    /// leaf) and the executor never makes the segment a morsel — the
+    /// segment-level twin of shard pruning. Naive plans visit
+    /// everything; top-k checks its heap bound before the filters and
+    /// a join runs its own zone-pair pipeline, so neither prunes here.
+    pub(crate) fn zone_prunes(&self, seg_idx: usize, stats: &mut QueryStats) -> bool {
+        if self.naive || matches!(self.sink, Sink::TopK { .. } | Sink::Join { .. }) {
+            return false;
+        }
+        let mut hits = 0;
+        let pruned = self.rows_at(seg_idx) == 0
+            || self.filters.iter().find_map(|clause| {
+                match clause_zone(&self.table, clause, seg_idx, || hits += 1) {
+                    ClauseZone::AllRows => None,
+                    ClauseZone::Empty => Some(true),
+                    ClauseZone::Undecided(_) => Some(false),
+                }
+            }) == Some(true);
+        if pruned {
+            stats.segments += 1;
+            stats.segments_pruned += 1;
+            stats.pushdown.zonemap_hits += hits;
+        }
+        pruned
+    }
+
     /// The columns whose frames the plan's filter clauses and sink can
     /// fetch for one segment — exactly the fetches `execute_segment`
     /// would issue, minus data-tier outcomes that cannot be known from
     /// metadata (a clause emptied at a data tier still skips the sink
     /// fetches; a prefetched frame for it is counted *wasted*).
     /// Zone-settled leaves fetch nothing; a segment any clause
-    /// zone-proves empty fetches nothing at all. Naive plans fetch
+    /// zone-proves empty fetches nothing at all (the executor asks only
+    /// about morsels, so for filtered plans that clause sits behind an
+    /// undecided one; see [`Self::zone_prunes`]). Naive plans fetch
     /// every leaf and sink column.
     pub(crate) fn expected_fetches(&self, seg_idx: usize, out: &mut Vec<usize>) {
         out.clear();

@@ -30,6 +30,7 @@
 use crate::query::{Job, Lease};
 use crate::{Result, StoreError};
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -133,7 +134,9 @@ impl WorkerPool {
 
     /// Queue `job` for the workers; the caller collects it with
     /// [`Job::wait_while`]. The job was compiled by the submitter —
-    /// workers only ever claim and execute leases.
+    /// workers only ever claim and execute leases. A job that pruning
+    /// left without morsels is already finished: it is never queued,
+    /// and its waiter collects it at once.
     pub(crate) fn submit(&self, job: &Arc<Job>) -> Result<()> {
         {
             // A poisoned pool lock means a worker panicked mid-scan;
@@ -146,6 +149,9 @@ impl WorkerPool {
                 .unwrap_or_else(PoisonError::into_inner);
             if state.stopping {
                 return Err(StoreError::Shape("worker pool is shutting down".into()));
+            }
+            if !job.has_unclaimed() {
+                return Ok(());
             }
             state.queue.push_back(Arc::clone(job));
         }
@@ -169,8 +175,6 @@ impl WorkerPool {
         let workers =
             std::mem::take(&mut *self.workers.lock().unwrap_or_else(PoisonError::into_inner));
         for handle in workers {
-            // A worker that panicked abandoned its job to the session's
-            // deadline/disconnect tick; shutdown proceeds either way.
             if handle.join().is_err() {
                 eprintln!("lcdc server: a pool worker panicked; continuing shutdown");
             }
@@ -187,7 +191,10 @@ fn worker_loop(shared: &PoolShared) {
         // above; readers only ever see it after joining or stopping
         // the pool.
         shared.peak_leases.fetch_max(active, Ordering::Relaxed);
-        job.run_lease(lease);
+        // A panicking lease has already failed its job on the way out
+        // (`Job::run_lease`); catching the unwind keeps the pool at its
+        // width.
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| job.run_lease(lease)));
         // ordering: advisory gauge decrement, paired with the fetch_add
         // above; never synchronizes data.
         shared.active_leases.fetch_sub(1, Ordering::Relaxed);
@@ -236,10 +243,12 @@ mod tests {
     use crate::predicate::Predicate;
     use crate::query::{Agg, CancelToken};
     use crate::schema::TableSchema;
-    use crate::segment::CompressionPolicy;
+    use crate::segment::{CompressionPolicy, Segment};
+    use crate::source::{ResidentSource, SegmentMeta, SegmentSource};
     use crate::table::Table;
     use crate::{CatalogTable, ExecOptions, QuerySpec, ShardedTable};
     use lcdc_core::{ColumnData, DType};
+    use std::sync::Barrier;
 
     fn orders(n: u64) -> Table {
         let schema = TableSchema::new(&[("day", DType::U64), ("qty", DType::U64)]);
@@ -471,6 +480,107 @@ mod tests {
             .execute(&handle, &spec, &ExecOptions::threads(2), token)
             .unwrap();
         assert!(got.stats.segments > 0);
+        pool.stop();
+    }
+
+    /// A column source that panics fetching one segment, or holds the
+    /// fetch of another at a barrier until a second fetch meets it.
+    #[derive(Debug)]
+    struct TrapSource {
+        inner: ResidentSource,
+        panic_at: Option<usize>,
+        meet_at: Option<(usize, Barrier)>,
+    }
+
+    impl SegmentSource for TrapSource {
+        fn num_segments(&self) -> usize {
+            self.inner.num_segments()
+        }
+
+        fn meta(&self, idx: usize) -> &SegmentMeta {
+            self.inner.meta(idx)
+        }
+
+        fn segment(&self, idx: usize) -> Result<Arc<Segment>> {
+            assert_ne!(self.panic_at, Some(idx), "trapped segment {idx}");
+            if let Some((_, barrier)) = self.meet_at.as_ref().filter(|(at, _)| *at == idx) {
+                barrier.wait();
+            }
+            self.inner.segment(idx)
+        }
+    }
+
+    /// A one-column, 16-segment table read through a [`TrapSource`].
+    fn trapped(panic_at: Option<usize>, meet_at: Option<(usize, Barrier)>) -> CatalogTable {
+        let schema = TableSchema::new(&[("v", DType::U64)]);
+        let table = Table::build(
+            schema.clone(),
+            &[ColumnData::U64((0..4096).collect())],
+            &[CompressionPolicy::Auto],
+            256,
+        )
+        .unwrap();
+        let source = TrapSource {
+            inner: ResidentSource::from_arcs(table.column_segments("v").unwrap()),
+            panic_at,
+            meet_at,
+        };
+        let table = Table::from_sources(schema, vec![Arc::new(source)], 4096, 256).unwrap();
+        CatalogTable::Single(Arc::new(table))
+    }
+
+    /// Run `f` on its own thread and wait at most a generous watchdog
+    /// for its answer — a hang fails the test instead of the suite.
+    fn within_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        let got = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("answered within the watchdog");
+        runner.join().expect("the runner sent its answer");
+        got
+    }
+
+    /// A lease that panics fails its query with a typed error instead
+    /// of stranding it, and the pool keeps its full width: two healthy
+    /// queries afterwards each hold a lease at once (they meet at a
+    /// barrier only two concurrent workers can pass).
+    #[test]
+    fn panicking_lease_fails_its_query_and_pool_keeps_width() {
+        let pool = Arc::new(WorkerPool::new(2).unwrap());
+        let spec = QuerySpec::new().aggregate(&[Agg::Sum("v"), Agg::Count]);
+        let (p, s) = (Arc::clone(&pool), spec.clone());
+        let broken = trapped(Some(5), None);
+        let got =
+            within_watchdog(move || p.execute(&broken, &s, &ExecOptions::threads(1), nocancel()));
+        assert!(matches!(got, Err(StoreError::Shape(_))), "{got:?}");
+        assert_eq!(pool.peak_leases(), 1);
+
+        let healthy = trapped(None, Some((0, Barrier::new(2))));
+        let want = (0..4096i128).sum::<i128>();
+        let p = Arc::clone(&pool);
+        let answers = within_watchdog(move || {
+            let runs: Vec<_> = (0..2)
+                .map(|_| {
+                    let (p, s, t) = (Arc::clone(&p), spec.clone(), healthy.clone());
+                    std::thread::spawn(move || {
+                        p.execute(&t, &s, &ExecOptions::threads(1), nocancel())
+                    })
+                })
+                .collect();
+            runs.into_iter()
+                .map(|run| run.join().unwrap())
+                .collect::<Vec<_>>()
+        });
+        for got in answers {
+            assert_eq!(
+                got.unwrap().aggregates().unwrap(),
+                &[Some(want), Some(4096)]
+            );
+        }
+        assert_eq!(pool.peak_leases(), 2, "both workers survived");
         pool.stop();
     }
 

@@ -85,21 +85,35 @@ echo "serve_smoke: server at $addr"
 
 # --- scripted queries, diffed against single-process lcdc query -----
 # Identical flags through both front doors; stdout (the rows) must be
-# byte-identical. Stats/commentary go to stderr on both sides.
+# byte-identical. Stats/commentary go to stderr on both sides; outside
+# top-k (whose prune counters depend on scheduling) the segment ledger
+# printed there must match too.
 queries=(
   "--filter day=5..9 --sum qty --count"
   "--group-by day --sum price --filter day=1..4"
   "--top-k price:5"
   "--filter qty=1..3 --distinct day"
 )
+ledger() {
+  grep -oE ' (segments|segments_pruned|pushdown\.zonemap_hits)=[0-9]+' "$1" || true
+}
 for q in "${queries[@]}"; do
   # shellcheck disable=SC2086  # $q is a flag list, split on purpose
-  "$LCDC" client --addr "$addr" --table orders $q >"$dir/wire.txt" 2>/dev/null \
+  "$LCDC" client --addr "$addr" --table orders $q >"$dir/wire.txt" 2>"$dir/wire.err" \
     || fail "client query failed: $q"
-  "$LCDC" query "$dir/cat" --table orders $q >"$dir/local.txt" 2>/dev/null \
+  "$LCDC" query "$dir/cat" --table orders $q >"$dir/local.txt" 2>"$dir/local.err" \
     || fail "local query failed: $q"
   diff -u "$dir/local.txt" "$dir/wire.txt" \
     || fail "wire answer diverges from lcdc query: $q"
+  case "$q" in
+    *--top-k*) ;;
+    *)
+      wire_ledger="$(ledger "$dir/wire.err")"
+      [ -n "$wire_ledger" ] || fail "client printed no segment ledger: $q"
+      [ "$wire_ledger" = "$(ledger "$dir/local.err")" ] \
+        || fail "wire ledger diverges from lcdc query: $q"
+      ;;
+  esac
   echo "serve_smoke: wire == local for: $q"
 done
 
