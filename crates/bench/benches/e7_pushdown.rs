@@ -540,9 +540,8 @@ fn bench_join(c: &mut Criterion) {
 /// Best-max-first visit order hands the hot segment out first; from
 /// then on every worker — and every later segment, under any worker
 /// count the hardware allows — skips on the shared bound
-/// (`topk_segments_skipped`). `--topk-shared-bound=off` is the
-/// per-worker-heaps-only baseline.
-fn bench_topk_shared_bound(c: &mut Criterion) {
+/// (`topk_segments_skipped`).
+fn bench_topk_bound(c: &mut Criterion) {
     const SEG_ROWS: usize = 16_384;
     const SEGMENTS: usize = 16;
     const K: usize = 64;
@@ -567,49 +566,30 @@ fn bench_topk_shared_bound(c: &mut Criterion) {
     .unwrap();
     let spec = QuerySpec::new().top_k("v", K);
     let shared = ExecOptions::threads(4);
-    let unshared = ExecOptions::threads(4).with_topk_shared_bound(false);
 
     // All schedules agree; the shared bound provably skips segments.
-    // The exact-count assert runs on one worker (race-free under any
-    // core count: the queue is drained in best-max order, so the hot
-    // segment publishes before any moderate segment is considered);
-    // more workers can only race the publication, never over-skip.
+    // The exact-count assert runs on one worker — `execute()` itself
+    // (race-free under any core count: the queue is drained in
+    // best-max order, so the hot segment publishes before any moderate
+    // segment is considered); more workers can only race the
+    // publication, never over-skip.
     let want = spec.bind(&table).execute().unwrap();
-    let single = spec
-        .bind(&table)
-        .execute_opts(&ExecOptions::threads(1))
-        .unwrap();
-    assert_eq!(single.rows, want.rows);
     assert_eq!(
-        single.stats.topk_segments_skipped,
+        want.stats.topk_segments_skipped,
         SEGMENTS - 1,
         "the shared bound must skip every moderate segment: {:?}",
-        single.stats
+        want.stats
     );
     let with_bound = spec.bind(&table).execute_opts(&shared).unwrap();
-    let without = spec.bind(&table).execute_opts(&unshared).unwrap();
     assert_eq!(with_bound.rows, want.rows);
-    assert_eq!(without.rows, want.rows);
     assert!(with_bound.stats.topk_segments_skipped < SEGMENTS);
-    assert_eq!(
-        without.stats.topk_segments_skipped, 0,
-        "disabled bound never reports skips: {:?}",
-        without.stats
-    );
 
-    let mut group = c.benchmark_group("e7/topk_shared_bound");
+    let mut group = c.benchmark_group("e7/topk_bound");
     group.bench_function("sequential", |b| {
         b.iter(|| spec.bind(black_box(&table)).execute().unwrap())
     });
     group.bench_function("shared_x4", |b| {
         b.iter(|| spec.bind(black_box(&table)).execute_opts(&shared).unwrap())
-    });
-    group.bench_function("per_worker_x4", |b| {
-        b.iter(|| {
-            spec.bind(black_box(&table))
-                .execute_opts(&unshared)
-                .unwrap()
-        })
     });
     group.finish();
 }
@@ -720,7 +700,7 @@ criterion_group!(
     bench_ingest,
     bench_groupby_dict,
     bench_join,
-    bench_topk_shared_bound,
+    bench_topk_bound,
     bench_serve
 );
 criterion_main!(benches);

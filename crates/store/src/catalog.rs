@@ -38,7 +38,7 @@
 
 use crate::query::{execute_shards, ExecOptions, JoinRight, QueryResult, QuerySpec, QueryStats};
 use crate::schema::TableSchema;
-use crate::table::Table;
+use crate::table::{check_batch, Table};
 use crate::{Result, StoreError};
 use lcdc_core::ColumnData;
 use std::collections::HashMap;
@@ -161,31 +161,7 @@ impl ShardedTable {
                     .into(),
             )
         })?;
-        if columns.len() != self.schema.width() {
-            return Err(StoreError::Shape(format!(
-                "ingest batch has {} columns, schema has {}",
-                columns.len(),
-                self.schema.width()
-            )));
-        }
-        let rows = columns.first().map_or(0, ColumnData::len);
-        for (i, col) in columns.iter().enumerate() {
-            if col.len() != rows {
-                return Err(StoreError::Shape(format!(
-                    "ingest column {} has {} rows, expected {rows}",
-                    self.schema.columns[i].name,
-                    col.len()
-                )));
-            }
-            if col.dtype() != self.schema.columns[i].dtype {
-                return Err(StoreError::Shape(format!(
-                    "ingest column {} is {:?}, schema says {:?}",
-                    self.schema.columns[i].name,
-                    col.dtype(),
-                    self.schema.columns[i].dtype
-                )));
-            }
-        }
+        let rows = check_batch(&self.schema, columns, None)?;
         let key_idx = self
             .schema
             .index_of(&routing.key)
@@ -767,37 +743,9 @@ impl Catalog {
         let entry = tables
             .get_mut(name)
             .ok_or_else(|| StoreError::NoSuchTable(name.to_string()))?;
-        let schema = entry.table.schema();
-        if columns.len() != schema.width() {
-            return Err(StoreError::Shape(format!(
-                "ingest batch has {} columns, table {name} has {}",
-                columns.len(),
-                schema.width()
-            )));
-        }
-        // Validate shape *before* the empty-batch early return: a
-        // ragged batch whose first column happens to be empty must be
-        // an error, never a silent no-op that drops the other columns'
-        // rows.
-        let rows = columns.first().map_or(0, ColumnData::len);
-        for (i, col) in columns.iter().enumerate() {
-            if col.len() != rows {
-                return Err(StoreError::Shape(format!(
-                    "ingest column {} has {} rows, expected {rows}",
-                    schema.columns[i].name,
-                    col.len()
-                )));
-            }
-            if col.dtype() != schema.columns[i].dtype {
-                return Err(StoreError::Shape(format!(
-                    "ingest column {} is {:?}, schema says {:?}",
-                    schema.columns[i].name,
-                    col.dtype(),
-                    schema.columns[i].dtype
-                )));
-            }
-        }
-        if rows == 0 {
+        // Shape first: a ragged batch is an error even when its first
+        // column is empty.
+        if check_batch(entry.table.schema(), columns, None)? == 0 {
             return Ok(entry.version);
         }
         entry.table = match &entry.table {

@@ -178,32 +178,10 @@ pub fn append_table(
 ) -> Result<usize> {
     use std::io::{Seek, SeekFrom, Write};
     let (mut manifest_cols, seg_rows, num_rows) = read_manifest(dir)?;
-    if columns.len() != manifest_cols.len() || policies.len() != manifest_cols.len() {
-        return Err(StoreError::Shape(format!(
-            "append batch has {} columns, {} policies; table has {}",
-            columns.len(),
-            policies.len(),
-            manifest_cols.len()
-        )));
-    }
-    let batch_rows = columns.first().map_or(0, ColumnData::len);
-    for (col, m) in columns.iter().zip(&manifest_cols) {
-        if col.len() != batch_rows {
-            return Err(StoreError::Shape(format!(
-                "append column {} has {} rows, expected {batch_rows}",
-                m.schema.name,
-                col.len()
-            )));
-        }
-        if col.dtype() != m.schema.dtype {
-            return Err(StoreError::Shape(format!(
-                "append column {} is {:?}, schema says {:?}",
-                m.schema.name,
-                col.dtype(),
-                m.schema.dtype
-            )));
-        }
-    }
+    let schema = TableSchema {
+        columns: manifest_cols.iter().map(|c| c.schema.clone()).collect(),
+    };
+    let batch_rows = crate::table::check_batch(&schema, columns, Some(policies))?;
     if batch_rows == 0 {
         return Ok(num_rows);
     }
@@ -226,10 +204,7 @@ pub fn append_table(
         }
         file.seek(SeekFrom::Start(expected))?;
         let mut offset = expected;
-        for start in (0..batch_rows).step_by(seg_rows) {
-            let end = (start + seg_rows).min(batch_rows);
-            let chunk = crate::table::slice_column(col, start, end);
-            let segment = Segment::build(&chunk, policy)?;
+        for segment in crate::table::segment_column(col, policy, seg_rows)? {
             let record = encode_segment_record(&segment);
             file.write_all(&record)?;
             manifest_col.metas.push(SegmentMeta::of(&segment));

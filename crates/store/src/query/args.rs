@@ -43,7 +43,7 @@ pub struct QueryArgs {
     /// Output labels for the aggregate row, in request order
     /// (`sum(qty)`, `count`, ...).
     pub labels: Vec<String>,
-    /// Worker/prefetch/shared-bound execution options.
+    /// Worker and prefetch execution options.
     pub opts: ExecOptions,
 }
 
@@ -68,8 +68,7 @@ impl QueryArgs {
         let mut join_table: Option<String> = None;
         let mut join_on: Option<String> = None;
 
-        // Accept `--flag=value` as a spelling of `--flag value` (the
-        // A/B flags read naturally as `--topk-shared-bound=off`).
+        // Accept `--flag=value` as a spelling of `--flag value`.
         let args: Vec<String> = args
             .iter()
             .flat_map(
@@ -128,23 +127,8 @@ impl QueryArgs {
                     out.opts.threads = value("--threads")?.parse().map_err(|_| "bad --threads")?;
                 }
                 "--prefetch" => {
-                    let depth = value("--prefetch")?;
-                    if depth == "auto" {
-                        // Self-tuning: cap at the capacity clamp,
-                        // re-tuned from observed hit/wasted ratios.
-                        out.opts.prefetch_auto = true;
-                    } else {
-                        out.opts.prefetch = depth.parse().map_err(|_| "bad --prefetch (auto|N)")?;
-                    }
-                }
-                "--topk-shared-bound" => {
-                    out.opts.topk_shared_bound = match value("--topk-shared-bound")?.as_str() {
-                        "on" => true,
-                        "off" => false,
-                        other => {
-                            return Err(format!("--topk-shared-bound wants on|off, got {other:?}"))
-                        }
-                    };
+                    out.opts.prefetch =
+                        value("--prefetch")?.parse().map_err(|_| "bad --prefetch")?;
                 }
                 "--ordered-filters" => out.spec = out.spec.keep_filter_order(),
                 "--naive" => out.naive = true,
@@ -288,8 +272,7 @@ mod tests {
             "--count",
             "--threads=3",
             "--prefetch",
-            "auto",
-            "--topk-shared-bound=off",
+            "4",
             "--repeat",
             "2",
         ]);
@@ -298,8 +281,7 @@ mod tests {
         assert_eq!(q.table.as_deref(), Some("orders"));
         assert_eq!(q.labels, vec!["sum(qty)", "count"]);
         assert_eq!(q.opts.threads, 3);
-        assert!(q.opts.prefetch_auto);
-        assert!(!q.opts.topk_shared_bound);
+        assert_eq!(q.opts.prefetch, 4);
         assert_eq!(q.repeat, 2);
         assert_eq!(
             q.spec,
@@ -323,7 +305,7 @@ mod tests {
     fn unknown_flags_error() {
         assert!(QueryArgs::parse(&strs(&["--wat"])).is_err());
         assert!(QueryArgs::parse(&strs(&["--top-k", "nocolon"])).is_err());
-        assert!(QueryArgs::parse(&strs(&["--topk-shared-bound", "maybe"])).is_err());
+        assert!(QueryArgs::parse(&strs(&["--prefetch", "auto"])).is_err());
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! single-flight, so the prefetcher never duplicates a read the scan
 //! already issued — total I/O is unchanged, it just stops blocking the
 //! scan. [`QueryStats::prefetch_hits`] / [`QueryStats::prefetch_wasted`]
-//! account for the overlap. On shared-bound top-k runs each queued warm
+//! account for the overlap. On top-k runs each queued warm
 //! is re-checked against the published bound and dropped when the
 //! bound already outbids its segment —
 //! [`QueryStats::prefetch_cancelled`] counts the loads saved.
@@ -104,16 +104,13 @@ pub struct ExecOptions {
     /// server's worker pool.
     pub threads: usize,
     /// How many morsels ahead of the scan cursor the prefetcher keeps
-    /// warm (`0` disables prefetch unless [`ExecOptions::prefetch_auto`]
-    /// is set). The prefetcher is a step function of the job — stepped
-    /// in process by one more scoped helper beside the drivers, over
-    /// the wire by the session thread while it waits between cancel
-    /// ticks — so it means the same thing on both, and the server
-    /// spawns no thread for it. Only lazily-backed sources have
-    /// anything to warm; a plan over resident sources runs no
-    /// prefetcher at all. With
-    /// `prefetch_auto` this is the *cap* the self-tuning depth moves
-    /// under, not a fixed value.
+    /// warm (`0` disables prefetch). The prefetcher is a step function
+    /// of the job — stepped in process by one more scoped helper beside
+    /// the drivers, over the wire by the session thread while it waits
+    /// between cancel ticks — so it means the same thing on both, and
+    /// the server spawns no thread for it. Only lazily-backed sources
+    /// have anything to warm; a plan over resident sources runs no
+    /// prefetcher at all.
     ///
     /// **Invariant:** the effective window plus the frame under the
     /// scan cursor always fit inside every touched source's
@@ -127,26 +124,6 @@ pub struct ExecOptions {
     /// an `N`-frame cache prefetches at most `N - 2` ahead (caches of
     /// one or two frames disable prefetch outright).
     pub prefetch: usize,
-    /// Self-tune the prefetch depth at run time: every few completed
-    /// warms the prefetcher samples the touched sources' hit/wasted
-    /// ledgers ([`crate::SegmentSource::prefetch_ledger`]) and shrinks
-    /// the window when warmed frames are being evicted before use, or
-    /// grows it back toward the cap while every warm turns into a hit.
-    /// [`ExecOptions::prefetch`] stays the hard cap (and the starting
-    /// depth); `prefetch == 0` with `prefetch_auto` starts from the
-    /// capacity clamp itself. Tuning never changes answers or total
-    /// I/O — only how far ahead of the scan the prefetcher runs.
-    pub prefetch_auto: bool,
-    /// Share one top-k threshold across all of a job's lease slots and
-    /// all shards of a fan-in (default `true`): each slot whose heap
-    /// holds `k` values publishes its k-th bound into a job-wide
-    /// atomic, and every lease checks that bound against a segment's
-    /// zone-map maximum before visiting it — so a late lease prunes
-    /// with an early one's heap instead of only its own. Answers
-    /// are identical either way ([`QueryStats::topk_segments_skipped`]
-    /// counts the skips); `false` restores per-slot-only pruning for
-    /// A/B comparisons.
-    pub topk_shared_bound: bool,
 }
 
 impl Default for ExecOptions {
@@ -154,8 +131,6 @@ impl Default for ExecOptions {
         ExecOptions {
             threads: 1,
             prefetch: 0,
-            prefetch_auto: false,
-            topk_shared_bound: true,
         }
     }
 }
@@ -169,24 +144,9 @@ impl ExecOptions {
         }
     }
 
-    /// Set the prefetch depth (the cap, under
-    /// [`ExecOptions::prefetch_auto`]).
+    /// Set the prefetch depth.
     pub fn with_prefetch(mut self, depth: usize) -> ExecOptions {
         self.prefetch = depth;
-        self
-    }
-
-    /// Enable self-tuning prefetch depth (see
-    /// [`ExecOptions::prefetch_auto`]).
-    pub fn with_prefetch_auto(mut self) -> ExecOptions {
-        self.prefetch_auto = true;
-        self
-    }
-
-    /// Enable or disable the shared top-k bound (see
-    /// [`ExecOptions::topk_shared_bound`]).
-    pub fn with_topk_shared_bound(mut self, shared: bool) -> ExecOptions {
-        self.topk_shared_bound = shared;
         self
     }
 }
@@ -210,11 +170,6 @@ const LEASES_PER_SLOT: usize = 4;
 /// the cadence at which a session notices an expired deadline or a
 /// vanished client while its query executes.
 const WAIT_TICK: Duration = Duration::from_millis(25);
-
-/// How many *completed* warms the adaptive prefetcher lets pass between
-/// depth re-tunes. Small enough to react within one cache-capacity's
-/// worth of frames, large enough that the ledger deltas mean something.
-const TUNE_EVERY: usize = 8;
 
 /// The width in-process jobs run under: never more leases than
 /// hardware threads — extra workers cannot run concurrently and only
@@ -334,9 +289,12 @@ pub(crate) struct Job {
     /// Checked at every claim and between morsels, so a fired token
     /// abandons all unclaimed work within one lease.
     cancel: Arc<CancelToken>,
-    /// The job-wide shared top-k bound — every slot of every shard
-    /// publishes into and prunes against the same atomic — when the
-    /// sink is top-k and [`ExecOptions::topk_shared_bound`] is on.
+    /// The job-wide top-k bound — every slot of every shard publishes
+    /// into and prunes against the same atomic, so a late lease prunes
+    /// with an early one's heap instead of only its own — whenever the
+    /// sink is top-k. At one slot it never exceeds that slot's own
+    /// threshold: it prunes nothing more, it only counts
+    /// ([`QueryStats::topk_segments_skipped`]).
     bound: Option<Arc<AtomicI64>>,
     /// Most leases allowed to execute at once: [`ExecOptions::threads`]
     /// clamped to the executing width and the morsel count.
@@ -346,8 +304,6 @@ pub(crate) struct Job {
     /// How many morsels ahead of the scan cursor the prefetcher keeps
     /// warm (0: no prefetcher).
     prefetch: usize,
-    /// Whether that window self-tunes ([`ExecOptions::prefetch_auto`]).
-    prefetch_auto: bool,
     /// Next unclaimed morsel — the scan cursor the prefetch window runs
     /// ahead of. Advanced only under `inner`; read lock-free.
     cursor: AtomicUsize,
@@ -450,8 +406,8 @@ impl Job {
             };
             morsels.len().div_ceil(leases).clamp(1, MAX_LEASE)
         };
-        let bound = (opts.topk_shared_bound && matches!(sink, Sink::TopK { .. }))
-            .then(|| Arc::new(AtomicI64::new(TOPK_BOUND_UNSET)));
+        let bound =
+            matches!(sink, Sink::TopK { .. }).then(|| Arc::new(AtomicI64::new(TOPK_BOUND_UNSET)));
         Job {
             plans,
             sink,
@@ -462,7 +418,6 @@ impl Job {
             lease_cap,
             lease_len,
             prefetch,
-            prefetch_auto: opts.prefetch_auto,
             cursor: AtomicUsize::new(0),
             peak_leases: AtomicUsize::new(0),
             inner: Mutex::new(JobInner {
@@ -708,23 +663,12 @@ impl Job {
     /// The job's prefetcher, for one thread to step — `None` when the
     /// window is 0.
     fn prefetcher(&self) -> Option<Prefetcher<'_>> {
-        (self.prefetch > 0).then(|| {
-            let mut fetcher = Prefetcher {
-                job: self,
-                entries: self.prefetch_entries(),
-                next: 0,
-                depth: self.prefetch,
-                sources: if self.prefetch_auto {
-                    distinct_touched_sources(&self.plans)
-                } else {
-                    Vec::new()
-                },
-                warmed_since_tune: 0,
-                last_sample: (0, 0),
-                cancelled: 0,
-            };
-            fetcher.last_sample = fetcher.ledger();
-            fetcher
+        (self.prefetch > 0).then(|| Prefetcher {
+            job: self,
+            entries: self.prefetch_entries(),
+            next: 0,
+            depth: self.prefetch,
+            cancelled: 0,
         })
     }
 
@@ -752,15 +696,10 @@ impl Job {
 /// current frame bumps its recency, leaving the next-needed warmed
 /// frame as the LRU victim) — every such eviction is a wasted read
 /// plus a re-read, strictly worse than no prefetch (see
-/// [`ExecOptions::prefetch`]). With `prefetch_auto` and no explicit
-/// depth, the capacity clamp itself is the starting cap. Fully
-/// resident plans have nothing to warm: their window is 0.
+/// [`ExecOptions::prefetch`]). Fully resident plans have nothing to
+/// warm: their window is 0.
 fn prefetch_window(plans: &[PhysicalPlan], opts: &ExecOptions) -> usize {
-    let mut window = if opts.prefetch_auto && opts.prefetch == 0 {
-        usize::MAX
-    } else {
-        opts.prefetch
-    };
+    let mut window = opts.prefetch;
     if window == 0 {
         return 0;
     }
@@ -781,9 +720,9 @@ fn prefetch_window(plans: &[PhysicalPlan], opts: &ExecOptions) -> usize {
 /// Every source the plans' filter leaves and sink columns can touch,
 /// deduplicated by *identity* (data-pointer comparison): plans of a
 /// fan-in may alias a source — the same cloned `Table` registered as
-/// two shards shares its `Arc` handles — and the window clamp, the
-/// per-query counter drain and the adaptive prefetcher's ledger
-/// sampling must each see an underlying source exactly once.
+/// two shards shares its `Arc` handles — and the window clamp and the
+/// per-query counter drain must each see an underlying source exactly
+/// once.
 fn distinct_touched_sources(plans: &[PhysicalPlan]) -> Vec<&dyn SegmentSource> {
     let mut sources: Vec<&dyn SegmentSource> = Vec::new();
     let identity = |s: &dyn SegmentSource| s as *const dyn SegmentSource as *const u8;
@@ -807,47 +746,23 @@ fn distinct_touched_sources(plans: &[PhysicalPlan]) -> Vec<&dyn SegmentSource> {
 /// (single-flight) fetch covers them — so a finished or failed job
 /// (cursor at the end) drains the rest at once.
 ///
-/// With [`ExecOptions::prefetch_auto`], the window re-tunes every
-/// [`TUNE_EVERY`] completed warms from the observed hit/wasted deltas
-/// of the touched sources' ledgers
-/// ([`crate::SegmentSource::prefetch_ledger`]): any evicted-before-use
-/// frame since the last sample halves the depth (the window outran the
-/// scan), a clean all-hits sample grows it one step back toward the
-/// cap. The capacity−2 clamp already bounds the cap, so tuning only
-/// ever moves *inside* the safe window — it exists to adapt to scan
-/// speed, not to re-litigate the eviction invariant.
-///
-/// On shared-bound top-k jobs each entry is re-checked against the
-/// *current* published bound just before its warm: a segment the bound
-/// already outbids is dropped instead of loaded — its visit will
-/// zone-prune anyway, so the frame could only ever be a wasted read.
-/// Dropped warms count into `cancelled` (the prefetch ledger's third
-/// column); they are deliberately *not* fed to the adaptive tuner,
-/// which reasons about window-vs-scan pacing, not about work the bound
-/// removed.
+/// On top-k jobs each entry is re-checked against the *current*
+/// published bound just before its warm: a segment the bound already
+/// outbids is dropped instead of loaded — its visit will zone-prune
+/// anyway, so the frame could only ever be a wasted read. Dropped warms
+/// count into `cancelled` (the prefetch ledger's third column).
 struct Prefetcher<'j> {
     job: &'j Job,
     entries: Vec<(usize, usize, usize, usize)>,
     /// Next entry to consider.
     next: usize,
-    /// Current window; `job.prefetch` is its cap.
+    /// The window: how many morsels ahead of the scan cursor to warm.
     depth: usize,
-    /// The ledgers the adaptive tuner samples (empty when not adaptive).
-    sources: Vec<&'j dyn SegmentSource>,
-    warmed_since_tune: usize,
-    last_sample: (usize, usize),
     /// Warms dropped against the shared top-k bound.
     cancelled: usize,
 }
 
 impl Prefetcher<'_> {
-    fn ledger(&self) -> (usize, usize) {
-        self.sources.iter().fold((0, 0), |(h, w), s| {
-            let (sh, sw) = s.prefetch_ledger();
-            (h + sh, w + sw)
-        })
-    }
-
     /// [`Self::step`] once the scan has started, a nap until then. A
     /// prefetcher runs *ahead of* a scan: warming the first morsels'
     /// frames while the first leases are being claimed races the scan
@@ -897,23 +812,7 @@ impl Prefetcher<'_> {
                 return true;
             }
         }
-        if plan.table.source_at(col).prefetch(seg) {
-            self.warmed_since_tune += 1;
-        }
-        if job.prefetch_auto && self.warmed_since_tune >= TUNE_EVERY {
-            self.warmed_since_tune = 0;
-            let now = self.ledger();
-            // Saturating: a concurrent query draining the same source
-            // can only shrink the ledger, never corrupt the decision.
-            let hits = now.0.saturating_sub(self.last_sample.0);
-            let wasted = now.1.saturating_sub(self.last_sample.1);
-            self.last_sample = now;
-            if wasted > 0 {
-                self.depth = (self.depth / 2).max(1);
-            } else if hits > 0 {
-                self.depth = (self.depth + 1).min(job.prefetch);
-            }
-        }
+        plan.table.source_at(col).prefetch(seg);
         true
     }
 }
@@ -961,9 +860,6 @@ mod tests {
             depth: entries.len() + 1,
             entries,
             next: 0,
-            sources: Vec::new(),
-            warmed_since_tune: 0,
-            last_sample: (0, 0),
             cancelled: 0,
         }
     }

@@ -60,15 +60,6 @@ struct OwnedAgg {
     column: Option<String>,
 }
 
-/// The options behind [`QueryBuilder::execute`]: one lease at a time,
-/// no prefetch, no shared top-k bound.
-const SEQUENTIAL: ExecOptions = ExecOptions {
-    threads: 1,
-    prefetch: 0,
-    prefetch_auto: false,
-    topk_shared_bound: false,
-};
-
 /// One CNF clause: a disjunction of `(column, predicate)` leaves. A
 /// single-leaf clause is the ordinary conjunct.
 pub(crate) type Clause = Vec<(String, Predicate)>;
@@ -649,16 +640,17 @@ impl<'t> QueryBuilder<'t> {
     }
 
     /// Compile and run with every pushdown tier enabled, sequentially
-    /// on the calling thread — the reference every other configuration
-    /// must reproduce (no shared top-k bound: its counters stay the
-    /// baseline).
+    /// on the calling thread — [`execute_opts`](Self::execute_opts)
+    /// under [`ExecOptions::default`], the same configuration `lcdc
+    /// query` and a one-thread wire query run, and the reference every
+    /// other configuration must reproduce.
     pub fn execute(&self) -> Result<QueryResult> {
-        Job::over_plan(self.compile()?, &SEQUENTIAL).run()
+        self.execute_opts(&ExecOptions::default())
     }
 
     /// Compile and run the naive baseline (for comparisons and tests).
     pub fn execute_naive(&self) -> Result<QueryResult> {
-        Job::over_plan(self.compile_naive()?, &SEQUENTIAL).run()
+        Job::over_plan(self.compile_naive()?, &ExecOptions::default()).run()
     }
 
     /// Compile and run the pushdown plan with up to `threads` threads

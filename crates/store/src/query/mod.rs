@@ -24,8 +24,8 @@
 //!   resort). Aggregation gets the same treatment: group-by keys fold
 //!   in code space (DICT) or run space (RLE/RPE/CONST) without
 //!   decompressing the key column ([`QueryStats::groups_folded`],
-//!   [`QueryStats::rows_undecoded`]), and parallel top-k shares one
-//!   discovered threshold across every lease and shard
+//!   [`QueryStats::rows_undecoded`]), and top-k shares one discovered
+//!   threshold across every lease and shard
 //!   ([`QueryStats::topk_segments_skipped`]).
 //!
 //! Execution is per segment end-to-end, which makes the segment the
@@ -222,9 +222,13 @@ mod tests {
         }
     }
 
+    /// Every sink answers the same at any width, and `execute()` *is*
+    /// `execute_opts(&ExecOptions::default())`: equal rows and an equal
+    /// counter ledger, top-k's shared-bound skips included.
     #[test]
     fn every_sink_parallelizes() {
         let t = table(CompressionPolicy::Auto, 300);
+        let right = std::sync::Arc::new(table(CompressionPolicy::Auto, 700));
         let builders = [
             QueryBuilder::scan(&t)
                 .filter("day", Predicate::Range { lo: 2, hi: 35 })
@@ -235,9 +239,15 @@ mod tests {
                 .aggregate(&[Agg::Sum("price")]),
             QueryBuilder::scan(&t).top_k("price", 40),
             QueryBuilder::scan(&t).distinct("qty"),
+            QueryBuilder::scan(&t)
+                .filter("qty", Predicate::Range { lo: 1, hi: 25 })
+                .join("right", right, "day"),
         ];
         for (i, b) in builders.iter().enumerate() {
             let sequential = b.execute().unwrap();
+            let default = b.execute_opts(&ExecOptions::default()).unwrap();
+            assert_eq!(default.rows, sequential.rows, "sink {i}");
+            assert_eq!(default.stats, sequential.stats, "sink {i}");
             for threads in [1usize, 2, 7, 64] {
                 let parallel = b.execute_parallel(threads).unwrap();
                 assert_eq!(parallel.rows, sequential.rows, "sink {i} x{threads}");

@@ -177,7 +177,7 @@ pub(crate) enum SinkState {
         heap: BinaryHeap<Reverse<i128>>,
         k: usize,
         /// The job-wide k-th bound shared across lease slots and shard
-        /// fan-ins (`None` on sequential reference runs): every slot
+        /// fan-ins (`None` only on the merge target): every slot
         /// whose heap holds `k` values publishes its threshold here,
         /// and every lease consults it before visiting a segment, so
         /// late leases prune with early leases' work.
@@ -271,8 +271,8 @@ impl SinkState {
     /// into the shared bound. The executor calls this at the end of
     /// every lease so an improvement held back by publication batching
     /// still reaches the leases that keep running. No-op for non-top-k
-    /// sinks, unshared runs, and slots whose last publication is
-    /// already current.
+    /// sinks, the merge target (which has no bound), and slots whose
+    /// last publication is already current.
     pub(crate) fn flush_topk_bound(&mut self) {
         if let SinkState::TopK {
             heap,

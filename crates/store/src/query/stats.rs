@@ -159,10 +159,11 @@ ledger! {
         pub rows_undecoded: usize,
         /// Segments skipped against the *shared* top-k bound — the
         /// job-wide threshold every lease slot and shard of a fan-in
-        /// publishes into, letting late leases prune with early ones' heaps
-        /// (see [`crate::ExecOptions::topk_shared_bound`]). Sequential
-        /// [`crate::QueryBuilder::execute`] runs prune against the heap
-        /// directly and report 0 here.
+        /// publishes into, letting late leases prune with early ones'
+        /// heaps. Every top-k job has one, sequential
+        /// [`crate::QueryBuilder::execute`] included: at one slot the
+        /// bound is that slot's own published threshold, so every skip
+        /// counted here is a segment its heap prunes anyway.
         pub topk_segments_skipped: usize,
         /// `(left segment, right segment)` pairs a join dismissed from
         /// resident zone maps alone — the key ranges don't overlap, so the

@@ -107,16 +107,6 @@ pub trait SegmentSource: std::fmt::Debug + Send + Sync {
         (0, 0)
     }
 
-    /// A non-draining view of the prefetch ledger since the last drain:
-    /// `(hits so far, frames evicted before use so far)`. The adaptive
-    /// prefetcher samples this mid-query to tune its depth — unlike
-    /// [`SegmentSource::take_prefetch_counters`], frames still warm in
-    /// the cache are *not* counted wasted here, because the scan may
-    /// yet consume them.
-    fn prefetch_ledger(&self) -> (usize, usize) {
-        (0, 0)
-    }
-
     /// How many decoded segments this source can keep resident at once,
     /// or `None` when fetches are free (fully resident sources). The
     /// executor clamps its prefetch window *below* this bound so the
@@ -556,18 +546,6 @@ impl SegmentSource for FileSource {
         (hits, union.len())
     }
 
-    fn prefetch_ledger(&self) -> (usize, usize) {
-        (
-            // ordering: advisory sample for the prefetcher's
-            // self-tuning loop; staleness only delays a depth change.
-            self.prefetch_hits.load(Ordering::Relaxed),
-            self.wasted
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len(),
-        )
-    }
-
     fn cache_capacity(&self) -> Option<usize> {
         Some(self.cache_capacity)
     }
@@ -637,10 +615,6 @@ impl SegmentSource for ChainedSource {
 
     fn take_prefetch_counters(&self) -> (usize, usize) {
         self.base.take_prefetch_counters()
-    }
-
-    fn prefetch_ledger(&self) -> (usize, usize) {
-        self.base.prefetch_ledger()
     }
 
     fn cache_capacity(&self) -> Option<usize> {
@@ -850,24 +824,17 @@ mod tests {
         assert!(source.prefetch(0));
         assert!(source.prefetch(1));
         assert!(source.prefetch(2), "evicts frame 0 before any use");
-        assert_eq!(source.prefetch_ledger(), (0, 1), "one eviction so far");
         // Retry frame 0 (evicts 1), then actually consume it: the
         // retry's read is a hit, the first read stays exactly one
         // recorded waste — not zero (the eviction happened), not two.
         assert!(source.prefetch(0));
         source.segment(0).unwrap();
-        assert_eq!(
-            source.prefetch_ledger(),
-            (1, 2),
-            "frames 0 and 1 each evicted once"
-        );
         let (hits, wasted) = source.take_prefetch_counters();
         assert_eq!(hits, 1);
         // Wasted union: {0, 1} evicted-before-use + {2} warmed and never
         // consumed; frame 0's hit does not erase its wasted first read.
         assert_eq!(wasted, 3);
         assert_eq!(source.take_prefetch_counters(), (0, 0), "drained");
-        assert_eq!(source.prefetch_ledger(), (0, 0), "ledger drained too");
         std::fs::remove_dir_all(&dir).ok();
     }
 

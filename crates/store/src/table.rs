@@ -39,44 +39,12 @@ impl Table {
         policies: &[CompressionPolicy],
         seg_rows: usize,
     ) -> Result<Table> {
-        if columns.len() != schema.width() || policies.len() != schema.width() {
-            return Err(StoreError::Shape(format!(
-                "{} columns, {} schemas, {} policies",
-                columns.len(),
-                schema.width(),
-                policies.len()
-            )));
-        }
+        let num_rows = check_batch(&schema, columns, Some(policies))?;
         let seg_rows = seg_rows.max(1);
-        let num_rows = columns.first().map_or(0, ColumnData::len);
-        for (i, col) in columns.iter().enumerate() {
-            if col.len() != num_rows {
-                return Err(StoreError::Shape(format!(
-                    "column {} has {} rows, expected {num_rows}",
-                    schema.columns[i].name,
-                    col.len()
-                )));
-            }
-            if col.dtype() != schema.columns[i].dtype {
-                return Err(StoreError::Shape(format!(
-                    "column {} is {:?}, schema says {:?}",
-                    schema.columns[i].name,
-                    col.dtype(),
-                    schema.columns[i].dtype
-                )));
-            }
-        }
         let mut sources: Vec<Arc<dyn SegmentSource>> = Vec::with_capacity(columns.len());
         for (col, policy) in columns.iter().zip(policies) {
-            let mut col_segments = Vec::with_capacity(num_rows.div_ceil(seg_rows));
-            for start in (0..num_rows).step_by(seg_rows) {
-                let end = (start + seg_rows).min(num_rows);
-                let chunk = slice_column(col, start, end);
-                let segment = Segment::build(&chunk, policy)?;
-                segment.check_rows(end - start)?;
-                col_segments.push(segment);
-            }
-            sources.push(Arc::new(ResidentSource::new(col_segments)));
+            let segments = segment_column(col, policy, seg_rows)?;
+            sources.push(Arc::new(ResidentSource::new(segments)));
         }
         Ok(Table {
             schema,
@@ -241,49 +209,14 @@ impl Table {
         columns: &[ColumnData],
         policies: &[CompressionPolicy],
     ) -> Result<Table> {
-        if columns.len() != self.schema.width() || policies.len() != self.schema.width() {
-            return Err(StoreError::Shape(format!(
-                "append batch has {} columns, {} policies; schema has {}",
-                columns.len(),
-                policies.len(),
-                self.schema.width()
-            )));
-        }
-        let batch_rows = columns.first().map_or(0, ColumnData::len);
-        for (i, col) in columns.iter().enumerate() {
-            if col.len() != batch_rows {
-                return Err(StoreError::Shape(format!(
-                    "append column {} has {} rows, expected {batch_rows}",
-                    self.schema.columns[i].name,
-                    col.len()
-                )));
-            }
-            if col.dtype() != self.schema.columns[i].dtype {
-                return Err(StoreError::Shape(format!(
-                    "append column {} is {:?}, schema says {:?}",
-                    self.schema.columns[i].name,
-                    col.dtype(),
-                    self.schema.columns[i].dtype
-                )));
-            }
-        }
+        let batch_rows = check_batch(&self.schema, columns, Some(policies))?;
         if batch_rows == 0 {
             return Ok(self.clone());
         }
         let mut sources: Vec<Arc<dyn SegmentSource>> = Vec::with_capacity(columns.len());
-        for (idx, (col, policy)) in columns.iter().zip(policies).enumerate() {
-            let mut tail = Vec::with_capacity(batch_rows.div_ceil(self.seg_rows));
-            for start in (0..batch_rows).step_by(self.seg_rows) {
-                let end = (start + self.seg_rows).min(batch_rows);
-                let chunk = slice_column(col, start, end);
-                let segment = Segment::build(&chunk, policy)?;
-                segment.check_rows(end - start)?;
-                tail.push(segment);
-            }
-            sources.push(Arc::new(ChainedSource::new(
-                Arc::clone(&self.sources[idx]),
-                tail,
-            )));
+        for ((col, policy), base) in columns.iter().zip(policies).zip(&self.sources) {
+            let tail = segment_column(col, policy, self.seg_rows)?;
+            sources.push(Arc::new(ChainedSource::new(Arc::clone(base), tail)));
         }
         Ok(Table {
             schema: self.schema.clone(),
@@ -432,9 +365,69 @@ impl Table {
     }
 }
 
-/// Copy `col[start..end]` out as an owned column (segment chunking for
-/// the build and append paths, here and in [`crate::file::append_table`]).
-pub(crate) fn slice_column(col: &ColumnData, start: usize, end: usize) -> ColumnData {
+/// Check a row batch against `schema`: one column per schema column
+/// (and, when given, one policy each), all of equal length, each of its
+/// column's dtype. Returns the batch's row count. Every write path
+/// checks here *before* its empty-batch return, so a ragged batch whose
+/// first column happens to be empty is an error, never a silent no-op
+/// that drops the other columns' rows.
+pub(crate) fn check_batch(
+    schema: &TableSchema,
+    columns: &[ColumnData],
+    policies: Option<&[CompressionPolicy]>,
+) -> Result<usize> {
+    let width = schema.width();
+    if columns.len() != width || policies.is_some_and(|p| p.len() != width) {
+        let policies = policies.map_or(String::new(), |p| format!(", {} policies", p.len()));
+        return Err(StoreError::Shape(format!(
+            "batch has {} columns{policies}; schema has {width}",
+            columns.len()
+        )));
+    }
+    let rows = columns.first().map_or(0, ColumnData::len);
+    for (col, decl) in columns.iter().zip(&schema.columns) {
+        if col.len() != rows {
+            return Err(StoreError::Shape(format!(
+                "column {} has {} rows, expected {rows}",
+                decl.name,
+                col.len()
+            )));
+        }
+        if col.dtype() != decl.dtype {
+            return Err(StoreError::Shape(format!(
+                "column {} is {:?}, schema says {:?}",
+                decl.name,
+                col.dtype(),
+                decl.dtype
+            )));
+        }
+    }
+    Ok(rows)
+}
+
+/// Cut `col` into `seg_rows`-tall chunks (the last may be shorter) and
+/// compress each under `policy` — the one segmentation every write path
+/// (build, in-memory append, on-disk append) shares.
+pub(crate) fn segment_column(
+    col: &ColumnData,
+    policy: &CompressionPolicy,
+    seg_rows: usize,
+) -> Result<Vec<Segment>> {
+    let seg_rows = seg_rows.max(1);
+    let rows = col.len();
+    let mut segments = Vec::with_capacity(rows.div_ceil(seg_rows));
+    for start in (0..rows).step_by(seg_rows) {
+        let end = (start + seg_rows).min(rows);
+        let segment = Segment::build(&slice_column(col, start, end), policy)?;
+        segment.check_rows(end - start)?;
+        segments.push(segment);
+    }
+    Ok(segments)
+}
+
+/// Copy `col[start..end]` out as an owned column (one chunk for
+/// [`segment_column`]).
+fn slice_column(col: &ColumnData, start: usize, end: usize) -> ColumnData {
     match col {
         ColumnData::U32(v) => ColumnData::U32(v[start..end].to_vec()),
         ColumnData::U64(v) => ColumnData::U64(v[start..end].to_vec()),
@@ -470,6 +463,50 @@ mod tests {
         assert_eq!(date.len(), 1000);
         assert_eq!(date.get_numeric(999), Some(20180110));
         assert_eq!(t.io_reads(), 0, "resident tables never touch a store");
+    }
+
+    /// Every write path's one shape check, case by case: the row count,
+    /// or the first failing rule named in the error.
+    #[test]
+    fn check_batch_cases() {
+        let schema = TableSchema::new(&[("a", DType::U64), ("b", DType::I32)]);
+        let a = || ColumnData::U64(vec![1, 2]);
+        let b = || ColumnData::I32(vec![3, 4]);
+        let one = [CompressionPolicy::Auto];
+        let two = [CompressionPolicy::Auto, CompressionPolicy::None];
+        let empty = || vec![ColumnData::U64(vec![]), ColumnData::I32(vec![])];
+        let cases = [
+            (vec![a(), b()], None, "ok: 2 rows"),
+            (vec![a(), b()], Some(&two[..]), "ok: 2 rows"),
+            (empty(), None, "ok: 0 rows"),
+            (vec![a()], None, "batch has 1 columns; schema has 2"),
+            (vec![a(), b()], Some(&one[..]), "2 columns, 1 policies"),
+            (
+                vec![a(), ColumnData::I32(vec![3])],
+                None,
+                "column b has 1 rows",
+            ),
+            (
+                vec![ColumnData::U64(vec![]), b()],
+                None,
+                "column b has 2 rows, expected 0",
+            ),
+            (
+                vec![a(), ColumnData::U64(vec![3, 4])],
+                None,
+                "column b is U64, schema says I32",
+            ),
+        ];
+        for (columns, policies, want) in cases {
+            let got = match check_batch(&schema, &columns, policies) {
+                Ok(rows) => format!("ok: {rows} rows"),
+                Err(e) => e.to_string(),
+            };
+            assert!(
+                got.contains(want),
+                "{columns:?}: got {got:?}, want {want:?}"
+            );
+        }
     }
 
     #[test]

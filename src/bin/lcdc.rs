@@ -17,8 +17,7 @@
 //!                 [--any c=..,c=..] [--sum c] [--count]
 //!                 [--group-by c | --top-k c:k | --distinct c]
 //!                 [--join TABLE --on COL]
-//!                 [--naive] [--threads N] [--prefetch auto|N]
-//!                 [--topk-shared-bound on|off]
+//!                 [--naive] [--threads N] [--prefetch N]
 //!                 [--ordered-filters] [--explain]
 //! lcdc gen        <dir> [--table NAME] [--rows N] [--shards N]
 //!                 [--seg-rows N] [--seed N]
@@ -38,11 +37,10 @@
 //! `lcdc shard`, routed through `lcdc::store::Catalog` (result cache,
 //! shard fan-in). `--lazy` opens columns as lazy `FileSource`s so only
 //! the segments the plan touches are read from disk; `--repeat 2`
-//! demonstrates the result cache on the second run. `--prefetch auto`
-//! lets the prefetcher tune its own depth from observed
-//! hit/wasted ratios (a number pins the depth/cap instead), and
-//! `--topk-shared-bound=off` disables the job-wide top-k threshold
-//! for A/B runs. `ingest` appends a
+//! demonstrates the result cache on the second run. A query runs under
+//! two execution settings and nothing else: `--threads N` leases at
+//! once and `--prefetch N` lazily-backed segments warmed ahead of the
+//! scan. `ingest` appends a
 //! row batch — one raw binary per column, in schema order — to a saved
 //! table without rewriting existing frames; against a *sharded* catalog
 //! table it routes the batch along the shards' `--key` ranges and
@@ -96,8 +94,7 @@ usage:
                   [--sum col] [--min col] [--max col] [--count]
                   [--group-by col | --top-k col:k | --distinct col]
                   [--join TABLE --on COL]
-                  [--naive] [--threads N] [--prefetch auto|N]
-                  [--topk-shared-bound on|off] [--ordered-filters] [--explain]
+                  [--naive] [--threads N] [--prefetch N] [--ordered-filters] [--explain]
   lcdc gen        <dir> [--table NAME] [--rows N] [--shards N] [--seg-rows N] [--seed N]
   lcdc serve      <dir> [--addr HOST:PORT] [--threads N] [--max-inflight N]
                   [--lazy] [--cache N] [--session-timeout-ms N] [--deadline-ms N]
@@ -1202,7 +1199,6 @@ mod tests {
                 s("4"),
                 s("--ordered-filters"),
             ],
-            vec![s("--prefetch"), s("auto")],
         ] {
             let mut args = vec![
                 d.clone(),
@@ -1218,32 +1214,11 @@ mod tests {
             args.extend(extra);
             query(&args).unwrap();
         }
-        // Top-k and distinct sinks; the shared-bound A/B flag in both
-        // spellings, and the = spelling of an ordinary flag.
+        // Top-k and distinct sinks, the = spelling of a flag, and a
+        // prefetch depth that is not a number refused.
         query(&[d.clone(), s("--top-k"), s("qty:5")]).unwrap();
-        query(&[
-            d.clone(),
-            s("--top-k"),
-            s("qty:5"),
-            s("--threads"),
-            s("4"),
-            s("--topk-shared-bound=off"),
-        ])
-        .unwrap();
-        query(&[
-            d.clone(),
-            s("--top-k=qty:5"),
-            s("--topk-shared-bound"),
-            s("on"),
-        ])
-        .unwrap();
-        assert!(query(&[
-            d.clone(),
-            s("--top-k"),
-            s("qty:5"),
-            s("--topk-shared-bound=maybe")
-        ])
-        .is_err());
+        query(&[d.clone(), s("--top-k=qty:5"), s("--threads"), s("4")]).unwrap();
+        assert!(query(&[d.clone(), s("--top-k=qty:5"), s("--prefetch=auto")]).is_err());
         query(&[d.clone(), s("--distinct"), s("day")]).unwrap();
         // IN and OR filters, lazily opened.
         query(&[

@@ -6,9 +6,9 @@
 //!   decoded (naive) group-by's answer, while never decompressing the
 //!   key column on the structural paths
 //!   (`QueryStats::rows_undecoded`).
-//! * **Shared-threshold top-k** — with the cross-worker bound on or
-//!   off, under every worker count and over sharded catalogs, parallel
-//!   top-k must equal the sequential reference, values and
+//! * **Shared-threshold top-k** — under every worker count and over
+//!   sharded catalogs, parallel top-k (whose lease slots share one
+//!   job-wide bound) must equal the sequential reference, values and
 //!   multiplicities included.
 
 use lcdc::core::{ColumnData, DType};
@@ -96,7 +96,7 @@ proptest! {
     }
 
     /// Shared-threshold parallel top-k ≡ sequential top-k for worker
-    /// counts 1/2/4/64, bound on and off, including sharded catalogs.
+    /// counts 1/2/4/64, including sharded catalogs.
     #[test]
     fn shared_bound_top_k_equals_sequential(
         seed in any::<u64>(),
@@ -118,17 +118,9 @@ proptest! {
         let want = spec.bind(&table).execute().expect("sequential reference");
 
         for threads in [1usize, 2, 4, 64] {
-            for bound in [true, false] {
-                let opts = ExecOptions::threads(threads).with_topk_shared_bound(bound);
-                let got = spec.bind(&table).execute_opts(&opts).expect("parallel runs");
-                prop_assert_eq!(
-                    &got.rows, &want.rows,
-                    "threads {} bound {}", threads, bound
-                );
-                if !bound {
-                    prop_assert_eq!(got.stats.topk_segments_skipped, 0);
-                }
-            }
+            let opts = ExecOptions::threads(threads);
+            let got = spec.bind(&table).execute_opts(&opts).expect("parallel runs");
+            prop_assert_eq!(&got.rows, &want.rows, "threads {}", threads);
         }
 
         // The same spec over a sharded catalog: the bound spans shards.
@@ -149,8 +141,7 @@ proptest! {
 /// segment holds the whole top-k, the other segments' maxima tie each
 /// other — only the published bound (not a moderate segment's own heap)
 /// can prune them. Best-max-first order guarantees the hot segment is
-/// drawn first, so the skip count is exact under any worker count the
-/// hardware allows.
+/// drawn first, so the sequential skip count is exact.
 #[test]
 fn shared_bound_skips_moderate_segments() {
     const SEG_ROWS: usize = 512;
@@ -173,22 +164,15 @@ fn shared_bound_skips_moderate_segments() {
     )
     .unwrap();
     let spec = QuerySpec::new().top_k("v", 32);
-    let want = spec.bind(&table).execute().unwrap();
-    assert_eq!(want.stats.topk_segments_skipped, 0, "no bound sequentially");
-
     // One worker drains the queue in best-max order: the hot segment
     // fills the heap, publishes, and every moderate segment is skipped
     // against the published bound — an exact, race-free count.
-    let shared = spec
-        .bind(&table)
-        .execute_opts(&ExecOptions::threads(1))
-        .unwrap();
-    assert_eq!(shared.rows, want.rows);
+    let want = spec.bind(&table).execute().unwrap();
     assert_eq!(
-        shared.stats.topk_segments_skipped,
+        want.stats.topk_segments_skipped,
         SEGMENTS - 1,
         "every moderate segment skipped on the published bound: {:?}",
-        shared.stats
+        want.stats
     );
 
     // More workers can only *race* the publication, never over-skip —
@@ -199,71 +183,4 @@ fn shared_bound_skips_moderate_segments() {
         .unwrap();
     assert_eq!(racy.rows, want.rows);
     assert!(racy.stats.topk_segments_skipped < SEGMENTS);
-
-    let unshared = spec
-        .bind(&table)
-        .execute_opts(&ExecOptions::threads(4).with_topk_shared_bound(false))
-        .unwrap();
-    assert_eq!(unshared.rows, want.rows);
-    assert_eq!(unshared.stats.topk_segments_skipped, 0);
-}
-
-/// The adaptive prefetcher never changes answers or total I/O — it only
-/// moves the same reads earlier. Run over a lazy table whose every
-/// frame survives zone pruning, so read counts compare exactly.
-#[test]
-fn adaptive_prefetch_preserves_answers_and_reads() {
-    let root = std::env::temp_dir().join(format!("lcdc_auto_prefetch_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let table = keyed_table(23, 6000, 250, 300, 2);
-    lcdc::store::save_table(&table, &root).unwrap();
-
-    let spec = QuerySpec::new()
-        .filter("val", Predicate::Range { lo: 0, hi: 499 })
-        .aggregate(&[Agg::Sum("val"), Agg::Count]);
-    let plain = lcdc::store::open_table_lazy(&root, 6).unwrap();
-    let want = spec.bind(&plain).execute().unwrap();
-    let frames = plain.io_reads();
-    assert!(frames > 0);
-
-    // `--prefetch auto` equivalent: cap from the capacity clamp, depth
-    // re-tuned from the hit/wasted ledger while running.
-    let auto = lcdc::store::open_table_lazy(&root, 6).unwrap();
-    let got = spec
-        .bind(&auto)
-        .execute_opts(&ExecOptions::threads(1).with_prefetch_auto())
-        .unwrap();
-    assert_eq!(got.rows, want.rows);
-    assert_eq!(
-        auto.io_reads(),
-        frames,
-        "tuning moves reads earlier, never adds any: {:?}",
-        got.stats
-    );
-
-    // Auto under an explicit cap, on two workers. The window is clamped
-    // below the 6-frame cache for *one* scan cursor; with two leases in
-    // flight a frame warmed ahead can still be evicted before either
-    // worker consumes it (whichever order the workers touch frames in),
-    // and is then read again. Each such frame is counted in
-    // `prefetch_wasted`, so the read count is bounded by it on every
-    // schedule — never exact (a loop of the binary saw 25–27 reads for
-    // 24 frames, always 24 + wasted); the answer is exact regardless.
-    let capped = lcdc::store::open_table_lazy(&root, 6).unwrap();
-    let got = spec
-        .bind(&capped)
-        .execute_opts(
-            &ExecOptions::threads(2)
-                .with_prefetch(3)
-                .with_prefetch_auto(),
-        )
-        .unwrap();
-    assert_eq!(got.rows, want.rows);
-    let reads = capped.io_reads();
-    assert!(
-        (frames..=frames + got.stats.prefetch_wasted).contains(&reads),
-        "{reads} reads for {frames} frames: {:?}",
-        got.stats
-    );
-    std::fs::remove_dir_all(&root).ok();
 }

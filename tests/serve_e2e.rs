@@ -446,6 +446,38 @@ fn admission_rejections_are_typed_and_counted() {
     server.shutdown();
 }
 
+/// A wire query runs under `--threads` and `--prefetch N` and nothing
+/// else: a flag outside that grammar is refused with a typed error
+/// naming it, never silently ignored — and the session serves on.
+#[test]
+fn unknown_execution_flags_are_refused_by_name() {
+    let catalog = Arc::new(Catalog::new());
+    catalog.register("orders", base_table());
+    let server = Server::start(catalog, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    for (flags, named) in [
+        (["--topk-shared-bound", "off"], "--topk-shared-bound"),
+        (["--prefetch", "auto"], "bad --prefetch"),
+    ] {
+        let mut query = args(&["--top-k", "qty:5"]);
+        query.extend(args(&flags));
+        match client.query("orders", &query).unwrap() {
+            Response::Error { message } => {
+                assert!(message.contains(named), "{message:?} names {named}")
+            }
+            other => panic!("{flags:?} must be refused, got {other:?}"),
+        }
+    }
+    match client
+        .query("orders", &args(&["--top-k", "qty:5"]))
+        .unwrap()
+    {
+        Response::Rows { rows, .. } => assert_eq!(rows, Rows::TopK(vec![50; 5])),
+        other => panic!("expected rows, got {other:?}"),
+    }
+    server.shutdown();
+}
+
 /// A saturating client sees BUSY while a slow query holds the only
 /// admission slot, then succeeds once it drains.
 #[test]
