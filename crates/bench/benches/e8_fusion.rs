@@ -19,12 +19,12 @@ fn bench_aggregate(c: &mut Criterion) {
     .unwrap();
     assert_eq!(
         agg::aggregate_segment(&seg, None).unwrap(),
-        agg::aggregate_plain(&seg.decompress().unwrap(), None)
+        agg::aggregate_plain(&seg.decompress().unwrap())
     );
     let mut group = c.benchmark_group("e8/sum_over_rle_column");
     group.throughput(Throughput::Elements(col.len() as u64));
     group.bench_function("decompress_then_fold", |b| {
-        b.iter(|| agg::aggregate_plain(&black_box(&seg).decompress().unwrap(), None))
+        b.iter(|| agg::aggregate_plain(&black_box(&seg).decompress().unwrap()))
     });
     group.bench_function("per_run_fold", |b| {
         b.iter(|| agg::aggregate_segment(black_box(&seg), None).unwrap())

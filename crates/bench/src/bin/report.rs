@@ -335,14 +335,14 @@ fn e8_fusion() {
     )
     .unwrap();
     let naive_agg = time_median(REPS, || {
-        lcdc_store::agg::aggregate_plain(&seg.decompress().unwrap(), None)
+        lcdc_store::agg::aggregate_plain(&seg.decompress().unwrap())
     });
     let fused_agg = time_median(REPS, || {
         lcdc_store::agg::aggregate_segment(&seg, None).unwrap()
     });
     assert_eq!(
         lcdc_store::agg::aggregate_segment(&seg, None).unwrap(),
-        lcdc_store::agg::aggregate_plain(&seg.decompress().unwrap(), None)
+        lcdc_store::agg::aggregate_plain(&seg.decompress().unwrap())
     );
     println!("rows = {n}");
     println!(
@@ -426,7 +426,7 @@ fn e10_gradual() {
         8192,
     )
     .unwrap();
-    let exact: i128 = lcdc_store::agg::aggregate_plain(&col, None).sum;
+    let exact: i128 = lcdc_store::agg::aggregate_plain(&col).sum;
     println!("exact SUM = {exact}; {} segments", table.num_segments());
     println!(
         "{:>12} {:>18} {:>10}",

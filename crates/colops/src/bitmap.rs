@@ -41,6 +41,16 @@ impl Bitmap {
         b
     }
 
+    /// Build from packed words, bit `i` of the bitmap being bit `i % 64`
+    /// of word `i / 64`: missing words read 0, and bits past `len` are
+    /// dropped.
+    pub fn from_words(mut words: Vec<u64>, len: usize) -> Self {
+        words.resize(len.div_ceil(64), 0);
+        let mut b = Bitmap { words, len };
+        b.clear_tail();
+        b
+    }
+
     /// Build by evaluating a predicate over a column.
     pub fn from_predicate<T, F: Fn(&T) -> bool>(col: &[T], pred: F) -> Self {
         let mut b = Bitmap::new_zeroed(col.len());
@@ -86,6 +96,18 @@ impl Bitmap {
             return false;
         }
         self.words[i >> 6] >> (i & 63) & 1 == 1
+    }
+
+    /// The 64 bits starting at bit `i`, bit `i` lowest; bits past the
+    /// end read 0. Lets a caller walk a selection a word at a time from
+    /// any offset.
+    pub fn bits_at(&self, i: usize) -> u64 {
+        let (word, shift) = (i >> 6, i & 63);
+        let at = |w: usize| self.words.get(w).copied().unwrap_or(0);
+        match shift {
+            0 => at(word),
+            _ => at(word) >> shift | at(word + 1) << (64 - shift),
+        }
     }
 
     /// Set bits `lo..hi` (clamped to `len`). The run-at-a-time fast path
@@ -194,6 +216,22 @@ impl Bitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn words_in_and_out_at_any_offset() {
+        let bools: Vec<bool> = (0..150).map(|i| i % 3 == 0 || i == 149).collect();
+        let b = Bitmap::from_bools(&bools);
+        for i in [0, 1, 63, 64, 65, 100, 149, 150, 400] {
+            let want = (0..64)
+                .filter(|&k| bools.get(i + k) == Some(&true))
+                .fold(0u64, |w, k| w | 1 << k);
+            assert_eq!(b.bits_at(i), want, "offset {i}");
+        }
+        let words = vec![b.bits_at(0), b.bits_at(64), b.bits_at(128) | !0 << 22];
+        assert_eq!(Bitmap::from_words(words, 150), b, "bits past len dropped");
+        let first_word = Bitmap::from_bools(&(0..70).map(|i| i < 64).collect::<Vec<_>>());
+        assert_eq!(Bitmap::from_words(vec![u64::MAX], 70), first_word);
+    }
 
     #[test]
     fn set_get_clear() {

@@ -1,13 +1,14 @@
-//! Aggregation, naive and compression-aware.
+//! Aggregation, over plain columns and compressed segments.
 //!
-//! The compression-aware paths never build the column:
+//! The compressed-segment paths never build the column:
 //!
 //! * RLE/RPE: `SUM = Σ value·run_length`, `MIN/MAX` over run values —
 //!   one operation per run instead of per row;
 //! * everything else folds its value stream ([`Segment::visit`]) chunk
 //!   by chunk as the scheme's decoder reconstructs it — FOR adds its
 //!   references, DICT gathers, NS unpacks — into typed accumulators
-//!   (`fold_runs`).
+//!   (`fold_runs`), under a selection only the selected rows' values
+//!   (`fold_selected`).
 //!
 //! Both are instances of the paper's Lessons 1: once decompression is a
 //! DAG of query operators, the aggregation can run on the parts. Sums
@@ -104,13 +105,9 @@ impl AggResult {
     }
 }
 
-/// Aggregate a plain column (the naive path), optionally under a
-/// selection bitmap.
-pub fn aggregate_plain(col: &ColumnData, selection: Option<&Bitmap>) -> AggResult {
-    with_column!(col, |v| match selection {
-        None => AggResult::of(v.iter().copied()),
-        Some(bitmap) => AggResult::of(bitmap.iter_ones().map(|i| v[i])),
-    })
+/// Aggregate a plain, already-decoded column.
+pub fn aggregate_plain(col: &ColumnData) -> AggResult {
+    with_column!(col, |v| AggResult::of(v.iter().copied()))
 }
 
 /// Fold run values weighted by their lengths — the run-granularity
@@ -231,14 +228,23 @@ pub(crate) fn fold_runs(
     })
 }
 
+/// Fold the values of the rows `mask` selects into one [`AggResult`],
+/// straight off the segment's value stream
+/// ([`Segment::visit_masked`]); MIN / MAX only when `extrema`.
+pub(crate) fn fold_selected(seg: &Segment, mask: &Bitmap, extrema: bool) -> Result<AggResult> {
+    let (mut acc, signed) = (AggResult::default(), seg.compressed.dtype.signed());
+    seg.visit_masked(mask, &mut |values| {
+        fold_transport(&mut acc, values, signed, extrema)
+    })?;
+    Ok(acc)
+}
+
 /// Aggregate a compressed segment without materialising it: RLE/RPE
 /// fold one weighted value per run, every other scheme folds its value
-/// stream. Selections force decompress-then-fold
-/// (run-selection interaction is handled a level up by masking
-/// materialised columns).
+/// stream — under a selection, only the selected rows' values.
 pub fn aggregate_segment(segment: &Segment, selection: Option<&Bitmap>) -> Result<AggResult> {
     if let Some(bitmap) = selection {
-        return Ok(aggregate_plain(&segment.decompress()?, Some(bitmap)));
+        return fold_selected(segment, bitmap, true);
     }
     if let Some((values, ends)) = segment.run_structure()? {
         return Ok(aggregate_runs(&values, &ends, segment.num_rows()));
@@ -256,7 +262,7 @@ mod tests {
     fn check_against_plain(col: ColumnData, expr: &str) {
         let segment = Segment::build(&col, &CompressionPolicy::Fixed(expr.to_string())).unwrap();
         let fast = aggregate_segment(&segment, None).unwrap();
-        let naive = aggregate_plain(&col, None);
+        let naive = aggregate_plain(&col);
         assert_eq!(fast, naive, "{expr}");
     }
 
@@ -303,7 +309,7 @@ mod tests {
 
     #[test]
     fn empty_aggregate() {
-        let r = aggregate_plain(&ColumnData::U32(vec![]), None);
+        let r = aggregate_plain(&ColumnData::U32(vec![]));
         assert_eq!(r.count, 0);
         assert_eq!(r.min, None);
         assert_eq!(r.sum, 0);

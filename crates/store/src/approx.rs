@@ -194,7 +194,7 @@ mod tests {
     #[test]
     fn zone_map_interval_contains_exact_sum() {
         let (t, col) = table();
-        let exact = aggregate_plain(&col, None);
+        let exact = aggregate_plain(&col);
         let approx = GradualAggregate::new(&t, "v").unwrap().interval();
         assert!(
             approx.contains_sum(exact.sum),
@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn refinement_shrinks_monotonically_to_exact() {
         let (t, col) = table();
-        let exact = aggregate_plain(&col, None).sum;
+        let exact = aggregate_plain(&col).sum;
         let mut g = GradualAggregate::new(&t, "v").unwrap();
         let mut prev_width = g.interval().sum_width();
         let mut steps = 0;
@@ -231,7 +231,7 @@ mod tests {
     #[test]
     fn refine_to_tolerance_stops_early() {
         let (t, col) = table();
-        let exact = aggregate_plain(&col, None).sum;
+        let exact = aggregate_plain(&col).sum;
         let mut g = GradualAggregate::new(&t, "v").unwrap();
         let refined = g.refine_to(0.05).unwrap();
         assert!(
@@ -246,7 +246,7 @@ mod tests {
     #[test]
     fn refine_to_zero_reaches_exact() {
         let (t, col) = table();
-        let exact = aggregate_plain(&col, None).sum;
+        let exact = aggregate_plain(&col).sum;
         let mut g = GradualAggregate::new(&t, "v").unwrap();
         g.refine_to(0.0).unwrap();
         assert_eq!(g.interval().sum_lo, exact);
@@ -286,7 +286,7 @@ mod tests {
             500,
         )
         .unwrap();
-        let exact = aggregate_plain(&col, None);
+        let exact = aggregate_plain(&col);
         let approx = GradualAggregate::new(&t, "v").unwrap().interval();
         assert!(approx.contains_sum(exact.sum));
     }

@@ -9,11 +9,10 @@
 //! planner's join sink ([`crate::QueryBuilder::join`]) builds its right
 //! side from these kernels and caches them per segment.
 
-use crate::agg::for_each_run;
+use crate::agg::{for_each_run, widen};
 use crate::hash::IntMap;
 use crate::segment::{DictView, SchemeKind, Segment};
 use crate::Result;
-use lcdc_core::{with_column, ColumnData};
 
 /// Value -> total row count: a join side reduced to what the pair
 /// count needs.
@@ -29,8 +28,9 @@ pub(crate) struct SegmentHistogram {
     /// touched dictionary entry): a DICT left side probing it is the
     /// join sink's code→code translation tier.
     pub(crate) dict: bool,
-    /// Rows consumed without decompressing the row form (the whole
-    /// segment for const/dict/rle/rpe; 0 for the decoded fallback).
+    /// Rows consumed through a structural tier, without reading a value
+    /// per row (the whole segment for const/dict/rle/rpe; 0 for the
+    /// streamed fallback).
     pub(crate) undecoded_rows: usize,
 }
 
@@ -44,32 +44,22 @@ impl SegmentHistogram {
             undecoded_rows: rows,
         }
     }
-
-    /// The fully-decoded build side (the naive baseline's only tier).
-    pub(crate) fn decoded(col: &ColumnData) -> SegmentHistogram {
-        SegmentHistogram {
-            hist: histogram_rows(col, 0..col.len()),
-            dict: false,
-            undecoded_rows: 0,
-        }
-    }
 }
 
-/// Histogram rows `rows` of a plain column, one hash update per row —
-/// the decoded tier of both join sides.
-pub(crate) fn histogram_rows(col: &ColumnData, rows: impl Iterator<Item = usize>) -> Histogram {
-    let mut hist = Histogram::default();
-    with_column!(col, |keys| rows.for_each(|i| {
-        *hist.entry(keys[i].into()).or_insert(0) += 1;
-    }));
-    hist
+/// Count transport `values` of a column of the given signedness into
+/// `hist`, one hash update per value — the streamed tier of both join
+/// sides.
+pub(crate) fn count_values(hist: &mut Histogram, values: &[u64], signed: bool) {
+    for &v in values {
+        *hist.entry(widen(v, signed)).or_insert(0) += 1;
+    }
 }
 
 /// Histogram one compressed segment at the best structural tier: CONST
 /// from its zone map, DICT by counting codes into `counts` (each
 /// touched dictionary entry decoded once; `codes` is the code scratch),
-/// RLE/RPE one entry per run with run-length weights, full row
-/// decompression only as the last resort.
+/// RLE/RPE one entry per run with run-length weights, and otherwise one
+/// hash update per value off the segment's value stream.
 pub(crate) fn segment_histogram(
     segment: &Segment,
     codes: &mut Vec<u32>,
@@ -106,7 +96,15 @@ pub(crate) fn segment_histogram(
                 undecoded_rows: n,
             })
         }
-        None => Ok(SegmentHistogram::decoded(&segment.decompress()?)),
+        None => {
+            let (mut hist, signed) = (Histogram::default(), segment.compressed.dtype.signed());
+            segment.visit(&mut |chunk| count_values(&mut hist, chunk, signed))?;
+            Ok(SegmentHistogram {
+                hist,
+                dict: false,
+                undecoded_rows: 0,
+            })
+        }
     }
 }
 
@@ -117,6 +115,7 @@ mod tests {
     use crate::schema::TableSchema;
     use crate::segment::CompressionPolicy;
     use crate::table::Table;
+    use lcdc_core::ColumnData;
     use std::sync::Arc;
 
     fn table(col: ColumnData, policy: CompressionPolicy, seg_rows: usize) -> Table {

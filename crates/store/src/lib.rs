@@ -35,16 +35,18 @@
 //! pushdown tier each segment's scheme offers — zone-map pruning from
 //! FOR/STEP model metadata, run-granularity predicates on RLE/RPE,
 //! code-granularity on DICT, run-weighted aggregation, part-column
-//! distinct — and materialises rows only as the last resort. One
-//! executor drives that per-segment pipeline everywhere — a query
-//! compiles once into a job whose segments the calling thread, its
-//! helpers ([`QueryBuilder::execute_parallel`], [`ExecOptions`]) or
-//! `lcdc serve`'s worker pool lease — so every operator parallelises.
+//! distinct — and otherwise folds each column's value stream, never
+//! building a plain column. One executor drives that per-segment
+//! pipeline everywhere — a query compiles once into a job whose
+//! segments the calling thread, its helpers
+//! ([`QueryBuilder::execute_parallel`], [`ExecOptions`]) or `lcdc
+//! serve`'s worker pool lease — so every operator parallelises.
 //! [`QueryBuilder`] is the one way to run a filter, aggregate,
-//! group-by, top-k, distinct or join; its decompress-everything mode
-//! ([`QueryBuilder::execute_naive`]) is the one decoded baseline every
-//! pushdown tier is tested and benchmarked against. One [`QueryStats`]
-//! records the segment/row/tier accounting uniformly across operators.
+//! group-by, top-k, distinct or join; its decompress-everything path
+//! ([`QueryBuilder::execute_naive`]), which shares only the compiled
+//! plan, is the one decoded baseline every pushdown tier is tested and
+//! benchmarked against. One [`QueryStats`] records the segment/row/tier
+//! accounting uniformly across operators.
 //!
 //! Three of the paper's §II experiments have no planner sink and stand
 //! beside it: run-aware sorting ([`sort`]), certified zone-map

@@ -13,8 +13,11 @@
 //! 3. **Code granularity**: DICT segments rewrite range predicates into
 //!    code ranges against the order-preserving dictionary and test the
 //!    codes directly.
-//! 4. **Row granularity**: decompress and test.
+//! 4. **Row granularity**: test every value as the segment's value
+//!    stream ([`Segment::visit`]) reconstructs it — the column itself is
+//!    never built.
 
+use crate::agg::widen;
 pub use crate::query::stats::PushdownStats;
 use crate::segment::{DictView, SchemeKind, Segment};
 use crate::Result;
@@ -160,38 +163,19 @@ impl Predicate {
         segment: &Segment,
         stats: Option<&mut PushdownStats>,
     ) -> Result<Bitmap> {
-        self.eval_segment_caching(segment, stats, &mut None, &mut Vec::new())
+        let mut uncounted = PushdownStats::default();
+        self.eval_segment_with(segment, stats.unwrap_or(&mut uncounted), &mut Vec::new())
     }
 
-    /// Like [`Predicate::eval_segment`], but when the row-granularity
-    /// tier has to fully decompress the segment, the plain column is
-    /// handed back through `plain_out` so the caller can reuse it
-    /// instead of decompressing the same segment a second time. `codes`
-    /// is the code tier's scratch ([`DictView`]).
-    pub(crate) fn eval_segment_caching(
+    /// [`Predicate::eval_segment`] counting into `stats`, with `codes`
+    /// as the code tier's scratch ([`DictView`]).
+    pub(crate) fn eval_segment_with(
         &self,
         segment: &Segment,
-        stats: Option<&mut PushdownStats>,
-        plain_out: &mut Option<ColumnData>,
+        stats: &mut PushdownStats,
         codes: &mut Vec<u32>,
     ) -> Result<Bitmap> {
         let n = segment.num_rows();
-        let mut local_stats = PushdownStats::default();
-        let result = self.eval_segment_inner(segment, n, &mut local_stats, plain_out, codes)?;
-        if let Some(s) = stats {
-            s.absorb(&local_stats);
-        }
-        Ok(result)
-    }
-
-    fn eval_segment_inner(
-        &self,
-        segment: &Segment,
-        n: usize,
-        stats: &mut PushdownStats,
-        plain_out: &mut Option<ColumnData>,
-        codes: &mut Vec<u32>,
-    ) -> Result<Bitmap> {
         // Tier 1: zone map (`zone_decides` is predicate-shape-aware, so
         // an `In` list is never wrongly proven all-matching).
         if n == 0 {
@@ -250,12 +234,23 @@ impl Predicate {
             }
             return Ok(bitmap);
         }
-        // Tier 3: decompress and test.
+        // Tier 3: test every value off the segment's value stream, one
+        // result bit at a time into the current mask word.
         stats.row_granularity += 1;
-        let plain = segment.decompress()?;
-        let mask = self.eval_plain(&plain);
-        *plain_out = Some(plain);
-        Ok(mask)
+        let (mut words, mut word, mut fill) = (Vec::with_capacity(n.div_ceil(64)), 0u64, 0);
+        let signed = segment.compressed.dtype.signed();
+        segment.visit(&mut |chunk| {
+            for &v in chunk {
+                word |= u64::from(self.test(widen(v, signed))) << fill;
+                fill += 1;
+                if fill == 64 {
+                    words.push(word);
+                    (word, fill) = (0, 0);
+                }
+            }
+        })?;
+        words.push(word);
+        Ok(Bitmap::from_words(words, n))
     }
 
     fn paint_runs(&self, values: &ColumnData, ends: &[u64], n: usize) -> Bitmap {

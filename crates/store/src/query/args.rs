@@ -34,7 +34,8 @@ pub struct QueryArgs {
     pub cache: Option<usize>,
     /// `--repeat N`: run the query N times (result-cache demos).
     pub repeat: usize,
-    /// `--naive`: decompress-then-filter baseline mode.
+    /// `--naive`: run the decoded baseline
+    /// ([`crate::QueryBuilder::execute_naive`]) instead of pushdown.
     pub naive: bool,
     /// `--explain`: print the compiled plan before running.
     pub explain: bool,

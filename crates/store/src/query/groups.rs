@@ -1,16 +1,14 @@
 //! The group-by sink's table: one hash probe per *key unit*, dense
-//! accumulators per row.
+//! accumulators per unit.
 //!
 //! A key is hashed once per unit a tier can name — a constant segment,
-//! a run, a touched dictionary code, or (row tier) a row — and resolves
-//! to a dense *slot*. Everything per row then happens in slot space:
-//! the value columns fold through `slots[unit of row]` into plain
-//! arrays, one typed pass per column, with no hashing, no key decode
-//! and no per-group heap object on the way. Under a full selection the
-//! value columns fold first into per-unit sums ([`UnitFold`]) straight
-//! off their streams, and each unit reaches its slot once.
+//! a run, a touched dictionary code, or a segment-local distinct key —
+//! and resolves to a dense *slot*. The value columns fold first into
+//! per-unit sums ([`UnitFold`]) straight off their streams, with no
+//! hashing, no key decode and no per-group heap object on the way, and
+//! each unit reaches its slot once.
 
-use crate::agg::{narrow_fits, widen, AggResult, Native};
+use crate::agg::{narrow_fits, widen, AggResult};
 use crate::hash::IntMap;
 use crate::segment::Segment;
 use crate::{Result, StoreError};
@@ -87,10 +85,10 @@ impl GroupTable {
         slot
     }
 
-    /// Resolve a segment's key units — dictionary codes, or rows — to
-    /// slots: `units` yields each unit's `(key, selected rows)` in unit
-    /// order. A unit with no selected rows gets no group, and
-    /// [`GroupTable::fold`] never reads its slot.
+    /// Resolve a segment's key units — dictionary codes, runs or
+    /// segment-local keys — to slots: `units` yields each unit's `(key,
+    /// selected rows)` in unit order. A unit with no selected rows gets
+    /// no group, and [`GroupTable::absorb_units`] never reads its slot.
     pub(crate) fn resolve(&mut self, units: impl Iterator<Item = (i128, usize)>) {
         let mut slots = std::mem::take(&mut self.slots);
         slots.clear();
@@ -99,35 +97,6 @@ impl GroupTable {
             _ => self.slot(key, rows),
         }));
         self.slots = slots;
-    }
-
-    /// Fold `values[i]` for every `i` of `rows` into value column `col`,
-    /// at the slot [`GroupTable::resolve`] gave unit `unit_of(i)`: the
-    /// per-row kernel, monomorphic in the column's native type.
-    pub(crate) fn fold<T: Native>(
-        &mut self,
-        col: usize,
-        values: &[T],
-        rows: impl Iterator<Item = usize>,
-        unit_of: impl Fn(usize) -> usize,
-    ) {
-        let slots = &self.slots[..];
-        let GroupCol {
-            extrema,
-            sum,
-            min,
-            max,
-        } = &mut self.cols[col];
-        if *extrema {
-            rows.for_each(|i| {
-                let (slot, v): (usize, i128) = (slots[unit_of(i)], values[i].into());
-                sum[slot] += v;
-                min[slot] = min[slot].min(v);
-                max[slot] = max[slot].max(v);
-            });
-        } else {
-            rows.for_each(|i| sum[slots[unit_of(i)]] += values[i].into());
-        }
     }
 
     /// Whether value column `col` keeps MIN / MAX.

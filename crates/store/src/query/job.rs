@@ -24,7 +24,7 @@
 //! charged to the pruned ledger exactly as a visit would have charged
 //! them. The morsel list of a filtered plan therefore holds only the
 //! segments the zone maps cannot exclude — a point query over hundreds
-//! of segments is one lease — except on naive, top-k and join plans,
+//! of segments is one lease — except on top-k and join plans,
 //! which keep every segment.
 //!
 //! Partial sink states belong to a job's lease **slots** — at most its
@@ -344,12 +344,12 @@ impl Job {
                 pruned.segments += shard.num_segments();
                 pruned.segments_pruned += shard.num_segments();
             } else {
-                plans.push(spec.compile_join(shard, false, right)?);
+                plans.push(spec.compile_join(shard, right)?);
             }
         }
         let sink = match (plans.first(), shards.first()) {
             (Some(plan), _) => plan.sink.clone(),
-            (None, Some(shard)) => spec.compile_join(shard, false, right)?.sink,
+            (None, Some(shard)) => spec.compile_join(shard, right)?.sink,
             (None, None) => return Err(StoreError::Shape("table has no shards".into())),
         };
         Ok(Job::new(plans, sink, pruned, opts, width, cancel))
@@ -957,8 +957,8 @@ mod tests {
     /// A one-day filter over sorted shards: the excluded shard is never
     /// compiled, and of the live ones only the segments whose zone maps
     /// overlap the day become morsels — one lease — while the ledger
-    /// stays what visiting every segment charged. Naive, top-k and join
-    /// plans keep every segment.
+    /// stays what visiting every segment charged. Top-k and join plans
+    /// keep every segment.
     #[test]
     fn zone_pruned_segments_never_become_morsels() {
         let shards = interleaved_shards();
@@ -985,36 +985,32 @@ mod tests {
         assert!(job.morsels.len() <= job.lease_len, "fits one lease");
         let result = job.run().expect("runs");
         assert_eq!(result.aggregates(), Some(&[Some(2550), Some(100)][..]));
-        // Pinned from a build that still visited every segment.
+        // Pinned from a build that still visited every segment; the
+        // masked fold streams its values, so nothing is materialised.
         assert_eq!(
             result.stats.to_string(),
-            "segments=90 segments_pruned=87 segments_loaded=6 rows_materialized=768 \
-             values_processed=100 shards_pruned=1 pushdown.zonemap_hits=78 \
-             pushdown.run_granularity=3"
+            "segments=90 segments_pruned=87 segments_loaded=6 values_processed=100 \
+             shards_pruned=1 pushdown.zonemap_hits=78 pushdown.run_granularity=3"
         );
 
-        let morsels = |spec: &QuerySpec, naive: bool, right: Option<&Arc<JoinRight>>| {
+        let morsels = |spec: &QuerySpec, right: Option<&Arc<JoinRight>>| {
             let plans: Vec<_> = live
                 .iter()
-                .map(|shard| spec.compile_join(shard, naive, right).expect("compiles"))
+                .map(|shard| spec.compile_join(shard, right).expect("compiles"))
                 .collect();
             let sink = plans[0].sink.clone();
             let job = Job::new(plans, sink, QueryStats::default(), &opts, 2, cancel());
             job.morsels.len()
         };
         let every: usize = live.iter().map(|shard| shard.num_segments()).sum();
-        assert_eq!(morsels(&spec, false, None), overlapping);
-        assert_eq!(morsels(&spec, true, None), every, "naive");
-        assert_eq!(
-            morsels(&filtered.clone().top_k("qty", 3), false, None),
-            every
-        );
+        assert_eq!(morsels(&spec, None), overlapping);
+        assert_eq!(morsels(&filtered.clone().top_k("qty", 3), None), every);
         let right = Arc::new(JoinRight {
             shards: vec![Arc::clone(&shards[0])],
             key: 0,
         });
         let join = filtered.join("right", "day");
-        assert_eq!(morsels(&join, false, Some(&right)), every, "join");
+        assert_eq!(morsels(&join, Some(&right)), every, "join");
     }
 
     /// `flush_topk_bound` publishes a batched-but-unpublished threshold

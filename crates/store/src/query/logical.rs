@@ -296,10 +296,9 @@ impl QuerySpec {
 
     /// Resolve names and operators against `table` into a
     /// [`PhysicalPlan`]. Unless [`Self::keep_filter_order`] pinned the
-    /// caller's order (or the plan is the naive baseline), the filter
-    /// CNF is reordered here — a pure plan-time decision from resident
-    /// [`crate::source::SegmentMeta`] alone, visible in
-    /// [`PhysicalPlan::display`].
+    /// caller's order, the filter CNF is reordered here — a pure
+    /// plan-time decision from resident [`crate::source::SegmentMeta`]
+    /// alone, visible in [`PhysicalPlan::display`].
     ///
     /// The plan owns its `table` snapshot handle, so it outlives the
     /// caller's borrow: a query compiles once (at job construction) and
@@ -311,7 +310,6 @@ impl QuerySpec {
     pub(crate) fn compile_join(
         &self,
         table: &Arc<Table>,
-        naive: bool,
         right: Option<&Arc<JoinRight>>,
     ) -> Result<PhysicalPlan> {
         let mut clauses = Vec::with_capacity(self.clauses.len());
@@ -328,7 +326,7 @@ impl QuerySpec {
             clauses.push(leaves);
         }
         let mut reordered = false;
-        if !naive && !self.ordered_filters && clauses.len() > 1 {
+        if !self.ordered_filters && clauses.len() > 1 {
             let order = cost_based_clause_order(table, &clauses);
             if order.iter().enumerate().any(|(i, &o)| i != o) {
                 let mut by_cost = Vec::with_capacity(clauses.len());
@@ -344,7 +342,6 @@ impl QuerySpec {
             table: Arc::clone(table),
             filters: clauses,
             sink,
-            naive,
             reordered,
         })
     }
@@ -613,21 +610,12 @@ impl<'t> QueryBuilder<'t> {
         self.spec
     }
 
-    /// Resolve names and operators into a [`PhysicalPlan`].
+    /// Resolve names and operators into a [`PhysicalPlan`], against an
+    /// owned handle to the borrowed table (a `Table` is a bundle of
+    /// `Arc`'d sources, so the clone copies no data), resolving the
+    /// in-hand right table when this builder carries a join: its key
+    /// column against its own schema.
     pub fn compile(&self) -> Result<PhysicalPlan> {
-        self.compile_mode(false)
-    }
-
-    /// Compile to the decompress-everything baseline plan.
-    pub fn compile_naive(&self) -> Result<PhysicalPlan> {
-        self.compile_mode(true)
-    }
-
-    /// Compile against an owned handle to the borrowed table (a `Table`
-    /// is a bundle of `Arc`'d sources, so the clone copies no data),
-    /// resolving the in-hand right table when this builder carries a
-    /// join: its key column against its own schema.
-    fn compile_mode(&self, naive: bool) -> Result<PhysicalPlan> {
         let right = match (&self.spec.join, &self.right) {
             (Some(join), Some(table)) => Some(Arc::new(JoinRight {
                 key: resolve(table, &join.on)?,
@@ -636,7 +624,7 @@ impl<'t> QueryBuilder<'t> {
             _ => None,
         };
         self.spec
-            .compile_join(&Arc::new(self.table.clone()), naive, right.as_ref())
+            .compile_join(&Arc::new(self.table.clone()), right.as_ref())
     }
 
     /// Compile and run with every pushdown tier enabled, sequentially
@@ -648,9 +636,13 @@ impl<'t> QueryBuilder<'t> {
         self.execute_opts(&ExecOptions::default())
     }
 
-    /// Compile and run the naive baseline (for comparisons and tests).
+    /// Compile and run the decoded baseline: every touched column of
+    /// every segment decoded, every filter tested and every row folded
+    /// one by one, sequentially on the calling thread — the oracle the
+    /// pushdown tiers are tested and benchmarked against. It shares the
+    /// compiled plan and nothing else with [`execute`](Self::execute).
     pub fn execute_naive(&self) -> Result<QueryResult> {
-        Job::over_plan(self.compile_naive()?, &ExecOptions::default()).run()
+        super::naive::execute(&self.compile()?)
     }
 
     /// Compile and run the pushdown plan with up to `threads` threads

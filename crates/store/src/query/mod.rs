@@ -20,13 +20,13 @@
 //!   segment-granular operators, each choosing its pushdown tier *per
 //!   segment* (zone-map prune on resident metadata — no payload fetch
 //!   at all — → run-granular predicate on RLE/RPE → code-granular on
-//!   DICT → segment-granular structural sink → materialise as the last
-//!   resort). Aggregation gets the same treatment: group-by keys fold
-//!   in code space (DICT) or run space (RLE/RPE/CONST) without
-//!   decompressing the key column ([`QueryStats::groups_folded`],
-//!   [`QueryStats::rows_undecoded`]), and top-k shares one discovered
-//!   threshold across every lease and shard
-//!   ([`QueryStats::topk_segments_skipped`]).
+//!   DICT → segment-granular structural sink → the value stream as the
+//!   last resort; no tier builds a plain column). Aggregation gets the
+//!   same treatment: group-by keys fold in code space (DICT) or run
+//!   space (RLE/RPE/CONST) without reading the key row by row
+//!   ([`QueryStats::groups_folded`], [`QueryStats::rows_undecoded`]),
+//!   and top-k shares one discovered threshold across every lease and
+//!   shard ([`QueryStats::topk_segments_skipped`]).
 //!
 //! Execution is per segment end-to-end, which makes the segment the
 //! unit of parallelism for **every** operator, and there is one
@@ -37,7 +37,9 @@
 //! short leases of segments and pushes them through the same
 //! per-segment pipeline. Every operator reports into one
 //! [`QueryStats`] so the naive/pushdown separation stays measurable
-//! across the whole API.
+//! across the whole API. The decoded baseline
+//! ([`QueryBuilder::execute_naive`]) is a path of its own (`naive.rs`):
+//! it shares the compiled plan with pushdown and nothing else.
 //!
 //! ```
 //! use lcdc_core::{ColumnData, DType};
@@ -68,6 +70,7 @@ mod cancel;
 mod groups;
 mod job;
 mod logical;
+mod naive;
 mod physical;
 mod result;
 pub(crate) mod stats;
@@ -342,11 +345,11 @@ mod tests {
     }
 
     #[test]
-    fn repeated_column_conjuncts_decompress_once() {
-        // Two row-tier conjuncts on the same ns-compressed column: the
-        // second is evaluated on the plain form the first already
-        // decompressed, so the row-granularity tier fires once per
-        // segment, not twice.
+    fn repeated_column_conjuncts_stream_without_decoding() {
+        // Two row-tier conjuncts on the same ns-compressed column: each
+        // tests its values off the column's stream, so the row tier
+        // fires once per conjunct per segment, the payload is fetched
+        // once per segment, and no row is ever materialised.
         let n = 2000u64;
         let schema = TableSchema::new(&[("noise", DType::U64), ("payload", DType::U64)]);
         let noise = ColumnData::U64((0..n).map(|i| (i * 7919) % 1000).collect());
@@ -366,7 +369,9 @@ mod tests {
             .filter("noise", Predicate::Range { lo: 200, hi: 800 })
             .aggregate(&[Agg::Sum("payload"), Agg::Count]);
         let push = b.execute().unwrap();
-        assert_eq!(push.stats.pushdown.row_granularity, t.num_segments());
+        assert_eq!(push.stats.pushdown.row_granularity, 2 * t.num_segments());
+        assert_eq!(push.stats.segments_loaded, 2 * t.num_segments());
+        assert_eq!(push.stats.rows_materialized, 0);
         assert_eq!(push.rows, b.execute_naive().unwrap().rows);
     }
 
@@ -408,13 +413,8 @@ mod tests {
         assert!(text.contains("filter day"), "{text}");
         assert!(text.contains("group-by day"), "{text}");
         assert!(text.contains("Sum(qty)"), "{text}");
-        let naive = QueryBuilder::scan(&t)
-            .top_k("price", 3)
-            .compile_naive()
-            .unwrap()
-            .display();
-        assert!(naive.contains("naive"), "{naive}");
-        assert!(naive.contains("top-3"), "{naive}");
+        let top = QueryBuilder::scan(&t).top_k("price", 3).explain().unwrap();
+        assert!(top.contains("top-3 price"), "{top}");
     }
 
     #[test]

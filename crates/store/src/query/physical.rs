@@ -12,31 +12,32 @@
 //! The filter CNF is evaluated at the cheapest granularity that decides
 //! it, and the sink consumes the surviving selection — structurally off
 //! the compressed form where the scheme allows (run values, dictionary
-//! codes), folding each column's value stream ([`Segment::visit`]) under
-//! a full selection, and materialising rows only under a mask or on the
-//! naive baseline. Segments are independent, so one
-//! per-segment pipeline — [`PhysicalPlan::execute_segment`], called
-//! only by the executor's lease loop (`super::job`) — serves every
-//! schedule, from one thread to the server's pool.
+//! codes), and otherwise folding each column's value stream
+//! ([`Segment::visit`]), under a mask only the selected rows' values.
+//! No tier builds a plain column: decoding everything is the decoded
+//! baseline's job, a path of its own (`super::naive`). Segments are
+//! independent, so one per-segment pipeline —
+//! [`PhysicalPlan::execute_segment`], called only by the executor's
+//! lease loop (`super::job`) — serves every schedule, from one thread
+//! to the server's pool.
 
 use super::groups::{GroupTable, UnitFold};
 use super::stats::QueryStats;
 use crate::agg::{
-    aggregate_plain, aggregate_runs, fold_runs, for_each_run, widen, AggKind, AggResult,
+    aggregate_runs, fold_runs, fold_selected, for_each_run, widen, AggKind, AggResult,
 };
 use crate::hash::{IntMap, IntSet};
-use crate::join::{histogram_rows, segment_histogram, Histogram, SegmentHistogram};
+use crate::join::{count_values, segment_histogram, Histogram, SegmentHistogram};
 use crate::predicate::Predicate;
 use crate::segment::{DictView, SchemeKind, Segment};
 use crate::table::Table;
 use crate::{Result, StoreError};
-use lcdc_colops::{Bitmap, Scalar};
+use lcdc_colops::Bitmap;
 use lcdc_core::schemes::{const_, dict, ns, rle, rpe, sparse};
-use lcdc_core::{with_column, ColumnData};
+use lcdc_core::with_column;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
@@ -334,15 +335,14 @@ impl Selection {
         }
     }
 
-    /// The selected row indices of an `n`-row segment, ascending. Drive
-    /// it with `for_each`: internal iteration runs each arm as its own
-    /// loop.
-    fn rows(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
-        let (all, mask) = match self {
-            Selection::All => (0..n, None),
-            Selection::Mask(mask) => (0..0, Some(mask.iter_ones())),
-        };
-        all.chain(mask.into_iter().flatten())
+    /// Hand `f` the selected values of `seg`, a chunk at a time in row
+    /// order: the whole value stream, or under a mask each chunk's
+    /// selected values ([`Segment::visit_masked`]).
+    fn visit(&self, seg: &Segment, f: &mut dyn FnMut(&[u64])) -> Result<()> {
+        match self {
+            Selection::All => seg.visit(f),
+            Selection::Mask(mask) => seg.visit_masked(mask, f),
+        }
     }
 }
 
@@ -404,87 +404,12 @@ pub(crate) fn clause_zone<'c>(
     }
 }
 
-/// Fetches and decompresses columns for one segment *visit* — the only
-/// place a sink decodes a column (masked selections, the naive
-/// baseline) — with three jobs:
-///
-/// * **Fetch each segment payload at most once per visit** — the source
-///   may be disk-backed; `segments_loaded` counts one fetch per
-///   `(column, segment)` pair.
-/// * **Charge `rows_materialized` once per visit** — rows are counted
-///   per row, not per (column, row) pair, so a second column of the
-///   same segment does not re-count the same rows.
-/// * **Decompress each column at most once** — when the row-granularity
-///   predicate tier already decompressed a column, the sink reuses that
-///   plain form instead of decompressing the segment again. Filter-tier
-///   entries arrive uncharged (their cost is reported through
-///   [`crate::PushdownStats::row_granularity`]); the charge lands when a sink
-///   first consumes a plain column.
-struct Materializer {
-    n: usize,
-    charged: bool,
-    /// `(column index, fetched segment)` — a handful of entries at most.
-    segs: Vec<(usize, Arc<Segment>)>,
-    /// `(column index, plain rows)` — ditto.
-    cache: Vec<(usize, Rc<ColumnData>)>,
-}
-
-impl Materializer {
-    fn new(n: usize) -> Self {
-        Materializer {
-            n,
-            charged: false,
-            segs: Vec::new(),
-            cache: Vec::new(),
-        }
-    }
-
-    /// Stash a column the filter tier already decompressed (uncharged).
-    fn put(&mut self, col: usize, plain: ColumnData) {
-        if !self.cache.iter().any(|(c, _)| *c == col) {
-            self.cache.push((col, Rc::new(plain)));
-        }
-    }
-
-    /// A column already decompressed this visit, if any (uncharged).
-    fn get(&self, col: usize) -> Option<Rc<ColumnData>> {
-        self.cache
-            .iter()
-            .find(|(c, _)| *c == col)
-            .map(|(_, plain)| Rc::clone(plain))
-    }
-
-    /// A column's plain rows for the sink, decompressing only on a
-    /// cache miss and charging `rows_materialized` on first use.
-    fn decompress(
-        &mut self,
-        col: usize,
-        seg: &Segment,
-        stats: &mut QueryStats,
-    ) -> Result<Rc<ColumnData>> {
-        if !self.charged {
-            stats.rows_materialized += self.n;
-            self.charged = true;
-        }
-        let plain = match self.cache.iter().find(|(c, _)| *c == col) {
-            Some((_, plain)) => Rc::clone(plain),
-            None => {
-                let plain = Rc::new(seg.decompress()?);
-                self.cache.push((col, Rc::clone(&plain)));
-                plain
-            }
-        };
-        // The row kernels index plain columns by row position.
-        if plain.len() != self.n {
-            return Err(StoreError::Shape(format!(
-                "column {col} decoded to {} rows in a segment of {}",
-                plain.len(),
-                self.n
-            )));
-        }
-        Ok(plain)
-    }
-}
+/// The payloads one segment *visit* has fetched, as `(column index,
+/// segment)` — a handful of entries at most. Each is fetched once per
+/// visit, however many filter leaves and sink columns read it: the
+/// source may be disk-backed, and `segments_loaded` counts one fetch
+/// per `(column, segment)` pair.
+type Fetched = Vec<(usize, Arc<Segment>)>;
 
 /// A compiled query: resolved columns, filter CNF, one sink.
 #[derive(Debug, Clone)]
@@ -497,9 +422,6 @@ pub struct PhysicalPlan {
     /// segment.
     pub(crate) filters: Vec<Vec<Leaf>>,
     pub(crate) sink: Sink,
-    /// Naive mode decompresses everything and evaluates row-at-a-time —
-    /// the baseline the pushdown tiers are measured against.
-    pub(crate) naive: bool,
     /// Whether the planner reordered the filter CNF away from the
     /// caller's order (cost-based, from zone-map selectivity estimates).
     pub(crate) reordered: bool,
@@ -509,15 +431,10 @@ impl PhysicalPlan {
     /// Human-readable plan, one operator per line.
     pub fn display(&self) -> String {
         let mut out = format!(
-            "scan: {} columns x {} segments ({} rows){}",
+            "scan: {} columns x {} segments ({} rows)",
             self.table.schema().width(),
             self.table.num_segments(),
             self.table.num_rows(),
-            if self.naive {
-                " [naive: row-at-a-time baseline, pushdown tiers disabled]"
-            } else {
-                ""
-            },
         );
         if self.reordered {
             out.push_str(
@@ -584,7 +501,7 @@ impl PhysicalPlan {
     pub(crate) fn segment_order(&self) -> Vec<usize> {
         let n = self.table.num_segments();
         let mut order: Vec<usize> = (0..n).collect();
-        if let (false, Sink::TopK { col, .. }) = (self.naive, &self.sink) {
+        if let Sink::TopK { col, .. } = &self.sink {
             order.sort_unstable_by_key(|&i| Reverse(self.table.meta_at(*col, i).max));
         }
         order
@@ -598,9 +515,6 @@ impl PhysicalPlan {
     /// still outbid at visit time; `false` is always safe (the warm
     /// merely risks being wasted).
     pub(crate) fn topk_shared_prunes(&self, seg_idx: usize, bound: &AtomicI64) -> bool {
-        if self.naive {
-            return false;
-        }
         let Sink::TopK { col, .. } = &self.sink else {
             return false;
         };
@@ -618,20 +532,20 @@ impl PhysicalPlan {
     }
 
     /// Fetch one segment's payload through its source, at most once per
-    /// visit (the materializer keeps the handle), counting the fetch.
+    /// visit, counting the fetch.
     fn fetch(
         &self,
         col: usize,
         seg_idx: usize,
-        mat: &mut Materializer,
+        fetched: &mut Fetched,
         stats: &mut QueryStats,
     ) -> Result<Arc<Segment>> {
-        if let Some((_, seg)) = mat.segs.iter().find(|(c, _)| *c == col) {
+        if let Some((_, seg)) = fetched.iter().find(|(c, _)| *c == col) {
             return Ok(Arc::clone(seg));
         }
         let seg = self.table.source_at(col).segment(seg_idx)?;
         stats.segments_loaded += 1;
-        mat.segs.push((col, Arc::clone(&seg)));
+        fetched.push((col, Arc::clone(&seg)));
         Ok(seg)
     }
 
@@ -641,11 +555,11 @@ impl PhysicalPlan {
     /// decide. If so, `stats` is charged exactly what that visit
     /// charges (the segment, its prune, one `zonemap_hits` per decided
     /// leaf) and the executor never makes the segment a morsel — the
-    /// segment-level twin of shard pruning. Naive plans visit
-    /// everything; top-k checks its heap bound before the filters and
-    /// a join runs its own zone-pair pipeline, so neither prunes here.
+    /// segment-level twin of shard pruning. Top-k checks its heap bound
+    /// before the filters and a join runs its own zone-pair pipeline,
+    /// so neither prunes here.
     pub(crate) fn zone_prunes(&self, seg_idx: usize, stats: &mut QueryStats) -> bool {
-        if self.naive || matches!(self.sink, Sink::TopK { .. } | Sink::Join { .. }) {
+        if matches!(self.sink, Sink::TopK { .. } | Sink::Join { .. }) {
             return false;
         }
         let mut hits = 0;
@@ -673,15 +587,14 @@ impl PhysicalPlan {
     /// Zone-settled leaves fetch nothing; a segment any clause
     /// zone-proves empty fetches nothing at all (the executor asks only
     /// about morsels, so for filtered plans that clause sits behind an
-    /// undecided one; see [`Self::zone_prunes`]). Naive plans fetch
-    /// every leaf and sink column.
+    /// undecided one; see [`Self::zone_prunes`]).
     pub(crate) fn expected_fetches(&self, seg_idx: usize, out: &mut Vec<usize>) {
         out.clear();
         if self.rows_at(seg_idx) == 0 {
             return;
         }
         if let Sink::Join { key, right } = &self.sink {
-            if !self.naive && self.join_pair_scan(seg_idx, *key, right).0.is_empty() {
+            if self.join_pair_scan(seg_idx, *key, right).0.is_empty() {
                 // Every right segment is zone-pruned against this left
                 // segment: the visit returns before fetching anything
                 // on either side.
@@ -694,13 +607,6 @@ impl PhysicalPlan {
             }
         };
         for clause in &self.filters {
-            if self.naive {
-                // The baseline fetches every leaf regardless.
-                for (col, _, _) in clause {
-                    push(*col, out);
-                }
-                continue;
-            }
             match clause_zone(&self.table, clause, seg_idx, || ()) {
                 ClauseZone::AllRows => {}
                 ClauseZone::Empty => {
@@ -772,10 +678,9 @@ impl PhysicalPlan {
         // Top-k threshold pruning consults only the zone map — before
         // the filters, before any payload fetch. Two bounds apply: this
         // worker's own k-heap, and the shared bound other workers (or
-        // other shards in a fan-in) have already published. The naive
-        // baseline scans everything.
-        if let (false, Sink::TopK { col, k }, SinkState::TopK { heap, shared, .. }) =
-            (self.naive, &self.sink, &mut *state)
+        // other shards in a fan-in) have already published.
+        if let (Sink::TopK { col, k }, SinkState::TopK { heap, shared, .. }) =
+            (&self.sink, &mut *state)
         {
             if *k == 0 {
                 stats.segments_pruned += 1;
@@ -801,11 +706,12 @@ impl PhysicalPlan {
                 return Ok(());
             }
         }
-        let mut mat = Materializer::new(n);
-        let Some(selection) = self.eval_filters(seg_idx, n, &mut mat, scratch, stats)? else {
+        let mut fetched = Fetched::new();
+        let Some(selection) = self.eval_filters(seg_idx, n, &mut fetched, scratch, stats)? else {
             stats.segments_pruned += 1;
             return Ok(());
         };
+        let fetched = &mut fetched;
         match (&self.sink, state) {
             (Sink::Aggregate { specs, cols }, SinkState::Aggregate { acc }) => self.sink_aggregate(
                 seg_idx,
@@ -813,12 +719,12 @@ impl PhysicalPlan {
                 &selection,
                 (specs, cols),
                 acc,
-                &mut mat,
+                fetched,
                 scratch,
                 stats,
             ),
             (Sink::GroupBy { key, cols, .. }, SinkState::Groups { table }) => self.sink_group_by(
-                seg_idx, n, &selection, *key, cols, table, &mut mat, scratch, stats,
+                seg_idx, n, &selection, *key, cols, table, fetched, scratch, stats,
             ),
             (
                 Sink::TopK { col, k },
@@ -830,7 +736,7 @@ impl PhysicalPlan {
                     ..
                 },
             ) => {
-                self.sink_top_k(seg_idx, n, &selection, *col, *k, heap, &mut mat, stats)?;
+                self.sink_top_k(seg_idx, n, &selection, *col, *k, heap, fetched, stats)?;
                 // Publish this worker's tightened threshold so every
                 // other worker — and every other shard in a fan-in —
                 // can prune against it. `fetch_max` keeps the bound
@@ -864,53 +770,24 @@ impl PhysicalPlan {
                 Ok(())
             }
             (Sink::Distinct { col }, SinkState::Distinct { set }) => {
-                self.sink_distinct(seg_idx, n, &selection, *col, set, &mut mat, stats)
+                self.sink_distinct(seg_idx, n, &selection, *col, set, fetched, stats)
             }
             _ => unreachable!("sink/state mismatch"),
         }
     }
 
-    /// One leaf's bitmap at the cheapest non-zone tier (the zone map
-    /// was consulted by the caller). A column an earlier leaf's row
-    /// tier already decompressed this visit is tested on that plain
-    /// form; a fresh row-tier decompression is kept for later leaves
-    /// and the sink to reuse.
-    fn eval_leaf(
-        &self,
-        col: usize,
-        seg_idx: usize,
-        predicate: &Predicate,
-        mat: &mut Materializer,
-        scratch: &mut Scratch,
-        stats: &mut QueryStats,
-    ) -> Result<Bitmap> {
-        if let Some(plain) = mat.get(col) {
-            return Ok(predicate.eval_plain(&plain));
-        }
-        let seg = self.fetch(col, seg_idx, mat, stats)?;
-        let mut plain_out = None;
-        let step = predicate.eval_segment_caching(
-            &seg,
-            Some(&mut stats.pushdown),
-            &mut plain_out,
-            &mut scratch.codes,
-        )?;
-        if let Some(plain) = plain_out {
-            mat.put(col, plain);
-        }
-        Ok(step)
-    }
-
     /// Evaluate one CNF clause (a disjunction of leaves) for one
     /// segment. Zone maps run first across the alternatives: any leaf
     /// proven all-matching settles the clause without touching bytes,
-    /// and leaves proven empty drop out of the union.
+    /// and leaves proven empty drop out of the union. The rest are
+    /// tested at their segment's cheapest data tier
+    /// ([`Predicate::eval_segment`]).
     fn eval_clause(
         &self,
         clause: &[Leaf],
         seg_idx: usize,
         n: usize,
-        mat: &mut Materializer,
+        fetched: &mut Fetched,
         scratch: &mut Scratch,
         stats: &mut QueryStats,
     ) -> Result<ClauseOutcome> {
@@ -927,7 +804,9 @@ impl PhysicalPlan {
         // Pass 2 — evaluate the survivors at the cheapest data tier.
         let mut union: Option<Bitmap> = None;
         for (col, _, predicate) in undecided {
-            let step = self.eval_leaf(*col, seg_idx, predicate, mat, scratch, stats)?;
+            let seg = self.fetch(*col, seg_idx, fetched, stats)?;
+            let step =
+                predicate.eval_segment_with(&seg, &mut stats.pushdown, &mut scratch.codes)?;
             if step.count_ones() == n {
                 return Ok(ClauseOutcome::AllRows);
             }
@@ -953,23 +832,19 @@ impl PhysicalPlan {
         })
     }
 
-    /// Evaluate the filter CNF — row by row on the naive baseline, with
-    /// every pushdown tier otherwise. `None` means the segment is out
-    /// entirely.
+    /// Evaluate the filter CNF clause by clause, short-circuiting once
+    /// the segment is out. `None` means the segment is out entirely.
     fn eval_filters(
         &self,
         seg_idx: usize,
         n: usize,
-        mat: &mut Materializer,
+        fetched: &mut Fetched,
         scratch: &mut Scratch,
         stats: &mut QueryStats,
     ) -> Result<Option<Selection>> {
-        if self.naive {
-            return self.eval_filters_naive(seg_idx, n, mat, stats);
-        }
         let mut mask: Option<Bitmap> = None;
         for clause in &self.filters {
-            let step = match self.eval_clause(clause, seg_idx, n, mat, scratch, stats)? {
+            let step = match self.eval_clause(clause, seg_idx, n, fetched, scratch, stats)? {
                 ClauseOutcome::Empty => return Ok(None),
                 ClauseOutcome::AllRows => continue,
                 ClauseOutcome::Mask(step) => step,
@@ -991,48 +866,13 @@ impl PhysicalPlan {
         }))
     }
 
-    /// The baseline: materialise every filter column, test row by row.
-    fn eval_filters_naive(
-        &self,
-        seg_idx: usize,
-        n: usize,
-        mat: &mut Materializer,
-        stats: &mut QueryStats,
-    ) -> Result<Option<Selection>> {
-        if self.filters.is_empty() {
-            return Ok(Some(Selection::All));
-        }
-        let mut mask: Option<Bitmap> = None;
-        for clause in &self.filters {
-            let mut union: Option<Bitmap> = None;
-            for (col, _, predicate) in clause {
-                let seg = self.fetch(*col, seg_idx, mat, stats)?;
-                let plain = mat.decompress(*col, &seg, stats)?;
-                let step = predicate.eval_plain(&plain);
-                union = Some(match union {
-                    None => step,
-                    Some(u) => u.or(&step),
-                });
-            }
-            let step = union.expect("clauses are non-empty");
-            mask = Some(match mask {
-                None => step,
-                Some(m) => m.and(&step),
-            });
-        }
-        let mask = mask.expect("at least one filter");
-        if mask.count_ones() == 0 {
-            return Ok(None);
-        }
-        Ok(Some(if mask.count_ones() == n {
-            Selection::All
-        } else {
-            Selection::Mask(mask)
-        }))
-    }
-
     // -- sinks --------------------------------------------------------
 
+    /// The aggregate sink. A whole segment folds every column off its
+    /// compressed form — a count with no agg columns is answered from
+    /// the zone map alone, structural, as is a segment whose every
+    /// column folds per run; a mask folds each column's selected values
+    /// off its stream.
     #[allow(clippy::too_many_arguments)]
     fn sink_aggregate(
         &self,
@@ -1041,84 +881,59 @@ impl PhysicalPlan {
         selection: &Selection,
         (specs, cols): (&[AggSpec], &[usize]),
         acc: &mut GroupAcc,
-        mat: &mut Materializer,
+        fetched: &mut Fetched,
         scratch: &mut Scratch,
         stats: &mut QueryStats,
     ) -> Result<()> {
-        if let (Selection::All, false) = (selection, self.naive) {
-            // Whole segment selected: fold every column off its
-            // compressed form, never materialising it. A count with no
-            // agg columns is answered from the zone map alone —
-            // structural, as is a segment whose every column folds per
-            // run.
-            let mut structural = true;
-            for (slot, col) in cols.iter().enumerate() {
-                let seg = self.fetch(*col, seg_idx, mat, stats)?;
-                structural &= matches!(seg.kind(), SchemeKind::Rle | SchemeKind::Rpe);
-                let extrema = wants_extrema(specs, slot);
-                let part = aggregate_whole_segment(&seg, extrema, scratch, stats)?;
-                acc.per_col[slot].merge(&part);
-            }
-            if structural {
-                stats.segments_structural += 1;
-            }
-            acc.rows += n;
-            return Ok(());
-        }
-        // A mask, or the naive baseline: fold the decoded rows.
-        let selected = selection.count(n);
+        let mut structural = matches!(selection, Selection::All);
         for (slot, col) in cols.iter().enumerate() {
-            let seg = self.fetch(*col, seg_idx, mat, stats)?;
-            let plain = mat.decompress(*col, &seg, stats)?;
-            stats.values_processed += selected;
-            acc.per_col[slot].merge(&aggregate_plain(&plain, selection.mask()));
+            let seg = self.fetch(*col, seg_idx, fetched, stats)?;
+            let extrema = wants_extrema(specs, slot);
+            let part = match selection {
+                Selection::All => {
+                    structural &= matches!(seg.kind(), SchemeKind::Rle | SchemeKind::Rpe);
+                    aggregate_whole_segment(&seg, extrema, scratch, stats)?
+                }
+                Selection::Mask(mask) => {
+                    stats.values_processed += mask.count_ones();
+                    fold_selected(&seg, mask, extrema)?
+                }
+            };
+            acc.per_col[slot].merge(&part);
         }
-        acc.rows += selected;
+        if structural {
+            stats.segments_structural += 1;
+        }
+        acc.rows += selection.count(n);
         Ok(())
-    }
-
-    /// The plain rows of every value column of a group-by, in `cols`
-    /// order.
-    fn value_columns(
-        &self,
-        cols: &[usize],
-        seg_idx: usize,
-        mat: &mut Materializer,
-        stats: &mut QueryStats,
-    ) -> Result<Vec<Rc<ColumnData>>> {
-        cols.iter()
-            .map(|col| {
-                let seg = self.fetch(*col, seg_idx, mat, stats)?;
-                mat.decompress(*col, &seg, stats)
-            })
-            .collect()
     }
 
     /// The group-by sink, tiered by the *key segment's* scheme kind —
     /// the aggregation-pushdown mirror of the filter tiers. Each tier
     /// resolves keys to [`GroupTable`] slots at its own granularity;
-    /// the value columns then fold in slot space:
+    /// the value columns then fold in slot space, each straight off its
+    /// value stream ([`UnitFold`]):
     ///
     /// 1. **CONST**: the whole segment is one group; value columns fold
-    ///    through the structural whole-segment aggregator, the key is
-    ///    read off the zone map. One hash probe, zero key rows decoded.
-    /// 2. **DICT**: count rows per dictionary code, resolve each
-    ///    *touched* code's key once (the only place a dictionary entry
-    ///    is read), then fold every value column per code — straight
-    ///    off its stream under a full selection ([`UnitFold`]), through
-    ///    its code's slot per selected row under a mask. No hash probe,
-    ///    no key decode per row.
+    ///    through the structural whole-segment aggregator (their
+    ///    selected values under a mask), the key is read off the zone
+    ///    map. One hash probe, zero key rows decoded.
+    /// 2. **DICT**: count selected rows per dictionary code, resolve
+    ///    each *touched* code's key once (the only place a dictionary
+    ///    entry is read), then fold every value column per code. No
+    ///    hash probe, no key decode per row.
     /// 3. **RLE/RPE** (full selection): probe the hash table once per
     ///    run, folding each value column's stream into per-run sums.
-    /// 4. Fallback: under a full selection the key streams into
-    ///    segment-local units (one probe per row into the segment's own
-    ///    keys, one slot resolution per distinct key) and the values
-    ///    fold per unit off their streams; under a mask, decompress the
-    ///    key and resolve a slot per selected row.
+    /// 4. Fallback: the key streams into segment-local units — one
+    ///    probe per selected row into a table of the segment's own
+    ///    keys, one slot resolution per distinct key — and every value
+    ///    column folds per unit.
     ///
+    /// Under a mask, the rows it drops fold into one extra unit that
+    /// owns no rows, which no group ever absorbs.
     /// [`QueryStats::groups_folded`] counts the key units tiers 1–3
     /// fold; [`QueryStats::rows_undecoded`] counts the rows whose key
-    /// those tiers never decompressed.
+    /// those tiers never read row by row.
     #[allow(clippy::too_many_arguments)]
     fn sink_group_by(
         &self,
@@ -1128,158 +943,156 @@ impl PhysicalPlan {
         key: usize,
         cols: &[usize],
         table: &mut GroupTable,
-        mat: &mut Materializer,
+        fetched: &mut Fetched,
         scratch: &mut Scratch,
         stats: &mut QueryStats,
     ) -> Result<()> {
-        let kseg = self.fetch(key, seg_idx, mat, stats)?;
+        let kseg = self.fetch(key, seg_idx, fetched, stats)?;
         let selected = selection.count(n);
-        let full = matches!(selection, Selection::All);
-        if !self.naive {
-            match kseg.kind() {
-                // Tier 1 — CONST key: one group owns the whole segment.
-                // The key value is the zone map (min == max); under a
-                // full selection the value columns fold structurally.
-                SchemeKind::Const => {
-                    stats.values_processed += 1;
-                    stats.groups_folded += 1;
-                    stats.rows_undecoded += selected;
-                    if cols.is_empty() {
-                        stats.segments_structural += 1;
-                    }
-                    let slot = table.slot(kseg.min, selected);
-                    for (slot_col, col) in cols.iter().enumerate() {
-                        let seg = self.fetch(*col, seg_idx, mat, stats)?;
-                        let part = match selection {
-                            Selection::All => aggregate_whole_segment(
-                                &seg,
-                                table.extrema(slot_col),
-                                scratch,
-                                stats,
-                            )?,
-                            Selection::Mask(_) => aggregate_plain(
-                                &*mat.decompress(*col, &seg, stats)?,
-                                selection.mask(),
-                            ),
-                        };
-                        table.absorb(slot_col, slot, &part);
-                    }
-                    return Ok(());
+        match kseg.kind() {
+            // Tier 1 — CONST key: one group owns the whole segment. The
+            // key value is the zone map (min == max).
+            SchemeKind::Const => {
+                stats.values_processed += 1;
+                stats.groups_folded += 1;
+                stats.rows_undecoded += selected;
+                if cols.is_empty() {
+                    stats.segments_structural += 1;
                 }
-                // Tier 2 — DICT key: dense code-space aggregation.
-                SchemeKind::Dict => {
-                    let counts = &mut scratch.counts;
-                    let view = dict_view(&kseg, selection, &mut scratch.codes, counts)?;
-                    stats.values_processed += selected;
-                    stats.rows_undecoded += selected;
-                    stats.groups_folded += counts.iter().filter(|&&count| count > 0).count();
-                    if cols.is_empty() {
-                        stats.segments_structural += 1;
-                    }
-                    with_column!(&*view.entries, |keys| table.resolve(
-                        keys.iter()
-                            .zip(counts.iter())
-                            .map(|(&key, &count)| (key.into(), count as usize))
-                    ));
-                    if !full {
-                        let plains = self.value_columns(cols, seg_idx, mat, stats)?;
-                        fold_values(table, &plains, selection, |i| view.codes[i] as usize);
-                        return Ok(());
-                    }
-                    let fold = &mut scratch.fold;
-                    for (slot_col, col) in cols.iter().enumerate() {
-                        let seg = self.fetch(*col, seg_idx, mat, stats)?;
-                        let extrema = table.extrema(slot_col);
-                        fold.fold(&seg, view.codes, view.entries.len(), extrema)?;
-                        let rows = counts.iter().map(|&count| count as usize);
-                        table.absorb_units(slot_col, rows, |code| fold.part(code));
-                    }
-                    return Ok(());
+                let slot = table.slot(kseg.min, selected);
+                for (slot_col, col) in cols.iter().enumerate() {
+                    let seg = self.fetch(*col, seg_idx, fetched, stats)?;
+                    let extrema = table.extrema(slot_col);
+                    let part = match selection {
+                        Selection::All => aggregate_whole_segment(&seg, extrema, scratch, stats)?,
+                        Selection::Mask(mask) => fold_selected(&seg, mask, extrema)?,
+                    };
+                    table.absorb(slot_col, slot, &part);
                 }
-                // Tier 3 — run-structured keys + full selection: probe
-                // the hash table once per run, not once per row.
-                SchemeKind::Rle | SchemeKind::Rpe if full => {
-                    if let Some((run_values, run_ends)) = kseg.run_structure()? {
-                        let runs = run_values.len();
-                        stats.values_processed += runs;
-                        stats.groups_folded += runs;
-                        stats.rows_undecoded += n;
-                        if cols.is_empty() {
-                            stats.segments_structural += 1;
-                        }
-                        let units = &mut scratch.keys;
+                return Ok(());
+            }
+            // Tier 2 — DICT key: dense code-space aggregation.
+            SchemeKind::Dict => {
+                let Scratch {
+                    codes,
+                    counts,
+                    units,
+                    fold,
+                    ..
+                } = scratch;
+                let view = dict_view(&kseg, selection, codes, counts)?;
+                stats.values_processed += selected;
+                stats.rows_undecoded += selected;
+                stats.groups_folded += counts.iter().filter(|&&count| count > 0).count();
+                if cols.is_empty() {
+                    stats.segments_structural += 1;
+                }
+                with_column!(&*view.entries, |keys| table.resolve(
+                    keys.iter()
+                        .zip(counts.iter())
+                        .map(|(&key, &count)| (key.into(), count as usize))
+                ));
+                // A dropped row's unit is one past the last code.
+                let dropped = view.entries.len() as u32;
+                let units: &[u32] = match selection {
+                    Selection::All => view.codes,
+                    Selection::Mask(mask) => {
                         units.clear();
-                        for_each_run(&run_values, &run_ends, n, |key, rows| {
-                            units.push((key, rows.len()))
-                        });
-                        table.resolve(units.iter().copied());
-                        for (slot_col, col) in cols.iter().enumerate() {
-                            let seg = self.fetch(*col, seg_idx, mat, stats)?;
-                            let extrema = table.extrema(slot_col);
-                            fold_runs(&seg, runs, &run_ends, extrema, &mut scratch.runs)?;
-                            let rows = units.iter().map(|&(_, rows)| rows);
-                            table.absorb_units(slot_col, rows, |run| scratch.runs[run]);
-                        }
-                        return Ok(());
+                        units.extend(view.codes.iter().enumerate().map(|(row, &code)| {
+                            if mask.get(row) {
+                                code
+                            } else {
+                                dropped
+                            }
+                        }));
+                        units
                     }
+                };
+                for (slot_col, col) in cols.iter().enumerate() {
+                    let seg = self.fetch(*col, seg_idx, fetched, stats)?;
+                    fold.fold(&seg, units, dropped as usize + 1, table.extrema(slot_col))?;
+                    let rows = counts.iter().map(|&count| count as usize);
+                    table.absorb_units(slot_col, rows, |code| fold.part(code));
                 }
-                _ => {}
+                return Ok(());
             }
-        }
-        // Tier 4 — fallback. Under a full selection the key streams into
-        // segment-local units — one probe per row into a table of the
-        // segment's own distinct keys, one group resolution per distinct
-        // key — and every value column folds per unit off its stream.
-        if full && !self.naive {
-            let Scratch {
-                codes: units,
-                local,
-                keys,
-                fold,
-                ..
-            } = scratch;
-            units.clear();
-            local.clear();
-            keys.clear();
-            let signed = kseg.compressed.dtype.signed();
-            kseg.visit(&mut |chunk| {
-                units.extend(chunk.iter().map(|&v| {
-                    let key = widen(v, signed);
-                    let unit = *local.entry(key).or_insert_with(|| {
-                        keys.push((key, 0));
-                        keys.len() as u32 - 1
+            // Tier 3 — run-structured keys + full selection: probe the
+            // hash table once per run, not once per row.
+            SchemeKind::Rle | SchemeKind::Rpe if matches!(selection, Selection::All) => {
+                if let Some((run_values, run_ends)) = kseg.run_structure()? {
+                    let runs = run_values.len();
+                    stats.values_processed += runs;
+                    stats.groups_folded += runs;
+                    stats.rows_undecoded += n;
+                    if cols.is_empty() {
+                        stats.segments_structural += 1;
+                    }
+                    let units = &mut scratch.keys;
+                    units.clear();
+                    for_each_run(&run_values, &run_ends, n, |key, rows| {
+                        units.push((key, rows.len()))
                     });
-                    keys[unit as usize].1 += 1;
-                    unit
-                }))
-            })?;
-            stats.values_processed += n;
-            table.resolve(keys.iter().copied());
-            for (slot_col, col) in cols.iter().enumerate() {
-                let seg = self.fetch(*col, seg_idx, mat, stats)?;
-                fold.fold(&seg, units, keys.len(), table.extrema(slot_col))?;
-                let rows = keys.iter().map(|&(_, rows)| rows);
-                table.absorb_units(slot_col, rows, |unit| fold.part(unit));
+                    table.resolve(units.iter().copied());
+                    for (slot_col, col) in cols.iter().enumerate() {
+                        let seg = self.fetch(*col, seg_idx, fetched, stats)?;
+                        let extrema = table.extrema(slot_col);
+                        fold_runs(&seg, runs, &run_ends, extrema, &mut scratch.runs)?;
+                        let rows = units.iter().map(|&(_, rows)| rows);
+                        table.absorb_units(slot_col, rows, |run| scratch.runs[run]);
+                    }
+                    return Ok(());
+                }
             }
-            return Ok(());
+            _ => {}
         }
-        // Masked (and the naive baseline): hash per selected row.
-        let keys = mat.decompress(key, &kseg, stats)?;
-        let plains = self.value_columns(cols, seg_idx, mat, stats)?;
+        // Tier 4 — fallback: the key streams into segment-local units,
+        // and every value column folds per unit off its stream.
+        let Scratch {
+            units,
+            local,
+            keys,
+            fold,
+            ..
+        } = scratch;
+        units.clear();
+        local.clear();
+        keys.clear();
+        let mask = selection.mask();
+        if mask.is_some() {
+            keys.push((0, 0)); // unit 0: the dropped rows
+        }
+        let (signed, mut row) = (kseg.compressed.dtype.signed(), 0usize);
+        kseg.visit(&mut |chunk| {
+            units.extend(chunk.iter().map(|&v| {
+                row += 1;
+                if mask.is_some_and(|mask| !mask.get(row - 1)) {
+                    return 0;
+                }
+                let key = widen(v, signed);
+                let unit = *local.entry(key).or_insert_with(|| {
+                    keys.push((key, 0));
+                    keys.len() as u32 - 1
+                });
+                keys[unit as usize].1 += 1;
+                unit
+            }))
+        })?;
         stats.values_processed += selected;
-        let picked = |i| match selection {
-            Selection::All => true,
-            Selection::Mask(mask) => mask.get(i),
-        };
-        with_column!(&*keys, |keys| table.resolve(
-            keys.iter()
-                .enumerate()
-                .map(|(i, &key)| (key.into(), usize::from(picked(i))))
-        ));
-        fold_values(table, &plains, selection, |i| i);
+        table.resolve(keys.iter().copied());
+        for (slot_col, col) in cols.iter().enumerate() {
+            let seg = self.fetch(*col, seg_idx, fetched, stats)?;
+            fold.fold(&seg, units, keys.len(), table.extrema(slot_col))?;
+            let rows = keys.iter().map(|&(_, rows)| rows);
+            table.absorb_units(slot_col, rows, |unit| fold.part(unit));
+        }
         Ok(())
     }
 
+    /// The top-k sink: RLE/RPE segments under a full selection fold one
+    /// value per *run*, weighted by `min(run length, k)` — a run longer
+    /// than k can contribute at most k copies — off the part columns
+    /// alone; everything else pushes its selected values off the value
+    /// stream.
     #[allow(clippy::too_many_arguments)]
     fn sink_top_k(
         &self,
@@ -1289,15 +1102,11 @@ impl PhysicalPlan {
         col: usize,
         k: usize,
         heap: &mut BinaryHeap<Reverse<i128>>,
-        mat: &mut Materializer,
+        fetched: &mut Fetched,
         stats: &mut QueryStats,
     ) -> Result<()> {
-        let seg = self.fetch(col, seg_idx, mat, stats)?;
-        // Run-structural top-k: RLE/RPE segments fold one value per
-        // *run*, weighted by `min(run length, k)` — a run longer than k
-        // can contribute at most k copies — instead of decompressing
-        // rows. Partial decompression of the part columns only.
-        if matches!(selection, Selection::All) && !self.naive {
+        let seg = self.fetch(col, seg_idx, fetched, stats)?;
+        if matches!(selection, Selection::All) {
             if let Some((values, ends)) = seg.run_structure()? {
                 stats.values_processed += values.len();
                 stats.segments_structural += 1;
@@ -1308,32 +1117,23 @@ impl PhysicalPlan {
                 });
                 return Ok(());
             }
-            // Any other scheme: the value stream, never the column.
-            stats.values_processed += n;
-            let signed = seg.compressed.dtype.signed();
-            return seg.visit(&mut |chunk| {
-                for &v in chunk {
-                    push_topk(heap, k, widen(v, signed));
-                }
-            });
         }
-        let plain = mat.decompress(col, &seg, stats)?;
         stats.values_processed += selection.count(n);
-        with_column!(&*plain, |values| selection.rows(n).for_each(|i| push_topk(
-            heap,
-            k,
-            values[i].into()
-        )));
-        Ok(())
+        let signed = seg.compressed.dtype.signed();
+        selection.visit(&seg, &mut |values| {
+            for &v in values {
+                push_topk(heap, k, widen(v, signed));
+            }
+        })
     }
 
     /// The distinct sink. Under a full selection, several schemes
     /// *store* the distinct structure outright — the part column
-    /// suffices, no rows touched — and every other scheme marks its
-    /// value stream into a bitmap ([`DistinctMarks`]) over the span its
-    /// frame proves (a plain NS segment packed at most 16 bits wide:
-    /// `[0, 2^width)`) or, failing that, its zone map suggests. A mask
-    /// marks the selected rows of the decoded column.
+    /// suffices, no rows touched. Everything else marks its selected
+    /// values, off the value stream, into a bitmap ([`DistinctMarks`])
+    /// over the span its frame proves (a plain NS segment packed at
+    /// most 16 bits wide: `[0, 2^width)`) or, failing that, its zone
+    /// map suggests.
     #[allow(clippy::too_many_arguments)]
     fn sink_distinct(
         &self,
@@ -1342,19 +1142,11 @@ impl PhysicalPlan {
         selection: &Selection,
         col: usize,
         set: &mut IntSet<i128>,
-        mat: &mut Materializer,
+        fetched: &mut Fetched,
         stats: &mut QueryStats,
     ) -> Result<()> {
-        let seg = self.fetch(col, seg_idx, mat, stats)?;
-        let signed = seg.compressed.dtype.signed();
-        // The zone span, when a bitmap over it is no larger than the
-        // decoded rows themselves; an empty span hashes every value.
-        let zone = || {
-            let span = seg.max.saturating_sub(seg.min).saturating_add(1);
-            let fits = (1..=8 * (n * seg.compressed.dtype.bytes()) as i128).contains(&span);
-            (seg.min as u64, if fits { span as u64 } else { 0 })
-        };
-        if matches!(selection, Selection::All) && !self.naive {
+        let seg = self.fetch(col, seg_idx, fetched, stats)?;
+        if matches!(selection, Selection::All) {
             if let Some(roles) = distinct_part_roles(seg.kind()) {
                 stats.segments_structural += 1;
                 for role in roles {
@@ -1365,27 +1157,25 @@ impl PhysicalPlan {
                 }
                 return Ok(());
             }
-            let width = match seg.kind() {
-                SchemeKind::Ns => Some(seg.compressed.bits_part(ns::ROLE_PACKED)?.width()),
-                _ => None,
-            };
-            let (base, span) = match width {
-                Some(width) if width <= 16 => (0, 1 << width),
-                _ => zone(),
-            };
-            stats.values_processed += n;
-            let mut marks = DistinctMarks::new(base, span, signed, set);
-            seg.visit(&mut |chunk| marks.add_chunk(chunk))?;
-            marks.finish();
-            return Ok(());
         }
-        let plain = mat.decompress(col, &seg, stats)?;
+        let width = match seg.kind() {
+            SchemeKind::Ns => Some(seg.compressed.bits_part(ns::ROLE_PACKED)?.width()),
+            _ => None,
+        };
+        let (base, span) = match width {
+            Some(width) if width <= 16 => (0, 1 << width),
+            _ => {
+                // The zone span, when a bitmap over it is no larger than
+                // the decoded rows themselves; an empty span hashes every
+                // value.
+                let span = seg.max.saturating_sub(seg.min).saturating_add(1);
+                let fits = (1..=8 * (n * seg.compressed.dtype.bytes()) as i128).contains(&span);
+                (seg.min as u64, if fits { span as u64 } else { 0 })
+            }
+        };
         stats.values_processed += selection.count(n);
-        let (base, span) = zone();
-        let mut marks = DistinctMarks::new(base, span, signed, set);
-        with_column!(&*plain, |values| selection
-            .rows(n)
-            .for_each(|i| marks.add(values[i].to_u64())));
+        let mut marks = DistinctMarks::new(base, span, seg.compressed.dtype.signed(), set);
+        selection.visit(&seg, &mut |values| marks.add_chunk(values))?;
         marks.finish();
         Ok(())
     }
@@ -1394,7 +1184,7 @@ impl PhysicalPlan {
     /// segment's key zone: overlapping `(shard, segment)` pairs are
     /// live, the rest are pruned (counted). Resident metadata only —
     /// no payload is fetched on either side. Empty right segments are
-    /// neither live nor pruned; the naive baseline never prunes.
+    /// neither live nor pruned.
     fn join_pair_scan(
         &self,
         seg_idx: usize,
@@ -1410,7 +1200,7 @@ impl PhysicalPlan {
                 if rmeta.rows == 0 {
                     continue;
                 }
-                if self.naive || (lmeta.min <= rmeta.max && rmeta.min <= lmeta.max) {
+                if lmeta.min <= rmeta.max && rmeta.min <= lmeta.max {
                     live.push((shard_idx, rseg));
                 } else {
                     pruned += 1;
@@ -1430,19 +1220,15 @@ impl PhysicalPlan {
     ///    surviving pair never fetches anything at all.
     /// 2. **Left build at the best structural tier** — CONST keys read
     ///    the zone map, DICT keys count selected rows per dictionary
-    ///    code, RLE/RPE keys (full selection) fold runs; only
-    ///    unstructured keys decompress
-    ///    ([`QueryStats::join_rows_undecoded`]).
+    ///    code, RLE/RPE keys (full selection) fold runs
+    ///    ([`QueryStats::join_rows_undecoded`]); only unstructured keys
+    ///    hash their selected values off the key's stream.
     /// 3. **Per-pair fold** — each surviving right segment's build side
     ///    is histogrammed once per worker (cached across left
     ///    segments); DICT⋈DICT pairs fold through a code→code
     ///    translation ([`QueryStats::join_code_translations`]), all
     ///    other pairs probe value histograms. Per key, the pair count
     ///    is `left count × right count`.
-    ///
-    /// The naive baseline decompresses both sides row-wise, prunes
-    /// nothing, and reports 0 on all three join counters — the in-plan
-    /// oracle the differential harness compares against.
     #[allow(clippy::too_many_arguments)]
     fn sink_join(
         &self,
@@ -1463,18 +1249,19 @@ impl PhysicalPlan {
             stats.segments_pruned += 1;
             return Ok(());
         }
-        let mut mat = Materializer::new(n);
-        let Some(selection) = self.eval_filters(seg_idx, n, &mut mat, scratch, stats)? else {
+        let mut fetched = Fetched::new();
+        let Some(selection) = self.eval_filters(seg_idx, n, &mut fetched, scratch, stats)? else {
             stats.segments_pruned += 1;
             return Ok(());
         };
-        let left = self.join_left_side(seg_idx, n, key, &selection, &mut mat, scratch, stats)?;
+        let kseg = self.fetch(key, seg_idx, &mut fetched, stats)?;
+        let left = join_left_side(&kseg, n, &selection, scratch, stats)?;
         for (shard_idx, rseg) in live {
             let build = match cache.entry((shard_idx, rseg)) {
                 Entry::Occupied(cached) => cached.into_mut(),
-                Entry::Vacant(slot) => slot.insert(JoinBuild::of(
-                    self.join_right_side(right, shard_idx, rseg, scratch, stats)?,
-                )),
+                Entry::Vacant(slot) => slot.insert(JoinBuild::of(join_right_side(
+                    right, shard_idx, rseg, scratch, stats,
+                )?)),
             };
             // DICT⋈DICT: the left dictionary's touched entries probe
             // the right dictionary's, multiplying per-code counts. A
@@ -1492,117 +1279,85 @@ impl PhysicalPlan {
         }
         Ok(())
     }
+}
 
-    /// The selected left keys of one segment at the best structural
-    /// tier (see [`Self::sink_join`] for the tier list).
-    #[allow(clippy::too_many_arguments)]
-    fn join_left_side(
-        &self,
-        seg_idx: usize,
-        n: usize,
-        key: usize,
-        selection: &Selection,
-        mat: &mut Materializer,
-        scratch: &mut Scratch,
-        stats: &mut QueryStats,
-    ) -> Result<JoinLeft> {
-        let kseg = self.fetch(key, seg_idx, mat, stats)?;
-        let selected = selection.count(n);
-        let structural = |entries| JoinLeft {
-            entries,
-            dict: false,
-        };
-        if !self.naive {
-            match kseg.kind() {
-                // CONST key: the zone map is the histogram.
-                SchemeKind::Const => {
-                    stats.join_rows_undecoded += selected;
-                    stats.values_processed += 1;
-                    return Ok(structural(vec![(kseg.min, selected as u64)]));
-                }
-                // DICT key: count selected rows per dictionary code;
-                // each *distinct* selected key decodes exactly once.
-                SchemeKind::Dict => {
-                    let counts = &mut scratch.counts;
-                    let view = dict_view(&kseg, selection, &mut scratch.codes, counts)?;
-                    stats.join_rows_undecoded += selected;
-                    stats.values_processed += selected;
-                    return Ok(JoinLeft {
-                        entries: view.touched(counts),
-                        dict: true,
-                    });
-                }
-                _ => {}
-            }
-            // RLE/RPE key + full selection: one entry per run.
-            if matches!(selection, Selection::All) {
-                if let Some((values, ends)) = kseg.run_structure()? {
-                    stats.join_rows_undecoded += n;
-                    stats.values_processed += values.len();
-                    let mut entries = Vec::with_capacity(values.len());
-                    for_each_run(&values, &ends, n, |value, rows| {
-                        entries.push((value, rows.len() as u64));
-                    });
-                    return Ok(structural(entries));
-                }
-            }
+/// The selected left keys of one `n`-row key segment at the best
+/// structural tier (see [`PhysicalPlan::sink_join`] for the tier list).
+fn join_left_side(
+    kseg: &Segment,
+    n: usize,
+    selection: &Selection,
+    scratch: &mut Scratch,
+    stats: &mut QueryStats,
+) -> Result<JoinLeft> {
+    let selected = selection.count(n);
+    let structural = |entries| JoinLeft {
+        entries,
+        dict: false,
+    };
+    match kseg.kind() {
+        // CONST key: the zone map is the histogram.
+        SchemeKind::Const => {
+            stats.join_rows_undecoded += selected;
+            stats.values_processed += 1;
+            return Ok(structural(vec![(kseg.min, selected as u64)]));
         }
-        // Fallback: hash one selected key at a time — off the key's
-        // stream under a full selection, off the decoded column under a
-        // mask (and on the naive baseline).
-        stats.values_processed += selected;
-        let hist = if matches!(selection, Selection::All) && !self.naive {
-            let (mut hist, signed) = (Histogram::default(), kseg.compressed.dtype.signed());
-            kseg.visit(&mut |chunk| {
-                for &v in chunk {
-                    *hist.entry(widen(v, signed)).or_insert(0) += 1;
-                }
-            })?;
-            hist
-        } else {
-            histogram_rows(&*mat.decompress(key, &kseg, stats)?, selection.rows(n))
-        };
-        Ok(structural(hist.into_iter().collect()))
+        // DICT key: count selected rows per dictionary code; each
+        // *distinct* selected key decodes exactly once.
+        SchemeKind::Dict => {
+            let counts = &mut scratch.counts;
+            let view = dict_view(kseg, selection, &mut scratch.codes, counts)?;
+            stats.join_rows_undecoded += selected;
+            stats.values_processed += selected;
+            return Ok(JoinLeft {
+                entries: view.touched(counts),
+                dict: true,
+            });
+        }
+        _ => {}
     }
+    // RLE/RPE key + full selection: one entry per run.
+    if matches!(selection, Selection::All) {
+        if let Some((values, ends)) = kseg.run_structure()? {
+            stats.join_rows_undecoded += n;
+            stats.values_processed += values.len();
+            let mut entries = Vec::with_capacity(values.len());
+            for_each_run(&values, &ends, n, |value, rows| {
+                entries.push((value, rows.len() as u64));
+            });
+            return Ok(structural(entries));
+        }
+    }
+    // Fallback: hash one selected key at a time, off the key's stream.
+    stats.values_processed += selected;
+    let (mut hist, signed) = (Histogram::default(), kseg.compressed.dtype.signed());
+    selection.visit(kseg, &mut |values| count_values(&mut hist, values, signed))?;
+    Ok(structural(hist.into_iter().collect()))
+}
 
-    /// Build (once per worker, cached by the caller) the build side of
-    /// one right segment. CONST segments build from resident metadata
-    /// alone — no payload fetch, so a lazily-backed shard's `io_reads`
-    /// stays untouched; every other scheme fetches the payload and
-    /// histograms it at the best granularity
-    /// ([`crate::join::segment_histogram`]). The naive baseline always
-    /// fetches and decompresses row-wise.
-    fn join_right_side(
-        &self,
-        right: &JoinRight,
-        shard_idx: usize,
-        rseg: usize,
-        scratch: &mut Scratch,
-        stats: &mut QueryStats,
-    ) -> Result<SegmentHistogram> {
-        let shard = &right.shards[shard_idx];
-        if !self.naive {
-            let rmeta = shard.meta_at(right.key, rseg);
-            if rmeta.kind == SchemeKind::Const {
-                stats.join_rows_undecoded += rmeta.rows;
-                return Ok(SegmentHistogram::constant(rmeta.min, rmeta.rows));
-            }
-        }
-        let seg = shard.source_at(right.key).segment(rseg)?;
-        stats.segments_loaded += 1;
-        if self.naive {
-            let plain = seg.decompress()?;
-            stats.rows_materialized += plain.len();
-            return Ok(SegmentHistogram::decoded(&plain));
-        }
-        let built = segment_histogram(&seg, &mut scratch.codes, &mut scratch.counts)?;
-        if built.undecoded_rows == 0 {
-            // The decoded fallback materialised the segment's rows.
-            stats.rows_materialized += shard.meta_at(right.key, rseg).rows;
-        }
-        stats.join_rows_undecoded += built.undecoded_rows;
-        Ok(built)
+/// Build (once per worker, cached by the caller) the build side of one
+/// right segment. CONST segments build from resident metadata alone —
+/// no payload fetch, so a lazily-backed shard's `io_reads` stays
+/// untouched; every other scheme fetches the payload and histograms it
+/// at the best granularity ([`crate::join::segment_histogram`]).
+fn join_right_side(
+    right: &JoinRight,
+    shard_idx: usize,
+    rseg: usize,
+    scratch: &mut Scratch,
+    stats: &mut QueryStats,
+) -> Result<SegmentHistogram> {
+    let shard = &right.shards[shard_idx];
+    let rmeta = shard.meta_at(right.key, rseg);
+    if rmeta.kind == SchemeKind::Const {
+        stats.join_rows_undecoded += rmeta.rows;
+        return Ok(SegmentHistogram::constant(rmeta.min, rmeta.rows));
     }
+    let seg = shard.source_at(right.key).segment(rseg)?;
+    stats.segments_loaded += 1;
+    let built = segment_histogram(&seg, &mut scratch.codes, &mut scratch.counts)?;
+    stats.join_rows_undecoded += built.undecoded_rows;
+    Ok(built)
 }
 
 /// A DICT key segment in code space, with the selected rows of every
@@ -1657,11 +1412,13 @@ fn aggregate_whole_segment(
 /// shared.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
-    /// A DICT key segment's codes ([`DictView`]), or the segment-local
-    /// key unit of each row.
+    /// A DICT key segment's codes ([`DictView`]).
     codes: Vec<u32>,
     /// Selected rows per dictionary code.
     counts: Vec<u32>,
+    /// The group-by key unit of each row, where it is not simply the
+    /// row's dictionary code.
+    units: Vec<u32>,
     /// Segment-local key → unit, for keys without code or run structure.
     local: IntMap<i128, u32>,
     /// `(key, rows)` per key unit (segment-local keys, or runs).
@@ -1670,25 +1427,6 @@ pub(crate) struct Scratch {
     fold: UnitFold,
     /// Per-run (or whole-segment) value aggregates ([`fold_runs`]).
     runs: Vec<AggResult>,
-}
-
-/// The group-by value fold: every value column's selected rows into
-/// `table`, row `i` under key unit `unit_of(i)` — one typed pass per
-/// column.
-fn fold_values(
-    table: &mut GroupTable,
-    plains: &[Rc<ColumnData>],
-    selection: &Selection,
-    unit_of: impl Fn(usize) -> usize,
-) {
-    for (col, plain) in plains.iter().enumerate() {
-        with_column!(&**plain, |values| table.fold(
-            col,
-            values,
-            selection.rows(values.len()),
-            &unit_of
-        ));
-    }
 }
 
 /// One right segment's build side as a worker caches it: every key's

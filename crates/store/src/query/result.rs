@@ -143,7 +143,11 @@ impl QueryResult {
     }
 }
 
-fn eval_spec(spec: &AggSpec, per_col: &[crate::agg::AggResult], rows: usize) -> AggValue {
+pub(crate) fn eval_spec(
+    spec: &AggSpec,
+    per_col: &[crate::agg::AggResult],
+    rows: usize,
+) -> AggValue {
     match (spec.kind, spec.slot) {
         (AggKind::Count, _) => Some(rows as i128),
         (AggKind::Sum, Some(slot)) => Some(per_col[slot].sum),

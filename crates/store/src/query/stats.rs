@@ -81,7 +81,7 @@ ledger! {
         pub run_granularity: usize,
         /// Segments evaluated on dictionary codes.
         pub code_granularity: usize,
-        /// Segments that had to be fully decompressed.
+        /// Segments tested value by value off their value stream.
         pub row_granularity: usize,
     }
 }
@@ -110,17 +110,16 @@ ledger! {
         /// lazily-backed tables. Counted once per `(column, segment)` pair
         /// per visit; zone-map-pruned segments fetch nothing.
         pub segments_loaded: usize,
-        /// Rows decompressed into a plain column to feed the sink — under a
-        /// masked selection, or in naive mode (which also decodes to
-        /// evaluate filters). Counted per *row*, once per segment, even when
-        /// several columns of that segment materialise. A full selection on
-        /// the pushdown path folds value streams and charges nothing here;
-        /// decompression spent deciding a predicate is reported through
-        /// [`PushdownStats::row_granularity`] instead.
+        /// Rows decompressed into a plain column. Only the decoded baseline
+        /// ([`crate::QueryBuilder::execute_naive`]) builds one: it counts
+        /// per *row*, once per segment however many of its columns decode,
+        /// plus the rows of each decoded right-side join segment. Pushdown
+        /// always reports 0 — masked sinks fold and row-tier predicates
+        /// test their values off the value streams.
         pub rows_materialized: usize,
         /// Values fed to the sink operator — run/dictionary/part entries on
-        /// the structural paths, every value of a streamed column, selected
-        /// decompressed rows otherwise.
+        /// the structural paths, every selected value of a streamed column
+        /// otherwise.
         pub values_processed: usize,
         /// Queries answered from the catalog's result cache instead of
         /// executing (0 or 1 per [`crate::Catalog::execute`] call; stats

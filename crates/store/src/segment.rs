@@ -10,6 +10,7 @@
 //! the [`SchemeKind`] every tier ladder matches on.
 
 use crate::{Result, StoreError};
+use lcdc_colops::Bitmap;
 use lcdc_core::chooser;
 use lcdc_core::expr::parse_expr;
 use lcdc_core::schemes::{dict, rle, rpe};
@@ -185,6 +186,41 @@ impl Segment {
             )));
         }
         Ok(())
+    }
+
+    /// [`Segment::visit`] restricted to the rows `mask` selects: each
+    /// chunk's selected values, compacted and in row order (a chunk
+    /// with none selected is skipped). The mask must cover exactly the
+    /// segment's rows.
+    pub(crate) fn visit_masked(&self, mask: &Bitmap, f: &mut dyn FnMut(&[u64])) -> Result<()> {
+        if mask.len() != self.num_rows() {
+            return Err(StoreError::Shape(format!(
+                "a selection of {} rows over a segment of {}",
+                mask.len(),
+                self.num_rows()
+            )));
+        }
+        let (mut row, mut picked) = (0usize, Vec::new());
+        self.visit(&mut |chunk| {
+            picked.clear();
+            // A mask word at a time: whole words copy, empty ones cost
+            // nothing, and the rest pick their set bits.
+            for piece in chunk.chunks(64) {
+                let mut bits = mask.bits_at(row) & (u64::MAX >> (64 - piece.len()));
+                row += piece.len();
+                if bits.count_ones() as usize == piece.len() {
+                    picked.extend_from_slice(piece);
+                    continue;
+                }
+                while bits != 0 {
+                    picked.extend(piece.get(bits.trailing_zeros() as usize));
+                    bits &= bits - 1;
+                }
+            }
+            if !picked.is_empty() {
+                f(&picked);
+            }
+        })
     }
 
     /// A part column of the segment, decoded alone (partial

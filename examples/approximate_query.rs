@@ -29,7 +29,7 @@ fn main() {
     )
     .expect("table builds");
 
-    let exact: i128 = lcdc::store::agg::aggregate_plain(&readings, None).sum;
+    let exact: i128 = lcdc::store::agg::aggregate_plain(&readings).sum;
     println!(
         "{} rows in {} segments; exact SUM = {exact}\n",
         table.num_rows(),

@@ -197,7 +197,8 @@ impl Fixture {
     }
 }
 
-/// Pushdown and naive must agree with each other and with `want`.
+/// Pushdown and naive must agree with each other and with `want`, and
+/// only the naive path may decode a column.
 fn check(what: &str, builder: &QueryBuilder<'_>, want: &Rows) -> QueryResult {
     let push = builder
         .execute()
@@ -208,6 +209,10 @@ fn check(what: &str, builder: &QueryBuilder<'_>, want: &Rows) -> QueryResult {
     assert_eq!(&push.rows, want, "{what}: pushdown vs oracle");
     assert_eq!(&naive.rows, want, "{what}: naive vs oracle");
     assert_eq!(naive.stats.rows_undecoded, 0, "{what}: the oracle decodes");
+    assert_eq!(
+        push.stats.rows_materialized, 0,
+        "{what}: pushdown decodes nothing"
+    );
     push
 }
 
@@ -959,8 +964,9 @@ fn a_zone_map_narrower_than_its_data_costs_shortcuts_not_answers() {
 /// The streamed tiers' exact ledger: a full selection folds every value
 /// of its value (or fallback key) column off the stream — every row
 /// counted in `values_processed`, none in `rows_materialized`, and no
-/// segment structural unless its parts alone answered it; a mask
-/// charges each visited segment's rows once.
+/// segment structural unless its parts alone answered it; a mask folds
+/// its selected values off the same streams, materialising nothing
+/// either.
 #[test]
 fn streamed_tiers_fold_every_value_and_materialise_nothing() {
     let values: Vec<i128> = (0..MATRIX_ROWS as i128).map(|i| 1_000 + i % 300).collect();
@@ -1015,7 +1021,7 @@ fn streamed_tiers_fold_every_value_and_materialise_nothing() {
         .iter()
         .filter(|&&s| s <= 2)
         .count();
-    assert_eq!(stats.rows_materialized, MATRIX_ROWS, "{stats:?}");
+    assert_eq!(stats.rows_materialized, 0, "{stats:?}");
     assert_eq!(stats.values_processed, selected, "{stats:?}");
 }
 
@@ -1044,4 +1050,43 @@ fn an_expression_naming_another_scheme_is_a_typed_error() {
         segment.decompress().unwrap(),
         ColumnData::U64(vec![1, 2, 3])
     );
+}
+
+/// A masked fold reads exactly the selected rows off the value stream,
+/// whatever the scheme's chunking and wherever the mask's words fall —
+/// empty, full or ragged — and a mask of the wrong height is a typed
+/// error, not a partial answer.
+#[test]
+fn a_masked_segment_folds_exactly_its_selected_rows() {
+    use lcdc::colops::Bitmap;
+    use lcdc::store::agg::aggregate_segment;
+    let rows: Vec<u64> = (0..500u64).map(|i| 1000 + (i * 37) % 41).collect();
+    let plain = ColumnData::U64(rows.clone());
+    for expr in [
+        "for(l=128)[offsets=ns]",
+        "dict[codes=ns]",
+        "delta[deltas=ns_zz]",
+        "id",
+    ] {
+        let seg = Segment::build(&plain, &CompressionPolicy::Fixed(expr.into())).unwrap();
+        for pick in [0usize, 1, 3, 64, 130, 499] {
+            let keep = |i: usize| pick > 0 && (i.is_multiple_of(pick) || (64..128).contains(&i));
+            let mask = Bitmap::from_bools(&(0..rows.len()).map(keep).collect::<Vec<_>>());
+            let got = aggregate_segment(&seg, Some(&mask)).unwrap();
+            let picked = (0..rows.len())
+                .filter(|&i| keep(i))
+                .map(|i| rows[i] as i128);
+            let want = agg_row(picked);
+            assert_eq!(
+                vec![Some(got.sum), got.min, got.max, Some(got.count as i128)],
+                want,
+                "{expr}, pick {pick}"
+            );
+        }
+        let short = Bitmap::new_ones(rows.len() - 1);
+        assert!(matches!(
+            aggregate_segment(&seg, Some(&short)),
+            Err(StoreError::Shape(_))
+        ));
+    }
 }
