@@ -32,6 +32,7 @@
 //! integrity.
 
 use crate::digest;
+use crate::le::{put_i128, put_str16, put_u16, put_u64, Cursor};
 use crate::schema::{ColumnSchema, TableSchema};
 use crate::segment::{SchemeKind, Segment};
 use crate::source::{FileSource, FrameLocation, SegmentMeta, SegmentSource};
@@ -66,7 +67,7 @@ fn encode_segment_record(seg: &Segment) -> Vec<u8> {
     let frame = bytes::to_bytes(&seg.compressed);
     let mut record = Vec::with_capacity(frame.len() + 64);
     put_u64(&mut record, frame.len() as u64);
-    put_str(&mut record, &seg.expr);
+    put_str16(&mut record, &seg.expr);
     put_i128(&mut record, seg.min);
     put_i128(&mut record, seg.max);
     record.extend_from_slice(&frame);
@@ -94,7 +95,7 @@ fn write_manifest(
     put_u64(&mut manifest, num_rows as u64);
     put_u16(&mut manifest, columns.len() as u16);
     for col in columns {
-        put_str(&mut manifest, &col.schema.name);
+        put_str16(&mut manifest, &col.schema.name);
         manifest.push(col.schema.dtype.tag());
         put_u64(&mut manifest, col.metas.len() as u64);
         // Each record: where the frame sits plus everything the
@@ -108,7 +109,7 @@ fn write_manifest(
             put_u64(&mut manifest, meta.rows as u64);
             put_i128(&mut manifest, meta.min);
             put_i128(&mut manifest, meta.max);
-            put_str(&mut manifest, &meta.expr);
+            put_str16(&mut manifest, &meta.expr);
         }
     }
     // Trailing checksum over the manifest body: zone maps steer lazy
@@ -128,8 +129,19 @@ fn write_manifest(
 }
 
 /// Write `table` into `dir` (created if absent; existing table files are
-/// overwritten). Loads lazily-backed columns in full.
+/// overwritten). Loads lazily-backed columns in full. Two columns whose
+/// names map to one `.col` file (`a-b` and `a_b`, or a repeated name)
+/// are a [`StoreError::Shape`], before anything is written.
 pub fn save_table(table: &Table, dir: &Path) -> Result<()> {
+    let names = || table.schema().columns.iter().map(|col| &col.name);
+    for (i, name) in names().enumerate() {
+        let file = column_file(name);
+        if let Some(first) = names().take(i).find(|other| column_file(other) == file) {
+            return Err(StoreError::Shape(format!(
+                "columns {first:?} and {name:?} would both be saved as {file}"
+            )));
+        }
+    }
     fs::create_dir_all(dir)?;
     let mut columns = Vec::with_capacity(table.schema().width());
     for col in &table.schema().columns {
@@ -335,15 +347,12 @@ pub(crate) fn decode_record(
         |what: String| StoreError::CorruptFile(format!("column {column} segment {idx}: {what}"));
     let body =
         digest::verified(record).ok_or_else(|| corrupt("record checksum mismatch".into()))?;
-    let mut r = FileReader {
-        rest: body,
-        name: column,
-    };
+    let mut r = Cursor::new(body);
     let frame_len = r.u64()?;
-    let expr = r.str()?;
+    let expr = r.str16()?;
     let min = r.i128()?;
     let max = r.i128()?;
-    let frame = r.rest;
+    let frame = r.rest();
     if frame_len != frame.len() as u64 {
         return Err(corrupt(format!(
             "frame of {frame_len} bytes, record holds {}",
@@ -394,10 +403,7 @@ fn read_manifest(dir: &Path) -> Result<(Vec<ColumnManifest>, usize, usize)> {
     // Magic and version first — every manifest version shares that
     // prefix, so an old-format table reports "unsupported table
     // version", not a bogus checksum mismatch.
-    let mut r = FileReader {
-        rest: &raw,
-        name: MANIFEST,
-    };
+    let mut r = Cursor::new(&raw);
     if r.array::<8>()? != *MAGIC {
         return Err(StoreError::CorruptFile("bad manifest magic".into()));
     }
@@ -411,13 +417,13 @@ fn read_manifest(dir: &Path) -> Result<(Vec<ColumnManifest>, usize, usize)> {
     let data = digest::verified(&raw)
         .ok_or_else(|| StoreError::CorruptFile("manifest checksum mismatch".into()))?;
     // Continue in the verified body, past the magic + version read above.
-    r.rest = data.get(MAGIC.len() + 2..).unwrap_or_default();
+    let mut r = Cursor::new(data.get(MAGIC.len() + 2..).unwrap_or_default());
     let seg_rows = r.u64()? as usize;
     let num_rows = r.u64()? as usize;
     let width = r.u16()? as usize;
     let mut columns = Vec::with_capacity(width);
     for _ in 0..width {
-        let name = r.str()?;
+        let name = r.str16()?;
         let tag = r.u8()?;
         let dtype = DType::from_tag(tag)
             .ok_or_else(|| StoreError::CorruptFile(format!("unknown dtype tag {tag}")))?;
@@ -426,7 +432,7 @@ fn read_manifest(dir: &Path) -> Result<(Vec<ColumnManifest>, usize, usize)> {
         // i128s, a u16 string length): a count the remaining manifest
         // cannot possibly hold is corruption, caught *before* any
         // count-sized allocation.
-        if count > r.rest.len() / 66 {
+        if count > r.rest().len() / 66 {
             return Err(StoreError::CorruptFile(format!(
                 "{name}: implausible segment count {count}"
             )));
@@ -441,7 +447,7 @@ fn read_manifest(dir: &Path) -> Result<(Vec<ColumnManifest>, usize, usize)> {
             let rows = r.u64()? as usize;
             let min = r.i128()?;
             let max = r.i128()?;
-            let expr = r.str()?;
+            let expr = r.str16()?;
             total_rows = total_rows.saturating_add(rows);
             metas.push(SegmentMeta {
                 rows,
@@ -464,9 +470,7 @@ fn read_manifest(dir: &Path) -> Result<(Vec<ColumnManifest>, usize, usize)> {
             locations,
         });
     }
-    if !r.rest.is_empty() {
-        return Err(StoreError::CorruptFile("trailing manifest bytes".into()));
-    }
+    r.finish()?;
     Ok((columns, seg_rows, num_rows))
 }
 
@@ -483,79 +487,6 @@ fn column_file(name: &str) -> String {
         })
         .collect();
     format!("{safe}.col")
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i128(out: &mut Vec<u8>, v: i128) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u16(out, s.len() as u16);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// A bounds-checked reader over untrusted file bytes: every read fails
-/// with [`StoreError::CorruptFile`] instead of panicking when the bytes
-/// are shorter than their lengths claim.
-struct FileReader<'a> {
-    /// The unread rest of the input.
-    rest: &'a [u8],
-    name: &'a str,
-}
-
-impl<'a> FileReader<'a> {
-    fn truncated(&self) -> StoreError {
-        StoreError::CorruptFile(format!("{}: truncated", self.name))
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let (head, rest) = self
-            .rest
-            .split_at_checked(n)
-            .ok_or_else(|| self.truncated())?;
-        self.rest = rest;
-        Ok(head)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
-        let (head, rest) = self
-            .rest
-            .split_first_chunk::<N>()
-            .ok_or_else(|| self.truncated())?;
-        self.rest = rest;
-        Ok(*head)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(u8::from_le_bytes(self.array()?))
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    fn i128(&mut self) -> Result<i128> {
-        Ok(i128::from_le_bytes(self.array()?))
-    }
-
-    fn str(&mut self) -> Result<String> {
-        let len = self.u16()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec())
-            .map_err(|_| StoreError::CorruptFile(format!("{}: invalid UTF-8", self.name)))
-    }
 }
 
 #[cfg(test)]
@@ -1022,6 +953,39 @@ mod tests {
         let lazy = open_table_lazy(&dir, 4).unwrap(); // manifest is fine
         assert!(lazy.source("delta").unwrap().segment(0).is_err());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A table whose two columns map to one `.col` file is refused,
+    /// naming both, before the directory is created.
+    fn assert_colliding_columns_refused(tag: &str, names: [&str; 2]) {
+        let dir = tmpdir(tag);
+        let col = ColumnData::U64((0..100).collect());
+        let table = Table::build(
+            TableSchema::new(&[(names[0], DType::U64), (names[1], DType::U64)]),
+            &[col.clone(), col],
+            &[CompressionPolicy::None, CompressionPolicy::None],
+            64,
+        )
+        .unwrap();
+        match save_table(&table, &dir) {
+            Err(StoreError::Shape(msg)) => {
+                for name in names {
+                    assert!(msg.contains(&format!("{name:?}")), "{msg}");
+                }
+            }
+            other => panic!("expected a Shape error, got {other:?}"),
+        }
+        assert!(!dir.exists(), "nothing written");
+    }
+
+    #[test]
+    fn columns_escaping_to_one_file_are_refused() {
+        assert_colliding_columns_refused("escape_collision", ["a-b", "a_b"]);
+    }
+
+    #[test]
+    fn repeated_column_names_are_refused() {
+        assert_colliding_columns_refused("repeated_name", ["x", "x"]);
     }
 
     #[test]

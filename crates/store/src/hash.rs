@@ -2,7 +2,7 @@
 //! once per process.
 //!
 //! Every hash table a sink keeps — group-by groups, the distinct set,
-//! join pair counts and build-side histograms — is keyed by integers
+//! join pair counts and build-side maps — is keyed by integers
 //! the sinks have already widened to `i128`. std's SipHash spends most
 //! of its time on those 16 bytes defending against a flood the key type
 //! cannot even express; two 64×64→128 multiplies, each folded back to 64

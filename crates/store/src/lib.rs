@@ -98,7 +98,7 @@ pub(crate) mod digest;
 pub mod fault;
 pub mod file;
 pub(crate) mod hash;
-pub(crate) mod join;
+pub(crate) mod le;
 pub mod predicate;
 pub mod query;
 pub mod schema;

@@ -1,6 +1,6 @@
 //! Predicates and their compression-aware evaluation.
 //!
-//! Three evaluation tiers per segment, in decreasing order of savings:
+//! Four evaluation tiers per segment, in decreasing order of savings:
 //!
 //! 1. **Zone map**: the segment's `[min, max]` proves all-match or
 //!    no-match — nothing is decompressed. For FOR/STEP segments this is

@@ -30,7 +30,7 @@
 //! Partial sink states belong to a job's lease **slots** — at most its
 //! lease cap, handed from one lease to the next and merged once when
 //! the result is collected — so per-worker scratch (the join's
-//! right-side histograms, the DICT group-by's dense accumulator)
+//! right-side build maps, the DICT group-by's dense accumulator)
 //! survives across leases, and a `threads = 1` job reports the
 //! sequential counter ledger wherever it runs.
 //!

@@ -141,7 +141,8 @@ impl QuerySpec {
     /// its scheme tag: DICT keys aggregate directly on dictionary codes
     /// (dense, no hash, key decoded once per distinct value), RLE/RPE
     /// keys fold whole runs, CONST segments fold in one probe — only
-    /// unstructured keys fall back to hashing decompressed rows. The
+    /// unstructured keys fall back to hashing each row's key off the
+    /// value stream. The join reads its key segments the same way. The
     /// choice shows up in [`crate::QueryStats::groups_folded`] and
     /// [`crate::QueryStats::rows_undecoded`].
     pub fn group_by(mut self, column: &str) -> Self {
@@ -475,7 +476,7 @@ fn scheme_leaf_cost(kind: SchemeKind) -> u64 {
         SchemeKind::Const => 1,
         SchemeKind::Rle | SchemeKind::Rpe | SchemeKind::Sparse => 2, // run-granular painting
         SchemeKind::Dict => 3,                                       // code-granular membership
-        SchemeKind::For => 6, // model algebra, partial decompress
+        SchemeKind::For => 6, // the row tier today, as ns below
         SchemeKind::Ns | SchemeKind::Other => 8, // ns / delta / raw: full row tier
     }
 }
@@ -535,8 +536,9 @@ impl<'t> QueryBuilder<'t> {
     }
 
     /// Add one conjunct: rows must satisfy `predicate` on `column`.
-    /// Clauses are evaluated in the given order with per-segment
-    /// short-circuiting — put the most selective clause first.
+    /// The planner orders clauses by estimated cost at compile time
+    /// (see [`QuerySpec::filter`]); evaluation short-circuits per
+    /// segment.
     pub fn filter(mut self, column: &str, predicate: Predicate) -> Self {
         self.spec = self.spec.filter(column, predicate);
         self

@@ -69,6 +69,7 @@ pub mod args;
 mod cancel;
 mod groups;
 mod job;
+mod keys;
 mod logical;
 mod naive;
 mod physical;

@@ -22,14 +22,14 @@
 //! to the server's pool.
 
 use super::groups::{GroupTable, UnitFold};
+use super::keys::{key_units, KeyScratch, RowMap};
 use super::stats::QueryStats;
 use crate::agg::{
     aggregate_runs, fold_runs, fold_selected, for_each_run, widen, AggKind, AggResult,
 };
 use crate::hash::{IntMap, IntSet};
-use crate::join::{count_values, segment_histogram, Histogram, SegmentHistogram};
 use crate::predicate::Predicate;
-use crate::segment::{DictView, SchemeKind, Segment};
+use crate::segment::{SchemeKind, Segment};
 use crate::table::Table;
 use crate::{Result, StoreError};
 use lcdc_colops::Bitmap;
@@ -311,7 +311,7 @@ fn push_topk(heap: &mut BinaryHeap<Reverse<i128>>, k: usize, v: i128) {
 }
 
 /// What the filter conjunction decided for one segment.
-enum Selection {
+pub(crate) enum Selection {
     /// Every row selected (proved without a bitmap where possible).
     All,
     /// The surviving rows.
@@ -320,7 +320,7 @@ enum Selection {
 
 impl Selection {
     /// The surviving rows' bitmap, `None` when every row survives.
-    fn mask(&self) -> Option<&Bitmap> {
+    pub(crate) fn mask(&self) -> Option<&Bitmap> {
         match self {
             Selection::All => None,
             Selection::Mask(mask) => Some(mask),
@@ -328,7 +328,7 @@ impl Selection {
     }
 
     /// How many of a segment's `n` rows are selected.
-    fn count(&self, n: usize) -> usize {
+    pub(crate) fn count(&self, n: usize) -> usize {
         match self {
             Selection::All => n,
             Selection::Mask(mask) => mask.count_ones(),
@@ -724,7 +724,7 @@ impl PhysicalPlan {
                 stats,
             ),
             (Sink::GroupBy { key, cols, .. }, SinkState::Groups { table }) => self.sink_group_by(
-                seg_idx, n, &selection, *key, cols, table, fetched, scratch, stats,
+                seg_idx, &selection, *key, cols, table, fetched, scratch, stats,
             ),
             (
                 Sink::TopK { col, k },
@@ -892,7 +892,7 @@ impl PhysicalPlan {
             let part = match selection {
                 Selection::All => {
                     structural &= matches!(seg.kind(), SchemeKind::Rle | SchemeKind::Rpe);
-                    aggregate_whole_segment(&seg, extrema, scratch, stats)?
+                    aggregate_whole_segment(&seg, extrema, &mut scratch.runs, stats)?
                 }
                 Selection::Mask(mask) => {
                     stats.values_processed += mask.count_ones();
@@ -908,37 +908,19 @@ impl PhysicalPlan {
         Ok(())
     }
 
-    /// The group-by sink, tiered by the *key segment's* scheme kind —
-    /// the aggregation-pushdown mirror of the filter tiers. Each tier
-    /// resolves keys to [`GroupTable`] slots at its own granularity;
-    /// the value columns then fold in slot space, each straight off its
-    /// value stream ([`UnitFold`]):
-    ///
-    /// 1. **CONST**: the whole segment is one group; value columns fold
-    ///    through the structural whole-segment aggregator (their
-    ///    selected values under a mask), the key is read off the zone
-    ///    map. One hash probe, zero key rows decoded.
-    /// 2. **DICT**: count selected rows per dictionary code, resolve
-    ///    each *touched* code's key once (the only place a dictionary
-    ///    entry is read), then fold every value column per code. No
-    ///    hash probe, no key decode per row.
-    /// 3. **RLE/RPE** (full selection): probe the hash table once per
-    ///    run, folding each value column's stream into per-run sums.
-    /// 4. Fallback: the key streams into segment-local units — one
-    ///    probe per selected row into a table of the segment's own
-    ///    keys, one slot resolution per distinct key — and every value
-    ///    column folds per unit.
-    ///
-    /// Under a mask, the rows it drops fold into one extra unit that
-    /// owns no rows, which no group ever absorbs.
-    /// [`QueryStats::groups_folded`] counts the key units tiers 1–3
-    /// fold; [`QueryStats::rows_undecoded`] counts the rows whose key
-    /// those tiers never read row by row.
+    /// The group-by sink: the key segment splits into key units at its
+    /// best structural tier ([`key_units`]), each unit resolves to a
+    /// [`GroupTable`] slot once, and every value column folds per unit
+    /// through the units' row map — the whole segment (its selected
+    /// values under a mask), per run, or per code / segment-local key
+    /// ([`UnitFold`]), each straight off the value stream.
+    /// [`QueryStats::groups_folded`] counts the units the structural
+    /// tiers fold; [`QueryStats::rows_undecoded`] counts the rows whose
+    /// key those tiers never read row by row.
     #[allow(clippy::too_many_arguments)]
     fn sink_group_by(
         &self,
         seg_idx: usize,
-        n: usize,
         selection: &Selection,
         key: usize,
         cols: &[usize],
@@ -948,142 +930,38 @@ impl PhysicalPlan {
         stats: &mut QueryStats,
     ) -> Result<()> {
         let kseg = self.fetch(key, seg_idx, fetched, stats)?;
-        let selected = selection.count(n);
-        match kseg.kind() {
-            // Tier 1 — CONST key: one group owns the whole segment. The
-            // key value is the zone map (min == max).
-            SchemeKind::Const => {
-                stats.values_processed += 1;
-                stats.groups_folded += 1;
-                stats.rows_undecoded += selected;
-                if cols.is_empty() {
-                    stats.segments_structural += 1;
-                }
-                let slot = table.slot(kseg.min, selected);
-                for (slot_col, col) in cols.iter().enumerate() {
-                    let seg = self.fetch(*col, seg_idx, fetched, stats)?;
-                    let extrema = table.extrema(slot_col);
-                    let part = match selection {
-                        Selection::All => aggregate_whole_segment(&seg, extrema, scratch, stats)?,
-                        Selection::Mask(mask) => fold_selected(&seg, mask, extrema)?,
-                    };
-                    table.absorb(slot_col, slot, &part);
-                }
-                return Ok(());
-            }
-            // Tier 2 — DICT key: dense code-space aggregation.
-            SchemeKind::Dict => {
-                let Scratch {
-                    codes,
-                    counts,
-                    units,
-                    fold,
-                    ..
-                } = scratch;
-                let view = dict_view(&kseg, selection, codes, counts)?;
-                stats.values_processed += selected;
-                stats.rows_undecoded += selected;
-                stats.groups_folded += counts.iter().filter(|&&count| count > 0).count();
-                if cols.is_empty() {
-                    stats.segments_structural += 1;
-                }
-                with_column!(&*view.entries, |keys| table.resolve(
-                    keys.iter()
-                        .zip(counts.iter())
-                        .map(|(&key, &count)| (key.into(), count as usize))
-                ));
-                // A dropped row's unit is one past the last code.
-                let dropped = view.entries.len() as u32;
-                let units: &[u32] = match selection {
-                    Selection::All => view.codes,
-                    Selection::Mask(mask) => {
-                        units.clear();
-                        units.extend(view.codes.iter().enumerate().map(|(row, &code)| {
-                            if mask.get(row) {
-                                code
-                            } else {
-                                dropped
-                            }
-                        }));
-                        units
-                    }
-                };
-                for (slot_col, col) in cols.iter().enumerate() {
-                    let seg = self.fetch(*col, seg_idx, fetched, stats)?;
-                    fold.fold(&seg, units, dropped as usize + 1, table.extrema(slot_col))?;
-                    let rows = counts.iter().map(|&count| count as usize);
-                    table.absorb_units(slot_col, rows, |code| fold.part(code));
-                }
-                return Ok(());
-            }
-            // Tier 3 — run-structured keys + full selection: probe the
-            // hash table once per run, not once per row.
-            SchemeKind::Rle | SchemeKind::Rpe if matches!(selection, Selection::All) => {
-                if let Some((run_values, run_ends)) = kseg.run_structure()? {
-                    let runs = run_values.len();
-                    stats.values_processed += runs;
-                    stats.groups_folded += runs;
-                    stats.rows_undecoded += n;
-                    if cols.is_empty() {
-                        stats.segments_structural += 1;
-                    }
-                    let units = &mut scratch.keys;
-                    units.clear();
-                    for_each_run(&run_values, &run_ends, n, |key, rows| {
-                        units.push((key, rows.len()))
-                    });
-                    table.resolve(units.iter().copied());
-                    for (slot_col, col) in cols.iter().enumerate() {
-                        let seg = self.fetch(*col, seg_idx, fetched, stats)?;
-                        let extrema = table.extrema(slot_col);
-                        fold_runs(&seg, runs, &run_ends, extrema, &mut scratch.runs)?;
-                        let rows = units.iter().map(|&(_, rows)| rows);
-                        table.absorb_units(slot_col, rows, |run| scratch.runs[run]);
-                    }
-                    return Ok(());
-                }
-            }
-            _ => {}
+        let keys = key_units(&kseg, selection, &mut scratch.keys)?;
+        stats.values_processed += keys.values;
+        stats.rows_undecoded += keys.undecoded;
+        if keys.structural() {
+            stats.groups_folded += keys.units.iter().filter(|&&(_, rows)| rows > 0).count();
+            stats.segments_structural += usize::from(cols.is_empty());
         }
-        // Tier 4 — fallback: the key streams into segment-local units,
-        // and every value column folds per unit off its stream.
-        let Scratch {
-            units,
-            local,
-            keys,
-            fold,
-            ..
-        } = scratch;
-        units.clear();
-        local.clear();
-        keys.clear();
-        let mask = selection.mask();
-        if mask.is_some() {
-            keys.push((0, 0)); // unit 0: the dropped rows
-        }
-        let (signed, mut row) = (kseg.compressed.dtype.signed(), 0usize);
-        kseg.visit(&mut |chunk| {
-            units.extend(chunk.iter().map(|&v| {
-                row += 1;
-                if mask.is_some_and(|mask| !mask.get(row - 1)) {
-                    return 0;
-                }
-                let key = widen(v, signed);
-                let unit = *local.entry(key).or_insert_with(|| {
-                    keys.push((key, 0));
-                    keys.len() as u32 - 1
-                });
-                keys[unit as usize].1 += 1;
-                unit
-            }))
-        })?;
-        stats.values_processed += selected;
-        table.resolve(keys.iter().copied());
+        table.resolve(keys.units.iter().copied());
+        let rows = || keys.units.iter().map(|&(_, rows)| rows);
         for (slot_col, col) in cols.iter().enumerate() {
             let seg = self.fetch(*col, seg_idx, fetched, stats)?;
-            fold.fold(&seg, units, keys.len(), table.extrema(slot_col))?;
-            let rows = keys.iter().map(|&(_, rows)| rows);
-            table.absorb_units(slot_col, rows, |unit| fold.part(unit));
+            let extrema = table.extrema(slot_col);
+            match &keys.rows {
+                RowMap::Whole => {
+                    let part = match selection {
+                        Selection::All => {
+                            aggregate_whole_segment(&seg, extrema, &mut scratch.runs, stats)?
+                        }
+                        Selection::Mask(mask) => fold_selected(&seg, mask, extrema)?,
+                    };
+                    table.absorb_units(slot_col, rows(), |_| part);
+                }
+                RowMap::Runs(ends) => {
+                    fold_runs(&seg, keys.units.len(), ends, extrema, &mut scratch.runs)?;
+                    table.absorb_units(slot_col, rows(), |run| scratch.runs[run]);
+                }
+                RowMap::Codes(units) | RowMap::Rows(units) => {
+                    let fold = &mut scratch.fold;
+                    fold.fold(&seg, units, keys.units.len(), extrema)?;
+                    table.absorb_units(slot_col, rows(), |unit| fold.part(unit));
+                }
+            }
         }
         Ok(())
     }
@@ -1218,17 +1096,16 @@ impl PhysicalPlan {
     ///    whose key zones don't overlap is dismissed
     ///    ([`QueryStats::join_pairs_pruned`]); a left segment with no
     ///    surviving pair never fetches anything at all.
-    /// 2. **Left build at the best structural tier** — CONST keys read
-    ///    the zone map, DICT keys count selected rows per dictionary
-    ///    code, RLE/RPE keys (full selection) fold runs
+    /// 2. **Probe side** — the left key segment splits into key units
+    ///    ([`key_units`]): CONST from the zone map, DICT per code,
+    ///    RLE/RPE (full selection) per run
     ///    ([`QueryStats::join_rows_undecoded`]); only unstructured keys
     ///    hash their selected values off the key's stream.
     /// 3. **Per-pair fold** — each surviving right segment's build side
-    ///    is histogrammed once per worker (cached across left
-    ///    segments); DICT⋈DICT pairs fold through a code→code
-    ///    translation ([`QueryStats::join_code_translations`]), all
-    ///    other pairs probe value histograms. Per key, the pair count
-    ///    is `left count × right count`.
+    ///    is built once per worker (cached across left segments) from
+    ///    the same ladder; a DICT left side probing a DICT build side is
+    ///    a code→code translation ([`QueryStats::join_code_translations`]).
+    ///    Per key, the pair count is `left count × right count`.
     #[allow(clippy::too_many_arguments)]
     fn sink_join(
         &self,
@@ -1255,13 +1132,20 @@ impl PhysicalPlan {
             return Ok(());
         };
         let kseg = self.fetch(key, seg_idx, &mut fetched, stats)?;
-        let left = join_left_side(&kseg, n, &selection, scratch, stats)?;
+        let left = key_units(&kseg, &selection, &mut scratch.keys)?;
+        stats.join_rows_undecoded += left.undecoded;
+        stats.values_processed += left.values;
+        let dict = matches!(left.rows, RowMap::Codes(_));
         for (shard_idx, rseg) in live {
             let build = match cache.entry((shard_idx, rseg)) {
                 Entry::Occupied(cached) => cached.into_mut(),
-                Entry::Vacant(slot) => slot.insert(JoinBuild::of(join_right_side(
-                    right, shard_idx, rseg, scratch, stats,
-                )?)),
+                Entry::Vacant(slot) => slot.insert(join_right_side(
+                    right,
+                    shard_idx,
+                    rseg,
+                    &mut scratch.build,
+                    stats,
+                )?),
             };
             // DICT⋈DICT: the left dictionary's touched entries probe
             // the right dictionary's, multiplying per-code counts. A
@@ -1270,10 +1154,10 @@ impl PhysicalPlan {
             // same way, by whatever unit each side was counted in —
             // one probe per left unit, the pairs accumulating on the
             // right key it found.
-            stats.join_code_translations += usize::from(left.dict && build.dict);
-            for &(v, lc) in &left.entries {
+            stats.join_code_translations += usize::from(dict && build.dict);
+            for &(v, rows) in left.units.iter().filter(|&&(_, rows)| rows > 0) {
                 if let Some((rc, joined)) = build.keys.get_mut(&v) {
-                    *joined += lc as i128 * *rc as i128;
+                    *joined += rows as i128 * *rc as i128;
                 }
             }
         }
@@ -1281,101 +1165,39 @@ impl PhysicalPlan {
     }
 }
 
-/// The selected left keys of one `n`-row key segment at the best
-/// structural tier (see [`PhysicalPlan::sink_join`] for the tier list).
-fn join_left_side(
-    kseg: &Segment,
-    n: usize,
-    selection: &Selection,
-    scratch: &mut Scratch,
-    stats: &mut QueryStats,
-) -> Result<JoinLeft> {
-    let selected = selection.count(n);
-    let structural = |entries| JoinLeft {
-        entries,
-        dict: false,
-    };
-    match kseg.kind() {
-        // CONST key: the zone map is the histogram.
-        SchemeKind::Const => {
-            stats.join_rows_undecoded += selected;
-            stats.values_processed += 1;
-            return Ok(structural(vec![(kseg.min, selected as u64)]));
-        }
-        // DICT key: count selected rows per dictionary code; each
-        // *distinct* selected key decodes exactly once.
-        SchemeKind::Dict => {
-            let counts = &mut scratch.counts;
-            let view = dict_view(kseg, selection, &mut scratch.codes, counts)?;
-            stats.join_rows_undecoded += selected;
-            stats.values_processed += selected;
-            return Ok(JoinLeft {
-                entries: view.touched(counts),
-                dict: true,
-            });
-        }
-        _ => {}
-    }
-    // RLE/RPE key + full selection: one entry per run.
-    if matches!(selection, Selection::All) {
-        if let Some((values, ends)) = kseg.run_structure()? {
-            stats.join_rows_undecoded += n;
-            stats.values_processed += values.len();
-            let mut entries = Vec::with_capacity(values.len());
-            for_each_run(&values, &ends, n, |value, rows| {
-                entries.push((value, rows.len() as u64));
-            });
-            return Ok(structural(entries));
-        }
-    }
-    // Fallback: hash one selected key at a time, off the key's stream.
-    stats.values_processed += selected;
-    let (mut hist, signed) = (Histogram::default(), kseg.compressed.dtype.signed());
-    selection.visit(kseg, &mut |values| count_values(&mut hist, values, signed))?;
-    Ok(structural(hist.into_iter().collect()))
-}
-
 /// Build (once per worker, cached by the caller) the build side of one
 /// right segment. CONST segments build from resident metadata alone —
 /// no payload fetch, so a lazily-backed shard's `io_reads` stays
-/// untouched; every other scheme fetches the payload and histograms it
-/// at the best granularity ([`crate::join::segment_histogram`]).
+/// untouched; every other scheme fetches the payload and merges its key
+/// units ([`key_units`]) with `+=`: a dictionary or a run list may
+/// repeat a value.
 fn join_right_side(
     right: &JoinRight,
     shard_idx: usize,
     rseg: usize,
-    scratch: &mut Scratch,
+    scratch: &mut KeyScratch,
     stats: &mut QueryStats,
-) -> Result<SegmentHistogram> {
+) -> Result<JoinBuild> {
     let shard = &right.shards[shard_idx];
     let rmeta = shard.meta_at(right.key, rseg);
     if rmeta.kind == SchemeKind::Const {
         stats.join_rows_undecoded += rmeta.rows;
-        return Ok(SegmentHistogram::constant(rmeta.min, rmeta.rows));
+        return Ok(JoinBuild {
+            keys: IntMap::from_iter([(rmeta.min, (rmeta.rows as u64, 0))]),
+            dict: false,
+        });
     }
     let seg = shard.source_at(right.key).segment(rseg)?;
     stats.segments_loaded += 1;
-    let built = segment_histogram(&seg, &mut scratch.codes, &mut scratch.counts)?;
-    stats.join_rows_undecoded += built.undecoded_rows;
-    Ok(built)
-}
-
-/// A DICT key segment in code space, with the selected rows of every
-/// code in `counts` — counted while the codes unpack under a full
-/// selection, over the mask's rows otherwise.
-fn dict_view<'s>(
-    seg: &'s Segment,
-    selection: &Selection,
-    codes: &'s mut Vec<u32>,
-    counts: &mut Vec<u32>,
-) -> Result<DictView<'s>> {
-    Ok(match selection {
-        Selection::All => DictView::new(seg, codes, Some(counts))?,
-        Selection::Mask(mask) => {
-            let view = DictView::new(seg, codes, None)?;
-            view.count(mask.iter_ones(), counts);
-            view
-        }
+    let units = key_units(&seg, &Selection::All, scratch)?;
+    stats.join_rows_undecoded += units.undecoded;
+    let mut keys = IntMap::with_capacity_and_hasher(units.units.len(), Default::default());
+    for &(key, rows) in units.units.iter().filter(|&&(_, rows)| rows > 0) {
+        keys.entry(key).or_insert((0, 0)).0 += rows as u64;
+    }
+    Ok(JoinBuild {
+        keys,
+        dict: matches!(units.rows, RowMap::Codes(_)),
     })
 }
 
@@ -1395,7 +1217,7 @@ fn wants_extrema(specs: &[AggSpec], slot: usize) -> bool {
 fn aggregate_whole_segment(
     seg: &Segment,
     extrema: bool,
-    scratch: &mut Scratch,
+    runs: &mut Vec<AggResult>,
     stats: &mut QueryStats,
 ) -> Result<AggResult> {
     if let Some((values, ends)) = seg.run_structure()? {
@@ -1403,8 +1225,8 @@ fn aggregate_whole_segment(
         return Ok(aggregate_runs(&values, &ends, seg.num_rows()));
     }
     stats.values_processed += seg.num_rows();
-    fold_runs(seg, 1, &[], extrema, &mut scratch.runs)?;
-    Ok(scratch.runs[0])
+    fold_runs(seg, 1, &[], extrema, runs)?;
+    Ok(runs[0])
 }
 
 /// Buffers one lease slot reuses across every segment it visits — the
@@ -1412,17 +1234,12 @@ fn aggregate_whole_segment(
 /// shared.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
-    /// A DICT key segment's codes ([`DictView`]).
+    /// A DICT filter segment's codes (the predicate's code tier).
     codes: Vec<u32>,
-    /// Selected rows per dictionary code.
-    counts: Vec<u32>,
-    /// The group-by key unit of each row, where it is not simply the
-    /// row's dictionary code.
-    units: Vec<u32>,
-    /// Segment-local key → unit, for keys without code or run structure.
-    local: IntMap<i128, u32>,
-    /// `(key, rows)` per key unit (segment-local keys, or runs).
-    keys: Vec<(i128, usize)>,
+    /// The group-by key's or the join probe side's units.
+    keys: KeyScratch,
+    /// A join build side's units.
+    build: KeyScratch,
     /// One value column's per-unit sums.
     fold: UnitFold,
     /// Per-run (or whole-segment) value aggregates ([`fold_runs`]).
@@ -1431,32 +1248,11 @@ pub(crate) struct Scratch {
 
 /// One right segment's build side as a worker caches it: every key's
 /// right rows, and the pairs this worker's left segments have joined
-/// against that key so far (flushed into the answer on merge).
+/// against that key so far (flushed into the answer on merge), and
+/// whether it was counted off a dictionary.
 #[derive(Debug, Clone)]
 pub(crate) struct JoinBuild {
     keys: IntMap<i128, (u64, i128)>,
-    dict: bool,
-}
-
-impl JoinBuild {
-    fn of(side: SegmentHistogram) -> JoinBuild {
-        JoinBuild {
-            keys: side
-                .hist
-                .into_iter()
-                .map(|(key, rows)| (key, (rows, 0)))
-                .collect(),
-            dict: side.dict,
-        }
-    }
-}
-
-/// The probe side of one left-segment join visit: `(key, selected
-/// rows)` entries — one per distinct key on the CONST, DICT and row
-/// tiers, one per run on the run tier — and whether they came off a
-/// dictionary, which a DICT right side answers by code translation.
-struct JoinLeft {
-    entries: Vec<(i128, u64)>,
     dict: bool,
 }
 

@@ -14,7 +14,7 @@ use lcdc_colops::Bitmap;
 use lcdc_core::chooser;
 use lcdc_core::expr::parse_expr;
 use lcdc_core::schemes::{dict, rle, rpe};
-use lcdc_core::{with_column, ColumnData, Compressed, CoreError, PartData, Parts, Scheme};
+use lcdc_core::{ColumnData, Compressed, CoreError, PartData, Parts, Scheme};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -291,22 +291,22 @@ impl Segment {
 /// dictionary. A checksummed frame can still carry a code past its
 /// dictionary; full decompression rejects that in the gather, and this
 /// does with the same error kind.
-pub(crate) struct DictView<'a> {
+pub(crate) struct DictView<'s, 'c> {
     /// The dictionary entries, in code order.
-    pub(crate) entries: Cow<'a, ColumnData>,
+    pub(crate) entries: Cow<'s, ColumnData>,
     /// One code per row, each below `entries.len()`.
-    pub(crate) codes: &'a [u32],
+    pub(crate) codes: &'c [u32],
 }
 
-impl<'a> DictView<'a> {
+impl<'s, 'c> DictView<'s, 'c> {
     /// View `seg` (which must be [`SchemeKind::Dict`]), unpacking its
     /// codes into `scratch` — and, given `counts`, counting the rows of
     /// every code (`counts[code]`) in the same pass.
     pub(crate) fn new(
-        seg: &'a Segment,
-        scratch: &'a mut Vec<u32>,
+        seg: &'s Segment,
+        scratch: &'c mut Vec<u32>,
         mut counts: Option<&mut Vec<u32>>,
-    ) -> Result<DictView<'a>> {
+    ) -> Result<DictView<'s, 'c>> {
         let entries = seg.dictionary()?;
         let n = seg.num_rows();
         let scheme = seg.scheme();
@@ -360,30 +360,6 @@ impl<'a> DictView<'a> {
             entries,
             codes: scratch,
         })
-    }
-
-    /// Selected rows per code: `counts[code]` over `rows` (rows of the
-    /// segment), every entry of `counts` reset first.
-    pub(crate) fn count(&self, rows: impl Iterator<Item = usize>, counts: &mut Vec<u32>) {
-        counts.clear();
-        counts.resize(self.entries.len(), 0);
-        for row in rows {
-            let code = self.codes.get(row).map(|&code| code as usize);
-            if let Some(count) = code.and_then(|code| counts.get_mut(code)) {
-                *count += 1;
-            }
-        }
-    }
-
-    /// `(entry, rows)` for every dictionary entry [`DictView::count`]
-    /// gave rows — each touched entry decoded once.
-    pub(crate) fn touched(&self, counts: &[u32]) -> Vec<(i128, u64)> {
-        with_column!(&*self.entries, |entries| entries
-            .iter()
-            .zip(counts)
-            .filter(|&(_, &rows)| rows > 0)
-            .map(|(&entry, &rows)| (entry.into(), u64::from(rows)))
-            .collect())
     }
 }
 

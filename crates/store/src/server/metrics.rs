@@ -17,7 +17,8 @@
 //! observable per *server*, exactly as `-- stats` lines expose them per
 //! *query*.
 
-use super::protocol::{put_stats, put_str, put_u32, put_u64, take_stats, Cursor};
+use super::protocol::{put_stats, take_stats};
+use crate::le::{put_str32, put_u32, put_u64, Cursor};
 use crate::query::QueryStats;
 use crate::Result;
 use std::collections::BTreeMap;
@@ -109,7 +110,7 @@ impl StatsReport {
                 p50_us,
                 p99_us,
             } = e;
-            put_str(out, endpoint);
+            put_str32(out, endpoint);
             put_u64(out, *requests);
             put_u64(out, *errors);
             put_u64(out, *deadline_exceeded);
@@ -124,23 +125,23 @@ impl StatsReport {
     pub(crate) fn decode(cur: &mut Cursor<'_>) -> Result<StatsReport> {
         // Struct-literal fields evaluate in source order: the wire order.
         Ok(StatsReport {
-            pool_threads: cur.take_u64()?,
-            peak_leases: cur.take_u64()?,
-            served: cur.take_u64()?,
-            rejected: cur.take_u64()?,
-            connections_opened: cur.take_u64()?,
-            connections_closed: cur.take_u64()?,
-            endpoints: (0..cur.take_u32()?)
+            pool_threads: cur.u64()?,
+            peak_leases: cur.u64()?,
+            served: cur.u64()?,
+            rejected: cur.u64()?,
+            connections_opened: cur.u64()?,
+            connections_closed: cur.u64()?,
+            endpoints: (0..cur.u32()?)
                 .map(|_| {
                     Ok(EndpointStats {
-                        endpoint: cur.take_str()?,
-                        requests: cur.take_u64()?,
-                        errors: cur.take_u64()?,
-                        deadline_exceeded: cur.take_u64()?,
-                        cancelled: cur.take_u64()?,
-                        io_faults: cur.take_u64()?,
-                        p50_us: cur.take_u64()?,
-                        p99_us: cur.take_u64()?,
+                        endpoint: cur.str32()?,
+                        requests: cur.u64()?,
+                        errors: cur.u64()?,
+                        deadline_exceeded: cur.u64()?,
+                        cancelled: cur.u64()?,
+                        io_faults: cur.u64()?,
+                        p50_us: cur.u64()?,
+                        p99_us: cur.u64()?,
                     })
                 })
                 .collect::<Result<_>>()?,

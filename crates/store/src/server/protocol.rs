@@ -33,6 +33,7 @@
 
 use super::metrics::StatsReport;
 use crate::digest;
+use crate::le::{put_i128, put_str32, put_u32, put_u64, Cursor};
 use crate::query::{QueryStats, Rows};
 use crate::{Result, StoreError};
 use lcdc_core::{ColumnData, DType};
@@ -147,24 +148,7 @@ pub enum Response {
     Cancelled,
 }
 
-// -- primitive encoders -----------------------------------------------
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_i128(out: &mut Vec<u8>, v: i128) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
+// -- optional values --------------------------------------------------
 
 fn put_opt_i128(out: &mut Vec<u8>, v: Option<i128>) {
     match v {
@@ -186,96 +170,19 @@ fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
     }
 }
 
-/// A bounds-checked reader over one frame's payload. Every `take_*`
-/// fails with [`StoreError::CorruptFile`] instead of panicking when the
-/// frame is shorter than its tags claim.
-pub(crate) struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn take_opt_i128(cur: &mut Cursor<'_>) -> Result<Option<i128>> {
+    match cur.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(cur.i128()?)),
+        t => Err(bad_tag("optional value", t)),
+    }
 }
 
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        let end = end.ok_or_else(|| truncated("payload"))?;
-        let slice = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| truncated("payload"))?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    /// Take exactly `N` bytes as an array. The zip bounds both sides of
-    /// the copy, so a short take surfaces as `truncated` (via `take`)
-    /// rather than any indexing.
-    fn take_array<const N: usize>(&mut self) -> Result<[u8; N]> {
-        let src = self.take(N)?;
-        let mut out = [0u8; N];
-        for (dst, byte) in out.iter_mut().zip(src) {
-            *dst = *byte;
-        }
-        Ok(out)
-    }
-
-    pub(crate) fn take_u8(&mut self) -> Result<u8> {
-        self.take(1)?
-            .first()
-            .copied()
-            .ok_or_else(|| truncated("u8"))
-    }
-
-    pub(crate) fn take_u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take_array()?))
-    }
-
-    pub(crate) fn take_u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take_array()?))
-    }
-
-    pub(crate) fn take_i128(&mut self) -> Result<i128> {
-        Ok(i128::from_le_bytes(self.take_array()?))
-    }
-
-    pub(crate) fn take_str(&mut self) -> Result<String> {
-        let len = self.take_u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| StoreError::CorruptFile("frame string is not UTF-8".into()))
-    }
-
-    fn take_opt_i128(&mut self) -> Result<Option<i128>> {
-        match self.take_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.take_i128()?)),
-            t => Err(bad_tag("optional value", t)),
-        }
-    }
-
-    fn take_opt_u64(&mut self) -> Result<Option<u64>> {
-        match self.take_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.take_u64()?)),
-            t => Err(bad_tag("optional value", t)),
-        }
-    }
-
-    /// The whole payload must have been consumed — trailing bytes mean
-    /// the peers disagree about the encoding and nothing can be
-    /// trusted.
-    fn finish(self) -> Result<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(StoreError::CorruptFile(format!(
-                "frame carries {} undecoded trailing bytes",
-                self.buf.len() - self.pos
-            )))
-        }
+fn take_opt_u64(cur: &mut Cursor<'_>) -> Result<Option<u64>> {
+    match cur.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(cur.u64()?)),
+        t => Err(bad_tag("optional value", t)),
     }
 }
 
@@ -357,9 +264,9 @@ fn put_column(out: &mut Vec<u8>, col: &ColumnData) {
 }
 
 fn take_column(cur: &mut Cursor<'_>) -> Result<ColumnData> {
-    let tag = cur.take_u8()?;
+    let tag = cur.u8()?;
     let dtype = DType::from_tag(tag).ok_or_else(|| bad_tag("dtype", tag))?;
-    let len = cur.take_u64()? as usize;
+    let len = cur.u64()? as usize;
     if len.saturating_mul(8) > MAX_FRAME {
         return Err(StoreError::CorruptFile(format!(
             "column of {len} values cannot fit one frame"
@@ -367,7 +274,7 @@ fn take_column(cur: &mut Cursor<'_>) -> Result<ColumnData> {
     }
     let mut values = Vec::with_capacity(len);
     for _ in 0..len {
-        values.push(cur.take_u64()?);
+        values.push(cur.u64()?);
     }
     Ok(ColumnData::from_transport(dtype, values))
 }
@@ -386,10 +293,10 @@ pub(crate) fn put_stats(out: &mut Vec<u8>, s: &QueryStats) {
 pub(crate) fn take_stats(cur: &mut Cursor<'_>) -> Result<QueryStats> {
     let mut s = QueryStats::default();
     for field in s.values_mut() {
-        *field = cur.take_u64()? as usize;
+        *field = cur.u64()? as usize;
     }
     for field in s.pushdown.values_mut() {
-        *field = cur.take_u64()? as usize;
+        *field = cur.u64()? as usize;
     }
     Ok(s)
 }
@@ -440,24 +347,24 @@ fn put_rows(out: &mut Vec<u8>, rows: &Rows) {
 }
 
 fn take_rows(cur: &mut Cursor<'_>) -> Result<Rows> {
-    let tag = cur.take_u8()?;
-    let n = cur.take_u32()? as usize;
+    let tag = cur.u8()?;
+    let n = cur.u32()? as usize;
     Ok(match tag {
         0 => {
             let mut values = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
-                values.push(cur.take_opt_i128()?);
+                values.push(take_opt_i128(cur)?);
             }
             Rows::Aggregates(values)
         }
         1 => {
             let mut groups = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
-                let key = cur.take_i128()?;
-                let cols = cur.take_u32()? as usize;
+                let key = cur.i128()?;
+                let cols = cur.u32()? as usize;
                 let mut values = Vec::with_capacity(cols.min(1024));
                 for _ in 0..cols {
-                    values.push(cur.take_opt_i128()?);
+                    values.push(take_opt_i128(cur)?);
                 }
                 groups.push((key, values));
             }
@@ -466,7 +373,7 @@ fn take_rows(cur: &mut Cursor<'_>) -> Result<Rows> {
         2 | 3 => {
             let mut values = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
-                values.push(cur.take_i128()?);
+                values.push(cur.i128()?);
             }
             if tag == 2 {
                 Rows::TopK(values)
@@ -477,8 +384,8 @@ fn take_rows(cur: &mut Cursor<'_>) -> Result<Rows> {
         4 => {
             let mut pairs = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
-                let key = cur.take_i128()?;
-                let count = cur.take_i128()?;
+                let key = cur.i128()?;
+                let count = cur.i128()?;
                 pairs.push((key, count));
             }
             Rows::Joined(pairs)
@@ -515,16 +422,16 @@ impl Request {
                 args,
                 deadline_ms,
             } => {
-                put_str(&mut payload, table);
+                put_str32(&mut payload, table);
                 put_u32(&mut payload, args.len() as u32);
                 for arg in args {
-                    put_str(&mut payload, arg);
+                    put_str32(&mut payload, arg);
                 }
                 put_opt_u64(&mut payload, *deadline_ms);
                 REQ_QUERY
             }
             Request::Ingest { table, columns } => {
-                put_str(&mut payload, table);
+                put_str32(&mut payload, table);
                 put_u32(&mut payload, columns.len() as u32);
                 for col in columns {
                     put_column(&mut payload, col);
@@ -546,13 +453,13 @@ impl Request {
         let mut cur = Cursor::new(&payload);
         let request = match kind {
             REQ_QUERY => {
-                let table = cur.take_str()?;
-                let n = cur.take_u32()? as usize;
+                let table = cur.str32()?;
+                let n = cur.u32()? as usize;
                 let mut args = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
-                    args.push(cur.take_str()?);
+                    args.push(cur.str32()?);
                 }
-                let deadline_ms = cur.take_opt_u64()?;
+                let deadline_ms = take_opt_u64(&mut cur)?;
                 Request::Query {
                     table,
                     args,
@@ -560,8 +467,8 @@ impl Request {
                 }
             }
             REQ_INGEST => {
-                let table = cur.take_str()?;
-                let n = cur.take_u32()? as usize;
+                let table = cur.str32()?;
+                let n = cur.u32()? as usize;
                 let mut columns = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
                     columns.push(take_column(&mut cur)?);
@@ -604,7 +511,7 @@ impl Response {
                 RESP_BUSY
             }
             Response::Error { message } => {
-                put_str(&mut payload, message);
+                put_str32(&mut payload, message);
                 RESP_ERROR
             }
             Response::Stats(report) => {
@@ -635,27 +542,27 @@ impl Response {
         let mut cur = Cursor::new(&payload);
         let response = match kind {
             RESP_ROWS => Response::Rows {
-                version: cur.take_u64()?,
+                version: cur.u64()?,
                 rows: take_rows(&mut cur)?,
                 stats: take_stats(&mut cur)?,
             },
             RESP_BUSY => Response::Busy {
-                in_flight: cur.take_u64()?,
-                max: cur.take_u64()?,
-                retry_after_ms: cur.take_u64()?,
+                in_flight: cur.u64()?,
+                max: cur.u64()?,
+                retry_after_ms: cur.u64()?,
             },
             RESP_ERROR => Response::Error {
-                message: cur.take_str()?,
+                message: cur.str32()?,
             },
             RESP_STATS => Response::Stats(StatsReport::decode(&mut cur)?),
             RESP_PONG => Response::Pong,
             RESP_INGESTED => Response::Ingested {
-                version: cur.take_u64()?,
-                rows: cur.take_u64()?,
+                version: cur.u64()?,
+                rows: cur.u64()?,
             },
             RESP_SHUTTING_DOWN => Response::ShuttingDown,
             RESP_DEADLINE => Response::Deadline {
-                deadline_ms: cur.take_u64()?,
+                deadline_ms: cur.u64()?,
             },
             RESP_CANCELLED => Response::Cancelled,
             t => return Err(bad_tag("response", t)),

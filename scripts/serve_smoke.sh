@@ -86,16 +86,21 @@ echo "serve_smoke: server at $addr"
 # --- scripted queries, diffed against single-process lcdc query -----
 # Identical flags through both front doors; stdout (the rows) must be
 # byte-identical. Stats/commentary go to stderr on both sides; outside
-# top-k (whose prune counters depend on scheduling) the segment ledger
-# printed there must match too.
+# top-k (whose prune counters depend on scheduling) the ledger printed
+# there must match too: the segment counters plus every key-unit charge
+# (the group-by's and both join sides'): the masked group-by streams
+# its key, the unfiltered one folds runs, and the join prunes pairs and
+# reads both sides structurally.
 queries=(
   "--filter day=5..9 --sum qty --count"
   "--group-by day --sum price --filter day=1..4"
+  "--group-by day --sum qty"
   "--top-k price:5"
   "--filter qty=1..3 --distinct day"
+  "--join events --on day"
 )
 ledger() {
-  grep -oE ' (segments|segments_pruned|pushdown\.zonemap_hits)=[0-9]+' "$1" || true
+  grep -oE ' (segments|segments_pruned|groups_folded|rows_undecoded|join_pairs_pruned|join_rows_undecoded|pushdown\.zonemap_hits)=[0-9]+' "$1" || true
 }
 for q in "${queries[@]}"; do
   # shellcheck disable=SC2086  # $q is a flag list, split on purpose
@@ -146,6 +151,10 @@ serve_pid=""
 grep -q "served" "$dir/serve.err" || fail "no final report printed"
 
 # --- deterministic BUSY: a --max-inflight 0 server rejects queries --
+# Empty the address file first: the background redirect truncates it
+# only when the server process starts, and until then the address poll
+# below would read the previous server's (now closed) address.
+: >"$serve_out"
 "$LCDC" serve "$dir/cat" --addr 127.0.0.1:0 --max-inflight 0 \
   >"$serve_out" 2>"$dir/serve2.err" &
 serve_pid=$!
@@ -180,6 +189,7 @@ if [ "$CHAOS" = 1 ]; then
   # Lazy storage keeps disk reads (and their injected faults) on the
   # query path; the seeded plan mixes stalled reads, occasional read
   # errors, response stalls, and torn response frames.
+  : >"$serve_out"
   "$LCDC" serve "$dir/cat" --addr 127.0.0.1:0 --threads 2 --max-inflight 8 \
     --lazy --cache 2 --session-timeout-ms 2000 \
     --faults "io_read:every=97; io_stall:ms=1,every=1; stall:ms=2,every=5; frame_truncate:p=0.04" \
