@@ -338,21 +338,10 @@ pub fn shard_table(table: &Table, shards: usize) -> Result<Vec<Table>> {
     let mut start = 0usize;
     for shard_idx in 0..shards {
         let end = start + base + usize::from(shard_idx < extra);
-        let sources: Vec<Arc<dyn crate::source::SegmentSource>> = columns
-            .iter()
-            .map(|col| {
-                Arc::new(crate::source::ResidentSource::from_arcs(
-                    col[start..end].to_vec(),
-                )) as Arc<dyn crate::source::SegmentSource>
-            })
-            .collect();
-        let rows: usize = columns
-            .first()
-            .map_or(0, |col| col[start..end].iter().map(|s| s.num_rows()).sum());
-        out.push(Table::from_sources(
+        let segments = columns.iter().map(|col| col[start..end].to_vec()).collect();
+        out.push(Table::from_segments(
             table.schema().clone(),
-            sources,
-            rows,
+            segments,
             table.seg_rows(),
         )?);
         start = end;

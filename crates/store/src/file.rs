@@ -101,7 +101,7 @@ fn write_manifest(
         // Each record: where the frame sits plus everything the
         // planner needs without reading it. Row counts are persisted,
         // not inferred from seg_rows, so non-uniform segmentations
-        // (from_sources assemblies, appended tails) survive a reopen.
+        // (hand-assembled tables, appended tails) survive a reopen.
         for (meta, loc) in col.metas.iter().zip(&col.locations) {
             put_u64(&mut manifest, loc.offset);
             put_u64(&mut manifest, loc.len);
@@ -237,14 +237,13 @@ pub fn append_table(
 /// Load a whole table from `dir` into memory, verifying every frame
 /// checksum (the eager path; see [`open_table_lazy`] for the lazy one).
 pub fn load_table(dir: &Path) -> Result<Table> {
-    open_with(dir, |path, col| {
+    let (schema, segments, _, seg_rows) = open_with(dir, |path, col| {
         let name = &col.schema.name;
         let data = fs::read(path)?;
         // Records are located and validated exactly as the lazy path
         // does, so both opens accept the same directories (including
-        // non-uniform segmentations from_sources built) — except that
-        // bytes past the last record (a torn append) are refused here
-        // rather than ignored.
+        // non-uniform segmentations) — except that bytes past the last
+        // record (a torn append) are refused here rather than ignored.
         let mut segments = Vec::with_capacity(col.metas.len());
         for (idx, (meta, loc)) in col.metas.iter().zip(&col.locations).enumerate() {
             let record = record_at(&data, *loc).ok_or_else(|| {
@@ -259,8 +258,9 @@ pub fn load_table(dir: &Path) -> Result<Table> {
                 data.len() as u64 - end
             )));
         }
-        Ok(Arc::new(crate::source::ResidentSource::new(segments)))
-    })
+        Ok(segments)
+    })?;
+    Table::from_segments(schema, segments, seg_rows)
 }
 
 /// Open a table from `dir` *lazily*: only the manifest is read now;
@@ -269,7 +269,7 @@ pub fn load_table(dir: &Path) -> Result<Table> {
 /// `cache_capacity` decoded segments. Planning consults manifest
 /// metadata only, so zone-map-pruned segments are never read from disk.
 pub fn open_table_lazy(dir: &Path, cache_capacity: usize) -> Result<Table> {
-    open_with(dir, |path, col| {
+    let (schema, sources, num_rows, seg_rows) = open_with(dir, |path, col| {
         // FileSource::new bounds-checks every frame location against
         // the file length before any fetch can allocate from it.
         Ok(Arc::new(FileSource::new(
@@ -279,25 +279,27 @@ pub fn open_table_lazy(dir: &Path, cache_capacity: usize) -> Result<Table> {
             col.metas,
             col.locations,
             cache_capacity,
-        )?))
-    })
+        )?) as Arc<dyn SegmentSource>)
+    })?;
+    Table::from_sources(schema, sources, num_rows, seg_rows)
 }
 
-/// The skeleton both opens share: read the manifest, then build each
-/// column's source from its file path and manifest entry.
-fn open_with(
+/// The skeleton both opens share: read the manifest, then open each
+/// column from its file path and manifest entry. Returns the schema,
+/// the opened columns, and the manifest's row count and segment height.
+fn open_with<T>(
     dir: &Path,
-    source: impl Fn(PathBuf, ColumnManifest) -> Result<Arc<dyn SegmentSource>>,
-) -> Result<Table> {
+    column: impl Fn(PathBuf, ColumnManifest) -> Result<T>,
+) -> Result<(TableSchema, Vec<T>, usize, usize)> {
     let (columns, seg_rows, num_rows) = read_manifest(dir)?;
     let schema = TableSchema {
         columns: columns.iter().map(|c| c.schema.clone()).collect(),
     };
-    let sources = columns
+    let opened = columns
         .into_iter()
-        .map(|col| source(dir.join(column_file(&col.schema.name)), col))
+        .map(|col| column(dir.join(column_file(&col.schema.name)), col))
         .collect::<Result<_>>()?;
-    Table::from_sources(schema, sources, num_rows, seg_rows)
+    Ok((schema, opened, num_rows, seg_rows))
 }
 
 /// Read one segment of one column without touching any other frame:
@@ -685,22 +687,16 @@ mod tests {
 
     #[test]
     fn non_uniform_segmentation_survives_lazy_reopen() {
-        // from_sources permits non-uniform segment heights (aligned
-        // across columns); persisted per-segment row counts mean a lazy
+        // Tables may hold non-uniform segment heights (aligned across
+        // columns); persisted per-segment row counts mean a lazy
         // reopen plans on the true heights, not a seg_rows inference.
-        use crate::source::{ResidentSource, SegmentSource};
-        use std::sync::Arc;
         let dir = tmpdir("nonuniform");
         let seg = |vals: Vec<u64>| {
             Segment::build(&ColumnData::U64(vals), &CompressionPolicy::None).unwrap()
         };
-        let table = Table::from_sources(
+        let table = Table::from_segments(
             TableSchema::new(&[("a", DType::U64)]),
-            vec![Arc::new(ResidentSource::new(vec![
-                seg((0..10).collect()),
-                seg((10..30).collect()),
-            ])) as Arc<dyn SegmentSource>],
-            30,
+            vec![vec![seg((0..10).collect()), seg((10..30).collect())]],
             20,
         )
         .unwrap();

@@ -55,10 +55,11 @@
 //!
 //! ## The storage API
 //!
-//! A [`Table`] is a schema plus, per column, a [`SegmentSource`] handle
-//! — segments may be fully resident ([`Table::build`]) or lazily
-//! loaded from disk behind an LRU cache
-//! ([`file::open_table_lazy`]); the planner consults resident
+//! A [`Table`] is a schema plus, per column, one flat list of segments
+//! behind the [`SegmentSource`] surface — fully resident
+//! ([`Table::build`]), lazily loaded from disk behind an LRU cache
+//! ([`file::open_table_lazy`]), or either followed by appended
+//! resident segments; the planner consults resident
 //! [`source::SegmentMeta`] (zone maps, scheme tags) for every pruning
 //! decision and fetches payloads only for segments a pushdown tier
 //! actually touches. The [`Catalog`] layers multi-table storage on
@@ -73,9 +74,10 @@
 //! Tables are immutable values; *growth* happens by appending:
 //! [`Table::append`] encodes a row batch into fresh compressed
 //! segments (per-segment scheme choice, zone maps and scheme tags like
-//! built data) chained after the existing — possibly lazily-backed —
-//! segments, [`Catalog::ingest`] routes a batch to the owning shards
-//! by key range ([`Catalog::register_sharded_keyed`]) and publishes it
+//! built data) listed after the existing — possibly lazily-backed —
+//! segments in the same flat column, [`Catalog::ingest`] routes a
+//! batch to the owning shards by key range
+//! ([`Catalog::register_sharded_keyed`]) and publishes it
 //! under one version bump so cached results self-invalidate, and
 //! [`file::append_table`] is the on-disk counterpart: new frames
 //! appended to the column files without rewriting existing ones, the
@@ -126,7 +128,7 @@ pub use server::{
     Client, EndpointStats, Request, Response, RetryPolicy, Server, ServerConfig, StatsReport,
 };
 pub use sort::{sort_column_compressed, sort_column_naive, SortStats};
-pub use source::{ChainedSource, FileSource, ResidentSource, SegmentMeta, SegmentSource};
+pub use source::{FileSource, SegmentMeta, SegmentSource};
 pub use table::Table;
 
 /// Errors produced by the store.

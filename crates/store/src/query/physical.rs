@@ -30,6 +30,7 @@ use crate::agg::{
 use crate::hash::{IntMap, IntSet};
 use crate::predicate::Predicate;
 use crate::segment::{SchemeKind, Segment};
+use crate::source::SegmentSource;
 use crate::table::Table;
 use crate::{Result, StoreError};
 use lcdc_colops::Bitmap;

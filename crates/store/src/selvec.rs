@@ -376,8 +376,6 @@ mod tests {
 
     #[test]
     fn gather_respects_non_uniform_segmentation() {
-        use crate::source::{ResidentSource, SegmentSource};
-        use std::sync::Arc;
         // Segments of [30, 10] rows with seg_rows=20: a uniform
         // pos/seg_rows division would mislocate every position >= 20.
         let seg = |vals: std::ops::Range<u64>| {
@@ -387,11 +385,9 @@ mod tests {
             )
             .unwrap()
         };
-        let t = Table::from_sources(
+        let t = Table::from_segments(
             crate::schema::TableSchema::new(&[("a", lcdc_core::DType::U64)]),
-            vec![Arc::new(ResidentSource::new(vec![seg(0..30), seg(30..40)]))
-                as Arc<dyn SegmentSource>],
-            40,
+            vec![vec![seg(0..30), seg(30..40)]],
             20,
         )
         .unwrap();

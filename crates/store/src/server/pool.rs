@@ -244,7 +244,7 @@ mod tests {
     use crate::query::{Agg, CancelToken};
     use crate::schema::TableSchema;
     use crate::segment::{CompressionPolicy, Segment};
-    use crate::source::{ResidentSource, SegmentMeta, SegmentSource};
+    use crate::source::{Column, SegmentMeta, SegmentSource};
     use crate::table::Table;
     use crate::{CatalogTable, ExecOptions, QuerySpec, ShardedTable};
     use lcdc_core::{ColumnData, DType};
@@ -487,7 +487,7 @@ mod tests {
     /// fetch of another at a barrier until a second fetch meets it.
     #[derive(Debug)]
     struct TrapSource {
-        inner: ResidentSource,
+        inner: Column,
         panic_at: Option<usize>,
         meet_at: Option<(usize, Barrier)>,
     }
@@ -521,7 +521,7 @@ mod tests {
         )
         .unwrap();
         let source = TrapSource {
-            inner: ResidentSource::from_arcs(table.column_segments("v").unwrap()),
+            inner: Column::new(None, table.column_segments("v").unwrap()),
             panic_at,
             meet_at,
         };

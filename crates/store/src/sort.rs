@@ -151,19 +151,16 @@ mod tests {
 
     #[test]
     fn overrunning_run_lengths_stop_at_the_segment_rows() {
-        use crate::source::{ResidentSource, SegmentSource};
         use lcdc_core::{schemes::Rle, PartData, Scheme};
-        use std::sync::Arc;
         let mut c = Rle
             .compress(&ColumnData::U64(vec![4, 4, 4, 1, 1, 1, 1, 1, 1, 1]))
             .unwrap();
         // The last run claims 2^40 rows of a 10-row segment.
         c.parts[1].data = PartData::Plain(ColumnData::U64(vec![3, 1 << 40]));
         let seg = Segment::new(c, "rle".into(), 1, 4).unwrap();
-        let t = Table::from_sources(
+        let t = Table::from_segments(
             crate::schema::TableSchema::new(&[("v", DType::U64)]),
-            vec![Arc::new(ResidentSource::new(vec![seg])) as Arc<dyn SegmentSource>],
-            10,
+            vec![vec![seg]],
             10,
         )
         .unwrap();

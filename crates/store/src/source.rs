@@ -1,17 +1,20 @@
 //! Segment sources: where a column's segments live and how they are
 //! fetched.
 //!
-//! The planner never holds a `&[Segment]` anymore — it plans against
+//! The planner never holds a `&[Segment]` — it plans against
 //! [`SegmentMeta`] (zone map, row count, scheme tag: everything a
 //! pushdown-tier decision needs, resident by construction) and fetches
 //! payloads one segment at a time through [`SegmentSource::segment`]
 //! only when a tier actually has to touch bytes. That seam is what lets
 //! one physical plan run unchanged over:
 //!
-//! * [`ResidentSource`] — today's fully in-memory segments;
 //! * [`FileSource`] — lazy per-segment loads from the on-disk column
 //!   file (see [`crate::file`]), behind a small LRU cache, so a
-//!   zone-map-pruned segment's frame is *never read from disk*.
+//!   zone-map-pruned segment's frame is *never read from disk*;
+//! * `Column` — what a [`crate::Table`] holds per column: an optional
+//!   base source (a `FileSource`, or a custom backend) followed by a
+//!   flat list of resident segments, which is all a built table has
+//!   and what every append extends.
 //!
 //! Sources are `Send + Sync`: the parallel executor shares one source
 //! across workers, and the LRU cache takes an internal lock only on the
@@ -123,42 +126,111 @@ pub trait SegmentSource: std::fmt::Debug + Send + Sync {
     fn inject_faults(&self, _plan: &Arc<FaultPlan>) {}
 }
 
-/// All segments held in memory — the source behind [`crate::Table::build`].
+/// One table column: an optional base source followed by resident
+/// segments — the one [`SegmentSource`] a [`crate::Table`] holds per
+/// column. A built table's columns are resident only; an opened one's
+/// are all base (a [`FileSource`], or a custom backend handed to
+/// [`crate::Table::from_sources`]); [`crate::Table::append`] keeps the
+/// base and extends the resident list, so however many appends a
+/// column has seen, a lookup makes at most one call into the base and
+/// no segment payload is ever copied or re-encoded.
 #[derive(Debug)]
-pub struct ResidentSource {
+pub(crate) struct Column {
+    /// The base source, with its segment count recorded once (sources
+    /// are immutable).
+    base: Option<(Arc<dyn SegmentSource>, usize)>,
+    /// The resident segments after the base, with their metadata.
     segments: Vec<Arc<Segment>>,
     metas: Vec<SegmentMeta>,
 }
 
-impl ResidentSource {
-    /// Wrap already-compressed in-memory segments.
-    pub fn new(segments: Vec<Segment>) -> ResidentSource {
-        ResidentSource::from_arcs(segments.into_iter().map(Arc::new).collect())
+/// Where one segment of a [`Column`] lives: in the base at the same
+/// index, or at a position of the resident list.
+enum Slot<'a> {
+    Base(&'a dyn SegmentSource),
+    Resident(usize),
+}
+
+impl Column {
+    /// `base`'s segments, if any, followed by `segments` (shared
+    /// handles, no copies).
+    pub(crate) fn new(base: Option<Arc<dyn SegmentSource>>, segments: Vec<Arc<Segment>>) -> Column {
+        Column {
+            base: base.map(|base| {
+                let n = base.num_segments();
+                (base, n)
+            }),
+            metas: segments.iter().map(|s| SegmentMeta::of(s)).collect(),
+            segments,
+        }
     }
 
-    /// Wrap shared segment handles without copying payloads — the
-    /// zero-copy path [`crate::catalog::shard_table`] uses to split a
-    /// table along segment boundaries.
-    pub fn from_arcs(segments: Vec<Arc<Segment>>) -> ResidentSource {
-        let metas = segments.iter().map(|s| SegmentMeta::of(s)).collect();
-        ResidentSource { segments, metas }
+    /// The base source, if the column has one.
+    pub(crate) fn base(&self) -> Option<&Arc<dyn SegmentSource>> {
+        self.base.as_ref().map(|(base, _)| base)
+    }
+
+    /// The resident segments after the base.
+    pub(crate) fn resident_segments(&self) -> &[Arc<Segment>] {
+        &self.segments
+    }
+
+    fn slot(&self, idx: usize) -> Slot<'_> {
+        match &self.base {
+            Some((base, n)) if idx < *n => Slot::Base(base.as_ref()),
+            Some((_, n)) => Slot::Resident(idx - n),
+            None => Slot::Resident(idx),
+        }
     }
 }
 
-impl SegmentSource for ResidentSource {
+impl SegmentSource for Column {
     fn num_segments(&self) -> usize {
-        self.segments.len()
+        self.base.as_ref().map_or(0, |(_, n)| *n) + self.segments.len()
     }
 
     fn meta(&self, idx: usize) -> &SegmentMeta {
-        &self.metas[idx] // lint: allow(panic) — the trait's `meta` has no error path
+        match self.slot(idx) {
+            Slot::Base(base) => base.meta(idx),
+            Slot::Resident(i) => &self.metas[i], // lint: allow(panic) — the trait's `meta` has no error path
+        }
     }
 
     fn segment(&self, idx: usize) -> Result<Arc<Segment>> {
-        self.segments
-            .get(idx)
-            .map(Arc::clone)
-            .ok_or_else(|| no_segment(idx, self.segments.len()))
+        match self.slot(idx) {
+            Slot::Base(base) => base.segment(idx),
+            Slot::Resident(i) => self
+                .segments
+                .get(i)
+                .map(Arc::clone)
+                .ok_or_else(|| no_segment(idx, self.num_segments())),
+        }
+    }
+
+    fn io_reads(&self) -> usize {
+        self.base().map_or(0, |base| base.io_reads())
+    }
+
+    fn prefetch(&self, idx: usize) -> bool {
+        // Resident segments have nothing to warm.
+        matches!(self.slot(idx), Slot::Base(base) if base.prefetch(idx))
+    }
+
+    fn take_prefetch_counters(&self) -> (usize, usize) {
+        self.base()
+            .map_or((0, 0), |base| base.take_prefetch_counters())
+    }
+
+    fn cache_capacity(&self) -> Option<usize> {
+        self.base().and_then(|base| base.cache_capacity())
+    }
+
+    fn inject_faults(&self, plan: &Arc<FaultPlan>) {
+        // Only the base can touch a backing store; resident segments
+        // have no reads to fail.
+        if let Some(base) = self.base() {
+            base.inject_faults(plan);
+        }
     }
 }
 
@@ -557,77 +629,6 @@ impl SegmentSource for FileSource {
     }
 }
 
-/// An existing source's segments followed by appended resident
-/// segments — the zero-rewrite append path behind
-/// [`crate::Table::append`]. The base keeps whatever backend it had
-/// (a lazily-backed column stays lazy; only the appended tail is
-/// resident), and repeated appends nest: each one wraps the previous
-/// table's source, so no segment payload is ever copied or re-encoded.
-#[derive(Debug)]
-pub struct ChainedSource {
-    base: Arc<dyn SegmentSource>,
-    /// `base.num_segments()`, recorded once: sources are immutable, and
-    /// asking a nested chain again walks every level below this one —
-    /// per call, at every level, O(depth²) per lookup.
-    base_segments: usize,
-    tail: ResidentSource,
-}
-
-impl ChainedSource {
-    /// Chain `tail` segments after every segment of `base`.
-    pub fn new(base: Arc<dyn SegmentSource>, tail: Vec<Segment>) -> ChainedSource {
-        ChainedSource {
-            base_segments: base.num_segments(),
-            base,
-            tail: ResidentSource::new(tail),
-        }
-    }
-}
-
-impl SegmentSource for ChainedSource {
-    fn num_segments(&self) -> usize {
-        self.base_segments + self.tail.num_segments()
-    }
-
-    fn meta(&self, idx: usize) -> &SegmentMeta {
-        if idx < self.base_segments {
-            self.base.meta(idx)
-        } else {
-            self.tail.meta(idx - self.base_segments)
-        }
-    }
-
-    fn segment(&self, idx: usize) -> Result<Arc<Segment>> {
-        if idx < self.base_segments {
-            self.base.segment(idx)
-        } else {
-            self.tail.segment(idx - self.base_segments)
-        }
-    }
-
-    fn io_reads(&self) -> usize {
-        self.base.io_reads()
-    }
-
-    fn prefetch(&self, idx: usize) -> bool {
-        idx < self.base_segments && self.base.prefetch(idx)
-    }
-
-    fn take_prefetch_counters(&self) -> (usize, usize) {
-        self.base.take_prefetch_counters()
-    }
-
-    fn cache_capacity(&self) -> Option<usize> {
-        self.base.cache_capacity()
-    }
-
-    fn inject_faults(&self, plan: &Arc<FaultPlan>) {
-        // Only the base can touch a backing store; the resident tail
-        // has no reads to fail.
-        self.base.inject_faults(plan);
-    }
-}
-
 /// Tiny exact LRU over `(key, value)` pairs — most-recently-used at
 /// the back. Capacities are small (tens to hundreds), so a `Vec` scan
 /// beats a linked hash map. Shared by the per-column segment cache
@@ -754,7 +755,7 @@ mod tests {
     fn resident_source_round_trips() {
         let segs = segments();
         let want: Vec<ColumnData> = segs.iter().map(|s| s.decompress().unwrap()).collect();
-        let src = ResidentSource::new(segs);
+        let src = Column::new(None, segs.into_iter().map(Arc::new).collect());
         assert_eq!(src.num_segments(), 4);
         assert_eq!(src.io_reads(), 0);
         for (i, plain) in want.iter().enumerate() {
@@ -840,92 +841,9 @@ mod tests {
 
     #[test]
     fn resident_prefetch_is_a_no_op() {
-        let src = ResidentSource::new(segments());
+        let src = Column::new(None, segments().into_iter().map(Arc::new).collect());
         assert!(!src.prefetch(0));
         assert_eq!(src.take_prefetch_counters(), (0, 0));
-    }
-
-    #[test]
-    fn chained_source_splices_base_and_tail() {
-        let dir = std::env::temp_dir().join(format!("lcdc_src_chain_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let schema = crate::schema::TableSchema::new(&[("v", lcdc_core::DType::U64)]);
-        let v = ColumnData::U64((0..400u64).collect());
-        let table =
-            crate::table::Table::build(schema, &[v], &[CompressionPolicy::Auto], 100).unwrap();
-        crate::file::save_table(&table, &dir).unwrap();
-        let lazy = crate::file::open_table_lazy(&dir, 2).unwrap();
-        // Appending to a lazy table chains a resident tail after the
-        // FileSource base.
-        let grown = lazy.append(&[ColumnData::U64(vec![400, 401])]).unwrap();
-        let chained = grown.source("v").unwrap();
-        assert_eq!(chained.num_segments(), 5);
-        assert_eq!(chained.meta(4).rows, 2);
-        assert_eq!((chained.meta(4).min, chained.meta(4).max), (400, 401));
-        // Base fetches go through the lazy file source and count I/O...
-        assert_eq!(chained.io_reads(), 0);
-        assert_eq!(
-            chained.segment(0).unwrap().decompress().unwrap(),
-            ColumnData::U64((0..100).collect())
-        );
-        assert_eq!(chained.io_reads(), 1);
-        // ...tail fetches are resident and free.
-        assert_eq!(
-            chained.segment(4).unwrap().decompress().unwrap(),
-            ColumnData::U64(vec![400, 401])
-        );
-        assert_eq!(chained.io_reads(), 1);
-        // Prefetch routes to the base only; capacity is the base's.
-        assert!(!chained.prefetch(4), "resident tail: nothing to warm");
-        assert!(chained.prefetch(1));
-        assert_eq!(chained.cache_capacity(), Some(2));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A resident source that counts `num_segments` calls.
-    #[derive(Debug)]
-    struct CountingSource {
-        inner: ResidentSource,
-        num_segments_calls: AtomicUsize,
-    }
-
-    impl SegmentSource for CountingSource {
-        fn num_segments(&self) -> usize {
-            self.num_segments_calls.fetch_add(1, Ordering::Relaxed);
-            self.inner.num_segments()
-        }
-
-        fn meta(&self, idx: usize) -> &SegmentMeta {
-            self.inner.meta(idx)
-        }
-
-        fn segment(&self, idx: usize) -> Result<Arc<Segment>> {
-            self.inner.segment(idx)
-        }
-    }
-
-    #[test]
-    fn nested_chains_look_up_without_rewalking_the_base() {
-        let stub = Arc::new(CountingSource {
-            inner: ResidentSource::new(segments()),
-            num_segments_calls: AtomicUsize::new(0),
-        });
-        let mut chain: Arc<dyn SegmentSource> = Arc::clone(&stub) as Arc<dyn SegmentSource>;
-        for _ in 0..32 {
-            chain = Arc::new(ChainedSource::new(chain, segments()));
-        }
-        stub.num_segments_calls.store(0, Ordering::Relaxed);
-        let last = chain.num_segments() - 1;
-        assert_eq!(last, 4 * 33 - 1);
-        assert_eq!(chain.meta(last).rows, 100);
-        assert_eq!(chain.meta(0).min, 0, "base lookups still reach the stub");
-        assert!(chain.segment(last).is_ok());
-        assert!(!chain.prefetch(last));
-        assert_eq!(
-            stub.num_segments_calls.load(Ordering::Relaxed),
-            0,
-            "each level recorded its base's segment count at construction"
-        );
     }
 
     #[test]

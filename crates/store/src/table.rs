@@ -1,16 +1,18 @@
-//! Tables: a schema plus, per column, a [`SegmentSource`] handle.
+//! Tables: a schema plus, per column, one flat list of segments.
 //!
-//! Since the storage redesign a `Table` does not own its data — it owns
-//! *handles*. A column's segments may be fully resident
-//! ([`ResidentSource`], what [`Table::build`] produces) or lazily
-//! loaded from disk ([`crate::source::FileSource`], what
-//! [`crate::file::open_table_lazy`] produces); the planner sees the
-//! same surface either way and only pays I/O for segments its pushdown
-//! tiers actually touch.
+//! A `Table` does not own its data — it owns *handles*. Each column is
+//! one `Column` source: an optional base source followed by resident
+//! segments. [`Table::build`] and [`Table::from_segments`] make
+//! resident columns; [`crate::file::open_table_lazy`] hands
+//! [`Table::from_sources`] one [`crate::source::FileSource`] per column
+//! as its base, loaded lazily from disk; [`Table::append`] keeps each
+//! column's base and extends its resident list. The planner sees the
+//! same [`SegmentSource`] surface either way and only pays I/O for
+//! segments its pushdown tiers actually touch.
 
 use crate::schema::TableSchema;
 use crate::segment::{CompressionPolicy, Segment};
-use crate::source::{ChainedSource, ResidentSource, SegmentMeta, SegmentSource};
+use crate::source::{Column, SegmentMeta, SegmentSource};
 use crate::{Result, StoreError};
 use lcdc_core::ColumnData;
 use std::sync::Arc;
@@ -18,13 +20,13 @@ use std::sync::Arc;
 /// Default rows per segment (matches common vector/block sizes).
 pub const DEFAULT_SEG_ROWS: usize = 16_384;
 
-/// A columnar table: a schema plus, per column, a segment source of
-/// equal-height compressed segments.
+/// A columnar table: a schema plus, per column, a flat list of
+/// compressed segments whose heights align across columns.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: TableSchema,
-    /// `sources[col]`, aligned with `schema.columns`.
-    sources: Vec<Arc<dyn SegmentSource>>,
+    /// `columns[col]`, aligned with `schema.columns`.
+    columns: Vec<Arc<Column>>,
     num_rows: usize,
     seg_rows: usize,
 }
@@ -39,74 +41,33 @@ impl Table {
         policies: &[CompressionPolicy],
         seg_rows: usize,
     ) -> Result<Table> {
-        let num_rows = check_batch(&schema, columns, Some(policies))?;
-        let seg_rows = seg_rows.max(1);
-        let mut sources: Vec<Arc<dyn SegmentSource>> = Vec::with_capacity(columns.len());
-        for (col, policy) in columns.iter().zip(policies) {
-            let segments = segment_column(col, policy, seg_rows)?;
-            sources.push(Arc::new(ResidentSource::new(segments)));
-        }
-        Ok(Table {
-            schema,
-            sources,
-            num_rows,
-            seg_rows,
-        })
+        check_batch(&schema, columns, Some(policies))?;
+        let segments = columns
+            .iter()
+            .zip(policies)
+            .map(|(col, policy)| segment_column(col, policy, seg_rows))
+            .collect::<Result<Vec<_>>>()?;
+        Table::from_segments(schema, segments, seg_rows)
     }
 
-    /// Assemble a table from already-compressed segments (the
-    /// persistence layer's eager load path). Validates that every column
-    /// has the same total row count and that non-final segments are
-    /// exactly `seg_rows` tall.
+    /// Assemble a table from already-compressed segments, owned or
+    /// shared (`Arc` handles are kept, not copied — the eager load path
+    /// and sharding). Segments must align across columns exactly as in
+    /// [`Table::from_sources`] and carry their column's dtype;
+    /// `seg_rows` is the height [`Table::append`] cuts batches to.
     pub fn from_segments(
         schema: TableSchema,
-        segments: Vec<Vec<Segment>>,
+        segments: Vec<Vec<impl Into<Arc<Segment>>>>,
         seg_rows: usize,
     ) -> Result<Table> {
-        if segments.len() != schema.width() {
-            return Err(StoreError::Shape(format!(
-                "{} segment columns, {} schema columns",
-                segments.len(),
-                schema.width()
-            )));
-        }
-        let seg_rows = seg_rows.max(1);
-        let num_rows = segments
-            .first()
-            .map_or(0, |col| col.iter().map(Segment::num_rows).sum());
-        for (i, col) in segments.iter().enumerate() {
-            let total: usize = col.iter().map(Segment::num_rows).sum();
-            if total != num_rows {
-                return Err(StoreError::Shape(format!(
-                    "column {} holds {total} rows, expected {num_rows}",
-                    schema.columns[i].name
-                )));
-            }
-            for (j, seg) in col.iter().enumerate() {
-                let expected = if j + 1 < col.len() {
-                    seg_rows
-                } else {
-                    num_rows - seg_rows * (col.len() - 1)
-                };
-                seg.check_rows(expected)?;
-                if seg.compressed.dtype != schema.columns[i].dtype {
-                    return Err(StoreError::Shape(format!(
-                        "column {} segment {j} is {:?}, schema says {:?}",
-                        schema.columns[i].name, seg.compressed.dtype, schema.columns[i].dtype
-                    )));
-                }
-            }
-        }
-        let sources = segments
+        let columns: Vec<Column> = segments
             .into_iter()
-            .map(|col| Arc::new(ResidentSource::new(col)) as Arc<dyn SegmentSource>)
+            .map(|col| Column::new(None, col.into_iter().map(Into::into).collect()))
             .collect();
-        Ok(Table {
-            schema,
-            sources,
-            num_rows,
-            seg_rows,
-        })
+        let num_rows = columns.first().map_or(0, |col| {
+            (0..col.num_segments()).map(|j| col.meta(j).rows).sum()
+        });
+        Table::assemble(schema, columns, num_rows, seg_rows)
     }
 
     /// Assemble a table directly from per-column sources (the lazy load
@@ -119,50 +80,73 @@ impl Table {
         num_rows: usize,
         seg_rows: usize,
     ) -> Result<Table> {
-        if sources.len() != schema.width() {
+        let columns = sources
+            .into_iter()
+            .map(|source| Column::new(Some(source), Vec::new()))
+            .collect();
+        Table::assemble(schema, columns, num_rows, seg_rows)
+    }
+
+    /// The one shape check every assembled table passes: one column per
+    /// schema column, each holding `num_rows` rows in segments exactly
+    /// as tall as column 0's — the planner reads per-segment row counts
+    /// off column 0 and applies one selection across columns — and every
+    /// resident segment of its column's dtype.
+    fn assemble(
+        schema: TableSchema,
+        columns: Vec<Column>,
+        num_rows: usize,
+        seg_rows: usize,
+    ) -> Result<Table> {
+        if columns.len() != schema.width() {
             return Err(StoreError::Shape(format!(
-                "{} sources, {} schema columns",
-                sources.len(),
+                "{} columns, {} schema columns",
+                columns.len(),
                 schema.width()
             )));
         }
-        let seg_rows = seg_rows.max(1);
-        let num_segments = sources.first().map_or(0, |s| s.num_segments());
-        for (i, source) in sources.iter().enumerate() {
-            if source.num_segments() != num_segments {
-                return Err(StoreError::Shape(format!(
-                    "column {} has {} segments, expected {num_segments}",
-                    schema.columns[i].name,
-                    source.num_segments()
-                )));
-            }
-            let mut total = 0usize;
-            for j in 0..num_segments {
-                let rows = source.meta(j).rows;
-                // The planner reads per-segment row counts off column 0
-                // and applies one selection bitmap across columns, so
-                // segmentation must align exactly, not just in total.
-                let expected = sources[0].meta(j).rows;
-                if rows != expected {
+        if let Some(first) = columns.first() {
+            let first_name = &schema.columns[0].name;
+            for (column, decl) in columns.iter().zip(&schema.columns) {
+                let name = &decl.name;
+                if column.num_segments() != first.num_segments() {
                     return Err(StoreError::Shape(format!(
-                        "column {} segment {j} holds {rows} rows, column {} holds {expected}",
-                        schema.columns[i].name, schema.columns[0].name
+                        "column {name} has {} segments, expected {}",
+                        column.num_segments(),
+                        first.num_segments()
                     )));
                 }
-                total += rows;
-            }
-            if total != num_rows {
-                return Err(StoreError::Shape(format!(
-                    "column {} holds {total} rows, expected {num_rows}",
-                    schema.columns[i].name
-                )));
+                let mut total = 0usize;
+                for j in 0..column.num_segments() {
+                    let (rows, expected) = (column.meta(j).rows, first.meta(j).rows);
+                    if rows != expected {
+                        return Err(StoreError::Shape(format!(
+                            "column {name} segment {j} holds {rows} rows, \
+                             column {first_name} holds {expected}"
+                        )));
+                    }
+                    total += rows;
+                }
+                if total != num_rows {
+                    return Err(StoreError::Shape(format!(
+                        "column {name} holds {total} rows, expected {num_rows}"
+                    )));
+                }
+                for (j, seg) in column.resident_segments().iter().enumerate() {
+                    if seg.compressed.dtype != decl.dtype {
+                        return Err(StoreError::Shape(format!(
+                            "column {name} segment {j} is {:?}, schema says {:?}",
+                            seg.compressed.dtype, decl.dtype
+                        )));
+                    }
+                }
             }
         }
         Ok(Table {
             schema,
-            sources,
+            columns: columns.into_iter().map(Arc::new).collect(),
             num_rows,
-            seg_rows,
+            seg_rows: seg_rows.max(1),
         })
     }
 
@@ -173,14 +157,16 @@ impl Table {
     /// by this table's segment height and each chunk goes through the
     /// per-column scheme chooser ([`CompressionPolicy::Auto`]), so
     /// appended segments carry zone maps and scheme tags exactly like
-    /// built ones; use [`Table::append_with`] to pin policies.
+    /// built ones.
     ///
     /// Tables are immutable values: the append is visible only through
     /// the returned table, which is what lets [`crate::Catalog::ingest`]
     /// publish it atomically under a version bump while in-flight
-    /// queries keep reading the old snapshot. A lazily-backed table
-    /// stays lazy — only the appended tail is resident
-    /// ([`ChainedSource`]).
+    /// queries keep reading the old snapshot. Each column keeps its base
+    /// (a lazily-backed column stays lazy) and lists the old resident
+    /// handles plus the new segments, so however many appends a table
+    /// has seen, its columns stay one level deep: an append costs one
+    /// handle copy per resident segment, a lookup stays O(1).
     ///
     /// ```
     /// use lcdc_core::{ColumnData, DType};
@@ -199,42 +185,23 @@ impl Table {
     /// assert_eq!(table.num_rows(), 100, "the original is untouched");
     /// ```
     pub fn append(&self, columns: &[ColumnData]) -> Result<Table> {
-        let policies = vec![CompressionPolicy::Auto; self.schema.width()];
-        self.append_with(columns, &policies)
-    }
-
-    /// [`Table::append`] with explicit per-column compression policies.
-    pub fn append_with(
-        &self,
-        columns: &[ColumnData],
-        policies: &[CompressionPolicy],
-    ) -> Result<Table> {
-        let batch_rows = check_batch(&self.schema, columns, Some(policies))?;
+        let batch_rows = check_batch(&self.schema, columns, None)?;
         if batch_rows == 0 {
             return Ok(self.clone());
         }
-        let mut sources: Vec<Arc<dyn SegmentSource>> = Vec::with_capacity(columns.len());
-        for ((col, policy), base) in columns.iter().zip(policies).zip(&self.sources) {
-            let tail = segment_column(col, policy, self.seg_rows)?;
-            sources.push(Arc::new(ChainedSource::new(Arc::clone(base), tail)));
+        let mut grown = Vec::with_capacity(columns.len());
+        for (col, column) in columns.iter().zip(&self.columns) {
+            let mut segments = column.resident_segments().to_vec();
+            let tail = segment_column(col, &CompressionPolicy::Auto, self.seg_rows)?;
+            segments.extend(tail.into_iter().map(Arc::new));
+            grown.push(Arc::new(Column::new(column.base().cloned(), segments)));
         }
         Ok(Table {
             schema: self.schema.clone(),
-            sources,
+            columns: grown,
             num_rows: self.num_rows + batch_rows,
             seg_rows: self.seg_rows,
         })
-    }
-
-    /// Convenience: build with one shared policy and default segment
-    /// height.
-    pub fn build_uniform(
-        schema: TableSchema,
-        columns: &[ColumnData],
-        policy: CompressionPolicy,
-    ) -> Result<Table> {
-        let policies = vec![policy; schema.width()];
-        Table::build(schema, columns, &policies, DEFAULT_SEG_ROWS)
     }
 
     /// The schema.
@@ -254,13 +221,13 @@ impl Table {
 
     /// Number of segments per column.
     pub fn num_segments(&self) -> usize {
-        self.sources.first().map_or(0, |s| s.num_segments())
+        self.columns.first().map_or(0, |c| c.num_segments())
     }
 
     /// The segment source of a column by schema index (planner-internal:
     /// the physical plan resolves names once, at compile time).
-    pub(crate) fn source_at(&self, idx: usize) -> &dyn SegmentSource {
-        self.sources[idx].as_ref()
+    pub(crate) fn source_at(&self, idx: usize) -> &Column {
+        &self.columns[idx]
     }
 
     /// The segment source of a named column.
@@ -270,14 +237,14 @@ impl Table {
 
     /// Planner metadata of one segment of a column by schema index.
     pub(crate) fn meta_at(&self, idx: usize, seg_idx: usize) -> &SegmentMeta {
-        self.sources[idx].meta(seg_idx)
+        self.columns[idx].meta(seg_idx)
     }
 
     /// A column's table-wide `[min, max]` from resident segment
     /// metadata — the table-level zone map shard pruning intersects
     /// query bounds against. `None` when no non-empty segment exists.
     pub(crate) fn column_range(&self, idx: usize) -> Option<(i128, i128)> {
-        let source = &self.sources[idx];
+        let source = &self.columns[idx];
         let mut range: Option<(i128, i128)> = None;
         for seg_idx in 0..source.num_segments() {
             let meta = source.meta(seg_idx);
@@ -304,15 +271,15 @@ impl Table {
     /// Payload fetches that hit the backing store so far, summed over
     /// all columns — 0 for fully resident tables.
     pub fn io_reads(&self) -> usize {
-        self.sources.iter().map(|s| s.io_reads()).sum()
+        self.columns.iter().map(|c| c.io_reads()).sum()
     }
 
     /// Arm a [`crate::FaultPlan`] on every column's segment source, so
     /// lazily-backed reads run through its `io_read`/`io_stall` rules
     /// (chaos testing; a no-op for fully resident tables).
-    pub fn inject_faults(&self, plan: &std::sync::Arc<crate::FaultPlan>) {
-        for source in &self.sources {
-            source.inject_faults(plan);
+    pub fn inject_faults(&self, plan: &Arc<crate::FaultPlan>) {
+        for column in &self.columns {
+            column.inject_faults(plan);
         }
     }
 
@@ -339,11 +306,11 @@ impl Table {
 
     /// Total compressed bytes of the table (from segment metadata).
     pub fn compressed_bytes(&self) -> usize {
-        self.sources
+        self.columns
             .iter()
-            .map(|s| {
-                (0..s.num_segments())
-                    .map(|i| s.meta(i).bytes)
+            .map(|c| {
+                (0..c.num_segments())
+                    .map(|i| c.meta(i).bytes)
                     .sum::<usize>()
             })
             .sum()
@@ -532,20 +499,23 @@ mod tests {
         let schema = TableSchema::new(&[("a", DType::U32), ("b", DType::U32)]);
         let a = ColumnData::U32(vec![1, 2, 3]);
         let b_short = ColumnData::U32(vec![1]);
-        assert!(Table::build_uniform(
+        let none = [CompressionPolicy::None, CompressionPolicy::None];
+        assert!(Table::build(
             schema.clone(),
             &[a.clone(), b_short],
-            CompressionPolicy::None
+            &none,
+            DEFAULT_SEG_ROWS
         )
         .is_err());
         let b_wrong_type = ColumnData::I64(vec![1, 2, 3]);
-        assert!(Table::build_uniform(
+        assert!(Table::build(
             schema.clone(),
             &[a.clone(), b_wrong_type],
-            CompressionPolicy::None
+            &none,
+            DEFAULT_SEG_ROWS
         )
         .is_err());
-        assert!(Table::build_uniform(schema, &[a], CompressionPolicy::None).is_err());
+        assert!(Table::build(schema, &[a], &none, DEFAULT_SEG_ROWS).is_err());
     }
 
     #[test]
@@ -559,8 +529,13 @@ mod tests {
     #[test]
     fn empty_table() {
         let schema = TableSchema::new(&[("a", DType::U32)]);
-        let t = Table::build_uniform(schema, &[ColumnData::U32(vec![])], CompressionPolicy::None)
-            .unwrap();
+        let t = Table::build(
+            schema,
+            &[ColumnData::U32(vec![])],
+            &[CompressionPolicy::None],
+            DEFAULT_SEG_ROWS,
+        )
+        .unwrap();
         assert_eq!(t.num_rows(), 0);
         assert_eq!(t.num_segments(), 0);
         assert_eq!(t.materialize("a").unwrap(), ColumnData::U32(vec![]));
@@ -643,7 +618,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_appends_nest_and_query_correctly() {
+    fn repeated_appends_stay_flat_and_query_correctly() {
         let mut t = small_table();
         for round in 0..3u64 {
             let date = ColumnData::U64(vec![30_000_000 + round; 100]);
@@ -669,13 +644,7 @@ mod tests {
     fn from_sources_validates_alignment() {
         let t = small_table();
         let schema = t.schema().clone();
-        let date = crate::source::ResidentSource::new(
-            t.column_segments("date")
-                .unwrap()
-                .iter()
-                .map(|s| (**s).clone())
-                .collect(),
-        );
+        let date = Column::new(None, t.column_segments("date").unwrap());
         // One source for a two-column schema: rejected.
         assert!(Table::from_sources(
             schema.clone(),
@@ -688,7 +657,6 @@ mod tests {
 
     #[test]
     fn from_sources_rejects_misaligned_segmentation() {
-        use crate::source::ResidentSource;
         // Equal segment counts and equal totals, but different splits:
         // column A is [10, 20] rows, column B is [20, 10].
         let schema = TableSchema::new(&[("a", DType::U32), ("b", DType::U32)]);
@@ -699,8 +667,8 @@ mod tests {
             )
             .unwrap()
         };
-        let a = ResidentSource::new(vec![seg(10), seg(20)]);
-        let b = ResidentSource::new(vec![seg(20), seg(10)]);
+        let a = Column::new(None, vec![Arc::new(seg(10)), Arc::new(seg(20))]);
+        let b = Column::new(None, vec![Arc::new(seg(20)), Arc::new(seg(10))]);
         let err = Table::from_sources(
             schema,
             vec![
@@ -711,5 +679,80 @@ mod tests {
             20,
         );
         assert!(err.is_err(), "misaligned splits must be rejected");
+    }
+
+    #[test]
+    fn appends_to_a_lazy_table_read_the_base_through_the_file() {
+        let dir = std::env::temp_dir().join(format!("lcdc_table_lazy_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let schema = TableSchema::new(&[("v", DType::U64)]);
+        let v = ColumnData::U64((0..400u64).collect());
+        let table = Table::build(schema, &[v], &[CompressionPolicy::Auto], 100).unwrap();
+        crate::file::save_table(&table, &dir).unwrap();
+        let mut grown = crate::file::open_table_lazy(&dir, 2).unwrap();
+        for round in 0..3u64 {
+            let batch = ColumnData::U64(vec![400 + round * 2, 401 + round * 2]);
+            grown = grown.append(&[batch]).unwrap();
+        }
+        let source = grown.source("v").unwrap();
+        assert_eq!(source.num_segments(), 7);
+        assert_eq!(source.meta(6).rows, 2);
+        assert_eq!((source.meta(6).min, source.meta(6).max), (404, 405));
+        // Base segments are read through the file and count I/O...
+        assert_eq!(source.io_reads(), 0);
+        assert_eq!(
+            source.segment(0).unwrap().decompress().unwrap(),
+            ColumnData::U64((0..100).collect())
+        );
+        assert_eq!(source.io_reads(), 1);
+        // ...appended ones are resident and free.
+        for (seg, first) in [(4, 400), (5, 402), (6, 404)] {
+            assert_eq!(
+                source.segment(seg).unwrap().decompress().unwrap(),
+                ColumnData::U64(vec![first, first + 1])
+            );
+        }
+        assert_eq!(source.io_reads(), 1);
+        // Prefetch reaches the file only; capacity is the file's.
+        assert!(!source.prefetch(5), "resident segment: nothing to warm");
+        assert!(source.prefetch(1));
+        assert_eq!(source.cache_capacity(), Some(2));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn appended_columns_stay_one_level_deep() {
+        let t = small_table();
+        let bases: Vec<Arc<dyn SegmentSource>> = ["date", "qty"]
+            .iter()
+            .map(|name| {
+                Arc::new(Column::new(None, t.column_segments(name).unwrap()))
+                    as Arc<dyn SegmentSource>
+            })
+            .collect();
+        let mut grown = Table::from_sources(t.schema().clone(), bases.clone(), 1000, 256).unwrap();
+        for round in 0..32u64 {
+            let date = ColumnData::U64(vec![30_000_000 + round; 10]);
+            let qty = ColumnData::U64(vec![round; 10]);
+            grown = grown.append(&[date, qty]).unwrap();
+        }
+        for (column, base) in grown.columns.iter().zip(&bases) {
+            assert!(
+                Arc::ptr_eq(column.base().unwrap(), base),
+                "the base is never rewrapped"
+            );
+            assert_eq!(
+                column.resident_segments().len(),
+                32,
+                "one segment per append"
+            );
+        }
+        let qty: Vec<ColumnData> = grown.columns[1]
+            .resident_segments()
+            .iter()
+            .map(|s| s.decompress().unwrap())
+            .collect();
+        let want: Vec<ColumnData> = (0..32u64).map(|r| ColumnData::U64(vec![r; 10])).collect();
+        assert_eq!(qty, want);
     }
 }

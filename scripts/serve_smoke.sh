@@ -6,7 +6,11 @@
 # and diff a client answer against single-process `lcdc query` on the
 # same data. Everything a human would type, verified end to end. A
 # codec leg first round-trips a raw column through `lcdc compress`
-# (the chooser) and `lcdc decompress`, and checks `lcdc choose`.
+# (the chooser) and `lcdc decompress`, and checks `lcdc choose`. An
+# ingest leg appends a raw batch to the sharded table on disk with
+# `lcdc ingest` and checks both front doors count the new rows, and a
+# stale single-directory copy planted beside the shards must make
+# `lcdc query` and `lcdc serve` refuse the ambiguous table.
 #
 # Usage: scripts/serve_smoke.sh [--chaos]
 #   (builds the release binary if needed; cleans up after itself)
@@ -39,6 +43,46 @@ fail() {
   exit 1
 }
 
+# start_server ERR_FILE [serve flags...]: start `lcdc serve` over the
+# catalog on an ephemeral port, stderr to ERR_FILE; sets serve_pid and
+# addr (the first stdout line names the port). The address file is
+# emptied first: the background redirect truncates it only once the
+# process starts, and until then the poll would read a previous
+# server's (closed) address.
+start_server() {
+  local err="$1"
+  shift
+  : >"$serve_out"
+  "$LCDC" serve "$dir/cat" --addr 127.0.0.1:0 "$@" >"$serve_out" 2>"$err" &
+  serve_pid=$!
+  addr=""
+  for _ in $(seq 1 100); do
+    addr="$(sed -n 's/^listening on //p' "$serve_out")"
+    [ -n "$addr" ] && return 0
+    kill -0 "$serve_pid" 2>/dev/null || {
+      cat "$err" >&2
+      fail "server exited before listening"
+    }
+    sleep 0.1
+  done
+  fail "server never announced its address"
+}
+
+# stop_server: ask the server to drain and wait up to 10s for it to
+# exit. Shutdown may race a torn frame under --chaos, so the client's
+# own exit status is ignored; a server still running is the failure.
+stop_server() {
+  "$LCDC" client --addr "$addr" --shutdown >/dev/null 2>&1 || true
+  for _ in $(seq 1 100); do
+    kill -0 "$serve_pid" 2>/dev/null || {
+      serve_pid=""
+      return 0
+    }
+    sleep 0.1
+  done
+  fail "server did not exit within 10s of shutdown"
+}
+
 # --- codec: the chooser picks, the frame round-trips ----------------
 # A raw u64 column of runs plus noise, compressed with no --scheme (the
 # chooser), decompressed, and compared byte for byte with the input.
@@ -65,20 +109,7 @@ echo "serve_smoke: codec round trip with $picked"
 "$LCDC" gen "$dir/cat" --table events --rows 5000 --seed 7
 
 # --- serve on an ephemeral port; the first stdout line names it -----
-"$LCDC" serve "$dir/cat" --addr 127.0.0.1:0 --threads 2 --max-inflight 8 \
-  >"$serve_out" 2>"$dir/serve.err" &
-serve_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-  addr="$(sed -n 's/^listening on //p' "$serve_out")"
-  [ -n "$addr" ] && break
-  kill -0 "$serve_pid" 2>/dev/null || {
-    cat "$dir/serve.err" >&2
-    fail "server exited before listening"
-  }
-  sleep 0.1
-done
-[ -n "$addr" ] || fail "server never announced its address"
+start_server "$dir/serve.err" --threads 2 --max-inflight 8
 echo "serve_smoke: server at $addr"
 
 "$LCDC" client --addr "$addr" --ping | grep -qx pong || fail "ping"
@@ -141,30 +172,52 @@ grep -q "segments=" "$dir/stats.txt" || fail "stats report lacks query counters"
 echo "serve_smoke: stats report fetched"
 
 # --- graceful shutdown: drain, final report on stderr ---------------
-"$LCDC" client --addr "$addr" --shutdown 2>/dev/null
-for _ in $(seq 1 100); do
-  kill -0 "$serve_pid" 2>/dev/null || break
-  sleep 0.1
-done
-kill -0 "$serve_pid" 2>/dev/null && fail "server did not exit after shutdown"
-serve_pid=""
+stop_server
 grep -q "served" "$dir/serve.err" || fail "no final report printed"
 
+# --- ingest: a raw batch grows the sharded table on disk ------------
+# Three rows of the demo schema, raw little-endian, one file per
+# column: day 5, 300, 599 (one row per shard), qty 1, 2, 3, price -1,
+# 0, 7.
+count() { sed -n 's/^count  *//p' "$1"; }
+"$LCDC" query "$dir/cat" --lazy --table orders --count >"$dir/before.txt" 2>/dev/null \
+  || fail "count before ingest"
+before="$(count "$dir/before.txt")"
+printf '\005\0\0\0\0\0\0\0\054\001\0\0\0\0\0\0\127\002\0\0\0\0\0\0' >"$dir/day.bin"
+printf '\001\0\0\0\0\0\0\0\002\0\0\0\0\0\0\0\003\0\0\0\0\0\0\0' >"$dir/qty.bin"
+printf '\377\377\377\377\377\377\377\377\0\0\0\0\0\0\0\0\007\0\0\0\0\0\0\0' >"$dir/price.bin"
+"$LCDC" ingest "$dir/cat" --table orders --key day "$dir/day.bin" "$dir/qty.bin" \
+  "$dir/price.bin" 2>"$dir/ingest.err" || fail "ingest: $(cat "$dir/ingest.err")"
+want=$((before + 3))
+"$LCDC" query "$dir/cat" --lazy --table orders --count >"$dir/after.txt" 2>/dev/null \
+  || fail "count after ingest"
+[ "$(count "$dir/after.txt")" = "$want" ] \
+  || fail "lcdc query counts $(count "$dir/after.txt") rows after ingest, want $want"
+start_server "$dir/serve_ingest.err" --threads 2
+"$LCDC" client --addr "$addr" --table orders --count >"$dir/wire_after.txt" 2>/dev/null \
+  || fail "client count after ingest"
+[ "$(count "$dir/wire_after.txt")" = "$want" ] \
+  || fail "the server counts $(count "$dir/wire_after.txt") rows after ingest, want $want"
+stop_server
+echo "serve_smoke: ingest grew orders from $before to $want rows"
+
+# --- ambiguity: a stale orders/ beside orders.shard*/ is refused ----
+cp -r "$dir/cat" "$dir/stale"
+"$LCDC" gen "$dir/stale" --table orders --rows 1000 2>/dev/null
+if "$LCDC" query "$dir/stale" --table orders --count >/dev/null 2>"$dir/stale_q.err"; then
+  fail "lcdc query read an ambiguous table"
+fi
+grep -q "remove the stale one" "$dir/stale_q.err" \
+  || fail "query refusal does not name the ambiguity: $(cat "$dir/stale_q.err")"
+if timeout 10 "$LCDC" serve "$dir/stale" --addr 127.0.0.1:0 >/dev/null 2>"$dir/stale_s.err"; then
+  fail "lcdc serve started over an ambiguous table"
+fi
+grep -q "remove the stale one" "$dir/stale_s.err" \
+  || fail "serve refusal does not name the ambiguity: $(cat "$dir/stale_s.err")"
+echo "serve_smoke: stale orders/ beside the shards refused by query and serve"
+
 # --- deterministic BUSY: a --max-inflight 0 server rejects queries --
-# Empty the address file first: the background redirect truncates it
-# only when the server process starts, and until then the address poll
-# below would read the previous server's (now closed) address.
-: >"$serve_out"
-"$LCDC" serve "$dir/cat" --addr 127.0.0.1:0 --max-inflight 0 \
-  >"$serve_out" 2>"$dir/serve2.err" &
-serve_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-  addr="$(sed -n 's/^listening on //p' "$serve_out")"
-  [ -n "$addr" ] && break
-  sleep 0.1
-done
-[ -n "$addr" ] || fail "busy server never announced its address"
+start_server "$dir/serve2.err" --max-inflight 0
 if "$LCDC" client --addr "$addr" --table orders --count \
   >/dev/null 2>"$dir/busy.err"; then
   fail "query admitted past max-inflight 0"
@@ -176,12 +229,7 @@ grep -Eq "retry after [1-9][0-9]*ms" "$dir/busy.err" \
   || fail "BUSY does not carry a nonzero retry-after hint"
 # ...while ping still answers: saturation stays observable.
 "$LCDC" client --addr "$addr" --ping | grep -qx pong || fail "ping under busy"
-"$LCDC" client --addr "$addr" --shutdown 2>/dev/null
-for _ in $(seq 1 100); do
-  kill -0 "$serve_pid" 2>/dev/null || break
-  sleep 0.1
-done
-serve_pid=""
+stop_server
 
 # --- chaos: a fault-armed server survives scripted abuse ------------
 if [ "$CHAOS" = 1 ]; then
@@ -189,23 +237,10 @@ if [ "$CHAOS" = 1 ]; then
   # Lazy storage keeps disk reads (and their injected faults) on the
   # query path; the seeded plan mixes stalled reads, occasional read
   # errors, response stalls, and torn response frames.
-  : >"$serve_out"
-  "$LCDC" serve "$dir/cat" --addr 127.0.0.1:0 --threads 2 --max-inflight 8 \
+  start_server "$dir/serve3.err" --threads 2 --max-inflight 8 \
     --lazy --cache 2 --session-timeout-ms 2000 \
     --faults "io_read:every=97; io_stall:ms=1,every=1; stall:ms=2,every=5; frame_truncate:p=0.04" \
-    --fault-seed 7 >"$serve_out" 2>"$dir/serve3.err" &
-  serve_pid=$!
-  addr=""
-  for _ in $(seq 1 100); do
-    addr="$(sed -n 's/^listening on //p' "$serve_out")"
-    [ -n "$addr" ] && break
-    kill -0 "$serve_pid" 2>/dev/null || {
-      cat "$dir/serve3.err" >&2
-      fail "chaos server exited before listening"
-    }
-    sleep 0.1
-  done
-  [ -n "$addr" ] || fail "chaos server never announced its address"
+    --fault-seed 7
   grep -q "fault injection armed" "$dir/serve3.err" \
     || fail "server did not announce its fault plan"
 
@@ -248,19 +283,8 @@ if [ "$CHAOS" = 1 ]; then
   done
   [ "$stats_ok" = 1 ] || fail "stats report unavailable under chaos"
 
-  # Drain under 10s: shutdown may race a torn frame (ignore the client
-  # exit), but the server must still exit promptly and cleanly.
-  "$LCDC" client --addr "$addr" --shutdown >/dev/null 2>&1 || true
-  drained=0
-  for _ in $(seq 1 100); do
-    kill -0 "$serve_pid" 2>/dev/null || {
-      drained=1
-      break
-    }
-    sleep 0.1
-  done
-  [ "$drained" = 1 ] || fail "chaos server did not drain within 10s"
-  serve_pid=""
+  # Drain under 10s, even past a torn shutdown frame.
+  stop_server
   echo "serve_smoke: chaos server drained cleanly"
 fi
 

@@ -454,12 +454,12 @@ fn ingest(args: &[String]) -> Result<(), String> {
 /// Locate a named table under a catalog root: either a single saved
 /// table at `<root>/<name>` or shard directories `<root>/<name>.shard<i>`.
 /// Shard indices must be contiguous from 0 — a gap means a lost shard,
-/// and silently querying a partial table would be silently wrong.
+/// and silently querying a partial table would be silently wrong. Both
+/// layouts at once is refused for the same reason: either one could be
+/// a stale leftover, and reading it would answer from the wrong rows.
 fn table_dirs(root: &Path, name: &str) -> Result<Vec<PathBuf>, String> {
     let single = root.join(name);
-    if single.join("MANIFEST.lcdc").exists() {
-        return Ok(vec![single]);
-    }
+    let single = single.join("MANIFEST.lcdc").exists().then_some(single);
     let prefix = format!("{name}.shard");
     let mut indices: Vec<usize> = Vec::new();
     for entry in std::fs::read_dir(root).map_err(|e| format!("{}: {e}", root.display()))? {
@@ -475,6 +475,16 @@ fn table_dirs(root: &Path, name: &str) -> Result<Vec<PathBuf>, String> {
         if entry.path().join("MANIFEST.lcdc").exists() {
             indices.push(idx);
         }
+    }
+    if let Some(single) = single {
+        if indices.is_empty() {
+            return Ok(vec![single]);
+        }
+        return Err(format!(
+            "table {name:?} is both {} and {}: remove the stale one",
+            single.display(),
+            root.join(format!("{prefix}*")).display()
+        ));
     }
     if indices.is_empty() {
         return Err(format!(
@@ -1445,6 +1455,34 @@ mod tests {
             split_client_args(&[s("--addr"), s("x:1"), s("--ping"), s("--stats")]).is_err(),
             "one action at a time"
         );
+    }
+
+    #[test]
+    fn a_stale_single_dir_beside_shards_is_refused() {
+        let root = std::env::temp_dir().join(format!("lcdc_cli_stale_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let s = |t: &str| t.to_string();
+        let r = root.to_str().unwrap().to_string();
+        run(&[s("gen"), r.clone(), s("--rows"), s("1000")]).unwrap();
+        let gen_sharded = [
+            s("gen"),
+            r.clone(),
+            s("--rows"),
+            s("3000"),
+            s("--shards"),
+            s("2"),
+        ];
+        run(&gen_sharded).unwrap();
+        let err = table_dirs(&root, "orders").unwrap_err();
+        let single = root.join("orders");
+        assert!(err.contains(single.to_str().unwrap()), "{err}");
+        assert!(err.contains("orders.shard"), "{err}");
+        assert!(query(&[r.clone(), s("--table"), s("orders"), s("--count")]).is_err());
+        assert!(discover_tables(&root).is_err(), "serve refuses it too");
+        // Without the stale directory, the shards resolve.
+        std::fs::remove_dir_all(&single).unwrap();
+        assert_eq!(table_dirs(&root, "orders").unwrap().len(), 2);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

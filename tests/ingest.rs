@@ -178,8 +178,8 @@ fn boundary_batch_lands_in_the_lower_shard() {
 #[test]
 fn lazy_table_ingest_reads_no_frames() {
     // Appending to a file-backed table must not load any existing
-    // segment: encoding touches only the batch, and the chained source
-    // keeps the base lazy.
+    // segment: encoding touches only the batch, and each column keeps
+    // its file-backed base lazy beneath the appended segments.
     let root = std::env::temp_dir().join(format!("lcdc_ingest_lazy_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let dir = root.join("orders");

@@ -7,11 +7,9 @@
 
 use lcdc::core::{ColumnData, DType};
 use lcdc::store::{
-    Agg, CompressionPolicy, Predicate, QueryBuilder, QueryStats, ResidentSource, Rows, Segment,
-    SegmentSource, Table, TableSchema,
+    Agg, CompressionPolicy, Predicate, QueryBuilder, QueryStats, Rows, Segment, Table, TableSchema,
 };
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Three columns with different statistical structure, so the Auto
 /// chooser exercises different schemes per segment: runs (RLE family),
@@ -389,12 +387,8 @@ fn ragged_segments_group_like_uniform_ones() {
         build((0..70).collect(), "ns"),
         build(vec![5; 100], "ns"),
     ];
-    let sources: Vec<Arc<dyn SegmentSource>> = vec![
-        Arc::new(ResidentSource::new(keys)),
-        Arc::new(ResidentSource::new(values)),
-    ];
     let schema = TableSchema::new(&[("k", DType::U64), ("v", DType::U64)]);
-    let table = Table::from_sources(schema, sources, 270, 100).expect("aligned");
+    let table = Table::from_segments(schema, vec![keys, values], 100).expect("aligned");
     let groups = QueryBuilder::scan(&table)
         .group_by("k")
         .aggregate(&[Agg::Sum("v"), Agg::Count]);
