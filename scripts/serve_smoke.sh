@@ -68,11 +68,8 @@ start_server() {
   fail "server never announced its address"
 }
 
-# stop_server: ask the server to drain and wait up to 10s for it to
-# exit. Shutdown may race a torn frame under --chaos, so the client's
-# own exit status is ignored; a server still running is the failure.
-stop_server() {
-  "$LCDC" client --addr "$addr" --shutdown >/dev/null 2>&1 || true
+# wait_server_exit: wait up to 10s for the server to exit.
+wait_server_exit() {
   for _ in $(seq 1 100); do
     kill -0 "$serve_pid" 2>/dev/null || {
       serve_pid=""
@@ -81,6 +78,14 @@ stop_server() {
     sleep 0.1
   done
   fail "server did not exit within 10s of shutdown"
+}
+
+# stop_server: ask the server to drain — the shutdown request must be
+# acknowledged — and wait for it to exit.
+stop_server() {
+  "$LCDC" client --addr "$addr" --shutdown >/dev/null 2>"$dir/shutdown.err" \
+    || fail "shutdown not acknowledged: $(cat "$dir/shutdown.err")"
+  wait_server_exit
 }
 
 # --- codec: the chooser picks, the frame round-trips ----------------
@@ -283,8 +288,10 @@ if [ "$CHAOS" = 1 ]; then
   done
   [ "$stats_ok" = 1 ] || fail "stats report unavailable under chaos"
 
-  # Drain under 10s, even past a torn shutdown frame.
-  stop_server
+  # Drain under 10s: shutdown may race a torn frame (ignore the client
+  # exit), but the server must still exit promptly and cleanly.
+  "$LCDC" client --addr "$addr" --shutdown >/dev/null 2>&1 || true
+  wait_server_exit
   echo "serve_smoke: chaos server drained cleanly"
 fi
 
