@@ -9,6 +9,8 @@
 //! source. Ratios and row counts are exact and deterministic (fixed
 //! seed).
 
+#![forbid(unsafe_code)]
+
 use lcdc_bench::*;
 use lcdc_core::scheme::decompress_via_plan;
 use lcdc_core::schemes::{For, LinearFor, PatchedFor, Rle, Rpe};

@@ -5,6 +5,8 @@
 //! Criterion benches under `benches/` measure throughput; the `report`
 //! binary prints the compression-ratio and speedup tables.
 
+#![forbid(unsafe_code)]
+
 use lcdc_core::ColumnData;
 
 /// Fixed seed: every experiment is reproducible bit-for-bit.

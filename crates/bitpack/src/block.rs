@@ -12,7 +12,7 @@
 //! of them (`2 · widths[b]` for a full block, so blocks start
 //! word-aligned). The same two arrays are what the wire frame stores.
 
-use crate::pack::{for_each_chunk, get_at, pack_append, words_for};
+use crate::pack::{contiguous_chunks, get_at, pack_append, words_for};
 use crate::width::max_width;
 use crate::{Error, Result};
 
@@ -130,7 +130,7 @@ impl BlockPacked {
         for &w in &self.widths {
             let block_len = remaining.min(BLOCK_LEN);
             let (block, rest) = words.split_at(words_for(block_len, w as u32));
-            for_each_chunk(block, w as u32, block_len, &mut f);
+            contiguous_chunks(block, w as u32, block_len, &mut f);
             words = rest;
             remaining -= block_len;
         }

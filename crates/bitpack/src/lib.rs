@@ -17,6 +17,8 @@
 //! All kernels are pure, allocation-explicit, and panic-free: fallible
 //! operations return [`Error`].
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod pack;
 pub mod width;

@@ -1,19 +1,44 @@
 //! Flat bit packing: the whole column at one width.
 //!
-//! Values are laid out LSB-first in a dense stream of 64-bit words:
-//! value `i` occupies bits `i*w .. (i+1)*w` of the stream. Width 0 packs
-//! any number of zeros into zero words; width 64 is a plain copy.
+//! A [`Packed`] buffer of `len` values at width `w` stores each full
+//! group of [`GROUP_LEN`] = 1024 values *interleaved* across 16 lanes
+//! (the FastLanes layout: Afroozeh & Boncz, PVLDB 16(9), 2023), and its
+//! last `len % 1024` values contiguously:
 //!
-//! 64 values of width `w` occupy exactly `w` words, so the stream is a
-//! sequence of word-aligned *groups* of [`GROUP_LEN`] values. Bulk
-//! decoding goes group by group through one kernel (`unpack_group`);
-//! only the final partial group takes the per-value loop.
+//! * In group `g`, value `1024·g + 16·r + j` is field `r` of lane `j`,
+//!   for row `r < 64` and lane `j < 16`. Each lane packs its 64 fields
+//!   LSB-first into `w` words, and word `k` of lane `j` is
+//!   `words[16·w·g + 16·k + j]`. A group is exactly `16·w` words.
+//! * The tail starts at word `16·w·G`, with `G = len / 1024`. Its value
+//!   `i` occupies bits `i·w .. (i+1)·w` of a dense LSB-first stream.
+//!
+//! Either way `len` values take `⌈len·w/64⌉` words. Width 0 packs any
+//! number of zeros into zero words; at width 64 the words are the
+//! values themselves.
+//!
+//! The lanes are independent: row `r` of every lane sits at the same bit
+//! offset of the same word index, so unpacking a row is one
+//! shift-and-mask over 16 adjacent words. One kernel (`unpack_group`)
+//! takes the width at run time and decodes a group row by row; the
+//! compiler vectorises its lane loop on baseline x86-64, with no
+//! `unsafe`, no intrinsics and no per-width dispatch. `pack_group`
+//! mirrors it. The tail goes through the contiguous kernel
+//! (`unpack_contiguous`, 64 values per `w` words), which is also the
+//! layout of every [`crate::BlockPacked`] block.
 
 use crate::{Error, Result};
 
-/// Values per word-aligned group: `GROUP_LEN` values of width `w` fill
-/// `w` whole words.
-pub const GROUP_LEN: usize = 64;
+/// Values per interleaved group, and the most values
+/// [`Packed::for_each_chunk`] hands out per call below width 64.
+pub const GROUP_LEN: usize = 1024;
+
+/// Independent lanes per interleaved group: `GROUP_LEN / LANES` = 64
+/// fields per lane fill `w` whole words.
+const LANES: usize = 16;
+
+/// Values per contiguous word group: `CONTIGUOUS_LEN` values of width
+/// `w` fill `w` whole words.
+const CONTIGUOUS_LEN: usize = 64;
 
 /// An element type bulk unpacking can write: `u64` (the transport
 /// type) or `u32` (codes and narrow offsets, at half the traffic).
@@ -52,7 +77,18 @@ impl Packed {
     pub fn pack(values: &[u64], width: u32) -> Result<Self> {
         check_fits(values, width)?;
         let mut words = Vec::with_capacity(words_for(values.len(), width));
-        pack_append(values, width, &mut words);
+        let groups = values.chunks_exact(GROUP_LEN);
+        let tail = groups.remainder();
+        if (1..64).contains(&width) {
+            for group in groups {
+                let start = words.len();
+                words.resize(start + LANES * width as usize, 0);
+                pack_group(group, width, &mut words[start..]);
+            }
+            pack_append(tail, width, &mut words);
+        } else {
+            pack_append(values, width, &mut words);
+        }
         Ok(Packed {
             words,
             width,
@@ -88,7 +124,7 @@ impl Packed {
         self.width
     }
 
-    /// The backing words.
+    /// The backing words, in the layout the module docs describe.
     pub fn words(&self) -> &[u64] {
         &self.words
     }
@@ -102,12 +138,29 @@ impl Packed {
     ///
     /// This is the NS scheme's O(1) positional access — one of the
     /// operational advantages lightweight schemes keep over heavyweight
-    /// ones.
+    /// ones. Inside a group it reads one word, or two words 16 apart
+    /// when the field straddles.
     pub fn get(&self, i: usize) -> Option<u64> {
         if i >= self.len {
             return None;
         }
-        Some(get_at(&self.words, self.width, i))
+        let w = self.width as usize;
+        if !(1..64).contains(&w) {
+            return Some(get_at(&self.words, self.width, i));
+        }
+        let (group, within) = (i / GROUP_LEN, i % GROUP_LEN);
+        if group == self.len / GROUP_LEN {
+            let tail = group * LANES * w;
+            return Some(get_at(&self.words[tail..], self.width, within));
+        }
+        let words = &self.words[group * LANES * w..];
+        let (bit, lane) = (within / LANES * w, within % LANES);
+        let (k, offset) = (bit >> 6, (bit & 63) as u32);
+        let mut v = words[LANES * k + lane] >> offset;
+        if offset + self.width > 64 {
+            v |= words[LANES * (k + 1) + lane] << (64 - offset);
+        }
+        Some(v & ((1u64 << w) - 1))
     }
 
     /// Unpack the whole buffer into a fresh vector.
@@ -135,12 +188,26 @@ impl Packed {
     }
 
     /// The chunk cursor: hand the values to `f` in order, a chunk at a
-    /// time, unpacked into a stack buffer — at most [`GROUP_LEN`] values
-    /// per call, except at width 64 where the stored words *are* the
-    /// values and go out as one chunk. Consumers fuse their own operator
-    /// into `f` and never see a materialised column.
-    pub fn for_each_chunk(&self, f: impl FnMut(&[u64])) {
-        for_each_chunk(&self.words, self.width, self.len, f);
+    /// time, unpacked into a stack buffer. Each full group goes out as
+    /// one chunk of [`GROUP_LEN`] values, and the tail in chunks of at
+    /// most 64. At width 64 the stored words *are* the values and go out
+    /// as one chunk. Consumers fuse their own operator into `f` and
+    /// never see a materialised column.
+    pub fn for_each_chunk(&self, mut f: impl FnMut(&[u64])) {
+        let (w, groups) = (self.width as usize, self.len / GROUP_LEN);
+        if w == 64 || groups == 0 {
+            contiguous_chunks(&self.words, self.width, self.len, f);
+            return;
+        }
+        let (body, tail) = self.words.split_at(groups * LANES * w);
+        let mut buf = [0u64; GROUP_LEN];
+        for g in 0..groups {
+            if w > 0 {
+                unpack_group(&body[g * LANES * w..][..LANES * w], self.width, &mut buf);
+            }
+            f(&buf);
+        }
+        contiguous_chunks(tail, self.width, self.len % GROUP_LEN, f);
     }
 
     /// Iterate over the packed values without materialising them.
@@ -198,8 +265,56 @@ fn check_fits(values: &[u64], width: u32) -> Result<()> {
     }
 }
 
-/// Append the packed words of `values`, every one of which fits in
-/// `width <= 64` bits, to `words`.
+/// The pack kernel, mirroring `unpack_group`: [`GROUP_LEN`] values, each
+/// fitting in `1 <= width <= 63` bits, OR-ed into the `16 · width`
+/// zeroed words of one interleaved group.
+#[inline]
+fn pack_group(values: &[u64], width: u32, group: &mut [u64]) {
+    let (words, _) = group.as_chunks_mut::<LANES>();
+    let mut bit_pos = 0usize;
+    for row in values.as_chunks::<LANES>().0 {
+        let word = bit_pos >> 6;
+        let offset = (bit_pos & 63) as u32;
+        for (slot, &v) in words[word].iter_mut().zip(row) {
+            *slot |= v << offset;
+        }
+        if offset + width > 64 {
+            for (slot, &v) in words[word + 1].iter_mut().zip(row) {
+                *slot |= v >> (64 - offset);
+            }
+        }
+        bit_pos += width as usize;
+    }
+}
+
+/// The unpack kernel: one interleaved group, `16 · width` words in,
+/// [`GROUP_LEN`] values out, for `1 <= width <= 63`. Every lane's field
+/// `r` starts at the same bit, so the straddle test is per row, not per
+/// value, and each arm is a branch-free loop over 16 lanes.
+#[inline]
+fn unpack_group(group: &[u64], width: u32, out: &mut [u64; GROUP_LEN]) {
+    let (words, _) = group.as_chunks::<LANES>();
+    let mask = (1u64 << width) - 1;
+    let mut bit_pos = 0usize;
+    for row in out.as_chunks_mut::<LANES>().0 {
+        let word = bit_pos >> 6;
+        let offset = (bit_pos & 63) as u32;
+        let lo = &words[word];
+        if offset + width > 64 {
+            for ((slot, &lo), &hi) in row.iter_mut().zip(lo).zip(&words[word + 1]) {
+                *slot = ((lo >> offset) | (hi << (64 - offset))) & mask;
+            }
+        } else {
+            for (slot, &lo) in row.iter_mut().zip(lo) {
+                *slot = (lo >> offset) & mask;
+            }
+        }
+        bit_pos += width as usize;
+    }
+}
+
+/// Append the contiguously packed words of `values`, every one of
+/// which fits in `width <= 64` bits, to `words`.
 pub(crate) fn pack_append(values: &[u64], width: u32, words: &mut Vec<u64>) {
     match width {
         0 => {}
@@ -222,7 +337,8 @@ pub(crate) fn pack_append(values: &[u64], width: u32, words: &mut Vec<u64>) {
     }
 }
 
-/// Value `i` of a stream of `width`-bit fields starting at `words[0]`.
+/// Value `i` of a contiguous stream of `width`-bit fields starting at
+/// `words[0]`.
 pub(crate) fn get_at(words: &[u64], width: u32, i: usize) -> u64 {
     match width {
         0 => 0,
@@ -240,18 +356,19 @@ pub(crate) fn get_at(words: &[u64], width: u32, i: usize) -> u64 {
     }
 }
 
-/// The cursor behind [`Packed::for_each_chunk`] and the per-block
-/// cursor of [`crate::BlockPacked`]: `len` values of `width` bits
-/// starting at `words[0]`, which must hold `words_for(len, width)` words.
+/// The contiguous cursor, behind the tail of [`Packed::for_each_chunk`]
+/// and every block of [`crate::BlockPacked`]: `len` values of `width`
+/// bits starting at `words[0]`, which must hold `words_for(len, width)`
+/// words, at most 64 values per call except at width 64.
 #[inline]
-pub(crate) fn for_each_chunk(words: &[u64], width: u32, len: usize, mut f: impl FnMut(&[u64])) {
-    let mut buf = [0u64; GROUP_LEN];
+pub(crate) fn contiguous_chunks(words: &[u64], width: u32, len: usize, mut f: impl FnMut(&[u64])) {
+    let mut buf = [0u64; CONTIGUOUS_LEN];
     match width {
         0 => {
-            for _ in 0..len / GROUP_LEN {
+            for _ in 0..len / CONTIGUOUS_LEN {
                 f(&buf);
             }
-            let rest = &buf[..len % GROUP_LEN];
+            let rest = &buf[..len % CONTIGUOUS_LEN];
             if !rest.is_empty() {
                 f(rest);
             }
@@ -262,12 +379,12 @@ pub(crate) fn for_each_chunk(words: &[u64], width: u32, len: usize, mut f: impl 
             }
         }
         _ => {
-            let (body, tail) = words.split_at(len / GROUP_LEN * width as usize);
+            let (body, tail) = words.split_at(len / CONTIGUOUS_LEN * width as usize);
             for group in body.chunks_exact(width as usize) {
-                unpack_group(group, width, &mut buf);
+                unpack_contiguous(group, width, &mut buf);
                 f(&buf);
             }
-            let rest = &mut buf[..len % GROUP_LEN];
+            let rest = &mut buf[..len % CONTIGUOUS_LEN];
             if !rest.is_empty() {
                 for (i, slot) in rest.iter_mut().enumerate() {
                     *slot = get_at(tail, width, i);
@@ -278,19 +395,19 @@ pub(crate) fn for_each_chunk(words: &[u64], width: u32, len: usize, mut f: impl 
     }
 }
 
-/// The kernel: one whole group, `width` words in, [`GROUP_LEN`] values
-/// out, for `1 <= width <= 63`. The words are copied next to a zero
-/// sentinel so every field reads `buf[w]` and `buf[w + 1]` without a
-/// straddle branch, and the masked word index keeps both reads inside
-/// the fixed-size array without bounds checks.
+/// The contiguous kernel: `width` words in, 64 values out, for
+/// `1 <= width <= 63`. The words are copied next to a zero sentinel so
+/// every field reads `buf[w]` and `buf[w + 1]` without a straddle
+/// branch, and the masked word index keeps both reads inside the
+/// fixed-size array without bounds checks.
 #[inline]
-fn unpack_group(group: &[u64], width: u32, out: &mut [u64; GROUP_LEN]) {
-    let mut buf = [0u64; GROUP_LEN + 1];
+fn unpack_contiguous(group: &[u64], width: u32, out: &mut [u64; CONTIGUOUS_LEN]) {
+    let mut buf = [0u64; CONTIGUOUS_LEN + 1];
     buf[..group.len()].copy_from_slice(group);
     let mask = (1u64 << width) - 1;
     let mut bit_pos = 0usize;
     for slot in out.iter_mut() {
-        let word = (bit_pos >> 6) & (GROUP_LEN - 1);
+        let word = (bit_pos >> 6) & (CONTIGUOUS_LEN - 1);
         let offset = (bit_pos & 63) as u32;
         // `<< 1 << (63 - offset)` is `<< (64 - offset)` without the
         // overflowing shift at offset 0.
@@ -432,6 +549,128 @@ mod tests {
         let mut seen = Vec::new();
         full.for_each_chunk(|chunk| seen.extend_from_slice(chunk));
         assert_eq!(seen, vec![u64::MAX, 1, 2]);
+    }
+
+    /// `len` pseudo-random values of at most `width` bits.
+    fn sample(len: usize, width: u32) -> Vec<u64> {
+        let mask = match width {
+            64 => u64::MAX,
+            w => (1u64 << w) - 1,
+        };
+        (0..len as u64)
+            .map(|i| {
+                (i ^ 0x5DEE_CE66)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .rotate_left(17)
+                    & mask
+            })
+            .collect()
+    }
+
+    /// Two full groups and a three-value tail at `width`, with `set`
+    /// placing `(row, lane, value)` fields in the second group.
+    fn two_groups(width: u32, set: &[(usize, usize, u64)]) -> Packed {
+        let mut values = vec![0u64; 2 * GROUP_LEN];
+        for &(row, lane, v) in set {
+            values[GROUP_LEN + 16 * row + lane] = v;
+        }
+        values.extend([1, 2, 3]);
+        Packed::pack(&values, width).unwrap()
+    }
+
+    #[test]
+    fn group_layout_is_pinned_at_width_5() {
+        // Row 0 of lane 3 sits at bit 0 of word 0. Row 12 starts at
+        // bit 60, so its fifth bit spills into word 1 of the same lane,
+        // 16 words later. Row 63 ends exactly at bit 320 (word 4).
+        let p = two_groups(5, &[(0, 3, 0b10101), (12, 7, 0b11111), (63, 15, 0b10001)]);
+        let mut expect = vec![0u64; (2 * GROUP_LEN * 5 + 3 * 5).div_ceil(64)];
+        let g = 16 * 5; // the second group's first word
+        expect[g + 3] = 0b10101;
+        expect[g + 7] = 0b1111 << 60;
+        expect[g + 16 + 7] = 0b1;
+        expect[g + 16 * 4 + 15] = 0b10001 << 59;
+        // The tail is contiguous from word 16·w·G = 160.
+        expect[2 * g] = 1 | 2 << 5 | 3 << 10;
+        assert_eq!(p.words(), &expect[..]);
+    }
+
+    #[test]
+    fn group_layout_is_pinned_at_width_33() {
+        // Row 1 starts at bit 33: 31 bits stay in word 0, the top two
+        // spill into word 1 (16 words later). Row 63 starts at bit
+        // 2079 = word 32, bit 31, and ends exactly at the group's end.
+        let wide = (1u64 << 32) | (1 << 31) | 1;
+        let ones = (1u64 << 33) - 1;
+        let p = two_groups(33, &[(1, 0, wide), (0, 5, ones), (63, 9, 1 << 32)]);
+        let mut expect = vec![0u64; (2 * GROUP_LEN * 33 + 3 * 33).div_ceil(64)];
+        let g = 16 * 33;
+        expect[g] = 1 << 33;
+        expect[g + 16] = 0b11;
+        expect[g + 5] = ones;
+        expect[g + 16 * 32 + 9] = 1 << 63;
+        expect[2 * g] = 1 | 2 << 33;
+        expect[2 * g + 1] = 3 << 2;
+        assert_eq!(p.words(), &expect[..]);
+    }
+
+    #[test]
+    fn every_reader_agrees_at_every_width_and_length() {
+        for width in 0..=64u32 {
+            for len in [0usize, 1, 63, 64, 1023, 1024, 1025, 2048, 4096, 4103] {
+                let values = sample(len, width);
+                let p = Packed::pack(&values, width).unwrap();
+                let at = format!("width {width} len {len}");
+                assert_eq!(p.words().len(), words_for(len, width), "{at}");
+                assert_eq!(p.unpack(), values, "{at}");
+                if width <= 32 {
+                    let mut narrow = vec![0u32; len];
+                    p.unpack_into(&mut narrow);
+                    assert!(
+                        narrow.iter().zip(&values).all(|(&a, &b)| a as u64 == b),
+                        "{at}"
+                    );
+                }
+                assert!((0..len).all(|i| p.get(i) == Some(values[i])), "{at}");
+                assert_eq!(p.get(len), None, "{at}");
+                assert_eq!(p.iter().collect::<Vec<_>>(), values, "{at}");
+                let mut seen = Vec::new();
+                p.for_each_chunk(|chunk| seen.extend_from_slice(chunk));
+                assert_eq!(seen, values, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_cursor_hands_out_one_chunk_per_group() {
+        for width in [0u32, 1, 7, 33, 63] {
+            let p = Packed::pack(&sample(2 * GROUP_LEN + 100, width), width).unwrap();
+            let mut lens = Vec::new();
+            p.for_each_chunk(|chunk| lens.push(chunk.len()));
+            assert_eq!(lens, vec![GROUP_LEN, GROUP_LEN, 64, 36], "width {width}");
+        }
+        let p = Packed::pack(&sample(2 * GROUP_LEN + 100, 64), 64).unwrap();
+        let mut lens = Vec::new();
+        p.for_each_chunk(|chunk| lens.push(chunk.len()));
+        assert_eq!(lens, vec![2 * GROUP_LEN + 100]);
+    }
+
+    #[test]
+    fn from_raw_parts_takes_exactly_the_words_the_layout_needs() {
+        for width in [1u32, 5, 33, 63, 64] {
+            for len in [1usize, 1023, 1024, 1025, 4103] {
+                let p = Packed::pack(&sample(len, width), width).unwrap();
+                let words = p.words().to_vec();
+                assert_eq!(words.len(), (len * width as usize).div_ceil(64));
+                let back = Packed::from_raw_parts(words.clone(), width, len).unwrap();
+                assert_eq!(back, p);
+                let short = words[..words.len() - 1].to_vec();
+                assert!(Packed::from_raw_parts(short, width, len).is_err());
+                let mut long = words;
+                long.push(0);
+                assert!(Packed::from_raw_parts(long, width, len).is_err());
+            }
+        }
     }
 
     #[test]

@@ -43,17 +43,24 @@ fn gather_by<T: Scalar, I: Copy>(
     if all_in_range {
         return Ok(out);
     }
+    Err(first_bad_index(indices, values.len(), to_index))
+}
+
+/// The error for the first of `indices` that is unrepresentable or not
+/// below `len` — the rescan a one-pass kernel runs once its flag fell.
+pub(crate) fn first_bad_index<I: Copy>(
+    indices: &[I],
+    len: usize,
+    to_index: impl Fn(I) -> Option<usize>,
+) -> ColOpsError {
     let first_bad = indices
         .iter()
         .map(|&raw| to_index(raw))
-        .find(|i| i.is_none_or(|i| i >= values.len()));
-    Err(match first_bad.flatten() {
-        Some(index) => ColOpsError::IndexOutOfBounds {
-            index,
-            len: values.len(),
-        },
+        .find(|i| i.is_none_or(|i| i >= len));
+    match first_bad.flatten() {
+        Some(index) => ColOpsError::IndexOutOfBounds { index, len },
         None => ColOpsError::BadIndexValue,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -15,6 +15,8 @@
 //! columnar DBMSes compress), bounds-checked, and return [`ColOpsError`]
 //! rather than panicking on bad input.
 
+#![forbid(unsafe_code)]
+
 pub mod bitmap;
 pub mod constant;
 pub mod elementwise;

@@ -4,6 +4,7 @@
 //! at the run boundary positions produces the "position delta" column
 //! whose prefix sum is the per-element run index.
 
+use crate::gather::first_bad_index;
 use crate::scalar::{IndexScalar, Scalar};
 use crate::{ColOpsError, Result};
 
@@ -26,35 +27,37 @@ pub fn scatter<T: Scalar, I: IndexScalar>(
 ///
 /// Errors with [`ColOpsError::LengthMismatch`] if `src` and `positions`
 /// differ in length, [`ColOpsError::IndexOutOfBounds`] if any position is
-/// past the end of `out`.
+/// past the end of `out`. After an error, `out`'s contents are
+/// unspecified.
 pub fn scatter_into<T: Scalar, I: IndexScalar>(
     src: &[T],
     positions: &[I],
     out: &mut [T],
 ) -> Result<()> {
-    if src.len() != positions.len() {
-        return Err(ColOpsError::LengthMismatch {
-            left: src.len(),
-            right: positions.len(),
-        });
-    }
-    for (&v, &raw) in src.iter().zip(positions) {
-        let idx = raw.to_index().ok_or(ColOpsError::BadIndexValue)?;
-        let len = out.len();
-        let slot = out
-            .get_mut(idx)
-            .ok_or(ColOpsError::IndexOutOfBounds { index: idx, len })?;
-        *slot = v;
-    }
-    Ok(())
+    scatter_with(src, positions, out, |slot, v| *slot = v)
 }
 
 /// Scatter-add: `out[positions[i]] += src[i]` (wrapping). Used where
-/// duplicate positions must accumulate rather than overwrite.
+/// duplicate positions must accumulate rather than overwrite. Errors as
+/// [`scatter_into`] does, and after an error `out`'s contents are
+/// unspecified.
 pub fn scatter_add_into<T: Scalar, I: IndexScalar>(
     src: &[T],
     positions: &[I],
     out: &mut [T],
+) -> Result<()> {
+    scatter_with(src, positions, out, |slot, v| *slot = slot.wadd(v))
+}
+
+/// One pass with no `Result` per element, `gather`'s shape: a position
+/// that is unrepresentable or past the end is skipped and lowers a
+/// flag. Only then are the positions rescanned, to report the *first*
+/// offending one.
+fn scatter_with<T: Scalar, I: IndexScalar>(
+    src: &[T],
+    positions: &[I],
+    out: &mut [T],
+    write: impl Fn(&mut T, T),
 ) -> Result<()> {
     if src.len() != positions.len() {
         return Err(ColOpsError::LengthMismatch {
@@ -62,15 +65,17 @@ pub fn scatter_add_into<T: Scalar, I: IndexScalar>(
             right: positions.len(),
         });
     }
+    let mut all_in_range = true;
     for (&v, &raw) in src.iter().zip(positions) {
-        let idx = raw.to_index().ok_or(ColOpsError::BadIndexValue)?;
-        let len = out.len();
-        let slot = out
-            .get_mut(idx)
-            .ok_or(ColOpsError::IndexOutOfBounds { index: idx, len })?;
-        *slot = slot.wadd(v);
+        match raw.to_index().and_then(|i| out.get_mut(i)) {
+            Some(slot) => write(slot, v),
+            None => all_in_range = false,
+        }
     }
-    Ok(())
+    if all_in_range {
+        return Ok(());
+    }
+    Err(first_bad_index(positions, out.len(), I::to_index))
 }
 
 #[cfg(test)]
@@ -122,5 +127,22 @@ mod tests {
         let mut out = vec![0u32; 3];
         scatter_add_into(&[1u32, 2, 3], &[1u64, 1, 2], &mut out).unwrap();
         assert_eq!(out, vec![0, 3, 3]);
+    }
+
+    #[test]
+    fn a_bad_position_mid_input_reports_the_first_one() {
+        // Positions 7 and -1 are both bad; 7 comes first.
+        let (src, positions) = ([1i64, 2, 3, 4, 5], [0i64, 1, 7, -1, 2]);
+        let mut out = [0i64; 3];
+        let expected = Err(ColOpsError::IndexOutOfBounds { index: 7, len: 3 });
+        assert_eq!(scatter_into(&src, &positions, &mut out), expected);
+        assert_eq!(scatter_add_into(&src, &positions, &mut out), expected);
+        let bad_first = [0i64, -1, 7, 1, 2];
+        for result in [
+            scatter_into(&src, &bad_first, &mut out),
+            scatter_add_into(&src, &bad_first, &mut out),
+        ] {
+            assert_eq!(result, Err(ColOpsError::BadIndexValue));
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! through storage or a network. The format here is deliberately plain —
 //! little-endian, length-prefixed, no alignment games — because the
 //! *interesting* structure (parts, params, nesting) is the paper's
-//! columnar view itself, serialised one-to-one (version 2):
+//! columnar view itself, serialised one-to-one (version 3):
 //!
 //! ```text
 //! compressed := MAGIC u16-version form
@@ -18,11 +18,17 @@
 //!                                                      Σ ⌈lenᵢ·widthᵢ/64⌉ words
 //! ```
 //!
+//! A `bits` payload's words are [`Packed::words`] as they are: each
+//! full group of 1024 values interleaved across 16 lanes, then the
+//! tail contiguous (see `lcdc_bitpack::pack`). A `blocks` payload keeps
+//! every 128-value block contiguous.
+//!
 //! Every packed payload is stored packed — the frame costs what the size
 //! model ([`Compressed::compressed_bytes`]) says plus headers, and
 //! reading it re-packs nothing. Forms nest at most [`MAX_NESTING`] deep.
-//! Version 1 stored block payloads unpacked; no v1 data was ever
-//! persisted, so a v1 frame is rejected as an unsupported version.
+//! Older frames are rejected as an unsupported version, never read
+//! under a guessed layout: version 1 stored block payloads unpacked,
+//! and version 2 stored `bits` words contiguously throughout.
 //!
 //! Strings are u16-length-prefixed UTF-8; columns are a dtype byte plus
 //! u64-count plus raw little-endian words. Every reader validates
@@ -37,7 +43,7 @@ use crate::scheme::{Compressed, Params, Part, PartData};
 use lcdc_bitpack::{block_words, BlockPacked, Packed, BLOCK_LEN};
 
 const MAGIC: &[u8; 4] = b"LCDC";
-const VERSION: u16 = 2;
+const VERSION: u16 = 3;
 
 /// Deepest nesting of forms a frame may hold: the outermost form is
 /// level 1. Candidate schemes nest at most 3 deep; the cap keeps a
@@ -567,6 +573,16 @@ mod tests {
         bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
         match from_bytes(&bytes) {
             Err(CoreError::CorruptParts(msg)) => assert!(msg.contains("unsupported version 1")),
+            other => panic!("expected a version error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn version_two_frames_are_rejected() {
+        let (mut bytes, _) = blocks_frame();
+        bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+        match from_bytes(&bytes) {
+            Err(CoreError::CorruptParts(msg)) => assert!(msg.contains("unsupported version 2")),
             other => panic!("expected a version error, got {other:?}"),
         }
     }

@@ -34,6 +34,8 @@
 //! * [`expr`] — a textual scheme-expression language
 //!   (`"rle[values=delta[deltas=ns]]"`) for tools and tests.
 
+#![forbid(unsafe_code)]
+
 pub mod access;
 pub mod bytes;
 pub mod chooser;

@@ -10,6 +10,8 @@
 //! patched schemes — under a caller-supplied seed, so every experiment is
 //! reproducible bit-for-bit.
 
+#![forbid(unsafe_code)]
+
 pub mod outliers;
 pub mod runs;
 pub mod steps;

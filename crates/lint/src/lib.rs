@@ -6,6 +6,8 @@
 //! `cargo run -p lcdc-lint -- --deny`. See `docs/LINTS.md` for the rule
 //! catalog and the reasoning behind a lexical (not parsed) checker.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod lexer;
 pub mod rules;

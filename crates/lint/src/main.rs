@@ -9,6 +9,8 @@
 //! directory, `<root>/lint.toml`). Exit codes: 0 clean (or report-only
 //! mode), 1 findings under `--deny`, 2 usage/config/IO error.
 
+#![forbid(unsafe_code)]
+
 use lcdc_lint::config::Config;
 use lcdc_lint::rules::{check, Finding};
 use lcdc_lint::scan::FileScan;

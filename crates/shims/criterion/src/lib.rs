@@ -9,6 +9,8 @@
 //! statistics engine, no HTML reports; good enough to compare the naive
 //! and compression-aware paths side by side.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Display;
 use std::time::{Duration, Instant};
 

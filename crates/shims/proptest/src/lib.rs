@@ -11,6 +11,8 @@
 //! run tests the same cases — reproducibility over novelty), and there
 //! is no shrinking (a failing case prints its assertion directly).
 
+#![forbid(unsafe_code)]
+
 pub mod strategy;
 pub mod test_runner;
 

@@ -8,6 +8,8 @@
 //! in this repo is seeded, and experiment columns must be reproducible
 //! bit-for-bit across runs and machines.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Seedable random number generators.

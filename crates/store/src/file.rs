@@ -23,6 +23,12 @@
 //! independently addressable through the recorded offsets
 //! ([`read_segment`] reads exactly one).
 //!
+//! The manifest's version moves with the frame format it indexes:
+//! v4 holds the same fields as v3, and its records hold `core::bytes`
+//! v3 frames (interleaved bit packing). So a table written before that
+//! change is refused when it is opened ("unsupported table version 3"),
+//! not at its first frame fetch.
+//!
 //! Every checksum is a trailing XXH64 (`digest.rs`) over all the bytes
 //! before it: a record's covers its header as well as its frame, so the
 //! zone map and expression a record carries are as protected as its
@@ -45,7 +51,7 @@ use std::sync::Arc;
 
 const MANIFEST: &str = "MANIFEST.lcdc";
 const MAGIC: &[u8; 8] = b"LCDCTBL\0";
-const VERSION: u16 = 3;
+const VERSION: u16 = 4;
 
 /// Default decoded-segment cache capacity per column for
 /// [`open_table_lazy`].
@@ -580,6 +586,20 @@ mod tests {
         data[8..10].copy_from_slice(&2u16.to_le_bytes());
         fs::write(&path, data).unwrap();
         let unsupported = |e: StoreError| matches!(e, StoreError::CorruptFile(m) if m == "unsupported table version 2");
+        assert!(unsupported(load_table(&dir).err().unwrap()));
+        assert!(unsupported(open_table_lazy(&dir, 4).err().unwrap()));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn version_3_manifest_is_unsupported() {
+        let dir = tmpdir("v3");
+        save_table(&sample_table(), &dir).unwrap();
+        let path = dir.join(MANIFEST);
+        let mut data = fs::read(&path).unwrap();
+        data[8..10].copy_from_slice(&3u16.to_le_bytes());
+        fs::write(&path, data).unwrap();
+        let unsupported = |e: StoreError| matches!(e, StoreError::CorruptFile(m) if m == "unsupported table version 3");
         assert!(unsupported(load_table(&dir).err().unwrap()));
         assert!(unsupported(open_table_lazy(&dir, 4).err().unwrap()));
         fs::remove_dir_all(&dir).unwrap();

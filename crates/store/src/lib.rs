@@ -91,6 +91,7 @@
 //! (segment → source → table → catalog → plans → executor) and the
 //! version / cache-invalidation contract the write path relies on.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agg;

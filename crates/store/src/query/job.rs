@@ -15,7 +15,7 @@
 //!   list, drained by the same threads.
 //! * **`lcdc serve`**: the server's long-lived pool workers take one
 //!   lease at a time from a round-robin queue of jobs, while the
-//!   session thread waits in [`Job::wait_while`].
+//!   session thread waits in [`Job::submit_and_wait`].
 //!
 //! Pruning happens at compile, twice, on resident metadata: a shard
 //! whose key ranges the filters exclude is never compiled, and a
@@ -166,7 +166,7 @@ const MAX_LEASE: usize = 8;
 /// that drew the row tier.
 const LEASES_PER_SLOT: usize = 4;
 
-/// How often [`Job::wait_while`] wakes its caller between deliveries —
+/// How often [`Job::submit_and_wait`] wakes its caller between deliveries —
 /// the cadence at which a session notices an expired deadline or a
 /// vanished client while its query executes.
 const WAIT_TICK: Duration = Duration::from_millis(25);
@@ -310,7 +310,7 @@ pub(crate) struct Job {
     /// Most leases ever executing at once.
     peak_leases: AtomicUsize,
     inner: Mutex<JobInner>,
-    /// Signalled when the job finishes, for [`Job::wait_while`].
+    /// Signalled when the job finishes, for [`Job::submit_and_wait`].
     delivered: Condvar,
 }
 
@@ -600,17 +600,29 @@ impl Job {
         self.collect(prefetch_cancelled)
     }
 
-    /// Block until the job finishes on whatever threads drive it (the
-    /// server's pool), calling `tick` roughly every [`WAIT_TICK`] — the
-    /// session's chance to poll its connection and fire the job's
-    /// [`CancelToken`]. Between ticks the waiting thread runs the
-    /// job's prefetcher, so `--prefetch` overlaps I/O over the wire
-    /// without the server spawning a thread per query. A `tick` error
-    /// abandons the wait immediately with that error: the job's token
-    /// is expected to be fired too, so its unclaimed morsels are
-    /// dropped at the next claim and nobody collects the partials.
-    pub(crate) fn wait_while(&self, mut tick: impl FnMut() -> Result<()>) -> Result<QueryResult> {
+    /// Hand the job to `submit` (the server's pool queue) and block
+    /// until it finishes on whatever threads drive it, calling `tick`
+    /// roughly every [`WAIT_TICK`] — the session's chance to poll its
+    /// connection and fire the job's [`CancelToken`]. Between ticks the
+    /// waiting thread runs the job's prefetcher, so `--prefetch`
+    /// overlaps I/O over the wire without the server spawning a thread
+    /// per query. Before `submit` it warms the window's first morsels:
+    /// no scan runs yet, so nothing races those loads, the window clamp
+    /// keeps them cached, and the first leases start on warm frames. A
+    /// `tick` error abandons the wait immediately with that error: the
+    /// job's token is expected to be fired too, so its unclaimed
+    /// morsels are dropped at the next claim and nobody collects the
+    /// partials.
+    pub(crate) fn submit_and_wait(
+        &self,
+        submit: impl FnOnce() -> Result<()>,
+        mut tick: impl FnMut() -> Result<()>,
+    ) -> Result<QueryResult> {
         let mut fetcher = self.prefetcher();
+        if let Some(fetcher) = &mut fetcher {
+            fetcher.lead();
+        }
+        submit()?;
         loop {
             let until = Instant::now() + WAIT_TICK;
             if let Some(fetcher) = &mut fetcher {
@@ -739,7 +751,7 @@ fn distinct_touched_sources(plans: &[PhysicalPlan]) -> Vec<&dyn SegmentSource> {
 
 /// The prefetcher: a step function over a job's expected fetches, run
 /// by one thread beside the scan ([`Job::run`]'s extra helper, or the
-/// session in [`Job::wait_while`]). Each step warms one entry's
+/// session in [`Job::submit_and_wait`]). Each step warms one entry's
 /// frame once its morsel falls inside the `depth`-wide window ahead of
 /// the scan cursor, or naps while the window is full. Entries whose
 /// morsel the scan already claimed are skipped — the scan's own
@@ -763,6 +775,17 @@ struct Prefetcher<'j> {
 }
 
 impl Prefetcher<'_> {
+    /// Warm the frames of the first `depth` morsels, for a thread that
+    /// runs before any scan starts.
+    fn lead(&mut self) {
+        while self
+            .entries
+            .get(self.next)
+            .is_some_and(|&(pos, ..)| pos < self.depth)
+            && self.step()
+        {}
+    }
+
     /// [`Self::step`] once the scan has started, a nap until then. A
     /// prefetcher runs *ahead of* a scan: warming the first morsels'
     /// frames while the first leases are being claimed races the scan

@@ -128,12 +128,11 @@ impl WorkerPool {
     ) -> Result<crate::QueryResult> {
         let job = Job::over_shards(table.shards(), spec, None, opts, self.threads, cancel)?;
         let job = Arc::new(job);
-        self.submit(&job)?;
-        job.wait_while(|| Ok(()))
+        job.submit_and_wait(|| self.submit(&job), || Ok(()))
     }
 
-    /// Queue `job` for the workers; the caller collects it with
-    /// [`Job::wait_while`]. The job was compiled by the submitter —
+    /// Queue `job` for the workers, as the `submit` step of
+    /// [`Job::submit_and_wait`]. The job was compiled by the submitter —
     /// workers only ever claim and execute leases. A job that pruning
     /// left without morsels is already finished: it is never queued,
     /// and its waiter collects it at once.
@@ -392,8 +391,7 @@ mod tests {
                     let job =
                         Job::over_shards(table.shards(), spec, right, &opts, width, nocancel())?;
                     let job = Arc::new(job);
-                    pool.submit(&job)?;
-                    let result = job.wait_while(|| Ok(()))?;
+                    let result = job.submit_and_wait(|| pool.submit(&job), || Ok(()))?;
                     assert_eq!(job.peak_leases(), 1, "{spec:?}");
                     Ok(result)
                 })

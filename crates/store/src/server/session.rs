@@ -276,15 +276,17 @@ fn query(
                 shared.pool.threads(),
                 Arc::clone(token),
             )?);
-            shared.pool.submit(&job)?;
-            job.wait_while(|| {
-                token.check()?;
-                if client_vanished(stream) {
-                    token.cancel();
+            job.submit_and_wait(
+                || shared.pool.submit(&job),
+                || {
                     token.check()?;
-                }
-                Ok(())
-            })
+                    if client_vanished(stream) {
+                        token.cancel();
+                        token.check()?;
+                    }
+                    Ok(())
+                },
+            )
         });
     match outcome {
         Ok((result, version)) => {

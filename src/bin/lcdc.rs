@@ -57,6 +57,8 @@
 //! `--shutdown` (graceful drain). `gen` writes a deterministic demo
 //! table (day/qty/price) to feed walkthroughs and smoke tests.
 
+#![forbid(unsafe_code)]
+
 use lcdc::core::{bytes, chooser, parse_scheme, ColumnData, DType};
 use lcdc::store::{
     load_table, open_table_lazy, save_table, shard_table, Catalog, Client, CompressionPolicy,

@@ -28,6 +28,8 @@
 //! assert_eq!(scheme.decompress(&compressed).unwrap(), col);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use lcdc_bitpack as bitpack;
 pub use lcdc_colops as colops;
 pub use lcdc_core as core;

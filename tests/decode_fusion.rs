@@ -4,9 +4,10 @@
 //! allocation; `visit` runs the same fused operator into a chunk
 //! callback; `decompress_via_plan` interprets the scheme's operator DAG
 //! over fully materialised parts. For every scheme × element type ×
-//! length around the 64-value group and 128-value block boundaries the
-//! three must agree with each other and with the original column — and
-//! a part read as a stream must equal the part decompressed on its own.
+//! length around the 64- and 1024-value packing groups and the
+//! 128-value block boundaries the three must agree with each other and
+//! with the original column — and a part read as a stream must equal
+//! the part decompressed on its own.
 //! Corrupt forms must fail with the typed errors the multi-pass
 //! decoders returned, through `decompress` and `visit` alike, never a
 //! panic.
