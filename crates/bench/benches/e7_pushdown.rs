@@ -326,7 +326,10 @@ fn bench_ingest(c: &mut Criterion) {
         ColumnData::U64((0..BATCH).map(|i| 900 + (i * 13) % 1000).collect()),
     ];
     let routed = sharded.append_batch(&spanning).unwrap();
-    assert_eq!(routed.num_rows(), sharded.num_rows() + BATCH as usize);
+    assert_eq!(
+        routed.table().num_rows(),
+        sharded.table().num_rows() + BATCH as usize
+    );
     assert_eq!(
         routed.shards()[0].num_rows(),
         sharded.shards()[0].num_rows() + BATCH as usize / 2,

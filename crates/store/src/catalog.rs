@@ -7,14 +7,14 @@
 //!   a [`ShardedTable`] (N tables with one schema). Every mutation —
 //!   register, replace, [`Catalog::add_shard`], drop — stamps the entry
 //!   with a fresh value of one catalog-wide monotonic version counter.
-//! * **Scan fan-in** — a [`crate::QuerySpec`] executed against a
-//!   sharded table first *prunes whole shards* whose per-column key
-//!   ranges the spec's bounds exclude (no source touched, visible as
-//!   [`QueryStats::shards_pruned`]), then runs the same compiled plan
-//!   over every surviving shard as **one job** — all shards' segments
-//!   in a single morsel list, every executing thread leasing from it —
-//!   and merges the partial sink states and [`QueryStats`]
-//!   associatively: the same merge intra-table parallelism uses.
+//! * **One table per entry** — a sharded entry is read as one
+//!   [`Table`] whose columns list every shard's runs in shard order,
+//!   sharing them by handle ([`ShardedTable::table`]). A query compiles
+//!   once against it; a shard its filters exclude is skipped by the
+//!   same per-segment zone-map pruning every table gets, so none of its
+//!   sources is touched (visible as [`QueryStats::shards_pruned`]). The
+//!   shards themselves serve only the write side: routing and
+//!   per-shard append.
 //! * **Result caching** — results are cached under
 //!   `(table name, plan fingerprint)` and validated against the entry's
 //!   version: a version bump silently invalidates every cached result
@@ -36,14 +36,13 @@
 //! Tables may mix backends freely: resident shards, lazily-backed
 //! shards ([`crate::file::open_table_lazy`]), or both.
 
-use crate::query::{execute_shards, ExecOptions, JoinRight, QueryResult, QuerySpec, QueryStats};
-use crate::schema::TableSchema;
+use crate::query::{ExecOptions, JoinRight, QueryResult, QuerySpec, QueryStats};
 use crate::table::{check_batch, Table};
 use crate::{Result, StoreError};
 use lcdc_core::ColumnData;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Default number of cached query results per catalog.
 pub const DEFAULT_RESULT_CACHE: usize = 128;
@@ -63,8 +62,7 @@ pub const DEFAULT_RESULT_CACHE_BYTES: usize = 32 << 20;
 /// range still have exactly one owner. Derived from the shards'
 /// per-column key ranges at registration
 /// ([`ShardedTable::with_key`]), which must ascend without overlapping
-/// (touching at a boundary value is fine): the same table-level zone
-/// maps read-time shard pruning intersects, now steering writes.
+/// (touching at a boundary value is fine).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardRouting {
     key: String,
@@ -92,42 +90,40 @@ impl ShardRouting {
 
 /// N tables sharing one schema, queried as one. Shards are typically
 /// row-disjoint horizontal partitions (see [`shard_table`]), but the
-/// catalog only requires schema agreement — each shard answers for its
-/// own rows and the fan-in merges. Registering with a routing key
+/// catalog only requires schema agreement. Reads see one [`Table`]
+/// whose columns list every shard's runs ([`Self::table`]); the shards
+/// are the write side's view. Registering with a routing key
 /// ([`ShardedTable::with_key`]) additionally gives the table write-time
 /// placement: ingested batches are split along the shard key ranges.
 #[derive(Debug, Clone)]
 pub struct ShardedTable {
-    schema: TableSchema,
     shards: Vec<Arc<Table>>,
-    num_rows: usize,
+    /// The shards as one table, rebuilt whenever `shards` changes.
+    table: Arc<Table>,
     routing: Option<ShardRouting>,
 }
 
 impl ShardedTable {
     /// Assemble from at least one shard; all shards must share a schema.
     pub fn new(shards: Vec<Table>) -> Result<ShardedTable> {
-        let mut iter = shards.into_iter();
-        let first = iter
-            .next()
-            .ok_or_else(|| StoreError::Shape("a sharded table needs at least one shard".into()))?;
-        let schema = first.schema().clone();
-        let mut arcs = vec![Arc::new(first)];
-        for (i, shard) in iter.enumerate() {
-            if shard.schema() != &schema {
+        let shards: Vec<Arc<Table>> = shards.into_iter().map(Arc::new).collect();
+        if let Some(first) = shards.first() {
+            if let Some(i) = shards.iter().position(|s| s.schema() != first.schema()) {
                 return Err(StoreError::Shape(format!(
-                    "shard {} schema differs from shard 0",
-                    i + 1
+                    "shard {i} schema differs from shard 0"
                 )));
             }
-            arcs.push(Arc::new(shard));
         }
-        let num_rows = arcs.iter().map(|s| s.num_rows()).sum();
+        ShardedTable::assemble(shards, None)
+    }
+
+    /// The sharded table over `shards` (schemas already checked), with
+    /// its one read-side table derived from them.
+    fn assemble(shards: Vec<Arc<Table>>, routing: Option<ShardRouting>) -> Result<ShardedTable> {
         Ok(ShardedTable {
-            schema,
-            shards: arcs,
-            num_rows,
-            routing: None,
+            table: Arc::new(Table::concat(&shards)?),
+            shards,
+            routing,
         })
     }
 
@@ -161,25 +157,26 @@ impl ShardedTable {
                     .into(),
             )
         })?;
-        let rows = check_batch(&self.schema, columns, None)?;
-        let key_idx = self
-            .schema
+        let schema = self.table.schema();
+        let rows = check_batch(schema, columns, None)?;
+        let key_col = schema
             .index_of(&routing.key)
+            .and_then(|idx| columns.get(idx))
             .ok_or_else(|| StoreError::NoSuchColumn(routing.key.clone()))?;
         // One bucketing pass over the rows, gathering every column's
         // transport value into the owning shard's buckets — dtypes
         // survive the round-trip exactly, and the cost stays
         // O(rows x columns) no matter how many shards there are.
+        let short = || StoreError::Shape("batch column shorter than its row count".into());
         let mut buckets: Vec<Vec<Vec<u64>>> =
             vec![vec![Vec::new(); columns.len()]; self.shards.len()];
         for row in 0..rows {
-            let target = routing.shard_of(
-                columns[key_idx]
-                    .get_numeric(row)
-                    .expect("row index in range"),
-            );
-            for (slot, col) in columns.iter().enumerate() {
-                buckets[target][slot].push(col.get_transport(row).expect("row index in range"));
+            let key = key_col.get_numeric(row).ok_or_else(short)?;
+            let target = buckets
+                .get_mut(routing.shard_of(key))
+                .ok_or_else(|| StoreError::Shape("routing names a missing shard".into()))?;
+            for (bucket, col) in target.iter_mut().zip(columns) {
+                bucket.push(col.get_transport(row).ok_or_else(short)?);
             }
         }
         Ok(buckets
@@ -194,52 +191,15 @@ impl ShardedTable {
             .collect())
     }
 
-    /// The shared schema.
-    pub fn schema(&self) -> &TableSchema {
-        &self.schema
-    }
-
-    /// The shards, in registration order.
+    /// The shards, in registration order — the write side's view.
     pub fn shards(&self) -> &[Arc<Table>] {
         &self.shards
     }
 
-    /// Total rows across shards.
-    pub fn num_rows(&self) -> usize {
-        self.num_rows
-    }
-
-    /// Payload fetches that hit a backing store so far, across shards.
-    pub fn io_reads(&self) -> usize {
-        self.shards.iter().map(|s| s.io_reads()).sum()
-    }
-
-    /// Run `spec` over the shards as **one job**: every live shard's
-    /// segments become morsels in a single list that all `threads`
-    /// threads lease from, so a slow shard borrows the idle shards'
-    /// threads instead of tail-blocking its own. Before any source is
-    /// touched, **shard pruning** intersects the spec's bounds with
-    /// each shard's per-column key range (resident segment metadata):
-    /// a shard the bounds exclude contributes its segment count to
-    /// `segments` / `segments_pruned` (and bumps
-    /// [`QueryStats::shards_pruned`]) but is never visited or read —
-    /// nor compiled, except shard 0 when *every* shard is pruned, which
-    /// compiles once purely to shape the empty result.
-    /// `QueryStats` are otherwise the sum over shards, exactly
-    /// as parallel partials merge within one table.
-    pub fn execute_parallel(&self, spec: &QuerySpec, threads: usize) -> Result<QueryResult> {
-        self.execute_opts(spec, &ExecOptions::threads(threads))
-    }
-
-    /// [`Self::execute_parallel`] with explicit [`ExecOptions`]
-    /// (lease cap plus prefetch depth for lazily-backed shards).
-    pub fn execute_opts(&self, spec: &QuerySpec, opts: &ExecOptions) -> Result<QueryResult> {
-        execute_shards(&self.shards, spec, None, opts)
-    }
-
-    /// Sequential [`Self::execute_parallel`].
-    pub fn execute(&self, spec: &QuerySpec) -> Result<QueryResult> {
-        self.execute_parallel(spec, 1)
+    /// The shards as one table: each column lists every shard's runs in
+    /// shard order, shared by handle. Every query reads this.
+    pub fn table(&self) -> &Arc<Table> {
+        &self.table
     }
 
     /// A new sharded table with `columns` appended: split along the
@@ -247,9 +207,10 @@ impl ShardedTable {
     /// ([`Self::partition_batch`]), appended whole to the *last* shard
     /// otherwise (log-style placement — the only shard whose key range
     /// growing upward cannot overlap a neighbour). Untouched shards
-    /// share their `Arc` handles; nothing is re-encoded.
+    /// share their `Arc` handles and nothing is re-encoded; the one
+    /// table is rebuilt from the shards' runs, one handle copy per
+    /// shard and column.
     pub fn append_batch(&self, columns: &[ColumnData]) -> Result<ShardedTable> {
-        let rows = columns.first().map_or(0, ColumnData::len);
         let mut shards: Vec<Arc<Table>> = Vec::with_capacity(self.shards.len());
         if self.routing.is_some() {
             let parts = self.partition_batch(columns)?;
@@ -261,16 +222,14 @@ impl ShardedTable {
                 }
             }
         } else {
-            let (last, head) = self.shards.split_last().expect("at least one shard");
+            let (last, head) = self
+                .shards
+                .split_last()
+                .ok_or_else(|| StoreError::Shape("a sharded table needs a shard".into()))?;
             shards.extend(head.iter().cloned());
             shards.push(Arc::new(last.append(columns)?));
         }
-        Ok(ShardedTable {
-            schema: self.schema.clone(),
-            shards,
-            num_rows: self.num_rows + rows,
-            routing: self.routing.clone(),
-        })
+        ShardedTable::assemble(shards, self.routing.clone())
     }
 }
 
@@ -282,35 +241,39 @@ impl ShardedTable {
 /// has one key straddling the cut — and the shared key routes to the
 /// lower shard, consistent with [`ShardRouting::shard_of`].
 fn derive_routing(shards: &[Arc<Table>], key: &str) -> Result<ShardRouting> {
-    let idx = shards[0]
-        .schema()
-        .index_of(key)
+    let idx = shards
+        .first()
+        .and_then(|shard| shard.schema().index_of(key))
         .ok_or_else(|| StoreError::NoSuchColumn(key.to_string()))?;
     let mut ranges = Vec::with_capacity(shards.len());
     for (i, shard) in shards.iter().enumerate() {
-        let range = shard.column_range(idx).ok_or_else(|| {
+        let range = (0..shard.num_segments())
+            .map(|s| shard.meta_at(idx, s))
+            .filter(|meta| meta.rows > 0)
+            .map(|meta| (meta.min, meta.max))
+            .reduce(|(lo, hi), (min, max)| (lo.min(min), hi.max(max)));
+        ranges.push(range.ok_or_else(|| {
             StoreError::Shape(format!(
                 "shard {i} holds no rows: cannot derive a key range to route by"
             ))
-        })?;
-        ranges.push(range);
+        })?);
     }
     for (i, window) in ranges.windows(2).enumerate() {
-        let ((_, hi), (lo, _)) = (window[0], window[1]);
-        if hi > lo {
-            return Err(StoreError::Shape(format!(
-                "shard {i} key range ends at {hi} but shard {} starts at {lo}: \
-                 key ranges must ascend without overlapping to route writes",
-                i + 1
-            )));
+        if let &[(_, hi), (lo, _)] = window {
+            if hi > lo {
+                return Err(StoreError::Shape(format!(
+                    "shard {i} key range ends at {hi} but shard {} starts at {lo}: \
+                     key ranges must ascend without overlapping to route writes",
+                    i + 1
+                )));
+            }
         }
     }
+    let mut uppers: Vec<i128> = ranges.iter().map(|&(_, hi)| hi).collect();
+    uppers.pop();
     Ok(ShardRouting {
         key: key.to_string(),
-        uppers: ranges[..ranges.len() - 1]
-            .iter()
-            .map(|&(_, hi)| hi)
-            .collect(),
+        uppers,
     })
 }
 
@@ -338,7 +301,11 @@ pub fn shard_table(table: &Table, shards: usize) -> Result<Vec<Table>> {
     let mut start = 0usize;
     for shard_idx in 0..shards {
         let end = start + base + usize::from(shard_idx < extra);
-        let segments = columns.iter().map(|col| col[start..end].to_vec()).collect();
+        let segments = columns
+            .iter()
+            .map(|col| col.get(start..end).map(<[_]>::to_vec))
+            .collect::<Option<_>>()
+            .ok_or_else(|| StoreError::Shape("shard split past the last segment".into()))?;
         out.push(Table::from_segments(
             table.schema().clone(),
             segments,
@@ -359,75 +326,26 @@ pub enum CatalogTable {
 }
 
 impl CatalogTable {
-    /// The schema.
-    pub fn schema(&self) -> &TableSchema {
+    /// The table every query reads: the single table, or the sharded
+    /// table's shards as one ([`ShardedTable::table`]).
+    pub fn table(&self) -> &Arc<Table> {
         match self {
-            CatalogTable::Single(t) => t.schema(),
-            CatalogTable::Sharded(s) => s.schema(),
-        }
-    }
-
-    /// Total rows.
-    pub fn num_rows(&self) -> usize {
-        match self {
-            CatalogTable::Single(t) => t.num_rows(),
-            CatalogTable::Sharded(s) => s.num_rows(),
-        }
-    }
-
-    /// Number of shards (1 for a single table).
-    pub fn shard_count(&self) -> usize {
-        match self {
-            CatalogTable::Single(_) => 1,
-            CatalogTable::Sharded(s) => s.shards().len(),
+            CatalogTable::Single(t) => t,
+            CatalogTable::Sharded(s) => s.table(),
         }
     }
 
     /// Payload fetches that hit a backing store so far.
     pub fn io_reads(&self) -> usize {
-        match self {
-            CatalogTable::Single(t) => t.io_reads(),
-            CatalogTable::Sharded(s) => s.io_reads(),
-        }
-    }
-
-    /// The snapshot's shard handles (one for a single table).
-    pub(crate) fn shards(&self) -> &[Arc<Table>] {
-        match self {
-            CatalogTable::Single(t) => std::slice::from_ref(t),
-            CatalogTable::Sharded(s) => s.shards(),
-        }
-    }
-
-    /// Run `spec` against this snapshot with explicit [`ExecOptions`]
-    /// — the execution half of [`Catalog::execute_versioned_with`]'s
-    /// seam: the catalog hands a closure this handle, and the closure
-    /// decides how to execute against it (here, or on a server's
-    /// shared worker pool). A spec carrying a join must go through
-    /// [`Self::execute_opts_join`] (the catalog resolves the right
-    /// side); without one this is identical.
-    pub fn execute_opts(&self, spec: &QuerySpec, opts: &ExecOptions) -> Result<QueryResult> {
-        self.execute_opts_join(spec, opts, None)
-    }
-
-    /// [`Self::execute_opts`] with the join's right side resolved — the
-    /// two-table entry point [`Catalog::execute_versioned_with`] hands
-    /// its closure when the spec carries a [`crate::JoinSpec`].
-    pub fn execute_opts_join(
-        &self,
-        spec: &QuerySpec,
-        opts: &ExecOptions,
-        join: Option<&ResolvedJoin>,
-    ) -> Result<QueryResult> {
-        execute_shards(self.shards(), spec, join.map(|j| &j.right), opts)
+        self.table().io_reads()
     }
 }
 
 /// A join's right side, resolved against the same catalog snapshot as
-/// the left table: the right entry's shards (one for a single table)
-/// plus the version the capture saw. The version is what the result
-/// cache validates alongside the left table's, so a cached join stops
-/// being served the moment *either* table mutates.
+/// the left table: the right entry's table plus the version the capture
+/// saw. The version is what the result cache validates alongside the
+/// left table's, so a cached join stops being served the moment
+/// *either* table mutates.
 #[derive(Debug, Clone)]
 pub struct ResolvedJoin {
     pub(crate) right: Arc<JoinRight>,
@@ -441,15 +359,18 @@ impl ResolvedJoin {
     }
 }
 
-/// Resolve `on` against the right table and capture its shard handles.
+/// Resolve `on` against the right table and capture its handle.
 fn resolve_join(table: &CatalogTable, on: &str, version: u64) -> Result<ResolvedJoin> {
     let key = table
+        .table()
         .schema()
         .index_of(on)
         .ok_or_else(|| StoreError::NoSuchColumn(on.to_string()))?;
-    let shards = table.shards().to_vec();
     Ok(ResolvedJoin {
-        right: Arc::new(JoinRight { shards, key }),
+        right: Arc::new(JoinRight {
+            table: Arc::clone(table.table()),
+            key,
+        }),
         version,
     })
 }
@@ -554,6 +475,12 @@ impl ResultCache {
 /// `&self`: the catalog is internally synchronised and meant to be
 /// shared (`Arc<Catalog>`) across query threads.
 ///
+/// Both locks recover from poisoning instead of panicking every later
+/// request: the table map is valid after a panic under its write lock,
+/// because an entry changes only by assignments made after a successful
+/// append (an ingest encodes first and publishes last), and the result
+/// cache is valid after each of its individual operations.
+///
 /// ```
 /// use lcdc_core::{ColumnData, DType};
 /// use lcdc_store::{Agg, Catalog, CompressionPolicy, QuerySpec, Table, TableSchema};
@@ -634,6 +561,18 @@ impl Catalog {
     /// The result cache's payload byte budget.
     pub fn cache_budget(&self) -> usize {
         self.cache_budget
+    }
+
+    fn tables_read(&self) -> RwLockReadGuard<'_, HashMap<String, Entry>> {
+        self.tables.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn tables_write(&self) -> RwLockWriteGuard<'_, HashMap<String, Entry>> {
+        self.tables.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn cache(&self) -> MutexGuard<'_, ResultCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn bump(&self) -> u64 {
@@ -728,13 +667,13 @@ impl Catalog {
     /// assert_eq!(after.aggregates().unwrap(), &[Some(202)]);
     /// ```
     pub fn ingest(&self, name: &str, columns: &[ColumnData]) -> Result<u64> {
-        let mut tables = self.tables.write().expect("catalog lock");
+        let mut tables = self.tables_write();
         let entry = tables
             .get_mut(name)
             .ok_or_else(|| StoreError::NoSuchTable(name.to_string()))?;
         // Shape first: a ragged batch is an error even when its first
         // column is empty.
-        if check_batch(entry.table.schema(), columns, None)? == 0 {
+        if check_batch(entry.table.table().schema(), columns, None)? == 0 {
             return Ok(entry.version);
         }
         entry.table = match &entry.table {
@@ -744,17 +683,15 @@ impl Catalog {
         entry.version = self.bump();
         let version = entry.version;
         drop(tables);
-        self.cache.lock().expect("cache lock").purge_table(name);
+        self.cache().purge_table(name);
         Ok(version)
     }
 
     fn install(&self, name: &str, table: CatalogTable) -> u64 {
         let version = self.bump();
-        self.tables
-            .write()
-            .expect("catalog lock")
+        self.tables_write()
             .insert(name.to_string(), Entry { table, version });
-        self.cache.lock().expect("cache lock").purge_table(name);
+        self.cache().purge_table(name);
         version
     }
 
@@ -762,61 +699,46 @@ impl Catalog {
     /// table). The mutation bumps the version, so every cached result
     /// for `name` stops being served. Returns the new version.
     pub fn add_shard(&self, name: &str, shard: Table) -> Result<u64> {
-        let mut tables = self.tables.write().expect("catalog lock");
+        let mut tables = self.tables_write();
         let entry = tables
             .get_mut(name)
             .ok_or_else(|| StoreError::NoSuchTable(name.to_string()))?;
-        let mut shards = entry.table.shards().to_vec();
-        let schema = shards[0].schema().clone();
-        if shard.schema() != &schema {
+        if shard.schema() != entry.table.table().schema() {
             return Err(StoreError::Shape(format!(
                 "new shard's schema differs from table {name}"
             )));
         }
+        let (mut shards, routing) = match &entry.table {
+            CatalogTable::Single(t) => (vec![Arc::clone(t)], None),
+            CatalogTable::Sharded(s) => (s.shards().to_vec(), s.routing()),
+        };
         shards.push(Arc::new(shard));
-        let num_rows = shards.iter().map(|s| s.num_rows()).sum();
         // A routed table stays routed: the grown shard list must still
         // carry disjoint ascending key ranges, or the mutation is
         // rejected before anything is published.
-        let routing = match &entry.table {
-            CatalogTable::Sharded(s) => match s.routing() {
-                Some(r) => Some(derive_routing(&shards, r.key())?),
-                None => None,
-            },
-            CatalogTable::Single(_) => None,
-        };
-        entry.table = CatalogTable::Sharded(Arc::new(ShardedTable {
-            schema,
-            shards,
-            num_rows,
-            routing,
-        }));
+        let routing = routing
+            .map(|r| derive_routing(&shards, r.key()))
+            .transpose()?;
+        entry.table = CatalogTable::Sharded(Arc::new(ShardedTable::assemble(shards, routing)?));
         entry.version = self.bump();
         let version = entry.version;
         drop(tables);
-        self.cache.lock().expect("cache lock").purge_table(name);
+        self.cache().purge_table(name);
         Ok(version)
     }
 
     /// Remove a table. Returns whether it existed.
     pub fn drop_table(&self, name: &str) -> bool {
-        let existed = self
-            .tables
-            .write()
-            .expect("catalog lock")
-            .remove(name)
-            .is_some();
+        let existed = self.tables_write().remove(name).is_some();
         if existed {
-            self.cache.lock().expect("cache lock").purge_table(name);
+            self.cache().purge_table(name);
         }
         existed
     }
 
     /// The registered table and its version, if present.
     pub fn get(&self, name: &str) -> Option<(CatalogTable, u64)> {
-        self.tables
-            .read()
-            .expect("catalog lock")
+        self.tables_read()
             .get(name)
             .map(|e| (e.table.clone(), e.version))
     }
@@ -828,13 +750,7 @@ impl Catalog {
 
     /// Registered table names, sorted.
     pub fn tables(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .tables
-            .read()
-            .expect("catalog lock")
-            .keys()
-            .cloned()
-            .collect();
+        let mut names: Vec<String> = self.tables_read().keys().cloned().collect();
         names.sort_unstable();
         names
     }
@@ -848,7 +764,7 @@ impl Catalog {
     }
 
     /// [`Self::execute`] with up to `threads` threads leasing from the
-    /// one job's morsel list across all shards.
+    /// one job's morsel list.
     pub fn execute_parallel(
         &self,
         name: &str,
@@ -859,17 +775,15 @@ impl Catalog {
     }
 
     /// [`Self::execute`] under explicit [`ExecOptions`] — lease cap
-    /// plus prefetch depth for lazily-backed shards.
+    /// plus prefetch depth for lazily-backed tables.
     pub fn execute_opts(
         &self,
         name: &str,
         spec: &QuerySpec,
         opts: &ExecOptions,
     ) -> Result<QueryResult> {
-        self.execute_versioned_with(name, spec, |table, join| {
-            table.execute_opts_join(spec, opts, join)
-        })
-        .map(|(result, _)| result)
+        self.execute_versioned_with(name, spec, |table, join| spec.execute_on(table, join, opts))
+            .map(|(result, _)| result)
     }
 
     /// The cache-wrapping core of [`Self::execute_opts`], with the
@@ -879,8 +793,8 @@ impl Catalog {
     /// client racing [`Self::ingest`] can tell exactly which version it
     /// read.
     ///
-    /// `run` receives the snapshot [`CatalogTable`] captured *before*
-    /// the cache probe — plus the join's right side when the spec
+    /// `run` receives the entry's one table ([`CatalogTable::table`])
+    /// captured *before* the cache probe — plus the join's right side when the spec
     /// carries one, resolved against the **same** snapshot (one pass
     /// under the tables lock, so a join never pairs a pre-ingest left
     /// with a post-ingest right) — and is only called on a miss; its
@@ -889,8 +803,8 @@ impl Catalog {
     /// never cause the stale answer to be served against the new
     /// version. The injected strategy is how `lcdc serve` routes
     /// executions onto its shared worker pool while keeping this
-    /// cache/version contract — the in-process path injects plain
-    /// [`CatalogTable::execute_opts_join`]-style execution.
+    /// cache/version contract — the in-process path injects
+    /// [`QuerySpec::execute_on`].
     pub fn execute_versioned_with<F>(
         &self,
         name: &str,
@@ -898,13 +812,13 @@ impl Catalog {
         run: F,
     ) -> Result<(QueryResult, u64)>
     where
-        F: FnOnce(&CatalogTable, Option<&ResolvedJoin>) -> Result<QueryResult>,
+        F: FnOnce(&Arc<Table>, Option<&ResolvedJoin>) -> Result<QueryResult>,
     {
         // Left entry and join right side come from one pass under the
         // tables read lock: the snapshot the closure executes against
         // is a consistent cut across both tables.
         let (table, version, join) = {
-            let tables = self.tables.read().expect("catalog lock");
+            let tables = self.tables_read();
             let entry = tables
                 .get(name)
                 .ok_or_else(|| StoreError::NoSuchTable(name.to_string()))?;
@@ -917,18 +831,14 @@ impl Catalog {
                 }
                 None => None,
             };
-            (entry.table.clone(), entry.version, join)
+            (Arc::clone(entry.table.table()), entry.version, join)
         };
         let join_version = join.as_ref().map(ResolvedJoin::version);
         let key = (name.to_string(), spec.fingerprint());
         // Hold the cache lock only for validation; clone the (possibly
         // large) rows after releasing it so other queries never wait
         // behind the copy.
-        let hit = self
-            .cache
-            .lock()
-            .expect("cache lock")
-            .get(&key, spec, version, join_version);
+        let hit = self.cache().get(&key, spec, version, join_version);
         if let Some(cached) = hit {
             return Ok((
                 QueryResult {
@@ -951,7 +861,7 @@ impl Catalog {
                 bytes: result.payload_bytes(),
                 result: result.clone(),
             });
-            self.cache.lock().expect("cache lock").put(key, entry);
+            self.cache().put(key, entry);
         }
         Ok((result, version))
     }
@@ -962,6 +872,7 @@ mod tests {
     use super::*;
     use crate::predicate::Predicate;
     use crate::query::{Agg, QueryBuilder};
+    use crate::schema::TableSchema;
     use crate::segment::CompressionPolicy;
     use lcdc_core::{ColumnData, DType};
 
@@ -984,6 +895,12 @@ mod tests {
             .aggregate(&[Agg::Sum("qty"), Agg::Count])
     }
 
+    /// `spec` over the sharded table's one table, sequentially.
+    fn run(sharded: &ShardedTable, spec: &QuerySpec) -> QueryResult {
+        spec.execute_on(sharded.table(), None, &ExecOptions::default())
+            .unwrap()
+    }
+
     #[test]
     fn sharded_execution_equals_single_table() {
         let table = orders(6000, 1);
@@ -995,9 +912,10 @@ mod tests {
             let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
             assert!(hi - lo <= 1, "unbalanced split {sizes:?}");
             let sharded = ShardedTable::new(pieces).unwrap();
-            assert_eq!(sharded.num_rows(), table.num_rows());
+            assert_eq!(sharded.table().num_rows(), table.num_rows());
             for threads in [1usize, 4] {
-                let got = sharded.execute_parallel(&spec(), threads).unwrap();
+                let opts = ExecOptions::threads(threads);
+                let got = spec().execute_on(sharded.table(), None, &opts).unwrap();
                 assert_eq!(got.rows, want.rows, "{shards} shards x{threads}");
                 assert_eq!(got.stats.segments, want.stats.segments, "{shards} shards");
             }
@@ -1024,7 +942,7 @@ mod tests {
         ];
         for (i, s) in specs.iter().enumerate() {
             let single = s.bind(&table).execute().unwrap();
-            let fanned = sharded.execute(s).unwrap();
+            let fanned = run(&sharded, s);
             assert_eq!(fanned.rows, single.rows, "spec {i}");
         }
     }
@@ -1179,8 +1097,8 @@ mod tests {
             .unwrap();
         assert_eq!(catalog.tables(), vec!["a".to_string(), "b".to_string()]);
         let (b, _) = catalog.get("b").unwrap();
-        assert_eq!(b.shard_count(), 2);
-        assert_eq!(b.num_rows(), 2000);
+        assert_eq!(b.table().num_rows(), 2000);
+        assert!(matches!(b, CatalogTable::Sharded(s) if s.shards().len() == 2));
         assert!(catalog.drop_table("a"));
         assert!(!catalog.drop_table("a"));
         assert!(catalog.execute("a", &spec()).is_err());
@@ -1188,11 +1106,9 @@ mod tests {
 
     #[test]
     fn sharded_matches_builder_stats_shape() {
-        // Sharding must not change *what* is measured: segment and row
-        // accounting summed over disjoint shards equals the
-        // single-table run. (Pushdown tier counters may be *lower*:
-        // shard pruning answers whole shards from table-level ranges
-        // without consulting each segment's zone map.)
+        // Sharding must not change *what* is measured: the shards read
+        // as one table charge exactly the single-table run's ledger,
+        // plus the two shards no segment of which became a morsel.
         let table = orders(4000, 1);
         let sharded = ShardedTable::new(shard_table(&table, 4).unwrap()).unwrap();
         let single = QueryBuilder::scan(&table)
@@ -1200,20 +1116,14 @@ mod tests {
             .aggregate(&[Agg::Sum("qty"), Agg::Count])
             .execute()
             .unwrap();
-        let fanned = sharded.execute(&spec()).unwrap();
+        let fanned = run(&sharded, &spec());
         assert_eq!(fanned.rows, single.rows);
-        assert_eq!(fanned.stats.segments, single.stats.segments);
-        assert_eq!(fanned.stats.segments_pruned, single.stats.segments_pruned);
-        assert_eq!(fanned.stats.segments_loaded, single.stats.segments_loaded);
-        assert_eq!(
-            fanned.stats.rows_materialized,
-            single.stats.rows_materialized
-        );
-        assert_eq!(fanned.stats.values_processed, single.stats.values_processed);
-        assert!(
-            fanned.stats.pushdown.zonemap_hits <= single.stats.pushdown.zonemap_hits,
-            "shard pruning replaces per-segment zone checks, never adds them"
-        );
+        assert_eq!(fanned.stats.shards_pruned, 2);
+        let stats = QueryStats {
+            shards_pruned: 0,
+            ..fanned.stats
+        };
+        assert_eq!(stats, single.stats);
     }
 
     #[test]
@@ -1343,7 +1253,7 @@ mod tests {
         assert!(v2 > v1);
         let (table, _) = catalog.get("t").unwrap();
         assert!(matches!(table, CatalogTable::Single(_)), "stays single");
-        assert_eq!(table.num_rows(), 1001);
+        assert_eq!(table.table().num_rows(), 1001);
         let after = catalog.execute("t", &spec()).unwrap();
         assert_eq!(after.stats.result_cache_hits, 0);
         assert_ne!(after.rows, first.rows);
@@ -1360,7 +1270,7 @@ mod tests {
             .ingest("t", &[ColumnData::U64(vec![]), ColumnData::I64(vec![])])
             .is_err());
         assert_eq!(
-            catalog.get("t").unwrap().0.num_rows(),
+            catalog.get("t").unwrap().0.table().num_rows(),
             1001,
             "rejected batches change nothing"
         );
@@ -1409,7 +1319,7 @@ mod tests {
         let per_shard_segments = sharded.shards()[0].num_segments();
 
         // Bounds inside shard 0's range exclude shard 1 wholesale.
-        let got = sharded.execute(&spec()).unwrap();
+        let got = run(&sharded, &spec());
         assert_eq!(got.stats.shards_pruned, 1, "{:?}", got.stats);
         // The pruned shard's segments count as visited-and-pruned, so
         // fan-in accounting still covers the whole table...
@@ -1429,7 +1339,7 @@ mod tests {
                 ("day", Predicate::Range { lo: 1005, hi: 1014 }),
             ])
             .aggregate(&[Agg::Count]);
-        let both = sharded.execute(&half_in).unwrap();
+        let both = run(&sharded, &half_in);
         assert_eq!(both.stats.shards_pruned, 0, "{:?}", both.stats);
 
         // Bounds that miss every shard prune everything; the answer is
@@ -1437,7 +1347,7 @@ mod tests {
         let nowhere = QuerySpec::new()
             .filter("day", Predicate::Range { lo: 5000, hi: 6000 })
             .aggregate(&[Agg::Sum("qty"), Agg::Count]);
-        let empty = sharded.execute(&nowhere).unwrap();
+        let empty = run(&sharded, &nowhere);
         assert_eq!(empty.stats.shards_pruned, 2);
         assert_eq!(empty.stats.segments_loaded, 0);
         assert_eq!(empty.aggregates().unwrap(), &[Some(0), Some(0)]);

@@ -63,8 +63,9 @@
 //! [`source::SegmentMeta`] (zone maps, scheme tags) for every pruning
 //! decision and fetches payloads only for segments a pushdown tier
 //! actually touches. The [`Catalog`] layers multi-table storage on
-//! top: named tables, horizontal sharding ([`ShardedTable`], scanned
-//! fan-in with merged [`QueryStats`]), monotonic versions stamped on
+//! top: named tables, horizontal sharding ([`ShardedTable`], read as
+//! one table whose columns list every shard's runs), monotonic
+//! versions stamped on
 //! every mutation, and a query-result cache keyed on
 //! `(plan fingerprint, table version)` via the stable
 //! [`QuerySpec::fingerprint`].

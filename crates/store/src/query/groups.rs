@@ -155,7 +155,7 @@ impl GroupTable {
             })
     }
 
-    /// Merge another partial table in (parallel partials, shard fan-in).
+    /// Merge another partial table in (a job's lease slots).
     pub(crate) fn merge(&mut self, other: &GroupTable) {
         for (key, rows, per_col) in other.groups() {
             let slot = self.slot(key, rows);

@@ -1,31 +1,31 @@
 //! The executor: a compile-once [`Job`] any thread can drive.
 //!
-//! A query compiles **once** into a `Job` — one [`PhysicalPlan`] per
-//! live shard, the morsel list (`(plan, segment)` units in visit
-//! order), the pruned ledger, a cancel token, the shared top-k bound,
-//! the prefetch window and the partial results — and execution is one
-//! loop: claim a *lease* (a short run of morsels), push it through
-//! [`PhysicalPlan::execute_segment`], return. Who runs that loop is the
+//! A query compiles **once** into a `Job` — one [`PhysicalPlan`], the
+//! morsel list (segment indices in visit order), the pruned ledger, a
+//! cancel token, the shared top-k bound, the prefetch window and the
+//! partial results — and execution is one loop: claim a *lease* (a
+//! short run of morsels), push it through
+//! [`PhysicalPlan::execute_segment`], return. A sharded catalog entry
+//! is one table whose columns list every shard's runs, so it compiles
+//! and runs exactly like any other table. Who runs that loop is the
 //! only thing callers differ in:
 //!
 //! * **In process** ([`Job::run`]): the calling thread plus
 //!   `threads − 1` scoped helpers, so `threads = 1` is sequential
-//!   execution by construction. A sharded table's fan-in is the same
-//!   job with more plans — every shard's segments sit in one morsel
-//!   list, drained by the same threads.
+//!   execution by construction.
 //! * **`lcdc serve`**: the server's long-lived pool workers take one
 //!   lease at a time from a round-robin queue of jobs, while the
 //!   session thread waits in [`Job::submit_and_wait`].
 //!
-//! Pruning happens at compile, twice, on resident metadata: a shard
-//! whose key ranges the filters exclude is never compiled, and a
-//! segment whose zone maps end its visit before any fetch
-//! ([`PhysicalPlan::zone_prunes`]) never becomes a morsel. Both are
-//! charged to the pruned ledger exactly as a visit would have charged
-//! them. The morsel list of a filtered plan therefore holds only the
-//! segments the zone maps cannot exclude — a point query over hundreds
-//! of segments is one lease — except on top-k and join plans,
-//! which keep every segment.
+//! Pruning happens at compile, on resident metadata: a segment whose
+//! zone maps end its visit before any fetch
+//! ([`PhysicalPlan::morsels`]) never becomes a morsel, and is
+//! charged to the pruned ledger exactly as its visit would have been.
+//! The morsel list of a filtered plan therefore holds only the segments
+//! the zone maps cannot exclude — a point query over hundreds of
+//! segments is one lease, and a shard the filters exclude contributes
+//! no morsel ([`QueryStats::shards_pruned`]) — except on top-k and join
+//! plans, which keep every segment.
 //!
 //! Partial sink states belong to a job's lease **slots** — at most its
 //! lease cap, handed from one lease to the next and merged once when
@@ -151,9 +151,6 @@ impl ExecOptions {
     }
 }
 
-/// One unit of work: `(plan index, segment index)`.
-type Morsel = (usize, usize);
-
 /// Most segments one lease claims: small enough that concurrent jobs
 /// interleave finely (a worker revisits the queue every few segments),
 /// large enough that claiming stays off the per-segment path.
@@ -179,38 +176,6 @@ fn local_width() -> usize {
     static WIDTH: OnceLock<usize> = OnceLock::new();
     *WIDTH
         .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
-}
-
-/// Whether `spec`'s bounds prove `shard` holds no matching row, from
-/// the shard's per-column `[min, max]` alone — a table-level zone map.
-/// A CNF excludes the shard when any clause does; a (possibly
-/// disjunctive) clause excludes it only when *every* leaf is disjoint
-/// from its column's shard range. Unknown columns never prune here —
-/// compilation reports them properly.
-fn shard_excluded(shard: &Table, spec: &QuerySpec) -> bool {
-    spec.clauses.iter().any(|clause| {
-        !clause.is_empty()
-            && clause.iter().all(|(column, predicate)| {
-                shard
-                    .schema()
-                    .index_of(column)
-                    .and_then(|idx| shard.column_range(idx))
-                    .map(|(lo, hi)| predicate.zone_decides(lo, hi) == Some(false))
-                    .unwrap_or(false)
-            })
-    })
-}
-
-/// Execute `spec` over a snapshot's shards in process: compile the job
-/// and drive it on the calling thread ([`Job::run`]).
-pub(crate) fn execute_shards(
-    shards: &[Arc<Table>],
-    spec: &QuerySpec,
-    right: Option<&Arc<JoinRight>>,
-    opts: &ExecOptions,
-) -> Result<QueryResult> {
-    let cancel = Arc::new(CancelToken::unbounded());
-    Job::over_shards(shards, spec, right, opts, local_width(), cancel)?.run()
 }
 
 /// Fires a job's token on drop; see [`Job::run`].
@@ -276,24 +241,21 @@ struct JobInner {
 /// One compiled query: everything a thread needs to execute a lease of
 /// it, and everything the waiting thread needs to collect the result.
 pub(crate) struct Job {
-    /// One compiled plan per shard that survived shard pruning.
-    plans: Vec<PhysicalPlan>,
-    /// The sink shape — shared by every plan (shards share a schema).
-    sink: Sink,
-    /// Every `(plan, segment)` to execute, in visit order — only the
-    /// segments the zone maps cannot exclude.
-    morsels: Vec<Morsel>,
-    /// What shard and segment pruning skipped, accounted without
-    /// executing.
+    /// The compiled plan.
+    plan: PhysicalPlan,
+    /// Every segment to execute, in visit order — only the segments the
+    /// zone maps cannot exclude.
+    morsels: Vec<usize>,
+    /// What segment pruning skipped, accounted without executing.
     pruned: QueryStats,
     /// Checked at every claim and between morsels, so a fired token
     /// abandons all unclaimed work within one lease.
     cancel: Arc<CancelToken>,
-    /// The job-wide top-k bound — every slot of every shard publishes
-    /// into and prunes against the same atomic, so a late lease prunes
-    /// with an early one's heap instead of only its own — whenever the
-    /// sink is top-k. At one slot it never exceeds that slot's own
-    /// threshold: it prunes nothing more, it only counts
+    /// The job-wide top-k bound — every slot publishes into and prunes
+    /// against the same atomic, so a late lease prunes with an early
+    /// one's heap instead of only its own — whenever the sink is top-k.
+    /// At one slot it never exceeds that slot's own threshold: it prunes
+    /// nothing more, it only counts
     /// ([`QueryStats::topk_segments_skipped`]).
     bound: Option<Arc<AtomicI64>>,
     /// Most leases allowed to execute at once: [`ExecOptions::threads`]
@@ -315,20 +277,14 @@ pub(crate) struct Job {
 }
 
 impl Job {
-    /// A job over a catalog snapshot's shards. **Shard pruning** first:
-    /// a shard whose per-column key ranges the spec's bounds exclude is
-    /// counted ([`QueryStats::shards_pruned`], its segments under
-    /// `segments` / `segments_pruned`) but never compiled, visited or
-    /// read. Every live shard compiles here, once — this is where an
-    /// unknown column errors, before anything executes — and only a
-    /// fan-in with *no* live shard compiles shard 0, purely for the
-    /// sink shape of its empty result.
-    ///
-    /// `width` is how many threads can drive the job at once (the
-    /// hardware's parallelism in process, the pool's worker count on
-    /// the server); `cancel` is checked before anything compiles.
-    pub(crate) fn over_shards(
-        shards: &[Arc<Table>],
+    /// A job over `table` (a catalog snapshot, shards and all): `spec`
+    /// compiles here, once — where an unknown column errors, before
+    /// anything executes. `width` is how many threads can drive the job
+    /// at once (the hardware's parallelism in process, the pool's worker
+    /// count on the server); `cancel` is checked before anything
+    /// compiles.
+    pub(crate) fn compile(
+        table: &Arc<Table>,
         spec: &QuerySpec,
         right: Option<&Arc<JoinRight>>,
         opts: &ExecOptions,
@@ -336,60 +292,24 @@ impl Job {
         cancel: Arc<CancelToken>,
     ) -> Result<Job> {
         cancel.check()?;
-        let mut pruned = QueryStats::default();
-        let mut plans = Vec::with_capacity(shards.len());
-        for shard in shards {
-            if shard_excluded(shard, spec) {
-                pruned.shards_pruned += 1;
-                pruned.segments += shard.num_segments();
-                pruned.segments_pruned += shard.num_segments();
-            } else {
-                plans.push(spec.compile_join(shard, right)?);
-            }
-        }
-        let sink = match (plans.first(), shards.first()) {
-            (Some(plan), _) => plan.sink.clone(),
-            (None, Some(shard)) => spec.compile_join(shard, right)?.sink,
-            (None, None) => return Err(StoreError::Shape("table has no shards".into())),
-        };
-        Ok(Job::new(plans, sink, pruned, opts, width, cancel))
+        let plan = spec.compile_join(table, right)?;
+        Ok(Job::new(plan, opts, width, cancel))
     }
 
     /// A job over one already-compiled plan, for in-process execution.
     pub(crate) fn over_plan(plan: PhysicalPlan, opts: &ExecOptions) -> Job {
-        let sink = plan.sink.clone();
         let cancel = Arc::new(CancelToken::unbounded());
-        Job::new(
-            vec![plan],
-            sink,
-            QueryStats::default(),
-            opts,
-            local_width(),
-            cancel,
-        )
+        Job::new(plan, opts, local_width(), cancel)
     }
 
-    fn new(
-        plans: Vec<PhysicalPlan>,
-        sink: Sink,
-        mut pruned: QueryStats,
-        opts: &ExecOptions,
-        width: usize,
-        cancel: Arc<CancelToken>,
-    ) -> Job {
-        let mut morsels: Vec<Morsel> = Vec::new();
-        for (p, plan) in plans.iter().enumerate() {
-            for s in plan.segment_order() {
-                if !plan.zone_prunes(s, &mut pruned) {
-                    morsels.push((p, s));
-                }
-            }
-        }
+    fn new(plan: PhysicalPlan, opts: &ExecOptions, width: usize, cancel: Arc<CancelToken>) -> Job {
+        let mut pruned = QueryStats::default();
+        let morsels = plan.morsels(&mut pruned);
         let lease_cap = opts
             .threads
             .clamp(1, width.max(1))
             .min(morsels.len().max(1));
-        let prefetch = prefetch_window(&plans, opts);
+        let prefetch = prefetch_window(&plan, opts);
         // A prefetching job leases one segment at a time, so the claim
         // cursor *is* the scan cursor its window runs ahead of (such a
         // job is I/O-bound; the claim is noise). A one-slot job has
@@ -406,11 +326,10 @@ impl Job {
             };
             morsels.len().div_ceil(leases).clamp(1, MAX_LEASE)
         };
-        let bound =
-            matches!(sink, Sink::TopK { .. }).then(|| Arc::new(AtomicI64::new(TOPK_BOUND_UNSET)));
+        let bound = matches!(plan.sink, Sink::TopK { .. })
+            .then(|| Arc::new(AtomicI64::new(TOPK_BOUND_UNSET)));
         Job {
-            plans,
-            sink,
+            plan,
             morsels,
             pruned,
             cancel,
@@ -501,7 +420,7 @@ impl Job {
         // ordering: monotonic high-water mark, read after the fact.
         self.peak_leases.fetch_max(inner.active, Ordering::Relaxed);
         let slot = inner.idle.pop().unwrap_or_else(|| Slot {
-            state: SinkState::for_sink_shared(&self.sink, self.bound.clone()),
+            state: SinkState::for_sink_shared(&self.plan.sink, self.bound.clone()),
             stats: QueryStats::default(),
             scratch: Scratch::default(),
         });
@@ -523,15 +442,10 @@ impl Job {
         let outcome = {
             let _unwind = LeaseUnwind(self);
             let morsels = self.morsels.get(start..end).unwrap_or_default();
-            let outcome = morsels.iter().try_for_each(|&(p, s)| {
+            let outcome = morsels.iter().try_for_each(|&s| {
                 self.cancel.check()?;
-                // Morsels index `plans` by construction; a miss is
-                // internal corruption — fail the job, not the process.
-                let plan = self
-                    .plans
-                    .get(p)
-                    .ok_or_else(|| StoreError::Shape(format!("morsel names unknown plan {p}")))?;
-                plan.execute_segment(s, &mut slot.state, &mut slot.scratch, &mut slot.stats)
+                self.plan
+                    .execute_segment(s, &mut slot.state, &mut slot.scratch, &mut slot.stats)
             });
             // Lease over: hand any improvement publication batching
             // held back to the leases still running.
@@ -654,7 +568,7 @@ impl Job {
             // Drain even when a lease failed: stale prefetched marks
             // left in a source would otherwise leak into the next
             // query's hit/wasted ledger.
-            for source in distinct_touched_sources(&self.plans) {
+            for source in touched_sources(&self.plan) {
                 let (hits, wasted) = source.take_prefetch_counters();
                 stats.prefetch_hits += hits;
                 stats.prefetch_wasted += wasted;
@@ -664,12 +578,12 @@ impl Job {
         if let Some(e) = error {
             return Err(e);
         }
-        let mut state = SinkState::for_sink(&self.sink);
+        let mut state = SinkState::for_sink(&self.plan.sink);
         for slot in slots {
             state.merge(slot.state);
             stats.absorb(&slot.stats);
         }
-        QueryResult::from_state(&self.sink, state, stats)
+        QueryResult::from_state(&self.plan.sink, state, stats)
     }
 
     /// The job's prefetcher, for one thread to step — `None` when the
@@ -684,24 +598,22 @@ impl Job {
         })
     }
 
-    /// The frames the plans are expected to fetch, in morsel order:
-    /// `(morsel position, plan, column, segment)`. Zone-pruned segments
+    /// The frames the plan is expected to fetch, in morsel order:
+    /// `(morsel position, column, segment)`. Zone-pruned segments
     /// contribute nothing — they were charged at compile and are not
     /// morsels at all.
-    fn prefetch_entries(&self) -> Vec<(usize, usize, usize, usize)> {
+    fn prefetch_entries(&self) -> Vec<(usize, usize, usize)> {
         let mut entries = Vec::new();
         let mut cols: Vec<usize> = Vec::new();
-        for (pos, &(p, s)) in self.morsels.iter().enumerate() {
-            if let Some(plan) = self.plans.get(p) {
-                plan.expected_fetches(s, &mut cols);
-                entries.extend(cols.iter().map(|&col| (pos, p, col, s)));
-            }
+        for (pos, &s) in self.morsels.iter().enumerate() {
+            self.plan.expected_fetches(s, &mut cols);
+            entries.extend(cols.iter().map(|&col| (pos, col, s)));
         }
         entries
     }
 }
 
-/// The prefetch window for `plans` under `opts`, clamped so it fits
+/// The prefetch window for `plan` under `opts`, clamped so it fits
 /// every touched source's decoded-segment cache *alongside the frame
 /// under the scan cursor*: a deeper window lets the prefetcher evict a
 /// warmed frame before the scan consumes it (the scan's fetch of the
@@ -710,43 +622,20 @@ impl Job {
 /// plus a re-read, strictly worse than no prefetch (see
 /// [`ExecOptions::prefetch`]). Fully resident plans have nothing to
 /// warm: their window is 0.
-fn prefetch_window(plans: &[PhysicalPlan], opts: &ExecOptions) -> usize {
-    let mut window = opts.prefetch;
-    if window == 0 {
-        return 0;
-    }
-    let mut lazily_backed = false;
-    for source in distinct_touched_sources(plans) {
-        if let Some(capacity) = source.cache_capacity() {
-            window = window.min(capacity.saturating_sub(2));
-            lazily_backed = true;
-        }
-    }
-    if lazily_backed {
-        window
-    } else {
-        0
-    }
+fn prefetch_window(plan: &PhysicalPlan, opts: &ExecOptions) -> usize {
+    touched_sources(plan)
+        .filter_map(|source| source.cache_capacity())
+        .min()
+        .map_or(0, |capacity| opts.prefetch.min(capacity.saturating_sub(2)))
 }
 
-/// Every source the plans' filter leaves and sink columns can touch,
-/// deduplicated by *identity* (data-pointer comparison): plans of a
-/// fan-in may alias a source — the same cloned `Table` registered as
-/// two shards shares its `Arc` handles — and the window clamp and the
-/// per-query counter drain must each see an underlying source exactly
-/// once.
-fn distinct_touched_sources(plans: &[PhysicalPlan]) -> Vec<&dyn SegmentSource> {
-    let mut sources: Vec<&dyn SegmentSource> = Vec::new();
-    let identity = |s: &dyn SegmentSource| s as *const dyn SegmentSource as *const u8;
-    for plan in plans {
-        for col in plan.touched_columns() {
-            let source = plan.table.source_at(col);
-            if !sources.iter().any(|s| identity(*s) == identity(source)) {
-                sources.push(source);
-            }
-        }
-    }
-    sources
+/// Every source the plan's filter leaves and sink columns can touch,
+/// once each. A column's source reaches every run's base, so the window
+/// clamp and the per-query counter drain cover each shard's cache.
+fn touched_sources(plan: &PhysicalPlan) -> impl Iterator<Item = &dyn SegmentSource> {
+    plan.touched_columns()
+        .into_iter()
+        .map(|col| plan.table.source_at(col) as &dyn SegmentSource)
 }
 
 /// The prefetcher: a step function over a job's expected fetches, run
@@ -765,7 +654,7 @@ fn distinct_touched_sources(plans: &[PhysicalPlan]) -> Vec<&dyn SegmentSource> {
 /// count into `cancelled` (the prefetch ledger's third column).
 struct Prefetcher<'j> {
     job: &'j Job,
-    entries: Vec<(usize, usize, usize, usize)>,
+    entries: Vec<(usize, usize, usize)>,
     /// Next entry to consider.
     next: usize,
     /// The window: how many morsels ahead of the scan cursor to warm.
@@ -811,12 +700,10 @@ impl Prefetcher<'_> {
     /// settled or the job's token fired — nothing left to warm.
     fn step(&mut self) -> bool {
         let job = self.job;
-        let Some(&(pos, p, col, seg)) = self.entries.get(self.next) else {
+        let Some(&(pos, col, seg)) = self.entries.get(self.next) else {
             return false;
         };
-        let Some(plan) = job.plans.get(p) else {
-            return false;
-        };
+        let plan = &job.plan;
         if job.cancel.check().is_err() {
             return false;
         }
@@ -871,9 +758,8 @@ mod tests {
     /// table is resident, so the job itself asks for none).
     fn top3_job(cancel: Arc<CancelToken>) -> Job {
         let spec = QuerySpec::new().top_k("v", 3);
-        let shards = [Arc::new(descending_table())];
-        Job::over_shards(&shards, &spec, None, &ExecOptions::default(), 1, cancel)
-            .expect("compiles")
+        let table = Arc::new(descending_table());
+        Job::compile(&table, &spec, None, &ExecOptions::default(), 1, cancel).expect("compiles")
     }
 
     fn whole_queue_fetcher(job: &Job) -> Prefetcher<'_> {
@@ -942,7 +828,7 @@ mod tests {
             let spec = QuerySpec::new().distinct("v");
             let opts = ExecOptions::threads(threads);
             let cancel = Arc::new(CancelToken::unbounded());
-            let job = Job::over_shards(&[Arc::new(table)], &spec, None, &opts, 4, cancel);
+            let job = Job::compile(&Arc::new(table), &spec, None, &opts, 4, cancel);
             let job = job.expect("compiles");
             assert_eq!(job.morsels.len() as u64, segments);
             job.lease_len
@@ -977,11 +863,10 @@ mod tests {
         shards
     }
 
-    /// A one-day filter over sorted shards: the excluded shard is never
-    /// compiled, and of the live ones only the segments whose zone maps
-    /// overlap the day become morsels — one lease — while the ledger
-    /// stays what visiting every segment charged. Top-k and join plans
-    /// keep every segment.
+    /// A one-day filter over the shards as one table: only the segments
+    /// whose zone maps overlap the day become morsels — one lease, none
+    /// from the excluded shard — while the ledger stays what visiting
+    /// every segment charged. Top-k and join plans keep every segment.
     #[test]
     fn zone_pruned_segments_never_become_morsels() {
         let shards = interleaved_shards();
@@ -1003,7 +888,8 @@ mod tests {
                     .count()
             })
             .sum();
-        let job = Job::over_shards(&shards, &spec, None, &opts, 2, cancel()).expect("compiles");
+        let table = Arc::new(Table::concat(&shards).expect("one schema"));
+        let job = Job::compile(&table, &spec, None, &opts, 2, cancel()).expect("compiles");
         assert_eq!(job.morsels.len(), overlapping);
         assert!(job.morsels.len() <= job.lease_len, "fits one lease");
         let result = job.run().expect("runs");
@@ -1013,23 +899,19 @@ mod tests {
         assert_eq!(
             result.stats.to_string(),
             "segments=90 segments_pruned=87 segments_loaded=6 values_processed=100 \
-             shards_pruned=1 pushdown.zonemap_hits=78 pushdown.run_granularity=3"
+             shards_pruned=1 pushdown.zonemap_hits=87 pushdown.run_granularity=3"
         );
 
+        let live_table = Arc::new(Table::concat(live).expect("one schema"));
         let morsels = |spec: &QuerySpec, right: Option<&Arc<JoinRight>>| {
-            let plans: Vec<_> = live
-                .iter()
-                .map(|shard| spec.compile_join(shard, right).expect("compiles"))
-                .collect();
-            let sink = plans[0].sink.clone();
-            let job = Job::new(plans, sink, QueryStats::default(), &opts, 2, cancel());
-            job.morsels.len()
+            let job = Job::compile(&live_table, spec, right, &opts, 2, cancel());
+            job.expect("compiles").morsels.len()
         };
         let every: usize = live.iter().map(|shard| shard.num_segments()).sum();
         assert_eq!(morsels(&spec, None), overlapping);
         assert_eq!(morsels(&filtered.clone().top_k("qty", 3), None), every);
         let right = Arc::new(JoinRight {
-            shards: vec![Arc::clone(&shards[0])],
+            table: Arc::clone(&shards[0]),
             key: 0,
         });
         let join = filtered.join("right", "day");

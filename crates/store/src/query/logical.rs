@@ -5,7 +5,7 @@
 //! * [`QuerySpec`] — an owned, table-free logical plan: a CNF filter
 //!   (conjunction of disjunction clauses), and one sink. Because it
 //!   borrows nothing it can be stored, sent across threads, bound to
-//!   every shard of a sharded table, and *fingerprinted* — the stable
+//!   any table, and *fingerprinted* — the stable
 //!   [`QuerySpec::fingerprint`] hash keys the catalog's result cache.
 //! * [`QueryBuilder`] — the familiar fluent builder: a `QuerySpec`
 //!   under construction plus the table it will run against.
@@ -220,6 +220,20 @@ impl QuerySpec {
             spec: self.clone(),
             right: None,
         }
+    }
+
+    /// Compile this spec against `table` once and run it in process
+    /// under `opts`, with a join's right side resolved by
+    /// [`crate::Catalog::execute_versioned_with`] — which is how
+    /// [`crate::Catalog::execute_opts`] runs a query.
+    pub fn execute_on(
+        &self,
+        table: &Arc<Table>,
+        join: Option<&crate::ResolvedJoin>,
+        opts: &ExecOptions,
+    ) -> Result<QueryResult> {
+        let plan = self.compile_join(table, join.map(|j| &j.right))?;
+        Job::over_plan(plan, opts).run()
     }
 
     /// A stable 64-bit hash of the logical plan — identical across
@@ -587,8 +601,7 @@ impl<'t> QueryBuilder<'t> {
     /// column `on` (see [`QuerySpec::join`]); `name` is the label the
     /// spec's fingerprint and explain output carry. For catalog tables
     /// prefer [`crate::Catalog::execute`] with a [`QuerySpec::join`]
-    /// spec — the catalog snapshots both tables consistently and
-    /// handles sharded right sides.
+    /// spec — the catalog snapshots both tables consistently.
     pub fn join(mut self, name: &str, right: Arc<Table>, on: &str) -> Self {
         self.spec = self.spec.join(name, on);
         self.right = Some(right);
@@ -621,7 +634,7 @@ impl<'t> QueryBuilder<'t> {
         let right = match (&self.spec.join, &self.right) {
             (Some(join), Some(table)) => Some(Arc::new(JoinRight {
                 key: resolve(table, &join.on)?,
-                shards: vec![Arc::clone(table)],
+                table: Arc::clone(table),
             })),
             _ => None,
         };

@@ -13,8 +13,8 @@
 //!   `.group_by(..).aggregate(..)`, `.top_k(..)`, `.distinct(..)`, or
 //!   `.join(..)` (an equi-join against a second table, executed in the
 //!   compressed domain with zone-map pair pruning).
-//!   A `QuerySpec` is table-free and owned: bindable to any table or
-//!   shard, and stably hashable ([`QuerySpec::fingerprint`]) for the
+//!   A `QuerySpec` is table-free and owned: bindable to any table,
+//!   and stably hashable ([`QuerySpec::fingerprint`]) for the
 //!   catalog's result cache.
 //! * [`PhysicalPlan`] — the **physical plan** it compiles to: a list of
 //!   segment-granular operators, each choosing its pushdown tier *per
@@ -25,13 +25,13 @@
 //!   same treatment: group-by keys fold in code space (DICT) or run
 //!   space (RLE/RPE/CONST) without reading the key row by row
 //!   ([`QueryStats::groups_folded`], [`QueryStats::rows_undecoded`]),
-//!   and top-k shares one discovered threshold across every lease and
-//!   shard ([`QueryStats::topk_segments_skipped`]).
+//!   and top-k shares one discovered threshold across every lease
+//!   ([`QueryStats::topk_segments_skipped`]).
 //!
 //! Execution is per segment end-to-end, which makes the segment the
 //! unit of parallelism for **every** operator, and there is one
-//! executor (`job.rs`): a query compiles once into a job — plans that
-//! own their table snapshots, the segment visit order, the partial
+//! executor (`job.rs`): a query compiles once into a job — a plan that
+//! owns its table snapshot, the segment visit order, the partial
 //! results — and whoever runs it (the calling thread and its scoped
 //! helpers under [`ExecOptions`], or `lcdc serve`'s worker pool) claims
 //! short leases of segments and pushes them through the same
@@ -84,7 +84,7 @@ pub use result::{QueryResult, Rows};
 pub use stats::QueryStats;
 
 pub(crate) use cancel::CancelToken;
-pub(crate) use job::{execute_shards, Job, Lease};
+pub(crate) use job::{Job, Lease};
 pub(crate) use physical::JoinRight;
 
 #[cfg(test)]

@@ -208,16 +208,15 @@ impl Answer {
             Sink::Join { right, .. } => {
                 let mut counts: IntMap<i128, i128> = IntMap::default();
                 if !self.counts.is_empty() {
-                    for shard in &right.shards {
-                        for seg in 0..shard.num_segments() {
-                            let rows = shard.meta_at(right.key, seg).rows;
-                            if rows == 0 {
-                                continue;
-                            }
-                            stats.rows_materialized += rows;
-                            for v in decode(shard, right.key, seg, stats)? {
-                                *counts.entry(v).or_insert(0) += 1;
-                            }
+                    let table = &right.table;
+                    for seg in 0..table.num_segments() {
+                        let rows = table.meta_at(right.key, seg).rows;
+                        if rows == 0 {
+                            continue;
+                        }
+                        stats.rows_materialized += rows;
+                        for v in decode(table, right.key, seg, stats)? {
+                            *counts.entry(v).or_insert(0) += 1;
                         }
                     }
                 }

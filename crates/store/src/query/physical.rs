@@ -70,31 +70,24 @@ pub(crate) struct AggSpec {
     pub slot: Option<usize>,
 }
 
-/// The resolved build side of an equi-join sink: snapshot `Arc` handles
-/// to the right table's shards (a racing ingest swaps the catalog
-/// entry, never these handles, so a running plan keeps a consistent
-/// right side) plus the join key's column index in the *right* schema.
-/// One `Arc<JoinRight>` is shared by every shard plan and worker of a
-/// join, so equality is identity: two sinks are the same join only when
-/// they hold the same resolved snapshot.
+/// The resolved build side of an equi-join sink: a snapshot handle to
+/// the right table (a racing ingest swaps the catalog entry, never this
+/// handle, so a running plan keeps a consistent right side) plus the
+/// join key's column index in the *right* schema. One `Arc<JoinRight>`
+/// is shared by every worker of a join, so equality is identity: two
+/// sinks are the same join only when they hold the same resolved
+/// snapshot.
 #[derive(Debug, Clone)]
 pub(crate) struct JoinRight {
-    /// The right table's shards, in registration order (one entry for
-    /// an unsharded table).
-    pub(crate) shards: Vec<Arc<Table>>,
+    /// The right table.
+    pub(crate) table: Arc<Table>,
     /// The join key column, resolved against the right schema.
     pub(crate) key: usize,
 }
 
 impl PartialEq for JoinRight {
     fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-            && self.shards.len() == other.shards.len()
-            && self
-                .shards
-                .iter()
-                .zip(&other.shards)
-                .all(|(a, b)| Arc::ptr_eq(a, b))
+        self.key == other.key && Arc::ptr_eq(&self.table, &other.table)
     }
 }
 
@@ -165,8 +158,7 @@ impl GroupAcc {
     }
 }
 
-/// Running sink state; merged associatively across parallel partials
-/// and across shards.
+/// Running sink state; merged associatively across lease slots.
 #[derive(Debug, Clone)]
 pub(crate) enum SinkState {
     Aggregate {
@@ -178,9 +170,9 @@ pub(crate) enum SinkState {
     TopK {
         heap: BinaryHeap<Reverse<i128>>,
         k: usize,
-        /// The job-wide k-th bound shared across lease slots and shard
-        /// fan-ins (`None` only on the merge target): every slot
-        /// whose heap holds `k` values publishes its threshold here,
+        /// The job-wide k-th bound shared across lease slots (`None`
+        /// only on the merge target): every slot whose heap holds `k`
+        /// values publishes its threshold here,
         /// and every lease consults it before visiting a segment, so
         /// late leases prune with early leases' work.
         shared: Option<Arc<AtomicI64>>,
@@ -199,12 +191,12 @@ pub(crate) enum SinkState {
     Join {
         /// key value → number of joined `(left row, right row)` pairs.
         pairs: IntMap<i128, i128>,
-        /// Per-worker build-side cache: `(right shard, right segment)` →
-        /// its build side, built once per worker and reused across
-        /// every left segment the worker visits, with the pairs joined
+        /// Per-worker build-side cache: right segment → its build side,
+        /// built once per worker and reused across every left segment
+        /// the worker visits, with the pairs joined
         /// against each of its keys so far. Flushed into `pairs` when
         /// the worker's state merges — only `pairs` is the answer.
-        cache: IntMap<(usize, usize), JoinBuild>,
+        cache: IntMap<usize, JoinBuild>,
     },
 }
 
@@ -485,27 +477,12 @@ impl PhysicalPlan {
                 "\n  distinct {} (structural: dict/rle/rpe/const/sparse part columns)",
                 col_name(*col)
             ),
-            Sink::Join { key, right } => format!(
-                "\n  join on {} ({} right shard{}; zone pair pruning, \
-                 dict code-translation / run / const tiers)",
+            Sink::Join { key, .. } => format!(
+                "\n  join on {} (zone pair pruning, dict code-translation / run / const tiers)",
                 col_name(*key),
-                right.shards.len(),
-                if right.shards.len() == 1 { "" } else { "s" },
             ),
         });
         out
-    }
-
-    /// The order segments are visited in. Top-k visits best-max first
-    /// (a metadata-only sort) so the prune threshold tightens as early
-    /// as possible; everything else scans in position order.
-    pub(crate) fn segment_order(&self) -> Vec<usize> {
-        let n = self.table.num_segments();
-        let mut order: Vec<usize> = (0..n).collect();
-        if let Sink::TopK { col, .. } = &self.sink {
-            order.sort_unstable_by_key(|&i| Reverse(self.table.meta_at(*col, i).max));
-        }
-        order
     }
 
     /// Whether the published shared top-k bound already proves
@@ -550,34 +527,68 @@ impl PhysicalPlan {
         Ok(seg)
     }
 
+    /// The segments a job executes, in visit order, with `stats`
+    /// charged for the rest: a segment whose visit would end before any
+    /// fetch ([`Self::zone_prunes`]) is charged what that visit charges
+    /// and never becomes a morsel — which is how a sharded table skips a
+    /// shard the filters exclude: a run of which no segment became a
+    /// morsel counts in `shards_pruned` (never on a one-run table).
+    /// Top-k (visited best-max first, so its threshold tightens early)
+    /// and join plans keep every segment: their visits check their own
+    /// bounds first.
+    pub(crate) fn morsels(&self, stats: &mut QueryStats) -> Vec<usize> {
+        let every = 0..self.table.num_segments();
+        match &self.sink {
+            Sink::TopK { col, .. } => {
+                let mut order: Vec<usize> = every.collect();
+                order.sort_unstable_by_key(|&i| Reverse(self.table.meta_at(*col, i).max));
+                return order;
+            }
+            Sink::Join { .. } => return every.collect(),
+            _ => {}
+        }
+        let mut morsels = Vec::new();
+        let mut untouched_runs = 0;
+        let starts = self.table.run_starts();
+        for bounds in starts.windows(2) {
+            let &[start, end] = bounds else { continue };
+            let live = morsels.len();
+            for seg in start..end {
+                match self.zone_prunes(seg) {
+                    Some(hits) => {
+                        stats.segments += 1;
+                        stats.segments_pruned += 1;
+                        stats.pushdown.zonemap_hits += hits;
+                    }
+                    None => morsels.push(seg),
+                }
+            }
+            untouched_runs += usize::from(start < end && morsels.len() == live);
+        }
+        if starts.len() > 2 {
+            stats.shards_pruned += untouched_runs;
+        }
+        morsels
+    }
+
     /// Whether a visit of `seg_idx` would end before any fetch: the
     /// segment is empty, or — walking the CNF in order — a clause the
     /// zone maps prove empty comes before any clause they cannot
-    /// decide. If so, `stats` is charged exactly what that visit
-    /// charges (the segment, its prune, one `zonemap_hits` per decided
-    /// leaf) and the executor never makes the segment a morsel — the
-    /// segment-level twin of shard pruning. Top-k checks its heap bound
-    /// before the filters and a join runs its own zone-pair pipeline,
-    /// so neither prunes here.
-    pub(crate) fn zone_prunes(&self, seg_idx: usize, stats: &mut QueryStats) -> bool {
-        if matches!(self.sink, Sink::TopK { .. } | Sink::Join { .. }) {
-            return false;
+    /// decide. If so, the leaves that visit decides (its
+    /// `zonemap_hits`); `None` when it would fetch.
+    fn zone_prunes(&self, seg_idx: usize) -> Option<usize> {
+        if self.rows_at(seg_idx) == 0 {
+            return Some(0);
         }
         let mut hits = 0;
-        let pruned = self.rows_at(seg_idx) == 0
-            || self.filters.iter().find_map(|clause| {
-                match clause_zone(&self.table, clause, seg_idx, || hits += 1) {
-                    ClauseZone::AllRows => None,
-                    ClauseZone::Empty => Some(true),
-                    ClauseZone::Undecided(_) => Some(false),
-                }
-            }) == Some(true);
-        if pruned {
-            stats.segments += 1;
-            stats.segments_pruned += 1;
-            stats.pushdown.zonemap_hits += hits;
-        }
-        pruned
+        let pruned = self.filters.iter().find_map(|clause| {
+            match clause_zone(&self.table, clause, seg_idx, || hits += 1) {
+                ClauseZone::AllRows => None,
+                ClauseZone::Empty => Some(true),
+                ClauseZone::Undecided(_) => Some(false),
+            }
+        });
+        (pruned == Some(true)).then_some(hits)
     }
 
     /// The columns whose frames the plan's filter clauses and sink can
@@ -588,7 +599,7 @@ impl PhysicalPlan {
     /// Zone-settled leaves fetch nothing; a segment any clause
     /// zone-proves empty fetches nothing at all (the executor asks only
     /// about morsels, so for filtered plans that clause sits behind an
-    /// undecided one; see [`Self::zone_prunes`]).
+    /// undecided one; see [`Self::morsels`]).
     pub(crate) fn expected_fetches(&self, seg_idx: usize, out: &mut Vec<usize>) {
         out.clear();
         if self.rows_at(seg_idx) == 0 {
@@ -678,8 +689,8 @@ impl PhysicalPlan {
         }
         // Top-k threshold pruning consults only the zone map — before
         // the filters, before any payload fetch. Two bounds apply: this
-        // worker's own k-heap, and the shared bound other workers (or
-        // other shards in a fan-in) have already published.
+        // worker's own k-heap, and the shared bound other lease slots
+        // have already published.
         if let (Sink::TopK { col, k }, SinkState::TopK { heap, shared, .. }) =
             (&self.sink, &mut *state)
         {
@@ -739,8 +750,7 @@ impl PhysicalPlan {
             ) => {
                 self.sink_top_k(seg_idx, n, &selection, *col, *k, heap, fetched, stats)?;
                 // Publish this worker's tightened threshold so every
-                // other worker — and every other shard in a fan-in —
-                // can prune against it. `fetch_max` keeps the bound
+                // other lease slot can prune against it. `fetch_max` keeps the bound
                 // monotonic; clamping *down* to `i64::MAX` on overflow
                 // only weakens the bound, never wrongly prunes. The
                 // first fill of the heap publishes immediately (it
@@ -1060,30 +1070,23 @@ impl PhysicalPlan {
     }
 
     /// Walk the right side's segment metadata against one left
-    /// segment's key zone: overlapping `(shard, segment)` pairs are
-    /// live, the rest are pruned (counted). Resident metadata only —
+    /// segment's key zone: overlapping right segments are live, the
+    /// rest are pruned (counted). Resident metadata only —
     /// no payload is fetched on either side. Empty right segments are
     /// neither live nor pruned.
-    fn join_pair_scan(
-        &self,
-        seg_idx: usize,
-        key: usize,
-        right: &JoinRight,
-    ) -> (Vec<(usize, usize)>, usize) {
+    fn join_pair_scan(&self, seg_idx: usize, key: usize, right: &JoinRight) -> (Vec<usize>, usize) {
         let lmeta = self.table.meta_at(key, seg_idx);
         let mut live = Vec::new();
         let mut pruned = 0usize;
-        for (shard_idx, shard) in right.shards.iter().enumerate() {
-            for rseg in 0..shard.num_segments() {
-                let rmeta = shard.meta_at(right.key, rseg);
-                if rmeta.rows == 0 {
-                    continue;
-                }
-                if lmeta.min <= rmeta.max && rmeta.min <= lmeta.max {
-                    live.push((shard_idx, rseg));
-                } else {
-                    pruned += 1;
-                }
+        for rseg in 0..right.table.num_segments() {
+            let rmeta = right.table.meta_at(right.key, rseg);
+            if rmeta.rows == 0 {
+                continue;
+            }
+            if lmeta.min <= rmeta.max && rmeta.min <= lmeta.max {
+                live.push(rseg);
+            } else {
+                pruned += 1;
             }
         }
         (live, pruned)
@@ -1137,16 +1140,12 @@ impl PhysicalPlan {
         stats.join_rows_undecoded += left.undecoded;
         stats.values_processed += left.values;
         let dict = matches!(left.rows, RowMap::Codes(_));
-        for (shard_idx, rseg) in live {
-            let build = match cache.entry((shard_idx, rseg)) {
+        for rseg in live {
+            let build = match cache.entry(rseg) {
                 Entry::Occupied(cached) => cached.into_mut(),
-                Entry::Vacant(slot) => slot.insert(join_right_side(
-                    right,
-                    shard_idx,
-                    rseg,
-                    &mut scratch.build,
-                    stats,
-                )?),
+                Entry::Vacant(slot) => {
+                    slot.insert(join_right_side(right, rseg, &mut scratch.build, stats)?)
+                }
             };
             // DICT⋈DICT: the left dictionary's touched entries probe
             // the right dictionary's, multiplying per-code counts. A
@@ -1168,19 +1167,17 @@ impl PhysicalPlan {
 
 /// Build (once per worker, cached by the caller) the build side of one
 /// right segment. CONST segments build from resident metadata alone —
-/// no payload fetch, so a lazily-backed shard's `io_reads` stays
+/// no payload fetch, so a lazily-backed right table's `io_reads` stays
 /// untouched; every other scheme fetches the payload and merges its key
 /// units ([`key_units`]) with `+=`: a dictionary or a run list may
 /// repeat a value.
 fn join_right_side(
     right: &JoinRight,
-    shard_idx: usize,
     rseg: usize,
     scratch: &mut KeyScratch,
     stats: &mut QueryStats,
 ) -> Result<JoinBuild> {
-    let shard = &right.shards[shard_idx];
-    let rmeta = shard.meta_at(right.key, rseg);
+    let rmeta = right.table.meta_at(right.key, rseg);
     if rmeta.kind == SchemeKind::Const {
         stats.join_rows_undecoded += rmeta.rows;
         return Ok(JoinBuild {
@@ -1188,7 +1185,7 @@ fn join_right_side(
             dict: false,
         });
     }
-    let seg = shard.source_at(right.key).segment(rseg)?;
+    let seg = right.table.source_at(right.key).segment(rseg)?;
     stats.segments_loaded += 1;
     let units = key_units(&seg, &Selection::All, scratch)?;
     stats.join_rows_undecoded += units.undecoded;

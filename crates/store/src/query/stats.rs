@@ -41,8 +41,8 @@ macro_rules! ledger {
                 [$(&mut self.$field),*]
             }
 
-            /// Add another record into this one (parallel partials and
-            /// shard fan-in).
+            /// Add another record into this one (a job's lease slots, a
+            /// server's per-connection totals).
             pub fn absorb(&mut self, other: &$name) {
                 for (mine, theirs) in self.values_mut().into_iter().zip(other.values()) {
                     *mine += theirs;
@@ -140,10 +140,13 @@ ledger! {
         /// otherwise have charged; the bound is monotonic, so a segment
         /// prunable at warm time is still prunable at visit time.
         pub prefetch_cancelled: usize,
-        /// Whole shards skipped before any source was touched because the
-        /// plan's bounds exclude the shard's key range. Their segments are
-        /// counted under `segments` / `segments_pruned`, but nothing —
-        /// metadata walk aside — was executed for them.
+        /// Runs (shards) of a sharded table of which no segment became a
+        /// morsel: segment zone-map pruning excluded every one, so none of
+        /// the shard's sources was touched. Their segments are counted
+        /// under `segments` / `segments_pruned` like any zone-pruned
+        /// segment. A one-run table reports 0, and so do top-k and join
+        /// plans, which keep every segment a morsel (their visits
+        /// zone-check the filters before any fetch).
         pub shards_pruned: usize,
         /// Group-key units the group-by sink folded *structurally* —
         /// distinct dictionary codes aggregated in code space, RLE/RPE runs
@@ -157,12 +160,11 @@ ledger! {
         /// decoded (naive) group-by always reports 0 here.
         pub rows_undecoded: usize,
         /// Segments skipped against the *shared* top-k bound — the
-        /// job-wide threshold every lease slot and shard of a fan-in
-        /// publishes into, letting late leases prune with early ones'
-        /// heaps. Every top-k job has one, sequential
-        /// [`crate::QueryBuilder::execute`] included: at one slot the
-        /// bound is that slot's own published threshold, so every skip
-        /// counted here is a segment its heap prunes anyway.
+        /// job-wide threshold every lease slot publishes into, letting
+        /// late leases prune with early ones' heaps. Every top-k job has
+        /// one, sequential [`crate::QueryBuilder::execute`] included: at
+        /// one slot the bound is that slot's own published threshold, so
+        /// every skip counted here is a segment its heap prunes anyway.
         pub topk_segments_skipped: usize,
         /// `(left segment, right segment)` pairs a join dismissed from
         /// resident zone maps alone — the key ranges don't overlap, so the

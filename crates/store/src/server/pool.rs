@@ -23,7 +23,7 @@
 //!   leases executing across all jobs — bounded by the worker count by
 //!   construction, and reported so tests can hold the server to it.
 //!
-//! A job owns `Arc` handles to its snapshot's shards, so a concurrent
+//! A job owns an `Arc` handle to its snapshot's table, so a concurrent
 //! [`crate::Catalog::ingest`] publishing new versions never invalidates
 //! an executing lease.
 
@@ -115,18 +115,18 @@ impl WorkerPool {
         self.shared.peak_leases.load(Ordering::Relaxed)
     }
 
-    /// Execute `spec` against a catalog snapshot on the pool, blocking
-    /// until the result is ready — what a session does, minus the
-    /// connection to watch.
+    /// Execute `spec` against a catalog snapshot's table on the pool,
+    /// blocking until the result is ready — what a session does, minus
+    /// the connection to watch.
     #[cfg(test)]
     pub(crate) fn execute(
         &self,
-        table: &crate::CatalogTable,
+        table: &Arc<crate::Table>,
         spec: &crate::QuerySpec,
         opts: &crate::ExecOptions,
         cancel: Arc<crate::query::CancelToken>,
     ) -> Result<crate::QueryResult> {
-        let job = Job::over_shards(table.shards(), spec, None, opts, self.threads, cancel)?;
+        let job = Job::compile(table, spec, None, opts, self.threads, cancel)?;
         let job = Arc::new(job);
         job.submit_and_wait(|| self.submit(&job), || Ok(()))
     }
@@ -245,7 +245,7 @@ mod tests {
     use crate::segment::{CompressionPolicy, Segment};
     use crate::source::{Column, SegmentMeta, SegmentSource};
     use crate::table::Table;
-    use crate::{CatalogTable, ExecOptions, QuerySpec, ShardedTable};
+    use crate::{ExecOptions, QuerySpec, ShardedTable};
     use lcdc_core::{ColumnData, DType};
     use std::sync::Barrier;
 
@@ -285,10 +285,9 @@ mod tests {
     #[test]
     fn pool_matches_direct_execution() {
         let table = orders(6000);
-        let single = CatalogTable::Single(Arc::new(table.clone()));
-        let sharded = CatalogTable::Sharded(Arc::new(
-            ShardedTable::new(shard_table(&table, 3).unwrap()).unwrap(),
-        ));
+        let single = Arc::new(table.clone());
+        let sharded = ShardedTable::new(shard_table(&table, 3).unwrap()).unwrap();
+        let sharded = Arc::clone(sharded.table());
         let pool = WorkerPool::new(3).unwrap();
         for spec in specs() {
             let want = spec.bind(&table).execute().unwrap();
@@ -308,7 +307,7 @@ mod tests {
     #[test]
     fn concurrent_jobs_interleave_and_all_finish() {
         let table = Arc::new(orders(20_000));
-        let handle = CatalogTable::Single(Arc::clone(&table));
+        let handle = Arc::clone(&table);
         let pool = Arc::new(WorkerPool::new(2).unwrap());
         let all = specs();
         let answers: Vec<_> = all
@@ -388,8 +387,7 @@ mod tests {
                 .execute_versioned_with(name, spec, |table, join| {
                     let right = join.map(|j| &j.right);
                     let width = pool.threads();
-                    let job =
-                        Job::over_shards(table.shards(), spec, right, &opts, width, nocancel())?;
+                    let job = Job::compile(table, spec, right, &opts, width, nocancel())?;
                     let job = Arc::new(job);
                     let result = job.submit_and_wait(|| pool.submit(&job), || Ok(()))?;
                     assert_eq!(job.peak_leases(), 1, "{spec:?}");
@@ -414,7 +412,7 @@ mod tests {
     #[test]
     fn errors_deliver_and_pool_survives() {
         let table = orders(3000);
-        let handle = CatalogTable::Single(Arc::new(table.clone()));
+        let handle = Arc::new(table.clone());
         let pool = WorkerPool::new(2).unwrap();
         // Unknown column: rejected at submit-time compile.
         let bad = QuerySpec::new().aggregate(&[Agg::Sum("nope")]);
@@ -436,7 +434,7 @@ mod tests {
     #[test]
     fn pre_cancelled_token_rejects_at_submit_and_pool_survives() {
         let table = orders(3000);
-        let handle = CatalogTable::Single(Arc::new(table.clone()));
+        let handle = Arc::new(table.clone());
         let pool = WorkerPool::new(2).unwrap();
         let token = nocancel();
         token.cancel();
@@ -459,7 +457,7 @@ mod tests {
     #[test]
     fn expired_deadline_surfaces_typed_and_aborts_morsels() {
         let table = orders(20_000);
-        let handle = CatalogTable::Single(Arc::new(table));
+        let handle = Arc::new(table);
         let pool = WorkerPool::new(2).unwrap();
         let spec = QuerySpec::new()
             .filter("qty", Predicate::Range { lo: 0, hi: 49 })
@@ -509,7 +507,7 @@ mod tests {
     }
 
     /// A one-column, 16-segment table read through a [`TrapSource`].
-    fn trapped(panic_at: Option<usize>, meet_at: Option<(usize, Barrier)>) -> CatalogTable {
+    fn trapped(panic_at: Option<usize>, meet_at: Option<(usize, Barrier)>) -> Arc<Table> {
         let schema = TableSchema::new(&[("v", DType::U64)]);
         let table = Table::build(
             schema.clone(),
@@ -524,7 +522,7 @@ mod tests {
             meet_at,
         };
         let table = Table::from_sources(schema, vec![Arc::new(source)], 4096, 256).unwrap();
-        CatalogTable::Single(Arc::new(table))
+        Arc::new(table)
     }
 
     /// Run `f` on its own thread and wait at most a generous watchdog
@@ -585,9 +583,8 @@ mod tests {
     #[test]
     fn all_pruned_shards_shape_an_empty_result() {
         let table = orders(3000); // days 1..=30
-        let handle = CatalogTable::Sharded(Arc::new(
-            ShardedTable::new(shard_table(&table, 2).unwrap()).unwrap(),
-        ));
+        let sharded = ShardedTable::new(shard_table(&table, 2).unwrap()).unwrap();
+        let handle = Arc::clone(sharded.table());
         let pool = WorkerPool::new(2).unwrap();
         let spec = QuerySpec::new()
             .filter("day", Predicate::Range { lo: 900, hi: 999 })

@@ -268,8 +268,8 @@ fn query(
     let outcome = shared
         .catalog
         .execute_versioned_with(table, &parsed.spec, |t, join| {
-            let job = Arc::new(Job::over_shards(
-                t.shards(),
+            let job = Arc::new(Job::compile(
+                t,
                 &parsed.spec,
                 join.map(|j| &j.right),
                 &parsed.opts,

@@ -11,10 +11,11 @@
 //! * [`FileSource`] — lazy per-segment loads from the on-disk column
 //!   file (see [`crate::file`]), behind a small LRU cache, so a
 //!   zone-map-pruned segment's frame is *never read from disk*;
-//! * `Column` — what a [`crate::Table`] holds per column: an optional
-//!   base source (a `FileSource`, or a custom backend) followed by a
-//!   flat list of resident segments, which is all a built table has
-//!   and what every append extends.
+//! * `Column` — what a [`crate::Table`] holds per column: a list of
+//!   runs, each an optional base source (a `FileSource`, or a custom
+//!   backend) followed by resident segments. A built or opened table
+//!   is one run, every append extends the last, and a sharded table
+//!   lists each shard's runs.
 //!
 //! Sources are `Send + Sync`: the parallel executor shares one source
 //! across workers, and the LRU cache takes an internal lock only on the
@@ -126,16 +127,32 @@ pub trait SegmentSource: std::fmt::Debug + Send + Sync {
     fn inject_faults(&self, _plan: &Arc<FaultPlan>) {}
 }
 
-/// One table column: an optional base source followed by resident
-/// segments — the one [`SegmentSource`] a [`crate::Table`] holds per
-/// column. A built table's columns are resident only; an opened one's
-/// are all base (a [`FileSource`], or a custom backend handed to
-/// [`crate::Table::from_sources`]); [`crate::Table::append`] keeps the
-/// base and extends the resident list, so however many appends a
-/// column has seen, a lookup makes at most one call into the base and
-/// no segment payload is ever copied or re-encoded.
-#[derive(Debug)]
+/// One table column: a list of **runs**, each an optional base source
+/// followed by resident segments — the one [`SegmentSource`] a
+/// [`crate::Table`] holds per column. A built or opened table's columns
+/// are one run: resident only for a built table, all base (a
+/// [`FileSource`], or a custom backend handed to
+/// [`crate::Table::from_sources`]) for an opened one.
+/// [`crate::Table::append`] keeps the base and extends the last run's
+/// resident list, so however many appends a column has seen, a lookup
+/// makes at most one call into a base and no segment payload is ever
+/// copied or re-encoded. A sharded catalog entry's columns list every
+/// shard's runs in shard order, sharing them by handle: each shard's
+/// base keeps its own cache, and a prefix table of run starts maps a
+/// segment index to its run.
+#[derive(Debug, Clone)]
 pub(crate) struct Column {
+    /// At least one run, in segment order.
+    runs: Vec<Arc<Run>>,
+    /// `starts[r]` is run `r`'s first segment index; one more entry
+    /// closes the last run, so it is also the column's segment count.
+    starts: Vec<usize>,
+}
+
+/// One run of a [`Column`]: an optional base source, then resident
+/// segments.
+#[derive(Debug)]
+pub(crate) struct Run {
     /// The base source, with its segment count recorded once (sources
     /// are immutable).
     base: Option<(Arc<dyn SegmentSource>, usize)>,
@@ -144,18 +161,18 @@ pub(crate) struct Column {
     metas: Vec<SegmentMeta>,
 }
 
-/// Where one segment of a [`Column`] lives: in the base at the same
-/// index, or at a position of the resident list.
+/// Where one segment of a [`Run`] lives: in the base at the same index,
+/// or at a position of the resident list.
 enum Slot<'a> {
     Base(&'a dyn SegmentSource),
     Resident(usize),
 }
 
-impl Column {
+impl Run {
     /// `base`'s segments, if any, followed by `segments` (shared
     /// handles, no copies).
-    pub(crate) fn new(base: Option<Arc<dyn SegmentSource>>, segments: Vec<Arc<Segment>>) -> Column {
-        Column {
+    fn new(base: Option<Arc<dyn SegmentSource>>, segments: Vec<Arc<Segment>>) -> Run {
+        Run {
             base: base.map(|base| {
                 let n = base.num_segments();
                 (base, n)
@@ -165,14 +182,12 @@ impl Column {
         }
     }
 
-    /// The base source, if the column has one.
-    pub(crate) fn base(&self) -> Option<&Arc<dyn SegmentSource>> {
-        self.base.as_ref().map(|(base, _)| base)
+    fn len(&self) -> usize {
+        self.base.as_ref().map_or(0, |(_, n)| *n) + self.segments.len()
     }
 
-    /// The resident segments after the base.
-    pub(crate) fn resident_segments(&self) -> &[Arc<Segment>] {
-        &self.segments
+    fn base(&self) -> Option<&Arc<dyn SegmentSource>> {
+        self.base.as_ref().map(|(base, _)| base)
     }
 
     fn slot(&self, idx: usize) -> Slot<'_> {
@@ -182,12 +197,6 @@ impl Column {
             None => Slot::Resident(idx),
         }
     }
-}
-
-impl SegmentSource for Column {
-    fn num_segments(&self) -> usize {
-        self.base.as_ref().map_or(0, |(_, n)| *n) + self.segments.len()
-    }
 
     fn meta(&self, idx: usize) -> &SegmentMeta {
         match self.slot(idx) {
@@ -195,40 +204,125 @@ impl SegmentSource for Column {
             Slot::Resident(i) => &self.metas[i], // lint: allow(panic) — the trait's `meta` has no error path
         }
     }
+}
+
+impl Column {
+    /// One run: `base`'s segments, if any, followed by `segments`.
+    pub(crate) fn new(base: Option<Arc<dyn SegmentSource>>, segments: Vec<Arc<Segment>>) -> Column {
+        Column::of_runs(vec![Arc::new(Run::new(base, segments))])
+    }
+
+    /// The runs of `columns`, in order, shared by handle: no metadata
+    /// is copied and no segment re-checked. `None` without a column.
+    pub(crate) fn concat<'c>(columns: impl IntoIterator<Item = &'c Column>) -> Option<Column> {
+        let runs: Vec<Arc<Run>> = columns
+            .into_iter()
+            .flat_map(|column| column.runs.iter().cloned())
+            .collect();
+        (!runs.is_empty()).then(|| Column::of_runs(runs))
+    }
+
+    fn of_runs(runs: Vec<Arc<Run>>) -> Column {
+        let ends = runs.iter().scan(0, |end, run| {
+            *end += run.len();
+            Some(*end)
+        });
+        let starts = std::iter::once(0).chain(ends).collect();
+        Column { runs, starts }
+    }
+
+    /// This column with `segments` appended to its last run: the run's
+    /// base and resident handles are kept, the other runs shared.
+    pub(crate) fn extend(&self, segments: Vec<Arc<Segment>>) -> Column {
+        let mut runs = self.runs.clone();
+        if let Some(last) = runs.pop() {
+            let resident = last.segments.iter().cloned().chain(segments).collect();
+            runs.push(Arc::new(Run::new(last.base().cloned(), resident)));
+        }
+        Column::of_runs(runs)
+    }
+
+    /// The first segment index of every run, then the segment count.
+    pub(crate) fn run_starts(&self) -> &[usize] {
+        &self.starts
+    }
+
+    /// The resident segments of every run, in order.
+    pub(crate) fn resident_segments(&self) -> impl Iterator<Item = &Arc<Segment>> {
+        self.runs.iter().flat_map(|run| run.segments.iter())
+    }
+
+    /// Every run's base source, in order.
+    pub(crate) fn bases(&self) -> impl Iterator<Item = &Arc<dyn SegmentSource>> {
+        self.runs.iter().filter_map(|run| run.base())
+    }
+
+    /// The run holding segment `idx`, and the index inside it. A
+    /// one-run column pays one comparison; past the end lands in the
+    /// last run, whose own lookup reports it.
+    fn locate(&self, idx: usize) -> (&Run, usize) {
+        let last = self.runs.len().saturating_sub(1);
+        let r = match last {
+            0 => 0,
+            _ => (self
+                .starts
+                .partition_point(|&start| start <= idx)
+                .saturating_sub(1))
+            .min(last),
+        };
+        // lint: allow(panic) — a column holds at least one run, and `starts` one entry per run more
+        (&self.runs[r], idx - self.starts[r])
+    }
+}
+
+impl SegmentSource for Column {
+    fn num_segments(&self) -> usize {
+        self.starts.last().copied().unwrap_or(0)
+    }
+
+    fn meta(&self, idx: usize) -> &SegmentMeta {
+        let (run, i) = self.locate(idx);
+        run.meta(i)
+    }
 
     fn segment(&self, idx: usize) -> Result<Arc<Segment>> {
-        match self.slot(idx) {
-            Slot::Base(base) => base.segment(idx),
-            Slot::Resident(i) => self
+        let (run, i) = self.locate(idx);
+        match run.slot(i) {
+            Slot::Base(base) => base.segment(i),
+            Slot::Resident(r) => run
                 .segments
-                .get(i)
+                .get(r)
                 .map(Arc::clone)
                 .ok_or_else(|| no_segment(idx, self.num_segments())),
         }
     }
 
     fn io_reads(&self) -> usize {
-        self.base().map_or(0, |base| base.io_reads())
+        self.bases().map(|base| base.io_reads()).sum()
     }
 
     fn prefetch(&self, idx: usize) -> bool {
         // Resident segments have nothing to warm.
-        matches!(self.slot(idx), Slot::Base(base) if base.prefetch(idx))
+        let (run, i) = self.locate(idx);
+        matches!(run.slot(i), Slot::Base(base) if base.prefetch(i))
     }
 
     fn take_prefetch_counters(&self) -> (usize, usize) {
-        self.base()
-            .map_or((0, 0), |base| base.take_prefetch_counters())
+        self.bases().fold((0, 0), |(hits, wasted), base| {
+            let (h, w) = base.take_prefetch_counters();
+            (hits + h, wasted + w)
+        })
     }
 
     fn cache_capacity(&self) -> Option<usize> {
-        self.base().and_then(|base| base.cache_capacity())
+        // The tightest base bounds the prefetch window for all of them.
+        self.bases().filter_map(|base| base.cache_capacity()).min()
     }
 
     fn inject_faults(&self, plan: &Arc<FaultPlan>) {
-        // Only the base can touch a backing store; resident segments
-        // have no reads to fail.
-        if let Some(base) = self.base() {
+        // Only bases can touch a backing store; resident segments have
+        // no reads to fail.
+        for base in self.bases() {
             base.inject_faults(plan);
         }
     }

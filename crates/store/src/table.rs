@@ -1,12 +1,14 @@
 //! Tables: a schema plus, per column, one flat list of segments.
 //!
 //! A `Table` does not own its data — it owns *handles*. Each column is
-//! one `Column` source: an optional base source followed by resident
-//! segments. [`Table::build`] and [`Table::from_segments`] make
-//! resident columns; [`crate::file::open_table_lazy`] hands
-//! [`Table::from_sources`] one [`crate::source::FileSource`] per column
-//! as its base, loaded lazily from disk; [`Table::append`] keeps each
-//! column's base and extends its resident list. The planner sees the
+//! one `Column` source: a list of runs, each an optional base source
+//! followed by resident segments. [`Table::build`] and
+//! [`Table::from_segments`] make one resident run;
+//! [`crate::file::open_table_lazy`] hands [`Table::from_sources`] one
+//! [`crate::source::FileSource`] per column as its base, loaded lazily
+//! from disk; [`Table::append`] keeps each column's base and extends
+//! its last run. A sharded catalog entry is one table whose columns
+//! list every shard's runs (`Table::concat`). The planner sees the
 //! same [`SegmentSource`] surface either way and only pays I/O for
 //! segments its pushdown tiers actually touch.
 
@@ -132,7 +134,7 @@ impl Table {
                         "column {name} holds {total} rows, expected {num_rows}"
                     )));
                 }
-                for (j, seg) in column.resident_segments().iter().enumerate() {
+                for (j, seg) in column.resident_segments().enumerate() {
                     if seg.compressed.dtype != decl.dtype {
                         return Err(StoreError::Shape(format!(
                             "column {name} segment {j} is {:?}, schema says {:?}",
@@ -150,6 +152,24 @@ impl Table {
         })
     }
 
+    /// One table over `shards`' rows in shard order: each column lists
+    /// every shard's runs by handle ([`Column::concat`]). The shards must
+    /// share a schema; appends cut batches to shard 0's segment height.
+    pub(crate) fn concat(shards: &[Arc<Table>]) -> Result<Table> {
+        let first = shards
+            .first()
+            .ok_or_else(|| StoreError::Shape("a sharded table needs at least one shard".into()))?;
+        let columns_at = |c: usize| shards.iter().filter_map(move |s| s.columns.get(c));
+        Ok(Table {
+            schema: first.schema.clone(),
+            columns: (0..first.schema.width())
+                .filter_map(|c| Column::concat(columns_at(c).map(Arc::as_ref)).map(Arc::new))
+                .collect(),
+            num_rows: shards.iter().map(|s| s.num_rows).sum(),
+            seg_rows: first.seg_rows,
+        })
+    }
+
     /// Append a batch of rows, returning a new table that shares every
     /// existing segment handle and adds freshly compressed segments at
     /// the end — the write path's encode step. Columns must align with
@@ -164,9 +184,10 @@ impl Table {
     /// publish it atomically under a version bump while in-flight
     /// queries keep reading the old snapshot. Each column keeps its base
     /// (a lazily-backed column stays lazy) and lists the old resident
-    /// handles plus the new segments, so however many appends a table
-    /// has seen, its columns stay one level deep: an append costs one
-    /// handle copy per resident segment, a lookup stays O(1).
+    /// handles plus the new segments in its last run, so however many
+    /// appends a table has seen, its columns stay one level deep: an
+    /// append costs one handle copy per resident segment of that run,
+    /// a lookup stays O(1).
     ///
     /// ```
     /// use lcdc_core::{ColumnData, DType};
@@ -191,10 +212,10 @@ impl Table {
         }
         let mut grown = Vec::with_capacity(columns.len());
         for (col, column) in columns.iter().zip(&self.columns) {
-            let mut segments = column.resident_segments().to_vec();
             let tail = segment_column(col, &CompressionPolicy::Auto, self.seg_rows)?;
-            segments.extend(tail.into_iter().map(Arc::new));
-            grown.push(Arc::new(Column::new(column.base().cloned(), segments)));
+            grown.push(Arc::new(
+                column.extend(tail.into_iter().map(Arc::new).collect()),
+            ));
         }
         Ok(Table {
             schema: self.schema.clone(),
@@ -240,23 +261,11 @@ impl Table {
         self.columns[idx].meta(seg_idx)
     }
 
-    /// A column's table-wide `[min, max]` from resident segment
-    /// metadata — the table-level zone map shard pruning intersects
-    /// query bounds against. `None` when no non-empty segment exists.
-    pub(crate) fn column_range(&self, idx: usize) -> Option<(i128, i128)> {
-        let source = &self.columns[idx];
-        let mut range: Option<(i128, i128)> = None;
-        for seg_idx in 0..source.num_segments() {
-            let meta = source.meta(seg_idx);
-            if meta.rows == 0 {
-                continue;
-            }
-            range = Some(match range {
-                None => (meta.min, meta.max),
-                Some((lo, hi)) => (lo.min(meta.min), hi.max(meta.max)),
-            });
-        }
-        range
+    /// The first segment index of every run, then the segment count:
+    /// one run for a built or opened table, one or more per shard for a
+    /// sharded catalog entry. Columns share their run boundaries.
+    pub(crate) fn run_starts(&self) -> &[usize] {
+        self.columns.first().map_or(&[], |c| c.run_starts())
     }
 
     /// Fetch every segment of a named column (loads lazily-backed
@@ -737,19 +746,19 @@ mod tests {
             grown = grown.append(&[date, qty]).unwrap();
         }
         for (column, base) in grown.columns.iter().zip(&bases) {
+            assert_eq!(column.run_starts(), &[0, 36], "appends stay one run");
             assert!(
-                Arc::ptr_eq(column.base().unwrap(), base),
+                Arc::ptr_eq(column.bases().next().unwrap(), base),
                 "the base is never rewrapped"
             );
             assert_eq!(
-                column.resident_segments().len(),
+                column.resident_segments().count(),
                 32,
                 "one segment per append"
             );
         }
         let qty: Vec<ColumnData> = grown.columns[1]
             .resident_segments()
-            .iter()
             .map(|s| s.decompress().unwrap())
             .collect();
         let want: Vec<ColumnData> = (0..32u64).map(|r| ColumnData::U64(vec![r; 10])).collect();

@@ -103,8 +103,10 @@ fn main() {
     //    could just as well be lazy `FileSource`s over saved tables
     //    (see `examples/persistence.rs`).
     let catalog = Catalog::new();
+    let pieces = shard_table(&table, 3).expect("shards");
+    let shards = pieces.len();
     catalog
-        .register_sharded("orders", shard_table(&table, 3).expect("shards"))
+        .register_sharded("orders", pieces)
         .expect("registers");
     let spec = QuerySpec::new()
         .filter(
@@ -119,7 +121,7 @@ fn main() {
     println!(
         "catalog: table \"orders\" v{}, {} shards, plan fingerprint {:#018x}",
         catalog.version("orders").expect("registered"),
-        catalog.get("orders").expect("registered").0.shard_count(),
+        shards,
         spec.fingerprint()
     );
     let fanned = catalog

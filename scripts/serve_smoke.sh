@@ -126,17 +126,20 @@ echo "serve_smoke: server at $addr"
 # there must match too: the segment counters plus every key-unit charge
 # (the group-by's and both join sides'): the masked group-by streams
 # its key, the unfiltered one folds runs, and the join prunes pairs and
-# reads both sides structurally.
+# reads both sides structurally. Days 5..9 live in shard 0 alone: the
+# aggregate over them skips the other two shards (`shards_pruned=2`)
+# through both front doors, and the top-k over them answers the same.
 queries=(
   "--filter day=5..9 --sum qty --count"
   "--group-by day --sum price --filter day=1..4"
   "--group-by day --sum qty"
   "--top-k price:5"
+  "--filter day=5..9 --top-k price:5"
   "--filter qty=1..3 --distinct day"
   "--join events --on day"
 )
 ledger() {
-  grep -oE ' (segments|segments_pruned|groups_folded|rows_undecoded|join_pairs_pruned|join_rows_undecoded|pushdown\.zonemap_hits)=[0-9]+' "$1" || true
+  grep -oE ' (segments|segments_pruned|shards_pruned|groups_folded|rows_undecoded|join_pairs_pruned|join_rows_undecoded|pushdown\.zonemap_hits)=[0-9]+' "$1" || true
 }
 for q in "${queries[@]}"; do
   # shellcheck disable=SC2086  # $q is a flag list, split on purpose
@@ -155,6 +158,10 @@ for q in "${queries[@]}"; do
         || fail "wire ledger diverges from lcdc query: $q"
       ;;
   esac
+  if [ "$q" = "--filter day=5..9 --sum qty --count" ]; then
+    grep -q ' shards_pruned=2' "$dir/wire.err" \
+      || fail "two of three shards not pruned: $(cat "$dir/wire.err")"
+  fi
   echo "serve_smoke: wire == local for: $q"
 done
 

@@ -34,8 +34,8 @@
 //! `query` runs a logical plan against a table directory written by
 //! `lcdc::store::save_table` — or, with `--table NAME`, against the
 //! named (possibly sharded) table under a catalog directory written by
-//! `lcdc shard`, routed through `lcdc::store::Catalog` (result cache,
-//! shard fan-in). `--lazy` opens columns as lazy `FileSource`s so only
+//! `lcdc shard`, routed through `lcdc::store::Catalog` (result cache;
+//! the shards read as one table). `--lazy` opens columns as lazy `FileSource`s so only
 //! the segments the plan touches are read from disk; `--repeat 2`
 //! demonstrates the result cache on the second run. A query runs under
 //! two execution settings and nothing else: `--threads N` leases at
@@ -62,7 +62,7 @@
 use lcdc::core::{bytes, chooser, parse_scheme, ColumnData, DType};
 use lcdc::store::{
     load_table, open_table_lazy, save_table, shard_table, Catalog, Client, CompressionPolicy,
-    FaultPlan, QueryArgs, QueryStats, Response, RetryPolicy, Rows, Server, ServerConfig,
+    FaultPlan, QueryArgs, QuerySpec, QueryStats, Response, RetryPolicy, Rows, Server, ServerConfig,
     ShardedTable, Table, TableSchema,
 };
 use std::path::{Path, PathBuf};
@@ -515,14 +515,7 @@ fn query(args: &[String]) -> Result<(), String> {
     let cache = q.cache.unwrap_or(lcdc::store::file::DEFAULT_SEGMENT_CACHE);
     let spec = q.spec.clone();
 
-    let open = |dir: &Path| -> Result<Table, String> {
-        if q.lazy {
-            open_table_lazy(dir, cache).map_err(|e| e.to_string())
-        } else {
-            load_table(dir).map_err(|e| e.to_string())
-        }
-    };
-
+    let open = opener(q.lazy, cache);
     match &q.table {
         None => {
             // Direct mode: the positional path *is* the table directory.
@@ -556,51 +549,25 @@ fn query(args: &[String]) -> Result<(), String> {
             if q.naive {
                 return Err("--naive applies to direct table queries only".into());
             }
-            let dirs = table_dirs(root, name)?;
-            let shards: Vec<Table> = dirs
-                .iter()
-                .map(|d| open(d))
-                .collect::<Result<_, String>>()?;
-            if q.explain {
-                // Shards share a schema, so shard 0's compiled plan
-                // shows the same operators every shard runs. A join
-                // plan needs a right side to bind — shard 0 of the
-                // right table stands in for the shape.
-                let builder = match spec.join_spec() {
-                    Some(join) => {
-                        let rdir = table_dirs(root, &join.table)?.remove(0);
-                        spec.bind(&shards[0])
-                            .join(&join.table, Arc::new(open(&rdir)?), &join.on)
-                    }
-                    None => spec.bind(&shards[0]),
-                };
-                println!("{}", builder.explain().map_err(|e| e.to_string())?);
-                println!("fingerprint: {:#018x}", spec.fingerprint());
-                println!();
-            }
             let catalog = Catalog::new();
-            catalog
-                .register_sharded(name, shards)
-                .map_err(|e| e.to_string())?;
+            let shards = register(&catalog, name, &table_dirs(root, name)?, &open)?;
             // A join names its right side; it must exist in the same
             // catalog, so resolve and register it alongside the left.
             if let Some(join) = spec.join_spec() {
                 if join.table != *name {
-                    let rdirs = table_dirs(root, &join.table)?;
-                    let rshards: Vec<Table> = rdirs
-                        .iter()
-                        .map(|d| open(d))
-                        .collect::<Result<_, String>>()?;
-                    catalog
-                        .register_sharded(&join.table, rshards)
-                        .map_err(|e| e.to_string())?;
+                    let dirs = table_dirs(root, &join.table)?;
+                    register(&catalog, &join.table, &dirs, &open)?;
                 }
             }
-            let (handle, version) = catalog.get(name).expect("just registered");
+            if q.explain {
+                println!("{}", explain_entry(&catalog, name, &spec)?);
+                println!("fingerprint: {:#018x}", spec.fingerprint());
+                println!();
+            }
+            let (handle, version) = catalog.get(name).ok_or("table vanished")?;
             eprintln!(
-                "-- table {name:?} v{version}: {} shards, {} rows",
-                handle.shard_count(),
-                handle.num_rows()
+                "-- table {name:?} v{version}: {shards} shards, {} rows",
+                handle.table().num_rows()
             );
             for _ in 0..q.repeat.max(1) {
                 let result = catalog
@@ -612,6 +579,52 @@ fn query(args: &[String]) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Opens a table directory whole, or with `lazy` behind a
+/// `cache`-frame LRU per column.
+fn opener(lazy: bool, cache: usize) -> impl Fn(&Path) -> Result<Table, String> {
+    move |dir| {
+        let table = if lazy {
+            open_table_lazy(dir, cache)
+        } else {
+            load_table(dir)
+        };
+        table.map_err(|e| e.to_string())
+    }
+}
+
+/// Open the shard directories `dirs` of table `name` (see
+/// [`table_dirs`]) and register them in `catalog` as one entry. Returns
+/// the shard count.
+fn register(
+    catalog: &Catalog,
+    name: &str,
+    dirs: &[PathBuf],
+    open: &dyn Fn(&Path) -> Result<Table, String>,
+) -> Result<usize, String> {
+    let shards: Vec<Table> = dirs.iter().map(|d| open(d)).collect::<Result<_, _>>()?;
+    catalog
+        .register_sharded(name, shards)
+        .map_err(|e| e.to_string())?;
+    Ok(dirs.len())
+}
+
+/// The plan a catalog query over `name` runs: compiled once against the
+/// entry's one table, with a join's whole right table bound.
+fn explain_entry(catalog: &Catalog, name: &str, spec: &QuerySpec) -> Result<String, String> {
+    let table = |name: &str| {
+        catalog
+            .get(name)
+            .map(|(entry, _)| Arc::clone(entry.table()))
+            .ok_or_else(|| format!("no table {name:?}"))
+    };
+    let left = table(name)?;
+    let mut builder = spec.bind(&left);
+    if let Some(join) = spec.join_spec() {
+        builder = builder.join(&join.table, table(&join.table)?, &join.on);
+    }
+    builder.explain().map_err(|e| e.to_string())
 }
 
 /// Write a deterministic demo table — `day` (u64, slowly ascending),
@@ -807,39 +820,16 @@ fn serve(args: &[String]) -> Result<(), String> {
             root.display()
         ));
     }
-    let open = |dir: &Path| -> Result<Table, String> {
-        if lazy {
-            open_table_lazy(dir, cache).map_err(|e| e.to_string())
-        } else {
-            load_table(dir).map_err(|e| e.to_string())
-        }
-    };
+    let open = opener(lazy, cache);
     let catalog = Arc::new(Catalog::new());
     for (name, dirs) in &tables {
-        let shards: Vec<Table> = dirs
-            .iter()
-            .map(|d| open(d))
-            .collect::<Result<_, String>>()?;
+        let shards = register(&catalog, name, dirs, &open)?;
+        let (entry, _) = catalog.get(name).ok_or("table vanished")?;
         if let Some(plan) = &faults {
-            for shard in &shards {
-                shard.inject_faults(plan);
-            }
+            entry.table().inject_faults(plan);
         }
-        let single = shards.len() == 1 && dirs[0] == root.join(name);
-        if single {
-            let table = shards.into_iter().next().expect("one table");
-            eprintln!("-- table {name:?}: {} rows", table.num_rows());
-            catalog.register(name, table);
-        } else {
-            eprintln!(
-                "-- table {name:?}: {} shards, {} rows",
-                shards.len(),
-                shards.iter().map(Table::num_rows).sum::<usize>()
-            );
-            catalog
-                .register_sharded(name, shards)
-                .map_err(|e| e.to_string())?;
-        }
+        let rows = entry.table().num_rows();
+        eprintln!("-- table {name:?}: {shards} shards, {rows} rows");
     }
     if let Some(plan) = &faults {
         eprintln!("-- fault injection armed: {}", plan.describe());
@@ -1182,7 +1172,7 @@ mod tests {
 
     #[test]
     fn query_subcommand_end_to_end() {
-        use lcdc::store::{save_table, CompressionPolicy, Table, TableSchema};
+        use lcdc::store::{Agg, Predicate};
 
         let dir = std::env::temp_dir().join(format!("lcdc_cli_query_{}", std::process::id()));
         let schema = TableSchema::new(&[("day", DType::U64), ("qty", DType::U64)]);
@@ -1243,6 +1233,26 @@ mod tests {
             s("--count"),
         ])
         .unwrap();
+        // `--table NAME --explain` prints the plan that runs: compiled
+        // once over every shard, it is the unsharded table's plan.
+        let root = dir.join("catalog");
+        for (i, shard) in shard_table(&table, 3).unwrap().iter().enumerate() {
+            save_table(shard, &root.join(format!("orders.shard{i}"))).unwrap();
+        }
+        let spec = QuerySpec::new()
+            .filter("qty", Predicate::Range { lo: 1, hi: 3 })
+            .filter("day", Predicate::Range { lo: 1, hi: 7 })
+            .aggregate(&[Agg::Count]);
+        let catalog = Catalog::new();
+        let dirs = table_dirs(&root, "orders").unwrap();
+        assert_eq!(
+            register(&catalog, "orders", &dirs, &opener(false, 8)),
+            Ok(3)
+        );
+        assert_eq!(
+            explain_entry(&catalog, "orders", &spec),
+            spec.bind(&table).explain().map_err(|e| e.to_string())
+        );
         // Errors surface instead of panicking.
         assert!(query(&[d.clone(), s("--sum"), s("nope")]).is_err());
         assert!(query(std::slice::from_ref(&d)).is_err()); // no sink
@@ -1392,8 +1402,7 @@ mod tests {
         // Serve the generated root end to end over a real socket.
         let catalog = Arc::new(Catalog::new());
         for (name, dirs) in &tables {
-            let shards: Vec<Table> = dirs.iter().map(|d| load_table(d).unwrap()).collect();
-            catalog.register_sharded(name, shards).unwrap();
+            register(&catalog, name, dirs, &opener(false, 8)).unwrap();
         }
         let server = Server::start(catalog, "127.0.0.1:0", ServerConfig::default()).unwrap();
         let addr = server.addr().to_string();

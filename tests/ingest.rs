@@ -192,7 +192,7 @@ fn lazy_table_ingest_reads_no_frames() {
         .ingest("orders", &batch(&[3, 7], 9))
         .expect("ingests");
     let (table, _) = catalog.get("orders").expect("registered");
-    assert_eq!(table.num_rows(), 2002);
+    assert_eq!(table.table().num_rows(), 2002);
     assert_eq!(table.io_reads(), 0, "ingest fetched no existing frame");
 
     // A zone-pruned query over the appended region reads only the

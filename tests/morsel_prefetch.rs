@@ -153,8 +153,11 @@ fn lazy_sharded_matches_resident_sequential_across_threads_and_prefetch() {
 
 /// The shard-pruning acceptance scenario: bounds that exclude a shard's
 /// key range execute with *zero* segments loaded from that shard — no
-/// frame of it is read, no plan compiled against it — and the skip is
-/// visible in `QueryStats::shards_pruned`.
+/// frame of it is read — under every sink. Aggregate, group-by and
+/// distinct plans never make its segments morsels, which
+/// `QueryStats::shards_pruned` counts; top-k and join plans visit them
+/// but zone-check their filters (and the join its key pairs) before any
+/// fetch, so they report no pruned shard and still read nothing of it.
 #[test]
 fn excluded_shard_is_never_loaded() {
     let root = std::env::temp_dir().join(format!("lcdc_shard_prune_{}", std::process::id()));
@@ -162,36 +165,46 @@ fn excluded_shard_is_never_loaded() {
 
     // Two shards with disjoint `day` ranges, saved lazily.
     let schema = TableSchema::new(&[("day", DType::U64), ("qty", DType::U64)]);
-    let build = |day0: u64| {
-        let day = ColumnData::U64((0..3000u64).map(|i| day0 + i / 100).collect());
-        let qty = ColumnData::U64((0..3000u64).map(|i| 1 + i % 50).collect());
-        Table::build(
-            schema.clone(),
-            &[day, qty],
-            &[CompressionPolicy::Auto, CompressionPolicy::Auto],
-            256,
-        )
-        .unwrap()
+    // Days 1..=30 then 1000..=1029, 100 rows each.
+    let columns = |rows: std::ops::Range<u64>| {
+        let day = |i: u64| if i < 3000 { 1 + i / 100 } else { 970 + i / 100 };
+        let day = ColumnData::U64(rows.clone().map(day).collect());
+        let qty = ColumnData::U64(rows.map(|i| 1 + i % 50).collect());
+        vec![day, qty]
+    };
+    let build = |columns: &[ColumnData]| {
+        let policies = vec![CompressionPolicy::Auto; columns.len()];
+        Table::build(schema.clone(), columns, &policies, 256).unwrap()
     };
     let near_dir = root.join("orders.shard0");
     let far_dir = root.join("orders.shard1");
-    save_table(&build(1), &near_dir).unwrap(); // days 1..=30
-    save_table(&build(1000), &far_dir).unwrap(); // days 1000..=1029
+    save_table(&build(&columns(0..3000)), &near_dir).unwrap();
+    save_table(&build(&columns(3000..6000)), &far_dir).unwrap();
     let near = open_table_lazy(&near_dir, 8).unwrap();
     let far = open_table_lazy(&far_dir, 8).unwrap();
     let total_segments = near.num_segments() + far.num_segments();
+    // The same rows as one resident table, and a small resident right
+    // side for the join: one row per day 1..=40.
+    let unsharded = build(&columns(0..6000));
+    let dim = Table::build(
+        TableSchema::new(&[("day", DType::U64)]),
+        &[ColumnData::U64((1..=40).collect())],
+        &[CompressionPolicy::Auto],
+        16,
+    )
+    .unwrap();
 
     let catalog = Catalog::with_cache_capacity(0);
     catalog.register_sharded("orders", vec![near, far]).unwrap();
+    catalog.register("dim", dim.clone());
     let (handle, _) = catalog.get("orders").expect("registered");
     let CatalogTable::Sharded(sharded) = &handle else {
         panic!("registered sharded");
     };
 
     // Bounds inside shard 0's day range: shard 1 must not be touched.
-    let spec = QuerySpec::new()
-        .filter("day", Predicate::Range { lo: 5, hi: 14 })
-        .aggregate(&[Agg::Sum("qty"), Agg::Count]);
+    let filtered = QuerySpec::new().filter("day", Predicate::Range { lo: 5, hi: 14 });
+    let spec = filtered.clone().aggregate(&[Agg::Sum("qty"), Agg::Count]);
     let result = catalog
         .execute_opts("orders", &spec, &ExecOptions::threads(4))
         .expect("runs");
@@ -212,6 +225,35 @@ fn excluded_shard_is_never_loaded() {
     // And the answer equals shard 0's alone.
     let want = spec.bind(sharded.shards()[0].as_ref()).execute().unwrap();
     assert_eq!(result.rows, want.rows);
+
+    // Every sink, as `(spec, shards_pruned)`.
+    let sinks = [
+        (spec, 1),
+        (
+            filtered
+                .clone()
+                .group_by("day")
+                .aggregate(&[Agg::Sum("qty")]),
+            1,
+        ),
+        (filtered.clone().top_k("qty", 5), 0),
+        (filtered.clone().distinct("qty"), 1),
+        (filtered.join("dim", "day"), 0),
+    ];
+    for (spec, shards_pruned) in &sinks {
+        let got = catalog
+            .execute_opts("orders", spec, &ExecOptions::threads(4))
+            .expect("runs");
+        let want = match spec.join_spec() {
+            Some(join) => spec
+                .bind(&unsharded)
+                .join(&join.table, Arc::new(dim.clone()), &join.on),
+            None => spec.bind(&unsharded),
+        };
+        assert_eq!(got.rows, want.execute().unwrap().rows, "{spec:?}");
+        assert_eq!(got.stats.shards_pruned, *shards_pruned, "{spec:?}");
+        assert_eq!(sharded.shards()[1].io_reads(), 0, "{spec:?} read shard 1");
+    }
     std::fs::remove_dir_all(&root).ok();
 }
 

@@ -79,7 +79,7 @@ fn direct_queries_see_exactly_one_version() {
                 for _ in 0..60 {
                     let (result, version) = catalog
                         .execute_versioned_with("orders", spec, |t, join| {
-                            t.execute_opts_join(spec, &opts, join)
+                            spec.execute_on(t, join, &opts)
                         })
                         .unwrap();
                     let committed = version - v0;
@@ -144,7 +144,7 @@ fn sharded_ingest_publishes_all_shards_atomically() {
                 for _ in 0..50 {
                     let (result, version) = catalog
                         .execute_versioned_with("orders", spec, |t, join| {
-                            t.execute_opts_join(spec, &ExecOptions::threads(2), join)
+                            spec.execute_on(t, join, &ExecOptions::threads(2))
                         })
                         .unwrap();
                     let committed = (version - v0) as i128;
@@ -183,7 +183,7 @@ fn result_cache_never_crosses_version_bumps() {
                 for _ in 0..80 {
                     let (result, version) = catalog
                         .execute_versioned_with("orders", spec, |t, join| {
-                            t.execute_opts_join(spec, &ExecOptions::threads(1), join)
+                            spec.execute_on(t, join, &ExecOptions::threads(1))
                         })
                         .unwrap();
                     if result.stats.result_cache_hits > 0 {
@@ -256,7 +256,7 @@ fn join_results_track_the_right_tables_version() {
                 for _ in 0..60 {
                     let (result, version) = catalog
                         .execute_versioned_with("orders", spec, |t, join| {
-                            t.execute_opts_join(spec, &ExecOptions::threads(2), join)
+                            spec.execute_on(t, join, &ExecOptions::threads(2))
                         })
                         .unwrap();
                     assert_eq!(version, v0, "the left table never bumps");
