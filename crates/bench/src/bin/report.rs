@@ -303,7 +303,9 @@ fn e7_pushdown() {
             push.stats.rows_materialized,
         );
     }
-    println!("(zone maps skip disjoint segments; fully-covered segments aggregate compressed)");
+    println!(
+        "(zone maps skip disjoint segments; fully-covered segments answer from their summaries)"
+    );
 
     // Parallel scan: the same pushdown pipeline, segments leased by
     // several threads from the one job. Answers asserted equal.

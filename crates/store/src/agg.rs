@@ -13,8 +13,18 @@
 //! Both are instances of the paper's Lessons 1: once decompression is a
 //! DAG of query operators, the aggregation can run on the parts. Sums
 //! are exact: a `u64` partial is used only where the values themselves
-//! prove it cannot overflow (`narrow_fits`); the zone map never
-//! decides an answer.
+//! prove it cannot overflow (`narrow_fits`).
+//!
+//! Above both sits Lessons 2, a segment's model answering without its
+//! residual: the planner answers a fully selected segment's SUM / MIN /
+//! MAX / COUNT from its [`crate::SegmentMeta`] alone. That is no
+//! estimate. A meta carries a summary (`sum`) only when the store
+//! computed it from the rows — [`Segment::build`], in the same pass as
+//! the zone map ([`aggregate_plain`]) — and the record and manifest
+//! that persist it are covered by their checksums and cross-checked on
+//! every fetch. A caller-supplied zone map ([`Segment::new`]) carries no
+//! summary and never decides an answer, and nothing *estimates* one
+//! (the interval bounds of `approx.rs` are labelled as such).
 
 use crate::segment::Segment;
 use crate::Result;

@@ -9,11 +9,16 @@
 //! <dir>/MANIFEST.lcdc    magic, version, seg_rows, num_rows,
 //!                        column count, { name, dtype, segment count,
 //!                          { offset, record_len, payload_bytes, rows,
-//!                            min, max, expr }* }*, checksum: u64
+//!                            min, max, sum, expr }* }*, checksum: u64
 //! <dir>/<name>.col       { frame_len: u64, expr: str, min: i128,
-//!                          max: i128, frame: bytes,
+//!                          max: i128, sum, frame: bytes,
 //!                          checksum: u64 }*       (one per segment)
 //! ```
+//!
+//! `sum` is the segment's exact sum ([`Segment::sum`]): a presence byte
+//! then an `i128`, 17 bytes either way. It is present for every segment
+//! the store built from its rows and absent for one built by hand
+//! ([`Segment::new`]), whose zone map is the caller's.
 //!
 //! Since manifest v2 the per-segment *planner metadata* — zone map,
 //! scheme expression, frame location — lives in the manifest, so a
@@ -23,22 +28,23 @@
 //! independently addressable through the recorded offsets
 //! ([`read_segment`] reads exactly one).
 //!
-//! The manifest's version moves with the frame format it indexes:
-//! v4 holds the same fields as v3, and its records hold `core::bytes`
-//! v3 frames (interleaved bit packing). So a table written before that
-//! change is refused when it is opened ("unsupported table version 3"),
-//! not at its first frame fetch.
+//! The manifest's version moves with the frame format it indexes and
+//! with the fields it holds: v4 holds the same fields as v3, and its
+//! records hold `core::bytes` v3 frames (interleaved bit packing); v5
+//! adds `sum` to every manifest entry and record header. So a table
+//! written before either change is refused when it is opened
+//! ("unsupported table version 4"), not at its first frame fetch.
 //!
 //! Every checksum is a trailing XXH64 (`digest.rs`) over all the bytes
 //! before it: a record's covers its header as well as its frame, so the
 //! zone map and expression a record carries are as protected as its
-//! payload. Both open paths then cross-check each record against its
-//! manifest entry through one function (`decode_record`). This is
-//! corruption *detection* (bit rot, truncation), not cryptographic
-//! integrity.
+//! payload. Both open paths then cross-check each record (zone map, sum,
+//! expression) against its manifest entry through one function
+//! (`decode_record`). This is corruption *detection* (bit rot,
+//! truncation), not cryptographic integrity.
 
 use crate::digest;
-use crate::le::{put_i128, put_str16, put_u16, put_u64, Cursor};
+use crate::le::{put_i128, put_opt_i128, put_str16, put_u16, put_u64, Cursor};
 use crate::schema::{ColumnSchema, TableSchema};
 use crate::segment::{SchemeKind, Segment};
 use crate::source::{FileSource, FrameLocation, SegmentMeta, SegmentSource};
@@ -51,7 +57,7 @@ use std::sync::Arc;
 
 const MANIFEST: &str = "MANIFEST.lcdc";
 const MAGIC: &[u8; 8] = b"LCDCTBL\0";
-const VERSION: u16 = 4;
+const VERSION: u16 = 5;
 
 /// Default decoded-segment cache capacity per column for
 /// [`open_table_lazy`].
@@ -65,10 +71,10 @@ struct ColumnManifest {
     locations: Vec<FrameLocation>,
 }
 
-/// One segment's on-disk record: header (frame length, expr, zone map),
-/// the frame bytes, and a checksum over both. Shared by the full write
-/// and the append paths so the record format has one home; its reader
-/// is [`decode_record`].
+/// One segment's on-disk record: header (frame length, expr, zone map,
+/// sum), the frame bytes, and a checksum over both. Shared by the full
+/// write and the append paths so the record format has one home; its
+/// reader is [`decode_record`].
 fn encode_segment_record(seg: &Segment) -> Vec<u8> {
     let frame = bytes::to_bytes(&seg.compressed);
     let mut record = Vec::with_capacity(frame.len() + 64);
@@ -76,6 +82,7 @@ fn encode_segment_record(seg: &Segment) -> Vec<u8> {
     put_str16(&mut record, &seg.expr);
     put_i128(&mut record, seg.min);
     put_i128(&mut record, seg.max);
+    put_opt_i128(&mut record, seg.sum());
     record.extend_from_slice(&frame);
     let sum = digest::checksum(&record);
     put_u64(&mut record, sum);
@@ -115,6 +122,7 @@ fn write_manifest(
             put_u64(&mut manifest, meta.rows as u64);
             put_i128(&mut manifest, meta.min);
             put_i128(&mut manifest, meta.max);
+            put_opt_i128(&mut manifest, meta.sum);
             put_str16(&mut manifest, &meta.expr);
         }
     }
@@ -341,9 +349,10 @@ pub fn read_segment(dir: &Path, column: &str, index: usize) -> Result<Segment> {
 
 /// Decode segment `idx` of `column` from its `.col` record and validate
 /// it against the manifest entry the planner already trusts: the
-/// record checksum, then the header's zone map and expression against
-/// `meta`, then the frame's dtype and height. The one gate every record
-/// passes on both open paths ([`load_table`] and [`FileSource`]).
+/// record checksum, then the header's zone map, sum and expression
+/// against `meta`, then the frame's dtype and height. The one gate
+/// every record passes on both open paths ([`load_table`] and
+/// [`FileSource`]).
 pub(crate) fn decode_record(
     record: &[u8],
     column: &str,
@@ -360,6 +369,7 @@ pub(crate) fn decode_record(
     let expr = r.str16()?;
     let min = r.i128()?;
     let max = r.i128()?;
+    let sum = r.opt_i128()?;
     let frame = r.rest();
     if frame_len != frame.len() as u64 {
         return Err(corrupt(format!(
@@ -367,13 +377,14 @@ pub(crate) fn decode_record(
             frame.len()
         )));
     }
-    // The planner already pruned on the manifest's zone map; if the
-    // record header disagrees, one of the two is corrupt — refuse
-    // rather than mix inconsistent metadata into one answer.
-    if (min, max) != (meta.min, meta.max) || expr != meta.expr {
+    // The planner already pruned on the manifest's zone map and may
+    // answer from its sum; if the record header disagrees, one of the
+    // two is corrupt — refuse rather than mix inconsistent metadata
+    // into one answer.
+    if (min, max, sum) != (meta.min, meta.max, meta.sum) || expr != meta.expr {
         return Err(corrupt("frame metadata disagrees with manifest".into()));
     }
-    let segment = Segment::new(bytes::from_bytes(frame)?, expr, min, max)?;
+    let segment = Segment::summarised(bytes::from_bytes(frame)?, expr, min, max, sum)?;
     if segment.compressed.dtype != dtype {
         return Err(StoreError::Shape(format!(
             "column {column} segment {idx} is {:?}, schema says {dtype:?}",
@@ -436,11 +447,11 @@ fn read_manifest(dir: &Path) -> Result<(Vec<ColumnManifest>, usize, usize)> {
         let dtype = DType::from_tag(tag)
             .ok_or_else(|| StoreError::CorruptFile(format!("unknown dtype tag {tag}")))?;
         let count = r.u64()? as usize;
-        // Each segment record is at least 66 bytes (four u64s, two
-        // i128s, a u16 string length): a count the remaining manifest
-        // cannot possibly hold is corruption, caught *before* any
-        // count-sized allocation.
-        if count > r.rest().len() / 66 {
+        // Each segment record is at least 83 bytes (four u64s, two
+        // i128s, a 17-byte sum, a u16 string length): a count the
+        // remaining manifest cannot possibly hold is corruption, caught
+        // *before* any count-sized allocation.
+        if count > r.rest().len() / 83 {
             return Err(StoreError::CorruptFile(format!(
                 "{name}: implausible segment count {count}"
             )));
@@ -455,12 +466,14 @@ fn read_manifest(dir: &Path) -> Result<(Vec<ColumnManifest>, usize, usize)> {
             let rows = r.u64()? as usize;
             let min = r.i128()?;
             let max = r.i128()?;
+            let sum = r.opt_i128()?;
             let expr = r.str16()?;
             total_rows = total_rows.saturating_add(rows);
             metas.push(SegmentMeta {
                 rows,
                 min,
                 max,
+                sum,
                 bytes: payload_bytes,
                 kind: SchemeKind::of_expr(&expr)?,
                 expr,
@@ -578,6 +591,49 @@ mod tests {
     }
 
     #[test]
+    fn record_sum_disagreeing_with_manifest_is_refused_on_both_opens() {
+        // A fully selected segment is answered from the manifest's sum,
+        // so a record whose sum differs means one of the two is
+        // corrupt: the fetch that reads the record refuses it, on both
+        // open paths.
+        let table = Table::build(
+            TableSchema::new(&[("a", DType::U64)]),
+            &[ColumnData::U64((0..1000).collect())],
+            &[CompressionPolicy::Fixed("ns".into())],
+            100,
+        )
+        .unwrap();
+        assert_eq!(table.source("a").unwrap().meta(0).sum, Some(4950));
+        let count = |t: &Table| {
+            crate::QueryBuilder::scan(t)
+                .filter("a", crate::Predicate::Range { lo: 0, hi: 9 })
+                .aggregate(&[crate::Agg::Count])
+                .execute()
+                .map(|r| r.aggregates().unwrap().to_vec())
+        };
+        // Segment 0's header: frame_len u64, expr (u16 length + "ns"),
+        // min i128, max i128, then the sum's presence byte and value.
+        let sum_at = 8 + 2 + 2 + 16 + 16;
+        let tampers: [(usize, &[u8]); 2] =
+            [(sum_at + 1, &4951i128.to_le_bytes()), (sum_at, &[0; 17])];
+        for (i, (at, patch)) in tampers.into_iter().enumerate() {
+            let dir = tmpdir(&format!("sum{i}"));
+            save_table(&table, &dir).unwrap();
+            let record_len = read_manifest(&dir).unwrap().0[0].locations[0].len as usize;
+            let path = dir.join("a.col");
+            let mut data = fs::read(&path).unwrap();
+            data[at..at + patch.len()].copy_from_slice(patch);
+            restamp(&mut data[..record_len]);
+            fs::write(&path, data).unwrap();
+            let disagrees = |e: StoreError| matches!(e, StoreError::CorruptFile(m) if m.ends_with("frame metadata disagrees with manifest"));
+            assert!(disagrees(load_table(&dir).err().unwrap()), "tamper {i}");
+            let lazy = open_table_lazy(&dir, 4).unwrap();
+            assert!(disagrees(count(&lazy).unwrap_err()), "tamper {i}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
     fn version_2_manifest_is_unsupported_not_a_checksum_mismatch() {
         let dir = tmpdir("v2");
         save_table(&sample_table(), &dir).unwrap();
@@ -600,6 +656,21 @@ mod tests {
         data[8..10].copy_from_slice(&3u16.to_le_bytes());
         fs::write(&path, data).unwrap();
         let unsupported = |e: StoreError| matches!(e, StoreError::CorruptFile(m) if m == "unsupported table version 3");
+        assert!(unsupported(load_table(&dir).err().unwrap()));
+        assert!(unsupported(open_table_lazy(&dir, 4).err().unwrap()));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn version_4_manifest_is_unsupported() {
+        // v4 manifests and records carry no sums.
+        let dir = tmpdir("v4");
+        save_table(&sample_table(), &dir).unwrap();
+        let path = dir.join(MANIFEST);
+        let mut data = fs::read(&path).unwrap();
+        data[8..10].copy_from_slice(&4u16.to_le_bytes());
+        fs::write(&path, data).unwrap();
+        let unsupported = |e: StoreError| matches!(e, StoreError::CorruptFile(m) if m == "unsupported table version 4");
         assert!(unsupported(load_table(&dir).err().unwrap()));
         assert!(unsupported(open_table_lazy(&dir, 4).err().unwrap()));
         fs::remove_dir_all(&dir).unwrap();

@@ -2,7 +2,7 @@
 //! table files (`file.rs`) and the wire protocol (`server/protocol.rs`).
 //!
 //! One set of writers and one bounds-checked [`Cursor`]. A string's
-//! length prefix is a `u16` in table format v3 and a `u32` on the wire,
+//! length prefix is a `u16` in the table files and a `u32` on the wire,
 //! so each width has its own pair of methods.
 
 use crate::{Result, StoreError};
@@ -21,6 +21,13 @@ pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
 
 pub(crate) fn put_i128(out: &mut Vec<u8>, v: i128) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// An optional `i128` as a presence byte (0 or 1) and the value (0 when
+/// absent): a fixed 17 bytes either way.
+pub(crate) fn put_opt_i128(out: &mut Vec<u8>, v: Option<i128>) {
+    out.push(u8::from(v.is_some()));
+    put_i128(out, v.unwrap_or(0));
 }
 
 /// A string behind a `u16` byte-length prefix (table files).
@@ -100,6 +107,18 @@ impl<'a> Cursor<'a> {
 
     pub(crate) fn i128(&mut self) -> Result<i128> {
         Ok(i128::from_le_bytes(self.array()?))
+    }
+
+    /// An optional value written by [`put_opt_i128`]; any other
+    /// presence byte, or a value beside an absent one, is corrupt.
+    pub(crate) fn opt_i128(&mut self) -> Result<Option<i128>> {
+        match (self.u8()?, self.i128()?) {
+            (0, 0) => Ok(None),
+            (1, v) => Ok(Some(v)),
+            (flag, _) => Err(StoreError::CorruptFile(format!(
+                "bad optional value (presence byte {flag})"
+            ))),
+        }
     }
 
     /// A string written by [`put_str16`].

@@ -60,9 +60,10 @@
 //! ([`Table::build`]), lazily loaded from disk behind an LRU cache
 //! ([`file::open_table_lazy`]), or either followed by appended
 //! resident segments; the planner consults resident
-//! [`source::SegmentMeta`] (zone maps, scheme tags) for every pruning
-//! decision and fetches payloads only for segments a pushdown tier
-//! actually touches. The [`Catalog`] layers multi-table storage on
+//! [`source::SegmentMeta`] (zone maps, exact sums, scheme tags) for
+//! every pruning decision — and answers a fully selected segment's
+//! aggregate from it — and fetches payloads only for segments a
+//! pushdown tier actually touches. The [`Catalog`] layers multi-table storage on
 //! top: named tables, horizontal sharding ([`ShardedTable`], read as
 //! one table whose columns list every shard's runs), monotonic
 //! versions stamped on

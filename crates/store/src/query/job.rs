@@ -38,8 +38,9 @@
 //! the job's prefetcher — one step function, stepped by the server
 //! session while it waits between cancel ticks, or in process by one
 //! more scoped helper — walks the published visit order ahead of
-//! the scan cursor and warms the next N morsels' un-pruned
-//! `(column, segment)` frames in each source's LRU
+//! the scan cursor and warms the next N *fetching* morsels' un-pruned
+//! `(column, segment)` frames in each source's LRU (a morsel answered
+//! from metadata alone fetches nothing, so it takes no window slot)
 //! ([`crate::source::SegmentSource::prefetch`]). Frame loads are
 //! single-flight, so the prefetcher never duplicates a read the scan
 //! already issued — total I/O is unchanged, it just stops blocking the
@@ -589,27 +590,37 @@ impl Job {
     /// The job's prefetcher, for one thread to step — `None` when the
     /// window is 0.
     fn prefetcher(&self) -> Option<Prefetcher<'_>> {
-        (self.prefetch > 0).then(|| Prefetcher {
-            job: self,
-            entries: self.prefetch_entries(),
-            next: 0,
-            depth: self.prefetch,
-            cancelled: 0,
+        (self.prefetch > 0).then(|| {
+            let (entries, fetching_before) = self.prefetch_entries();
+            Prefetcher {
+                job: self,
+                entries,
+                fetching_before,
+                next: 0,
+                depth: self.prefetch,
+                cancelled: 0,
+            }
         })
     }
 
     /// The frames the plan is expected to fetch, in morsel order:
-    /// `(morsel position, column, segment)`. Zone-pruned segments
-    /// contribute nothing — they were charged at compile and are not
-    /// morsels at all.
-    fn prefetch_entries(&self) -> Vec<(usize, usize, usize)> {
+    /// `(morsel position, column, segment)`, and for every morsel
+    /// position `p` (and the end) how many morsels before `p` fetch
+    /// anything. Zone-pruned segments contribute nothing — they were
+    /// charged at compile and are not morsels at all.
+    fn prefetch_entries(&self) -> (Vec<(usize, usize, usize)>, Vec<usize>) {
         let mut entries = Vec::new();
+        let mut fetching_before = Vec::with_capacity(self.morsels.len() + 1);
+        let mut fetching = 0;
         let mut cols: Vec<usize> = Vec::new();
         for (pos, &s) in self.morsels.iter().enumerate() {
+            fetching_before.push(fetching);
             self.plan.expected_fetches(s, &mut cols);
             entries.extend(cols.iter().map(|&col| (pos, col, s)));
+            fetching += usize::from(!cols.is_empty());
         }
-        entries
+        fetching_before.push(fetching);
+        (entries, fetching_before)
     }
 }
 
@@ -641,8 +652,12 @@ fn touched_sources(plan: &PhysicalPlan) -> impl Iterator<Item = &dyn SegmentSour
 /// The prefetcher: a step function over a job's expected fetches, run
 /// by one thread beside the scan ([`Job::run`]'s extra helper, or the
 /// session in [`Job::submit_and_wait`]). Each step warms one entry's
-/// frame once its morsel falls inside the `depth`-wide window ahead of
-/// the scan cursor, or naps while the window is full. Entries whose
+/// frame once its morsel falls inside the window of the next `depth`
+/// fetching morsels from the scan cursor, or naps while the window is
+/// full. Counting only fetching morsels keeps the window's frames per
+/// source at most `depth` (the cache clamp's premise) while letting it
+/// reach past morsels that fetch nothing — a range aggregate's far edge
+/// segment is warmed while the scan is still on the near one. Entries whose
 /// morsel the scan already claimed are skipped — the scan's own
 /// (single-flight) fetch covers them — so a finished or failed job
 /// (cursor at the end) drains the rest at once.
@@ -655,6 +670,9 @@ fn touched_sources(plan: &PhysicalPlan) -> impl Iterator<Item = &dyn SegmentSour
 struct Prefetcher<'j> {
     job: &'j Job,
     entries: Vec<(usize, usize, usize)>,
+    /// For each morsel position (and the end), how many morsels before
+    /// it fetch a frame: the window's unit.
+    fetching_before: Vec<usize>,
     /// Next entry to consider.
     next: usize,
     /// The window: how many morsels ahead of the scan cursor to warm.
@@ -670,7 +688,7 @@ impl Prefetcher<'_> {
         while self
             .entries
             .get(self.next)
-            .is_some_and(|&(pos, ..)| pos < self.depth)
+            .is_some_and(|&(pos, ..)| self.rank(pos) < self.depth)
             && self.step()
         {}
     }
@@ -696,6 +714,14 @@ impl Prefetcher<'_> {
         std::thread::sleep(Duration::from_micros(20));
     }
 
+    /// Morsel position `pos` in window units: how many morsels before
+    /// it fetch a frame (every one of them, for a position past the
+    /// end).
+    fn rank(&self, pos: usize) -> usize {
+        let counts = &self.fetching_before;
+        counts.get(pos).or(counts.last()).copied().unwrap_or(0)
+    }
+
     /// Advance by one entry (or one nap). `false` once every entry is
     /// settled or the job's token fired — nothing left to warm.
     fn step(&mut self) -> bool {
@@ -708,7 +734,7 @@ impl Prefetcher<'_> {
             return false;
         }
         let scanned = job.next_unclaimed();
-        if pos >= scanned.saturating_add(self.depth) {
+        if self.rank(pos) >= self.rank(scanned).saturating_add(self.depth) {
             Self::nap();
             return true;
         }
@@ -763,11 +789,12 @@ mod tests {
     }
 
     fn whole_queue_fetcher(job: &Job) -> Prefetcher<'_> {
-        let entries = job.prefetch_entries();
+        let (entries, fetching_before) = job.prefetch_entries();
         Prefetcher {
             job,
             depth: entries.len() + 1,
             entries,
+            fetching_before,
             next: 0,
             cancelled: 0,
         }
@@ -779,7 +806,7 @@ mod tests {
     #[test]
     fn fetcher_drops_warms_the_bound_outbids() {
         let job = top3_job(Arc::new(CancelToken::unbounded()));
-        let entries = job.prefetch_entries();
+        let (entries, _) = job.prefetch_entries();
         assert!(!entries.is_empty());
 
         let run = |published: i64| {

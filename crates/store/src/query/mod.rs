@@ -379,7 +379,7 @@ mod tests {
     #[test]
     fn count_only_aggregate_is_fully_structural() {
         // No agg columns: every fully-selected segment is answered from
-        // the zone map alone — same structural convention as group-by.
+        // its metadata alone — same structural convention as group-by.
         let t = table(CompressionPolicy::Auto, 512);
         let result = QueryBuilder::scan(&t)
             .aggregate(&[Agg::Count])

@@ -461,9 +461,11 @@ impl PhysicalPlan {
                 .join(", ")
         };
         out.push_str(&match &self.sink {
-            Sink::Aggregate { specs, cols } => {
-                format!("\n  aggregate: [{}]", spec_text(specs, cols))
-            }
+            Sink::Aggregate { specs, cols } => format!(
+                "\n  aggregate: [{}] (fully selected segment: metadata summary -> runs -> \
+                 value stream)",
+                spec_text(specs, cols)
+            ),
             Sink::GroupBy { key, specs, cols } => format!(
                 "\n  group-by {}: [{}]",
                 col_name(*key),
@@ -599,7 +601,9 @@ impl PhysicalPlan {
     /// Zone-settled leaves fetch nothing; a segment any clause
     /// zone-proves empty fetches nothing at all (the executor asks only
     /// about morsels, so for filtered plans that clause sits behind an
-    /// undecided one; see [`Self::morsels`]).
+    /// undecided one; see [`Self::morsels`]); nor does an aggregate's
+    /// segment that every clause zone-settles whole and whose sink
+    /// columns all carry a summary (the sink answers it from metadata).
     pub(crate) fn expected_fetches(&self, seg_idx: usize, out: &mut Vec<usize>) {
         out.clear();
         if self.rows_at(seg_idx) == 0 {
@@ -618,6 +622,7 @@ impl PhysicalPlan {
                 out.push(col);
             }
         };
+        let mut whole = true;
         for clause in &self.filters {
             match clause_zone(&self.table, clause, seg_idx, || ()) {
                 ClauseZone::AllRows => {}
@@ -628,10 +633,16 @@ impl PhysicalPlan {
                     return;
                 }
                 ClauseZone::Undecided(leaves) => {
+                    whole = false;
                     for (col, _, _) in leaves {
                         push(*col, out);
                     }
                 }
+            }
+        }
+        if let Sink::Aggregate { cols, .. } = &self.sink {
+            if whole && self.summarised(seg_idx, cols) {
+                return;
             }
         }
         self.for_each_sink_column(|col| push(col, out));
@@ -879,11 +890,21 @@ impl PhysicalPlan {
 
     // -- sinks --------------------------------------------------------
 
-    /// The aggregate sink. A whole segment folds every column off its
-    /// compressed form — a count with no agg columns is answered from
-    /// the zone map alone, structural, as is a segment whose every
-    /// column folds per run; a mask folds each column's selected values
-    /// off its stream.
+    /// Whether every one of `cols` carries an exact summary on
+    /// `seg_idx` ([`crate::SegmentMeta::sum`]) — vacuously so when
+    /// there are none, as for a bare count.
+    fn summarised(&self, seg_idx: usize, cols: &[usize]) -> bool {
+        cols.iter()
+            .all(|&col| self.table.meta_at(col, seg_idx).sum.is_some())
+    }
+
+    /// The aggregate sink, cheapest tier first. A fully selected
+    /// segment whose every column carries a summary is answered from
+    /// its metadata — `rows`, `min`, `max`, `sum` — without a fetch
+    /// ([`QueryStats::segments_from_metadata`]; a count with no agg
+    /// columns always is). Any other whole segment folds every column
+    /// off its compressed form, structural when every column folds per
+    /// run; a mask folds each column's selected values off its stream.
     #[allow(clippy::too_many_arguments)]
     fn sink_aggregate(
         &self,
@@ -896,6 +917,21 @@ impl PhysicalPlan {
         scratch: &mut Scratch,
         stats: &mut QueryStats,
     ) -> Result<()> {
+        if matches!(selection, Selection::All) && self.summarised(seg_idx, cols) {
+            for (slot, &col) in cols.iter().enumerate() {
+                let meta = self.table.meta_at(col, seg_idx);
+                acc.per_col[slot].merge(&AggResult {
+                    sum: meta.sum.unwrap_or_default(),
+                    min: Some(meta.min),
+                    max: Some(meta.max),
+                    count: n,
+                });
+            }
+            acc.rows += n;
+            stats.segments_structural += 1;
+            stats.segments_from_metadata += 1;
+            return Ok(());
+        }
         let mut structural = matches!(selection, Selection::All);
         for (slot, col) in cols.iter().enumerate() {
             let seg = self.fetch(*col, seg_idx, fetched, stats)?;

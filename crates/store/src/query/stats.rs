@@ -184,6 +184,13 @@ ledger! {
         /// multiply counts in code space; codes with no translation drop
         /// without decoding — instead of a value-space hash probe per key.
         pub join_code_translations: usize,
+        /// Fully selected segments the aggregate sink answered from their
+        /// metadata alone — every aggregated column's exact summary
+        /// (`rows`, `min`, `max`, `sum`; a bare count needs only `rows`) —
+        /// without fetching a payload. Each is also counted in
+        /// `segments_structural`, never in `segments_loaded` or
+        /// `values_processed`.
+        pub segments_from_metadata: usize,
     }
     /// Which predicate-evaluation tier fired, per filter step.
     pub pushdown: PushdownStats,

@@ -4,11 +4,15 @@
 //! carries its compressed form, the scheme expression that produced it,
 //! and a zone map (numeric min/max) — which for FOR-family schemes is
 //! exactly the model metadata the paper says can "speed up selections".
+//! A segment the store built from its rows also carries their exact sum
+//! ([`Segment::sum`]), so a fully selected segment can answer an
+//! aggregate from that summary without its payload.
 //!
 //! The expression is parsed once, when the segment is built or read:
 //! the segment holds the built [`Scheme`] every decode goes through and
 //! the [`SchemeKind`] every tier ladder matches on.
 
+use crate::agg::aggregate_plain;
 use crate::{Result, StoreError};
 use lcdc_colops::Bitmap;
 use lcdc_core::chooser;
@@ -77,8 +81,9 @@ impl SchemeKind {
 /// One compressed segment of one column.
 ///
 /// The public fields are the segment's record; the scheme built from
-/// `expr` is private and fixed at construction ([`Segment::build`],
-/// [`Segment::new`]), which checks it is the one `compressed` names.
+/// `expr` and the rows' summary are private and fixed at construction
+/// ([`Segment::build`], [`Segment::new`]), which checks the scheme is
+/// the one `compressed` names.
 #[derive(Debug, Clone)]
 pub struct Segment {
     /// The compressed rows.
@@ -89,6 +94,9 @@ pub struct Segment {
     pub min: i128,
     /// Numeric maximum over the segment (zone map).
     pub max: i128,
+    /// `(min, max, sum)` as the store computed them from the rows, or
+    /// `None` for a segment built by hand ([`Segment::new`]).
+    summary: Option<(i128, i128, i128)>,
     scheme: Arc<dyn Scheme>,
     kind: SchemeKind,
 }
@@ -105,13 +113,19 @@ fn parse(expr: &str) -> Result<(Arc<dyn Scheme>, SchemeKind)> {
 impl Segment {
     /// Compress `rows` under `policy`.
     pub fn build(rows: &ColumnData, policy: &CompressionPolicy) -> Result<Segment> {
-        let (min, max) = rows.min_max_numeric().unwrap_or((0, -1));
+        // One pass over the rows: the zone map and the exact sum.
+        let summary = aggregate_plain(rows);
+        let (min, max, sum) = (
+            summary.min.unwrap_or(0),
+            summary.max.unwrap_or(-1),
+            summary.sum,
+        );
         let expr = match policy {
             CompressionPolicy::None => "id",
             CompressionPolicy::Fixed(text) => text,
             CompressionPolicy::Auto => {
                 let choice = chooser::choose_best(rows)?;
-                return Segment::new(choice.compressed, choice.expr, min, max);
+                return Segment::summarised(choice.compressed, choice.expr, min, max, Some(sum));
             }
         };
         let (scheme, kind) = parse(expr)?;
@@ -120,15 +134,30 @@ impl Segment {
             expr: expr.to_string(),
             min,
             max,
+            summary: Some((min, max, sum)),
             scheme,
             kind,
         })
     }
 
-    /// A segment from its record — a frame read back, or one built by
-    /// hand. `expr` must parse to the scheme `compressed` names; a
-    /// mismatch is [`CoreError::SchemeMismatch`].
+    /// A segment built by hand. `expr` must parse to the scheme
+    /// `compressed` names; a mismatch is [`CoreError::SchemeMismatch`].
+    /// The zone map is the caller's, so the segment carries no sum: only
+    /// a summary the store computed from the rows may answer a query.
     pub fn new(compressed: Compressed, expr: String, min: i128, max: i128) -> Result<Segment> {
+        Segment::summarised(compressed, expr, min, max, None)
+    }
+
+    /// A segment from its record: [`Segment::new`] plus the sum the
+    /// store computed when it built the segment — what a record written
+    /// by `file.rs` carries back.
+    pub(crate) fn summarised(
+        compressed: Compressed,
+        expr: String,
+        min: i128,
+        max: i128,
+        sum: Option<i128>,
+    ) -> Result<Segment> {
         let (scheme, kind) = parse(&expr)?;
         compressed.check_scheme(&scheme.name())?;
         Ok(Segment {
@@ -136,9 +165,21 @@ impl Segment {
             expr,
             min,
             max,
+            summary: sum.map(|sum| (min, max, sum)),
             scheme,
             kind,
         })
+    }
+
+    /// The exact sum of the segment's rows, when the store computed it
+    /// ([`Segment::build`], or a record it wrote) and the zone map is
+    /// still the one computed beside it. A zone map edited after
+    /// construction drops the sum: the summary vouches for the rows'
+    /// own min and max, never for a caller's.
+    pub fn sum(&self) -> Option<i128> {
+        self.summary
+            .filter(|&(min, max, _)| (min, max) == (self.min, self.max))
+            .map(|(_, _, sum)| sum)
     }
 
     /// Number of rows in the segment.

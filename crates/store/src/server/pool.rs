@@ -542,11 +542,16 @@ mod tests {
     /// A lease that panics fails its query with a typed error instead
     /// of stranding it, and the pool keeps its full width: two healthy
     /// queries afterwards each hold a lease at once (they meet at a
-    /// barrier only two concurrent workers can pass).
+    /// barrier only two concurrent workers can pass). The filter keeps
+    /// every row, but no zone map can prove it, so every segment is
+    /// fetched (an unfiltered SUM would be answered from metadata).
     #[test]
     fn panicking_lease_fails_its_query_and_pool_keeps_width() {
         let pool = Arc::new(WorkerPool::new(2).unwrap());
-        let spec = QuerySpec::new().aggregate(&[Agg::Sum("v"), Agg::Count]);
+        let every: Vec<i128> = (0..4096).collect();
+        let spec = QuerySpec::new()
+            .filter("v", Predicate::in_list(&every))
+            .aggregate(&[Agg::Sum("v"), Agg::Count]);
         let (p, s) = (Arc::clone(&pool), spec.clone());
         let broken = trapped(Some(5), None);
         let got =

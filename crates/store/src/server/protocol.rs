@@ -703,7 +703,7 @@ mod tests {
     #[test]
     fn stats_wire_order_is_pinned() {
         // Counter i (pushdown last) holds i + 1: the frame must carry
-        // exactly 1..=21, the order every earlier peer decodes.
+        // exactly 1..=22, in declaration order.
         let stats = QueryStats {
             segments: 1,
             segments_pruned: 2,
@@ -722,11 +722,12 @@ mod tests {
             join_pairs_pruned: 15,
             join_rows_undecoded: 16,
             join_code_translations: 17,
+            segments_from_metadata: 18,
             pushdown: crate::PushdownStats {
-                zonemap_hits: 18,
-                run_granularity: 19,
-                code_granularity: 20,
-                row_granularity: 21,
+                zonemap_hits: 19,
+                run_granularity: 20,
+                code_granularity: 21,
+                row_granularity: 22,
             },
         };
         let mut wire = Vec::new();
@@ -735,7 +736,7 @@ mod tests {
             .chunks_exact(8)
             .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
             .collect();
-        assert_eq!(words, (1..=21).collect::<Vec<u64>>());
+        assert_eq!(words, (1..=22).collect::<Vec<u64>>());
         assert_eq!(take_stats(&mut Cursor::new(&wire)).unwrap(), stats);
     }
 

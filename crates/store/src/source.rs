@@ -35,8 +35,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// Per-segment metadata the planner can consult without loading the
-/// segment payload: the zone map, the row count, the compressed size,
-/// and the scheme expression that produced the frame.
+/// segment payload: the zone map, the row count, the exact sum where
+/// the store computed one, the compressed size, and the scheme
+/// expression that produced the frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentMeta {
     /// Rows in the segment.
@@ -45,6 +46,11 @@ pub struct SegmentMeta {
     pub min: i128,
     /// Numeric maximum over the segment (zone map).
     pub max: i128,
+    /// The exact sum of the segment's rows ([`Segment::sum`]): `Some`
+    /// only where the store computed it from the rows, and then `min`
+    /// and `max` are the rows' own. With `rows`, a summary that answers
+    /// SUM / MIN / MAX / COUNT over the whole segment.
+    pub sum: Option<i128>,
     /// Compressed payload size in bytes.
     pub bytes: usize,
     /// The scheme expression the segment was compressed under.
@@ -60,6 +66,7 @@ impl SegmentMeta {
             rows: segment.num_rows(),
             min: segment.min,
             max: segment.max,
+            sum: segment.sum(),
             bytes: segment.compressed_bytes(),
             expr: segment.expr.clone(),
             kind: segment.kind(),
@@ -867,7 +874,7 @@ mod tests {
         let seg = Segment::build(&col, &CompressionPolicy::Auto).unwrap();
         let m = SegmentMeta::of(&seg);
         assert_eq!(m.rows, 4);
-        assert_eq!((m.min, m.max), (5, 9));
+        assert_eq!((m.min, m.max, m.sum), (5, 9, Some(27)));
         assert_eq!(m.bytes, seg.compressed_bytes());
         assert_eq!(m.expr, seg.expr);
     }

@@ -8,8 +8,10 @@
 # codec leg first round-trips a raw column through `lcdc compress`
 # (the chooser) and `lcdc decompress`, and checks `lcdc choose`. An
 # ingest leg appends a raw batch to the sharded table on disk with
-# `lcdc ingest` and checks both front doors count the new rows, and a
-# stale single-directory copy planted beside the shards must make
+# `lcdc ingest` and checks both front doors count the new rows and
+# answer a whole-segment aggregate from the appended segments'
+# summaries too, and a stale single-directory copy planted beside the
+# shards must make
 # `lcdc query` and `lcdc serve` refuse the ambiguous table.
 #
 # Usage: scripts/serve_smoke.sh [--chaos]
@@ -129,8 +131,12 @@ echo "serve_smoke: server at $addr"
 # reads both sides structurally. Days 5..9 live in shard 0 alone: the
 # aggregate over them skips the other two shards (`shards_pruned=2`)
 # through both front doors, and the top-k over them answers the same.
+# Days 100..400 cover whole segments, which the aggregate answers from
+# their metadata (`segments_from_metadata`) without a fetch.
+meta_q="--filter day=100..400 --sum qty --min price --max price --count"
 queries=(
   "--filter day=5..9 --sum qty --count"
+  "$meta_q"
   "--group-by day --sum price --filter day=1..4"
   "--group-by day --sum qty"
   "--top-k price:5"
@@ -139,8 +145,10 @@ queries=(
   "--join events --on day"
 )
 ledger() {
-  grep -oE ' (segments|segments_pruned|shards_pruned|groups_folded|rows_undecoded|join_pairs_pruned|join_rows_undecoded|pushdown\.zonemap_hits)=[0-9]+' "$1" || true
+  grep -oE ' (segments|segments_pruned|segments_loaded|shards_pruned|groups_folded|rows_undecoded|join_pairs_pruned|join_rows_undecoded|segments_from_metadata|pushdown\.zonemap_hits)=[0-9]+' "$1" || true
 }
+# from_metadata ERR_FILE: the segments a query answered from metadata.
+from_metadata() { sed -n 's/.* segments_from_metadata=\([0-9]*\).*/\1/p' "$1"; }
 for q in "${queries[@]}"; do
   # shellcheck disable=SC2086  # $q is a flag list, split on purpose
   "$LCDC" client --addr "$addr" --table orders $q >"$dir/wire.txt" 2>"$dir/wire.err" \
@@ -161,6 +169,11 @@ for q in "${queries[@]}"; do
   if [ "$q" = "--filter day=5..9 --sum qty --count" ]; then
     grep -q ' shards_pruned=2' "$dir/wire.err" \
       || fail "two of three shards not pruned: $(cat "$dir/wire.err")"
+  fi
+  if [ "$q" = "$meta_q" ]; then
+    meta_before="$(from_metadata "$dir/wire.err")"
+    [ "${meta_before:-0}" -gt 0 ] \
+      || fail "no segment answered from metadata: $(cat "$dir/wire.err")"
   fi
   echo "serve_smoke: wire == local for: $q"
 done
@@ -210,8 +223,24 @@ start_server "$dir/serve_ingest.err" --threads 2
   || fail "client count after ingest"
 [ "$(count "$dir/wire_after.txt")" = "$want" ] \
   || fail "the server counts $(count "$dir/wire_after.txt") rows after ingest, want $want"
+# Day 300's appended one-row segment lies inside the whole-segment
+# range: its summary, written by `lcdc ingest`, answers it through both
+# front doors.
+# shellcheck disable=SC2086  # $meta_q is a flag list, split on purpose
+"$LCDC" client --addr "$addr" --table orders $meta_q >"$dir/wire.txt" 2>"$dir/wire.err" \
+  || fail "client query failed after ingest: $meta_q"
+# shellcheck disable=SC2086
+"$LCDC" query "$dir/cat" --table orders $meta_q >"$dir/local.txt" 2>"$dir/local.err" \
+  || fail "local query failed after ingest: $meta_q"
+diff -u "$dir/local.txt" "$dir/wire.txt" \
+  || fail "wire answer diverges from lcdc query after ingest: $meta_q"
+[ "$(ledger "$dir/wire.err")" = "$(ledger "$dir/local.err")" ] \
+  || fail "wire ledger diverges from lcdc query after ingest: $meta_q"
+[ "$(from_metadata "$dir/wire.err")" = $((meta_before + 1)) ] \
+  || fail "the appended segment was not answered from metadata: $(cat "$dir/wire.err")"
 stop_server
 echo "serve_smoke: ingest grew orders from $before to $want rows"
+echo "serve_smoke: $((meta_before + 1)) segments answered from metadata after ingest"
 
 # --- ambiguity: a stale orders/ beside orders.shard*/ is refused ----
 cp -r "$dir/cat" "$dir/stale"

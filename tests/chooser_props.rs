@@ -9,6 +9,8 @@
 //! 3. A golden digest (XXH64) of every segment's expression and frame
 //!    on a seeded lineitem-shaped table and the six codec families.
 //! 4. A pruning ledger: how many candidates that fixture compresses.
+//! 5. Summaries: every candidate's segment carries its rows' exact sum,
+//!    min and max.
 
 use lcdc::core::chooser::{self, Size};
 use lcdc::core::{bytes, parse_scheme, ColumnData, ColumnStats, CoreError, Scheme};
@@ -19,7 +21,8 @@ use lcdc::datagen::{
     default_heavy, locally_varying_with_outliers, noisy_linear, sawtooth_trend,
     shipped_order_dates, sorted_unique, step_column, uniform, zipf_codes,
 };
-use lcdc::store::{CompressionPolicy, Table, TableSchema};
+use lcdc::store::agg::{aggregate_plain, aggregate_segment};
+use lcdc::store::{CompressionPolicy, Segment, SegmentMeta, StoreError, Table, TableSchema};
 use proptest::prelude::*;
 
 /// The repository's XXH64, for the golden digest.
@@ -271,6 +274,57 @@ proptest! {
         let extra = parsed(EXTRA);
         for col in typed(&shaped) {
             check(&col, &defaults, &extra);
+        }
+    }
+}
+
+/// A segment built under any default candidate (or the chooser) has
+/// the exact summary of its rows: `SegmentMeta::of` carries the sum,
+/// min and max of `aggregate_plain` over the rows, of an independent
+/// `i128` fold, and of the streamed fold over the frame — on every
+/// distribution in every type, and on a segment of `u64::MAX` and one
+/// of `i64::MIN`, whose sums only an `i128` holds.
+#[test]
+fn every_candidate_summary_is_exact() {
+    let mut columns = vec![
+        ColumnData::U64(vec![u64::MAX; 4096]),
+        ColumnData::I64(vec![i64::MIN; 4096]),
+    ];
+    for n in [0, 1, 129, 4096] {
+        for values in distributions(n, 11) {
+            columns.extend(typed(&values));
+        }
+    }
+    let policies: Vec<CompressionPolicy> = chooser::default_candidates()
+        .into_iter()
+        .map(|text| CompressionPolicy::Fixed(text.into()))
+        .chain([CompressionPolicy::Auto])
+        .collect();
+    for col in &columns {
+        let values = col.to_numeric();
+        let oracle = (
+            Some(values.iter().sum::<i128>()),
+            values
+                .iter()
+                .copied()
+                .min()
+                .zip(values.iter().copied().max()),
+        );
+        let plain = aggregate_plain(col);
+        for policy in &policies {
+            let what = || format!("{policy:?} on {:?} x {}", col.dtype(), col.len());
+            let seg = match Segment::build(col, policy) {
+                Ok(seg) => seg,
+                Err(StoreError::Core(CoreError::NotRepresentable(_))) => continue,
+                Err(e) => panic!("{}: {e}", what()),
+            };
+            let meta = SegmentMeta::of(&seg);
+            let summary = (meta.sum, (meta.rows > 0).then_some((meta.min, meta.max)));
+            let folded = (Some(plain.sum), plain.min.zip(plain.max));
+            assert_eq!(summary, folded, "{}", what());
+            assert_eq!(summary, oracle, "{}", what());
+            let streamed = aggregate_segment(&seg, None).expect("folds");
+            assert_eq!(streamed, plain, "{}", what());
         }
     }
 }

@@ -7,7 +7,7 @@
 use lcdc::core::{ColumnData, DType};
 use lcdc::store::{
     open_table_lazy, save_table, shard_table, Agg, Catalog, CatalogTable, CompressionPolicy,
-    ExecOptions, Predicate, QuerySpec, QueryStats, Table, TableSchema,
+    ExecOptions, Predicate, QuerySpec, QueryStats, Rows, Table, TableSchema,
 };
 use lcdc::store::{Client, Response, Server, ServerConfig};
 use std::path::Path;
@@ -254,6 +254,131 @@ fn excluded_shard_is_never_loaded() {
         assert_eq!(got.stats.shards_pruned, *shards_pruned, "{spec:?}");
         assert_eq!(sharded.shards()[1].io_reads(), 0, "{spec:?} read shard 1");
     }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// The metadata tier over a lazy 3-shard table: SUM / MIN / MAX /
+/// COUNT over a sorted key's range reads only the range's two edge
+/// segments — each its filter and its sink frame — and answers every
+/// interior segment from the manifests' summaries, so the table's
+/// `io_reads` equals `segments_loaded`, which equals the edges'
+/// fetches. With a prefetch window the reads are the same and no warm
+/// is wasted: the window counts only morsels that fetch.
+#[test]
+fn fully_selected_segments_read_only_the_edges() {
+    let root = std::env::temp_dir().join(format!("lcdc_metadata_tier_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    const SEG: usize = 256;
+    let rows = 24_000u64;
+    let day: Vec<u64> = (0..rows).map(|i| i / 100).collect();
+    let qty: Vec<u64> = (0..rows).map(|i| 1 + i * 7 % 50).collect();
+    let table = Table::build(
+        TableSchema::new(&[("day", DType::U64), ("qty", DType::U64)]),
+        &[ColumnData::U64(day.clone()), ColumnData::U64(qty.clone())],
+        &[CompressionPolicy::Auto, CompressionPolicy::Auto],
+        SEG,
+    )
+    .expect("table builds");
+    let (lo, hi) = (30, 200);
+    let inside = |d: u64| (lo..=hi).contains(&d);
+    // Segments straddling a range end are the edges; the rest of those
+    // it touches lie wholly inside.
+    let (mut edges, mut interior) = (0, 0);
+    for days in day.chunks(SEG) {
+        match days.iter().filter(|&&d| inside(d)).count() {
+            0 => {}
+            n if n == days.len() => interior += 1,
+            _ => edges += 1,
+        }
+    }
+    assert_eq!((edges, interior), (2, 66), "the fixture's shape");
+    let picked: Vec<i128> = (0..day.len())
+        .filter(|&i| inside(day[i]))
+        .map(|i| qty[i] as i128)
+        .collect();
+    let want = [
+        picked.iter().sum::<i128>(),
+        *picked.iter().min().unwrap(),
+        *picked.iter().max().unwrap(),
+        picked.len() as i128,
+    ]
+    .map(Some);
+    let spec = QuerySpec::new()
+        .filter(
+            "day",
+            Predicate::Range {
+                lo: lo as i128,
+                hi: hi as i128,
+            },
+        )
+        .aggregate(&[
+            Agg::Sum("qty"),
+            Agg::Min("qty"),
+            Agg::Max("qty"),
+            Agg::Count,
+        ]);
+    let naive = spec.bind(&table).execute_naive().expect("naive runs");
+    assert_eq!(naive.aggregates().unwrap(), want);
+    for threads in [1usize, 2] {
+        for prefetch in [0usize, 4] {
+            // Cold caches for every run.
+            let catalog =
+                lazy_sharded_catalog(&table, 3, &root.join(format!("x{threads}p{prefetch}")));
+            let (handle, _) = catalog.get("t").expect("registered");
+            let got = catalog
+                .execute_opts(
+                    "t",
+                    &spec,
+                    &ExecOptions::threads(threads).with_prefetch(prefetch),
+                )
+                .expect("runs");
+            let what = format!("x{threads} prefetch {prefetch}: {:?}", got.stats);
+            assert_eq!(got.aggregates().unwrap(), want, "{what}");
+            assert_eq!(got.stats.segments_from_metadata, interior, "{what}");
+            assert_eq!(got.stats.segments_loaded, 2 * edges, "{what}");
+            assert_eq!(handle.io_reads(), 2 * edges, "{what}");
+            assert_eq!(got.stats.prefetch_wasted, 0, "{what}");
+        }
+    }
+
+    // Over the wire the session warms the window before the scan
+    // starts. The window counts fetching morsels, so it reaches both
+    // edges across the interior: every frame the query reads was warmed
+    // and consumed, and no interior frame was warmed at all.
+    let catalog = Arc::new(lazy_sharded_catalog(&table, 3, &root.join("wire")));
+    let server = Server::start(Arc::clone(&catalog), "127.0.0.1:0", ServerConfig::default())
+        .expect("serves");
+    let mut client = Client::connect(server.addr()).expect("connects");
+    let args = [
+        "--filter",
+        "day=30..200",
+        "--sum",
+        "qty",
+        "--min",
+        "qty",
+        "--max",
+        "qty",
+        "--count",
+        "--prefetch",
+        "4",
+    ]
+    .map(String::from);
+    match client.query("t", &args).expect("answers") {
+        Response::Rows { rows, stats, .. } => {
+            assert_eq!(rows, Rows::Aggregates(want.to_vec()), "{stats:?}");
+            assert_eq!(stats.segments_from_metadata, interior, "{stats:?}");
+            assert_eq!(stats.segments_loaded, 2 * edges, "{stats:?}");
+            assert_eq!(
+                (stats.prefetch_hits, stats.prefetch_wasted),
+                (2 * edges, 0),
+                "{stats:?}"
+            );
+        }
+        other => panic!("expected rows, got {other:?}"),
+    }
+    let (handle, _) = catalog.get("t").expect("registered");
+    assert_eq!(handle.io_reads(), 2 * edges);
+    server.shutdown();
     std::fs::remove_dir_all(&root).ok();
 }
 

@@ -280,6 +280,50 @@ fn pushdown_materializes_fewer_rows_than_naive() {
     assert!(push.pushdown.zonemap_hits > 0, "{push:?}");
 }
 
+/// A date range over the sorted orders reads only its edge segments.
+/// Days 15..=72 lie wholly over segments 2..=6 (days 20..=69), which
+/// the metadata tier answers from their summaries; the edge segments 1
+/// and 7 each fetch their date and qty frames and fold their 500 and
+/// 300 selected rows; segments 0, 8 and 9 are zone-pruned. Every
+/// segment but the edges is a zone-map hit.
+#[test]
+fn a_range_aggregate_reads_only_its_edge_segments() {
+    let table = orders_table(CompressionPolicy::Auto);
+    let day = |d: i128| 20_180_101 + d;
+    let range = QueryBuilder::scan(&table)
+        .filter(
+            "date",
+            Predicate::Range {
+                lo: day(15),
+                hi: day(72),
+            },
+        )
+        .aggregate(&[
+            Agg::Sum("qty"),
+            Agg::Min("qty"),
+            Agg::Max("qty"),
+            Agg::Count,
+        ]);
+    let stats = assert_pushdown_equals_naive(&range, "range aggregate");
+    let qty: Vec<i128> = (1500..7300).map(|i| 1 + i % 50).collect();
+    let want = [
+        qty.iter().sum::<i128>(),
+        *qty.iter().min().unwrap(),
+        *qty.iter().max().unwrap(),
+        qty.len() as i128,
+    ];
+    let got = range.execute().expect("runs");
+    assert_eq!(got.aggregates().unwrap(), want.map(Some));
+    assert_eq!(stats.segments, 10, "{stats:?}");
+    assert_eq!(stats.segments_pruned, 3, "{stats:?}");
+    assert_eq!(stats.segments_from_metadata, 5, "{stats:?}");
+    assert_eq!(stats.segments_structural, 5, "{stats:?}");
+    assert_eq!(stats.segments_loaded, 4, "{stats:?}");
+    assert_eq!(stats.values_processed, 800, "{stats:?}");
+    assert_eq!(stats.pushdown.zonemap_hits, 8, "{stats:?}");
+    assert_eq!(stats.pushdown.total(), 10, "{stats:?}");
+}
+
 /// A zone-disjoint first conjunct short-circuits the second: every
 /// segment is pruned on metadata and no payload is fetched.
 #[test]

@@ -478,6 +478,25 @@ fn hand_built(compressed: Compressed, expr: &str, zone: (i128, i128)) -> Segment
     Segment::new(compressed, expr.into(), zone.0, zone.1).expect("expr names the frame's scheme")
 }
 
+/// `table` with every segment rebuilt by hand ([`Segment::new`]): the
+/// same frames and zone maps, but no summaries — so a fully selected
+/// aggregate folds each value stream instead of reading its metadata.
+fn unsummarised(table: &Table) -> Table {
+    let columns = table
+        .schema()
+        .columns
+        .iter()
+        .map(|col| {
+            let segments = table.column_segments(&col.name).expect("column exists");
+            segments
+                .iter()
+                .map(|seg| hand_built(seg.compressed.clone(), &seg.expr, (seg.min, seg.max)))
+                .collect()
+        })
+        .collect();
+    Table::from_segments(table.schema().clone(), columns, table.seg_rows()).expect("same shape")
+}
+
 /// A two-column table: `key` is the hand-built segment, `sel` an honest
 /// selector over the same rows.
 fn around(key: Segment) -> Table {
@@ -764,11 +783,13 @@ fn matrix_queries<'t>(
     queries
 }
 
-/// Every sink over `table` (and its reloaded copy), full and masked, at
-/// one and two workers, must equal the decoded oracle.
+/// Every sink over `table`, its reloaded copy and its unsummarised copy
+/// (full selections fold instead of answering from metadata), full and
+/// masked, at one and two workers, must equal the decoded oracle.
 fn check_matrix(what: &str, table: &Table, values: &[i128], dir: &std::path::Path) {
     lcdc::store::save_table(table, dir).expect("saves");
     let reloaded = lcdc::store::open_table_lazy(dir, 4).expect("reopens");
+    let folded = unsummarised(table);
     let dtype = table.schema().dtype_of("val").expect("val");
     let mut right_keys: Vec<i128> = values[..200].to_vec();
     right_keys.push(424_242);
@@ -783,15 +804,22 @@ fn check_matrix(what: &str, table: &Table, values: &[i128], dir: &std::path::Pat
     );
     for sel in [Sel::Full, Sel::Mask] {
         let on_reloaded = matrix_queries(&reloaded, sel, &right);
-        for ((name, query), (_, on_reloaded)) in matrix_queries(table, sel, &right)
-            .into_iter()
-            .zip(on_reloaded)
+        let on_folded = matrix_queries(&folded, sel, &right);
+        for (((name, query), (_, on_reloaded)), (_, on_folded)) in
+            matrix_queries(table, sel, &right)
+                .into_iter()
+                .zip(on_reloaded)
+                .zip(on_folded)
         {
             let what = format!("{what}, {sel:?} {name}");
             let want = query
                 .execute_naive()
                 .unwrap_or_else(|e| panic!("{what}: naive: {e}"));
-            for (surface, query) in [("resident", &query), ("reloaded", &on_reloaded)] {
+            for (surface, query) in [
+                ("resident", &query),
+                ("reloaded", &on_reloaded),
+                ("unsummarised", &on_folded),
+            ] {
                 for threads in [1, 2] {
                     let got = query
                         .execute_opts(&ExecOptions::threads(threads))
@@ -966,11 +994,13 @@ fn a_zone_map_narrower_than_its_data_costs_shortcuts_not_answers() {
 /// counted in `values_processed`, none in `rows_materialized`, and no
 /// segment structural unless its parts alone answered it; a mask folds
 /// its selected values off the same streams, materialising nothing
-/// either.
+/// either. The table's segments are built by hand, without summaries:
+/// the aggregate below would otherwise be answered from metadata (the
+/// next test).
 #[test]
 fn streamed_tiers_fold_every_value_and_materialise_nothing() {
     let values: Vec<i128> = (0..MATRIX_ROWS as i128).map(|i| 1_000 + i % 300).collect();
-    let table = matrix_table(DType::U64, "for(l=128)[offsets=ns]", &values).unwrap();
+    let table = unsummarised(&matrix_table(DType::U64, "for(l=128)[offsets=ns]", &values).unwrap());
     let segments = table.num_segments();
     let full = [
         (
@@ -1023,6 +1053,43 @@ fn streamed_tiers_fold_every_value_and_materialise_nothing() {
         .count();
     assert_eq!(stats.rows_materialized, 0, "{stats:?}");
     assert_eq!(stats.values_processed, selected, "{stats:?}");
+}
+
+/// The metadata tier's exact ledger. Over segments the store built, a
+/// fully selected aggregate reads every segment's summary: each is
+/// `segments_from_metadata` and `segments_structural`, none is fetched
+/// or folds a value, and SUM / MIN / MAX / COUNT equal the oracle. A
+/// filter the zone maps settle whole keeps the tier (charging its
+/// `zonemap_hits`); a mask folds its selected values instead.
+#[test]
+fn a_fully_selected_aggregate_reads_only_metadata() {
+    let values: Vec<i128> = (0..MATRIX_ROWS as i128).map(|i| 1_000 + i % 300).collect();
+    let table = matrix_table(DType::U64, "for(l=128)[offsets=ns]", &values).unwrap();
+    let segments = table.num_segments();
+    let want = Rows::Aggregates(agg_row(values.iter().copied()));
+    let whole = [
+        QueryBuilder::scan(&table).aggregate(&AGGS),
+        QueryBuilder::scan(&table)
+            .filter("val", Predicate::Range { lo: 0, hi: 5_000 })
+            .aggregate(&AGGS),
+    ];
+    for (filters, query) in whole.iter().enumerate() {
+        let stats = check("metadata", query, &want).stats;
+        assert_eq!(stats.segments_from_metadata, segments, "{stats:?}");
+        assert_eq!(stats.segments_structural, segments, "{stats:?}");
+        assert_eq!(stats.segments_loaded, 0, "{stats:?}");
+        assert_eq!(stats.values_processed, 0, "{stats:?}");
+        assert_eq!(stats.pushdown.zonemap_hits, filters * segments, "{stats:?}");
+    }
+    let masked = QueryBuilder::scan(&table)
+        .filter("sel", Predicate::Range { lo: 0, hi: 2 })
+        .aggregate(&AGGS);
+    let selected: Vec<usize> = (0..MATRIX_ROWS).filter(|&i| selector()[i] <= 2).collect();
+    let want = Rows::Aggregates(agg_row(selected.iter().map(|&i| values[i])));
+    let stats = check("masked", &masked, &want).stats;
+    assert_eq!(stats.segments_from_metadata, 0, "{stats:?}");
+    assert_eq!(stats.segments_loaded, 2 * segments, "{stats:?}");
+    assert_eq!(stats.values_processed, selected.len(), "{stats:?}");
 }
 
 /// A segment's expression must name the scheme its frame was compressed
