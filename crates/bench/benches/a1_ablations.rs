@@ -1,5 +1,6 @@
-//! Ablation benches (DESIGN.md §5): FOR reference choice, the model
-//! hierarchy's decompression costs, and the run-aware join.
+//! Ablation benches (the `report` binary's "Ablations" section): FOR
+//! reference choice, the model hierarchy's decompression costs, and the
+//! run-aware join.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lcdc_bench::{locally_tight_column, runs_column, trending_column};

@@ -1,4 +1,7 @@
-//! The experiment report: prints every E1–E8 table from DESIGN.md §3.
+//! The experiment report: prints every table of E1–E11, A2–A3 and the
+//! ablations. The paper each experiment tests is restated in
+//! `lcdc-core`'s module docs (`lib`, `compose`, `plan`, `planopt`,
+//! `rewrite`, `morph`, `concat`, `access`, `parts`).
 //!
 //! ```text
 //! cargo run --release -p lcdc-bench --bin report
@@ -783,7 +786,9 @@ fn a3_morphing() {
     );
 }
 
-/// Ablations called out in DESIGN.md §5.
+/// The ablations: FOR reference choice, the model hierarchy on
+/// trending data, and per-segment scheme choice against one global
+/// scheme.
 fn ablations() {
     header("Ablations");
     // (a) FOR reference choice: min (plain NS) vs first element (zigzag NS).

@@ -1,9 +1,11 @@
 //! # lcdc-bench
 //!
 //! Shared workload definitions and measurement helpers for the
-//! experiment suite (E1–E8, see DESIGN.md §3 and EXPERIMENTS.md). The
-//! Criterion benches under `benches/` measure throughput; the `report`
-//! binary prints the compression-ratio and speedup tables.
+//! experiment suite (E1–E11, A2–A3 and the ablations, as the `report`
+//! binary prints them; the paper each one tests is restated in
+//! `lcdc-core`'s module docs). The Criterion benches under `benches/`
+//! measure throughput; the `report` binary prints the
+//! compression-ratio and speedup tables.
 
 #![forbid(unsafe_code)]
 

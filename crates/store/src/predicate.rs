@@ -142,6 +142,25 @@ impl Predicate {
         }
     }
 
+    /// The zone tier for a segment of `rows` rows with zone map
+    /// `[min, max]`: [`Predicate::zone_decides`], except that an empty
+    /// segment is decided (nothing matches). A decision counts one
+    /// `zonemap_hits`.
+    pub(crate) fn zone_tier(
+        &self,
+        rows: usize,
+        min: i128,
+        max: i128,
+        stats: &mut PushdownStats,
+    ) -> Option<bool> {
+        let decided = match rows {
+            0 => Some(false),
+            _ => self.zone_decides(min, max),
+        };
+        stats.zonemap_hits += usize::from(decided.is_some());
+        decided
+    }
+
     /// Evaluate over a plain column (row granularity).
     pub fn eval_plain(&self, col: &ColumnData) -> Bitmap {
         let mut bitmap = Bitmap::new_zeroed(col.len());
@@ -176,21 +195,10 @@ impl Predicate {
         codes: &mut Vec<u32>,
     ) -> Result<Bitmap> {
         let n = segment.num_rows();
-        // Tier 1: zone map (`zone_decides` is predicate-shape-aware, so
-        // an `In` list is never wrongly proven all-matching).
-        if n == 0 {
-            stats.zonemap_hits += 1;
-            return Ok(Bitmap::new_zeroed(0));
-        }
-        match self.zone_decides(segment.min, segment.max) {
-            Some(true) => {
-                stats.zonemap_hits += 1;
-                return Ok(Bitmap::new_ones(n));
-            }
-            Some(false) => {
-                stats.zonemap_hits += 1;
-                return Ok(Bitmap::new_zeroed(n));
-            }
+        // Tier 1: zone map.
+        match self.zone_tier(n, segment.min, segment.max, stats) {
+            Some(true) => return Ok(Bitmap::new_ones(n)),
+            Some(false) => return Ok(Bitmap::new_zeroed(n)),
             None => {}
         }
         // Tier 2: run granularity for the RLE family, via the shared
@@ -287,6 +295,73 @@ mod tests {
         assert_eq!(Predicate::All.bounds(), None);
         assert!(Predicate::Range { lo: 2, hi: 4 }.test(3));
         assert!(!Predicate::Range { lo: 2, hi: 4 }.test(5));
+    }
+
+    /// `zone_decides` is monotone: what it decides on an interval it
+    /// decides alike on every sub-interval — the rule that lets one test
+    /// against a zone tree node's hull settle every segment under it.
+    /// Every predicate shape, over both domains' `i128` bounds.
+    #[test]
+    fn zone_decisions_hold_on_every_sub_interval() {
+        let mut rng = proptest::test_runner::TestRng::for_test("zone_decisions_sub_interval");
+        for (lo, hi) in [(0, u64::MAX as i128), (i64::MIN as i128, i64::MAX as i128)] {
+            let mut pick = || lo + (rng.next_u64() as i128).rem_euclid(hi - lo + 1);
+            let (a, b, c) = (pick(), pick(), pick());
+            let predicates = [
+                Predicate::All,
+                Predicate::Range {
+                    lo: a.min(b),
+                    hi: a.max(b),
+                },
+                Predicate::Range {
+                    lo: a.max(b),
+                    hi: a.min(b),
+                },
+                Predicate::Range { lo, hi: a },
+                Predicate::Range { lo: a, hi },
+                Predicate::Range { lo, hi },
+                Predicate::Eq(a),
+                Predicate::Eq(lo),
+                Predicate::Eq(hi),
+                Predicate::in_list(&[]),
+                Predicate::in_list(&[a]),
+                Predicate::in_list(&[lo, a, b, c, hi]),
+            ];
+            for predicate in predicates {
+                // The domain's bounds, a random point, and every bound
+                // of the predicate with its neighbours.
+                let mut points = vec![lo, lo + 1, hi - 1, hi, pick()];
+                let edges: Vec<i128> = match &predicate {
+                    Predicate::Range { lo, hi } => vec![*lo, *hi],
+                    Predicate::Eq(v) => vec![*v],
+                    Predicate::In(values) => values.to_vec(),
+                    Predicate::All => Vec::new(),
+                };
+                for edge in edges {
+                    points.extend([edge - 1, edge, edge + 1].map(|p| p.clamp(lo, hi)));
+                }
+                points.sort_unstable();
+                points.dedup();
+                for (i, &min) in points.iter().enumerate() {
+                    for &max in &points[i..] {
+                        let Some(decided) = predicate.zone_decides(min, max) else {
+                            continue;
+                        };
+                        for (j, &sub_min) in points.iter().enumerate() {
+                            for &sub_max in &points[j..] {
+                                if min <= sub_min && sub_max <= max {
+                                    assert_eq!(
+                                        predicate.zone_decides(sub_min, sub_max),
+                                        Some(decided),
+                                        "{predicate:?} on [{min}, {max}] and [{sub_min}, {sub_max}]"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,7 @@ use crate::predicate::Predicate;
 use crate::segment::SchemeKind;
 use crate::table::Table;
 use crate::{Result, StoreError};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One requested aggregate, named over the builder's borrowed strings.
@@ -452,26 +453,8 @@ impl QuerySpec {
 /// leaves dear), then by caller order. Answers are order-independent —
 /// this is purely a cost decision, made once at plan time from
 /// metadata alone.
-fn cost_based_clause_order(table: &Table, clauses: &[Vec<Leaf>]) -> Vec<usize> {
-    let segments = table.num_segments();
-    let mut prunes = vec![0usize; clauses.len()];
-    let mut costs = vec![0u64; clauses.len()];
-    for (idx, clause) in clauses.iter().enumerate() {
-        for seg in 0..segments {
-            // The same zone walk the executor and prefetcher run —
-            // the estimate can never drift from the evaluation.
-            match clause_zone(table, clause, seg, || ()) {
-                ClauseZone::Empty => prunes[idx] += 1,
-                ClauseZone::AllRows => {}
-                ClauseZone::Undecided(leaves) => {
-                    costs[idx] += leaves
-                        .iter()
-                        .map(|(col, _, _)| scheme_leaf_cost(table.meta_at(*col, seg).kind))
-                        .sum::<u64>();
-                }
-            }
-        }
-    }
+pub(super) fn cost_based_clause_order(table: &Table, clauses: &[Vec<Leaf>]) -> Vec<usize> {
+    let (prunes, costs) = clause_estimates(table, clauses);
     let mut order: Vec<usize> = (0..clauses.len()).collect();
     order.sort_by(|&a, &b| {
         prunes[b]
@@ -482,10 +465,58 @@ fn cost_based_clause_order(table: &Table, clauses: &[Vec<Leaf>]) -> Vec<usize> {
     order
 }
 
+/// Per clause, the segments its zone walk prunes and the estimated
+/// cost of the leaves it leaves undecided. The walk descends the zone
+/// trees ([`Table::descend_zones`]) through the same [`clause_zone`]
+/// the executor and prefetcher run, so the estimate can never drift
+/// from the evaluation: a node whose walk decides every leaf it
+/// examines, over no empty segment, settles its range with one test.
+/// Empty segments stay out of the hulls and are estimated on their own
+/// metadata.
+pub(super) fn clause_estimates(table: &Table, clauses: &[Vec<Leaf>]) -> (Vec<usize>, Vec<u64>) {
+    let mut prunes = vec![0usize; clauses.len()];
+    let mut costs = vec![0u64; clauses.len()];
+    for ((clause, prunes), costs) in clauses.iter().zip(&mut prunes).zip(&mut costs) {
+        // What one outcome decides for a range of segments: it is
+        // never undecided on more than one.
+        let mut tally = |outcome: ClauseZone<'_>, segments: Range<usize>| match outcome {
+            ClauseZone::Empty => *prunes += segments.len(),
+            ClauseZone::AllRows => {}
+            ClauseZone::Undecided(leaves) => {
+                for seg in segments {
+                    *costs += leaves
+                        .iter()
+                        .map(|(col, _, _)| scheme_leaf_cost(table.meta_at(*col, seg).kind))
+                        .sum::<u64>();
+                }
+            }
+        };
+        table.descend_zones(|_, segments, live, zone| {
+            if live == 0 {
+                for seg in segments {
+                    tally(
+                        clause_zone(clause, table.segment_zone(seg), |_| ()),
+                        seg..seg + 1,
+                    );
+                }
+                return false;
+            }
+            let mut settled = true;
+            let outcome = clause_zone(clause, zone, |decided| settled &= decided);
+            let decides = segments.len() == 1 || (settled && live == segments.len());
+            if decides {
+                tally(outcome, segments);
+            }
+            !decides
+        });
+    }
+    (prunes, costs)
+}
+
 /// Relative cost of deciding one predicate leaf on a segment the zone
 /// map left undecided, by the segment's compression scheme: the tiers
 /// of [`Predicate::eval_segment`], cheapest first.
-fn scheme_leaf_cost(kind: SchemeKind) -> u64 {
+pub(super) fn scheme_leaf_cost(kind: SchemeKind) -> u64 {
     match kind {
         SchemeKind::Const => 1,
         SchemeKind::Rle | SchemeKind::Rpe | SchemeKind::Sparse => 2, // run-granular painting

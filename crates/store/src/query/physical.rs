@@ -352,41 +352,46 @@ enum ClauseOutcome {
 /// One resolved CNF leaf: `(column index, column name, predicate)`.
 pub(crate) type Leaf = (usize, String, Predicate);
 
-/// What resident zone maps alone decide about one clause on one
-/// segment.
+/// What resident zone maps alone decide about one clause on one zone.
 pub(crate) enum ClauseZone<'c> {
     /// Some leaf is proven all-matching: the clause costs nothing.
     AllRows,
-    /// Every leaf is proven empty: the segment is out.
+    /// Every leaf is proven empty: the zone's segments are out.
     Empty,
     /// The leaves the zone map could not decide, in clause order.
     Undecided(Vec<&'c Leaf>),
 }
 
-/// Walk one clause's leaves against a segment's zone maps — the single
-/// decision procedure shared by the executor's zone pass
-/// (`eval_clause`), the prefetcher's fetch prediction
-/// ([`PhysicalPlan::expected_fetches`]), and the planner's cost model
-/// (`cost_based_clause_order`), so the three can never drift apart.
-/// `on_decided` fires once per leaf the zone map settles (the
-/// executor's `zonemap_hits` accounting); leaves after a decided-true
-/// leaf are not examined, exactly like the evaluation short-circuit.
+/// Walk one clause's leaves against a zone — the single decision
+/// procedure shared by the executor's zone pass (`eval_clause`), the
+/// prefetcher's fetch prediction ([`PhysicalPlan::expected_fetches`]),
+/// the morsel walk ([`PhysicalPlan::morsels`]) and the planner's cost
+/// model (`cost_based_clause_order`), so they can never drift apart.
+/// `zone` gives each column's `(min, max)` by schema index: one
+/// segment's zone map ([`Table::segment_zone`]), or a zone tree node's
+/// hull over several ([`Table::descend_zones`]).
+/// [`Predicate::zone_decides`] is monotone — what it decides on an
+/// interval it decides alike on every sub-interval — so a walk on a
+/// hull that decides every leaf it examines walks every segment under
+/// it the same way, and one test settles them all; a leaf left
+/// undecided on the hull may still be decided on a segment. `on_leaf`
+/// fires once per leaf examined, with whether the zone decided it (a
+/// segment's `zonemap_hits`); leaves after a decided-true leaf are not
+/// examined, exactly like the evaluation short-circuit.
 pub(crate) fn clause_zone<'c>(
-    table: &Table,
     clause: &'c [Leaf],
-    seg_idx: usize,
-    mut on_decided: impl FnMut(),
+    zone: impl Fn(usize) -> (i128, i128),
+    mut on_leaf: impl FnMut(bool),
 ) -> ClauseZone<'c> {
     let mut undecided = Vec::new();
     for leaf in clause {
         let (col, _, predicate) = leaf;
-        let meta = table.meta_at(*col, seg_idx);
-        match predicate.zone_decides(meta.min, meta.max) {
-            Some(true) => {
-                on_decided();
-                return ClauseZone::AllRows;
-            }
-            Some(false) => on_decided(),
+        let (min, max) = zone(*col);
+        let decided = predicate.zone_decides(min, max);
+        on_leaf(decided.is_some());
+        match decided {
+            Some(true) => return ClauseZone::AllRows,
+            Some(false) => {}
             None => undecided.push(leaf),
         }
     }
@@ -531,13 +536,16 @@ impl PhysicalPlan {
 
     /// The segments a job executes, in visit order, with `stats`
     /// charged for the rest: a segment whose visit would end before any
-    /// fetch ([`Self::zone_prunes`]) is charged what that visit charges
-    /// and never becomes a morsel — which is how a sharded table skips a
-    /// shard the filters exclude: a run of which no segment became a
-    /// morsel counts in `shards_pruned` (never on a one-run table).
-    /// Top-k (visited best-max first, so its threshold tightens early)
-    /// and join plans keep every segment: their visits check their own
-    /// bounds first.
+    /// fetch (empty, or zone-pruned: see [`Self::zone_walk`]) is charged
+    /// what that visit charges and never becomes a morsel — which is how
+    /// a sharded table skips a shard the filters exclude: a run of which
+    /// no segment became a morsel counts in `shards_pruned` (never on a
+    /// one-run table). The walk descends each run's zone trees
+    /// ([`Table::descend_zones`]): a node whose walk settles charges or
+    /// keeps its whole range at once, so a sorted key's range visits
+    /// O(log n) nodes per run. Top-k (visited best-max first, so its
+    /// threshold tightens early) and join plans keep every segment:
+    /// their visits check their own bounds first.
     pub(crate) fn morsels(&self, stats: &mut QueryStats) -> Vec<usize> {
         let every = 0..self.table.num_segments();
         match &self.sink {
@@ -550,47 +558,66 @@ impl PhysicalPlan {
             _ => {}
         }
         let mut morsels = Vec::new();
-        let mut untouched_runs = 0;
         let starts = self.table.run_starts();
-        for bounds in starts.windows(2) {
-            let &[start, end] = bounds else { continue };
-            let live = morsels.len();
-            for seg in start..end {
-                match self.zone_prunes(seg) {
-                    Some(hits) => {
-                        stats.segments += 1;
-                        stats.segments_pruned += 1;
-                        stats.pushdown.zonemap_hits += hits;
-                    }
-                    None => morsels.push(seg),
+        let mut kept = vec![false; starts.len().saturating_sub(1)];
+        self.table.descend_zones(|run, segments, live, zone| {
+            let len = segments.len();
+            // One segment's hull is its zone map: the walk is its
+            // visit's own.
+            let exact = len == 1;
+            let (pruned, settled) = match live {
+                0 => (Some(0), true),
+                _ => self.zone_walk(zone),
+            };
+            match pruned {
+                Some(hits) if settled || exact => {
+                    stats.segments += len;
+                    stats.segments_pruned += len;
+                    stats.pushdown.zonemap_hits += live * hits;
+                    false
                 }
+                None if exact || (settled && live == len) => {
+                    if let Some(kept) = kept.get_mut(run) {
+                        *kept = true;
+                    }
+                    morsels.extend(segments);
+                    false
+                }
+                // Unsettled, or kept with empty segments to skip.
+                _ => true,
             }
-            untouched_runs += usize::from(start < end && morsels.len() == live);
-        }
-        if starts.len() > 2 {
-            stats.shards_pruned += untouched_runs;
+        });
+        if kept.len() > 1 {
+            stats.shards_pruned += starts
+                .windows(2)
+                .zip(&kept)
+                .filter(|&(bounds, &kept)| !kept && matches!(bounds, &[start, end] if start < end))
+                .count();
         }
         morsels
     }
 
-    /// Whether a visit of `seg_idx` would end before any fetch: the
-    /// segment is empty, or — walking the CNF in order — a clause the
-    /// zone maps prove empty comes before any clause they cannot
-    /// decide. If so, the leaves that visit decides (its
-    /// `zonemap_hits`); `None` when it would fetch.
-    fn zone_prunes(&self, seg_idx: usize) -> Option<usize> {
-        if self.rows_at(seg_idx) == 0 {
-            return Some(0);
-        }
-        let mut hits = 0;
-        let pruned = self.filters.iter().find_map(|clause| {
-            match clause_zone(&self.table, clause, seg_idx, || hits += 1) {
-                ClauseZone::AllRows => None,
-                ClauseZone::Empty => Some(true),
-                ClauseZone::Undecided(_) => Some(false),
+    /// Walk the CNF in order against one zone, as a visit's zone pass
+    /// would: the visit ends before any fetch when a clause the zone
+    /// proves empty comes before any clause it cannot decide. Returns
+    /// the leaves that walk decides (the visit's `zonemap_hits`) when
+    /// it prunes, `None` when it would fetch — and whether the walk
+    /// decided every leaf it examined, so that on a hull it settles
+    /// every segment under it (see [`clause_zone`]).
+    fn zone_walk(&self, zone: impl Fn(usize) -> (i128, i128)) -> (Option<usize>, bool) {
+        let (mut hits, mut settled) = (0, true);
+        for clause in &self.filters {
+            let outcome = clause_zone(clause, &zone, |decided| {
+                hits += usize::from(decided);
+                settled &= decided;
+            });
+            match outcome {
+                ClauseZone::AllRows => {}
+                ClauseZone::Empty => return (Some(hits), settled),
+                ClauseZone::Undecided(_) => return (None, false),
             }
-        });
-        (pruned == Some(true)).then_some(hits)
+        }
+        (None, settled)
     }
 
     /// The columns whose frames the plan's filter clauses and sink can
@@ -624,7 +651,7 @@ impl PhysicalPlan {
         };
         let mut whole = true;
         for clause in &self.filters {
-            match clause_zone(&self.table, clause, seg_idx, || ()) {
+            match clause_zone(clause, self.table.segment_zone(seg_idx), |_| ()) {
                 ClauseZone::AllRows => {}
                 ClauseZone::Empty => {
                     // Clause zone-proves the segment empty: no fetch at
@@ -816,8 +843,9 @@ impl PhysicalPlan {
         // Pass 1 — zone maps across *all* alternatives before any
         // payload work: one leaf proven all-matching settles the clause
         // even if an earlier leaf would have needed a fetch.
-        let undecided = match clause_zone(&self.table, clause, seg_idx, || {
-            stats.pushdown.zonemap_hits += 1
+        let zone = self.table.segment_zone(seg_idx);
+        let undecided = match clause_zone(clause, zone, |decided| {
+            stats.pushdown.zonemap_hits += usize::from(decided)
         }) {
             ClauseZone::AllRows => return Ok(ClauseOutcome::AllRows),
             ClauseZone::Empty => Vec::new(),
@@ -1374,4 +1402,229 @@ pub(crate) fn resolve(table: &Table, name: &str) -> Result<usize> {
         .schema()
         .index_of(name)
         .ok_or_else(|| StoreError::NoSuchColumn(name.to_string()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::logical::{clause_estimates, cost_based_clause_order, scheme_leaf_cost};
+    use super::*;
+    use crate::query::{Agg, QuerySpec};
+    use crate::schema::TableSchema;
+    use crate::segment::CompressionPolicy;
+    use lcdc_core::{ColumnData, DType};
+    use proptest::test_runner::TestRng;
+
+    impl PhysicalPlan {
+        /// The linear walk the zone trees replace, kept as their
+        /// oracle: every segment on its own zone map.
+        fn linear_morsels(&self, stats: &mut QueryStats) -> Vec<usize> {
+            let mut morsels = Vec::new();
+            let mut untouched_runs = 0;
+            let starts = self.table.run_starts();
+            for bounds in starts.windows(2) {
+                let &[start, end] = bounds else { continue };
+                let live = morsels.len();
+                for seg in start..end {
+                    let pruned = match self.rows_at(seg) {
+                        0 => Some(0),
+                        _ => self.zone_walk(self.table.segment_zone(seg)).0,
+                    };
+                    match pruned {
+                        Some(hits) => {
+                            stats.segments += 1;
+                            stats.segments_pruned += 1;
+                            stats.pushdown.zonemap_hits += hits;
+                        }
+                        None => morsels.push(seg),
+                    }
+                }
+                untouched_runs += usize::from(start < end && morsels.len() == live);
+            }
+            if starts.len() > 2 {
+                stats.shards_pruned += untouched_runs;
+            }
+            morsels
+        }
+    }
+
+    /// The linear clause estimate, the oracle of [`clause_estimates`]:
+    /// every clause on every segment's own zone map.
+    fn linear_clause_estimates(table: &Table, clauses: &[Vec<Leaf>]) -> (Vec<usize>, Vec<u64>) {
+        let mut prunes = vec![0usize; clauses.len()];
+        let mut costs = vec![0u64; clauses.len()];
+        for (idx, clause) in clauses.iter().enumerate() {
+            for seg in 0..table.num_segments() {
+                match clause_zone(clause, table.segment_zone(seg), |_| ()) {
+                    ClauseZone::Empty => prunes[idx] += 1,
+                    ClauseZone::AllRows => {}
+                    ClauseZone::Undecided(leaves) => {
+                        costs[idx] += leaves
+                            .iter()
+                            .map(|(col, _, _)| scheme_leaf_cost(table.meta_at(*col, seg).kind))
+                            .sum::<u64>();
+                    }
+                }
+            }
+        }
+        (prunes, costs)
+    }
+
+    const COLUMNS: [&str; 3] = ["key", "val", "cst"];
+
+    fn schema() -> TableSchema {
+        TableSchema::new(&[
+            ("key", DType::U64),
+            ("val", DType::I64),
+            ("cst", DType::U64),
+        ])
+    }
+
+    /// One run of 1–12 segments: `key` ascends from `*key`, `val` is
+    /// random in [-100, 100], `cst` is constant per segment; about one
+    /// segment in six is empty when `empties` allows.
+    fn random_run(rng: &mut TestRng, key: &mut u64, empties: bool) -> Table {
+        let mut columns: Vec<Vec<Segment>> = vec![Vec::new(), Vec::new(), Vec::new()];
+        for _ in 0..1 + rng.below(12) {
+            let rows = match rng.below(6) {
+                0 if empties => 0,
+                _ => 1 + rng.below(40),
+            };
+            let c = rng.below(50);
+            let (mut keys, mut vals) = (Vec::new(), Vec::new());
+            for _ in 0..rows {
+                *key += rng.below(4);
+                keys.push(*key);
+                vals.push(rng.below(201) as i64 - 100);
+            }
+            let data = [
+                ColumnData::U64(keys),
+                ColumnData::I64(vals),
+                ColumnData::U64(vec![c; rows as usize]),
+            ];
+            for (column, data) in columns.iter_mut().zip(&data) {
+                column.push(Segment::build(data, &CompressionPolicy::Auto).unwrap());
+            }
+        }
+        Table::from_segments(schema(), columns, 16).unwrap()
+    }
+
+    /// 1–5 runs through [`Table::concat`].
+    fn random_table(rng: &mut TestRng) -> Table {
+        let mut key = 0;
+        let runs: Vec<Arc<Table>> = (0..1 + rng.below(5))
+            .map(|_| Arc::new(random_run(rng, &mut key, true)))
+            .collect();
+        Table::concat(&runs).unwrap()
+    }
+
+    /// A leaf of any predicate shape over any column, its constants
+    /// drawn around the column's values.
+    fn random_leaf(rng: &mut TestRng, key_max: u64) -> (&'static str, Predicate) {
+        let col = rng.below(3) as usize;
+        let (lo, span) = match col {
+            0 => (-5, key_max as i128 + 10),
+            1 => (-110, 220),
+            _ => (-5, 60),
+        };
+        let a = lo + rng.below(span as u64) as i128;
+        let w = rng.below(1 + span as u64 / 2) as i128;
+        let predicate = match rng.below(7) {
+            0 => Predicate::All,
+            1 | 2 => Predicate::Range { lo: a, hi: a + w },
+            3 => Predicate::Eq(a),
+            4 => Predicate::in_list(&[]),
+            5 => Predicate::in_list(&[a]),
+            _ => Predicate::in_list(&[a, a + w / 2, a + w, 7]),
+        };
+        (COLUMNS[col], predicate)
+    }
+
+    /// A count under 0–3 clauses of 1–3 leaves each.
+    fn random_spec(rng: &mut TestRng, key_max: u64) -> QuerySpec {
+        let mut spec = QuerySpec::new();
+        for _ in 0..rng.below(4) {
+            let leaves: Vec<(&str, Predicate)> = (0..1 + rng.below(3))
+                .map(|_| random_leaf(rng, key_max))
+                .collect();
+            spec = spec.filter_any(&leaves);
+        }
+        spec.aggregate(&[Agg::Count])
+    }
+
+    /// The zone trees' morsels, `morsels` charges and clause estimates
+    /// equal the linear walk's, and the planner's clause order is the
+    /// one the linear estimates give.
+    fn assert_tree_matches_linear(table: &Arc<Table>, spec: &QuerySpec) {
+        let plan = spec
+            .clone()
+            .keep_filter_order()
+            .compile_join(table, None)
+            .unwrap();
+        let (mut tree, mut linear) = (QueryStats::default(), QueryStats::default());
+        assert_eq!(plan.morsels(&mut tree), plan.linear_morsels(&mut linear));
+        assert_eq!(tree, linear, "{spec:?}");
+        let clauses = &plan.filters;
+        let (prunes, costs) = linear_clause_estimates(table, clauses);
+        assert_eq!(
+            clause_estimates(table, clauses),
+            (prunes.clone(), costs.clone())
+        );
+        let mut order: Vec<usize> = (0..clauses.len()).collect();
+        order.sort_by(|&a, &b| {
+            prunes[b]
+                .cmp(&prunes[a])
+                .then(costs[a].cmp(&costs[b]))
+                .then(a.cmp(&b))
+        });
+        assert_eq!(cost_based_clause_order(table, clauses), order);
+    }
+
+    fn key_max(table: &Table) -> u64 {
+        (0..table.num_segments())
+            .map(|seg| table.meta_at(0, seg))
+            .filter(|meta| meta.rows > 0)
+            .map(|meta| meta.max as u64)
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn zone_trees_walk_like_the_linear_walk() {
+        let mut rng = TestRng::for_test("zone_trees_walk_like_the_linear_walk");
+        for _ in 0..150 {
+            let table = Arc::new(random_table(&mut rng));
+            let key_max = key_max(&table);
+            for _ in 0..8 {
+                assert_tree_matches_linear(&table, &random_spec(&mut rng, key_max));
+            }
+        }
+    }
+
+    /// The same on lazily opened tables after several appends: a base
+    /// tree built at open, and a resident tail rebuilt per append.
+    #[test]
+    fn zone_trees_walk_like_the_linear_walk_after_appends() {
+        let mut rng = TestRng::for_test("zone_trees_walk_like_the_linear_walk_after_appends");
+        let dir = std::env::temp_dir().join(format!("lcdc_zone_trees_{}", std::process::id()));
+        for round in 0..12 {
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut key = 0;
+            crate::file::save_table(&random_run(&mut rng, &mut key, round % 2 == 0), &dir).unwrap();
+            let mut table = crate::file::open_table_lazy(&dir, 4).unwrap();
+            for _ in 0..1 + rng.below(5) {
+                let appended = random_run(&mut rng, &mut key, false);
+                let batch: Vec<ColumnData> = COLUMNS
+                    .iter()
+                    .map(|name| appended.materialize(name).unwrap())
+                    .collect();
+                table = table.append(&batch).unwrap();
+            }
+            let table = Arc::new(table);
+            let key_max = key_max(&table);
+            for _ in 0..40 {
+                assert_tree_matches_linear(&table, &random_spec(&mut rng, key_max));
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

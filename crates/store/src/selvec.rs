@@ -78,18 +78,9 @@ pub fn select(
     for idx in 0..source.num_segments() {
         let meta = source.meta(idx);
         let n = meta.rows as u64;
-        if n == 0 {
-            stats.zonemap_hits += 1;
-            continue;
-        }
-        match predicate.zone_decides(meta.min, meta.max) {
-            Some(true) => {
-                stats.zonemap_hits += 1;
-                positions.extend(base..base + n);
-            }
-            Some(false) => {
-                stats.zonemap_hits += 1;
-            }
+        match predicate.zone_tier(meta.rows, meta.min, meta.max, &mut stats) {
+            Some(true) => positions.extend(base..base + n),
+            Some(false) => {}
             None => {
                 let seg = source.segment(idx)?;
                 let mask = predicate.eval_segment(&seg, Some(&mut stats))?;

@@ -17,6 +17,12 @@
 //!   is one run, every append extends the last, and a sharded table
 //!   lists each shard's runs.
 //!
+//! Each run also carries two zone trees (`ZoneTree`): one over its
+//! base's zone maps, built once when the base is opened and shared by
+//! every append, and one over its resident segments, rebuilt with them.
+//! A tree node holds the hull of the zone maps below it, so the
+//! planner's zone walks settle many segments with one test.
+//!
 //! Sources are `Send + Sync`: the parallel executor shares one source
 //! across workers, and the LRU cache takes an internal lock only on the
 //! fetch path. Fetches are *single-flight* — concurrent misses on one
@@ -157,15 +163,20 @@ pub(crate) struct Column {
 }
 
 /// One run of a [`Column`]: an optional base source, then resident
-/// segments.
+/// segments, each part with its [`ZoneTree`].
 #[derive(Debug)]
 pub(crate) struct Run {
     /// The base source, with its segment count recorded once (sources
     /// are immutable).
     base: Option<(Arc<dyn SegmentSource>, usize)>,
-    /// The resident segments after the base, with their metadata.
+    /// The base's zone tree (empty without a base): built once from the
+    /// base's metadata, then shared by every run that extends this one.
+    base_zones: Arc<ZoneTree>,
+    /// The resident segments after the base, with their metadata and
+    /// their zone tree, rebuilt with them.
     segments: Vec<Arc<Segment>>,
     metas: Vec<SegmentMeta>,
+    zones: ZoneTree,
 }
 
 /// Where one segment of a [`Run`] lives: in the base at the same index,
@@ -177,14 +188,33 @@ enum Slot<'a> {
 
 impl Run {
     /// `base`'s segments, if any, followed by `segments` (shared
-    /// handles, no copies).
+    /// handles, no copies). The base's zone tree is built here, from
+    /// its metadata.
     fn new(base: Option<Arc<dyn SegmentSource>>, segments: Vec<Arc<Segment>>) -> Run {
+        let base = base.map(|base| {
+            let n = base.num_segments();
+            (base, n)
+        });
+        let base_zones = match &base {
+            Some((source, n)) => ZoneTree::build((0..*n).map(|i| source.meta(i))),
+            None => ZoneTree::default(),
+        };
+        Run::with_base(base, Arc::new(base_zones), segments)
+    }
+
+    /// A run over an already-counted base and its zone tree, followed by
+    /// `segments`: only the resident part's metadata and tree are built.
+    fn with_base(
+        base: Option<(Arc<dyn SegmentSource>, usize)>,
+        base_zones: Arc<ZoneTree>,
+        segments: Vec<Arc<Segment>>,
+    ) -> Run {
+        let metas: Vec<SegmentMeta> = segments.iter().map(|s| SegmentMeta::of(s)).collect();
         Run {
-            base: base.map(|base| {
-                let n = base.num_segments();
-                (base, n)
-            }),
-            metas: segments.iter().map(|s| SegmentMeta::of(s)).collect(),
+            base,
+            base_zones,
+            zones: ZoneTree::build(metas.iter()),
+            metas,
             segments,
         }
     }
@@ -211,6 +241,139 @@ impl Run {
             Slot::Resident(i) => &self.metas[i], // lint: allow(panic) — the trait's `meta` has no error path
         }
     }
+}
+
+/// The zone tree of no segments.
+static NO_ZONES: ZoneTree = ZoneTree {
+    len: 0,
+    hulls: Vec::new(),
+    live: Vec::new(),
+};
+
+/// The hull of no segment: every `min` and `max` folds into it.
+const NO_HULL: (i128, i128) = (i128::MAX, i128::MIN);
+
+/// An implicit binary tree of zone hulls over a list of segments — the
+/// zone map one level up. A leaf is one segment. A node holds the hull
+/// of the non-empty segments below it (the min of their mins, the max
+/// of their maxes) and how many they are; empty segments stay out of
+/// every hull. One test against a node's hull can settle every segment
+/// under it (see `clause_zone` in `query::physical`).
+///
+/// The tree is complete over the segment count rounded up to a power of
+/// two, p, in heap order: node 0 is the root, node i's children are
+/// 2i + 1 and 2i + 2, and segment j is node p − 1 + j. That is 2p − 1
+/// nodes, built bottom-up in one pass; nodes past the last segment hold
+/// nothing and are never visited.
+#[derive(Default)]
+pub(crate) struct ZoneTree {
+    /// How many segments the tree covers.
+    len: usize,
+    /// Every node's `(min, max)` hull, in heap order.
+    hulls: Vec<(i128, i128)>,
+    /// Every node's count of non-empty segments, in heap order.
+    live: Vec<u32>,
+}
+
+impl ZoneTree {
+    /// The tree over `metas`' zone maps, in order.
+    pub(crate) fn build<'m>(metas: impl ExactSizeIterator<Item = &'m SegmentMeta>) -> ZoneTree {
+        let len = metas.len();
+        if len == 0 {
+            return ZoneTree::default();
+        }
+        let first_leaf = len.next_power_of_two() - 1;
+        let mut hulls = vec![NO_HULL; 2 * first_leaf + 1];
+        let mut live = vec![0; 2 * first_leaf + 1];
+        let leaves = hulls.iter_mut().zip(&mut live).skip(first_leaf);
+        for ((hull, count), meta) in leaves.zip(metas) {
+            if meta.rows > 0 {
+                (*hull, *count) = ((meta.min, meta.max), 1);
+            }
+        }
+        for node in (0..first_leaf).rev() {
+            let (left, right) = (2 * node + 1, 2 * node + 2);
+            if let (Some(&(lmin, lmax)), Some(&(rmin, rmax))) = (hulls.get(left), hulls.get(right))
+            {
+                let count =
+                    live.get(left).copied().unwrap_or(0) + live.get(right).copied().unwrap_or(0);
+                if let (Some(hull), Some(live)) = (hulls.get_mut(node), live.get_mut(node)) {
+                    (*hull, *live) = ((lmin.min(rmin), lmax.max(rmax)), count);
+                }
+            }
+        }
+        ZoneTree { len, hulls, live }
+    }
+
+    /// How many segments the tree covers.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Node `index`'s `(min, max)` hull; inverted (`min > max`) for a
+    /// node without a non-empty segment.
+    pub(crate) fn hull(&self, index: usize) -> (i128, i128) {
+        self.hulls.get(index).copied().unwrap_or(NO_HULL)
+    }
+
+    /// Walk the tree top-down in segment order: `visit` sees a node and
+    /// says whether to descend into its children. A node over one
+    /// segment has none.
+    pub(crate) fn descend(&self, mut visit: impl FnMut(ZoneNode) -> bool) {
+        if self.len > 0 {
+            self.descend_from(0, 0, self.len.next_power_of_two(), &mut visit);
+        }
+    }
+
+    /// Visit node `index`, which spans `width` leaves from segment
+    /// `lo`, then its children if asked; nodes past the last segment
+    /// are skipped.
+    fn descend_from<F: FnMut(ZoneNode) -> bool>(
+        &self,
+        index: usize,
+        lo: usize,
+        width: usize,
+        visit: &mut F,
+    ) {
+        if lo >= self.len {
+            return;
+        }
+        let hi = (lo + width).min(self.len);
+        let live = self.live.get(index).map_or(0, |&live| live as usize);
+        if visit(ZoneNode {
+            index,
+            lo,
+            hi,
+            live,
+        }) && hi - lo > 1
+        {
+            let half = width / 2;
+            self.descend_from(2 * index + 1, lo, half, visit);
+            self.descend_from(2 * index + 2, lo + half, half, visit);
+        }
+    }
+}
+
+impl std::fmt::Debug for ZoneTree {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ZoneTree")
+            .field("segments", &self.len())
+            .field("root", &self.hull(0))
+            .finish()
+    }
+}
+
+/// One node of a [`ZoneTree`], as a walk sees it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ZoneNode {
+    /// Heap-order position, for [`ZoneTree::hull`].
+    pub(crate) index: usize,
+    /// First segment covered, as an index into the tree's list.
+    pub(crate) lo: usize,
+    /// One past the last segment covered.
+    pub(crate) hi: usize,
+    /// How many of the covered segments are non-empty.
+    pub(crate) live: usize,
 }
 
 impl Column {
@@ -244,9 +407,31 @@ impl Column {
         let mut runs = self.runs.clone();
         if let Some(last) = runs.pop() {
             let resident = last.segments.iter().cloned().chain(segments).collect();
-            runs.push(Arc::new(Run::new(last.base().cloned(), resident)));
+            runs.push(Arc::new(Run::with_base(
+                last.base.clone(),
+                Arc::clone(&last.base_zones),
+                resident,
+            )));
         }
         Column::of_runs(runs)
+    }
+
+    /// How many zone trees the column has: two per run, its base's and
+    /// its resident tail's.
+    pub(crate) fn zone_parts(&self) -> usize {
+        2 * self.runs.len()
+    }
+
+    /// Zone tree `part`, in segment order: run `part / 2`'s base tree
+    /// for an even part, its resident tail's for an odd one (empty past
+    /// the end). Columns of one table share their run shapes, so part
+    /// `p` covers the same segments in every column.
+    pub(crate) fn zone_tree(&self, part: usize) -> &ZoneTree {
+        match (self.runs.get(part / 2), part % 2) {
+            (Some(run), 0) => &run.base_zones,
+            (Some(run), _) => &run.zones,
+            (None, _) => &NO_ZONES,
+        }
     }
 
     /// The first segment index of every run, then the segment count.

@@ -17,6 +17,7 @@ use crate::segment::{CompressionPolicy, Segment};
 use crate::source::{Column, SegmentMeta, SegmentSource};
 use crate::{Result, StoreError};
 use lcdc_core::ColumnData;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Default rows per segment (matches common vector/block sizes).
@@ -259,6 +260,39 @@ impl Table {
     /// Planner metadata of one segment of a column by schema index.
     pub(crate) fn meta_at(&self, idx: usize, seg_idx: usize) -> &SegmentMeta {
         self.columns[idx].meta(seg_idx)
+    }
+
+    /// Segment `seg_idx`'s zone lookup: each column's `(min, max)` on
+    /// it, by schema index.
+    pub(crate) fn segment_zone(&self, seg_idx: usize) -> impl Fn(usize) -> (i128, i128) + '_ {
+        move |col| {
+            let meta = self.meta_at(col, seg_idx);
+            (meta.min, meta.max)
+        }
+    }
+
+    /// Walk every run's zone trees top-down, in segment order: `visit`
+    /// sees the run's index, a range of segments — one segment, or a
+    /// tree node over several — how many of them are non-empty, and
+    /// their zone lookup (each column's hull over them, by schema
+    /// index), and says whether to descend into the range's halves. A
+    /// single segment has none.
+    pub(crate) fn descend_zones(
+        &self,
+        mut visit: impl FnMut(usize, Range<usize>, usize, &dyn Fn(usize) -> (i128, i128)) -> bool,
+    ) {
+        let Some(first) = self.columns.first() else {
+            return;
+        };
+        let mut start = 0;
+        for part in 0..first.zone_parts() {
+            let shape = first.zone_tree(part);
+            shape.descend(|node| {
+                let zone = |col: usize| self.columns[col].zone_tree(part).hull(node.index);
+                visit(part / 2, start + node.lo..start + node.hi, node.live, &zone)
+            });
+            start += shape.len();
+        }
     }
 
     /// The first segment index of every run, then the segment count:
@@ -726,6 +760,43 @@ mod tests {
         assert!(!source.prefetch(5), "resident segment: nothing to warm");
         assert!(source.prefetch(1));
         assert_eq!(source.cache_capacity(), Some(2));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A base's zone tree is built once, at open: appends share it by
+    /// handle, and only the resident tail's tree takes the new leaves.
+    #[test]
+    fn appends_do_not_rebuild_a_base_zone_tree() {
+        let dir = std::env::temp_dir().join(format!("lcdc_table_zones_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        crate::file::save_table(&small_table(), &dir).unwrap();
+        let opened = crate::file::open_table_lazy(&dir, 2).unwrap();
+        let mut grown = opened.clone();
+        for round in 0..32u64 {
+            let date = ColumnData::U64(vec![30_000_000 + round; 10]);
+            let qty = ColumnData::U64(vec![round; 10]);
+            grown = grown.append(&[date, qty]).unwrap();
+        }
+        for (column, at_open) in grown.columns.iter().zip(&opened.columns) {
+            assert_eq!(column.zone_parts(), 2, "one run: a base and a tail");
+            assert!(
+                std::ptr::eq(column.zone_tree(0), at_open.zone_tree(0)),
+                "the base tree is the one built at open"
+            );
+            assert_eq!(column.zone_tree(0).len(), 4);
+            assert_eq!(at_open.zone_tree(1).len(), 0);
+            assert_eq!(
+                column.zone_tree(1).len(),
+                32,
+                "the tail holds the new leaves"
+            );
+        }
+        let date = grown.columns[0].zone_tree(1);
+        assert_eq!(
+            date.hull(0),
+            (30_000_000, 30_000_031),
+            "the tail's root hull"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
