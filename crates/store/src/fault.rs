@@ -42,10 +42,10 @@ use std::time::Duration;
 /// plan, so fired counts are unambiguous.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// `io_read`: a [`crate::FileSource`] disk read fails with an
+    /// `io_read`: a lazily opened column's disk read fails with an
     /// injected [`StoreError::Io`].
     IoRead,
-    /// `io_stall`: a [`crate::FileSource`] disk read sleeps before
+    /// `io_stall`: a lazily opened column's disk read sleeps before
     /// reading (slow-disk simulation; `ms=` sets the pause).
     IoStall,
     /// `frame_truncate`: a server response frame is cut mid-write and

@@ -47,7 +47,7 @@ use crate::digest;
 use crate::le::{put_i128, put_opt_i128, put_str16, put_u16, put_u64, Cursor};
 use crate::schema::{ColumnSchema, TableSchema};
 use crate::segment::{SchemeKind, Segment};
-use crate::source::{FileSource, FrameLocation, SegmentMeta, SegmentSource};
+use crate::source::{Column, FileSource, FrameLocation, SegmentMeta};
 use crate::table::Table;
 use crate::{Result, StoreError};
 use lcdc_core::{bytes, ColumnData, DType};
@@ -278,24 +278,25 @@ pub fn load_table(dir: &Path) -> Result<Table> {
 }
 
 /// Open a table from `dir` *lazily*: only the manifest is read now;
-/// each column becomes a [`FileSource`] that loads frames on demand
+/// each column's file becomes its base, which loads frames on demand
 /// (checksum-verified per read) behind an LRU cache of
 /// `cache_capacity` decoded segments. Planning consults manifest
 /// metadata only, so zone-map-pruned segments are never read from disk.
 pub fn open_table_lazy(dir: &Path, cache_capacity: usize) -> Result<Table> {
-    let (schema, sources, num_rows, seg_rows) = open_with(dir, |path, col| {
+    let (schema, columns, num_rows, seg_rows) = open_with(dir, |path, col| {
         // FileSource::new bounds-checks every frame location against
         // the file length before any fetch can allocate from it.
-        Ok(Arc::new(FileSource::new(
+        let base = FileSource::new(
             path,
             &col.schema.name,
             col.schema.dtype,
             col.metas,
             col.locations,
             cache_capacity,
-        )?) as Arc<dyn SegmentSource>)
+        )?;
+        Ok(Column::new(Some(Arc::new(base)), Vec::new()))
     })?;
-    Table::from_sources(schema, sources, num_rows, seg_rows)
+    Table::assemble(schema, columns, num_rows, seg_rows)
 }
 
 /// The skeleton both opens share: read the manifest, then open each

@@ -55,11 +55,10 @@
 //!
 //! ## The storage API
 //!
-//! A [`Table`] is a schema plus, per column, one flat list of segments
-//! behind the [`SegmentSource`] surface — fully resident
-//! ([`Table::build`]), lazily loaded from disk behind an LRU cache
-//! ([`file::open_table_lazy`]), or either followed by appended
-//! resident segments; the planner consults resident
+//! A [`Table`] is a schema plus, per column, one [`Column`]: a flat
+//! list of segments, fully resident ([`Table::build`]), lazily loaded
+//! from disk behind an LRU cache ([`file::open_table_lazy`]), or either
+//! followed by appended resident segments; the planner consults resident
 //! [`source::SegmentMeta`] (zone maps, exact sums, scheme tags) for
 //! every pruning decision — and answers a fully selected segment's
 //! aggregate from it — and fetches payloads only for segments a
@@ -131,7 +130,7 @@ pub use server::{
     Client, EndpointStats, Request, Response, RetryPolicy, Server, ServerConfig, StatsReport,
 };
 pub use sort::{sort_column_compressed, sort_column_naive, SortStats};
-pub use source::{FileSource, SegmentMeta, SegmentSource};
+pub use source::{Column, SegmentMeta};
 pub use table::Table;
 
 /// Errors produced by the store.

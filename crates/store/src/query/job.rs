@@ -41,7 +41,7 @@
 //! the scan cursor and warms the next N *fetching* morsels' un-pruned
 //! `(column, segment)` frames in each source's LRU (a morsel answered
 //! from metadata alone fetches nothing, so it takes no window slot)
-//! ([`crate::source::SegmentSource::prefetch`]). Frame loads are
+//! (`Column::prefetch`). Frame loads are
 //! single-flight, so the prefetcher never duplicates a read the scan
 //! already issued — total I/O is unchanged, it just stops blocking the
 //! scan. [`QueryStats::prefetch_hits`] / [`QueryStats::prefetch_wasted`]
@@ -62,7 +62,7 @@ use super::logical::QuerySpec;
 use super::physical::{JoinRight, PhysicalPlan, Scratch, Sink, SinkState, TOPK_BOUND_UNSET};
 use super::result::QueryResult;
 use super::stats::QueryStats;
-use crate::source::SegmentSource;
+use crate::source::Column;
 use crate::table::Table;
 use crate::{Result, StoreError};
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
@@ -115,7 +115,7 @@ pub struct ExecOptions {
     ///
     /// **Invariant:** the effective window plus the frame under the
     /// scan cursor always fit inside every touched source's
-    /// decoded-segment cache ([`crate::SegmentSource::cache_capacity`]).
+    /// decoded-segment cache (`Column::cache_capacity`).
     /// A deeper window lets the prefetcher evict a warmed frame before
     /// the scan reaches it (the scan's fetch of the *current* frame
     /// marks it most-recent, leaving the next-needed warmed frame as
@@ -640,13 +640,13 @@ fn prefetch_window(plan: &PhysicalPlan, opts: &ExecOptions) -> usize {
         .map_or(0, |capacity| opts.prefetch.min(capacity.saturating_sub(2)))
 }
 
-/// Every source the plan's filter leaves and sink columns can touch,
-/// once each. A column's source reaches every run's base, so the window
-/// clamp and the per-query counter drain cover each shard's cache.
-fn touched_sources(plan: &PhysicalPlan) -> impl Iterator<Item = &dyn SegmentSource> {
+/// Every column the plan's filter leaves and sink can touch, once
+/// each. A column reaches every run's base, so the window clamp and the
+/// per-query counter drain cover each shard's cache.
+fn touched_sources(plan: &PhysicalPlan) -> impl Iterator<Item = &Column> {
     plan.touched_columns()
         .into_iter()
-        .map(|col| plan.table.source_at(col) as &dyn SegmentSource)
+        .map(|col| plan.table.source_at(col))
 }
 
 /// The prefetcher: a step function over a job's expected fetches, run

@@ -15,7 +15,6 @@ use super::result::{eval_spec, QueryResult, Rows};
 use super::stats::QueryStats;
 use crate::agg::AggResult;
 use crate::hash::IntMap;
-use crate::source::SegmentSource;
 use crate::table::Table;
 use crate::{Result, StoreError};
 use lcdc_core::with_column;

@@ -4,7 +4,7 @@
 //! logical plan: resolved column indices, an ordered CNF of filter
 //! clauses (each a disjunction of per-column predicates), and exactly
 //! one sink operator. Execution walks the table one segment at a time
-//! through its [`crate::source::SegmentSource`] handles: every
+//! through its [`crate::source::Column`]s: every
 //! zone-map decision is made on resident [`crate::source::SegmentMeta`]
 //! alone, and a segment's payload is *fetched* — possibly from disk,
 //! for lazily-backed tables — only when some tier actually has to
@@ -30,7 +30,6 @@ use crate::agg::{
 use crate::hash::{IntMap, IntSet};
 use crate::predicate::Predicate;
 use crate::segment::{SchemeKind, Segment};
-use crate::source::SegmentSource;
 use crate::table::Table;
 use crate::{Result, StoreError};
 use lcdc_colops::Bitmap;

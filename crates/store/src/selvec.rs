@@ -175,9 +175,9 @@ pub fn gather_late(table: &Table, column: &str, sel: &SelVec) -> Result<(ColumnD
 
 /// Exclusive cumulative row ends, one per segment — positions map to
 /// segments through these rather than a uniform `seg_rows` division,
-/// so non-uniform segmentations ([`Table::from_sources`]) stay correct.
-/// Computed from metadata: no payload access.
-fn meta_ends(source: &dyn crate::source::SegmentSource) -> Vec<u64> {
+/// so non-uniform segmentations (a short last segment before appended
+/// ones) stay correct. Computed from metadata: no payload access.
+fn meta_ends(source: &crate::source::Column) -> Vec<u64> {
     let mut ends = Vec::with_capacity(source.num_segments());
     let mut total = 0u64;
     for idx in 0..source.num_segments() {

@@ -242,8 +242,7 @@ mod tests {
     use crate::predicate::Predicate;
     use crate::query::{Agg, CancelToken};
     use crate::schema::TableSchema;
-    use crate::segment::{CompressionPolicy, Segment};
-    use crate::source::{Column, SegmentMeta, SegmentSource};
+    use crate::segment::CompressionPolicy;
     use crate::table::Table;
     use crate::{ExecOptions, QuerySpec, ShardedTable};
     use lcdc_core::{ColumnData, DType};
@@ -479,49 +478,32 @@ mod tests {
         pool.stop();
     }
 
-    /// A column source that panics fetching one segment, or holds the
-    /// fetch of another at a barrier until a second fetch meets it.
-    #[derive(Debug)]
-    struct TrapSource {
-        inner: Column,
+    /// A one-column, 16-segment table, saved under `dir` and opened
+    /// lazily, whose file panics fetching segment `panic_at`, or holds
+    /// the fetch of segment `meet_at` at a barrier until a second fetch
+    /// meets it.
+    fn trapped(
+        dir: &std::path::Path,
         panic_at: Option<usize>,
         meet_at: Option<(usize, Barrier)>,
-    }
-
-    impl SegmentSource for TrapSource {
-        fn num_segments(&self) -> usize {
-            self.inner.num_segments()
-        }
-
-        fn meta(&self, idx: usize) -> &SegmentMeta {
-            self.inner.meta(idx)
-        }
-
-        fn segment(&self, idx: usize) -> Result<Arc<Segment>> {
-            assert_ne!(self.panic_at, Some(idx), "trapped segment {idx}");
-            if let Some((_, barrier)) = self.meet_at.as_ref().filter(|(at, _)| *at == idx) {
-                barrier.wait();
-            }
-            self.inner.segment(idx)
-        }
-    }
-
-    /// A one-column, 16-segment table read through a [`TrapSource`].
-    fn trapped(panic_at: Option<usize>, meet_at: Option<(usize, Barrier)>) -> Arc<Table> {
-        let schema = TableSchema::new(&[("v", DType::U64)]);
+    ) -> Arc<Table> {
         let table = Table::build(
-            schema.clone(),
+            TableSchema::new(&[("v", DType::U64)]),
             &[ColumnData::U64((0..4096).collect())],
             &[CompressionPolicy::Auto],
             256,
         )
         .unwrap();
-        let source = TrapSource {
-            inner: Column::new(None, table.column_segments("v").unwrap()),
-            panic_at,
-            meet_at,
-        };
-        let table = Table::from_sources(schema, vec![Arc::new(source)], 4096, 256).unwrap();
+        let _ = std::fs::remove_dir_all(dir);
+        crate::file::save_table(&table, dir).unwrap();
+        let table = crate::file::open_table_lazy(dir, 16).unwrap();
+        let file = table.source_at(0).bases().next().unwrap();
+        file.arm_trap(move |idx| {
+            assert_ne!(panic_at, Some(idx), "trapped segment {idx}");
+            if let Some((_, barrier)) = meet_at.as_ref().filter(|(at, _)| *at == idx) {
+                barrier.wait();
+            }
+        });
         Arc::new(table)
     }
 
@@ -553,13 +535,14 @@ mod tests {
             .filter("v", Predicate::in_list(&every))
             .aggregate(&[Agg::Sum("v"), Agg::Count]);
         let (p, s) = (Arc::clone(&pool), spec.clone());
-        let broken = trapped(Some(5), None);
+        let dir = std::env::temp_dir().join(format!("lcdc_pool_trap_{}", std::process::id()));
+        let broken = trapped(&dir.join("broken"), Some(5), None);
         let got =
             within_watchdog(move || p.execute(&broken, &s, &ExecOptions::threads(1), nocancel()));
         assert!(matches!(got, Err(StoreError::Shape(_))), "{got:?}");
         assert_eq!(pool.peak_leases(), 1);
 
-        let healthy = trapped(None, Some((0, Barrier::new(2))));
+        let healthy = trapped(&dir.join("healthy"), None, Some((0, Barrier::new(2))));
         let want = (0..4096i128).sum::<i128>();
         let p = Arc::clone(&pool);
         let answers = within_watchdog(move || {
@@ -583,6 +566,7 @@ mod tests {
         }
         assert_eq!(pool.peak_leases(), 2, "both workers survived");
         pool.stop();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

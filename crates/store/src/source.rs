@@ -1,21 +1,17 @@
-//! Segment sources: where a column's segments live and how they are
-//! fetched.
+//! Columns: where a column's segments live and how they are fetched.
 //!
 //! The planner never holds a `&[Segment]` — it plans against
 //! [`SegmentMeta`] (zone map, row count, scheme tag: everything a
 //! pushdown-tier decision needs, resident by construction) and fetches
-//! payloads one segment at a time through [`SegmentSource::segment`]
-//! only when a tier actually has to touch bytes. That seam is what lets
-//! one physical plan run unchanged over:
-//!
-//! * [`FileSource`] — lazy per-segment loads from the on-disk column
-//!   file (see [`crate::file`]), behind a small LRU cache, so a
-//!   zone-map-pruned segment's frame is *never read from disk*;
-//! * `Column` — what a [`crate::Table`] holds per column: a list of
-//!   runs, each an optional base source (a `FileSource`, or a custom
-//!   backend) followed by resident segments. A built or opened table
-//!   is one run, every append extends the last, and a sharded table
-//!   lists each shard's runs.
+//! payloads one segment at a time through [`Column::segment`] only when
+//! a tier actually has to touch bytes. A [`Column`] is what a
+//! [`crate::Table`] holds per column: a list of runs, each an optional
+//! base followed by resident segments. A base is a `FileSource`: lazy
+//! per-segment loads from the on-disk column file (see
+//! [`crate::file`]), behind a small LRU cache, so a zone-map-pruned
+//! segment's frame is *never read from disk*. A built table is one
+//! resident run, an opened one is one base run, every append extends
+//! the last run, and a sharded table lists each shard's runs.
 //!
 //! Each run also carries two zone trees (`ZoneTree`): one over its
 //! base's zone maps, built once when the base is opened and shared by
@@ -23,12 +19,12 @@
 //! A tree node holds the hull of the zone maps below it, so the
 //! planner's zone walks settle many segments with one test.
 //!
-//! Sources are `Send + Sync`: the parallel executor shares one source
-//! across workers, and the LRU cache takes an internal lock only on the
-//! fetch path. Fetches are *single-flight* — concurrent misses on one
-//! frame coalesce into one read — which lets the executor's background
-//! prefetcher ([`SegmentSource::prefetch`]) warm the cache ahead of the
-//! scan without ever duplicating I/O.
+//! Columns are `Send + Sync`: the parallel executor shares one column
+//! across workers, and a base's LRU cache takes an internal lock only
+//! on the fetch path. Fetches are *single-flight* — concurrent misses
+//! on one frame coalesce into one read — which lets the executor's
+//! background prefetcher (`Column::prefetch`) warm the cache ahead of
+//! the scan without ever duplicating I/O.
 
 use crate::fault::FaultPlan;
 use crate::segment::{SchemeKind, Segment};
@@ -80,81 +76,21 @@ impl SegmentMeta {
     }
 }
 
-/// One column's segments, wherever they live.
+/// One table column: a list of **runs**, each an optional base
+/// followed by resident segments. A built or opened table's columns are
+/// one run: resident only for a built table, all base (a lazily read
+/// column file) for an opened one. [`crate::Table::append`] keeps the
+/// base and extends the last run's resident list, so however many
+/// appends a column has seen, a lookup makes at most one call into a
+/// base and no segment payload is ever copied or re-encoded. A sharded
+/// catalog entry's columns list every shard's runs in shard order,
+/// sharing them by handle: each shard's base keeps its own cache, and a
+/// prefix table of run starts maps a segment index to its run.
 ///
-/// Metadata access is always cheap and in-memory; [`Self::segment`] is
-/// the only call that may touch the backing store.
-pub trait SegmentSource: std::fmt::Debug + Send + Sync {
-    /// Number of segments.
-    fn num_segments(&self) -> usize;
-
-    /// Planner-visible metadata of one segment (no payload access).
-    fn meta(&self, idx: usize) -> &SegmentMeta;
-
-    /// The segment payload, fetched (and possibly cached) on demand.
-    fn segment(&self, idx: usize) -> Result<Arc<Segment>>;
-
-    /// Payload fetches that actually hit the backing store so far — 0
-    /// forever for resident sources, cache *misses* for lazy ones.
-    fn io_reads(&self) -> usize {
-        0
-    }
-
-    /// Hint that `idx` will be fetched soon: warm whatever cache the
-    /// source keeps. Returns `true` only when the hint did real work
-    /// (the frame was fetched from the backing store by this call).
-    /// Best-effort — I/O errors are swallowed here and resurface on the
-    /// real [`SegmentSource::segment`] fetch. The default (resident
-    /// sources) is a no-op.
-    fn prefetch(&self, _idx: usize) -> bool {
-        false
-    }
-
-    /// Drain the `(prefetch hits, prefetch wasted)` counters accumulated
-    /// since the last drain: hits are fetches served from a frame a
-    /// [`SegmentSource::prefetch`] call loaded, wasted are frames
-    /// prefetch loaded that no fetch ever consumed — whether they were
-    /// evicted before the scan reached them (counted once per frame at
-    /// eviction, however many times the frame is re-warmed) or simply
-    /// left warm and untouched at the end. The executor drains once per
-    /// query, once per distinct source; concurrent queries over one
-    /// source share the counters (they describe the source, not a
-    /// single plan).
-    fn take_prefetch_counters(&self) -> (usize, usize) {
-        (0, 0)
-    }
-
-    /// How many decoded segments this source can keep resident at once,
-    /// or `None` when fetches are free (fully resident sources). The
-    /// executor clamps its prefetch window *below* this bound so the
-    /// prefetcher can never evict a frame before the scan consumes it
-    /// (see [`crate::ExecOptions::prefetch`]).
-    fn cache_capacity(&self) -> Option<usize> {
-        None
-    }
-
-    /// Arm a [`FaultPlan`] on this source: subsequent backing-store
-    /// reads run through the plan's `io_read`/`io_stall` rules. The
-    /// default is a no-op — resident sources never touch a backing
-    /// store, so there is nothing to fail.
-    fn inject_faults(&self, _plan: &Arc<FaultPlan>) {}
-}
-
-/// One table column: a list of **runs**, each an optional base source
-/// followed by resident segments — the one [`SegmentSource`] a
-/// [`crate::Table`] holds per column. A built or opened table's columns
-/// are one run: resident only for a built table, all base (a
-/// [`FileSource`], or a custom backend handed to
-/// [`crate::Table::from_sources`]) for an opened one.
-/// [`crate::Table::append`] keeps the base and extends the last run's
-/// resident list, so however many appends a column has seen, a lookup
-/// makes at most one call into a base and no segment payload is ever
-/// copied or re-encoded. A sharded catalog entry's columns list every
-/// shard's runs in shard order, sharing them by handle: each shard's
-/// base keeps its own cache, and a prefix table of run starts maps a
-/// segment index to its run.
+/// Metadata access ([`Column::meta`]) is always cheap and in-memory;
+/// [`Column::segment`] is the only call that may touch the disk.
 #[derive(Debug, Clone)]
-pub(crate) struct Column {
+pub struct Column {
     /// At least one run, in segment order.
     runs: Vec<Arc<Run>>,
     /// `starts[r]` is run `r`'s first segment index; one more entry
@@ -162,27 +98,28 @@ pub(crate) struct Column {
     starts: Vec<usize>,
 }
 
-/// One run of a [`Column`]: an optional base source, then resident
-/// segments, each part with its [`ZoneTree`].
+/// One run of a [`Column`]: an optional base, then resident segments,
+/// each part with its [`ZoneTree`].
 #[derive(Debug)]
 pub(crate) struct Run {
-    /// The base source, with its segment count recorded once (sources
-    /// are immutable).
-    base: Option<(Arc<dyn SegmentSource>, usize)>,
+    /// The base: a column file, read lazily.
+    base: Option<Arc<FileSource>>,
     /// The base's zone tree (empty without a base): built once from the
     /// base's metadata, then shared by every run that extends this one.
     base_zones: Arc<ZoneTree>,
-    /// The resident segments after the base, with their metadata and
-    /// their zone tree, rebuilt with them.
+    /// The resident segments after the base, with their metadata —
+    /// shared by handle with the run this one extends, so an append
+    /// derives metadata for its new segments only — and their zone
+    /// tree, rebuilt with them.
     segments: Vec<Arc<Segment>>,
-    metas: Vec<SegmentMeta>,
+    metas: Vec<Arc<SegmentMeta>>,
     zones: ZoneTree,
 }
 
 /// Where one segment of a [`Run`] lives: in the base at the same index,
 /// or at a position of the resident list.
 enum Slot<'a> {
-    Base(&'a dyn SegmentSource),
+    Base(&'a FileSource),
     Resident(usize),
 }
 
@@ -190,47 +127,57 @@ impl Run {
     /// `base`'s segments, if any, followed by `segments` (shared
     /// handles, no copies). The base's zone tree is built here, from
     /// its metadata.
-    fn new(base: Option<Arc<dyn SegmentSource>>, segments: Vec<Arc<Segment>>) -> Run {
-        let base = base.map(|base| {
-            let n = base.num_segments();
-            (base, n)
-        });
+    fn new(base: Option<Arc<FileSource>>, segments: Vec<Arc<Segment>>) -> Run {
         let base_zones = match &base {
-            Some((source, n)) => ZoneTree::build((0..*n).map(|i| source.meta(i))),
+            Some(source) => ZoneTree::build(source.metas.iter()),
             None => ZoneTree::default(),
         };
-        Run::with_base(base, Arc::new(base_zones), segments)
+        let metas = segments
+            .iter()
+            .map(|s| Arc::new(SegmentMeta::of(s)))
+            .collect();
+        Run::with_resident(base, Arc::new(base_zones), segments, metas)
     }
 
-    /// A run over an already-counted base and its zone tree, followed by
-    /// `segments`: only the resident part's metadata and tree are built.
-    fn with_base(
-        base: Option<(Arc<dyn SegmentSource>, usize)>,
+    /// This run with `segments` after its resident ones: the base, its
+    /// zone tree and the resident handles and metadata are shared, and
+    /// only the new segments' metadata and the tail's tree are built.
+    fn extended(&self, segments: Vec<Arc<Segment>>) -> Run {
+        let metas = (self.metas.iter().cloned())
+            .chain(segments.iter().map(|s| Arc::new(SegmentMeta::of(s))))
+            .collect();
+        let resident = self.segments.iter().cloned().chain(segments).collect();
+        Run::with_resident(
+            self.base.clone(),
+            Arc::clone(&self.base_zones),
+            resident,
+            metas,
+        )
+    }
+
+    fn with_resident(
+        base: Option<Arc<FileSource>>,
         base_zones: Arc<ZoneTree>,
         segments: Vec<Arc<Segment>>,
+        metas: Vec<Arc<SegmentMeta>>,
     ) -> Run {
-        let metas: Vec<SegmentMeta> = segments.iter().map(|s| SegmentMeta::of(s)).collect();
         Run {
             base,
             base_zones,
-            zones: ZoneTree::build(metas.iter()),
+            zones: ZoneTree::build(metas.iter().map(Arc::as_ref)),
             metas,
             segments,
         }
     }
 
     fn len(&self) -> usize {
-        self.base.as_ref().map_or(0, |(_, n)| *n) + self.segments.len()
-    }
-
-    fn base(&self) -> Option<&Arc<dyn SegmentSource>> {
-        self.base.as_ref().map(|(base, _)| base)
+        self.base.as_ref().map_or(0, |base| base.num_segments()) + self.segments.len()
     }
 
     fn slot(&self, idx: usize) -> Slot<'_> {
         match &self.base {
-            Some((base, n)) if idx < *n => Slot::Base(base.as_ref()),
-            Some((_, n)) => Slot::Resident(idx - n),
+            Some(base) if idx < base.num_segments() => Slot::Base(base),
+            Some(base) => Slot::Resident(idx - base.num_segments()),
             None => Slot::Resident(idx),
         }
     }
@@ -238,7 +185,7 @@ impl Run {
     fn meta(&self, idx: usize) -> &SegmentMeta {
         match self.slot(idx) {
             Slot::Base(base) => base.meta(idx),
-            Slot::Resident(i) => &self.metas[i], // lint: allow(panic) — the trait's `meta` has no error path
+            Slot::Resident(i) => &self.metas[i], // lint: allow(panic) — `meta` indexes like a slice: past the end is a caller bug
         }
     }
 }
@@ -378,7 +325,7 @@ pub(crate) struct ZoneNode {
 
 impl Column {
     /// One run: `base`'s segments, if any, followed by `segments`.
-    pub(crate) fn new(base: Option<Arc<dyn SegmentSource>>, segments: Vec<Arc<Segment>>) -> Column {
+    pub(crate) fn new(base: Option<Arc<FileSource>>, segments: Vec<Arc<Segment>>) -> Column {
         Column::of_runs(vec![Arc::new(Run::new(base, segments))])
     }
 
@@ -406,12 +353,7 @@ impl Column {
     pub(crate) fn extend(&self, segments: Vec<Arc<Segment>>) -> Column {
         let mut runs = self.runs.clone();
         if let Some(last) = runs.pop() {
-            let resident = last.segments.iter().cloned().chain(segments).collect();
-            runs.push(Arc::new(Run::with_base(
-                last.base.clone(),
-                Arc::clone(&last.base_zones),
-                resident,
-            )));
+            runs.push(Arc::new(last.extended(segments)));
         }
         Column::of_runs(runs)
     }
@@ -444,9 +386,9 @@ impl Column {
         self.runs.iter().flat_map(|run| run.segments.iter())
     }
 
-    /// Every run's base source, in order.
-    pub(crate) fn bases(&self) -> impl Iterator<Item = &Arc<dyn SegmentSource>> {
-        self.runs.iter().filter_map(|run| run.base())
+    /// Every run's base, in order.
+    pub(crate) fn bases(&self) -> impl Iterator<Item = &Arc<FileSource>> {
+        self.runs.iter().filter_map(|run| run.base.as_ref())
     }
 
     /// The run holding segment `idx`, and the index inside it. A
@@ -465,19 +407,23 @@ impl Column {
         // lint: allow(panic) — a column holds at least one run, and `starts` one entry per run more
         (&self.runs[r], idx - self.starts[r])
     }
-}
 
-impl SegmentSource for Column {
-    fn num_segments(&self) -> usize {
+    /// Number of segments.
+    pub fn num_segments(&self) -> usize {
         self.starts.last().copied().unwrap_or(0)
     }
 
-    fn meta(&self, idx: usize) -> &SegmentMeta {
+    /// Planner-visible metadata of segment `idx` (no payload access).
+    /// Panics at or past [`Column::num_segments`], like a slice index.
+    pub fn meta(&self, idx: usize) -> &SegmentMeta {
         let (run, i) = self.locate(idx);
         run.meta(i)
     }
 
-    fn segment(&self, idx: usize) -> Result<Arc<Segment>> {
+    /// The payload of segment `idx`: a resident handle, or a frame read
+    /// through its base's cache on demand. Past the end is a typed
+    /// error.
+    pub fn segment(&self, idx: usize) -> Result<Arc<Segment>> {
         let (run, i) = self.locate(idx);
         match run.slot(i) {
             Slot::Base(base) => base.segment(i),
@@ -489,31 +435,52 @@ impl SegmentSource for Column {
         }
     }
 
-    fn io_reads(&self) -> usize {
+    /// Payload fetches that actually hit the disk so far, summed over
+    /// the bases' cache misses — 0 forever for a resident column.
+    pub fn io_reads(&self) -> usize {
         self.bases().map(|base| base.io_reads()).sum()
     }
 
-    fn prefetch(&self, idx: usize) -> bool {
-        // Resident segments have nothing to warm.
+    /// Hint that segment `idx` will be fetched soon: warm its base's
+    /// cache. Returns `true` only when the hint did real work (this
+    /// call read the frame from disk). Best-effort — I/O errors are
+    /// swallowed here and resurface on the real [`Column::segment`]
+    /// fetch. Resident segments have nothing to warm.
+    pub(crate) fn prefetch(&self, idx: usize) -> bool {
         let (run, i) = self.locate(idx);
         matches!(run.slot(i), Slot::Base(base) if base.prefetch(i))
     }
 
-    fn take_prefetch_counters(&self) -> (usize, usize) {
+    /// Drain the bases' `(prefetch hits, prefetch wasted)` counters
+    /// accumulated since the last drain: hits are fetches served from a
+    /// frame a [`Column::prefetch`] call loaded, wasted are frames
+    /// prefetch loaded that no fetch ever consumed — whether they were
+    /// evicted before the scan reached them (counted once per frame at
+    /// eviction, however many times the frame is re-warmed) or simply
+    /// left warm and untouched at the end. The executor drains once per
+    /// query, once per distinct column; concurrent queries over one
+    /// column share the counters (they describe the column, not a
+    /// single plan).
+    pub(crate) fn take_prefetch_counters(&self) -> (usize, usize) {
         self.bases().fold((0, 0), |(hits, wasted), base| {
             let (h, w) = base.take_prefetch_counters();
             (hits + h, wasted + w)
         })
     }
 
-    fn cache_capacity(&self) -> Option<usize> {
-        // The tightest base bounds the prefetch window for all of them.
-        self.bases().filter_map(|base| base.cache_capacity()).min()
+    /// How many decoded segments the tightest base can keep resident at
+    /// once, or `None` for a resident column, whose fetches are free.
+    /// The executor clamps its prefetch window *below* this bound so the
+    /// prefetcher can never evict a frame before the scan consumes it
+    /// (see [`crate::ExecOptions::prefetch`]).
+    pub(crate) fn cache_capacity(&self) -> Option<usize> {
+        self.bases().map(|base| base.cache_capacity).min()
     }
 
-    fn inject_faults(&self, plan: &Arc<FaultPlan>) {
-        // Only bases can touch a backing store; resident segments have
-        // no reads to fail.
+    /// Arm a [`FaultPlan`] on every base: their subsequent disk reads
+    /// run through the plan's `io_read`/`io_stall` rules. Resident
+    /// segments have no reads to fail.
+    pub(crate) fn inject_faults(&self, plan: &Arc<FaultPlan>) {
         for base in self.bases() {
             base.inject_faults(plan);
         }
@@ -527,7 +494,7 @@ fn no_segment(idx: usize, segments: usize) -> StoreError {
 
 /// Where one segment's record sits inside its column file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameLocation {
+pub(crate) struct FrameLocation {
     /// Byte offset of the record (header, frame, checksum) in the file.
     pub offset: u64,
     /// Total record length in bytes.
@@ -540,7 +507,7 @@ pub struct FrameLocation {
 /// so planning never touches the file. Every mutex below guards a
 /// structure that is valid after each individual operation, so a
 /// poisoned guard is recovered rather than panicking a session.
-pub struct FileSource {
+pub(crate) struct FileSource {
     path: PathBuf,
     column: String,
     dtype: DType,
@@ -560,7 +527,7 @@ pub struct FileSource {
     /// and without a prefetcher racing the scan.
     inflight: Mutex<HashSet<usize>>,
     loaded: Condvar,
-    /// Frames loaded by [`SegmentSource::prefetch`] and not yet consumed
+    /// Frames loaded by [`FileSource::prefetch`] and not yet consumed
     /// by a fetch; drained by `take_prefetch_counters`.
     prefetched: Mutex<HashSet<usize>>,
     /// Frames a prefetch warmed that the cache evicted *before* any
@@ -571,9 +538,13 @@ pub struct FileSource {
     /// it wasted really happened) alongside its hit.
     wasted: Mutex<HashSet<usize>>,
     prefetch_hits: AtomicUsize,
-    /// Armed once (before serving) by [`SegmentSource::inject_faults`];
+    /// Armed once (before serving) by [`FileSource::inject_faults`];
     /// the read path pays one pointer load when no plan is set.
     faults: OnceLock<Arc<FaultPlan>>,
+    /// A test's trap, armed once by [`FileSource::arm_trap`]: it sees
+    /// every fetch's index first, and may panic or block on it.
+    #[cfg(test)]
+    trap: OnceLock<Box<dyn Fn(usize) + Send + Sync>>,
 }
 
 impl std::fmt::Debug for FileSource {
@@ -591,7 +562,7 @@ impl FileSource {
     /// A lazy source over one persisted column. `metas` and `locations`
     /// come from the table manifest; `cache_capacity` bounds how many
     /// decoded segments stay resident (minimum 1).
-    pub fn new(
+    pub(crate) fn new(
         path: PathBuf,
         column: &str,
         dtype: DType,
@@ -638,6 +609,8 @@ impl FileSource {
             wasted: Mutex::new(HashSet::new()),
             prefetch_hits: AtomicUsize::new(0),
             faults: OnceLock::new(),
+            #[cfg(test)]
+            trap: OnceLock::new(),
         })
     }
 
@@ -797,18 +770,31 @@ impl FileSource {
         }
         Ok(record)
     }
-}
 
-impl SegmentSource for FileSource {
-    fn num_segments(&self) -> usize {
+    /// Number of segments in the column file.
+    pub(crate) fn num_segments(&self) -> usize {
         self.metas.len()
     }
 
-    fn meta(&self, idx: usize) -> &SegmentMeta {
-        &self.metas[idx] // lint: allow(panic) — the trait's `meta` has no error path
+    /// Segment `idx`'s manifest metadata (no file access).
+    pub(crate) fn meta(&self, idx: usize) -> &SegmentMeta {
+        &self.metas[idx] // lint: allow(panic) — `meta` indexes like a slice: past the end is a caller bug
     }
 
-    fn segment(&self, idx: usize) -> Result<Arc<Segment>> {
+    /// Arm a test trap that sees every [`FileSource::segment`] call's
+    /// index before the fetch; the first trap armed wins.
+    #[cfg(test)]
+    pub(crate) fn arm_trap(&self, trap: impl Fn(usize) + Send + Sync + 'static) {
+        let _ = self.trap.set(Box::new(trap));
+    }
+
+    /// The segment payload, served from the cache or read from the file
+    /// (single-flight: concurrent misses on one frame make one read).
+    pub(crate) fn segment(&self, idx: usize) -> Result<Arc<Segment>> {
+        #[cfg(test)]
+        if let Some(trap) = self.trap.get() {
+            trap(idx);
+        }
         loop {
             if let Some(hit) = self.cached(idx) {
                 return Ok(hit);
@@ -837,13 +823,16 @@ impl SegmentSource for FileSource {
         }
     }
 
-    fn io_reads(&self) -> usize {
+    /// Frames read from the file so far (cache misses).
+    pub(crate) fn io_reads(&self) -> usize {
         // ordering: statistics read; callers only compare totals after
         // the threads that loaded have been joined.
         self.io_reads.load(Ordering::Relaxed)
     }
 
-    fn prefetch(&self, idx: usize) -> bool {
+    /// Warm frame `idx` in the cache; `true` only when this call read
+    /// it from the file. A failed read warms nothing and stays silent.
+    pub(crate) fn prefetch(&self, idx: usize) -> bool {
         if idx >= self.metas.len()
             || self
                 .cache
@@ -881,7 +870,9 @@ impl SegmentSource for FileSource {
         self.load_claimed(idx, true).is_ok()
     }
 
-    fn take_prefetch_counters(&self) -> (usize, usize) {
+    /// Drain `(prefetch hits, prefetch wasted)` (see
+    /// [`Column::take_prefetch_counters`]).
+    pub(crate) fn take_prefetch_counters(&self) -> (usize, usize) {
         // ordering: drain of a statistics counter; exactness per frame
         // comes from the prefetched-mark protocol, not the atomic.
         let hits = self.prefetch_hits.swap(0, Ordering::Relaxed);
@@ -904,11 +895,8 @@ impl SegmentSource for FileSource {
         (hits, union.len())
     }
 
-    fn cache_capacity(&self) -> Option<usize> {
-        Some(self.cache_capacity)
-    }
-
-    fn inject_faults(&self, plan: &Arc<FaultPlan>) {
+    /// Arm a [`FaultPlan`] on this file's reads.
+    pub(crate) fn inject_faults(&self, plan: &Arc<FaultPlan>) {
         // First plan wins; re-arming is a startup-configuration error,
         // not a runtime hazard, so it is simply ignored.
         let _ = self.faults.set(Arc::clone(plan));
@@ -1130,6 +1118,46 @@ mod tests {
         let src = Column::new(None, segments().into_iter().map(Arc::new).collect());
         assert!(!src.prefetch(0));
         assert_eq!(src.take_prefetch_counters(), (0, 0));
+    }
+
+    /// A column over two lazily opened shards, the first with an
+    /// appended resident tail, routes each call to the run that owns
+    /// the segment and sums what it reports over both bases.
+    #[test]
+    fn concatenated_columns_route_to_the_owning_base() {
+        let dir = std::env::temp_dir().join(format!("lcdc_src_concat_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = |name: &str, cache: usize, from: u64| {
+            let schema = crate::schema::TableSchema::new(&[("v", lcdc_core::DType::U64)]);
+            let v = ColumnData::U64((from..from + 400).collect());
+            let table =
+                crate::table::Table::build(schema, &[v], &[CompressionPolicy::Auto], 100).unwrap();
+            crate::file::save_table(&table, &dir.join(name)).unwrap();
+            crate::file::open_table_lazy(&dir.join(name), cache).unwrap()
+        };
+        let a = open("a", 2, 0);
+        let a = a.append(&[ColumnData::U64(vec![400, 401])]).unwrap();
+        let b = open("b", 8, 1000);
+        // Segments 0..4 are a's file, 4 its resident tail, 5..9 b's file.
+        let column = Column::concat([a.source_at(0), b.source_at(0)]).unwrap();
+        assert_eq!(column.num_segments(), 9);
+        assert_eq!(column.cache_capacity(), Some(2), "the tightest base");
+
+        assert!(!column.prefetch(4), "a resident tail has nothing to warm");
+        assert!(column.prefetch(1));
+        assert_eq!((a.io_reads(), b.io_reads()), (1, 0), "segment 1 is a's");
+        assert!(column.prefetch(6));
+        assert_eq!((a.io_reads(), b.io_reads()), (1, 1), "segment 6 is b's");
+        assert_eq!(
+            column.segment(6).unwrap().decompress().unwrap(),
+            ColumnData::U64((1100..1200).collect())
+        );
+        column.segment(8).unwrap();
+        assert_eq!(column.io_reads(), 3, "summed over both bases");
+        // b's warmed frame was consumed, a's never was.
+        assert_eq!(column.take_prefetch_counters(), (1, 1));
+        assert_eq!(column.take_prefetch_counters(), (0, 0), "drained");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,20 +1,19 @@
 //! Tables: a schema plus, per column, one flat list of segments.
 //!
 //! A `Table` does not own its data — it owns *handles*. Each column is
-//! one `Column` source: a list of runs, each an optional base source
-//! followed by resident segments. [`Table::build`] and
-//! [`Table::from_segments`] make one resident run;
-//! [`crate::file::open_table_lazy`] hands [`Table::from_sources`] one
-//! [`crate::source::FileSource`] per column as its base, loaded lazily
-//! from disk; [`Table::append`] keeps each column's base and extends
-//! its last run. A sharded catalog entry is one table whose columns
-//! list every shard's runs (`Table::concat`). The planner sees the
-//! same [`SegmentSource`] surface either way and only pays I/O for
-//! segments its pushdown tiers actually touch.
+//! one [`Column`]: a list of runs, each an optional base followed by
+//! resident segments. [`Table::build`] and [`Table::from_segments`]
+//! make one resident run; [`crate::file::open_table_lazy`] gives each
+//! column its file as the base, loaded lazily from disk;
+//! [`Table::append`] keeps each column's base and extends its last run.
+//! A sharded catalog entry is one table whose columns list every
+//! shard's runs (`Table::concat`). The planner sees the same [`Column`]
+//! either way and only pays I/O for segments its pushdown tiers
+//! actually touch.
 
 use crate::schema::TableSchema;
 use crate::segment::{CompressionPolicy, Segment};
-use crate::source::{Column, SegmentMeta, SegmentSource};
+use crate::source::{Column, SegmentMeta};
 use crate::{Result, StoreError};
 use lcdc_core::ColumnData;
 use std::ops::Range;
@@ -55,9 +54,10 @@ impl Table {
 
     /// Assemble a table from already-compressed segments, owned or
     /// shared (`Arc` handles are kept, not copied — the eager load path
-    /// and sharding). Segments must align across columns exactly as in
-    /// [`Table::from_sources`] and carry their column's dtype;
-    /// `seg_rows` is the height [`Table::append`] cuts batches to.
+    /// and sharding). Every column must split its rows into segments
+    /// exactly as column 0 does, and every segment must carry its
+    /// column's dtype; `seg_rows` is the height [`Table::append`] cuts
+    /// batches to.
     pub fn from_segments(
         schema: TableSchema,
         segments: Vec<Vec<impl Into<Arc<Segment>>>>,
@@ -73,29 +73,12 @@ impl Table {
         Table::assemble(schema, columns, num_rows, seg_rows)
     }
 
-    /// Assemble a table directly from per-column sources (the lazy load
-    /// path and custom backends). Sources must agree on segment count
-    /// and per-segment row counts; `num_rows`/`seg_rows` describe the
-    /// shared segmentation.
-    pub fn from_sources(
-        schema: TableSchema,
-        sources: Vec<Arc<dyn SegmentSource>>,
-        num_rows: usize,
-        seg_rows: usize,
-    ) -> Result<Table> {
-        let columns = sources
-            .into_iter()
-            .map(|source| Column::new(Some(source), Vec::new()))
-            .collect();
-        Table::assemble(schema, columns, num_rows, seg_rows)
-    }
-
     /// The one shape check every assembled table passes: one column per
     /// schema column, each holding `num_rows` rows in segments exactly
     /// as tall as column 0's — the planner reads per-segment row counts
     /// off column 0 and applies one selection across columns — and every
     /// resident segment of its column's dtype.
-    fn assemble(
+    pub(crate) fn assemble(
         schema: TableSchema,
         columns: Vec<Column>,
         num_rows: usize,
@@ -246,14 +229,14 @@ impl Table {
         self.columns.first().map_or(0, |c| c.num_segments())
     }
 
-    /// The segment source of a column by schema index (planner-internal:
-    /// the physical plan resolves names once, at compile time).
+    /// A column by schema index (planner-internal: the physical plan
+    /// resolves names once, at compile time).
     pub(crate) fn source_at(&self, idx: usize) -> &Column {
         &self.columns[idx]
     }
 
-    /// The segment source of a named column.
-    pub fn source(&self, name: &str) -> Result<&dyn SegmentSource> {
+    /// A named column: its segments' metadata and payloads.
+    pub fn source(&self, name: &str) -> Result<&Column> {
         Ok(self.source_at(self.resolve(name)?))
     }
 
@@ -317,7 +300,7 @@ impl Table {
         self.columns.iter().map(|c| c.io_reads()).sum()
     }
 
-    /// Arm a [`crate::FaultPlan`] on every column's segment source, so
+    /// Arm a [`crate::FaultPlan`] on every column's base, so
     /// lazily-backed reads run through its `io_read`/`io_stall` rules
     /// (chaos testing; a no-op for fully resident tables).
     pub fn inject_faults(&self, plan: &Arc<crate::FaultPlan>) {
@@ -527,14 +510,38 @@ mod tests {
         assert!(date_bytes * 20 < 8000, "dates are runs; got {date_bytes}");
     }
 
+    /// Every segment's metadata equals the metadata derived from its
+    /// payload: on a built table, and on a lazily opened one after
+    /// appends that each add several segments, where the base's metas
+    /// come from the manifest and the tail's carry over append to
+    /// append.
     #[test]
     fn source_metadata_matches_segments() {
-        let t = small_table();
-        let source = t.source("qty").unwrap();
-        for i in 0..source.num_segments() {
-            let seg = source.segment(i).unwrap();
-            assert_eq!(source.meta(i), &crate::source::SegmentMeta::of(&seg));
+        let dir = std::env::temp_dir().join(format!("lcdc_table_metas_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let built = small_table();
+        crate::file::save_table(&built, &dir).unwrap();
+        let mut grown = crate::file::open_table_lazy(&dir, 2).unwrap();
+        for round in 0..3u64 {
+            let date = ColumnData::U64(
+                (0..300u64)
+                    .map(|i| 20180201 + round * 10 + i / 100)
+                    .collect(),
+            );
+            let qty = ColumnData::U64((0..300u64).map(|i| round + i % 7).collect());
+            grown = grown.append(&[date, qty]).unwrap();
         }
+        assert_eq!(grown.num_segments(), 4 + 3 * 2);
+        for table in [&built, &grown] {
+            for name in ["date", "qty"] {
+                let source = table.source(name).unwrap();
+                for i in 0..source.num_segments() {
+                    let seg = source.segment(i).unwrap();
+                    assert_eq!(source.meta(i), &SegmentMeta::of(&seg), "{name} segment {i}");
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -684,22 +691,15 @@ mod tests {
     }
 
     #[test]
-    fn from_sources_validates_alignment() {
+    fn from_segments_validates_alignment() {
         let t = small_table();
-        let schema = t.schema().clone();
-        let date = Column::new(None, t.column_segments("date").unwrap());
-        // One source for a two-column schema: rejected.
-        assert!(Table::from_sources(
-            schema.clone(),
-            vec![Arc::new(date) as Arc<dyn SegmentSource>],
-            1000,
-            256
-        )
-        .is_err());
+        // One column of segments for a two-column schema: rejected.
+        let date = t.column_segments("date").unwrap();
+        assert!(Table::from_segments(t.schema().clone(), vec![date], 256).is_err());
     }
 
     #[test]
-    fn from_sources_rejects_misaligned_segmentation() {
+    fn from_segments_rejects_misaligned_segmentation() {
         // Equal segment counts and equal totals, but different splits:
         // column A is [10, 20] rows, column B is [20, 10].
         let schema = TableSchema::new(&[("a", DType::U32), ("b", DType::U32)]);
@@ -710,15 +710,9 @@ mod tests {
             )
             .unwrap()
         };
-        let a = Column::new(None, vec![Arc::new(seg(10)), Arc::new(seg(20))]);
-        let b = Column::new(None, vec![Arc::new(seg(20)), Arc::new(seg(10))]);
-        let err = Table::from_sources(
+        let err = Table::from_segments(
             schema,
-            vec![
-                Arc::new(a) as Arc<dyn SegmentSource>,
-                Arc::new(b) as Arc<dyn SegmentSource>,
-            ],
-            30,
+            vec![vec![seg(10), seg(20)], vec![seg(20), seg(10)]],
             20,
         );
         assert!(err.is_err(), "misaligned splits must be rejected");
@@ -802,15 +796,15 @@ mod tests {
 
     #[test]
     fn appended_columns_stay_one_level_deep() {
-        let t = small_table();
-        let bases: Vec<Arc<dyn SegmentSource>> = ["date", "qty"]
+        let dir = std::env::temp_dir().join(format!("lcdc_table_flat_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        crate::file::save_table(&small_table(), &dir).unwrap();
+        let mut grown = crate::file::open_table_lazy(&dir, 2).unwrap();
+        let bases: Vec<Arc<crate::source::FileSource>> = grown
+            .columns
             .iter()
-            .map(|name| {
-                Arc::new(Column::new(None, t.column_segments(name).unwrap()))
-                    as Arc<dyn SegmentSource>
-            })
+            .map(|column| Arc::clone(column.bases().next().unwrap()))
             .collect();
-        let mut grown = Table::from_sources(t.schema().clone(), bases.clone(), 1000, 256).unwrap();
         for round in 0..32u64 {
             let date = ColumnData::U64(vec![30_000_000 + round; 10]);
             let qty = ColumnData::U64(vec![round; 10]);
@@ -834,5 +828,6 @@ mod tests {
             .collect();
         let want: Vec<ColumnData> = (0..32u64).map(|r| ColumnData::U64(vec![r; 10])).collect();
         assert_eq!(qty, want);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -99,9 +99,8 @@ fn main() {
     //    scan in parallel and merge; repeating the identical plan is
     //    answered from the result cache (keyed on the plan fingerprint
     //    and the table's version, so any mutation invalidates it).
-    //    `SegmentSource` is the seam underneath: each shard's columns
-    //    could just as well be lazy `FileSource`s over saved tables
-    //    (see `examples/persistence.rs`).
+    //    Each shard's columns could just as well be read lazily from
+    //    saved tables (see `examples/persistence.rs`).
     let catalog = Catalog::new();
     let pieces = shard_table(&table, 3).expect("shards");
     let shards = pieces.len();
