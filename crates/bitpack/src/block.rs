@@ -7,12 +7,33 @@
 //! covering its own values. Locally-narrow regions then cost few bits even
 //! when other regions are wide.
 //!
-//! Layout: `widths[b]` is block `b`'s width and `words` the blocks'
-//! packed words back to back, block `b` holding `⌈len_b · widths[b] / 64⌉`
-//! of them (`2 · widths[b]` for a full block, so blocks start
-//! word-aligned). The same two arrays are what the wire frame stores.
+//! Layout: `widths[b]` is block `b`'s width. The full blocks are
+//! interleaved across 16 lanes, as a [`crate::Packed`] group is, but
+//! with a width per block:
+//!
+//! * Value `128·b + 16·r + j` of full block `b` is field `r` of lane `j`,
+//!   for row `r < 8` and lane `j < 16`.
+//! * Each lane is one LSB-first bit stream that runs on across blocks:
+//!   block `b`'s row `r` starts at lane bit `8·(w₀ + … + w_{b−1}) + r·w_b`,
+//!   the same bit in every lane. With `S` the full blocks' width sum,
+//!   each lane holds `8·S` bits.
+//! * Word `k` of lane `j` is `words[16·k + j]`, for the lane's `⌊S/8⌋`
+//!   whole words.
+//! * The lanes' leftover `8·(S mod 8)` bits follow, packed densely: lane
+//!   `j`'s at bit `8·(S mod 8)·j` of `2·(S mod 8)` contiguous words.
+//!
+//! So the full blocks take exactly `2·S` words, what packing each on its
+//! own would cost, and no block pays padding. The partial last block, if
+//! any, follows contiguously in `⌈len_b · w_b / 64⌉` words (the layout of
+//! a `Packed` tail). The same two arrays are what the wire frame stores.
+//!
+//! Decoding a full block is the interleaved kernel run for 8 rows at
+//! the block's width from the block's first lane bit: 16 values per
+//! shift-and-mask, with no per-width code.
 
-use crate::pack::{contiguous_chunks, get_at, pack_append, words_for};
+use crate::pack::{
+    contiguous_chunks, get_at, pack_append, pack_rows, unpack_rows, words_for, LANES,
+};
 use crate::width::max_width;
 use crate::{Error, Result};
 
@@ -20,12 +41,15 @@ use crate::{Error, Result};
 /// (cache-line multiples, Parquet/PFor-style miniblocks).
 pub const BLOCK_LEN: usize = 128;
 
+/// Rows per block: each lane holds 8 fields of every full block.
+const ROWS: usize = BLOCK_LEN / LANES;
+
 /// A column packed block-by-block, each block at its own width.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockPacked {
     /// One width per block (`widths.len() == ceil(len / BLOCK_LEN)`).
     widths: Vec<u8>,
-    /// Every block's packed words, concatenated.
+    /// The full blocks' lanes, then the partial block's words.
     words: Vec<u64>,
     len: usize,
 }
@@ -37,9 +61,25 @@ impl BlockPacked {
             .chunks(BLOCK_LEN)
             .map(|chunk| max_width(chunk) as u8)
             .collect();
-        let mut words = Vec::with_capacity(block_words(&widths, values.len()));
-        for (chunk, &w) in values.chunks(BLOCK_LEN).zip(&widths) {
-            pack_append(chunk, w as u32, &mut words);
+        let blocks = values.chunks_exact(BLOCK_LEN);
+        let tail = blocks.remainder();
+        let sum: usize = widths[..blocks.len()].iter().map(|&w| w as usize).sum();
+        let whole = LANES * (sum / 8);
+        // Pack the lanes with room for their partial last words, then
+        // squeeze those into their dense form.
+        let mut words = Vec::with_capacity(whole + LANES + tail.len());
+        words.resize(whole + LANES, 0);
+        let lanes = words.as_chunks_mut().0;
+        let mut bit_pos = 0;
+        for (block, &w) in blocks.zip(&widths) {
+            pack_rows(block.as_chunks().0, w as u32, bit_pos, lanes);
+            bit_pos += ROWS * w as usize;
+        }
+        let last: [u64; LANES] = words[whole..].try_into().expect("one row of lanes");
+        words.truncate(whole);
+        pack_append(&last, 8 * (sum % 8) as u32, &mut words);
+        if let Some(&w) = widths.get(values.len() / BLOCK_LEN) {
+            pack_append(tail, w as u32, &mut words);
         }
         BlockPacked {
             widths,
@@ -72,7 +112,7 @@ impl BlockPacked {
         &self.widths
     }
 
-    /// The blocks' packed words, concatenated.
+    /// The packed words, in the layout the module docs describe.
     pub fn words(&self) -> &[u64] {
         &self.words
     }
@@ -87,17 +127,47 @@ impl BlockPacked {
         self.words.len() * 8 + self.widths.len()
     }
 
+    /// The full blocks' lanes: `⌊S/8⌋` whole words per lane, interleaved,
+    /// and every lane's partial last word (`8·(S mod 8)` bits, zero-extended),
+    /// with `S` the full blocks' width sum, read off the word count.
+    fn lanes(&self) -> (&[[u64; LANES]], [u64; LANES]) {
+        let full = self.len / BLOCK_LEN;
+        let tail = match self.widths.get(full) {
+            Some(&w) => words_for(self.len - full * BLOCK_LEN, w as u32),
+            None => 0,
+        };
+        let sum = (self.words.len() - tail) / 2;
+        let (whole, rest) = self.words.split_at(LANES * (sum / 8));
+        let last = std::array::from_fn(|j| get_at(rest, 8 * (sum % 8) as u32, j));
+        (whole.as_chunks().0, last)
+    }
+
     /// Random access to the value at `i`: the preceding blocks' widths
-    /// are summed to find the block's first word (one byte add per 128
-    /// values before `i`), then direct bit arithmetic.
+    /// are summed to find the field's lane bit (one byte add per 128
+    /// values before `i`), then direct bit arithmetic on its lane.
     pub fn get(&self, i: usize) -> Option<u64> {
         if i >= self.len {
             return None;
         }
         let block = i / BLOCK_LEN;
-        let start = block_words(&self.widths[..block], block * BLOCK_LEN);
+        let prior: usize = self.widths[..block].iter().map(|&w| w as usize).sum();
         let width = self.widths[block] as u32;
-        Some(get_at(&self.words[start..], width, i % BLOCK_LEN))
+        if block == self.len / BLOCK_LEN {
+            return Some(get_at(&self.words[2 * prior..], width, i % BLOCK_LEN));
+        }
+        if width == 0 {
+            return Some(0);
+        }
+        let (lanes, last) = self.lanes();
+        let (row, lane) = (i % BLOCK_LEN / LANES, i % LANES);
+        let word = |k: usize| lanes.get(k).map_or(last[lane], |words| words[lane]);
+        let bit = 8 * prior + row * width as usize;
+        let (k, offset) = (bit / 64, (bit % 64) as u32);
+        let mut v = word(k) >> offset;
+        if offset + width > 64 {
+            v |= word(k + 1) << (64 - offset);
+        }
+        Some(v & (u64::MAX >> (64 - width)))
     }
 
     /// Unpack the whole buffer.
@@ -122,17 +192,38 @@ impl BlockPacked {
     }
 
     /// The chunk cursor: hand the values to `f` in order, unpacked into
-    /// a stack buffer, never more than one block ([`BLOCK_LEN`] values)
-    /// per call and never across a block boundary.
+    /// a stack buffer, one full block ([`BLOCK_LEN`] values) per call,
+    /// then the partial block in chunks of at most 64, never across a
+    /// block boundary.
     pub fn for_each_chunk(&self, mut f: impl FnMut(&[u64])) {
-        let mut words = &self.words[..];
-        let mut remaining = self.len;
-        for &w in &self.widths {
-            let block_len = remaining.min(BLOCK_LEN);
-            let (block, rest) = words.split_at(words_for(block_len, w as u32));
-            contiguous_chunks(block, w as u32, block_len, &mut f);
-            words = rest;
-            remaining -= block_len;
+        let full = self.len / BLOCK_LEN;
+        let (lanes, last) = self.lanes();
+        let mut buf = [[0u64; LANES]; ROWS];
+        let mut bit_pos = 0;
+        for &w in &self.widths[..full] {
+            let (w, first) = (w as u32, bit_pos / 64);
+            let end = first + (bit_pos % 64 + ROWS * w as usize).div_ceil(64);
+            match w {
+                0 => buf = [[0; LANES]; ROWS],
+                _ if end <= lanes.len() => {
+                    unpack_rows(&lanes[first..end], w, bit_pos % 64, &mut buf);
+                }
+                // The lanes' last block or blocks reach the partial word.
+                _ => {
+                    let mut near = [[0u64; LANES]; ROWS + 1];
+                    let whole = lanes.len() - first;
+                    near[..whole].copy_from_slice(&lanes[first..]);
+                    near[whole] = last;
+                    unpack_rows(&near[..=whole], w, bit_pos % 64, &mut buf);
+                }
+            }
+            f(buf.as_flattened());
+            bit_pos += ROWS * w as usize;
+        }
+        if let Some(&w) = self.widths.get(full) {
+            // The lanes took `8·S` bits each, `2·S` words in all.
+            let tail = &self.words[bit_pos / 4..];
+            contiguous_chunks(tail, w as u32, self.len - full * BLOCK_LEN, f);
         }
     }
 
@@ -154,8 +245,10 @@ impl BlockPacked {
 }
 
 /// Words the blocks of `len` values occupy at these per-block widths
-/// (every block full but possibly the last) — what a reader of the raw
-/// parts must fetch before [`BlockPacked::from_raw_parts`].
+/// (every block full but possibly the last): `2·w` per full block, as
+/// if each were packed on its own, and `⌈len_b · w_b / 64⌉` for the
+/// partial one — what a reader of the raw parts must fetch before
+/// [`BlockPacked::from_raw_parts`].
 pub fn block_words(widths: &[u8], len: usize) -> usize {
     let mut remaining = len;
     widths
@@ -267,5 +360,33 @@ mod tests {
         let mut long = words;
         long.push(0);
         assert!(BlockPacked::from_raw_parts(widths, long, 300).is_err());
+    }
+
+    #[test]
+    fn block_layout_is_pinned_at_widths_3_5_9() {
+        // Three full blocks at widths 3, 5 and 9 (S = 17: two whole
+        // words per lane, then 8 bits per lane packed densely) and a
+        // three-value partial block at width 2.
+        let mut values = vec![0u64; 3 * BLOCK_LEN];
+        values[3] = 0b101; // block 0, row 0, lane 3: lane bit 0
+        values[BLOCK_LEN + 16 * 7 + 7] = 0b11111; // block 1 from bit 24, row 7 at 59
+        values[2 * BLOCK_LEN] = 0x1FF; // block 2 from bit 64: word 1, bit 0
+        values[2 * BLOCK_LEN + 16 * 7 + 10] = 0x103; // row 7 at bit 127
+        values.extend([1, 2, 3]);
+        let b = BlockPacked::pack(&values);
+        assert_eq!(b.widths(), &[3, 5, 9, 2]);
+        let mut expect = vec![0u64; 2 * 17 + 1];
+        expect[3] = 0b101;
+        expect[7] = 0b11111 << 59;
+        expect[16] = 0x1FF;
+        // Row 7 of lane 10 straddles: its low bit ends lane word 1, its
+        // other eight are the lane's leftover, at dense bit 8·10 = 80.
+        expect[16 + 10] = 1 << 63;
+        expect[32 + 1] = 0x81 << 16;
+        // The partial block follows the lanes' 2·S = 34 words.
+        expect[34] = 1 | 2 << 2 | 3 << 4;
+        assert_eq!(b.words(), &expect[..]);
+        assert_eq!(b.unpack(), values);
+        assert!((0..values.len()).all(|i| b.get(i) == Some(values[i])));
     }
 }

@@ -18,13 +18,15 @@
 //!
 //! The lanes are independent: row `r` of every lane sits at the same bit
 //! offset of the same word index, so unpacking a row is one
-//! shift-and-mask over 16 adjacent words. One kernel (`unpack_group`)
-//! takes the width at run time and decodes a group row by row; the
-//! compiler vectorises its lane loop on baseline x86-64, with no
-//! `unsafe`, no intrinsics and no per-width dispatch. `pack_group`
-//! mirrors it. The tail goes through the contiguous kernel
-//! (`unpack_contiguous`, 64 values per `w` words), which is also the
-//! layout of every [`crate::BlockPacked`] block.
+//! shift-and-mask over 16 adjacent words. One kernel (`unpack_rows`)
+//! takes the width and the first row's bit offset at run time and
+//! decodes rows one by one; the compiler vectorises its lane loop on
+//! baseline x86-64, with no `unsafe`, no intrinsics and no per-width
+//! dispatch. `pack_rows` mirrors it. A group is 64 rows from bit 0.
+//! [`crate::BlockPacked`] runs the same two kernels over its 128-value
+//! blocks, 8 rows each at the block's own width. The tail goes through
+//! the contiguous kernel (`unpack_contiguous`, 64 values per `w`
+//! words), as does a `BlockPacked`'s partial last block.
 
 use crate::{Error, Result};
 
@@ -34,7 +36,7 @@ pub const GROUP_LEN: usize = 1024;
 
 /// Independent lanes per interleaved group: `GROUP_LEN / LANES` = 64
 /// fields per lane fill `w` whole words.
-const LANES: usize = 16;
+pub(crate) const LANES: usize = 16;
 
 /// Values per contiguous word group: `CONTIGUOUS_LEN` values of width
 /// `w` fill `w` whole words.
@@ -83,7 +85,8 @@ impl Packed {
             for group in groups {
                 let start = words.len();
                 words.resize(start + LANES * width as usize, 0);
-                pack_group(group, width, &mut words[start..]);
+                let lanes = words[start..].as_chunks_mut().0;
+                pack_rows(group.as_chunks().0, width, 0, lanes);
             }
             pack_append(tail, width, &mut words);
         } else {
@@ -203,7 +206,8 @@ impl Packed {
         let mut buf = [0u64; GROUP_LEN];
         for g in 0..groups {
             if w > 0 {
-                unpack_group(&body[g * LANES * w..][..LANES * w], self.width, &mut buf);
+                let lanes = body[g * LANES * w..][..LANES * w].as_chunks().0;
+                unpack_rows(lanes, self.width, 0, buf.as_chunks_mut().0);
             }
             f(&buf);
         }
@@ -265,14 +269,18 @@ fn check_fits(values: &[u64], width: u32) -> Result<()> {
     }
 }
 
-/// The pack kernel, mirroring `unpack_group`: [`GROUP_LEN`] values, each
-/// fitting in `1 <= width <= 63` bits, OR-ed into the `16 · width`
-/// zeroed words of one interleaved group.
+/// The pack kernel, mirroring `unpack_rows`: OR each row of 16
+/// values, every one fitting in `1 <= width <= 64` bits, into the 16
+/// lanes of `words`, row `r` at lane bit `bit_pos + r·width`. `words`
+/// must be zeroed there and reach the last row's last bit.
 #[inline]
-fn pack_group(values: &[u64], width: u32, group: &mut [u64]) {
-    let (words, _) = group.as_chunks_mut::<LANES>();
-    let mut bit_pos = 0usize;
-    for row in values.as_chunks::<LANES>().0 {
+pub(crate) fn pack_rows(
+    rows: &[[u64; LANES]],
+    width: u32,
+    mut bit_pos: usize,
+    words: &mut [[u64; LANES]],
+) {
+    for row in rows {
         let word = bit_pos >> 6;
         let offset = (bit_pos & 63) as u32;
         for (slot, &v) in words[word].iter_mut().zip(row) {
@@ -287,16 +295,20 @@ fn pack_group(values: &[u64], width: u32, group: &mut [u64]) {
     }
 }
 
-/// The unpack kernel: one interleaved group, `16 · width` words in,
-/// [`GROUP_LEN`] values out, for `1 <= width <= 63`. Every lane's field
-/// `r` starts at the same bit, so the straddle test is per row, not per
-/// value, and each arm is a branch-free loop over 16 lanes.
+/// The unpack kernel: fill `out` row by row from the 16 lanes of
+/// `words`, row `r` from lane bit `bit_pos + r·width`, for
+/// `1 <= width <= 64`. Every lane's field `r` starts at the same bit, so
+/// the straddle test is per row, not per value, and each arm is a
+/// branch-free loop over 16 lanes.
 #[inline]
-fn unpack_group(group: &[u64], width: u32, out: &mut [u64; GROUP_LEN]) {
-    let (words, _) = group.as_chunks::<LANES>();
-    let mask = (1u64 << width) - 1;
-    let mut bit_pos = 0usize;
-    for row in out.as_chunks_mut::<LANES>().0 {
+pub(crate) fn unpack_rows(
+    words: &[[u64; LANES]],
+    width: u32,
+    mut bit_pos: usize,
+    out: &mut [[u64; LANES]],
+) {
+    let mask = u64::MAX >> (64 - width);
+    for row in out {
         let word = bit_pos >> 6;
         let offset = (bit_pos & 63) as u32;
         let lo = &words[word];
@@ -357,9 +369,10 @@ pub(crate) fn get_at(words: &[u64], width: u32, i: usize) -> u64 {
 }
 
 /// The contiguous cursor, behind the tail of [`Packed::for_each_chunk`]
-/// and every block of [`crate::BlockPacked`]: `len` values of `width`
-/// bits starting at `words[0]`, which must hold `words_for(len, width)`
-/// words, at most 64 values per call except at width 64.
+/// and the partial last block of a [`crate::BlockPacked`]: `len` values
+/// of `width` bits starting at `words[0]`, which must hold
+/// `words_for(len, width)` words, at most 64 values per call except at
+/// width 64.
 #[inline]
 pub(crate) fn contiguous_chunks(words: &[u64], width: u32, len: usize, mut f: impl FnMut(&[u64])) {
     let mut buf = [0u64; CONTIGUOUS_LEN];

@@ -3,7 +3,7 @@
 use lcdc_bitpack::pack::Packed;
 use lcdc_bitpack::width::{bits_needed_u64, max_width, width_percentile};
 use lcdc_bitpack::zigzag::{zigzag_decode_i64, zigzag_encode_i64};
-use lcdc_bitpack::BlockPacked;
+use lcdc_bitpack::{BlockPacked, BLOCK_LEN};
 use proptest::prelude::*;
 
 fn values_at_width(width: u32, max_len: usize) -> impl Strategy<Value = Vec<u64>> {
@@ -15,6 +15,48 @@ fn values_at_width(width: u32, max_len: usize) -> impl Strategy<Value = Vec<u64>
         (1u64 << width) - 1
     };
     prop::collection::vec(any::<u64>().prop_map(move |v| v & mask), 0..max_len)
+}
+
+/// The shape of a block-packed column: full-block widths (0..=64), the
+/// length (0 for none) and width of a partial last block, and a seed.
+type Shape = (Vec<u32>, usize, u32, u64);
+
+fn shapes() -> impl Strategy<Value = Shape> {
+    (
+        prop::collection::vec(0u32..=64, 0..6),
+        0..BLOCK_LEN,
+        0u32..=64,
+        any::<u64>(),
+    )
+}
+
+/// A column of `shape`'s blocks, each at exactly its width, behind one
+/// lead block whose width in 0..8 brings the full blocks' width sum to
+/// `residue` mod 8.
+fn blocked_column((drawn, tail, tail_width, seed): &Shape, residue: u32) -> Vec<u64> {
+    let lead = (residue + 8 - drawn.iter().sum::<u32>() % 8) % 8;
+    let mut rng = *seed;
+    let mut values = Vec::new();
+    let blocks = std::iter::once(lead).chain(drawn.iter().copied());
+    for (width, len) in blocks.map(|w| (w, BLOCK_LEN)).chain([(*tail_width, *tail)]) {
+        let mask = if width == 0 {
+            0
+        } else {
+            u64::MAX >> (64 - width)
+        };
+        let start = values.len();
+        values.extend((0..len).map(|_| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            rng & mask
+        }));
+        // One value with the top bit set pins the block's width.
+        if width > 0 && len > 0 {
+            values[start + (rng as usize) % len] |= 1 << (width - 1);
+        }
+    }
+    values
 }
 
 proptest! {
@@ -91,5 +133,44 @@ proptest! {
         let w = width_percentile(&values, fraction);
         let fitting = values.iter().filter(|&&v| bits_needed_u64(v) <= w).count();
         prop_assert!(fitting as f64 >= fraction * values.len() as f64 - 1e-9);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn every_block_reader_agrees(shape in shapes()) {
+        for residue in 0..8 {
+            let values = blocked_column(&shape, residue);
+            let b = BlockPacked::pack(&values);
+            let full = values.len() / BLOCK_LEN;
+            let sum: u32 = b.widths()[..full].iter().map(|&w| w as u32).sum();
+            prop_assert_eq!(sum % 8, residue);
+            prop_assert_eq!(b.words().len(), lcdc_bitpack::block_words(b.widths(), values.len()));
+            prop_assert_eq!(b.unpack(), values.clone());
+            for (i, &v) in values.iter().enumerate() {
+                prop_assert_eq!(b.get(i), Some(v));
+            }
+            prop_assert_eq!(b.get(values.len()), None);
+            let mut out = vec![0u64; values.len()];
+            b.unpack_into(&mut out);
+            prop_assert_eq!(&out, &values);
+            // The chunk cursor hands out the values in order, never
+            // across a block boundary.
+            let (mut seen, mut crossed) = (Vec::new(), false);
+            b.for_each_chunk(|chunk| {
+                let start = seen.len();
+                let last = start + chunk.len().max(1) - 1;
+                crossed |= chunk.is_empty() || start / BLOCK_LEN != last / BLOCK_LEN;
+                seen.extend_from_slice(chunk);
+            });
+            prop_assert!(!crossed);
+            prop_assert_eq!(&seen, &values);
+            let (widths, words) = (b.widths().to_vec(), b.words().to_vec());
+            let back = BlockPacked::from_raw_parts(widths, words, values.len());
+            prop_assert_eq!(back.as_ref(), Ok(&b));
+            prop_assert_eq!(back.unwrap().unpack(), values);
+        }
     }
 }

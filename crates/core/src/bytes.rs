@@ -4,7 +4,7 @@
 //! through storage or a network. The format here is deliberately plain —
 //! little-endian, length-prefixed, no alignment games — because the
 //! *interesting* structure (parts, params, nesting) is the paper's
-//! columnar view itself, serialised one-to-one (version 3):
+//! columnar view itself, serialised one-to-one (version 4):
 //!
 //! ```text
 //! compressed := MAGIC u16-version form
@@ -20,15 +20,20 @@
 //!
 //! A `bits` payload's words are [`Packed::words`] as they are: each
 //! full group of 1024 values interleaved across 16 lanes, then the
-//! tail contiguous (see `lcdc_bitpack::pack`). A `blocks` payload keeps
-//! every 128-value block contiguous.
+//! tail contiguous (see `lcdc_bitpack::pack`). A `blocks` payload's
+//! words are [`BlockPacked::words`]: the full 128-value blocks
+//! interleaved across 16 lanes that run on from block to block, then
+//! the partial last block contiguous (see `lcdc_bitpack::block`). Each
+//! full block still costs `2·width` words, so the word count above is
+//! the same in every version.
 //!
 //! Every packed payload is stored packed — the frame costs what the size
 //! model ([`Compressed::compressed_bytes`]) says plus headers, and
 //! reading it re-packs nothing. Forms nest at most [`MAX_NESTING`] deep.
 //! Older frames are rejected as an unsupported version, never read
 //! under a guessed layout: version 1 stored block payloads unpacked,
-//! and version 2 stored `bits` words contiguously throughout.
+//! version 2 stored `bits` words contiguously throughout, and version 3
+//! stored each `blocks` block's words contiguously, block after block.
 //!
 //! Strings are u16-length-prefixed UTF-8; columns are a dtype byte plus
 //! u64-count plus raw little-endian words. Every reader validates
@@ -43,7 +48,7 @@ use crate::scheme::{Compressed, Params, Part, PartData};
 use lcdc_bitpack::{block_words, BlockPacked, Packed, BLOCK_LEN};
 
 const MAGIC: &[u8; 4] = b"LCDC";
-const VERSION: u16 = 3;
+const VERSION: u16 = 4;
 
 /// Deepest nesting of forms a frame may hold: the outermost form is
 /// level 1. Candidate schemes nest at most 3 deep; the cap keeps a
@@ -509,15 +514,44 @@ mod tests {
         }
     }
 
-    /// A `varwidth` frame over 300 values (three blocks, the last
-    /// partial) and the offset of its blocks payload: `u64-len`, three
-    /// width bytes, then the words.
+    /// A `varwidth` frame over 300 values (three blocks at widths 6,
+    /// 11 and 12, the last partial) and the offset of its blocks
+    /// payload: `u64-len`, three width bytes, then the words.
     fn blocks_frame() -> (Vec<u8>, usize) {
         let col = ColumnData::U64((0..300u64).map(|i| i % 50 + (i / 128) * 1000).collect());
         let c = parse_scheme("varwidth").unwrap().compress(&col).unwrap();
         let bytes = to_bytes(&c);
         let role = bytes.windows(6).position(|w| w == b"blocks").unwrap();
         (bytes, role + 6 + 1)
+    }
+
+    #[test]
+    fn blocks_words_are_lane_interleaved() {
+        let (bytes, payload) = blocks_frame();
+        let widths = payload + 8;
+        assert_eq!(bytes[widths..widths + 3], [6, 11, 12]);
+        let words: Vec<u64> = bytes[widths + 3..]
+            .as_chunks::<8>()
+            .0
+            .iter()
+            .map(|&w| u64::from_le_bytes(w))
+            .collect();
+        // 2·(6 + 11) words of lanes, then ⌈44·12/64⌉ of the partial block.
+        assert_eq!(words.len(), 34 + 9);
+        // Word 1 is lane 1's first: values 1, 17, 33, ... of block 0 at
+        // 6 bits each, then block 1 (values 1000 + i % 50) from lane bit
+        // 8·6 = 48. Its row 1 straddles into word 16 + 1, the same
+        // lane's second word.
+        let field = |word: u64, bit: u32, width: u32| (word >> bit) & ((1 << width) - 1);
+        let block_0: Vec<u64> = (0..8).map(|r| field(words[1], 6 * r, 6)).collect();
+        assert_eq!(block_0, [1, 17, 33, 49, 15, 31, 47, 13]);
+        assert_eq!(field(words[1], 48, 11), 1000 + 129 % 50);
+        assert_eq!(
+            field(words[1], 59, 5) | field(words[17], 0, 6) << 5,
+            1000 + 145 % 50
+        );
+        // The partial block starts at word 34, value 256 first.
+        assert_eq!(field(words[34], 0, 12), 2000 + 256 % 50);
     }
 
     #[test]
@@ -583,6 +617,17 @@ mod tests {
         bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
         match from_bytes(&bytes) {
             Err(CoreError::CorruptParts(msg)) => assert!(msg.contains("unsupported version 2")),
+            other => panic!("expected a version error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn version_three_frames_are_rejected() {
+        // Version 3 stored each block's words contiguously.
+        let (mut bytes, _) = blocks_frame();
+        bytes[4..6].copy_from_slice(&3u16.to_le_bytes());
+        match from_bytes(&bytes) {
+            Err(CoreError::CorruptParts(msg)) => assert!(msg.contains("unsupported version 3")),
             other => panic!("expected a version error, got {other:?}"),
         }
     }

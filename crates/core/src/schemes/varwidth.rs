@@ -126,8 +126,11 @@ impl Scheme for VarWidthNs {
     }
 
     /// Exact from the block statistics at [`BLOCK_LEN`]: every block at
-    /// its own width plus its width byte, plus one parameter. Without
-    /// them, only the width bytes and the parameter.
+    /// its own width plus its width byte, plus one parameter (the
+    /// interleaved layout pays no padding). Without them, only the width
+    /// bytes and the parameter. A bound only for `varwidth_zz` on a `u64`
+    /// block with values on both sides of 2^63: zigzag reads them signed,
+    /// so the block's unsigned min and max are not its widest values.
     fn floor(&self, stats: &ColumnStats) -> Option<usize> {
         if !self.zigzag {
             stats.ns_width?;

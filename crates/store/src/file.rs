@@ -31,9 +31,11 @@
 //! The manifest's version moves with the frame format it indexes and
 //! with the fields it holds: v4 holds the same fields as v3, and its
 //! records hold `core::bytes` v3 frames (interleaved bit packing); v5
-//! adds `sum` to every manifest entry and record header. So a table
-//! written before either change is refused when it is opened
-//! ("unsupported table version 4"), not at its first frame fetch.
+//! adds `sum` to every manifest entry and record header; v6 holds v5's
+//! fields, and its records hold `core::bytes` v4 frames (block-packed
+//! payloads interleaved too). So a table written before any of these
+//! changes is refused when it is opened ("unsupported table version
+//! 5"), not at its first frame fetch.
 //!
 //! Every checksum is a trailing XXH64 (`digest.rs`) over all the bytes
 //! before it: a record's covers its header as well as its frame, so the
@@ -57,7 +59,7 @@ use std::sync::Arc;
 
 const MANIFEST: &str = "MANIFEST.lcdc";
 const MAGIC: &[u8; 8] = b"LCDCTBL\0";
-const VERSION: u16 = 5;
+const VERSION: u16 = 6;
 
 /// Default decoded-segment cache capacity per column for
 /// [`open_table_lazy`].
@@ -672,6 +674,21 @@ mod tests {
         data[8..10].copy_from_slice(&4u16.to_le_bytes());
         fs::write(&path, data).unwrap();
         let unsupported = |e: StoreError| matches!(e, StoreError::CorruptFile(m) if m == "unsupported table version 4");
+        assert!(unsupported(load_table(&dir).err().unwrap()));
+        assert!(unsupported(open_table_lazy(&dir, 4).err().unwrap()));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn version_5_manifest_is_unsupported() {
+        // v5 records hold `core::bytes` v3 frames: contiguous blocks.
+        let dir = tmpdir("v5");
+        save_table(&sample_table(), &dir).unwrap();
+        let path = dir.join(MANIFEST);
+        let mut data = fs::read(&path).unwrap();
+        data[8..10].copy_from_slice(&5u16.to_le_bytes());
+        fs::write(&path, data).unwrap();
+        let unsupported = |e: StoreError| matches!(e, StoreError::CorruptFile(m) if m == "unsupported table version 5");
         assert!(unsupported(load_table(&dir).err().unwrap()));
         assert!(unsupported(open_table_lazy(&dir, 4).err().unwrap()));
         fs::remove_dir_all(&dir).unwrap();
