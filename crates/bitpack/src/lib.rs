@@ -10,9 +10,13 @@
 //!   width histograms, percentile widths for patched schemes),
 //! * [`zigzag`] — the standard signed↔unsigned mapping so deltas and
 //!   residuals can be packed as narrow non-negative integers,
-//! * [`pack`] — the flat packer: one global width for the whole column,
-//! * [`block`] — a mini-block format with a per-block width, the backend
-//!   of the paper's "variable-width offsets" generalisation of FOR (§II-B).
+//! * [`pack`] — the one bit-packed container, [`Packed`], interleaved
+//!   across 16 lanes, at one width for the whole column
+//!   ([`Packed::pack`]) or at one width per 128-value block
+//!   ([`Packed::pack_blocks`]),
+//! * [`block`] — those widths ([`Widths`]): per-block widths are the
+//!   backend of the paper's "variable-width offsets" generalisation of
+//!   FOR (§II-B), and one width is the case where every block agrees.
 //!
 //! All kernels are pure, allocation-explicit, and panic-free: fallible
 //! operations return [`Error`].
@@ -24,7 +28,7 @@ pub mod pack;
 pub mod width;
 pub mod zigzag;
 
-pub use block::{block_words, BlockPacked, BLOCK_LEN};
+pub use block::{Widths, BLOCK_LEN};
 pub use pack::{Packed, GROUP_LEN};
 pub use width::{
     bits_needed_u64, histogram_percentile, max_width, width_histogram, width_percentile,

@@ -1,45 +1,48 @@
-//! Flat bit packing: the whole column at one width.
+//! Bit packing: one container, [`Packed`], for one width (NS) and for
+//! one width per 128-value block (VARWIDTH, see [`crate::block`]).
 //!
-//! A [`Packed`] buffer of `len` values at width `w` stores each full
-//! group of [`GROUP_LEN`] = 1024 values *interleaved* across 16 lanes
-//! (the FastLanes layout: Afroozeh & Boncz, PVLDB 16(9), 2023), and its
-//! last `len % 1024` values contiguously:
+//! Every full block of [`BLOCK_LEN`] = 128 values is *interleaved* across
+//! 16 lanes (FastLanes: Afroozeh & Boncz, PVLDB 16(9), 2023):
 //!
-//! * In group `g`, value `1024·g + 16·r + j` is field `r` of lane `j`,
-//!   for row `r < 64` and lane `j < 16`. Each lane packs its 64 fields
-//!   LSB-first into `w` words, and word `k` of lane `j` is
-//!   `words[16·w·g + 16·k + j]`. A group is exactly `16·w` words.
-//! * The tail starts at word `16·w·G`, with `G = len / 1024`. Its value
-//!   `i` occupies bits `i·w .. (i+1)·w` of a dense LSB-first stream.
+//! * Value `128·b + 16·r + j` of full block `b` is field `r` of lane `j`,
+//!   for row `r < 8` and lane `j < 16`.
+//! * Each lane is one LSB-first bit stream that runs on across blocks:
+//!   block `b`'s row `r` starts at lane bit `8·(w₀ + … + w_{b−1}) + r·w_b`,
+//!   the same bit in every lane. With `S` the full blocks' width sum,
+//!   each lane holds `8·S` bits.
+//! * Word `k` of lane `j` is `words[16·k + j]`, for the lane's `⌊S/8⌋`
+//!   whole words.
+//! * The lanes' leftover `8·(S mod 8)` bits follow, packed densely: lane
+//!   `j`'s at bit `8·(S mod 8)·j` of `2·(S mod 8)` contiguous words.
+//! * The partial last block, if any, follows contiguously: its value
+//!   `i` occupies bits `i·w .. (i+1)·w` of `⌈len_b · w_b / 64⌉` words.
 //!
-//! Either way `len` values take `⌈len·w/64⌉` words. Width 0 packs any
-//! number of zeros into zero words; at width 64 the words are the
-//! values themselves.
+//! So the full blocks take exactly `2·S` words, with no padding; at one
+//! width `w`, `len` values take `⌈len·w/64⌉` words, and a group of
+//! [`GROUP_LEN`] = 1024 values fills each lane's `w` words exactly.
 //!
-//! The lanes are independent: row `r` of every lane sits at the same bit
-//! offset of the same word index, so unpacking a row is one
-//! shift-and-mask over 16 adjacent words. One kernel (`unpack_rows`)
-//! takes the width and the first row's bit offset at run time and
-//! decodes rows one by one; the compiler vectorises its lane loop on
-//! baseline x86-64, with no `unsafe`, no intrinsics and no per-width
-//! dispatch. `pack_rows` mirrors it. A group is 64 rows from bit 0.
-//! [`crate::BlockPacked`] runs the same two kernels over its 128-value
-//! blocks, 8 rows each at the block's own width. The tail goes through
-//! the contiguous kernel (`unpack_contiguous`, 64 values per `w`
-//! words), as does a `BlockPacked`'s partial last block.
+//! Row `r` of every lane sits at one bit offset of 16 adjacent words, so
+//! one kernel (`unpack_rows`, mirrored by `pack_rows`) decodes a run of
+//! equal-width blocks a row at a time, a shift-and-mask per lane that the
+//! compiler vectorises on baseline x86-64: no `unsafe`, no intrinsics, no
+//! per-width dispatch.
 
+use crate::block::{Widths, BLOCK_LEN};
+use crate::width::max_width;
 use crate::{Error, Result};
+use std::ops::Range;
 
-/// Values per interleaved group, and the most values
-/// [`Packed::for_each_chunk`] hands out per call below width 64.
+/// Values per group of eight full blocks, and the most values
+/// [`Packed::for_each_chunk`] hands out per call.
 pub const GROUP_LEN: usize = 1024;
 
-/// Independent lanes per interleaved group: `GROUP_LEN / LANES` = 64
-/// fields per lane fill `w` whole words.
+/// Independent lanes: a block's 128 values are 8 rows of 16.
 pub(crate) const LANES: usize = 16;
 
-/// Values per contiguous word group: `CONTIGUOUS_LEN` values of width
-/// `w` fill `w` whole words.
+/// Rows per block: each lane holds 8 fields of every full block.
+const ROWS: usize = BLOCK_LEN / LANES;
+
+/// Most values per chunk of the partial block.
 const CONTIGUOUS_LEN: usize = 64;
 
 /// An element type bulk unpacking can write: `u64` (the transport
@@ -63,11 +66,12 @@ impl Unpacked for u32 {
     }
 }
 
-/// A bit-packed buffer: `len` values of `width` bits each.
+/// A bit-packed buffer of `len` values at one width or one width per
+/// block, in the layout the module docs describe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packed {
+    widths: Widths,
     words: Vec<u64>,
-    width: u32,
     len: usize,
 }
 
@@ -78,38 +82,61 @@ impl Packed {
     /// `width` bits, and [`Error::WidthOutOfRange`] if `width > 64`.
     pub fn pack(values: &[u64], width: u32) -> Result<Self> {
         check_fits(values, width)?;
-        let mut words = Vec::with_capacity(words_for(values.len(), width));
-        let groups = values.chunks_exact(GROUP_LEN);
-        let tail = groups.remainder();
-        if (1..64).contains(&width) {
-            for group in groups {
-                let start = words.len();
-                words.resize(start + LANES * width as usize, 0);
-                let lanes = words[start..].as_chunks_mut().0;
-                pack_rows(group.as_chunks().0, width, 0, lanes);
-            }
-            pack_append(tail, width, &mut words);
-        } else {
-            pack_append(values, width, &mut words);
-        }
-        Ok(Packed {
-            words,
-            width,
-            len: values.len(),
-        })
+        Ok(Self::pack_at(values, Widths::One(width)))
     }
 
-    /// Reconstruct a `Packed` from raw parts (e.g. after deserialisation).
-    ///
-    /// Validates the word count against `len * width`.
-    pub fn from_raw_parts(words: Vec<u64>, width: u32, len: usize) -> Result<Self> {
-        if width > 64 {
-            return Err(Error::WidthOutOfRange(width));
+    /// Pack `values`, each block of [`BLOCK_LEN`] at the smallest width
+    /// covering its own values.
+    pub fn pack_blocks(values: &[u64]) -> Self {
+        let widths = values.chunks(BLOCK_LEN).map(|b| max_width(b) as u8);
+        Self::pack_at(values, Widths::Blocks(widths.collect()))
+    }
+
+    /// Pack `values`, every one of which fits its block's width.
+    fn pack_at(values: &[u64], widths: Widths) -> Self {
+        let full = values.len() / BLOCK_LEN;
+        let (rows, tail) = values.split_at(full * BLOCK_LEN);
+        let rows = rows.as_chunks().0;
+        let sum = widths.prior(full);
+        let whole = LANES * (sum / 8);
+        // Pack the lanes with room for their partial last words, then
+        // squeeze those into their dense form.
+        let mut words = Vec::with_capacity(whole + LANES + tail.len());
+        words.resize(whole + LANES, 0);
+        let lanes = words.as_chunks_mut().0;
+        let (mut block, mut bit_pos) = (0, 0);
+        while block < full {
+            let (w, run) = widths.run(block, full);
+            if w > 0 {
+                pack_rows(&rows[ROWS * block..][..ROWS * run], w, bit_pos, lanes);
+            }
+            bit_pos += ROWS * run * w as usize;
+            block += run;
         }
-        if words.len() != words_for(len, width) {
-            return Err(Error::Corrupt("word count does not match len*width"));
+        let last: [u64; LANES] = words[whole..].try_into().expect("one row of lanes");
+        words.truncate(whole);
+        pack_append(&last, 8 * (sum % 8) as u32, &mut words);
+        if !tail.is_empty() {
+            pack_append(tail, widths.of(full), &mut words);
         }
-        Ok(Packed { words, width, len })
+        // A part lives as long as its segment: keep only its words.
+        words.shrink_to_fit();
+        Packed {
+            widths,
+            words,
+            len: values.len(),
+        }
+    }
+
+    /// Reconstruct from raw parts (e.g. after deserialisation): widths
+    /// for `len` values, none past 64, and exactly the words they call
+    /// for ([`Widths::words`]).
+    pub fn from_raw_parts(widths: Widths, words: Vec<u64>, len: usize) -> Result<Self> {
+        widths.check(len)?;
+        if words.len() != widths.words(len) {
+            return Err(Error::Corrupt("word count does not match len and widths"));
+        }
+        Ok(Packed { widths, words, len })
     }
 
     /// Number of packed values.
@@ -122,9 +149,15 @@ impl Packed {
         self.len == 0
     }
 
-    /// The per-value bit width.
+    /// The widths: one, or one per block.
+    pub fn widths(&self) -> &Widths {
+        &self.widths
+    }
+
+    /// The widest value width the buffer allows: its one width, or its
+    /// widest block's.
     pub fn width(&self) -> u32 {
-        self.width
+        self.widths.max()
     }
 
     /// The backing words, in the layout the module docs describe.
@@ -132,38 +165,62 @@ impl Packed {
         &self.words
     }
 
-    /// Payload size in bytes (words only, excluding struct metadata).
+    /// Payload size in bytes: the words, plus one byte per block width
+    /// when the widths are per block (one width is its scheme's
+    /// parameter).
     pub fn payload_bytes(&self) -> usize {
-        self.words.len() * 8
+        let widths = match &self.widths {
+            Widths::One(_) => 0,
+            Widths::Blocks(widths) => widths.len(),
+        };
+        self.words.len() * 8 + widths
+    }
+
+    /// The full blocks' width sum `S`, read off the word count: the
+    /// lanes take `2·S` words, the partial block the rest.
+    fn lane_sum(&self) -> usize {
+        let full = self.len / BLOCK_LEN;
+        let tail = match self.len % BLOCK_LEN {
+            0 => 0,
+            len => words_for(len, self.widths.of(full)),
+        };
+        (self.words.len() - tail) / 2
     }
 
     /// Random access: the value at index `i`, or `None` out of bounds.
     ///
-    /// This is the NS scheme's O(1) positional access — one of the
-    /// operational advantages lightweight schemes keep over heavyweight
-    /// ones. Inside a group it reads one word, or two words 16 apart
-    /// when the field straddles.
+    /// This is NS's O(1) positional access — one of the operational
+    /// advantages lightweight schemes keep over heavyweight ones. It
+    /// reads one word of the field's lane, or two when the field
+    /// straddles. With per-block widths, finding the lane bit sums the
+    /// widths of the blocks before `i` (one byte add per 128 values).
     pub fn get(&self, i: usize) -> Option<u64> {
-        if i >= self.len {
-            return None;
+        (i < self.len).then(|| self.at(i))
+    }
+
+    /// The value at index `i < len`.
+    fn at(&self, i: usize) -> u64 {
+        let block = i / BLOCK_LEN;
+        let (width, prior) = (self.widths.of(block), self.widths.prior(block));
+        if block == self.len / BLOCK_LEN {
+            return get_at(&self.words[2 * prior..], width, i % BLOCK_LEN);
         }
-        let w = self.width as usize;
-        if !(1..64).contains(&w) {
-            return Some(get_at(&self.words, self.width, i));
+        if width == 0 {
+            return 0;
         }
-        let (group, within) = (i / GROUP_LEN, i % GROUP_LEN);
-        if group == self.len / GROUP_LEN {
-            let tail = group * LANES * w;
-            return Some(get_at(&self.words[tail..], self.width, within));
+        let (sum, lane) = (self.lane_sum(), i % LANES);
+        let whole = sum / 8;
+        let word = |k: usize| match k < whole {
+            true => self.words[LANES * k + lane],
+            false => get_at(&self.words[LANES * whole..], 8 * (sum % 8) as u32, lane),
+        };
+        let bit = 8 * prior + i % BLOCK_LEN / LANES * width as usize;
+        let (k, offset) = (bit / 64, (bit % 64) as u32);
+        let mut v = word(k) >> offset;
+        if offset + width > 64 {
+            v |= word(k + 1) << (64 - offset);
         }
-        let words = &self.words[group * LANES * w..];
-        let (bit, lane) = (within / LANES * w, within % LANES);
-        let (k, offset) = (bit >> 6, (bit & 63) as u32);
-        let mut v = words[LANES * k + lane] >> offset;
-        if offset + self.width > 64 {
-            v |= words[LANES * (k + 1) + lane] << (64 - offset);
-        }
-        Some(v & ((1u64 << w) - 1))
+        v & (u64::MAX >> (64 - width))
     }
 
     /// Unpack the whole buffer into a fresh vector.
@@ -191,60 +248,80 @@ impl Packed {
     }
 
     /// The chunk cursor: hand the values to `f` in order, a chunk at a
-    /// time, unpacked into a stack buffer. Each full group goes out as
-    /// one chunk of [`GROUP_LEN`] values, and the tail in chunks of at
-    /// most 64. At width 64 the stored words *are* the values and go out
-    /// as one chunk. Consumers fuse their own operator into `f` and
+    /// time, unpacked into a stack buffer. Each full group of
+    /// [`GROUP_LEN`] values goes out as one chunk, whatever its blocks'
+    /// widths; the full blocks after the last group as one more; the
+    /// partial block in chunks of at most 64. So every chunk lies inside
+    /// one group and starts on a block boundary, except inside the
+    /// partial block. Consumers fuse their own operator into `f` and
     /// never see a materialised column.
     pub fn for_each_chunk(&self, mut f: impl FnMut(&[u64])) {
-        let (w, groups) = (self.width as usize, self.len / GROUP_LEN);
-        if w == 64 || groups == 0 {
-            contiguous_chunks(&self.words, self.width, self.len, f);
-            return;
-        }
-        let (body, tail) = self.words.split_at(groups * LANES * w);
-        let mut buf = [0u64; GROUP_LEN];
-        for g in 0..groups {
-            if w > 0 {
-                let lanes = body[g * LANES * w..][..LANES * w].as_chunks().0;
-                unpack_rows(lanes, self.width, 0, buf.as_chunks_mut().0);
+        let full = self.len / BLOCK_LEN;
+        let sum = self.lane_sum();
+        let (whole, rest) = self.words.split_at(LANES * (sum / 8));
+        let last = std::array::from_fn(|j| get_at(rest, 8 * (sum % 8) as u32, j));
+        let lanes = Lanes(&self.widths, whole.as_chunks().0, last);
+        let mut buf = [[0u64; LANES]; GROUP_LEN / LANES];
+        let (mut block, mut bit_pos) = (0, 0);
+        while block < full {
+            let end = full.min(block + GROUP_LEN / BLOCK_LEN);
+            let rows = ROWS * (end - block);
+            bit_pos = lanes.unpack(block..end, bit_pos, &mut buf[..rows]);
+            // A full group goes out as the whole buffer, a slice whose
+            // length the compiler knows: the loop a caller fuses into `f`
+            // then compiles with a fixed trip count, which runs faster.
+            match rows == buf.len() {
+                true => f(buf.as_flattened()),
+                false => f(buf[..rows].as_flattened()),
             }
-            f(&buf);
+            block = end;
         }
-        contiguous_chunks(tail, self.width, self.len % GROUP_LEN, f);
+        if full * BLOCK_LEN < self.len {
+            // The lanes took `8·S` bits each, `2·S` words in all.
+            let tail = &self.words[2 * sum..];
+            contiguous_chunks(tail, self.widths.of(full), self.len % BLOCK_LEN, f);
+        }
     }
 
     /// Iterate over the packed values without materialising them.
-    pub fn iter(&self) -> PackedIter<'_> {
-        PackedIter {
-            packed: self,
-            idx: 0,
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        (0..self.len).map(|i| self.at(i))
+    }
+}
+
+/// The full blocks' widths and lanes: `⌊S/8⌋` whole words per lane,
+/// and every lane's partial last word (`8·(S mod 8)` bits,
+/// zero-extended).
+struct Lanes<'a>(&'a Widths, &'a [[u64; LANES]], [u64; LANES]);
+
+impl Lanes<'_> {
+    /// Unpack `blocks`, the first from lane bit `bit`, into `out`, a run
+    /// of equal-width blocks per kernel call; returns the lane bit after
+    /// them. Deliberately not `#[inline]`: compiled once here it runs
+    /// faster than inlined into each caller's fused loop.
+    fn unpack(&self, blocks: Range<usize>, mut bit: usize, out: &mut [[u64; LANES]]) -> usize {
+        let (Lanes(widths, whole, last), mut block, mut row) = (self, blocks.start, 0);
+        while block < blocks.end {
+            let (w, run) = widths.run(block, blocks.end);
+            let out = &mut out[row..row + ROWS * run];
+            let first = bit / 64;
+            let stop = first + (bit % 64 + out.len() * w as usize).div_ceil(64);
+            match w {
+                0 => out.fill([0; LANES]),
+                _ if stop <= whole.len() => unpack_rows(&whole[first..stop], w, bit % 64, out),
+                // The last rows reach the partial words.
+                _ => {
+                    let mut near = [*last; GROUP_LEN / LANES + 1];
+                    near[..whole.len() - first].copy_from_slice(&whole[first..]);
+                    unpack_rows(&near[..=whole.len() - first], w, bit % 64, out);
+                }
+            }
+            bit += ROWS * run * w as usize;
+            (block, row) = (block + run, row + ROWS * run);
         }
+        bit
     }
 }
-
-/// Iterator over the values of a [`Packed`] buffer.
-pub struct PackedIter<'a> {
-    packed: &'a Packed,
-    idx: usize,
-}
-
-impl Iterator for PackedIter<'_> {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        let v = self.packed.get(self.idx)?;
-        self.idx += 1;
-        Some(v)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.packed.len - self.idx;
-        (rem, Some(rem))
-    }
-}
-
-impl ExactSizeIterator for PackedIter<'_> {}
 
 /// Words holding `len` values of `width` bits.
 pub(crate) fn words_for(len: usize, width: u32) -> usize {
@@ -274,12 +351,7 @@ fn check_fits(values: &[u64], width: u32) -> Result<()> {
 /// lanes of `words`, row `r` at lane bit `bit_pos + r·width`. `words`
 /// must be zeroed there and reach the last row's last bit.
 #[inline]
-pub(crate) fn pack_rows(
-    rows: &[[u64; LANES]],
-    width: u32,
-    mut bit_pos: usize,
-    words: &mut [[u64; LANES]],
-) {
+fn pack_rows(rows: &[[u64; LANES]], width: u32, mut bit_pos: usize, words: &mut [[u64; LANES]]) {
     for row in rows {
         let word = bit_pos >> 6;
         let offset = (bit_pos & 63) as u32;
@@ -301,12 +373,7 @@ pub(crate) fn pack_rows(
 /// the straddle test is per row, not per value, and each arm is a
 /// branch-free loop over 16 lanes.
 #[inline]
-pub(crate) fn unpack_rows(
-    words: &[[u64; LANES]],
-    width: u32,
-    mut bit_pos: usize,
-    out: &mut [[u64; LANES]],
-) {
+fn unpack_rows(words: &[[u64; LANES]], width: u32, mut bit_pos: usize, out: &mut [[u64; LANES]]) {
     let mask = u64::MAX >> (64 - width);
     for row in out {
         let word = bit_pos >> 6;
@@ -327,105 +394,52 @@ pub(crate) fn unpack_rows(
 
 /// Append the contiguously packed words of `values`, every one of
 /// which fits in `width <= 64` bits, to `words`.
-pub(crate) fn pack_append(values: &[u64], width: u32, words: &mut Vec<u64>) {
-    match width {
-        0 => {}
-        64 => words.extend_from_slice(values),
-        _ => {
-            let start = words.len();
-            words.resize(start + words_for(values.len(), width), 0);
-            let dst = &mut words[start..];
-            let mut bit_pos = 0usize;
-            for &v in values {
-                let word = bit_pos >> 6;
-                let offset = (bit_pos & 63) as u32;
-                dst[word] |= v << offset;
-                if offset + width > 64 {
-                    dst[word + 1] |= v >> (64 - offset);
-                }
-                bit_pos += width as usize;
-            }
+fn pack_append(values: &[u64], width: u32, words: &mut Vec<u64>) {
+    if width == 0 {
+        return;
+    }
+    let start = words.len();
+    words.resize(start + words_for(values.len(), width), 0);
+    let dst = &mut words[start..];
+    let mut bit_pos = 0usize;
+    for &v in values {
+        let word = bit_pos >> 6;
+        let offset = (bit_pos & 63) as u32;
+        dst[word] |= v << offset;
+        if offset + width > 64 {
+            dst[word + 1] |= v >> (64 - offset);
         }
+        bit_pos += width as usize;
     }
 }
 
 /// Value `i` of a contiguous stream of `width`-bit fields starting at
 /// `words[0]`.
-pub(crate) fn get_at(words: &[u64], width: u32, i: usize) -> u64 {
-    match width {
-        0 => 0,
-        64 => words[i],
-        _ => {
-            let bit_pos = i * width as usize;
-            let word = bit_pos >> 6;
-            let offset = (bit_pos & 63) as u32;
-            let mut v = words[word] >> offset;
-            if offset + width > 64 {
-                v |= words[word + 1] << (64 - offset);
-            }
-            v & ((1u64 << width) - 1)
-        }
+fn get_at(words: &[u64], width: u32, i: usize) -> u64 {
+    if width == 0 {
+        return 0;
     }
+    let bit_pos = i * width as usize;
+    let word = bit_pos >> 6;
+    let offset = (bit_pos & 63) as u32;
+    let mut v = words[word] >> offset;
+    if offset + width > 64 {
+        v |= words[word + 1] << (64 - offset);
+    }
+    v & (u64::MAX >> (64 - width))
 }
 
-/// The contiguous cursor, behind the tail of [`Packed::for_each_chunk`]
-/// and the partial last block of a [`crate::BlockPacked`]: `len` values
-/// of `width` bits starting at `words[0]`, which must hold
-/// `words_for(len, width)` words, at most 64 values per call except at
-/// width 64.
-#[inline]
-pub(crate) fn contiguous_chunks(words: &[u64], width: u32, len: usize, mut f: impl FnMut(&[u64])) {
+/// The contiguous cursor, behind the partial block of
+/// [`Packed::for_each_chunk`]: `len` values of `width` bits starting at
+/// `words[0]`, at most 64 values per call.
+fn contiguous_chunks(words: &[u64], width: u32, len: usize, mut f: impl FnMut(&[u64])) {
     let mut buf = [0u64; CONTIGUOUS_LEN];
-    match width {
-        0 => {
-            for _ in 0..len / CONTIGUOUS_LEN {
-                f(&buf);
-            }
-            let rest = &buf[..len % CONTIGUOUS_LEN];
-            if !rest.is_empty() {
-                f(rest);
-            }
+    for start in (0..len).step_by(CONTIGUOUS_LEN) {
+        let chunk = &mut buf[..CONTIGUOUS_LEN.min(len - start)];
+        for (i, slot) in chunk.iter_mut().enumerate() {
+            *slot = get_at(words, width, start + i);
         }
-        64 => {
-            if len > 0 {
-                f(&words[..len]);
-            }
-        }
-        _ => {
-            let (body, tail) = words.split_at(len / CONTIGUOUS_LEN * width as usize);
-            for group in body.chunks_exact(width as usize) {
-                unpack_contiguous(group, width, &mut buf);
-                f(&buf);
-            }
-            let rest = &mut buf[..len % CONTIGUOUS_LEN];
-            if !rest.is_empty() {
-                for (i, slot) in rest.iter_mut().enumerate() {
-                    *slot = get_at(tail, width, i);
-                }
-                f(rest);
-            }
-        }
-    }
-}
-
-/// The contiguous kernel: `width` words in, 64 values out, for
-/// `1 <= width <= 63`. The words are copied next to a zero sentinel so
-/// every field reads `buf[w]` and `buf[w + 1]` without a straddle
-/// branch, and the masked word index keeps both reads inside the
-/// fixed-size array without bounds checks.
-#[inline]
-fn unpack_contiguous(group: &[u64], width: u32, out: &mut [u64; CONTIGUOUS_LEN]) {
-    let mut buf = [0u64; CONTIGUOUS_LEN + 1];
-    buf[..group.len()].copy_from_slice(group);
-    let mask = (1u64 << width) - 1;
-    let mut bit_pos = 0usize;
-    for slot in out.iter_mut() {
-        let word = (bit_pos >> 6) & (CONTIGUOUS_LEN - 1);
-        let offset = (bit_pos & 63) as u32;
-        // `<< 1 << (63 - offset)` is `<< (64 - offset)` without the
-        // overflowing shift at offset 0.
-        *slot = ((buf[word] >> offset) | (buf[word + 1] << 1 << (63 - offset))) & mask;
-        bit_pos += width as usize;
+        f(chunk);
     }
 }
 
@@ -522,11 +536,11 @@ mod tests {
     #[test]
     fn from_raw_parts_validates() {
         let p = Packed::pack(&[1, 2, 3], 2).unwrap();
-        let rebuilt = Packed::from_raw_parts(p.words().to_vec(), 2, 3).unwrap();
+        let rebuilt = Packed::from_raw_parts(Widths::One(2), p.words().to_vec(), 3).unwrap();
         assert_eq!(rebuilt.unpack(), vec![1, 2, 3]);
-        assert!(Packed::from_raw_parts(vec![], 2, 3).is_err());
-        assert!(Packed::from_raw_parts(vec![0; 10], 2, 3).is_err());
-        assert!(Packed::from_raw_parts(vec![], 65, 0).is_err());
+        assert!(Packed::from_raw_parts(Widths::One(2), vec![], 3).is_err());
+        assert!(Packed::from_raw_parts(Widths::One(2), vec![0; 10], 3).is_err());
+        assert!(Packed::from_raw_parts(Widths::One(65), vec![], 0).is_err());
     }
 
     #[test]
@@ -557,7 +571,7 @@ mod tests {
         let zeros = Packed::pack(&[0; 130], 0).unwrap();
         let mut lens = Vec::new();
         zeros.for_each_chunk(|chunk| lens.push(chunk.len()));
-        assert_eq!(lens, vec![64, 64, 2]);
+        assert_eq!(lens, vec![128, 2]);
         let full = Packed::pack(&[u64::MAX, 1, 2], 64).unwrap();
         let mut seen = Vec::new();
         full.for_each_chunk(|chunk| seen.extend_from_slice(chunk));
@@ -627,10 +641,78 @@ mod tests {
         assert_eq!(p.words(), &expect[..]);
     }
 
+    /// Two full groups, three full blocks and a three-value partial
+    /// block at `width`, with `set` placing `(block, row, lane, value)`
+    /// fields in the three blocks after the groups.
+    fn past_the_groups(width: u32, set: &[(usize, usize, usize, u64)]) -> Packed {
+        let mut values = vec![0u64; 2 * GROUP_LEN + 3 * BLOCK_LEN];
+        for &(block, row, lane, v) in set {
+            values[2 * GROUP_LEN + BLOCK_LEN * block + 16 * row + lane] = v;
+        }
+        values.extend([1, 2, 3]);
+        let p = Packed::pack(&values, width).unwrap();
+        assert_eq!(p.unpack(), values);
+        assert!((0..values.len()).all(|i| p.get(i) == Some(values[i])));
+        p
+    }
+
+    #[test]
+    fn tail_layout_is_pinned_at_width_5() {
+        // S = 19 blocks · 5 = 95: each lane holds 760 bits, 11 whole
+        // words (words 0..176) then 56 leftover bits, packed densely in
+        // words 176..190. The groups fill lane words 0..10, so the three
+        // blocks after them start at lane bit 640 (word 10, bit 0).
+        let p = past_the_groups(
+            5,
+            &[
+                (0, 0, 3, 0b10101),  // lane bit 640: lane word 10
+                (1, 4, 15, 0b11111), // lane bit 700: straddles into the leftover
+                (1, 6, 1, 0b10111),  // leftover bits 6..11: dense bits 62..67
+                (2, 7, 9, 0b11011),  // leftover bits 51..56: dense bit 555
+            ],
+        );
+        let mut expect = vec![0u64; 2 * 95 + 1];
+        expect[16 * 10 + 3] = 0b10101;
+        expect[16 * 10 + 15] = 0b1111 << 60;
+        expect[176 + 13] = 1 << 8; // dense bit 56·15 = 840
+        expect[176] = 0b11 << 62;
+        expect[177] = 0b101;
+        expect[176 + 8] = 0b11011 << 43;
+        // The partial block follows the lanes' 2·S = 190 words.
+        expect[190] = 1 | 2 << 5 | 3 << 10;
+        assert_eq!(p.words(), &expect[..]);
+    }
+
+    #[test]
+    fn tail_layout_is_pinned_at_width_33() {
+        // S = 19 blocks · 33 = 627: each lane holds 5016 bits, 78 whole
+        // words (words 0..1248) then 24 leftover bits, packed densely in
+        // words 1248..1254. The three blocks after the groups start at
+        // lane bit 4224 (word 66, bit 0).
+        let wide = (1u64 << 32) | (1 << 31) | 1;
+        let p = past_the_groups(
+            33,
+            &[
+                (0, 0, 5, (1 << 32) | 1), // lane bit 4224: lane word 66
+                (0, 1, 0, wide),          // lane bit 4257: straddles into word 67
+                (2, 7, 9, (1 << 32) | 1), // lane bits 4983..5016: word 77, then the leftover
+            ],
+        );
+        let mut expect = vec![0u64; 2 * 627 + 2];
+        expect[16 * 66 + 5] = (1 << 32) | 1;
+        expect[16 * 66] = 1 << 33;
+        expect[16 * 67] = 0b11;
+        expect[16 * 77 + 9] = 1 << 55;
+        expect[1248 + 3] = 1 << 47; // leftover bit 23: dense bit 24·9 + 23 = 239
+        expect[1254] = 1 | 2 << 33;
+        expect[1255] = 3 << 2;
+        assert_eq!(p.words(), &expect[..]);
+    }
+
     #[test]
     fn every_reader_agrees_at_every_width_and_length() {
         for width in 0..=64u32 {
-            for len in [0usize, 1, 63, 64, 1023, 1024, 1025, 2048, 4096, 4103] {
+            for len in [0usize, 1, 63, 64, 1023, 1024, 1025, 1300, 2048, 4096, 4103] {
                 let values = sample(len, width);
                 let p = Packed::pack(&values, width).unwrap();
                 let at = format!("width {width} len {len}");
@@ -656,32 +738,35 @@ mod tests {
 
     #[test]
     fn chunk_cursor_hands_out_one_chunk_per_group() {
-        for width in [0u32, 1, 7, 33, 63] {
+        // Groups, then the remaining full blocks as one chunk, then the
+        // partial block at most 64 values at a time — at every width.
+        for width in [0u32, 1, 7, 33, 63, 64] {
             let p = Packed::pack(&sample(2 * GROUP_LEN + 100, width), width).unwrap();
             let mut lens = Vec::new();
             p.for_each_chunk(|chunk| lens.push(chunk.len()));
             assert_eq!(lens, vec![GROUP_LEN, GROUP_LEN, 64, 36], "width {width}");
+            let p = Packed::pack(&sample(GROUP_LEN + 3 * BLOCK_LEN + 3, width), width).unwrap();
+            let mut lens = Vec::new();
+            p.for_each_chunk(|chunk| lens.push(chunk.len()));
+            assert_eq!(lens, vec![GROUP_LEN, 3 * BLOCK_LEN, 3], "width {width}");
         }
-        let p = Packed::pack(&sample(2 * GROUP_LEN + 100, 64), 64).unwrap();
-        let mut lens = Vec::new();
-        p.for_each_chunk(|chunk| lens.push(chunk.len()));
-        assert_eq!(lens, vec![2 * GROUP_LEN + 100]);
     }
 
     #[test]
     fn from_raw_parts_takes_exactly_the_words_the_layout_needs() {
         for width in [1u32, 5, 33, 63, 64] {
-            for len in [1usize, 1023, 1024, 1025, 4103] {
+            for len in [1usize, 1023, 1024, 1025, 1300, 4103] {
                 let p = Packed::pack(&sample(len, width), width).unwrap();
                 let words = p.words().to_vec();
                 assert_eq!(words.len(), (len * width as usize).div_ceil(64));
-                let back = Packed::from_raw_parts(words.clone(), width, len).unwrap();
+                let one = Widths::One(width);
+                let back = Packed::from_raw_parts(one.clone(), words.clone(), len).unwrap();
                 assert_eq!(back, p);
                 let short = words[..words.len() - 1].to_vec();
-                assert!(Packed::from_raw_parts(short, width, len).is_err());
+                assert!(Packed::from_raw_parts(one.clone(), short, len).is_err());
                 let mut long = words;
                 long.push(0);
-                assert!(Packed::from_raw_parts(long, width, len).is_err());
+                assert!(Packed::from_raw_parts(one, long, len).is_err());
             }
         }
     }

@@ -3,7 +3,7 @@
 use lcdc_bitpack::pack::Packed;
 use lcdc_bitpack::width::{bits_needed_u64, max_width, width_percentile};
 use lcdc_bitpack::zigzag::{zigzag_decode_i64, zigzag_encode_i64};
-use lcdc_bitpack::{BlockPacked, BLOCK_LEN};
+use lcdc_bitpack::{Widths, BLOCK_LEN, GROUP_LEN};
 use proptest::prelude::*;
 
 fn values_at_width(width: u32, max_len: usize) -> impl Strategy<Value = Vec<u64>> {
@@ -35,10 +35,19 @@ fn shapes() -> impl Strategy<Value = Shape> {
 /// `residue` mod 8.
 fn blocked_column((drawn, tail, tail_width, seed): &Shape, residue: u32) -> Vec<u64> {
     let lead = (residue + 8 - drawn.iter().sum::<u32>() % 8) % 8;
-    let mut rng = *seed;
-    let mut values = Vec::new();
     let blocks = std::iter::once(lead).chain(drawn.iter().copied());
-    for (width, len) in blocks.map(|w| (w, BLOCK_LEN)).chain([(*tail_width, *tail)]) {
+    column(
+        blocks.map(|w| (w, BLOCK_LEN)).chain([(*tail_width, *tail)]),
+        *seed,
+    )
+}
+
+/// Pseudo-random blocks of `(width, len)`, each block's widest value
+/// needing exactly its width.
+fn column(blocks: impl Iterator<Item = (u32, usize)>, seed: u64) -> Vec<u64> {
+    let mut rng = seed;
+    let mut values = Vec::new();
+    for (width, len) in blocks {
         let mask = if width == 0 {
             0
         } else {
@@ -95,8 +104,8 @@ proptest! {
 
     #[test]
     fn block_pack_round_trips(values in prop::collection::vec(any::<u64>(), 0..700)) {
-        let b = BlockPacked::pack(&values);
-        b.validate().unwrap();
+        let b = Packed::pack_blocks(&values);
+        prop_assert_eq!(b.words().len(), b.widths().words(values.len()));
         prop_assert_eq!(b.unpack(), values.clone());
         for (i, &v) in values.iter().enumerate() {
             prop_assert_eq!(b.get(i), Some(v));
@@ -108,11 +117,12 @@ proptest! {
         // Per-block widths are at most the global width, so the per-block
         // *payload* (excluding the 1-byte/block header) never exceeds the
         // flat payload.
-        let b = BlockPacked::pack(&values);
+        let b = Packed::pack_blocks(&values);
         let flat = Packed::pack(&values, max_width(&values)).unwrap();
-        let block_payload = b.total_bytes() - b.num_blocks();
+        let block_payload = 8 * b.words().len();
+        let num_blocks = values.len().div_ceil(BLOCK_LEN);
         // Rounding to whole words per block can cost up to 7 bytes/block.
-        prop_assert!(block_payload <= flat.payload_bytes() + 8 * b.num_blocks());
+        prop_assert!(block_payload <= flat.payload_bytes() + 8 * num_blocks);
     }
 
     #[test]
@@ -140,37 +150,67 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn every_block_reader_agrees(shape in shapes()) {
+    fn every_block_reader_agrees(shape in shapes(), width in 0u32..=64) {
         for residue in 0..8 {
             let values = blocked_column(&shape, residue);
-            let b = BlockPacked::pack(&values);
+            let b = Packed::pack_blocks(&values);
+            let Widths::Blocks(widths) = b.widths() else {
+                panic!("pack_blocks gave one width");
+            };
             let full = values.len() / BLOCK_LEN;
-            let sum: u32 = b.widths()[..full].iter().map(|&w| w as u32).sum();
+            let sum: u32 = widths[..full].iter().map(|&w| w as u32).sum();
             prop_assert_eq!(sum % 8, residue);
-            prop_assert_eq!(b.words().len(), lcdc_bitpack::block_words(b.widths(), values.len()));
-            prop_assert_eq!(b.unpack(), values.clone());
-            for (i, &v) in values.iter().enumerate() {
-                prop_assert_eq!(b.get(i), Some(v));
-            }
-            prop_assert_eq!(b.get(values.len()), None);
-            let mut out = vec![0u64; values.len()];
-            b.unpack_into(&mut out);
-            prop_assert_eq!(&out, &values);
-            // The chunk cursor hands out the values in order, never
-            // across a block boundary.
-            let (mut seen, mut crossed) = (Vec::new(), false);
-            b.for_each_chunk(|chunk| {
-                let start = seen.len();
-                let last = start + chunk.len().max(1) - 1;
-                crossed |= chunk.is_empty() || start / BLOCK_LEN != last / BLOCK_LEN;
-                seen.extend_from_slice(chunk);
-            });
-            prop_assert!(!crossed);
-            prop_assert_eq!(&seen, &values);
-            let (widths, words) = (b.widths().to_vec(), b.words().to_vec());
-            let back = BlockPacked::from_raw_parts(widths, words, values.len());
-            prop_assert_eq!(back.as_ref(), Ok(&b));
-            prop_assert_eq!(back.unwrap().unpack(), values);
+            agrees(&b, &values);
         }
+        // One width: the shape's length at `width`, the same readers.
+        let values = uniform_column(&shape, width);
+        agrees(&Packed::pack(&values, width).unwrap(), &values);
     }
+
+    #[test]
+    fn one_width_is_every_block_at_that_width(shape in shapes(), width in 0u32..=64) {
+        // Every block's widest value needs exactly `width` bits, so
+        // per-block packing picks `width` everywhere and must lay out
+        // the very words one-width packing does.
+        let values = uniform_column(&shape, width);
+        let one = Packed::pack(&values, width).unwrap();
+        prop_assert_eq!(one.words(), Packed::pack_blocks(&values).words());
+    }
+}
+
+/// A column of `shape`'s length (its full blocks plus a lead block,
+/// then its partial block) with every block at exactly `width`.
+fn uniform_column((drawn, tail, _, seed): &Shape, width: u32) -> Vec<u64> {
+    let full = std::iter::repeat_n((width, BLOCK_LEN), drawn.len() + 1);
+    column(full.chain([(width, *tail)]), *seed)
+}
+
+/// Every reader of `p` yields `values`: `get`, `unpack`, `unpack_into`,
+/// the chunk cursor and a rebuild from its raw parts. The cursor keeps
+/// its contract: every chunk is non-empty, lies inside one group of
+/// [`GROUP_LEN`] values and starts on a block boundary, except inside
+/// the partial block.
+fn agrees(p: &Packed, values: &[u64]) {
+    prop_assert_eq!(p.words().len(), p.widths().words(values.len()));
+    prop_assert_eq!(p.unpack(), values);
+    for (i, &v) in values.iter().enumerate() {
+        prop_assert_eq!(p.get(i), Some(v));
+    }
+    prop_assert_eq!(p.get(values.len()), None);
+    let mut out = vec![0u64; values.len()];
+    p.unpack_into(&mut out);
+    prop_assert_eq!(&out, values);
+    let partial = values.len() / BLOCK_LEN * BLOCK_LEN;
+    let (mut seen, mut broken) = (Vec::<u64>::new(), false);
+    p.for_each_chunk(|chunk| {
+        let start = seen.len();
+        let last = start + chunk.len().max(1) - 1;
+        broken |= chunk.is_empty() || start / GROUP_LEN != last / GROUP_LEN;
+        broken |= start < partial && start % BLOCK_LEN != 0;
+        seen.extend_from_slice(chunk);
+    });
+    prop_assert!(!broken);
+    prop_assert_eq!(&seen, values);
+    let back = Packed::from_raw_parts(p.widths().clone(), p.words().to_vec(), values.len());
+    prop_assert_eq!(back.as_ref(), Ok(p));
 }

@@ -53,28 +53,12 @@ pub fn value_at(c: &Compressed, pos: usize) -> Result<Option<u64>> {
     let base = base_name(&c.scheme_id);
     match base {
         "id" => Ok(plain_get(c, schemes::id::ROLE_VALUES, pos)),
-        "ns" | "ns_zz" => {
-            let packed = c.bits_part(schemes::ns::ROLE_PACKED)?;
-            let raw = packed.get(pos);
-            Ok(raw.map(|v| {
-                if c.params.get("zigzag") == Some(1) {
-                    lcdc_bitpack::zigzag_decode_i64(v) as u64
-                } else {
-                    v
-                }
-            }))
-        }
-        "varwidth" | "varwidth_zz" => {
-            let blocks = match &c.part(schemes::varwidth::ROLE_BLOCKS)?.data {
-                PartData::Blocks(b) => b,
-                _ => {
-                    return Err(CoreError::CorruptParts(
-                        "blocks part must be block-packed".into(),
-                    ))
-                }
+        "ns" | "ns_zz" | "varwidth" | "varwidth_zz" => {
+            let packed = match base {
+                "ns" | "ns_zz" => schemes::Ns::packed(c)?,
+                _ => schemes::VarWidthNs::packed(c)?,
             };
-            let raw = blocks.get(pos);
-            Ok(raw.map(|v| {
+            Ok(packed.get(pos).map(|v| {
                 if c.params.get("zigzag") == Some(1) {
                     lcdc_bitpack::zigzag_decode_i64(v) as u64
                 } else {
@@ -135,7 +119,7 @@ pub fn value_at(c: &Compressed, pos: usize) -> Result<Option<u64>> {
             let offset = if let Ok(slot) = exc_positions.binary_search(&(pos as u64)) {
                 plain_get(c, schemes::patch::ROLE_EXC_OFFSETS, slot)
             } else {
-                c.bits_part(schemes::patch::ROLE_OFFSETS)?.get(pos)
+                c.packed_part(schemes::patch::ROLE_OFFSETS)?.get(pos)
             };
             Ok(match (r, offset) {
                 (Some(r), Some(o)) => Some(r.wrapping_add(o)),

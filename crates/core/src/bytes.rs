@@ -4,7 +4,7 @@
 //! through storage or a network. The format here is deliberately plain —
 //! little-endian, length-prefixed, no alignment games — because the
 //! *interesting* structure (parts, params, nesting) is the paper's
-//! columnar view itself, serialised one-to-one (version 4):
+//! columnar view itself, serialised one-to-one (version 5):
 //!
 //! ```text
 //! compressed := MAGIC u16-version form
@@ -18,22 +18,25 @@
 //!                                                      Σ ⌈lenᵢ·widthᵢ/64⌉ words
 //! ```
 //!
-//! A `bits` payload's words are [`Packed::words`] as they are: each
-//! full group of 1024 values interleaved across 16 lanes, then the
-//! tail contiguous (see `lcdc_bitpack::pack`). A `blocks` payload's
-//! words are [`BlockPacked::words`]: the full 128-value blocks
-//! interleaved across 16 lanes that run on from block to block, then
-//! the partial last block contiguous (see `lcdc_bitpack::block`). Each
-//! full block still costs `2·width` words, so the word count above is
-//! the same in every version.
+//! Both packed payloads store [`Packed::words`] as they are, in the one
+//! layout of `lcdc_bitpack::pack`: the full 128-value blocks
+//! interleaved across 16 lanes that run on from block to block, the
+//! lanes' leftover bits packed densely, then the partial last block
+//! contiguous. They differ only in their widths ([`Widths`]): `bits`
+//! has one, `blocks` one per block. Each full block still costs
+//! `2·width` words, so the word count above is the same in every
+//! version.
 //!
 //! Every packed payload is stored packed — the frame costs what the size
 //! model ([`Compressed::compressed_bytes`]) says plus headers, and
 //! reading it re-packs nothing. Forms nest at most [`MAX_NESTING`] deep.
 //! Older frames are rejected as an unsupported version, never read
 //! under a guessed layout: version 1 stored block payloads unpacked,
-//! version 2 stored `bits` words contiguously throughout, and version 3
-//! stored each `blocks` block's words contiguously, block after block.
+//! version 2 stored `bits` words contiguously throughout, version 3
+//! stored each `blocks` block's words contiguously, block after block,
+//! and version 4 stored a `bits` payload's values past its last full
+//! 1024-value group contiguously, where version 5 interleaves their
+//! full blocks as a `blocks` payload does.
 //!
 //! Strings are u16-length-prefixed UTF-8; columns are a dtype byte plus
 //! u64-count plus raw little-endian words. Every reader validates
@@ -45,10 +48,10 @@
 use crate::column::{ColumnData, DType};
 use crate::error::{CoreError, Result};
 use crate::scheme::{Compressed, Params, Part, PartData};
-use lcdc_bitpack::{block_words, BlockPacked, Packed, BLOCK_LEN};
+use lcdc_bitpack::{Packed, Widths, BLOCK_LEN};
 
 const MAGIC: &[u8; 4] = b"LCDC";
-const VERSION: u16 = 4;
+const VERSION: u16 = 5;
 
 /// Deepest nesting of forms a frame may hold: the outermost form is
 /// level 1. Candidate schemes nest at most 3 deep; the cap keeps a
@@ -108,17 +111,20 @@ fn write_compressed(out: &mut Vec<u8>, c: &Compressed) {
                 out.push(KIND_PLAIN);
                 write_column(out, col);
             }
-            PartData::Bits(packed) => {
-                out.push(KIND_BITS);
-                out.push(packed.width() as u8);
-                write_u64(out, packed.len() as u64);
+            PartData::Packed(packed) => {
+                match packed.widths() {
+                    Widths::One(width) => {
+                        out.push(KIND_BITS);
+                        out.push(*width as u8);
+                        write_u64(out, packed.len() as u64);
+                    }
+                    Widths::Blocks(widths) => {
+                        out.push(KIND_BLOCKS);
+                        write_u64(out, packed.len() as u64);
+                        out.extend_from_slice(widths);
+                    }
+                }
                 write_words(out, packed.words());
-            }
-            PartData::Blocks(blocks) => {
-                out.push(KIND_BLOCKS);
-                write_u64(out, blocks.len() as u64);
-                out.extend_from_slice(blocks.widths());
-                write_words(out, blocks.words());
             }
             PartData::Nested(nested) => {
                 out.push(KIND_NESTED);
@@ -153,21 +159,20 @@ fn read_compressed(r: &mut Reader<'_>, depth: usize) -> Result<Compressed> {
         let kind = r.u8()?;
         let data = match kind {
             KIND_PLAIN => PartData::Plain(read_column(r)?),
-            KIND_BITS => {
-                let width = r.u8()? as u32;
-                let len = r.u64()? as usize;
-                let expected_words = (len as u128 * width as u128).div_ceil(64) as usize;
-                let words = r.words(expected_words)?;
-                PartData::Bits(Packed::from_raw_parts(words, width, len)?)
-            }
-            KIND_BLOCKS => {
+            KIND_BITS | KIND_BLOCKS => {
                 // Each count is implied by what precedes it and checked
                 // against the input by `take` before anything is
                 // allocated; `from_raw_parts` rejects a width over 64.
-                let len = r.u64()? as usize;
-                let widths = r.take(len.div_ceil(BLOCK_LEN))?;
-                let words = r.words(block_words(widths, len))?;
-                PartData::Blocks(BlockPacked::from_raw_parts(widths.to_vec(), words, len)?)
+                let (widths, len) = if kind == KIND_BITS {
+                    let width = r.u8()? as u32;
+                    (Widths::One(width), r.u64()? as usize)
+                } else {
+                    let len = r.u64()? as usize;
+                    let widths = r.take(len.div_ceil(BLOCK_LEN))?;
+                    (Widths::Blocks(widths.to_vec()), len)
+                };
+                let words = r.words(widths.words(len))?;
+                PartData::Packed(Packed::from_raw_parts(widths, words, len)?)
             }
             KIND_NESTED => PartData::Nested(Box::new(read_compressed(r, depth + 1)?)),
             other => {
@@ -601,34 +606,137 @@ mod tests {
         }
     }
 
+    /// An `ns` frame over 1300 values at width 10 — one full group,
+    /// two full blocks after it, then a 20-value partial block — and the
+    /// offset of its bits payload: a width byte, `u64-len`, the words.
+    fn bits_frame() -> (Vec<u8>, usize) {
+        let col = ColumnData::U64((0..1300u64).map(|i| i * 7 % 1000).collect());
+        let c = parse_scheme("ns").unwrap().compress(&col).unwrap();
+        let bytes = to_bytes(&c);
+        let role = bytes.windows(6).position(|w| w == b"packed").unwrap();
+        (bytes, role + 6 + 1)
+    }
+
+    /// Read a frame and, if it reads, decode it every way a form can be
+    /// read: only typed errors, never a panic.
+    fn read_every_way(bytes: &[u8]) {
+        let Ok(c) = from_bytes(bytes) else { return };
+        let Ok(scheme) = parse_scheme(&c.scheme_id) else {
+            return;
+        };
+        let _ = scheme.decompress(&c);
+        let _ = scheme.stream(&c).map(|s| s.to_transport());
+        for pos in [0, c.n / 2, c.n.saturating_sub(1)] {
+            let _ = crate::access::value_at(&c, pos);
+        }
+    }
+
+    #[test]
+    fn bits_layout_mutations_are_typed_errors() {
+        let (bytes, payload) = bits_frame();
+        assert_eq!(bytes[payload], 10);
+        assert_eq!(bytes[payload + 1..payload + 9], 1300u64.to_le_bytes());
+        assert_eq!(
+            bytes.len() - (payload + 9),
+            8 * (1300 * 10usize).div_ceil(64)
+        );
+        assert!(from_bytes(&bytes).is_ok());
+
+        // A narrower or wider width than the words that follow, and one
+        // past 64: the implied word count no longer matches the frame.
+        for width in [9, 11, 65, 255] {
+            let mut shifted = bytes.clone();
+            shifted[payload] = width;
+            assert!(
+                matches!(
+                    from_bytes(&shifted),
+                    Err(CoreError::CorruptParts(_) | CoreError::Bits(_))
+                ),
+                "width {width}"
+            );
+        }
+
+        // A length that calls for more words than the input holds fails
+        // on the bounds check, before any allocation.
+        let mut huge = bytes.clone();
+        huge[payload + 1..payload + 9].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(from_bytes(&huge), Err(CoreError::CorruptParts(_))));
+
+        // Short words, long words.
+        assert!(from_bytes(&bytes[..bytes.len() - 8]).is_err());
+        let mut long = bytes.clone();
+        long.extend_from_slice(&[0; 8]);
+        assert!(from_bytes(&long).is_err());
+
+        // Every prefix and every single-byte corruption: no panic.
+        for cut in 0..bytes.len() {
+            assert!(from_bytes(&bytes[..cut]).is_err(), "prefix of {cut} bytes");
+        }
+        for i in 0..bytes.len() {
+            let mut corrupted = bytes.clone();
+            corrupted[i] ^= 0xFF;
+            read_every_way(&corrupted);
+        }
+
+        // An `ns` form whose payload has per-block widths and a
+        // `varwidth` form whose payload has one width: the frame reads,
+        // and every reader of the form refuses the payload.
+        let col = ColumnData::U64((0..1300u64).map(|i| i * 7 % 1000).collect());
+        let values = col.to_transport();
+        let wrong = [
+            ("ns", Packed::pack_blocks(&values)),
+            ("varwidth", Packed::pack(&values, 10).unwrap()),
+        ];
+        for (expr, packed) in wrong {
+            let scheme = parse_scheme(expr).unwrap();
+            let mut c = scheme.compress(&col).unwrap();
+            c.parts[0].data = PartData::Packed(packed);
+            let c = from_bytes(&to_bytes(&c)).unwrap();
+            let corrupt = |e: CoreError| matches!(e, CoreError::CorruptParts(_));
+            assert!(corrupt(scheme.decompress(&c).unwrap_err()), "{expr}");
+            assert!(corrupt(scheme.stream(&c).err().unwrap()), "{expr}");
+            assert!(
+                corrupt(crate::access::value_at(&c, 5).unwrap_err()),
+                "{expr}"
+            );
+        }
+    }
+
+    /// Stamp `version` on a bits frame and a blocks frame: each must be
+    /// refused as that version, since every older version stored some
+    /// payload in a layout this reader would misread (see the module docs).
+    fn assert_version_rejected(version: u16) {
+        for (frame, _) in [bits_frame(), blocks_frame()] {
+            let mut bytes = frame;
+            bytes[4..6].copy_from_slice(&version.to_le_bytes());
+            match from_bytes(&bytes) {
+                Err(CoreError::CorruptParts(msg)) => {
+                    assert_eq!(msg, format!("unsupported version {version}"))
+                }
+                other => panic!("expected a version error, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn version_one_frames_are_rejected() {
-        let (mut bytes, _) = blocks_frame();
-        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
-        match from_bytes(&bytes) {
-            Err(CoreError::CorruptParts(msg)) => assert!(msg.contains("unsupported version 1")),
-            other => panic!("expected a version error, got {other:?}"),
-        }
+        assert_version_rejected(1);
     }
 
     #[test]
     fn version_two_frames_are_rejected() {
-        let (mut bytes, _) = blocks_frame();
-        bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
-        match from_bytes(&bytes) {
-            Err(CoreError::CorruptParts(msg)) => assert!(msg.contains("unsupported version 2")),
-            other => panic!("expected a version error, got {other:?}"),
-        }
+        assert_version_rejected(2);
     }
 
     #[test]
     fn version_three_frames_are_rejected() {
-        // Version 3 stored each block's words contiguously.
-        let (mut bytes, _) = blocks_frame();
-        bytes[4..6].copy_from_slice(&3u16.to_le_bytes());
-        match from_bytes(&bytes) {
-            Err(CoreError::CorruptParts(msg)) => assert!(msg.contains("unsupported version 3")),
-            other => panic!("expected a version error, got {other:?}"),
+        assert_version_rejected(3);
+    }
+
+    #[test]
+    fn older_versions_are_rejected() {
+        for version in 4..VERSION {
+            assert_version_rejected(version);
         }
     }
 

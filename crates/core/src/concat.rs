@@ -217,8 +217,8 @@ fn structural(a: &Compressed, b: &Compressed) -> Result<Option<Compressed>> {
             if zz_a != zz_b {
                 return Ok(None);
             }
-            let pa = a.bits_part(ns::ROLE_PACKED)?;
-            let pb = b.bits_part(ns::ROLE_PACKED)?;
+            let pa = a.packed_part(ns::ROLE_PACKED)?;
+            let pb = b.packed_part(ns::ROLE_PACKED)?;
             let width = pa.width().max(pb.width());
             let mut raw = pa.unpack();
             raw.extend(pb.unpack());
@@ -228,7 +228,7 @@ fn structural(a: &Compressed, b: &Compressed) -> Result<Option<Compressed>> {
                 b,
                 vec![Part {
                     role: ns::ROLE_PACKED,
-                    data: PartData::Bits(packed),
+                    data: PartData::Packed(packed),
                 }],
             );
             out.params.set("width", width as i64);

@@ -168,7 +168,7 @@ fn for_to_pfor(c: &Compressed, to_name: &str, keep: u32) -> Result<Compressed> {
             },
             Part {
                 role: patch::ROLE_OFFSETS,
-                data: PartData::Bits(packed),
+                data: PartData::Packed(packed),
             },
             Part {
                 role: patch::ROLE_EXC_POSITIONS,
@@ -186,7 +186,7 @@ fn for_to_pfor(c: &Compressed, to_name: &str, keep: u32) -> Result<Compressed> {
 /// apply the exception patches (one `ScatterOver`), keep `refs`.
 fn pfor_to_for(c: &Compressed, to_name: &str) -> Result<Compressed> {
     let refs = c.plain_part(patch::ROLE_REFS)?.clone();
-    let packed = c.bits_part(patch::ROLE_OFFSETS)?;
+    let packed = c.packed_part(patch::ROLE_OFFSETS)?;
     let mut offsets = packed.unpack();
     let exc_positions = match c.plain_part(patch::ROLE_EXC_POSITIONS)? {
         ColumnData::U64(p) => p,

@@ -19,7 +19,7 @@ use crate::column::{ColumnData, DType};
 use crate::error::{CoreError, Result};
 use crate::scheme::{Compressed, PartData, Scheme};
 use crate::{build_column, with_column};
-use lcdc_bitpack::{zigzag_decode_i64, BlockPacked, Packed, BLOCK_LEN};
+use lcdc_bitpack::{zigzag_decode_i64, Packed, BLOCK_LEN};
 use lcdc_colops::Scalar;
 use std::borrow::Cow;
 
@@ -46,8 +46,7 @@ impl<'a> Parts<'a> {
     pub fn stream(&self, role: &'static str) -> Result<PartStream<'a>> {
         match &self.form.part(role)?.data {
             PartData::Plain(col) => Ok(PartStream::plain(Cow::Borrowed(col))),
-            PartData::Bits(packed) => Ok(PartStream::bits(packed, false, DType::U64)),
-            PartData::Blocks(blocks) => Ok(PartStream::blocks(blocks, false, DType::U64)),
+            PartData::Packed(packed) => Ok(PartStream::packed(packed, false, DType::U64)),
             PartData::Nested(nested) => (self.inner)(role)
                 .ok_or_else(|| {
                     CoreError::CorruptParts(format!("nested part {role:?} has no inner scheme"))
@@ -79,8 +78,7 @@ pub struct PartStream<'a> {
 
 enum Source<'a> {
     Plain(Cow<'a, ColumnData>),
-    Bits(&'a Packed),
-    Blocks(&'a BlockPacked),
+    Packed(&'a Packed),
 }
 
 impl<'a> PartStream<'a> {
@@ -93,20 +91,11 @@ impl<'a> PartStream<'a> {
         }
     }
 
-    /// Stream an NS payload as the `dtype` column it encodes.
-    pub fn bits(packed: &'a Packed, zigzag: bool, dtype: DType) -> Self {
-        PartStream {
-            source: Source::Bits(packed),
-            zigzag,
-            dtype,
-        }
-    }
-
-    /// Stream a variable-width NS payload as the `dtype` column it
+    /// Stream an NS or VARWIDTH payload as the `dtype` column it
     /// encodes.
-    pub fn blocks(blocks: &'a BlockPacked, zigzag: bool, dtype: DType) -> Self {
+    pub fn packed(packed: &'a Packed, zigzag: bool, dtype: DType) -> Self {
         PartStream {
-            source: Source::Blocks(blocks),
+            source: Source::Packed(packed),
             zigzag,
             dtype,
         }
@@ -116,8 +105,7 @@ impl<'a> PartStream<'a> {
     pub fn len(&self) -> usize {
         match &self.source {
             Source::Plain(col) => col.len(),
-            Source::Bits(packed) => packed.len(),
-            Source::Blocks(blocks) => blocks.len(),
+            Source::Packed(packed) => packed.len(),
         }
     }
 
@@ -134,7 +122,8 @@ impl<'a> PartStream<'a> {
     /// Hand the column to `f` in order, a chunk at a time, as transport
     /// values. Chunk sizes are the source's business (a whole plain
     /// `u64` column is one chunk; packed sources hand out stack buffers
-    /// of at most a block), so consumers track their own position.
+    /// of at most a 1024-value group), so consumers track their own
+    /// position.
     pub fn for_each_chunk(&self, mut f: impl FnMut(&[u64])) {
         match &self.source {
             Source::Plain(col) => match col.as_ref() {
@@ -153,8 +142,7 @@ impl<'a> PartStream<'a> {
                     }
                 }),
             },
-            Source::Bits(packed) => packed.for_each_chunk(|chunk| self.decoded(chunk, &mut f)),
-            Source::Blocks(blocks) => blocks.for_each_chunk(|chunk| self.decoded(chunk, &mut f)),
+            Source::Packed(packed) => packed.for_each_chunk(|chunk| self.decoded(chunk, &mut f)),
         }
     }
 

@@ -3,9 +3,9 @@
 //! A [`Compressed`] value is the paper's "pure columns" view of a
 //! compressed column: a set of named part columns plus scalar
 //! parameters — no blocks, headers or padding. Parts are either plain
-//! columns, bit-packed payloads (NS), per-block packed payloads
-//! (variable-width NS), or — for *composed* schemes — recursively
-//! compressed columns.
+//! columns, bit-packed payloads (NS at one width, VARWIDTH at one width
+//! per block), or — for *composed* schemes — recursively compressed
+//! columns.
 
 use crate::column::{ColumnData, DType};
 use crate::error::{CoreError, Result};
@@ -29,10 +29,8 @@ pub struct Part {
 pub enum PartData {
     /// A plain column.
     Plain(ColumnData),
-    /// A bit-packed buffer (NS payload, one global width).
-    Bits(lcdc_bitpack::Packed),
-    /// A per-block packed buffer (variable-width NS payload).
-    Blocks(lcdc_bitpack::BlockPacked),
+    /// A bit-packed buffer: one width (NS) or one per block (VARWIDTH).
+    Packed(lcdc_bitpack::Packed),
     /// A recursively compressed column (result of a cascade).
     Nested(Box<Compressed>),
 }
@@ -40,12 +38,13 @@ pub enum PartData {
 impl PartData {
     /// Payload size in bytes under the uniform size model: plain columns
     /// at element width, packed buffers at their packed size (plus one
-    /// byte per block for per-block widths), nested parts recursively.
+    /// byte per block for per-block widths, see
+    /// [`lcdc_bitpack::Packed::payload_bytes`]), nested parts
+    /// recursively.
     pub fn bytes(&self) -> usize {
         match self {
             PartData::Plain(c) => c.uncompressed_bytes(),
-            PartData::Bits(p) => p.payload_bytes(),
-            PartData::Blocks(b) => b.total_bytes(),
+            PartData::Packed(p) => p.payload_bytes(),
             PartData::Nested(c) => c.compressed_bytes(),
         }
     }
@@ -54,8 +53,7 @@ impl PartData {
     pub fn len(&self) -> usize {
         match self {
             PartData::Plain(c) => c.len(),
-            PartData::Bits(p) => p.len(),
-            PartData::Blocks(b) => b.len(),
+            PartData::Packed(p) => p.len(),
             PartData::Nested(c) => c.n,
         }
     }
@@ -158,11 +156,11 @@ impl Compressed {
     }
 
     /// Find a part by role, requiring a bit-packed payload.
-    pub fn bits_part(&self, role: &'static str) -> Result<&lcdc_bitpack::Packed> {
+    pub fn packed_part(&self, role: &'static str) -> Result<&lcdc_bitpack::Packed> {
         match &self.part(role)?.data {
-            PartData::Bits(p) => Ok(p),
+            PartData::Packed(p) => Ok(p),
             other => Err(CoreError::CorruptParts(format!(
-                "part {role:?} expected packed bits, found {}",
+                "part {role:?} expected packed, found {}",
                 part_kind(other)
             ))),
         }
@@ -203,8 +201,7 @@ impl Compressed {
 fn part_kind(data: &PartData) -> &'static str {
     match data {
         PartData::Plain(_) => "plain",
-        PartData::Bits(_) => "bits",
-        PartData::Blocks(_) => "blocks",
+        PartData::Packed(_) => "packed",
         PartData::Nested(_) => "nested",
     }
 }
@@ -360,7 +357,7 @@ mod tests {
         assert!(c.part("values").is_ok());
         assert_eq!(c.part("nope"), Err(CoreError::MissingPart("nope")));
         assert!(c.plain_part("values").is_ok());
-        assert!(c.bits_part("values").is_err());
+        assert!(c.packed_part("values").is_err());
     }
 
     #[test]
@@ -400,7 +397,7 @@ mod tests {
         let plain = PartData::Plain(ColumnData::U64(vec![1, 2, 3]));
         assert_eq!(plain.len(), 3);
         assert_eq!(plain.bytes(), 24);
-        let bits = PartData::Bits(lcdc_bitpack::Packed::pack(&[1, 2, 3], 2).unwrap());
+        let bits = PartData::Packed(lcdc_bitpack::Packed::pack(&[1, 2, 3], 2).unwrap());
         assert_eq!(bits.len(), 3);
         assert_eq!(bits.bytes(), 8);
         assert!(!bits.is_empty());

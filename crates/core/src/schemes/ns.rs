@@ -7,7 +7,11 @@
 //!
 //! In the paper's algebra NS is the canonical *residual* scheme: FOR is
 //! `STEPFUNCTION + NS`, and its generalisations swap this subscheme for
-//! the variable-width or patched variants.
+//! the variable-width or patched variants. Variable-width NS
+//! ([`super::varwidth`]) is NS with one width per 128-value block, so
+//! both are one [`NullSuppression`] over one [`Packed`] container: they
+//! differ only in their [`WidthRule`] — name, how `compress` packs and
+//! which parameters it records, and the size floor.
 
 use crate::column::ColumnData;
 use crate::error::{CoreError, Result};
@@ -16,51 +20,113 @@ use crate::plan::{Node, Plan};
 use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
 use crate::stats::ColumnStats;
 use lcdc_bitpack::width::packed_bytes;
-use lcdc_bitpack::{max_width, Packed};
+use lcdc_bitpack::{max_width, Packed, Widths};
+use std::marker::PhantomData;
 
-/// The null-suppression scheme.
+/// What sets one null-suppression scheme apart from another: how its
+/// payload's widths are chosen.
+pub trait WidthRule: std::fmt::Debug + Clone + Copy + Default + Send + Sync {
+    /// The scheme's name without the zigzag suffix.
+    const NAME: &'static str;
+    /// Role of the packed payload part.
+    const ROLE: &'static str;
+    /// Whether the payload has one width per block.
+    const PER_BLOCK: bool;
+
+    /// Pack `values`, with the parameters that record the choice.
+    fn pack(values: &[u64]) -> Result<(Packed, Params)>;
+
+    /// [`Scheme::floor`] for the zigzag or the plain variant.
+    fn floor(stats: &ColumnStats, zigzag: bool) -> Option<usize>;
+}
+
+/// Null suppression under the width rule `W`.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Ns {
+pub struct NullSuppression<W> {
     /// Zigzag-map values before packing (for signed payloads).
     pub zigzag: bool,
+    widths: PhantomData<W>,
 }
 
-impl Ns {
-    /// Plain NS (values must be non-negative).
-    pub fn plain() -> Self {
-        Ns { zigzag: false }
-    }
+/// The null-suppression scheme: one width for the whole column.
+pub type Ns = NullSuppression<OneWidth>;
 
-    /// Zigzagged NS (any signed values).
-    pub fn zz() -> Self {
-        Ns { zigzag: true }
-    }
-}
+/// NS's width rule: the smallest width covering every value.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OneWidth;
 
 /// Role of the packed payload part.
 pub const ROLE_PACKED: &str = "packed";
 
-impl Ns {
-    /// The payload part as a stream of the column it encodes.
-    fn payload<'a>(&self, c: &'a Compressed) -> Result<PartStream<'a>> {
-        let packed = c.bits_part(ROLE_PACKED)?;
+impl WidthRule for OneWidth {
+    const NAME: &'static str = "ns";
+    const ROLE: &'static str = ROLE_PACKED;
+    const PER_BLOCK: bool = false;
+
+    fn pack(values: &[u64]) -> Result<(Packed, Params)> {
+        let width = max_width(values);
+        let params = Params::new().with("width", width as i64);
+        Ok((Packed::pack(values, width)?, params))
+    }
+
+    /// Exact: the packed payload at the column's width, plus two
+    /// parameters.
+    fn floor(stats: &ColumnStats, zigzag: bool) -> Option<usize> {
+        let width = if zigzag {
+            stats.zz_width
+        } else {
+            stats.ns_width?
+        };
+        Some(packed_bytes(stats.n, width) + 16)
+    }
+}
+
+impl<W: WidthRule> NullSuppression<W> {
+    /// The plain variant (values must be non-negative).
+    pub fn plain() -> Self {
+        Self::default()
+    }
+
+    /// The zigzagged variant (any signed values).
+    pub fn zz() -> Self {
+        NullSuppression {
+            zigzag: true,
+            widths: PhantomData,
+        }
+    }
+
+    /// The payload part of `c`, checked to be packed the way `W` packs
+    /// and to hold `c.n` values.
+    pub(crate) fn packed(c: &Compressed) -> Result<&Packed> {
+        let packed = c.packed_part(W::ROLE)?;
+        if matches!(packed.widths(), Widths::Blocks(_)) != W::PER_BLOCK {
+            return Err(CoreError::CorruptParts(format!(
+                "{} payload has the wrong kind of widths",
+                W::NAME
+            )));
+        }
         if packed.len() != c.n {
             return Err(CoreError::CorruptParts(format!(
-                "NS payload holds {} values, expected {}",
+                "{} payload holds {} values, expected {}",
+                W::NAME,
                 packed.len(),
                 c.n
             )));
         }
-        Ok(PartStream::bits(packed, self.zigzag, c.dtype))
+        Ok(packed)
+    }
+
+    /// The payload part as a stream of the column it encodes.
+    fn payload<'a>(&self, c: &'a Compressed) -> Result<PartStream<'a>> {
+        Ok(PartStream::packed(Self::packed(c)?, self.zigzag, c.dtype))
     }
 }
 
-impl Scheme for Ns {
+impl<W: WidthRule> Scheme for NullSuppression<W> {
     fn name(&self) -> String {
-        if self.zigzag {
-            "ns_zz".to_string()
-        } else {
-            "ns".to_string()
+        match self.zigzag {
+            true => format!("{}_zz", W::NAME),
+            false => W::NAME.to_string(),
         }
     }
 
@@ -75,28 +141,26 @@ impl Scheme for Ns {
             // Non-negativity: for signed dtypes a negative value
             // sign-extends to a transport with the top bit set; unsigned
             // transports are the values themselves. Either way the data
-            // must be numerically non-negative for plain NS.
+            // must be numerically non-negative for the plain variant.
             if let Some((min, _)) = col.min_max_numeric() {
                 if min < 0 {
                     return Err(CoreError::NotRepresentable(format!(
-                        "plain NS requires non-negative values (min = {min}); use ns_zz"
+                        "plain {0} requires non-negative values (min = {min}); use {0}_zz",
+                        W::NAME
                     )));
                 }
             }
             transport
         };
-        let width = max_width(&to_pack);
-        let packed = Packed::pack(&to_pack, width)?;
+        let (packed, params) = W::pack(&to_pack)?;
         Ok(Compressed {
             scheme_id: self.name(),
             n: col.len(),
             dtype: col.dtype(),
-            params: Params::new()
-                .with("width", width as i64)
-                .with("zigzag", self.zigzag as i64),
+            params: params.with("zigzag", self.zigzag as i64),
             parts: vec![Part {
-                role: ROLE_PACKED,
-                data: PartData::Bits(packed),
+                role: W::ROLE,
+                data: PartData::Packed(packed),
             }],
         })
     }
@@ -128,15 +192,8 @@ impl Scheme for Ns {
         }
     }
 
-    /// Exact: the packed payload at the column's width, plus two
-    /// parameters.
     fn floor(&self, stats: &ColumnStats) -> Option<usize> {
-        let width = if self.zigzag {
-            stats.zz_width
-        } else {
-            stats.ns_width?
-        };
-        Some(packed_bytes(stats.n, width) + 16)
+        W::floor(stats, self.zigzag)
     }
 }
 

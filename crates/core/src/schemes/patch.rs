@@ -102,7 +102,7 @@ impl Scheme for PatchedFor {
                 },
                 Part {
                     role: ROLE_OFFSETS,
-                    data: PartData::Bits(packed),
+                    data: PartData::Packed(packed),
                 },
                 Part {
                     role: ROLE_EXC_POSITIONS,

@@ -7,122 +7,34 @@
 //! Realised, as the paper suggests ("ignoring the encoding of offset
 //! widths for simplicity"), with the standard engineering discretisation:
 //! mini-blocks of 128 values, each packed at its own width (one width
-//! byte per block *is* accounted in the size model).
+//! byte per block *is* accounted in the size model). It is NS
+//! ([`super::ns::NullSuppression`]) under the [`PerBlock`] width rule.
 
-use crate::column::ColumnData;
-use crate::error::{CoreError, Result};
-use crate::parts::{PartStream, Parts};
-use crate::plan::{Node, Plan};
-use crate::scheme::{Compressed, Params, Part, PartData, Scheme};
+use crate::error::Result;
+use crate::scheme::Params;
+use crate::schemes::ns::{NullSuppression, WidthRule};
 use crate::stats::{zz_bits_of, BlockStats, ColumnStats};
 use lcdc_bitpack::width::{bits_needed_u64, packed_bytes};
-use lcdc_bitpack::{BlockPacked, BLOCK_LEN};
+use lcdc_bitpack::{Packed, BLOCK_LEN};
 
 /// NS with per-block widths.
+pub type VarWidthNs = NullSuppression<PerBlock>;
+
+/// VARWIDTH's width rule: each block of [`BLOCK_LEN`] values at the
+/// smallest width covering its own values.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct VarWidthNs {
-    /// Zigzag-map values before packing (for signed payloads).
-    pub zigzag: bool,
-}
-
-impl VarWidthNs {
-    /// Plain variable-width NS (values must be non-negative).
-    pub fn plain() -> Self {
-        VarWidthNs { zigzag: false }
-    }
-
-    /// Zigzagged variable-width NS.
-    pub fn zz() -> Self {
-        VarWidthNs { zigzag: true }
-    }
-}
+pub struct PerBlock;
 
 /// Role of the per-block packed payload.
 pub const ROLE_BLOCKS: &str = "blocks";
 
-impl VarWidthNs {
-    /// The payload part as a stream of the column it encodes.
-    fn payload<'a>(&self, c: &'a Compressed) -> Result<PartStream<'a>> {
-        let blocks = match &c.part(ROLE_BLOCKS)?.data {
-            PartData::Blocks(b) => b,
-            _ => {
-                return Err(CoreError::CorruptParts(
-                    "blocks part must be block-packed".into(),
-                ))
-            }
-        };
-        if blocks.len() != c.n {
-            return Err(CoreError::CorruptParts(format!(
-                "payload holds {} values, expected {}",
-                blocks.len(),
-                c.n
-            )));
-        }
-        Ok(PartStream::blocks(blocks, self.zigzag, c.dtype))
-    }
-}
+impl WidthRule for PerBlock {
+    const NAME: &'static str = "varwidth";
+    const ROLE: &'static str = ROLE_BLOCKS;
+    const PER_BLOCK: bool = true;
 
-impl Scheme for VarWidthNs {
-    fn name(&self) -> String {
-        if self.zigzag {
-            "varwidth_zz".to_string()
-        } else {
-            "varwidth".to_string()
-        }
-    }
-
-    fn compress(&self, col: &ColumnData) -> Result<Compressed> {
-        let transport = col.to_transport();
-        let to_pack: Vec<u64> = if self.zigzag {
-            transport
-                .iter()
-                .map(|&v| lcdc_bitpack::zigzag_encode_i64(v as i64))
-                .collect()
-        } else {
-            if let Some((min, _)) = col.min_max_numeric() {
-                if min < 0 {
-                    return Err(CoreError::NotRepresentable(format!(
-                        "plain varwidth requires non-negative values (min = {min}); use varwidth_zz"
-                    )));
-                }
-            }
-            transport
-        };
-        let blocks = BlockPacked::pack(&to_pack);
-        Ok(Compressed {
-            scheme_id: self.name(),
-            n: col.len(),
-            dtype: col.dtype(),
-            params: Params::new().with("zigzag", self.zigzag as i64),
-            parts: vec![Part {
-                role: ROLE_BLOCKS,
-                data: PartData::Blocks(blocks),
-            }],
-        })
-    }
-
-    fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {
-        Ok(self.payload(parts.form())?.into_column().into_owned())
-    }
-
-    fn visit_parts(&self, parts: &Parts<'_>, f: &mut dyn FnMut(&[u64])) -> Result<()> {
-        self.payload(parts.form())?.for_each_chunk(f);
-        Ok(())
-    }
-
-    /// The block-packed payload, unpacked (and zigzag-decoded) a block
-    /// at a time.
-    fn stream<'a>(&self, c: &'a Compressed) -> Result<PartStream<'a>> {
-        c.check_scheme(&self.name())?;
-        self.payload(c)
-    }
-
-    fn plan(&self, _c: &Compressed) -> Result<Plan> {
-        if self.zigzag {
-            Plan::new(vec![Node::Part(0), Node::ZigzagDecode(0)], 1)
-        } else {
-            Plan::new(vec![Node::Part(0)], 0)
-        }
+    fn pack(values: &[u64]) -> Result<(Packed, Params)> {
+        Ok((Packed::pack_blocks(values), Params::new()))
     }
 
     /// Exact from the block statistics at [`BLOCK_LEN`]: every block at
@@ -131,12 +43,12 @@ impl Scheme for VarWidthNs {
     /// bytes and the parameter. A bound only for `varwidth_zz` on a `u64`
     /// block with values on both sides of 2^63: zigzag reads them signed,
     /// so the block's unsigned min and max are not its widest values.
-    fn floor(&self, stats: &ColumnStats) -> Option<usize> {
-        if !self.zigzag {
+    fn floor(stats: &ColumnStats, zigzag: bool) -> Option<usize> {
+        if !zigzag {
             stats.ns_width?;
         }
         let width = |b: &BlockStats| {
-            if self.zigzag {
+            if zigzag {
                 zz_bits_of(b.min).max(zz_bits_of(b.max))
             } else {
                 bits_needed_u64(b.max.max(0) as u64)
@@ -159,7 +71,9 @@ impl Scheme for VarWidthNs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::decompress_via_plan;
+    use crate::column::ColumnData;
+    use crate::error::CoreError;
+    use crate::scheme::{decompress_via_plan, Scheme};
     use crate::schemes::ns::Ns;
 
     #[test]

@@ -29,13 +29,13 @@
 //! ([`read_segment`] reads exactly one).
 //!
 //! The manifest's version moves with the frame format it indexes and
-//! with the fields it holds: v4 holds the same fields as v3, and its
-//! records hold `core::bytes` v3 frames (interleaved bit packing); v5
-//! adds `sum` to every manifest entry and record header; v6 holds v5's
-//! fields, and its records hold `core::bytes` v4 frames (block-packed
-//! payloads interleaved too). So a table written before any of these
-//! changes is refused when it is opened ("unsupported table version
-//! 5"), not at its first frame fetch.
+//! with the fields it holds: v4 records hold `core::bytes` v3 frames
+//! (interleaved bit packing); v5 adds `sum` to every manifest entry and
+//! record header; v6 and v7 hold v5's fields, their records `core::bytes`
+//! v4 frames (block-packed payloads interleaved too) and v5 frames (one
+//! bit-packed layout for both packed payloads). So a table written
+//! before any of these changes is refused when it is opened
+//! ("unsupported table version 6"), not at its first frame fetch.
 //!
 //! Every checksum is a trailing XXH64 (`digest.rs`) over all the bytes
 //! before it: a record's covers its header as well as its frame, so the
@@ -59,7 +59,7 @@ use std::sync::Arc;
 
 const MANIFEST: &str = "MANIFEST.lcdc";
 const MAGIC: &[u8; 8] = b"LCDCTBL\0";
-const VERSION: u16 = 6;
+const VERSION: u16 = 7;
 
 /// Default decoded-segment cache capacity per column for
 /// [`open_table_lazy`].
@@ -636,62 +636,54 @@ mod tests {
         }
     }
 
-    #[test]
-    fn version_2_manifest_is_unsupported_not_a_checksum_mismatch() {
-        let dir = tmpdir("v2");
+    /// Stamp `version` on a saved manifest: the version is read before
+    /// the checksum is checked, so both open paths must refuse the table
+    /// as that version, not as a checksum mismatch.
+    fn assert_manifest_version_unsupported(version: u16) {
+        let dir = tmpdir(&format!("v{version}"));
         save_table(&sample_table(), &dir).unwrap();
         let path = dir.join(MANIFEST);
         let mut data = fs::read(&path).unwrap();
-        data[8..10].copy_from_slice(&2u16.to_le_bytes());
+        data[8..10].copy_from_slice(&version.to_le_bytes());
         fs::write(&path, data).unwrap();
-        let unsupported = |e: StoreError| matches!(e, StoreError::CorruptFile(m) if m == "unsupported table version 2");
-        assert!(unsupported(load_table(&dir).err().unwrap()));
-        assert!(unsupported(open_table_lazy(&dir, 4).err().unwrap()));
+        let expected = format!("unsupported table version {version}");
+        let unsupported = |e: StoreError| matches!(e, StoreError::CorruptFile(m) if m == expected);
+        assert!(unsupported(load_table(&dir).err().unwrap()), "v{version}");
+        assert!(
+            unsupported(open_table_lazy(&dir, 4).err().unwrap()),
+            "v{version}"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
+    fn version_2_manifest_is_unsupported_not_a_checksum_mismatch() {
+        assert_manifest_version_unsupported(2);
+    }
+
+    #[test]
     fn version_3_manifest_is_unsupported() {
-        let dir = tmpdir("v3");
-        save_table(&sample_table(), &dir).unwrap();
-        let path = dir.join(MANIFEST);
-        let mut data = fs::read(&path).unwrap();
-        data[8..10].copy_from_slice(&3u16.to_le_bytes());
-        fs::write(&path, data).unwrap();
-        let unsupported = |e: StoreError| matches!(e, StoreError::CorruptFile(m) if m == "unsupported table version 3");
-        assert!(unsupported(load_table(&dir).err().unwrap()));
-        assert!(unsupported(open_table_lazy(&dir, 4).err().unwrap()));
-        fs::remove_dir_all(&dir).unwrap();
+        // v2 and v3 manifests lack fields.
+        assert_manifest_version_unsupported(3);
     }
 
     #[test]
     fn version_4_manifest_is_unsupported() {
         // v4 manifests and records carry no sums.
-        let dir = tmpdir("v4");
-        save_table(&sample_table(), &dir).unwrap();
-        let path = dir.join(MANIFEST);
-        let mut data = fs::read(&path).unwrap();
-        data[8..10].copy_from_slice(&4u16.to_le_bytes());
-        fs::write(&path, data).unwrap();
-        let unsupported = |e: StoreError| matches!(e, StoreError::CorruptFile(m) if m == "unsupported table version 4");
-        assert!(unsupported(load_table(&dir).err().unwrap()));
-        assert!(unsupported(open_table_lazy(&dir, 4).err().unwrap()));
-        fs::remove_dir_all(&dir).unwrap();
+        assert_manifest_version_unsupported(4);
     }
 
     #[test]
     fn version_5_manifest_is_unsupported() {
-        // v5 records hold `core::bytes` v3 frames: contiguous blocks.
-        let dir = tmpdir("v5");
-        save_table(&sample_table(), &dir).unwrap();
-        let path = dir.join(MANIFEST);
-        let mut data = fs::read(&path).unwrap();
-        data[8..10].copy_from_slice(&5u16.to_le_bytes());
-        fs::write(&path, data).unwrap();
-        let unsupported = |e: StoreError| matches!(e, StoreError::CorruptFile(m) if m == "unsupported table version 5");
-        assert!(unsupported(load_table(&dir).err().unwrap()));
-        assert!(unsupported(open_table_lazy(&dir, 4).err().unwrap()));
-        fs::remove_dir_all(&dir).unwrap();
+        // v5 and v6 records hold older frames.
+        assert_manifest_version_unsupported(5);
+    }
+
+    #[test]
+    fn older_manifest_versions_are_unsupported_not_a_checksum_mismatch() {
+        for version in 6..VERSION {
+            assert_manifest_version_unsupported(version);
+        }
     }
 
     #[test]

@@ -1111,7 +1111,7 @@ impl PhysicalPlan {
             }
         }
         let width = match seg.kind() {
-            SchemeKind::Ns => Some(seg.compressed.bits_part(ns::ROLE_PACKED)?.width()),
+            SchemeKind::Ns => Some(seg.compressed.packed_part(ns::ROLE_PACKED)?.width()),
             _ => None,
         };
         let (base, span) = match width {

@@ -11,6 +11,7 @@
 //! Workloads: `dates`, `runs`, `steps`, `trend`, `outliers`, `zipf`,
 //! `uniform`, `sorted`.
 
+use lcdc::bitpack::Widths;
 use lcdc::core::{parse_scheme, ColumnData, PartData};
 
 fn workload(name: &str) -> Option<ColumnData> {
@@ -74,8 +75,10 @@ fn main() {
     for part in &compressed.parts {
         let kind = match &part.data {
             PartData::Plain(c) => format!("plain {} x{}", c.dtype().name(), c.len()),
-            PartData::Bits(p) => format!("packed {}bit x{}", p.width(), p.len()),
-            PartData::Blocks(b) => format!("block-packed x{} ({} blocks)", b.len(), b.num_blocks()),
+            PartData::Packed(p) => match p.widths() {
+                Widths::One(w) => format!("packed {w}bit x{}", p.len()),
+                Widths::Blocks(b) => format!("block-packed x{} ({} blocks)", p.len(), b.len()),
+            },
             PartData::Nested(n) => format!("nested {} (n={})", n.scheme_id, n.n),
         };
         println!(

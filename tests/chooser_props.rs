@@ -411,7 +411,7 @@ fn golden_digests(table: &Table, families: &[ColumnData]) -> (u64, u64) {
 }
 
 /// The digest the exhaustive chooser produced on [`fixture`].
-const GOLDEN: u64 = 0x8d58_971b_60d4_6afd;
+const GOLDEN: u64 = 0x701b_cdf7_4bb4_11a9;
 
 /// The digest of the picks and frame sizes alone: a change to the
 /// packing layout moves [`GOLDEN`] but must leave this one alone.

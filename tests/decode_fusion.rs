@@ -79,8 +79,7 @@ fn columns(dtype: DType, n: usize) -> Vec<ColumnData> {
 fn part_alone(data: &PartData) -> Vec<u64> {
     match data {
         PartData::Plain(col) => col.to_transport(),
-        PartData::Bits(packed) => packed.unpack(),
-        PartData::Blocks(blocks) => blocks.unpack(),
+        PartData::Packed(packed) => packed.unpack(),
         PartData::Nested(nested) => parse_scheme(&nested.scheme_id)
             .expect("nested id parses")
             .decompress(nested)
