@@ -160,12 +160,10 @@ mod tests {
     }
 
     #[test]
-    fn unpack_into_partial_tail() {
+    fn unpack_reads_a_partial_tail() {
         let values: Vec<u64> = (0..BLOCK_LEN as u64 + 17).collect();
         let b = Packed::pack_blocks(&values);
-        let mut out = vec![0u64; values.len()];
-        b.unpack_into(&mut out);
-        assert_eq!(out, values);
+        assert_eq!(b.unpack(), values);
     }
 
     #[test]

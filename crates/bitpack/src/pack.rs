@@ -45,27 +45,6 @@ const ROWS: usize = BLOCK_LEN / LANES;
 /// Most values per chunk of the partial block.
 const CONTIGUOUS_LEN: usize = 64;
 
-/// An element type bulk unpacking can write: `u64` (the transport
-/// type) or `u32` (codes and narrow offsets, at half the traffic).
-pub trait Unpacked: Copy {
-    /// Keep the low bits of an unpacked value.
-    fn from_packed(v: u64) -> Self;
-}
-
-impl Unpacked for u64 {
-    #[inline]
-    fn from_packed(v: u64) -> Self {
-        v
-    }
-}
-
-impl Unpacked for u32 {
-    #[inline]
-    fn from_packed(v: u64) -> Self {
-        v as u32
-    }
-}
-
 /// A bit-packed buffer of `len` values at one width or one width per
 /// block, in the layout the module docs describe.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -230,23 +209,6 @@ impl Packed {
         out
     }
 
-    /// Unpack into a caller-provided `u64` or `u32` slice of exactly
-    /// `len()` elements (`u32` keeps the low 32 bits).
-    ///
-    /// # Panics
-    /// Panics if `out.len() != self.len()`.
-    pub fn unpack_into<T: Unpacked>(&self, out: &mut [T]) {
-        assert_eq!(out.len(), self.len, "output slice length mismatch");
-        let mut rest = out;
-        self.for_each_chunk(|chunk| {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(chunk.len());
-            for (slot, &v) in head.iter_mut().zip(chunk) {
-                *slot = T::from_packed(v);
-            }
-            rest = tail;
-        });
-    }
-
     /// The chunk cursor: hand the values to `f` in order, a chunk at a
     /// time, unpacked into a stack buffer. Each full group of
     /// [`GROUP_LEN`] values goes out as one chunk, whatever its blocks'
@@ -281,11 +243,6 @@ impl Packed {
             let tail = &self.words[2 * sum..];
             contiguous_chunks(tail, self.widths.of(full), self.len % BLOCK_LEN, f);
         }
-    }
-
-    /// Iterate over the packed values without materialising them.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
-        (0..self.len).map(|i| self.at(i))
     }
 }
 
@@ -516,15 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn iterator_yields_all_values() {
-        let values: Vec<u64> = (0..67).collect();
-        let p = Packed::pack(&values, 7).unwrap();
-        let collected: Vec<u64> = p.iter().collect();
-        assert_eq!(collected, values);
-        assert_eq!(p.iter().len(), 67);
-    }
-
-    #[test]
     fn word_boundary_straddling() {
         // Width 13 straddles 64-bit boundaries regularly; check the exact
         // values around the first boundary.
@@ -718,17 +666,8 @@ mod tests {
                 let at = format!("width {width} len {len}");
                 assert_eq!(p.words().len(), words_for(len, width), "{at}");
                 assert_eq!(p.unpack(), values, "{at}");
-                if width <= 32 {
-                    let mut narrow = vec![0u32; len];
-                    p.unpack_into(&mut narrow);
-                    assert!(
-                        narrow.iter().zip(&values).all(|(&a, &b)| a as u64 == b),
-                        "{at}"
-                    );
-                }
                 assert!((0..len).all(|i| p.get(i) == Some(values[i])), "{at}");
                 assert_eq!(p.get(len), None, "{at}");
-                assert_eq!(p.iter().collect::<Vec<_>>(), values, "{at}");
                 let mut seen = Vec::new();
                 p.for_each_chunk(|chunk| seen.extend_from_slice(chunk));
                 assert_eq!(seen, values, "{at}");
@@ -769,22 +708,5 @@ mod tests {
                 assert!(Packed::from_raw_parts(one, long, len).is_err());
             }
         }
-    }
-
-    #[test]
-    fn unpack_into_u32_keeps_the_low_bits() {
-        let values: Vec<u64> = (0..150).map(|i| i * 31 % 4096).collect();
-        let p = Packed::pack(&values, 12).unwrap();
-        let mut narrow = vec![0u32; values.len()];
-        p.unpack_into(&mut narrow);
-        assert!(narrow.iter().zip(&values).all(|(&a, &b)| a as u64 == b));
-        let mut wide = vec![0u64; values.len()];
-        p.unpack_into(&mut wide);
-        assert_eq!(wide, values);
-        // A value past 32 bits is truncated, as documented.
-        let p = Packed::pack(&[(7 << 32) | 5], 40).unwrap();
-        let mut narrow = [0u32];
-        p.unpack_into(&mut narrow);
-        assert_eq!(narrow, [5]);
     }
 }

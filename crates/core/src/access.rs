@@ -42,6 +42,14 @@ pub fn value_at(c: &Compressed, pos: usize) -> Result<Option<u64>> {
             },
         ));
     }
+    // A shared part is read through its checked reference first, so a
+    // form with a missing or corrupt shared dictionary is refused on
+    // every path, the ones answering `None` included.
+    for part in &c.parts {
+        if let PartData::Shared(shared) = &part.data {
+            shared.column()?;
+        }
+    }
     // Cascaded forms carry nested payloads; answering a point lookup
     // would mean decompressing the nested part — not a sub-linear path.
     if c.parts
@@ -71,7 +79,11 @@ pub fn value_at(c: &Compressed, pos: usize) -> Result<Option<u64>> {
                 Some(code) => code as usize,
                 None => return Ok(None),
             };
-            match c.plain_part(schemes::dict::ROLE_DICT)?.get_transport(code) {
+            let dict = match &c.part(schemes::dict::ROLE_DICT)?.data {
+                PartData::Shared(shared) => shared.column()?,
+                _ => c.plain_part(schemes::dict::ROLE_DICT)?,
+            };
+            match dict.get_transport(code) {
                 Some(v) => Ok(Some(v)),
                 None => Err(CoreError::CorruptParts(format!(
                     "code {code} past dictionary"

@@ -4,19 +4,28 @@
 //! through storage or a network. The format here is deliberately plain —
 //! little-endian, length-prefixed, no alignment games — because the
 //! *interesting* structure (parts, params, nesting) is the paper's
-//! columnar view itself, serialised one-to-one (version 5):
+//! columnar view itself, serialised one-to-one (version 6):
 //!
 //! ```text
 //! compressed := MAGIC u16-version form
 //! form       := scheme_id dtype u64-n params parts
 //! params     := u16-count { str-key i64-value }*
 //! parts      := u16-count { str-role u8-kind payload }*
-//! payload    := plain | bits | blocks | form          (by kind)
+//! payload    := plain | bits | blocks | form | shared (by kind)
 //! plain      := dtype u64-len { element }*
 //! bits       := u8-width u64-len { u64-word }*         ⌈len·width/64⌉ words
 //! blocks     := u64-len { u8-width }* { u64-word }*    ⌈len/128⌉ widths, then
 //!                                                      Σ ⌈lenᵢ·widthᵢ/64⌉ words
+//! shared     := u64-len                                the entries live outside
 //! ```
+//!
+//! A `shared` payload is a reference to a dictionary stored once by the
+//! frame's container ([`crate::shared`]): the frame holds only the
+//! entry count it was encoded against, it reads back detached, and the
+//! container attaches the dictionary
+//! ([`Compressed::attach_shared`]). Every reader of a detached,
+//! mis-sized or unsorted shared part fails with
+//! [`CoreError::CorruptParts`].
 //!
 //! Both packed payloads store [`Packed::words`] as they are, in the one
 //! layout of `lcdc_bitpack::pack`: the full 128-value blocks
@@ -36,7 +45,9 @@
 //! stored each `blocks` block's words contiguously, block after block,
 //! and version 4 stored a `bits` payload's values past its last full
 //! 1024-value group contiguously, where version 5 interleaves their
-//! full blocks as a `blocks` payload does.
+//! full blocks as a `blocks` payload does. Version 6 adds the `shared`
+//! kind; version 5 is refused with the rest, so one reader never meets
+//! a frame whose kinds it half knows.
 //!
 //! Strings are u16-length-prefixed UTF-8; columns are a dtype byte plus
 //! u64-count plus raw little-endian words. Every reader validates
@@ -48,10 +59,11 @@
 use crate::column::{ColumnData, DType};
 use crate::error::{CoreError, Result};
 use crate::scheme::{Compressed, Params, Part, PartData};
+use crate::shared::SharedRef;
 use lcdc_bitpack::{Packed, Widths, BLOCK_LEN};
 
 const MAGIC: &[u8; 4] = b"LCDC";
-const VERSION: u16 = 5;
+const VERSION: u16 = 6;
 
 /// Deepest nesting of forms a frame may hold: the outermost form is
 /// level 1. Candidate schemes nest at most 3 deep; the cap keeps a
@@ -62,6 +74,7 @@ const KIND_PLAIN: u8 = 0;
 const KIND_BITS: u8 = 1;
 const KIND_BLOCKS: u8 = 2;
 const KIND_NESTED: u8 = 3;
+const KIND_SHARED: u8 = 4;
 
 /// Serialise a compressed form to bytes.
 pub fn to_bytes(c: &Compressed) -> Vec<u8> {
@@ -130,6 +143,10 @@ fn write_compressed(out: &mut Vec<u8>, c: &Compressed) {
                 out.push(KIND_NESTED);
                 write_compressed(out, nested);
             }
+            PartData::Shared(shared) => {
+                out.push(KIND_SHARED);
+                write_u64(out, shared.len as u64);
+            }
         }
     }
 }
@@ -175,6 +192,10 @@ fn read_compressed(r: &mut Reader<'_>, depth: usize) -> Result<Compressed> {
                 PartData::Packed(Packed::from_raw_parts(widths, words, len)?)
             }
             KIND_NESTED => PartData::Nested(Box::new(read_compressed(r, depth + 1)?)),
+            KIND_SHARED => PartData::Shared(SharedRef {
+                len: r.u64()? as usize,
+                dict: None,
+            }),
             other => {
                 return Err(CoreError::CorruptParts(format!(
                     "unknown part kind {other}"
@@ -346,6 +367,8 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
     use crate::expr::parse_scheme;
+    use crate::shared::SharedDict;
+    use std::sync::Arc;
 
     fn sample_exprs() -> Vec<&'static str> {
         vec![
@@ -704,7 +727,8 @@ mod tests {
 
     /// Stamp `version` on a bits frame and a blocks frame: each must be
     /// refused as that version, since every older version stored some
-    /// payload in a layout this reader would misread (see the module docs).
+    /// payload in a layout this reader would misread, or (version 5)
+    /// lacks a part kind this one writes (see the module docs).
     fn assert_version_rejected(version: u16) {
         for (frame, _) in [bits_frame(), blocks_frame()] {
             let mut bytes = frame;
@@ -737,6 +761,125 @@ mod tests {
     fn older_versions_are_rejected() {
         for version in 4..VERSION {
             assert_version_rejected(version);
+        }
+    }
+
+    /// The rows the shared-dictionary forms below encode.
+    fn shared_rows() -> ColumnData {
+        ColumnData::I64((0..300i64).map(|i| (i * 7) % 23 - 11).collect())
+    }
+
+    /// `codes` (`dict` or `dict[codes=ns]`) over [`shared_rows`], its
+    /// dictionary moved out into a shared one and attached as `expr`
+    /// (`dict[dict=shared...]`): what a store builds for a run.
+    fn shared_form(expr: &str, codes: &str) -> (Compressed, Arc<SharedDict>) {
+        let mut c = parse_scheme(codes)
+            .unwrap()
+            .compress(&shared_rows())
+            .unwrap();
+        let PartData::Plain(entries) = c.parts[0].data.clone() else {
+            panic!("DICT stores its dictionary plain")
+        };
+        let dict = SharedDict::new(entries);
+        c.parts[0].data = PartData::Shared(SharedRef::to(&dict));
+        c.scheme_id = expr.to_string();
+        let decoded = parse_scheme(expr).unwrap().decompress(&c).unwrap();
+        assert_eq!(decoded, shared_rows(), "{expr}");
+        (c, dict)
+    }
+
+    const SHARED_FORMS: [(&str, &str); 2] = [
+        ("dict[dict=shared]", "dict"),
+        ("dict[dict=shared,codes=ns]", "dict[codes=ns]"),
+    ];
+
+    #[test]
+    fn a_shared_dictionary_is_a_reference_in_the_frame() {
+        for (expr, codes) in SHARED_FORMS {
+            let (c, dict) = shared_form(expr, codes);
+            let own = parse_scheme(codes)
+                .unwrap()
+                .compress(&shared_rows())
+                .unwrap();
+            // The frame holds the entry count, not the dtype and entries.
+            let bytes = to_bytes(&c);
+            assert_eq!(
+                bytes.len(),
+                to_bytes(&own).len() - 1 - 8 * dict.len() + expr.len() - codes.len(),
+                "{expr}"
+            );
+            let mut back = from_bytes(&bytes).unwrap();
+            assert!(back.shared_dict().is_none(), "{expr}: reads back detached");
+            back.attach_shared(&dict).unwrap();
+            assert_eq!(back, c, "{expr}");
+            // A dictionary of another length, and a form with no shared
+            // part, refuse the attachment.
+            let short = SharedDict::new(ColumnData::I64(vec![1]));
+            let refused = |r: Result<()>| matches!(r, Err(CoreError::CorruptParts(_)));
+            assert!(refused(from_bytes(&bytes).unwrap().attach_shared(&short)));
+            assert!(refused(own.clone().attach_shared(&dict)));
+        }
+    }
+
+    /// Every reader of `c` refuses it as a corrupt form; `value_at` too
+    /// when `access` (a form with NS codes has no O(1) path to a code).
+    fn assert_every_reader_refuses(c: &Compressed, expr: &str, access: bool, what: &str) {
+        let scheme = parse_scheme(expr).unwrap();
+        let corrupt = |e: CoreError| matches!(e, CoreError::CorruptParts(_));
+        let last = c.n - 1;
+        assert!(corrupt(scheme.decompress(c).unwrap_err()), "{expr} {what}");
+        assert!(corrupt(scheme.stream(c).err().unwrap()), "{expr} {what}");
+        let visited = scheme.visit(c, &mut |_| {}).unwrap_err();
+        assert!(corrupt(visited), "{expr} {what}");
+        if access {
+            let accessed = crate::access::value_at(c, last).unwrap_err();
+            assert!(corrupt(accessed), "{expr} {what}");
+        }
+    }
+
+    #[test]
+    fn shared_dictionary_mutations_are_typed_errors() {
+        for (expr, codes) in SHARED_FORMS {
+            let (c, dict) = shared_form(expr, codes);
+            let with_dict = |entries: Vec<u64>| {
+                let mut other = c.clone();
+                let dict = SharedDict::new(ColumnData::from_transport(c.dtype, entries));
+                other.parts[0].data = PartData::Shared(SharedRef::to(&dict));
+                other
+            };
+            // No dictionary given: the frame as it reads back.
+            let detached = from_bytes(&to_bytes(&c)).unwrap();
+            assert_every_reader_refuses(&detached, expr, true, "not given");
+            // An unsorted dictionary, and one holding a duplicate.
+            let mut entries = dict.values().to_transport();
+            entries.reverse();
+            assert_every_reader_refuses(&with_dict(entries), expr, true, "unsorted");
+            let mut entries = dict.values().to_transport();
+            entries[1] = entries[0];
+            assert_every_reader_refuses(&with_dict(entries), expr, true, "duplicate");
+            // A code at the dictionary's length, in the last row.
+            let mut raw = c.parts[1].data.clone();
+            let mut past = c.clone();
+            past.parts[1].data = match &mut raw {
+                PartData::Plain(ColumnData::U64(codes)) => {
+                    *codes.last_mut().unwrap() = dict.len() as u64;
+                    raw
+                }
+                PartData::Nested(ns) => {
+                    let mut codes = parse_scheme("ns")
+                        .unwrap()
+                        .decompress(ns)
+                        .unwrap()
+                        .to_transport();
+                    *codes.last_mut().unwrap() = dict.len() as u64;
+                    let ns = parse_scheme("ns")
+                        .unwrap()
+                        .compress(&ColumnData::U64(codes));
+                    PartData::Nested(Box::new(ns.unwrap()))
+                }
+                other => panic!("{other:?}"),
+            };
+            assert_every_reader_refuses(&past, expr, codes == "dict", "code past the end");
         }
     }
 

@@ -20,7 +20,9 @@
 //! `dfor(l=ℓ)`, `rle`, `rpe`, `dict`, `step(l=ℓ)`, `vstep(w=bits)`,
 //! `for(l=ℓ)`, `for(l=ℓ,first=1)` (first-element reference),
 //! `pfor(l=ℓ,keep=‰)`, `pstep(l=ℓ)`, `varwidth`, `varwidth_zz`,
-//! `linear(l=ℓ)`, `poly2(l=ℓ)`.
+//! `linear(l=ℓ)`, `poly2(l=ℓ)`, and the part leaf `shared` — a
+//! dictionary stored once and shared between forms
+//! (`dict[dict=shared,codes=ns]`, see [`crate::shared`]).
 
 use crate::compose::Cascade;
 use crate::error::{CoreError, Result};
@@ -29,6 +31,7 @@ use crate::schemes::{
     Const, Delta, DeltaFor, Dict, For, Id, LinearFor, Ns, PatchedFor, PatchedStep, PolyFor, Rle,
     Rpe, Sparse, StepFunction, VarStep, VarWidthNs,
 };
+use crate::shared::Shared;
 use std::fmt;
 
 /// Parsed scheme expression: a named scheme with integer parameters and
@@ -69,6 +72,7 @@ impl SchemeExpr {
             "rle" => Box::new(Rle),
             "rpe" => Box::new(Rpe),
             "dict" => Box::new(Dict),
+            "shared" => Box::new(Shared),
             "varwidth" => Box::new(VarWidthNs::plain()),
             "varwidth_zz" => Box::new(VarWidthNs::zz()),
             "step" => Box::new(StepFunction::new(self.require_len()?)),

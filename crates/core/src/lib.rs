@@ -51,6 +51,7 @@ pub mod planopt;
 pub mod rewrite;
 pub mod scheme;
 pub mod schemes;
+pub mod shared;
 pub mod stats;
 
 pub use column::{ColumnData, DType};
@@ -63,4 +64,5 @@ pub use parts::{PartStream, Parts};
 pub use plan::{Node, Plan};
 pub use planopt::{optimize, OptStats};
 pub use scheme::{Compressed, Part, PartData, Scheme};
+pub use shared::{SharedDict, SharedRef};
 pub use stats::ColumnStats;

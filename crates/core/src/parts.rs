@@ -7,7 +7,8 @@
 //! (references, dictionary, run values) as columns, then fuses its own
 //! operator — add-reference, gather, running sum — into the stream's
 //! chunk callback, writing each output element once. A stream is backed
-//! by a plain slice, a packed buffer, or — for a part compressed by an
+//! by a plain slice (a shared dictionary's too, borrowed through its
+//! checked reference), a packed buffer, or — for a part compressed by an
 //! inner scheme — whatever [`Scheme::stream`] of that scheme returns:
 //! `ns` / `varwidth` hand out their packed payload (zigzag applied per
 //! chunk), any other scheme decompresses first and streams the result.
@@ -52,6 +53,7 @@ impl<'a> Parts<'a> {
                     CoreError::CorruptParts(format!("nested part {role:?} has no inner scheme"))
                 })?
                 .stream(nested),
+            PartData::Shared(shared) => Ok(PartStream::plain(Cow::Borrowed(shared.column()?))),
         }
     }
 

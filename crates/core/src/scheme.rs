@@ -4,15 +4,18 @@
 //! compressed column: a set of named part columns plus scalar
 //! parameters — no blocks, headers or padding. Parts are either plain
 //! columns, bit-packed payloads (NS at one width, VARWIDTH at one width
-//! per block), or — for *composed* schemes — recursively compressed
-//! columns.
+//! per block), for *composed* schemes recursively compressed columns, or
+//! references to a dictionary stored once and shared between forms
+//! ([`crate::shared`]).
 
 use crate::column::{ColumnData, DType};
 use crate::error::{CoreError, Result};
 use crate::parts::{PartStream, Parts};
 use crate::plan::Plan;
+use crate::shared::{SharedDict, SharedRef};
 use crate::stats::ColumnStats;
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// A named part of a compressed form.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,6 +36,9 @@ pub enum PartData {
     Packed(lcdc_bitpack::Packed),
     /// A recursively compressed column (result of a cascade).
     Nested(Box<Compressed>),
+    /// A dictionary stored once outside the form and shared by handle:
+    /// the form holds the reference, not the entries.
+    Shared(SharedRef),
 }
 
 impl PartData {
@@ -40,12 +46,14 @@ impl PartData {
     /// at element width, packed buffers at their packed size (plus one
     /// byte per block for per-block widths, see
     /// [`lcdc_bitpack::Packed::payload_bytes`]), nested parts
-    /// recursively.
+    /// recursively, a shared part at nothing: its entries are stored
+    /// once, by the container that shares them.
     pub fn bytes(&self) -> usize {
         match self {
             PartData::Plain(c) => c.uncompressed_bytes(),
             PartData::Packed(p) => p.payload_bytes(),
             PartData::Nested(c) => c.compressed_bytes(),
+            PartData::Shared(_) => 0,
         }
     }
 
@@ -55,6 +63,7 @@ impl PartData {
             PartData::Plain(c) => c.len(),
             PartData::Packed(p) => p.len(),
             PartData::Nested(c) => c.n,
+            PartData::Shared(r) => r.len,
         }
     }
 
@@ -166,6 +175,44 @@ impl Compressed {
         }
     }
 
+    /// The form's reference to a shared dictionary, if it holds one.
+    pub fn shared_part(&self) -> Option<&SharedRef> {
+        self.parts.iter().find_map(|p| match &p.data {
+            PartData::Shared(r) => Some(r),
+            _ => None,
+        })
+    }
+
+    /// The shared dictionary this form references, when one is
+    /// attached.
+    pub fn shared_dict(&self) -> Option<&Arc<SharedDict>> {
+        self.shared_part()?.dict.as_ref()
+    }
+
+    /// Attach `dict` to the form's shared part — what a container does
+    /// with every form it stored against that dictionary. A form with
+    /// no shared part, or one expecting a dictionary of another length,
+    /// is [`CoreError::CorruptParts`].
+    pub fn attach_shared(&mut self, dict: &Arc<SharedDict>) -> Result<()> {
+        let reference = self
+            .parts
+            .iter_mut()
+            .find_map(|p| match &mut p.data {
+                PartData::Shared(r) => Some(r),
+                _ => None,
+            })
+            .ok_or_else(|| CoreError::CorruptParts("no shared part to attach to".into()))?;
+        if reference.len != dict.len() {
+            return Err(CoreError::CorruptParts(format!(
+                "a shared dictionary of {} entries given to a form expecting {}",
+                dict.len(),
+                reference.len
+            )));
+        }
+        reference.dict = Some(Arc::clone(dict));
+        Ok(())
+    }
+
     /// Total compressed size in bytes: part payloads plus 8 bytes per
     /// scalar parameter. The same model is applied to every scheme, so
     /// ratios are comparable.
@@ -203,6 +250,7 @@ fn part_kind(data: &PartData) -> &'static str {
         PartData::Plain(_) => "plain",
         PartData::Packed(_) => "packed",
         PartData::Nested(_) => "nested",
+        PartData::Shared(_) => "shared",
     }
 }
 

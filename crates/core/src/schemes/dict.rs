@@ -6,6 +6,10 @@
 //! predicates be evaluated directly on codes — another instance of the
 //! paper's "no clear distinction between decompression and query
 //! execution".
+//!
+//! A run's segments may share one dictionary stored once
+//! (`dict[dict=shared,...]`, see [`crate::shared`]); the dictionary
+//! part is then a reference, read exactly like an own one.
 
 use crate::column::ColumnData;
 use crate::error::{CoreError, Result};
@@ -30,9 +34,12 @@ impl Dict {
     /// into `out` — a code past the dictionary gathers a default and
     /// lowers a flag, so the loop carries no `Result` — never
     /// materialising the codes column. Gathering stops at the first
-    /// chunk holding a bad code, which is the error.
+    /// chunk holding a bad code, which is the error: an index out of
+    /// bounds, or — past a dictionary shared by handle, where the frame
+    /// and the dictionary it was given disagree — a corrupt form.
     fn run(&self, parts: &Parts<'_>, out: &mut impl Emit) -> Result<()> {
         let c = parts.form();
+        let shared = matches!(c.part(ROLE_DICT)?.data, PartData::Shared(_));
         let dict = parts.column(ROLE_DICT)?;
         let dict = dict.as_transport();
         let codes = parts.stream(ROLE_CODES)?;
@@ -63,6 +70,10 @@ impl Dict {
             }
         });
         match bad {
+            Some(code) if shared => Err(CoreError::CorruptParts(format!(
+                "code {code} past a shared dictionary of {} entries",
+                dict.len()
+            ))),
             Some(code) => Err(match usize::try_from(code) {
                 Ok(index) => ColOpsError::IndexOutOfBounds {
                     index,

@@ -13,7 +13,7 @@
 //! differ only in their [`WidthRule`] — name, how `compress` packs and
 //! which parameters it records, and the size floor.
 
-use crate::column::ColumnData;
+use crate::column::{ColumnData, DType};
 use crate::error::{CoreError, Result};
 use crate::parts::{PartStream, Parts};
 use crate::plan::{Node, Plan};
@@ -116,6 +116,25 @@ impl<W: WidthRule> NullSuppression<W> {
         Ok(packed)
     }
 
+    /// The form of a `dtype` column whose transport values —
+    /// zigzagged, for the zigzag variant — are `values`: what
+    /// [`Scheme::compress`] builds once it has checked and mapped the
+    /// column, for a caller that holds such values already (a run
+    /// repacking remapped dictionary codes).
+    pub fn form_of(&self, values: &[u64], dtype: DType) -> Result<Compressed> {
+        let (packed, params) = W::pack(values)?;
+        Ok(Compressed {
+            scheme_id: self.name(),
+            n: values.len(),
+            dtype,
+            params: params.with("zigzag", self.zigzag as i64),
+            parts: vec![Part {
+                role: W::ROLE,
+                data: PartData::Packed(packed),
+            }],
+        })
+    }
+
     /// The payload part as a stream of the column it encodes.
     fn payload<'a>(&self, c: &'a Compressed) -> Result<PartStream<'a>> {
         Ok(PartStream::packed(Self::packed(c)?, self.zigzag, c.dtype))
@@ -152,17 +171,7 @@ impl<W: WidthRule> Scheme for NullSuppression<W> {
             }
             transport
         };
-        let (packed, params) = W::pack(&to_pack)?;
-        Ok(Compressed {
-            scheme_id: self.name(),
-            n: col.len(),
-            dtype: col.dtype(),
-            params: params.with("zigzag", self.zigzag as i64),
-            parts: vec![Part {
-                role: W::ROLE,
-                data: PartData::Packed(packed),
-            }],
-        })
+        self.form_of(&to_pack, col.dtype())
     }
 
     fn decode(&self, parts: &Parts<'_>) -> Result<ColumnData> {

@@ -9,11 +9,25 @@
 //! <dir>/MANIFEST.lcdc    magic, version, seg_rows, num_rows,
 //!                        column count, { name, dtype, segment count,
 //!                          { offset, record_len, payload_bytes, rows,
-//!                            min, max, sum, expr }* }*, checksum: u64
-//! <dir>/<name>.col       { frame_len: u64, expr: str, min: i128,
-//!                          max: i128, sum, frame: bytes,
-//!                          checksum: u64 }*       (one per segment)
+//!                            min, max, sum, expr, dict: u32 }*,
+//!                          dictionary count: u32,
+//!                          { offset, record_len }* }*, checksum: u64
+//! <dir>/<name>.col       records, each located by the manifest:
+//!   segment              frame_len: u64, expr: str, min: i128,
+//!                        max: i128, sum, frame: bytes, checksum: u64
+//!   dictionary           entries: u64, { entry }*, checksum: u64
 //! ```
+//!
+//! A column's segments may share a dictionary (`dict[dict=shared,...]`,
+//! decided by `table::segment_column`): it is stored once, as a
+//! dictionary record of the column's file, entries at the column's
+//! element width. A segment's `dict` is `1 + k` for the column's
+//! `k`-th dictionary, `0` for none, and its frame holds only a
+//! reference (`lcdc_core::bytes`). Both open paths read every
+//! dictionary at open — refusing one whose checksum fails or whose
+//! entries do not strictly increase — and attach it, one `Arc` per
+//! dictionary, to every segment that references it, so a saved run's
+//! dictionary is in memory once however many segments read it.
 //!
 //! `sum` is the segment's exact sum ([`Segment::sum`]): a presence byte
 //! then an `i128`, 17 bytes either way. It is present for every segment
@@ -33,9 +47,11 @@
 //! (interleaved bit packing); v5 adds `sum` to every manifest entry and
 //! record header; v6 and v7 hold v5's fields, their records `core::bytes`
 //! v4 frames (block-packed payloads interleaved too) and v5 frames (one
-//! bit-packed layout for both packed payloads). So a table written
+//! bit-packed layout for both packed payloads); v8 adds the shared
+//! dictionaries (each segment entry's `dict`, each column's dictionary
+//! list and records), its records holding v6 frames. So a table written
 //! before any of these changes is refused when it is opened
-//! ("unsupported table version 6"), not at its first frame fetch.
+//! ("unsupported table version 7"), not at its first frame fetch.
 //!
 //! Every checksum is a trailing XXH64 (`digest.rs`) over all the bytes
 //! before it: a record's covers its header as well as its frame, so the
@@ -46,31 +62,110 @@
 //! truncation), not cryptographic integrity.
 
 use crate::digest;
-use crate::le::{put_i128, put_opt_i128, put_str16, put_u16, put_u64, Cursor};
+use crate::le::{put_i128, put_opt_i128, put_str16, put_u16, put_u32, put_u64, Cursor};
 use crate::schema::{ColumnSchema, TableSchema};
 use crate::segment::{SchemeKind, Segment};
 use crate::source::{Column, FileSource, FrameLocation, SegmentMeta};
 use crate::table::Table;
 use crate::{Result, StoreError};
-use lcdc_core::{bytes, ColumnData, DType};
+use lcdc_core::{bytes, with_column, ColumnData, DType, SharedDict};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const MANIFEST: &str = "MANIFEST.lcdc";
 const MAGIC: &[u8; 8] = b"LCDCTBL\0";
-const VERSION: u16 = 7;
+const VERSION: u16 = 8;
 
 /// Default decoded-segment cache capacity per column for
 /// [`open_table_lazy`].
 pub const DEFAULT_SEGMENT_CACHE: usize = 16;
 
-/// One column's manifest entry: declaration plus per-segment metadata.
+/// One column's manifest entry: declaration, per-segment metadata, and
+/// where its shared dictionaries' records sit (`dict` unused).
 #[derive(Debug, Clone)]
 struct ColumnManifest {
     schema: ColumnSchema,
     metas: Vec<SegmentMeta>,
     locations: Vec<FrameLocation>,
+    dicts: Vec<FrameLocation>,
+}
+
+/// A column's shared dictionaries, in the order their records are
+/// written: `1 + k` is what a segment referencing the `k`-th stores.
+#[derive(Default)]
+struct Dictionaries(Vec<Arc<SharedDict>>);
+
+impl Dictionaries {
+    /// The `dict` field of `seg`'s manifest entry, with `seg`'s
+    /// dictionary joining the list on first sight (`true`: it is new
+    /// and needs its record written). A segment whose frame references
+    /// a dictionary it was never given cannot be saved.
+    fn index_of(&mut self, seg: &Segment) -> Result<(u32, bool)> {
+        let Some(reference) = seg.compressed.shared_part() else {
+            return Ok((0, false));
+        };
+        let dict = reference.dict.as_ref().ok_or_else(|| {
+            StoreError::Shape("a segment references a dictionary it was not given".into())
+        })?;
+        if let Some(k) = self.0.iter().position(|d| Arc::ptr_eq(d, dict)) {
+            return Ok((k as u32 + 1, false));
+        }
+        self.0.push(Arc::clone(dict));
+        Ok((self.0.len() as u32, true))
+    }
+}
+
+/// A shared dictionary's record: its entry count, the entries at the
+/// column's element width, and a checksum over both.
+fn encode_dict_record(dict: &SharedDict) -> Vec<u8> {
+    let values = dict.values();
+    let mut record = Vec::with_capacity(16 + values.uncompressed_bytes());
+    put_u64(&mut record, values.len() as u64);
+    with_column!(values, |v| v
+        .iter()
+        .for_each(|x| record.extend_from_slice(&x.to_le_bytes())));
+    let sum = digest::checksum(&record);
+    put_u64(&mut record, sum);
+    record
+}
+
+/// Read the `k`-th dictionary record of `column`: checksum, exact
+/// length, and entries strictly increasing — each a typed error.
+fn decode_dict_record(
+    record: &[u8],
+    column: &str,
+    k: usize,
+    dtype: DType,
+) -> Result<Arc<SharedDict>> {
+    let corrupt =
+        |what: &str| StoreError::CorruptFile(format!("column {column} dictionary {k}: {what}"));
+    let body = digest::verified(record).ok_or_else(|| corrupt("record checksum mismatch"))?;
+    let mut r = Cursor::new(body);
+    let len = r.u64()?;
+    let entries = r.rest();
+    if Some(entries.len() as u64) != len.checked_mul(dtype.bytes() as u64) {
+        return Err(corrupt("entry count disagrees with the record length"));
+    }
+    let values = match dtype {
+        DType::U32 | DType::I32 => entries
+            .as_chunks::<4>()
+            .0
+            .iter()
+            .map(|&b| u64::from(u32::from_le_bytes(b)))
+            .collect(),
+        DType::U64 | DType::I64 => entries
+            .as_chunks::<8>()
+            .0
+            .iter()
+            .map(|&b| u64::from_le_bytes(b))
+            .collect(),
+    };
+    let dict = SharedDict::new(ColumnData::from_transport(dtype, values));
+    if !dict.is_sorted() {
+        return Err(corrupt("entries do not strictly increase"));
+    }
+    Ok(dict)
 }
 
 /// One segment's on-disk record: header (frame length, expr, zone map,
@@ -126,6 +221,12 @@ fn write_manifest(
             put_i128(&mut manifest, meta.max);
             put_opt_i128(&mut manifest, meta.sum);
             put_str16(&mut manifest, &meta.expr);
+            put_u32(&mut manifest, loc.dict);
+        }
+        put_u32(&mut manifest, col.dicts.len() as u32);
+        for loc in &col.dicts {
+            put_u64(&mut manifest, loc.offset);
+            put_u64(&mut manifest, loc.len);
         }
     }
     // Trailing checksum over the manifest body: zone maps steer lazy
@@ -163,24 +264,18 @@ pub fn save_table(table: &Table, dir: &Path) -> Result<()> {
     for col in &table.schema().columns {
         let segments = table.column_segments(&col.name)?;
         let mut file = Vec::new();
-        let mut metas = Vec::with_capacity(segments.len());
-        let mut locations = Vec::with_capacity(segments.len());
+        let mut column = ColumnManifest {
+            schema: col.clone(),
+            metas: Vec::with_capacity(segments.len()),
+            locations: Vec::with_capacity(segments.len()),
+            dicts: Vec::new(),
+        };
+        let mut dicts = Dictionaries::default();
         for seg in &segments {
-            let offset = file.len() as u64;
-            let record = encode_segment_record(seg);
-            file.extend_from_slice(&record);
-            metas.push(SegmentMeta::of(seg));
-            locations.push(FrameLocation {
-                offset,
-                len: record.len() as u64,
-            });
+            column.push(seg, &mut dicts, &mut file, 0, 0)?;
         }
         fs::write(dir.join(column_file(&col.name)), file)?;
-        columns.push(ColumnManifest {
-            schema: col.clone(),
-            metas,
-            locations,
-        });
+        columns.push(column);
     }
     write_manifest(dir, table.seg_rows(), table.num_rows(), &columns)
 }
@@ -216,7 +311,7 @@ pub fn append_table(
     for ((col, manifest_col), policy) in columns.iter().zip(manifest_cols.iter_mut()).zip(policies)
     {
         let path = dir.join(column_file(&manifest_col.schema.name));
-        let expected = recorded_end(&manifest_col.locations);
+        let expected = recorded_end(manifest_col);
         let mut file = fs::OpenOptions::new().read(true).write(true).open(&path)?;
         let actual = file.metadata()?.len();
         if actual < expected {
@@ -231,23 +326,88 @@ pub fn append_table(
             file.set_len(expected)?;
         }
         file.seek(SeekFrom::Start(expected))?;
-        let mut offset = expected;
+        // The batch's segments share no dictionary with the stored
+        // ones: a dictionary they share is a new record, numbered after
+        // the column's existing ones.
+        let mut tail = Vec::new();
+        let mut dicts = Dictionaries::default();
+        let stored = manifest_col.dicts.len() as u32;
         for segment in crate::table::segment_column(col, policy, seg_rows)? {
-            let record = encode_segment_record(&segment);
-            file.write_all(&record)?;
-            manifest_col.metas.push(SegmentMeta::of(&segment));
-            manifest_col.locations.push(FrameLocation {
-                offset,
-                len: record.len() as u64,
-            });
-            offset += record.len() as u64;
+            manifest_col.push(&segment, &mut dicts, &mut tail, expected, stored)?;
         }
+        file.write_all(&tail)?;
         // Frames durable before the manifest that references them.
         file.sync_all()?;
     }
     let total = num_rows + batch_rows;
     write_manifest(dir, seg_rows, total, &manifest_cols)?;
     Ok(total)
+}
+
+impl ColumnManifest {
+    /// Append `seg`'s record — after its dictionary's, the first time
+    /// `dicts` sees that dictionary — to `out`, bytes that go at file
+    /// offset `base` after `stored` dictionaries, and enter both here.
+    fn push(
+        &mut self,
+        seg: &Segment,
+        dicts: &mut Dictionaries,
+        out: &mut Vec<u8>,
+        base: u64,
+        stored: u32,
+    ) -> Result<()> {
+        let (index, new) = dicts.index_of(seg)?;
+        if let (true, Some(dict)) = (new, seg.compressed.shared_dict()) {
+            let record = encode_dict_record(dict);
+            self.dicts.push(FrameLocation {
+                offset: base + out.len() as u64,
+                len: record.len() as u64,
+                dict: 0,
+            });
+            out.extend_from_slice(&record);
+        }
+        let record = encode_segment_record(seg);
+        self.metas.push(SegmentMeta::of(seg));
+        self.locations.push(FrameLocation {
+            offset: base + out.len() as u64,
+            len: record.len() as u64,
+            dict: if index == 0 { 0 } else { stored + index },
+        });
+        out.extend_from_slice(&record);
+        Ok(())
+    }
+}
+
+/// The dictionary a segment at `loc` references among `dicts`: `None`
+/// for none, an error for an index past the column's list.
+pub(crate) fn dictionary_of<'d>(
+    dicts: &'d [Arc<SharedDict>],
+    loc: FrameLocation,
+    column: &str,
+    idx: usize,
+) -> Result<Option<&'d Arc<SharedDict>>> {
+    match loc.dict {
+        0 => Ok(None),
+        k => dicts.get(k as usize - 1).map(Some).ok_or_else(|| {
+            StoreError::CorruptFile(format!(
+                "column {column} segment {idx}: dictionary {k} of {}",
+                dicts.len()
+            ))
+        }),
+    }
+}
+
+/// Read every dictionary record of a column whose file bytes `read`
+/// returns for a location — at open, on both paths.
+fn read_dictionaries(
+    col: &ColumnManifest,
+    mut read: impl FnMut(FrameLocation) -> Result<Vec<u8>>,
+) -> Result<Vec<Arc<SharedDict>>> {
+    col.dicts
+        .iter()
+        .enumerate()
+        .map(|(k, &loc)| decode_dict_record(&read(loc)?, &col.schema.name, k, col.schema.dtype))
+        .collect()
 }
 
 /// Load a whole table from `dir` into memory, verifying every frame
@@ -260,14 +420,27 @@ pub fn load_table(dir: &Path) -> Result<Table> {
         // does, so both opens accept the same directories (including
         // non-uniform segmentations) — except that bytes past the last
         // record (a torn append) are refused here rather than ignored.
+        let dicts = read_dictionaries(&col, |loc| {
+            record_at(&data, loc).map(<[u8]>::to_vec).ok_or_else(|| {
+                StoreError::CorruptFile(format!("{name}: a dictionary extends past end of file"))
+            })
+        })?;
         let mut segments = Vec::with_capacity(col.metas.len());
         for (idx, (meta, loc)) in col.metas.iter().zip(&col.locations).enumerate() {
             let record = record_at(&data, *loc).ok_or_else(|| {
                 StoreError::CorruptFile(format!("{name}: segment {idx} extends past end of file"))
             })?;
-            segments.push(decode_record(record, name, idx, meta, col.schema.dtype)?);
+            let dict = dictionary_of(&dicts, *loc, name, idx)?;
+            segments.push(decode_record(
+                record,
+                name,
+                idx,
+                meta,
+                col.schema.dtype,
+                dict,
+            )?);
         }
-        let end = recorded_end(&col.locations);
+        let end = recorded_end(&col);
         if end != data.len() as u64 {
             return Err(StoreError::CorruptFile(format!(
                 "{name}: {} trailing bytes",
@@ -288,14 +461,7 @@ pub fn open_table_lazy(dir: &Path, cache_capacity: usize) -> Result<Table> {
     let (schema, columns, num_rows, seg_rows) = open_with(dir, |path, col| {
         // FileSource::new bounds-checks every frame location against
         // the file length before any fetch can allocate from it.
-        let base = FileSource::new(
-            path,
-            &col.schema.name,
-            col.schema.dtype,
-            col.metas,
-            col.locations,
-            cache_capacity,
-        )?;
+        let base = file_source(path, col, cache_capacity)?;
         Ok(Column::new(Some(Arc::new(base)), Vec::new()))
     })?;
     Table::assemble(schema, columns, num_rows, seg_rows)
@@ -319,6 +485,41 @@ fn open_with<T>(
     Ok((schema, opened, num_rows, seg_rows))
 }
 
+/// A lazy source over one column file: its dictionaries read now,
+/// its segments on demand.
+fn file_source(path: PathBuf, col: ColumnManifest, cache_capacity: usize) -> Result<FileSource> {
+    let dicts = read_dictionaries(&col, |loc| read_at(&path, loc))?;
+    FileSource::new(
+        path,
+        &col.schema.name,
+        col.schema.dtype,
+        (col.metas, col.locations),
+        dicts,
+        cache_capacity,
+    )
+}
+
+/// The record at `loc` of the file at `path`; a short file is corrupt.
+fn read_at(path: &Path, loc: FrameLocation) -> Result<Vec<u8>> {
+    use std::io::{Read, Seek, SeekFrom};
+    let mut file = fs::File::open(path)?;
+    let file_len = file.metadata()?.len();
+    if loc
+        .offset
+        .checked_add(loc.len)
+        .is_none_or(|end| end > file_len)
+    {
+        return Err(StoreError::CorruptFile(format!(
+            "{}: a dictionary extends past end of file",
+            path.display()
+        )));
+    }
+    file.seek(SeekFrom::Start(loc.offset))?;
+    let mut record = vec![0; loc.len as usize];
+    file.read_exact(&mut record)?;
+    Ok(record)
+}
+
 /// Read one segment of one column without touching any other frame:
 /// the manifest records each frame's offset, so exactly one record is
 /// read, checksum-verified, and cross-checked against its manifest
@@ -335,14 +536,7 @@ pub fn read_segment(dir: &Path, column: &str, index: usize) -> Result<Segment> {
             col.locations.len()
         )));
     }
-    let source = FileSource::new(
-        dir.join(column_file(column)),
-        column,
-        col.schema.dtype,
-        col.metas,
-        col.locations,
-        1,
-    )?;
+    let source = file_source(dir.join(column_file(column)), col, 1)?;
     let segment = source.segment(index)?;
     // Drop the source (and its cache's Arc) so the unwrap moves the
     // decoded segment out instead of deep-cloning it.
@@ -355,13 +549,16 @@ pub fn read_segment(dir: &Path, column: &str, index: usize) -> Result<Segment> {
 /// record checksum, then the header's zone map, sum and expression
 /// against `meta`, then the frame's dtype and height. The one gate
 /// every record passes on both open paths ([`load_table`] and
-/// [`FileSource`]).
+/// [`FileSource`]). The run dictionary the manifest says the segment
+/// references, `dict`, is attached; a frame that references none it
+/// is given, or is given one it does not reference, is corrupt.
 pub(crate) fn decode_record(
     record: &[u8],
     column: &str,
     idx: usize,
     meta: &SegmentMeta,
     dtype: DType,
+    dict: Option<&Arc<SharedDict>>,
 ) -> Result<Segment> {
     let corrupt =
         |what: String| StoreError::CorruptFile(format!("column {column} segment {idx}: {what}"));
@@ -387,7 +584,15 @@ pub(crate) fn decode_record(
     if (min, max, sum) != (meta.min, meta.max, meta.sum) || expr != meta.expr {
         return Err(corrupt("frame metadata disagrees with manifest".into()));
     }
-    let segment = Segment::summarised(bytes::from_bytes(frame)?, expr, min, max, sum)?;
+    let mut segment = Segment::summarised(bytes::from_bytes(frame)?, expr, min, max, sum)?;
+    match (dict, segment.compressed.shared_part()) {
+        (Some(dict), _) => segment
+            .compressed
+            .attach_shared(dict)
+            .map_err(|e| corrupt(format!("{e}")))?,
+        (None, Some(_)) => return Err(corrupt("references a dictionary it was not given".into())),
+        (None, None) => {}
+    }
     if segment.compressed.dtype != dtype {
         return Err(StoreError::Shape(format!(
             "column {column} segment {idx} is {:?}, schema says {dtype:?}",
@@ -412,9 +617,10 @@ fn record_at(data: &[u8], loc: FrameLocation) -> Option<&[u8]> {
 }
 
 /// Where the manifest says a column file's last record ends.
-fn recorded_end(locations: &[FrameLocation]) -> u64 {
-    locations
+fn recorded_end(col: &ColumnManifest) -> u64 {
+    col.locations
         .iter()
+        .chain(&col.dicts)
         .map(|loc| loc.offset.saturating_add(loc.len))
         .max()
         .unwrap_or(0)
@@ -450,11 +656,11 @@ fn read_manifest(dir: &Path) -> Result<(Vec<ColumnManifest>, usize, usize)> {
         let dtype = DType::from_tag(tag)
             .ok_or_else(|| StoreError::CorruptFile(format!("unknown dtype tag {tag}")))?;
         let count = r.u64()? as usize;
-        // Each segment record is at least 83 bytes (four u64s, two
-        // i128s, a 17-byte sum, a u16 string length): a count the
-        // remaining manifest cannot possibly hold is corruption, caught
-        // *before* any count-sized allocation.
-        if count > r.rest().len() / 83 {
+        // Each segment record is at least 87 bytes (four u64s, two
+        // i128s, a 17-byte sum, a u16 string length, a u32): a count
+        // the remaining manifest cannot possibly hold is corruption,
+        // caught *before* any count-sized allocation.
+        if count > r.rest().len() / 87 {
             return Err(StoreError::CorruptFile(format!(
                 "{name}: implausible segment count {count}"
             )));
@@ -471,6 +677,7 @@ fn read_manifest(dir: &Path) -> Result<(Vec<ColumnManifest>, usize, usize)> {
             let max = r.i128()?;
             let sum = r.opt_i128()?;
             let expr = r.str16()?;
+            let dict = r.u32()?;
             total_rows = total_rows.saturating_add(rows);
             metas.push(SegmentMeta {
                 rows,
@@ -481,7 +688,24 @@ fn read_manifest(dir: &Path) -> Result<(Vec<ColumnManifest>, usize, usize)> {
                 kind: SchemeKind::of_expr(&expr)?,
                 expr,
             });
-            locations.push(FrameLocation { offset, len });
+            locations.push(FrameLocation { offset, len, dict });
+        }
+        let dict_count = r.u32()? as usize;
+        // Each dictionary entry is 16 bytes.
+        if dict_count > r.rest().len() / 16 {
+            return Err(StoreError::CorruptFile(format!(
+                "{name}: implausible dictionary count {dict_count}"
+            )));
+        }
+        let mut dicts = Vec::with_capacity(dict_count);
+        for _ in 0..dict_count {
+            let offset = r.u64()?;
+            let len = r.u64()?;
+            dicts.push(FrameLocation {
+                offset,
+                len,
+                dict: 0,
+            });
         }
         if total_rows != num_rows {
             return Err(StoreError::CorruptFile(format!(
@@ -492,6 +716,7 @@ fn read_manifest(dir: &Path) -> Result<(Vec<ColumnManifest>, usize, usize)> {
             schema: ColumnSchema::new(&name, dtype),
             metas,
             locations,
+            dicts,
         });
     }
     r.finish()?;
@@ -863,6 +1088,142 @@ mod tests {
             Err(StoreError::CorruptFile(_))
         ));
         assert!(matches!(load_table(&dir), Err(StoreError::CorruptFile(_))));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Sparse 41-bit keys, `distinct` of them, scrambled over `rows`:
+    /// each 1024-row segment picks `dict[codes=ns]`.
+    fn sparse_keys(rows: u64, distinct: u64, salt: u64) -> ColumnData {
+        ColumnData::U64(
+            (0..rows)
+                .map(|i| (1 << 40) + ((i * 7919 + salt) % distinct) * 1_000_003)
+                .collect(),
+        )
+    }
+
+    /// A table whose `key` segments share one dictionary.
+    fn shared_table() -> Table {
+        let vals = ColumnData::U64((0..4096u64).map(|i| i % 13).collect());
+        Table::build(
+            TableSchema::new(&[("key", DType::U64), ("val", DType::U64)]),
+            &[sparse_keys(4096, 100, 0), vals],
+            &[CompressionPolicy::Auto, CompressionPolicy::Auto],
+            1024,
+        )
+        .unwrap()
+    }
+
+    /// Every segment of `column`'s dictionary handle, `None` for an own
+    /// dictionary.
+    fn dictionaries(table: &Table, column: &str) -> Vec<Option<Arc<SharedDict>>> {
+        let segments = table.column_segments(column).unwrap();
+        segments
+            .iter()
+            .map(|seg| seg.compressed.shared_dict().cloned())
+            .collect()
+    }
+
+    #[test]
+    fn a_shared_dictionary_is_stored_once_and_shared_on_both_opens() {
+        let dir = tmpdir("shared");
+        let table = shared_table();
+        let built = dictionaries(&table, "key");
+        assert!(
+            built.iter().all(|d| d.is_some()),
+            "the chooser's DICT picks share"
+        );
+        // The dictionary counts once, at its column.
+        let source = table.source("key").unwrap();
+        let segments: usize = (0..4).map(|i| source.meta(i).bytes).sum();
+        let dict = built[0].as_ref().unwrap().values().uncompressed_bytes();
+        let bytes = table.column_compressed_bytes("key").unwrap();
+        assert_eq!(bytes, segments + dict);
+        save_table(&table, &dir).unwrap();
+        let (columns, _, _) = read_manifest(&dir).unwrap();
+        assert_eq!(columns[0].dicts.len(), 1, "stored once");
+        let locations: Vec<u32> = columns[0].locations.iter().map(|l| l.dict).collect();
+        assert_eq!(locations, vec![1; 4]);
+        assert!(columns[1].dicts.is_empty());
+        for reopened in [load_table(&dir).unwrap(), open_table_lazy(&dir, 2).unwrap()] {
+            let dicts = dictionaries(&reopened, "key");
+            let first = dicts[0].clone().expect("attached");
+            assert_eq!(first.values(), built[0].as_ref().unwrap().values());
+            for dict in &dicts {
+                assert!(Arc::ptr_eq(dict.as_ref().unwrap(), &first), "one handle");
+            }
+            assert_eq!(reopened.column_compressed_bytes("key").unwrap(), bytes);
+            for col in ["key", "val"] {
+                let want = table.materialize(col).unwrap();
+                assert_eq!(reopened.materialize(col).unwrap(), want, "{col}");
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn appends_bring_their_own_dictionaries() {
+        let dir = tmpdir("shared_append");
+        let table = shared_table();
+        save_table(&table, &dir).unwrap();
+        let policies = [CompressionPolicy::Auto, CompressionPolicy::Auto];
+        // Two segments of new keys share a dictionary of their own; one
+        // segment never shares.
+        let two = [sparse_keys(2048, 60, 3), ColumnData::U64(vec![1; 2048])];
+        let one = [sparse_keys(1024, 60, 5), ColumnData::U64(vec![2; 1024])];
+        append_table(&dir, &two, &policies).unwrap();
+        append_table(&dir, &one, &policies).unwrap();
+        let (columns, _, _) = read_manifest(&dir).unwrap();
+        assert_eq!(columns[0].dicts.len(), 2);
+        let locations: Vec<u32> = columns[0].locations.iter().map(|l| l.dict).collect();
+        assert_eq!(locations, vec![1, 1, 1, 1, 2, 2, 0]);
+        let want = table.append(&two).unwrap().append(&one).unwrap();
+        for reopened in [load_table(&dir).unwrap(), open_table_lazy(&dir, 2).unwrap()] {
+            let dicts = dictionaries(&reopened, "key");
+            assert!(Arc::ptr_eq(
+                dicts[4].as_ref().unwrap(),
+                dicts[5].as_ref().unwrap()
+            ));
+            assert!(!Arc::ptr_eq(
+                dicts[0].as_ref().unwrap(),
+                dicts[4].as_ref().unwrap()
+            ));
+            assert!(dicts[6].is_none());
+            for col in ["key", "val"] {
+                let want = want.materialize(col).unwrap();
+                assert_eq!(reopened.materialize(col).unwrap(), want, "{col}");
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_corrupt_shared_dictionary_is_refused_at_open() {
+        let dir = tmpdir("shared_corrupt");
+        save_table(&shared_table(), &dir).unwrap();
+        let (columns, _, _) = read_manifest(&dir).unwrap();
+        let loc = columns[0].dicts[0];
+        let path = dir.join("key.col");
+        let clean = fs::read(&path).unwrap();
+        let (start, end) = (loc.offset as usize, (loc.offset + loc.len) as usize);
+        let refused = |what: &str| {
+            for opened in [load_table(&dir).err(), open_table_lazy(&dir, 2).err()] {
+                let err = opened.unwrap_or_else(|| panic!("{what}: opened"));
+                assert!(matches!(err, StoreError::CorruptFile(_)), "{what}: {err}");
+            }
+        };
+        // A flipped entry: the record checksum.
+        let mut flipped = clean.clone();
+        flipped[start + 8] ^= 1;
+        fs::write(&path, &flipped).unwrap();
+        refused("flipped");
+        // Two entries swapped, the checksum re-sealed: not increasing.
+        let mut swapped = clean.clone();
+        let entries = &mut swapped[start + 8..end - 8];
+        let (a, b) = entries.split_at_mut(8);
+        a.swap_with_slice(&mut b[..8]);
+        restamp(&mut swapped[start..end]);
+        fs::write(&path, &swapped).unwrap();
+        refused("unsorted");
         fs::remove_dir_all(&dir).unwrap();
     }
 

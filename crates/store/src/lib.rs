@@ -62,7 +62,13 @@
 //! [`source::SegmentMeta`] (zone maps, exact sums, scheme tags) for
 //! every pruning decision — and answers a fully selected segment's
 //! aggregate from it — and fetches payloads only for segments a
-//! pushdown tier actually touches. The [`Catalog`] layers multi-table storage on
+//! pushdown tier actually touches. Under [`CompressionPolicy::Auto`] the
+//! DICT segments of a column share one sorted dictionary where that is
+//! smaller (`dict[dict=shared,codes=ns]`): it is stored once per saved
+//! run, held once in memory ([`lcdc_core::SharedDict`], attached by both
+//! open paths to every segment that references it), and the group-by
+//! and join fold per code of it, resolving each touched key once per
+//! dictionary. The [`Catalog`] layers multi-table storage on
 //! top: named tables, horizontal sharding ([`ShardedTable`], read as
 //! one table whose columns list every shard's runs), monotonic
 //! versions stamped on

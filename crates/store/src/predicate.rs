@@ -22,7 +22,7 @@ pub use crate::query::stats::PushdownStats;
 use crate::segment::{DictView, SchemeKind, Segment};
 use crate::Result;
 use lcdc_colops::Bitmap;
-use lcdc_core::ColumnData;
+use lcdc_core::{with_column, ColumnData};
 use std::sync::Arc;
 
 /// A sorted, deduplicated membership list for [`Predicate::In`]. The
@@ -211,32 +211,41 @@ impl Predicate {
         // range into a *code* range and test codes directly, never
         // materialising the gathered values (the classic dictionary
         // pushdown; another face of "executing on the compressed form").
-        if segment.kind() == SchemeKind::Dict && self.bounds().is_some() {
+        if let (SchemeKind::Dict, Some((lo, hi))) = (segment.kind(), self.bounds()) {
             stats.code_granularity += 1;
             // Decide from the dictionary alone first — a predicate no
             // dictionary entry satisfies empties the segment without
-            // ever decompressing the per-row codes. Otherwise the
-            // matching entries are a membership list (In) or, the
-            // dictionary being order-preserving, one code range.
-            let dict_numeric = segment.dictionary()?.to_numeric();
-            let selected: Vec<bool> = match self {
-                Predicate::In(_) => dict_numeric.iter().map(|&v| self.test(v)).collect(),
-                _ => {
-                    let (lo, hi) = self.bounds().expect("checked above");
-                    let code_lo = dict_numeric.partition_point(|&v| v < lo);
-                    let code_hi = dict_numeric.partition_point(|&v| v <= hi);
-                    (0..dict_numeric.len())
-                        .map(|code| (code_lo..code_hi).contains(&code))
-                        .collect()
-                }
+            // ever decompressing the per-row codes. The dictionary being
+            // order-preserving, the bounds are one code range, found by
+            // two binary searches (a run's shared dictionary is no
+            // costlier than a segment's own); a membership list (In)
+            // then tests the entries inside that range.
+            let entries = segment.dictionary()?;
+            let (code_lo, code_hi) = with_column!(&*entries, |v| (
+                v.partition_point(|&x| i128::from(x) < lo),
+                v.partition_point(|&x| i128::from(x) <= hi),
+            ));
+            let members: Option<Vec<bool>> = match self {
+                Predicate::In(_) => Some(with_column!(&*entries, |v| v
+                    .get(code_lo..code_hi)
+                    .unwrap_or_default()
+                    .iter()
+                    .map(|&x| self.test(x.into()))
+                    .collect())),
+                _ => None,
             };
             let mut bitmap = Bitmap::new_zeroed(n);
-            if !selected.contains(&true) {
+            if code_lo >= code_hi || members.as_ref().is_some_and(|m| !m.contains(&true)) {
                 return Ok(bitmap);
             }
             let view = DictView::new(segment, codes, None)?;
             for (i, &code) in view.codes.iter().enumerate() {
-                if selected[code as usize] {
+                let at = (code as usize).wrapping_sub(code_lo);
+                let hit = match &members {
+                    Some(members) => members.get(at).copied().unwrap_or(false),
+                    None => at < code_hi - code_lo,
+                };
+                if hit {
                     bitmap.set(i);
                 }
             }

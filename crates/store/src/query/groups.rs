@@ -2,12 +2,15 @@
 //! accumulators per unit.
 //!
 //! A key is hashed once per unit a tier can name — a constant segment,
-//! a run, a touched dictionary code, or a segment-local distinct key —
-//! and resolves to a dense *slot*. The value columns fold first into
-//! per-unit sums ([`UnitFold`]) straight off their streams, with no
-//! hashing, no key decode and no per-group heap object on the way, and
-//! each unit reaches its slot once.
+//! a run, or a segment-local distinct key — and resolves to a dense
+//! *slot*. The value columns fold first into per-unit sums
+//! ([`UnitFold`]) straight off their streams, with no hashing, no key
+//! decode and no per-group heap object on the way, and each unit
+//! reaches its slot once. A DICT key folds per code of its dictionary
+//! instead ([`CodeFold`]), across every segment that shares it, and
+//! each touched code reaches its slot once per dictionary.
 
+use super::codes::{CodeFold, SegmentCodes};
 use crate::agg::{narrow_fits, widen, AggResult};
 use crate::hash::IntMap;
 use crate::segment::Segment;
@@ -37,6 +40,9 @@ pub(crate) struct GroupTable {
     /// key units ([`GroupTable::resolve`]). Reused across segments,
     /// never merged.
     slots: Vec<usize>,
+    /// The DICT tier's per-code fold, pending until its dictionary
+    /// changes or the table is merged ([`GroupTable::resolve_codes`]).
+    codes: CodeFold,
 }
 
 impl GroupTable {
@@ -56,6 +62,7 @@ impl GroupTable {
                 })
                 .collect(),
             slots: Vec::new(),
+            codes: CodeFold::default(),
         }
     }
 
@@ -85,7 +92,7 @@ impl GroupTable {
         slot
     }
 
-    /// Resolve a segment's key units — dictionary codes, runs or
+    /// Resolve a segment's key units — the constant, runs or
     /// segment-local keys — to slots: `units` yields each unit's `(key,
     /// selected rows)` in unit order. A unit with no selected rows gets
     /// no group, and [`GroupTable::absorb_units`] never reads its slot.
@@ -97,6 +104,44 @@ impl GroupTable {
             _ => self.slot(key, rows),
         }));
         self.slots = slots;
+    }
+
+    /// Count one DICT key segment's selected rows per code, resolving
+    /// the pending dictionary first when `codes` reads another. Returns
+    /// how many codes the segment touched.
+    pub(crate) fn fold_codes(&mut self, codes: &SegmentCodes<'_>) -> Result<usize> {
+        if !self.codes.holds(&codes.dict) {
+            self.resolve_codes()?;
+            let extrema = self.cols.iter().map(|col| col.extrema);
+            self.codes.start(&codes.dict, codes.len, extrema);
+        }
+        Ok(self.codes.add_rows(codes.counts))
+    }
+
+    /// Fold value segment `seg` into value column `col` per code of the
+    /// key segment [`GroupTable::fold_codes`] last counted, whose codes
+    /// are `codes`.
+    pub(crate) fn fold_code_values(
+        &mut self,
+        col: usize,
+        seg: &Segment,
+        codes: &[u32],
+    ) -> Result<()> {
+        self.codes.fold(col, seg, codes)
+    }
+
+    /// Resolve the pending dictionary's touched codes to slots, once
+    /// each, folding their rows and aggregates in.
+    pub(crate) fn resolve_codes(&mut self) -> Result<()> {
+        let mut codes = std::mem::take(&mut self.codes);
+        let resolved = codes.resolve(|key, rows, part| {
+            let slot = self.slot(key, rows as usize);
+            for col in 0..self.cols.len() {
+                self.absorb(col, slot, &part(col));
+            }
+        });
+        self.codes = codes;
+        resolved
     }
 
     /// Whether value column `col` keeps MIN / MAX.
@@ -155,7 +200,8 @@ impl GroupTable {
             })
     }
 
-    /// Merge another partial table in (a job's lease slots).
+    /// Merge another partial table in (a job's lease slots), whose
+    /// codes are resolved.
     pub(crate) fn merge(&mut self, other: &GroupTable) {
         for (key, rows, per_col) in other.groups() {
             let slot = self.slot(key, rows);
@@ -167,7 +213,7 @@ impl GroupTable {
 }
 
 /// One value column's running sums (and extrema) per key unit of a
-/// segment — a dictionary code, or a segment-local key id — folded
+/// segment — a segment-local key id — folded
 /// straight off the value stream. Sums run in `u64` while
 /// [`narrow_fits`] proves no unit's sum can overflow — every unit
 /// accumulates at most the segment's rows, each below the OR of all

@@ -581,7 +581,7 @@ impl Job {
         }
         let mut state = SinkState::for_sink(&self.plan.sink);
         for slot in slots {
-            state.merge(slot.state);
+            state.merge(slot.state)?;
             stats.absorb(&slot.stats);
         }
         QueryResult::from_state(&self.plan.sink, state, stats)

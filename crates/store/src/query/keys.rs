@@ -7,36 +7,31 @@
 //! histogram, and a group-by reduces its key the same way before
 //! folding value columns per group. A compressed key segment can often
 //! be reduced without decoding its rows (Lessons 1: the operator runs
-//! on the scheme's parts). [`key_units`] splits a segment into *key
-//! units* — `(key, selected rows)` pairs plus a map from rows to units —
-//! at the first tier its scheme allows:
+//! on the scheme's parts). A DICT key folds per code of its dictionary
+//! (`super::codes`); for every other key segment [`key_units`] splits
+//! it into *key units* — `(key, selected rows)` pairs plus a map from
+//! rows to units — at the first tier its scheme allows:
 //!
 //! 1. **CONST**: one unit, keyed off the zone map.
-//! 2. **DICT**: one unit per dictionary code, read through [`DictView`];
-//!    each entry is decoded once, never per row.
-//! 3. **RLE/RPE** under a full selection: one unit per run, read off the
+//! 2. **RLE/RPE** under a full selection: one unit per run, read off the
 //!    run structure.
-//! 4. Otherwise: one unit per segment-local distinct key, hashed once
+//! 3. Otherwise: one unit per segment-local distinct key, hashed once
 //!    per selected row off the value stream.
 //!
-//! A unit may own no selected row (a code the selection never touches,
-//! or the one unit a mask's dropped rows map to); consumers skip it.
+//! A unit may own no selected row (the one unit a mask's dropped rows
+//! map to); consumers skip it.
 
 use super::physical::Selection;
 use crate::agg::{for_each_run, widen};
 use crate::hash::IntMap;
-use crate::segment::{DictView, SchemeKind, Segment};
+use crate::segment::{SchemeKind, Segment};
 use crate::Result;
-use lcdc_core::with_column;
 
 /// How a key segment's rows map to its units.
 #[derive(Debug)]
 pub(crate) enum RowMap<'s> {
     /// The one unit owns every selected row (CONST).
     Whole,
-    /// Row `i` belongs to unit `codes[i]`: its dictionary code, or — a
-    /// row the selection drops — the unit one past the last code (DICT).
-    Codes(&'s [u32]),
     /// Run `r` owns the rows up to `ends[r]`, exclusive (RLE/RPE).
     Runs(Vec<u64>),
     /// Row `i` belongs to unit `ids[i]`, a segment-local distinct key;
@@ -60,7 +55,7 @@ pub(crate) struct KeyUnits<'s> {
 }
 
 impl KeyUnits<'_> {
-    /// Whether a structural tier (CONST, DICT, runs) produced the units.
+    /// Whether a structural tier (CONST, runs) produced the units.
     pub(crate) fn structural(&self) -> bool {
         !matches!(self.rows, RowMap::Rows(_))
     }
@@ -71,10 +66,8 @@ impl KeyUnits<'_> {
 #[derive(Debug, Default)]
 pub(crate) struct KeyScratch {
     units: Vec<(i128, usize)>,
-    /// A DICT segment's codes, or the row tier's unit of each row.
+    /// The row tier's unit of each row.
     ids: Vec<u32>,
-    /// Selected rows per dictionary code.
-    counts: Vec<u32>,
     /// The row tier's segment-local key → unit.
     local: IntMap<i128, u32>,
 }
@@ -90,57 +83,17 @@ pub(crate) fn key_units<'s>(
 ) -> Result<KeyUnits<'s>> {
     let n = seg.num_rows();
     let selected = selection.count(n);
-    let KeyScratch {
-        units,
-        ids,
-        counts,
-        local,
-    } = scratch;
+    let KeyScratch { units, ids, local } = scratch;
     units.clear();
     let mask = selection.mask();
-    match seg.kind() {
-        SchemeKind::Const => {
-            units.push((seg.min, selected));
-            return Ok(KeyUnits {
-                units,
-                rows: RowMap::Whole,
-                values: 1,
-                undecoded: selected,
-            });
-        }
-        SchemeKind::Dict => {
-            // A full selection counts each code's rows while the codes
-            // unpack; a mask counts its rows and redirects the dropped
-            // ones to one extra unit in a single pass after.
-            let entries = DictView::new(seg, ids, mask.is_none().then_some(&mut *counts))?.entries;
-            let dropped = entries.len() as u32;
-            if let Some(mask) = mask {
-                counts.clear();
-                counts.resize(entries.len(), 0);
-                for (row, id) in ids.iter_mut().enumerate() {
-                    if !mask.get(row) {
-                        *id = dropped;
-                    } else if let Some(count) = counts.get_mut(*id as usize) {
-                        *count += 1;
-                    }
-                }
-            }
-            with_column!(&*entries, |keys| units.extend(
-                keys.iter()
-                    .zip(counts.iter())
-                    .map(|(&key, &rows)| (key.into(), rows as usize))
-            ));
-            if mask.is_some() {
-                units.push((0, 0));
-            }
-            return Ok(KeyUnits {
-                units,
-                rows: RowMap::Codes(ids),
-                values: selected,
-                undecoded: selected,
-            });
-        }
-        _ => {}
+    if seg.kind() == SchemeKind::Const {
+        units.push((seg.min, selected));
+        return Ok(KeyUnits {
+            units,
+            rows: RowMap::Whole,
+            values: 1,
+            undecoded: selected,
+        });
     }
     if mask.is_none() {
         if let Some((values, ends)) = seg.run_structure()? {
@@ -198,7 +151,6 @@ mod tests {
         let wide = |ids: &[u32]| ids.iter().map(|&id| u64::from(id)).collect();
         match rows {
             RowMap::Whole => ("whole", Vec::new()),
-            RowMap::Codes(codes) => ("codes", wide(codes)),
             RowMap::Runs(ends) => ("runs", ends.clone()),
             RowMap::Rows(ids) => ("rows", wide(ids)),
         }
@@ -244,7 +196,7 @@ mod tests {
             );
             [all, row_tier[1].clone(), row_tier[2].clone()]
         };
-        let cases: [(&str, Vec<u64>, [Case; 3]); 5] = [
+        let cases: [(&str, Vec<u64>, [Case; 3]); 4] = [
             (
                 "const",
                 vec![4; 10],
@@ -252,30 +204,6 @@ mod tests {
                     (vec![(4, 10)], ("whole", vec![]), 1, 10),
                     (vec![(4, 5)], ("whole", vec![]), 1, 5),
                     (vec![(4, 0)], ("whole", vec![]), 1, 0),
-                ],
-            ),
-            (
-                "dict[codes=ns]",
-                keys.clone(),
-                [
-                    (
-                        vec![(5, 4), (7, 2), (9, 4)],
-                        ("codes", vec![0, 0, 0, 1, 1, 2, 2, 2, 2, 0]),
-                        10,
-                        10,
-                    ),
-                    (
-                        vec![(5, 2), (7, 2), (9, 1), (0, 0)],
-                        ("codes", vec![3, 0, 3, 1, 1, 3, 3, 3, 2, 0]),
-                        5,
-                        5,
-                    ),
-                    (
-                        vec![(5, 0), (7, 0), (9, 0), (0, 0)],
-                        ("codes", vec![3; 10]),
-                        0,
-                        0,
-                    ),
                 ],
             ),
             ("rle[values=ns,lengths=ns]", keys.clone(), runs()),

@@ -67,6 +67,7 @@
 
 pub mod args;
 mod cancel;
+mod codes;
 mod groups;
 mod job;
 mod keys;

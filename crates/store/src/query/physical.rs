@@ -21,6 +21,7 @@
 //! lease loop (`super::job`) — serves every schedule, from one thread
 //! to the server's pool.
 
+use super::codes::{segment_codes, CodeFold, CodeScratch};
 use super::groups::{GroupTable, UnitFold};
 use super::keys::{key_units, KeyScratch, RowMap};
 use super::stats::QueryStats;
@@ -196,6 +197,12 @@ pub(crate) enum SinkState {
         /// against each of its keys so far. Flushed into `pairs` when
         /// the worker's state merges — only `pairs` is the answer.
         cache: IntMap<usize, JoinBuild>,
+        /// A DICT left side's rows per code of its dictionary, pending
+        /// until the dictionary changes or the state merges.
+        codes: CodeFold,
+        /// The right segments live for the pending codes' left segments:
+        /// what they probe once resolved.
+        probes: Vec<usize>,
     },
 }
 
@@ -228,11 +235,33 @@ impl SinkState {
             Sink::Join { .. } => SinkState::Join {
                 pairs: IntMap::default(),
                 cache: IntMap::default(),
+                codes: CodeFold::default(),
+                probes: Vec::new(),
             },
         }
     }
 
-    pub(crate) fn merge(&mut self, other: SinkState) {
+    /// Resolve what the DICT tier holds pending: the group-by's per-code
+    /// fold into its slots, the join's per-code counts against their
+    /// right segments. A no-op for every other sink.
+    fn resolve_codes(&mut self) -> Result<()> {
+        match self {
+            SinkState::Groups { table } => table.resolve_codes(),
+            SinkState::Join {
+                cache,
+                codes,
+                probes,
+                ..
+            } => resolve_join_codes(codes, probes, cache),
+            _ => Ok(()),
+        }
+    }
+
+    /// Merge another lease slot's state in, its pending codes resolved
+    /// first.
+    pub(crate) fn merge(&mut self, mut other: SinkState) -> Result<()> {
+        self.resolve_codes()?;
+        other.resolve_codes()?;
         match (self, other) {
             (SinkState::Aggregate { acc }, SinkState::Aggregate { acc: o }) => acc.merge(&o),
             (SinkState::Groups { table }, SinkState::Groups { table: o }) => table.merge(&o),
@@ -242,7 +271,12 @@ impl SinkState {
                 }
             }
             (SinkState::Distinct { set }, SinkState::Distinct { set: o }) => set.extend(o),
-            (SinkState::Join { pairs, .. }, SinkState::Join { pairs: o, cache }) => {
+            (
+                SinkState::Join { pairs, .. },
+                SinkState::Join {
+                    pairs: o, cache, ..
+                },
+            ) => {
                 // Fan-in merges the answer: the other worker's pairs, and
                 // the pairs its cached build sides accumulated.
                 for (key, count) in o {
@@ -258,6 +292,7 @@ impl SinkState {
             }
             _ => unreachable!("mismatched sink states"),
         }
+        Ok(())
     }
 
     /// Publish any batched-but-unpublished top-k threshold improvement
@@ -982,15 +1017,19 @@ impl PhysicalPlan {
         Ok(())
     }
 
-    /// The group-by sink: the key segment splits into key units at its
-    /// best structural tier ([`key_units`]), each unit resolves to a
-    /// [`GroupTable`] slot once, and every value column folds per unit
-    /// through the units' row map — the whole segment (its selected
-    /// values under a mask), per run, or per code / segment-local key
-    /// ([`UnitFold`]), each straight off the value stream.
-    /// [`QueryStats::groups_folded`] counts the units the structural
-    /// tiers fold; [`QueryStats::rows_undecoded`] counts the rows whose
-    /// key those tiers never read row by row.
+    /// The group-by sink. A DICT key folds in code space: its selected
+    /// rows and every value column sum per code of its dictionary
+    /// ([`GroupTable::fold_codes`]), and each touched code resolves to a
+    /// [`GroupTable`] slot once per dictionary, not per segment. Any
+    /// other key segment splits into key units at its best structural
+    /// tier ([`key_units`]), each unit resolves to a slot once, and
+    /// every value column folds per unit through the units' row map —
+    /// the whole segment (its selected values under a mask), per run,
+    /// or per segment-local key ([`UnitFold`]), each straight off the
+    /// value stream. [`QueryStats::groups_folded`] counts the units the
+    /// structural tiers fold — a DICT segment's touched codes;
+    /// [`QueryStats::rows_undecoded`] counts the rows whose key those
+    /// tiers never read row by row.
     #[allow(clippy::too_many_arguments)]
     fn sink_group_by(
         &self,
@@ -1004,6 +1043,19 @@ impl PhysicalPlan {
         stats: &mut QueryStats,
     ) -> Result<()> {
         let kseg = self.fetch(key, seg_idx, fetched, stats)?;
+        if kseg.kind() == SchemeKind::Dict {
+            let codes = segment_codes(&kseg, selection, &mut scratch.dict_keys)?;
+            let selected = selection.count(kseg.num_rows());
+            stats.values_processed += selected;
+            stats.rows_undecoded += selected;
+            stats.groups_folded += table.fold_codes(&codes)?;
+            stats.segments_structural += usize::from(cols.is_empty());
+            for (slot_col, col) in cols.iter().enumerate() {
+                let seg = self.fetch(*col, seg_idx, fetched, stats)?;
+                table.fold_code_values(slot_col, &seg, codes.codes)?;
+            }
+            return Ok(());
+        }
         let keys = key_units(&kseg, selection, &mut scratch.keys)?;
         stats.values_processed += keys.values;
         stats.rows_undecoded += keys.undecoded;
@@ -1030,7 +1082,7 @@ impl PhysicalPlan {
                     fold_runs(&seg, keys.units.len(), ends, extrema, &mut scratch.runs)?;
                     table.absorb_units(slot_col, rows(), |run| scratch.runs[run]);
                 }
-                RowMap::Codes(units) | RowMap::Rows(units) => {
+                RowMap::Rows(units) => {
                     let fold = &mut scratch.fold;
                     fold.fold(&seg, units, keys.units.len(), extrema)?;
                     table.absorb_units(slot_col, rows(), |unit| fold.part(unit));
@@ -1163,16 +1215,22 @@ impl PhysicalPlan {
     ///    whose key zones don't overlap is dismissed
     ///    ([`QueryStats::join_pairs_pruned`]); a left segment with no
     ///    surviving pair never fetches anything at all.
-    /// 2. **Probe side** — the left key segment splits into key units
-    ///    ([`key_units`]): CONST from the zone map, DICT per code,
-    ///    RLE/RPE (full selection) per run
+    /// 2. **Probe side** — a DICT left key counts its selected rows per
+    ///    code of its dictionary, pending across the segments that
+    ///    share it; any other splits into key units ([`key_units`]):
+    ///    CONST from the zone map, RLE/RPE (full selection) per run
     ///    ([`QueryStats::join_rows_undecoded`]); only unstructured keys
     ///    hash their selected values off the key's stream.
     /// 3. **Per-pair fold** — each surviving right segment's build side
     ///    is built once per worker (cached across left segments) from
     ///    the same ladder; a DICT left side probing a DICT build side is
     ///    a code→code translation ([`QueryStats::join_code_translations`]).
-    ///    Per key, the pair count is `left count × right count`.
+    ///    Per key, the pair count is `left count × right count`: a unit
+    ///    probes at once, a DICT left side's touched codes once per
+    ///    (dictionary, right segment) when the dictionary changes or the
+    ///    state merges (`resolve_join_codes`). A code probing a right
+    ///    segment live only for another left segment of the dictionary
+    ///    finds nothing: equal keys lie in both segments' zones.
     #[allow(clippy::too_many_arguments)]
     fn sink_join(
         &self,
@@ -1184,7 +1242,13 @@ impl PhysicalPlan {
         scratch: &mut Scratch,
         stats: &mut QueryStats,
     ) -> Result<()> {
-        let SinkState::Join { cache, .. } = state else {
+        let SinkState::Join {
+            cache,
+            codes,
+            probes,
+            ..
+        } = state
+        else {
             unreachable!("sink/state mismatch")
         };
         let (live, pruned) = self.join_pair_scan(seg_idx, key, right);
@@ -1199,28 +1263,51 @@ impl PhysicalPlan {
             return Ok(());
         };
         let kseg = self.fetch(key, seg_idx, &mut fetched, stats)?;
-        let left = key_units(&kseg, &selection, &mut scratch.keys)?;
-        stats.join_rows_undecoded += left.undecoded;
-        stats.values_processed += left.values;
-        let dict = matches!(left.rows, RowMap::Codes(_));
+        let dict = kseg.kind() == SchemeKind::Dict;
+        let left = if dict {
+            let left = segment_codes(&kseg, &selection, &mut scratch.dict_keys)?;
+            let selected = selection.count(n);
+            stats.join_rows_undecoded += selected;
+            stats.values_processed += selected;
+            if !codes.holds(&left.dict) {
+                resolve_join_codes(codes, probes, cache)?;
+                codes.start(&left.dict, left.len, std::iter::empty());
+            }
+            codes.add_rows(left.counts);
+            None
+        } else {
+            let left = key_units(&kseg, &selection, &mut scratch.keys)?;
+            stats.join_rows_undecoded += left.undecoded;
+            stats.values_processed += left.values;
+            Some(left)
+        };
         for rseg in live {
             let build = match cache.entry(rseg) {
                 Entry::Occupied(cached) => cached.into_mut(),
-                Entry::Vacant(slot) => {
-                    slot.insert(join_right_side(right, rseg, &mut scratch.build, stats)?)
-                }
+                Entry::Vacant(slot) => slot.insert(join_right_side(
+                    right,
+                    rseg,
+                    (&mut scratch.build, &mut scratch.dict_keys),
+                    stats,
+                )?),
             };
             // DICT⋈DICT: the left dictionary's touched entries probe
             // the right dictionary's, multiplying per-code counts. A
-            // left code with no entry on the right drops here, without
+            // left code with no entry on the right drops there, without
             // either side decoding a row. Every other pair probes the
             // same way, by whatever unit each side was counted in —
             // one probe per left unit, the pairs accumulating on the
             // right key it found.
             stats.join_code_translations += usize::from(dict && build.dict);
-            for &(v, rows) in left.units.iter().filter(|&&(_, rows)| rows > 0) {
-                if let Some((rc, joined)) = build.keys.get_mut(&v) {
-                    *joined += rows as i128 * *rc as i128;
+            match &left {
+                None if !probes.contains(&rseg) => probes.push(rseg),
+                None => {}
+                Some(left) => {
+                    for &(v, rows) in left.units.iter().filter(|&&(_, rows)| rows > 0) {
+                        if let Some((rc, joined)) = build.keys.get_mut(&v) {
+                            *joined += rows as i128 * *rc as i128;
+                        }
+                    }
                 }
             }
         }
@@ -1228,16 +1315,38 @@ impl PhysicalPlan {
     }
 }
 
+/// Probe the right segments `probes` once per touched code of the DICT
+/// left side's pending dictionary, accumulating the pairs on the right
+/// keys found, then forget both.
+fn resolve_join_codes(
+    codes: &mut CodeFold,
+    probes: &mut Vec<usize>,
+    cache: &mut IntMap<usize, JoinBuild>,
+) -> Result<()> {
+    codes.resolve(|key, rows, _| {
+        for rseg in probes.iter() {
+            let build = cache
+                .get_mut(rseg)
+                .and_then(|build| build.keys.get_mut(&key));
+            if let Some((rc, joined)) = build {
+                *joined += rows as i128 * *rc as i128;
+            }
+        }
+    })?;
+    probes.clear();
+    Ok(())
+}
+
 /// Build (once per worker, cached by the caller) the build side of one
 /// right segment. CONST segments build from resident metadata alone —
 /// no payload fetch, so a lazily-backed right table's `io_reads` stays
-/// untouched; every other scheme fetches the payload and merges its key
-/// units ([`key_units`]) with `+=`: a dictionary or a run list may
-/// repeat a value.
+/// untouched; a DICT segment counts its rows per code, each touched
+/// entry a key; every other scheme fetches the payload and merges its
+/// key units ([`key_units`]) with `+=`: a run list may repeat a value.
 fn join_right_side(
     right: &JoinRight,
     rseg: usize,
-    scratch: &mut KeyScratch,
+    (scratch, codes): (&mut KeyScratch, &mut CodeScratch),
     stats: &mut QueryStats,
 ) -> Result<JoinBuild> {
     let rmeta = right.table.meta_at(right.key, rseg);
@@ -1250,16 +1359,27 @@ fn join_right_side(
     }
     let seg = right.table.source_at(right.key).segment(rseg)?;
     stats.segments_loaded += 1;
+    if seg.kind() == SchemeKind::Dict {
+        let codes = segment_codes(&seg, &Selection::All, codes)?;
+        stats.join_rows_undecoded += seg.num_rows();
+        let entries = seg.dictionary()?;
+        let mut keys = IntMap::with_capacity_and_hasher(codes.len, Default::default());
+        with_column!(&*entries, |entries| {
+            for (&key, &rows) in entries.iter().zip(codes.counts) {
+                if rows > 0 {
+                    keys.insert(key.into(), (u64::from(rows), 0));
+                }
+            }
+        });
+        return Ok(JoinBuild { keys, dict: true });
+    }
     let units = key_units(&seg, &Selection::All, scratch)?;
     stats.join_rows_undecoded += units.undecoded;
     let mut keys = IntMap::with_capacity_and_hasher(units.units.len(), Default::default());
     for &(key, rows) in units.units.iter().filter(|&&(_, rows)| rows > 0) {
         keys.entry(key).or_insert((0, 0)).0 += rows as u64;
     }
-    Ok(JoinBuild {
-        keys,
-        dict: matches!(units.rows, RowMap::Codes(_)),
-    })
+    Ok(JoinBuild { keys, dict: false })
 }
 
 /// Whether the plan reads MIN or MAX of agg column `slot`: extrema are
@@ -1301,6 +1421,9 @@ pub(crate) struct Scratch {
     keys: KeyScratch,
     /// A join build side's units.
     build: KeyScratch,
+    /// A DICT key segment's codes and per-code rows (the group-by key,
+    /// either join side).
+    dict_keys: CodeScratch,
     /// One value column's per-unit sums.
     fold: UnitFold,
     /// Per-run (or whole-segment) value aggregates ([`fold_runs`]).

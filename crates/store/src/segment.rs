@@ -13,12 +13,16 @@
 //! the [`SchemeKind`] every tier ladder matches on.
 
 use crate::agg::aggregate_plain;
+use crate::hash::IntMap;
 use crate::{Result, StoreError};
 use lcdc_colops::Bitmap;
 use lcdc_core::chooser;
 use lcdc_core::expr::parse_expr;
-use lcdc_core::schemes::{dict, rle, rpe};
-use lcdc_core::{ColumnData, Compressed, CoreError, PartData, Parts, Scheme};
+use lcdc_core::schemes::{dict, ns, rle, rpe, Ns};
+use lcdc_core::{
+    with_column, ColumnData, Compressed, CoreError, DType, Part, PartData, Parts, Scheme,
+    SharedDict, SharedRef,
+};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -265,10 +269,12 @@ impl Segment {
     }
 
     /// A part column of the segment, decoded alone (partial
-    /// decompression): borrowed when stored plain.
+    /// decompression): borrowed when stored plain or shared.
     fn part(&self, role: &'static str) -> Result<Cow<'_, ColumnData>> {
-        if let PartData::Plain(col) = &self.compressed.part(role)?.data {
-            return Ok(Cow::Borrowed(col));
+        match &self.compressed.part(role)?.data {
+            PartData::Plain(col) => return Ok(Cow::Borrowed(col)),
+            PartData::Shared(shared) => return Ok(Cow::Borrowed(shared.column()?)),
+            _ => {}
         }
         Ok(Cow::Owned(
             self.scheme.decompress_part(&self.compressed, role)?,
@@ -313,6 +319,64 @@ impl Segment {
         Ok(entries)
     }
 
+    /// This `dict[codes=ns]` segment against `dict`, the run's shared
+    /// dictionary: every code goes through `remap` (old code → new
+    /// code) and the codes repack at their new width. The rows, the
+    /// zone map and the sum are unchanged; `shared` is the
+    /// parsed [`SHARED_DICT`] every such segment holds.
+    fn with_shared(
+        &self,
+        dict: &Arc<SharedDict>,
+        remap: &[u64],
+        shared: &(Arc<dyn Scheme>, SchemeKind),
+    ) -> Result<Segment> {
+        let scheme = self.scheme();
+        let inner = |role: &str| scheme.inner_for(role);
+        let old = Parts::new(&self.compressed, &inner).stream(dict::ROLE_CODES)?;
+        let (mut codes, mut bad) = (Vec::with_capacity(self.num_rows()), false);
+        old.for_each_chunk(|chunk| {
+            codes.extend(chunk.iter().map(|&code| {
+                let new = remap.get(code as usize);
+                bad |= new.is_none();
+                new.copied().unwrap_or_default()
+            }))
+        });
+        if bad || codes.len() != self.num_rows() {
+            return Err(CoreError::CorruptParts(format!(
+                "dict segment of {} rows holds {} codes, some past its dictionary",
+                self.num_rows(),
+                codes.len()
+            ))
+            .into());
+        }
+        let ns = Ns::plain().form_of(&codes, DType::U64)?;
+        let compressed = Compressed {
+            scheme_id: SHARED_DICT.to_string(),
+            n: self.num_rows(),
+            dtype: self.compressed.dtype,
+            params: self.compressed.params.clone(),
+            parts: vec![
+                Part {
+                    role: dict::ROLE_DICT,
+                    data: PartData::Shared(SharedRef::to(dict)),
+                },
+                Part {
+                    role: dict::ROLE_CODES,
+                    data: PartData::Nested(Box::new(ns)),
+                },
+            ],
+        };
+        Ok(Segment {
+            compressed,
+            expr: SHARED_DICT.to_string(),
+            min: self.min,
+            max: self.max,
+            summary: self.summary,
+            scheme: Arc::clone(&shared.0),
+            kind: shared.1,
+        })
+    }
+
     /// Internal consistency check used by table assembly.
     pub fn check_rows(&self, expected: usize) -> Result<()> {
         if self.num_rows() == expected {
@@ -324,6 +388,87 @@ impl Segment {
             )))
         }
     }
+}
+
+/// The chooser's one DICT candidate: the only form whose dictionary a
+/// column shares ([`share_dictionary`]).
+const OWN_DICT: &str = "dict[codes=ns]";
+
+/// [`OWN_DICT`] with its dictionary shared by the run's segments.
+const SHARED_DICT: &str = "dict[dict=shared,codes=ns]";
+
+/// Share one sorted dictionary between the `dict[codes=ns]` segments
+/// of a column where that makes the column smaller — the write path's
+/// one decision, taken after the chooser picked each segment's scheme
+/// (`table::segment_column` under [`CompressionPolicy::Auto`]).
+///
+/// With fewer than two such segments nothing is shared, and nothing is
+/// computed. Otherwise the dictionaries' union is the candidate, and it
+/// is taken when its exact bytes — the union once, plus every
+/// segment's codes repacked at the width their largest new code needs
+/// — are fewer than the segments' own dictionaries and codes. Each
+/// segment then maps its codes through its old → new table and
+/// repacks them ([`SHARED_DICT`]); no segment re-runs the chooser or
+/// re-encodes its values.
+pub(crate) fn share_dictionary(segments: &mut [Segment]) -> Result<()> {
+    let picked = |seg: &&Segment| seg.expr == OWN_DICT;
+    let picks: Vec<&Segment> = segments.iter().filter(picked).collect();
+    let Some(dtype) = picks.get(1).map(|seg| seg.compressed.dtype) else {
+        return Ok(());
+    };
+    let mut dicts = Vec::with_capacity(picks.len());
+    for seg in &picks {
+        let entries = seg.compressed.plain_part(dict::ROLE_DICT)?;
+        if entries.dtype() != dtype {
+            return Err(StoreError::Shape(format!(
+                "a {} dictionary among {} ones",
+                entries.dtype().name(),
+                dtype.name()
+            )));
+        }
+        dicts.push(entries);
+    }
+    // The union — each distinct entry once, in dictionary order — and
+    // each entry's code in it.
+    let mut code_of = IntMap::default();
+    for entries in &dicts {
+        code_of.extend(entries.as_transport().iter().map(|&v| (v, 0)));
+    }
+    let mut union = ColumnData::from_transport(dtype, code_of.keys().copied().collect());
+    with_column!(&mut union, |v| v.sort_unstable());
+    for (code, v) in (0..).zip(union.as_transport().iter()) {
+        code_of.insert(*v, code);
+    }
+    // Bytes the sharing saves: every segment's own dictionary and the
+    // difference its codes' new width makes, less the union stored once.
+    let mut saved = -(union.uncompressed_bytes() as i128);
+    let mut remaps = Vec::with_capacity(picks.len());
+    for (seg, entries) in picks.iter().zip(&dicts) {
+        let remap: Vec<u64> = entries
+            .as_transport()
+            .iter()
+            .map(|v| code_of.get(v).copied().unwrap_or(u64::MAX))
+            .collect();
+        let codes = &seg.compressed.part(dict::ROLE_CODES)?.data;
+        let PartData::Nested(ns_form) = codes else {
+            return Err(CoreError::CorruptParts(format!("{OWN_DICT} codes not NS")).into());
+        };
+        let packed = ns_form.packed_part(ns::ROLE_PACKED)?.payload_bytes();
+        let width = 64 - remap.last().map_or(64, |&code| code.leading_zeros());
+        let new = codes.bytes() - packed + (seg.num_rows() * width as usize).div_ceil(64) * 8;
+        saved += (entries.uncompressed_bytes() + codes.bytes()) as i128 - new as i128;
+        remaps.push(remap);
+    }
+    if saved <= 0 {
+        return Ok(());
+    }
+    let dict = SharedDict::new(union);
+    let shared = parse(SHARED_DICT)?;
+    let picks = segments.iter_mut().filter(|seg| seg.expr == OWN_DICT);
+    for (seg, remap) in picks.zip(&remaps) {
+        *seg = seg.with_shared(&dict, remap, &shared)?;
+    }
+    Ok(())
 }
 
 /// A DICT segment read in code space: its dictionary and one code per

@@ -29,7 +29,7 @@
 use crate::fault::FaultPlan;
 use crate::segment::{SchemeKind, Segment};
 use crate::{Result, StoreError};
-use lcdc_core::DType;
+use lcdc_core::{DType, SharedDict};
 use std::collections::HashSet;
 use std::fs;
 use std::path::PathBuf;
@@ -53,7 +53,9 @@ pub struct SegmentMeta {
     /// and `max` are the rows' own. With `rows`, a summary that answers
     /// SUM / MIN / MAX / COUNT over the whole segment.
     pub sum: Option<i128>,
-    /// Compressed payload size in bytes.
+    /// Compressed payload size in bytes. A dictionary the segment
+    /// shares with others counts at its column, once
+    /// ([`Column::dictionary_bytes`]).
     pub bytes: usize,
     /// The scheme expression the segment was compressed under.
     pub expr: String,
@@ -386,6 +388,27 @@ impl Column {
         self.runs.iter().flat_map(|run| run.segments.iter())
     }
 
+    /// Bytes of the distinct shared dictionaries the column's segments
+    /// reference, each counted once — what their metadata leaves out.
+    pub fn dictionary_bytes(&self) -> usize {
+        let mut seen: Vec<&Arc<SharedDict>> = Vec::new();
+        for run in &self.runs {
+            let base = run.base.iter().flat_map(|base| base.dicts.iter());
+            let resident = run
+                .segments
+                .iter()
+                .filter_map(|seg| seg.compressed.shared_dict());
+            for dict in base.chain(resident) {
+                if !seen.iter().any(|d| Arc::ptr_eq(d, dict)) {
+                    seen.push(dict);
+                }
+            }
+        }
+        seen.iter()
+            .map(|dict| dict.values().uncompressed_bytes())
+            .sum()
+    }
+
     /// Every run's base, in order.
     pub(crate) fn bases(&self) -> impl Iterator<Item = &Arc<FileSource>> {
         self.runs.iter().filter_map(|run| run.base.as_ref())
@@ -492,13 +515,16 @@ fn no_segment(idx: usize, segments: usize) -> StoreError {
     StoreError::Shape(format!("segment {idx} out of range ({segments} segments)"))
 }
 
-/// Where one segment's record sits inside its column file.
+/// Where one segment's record sits inside its column file, and which
+/// of the column's shared dictionaries its frame references.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FrameLocation {
     /// Byte offset of the record (header, frame, checksum) in the file.
     pub offset: u64,
     /// Total record length in bytes.
     pub len: u64,
+    /// `1 + k` for the column's `k`-th dictionary, 0 for none.
+    pub dict: u32,
 }
 
 /// Lazily loads segments from a `.col` file written by
@@ -513,6 +539,9 @@ pub(crate) struct FileSource {
     dtype: DType,
     metas: Vec<SegmentMeta>,
     locations: Vec<FrameLocation>,
+    /// The column's shared dictionaries, read at open; every segment
+    /// that references one gets this handle.
+    dicts: Vec<Arc<SharedDict>>,
     cache_capacity: usize,
     cache: Mutex<LruCache<usize, Arc<Segment>>>,
     /// Opened on the first fetch, then reused — cache misses pay a
@@ -560,14 +589,15 @@ impl std::fmt::Debug for FileSource {
 
 impl FileSource {
     /// A lazy source over one persisted column. `metas` and `locations`
-    /// come from the table manifest; `cache_capacity` bounds how many
-    /// decoded segments stay resident (minimum 1).
+    /// come from the table manifest, `dicts` from the column file's
+    /// dictionary records; `cache_capacity` bounds how many decoded
+    /// segments stay resident (minimum 1).
     pub(crate) fn new(
         path: PathBuf,
         column: &str,
         dtype: DType,
-        metas: Vec<SegmentMeta>,
-        locations: Vec<FrameLocation>,
+        (metas, locations): (Vec<SegmentMeta>, Vec<FrameLocation>),
+        dicts: Vec<Arc<SharedDict>>,
         cache_capacity: usize,
     ) -> Result<FileSource> {
         if metas.len() != locations.len() {
@@ -598,6 +628,7 @@ impl FileSource {
             dtype,
             metas,
             locations,
+            dicts,
             cache_capacity: cache_capacity.max(1),
             cache: Mutex::new(LruCache::new(cache_capacity.max(1))),
             #[cfg(unix)]
@@ -671,7 +702,8 @@ impl FileSource {
     fn load_claimed(&self, idx: usize, mark_prefetched: bool) -> Result<Arc<Segment>> {
         let result = match (self.locations.get(idx), self.metas.get(idx)) {
             (Some(&loc), Some(meta)) => self.read_record(idx, loc).and_then(|record| {
-                crate::file::decode_record(&record, &self.column, idx, meta, self.dtype)
+                let dict = crate::file::dictionary_of(&self.dicts, loc, &self.column, idx)?;
+                crate::file::decode_record(&record, &self.column, idx, meta, self.dtype, dict)
             }),
             _ => Err(no_segment(idx, self.metas.len())),
         };

@@ -12,7 +12,7 @@
 //! actually touch.
 
 use crate::schema::TableSchema;
-use crate::segment::{CompressionPolicy, Segment};
+use crate::segment::{share_dictionary, CompressionPolicy, Segment};
 use crate::source::{Column, SegmentMeta};
 use crate::{Result, StoreError};
 use lcdc_core::ColumnData;
@@ -321,25 +321,16 @@ impl Table {
         Ok(ColumnData::from_transport(dtype, transport))
     }
 
-    /// Total compressed bytes of a column (from segment metadata; no
-    /// payload access).
+    /// Total compressed bytes of a column (from segment metadata and
+    /// its shared dictionaries, each once; no payload access).
     pub fn column_compressed_bytes(&self, name: &str) -> Result<usize> {
-        let source = self.source(name)?;
-        Ok((0..source.num_segments())
-            .map(|i| source.meta(i).bytes)
-            .sum())
+        Ok(compressed_bytes(self.source(name)?))
     }
 
-    /// Total compressed bytes of the table (from segment metadata).
+    /// Total compressed bytes of the table (as
+    /// [`Table::column_compressed_bytes`], summed).
     pub fn compressed_bytes(&self) -> usize {
-        self.columns
-            .iter()
-            .map(|c| {
-                (0..c.num_segments())
-                    .map(|i| c.meta(i).bytes)
-                    .sum::<usize>()
-            })
-            .sum()
+        self.columns.iter().map(|c| compressed_bytes(c)).sum()
     }
 
     /// Total plain bytes of the table.
@@ -398,9 +389,19 @@ pub(crate) fn check_batch(
     Ok(rows)
 }
 
+/// A column's segments' bytes plus its shared dictionaries', once.
+fn compressed_bytes(column: &Column) -> usize {
+    let segments: usize = (0..column.num_segments())
+        .map(|i| column.meta(i).bytes)
+        .sum();
+    segments + column.dictionary_bytes()
+}
+
 /// Cut `col` into `seg_rows`-tall chunks (the last may be shorter) and
 /// compress each under `policy` — the one segmentation every write path
-/// (build, in-memory append, on-disk append) shares.
+/// (build, in-memory append, on-disk append) shares. Under
+/// [`CompressionPolicy::Auto`] the chunks' DICT picks then share one
+/// dictionary where that is smaller ([`share_dictionary`]).
 pub(crate) fn segment_column(
     col: &ColumnData,
     policy: &CompressionPolicy,
@@ -414,6 +415,9 @@ pub(crate) fn segment_column(
         let segment = Segment::build(&slice_column(col, start, end), policy)?;
         segment.check_rows(end - start)?;
         segments.push(segment);
+    }
+    if *policy == CompressionPolicy::Auto {
+        share_dictionary(&mut segments)?;
     }
     Ok(segments)
 }

@@ -80,6 +80,7 @@ fn main() {
                 Widths::Blocks(b) => format!("block-packed x{} ({} blocks)", p.len(), b.len()),
             },
             PartData::Nested(n) => format!("nested {} (n={})", n.scheme_id, n.n),
+            PartData::Shared(s) => format!("shared dictionary x{}", s.len),
         };
         println!(
             "  part {:<14} {:<34} {:>9} bytes",

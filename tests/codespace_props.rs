@@ -18,6 +18,9 @@ use lcdc::store::{
 };
 use proptest::prelude::*;
 
+mod mixed_runs;
+use mixed_runs::{MixedRuns, SEG_ROWS};
+
 /// A two-column table whose key column is built under an explicit
 /// policy: 0 = DICT codes, 1 = RLE runs, 2 = chooser's pick. Key values
 /// are scrambled over `domain` (no runs) for DICT/auto, runny for RLE —
@@ -183,4 +186,111 @@ fn shared_bound_skips_moderate_segments() {
         .unwrap();
     assert_eq!(racy.rows, want.rows);
     assert!(racy.stats.topk_segments_skipped < SEGMENTS);
+}
+
+/// Group-by and key filters over DICT key columns that mix segments
+/// sharing a run dictionary, segments with their own (an appended one
+/// bringing new keys) and non-DICT segments, on every storage surface
+/// at 1 and 2 threads: each equals the decoded baseline. The unfiltered
+/// group-by's structural ledger is predicted exactly per segment: a
+/// DICT segment — shared dictionary or own — folds its distinct keys
+/// and never decodes a key row (the per-dictionary fold still counts
+/// per segment), CONST one unit with `val` folded whole, the row tier
+/// none.
+#[test]
+fn mixed_runs_group_by_and_key_filters_equal_decoded() {
+    use lcdc::store::SchemeKind;
+    for (seed, signed) in [(7, false), (11, true), (12345, false)] {
+        let mixed = MixedRuns::build(seed, signed, "codespace");
+        let aggs = [
+            Agg::Sum("val"),
+            Agg::Min("val"),
+            Agg::Max("val"),
+            Agg::Count,
+        ];
+        let group_by = |t| QueryBuilder::scan(t).group_by("key").aggregate(&aggs);
+        let want = group_by(mixed.resident()).execute_naive().unwrap().rows;
+        let (lo, hi) = (
+            mixed.keys[3].min(mixed.keys[900]),
+            mixed.keys[3].max(mixed.keys[900]),
+        );
+        let members: Vec<i128> = [0, 5, 700, 1900, 2200]
+            .map(|i| mixed.keys[i] as i128)
+            .to_vec();
+        for (surface, table) in &mixed.surfaces {
+            let queries = [
+                ("group-by", group_by(table)),
+                (
+                    "masked group-by",
+                    QueryBuilder::scan(table)
+                        .filter("val", Predicate::Range { lo: 100, hi: 600 })
+                        .group_by("key")
+                        .aggregate(&aggs),
+                ),
+                (
+                    "key range",
+                    QueryBuilder::scan(table)
+                        .filter(
+                            "key",
+                            Predicate::Range {
+                                lo: lo.into(),
+                                hi: hi.into(),
+                            },
+                        )
+                        .aggregate(&[Agg::Sum("val"), Agg::Count]),
+                ),
+                (
+                    "key list, grouped",
+                    QueryBuilder::scan(table)
+                        .filter_in("key", &members)
+                        .group_by("key")
+                        .aggregate(&[Agg::Count]),
+                ),
+            ];
+            for (what, query) in &queries {
+                let naive = query.execute_naive().unwrap();
+                for threads in [1, 2] {
+                    let got = query.execute_parallel(threads).unwrap();
+                    assert_eq!(got.rows, naive.rows, "{surface} {what} x{threads}");
+                }
+            }
+            let full = group_by(table);
+            assert_eq!(full.execute().unwrap().rows, want, "{surface}");
+            let (mut folded, mut values, mut undecoded) = (0, 0, 0);
+            let source = table.source("key").unwrap();
+            for i in 0..source.num_segments() {
+                let keys = mixed.segment_keys(i);
+                let mut distinct = keys.to_vec();
+                distinct.sort_unstable();
+                distinct.dedup();
+                match source.meta(i).kind {
+                    SchemeKind::Dict => {
+                        (folded, values, undecoded) = (
+                            folded + distinct.len(),
+                            values + SEG_ROWS,
+                            undecoded + SEG_ROWS,
+                        )
+                    }
+                    // One key unit; `val` folds as a whole segment.
+                    SchemeKind::Const => {
+                        (folded, values, undecoded) =
+                            (folded + 1, values + 1 + SEG_ROWS, undecoded + SEG_ROWS)
+                    }
+                    kind => {
+                        assert!(!matches!(kind, SchemeKind::Rle | SchemeKind::Rpe));
+                        values += SEG_ROWS;
+                    }
+                }
+            }
+            for threads in [1, 2] {
+                let stats = full.execute_parallel(threads).unwrap().stats;
+                let got = (
+                    stats.groups_folded,
+                    stats.values_processed,
+                    stats.rows_undecoded,
+                );
+                assert_eq!(got, (folded, values, undecoded), "{surface} x{threads}");
+            }
+        }
+    }
 }

@@ -95,9 +95,16 @@ fn scan(t: &Table) -> Result<Vec<ColumnData>, StoreError> {
     COLUMNS.iter().map(|c| t.materialize(c.name)).collect()
 }
 
-/// Flip each bit of `path` in `range` in turn; both open paths must
-/// reject every flip with a typed error.
-fn sweep(dir: &Path, path: &Path, range: std::ops::Range<usize>, what: &str) {
+/// Flip each bit of `path` in `range` in turn; both open paths, then
+/// `scan` of what they opened, must reject every flip with a typed
+/// error.
+fn sweep<T>(
+    dir: &Path,
+    path: &Path,
+    range: std::ops::Range<usize>,
+    what: &str,
+    scan: impl Fn(&Table) -> Result<T, StoreError>,
+) {
     let clean = fs::read(path).unwrap();
     for byte in range {
         for bit in 0..8 {
@@ -150,13 +157,51 @@ fn every_record_and_manifest_bit_flip_is_a_typed_error() {
     };
     let (one, two) = (prefix(1, "one"), prefix(2, "two"));
     for (c, (start, end)) in COLUMNS.iter().zip(one.into_iter().zip(two)) {
-        sweep(&dir, &column_file(&dir, c.name), start..end, c.name);
+        sweep(&dir, &column_file(&dir, c.name), start..end, c.name, scan);
     }
     let manifest = dir.join("MANIFEST.lcdc");
     let len = fs::metadata(&manifest).unwrap().len() as usize;
-    sweep(&dir, &manifest, 0..len, "manifest");
+    sweep(&dir, &manifest, 0..len, "manifest", scan);
 
     // The sweep restored every file: the table answers as before.
+    assert_eq!(scan(&load_table(&dir).unwrap()).unwrap(), oracle);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn every_shared_dictionary_bit_flip_is_a_typed_error() {
+    // Eight sparse keys over three segments: the chooser picks DICT on
+    // each, and the column shares one dictionary of eight entries.
+    let keys = |i: usize| (1u64 << 40) + (i as u64 * 5 % 8) * 1_000_003;
+    let schema = TableSchema::new(&[("key", DType::U64), ("val", DType::U32)]);
+    let data = [
+        ColumnData::U64((0..3 * SEG_ROWS).map(keys).collect()),
+        ColumnData::U32((0..3 * SEG_ROWS as u32).collect()),
+    ];
+    let policies = [CompressionPolicy::Auto, CompressionPolicy::Auto];
+    let shared = Table::build(schema, &data, &policies, SEG_ROWS).unwrap();
+    let dir = tmpdir("shared");
+    save_table(&shared, &dir).unwrap();
+    let scan = |t: &Table| -> Result<Vec<ColumnData>, StoreError> {
+        ["key", "val"].iter().map(|c| t.materialize(c)).collect()
+    };
+    let oracle = data.to_vec();
+    for opened in [load_table(&dir).unwrap(), open_table_lazy(&dir, 4).unwrap()] {
+        let segments = opened.column_segments("key").unwrap();
+        assert!(segments
+            .iter()
+            .all(|s| s.expr == "dict[dict=shared,codes=ns]"));
+        assert_eq!(scan(&opened).unwrap(), oracle);
+    }
+    // The dictionary's record opens the key file (it precedes the first
+    // segment referencing it): an entry count, 8 entries, a checksum.
+    let key_file = column_file(&dir, "key");
+    sweep(&dir, &key_file, 0..8 + 8 * 8 + 8, "dictionary", scan);
+    // The manifest holds the dictionary's entry and every segment's
+    // reference to it.
+    let manifest = dir.join("MANIFEST.lcdc");
+    let len = fs::metadata(&manifest).unwrap().len() as usize;
+    sweep(&dir, &manifest, 0..len, "manifest", scan);
     assert_eq!(scan(&load_table(&dir).unwrap()).unwrap(), oracle);
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -75,7 +75,7 @@ fn columns(dtype: DType, n: usize) -> Vec<ColumnData> {
 
 /// A part decompressed on its own, without the part reader: plain
 /// parts as they are, packed parts unpacked, nested parts through the
-/// scheme their own id names.
+/// scheme their own id names, shared parts as attached.
 fn part_alone(data: &PartData) -> Vec<u64> {
     match data {
         PartData::Plain(col) => col.to_transport(),
@@ -85,6 +85,7 @@ fn part_alone(data: &PartData) -> Vec<u64> {
             .decompress(nested)
             .expect("nested part decompresses")
             .to_transport(),
+        PartData::Shared(shared) => shared.column().expect("dictionary attached").to_transport(),
     }
 }
 

@@ -16,6 +16,7 @@ fn leaf_names() -> Vec<&'static str> {
         "dict",
         "varwidth",
         "varwidth_zz",
+        "shared",
     ]
 }
 

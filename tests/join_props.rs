@@ -22,6 +22,9 @@ use lcdc::store::{
     QuerySpec, Table, TableSchema,
 };
 use proptest::prelude::*;
+
+mod mixed_runs;
+use mixed_runs::MixedRuns;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -437,4 +440,63 @@ fn right_table_ingest_invalidates_cached_join() {
         &oracle_pairs(&lkeys, |_| true, &rkeys)[..],
         "the new rows are visible"
     );
+}
+
+/// Joins whose key columns, on both sides, mix segments sharing a run
+/// dictionary, segments with their own (an appended one bringing new
+/// keys) and non-DICT segments: on every storage surface of the left
+/// side, at 1 and 2 threads, the rows equal the decoded baseline's, and
+/// the code→code translations are exactly the live (left DICT segment,
+/// right DICT segment) pairs — a left side folded per dictionary still
+/// counts its pairs per segment.
+#[test]
+fn mixed_runs_join_equals_decoded() {
+    use lcdc::store::SchemeKind;
+    for (seed, signed) in [(5, false), (6, true)] {
+        let left = MixedRuns::build(seed, signed, "join_left");
+        let right = MixedRuns::build(seed ^ 0xF00D, signed, "join_right");
+        let right = Arc::new(right.resident().clone());
+        let rsource = right.source("key").unwrap();
+        let want = QueryBuilder::scan(left.resident())
+            .join("r", Arc::clone(&right), "key")
+            .execute_naive()
+            .unwrap()
+            .rows;
+        for (surface, table) in &left.surfaces {
+            let lsource = table.source("key").unwrap();
+            let mut translations = 0;
+            for l in 0..lsource.num_segments() {
+                let lm = lsource.meta(l);
+                for r in 0..rsource.num_segments() {
+                    let rm = rsource.meta(r);
+                    let live = lm.min <= rm.max && rm.min <= lm.max;
+                    let dicts = lm.kind == SchemeKind::Dict && rm.kind == SchemeKind::Dict;
+                    translations += usize::from(live && dicts);
+                }
+            }
+            let joined = QueryBuilder::scan(table).join("r", Arc::clone(&right), "key");
+            let masked = QueryBuilder::scan(table)
+                .filter("val", Predicate::Range { lo: 200, hi: 700 })
+                .join("r", Arc::clone(&right), "key");
+            let naive = masked.execute_naive().unwrap();
+            for threads in [1, 2] {
+                let got = joined.execute_parallel(threads).unwrap();
+                assert_eq!(got.rows, want, "{surface} x{threads}");
+                assert_eq!(
+                    got.stats.join_code_translations, translations,
+                    "{surface} x{threads}"
+                );
+                let got = masked.execute_parallel(threads).unwrap();
+                assert_eq!(got.rows, naive.rows, "{surface} masked x{threads}");
+            }
+            // And as the right side.
+            let flipped = QueryBuilder::scan(&right).join("l", Arc::new(table.clone()), "key");
+            let got = flipped.execute_parallel(2).unwrap();
+            assert_eq!(
+                got.rows,
+                flipped.execute_naive().unwrap().rows,
+                "{surface} right"
+            );
+        }
+    }
 }

@@ -27,6 +27,9 @@ use lcdc::store::{
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+mod mixed_runs;
+use mixed_runs::MixedRuns;
+
 const DTYPES: [DType; 4] = [DType::U32, DType::U64, DType::I32, DType::I64];
 const SEG_ROWS: usize = 4096;
 const ROWS: usize = 3 * SEG_ROWS - 100;
@@ -1155,5 +1158,86 @@ fn a_masked_segment_folds_exactly_its_selected_rows() {
             aggregate_segment(&seg, Some(&short)),
             Err(StoreError::Shape(_))
         ));
+    }
+}
+
+/// Group-by, distinct, a key filter and the join over DICT key columns
+/// that mix segments sharing a run dictionary, segments with their own
+/// (an appended one bringing new keys) and non-DICT segments: on every
+/// storage surface, at 1 and 2 threads, under a full selection and a
+/// mask, each equals the `i128` oracle.
+#[test]
+fn mixed_runs_match_the_oracle() {
+    for (seed, signed) in [(3, false), (4, true)] {
+        let mixed = MixedRuns::build(seed, signed, "sinks");
+        let other = MixedRuns::build(seed ^ 0xBEEF, signed, "sinks_right");
+        let right = Arc::new(other.resident().clone());
+        let key: Vec<i128> = mixed.keys.iter().map(|&k| k.into()).collect();
+        let val: Vec<i128> = mixed.vals.iter().map(|&v| v.into()).collect();
+        let (lo, hi) = (key[10].min(key[2000]), key[10].max(key[2000]));
+        for mask in [None, Some((100i128, 600i128))] {
+            let kept: Vec<usize> = (0..key.len())
+                .filter(|&i| mask.is_none_or(|(a, b)| (a..=b).contains(&val[i])))
+                .collect();
+            let mut groups: BTreeMap<i128, Vec<i128>> = BTreeMap::new();
+            let mut counts: BTreeMap<i128, i128> = BTreeMap::new();
+            for &i in &kept {
+                groups.entry(key[i]).or_default().push(val[i]);
+                *counts.entry(key[i]).or_default() += 1;
+            }
+            let want_groups = Rows::Groups(
+                groups
+                    .iter()
+                    .map(|(&k, vals)| (k, agg_row(vals.iter().copied())))
+                    .collect(),
+            );
+            let want_distinct = Rows::Distinct(groups.keys().copied().collect());
+            let in_range = kept.iter().filter(|&&i| (lo..=hi).contains(&key[i]));
+            let want_range = Rows::Aggregates(agg_row(in_range.map(|&i| val[i])));
+            let mut pairs: BTreeMap<i128, i128> = BTreeMap::new();
+            for &k in &other.keys {
+                if let Some(&count) = counts.get(&k.into()) {
+                    *pairs.entry(k.into()).or_default() += count;
+                }
+            }
+            let want_join = Rows::Joined(pairs.into_iter().collect());
+            for (surface, table) in &mixed.surfaces {
+                let scan = || match mask {
+                    None => QueryBuilder::scan(table),
+                    Some((lo, hi)) => {
+                        QueryBuilder::scan(table).filter("val", Predicate::Range { lo, hi })
+                    }
+                };
+                let queries = [
+                    (
+                        "group-by",
+                        scan().group_by("key").aggregate(&AGGS),
+                        &want_groups,
+                    ),
+                    ("distinct", scan().distinct("key"), &want_distinct),
+                    (
+                        "key range",
+                        scan()
+                            .filter("key", Predicate::Range { lo, hi })
+                            .aggregate(&AGGS),
+                        &want_range,
+                    ),
+                    (
+                        "join",
+                        scan().join("right", Arc::clone(&right), "key"),
+                        &want_join,
+                    ),
+                ];
+                for (what, query, want) in &queries {
+                    for threads in [1, 2] {
+                        let at = format!("{surface} {what} {mask:?} x{threads}");
+                        let got = query.execute_parallel(threads).unwrap();
+                        assert_eq!(&got.rows, *want, "{at}");
+                    }
+                    let naive = query.execute_naive().unwrap();
+                    assert_eq!(&naive.rows, *want, "{surface} {what} {mask:?} naive");
+                }
+            }
+        }
     }
 }
