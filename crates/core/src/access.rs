@@ -27,6 +27,7 @@ use crate::column::ColumnData;
 use crate::error::{CoreError, Result};
 use crate::scheme::{Compressed, PartData};
 use crate::schemes;
+use crate::shared::SharedRef;
 
 /// The value at row `pos` (transport form), or `None` when the scheme
 /// has no sub-linear access path (RLE, DELTA, cascades with nested
@@ -45,11 +46,7 @@ pub fn value_at(c: &Compressed, pos: usize) -> Result<Option<u64>> {
     // A shared part is read through its checked reference first, so a
     // form with a missing or corrupt shared dictionary is refused on
     // every path, the ones answering `None` included.
-    for part in &c.parts {
-        if let PartData::Shared(shared) = &part.data {
-            shared.column()?;
-        }
-    }
+    c.shared_part().map(SharedRef::column).transpose()?;
     // Cascaded forms carry nested payloads; answering a point lookup
     // would mean decompressing the nested part — not a sub-linear path.
     if c.parts
@@ -79,10 +76,7 @@ pub fn value_at(c: &Compressed, pos: usize) -> Result<Option<u64>> {
                 Some(code) => code as usize,
                 None => return Ok(None),
             };
-            let dict = match &c.part(schemes::dict::ROLE_DICT)?.data {
-                PartData::Shared(shared) => shared.column()?,
-                _ => c.plain_part(schemes::dict::ROLE_DICT)?,
-            };
+            let dict = c.plain_part(schemes::dict::ROLE_DICT)?;
             match dict.get_transport(code) {
                 Some(v) => Ok(Some(v)),
                 None => Err(CoreError::CorruptParts(format!(

@@ -46,14 +46,15 @@ impl<'a> Parts<'a> {
     /// Stream the part with the given role.
     pub fn stream(&self, role: &'static str) -> Result<PartStream<'a>> {
         match &self.form.part(role)?.data {
-            PartData::Plain(col) => Ok(PartStream::plain(Cow::Borrowed(col))),
+            PartData::Plain(_) | PartData::Shared(_) => Ok(PartStream::plain(Cow::Borrowed(
+                self.form.plain_part(role)?,
+            ))),
             PartData::Packed(packed) => Ok(PartStream::packed(packed, false, DType::U64)),
             PartData::Nested(nested) => (self.inner)(role)
                 .ok_or_else(|| {
                     CoreError::CorruptParts(format!("nested part {role:?} has no inner scheme"))
                 })?
                 .stream(nested),
-            PartData::Shared(shared) => Ok(PartStream::plain(Cow::Borrowed(shared.column()?))),
         }
     }
 

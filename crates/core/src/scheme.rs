@@ -153,10 +153,13 @@ impl Compressed {
             .ok_or(CoreError::MissingPart(role))
     }
 
-    /// Find a part by role, requiring it to be a plain column.
+    /// Find a part by role, requiring it to be a plain column: stored
+    /// in the form, or a shared dictionary read through its checked
+    /// reference ([`SharedRef::column`]).
     pub fn plain_part(&self, role: &'static str) -> Result<&ColumnData> {
         match &self.part(role)?.data {
             PartData::Plain(c) => Ok(c),
+            PartData::Shared(shared) => shared.column(),
             other => Err(CoreError::CorruptParts(format!(
                 "part {role:?} expected plain, found {}",
                 part_kind(other)

@@ -39,7 +39,7 @@ impl Dict {
     /// and the dictionary it was given disagree — a corrupt form.
     fn run(&self, parts: &Parts<'_>, out: &mut impl Emit) -> Result<()> {
         let c = parts.form();
-        let shared = matches!(c.part(ROLE_DICT)?.data, PartData::Shared(_));
+        let shared = c.shared_part().is_some();
         let dict = parts.column(ROLE_DICT)?;
         let dict = dict.as_transport();
         let codes = parts.stream(ROLE_CODES)?;

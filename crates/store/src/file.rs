@@ -81,13 +81,15 @@ const VERSION: u16 = 8;
 /// [`open_table_lazy`].
 pub const DEFAULT_SEGMENT_CACHE: usize = 16;
 
-/// One column's manifest entry: declaration, per-segment metadata, and
-/// where its shared dictionaries' records sit (`dict` unused).
+/// One column's manifest entry: declaration, per-segment metadata and
+/// dictionary reference (`1 + k` for the column's `k`-th dictionary, 0
+/// for none), and where its shared dictionaries' records sit.
 #[derive(Debug, Clone)]
 struct ColumnManifest {
     schema: ColumnSchema,
     metas: Vec<SegmentMeta>,
     locations: Vec<FrameLocation>,
+    refs: Vec<u32>,
     dicts: Vec<FrameLocation>,
 }
 
@@ -212,7 +214,7 @@ fn write_manifest(
         // planner needs without reading it. Row counts are persisted,
         // not inferred from seg_rows, so non-uniform segmentations
         // (hand-assembled tables, appended tails) survive a reopen.
-        for (meta, loc) in col.metas.iter().zip(&col.locations) {
+        for ((meta, loc), dict) in col.metas.iter().zip(&col.locations).zip(&col.refs) {
             put_u64(&mut manifest, loc.offset);
             put_u64(&mut manifest, loc.len);
             put_u64(&mut manifest, meta.bytes as u64);
@@ -221,7 +223,7 @@ fn write_manifest(
             put_i128(&mut manifest, meta.max);
             put_opt_i128(&mut manifest, meta.sum);
             put_str16(&mut manifest, &meta.expr);
-            put_u32(&mut manifest, loc.dict);
+            put_u32(&mut manifest, *dict);
         }
         put_u32(&mut manifest, col.dicts.len() as u32);
         for loc in &col.dicts {
@@ -268,6 +270,7 @@ pub fn save_table(table: &Table, dir: &Path) -> Result<()> {
             schema: col.clone(),
             metas: Vec::with_capacity(segments.len()),
             locations: Vec::with_capacity(segments.len()),
+            refs: Vec::with_capacity(segments.len()),
             dicts: Vec::new(),
         };
         let mut dicts = Dictionaries::default();
@@ -362,7 +365,6 @@ impl ColumnManifest {
             self.dicts.push(FrameLocation {
                 offset: base + out.len() as u64,
                 len: record.len() as u64,
-                dict: 0,
             });
             out.extend_from_slice(&record);
         }
@@ -371,42 +373,41 @@ impl ColumnManifest {
         self.locations.push(FrameLocation {
             offset: base + out.len() as u64,
             len: record.len() as u64,
-            dict: if index == 0 { 0 } else { stored + index },
         });
+        self.refs.push(if index == 0 { 0 } else { stored + index });
         out.extend_from_slice(&record);
         Ok(())
     }
 }
 
-/// The dictionary a segment at `loc` references among `dicts`: `None`
-/// for none, an error for an index past the column's list.
-pub(crate) fn dictionary_of<'d>(
-    dicts: &'d [Arc<SharedDict>],
-    loc: FrameLocation,
-    column: &str,
-    idx: usize,
-) -> Result<Option<&'d Arc<SharedDict>>> {
-    match loc.dict {
-        0 => Ok(None),
-        k => dicts.get(k as usize - 1).map(Some).ok_or_else(|| {
-            StoreError::CorruptFile(format!(
-                "column {column} segment {idx}: dictionary {k} of {}",
-                dicts.len()
-            ))
-        }),
-    }
-}
-
 /// Read every dictionary record of a column whose file bytes `read`
-/// returns for a location — at open, on both paths.
-fn read_dictionaries(
+/// returns for a location — at open, on both paths — and hand each
+/// segment the dictionary its manifest entry references: `None` for
+/// none, one `Arc` per dictionary, an error for an index past the
+/// column's list.
+fn segment_dictionaries(
     col: &ColumnManifest,
     mut read: impl FnMut(FrameLocation) -> Result<Vec<u8>>,
-) -> Result<Vec<Arc<SharedDict>>> {
-    col.dicts
+) -> Result<Vec<Option<Arc<SharedDict>>>> {
+    let name = &col.schema.name;
+    let dicts = col
+        .dicts
         .iter()
         .enumerate()
-        .map(|(k, &loc)| decode_dict_record(&read(loc)?, &col.schema.name, k, col.schema.dtype))
+        .map(|(k, &loc)| decode_dict_record(&read(loc)?, name, k, col.schema.dtype))
+        .collect::<Result<Vec<_>>>()?;
+    col.refs
+        .iter()
+        .enumerate()
+        .map(|(idx, &k)| match k {
+            0 => Ok(None),
+            k => dicts.get(k as usize - 1).cloned().map(Some).ok_or_else(|| {
+                StoreError::CorruptFile(format!(
+                    "column {name} segment {idx}: dictionary {k} of {}",
+                    dicts.len()
+                ))
+            }),
+        })
         .collect()
 }
 
@@ -420,24 +421,24 @@ pub fn load_table(dir: &Path) -> Result<Table> {
         // does, so both opens accept the same directories (including
         // non-uniform segmentations) — except that bytes past the last
         // record (a torn append) are refused here rather than ignored.
-        let dicts = read_dictionaries(&col, |loc| {
+        let dicts = segment_dictionaries(&col, |loc| {
             record_at(&data, loc).map(<[u8]>::to_vec).ok_or_else(|| {
                 StoreError::CorruptFile(format!("{name}: a dictionary extends past end of file"))
             })
         })?;
         let mut segments = Vec::with_capacity(col.metas.len());
-        for (idx, (meta, loc)) in col.metas.iter().zip(&col.locations).enumerate() {
+        let frames = col.metas.iter().zip(&col.locations).zip(&dicts);
+        for (idx, ((meta, loc), dict)) in frames.enumerate() {
             let record = record_at(&data, *loc).ok_or_else(|| {
                 StoreError::CorruptFile(format!("{name}: segment {idx} extends past end of file"))
             })?;
-            let dict = dictionary_of(&dicts, *loc, name, idx)?;
             segments.push(decode_record(
                 record,
                 name,
                 idx,
                 meta,
                 col.schema.dtype,
-                dict,
+                dict.as_ref(),
             )?);
         }
         let end = recorded_end(&col);
@@ -488,13 +489,12 @@ fn open_with<T>(
 /// A lazy source over one column file: its dictionaries read now,
 /// its segments on demand.
 fn file_source(path: PathBuf, col: ColumnManifest, cache_capacity: usize) -> Result<FileSource> {
-    let dicts = read_dictionaries(&col, |loc| read_at(&path, loc))?;
+    let dicts = segment_dictionaries(&col, |loc| read_at(&path, loc))?;
     FileSource::new(
         path,
         &col.schema.name,
         col.schema.dtype,
-        (col.metas, col.locations),
-        dicts,
+        (col.metas, col.locations, dicts),
         cache_capacity,
     )
 }
@@ -667,6 +667,7 @@ fn read_manifest(dir: &Path) -> Result<(Vec<ColumnManifest>, usize, usize)> {
         }
         let mut metas = Vec::with_capacity(count);
         let mut locations = Vec::with_capacity(count);
+        let mut refs = Vec::with_capacity(count);
         let mut total_rows = 0usize;
         for _ in 0..count {
             let offset = r.u64()?;
@@ -688,7 +689,8 @@ fn read_manifest(dir: &Path) -> Result<(Vec<ColumnManifest>, usize, usize)> {
                 kind: SchemeKind::of_expr(&expr)?,
                 expr,
             });
-            locations.push(FrameLocation { offset, len, dict });
+            locations.push(FrameLocation { offset, len });
+            refs.push(dict);
         }
         let dict_count = r.u32()? as usize;
         // Each dictionary entry is 16 bytes.
@@ -701,11 +703,7 @@ fn read_manifest(dir: &Path) -> Result<(Vec<ColumnManifest>, usize, usize)> {
         for _ in 0..dict_count {
             let offset = r.u64()?;
             let len = r.u64()?;
-            dicts.push(FrameLocation {
-                offset,
-                len,
-                dict: 0,
-            });
+            dicts.push(FrameLocation { offset, len });
         }
         if total_rows != num_rows {
             return Err(StoreError::CorruptFile(format!(
@@ -716,6 +714,7 @@ fn read_manifest(dir: &Path) -> Result<(Vec<ColumnManifest>, usize, usize)> {
             schema: ColumnSchema::new(&name, dtype),
             metas,
             locations,
+            refs,
             dicts,
         });
     }
@@ -1141,8 +1140,7 @@ mod tests {
         save_table(&table, &dir).unwrap();
         let (columns, _, _) = read_manifest(&dir).unwrap();
         assert_eq!(columns[0].dicts.len(), 1, "stored once");
-        let locations: Vec<u32> = columns[0].locations.iter().map(|l| l.dict).collect();
-        assert_eq!(locations, vec![1; 4]);
+        assert_eq!(columns[0].refs, vec![1; 4]);
         assert!(columns[1].dicts.is_empty());
         for reopened in [load_table(&dir).unwrap(), open_table_lazy(&dir, 2).unwrap()] {
             let dicts = dictionaries(&reopened, "key");
@@ -1174,8 +1172,7 @@ mod tests {
         append_table(&dir, &one, &policies).unwrap();
         let (columns, _, _) = read_manifest(&dir).unwrap();
         assert_eq!(columns[0].dicts.len(), 2);
-        let locations: Vec<u32> = columns[0].locations.iter().map(|l| l.dict).collect();
-        assert_eq!(locations, vec![1, 1, 1, 1, 2, 2, 0]);
+        assert_eq!(columns[0].refs, vec![1, 1, 1, 1, 2, 2, 0]);
         let want = table.append(&two).unwrap().append(&one).unwrap();
         for reopened in [load_table(&dir).unwrap(), open_table_lazy(&dir, 2).unwrap()] {
             let dicts = dictionaries(&reopened, "key");

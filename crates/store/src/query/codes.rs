@@ -75,6 +75,22 @@ pub(crate) struct SegmentCodes<'s> {
     pub(crate) counts: &'s [u32],
 }
 
+impl SegmentCodes<'_> {
+    /// Call `f` on each entry a selected row holds, with its selected
+    /// rows, in code order.
+    pub(crate) fn for_each_touched(&self, mut f: impl FnMut(i128, u32)) -> Result<()> {
+        let entries = self.dict.entries()?;
+        with_column!(&*entries, |entries| {
+            for (&key, &rows) in entries.iter().zip(self.counts) {
+                if rows > 0 {
+                    f(key.into(), rows);
+                }
+            }
+        });
+        Ok(())
+    }
+}
+
 /// Read DICT key segment `seg` in code space under `selection`: a full
 /// selection counts each code's rows while the codes unpack; a mask
 /// counts its rows and redirects the dropped ones to code `len` in one

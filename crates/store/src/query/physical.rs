@@ -200,9 +200,9 @@ pub(crate) enum SinkState {
         /// A DICT left side's rows per code of its dictionary, pending
         /// until the dictionary changes or the state merges.
         codes: CodeFold,
-        /// The right segments live for the pending codes' left segments:
-        /// what they probe once resolved.
-        probes: Vec<usize>,
+        /// Per right segment, whether it is live for one of the pending
+        /// codes' left segments: what they probe once resolved.
+        probes: Vec<bool>,
     },
 }
 
@@ -853,7 +853,7 @@ impl PhysicalPlan {
                 Ok(())
             }
             (Sink::Distinct { col }, SinkState::Distinct { set }) => {
-                self.sink_distinct(seg_idx, n, &selection, *col, set, fetched, stats)
+                self.sink_distinct(seg_idx, n, &selection, *col, set, fetched, scratch, stats)
             }
             _ => unreachable!("sink/state mismatch"),
         }
@@ -1133,7 +1133,10 @@ impl PhysicalPlan {
 
     /// The distinct sink. Under a full selection, several schemes
     /// *store* the distinct structure outright — the part column
-    /// suffices, no rows touched. Everything else marks its selected
+    /// suffices, no rows touched. A dictionary the run's segments share
+    /// holds other segments' keys too: such a segment, under any
+    /// selection, reads its codes and keeps the entries its selected
+    /// rows touch. Everything else marks its selected
     /// values, off the value stream, into a bitmap ([`DistinctMarks`])
     /// over the span its frame proves (a plain NS segment packed at
     /// most 16 bits wide: `[0, 2^width)`) or, failing that, its zone
@@ -1147,9 +1150,18 @@ impl PhysicalPlan {
         col: usize,
         set: &mut IntSet<i128>,
         fetched: &mut Fetched,
+        scratch: &mut Scratch,
         stats: &mut QueryStats,
     ) -> Result<()> {
         let seg = self.fetch(col, seg_idx, fetched, stats)?;
+        if seg.compressed.shared_dict().is_some() {
+            let codes = segment_codes(&seg, selection, &mut scratch.dict_keys)?;
+            stats.segments_structural += 1;
+            stats.values_processed += selection.count(n);
+            return codes.for_each_touched(|key, _| {
+                set.insert(key);
+            });
+        }
         if matches!(selection, Selection::All) {
             if let Some(roles) = distinct_part_roles(seg.kind()) {
                 stats.segments_structural += 1;
@@ -1273,6 +1285,7 @@ impl PhysicalPlan {
                 resolve_join_codes(codes, probes, cache)?;
                 codes.start(&left.dict, left.len, std::iter::empty());
             }
+            probes.resize(right.table.num_segments(), false);
             codes.add_rows(left.counts);
             None
         } else {
@@ -1300,8 +1313,7 @@ impl PhysicalPlan {
             // right key it found.
             stats.join_code_translations += usize::from(dict && build.dict);
             match &left {
-                None if !probes.contains(&rseg) => probes.push(rseg),
-                None => {}
+                None => probes[rseg] = true,
                 Some(left) => {
                     for &(v, rows) in left.units.iter().filter(|&&(_, rows)| rows > 0) {
                         if let Some((rc, joined)) = build.keys.get_mut(&v) {
@@ -1315,25 +1327,31 @@ impl PhysicalPlan {
     }
 }
 
-/// Probe the right segments `probes` once per touched code of the DICT
-/// left side's pending dictionary, accumulating the pairs on the right
-/// keys found, then forget both.
+/// Probe the right segments `probes` marks once per touched code of the
+/// DICT left side's pending dictionary, accumulating the pairs on the
+/// right keys found, then forget both. A code outside a right segment's
+/// zone skips its hash probe.
 fn resolve_join_codes(
     codes: &mut CodeFold,
-    probes: &mut Vec<usize>,
+    probes: &mut [bool],
     cache: &mut IntMap<usize, JoinBuild>,
 ) -> Result<()> {
+    let mut live: Vec<&mut JoinBuild> = cache
+        .iter_mut()
+        .filter(|(&rseg, _)| probes.get(rseg).copied().unwrap_or(false))
+        .map(|(_, build)| build)
+        .collect();
     codes.resolve(|key, rows, _| {
-        for rseg in probes.iter() {
-            let build = cache
-                .get_mut(rseg)
-                .and_then(|build| build.keys.get_mut(&key));
-            if let Some((rc, joined)) = build {
+        for build in live.iter_mut() {
+            if !(build.zone.0..=build.zone.1).contains(&key) {
+                continue;
+            }
+            if let Some((rc, joined)) = build.keys.get_mut(&key) {
                 *joined += rows as i128 * *rc as i128;
             }
         }
     })?;
-    probes.clear();
+    probes.fill(false);
     Ok(())
 }
 
@@ -1354,6 +1372,7 @@ fn join_right_side(
         stats.join_rows_undecoded += rmeta.rows;
         return Ok(JoinBuild {
             keys: IntMap::from_iter([(rmeta.min, (rmeta.rows as u64, 0))]),
+            zone: (rmeta.min, rmeta.max),
             dict: false,
         });
     }
@@ -1362,16 +1381,15 @@ fn join_right_side(
     if seg.kind() == SchemeKind::Dict {
         let codes = segment_codes(&seg, &Selection::All, codes)?;
         stats.join_rows_undecoded += seg.num_rows();
-        let entries = seg.dictionary()?;
         let mut keys = IntMap::with_capacity_and_hasher(codes.len, Default::default());
-        with_column!(&*entries, |entries| {
-            for (&key, &rows) in entries.iter().zip(codes.counts) {
-                if rows > 0 {
-                    keys.insert(key.into(), (u64::from(rows), 0));
-                }
-            }
+        codes.for_each_touched(|key, rows| {
+            keys.insert(key, (u64::from(rows), 0));
+        })?;
+        return Ok(JoinBuild {
+            keys,
+            zone: (rmeta.min, rmeta.max),
+            dict: true,
         });
-        return Ok(JoinBuild { keys, dict: true });
     }
     let units = key_units(&seg, &Selection::All, scratch)?;
     stats.join_rows_undecoded += units.undecoded;
@@ -1379,7 +1397,11 @@ fn join_right_side(
     for &(key, rows) in units.units.iter().filter(|&&(_, rows)| rows > 0) {
         keys.entry(key).or_insert((0, 0)).0 += rows as u64;
     }
-    Ok(JoinBuild { keys, dict: false })
+    Ok(JoinBuild {
+        keys,
+        zone: (rmeta.min, rmeta.max),
+        dict: false,
+    })
 }
 
 /// Whether the plan reads MIN or MAX of agg column `slot`: extrema are
@@ -1432,11 +1454,12 @@ pub(crate) struct Scratch {
 
 /// One right segment's build side as a worker caches it: every key's
 /// right rows, and the pairs this worker's left segments have joined
-/// against that key so far (flushed into the answer on merge), and
-/// whether it was counted off a dictionary.
+/// against that key so far (flushed into the answer on merge), its
+/// zone, and whether it was counted off a dictionary.
 #[derive(Debug, Clone)]
 pub(crate) struct JoinBuild {
     keys: IntMap<i128, (u64, i128)>,
+    zone: (i128, i128),
     dict: bool,
 }
 

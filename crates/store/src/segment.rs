@@ -271,10 +271,8 @@ impl Segment {
     /// A part column of the segment, decoded alone (partial
     /// decompression): borrowed when stored plain or shared.
     fn part(&self, role: &'static str) -> Result<Cow<'_, ColumnData>> {
-        match &self.compressed.part(role)?.data {
-            PartData::Plain(col) => return Ok(Cow::Borrowed(col)),
-            PartData::Shared(shared) => return Ok(Cow::Borrowed(shared.column()?)),
-            _ => {}
+        if let PartData::Plain(_) | PartData::Shared(_) = &self.compressed.part(role)?.data {
+            return Ok(Cow::Borrowed(self.compressed.plain_part(role)?));
         }
         Ok(Cow::Owned(
             self.scheme.decompress_part(&self.compressed, role)?,

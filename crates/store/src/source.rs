@@ -393,7 +393,7 @@ impl Column {
     pub fn dictionary_bytes(&self) -> usize {
         let mut seen: Vec<&Arc<SharedDict>> = Vec::new();
         for run in &self.runs {
-            let base = run.base.iter().flat_map(|base| base.dicts.iter());
+            let base = run.base.iter().flat_map(|base| base.dicts.iter().flatten());
             let resident = run
                 .segments
                 .iter()
@@ -515,16 +515,13 @@ fn no_segment(idx: usize, segments: usize) -> StoreError {
     StoreError::Shape(format!("segment {idx} out of range ({segments} segments)"))
 }
 
-/// Where one segment's record sits inside its column file, and which
-/// of the column's shared dictionaries its frame references.
+/// Where one record sits inside its column file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FrameLocation {
     /// Byte offset of the record (header, frame, checksum) in the file.
     pub offset: u64,
     /// Total record length in bytes.
     pub len: u64,
-    /// `1 + k` for the column's `k`-th dictionary, 0 for none.
-    pub dict: u32,
 }
 
 /// Lazily loads segments from a `.col` file written by
@@ -539,9 +536,9 @@ pub(crate) struct FileSource {
     dtype: DType,
     metas: Vec<SegmentMeta>,
     locations: Vec<FrameLocation>,
-    /// The column's shared dictionaries, read at open; every segment
-    /// that references one gets this handle.
-    dicts: Vec<Arc<SharedDict>>,
+    /// Per segment, the shared dictionary its frame references, read
+    /// at open: one handle per dictionary, attached at every fetch.
+    dicts: Vec<Option<Arc<SharedDict>>>,
     cache_capacity: usize,
     cache: Mutex<LruCache<usize, Arc<Segment>>>,
     /// Opened on the first fetch, then reused — cache misses pay a
@@ -589,22 +586,26 @@ impl std::fmt::Debug for FileSource {
 
 impl FileSource {
     /// A lazy source over one persisted column. `metas` and `locations`
-    /// come from the table manifest, `dicts` from the column file's
-    /// dictionary records; `cache_capacity` bounds how many decoded
-    /// segments stay resident (minimum 1).
+    /// come from the table manifest, each segment's `dicts` entry from
+    /// the column file's dictionary records; `cache_capacity` bounds how
+    /// many decoded segments stay resident (minimum 1).
     pub(crate) fn new(
         path: PathBuf,
         column: &str,
         dtype: DType,
-        (metas, locations): (Vec<SegmentMeta>, Vec<FrameLocation>),
-        dicts: Vec<Arc<SharedDict>>,
+        (metas, locations, dicts): (
+            Vec<SegmentMeta>,
+            Vec<FrameLocation>,
+            Vec<Option<Arc<SharedDict>>>,
+        ),
         cache_capacity: usize,
     ) -> Result<FileSource> {
-        if metas.len() != locations.len() {
+        if metas.len() != locations.len() || metas.len() != dicts.len() {
             return Err(StoreError::Shape(format!(
-                "column {column}: {} segment metas, {} frame locations",
+                "column {column}: {} segment metas, {} frame locations, {} dictionary references",
                 metas.len(),
-                locations.len()
+                locations.len(),
+                dicts.len()
             )));
         }
         // Every frame must fit the file — checked up front with
@@ -700,10 +701,16 @@ impl FileSource {
     /// observe the frame without its mark, so the hits/wasted ledger
     /// stays exact even when prefetch and scan race on one frame.
     fn load_claimed(&self, idx: usize, mark_prefetched: bool) -> Result<Arc<Segment>> {
-        let result = match (self.locations.get(idx), self.metas.get(idx)) {
-            (Some(&loc), Some(meta)) => self.read_record(idx, loc).and_then(|record| {
-                let dict = crate::file::dictionary_of(&self.dicts, loc, &self.column, idx)?;
-                crate::file::decode_record(&record, &self.column, idx, meta, self.dtype, dict)
+        let frame = (
+            self.locations.get(idx),
+            self.metas.get(idx),
+            self.dicts.get(idx),
+        );
+        let result = match frame {
+            (Some(&loc), Some(meta), Some(dict)) => self.read_record(idx, loc).and_then(|record| {
+                let dtype = self.dtype;
+                let dict = dict.as_ref();
+                crate::file::decode_record(&record, &self.column, idx, meta, dtype, dict)
             }),
             _ => Err(no_segment(idx, self.metas.len())),
         };

@@ -15,7 +15,7 @@
 //!    min and max.
 
 use lcdc::core::chooser::{self, Size};
-use lcdc::core::{bytes, parse_scheme, ColumnData, ColumnStats, CoreError, Scheme};
+use lcdc::core::{bytes, parse_scheme, ColumnData, ColumnStats, CoreError, Scheme, SharedDict};
 use lcdc::datagen::runs::runs_over_domain;
 use lcdc::datagen::steps::bounded_walk;
 use lcdc::datagen::tpch_like::lineitem_like;
@@ -26,6 +26,7 @@ use lcdc::datagen::{
 use lcdc::store::agg::{aggregate_plain, aggregate_segment};
 use lcdc::store::{CompressionPolicy, Segment, SegmentMeta, StoreError, Table, TableSchema};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// The repository's XXH64, for the golden digest.
 #[allow(dead_code)]
@@ -418,6 +419,37 @@ fn golden_digests(table: &Table, families: &[ColumnData]) -> (u64, u64) {
     (digest::xxh64(&stream, 0), digest::xxh64(&shape, 0))
 }
 
+/// XXH64 of what `Table::build` stores for [`fixture`]: every segment's
+/// expression and frame, in column order, each shared dictionary's
+/// entries where its first segment references it. Pins the sharing
+/// decision and the re-encoded `dict[dict=shared,codes=ns]` frames,
+/// which [`golden_digests`]' per-chunk picks precede.
+fn table_digest(table: &Table) -> u64 {
+    let mut stream = Vec::new();
+    let mut seen: Vec<Arc<SharedDict>> = Vec::new();
+    for name in LINEITEM {
+        for seg in table.column_segments(name).expect("column exists") {
+            let frame = bytes::to_bytes(&seg.compressed);
+            stream.extend_from_slice(&(seg.expr.len() as u64).to_le_bytes());
+            stream.extend_from_slice(seg.expr.as_bytes());
+            stream.extend_from_slice(&(frame.len() as u64).to_le_bytes());
+            stream.extend_from_slice(&frame);
+            if let Some(dict) = seg.compressed.shared_dict() {
+                if !seen.iter().any(|d| Arc::ptr_eq(d, dict)) {
+                    seen.push(Arc::clone(dict));
+                    for entry in dict.values().to_transport() {
+                        stream.extend_from_slice(&entry.to_le_bytes());
+                    }
+                }
+            }
+        }
+    }
+    digest::xxh64(&stream, 0)
+}
+
+/// The digest of [`fixture`]'s stored segments ([`table_digest`]).
+const GOLDEN_TABLE: u64 = 0x1747_6c1c_264f_2c0d;
+
 /// The digest the exhaustive chooser produced on [`fixture`].
 const GOLDEN: u64 = 0xb5c4_2ae2_7163_7a06;
 
@@ -435,6 +467,11 @@ fn golden_digest_and_pruning_ledger() {
     let (bytes, shape) = golden_digests(&table, &families);
     assert_eq!(shape, GOLDEN_SHAPE, "same picks and frame sizes");
     assert_eq!(bytes, GOLDEN, "same bytes out as the exhaustive chooser");
+    assert_eq!(
+        table_digest(&table),
+        GOLDEN_TABLE,
+        "same segments and shared dictionaries stored"
+    );
     let mut compressed = 0;
     let mut choices = 0;
     for name in LINEITEM {

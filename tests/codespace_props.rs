@@ -196,7 +196,7 @@ fn shared_bound_skips_moderate_segments() {
 /// DICT segment — shared dictionary or own — folds its distinct keys
 /// and never decodes a key row (the per-dictionary fold still counts
 /// per segment), CONST one unit with `val` folded whole, the row tier
-/// none.
+/// none; so is the unfiltered distinct's.
 #[test]
 fn mixed_runs_group_by_and_key_filters_equal_decoded() {
     use lcdc::store::SchemeKind;
@@ -290,6 +290,33 @@ fn mixed_runs_group_by_and_key_filters_equal_decoded() {
                     stats.rows_undecoded,
                 );
                 assert_eq!(got, (folded, values, undecoded), "{surface} x{threads}");
+            }
+            // The unfiltered distinct: a segment sharing its run's
+            // dictionary reads its codes (every row) and keeps the
+            // entries they touch; one with its own dictionary reads just
+            // the dictionary, CONST its one value; both structural.
+            let distinct = QueryBuilder::scan(table).distinct("key");
+            let (mut structural, mut values) = (0, 0);
+            for i in 0..source.num_segments() {
+                let meta = source.meta(i);
+                let mut keys = mixed.segment_keys(i).to_vec();
+                keys.sort_unstable();
+                keys.dedup();
+                match meta.kind {
+                    SchemeKind::Dict if meta.expr.contains("dict=shared") => {
+                        (structural, values) = (structural + 1, values + SEG_ROWS)
+                    }
+                    SchemeKind::Dict => {
+                        (structural, values) = (structural + 1, values + keys.len())
+                    }
+                    SchemeKind::Const => (structural, values) = (structural + 1, values + 1),
+                    _ => values += SEG_ROWS,
+                }
+            }
+            for threads in [1, 2] {
+                let stats = distinct.execute_parallel(threads).unwrap().stats;
+                let got = (stats.segments_structural, stats.values_processed);
+                assert_eq!(got, (structural, values), "{surface} distinct x{threads}");
             }
         }
     }

@@ -1241,3 +1241,75 @@ fn mixed_runs_match_the_oracle() {
         }
     }
 }
+
+/// Distinct, group-by and join under key ranges the zone maps decide
+/// for whole DICT segments: one covering the built run's first four
+/// segments' zones (fully selected, while another segment sharing their
+/// dictionary is masked and the second dictionary's segments are
+/// pruned), and one covering exactly one segment's zone. A fully
+/// selected segment's shared dictionary holds keys only the other
+/// segments hold; none of them may reach the answer.
+#[test]
+fn mixed_runs_under_zone_decided_key_ranges_match_the_oracle() {
+    for (seed, signed) in [(5, false), (6, true)] {
+        let mixed = MixedRuns::build(seed, signed, "sinks_zoned");
+        let other = MixedRuns::build(seed ^ 0xBEEF, signed, "sinks_zoned_right");
+        let right = Arc::new(other.resident().clone());
+        let key: Vec<i128> = mixed.keys.iter().map(|&k| k.into()).collect();
+        let zone = |segs: std::ops::Range<usize>| {
+            let keys = segs.flat_map(|s| mixed.segment_keys(s).iter().map(|&k| i128::from(k)));
+            let (lo, hi) = keys.fold((i128::MAX, i128::MIN), |(lo, hi), k| (lo.min(k), hi.max(k)));
+            (lo, hi)
+        };
+        for (what, (lo, hi)) in [("first four", zone(0..4)), ("one", zone(6..7))] {
+            let kept: Vec<i128> = key
+                .iter()
+                .copied()
+                .filter(|k| (lo..=hi).contains(k))
+                .collect();
+            let mut counts: BTreeMap<i128, i128> = BTreeMap::new();
+            for &k in &kept {
+                *counts.entry(k).or_default() += 1;
+            }
+            let unfiltered: BTreeSet<i128> = key.iter().copied().collect();
+            assert!(
+                counts.len() < unfiltered.len(),
+                "{what}: the range drops keys"
+            );
+            let want_distinct = Rows::Distinct(counts.keys().copied().collect());
+            let want_groups =
+                Rows::Groups(counts.iter().map(|(&k, &n)| (k, vec![Some(n)])).collect());
+            let mut pairs: BTreeMap<i128, i128> = BTreeMap::new();
+            for &k in &other.keys {
+                if let Some(&count) = counts.get(&k.into()) {
+                    *pairs.entry(k.into()).or_default() += count;
+                }
+            }
+            let want_join = Rows::Joined(pairs.into_iter().collect());
+            for (surface, table) in &mixed.surfaces {
+                let scan = || QueryBuilder::scan(table).filter("key", Predicate::Range { lo, hi });
+                let queries = [
+                    ("distinct", scan().distinct("key"), &want_distinct),
+                    (
+                        "group-by",
+                        scan().group_by("key").aggregate(&[Agg::Count]),
+                        &want_groups,
+                    ),
+                    (
+                        "join",
+                        scan().join("right", Arc::clone(&right), "key"),
+                        &want_join,
+                    ),
+                ];
+                for (query_what, query, want) in &queries {
+                    let at = format!("{surface} {query_what} over {what}");
+                    for threads in [1, 2] {
+                        let got = query.execute_parallel(threads).unwrap();
+                        assert_eq!(&got.rows, *want, "{at} x{threads}");
+                    }
+                    assert_eq!(&query.execute_naive().unwrap().rows, *want, "{at} naive");
+                }
+            }
+        }
+    }
+}
