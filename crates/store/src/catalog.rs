@@ -37,7 +37,7 @@
 //! shards ([`crate::file::open_table_lazy`]), or both.
 
 use crate::query::{ExecOptions, JoinRight, QueryResult, QuerySpec, QueryStats};
-use crate::table::{check_batch, Table};
+use crate::table::{check_batch, EncodedBatch, Table};
 use crate::{Result, StoreError};
 use lcdc_core::ColumnData;
 use std::collections::HashMap;
@@ -209,27 +209,78 @@ impl ShardedTable {
     /// growing upward cannot overlap a neighbour). Untouched shards
     /// share their `Arc` handles and nothing is re-encoded; the one
     /// table is rebuilt from the shards' runs, one handle copy per
-    /// shard and column.
+    /// shard and column. Like [`Table::append`], an encode per touched
+    /// shard, then an attach.
     pub fn append_batch(&self, columns: &[ColumnData]) -> Result<ShardedTable> {
-        let mut shards: Vec<Arc<Table>> = Vec::with_capacity(self.shards.len());
-        if self.routing.is_some() {
+        self.attach(self.encode_batch(columns)?)
+    }
+
+    /// The encode half of [`Self::append_batch`]: the batch placed on
+    /// its shards and encoded for each shard it touches.
+    pub(crate) fn encode_batch(&self, columns: &[ColumnData]) -> Result<ShardedBatch> {
+        let parts = if self.routing.is_some() {
             let parts = self.partition_batch(columns)?;
-            for (shard, part) in self.shards.iter().zip(&parts) {
-                if part.first().map_or(0, ColumnData::len) == 0 {
-                    shards.push(Arc::clone(shard));
-                } else {
-                    shards.push(Arc::new(shard.append(part)?));
-                }
-            }
+            (self.shards.iter().zip(&parts))
+                .map(
+                    |(shard, part)| match part.first().map_or(0, ColumnData::len) {
+                        0 => Ok(None),
+                        _ => shard.encode_batch(part).map(Some),
+                    },
+                )
+                .collect::<Result<_>>()?
         } else {
             let (last, head) = self
                 .shards
                 .split_last()
                 .ok_or_else(|| StoreError::Shape("a sharded table needs a shard".into()))?;
-            shards.extend(head.iter().cloned());
-            shards.push(Arc::new(last.append(columns)?));
+            let mut parts: Vec<Option<EncodedBatch>> = head.iter().map(|_| None).collect();
+            parts.push(Some(last.encode_batch(columns)?));
+            parts
+        };
+        Ok(ShardedBatch {
+            parts,
+            routing: self.routing.clone(),
+        })
+    }
+
+    /// The attach half of [`Self::append_batch`]: each touched shard
+    /// attaches its part ([`Table::attach`]), the others are shared,
+    /// and the one table is re-assembled. An error when the batch was
+    /// encoded for another shard layout.
+    pub(crate) fn attach(&self, batch: ShardedBatch) -> Result<ShardedTable> {
+        if !batch.fits(self) {
+            return Err(StoreError::Shape(
+                "batch encoded for another shard layout".into(),
+            ));
         }
+        let shards = (self.shards.iter().zip(batch.parts))
+            .map(|(shard, part)| match part {
+                None => Ok(Arc::clone(shard)),
+                Some(part) => shard.attach(part).map(Arc::new),
+            })
+            .collect::<Result<_>>()?;
         ShardedTable::assemble(shards, self.routing.clone())
+    }
+}
+
+/// A row batch encoded for one sharded table's layout — its shard
+/// count and routing — with one [`EncodedBatch`] per shard it touches.
+#[derive(Debug)]
+pub(crate) struct ShardedBatch {
+    /// One per shard: `None` for a shard the batch does not touch.
+    parts: Vec<Option<EncodedBatch>>,
+    routing: Option<ShardRouting>,
+}
+
+impl ShardedBatch {
+    /// Whether `table` has the layout the batch was encoded for: the
+    /// same routing and shard count, and each touched shard the shape
+    /// its part was encoded for.
+    fn fits(&self, table: &ShardedTable) -> bool {
+        self.routing == table.routing
+            && self.parts.len() == table.shards.len()
+            && (self.parts.iter().zip(&table.shards))
+                .all(|(part, shard)| part.as_ref().is_none_or(|part| part.fits(shard)))
     }
 }
 
@@ -339,6 +390,14 @@ impl CatalogTable {
     pub fn io_reads(&self) -> usize {
         self.table().io_reads()
     }
+}
+
+/// A row batch encoded against one snapshot of a catalog entry, waiting
+/// to be published ([`Catalog::ingest`]).
+#[derive(Debug)]
+enum Encoded {
+    Single(EncodedBatch),
+    Sharded(ShardedBatch),
 }
 
 /// A join's right side, resolved against the same catalog snapshot as
@@ -619,13 +678,21 @@ impl Catalog {
     /// batch is a no-op: nothing changes, nothing is invalidated, and
     /// the current version comes back.
     ///
-    /// Encoding runs under the catalog's table lock, so concurrent
-    /// catalog *mutations* serialize, and a query arriving mid-ingest
-    /// waits on its initial snapshot fetch until the encode finishes.
+    /// Only the publish takes the catalog's table write lock. The batch
+    /// is encoded — the chooser and the compression, the write path's
+    /// whole cost — against a snapshot of the entry taken under the read
+    /// lock and released before encoding starts, so queries keep
+    /// fetching snapshots while it runs, and racing ingests encode in
+    /// parallel. The publish then attaches the new segments to the entry
+    /// *as it is now*, not to the snapshot, so two racing batches both
+    /// land, each under its own bump, in lock order. It holds the write
+    /// lock for one handle copy per resident segment of each touched
+    /// run. When the entry was replaced or re-sharded in between (its
+    /// schema, segment height, routing or shard count changed), the
+    /// batch is encoded again against the new entry; when it was
+    /// dropped, the ingest fails with [`StoreError::NoSuchTable`].
     /// Queries that already fetched their snapshot are unaffected —
     /// they execute on cloned handles, outside every catalog lock.
-    /// (Moving the encode outside the lock is a noted follow-on for
-    /// when ingest concurrency matters.)
     ///
     /// Returns the entry's post-ingest version.
     ///
@@ -667,24 +734,61 @@ impl Catalog {
     /// assert_eq!(after.aggregates().unwrap(), &[Some(202)]);
     /// ```
     pub fn ingest(&self, name: &str, columns: &[ColumnData]) -> Result<u64> {
+        loop {
+            let (batch, version) = self.encode(name, columns)?;
+            let Some(batch) = batch else {
+                return Ok(version);
+            };
+            if let Some(version) = self.publish(name, batch)? {
+                return Ok(version);
+            }
+        }
+    }
+
+    /// The encode half of [`Self::ingest`]: `columns` encoded against a
+    /// snapshot of `name`, with the snapshot's version. `None` for an
+    /// empty batch, which publishes nothing. The read lock is held only
+    /// to take the snapshot.
+    fn encode(&self, name: &str, columns: &[ColumnData]) -> Result<(Option<Encoded>, u64)> {
+        let (table, version) = self
+            .get(name)
+            .ok_or_else(|| StoreError::NoSuchTable(name.to_string()))?;
+        // Shape first: a ragged batch is an error even when its first
+        // column is empty.
+        if check_batch(table.table().schema(), columns, None)? == 0 {
+            return Ok((None, version));
+        }
+        let batch = match table {
+            CatalogTable::Single(t) => Encoded::Single(t.encode_batch(columns)?),
+            CatalogTable::Sharded(s) => Encoded::Sharded(s.encode_batch(columns)?),
+        };
+        Ok((Some(batch), version))
+    }
+
+    /// The publish half of [`Self::ingest`]: under the write lock,
+    /// `batch` attached to the entry as it is now, one version bump, and
+    /// the table's cached results purged. `None`, with nothing
+    /// published, when the entry no longer has the shape the batch was
+    /// encoded for: it was replaced or re-sharded since the snapshot.
+    fn publish(&self, name: &str, batch: Encoded) -> Result<Option<u64>> {
         let mut tables = self.tables_write();
         let entry = tables
             .get_mut(name)
             .ok_or_else(|| StoreError::NoSuchTable(name.to_string()))?;
-        // Shape first: a ragged batch is an error even when its first
-        // column is empty.
-        if check_batch(entry.table.table().schema(), columns, None)? == 0 {
-            return Ok(entry.version);
-        }
-        entry.table = match &entry.table {
-            CatalogTable::Single(t) => CatalogTable::Single(Arc::new(t.append(columns)?)),
-            CatalogTable::Sharded(s) => CatalogTable::Sharded(Arc::new(s.append_batch(columns)?)),
+        entry.table = match (&entry.table, batch) {
+            (CatalogTable::Single(t), Encoded::Single(b)) if b.fits(t) => {
+                CatalogTable::Single(Arc::new(t.attach(b)?))
+            }
+            (CatalogTable::Sharded(s), Encoded::Sharded(b)) if b.fits(s) => {
+                CatalogTable::Sharded(Arc::new(s.attach(b)?))
+            }
+            _ => return Ok(None),
         };
         entry.version = self.bump();
         let version = entry.version;
         drop(tables);
         self.cache().purge_table(name);
-        Ok(version)
+        Ok(Some(version))
     }
 
     fn install(&self, name: &str, table: CatalogTable) -> u64 {
@@ -1274,6 +1378,140 @@ mod tests {
             1001,
             "rejected batches change nothing"
         );
+    }
+
+    /// `count(*)` and the rows of `day` on a single-table entry.
+    fn count_day(catalog: &Catalog, day: u64) -> (Option<i128>, u64) {
+        let spec = QuerySpec::new()
+            .filter(
+                "day",
+                Predicate::Range {
+                    lo: day.into(),
+                    hi: day.into(),
+                },
+            )
+            .aggregate(&[Agg::Count]);
+        let (result, version) = catalog
+            .execute_versioned_with("t", &spec, |t, join| {
+                spec.execute_on(t, join, &ExecOptions::default())
+            })
+            .unwrap();
+        (result.aggregates().unwrap()[0], version)
+    }
+
+    fn batch(day: u64, rows: usize) -> Vec<ColumnData> {
+        vec![
+            ColumnData::U64(vec![day; rows]),
+            ColumnData::U64(vec![1; rows]),
+        ]
+    }
+
+    /// Encode and publish interleave: batch A encodes on version v, a
+    /// query and a whole ingest of B (v + 1) run before A publishes, and
+    /// A lands on the entry as it is then (v + 2), beside B.
+    #[test]
+    fn a_publish_attaches_to_the_entry_as_it_is_now() {
+        let catalog = Catalog::new();
+        let v = catalog.register("t", orders(1000, 1));
+        let total = |catalog: &Catalog| catalog.get("t").unwrap().0.table().num_rows();
+        let (a, encoded_at) = catalog.encode("t", &batch(500, 300)).unwrap();
+        assert_eq!(encoded_at, v);
+        assert_eq!(count_day(&catalog, 500), (Some(0), v), "A is not visible");
+        assert_eq!(total(&catalog), 1000);
+        assert_eq!(catalog.ingest("t", &batch(600, 200)).unwrap(), v + 1);
+        assert_eq!(count_day(&catalog, 600), (Some(200), v + 1));
+        assert_eq!(total(&catalog), 1200);
+        assert_eq!(catalog.publish("t", a.unwrap()).unwrap(), Some(v + 2));
+        assert_eq!(count_day(&catalog, 500), (Some(300), v + 2));
+        assert_eq!(count_day(&catalog, 600), (Some(200), v + 2));
+        assert_eq!(total(&catalog), 1500, "each batch exactly once");
+        let days = catalog
+            .get("t")
+            .unwrap()
+            .0
+            .table()
+            .materialize("day")
+            .unwrap();
+        let tail: Vec<u64> = (1000..1500)
+            .map(|i| days.get_numeric(i).unwrap() as u64)
+            .collect();
+        assert_eq!(tail, [vec![600; 200], vec![500; 300]].concat(), "B, then A");
+        // An empty batch publishes nothing and reports the version.
+        let (none, at) = catalog.encode("t", &batch(1, 0)).unwrap();
+        assert!(none.is_none());
+        assert_eq!(at, v + 2);
+    }
+
+    /// A batch encoded for an entry that is then replaced by another
+    /// shape, re-sharded or dropped is never attached to it: the
+    /// publish reports the shape change (and `ingest` encodes again) or
+    /// the missing table.
+    #[test]
+    fn a_publish_never_attaches_to_another_shape() {
+        let catalog = Catalog::new();
+        catalog.register("t", orders(1000, 1));
+
+        // Replaced by another schema: the re-encode sees the new one.
+        let (a, _) = catalog.encode("t", &batch(500, 10)).unwrap();
+        let other = Table::build(
+            TableSchema::new(&[("day", DType::U64)]),
+            &[ColumnData::U64(vec![1; 100])],
+            &[CompressionPolicy::Auto],
+            256,
+        )
+        .unwrap();
+        let replaced = catalog.register("t", other);
+        assert_eq!(catalog.publish("t", a.unwrap()).unwrap(), None);
+        assert_eq!(catalog.version("t"), Some(replaced), "nothing published");
+        assert!(catalog.ingest("t", &batch(500, 10)).is_err(), "two columns");
+        assert_eq!(
+            catalog
+                .ingest("t", &[ColumnData::U64(vec![500; 10])])
+                .unwrap(),
+            replaced + 1
+        );
+
+        // Replaced by the same schema at another segment height.
+        catalog.register("t", orders(1000, 1));
+        let (a, _) = catalog.encode("t", &batch(500, 300)).unwrap();
+        let taller = Table::build(
+            orders(1, 1).schema().clone(),
+            &batch(1, 100),
+            &[CompressionPolicy::Auto, CompressionPolicy::Auto],
+            1024,
+        )
+        .unwrap();
+        catalog.register("t", taller);
+        assert_eq!(catalog.publish("t", a.unwrap()).unwrap(), None);
+
+        // Re-sharded: a shard added since the encode.
+        catalog.register("t", orders(1000, 1));
+        let (a, _) = catalog.encode("t", &batch(500, 10)).unwrap();
+        let resharded = catalog.add_shard("t", orders(1000, 1)).unwrap();
+        assert_eq!(catalog.publish("t", a.unwrap()).unwrap(), None);
+        let (b, _) = catalog.encode("t", &batch(500, 10)).unwrap();
+        catalog.add_shard("t", orders(1000, 1)).unwrap();
+        assert_eq!(catalog.publish("t", b.unwrap()).unwrap(), None);
+        assert_eq!(catalog.version("t"), Some(resharded + 1));
+
+        // Routed by other key ranges over as many shards.
+        let routed = |low_rows| vec![orders(low_rows, 1), orders(2000, 1001)];
+        catalog
+            .register_sharded_keyed("t", routed(2000), "day")
+            .unwrap();
+        let (a, _) = catalog.encode("t", &batch(30, 10)).unwrap();
+        catalog
+            .register_sharded_keyed("t", routed(4000), "day")
+            .unwrap();
+        assert_eq!(catalog.publish("t", a.unwrap()).unwrap(), None);
+
+        // Dropped.
+        let (a, _) = catalog.encode("t", &batch(500, 10)).unwrap();
+        assert!(catalog.drop_table("t"));
+        assert!(matches!(
+            catalog.publish("t", a.unwrap()),
+            Err(StoreError::NoSuchTable(_))
+        ));
     }
 
     #[test]

@@ -71,7 +71,8 @@ impl<'a> Cursor<'a> {
         ))
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    /// The next `n` bytes, borrowed.
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let (head, rest) = self
             .rest
             .split_at_checked(n)

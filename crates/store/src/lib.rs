@@ -82,10 +82,14 @@
 //! [`Table::append`] encodes a row batch into fresh compressed
 //! segments (per-segment scheme choice, zone maps and scheme tags like
 //! built data) listed after the existing — possibly lazily-backed —
-//! segments in the same flat column, [`Catalog::ingest`] routes a
-//! batch to the owning shards by key range
-//! ([`Catalog::register_sharded_keyed`]) and publishes it
-//! under one version bump so cached results self-invalidate, and
+//! segments in the same flat column, in two halves: the encode
+//! ([`Table::encode_batch`]), which compresses, and the attach
+//! ([`Table::attach`]), which only lists the new segments.
+//! [`Catalog::ingest`] encodes against a snapshot outside every catalog
+//! lock, routing a batch to the owning shards by key range
+//! ([`Catalog::register_sharded_keyed`]), and publishes it under the
+//! write lock with one version bump so cached results self-invalidate;
+//! and
 //! [`file::append_table`] is the on-disk counterpart: new frames
 //! appended to the column files without rewriting existing ones, the
 //! manifest rewritten last so torn writes are rejected on open.
@@ -137,7 +141,7 @@ pub use server::{
 };
 pub use sort::{sort_column_compressed, sort_column_naive, SortStats};
 pub use source::{Column, SegmentMeta};
-pub use table::Table;
+pub use table::{EncodedBatch, Table};
 
 /// Errors produced by the store.
 #[derive(Debug)]

@@ -100,14 +100,36 @@ pub(crate) fn segment_codes<'s>(
     selection: &Selection,
     scratch: &'s mut CodeScratch,
 ) -> Result<SegmentCodes<'s>> {
+    read_codes(seg, selection, scratch, true)
+}
+
+/// [`segment_codes`] without the per-code counts, which come back
+/// empty: for a sink that adds each row into its [`CodeFold`] instead
+/// ([`CodeFold::add_codes`]).
+pub(crate) fn segment_codes_uncounted<'s>(
+    seg: &Arc<Segment>,
+    selection: &Selection,
+    scratch: &'s mut CodeScratch,
+) -> Result<SegmentCodes<'s>> {
+    read_codes(seg, selection, scratch, false)
+}
+
+fn read_codes<'s>(
+    seg: &Arc<Segment>,
+    selection: &Selection,
+    scratch: &'s mut CodeScratch,
+    count: bool,
+) -> Result<SegmentCodes<'s>> {
     let CodeScratch { codes, counts } = scratch;
     let mask = selection.mask();
-    let len = DictView::new(seg, codes, mask.is_none().then_some(&mut *counts))?
-        .entries
-        .len();
-    if let Some(mask) = mask {
+    let counted = (count && mask.is_none()).then_some(&mut *counts);
+    let len = DictView::new(seg, codes, counted)?.entries.len();
+    if mask.is_some() || !count {
+        // Uncounted, `counts` stays empty and a mask only redirects.
         counts.clear();
-        counts.resize(len, 0);
+        counts.resize(usize::from(count) * len, 0);
+    }
+    if let Some(mask) = mask {
         for (row, code) in codes.iter_mut().enumerate() {
             if !mask.get(row) {
                 *code = len as u32;
@@ -220,6 +242,17 @@ impl CodeFold {
             touched += usize::from(count > 0);
         }
         touched
+    }
+
+    /// Add one row per code in `codes` (a segment's codes, read
+    /// without counts); a dropped row's code `len` lands in the slot
+    /// past the dictionary.
+    pub(crate) fn add_codes(&mut self, codes: &[u32]) {
+        for &code in codes {
+            if let Some(rows) = self.rows.get_mut(code as usize) {
+                *rows += 1;
+            }
+        }
     }
 
     /// Fold value segment `seg` into column `col`: row `i`'s value goes

@@ -21,7 +21,7 @@
 //! lease loop (`super::job`) — serves every schedule, from one thread
 //! to the server's pool.
 
-use super::codes::{segment_codes, CodeFold, CodeScratch};
+use super::codes::{segment_codes, segment_codes_uncounted, CodeFold, CodeScratch};
 use super::groups::{GroupTable, UnitFold};
 use super::keys::{key_units, KeyScratch, RowMap};
 use super::stats::QueryStats;
@@ -1227,10 +1227,11 @@ impl PhysicalPlan {
     ///    whose key zones don't overlap is dismissed
     ///    ([`QueryStats::join_pairs_pruned`]); a left segment with no
     ///    surviving pair never fetches anything at all.
-    /// 2. **Probe side** — a DICT left key counts its selected rows per
-    ///    code of its dictionary, pending across the segments that
-    ///    share it; any other splits into key units ([`key_units`]):
-    ///    CONST from the zone map, RLE/RPE (full selection) per run
+    /// 2. **Probe side** — a DICT left key adds each selected row to
+    ///    its code's count straight off the unpacked codes, pending
+    ///    across the segments that share the dictionary; any other
+    ///    splits into key units ([`key_units`]): CONST from the zone
+    ///    map, RLE/RPE (full selection) per run
     ///    ([`QueryStats::join_rows_undecoded`]); only unstructured keys
     ///    hash their selected values off the key's stream.
     /// 3. **Per-pair fold** — each surviving right segment's build side
@@ -1277,7 +1278,7 @@ impl PhysicalPlan {
         let kseg = self.fetch(key, seg_idx, &mut fetched, stats)?;
         let dict = kseg.kind() == SchemeKind::Dict;
         let left = if dict {
-            let left = segment_codes(&kseg, &selection, &mut scratch.dict_keys)?;
+            let left = segment_codes_uncounted(&kseg, &selection, &mut scratch.dict_keys)?;
             let selected = selection.count(n);
             stats.join_rows_undecoded += selected;
             stats.values_processed += selected;
@@ -1286,7 +1287,7 @@ impl PhysicalPlan {
                 codes.start(&left.dict, left.len, std::iter::empty());
             }
             probes.resize(right.table.num_segments(), false);
-            codes.add_rows(left.counts);
+            codes.add_codes(left.codes);
             None
         } else {
             let left = key_units(&kseg, &selection, &mut scratch.keys)?;

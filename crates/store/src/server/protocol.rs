@@ -254,12 +254,20 @@ pub(crate) fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>> {
 
 // -- compound encoders ------------------------------------------------
 
+/// A column as its dtype tag, its length and its transport values,
+/// written in one pass into bytes reserved up front.
 fn put_column(out: &mut Vec<u8>, col: &ColumnData) {
     out.push(col.dtype().tag());
-    let transport = col.to_transport();
+    let transport = col.as_transport();
     put_u64(out, transport.len() as u64);
-    for v in transport {
-        put_u64(out, v);
+    let start = out.len();
+    out.resize(start + 8 * transport.len(), 0);
+    let (words, _) = out
+        .get_mut(start..)
+        .unwrap_or_default()
+        .as_chunks_mut::<8>();
+    for (word, v) in words.iter_mut().zip(transport.iter()) {
+        *word = v.to_le_bytes();
     }
 }
 
@@ -272,10 +280,8 @@ fn take_column(cur: &mut Cursor<'_>) -> Result<ColumnData> {
             "column of {len} values cannot fit one frame"
         )));
     }
-    let mut values = Vec::with_capacity(len);
-    for _ in 0..len {
-        values.push(cur.u64()?);
-    }
+    let (words, _) = cur.take(len * 8)?.as_chunks::<8>();
+    let values = words.iter().map(|&word| u64::from_le_bytes(word)).collect();
     Ok(ColumnData::from_transport(dtype, values))
 }
 

@@ -141,13 +141,12 @@ impl Run {
         Run::with_resident(base, Arc::new(base_zones), segments, metas)
     }
 
-    /// This run with `segments` after its resident ones: the base, its
-    /// zone tree and the resident handles and metadata are shared, and
-    /// only the new segments' metadata and the tail's tree are built.
-    fn extended(&self, segments: Vec<Arc<Segment>>) -> Run {
-        let metas = (self.metas.iter().cloned())
-            .chain(segments.iter().map(|s| Arc::new(SegmentMeta::of(s))))
-            .collect();
+    /// This run with `segments`, whose metadata the encode derived as
+    /// `metas`, after its resident ones: the base, its zone tree and the
+    /// resident handles and metadata are shared, and only the tail's
+    /// tree is rebuilt.
+    fn extended(&self, segments: Vec<Arc<Segment>>, metas: Vec<Arc<SegmentMeta>>) -> Run {
+        let metas = self.metas.iter().cloned().chain(metas).collect();
         let resident = self.segments.iter().cloned().chain(segments).collect();
         Run::with_resident(
             self.base.clone(),
@@ -350,12 +349,17 @@ impl Column {
         Column { runs, starts }
     }
 
-    /// This column with `segments` appended to its last run: the run's
-    /// base and resident handles are kept, the other runs shared.
-    pub(crate) fn extend(&self, segments: Vec<Arc<Segment>>) -> Column {
+    /// This column with `segments` (and their `metas`, in order)
+    /// appended to its last run: the run's base and resident handles
+    /// are kept, the other runs shared.
+    pub(crate) fn extend(
+        &self,
+        segments: Vec<Arc<Segment>>,
+        metas: Vec<Arc<SegmentMeta>>,
+    ) -> Column {
         let mut runs = self.runs.clone();
         if let Some(last) = runs.pop() {
-            runs.push(Arc::new(last.extended(segments)));
+            runs.push(Arc::new(last.extended(segments, metas)));
         }
         Column::of_runs(runs)
     }

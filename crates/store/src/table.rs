@@ -156,12 +156,17 @@ impl Table {
 
     /// Append a batch of rows, returning a new table that shares every
     /// existing segment handle and adds freshly compressed segments at
-    /// the end — the write path's encode step. Columns must align with
-    /// the schema exactly as in [`Table::build`]. The batch is chunked
-    /// by this table's segment height and each chunk goes through the
-    /// per-column scheme chooser ([`CompressionPolicy::Auto`]), so
-    /// appended segments carry zone maps and scheme tags exactly like
-    /// built ones.
+    /// the end. Columns must align with the schema exactly as in
+    /// [`Table::build`]. The batch is chunked by this table's segment
+    /// height and each chunk goes through the per-column scheme chooser
+    /// ([`CompressionPolicy::Auto`]), so appended segments carry zone
+    /// maps and scheme tags exactly like built ones.
+    ///
+    /// An append is its two halves in a row: [`Table::encode_batch`],
+    /// which does all the compression and reads nothing of the table
+    /// but its shape, then [`Table::attach`]. A caller that must not
+    /// hold a lock while compressing — [`crate::Catalog::ingest`] — calls
+    /// them apart.
     ///
     /// Tables are immutable values: the append is visible only through
     /// the returned table, which is what lets [`crate::Catalog::ingest`]
@@ -190,21 +195,57 @@ impl Table {
     /// assert_eq!(table.num_rows(), 100, "the original is untouched");
     /// ```
     pub fn append(&self, columns: &[ColumnData]) -> Result<Table> {
-        let batch_rows = check_batch(&self.schema, columns, None)?;
-        if batch_rows == 0 {
-            return Ok(self.clone());
-        }
-        let mut grown = Vec::with_capacity(columns.len());
-        for (col, column) in columns.iter().zip(&self.columns) {
-            let tail = segment_column(col, &CompressionPolicy::Auto, self.seg_rows)?;
-            grown.push(Arc::new(
-                column.extend(tail.into_iter().map(Arc::new).collect()),
+        self.attach(self.encode_batch(columns)?)
+    }
+
+    /// The encode half of [`Table::append`]: check `columns` against the
+    /// schema, cut them to this table's segment height and compress
+    /// each chunk, deriving every new segment's metadata. It reads only
+    /// the table's shape (schema and segment height), so the batch
+    /// attaches to any table of that shape ([`EncodedBatch::fits`]) —
+    /// this one, or one that has grown since.
+    pub fn encode_batch(&self, columns: &[ColumnData]) -> Result<EncodedBatch> {
+        let rows = check_batch(&self.schema, columns, None)?;
+        let columns = columns
+            .iter()
+            .map(|col| {
+                let segments = segment_column(col, &CompressionPolicy::Auto, self.seg_rows)?;
+                let metas = segments.iter().map(|s| Arc::new(SegmentMeta::of(s)));
+                Ok(EncodedColumn {
+                    metas: metas.collect(),
+                    segments: segments.into_iter().map(Arc::new).collect(),
+                })
+            })
+            .collect::<Result<_>>()?;
+        Ok(EncodedBatch {
+            schema: self.schema.clone(),
+            seg_rows: self.seg_rows,
+            rows,
+            columns,
+        })
+    }
+
+    /// The publish half of [`Table::append`]: this table with `batch`'s
+    /// segments after its last run's, at the cost of one handle copy per
+    /// resident segment of that run and a rebuild of its tail's zone
+    /// tree. Nothing is compressed. An error, with this table
+    /// untouched, when the batch was encoded for another shape.
+    pub fn attach(&self, batch: EncodedBatch) -> Result<Table> {
+        if !batch.fits(self) {
+            return Err(StoreError::Shape(
+                "batch encoded for another schema or segment height".into(),
             ));
         }
+        if batch.rows == 0 {
+            return Ok(self.clone());
+        }
+        let columns = (self.columns.iter().zip(batch.columns))
+            .map(|(column, tail)| Arc::new(column.extend(tail.segments, tail.metas)))
+            .collect();
         Ok(Table {
             schema: self.schema.clone(),
-            columns: grown,
-            num_rows: self.num_rows + batch_rows,
+            columns,
+            num_rows: self.num_rows + batch.rows,
             seg_rows: self.seg_rows,
         })
     }
@@ -346,6 +387,33 @@ impl Table {
         self.schema
             .index_of(name)
             .ok_or_else(|| StoreError::NoSuchColumn(name.to_string()))
+    }
+}
+
+/// A row batch compressed for one table shape — a schema and a segment
+/// height — and attached to no table yet ([`Table::encode_batch`]):
+/// per column, the batch's new segments and their metadata.
+#[derive(Debug, Clone)]
+pub struct EncodedBatch {
+    schema: TableSchema,
+    seg_rows: usize,
+    rows: usize,
+    /// One per schema column.
+    columns: Vec<EncodedColumn>,
+}
+
+/// One column's share of an [`EncodedBatch`].
+#[derive(Debug, Clone)]
+struct EncodedColumn {
+    segments: Vec<Arc<Segment>>,
+    metas: Vec<Arc<SegmentMeta>>,
+}
+
+impl EncodedBatch {
+    /// Whether the batch was encoded for `table`'s shape — its schema
+    /// and segment height — so [`Table::attach`] accepts it.
+    pub fn fits(&self, table: &Table) -> bool {
+        self.seg_rows == table.seg_rows && self.schema == table.schema
     }
 }
 
@@ -648,6 +716,65 @@ mod tests {
         let base = t.source("date").unwrap().segment(0).unwrap();
         let via_grown = source.segment(0).unwrap();
         assert!(Arc::ptr_eq(&base, &via_grown));
+    }
+
+    /// An append is its encode then its attach: segment by segment, the
+    /// same expressions, frames and metadata — also when the batch was
+    /// encoded against an older snapshot of the table, whose growth
+    /// since the attach keeps.
+    #[test]
+    fn append_is_encode_then_attach() {
+        let t = small_table();
+        let date = ColumnData::U64((0..700u64).map(|i| 20180201 + i / 90).collect());
+        let qty = ColumnData::U64((0..700u64).map(|i| (i * 7919) % 613).collect());
+        let batch = [date, qty];
+        let encoded = t.encode_batch(&batch).unwrap();
+        let frames = |table: &Table| -> Vec<(String, Vec<u8>, SegmentMeta)> {
+            (table.columns.iter())
+                .flat_map(|column| (0..column.num_segments()).map(move |i| (column, i)))
+                .map(|(column, i)| {
+                    let seg = column.segment(i).unwrap();
+                    let frame = lcdc_core::bytes::to_bytes(&seg.compressed);
+                    (seg.expr.clone(), frame, column.meta(i).clone())
+                })
+                .collect()
+        };
+        let appended = t.append(&batch).unwrap();
+        let attached = t.attach(encoded.clone()).unwrap();
+        assert_eq!(attached.num_rows(), appended.num_rows());
+        assert_eq!(frames(&attached), frames(&appended));
+
+        let grown = t.append(&batch).unwrap();
+        let late = grown.attach(encoded).unwrap();
+        assert_eq!(late.num_rows(), 1000 + 2 * 700);
+        assert_eq!(frames(&late), frames(&appended.append(&batch).unwrap()));
+    }
+
+    /// A batch attaches only to the shape it was encoded for.
+    #[test]
+    fn attach_refuses_another_shape() {
+        let t = small_table();
+        let batch = [ColumnData::U64(vec![1, 2]), ColumnData::U64(vec![3, 4])];
+        let taller = Table::build(
+            t.schema.clone(),
+            &[ColumnData::U64(vec![0]), ColumnData::U64(vec![0])],
+            &[CompressionPolicy::Auto, CompressionPolicy::Auto],
+            512,
+        )
+        .unwrap();
+        let renamed = Table::build(
+            TableSchema::new(&[("day", DType::U64), ("qty", DType::U64)]),
+            &[ColumnData::U64(vec![0]), ColumnData::U64(vec![0])],
+            &[CompressionPolicy::Auto, CompressionPolicy::Auto],
+            256,
+        )
+        .unwrap();
+        for other in [&taller, &renamed] {
+            let encoded = other.encode_batch(&batch).unwrap();
+            assert!(!encoded.fits(&t));
+            assert!(t.attach(encoded).is_err());
+        }
+        assert!(t.encode_batch(&batch).unwrap().fits(&t));
     }
 
     #[test]
