@@ -7,31 +7,29 @@
 //!   a [`ShardedTable`] (N tables with one schema). Every mutation —
 //!   register, replace, [`Catalog::add_shard`], drop — stamps the entry
 //!   with a fresh value of one catalog-wide monotonic version counter.
-//! * **One table per entry** — a sharded entry is read as one
-//!   [`Table`] whose columns list every shard's runs in shard order,
-//!   sharing them by handle ([`ShardedTable::table`]). A query compiles
-//!   once against it; a shard its filters exclude is skipped by the
-//!   same per-segment zone-map pruning every table gets, so none of its
-//!   sources is touched (visible as [`QueryStats::shards_pruned`]). The
-//!   shards themselves serve only the write side: routing and
-//!   per-shard append.
+//! * **One table per entry** — an entry is one [`Table`] plus, when
+//!   sharded, its routing. Shard `i` is the table's run `i`: a sharded
+//!   entry's columns list every shard's run in shard order, sharing
+//!   them by handle ([`ShardedTable::table`]). A query compiles once
+//!   against it; a shard its filters exclude is skipped by the same
+//!   per-segment zone-map pruning every table gets, so none of its
+//!   sources is touched (visible as [`QueryStats::shards_pruned`]).
 //! * **Result caching** — results are cached under
 //!   `(table name, plan fingerprint)` and validated against the entry's
 //!   version: a version bump silently invalidates every cached result
 //!   for that table. A hit is visible as
 //!   [`QueryStats::result_cache_hits`] `== 1` (a hit's other counters
 //!   are zero — nothing executed).
-//!
 //! * **Ingest** — [`Catalog::ingest`] is the write path: a row batch is
 //!   encoded into fresh compressed segments (per-column scheme choice,
-//!   zone maps and scheme tags exactly like built data), routed to the
-//!   owning shard by key range when the table was registered with a
-//!   routing key ([`Catalog::register_sharded_keyed`] /
-//!   [`ShardedTable::with_key`]; a batch spanning ranges is split), and
-//!   published atomically under **one** version bump — in-flight
-//!   queries keep their pre-ingest snapshot, every cached result for
-//!   the table stops being served, and the next identical query
-//!   re-executes over the new rows.
+//!   zone maps and scheme tags exactly like built data) for the run of
+//!   each shard it lands in — split by key range when the table was
+//!   registered with a routing key ([`Catalog::register_sharded_keyed`]
+//!   / [`ShardedTable::with_key`]), the last run otherwise — and
+//!   attached to those runs alone ([`Table::attach`]) under **one**
+//!   version bump: in-flight queries keep their pre-ingest snapshot,
+//!   every cached result for the table stops being served, and the next
+//!   identical query re-executes over the new rows.
 //!
 //! Tables may mix backends freely: resident shards, lazily-backed
 //! shards ([`crate::file::open_table_lazy`]), or both.
@@ -47,11 +45,10 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, Rw
 /// Default number of cached query results per catalog.
 pub const DEFAULT_RESULT_CACHE: usize = 128;
 
-/// Default byte budget for cached result payloads per catalog (32 MiB).
-/// Result sizes vary wildly between sinks — one high-cardinality
-/// group-by can outweigh thousands of single-row aggregates — so the
-/// cache is bounded by what the entries *hold*, not how many there are
-/// (see [`Catalog::with_cache_budget`]).
+/// Byte budget for cached result payloads per catalog (32 MiB). Result
+/// sizes vary wildly between sinks — one high-cardinality group-by can
+/// outweigh thousands of single-row aggregates — so the cache is bounded
+/// by what the entries *hold*, not only by how many there are.
 pub const DEFAULT_RESULT_CACHE_BYTES: usize = 32 << 20;
 
 /// Write-time placement for a sharded table: the routing key column
@@ -88,42 +85,27 @@ impl ShardRouting {
     }
 }
 
-/// N tables sharing one schema, queried as one. Shards are typically
-/// row-disjoint horizontal partitions (see [`shard_table`]), but the
-/// catalog only requires schema agreement. Reads see one [`Table`]
-/// whose columns list every shard's runs ([`Self::table`]); the shards
-/// are the write side's view. Registering with a routing key
+/// N tables sharing one schema, queried as one: a catalog entry's one
+/// [`Table`], whose run `i` is shard `i` ([`Self::shards`]), plus its
+/// routing. Shards are typically row-disjoint horizontal partitions
+/// (see [`shard_table`]), but the catalog only requires schema
+/// agreement. Registering with a routing key
 /// ([`ShardedTable::with_key`]) additionally gives the table write-time
 /// placement: ingested batches are split along the shard key ranges.
 #[derive(Debug, Clone)]
 pub struct ShardedTable {
-    shards: Vec<Arc<Table>>,
-    /// The shards as one table, rebuilt whenever `shards` changes.
     table: Arc<Table>,
     routing: Option<ShardRouting>,
 }
 
 impl ShardedTable {
-    /// Assemble from at least one shard; all shards must share a schema.
+    /// Assemble from at least one shard; all shards must share a
+    /// schema. Each run of a shard becomes a shard of its own: a built,
+    /// opened or appended table is one.
     pub fn new(shards: Vec<Table>) -> Result<ShardedTable> {
-        let shards: Vec<Arc<Table>> = shards.into_iter().map(Arc::new).collect();
-        if let Some(first) = shards.first() {
-            if let Some(i) = shards.iter().position(|s| s.schema() != first.schema()) {
-                return Err(StoreError::Shape(format!(
-                    "shard {i} schema differs from shard 0"
-                )));
-            }
-        }
-        ShardedTable::assemble(shards, None)
-    }
-
-    /// The sharded table over `shards` (schemas already checked), with
-    /// its one read-side table derived from them.
-    fn assemble(shards: Vec<Arc<Table>>, routing: Option<ShardRouting>) -> Result<ShardedTable> {
         Ok(ShardedTable {
             table: Arc::new(Table::concat(&shards)?),
-            shards,
-            routing,
+            routing: None,
         })
     }
 
@@ -135,7 +117,7 @@ impl ShardedTable {
     /// become the batch splitter [`Catalog::ingest`] routes by.
     pub fn with_key(shards: Vec<Table>, key: &str) -> Result<ShardedTable> {
         let mut sharded = ShardedTable::new(shards)?;
-        sharded.routing = Some(derive_routing(&sharded.shards, key)?);
+        sharded.routing = Some(derive_routing(&sharded.table, key)?);
         Ok(sharded)
     }
 
@@ -157,46 +139,17 @@ impl ShardedTable {
                     .into(),
             )
         })?;
-        let schema = self.table.schema();
-        let rows = check_batch(schema, columns, None)?;
-        let key_col = schema
-            .index_of(&routing.key)
-            .and_then(|idx| columns.get(idx))
-            .ok_or_else(|| StoreError::NoSuchColumn(routing.key.clone()))?;
-        // One bucketing pass over the rows, gathering every column's
-        // transport value into the owning shard's buckets — dtypes
-        // survive the round-trip exactly, and the cost stays
-        // O(rows x columns) no matter how many shards there are.
-        let short = || StoreError::Shape("batch column shorter than its row count".into());
-        let mut buckets: Vec<Vec<Vec<u64>>> =
-            vec![vec![Vec::new(); columns.len()]; self.shards.len()];
-        for row in 0..rows {
-            let key = key_col.get_numeric(row).ok_or_else(short)?;
-            let target = buckets
-                .get_mut(routing.shard_of(key))
-                .ok_or_else(|| StoreError::Shape("routing names a missing shard".into()))?;
-            for (bucket, col) in target.iter_mut().zip(columns) {
-                bucket.push(col.get_transport(row).ok_or_else(short)?);
-            }
-        }
-        Ok(buckets
-            .into_iter()
-            .map(|shard_cols| {
-                shard_cols
-                    .into_iter()
-                    .zip(columns)
-                    .map(|(picked, col)| ColumnData::from_transport(col.dtype(), picked))
-                    .collect()
-            })
-            .collect())
+        partition(&self.table, routing, columns)
     }
 
-    /// The shards, in registration order — the write side's view.
-    pub fn shards(&self) -> &[Arc<Table>] {
-        &self.shards
+    /// The shards, in order: run `i` of [`Self::table`] as a table of
+    /// its own, sharing the run's handles and its base's cache. A shard
+    /// keeps the entry's segment height, shard 0's.
+    pub fn shards(&self) -> Vec<Arc<Table>> {
+        self.table.runs().into_iter().map(Arc::new).collect()
     }
 
-    /// The shards as one table: each column lists every shard's runs in
+    /// The shards as one table: each column lists every shard's run in
     /// shard order, shared by handle. Every query reads this.
     pub fn table(&self) -> &Arc<Table> {
         &self.table
@@ -206,100 +159,90 @@ impl ShardedTable {
     /// routing key's shard boundaries when the table has one
     /// ([`Self::partition_batch`]), appended whole to the *last* shard
     /// otherwise (log-style placement — the only shard whose key range
-    /// growing upward cannot overlap a neighbour). Untouched shards
-    /// share their `Arc` handles and nothing is re-encoded; the one
-    /// table is rebuilt from the shards' runs, one handle copy per
-    /// shard and column. Like [`Table::append`], an encode per touched
-    /// shard, then an attach.
+    /// growing upward cannot overlap a neighbour). Only the touched
+    /// shards' runs are rebuilt ([`Table::attach`]); the others are
+    /// shared by handle and nothing is re-encoded.
     pub fn append_batch(&self, columns: &[ColumnData]) -> Result<ShardedTable> {
-        self.attach(self.encode_batch(columns)?)
-    }
-
-    /// The encode half of [`Self::append_batch`]: the batch placed on
-    /// its shards and encoded for each shard it touches.
-    pub(crate) fn encode_batch(&self, columns: &[ColumnData]) -> Result<ShardedBatch> {
-        let parts = if self.routing.is_some() {
-            let parts = self.partition_batch(columns)?;
-            (self.shards.iter().zip(&parts))
-                .map(
-                    |(shard, part)| match part.first().map_or(0, ColumnData::len) {
-                        0 => Ok(None),
-                        _ => shard.encode_batch(part).map(Some),
-                    },
-                )
-                .collect::<Result<_>>()?
-        } else {
-            let (last, head) = self
-                .shards
-                .split_last()
-                .ok_or_else(|| StoreError::Shape("a sharded table needs a shard".into()))?;
-            let mut parts: Vec<Option<EncodedBatch>> = head.iter().map(|_| None).collect();
-            parts.push(Some(last.encode_batch(columns)?));
-            parts
-        };
-        Ok(ShardedBatch {
-            parts,
+        let parts = encode_parts(&self.table, self.routing.as_ref(), columns)?;
+        Ok(ShardedTable {
+            table: Arc::new(self.table.attach(parts)?),
             routing: self.routing.clone(),
         })
     }
+}
 
-    /// The attach half of [`Self::append_batch`]: each touched shard
-    /// attaches its part ([`Table::attach`]), the others are shared,
-    /// and the one table is re-assembled. An error when the batch was
-    /// encoded for another shard layout.
-    pub(crate) fn attach(&self, batch: ShardedBatch) -> Result<ShardedTable> {
-        if !batch.fits(self) {
-            return Err(StoreError::Shape(
-                "batch encoded for another shard layout".into(),
-            ));
+/// `columns` split along `routing`'s key ranges into one batch per run
+/// of `table`, in run order ([`ShardedTable::partition_batch`]).
+fn partition(
+    table: &Table,
+    routing: &ShardRouting,
+    columns: &[ColumnData],
+) -> Result<Vec<Vec<ColumnData>>> {
+    let schema = table.schema();
+    let rows = check_batch(schema, columns, None)?;
+    let key_col = schema
+        .index_of(&routing.key)
+        .and_then(|idx| columns.get(idx))
+        .ok_or_else(|| StoreError::NoSuchColumn(routing.key.clone()))?;
+    // One bucketing pass over the rows, gathering every column's
+    // transport value into the owning shard's buckets — dtypes
+    // survive the round-trip exactly, and the cost stays
+    // O(rows x columns) no matter how many shards there are.
+    let short = || StoreError::Shape("batch column shorter than its row count".into());
+    let mut buckets: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); columns.len()]; table.num_runs()];
+    for row in 0..rows {
+        let key = key_col.get_numeric(row).ok_or_else(short)?;
+        let target = buckets
+            .get_mut(routing.shard_of(key))
+            .ok_or_else(|| StoreError::Shape("routing names a missing shard".into()))?;
+        for (bucket, col) in target.iter_mut().zip(columns) {
+            bucket.push(col.get_transport(row).ok_or_else(short)?);
         }
-        let shards = (self.shards.iter().zip(batch.parts))
-            .map(|(shard, part)| match part {
-                None => Ok(Arc::clone(shard)),
-                Some(part) => shard.attach(part).map(Arc::new),
-            })
-            .collect::<Result<_>>()?;
-        ShardedTable::assemble(shards, self.routing.clone())
     }
+    Ok(buckets
+        .into_iter()
+        .map(|shard_cols| {
+            shard_cols
+                .into_iter()
+                .zip(columns)
+                .map(|(picked, col)| ColumnData::from_transport(col.dtype(), picked))
+                .collect()
+        })
+        .collect())
 }
 
-/// A row batch encoded for one sharded table's layout — its shard
-/// count and routing — with one [`EncodedBatch`] per shard it touches.
-#[derive(Debug)]
-pub(crate) struct ShardedBatch {
-    /// One per shard: `None` for a shard the batch does not touch.
-    parts: Vec<Option<EncodedBatch>>,
-    routing: Option<ShardRouting>,
+/// `columns` encoded for an entry's one table: one part per run the
+/// batch touches, split along `routing`'s key ranges, or the whole
+/// batch for the last run when the entry has no routing.
+fn encode_parts(
+    table: &Table,
+    routing: Option<&ShardRouting>,
+    columns: &[ColumnData],
+) -> Result<Vec<EncodedBatch>> {
+    let Some(routing) = routing else {
+        return Ok(vec![table.encode_batch(columns)?]);
+    };
+    (partition(table, routing, columns)?.iter().enumerate())
+        .filter(|(_, part)| part.first().is_some_and(|col| !col.is_empty()))
+        .map(|(run, part)| table.encode_run(run, part))
+        .collect()
 }
 
-impl ShardedBatch {
-    /// Whether `table` has the layout the batch was encoded for: the
-    /// same routing and shard count, and each touched shard the shape
-    /// its part was encoded for.
-    fn fits(&self, table: &ShardedTable) -> bool {
-        self.routing == table.routing
-            && self.parts.len() == table.shards.len()
-            && (self.parts.iter().zip(&table.shards))
-                .all(|(part, shard)| part.as_ref().is_none_or(|part| part.fits(shard)))
-    }
-}
-
-/// Derive [`ShardRouting`] over `key` from the shards' per-column key
-/// ranges: every shard must hold rows (an empty shard has no range to
-/// own), and the ranges must ascend in shard order without
+/// Derive [`ShardRouting`] over `key` from the key ranges of `table`'s
+/// runs, its shards: every shard must hold rows (an empty shard has no
+/// range to own), and the ranges must ascend in shard order without
 /// overlapping. Ranges that *touch* at a boundary value are accepted —
 /// a table split on segment boundaries (see [`shard_table`]) routinely
 /// has one key straddling the cut — and the shared key routes to the
 /// lower shard, consistent with [`ShardRouting::shard_of`].
-fn derive_routing(shards: &[Arc<Table>], key: &str) -> Result<ShardRouting> {
-    let idx = shards
-        .first()
-        .and_then(|shard| shard.schema().index_of(key))
-        .ok_or_else(|| StoreError::NoSuchColumn(key.to_string()))?;
-    let mut ranges = Vec::with_capacity(shards.len());
-    for (i, shard) in shards.iter().enumerate() {
-        let range = (0..shard.num_segments())
-            .map(|s| shard.meta_at(idx, s))
+fn derive_routing(table: &Table, key: &str) -> Result<ShardRouting> {
+    let idx =
+        (table.schema().index_of(key)).ok_or_else(|| StoreError::NoSuchColumn(key.to_string()))?;
+    let starts = table.run_starts();
+    let mut ranges = Vec::with_capacity(table.num_runs());
+    for (i, (&start, &end)) in starts.iter().zip(starts.iter().skip(1)).enumerate() {
+        let range = (start..end)
+            .map(|s| table.meta_at(idx, s))
             .filter(|meta| meta.rows > 0)
             .map(|meta| (meta.min, meta.max))
             .reduce(|(lo, hi), (min, max)| (lo.min(min), hi.max(max)));
@@ -390,14 +333,13 @@ impl CatalogTable {
     pub fn io_reads(&self) -> usize {
         self.table().io_reads()
     }
-}
 
-/// A row batch encoded against one snapshot of a catalog entry, waiting
-/// to be published ([`Catalog::ingest`]).
-#[derive(Debug)]
-enum Encoded {
-    Single(EncodedBatch),
-    Sharded(ShardedBatch),
+    fn routing(&self) -> Option<&ShardRouting> {
+        match self {
+            CatalogTable::Single(_) => None,
+            CatalogTable::Sharded(s) => s.routing(),
+        }
+    }
 }
 
 /// A join's right side, resolved against the same catalog snapshot as
@@ -504,10 +446,15 @@ impl ResultCache {
         Some(cached)
     }
 
+    /// Whether a result of `bytes` payload bytes is cached: never with
+    /// caching off, nor when larger than the whole budget, where caching
+    /// it would evict everything and still not fit.
+    fn admits(&self, bytes: usize) -> bool {
+        0 < self.budget && bytes <= self.budget
+    }
+
     fn put(&mut self, key: (String, u64), entry: Arc<CachedResult>) {
-        if entry.bytes > self.budget {
-            // Larger than the whole budget: caching it would evict
-            // everything and still not fit.
+        if !self.admits(entry.bytes) {
             return;
         }
         // Evict least recent until the newcomer's payload fits.
@@ -567,8 +514,6 @@ impl ResultCache {
 pub struct Catalog {
     tables: RwLock<HashMap<String, Entry>>,
     cache: Mutex<ResultCache>,
-    cache_capacity: usize,
-    cache_budget: usize,
     next_version: AtomicU64,
 }
 
@@ -583,43 +528,28 @@ impl Catalog {
     /// ([`DEFAULT_RESULT_CACHE`] entries, [`DEFAULT_RESULT_CACHE_BYTES`]
     /// of payload).
     pub fn new() -> Catalog {
-        Catalog::with_cache_bounds(DEFAULT_RESULT_CACHE, DEFAULT_RESULT_CACHE_BYTES)
+        Catalog::with_cache_capacity(DEFAULT_RESULT_CACHE)
     }
 
     /// An empty catalog caching at most `capacity` query results
     /// (0 disables result caching), under the default byte budget.
     pub fn with_cache_capacity(capacity: usize) -> Catalog {
-        Catalog::with_cache_bounds(capacity, DEFAULT_RESULT_CACHE_BYTES)
+        Catalog::with_cache(capacity, DEFAULT_RESULT_CACHE_BYTES)
     }
 
-    /// An empty catalog whose result cache holds at most `budget` bytes
-    /// of cached row payloads (0 disables result caching), under the
-    /// default entry capacity. Admission evicts least recent results
-    /// until the newcomer fits; a single result larger than the whole
-    /// budget is never cached.
-    pub fn with_cache_budget(budget: usize) -> Catalog {
-        Catalog::with_cache_bounds(DEFAULT_RESULT_CACHE, budget)
-    }
-
-    /// An empty catalog with explicit entry and byte bounds on the
-    /// result cache (either at 0 disables caching).
-    pub fn with_cache_bounds(capacity: usize, budget: usize) -> Catalog {
+    /// An empty catalog caching at most `capacity` results and `budget`
+    /// payload bytes (either at 0 caches nothing).
+    fn with_cache(capacity: usize, budget: usize) -> Catalog {
         Catalog {
             tables: RwLock::new(HashMap::new()),
-            cache_capacity: capacity,
-            cache_budget: budget,
             cache: Mutex::new(ResultCache {
                 lru: crate::source::LruCache::new(capacity),
-                budget,
+                // No room for an entry is no room for a byte.
+                budget: if capacity == 0 { 0 } else { budget },
                 held: 0,
             }),
             next_version: AtomicU64::new(1),
         }
-    }
-
-    /// The result cache's payload byte budget.
-    pub fn cache_budget(&self) -> usize {
-        self.cache_budget
     }
 
     fn tables_read(&self) -> RwLockReadGuard<'_, HashMap<String, Entry>> {
@@ -691,8 +621,6 @@ impl Catalog {
     /// schema, segment height, routing or shard count changed), the
     /// batch is encoded again against the new entry; when it was
     /// dropped, the ingest fails with [`StoreError::NoSuchTable`].
-    /// Queries that already fetched their snapshot are unaffected —
-    /// they execute on cloned handles, outside every catalog lock.
     ///
     /// Returns the entry's post-ingest version.
     ///
@@ -735,54 +663,67 @@ impl Catalog {
     /// ```
     pub fn ingest(&self, name: &str, columns: &[ColumnData]) -> Result<u64> {
         loop {
-            let (batch, version) = self.encode(name, columns)?;
-            let Some(batch) = batch else {
+            let (parts, routing, version) = self.encode(name, columns)?;
+            if parts.is_empty() {
                 return Ok(version);
-            };
-            if let Some(version) = self.publish(name, batch)? {
+            }
+            if let Some(version) = self.publish(name, parts, routing.as_ref())? {
                 return Ok(version);
             }
         }
     }
 
     /// The encode half of [`Self::ingest`]: `columns` encoded against a
-    /// snapshot of `name`, with the snapshot's version. `None` for an
-    /// empty batch, which publishes nothing. The read lock is held only
-    /// to take the snapshot.
-    fn encode(&self, name: &str, columns: &[ColumnData]) -> Result<(Option<Encoded>, u64)> {
-        let (table, version) = self
+    /// snapshot of `name`, one part per run (shard) they touch, with
+    /// the snapshot's routing and version. No part for an empty batch,
+    /// which publishes nothing. The read lock is held only to take the
+    /// snapshot.
+    fn encode(
+        &self,
+        name: &str,
+        columns: &[ColumnData],
+    ) -> Result<(Vec<EncodedBatch>, Option<ShardRouting>, u64)> {
+        let (entry, version) = self
             .get(name)
             .ok_or_else(|| StoreError::NoSuchTable(name.to_string()))?;
+        let routing = entry.routing().cloned();
         // Shape first: a ragged batch is an error even when its first
         // column is empty.
-        if check_batch(table.table().schema(), columns, None)? == 0 {
-            return Ok((None, version));
-        }
-        let batch = match table {
-            CatalogTable::Single(t) => Encoded::Single(t.encode_batch(columns)?),
-            CatalogTable::Sharded(s) => Encoded::Sharded(s.encode_batch(columns)?),
+        let parts = match check_batch(entry.table().schema(), columns, None)? {
+            0 => Vec::new(),
+            _ => encode_parts(entry.table(), routing.as_ref(), columns)?,
         };
-        Ok((Some(batch), version))
+        Ok((parts, routing, version))
     }
 
-    /// The publish half of [`Self::ingest`]: under the write lock,
-    /// `batch` attached to the entry as it is now, one version bump, and
-    /// the table's cached results purged. `None`, with nothing
-    /// published, when the entry no longer has the shape the batch was
-    /// encoded for: it was replaced or re-sharded since the snapshot.
-    fn publish(&self, name: &str, batch: Encoded) -> Result<Option<u64>> {
+    /// The publish half of [`Self::ingest`]: under the write lock, the
+    /// `parts` attached to the entry's table as it is now
+    /// ([`Table::attach`], which rebuilds only the runs they touch), one
+    /// version bump, and the table's cached results purged. `None`,
+    /// with nothing published, when the entry no longer has the shape
+    /// the parts were encoded for — its schema, segment height, shard
+    /// count or `routing` changed since the snapshot.
+    fn publish(
+        &self,
+        name: &str,
+        parts: Vec<EncodedBatch>,
+        routing: Option<&ShardRouting>,
+    ) -> Result<Option<u64>> {
         let mut tables = self.tables_write();
         let entry = tables
             .get_mut(name)
             .ok_or_else(|| StoreError::NoSuchTable(name.to_string()))?;
-        entry.table = match (&entry.table, batch) {
-            (CatalogTable::Single(t), Encoded::Single(b)) if b.fits(t) => {
-                CatalogTable::Single(Arc::new(t.attach(b)?))
-            }
-            (CatalogTable::Sharded(s), Encoded::Sharded(b)) if b.fits(s) => {
-                CatalogTable::Sharded(Arc::new(s.attach(b)?))
-            }
-            _ => return Ok(None),
+        let current = entry.table.table();
+        if entry.table.routing() != routing || !parts.iter().all(|part| part.fits(current)) {
+            return Ok(None);
+        }
+        let table = Arc::new(current.attach(parts)?);
+        entry.table = match &entry.table {
+            CatalogTable::Single(_) => CatalogTable::Single(table),
+            CatalogTable::Sharded(_) => CatalogTable::Sharded(Arc::new(ShardedTable {
+                table,
+                routing: routing.cloned(),
+            })),
         };
         entry.version = self.bump();
         let version = entry.version;
@@ -807,23 +748,17 @@ impl Catalog {
         let entry = tables
             .get_mut(name)
             .ok_or_else(|| StoreError::NoSuchTable(name.to_string()))?;
-        if shard.schema() != entry.table.table().schema() {
-            return Err(StoreError::Shape(format!(
-                "new shard's schema differs from table {name}"
-            )));
-        }
-        let (mut shards, routing) = match &entry.table {
-            CatalogTable::Single(t) => (vec![Arc::clone(t)], None),
-            CatalogTable::Sharded(s) => (s.shards().to_vec(), s.routing()),
-        };
-        shards.push(Arc::new(shard));
-        // A routed table stays routed: the grown shard list must still
-        // carry disjoint ascending key ranges, or the mutation is
+        let table = Table::concat(&[entry.table.table(), &shard])?;
+        // A routed table stays routed: the grown table's shards must
+        // still carry disjoint ascending key ranges, or the mutation is
         // rejected before anything is published.
-        let routing = routing
-            .map(|r| derive_routing(&shards, r.key()))
+        let routing = (entry.table.routing())
+            .map(|r| derive_routing(&table, r.key()))
             .transpose()?;
-        entry.table = CatalogTable::Sharded(Arc::new(ShardedTable::assemble(shards, routing)?));
+        entry.table = CatalogTable::Sharded(Arc::new(ShardedTable {
+            table: Arc::new(table),
+            routing,
+        }));
         entry.version = self.bump();
         let version = entry.version;
         drop(tables);
@@ -956,13 +891,14 @@ impl Catalog {
             ));
         }
         let result = run(&table, join.as_ref())?;
-        if self.cache_capacity > 0 && self.cache_budget > 0 {
+        let bytes = result.payload_bytes();
+        if self.cache().admits(bytes) {
             // Clones happen outside the lock too.
             let entry = Arc::new(CachedResult {
                 version,
                 join_version,
                 spec: spec.clone(),
-                bytes: result.payload_bytes(),
+                bytes,
                 result: result.clone(),
             });
             self.cache().put(key, entry);
@@ -1112,8 +1048,8 @@ mod tests {
         // Each distinct top-k result holds k i128s = 16k bytes. A
         // budget of ~2.5 results must keep the two most recent and
         // evict the oldest, regardless of the (large) entry capacity.
-        let catalog = Catalog::with_cache_budget(40 * 16);
-        assert_eq!(catalog.cache_budget(), 640);
+        let budgeted = |budget| Catalog::with_cache(DEFAULT_RESULT_CACHE, budget);
+        let catalog = budgeted(40 * 16);
         catalog.register("t", orders(4000, 1));
         let specs: Vec<QuerySpec> = (14..=16)
             .map(|k| QuerySpec::new().top_k("qty", k))
@@ -1145,7 +1081,7 @@ mod tests {
         );
 
         // A result bigger than the whole budget is never admitted.
-        let tiny = Catalog::with_cache_budget(8);
+        let tiny = budgeted(8);
         tiny.register("t", orders(1000, 1));
         let spec = QuerySpec::new().top_k("qty", 10);
         tiny.execute("t", &spec).unwrap();
@@ -1156,7 +1092,7 @@ mod tests {
         );
 
         // Budget 0 disables caching like capacity 0 does.
-        let off = Catalog::with_cache_budget(0);
+        let off = budgeted(0);
         off.register("t", orders(1000, 1));
         off.execute("t", &spec).unwrap();
         assert_eq!(off.execute("t", &spec).unwrap().stats.result_cache_hits, 0);
@@ -1414,14 +1350,17 @@ mod tests {
         let catalog = Catalog::new();
         let v = catalog.register("t", orders(1000, 1));
         let total = |catalog: &Catalog| catalog.get("t").unwrap().0.table().num_rows();
-        let (a, encoded_at) = catalog.encode("t", &batch(500, 300)).unwrap();
+        let (a, routing, encoded_at) = catalog.encode("t", &batch(500, 300)).unwrap();
         assert_eq!(encoded_at, v);
         assert_eq!(count_day(&catalog, 500), (Some(0), v), "A is not visible");
         assert_eq!(total(&catalog), 1000);
         assert_eq!(catalog.ingest("t", &batch(600, 200)).unwrap(), v + 1);
         assert_eq!(count_day(&catalog, 600), (Some(200), v + 1));
         assert_eq!(total(&catalog), 1200);
-        assert_eq!(catalog.publish("t", a.unwrap()).unwrap(), Some(v + 2));
+        assert_eq!(
+            catalog.publish("t", a, routing.as_ref()).unwrap(),
+            Some(v + 2)
+        );
         assert_eq!(count_day(&catalog, 500), (Some(300), v + 2));
         assert_eq!(count_day(&catalog, 600), (Some(200), v + 2));
         assert_eq!(total(&catalog), 1500, "each batch exactly once");
@@ -1437,8 +1376,8 @@ mod tests {
             .collect();
         assert_eq!(tail, [vec![600; 200], vec![500; 300]].concat(), "B, then A");
         // An empty batch publishes nothing and reports the version.
-        let (none, at) = catalog.encode("t", &batch(1, 0)).unwrap();
-        assert!(none.is_none());
+        let (none, _, at) = catalog.encode("t", &batch(1, 0)).unwrap();
+        assert!(none.is_empty());
         assert_eq!(at, v + 2);
     }
 
@@ -1452,7 +1391,7 @@ mod tests {
         catalog.register("t", orders(1000, 1));
 
         // Replaced by another schema: the re-encode sees the new one.
-        let (a, _) = catalog.encode("t", &batch(500, 10)).unwrap();
+        let (a, routing, _) = catalog.encode("t", &batch(500, 10)).unwrap();
         let other = Table::build(
             TableSchema::new(&[("day", DType::U64)]),
             &[ColumnData::U64(vec![1; 100])],
@@ -1461,7 +1400,7 @@ mod tests {
         )
         .unwrap();
         let replaced = catalog.register("t", other);
-        assert_eq!(catalog.publish("t", a.unwrap()).unwrap(), None);
+        assert_eq!(catalog.publish("t", a, routing.as_ref()).unwrap(), None);
         assert_eq!(catalog.version("t"), Some(replaced), "nothing published");
         assert!(catalog.ingest("t", &batch(500, 10)).is_err(), "two columns");
         assert_eq!(
@@ -1473,7 +1412,7 @@ mod tests {
 
         // Replaced by the same schema at another segment height.
         catalog.register("t", orders(1000, 1));
-        let (a, _) = catalog.encode("t", &batch(500, 300)).unwrap();
+        let (a, routing, _) = catalog.encode("t", &batch(500, 300)).unwrap();
         let taller = Table::build(
             orders(1, 1).schema().clone(),
             &batch(1, 100),
@@ -1482,16 +1421,16 @@ mod tests {
         )
         .unwrap();
         catalog.register("t", taller);
-        assert_eq!(catalog.publish("t", a.unwrap()).unwrap(), None);
+        assert_eq!(catalog.publish("t", a, routing.as_ref()).unwrap(), None);
 
         // Re-sharded: a shard added since the encode.
         catalog.register("t", orders(1000, 1));
-        let (a, _) = catalog.encode("t", &batch(500, 10)).unwrap();
+        let (a, routing, _) = catalog.encode("t", &batch(500, 10)).unwrap();
         let resharded = catalog.add_shard("t", orders(1000, 1)).unwrap();
-        assert_eq!(catalog.publish("t", a.unwrap()).unwrap(), None);
-        let (b, _) = catalog.encode("t", &batch(500, 10)).unwrap();
+        assert_eq!(catalog.publish("t", a, routing.as_ref()).unwrap(), None);
+        let (b, routing, _) = catalog.encode("t", &batch(500, 10)).unwrap();
         catalog.add_shard("t", orders(1000, 1)).unwrap();
-        assert_eq!(catalog.publish("t", b.unwrap()).unwrap(), None);
+        assert_eq!(catalog.publish("t", b, routing.as_ref()).unwrap(), None);
         assert_eq!(catalog.version("t"), Some(resharded + 1));
 
         // Routed by other key ranges over as many shards.
@@ -1499,36 +1438,61 @@ mod tests {
         catalog
             .register_sharded_keyed("t", routed(2000), "day")
             .unwrap();
-        let (a, _) = catalog.encode("t", &batch(30, 10)).unwrap();
+        let (a, routing, _) = catalog.encode("t", &batch(30, 10)).unwrap();
         catalog
             .register_sharded_keyed("t", routed(4000), "day")
             .unwrap();
-        assert_eq!(catalog.publish("t", a.unwrap()).unwrap(), None);
+        assert_eq!(catalog.publish("t", a, routing.as_ref()).unwrap(), None);
 
         // Dropped.
-        let (a, _) = catalog.encode("t", &batch(500, 10)).unwrap();
+        let (a, routing, _) = catalog.encode("t", &batch(500, 10)).unwrap();
         assert!(catalog.drop_table("t"));
         assert!(matches!(
-            catalog.publish("t", a.unwrap()),
+            catalog.publish("t", a, routing.as_ref()),
             Err(StoreError::NoSuchTable(_))
         ));
     }
 
+    /// A publish rebuilds only the runs its batch touches: a routed
+    /// ingest into shard 0 leaves every other shard's run the same
+    /// handle, and an unrouted (log-style) or single-table ingest
+    /// touches only the last run.
     #[test]
-    fn unkeyed_sharded_ingest_appends_log_style() {
+    fn a_publish_rebuilds_only_the_runs_it_touches() {
+        let runs = |catalog: &Catalog| -> Vec<Vec<Arc<crate::source::Run>>> {
+            let table = Arc::clone(catalog.get("t").unwrap().0.table());
+            (0..table.schema().width())
+                .map(|c| table.source_at(c).runs().to_vec())
+                .collect()
+        };
+        let rows = |catalog: &Catalog| -> Vec<usize> {
+            let (entry, _) = catalog.get("t").unwrap();
+            entry.table().runs().iter().map(Table::num_rows).collect()
+        };
+        // Ingest one batch of day 5 (shard 0's range) and check that
+        // exactly run `touched` of every column was rebuilt and grew.
+        let ingest_touches = |catalog: &Catalog, touched: usize| {
+            let (before, mut grown) = (runs(catalog), rows(catalog));
+            catalog.ingest("t", &batch(5, 10)).unwrap();
+            grown[touched] += 10;
+            assert_eq!(rows(catalog), grown);
+            for (old, new) in before.iter().zip(&runs(catalog)) {
+                assert_eq!(old.len(), new.len(), "an ingest adds no run");
+                for (r, (old, new)) in old.iter().zip(new).enumerate() {
+                    assert_eq!(!Arc::ptr_eq(old, new), r == touched, "run {r}");
+                }
+            }
+        };
+        let shards = || vec![orders(1000, 1), orders(1000, 1001), orders(1000, 2001)];
         let catalog = Catalog::new();
         catalog
-            .register_sharded("t", vec![orders(1000, 1), orders(1000, 1)])
+            .register_sharded_keyed("t", shards(), "day")
             .unwrap();
-        catalog
-            .ingest("t", &[ColumnData::U64(vec![50]), ColumnData::U64(vec![1])])
-            .unwrap();
-        let (table, _) = catalog.get("t").unwrap();
-        let CatalogTable::Sharded(sharded) = &table else {
-            panic!("stays sharded")
-        };
-        assert_eq!(sharded.shards()[0].num_rows(), 1000, "head untouched");
-        assert_eq!(sharded.shards()[1].num_rows(), 1001, "tail takes the batch");
+        ingest_touches(&catalog, 0);
+        catalog.register_sharded("t", shards()).unwrap();
+        ingest_touches(&catalog, 2);
+        catalog.register("t", orders(1000, 1));
+        ingest_touches(&catalog, 0);
     }
 
     #[test]

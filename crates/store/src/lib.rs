@@ -69,9 +69,8 @@
 //! open paths to every segment that references it), and the group-by
 //! and join fold per code of it, resolving each touched key once per
 //! dictionary. The [`Catalog`] layers multi-table storage on
-//! top: named tables, horizontal sharding ([`ShardedTable`], read as
-//! one table whose columns list every shard's runs), monotonic
-//! versions stamped on
+//! top: named tables, horizontal sharding ([`ShardedTable`], one table
+//! whose run `i` is shard `i`), monotonic versions stamped on
 //! every mutation, and a query-result cache keyed on
 //! `(plan fingerprint, table version)` via the stable
 //! [`QuerySpec::fingerprint`].
@@ -84,12 +83,12 @@
 //! built data) listed after the existing — possibly lazily-backed —
 //! segments in the same flat column, in two halves: the encode
 //! ([`Table::encode_batch`]), which compresses, and the attach
-//! ([`Table::attach`]), which only lists the new segments.
-//! [`Catalog::ingest`] encodes against a snapshot outside every catalog
-//! lock, routing a batch to the owning shards by key range
-//! ([`Catalog::register_sharded_keyed`]), and publishes it under the
-//! write lock with one version bump so cached results self-invalidate;
-//! and
+//! ([`Table::attach`]), which only lists the new segments after the
+//! runs they were encoded for. [`Catalog::ingest`] encodes against a
+//! snapshot outside every catalog lock, one part per shard's run the
+//! batch lands in (by key range with [`Catalog::register_sharded_keyed`]),
+//! and publishes them through one attach under the write lock with one
+//! version bump so cached results self-invalidate; and
 //! [`file::append_table`] is the on-disk counterpart: new frames
 //! appended to the column files without rewriting existing ones, the
 //! manifest rewritten last so torn writes are rejected on open.

@@ -10,8 +10,9 @@
 //! per-segment loads from the on-disk column file (see
 //! [`crate::file`]), behind a small LRU cache, so a zone-map-pruned
 //! segment's frame is *never read from disk*. A built table is one
-//! resident run, an opened one is one base run, every append extends
-//! the last run, and a sharded table lists each shard's runs.
+//! resident run, an opened one is one base run, an append extends the
+//! last run, and a sharded table lists one run per shard, of which an
+//! ingest extends those its rows land in.
 //!
 //! Each run also carries two zone trees (`ZoneTree`): one over its
 //! base's zone maps, built once when the base is opened and shared by
@@ -85,7 +86,7 @@ impl SegmentMeta {
 /// base and extends the last run's resident list, so however many
 /// appends a column has seen, a lookup makes at most one call into a
 /// base and no segment payload is ever copied or re-encoded. A sharded
-/// catalog entry's columns list every shard's runs in shard order,
+/// catalog entry's columns list one run per shard, in shard order,
 /// sharing them by handle: each shard's base keeps its own cache, and a
 /// prefix table of run starts maps a segment index to its run.
 ///
@@ -350,18 +351,31 @@ impl Column {
     }
 
     /// This column with `segments` (and their `metas`, in order)
-    /// appended to its last run: the run's base and resident handles
-    /// are kept, the other runs shared.
+    /// appended to run `run`: that run's base and resident handles are
+    /// kept, every other run shared. Past the last run changes nothing.
     pub(crate) fn extend(
         &self,
+        run: usize,
         segments: Vec<Arc<Segment>>,
         metas: Vec<Arc<SegmentMeta>>,
     ) -> Column {
         let mut runs = self.runs.clone();
-        if let Some(last) = runs.pop() {
-            runs.push(Arc::new(last.extended(segments, metas)));
+        if let Some(slot) = runs.get_mut(run) {
+            *slot = Arc::new(slot.extended(segments, metas));
         }
         Column::of_runs(runs)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn runs(&self) -> &[Arc<Run>] {
+        &self.runs
+    }
+
+    /// Run `run` alone, as a one-run column sharing its handle (its
+    /// base, cache and zone trees included).
+    pub(crate) fn run(&self, run: usize) -> Option<Column> {
+        let run = self.runs.get(run)?;
+        Some(Column::of_runs(vec![Arc::clone(run)]))
     }
 
     /// How many zone trees the column has: two per run, its base's and

@@ -6,16 +6,18 @@
 //! make one resident run; [`crate::file::open_table_lazy`] gives each
 //! column its file as the base, loaded lazily from disk;
 //! [`Table::append`] keeps each column's base and extends its last run.
-//! A sharded catalog entry is one table whose columns list every
-//! shard's runs (`Table::concat`). The planner sees the same [`Column`]
-//! either way and only pays I/O for segments its pushdown tiers
-//! actually touch.
+//! Appends never add a run: only `Table::concat` does, so a sharded
+//! catalog entry is one table whose run `i` is shard `i`, and an ingest
+//! attaches to the runs it routes to ([`Table::attach`]). The planner
+//! sees the same [`Column`] either way and only pays I/O for segments
+//! its pushdown tiers actually touch.
 
 use crate::schema::TableSchema;
 use crate::segment::{share_dictionary, CompressionPolicy, Segment};
 use crate::source::{Column, SegmentMeta};
 use crate::{Result, StoreError};
 use lcdc_core::ColumnData;
+use std::borrow::Borrow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -138,18 +140,22 @@ impl Table {
 
     /// One table over `shards`' rows in shard order: each column lists
     /// every shard's runs by handle ([`Column::concat`]). The shards must
-    /// share a schema; appends cut batches to shard 0's segment height.
-    pub(crate) fn concat(shards: &[Arc<Table>]) -> Result<Table> {
-        let first = shards
-            .first()
+    /// share a schema; appends into any run cut batches to shard 0's
+    /// segment height.
+    pub(crate) fn concat<T: Borrow<Table>>(shards: &[T]) -> Result<Table> {
+        let first = (shards.first().map(T::borrow))
             .ok_or_else(|| StoreError::Shape("a sharded table needs at least one shard".into()))?;
-        let columns_at = |c: usize| shards.iter().filter_map(move |s| s.columns.get(c));
+        if let Some(i) = (shards.iter()).position(|s| s.borrow().schema != first.schema) {
+            let message = format!("shard {i} schema differs from shard 0");
+            return Err(StoreError::Shape(message));
+        }
+        let columns_at = |c: usize| shards.iter().filter_map(move |s| s.borrow().columns.get(c));
         Ok(Table {
             schema: first.schema.clone(),
             columns: (0..first.schema.width())
                 .filter_map(|c| Column::concat(columns_at(c).map(Arc::as_ref)).map(Arc::new))
                 .collect(),
-            num_rows: shards.iter().map(|s| s.num_rows).sum(),
+            num_rows: shards.iter().map(|s| s.borrow().num_rows).sum(),
             seg_rows: first.seg_rows,
         })
     }
@@ -195,16 +201,22 @@ impl Table {
     /// assert_eq!(table.num_rows(), 100, "the original is untouched");
     /// ```
     pub fn append(&self, columns: &[ColumnData]) -> Result<Table> {
-        self.attach(self.encode_batch(columns)?)
+        self.attach(vec![self.encode_batch(columns)?])
     }
 
     /// The encode half of [`Table::append`]: check `columns` against the
     /// schema, cut them to this table's segment height and compress
-    /// each chunk, deriving every new segment's metadata. It reads only
-    /// the table's shape (schema and segment height), so the batch
-    /// attaches to any table of that shape ([`EncodedBatch::fits`]) —
-    /// this one, or one that has grown since.
+    /// each chunk, deriving every new segment's metadata, for the last
+    /// run. It reads only the table's shape (schema, segment height and
+    /// run count), so the batch attaches to any table of that shape
+    /// ([`EncodedBatch::fits`]) — this one, or one that has grown since.
     pub fn encode_batch(&self, columns: &[ColumnData]) -> Result<EncodedBatch> {
+        self.encode_run(self.num_runs().saturating_sub(1), columns)
+    }
+
+    /// [`Table::encode_batch`] for run `run` (shard `run` of a catalog
+    /// entry) instead of the last.
+    pub(crate) fn encode_run(&self, run: usize, columns: &[ColumnData]) -> Result<EncodedBatch> {
         let rows = check_batch(&self.schema, columns, None)?;
         let columns = columns
             .iter()
@@ -220,34 +232,57 @@ impl Table {
         Ok(EncodedBatch {
             schema: self.schema.clone(),
             seg_rows: self.seg_rows,
+            runs: self.num_runs(),
+            run,
             rows,
             columns,
         })
     }
 
-    /// The publish half of [`Table::append`]: this table with `batch`'s
-    /// segments after its last run's, at the cost of one handle copy per
-    /// resident segment of that run and a rebuild of its tail's zone
-    /// tree. Nothing is compressed. An error, with this table
-    /// untouched, when the batch was encoded for another shape.
-    pub fn attach(&self, batch: EncodedBatch) -> Result<Table> {
-        if !batch.fits(self) {
+    /// The publish half of [`Table::append`]: this table with each
+    /// part's segments after the resident ones of the run it was
+    /// encoded for. Only those runs are rebuilt — at the cost of one
+    /// handle copy per resident segment of each and a rebuild of its
+    /// tail's zone tree — and every other run is shared by handle.
+    /// Nothing is compressed. An error, with this table untouched, when
+    /// a part was encoded for another shape.
+    pub fn attach(&self, parts: Vec<EncodedBatch>) -> Result<Table> {
+        if !parts.iter().all(|part| part.fits(self)) {
             return Err(StoreError::Shape(
-                "batch encoded for another schema or segment height".into(),
+                "batch encoded for another schema, segment height or run count".into(),
             ));
         }
-        if batch.rows == 0 {
-            return Ok(self.clone());
+        let mut grown = self.clone();
+        for part in parts.into_iter().filter(|part| part.rows > 0) {
+            for (column, tail) in grown.columns.iter_mut().zip(part.columns) {
+                *column = Arc::new(column.extend(part.run, tail.segments, tail.metas));
+            }
+            grown.num_rows += part.rows;
         }
-        let columns = (self.columns.iter().zip(batch.columns))
-            .map(|(column, tail)| Arc::new(column.extend(tail.segments, tail.metas)))
-            .collect();
-        Ok(Table {
-            schema: self.schema.clone(),
-            columns,
-            num_rows: self.num_rows + batch.rows,
-            seg_rows: self.seg_rows,
-        })
+        Ok(grown)
+    }
+
+    /// How many runs the columns list: one for a built, opened or
+    /// appended table, one per shard for a catalog entry's table.
+    pub(crate) fn num_runs(&self) -> usize {
+        self.run_starts().len().saturating_sub(1)
+    }
+
+    /// Each run as a table of its own, in order, sharing the run's
+    /// handles: its base and cache, resident segments and zone trees.
+    /// Every view keeps this table's segment height.
+    pub(crate) fn runs(&self) -> Vec<Table> {
+        let starts = self.run_starts();
+        (starts.iter().zip(starts.iter().skip(1)).enumerate())
+            .map(|(run, (&start, &end))| Table {
+                schema: self.schema.clone(),
+                columns: (self.columns.iter())
+                    .filter_map(|column| column.run(run).map(Arc::new))
+                    .collect(),
+                num_rows: (start..end).map(|seg| self.meta_at(0, seg).rows).sum(),
+                seg_rows: self.seg_rows,
+            })
+            .collect()
     }
 
     /// The schema.
@@ -390,13 +425,17 @@ impl Table {
     }
 }
 
-/// A row batch compressed for one table shape — a schema and a segment
-/// height — and attached to no table yet ([`Table::encode_batch`]):
-/// per column, the batch's new segments and their metadata.
+/// A row batch compressed for one run of one table shape — a schema, a
+/// segment height and a run count — and attached to no table yet
+/// ([`Table::encode_batch`]): per column, the batch's new segments and
+/// their metadata.
 #[derive(Debug, Clone)]
 pub struct EncodedBatch {
     schema: TableSchema,
     seg_rows: usize,
+    runs: usize,
+    /// The run the segments extend.
+    run: usize,
     rows: usize,
     /// One per schema column.
     columns: Vec<EncodedColumn>,
@@ -410,10 +449,12 @@ struct EncodedColumn {
 }
 
 impl EncodedBatch {
-    /// Whether the batch was encoded for `table`'s shape — its schema
-    /// and segment height — so [`Table::attach`] accepts it.
+    /// Whether the batch was encoded for `table`'s shape — its schema,
+    /// segment height and run count — so [`Table::attach`] accepts it.
     pub fn fits(&self, table: &Table) -> bool {
-        self.seg_rows == table.seg_rows && self.schema == table.schema
+        self.seg_rows == table.seg_rows
+            && self.runs == table.num_runs()
+            && self.schema == table.schema
     }
 }
 
@@ -740,12 +781,12 @@ mod tests {
                 .collect()
         };
         let appended = t.append(&batch).unwrap();
-        let attached = t.attach(encoded.clone()).unwrap();
+        let attached = t.attach(vec![encoded.clone()]).unwrap();
         assert_eq!(attached.num_rows(), appended.num_rows());
         assert_eq!(frames(&attached), frames(&appended));
 
         let grown = t.append(&batch).unwrap();
-        let late = grown.attach(encoded).unwrap();
+        let late = grown.attach(vec![encoded]).unwrap();
         assert_eq!(late.num_rows(), 1000 + 2 * 700);
         assert_eq!(frames(&late), frames(&appended.append(&batch).unwrap()));
     }
@@ -772,7 +813,7 @@ mod tests {
         for other in [&taller, &renamed] {
             let encoded = other.encode_batch(&batch).unwrap();
             assert!(!encoded.fits(&t));
-            assert!(t.attach(encoded).is_err());
+            assert!(t.attach(vec![encoded]).is_err());
         }
         assert!(t.encode_batch(&batch).unwrap().fits(&t));
     }

@@ -135,12 +135,14 @@ fn main() {
 
     // 7. The write path: the full create → ingest → query → re-ingest
     //    → query lifecycle. Register two shards with a routing *key* —
-    //    each shard owns a date range — and ingest row batches:
-    //    a batch is compressed into fresh segments (per-segment scheme
-    //    choice, zone maps, scheme tags, just like built data), split
-    //    along the shard key ranges, and published under exactly one
-    //    version bump, so every cached result self-invalidates and the
-    //    next identical query re-executes over the new rows.
+    //    each shard owns a date range, and is one run of the entry's
+    //    one table — and ingest row batches: a batch is split along the
+    //    shard key ranges, compressed into fresh segments for each
+    //    shard's run it lands in (per-segment scheme choice, zone maps,
+    //    scheme tags, just like built data), attached to those runs
+    //    alone and published under exactly one version bump, so every
+    //    cached result self-invalidates and the next identical query
+    //    re-executes over the new rows.
     let day_table = |first: u64, days: u64| {
         let day = ColumnData::U64((0..days * 50).map(|i| first + i / 50).collect());
         let qty = ColumnData::U64((0..days * 50).map(|i| 1 + i % 50).collect());
@@ -176,7 +178,7 @@ fn main() {
     );
 
     // Ingest: a batch spanning both shard key ranges splits at the
-    // boundary and bumps the version once.
+    // boundary, grows both shards' runs and bumps the version once.
     let v2 = catalog
         .ingest(
             "sales",

@@ -137,38 +137,77 @@ struct Opts {
 }
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut input = None;
-    let mut output = None;
-    let mut dtype = None;
-    let mut scheme = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "-o" | "--output" => {
-                output = Some(it.next().ok_or("-o needs a path")?.clone());
-            }
-            "--dtype" => {
-                dtype = Some(parse_dtype(it.next().ok_or("--dtype needs a type")?)?);
-            }
-            "--scheme" => {
-                scheme = Some(it.next().ok_or("--scheme needs an expression")?.clone());
-            }
-            flag if flag.starts_with('-') => {
-                return Err(format!("unknown flag {flag:?}"));
-            }
-            positional => {
-                if input.replace(positional.to_string()).is_some() {
-                    return Err("more than one input file given".into());
-                }
-            }
+    let (mut output, mut dtype, mut scheme) = (None, None, None);
+    let positionals = read_flags(args, |flag, value| {
+        match flag {
+            "-o" | "--output" => output = Some(value.text()?),
+            "--dtype" => dtype = Some(parse_dtype(&value.text()?)?),
+            "--scheme" => scheme = Some(value.text()?),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     Ok(Opts {
-        input: input.ok_or("missing input file")?,
+        input: one_positional(positionals, "input file")?,
         output,
         dtype,
         scheme,
     })
+}
+
+/// One flag's value, read off the argument list on demand.
+struct FlagValue<'a, 'i> {
+    flag: &'a str,
+    rest: &'i mut std::slice::Iter<'a, String>,
+}
+
+impl FlagValue<'_, '_> {
+    /// The next argument, verbatim.
+    fn text(&mut self) -> Result<String, String> {
+        (self.rest.next().cloned()).ok_or_else(|| format!("{} needs a value", self.flag))
+    }
+
+    /// The next argument, parsed.
+    fn parse<T: std::str::FromStr>(&mut self) -> Result<T, String> {
+        self.text()?
+            .parse()
+            .map_err(|_| format!("bad {}", self.flag))
+    }
+}
+
+/// Read a subcommand's arguments left to right: each `-`-led one goes
+/// to `on_flag` with the reader of its value, and `on_flag` answers
+/// `false` for a flag the subcommand does not know, which is an error.
+/// Every other argument comes back as a positional, in order.
+fn read_flags(
+    args: &[String],
+    mut on_flag: impl FnMut(&str, &mut FlagValue) -> Result<bool, String>,
+) -> Result<Vec<String>, String> {
+    let mut positionals = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let mut value = FlagValue {
+            flag: arg,
+            rest: &mut rest,
+        };
+        if !arg.starts_with('-') {
+            positionals.push(arg.clone());
+        } else if !on_flag(arg, &mut value)? {
+            return Err(format!("unknown flag {arg:?}"));
+        }
+    }
+    Ok(positionals)
+}
+
+/// The one positional argument, or an error naming `what` is missing
+/// or given twice.
+fn one_positional(positionals: Vec<String>, what: &str) -> Result<String, String> {
+    let mut positionals = positionals.into_iter();
+    match (positionals.next(), positionals.next()) {
+        (Some(one), None) => Ok(one),
+        (None, _) => Err(format!("missing {what}")),
+        (Some(_), Some(_)) => Err(format!("more than one {what} given")),
+    }
 }
 
 fn parse_dtype(s: &str) -> Result<DType, String> {
@@ -290,57 +329,23 @@ fn info(args: &[String]) -> Result<(), String> {
 /// Split one saved table into a sharded catalog entry:
 /// `<catalog-dir>/<NAME>.shard<i>`, one saved table per shard.
 fn shard(args: &[String]) -> Result<(), String> {
-    let mut input = None;
-    let mut output = None;
-    let mut name = None;
-    let mut shards = 2usize;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "-o" | "--output" => output = Some(value("-o")?),
-            "--table" => name = Some(value("--table")?),
-            "--shards" => shards = value("--shards")?.parse().map_err(|_| "bad --shards")?,
-            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
-            positional => {
-                if input.replace(positional.to_string()).is_some() {
-                    return Err("more than one table directory given".into());
-                }
-            }
+    let (mut output, mut name, mut shards) = (None, None, 2usize);
+    let positionals = read_flags(args, |flag, value| {
+        match flag {
+            "-o" | "--output" => output = Some(value.text()?),
+            "--table" => name = Some(value.text()?),
+            "--shards" => shards = value.parse()?,
+            _ => return Ok(false),
         }
-    }
-    let input = input.ok_or("missing table directory")?;
+        Ok(true)
+    })?;
+    let input = one_positional(positionals, "table directory")?;
     let output = output.ok_or("shard requires -o <catalog-dir>")?;
     let name = name.ok_or("shard requires --table NAME")?;
     let table = load_table(Path::new(&input)).map_err(|e| e.to_string())?;
     let pieces = shard_table(&table, shards).map_err(|e| e.to_string())?;
-    // Remove stale shard dirs from a previous run first: leftovers with
-    // indices >= the new count would pass table_dirs' contiguity check
-    // and silently duplicate rows at query time.
-    let out_root = PathBuf::from(&output);
-    if let Ok(entries) = std::fs::read_dir(&out_root) {
-        let prefix = format!("{name}.shard");
-        for entry in entries.flatten() {
-            let stale = entry
-                .file_name()
-                .to_str()
-                .and_then(|n| n.strip_prefix(&prefix))
-                .is_some_and(|i| i.parse::<usize>().is_ok());
-            if stale {
-                std::fs::remove_dir_all(entry.path()).map_err(|e| e.to_string())?;
-            }
-        }
-    }
-    // Highest index first: a run killed partway leaves a shard set that
-    // does NOT start at index 0, so table_dirs' contiguity check rejects
-    // it instead of silently querying a truncated table.
-    for (i, piece) in pieces.iter().enumerate().rev() {
-        let dir = out_root.join(format!("{name}.shard{i}"));
-        save_table(piece, &dir).map_err(|e| e.to_string())?;
+    let dirs = save_shards(Path::new(&output), &name, &pieces)?;
+    for (i, (piece, dir)) in pieces.iter().zip(&dirs).enumerate() {
         eprintln!(
             "shard {i}: {} rows, {} segments -> {}",
             piece.num_rows(),
@@ -349,6 +354,28 @@ fn shard(args: &[String]) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+/// Save `pieces` as `<root>/<name>.shard<i>` directories, first
+/// removing every `<name>.shard<k>` a previous run left: leftovers at
+/// indices past the new count would pass `table_dirs`' contiguity check
+/// and silently add their rows to every query. Writes go highest index
+/// first, so a run killed partway leaves a shard set that does not
+/// start at index 0, which `table_dirs` rejects instead of querying a
+/// truncated table. Returns the directories in shard order.
+fn save_shards(root: &Path, name: &str, pieces: &[Table]) -> Result<Vec<PathBuf>, String> {
+    for entry in std::fs::read_dir(root).into_iter().flatten().flatten() {
+        if shard_index(&entry.file_name(), name).is_some() {
+            std::fs::remove_dir_all(entry.path()).map_err(|e| e.to_string())?;
+        }
+    }
+    let dirs: Vec<PathBuf> = (0..pieces.len())
+        .map(|i| root.join(format!("{name}.shard{i}")))
+        .collect();
+    for (piece, dir) in pieces.iter().zip(&dirs).rev() {
+        save_table(piece, dir).map_err(|e| e.to_string())?;
+    }
+    Ok(dirs)
 }
 
 /// Append a row batch to a saved table (or a sharded catalog table):
@@ -370,25 +397,16 @@ fn shard(args: &[String]) -> Result<(), String> {
 /// a journal above the filesystem layout; the in-memory
 /// `Catalog::ingest` (one version bump) is the atomic path.
 fn ingest(args: &[String]) -> Result<(), String> {
-    let mut positionals: Vec<String> = Vec::new();
-    let mut table_name: Option<String> = None;
-    let mut key: Option<String> = None;
-    let mut scheme: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--table" => table_name = Some(value("--table")?),
-            "--key" => key = Some(value("--key")?),
-            "--scheme" => scheme = Some(value("--scheme")?),
-            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
-            positional => positionals.push(positional.to_string()),
+    let (mut table_name, mut key, mut scheme) = (None, None, None);
+    let mut positionals = read_flags(args, |flag, value| {
+        match flag {
+            "--table" => table_name = Some(value.text()?),
+            "--key" => key = Some(value.text()?),
+            "--scheme" => scheme = Some(value.text()?),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     if positionals.len() < 2 {
         return Err("ingest wants a directory plus one raw binary per column".into());
     }
@@ -407,10 +425,8 @@ fn ingest(args: &[String]) -> Result<(), String> {
         None => vec![root.clone()],
         Some(name) => table_dirs(&root, name)?,
     };
-    let shards: Vec<Table> = dirs
-        .iter()
-        .map(|d| open_table_lazy(d, 1).map_err(|e| e.to_string()))
-        .collect::<Result<_, String>>()?;
+    let open = opener(true, 1);
+    let shards: Vec<Table> = dirs.iter().map(|d| open(d)).collect::<Result<_, _>>()?;
     let schema = shards[0].schema().clone();
     if files.len() != schema.width() {
         return Err(format!(
@@ -453,6 +469,12 @@ fn ingest(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `k` when `file_name` is `<name>.shard<k>`.
+fn shard_index(file_name: &std::ffi::OsStr, name: &str) -> Option<usize> {
+    let rest = file_name.to_str()?.strip_prefix(name)?;
+    rest.strip_prefix(".shard")?.parse().ok()
+}
+
 /// Locate a named table under a catalog root: either a single saved
 /// table at `<root>/<name>` or shard directories `<root>/<name>.shard<i>`.
 /// Shard indices must be contiguous from 0 — a gap means a lost shard,
@@ -466,12 +488,7 @@ fn table_dirs(root: &Path, name: &str) -> Result<Vec<PathBuf>, String> {
     let mut indices: Vec<usize> = Vec::new();
     for entry in std::fs::read_dir(root).map_err(|e| format!("{}: {e}", root.display()))? {
         let entry = entry.map_err(|e| e.to_string())?;
-        let file_name = entry.file_name();
-        let Some(idx) = file_name
-            .to_str()
-            .and_then(|n| n.strip_prefix(&prefix))
-            .and_then(|i| i.parse::<usize>().ok())
-        else {
+        let Some(idx) = shard_index(&entry.file_name(), name) else {
             continue;
         };
         if entry.path().join("MANIFEST.lcdc").exists() {
@@ -635,36 +652,20 @@ fn explain_entry(catalog: &Catalog, name: &str, spec: &QuerySpec) -> Result<Stri
 /// sharded form supports keyed ingest routing and shard pruning out of
 /// the box.
 fn gen(args: &[String]) -> Result<(), String> {
-    let mut root = None;
     let mut name = "orders".to_string();
-    let mut rows = 10_000usize;
-    let mut shards = 0usize;
-    let mut seg_rows = 512usize;
-    let mut seed = 42u64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--table" => name = value("--table")?,
-            "--rows" => rows = value("--rows")?.parse().map_err(|_| "bad --rows")?,
-            "--shards" => shards = value("--shards")?.parse().map_err(|_| "bad --shards")?,
-            "--seg-rows" => {
-                seg_rows = value("--seg-rows")?.parse().map_err(|_| "bad --seg-rows")?
-            }
-            "--seed" => seed = value("--seed")?.parse().map_err(|_| "bad --seed")?,
-            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
-            positional => {
-                if root.replace(positional.to_string()).is_some() {
-                    return Err("more than one output directory given".into());
-                }
-            }
+    let (mut rows, mut shards, mut seg_rows, mut seed) = (10_000usize, 0usize, 512usize, 42u64);
+    let positionals = read_flags(args, |flag, value| {
+        match flag {
+            "--table" => name = value.text()?,
+            "--rows" => rows = value.parse()?,
+            "--shards" => shards = value.parse()?,
+            "--seg-rows" => seg_rows = value.parse()?,
+            "--seed" => seed = value.parse()?,
+            _ => return Ok(false),
         }
-    }
-    let root = PathBuf::from(root.ok_or("gen wants an output directory")?);
+        Ok(true)
+    })?;
+    let root = PathBuf::from(one_positional(positionals, "output directory")?);
     if rows == 0 || seg_rows == 0 {
         return Err("--rows and --seg-rows must be positive".into());
     }
@@ -707,10 +708,7 @@ fn gen(args: &[String]) -> Result<(), String> {
         );
     } else {
         let pieces = shard_table(&table, shards).map_err(|e| e.to_string())?;
-        for (i, piece) in pieces.iter().enumerate().rev() {
-            let dir = root.join(format!("{name}.shard{i}"));
-            save_table(piece, &dir).map_err(|e| e.to_string())?;
-        }
+        save_shards(&root, &name, &pieces)?;
         eprintln!(
             "wrote {rows} rows across {shards} shards -> {}/{name}.shard*",
             root.display()
@@ -752,59 +750,29 @@ fn discover_tables(root: &Path) -> Result<Vec<(String, Vec<PathBuf>)>, String> {
 /// per-endpoint report. The bound address goes to stdout (and is
 /// flushed) so scripts can wait for readiness by reading one line.
 fn serve(args: &[String]) -> Result<(), String> {
-    let mut root = None;
     let mut addr = "127.0.0.1:7878".to_string();
     let mut config = ServerConfig::default();
     let mut lazy = false;
     let mut cache = lcdc::store::file::DEFAULT_SEGMENT_CACHE;
-    let mut fault_spec: Option<String> = None;
-    let mut fault_seed = 0u64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => addr = value("--addr")?,
-            "--threads" => {
-                config.threads = value("--threads")?.parse().map_err(|_| "bad --threads")?;
-            }
-            "--max-inflight" => {
-                config.max_inflight = value("--max-inflight")?
-                    .parse()
-                    .map_err(|_| "bad --max-inflight")?;
-            }
+    let (mut fault_spec, mut fault_seed) = (None, 0u64);
+    let positionals = read_flags(args, |flag, value| {
+        match flag {
+            "--addr" => addr = value.text()?,
+            "--threads" => config.threads = value.parse()?,
+            "--max-inflight" => config.max_inflight = value.parse()?,
             "--lazy" => lazy = true,
-            "--cache" => cache = value("--cache")?.parse().map_err(|_| "bad --cache")?,
+            "--cache" => cache = value.parse()?,
             "--session-timeout-ms" => {
-                let ms: u64 = value("--session-timeout-ms")?
-                    .parse()
-                    .map_err(|_| "bad --session-timeout-ms")?;
+                let ms: u64 = value.parse()?;
                 config.session_timeout = std::time::Duration::from_millis(ms.max(1));
             }
-            "--deadline-ms" => {
-                config.default_deadline_ms = Some(
-                    value("--deadline-ms")?
-                        .parse()
-                        .map_err(|_| "bad --deadline-ms")?,
-                );
-            }
-            "--faults" => fault_spec = Some(value("--faults")?),
-            "--fault-seed" => {
-                fault_seed = value("--fault-seed")?
-                    .parse()
-                    .map_err(|_| "bad --fault-seed")?;
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
-            positional => {
-                if root.replace(positional.to_string()).is_some() {
-                    return Err("more than one catalog directory given".into());
-                }
-            }
+            "--deadline-ms" => config.default_deadline_ms = Some(value.parse()?),
+            "--faults" => fault_spec = Some(value.text()?),
+            "--fault-seed" => fault_seed = value.parse()?,
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     let faults = match fault_spec {
         Some(spec) => Some(Arc::new(
             FaultPlan::parse(&spec, fault_seed).map_err(|e| format!("bad --faults: {e}"))?,
@@ -812,7 +780,7 @@ fn serve(args: &[String]) -> Result<(), String> {
         None => None,
     };
     config.faults = faults.clone();
-    let root = PathBuf::from(root.ok_or("serve wants a catalog directory")?);
+    let root = PathBuf::from(one_positional(positionals, "catalog directory")?);
     let tables = discover_tables(&root)?;
     if tables.is_empty() {
         return Err(format!(
@@ -864,47 +832,30 @@ struct ClientArgs {
 }
 
 fn split_client_args(args: &[String]) -> Result<ClientArgs, String> {
-    let mut addr = None;
-    let mut table = None;
-    let mut action = None;
-    let mut deadline_ms = None;
-    let mut retries = 0u32;
-    let mut forward = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    let (mut addr, mut table, mut action, mut deadline_ms) = (None, None, None, None);
+    let (mut retries, mut forward) = (0u32, Vec::new());
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let mut value = FlagValue {
+            flag: arg,
+            rest: &mut rest,
+        };
         match arg.as_str() {
-            "--addr" => addr = Some(it.next().ok_or("--addr needs HOST:PORT")?.clone()),
-            "--table" => table = Some(it.next().ok_or("--table needs a name")?.clone()),
-            "--deadline-ms" => {
-                deadline_ms = Some(
-                    it.next()
-                        .ok_or("--deadline-ms needs a value")?
-                        .parse()
-                        .map_err(|_| "bad --deadline-ms")?,
-                );
-            }
-            "--retries" => {
-                retries = it
-                    .next()
-                    .ok_or("--retries needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --retries")?;
-            }
+            "--addr" => addr = Some(value.text()?),
+            "--table" => table = Some(value.text()?),
+            "--deadline-ms" => deadline_ms = Some(value.parse()?),
+            "--retries" => retries = value.parse()?,
             "--ping" | "--stats" | "--shutdown" => {
-                if action.replace(&arg.as_str()[2..]).is_some() {
+                let name = ["ping", "stats", "shutdown"]
+                    .into_iter()
+                    .find(|n| arg.ends_with(n));
+                if std::mem::replace(&mut action, name).is_some() {
                     return Err("pick one of --ping / --stats / --shutdown".into());
                 }
             }
             other => forward.push(other.to_string()),
         }
     }
-    let action = match action {
-        Some("ping") => Some("ping"),
-        Some("stats") => Some("stats"),
-        Some("shutdown") => Some("shutdown"),
-        Some(_) => unreachable!("actions are matched above"),
-        None => None,
-    };
     Ok(ClientArgs {
         addr: addr.ok_or("client requires --addr HOST:PORT")?,
         table,
@@ -1493,6 +1444,35 @@ mod tests {
         // Without the stale directory, the shards resolve.
         std::fs::remove_dir_all(&single).unwrap();
         assert_eq!(table_dirs(&root, "orders").unwrap().len(), 2);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Regenerating a sharded table with fewer shards removes the
+    /// shards past the new count, so a count reads only the new rows.
+    #[test]
+    fn regenerating_with_fewer_shards_leaves_no_stale_shard() {
+        let root = std::env::temp_dir().join(format!("lcdc_cli_regen_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let s = |t: &str| t.to_string();
+        let r = root.to_str().unwrap().to_string();
+        for shards in ["4", "2"] {
+            run(&[
+                s("gen"),
+                r.clone(),
+                s("--rows"),
+                s("3000"),
+                s("--shards"),
+                s(shards),
+            ])
+            .unwrap();
+        }
+        let dirs = table_dirs(&root, "orders").unwrap();
+        assert_eq!(dirs.len(), 2);
+        let catalog = Catalog::new();
+        register(&catalog, "orders", &dirs, &opener(false, 8)).unwrap();
+        let count = QuerySpec::new().aggregate(&[lcdc::store::Agg::Count]);
+        let result = catalog.execute("orders", &count).unwrap();
+        assert_eq!(result.aggregates().unwrap(), &[Some(3000)]);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -11,6 +11,7 @@ use lcdc::store::{
 };
 use proptest::prelude::*;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Orders for `days` consecutive days starting at `first_day`:
 /// `rows_per_day` rows each, qty cycling 1..=50.
@@ -323,6 +324,179 @@ proptest! {
                 after_vals[1],
                 before_vals[1].map(|s| s + 13 * copies as i128)
             );
+        }
+    }
+}
+
+/// What one catalog entry should hold: each shard's `(day, qty)` rows
+/// in order, and the routing boundaries when the entry is routed.
+struct Model {
+    shards: Vec<Vec<(u64, u64)>>,
+    uppers: Option<Vec<u64>>,
+}
+
+/// A table's `(day, qty)` rows, in order.
+fn rows_of(table: &Table) -> Vec<(u64, u64)> {
+    let column = |name| table.materialize(name).expect("materializes");
+    let (day, qty) = (column("day"), column("qty"));
+    (0..table.num_rows())
+        .map(|i| {
+            (
+                day.get_numeric(i).unwrap() as u64,
+                qty.get_numeric(i).unwrap() as u64,
+            )
+        })
+        .collect()
+}
+
+/// The `[min, max]` of the rows' days, if there are rows.
+fn day_range(rows: &[(u64, u64)]) -> Option<(u64, u64)> {
+    let days = rows.iter().map(|&(day, _)| day);
+    Some((days.clone().min()?, days.max()?))
+}
+
+impl Model {
+    fn new(shards: &[Table], routed: bool) -> Model {
+        let mut model = Model {
+            shards: shards.iter().map(rows_of).collect(),
+            uppers: routed.then(Vec::new),
+        };
+        assert!(model.derive_uppers(), "the registered shards route");
+        model
+    }
+
+    /// Re-derive a routed entry's boundaries from its shards' day
+    /// ranges; `false` when they do not ascend without overlapping.
+    fn derive_uppers(&mut self) -> bool {
+        let Some(uppers) = &mut self.uppers else {
+            return true;
+        };
+        let ranges: Option<Vec<(u64, u64)>> = self.shards.iter().map(|s| day_range(s)).collect();
+        let Some(ranges) = ranges else {
+            return false;
+        };
+        if ranges.windows(2).any(|w| w[0].1 > w[1].0) {
+            return false;
+        }
+        *uppers = ranges.iter().map(|&(_, hi)| hi).collect();
+        uppers.pop();
+        true
+    }
+
+    /// Each row to the shard its day routes to, or to the last shard.
+    fn ingest(&mut self, days: &[u64], qty: u64) {
+        for &day in days {
+            let shard = match &self.uppers {
+                Some(uppers) => uppers.partition_point(|&upper| upper < day),
+                None => self.shards.len() - 1,
+            };
+            self.shards[shard].push((day, qty));
+        }
+    }
+
+    /// Whether `shard` is accepted; a refused one changes nothing.
+    fn add_shard(&mut self, shard: &Table) -> bool {
+        self.shards.push(rows_of(shard));
+        let accepted = self.derive_uppers();
+        if !accepted {
+            self.shards.pop();
+        }
+        accepted
+    }
+}
+
+/// `[count, sum(qty)]` over the rows whose day is in `lo..=hi`.
+fn count_sum(rows: &[(u64, u64)], (lo, hi): (u64, u64)) -> Vec<Option<i128>> {
+    let hits = rows.iter().filter(|&&(day, _)| (lo..=hi).contains(&day));
+    let (count, sum) = hits.fold((0, 0), |(n, s), &(_, qty)| (n + 1, s + i128::from(qty)));
+    vec![Some(count), Some(sum)]
+}
+
+/// Every shard of `name` holds its model's rows: per-shard row counts,
+/// and count and sum over each shard's day range, read from the shard
+/// alone and from the whole entry.
+fn check_against(catalog: &Catalog, name: &str, model: &Model) {
+    let (entry, _) = catalog.get(name).expect("registered");
+    let shards = match &entry {
+        CatalogTable::Single(table) => vec![Arc::clone(table)],
+        CatalogTable::Sharded(sharded) => sharded.shards(),
+    };
+    assert_eq!(shards.len(), model.shards.len(), "{name}: shard count");
+    let everything: Vec<(u64, u64)> = model.shards.concat();
+    for (i, (shard, rows)) in shards.iter().zip(&model.shards).enumerate() {
+        assert_eq!(shard.num_rows(), rows.len(), "{name} shard {i}: rows");
+        let Some(range) = day_range(rows) else {
+            continue;
+        };
+        let spec = QuerySpec::new()
+            .filter(
+                "day",
+                Predicate::Range {
+                    lo: range.0.into(),
+                    hi: range.1.into(),
+                },
+            )
+            .aggregate(&[Agg::Count, Agg::Sum("qty")]);
+        let alone = spec.bind(shard).execute().expect("runs");
+        assert_eq!(
+            alone.aggregates().expect("agg"),
+            count_sum(rows, range),
+            "{name} shard {i} alone over {range:?}"
+        );
+        let whole = catalog.execute(name, &spec).expect("runs");
+        assert_eq!(
+            whole.aggregates().expect("agg"),
+            count_sum(&everything, range),
+            "{name} over shard {i}'s {range:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random batches into a routed, an unrouted and a single entry,
+    /// interleaved with `add_shard` (one that extends the key order,
+    /// or one anywhere, which a routed entry refuses when it overlaps):
+    /// after every step each shard holds exactly its model's rows.
+    #[test]
+    fn every_shard_holds_its_model_rows(
+        steps in prop::collection::vec(
+            (0usize..6, 0usize..3, prop::collection::vec(0u64..4000, 0..40), 0u64..4000),
+            1..10,
+        ),
+    ) {
+        let shards = || vec![orders(1, 10, 30), orders(1001, 10, 30)];
+        let catalog = Catalog::new();
+        catalog.register_sharded_keyed("routed", shards(), "day").expect("registers");
+        catalog.register_sharded("unrouted", shards()).expect("registers");
+        catalog.register("single", orders(1, 10, 30));
+        let mut models = [
+            ("routed", Model::new(&shards(), true)),
+            ("unrouted", Model::new(&shards(), false)),
+            ("single", Model::new(&[orders(1, 10, 30)], false)),
+        ];
+        for (kind, entry, days, start) in steps {
+            match kind {
+                // Add a shard to a sharded entry: past every day it
+                // holds, or at `start`.
+                4 | 5 => {
+                    let (name, model) = &mut models[entry % 2];
+                    let past = model.shards.concat().iter().map(|&(day, _)| day).max();
+                    let first = if kind == 4 { past.unwrap_or(0) + 1 } else { start };
+                    let shard = orders(first, 3, 20);
+                    let accepted = model.add_shard(&shard);
+                    prop_assert_eq!(catalog.add_shard(name, shard).is_ok(), accepted, "{}", name);
+                }
+                _ => {
+                    let (name, model) = &mut models[entry];
+                    catalog.ingest(name, &batch(&days, start % 50)).expect("ingests");
+                    model.ingest(&days, start % 50);
+                }
+            }
+            for (name, model) in &models {
+                check_against(&catalog, name, model);
+            }
         }
     }
 }
