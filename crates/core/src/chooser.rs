@@ -27,13 +27,17 @@ use crate::expr::parse_expr;
 use crate::scheme::{Compressed, Scheme};
 use crate::stats::ColumnStats;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The outcome of a scheme choice.
 #[derive(Debug)]
 pub struct Choice {
     /// The winning scheme expression (parseable text).
     pub expr: String,
+    /// The winning scheme, built once per candidate list: a caller that
+    /// keeps the compressed form decodes through it without parsing
+    /// `expr` again.
+    pub scheme: Arc<dyn Scheme>,
     /// The column compressed with it.
     pub compressed: Compressed,
     /// Its size under the uniform size model.
@@ -102,7 +106,7 @@ pub fn default_candidates() -> Vec<&'static str> {
 }
 
 /// Parsed candidates, in list order.
-type Candidates = Vec<(String, Box<dyn Scheme>)>;
+type Candidates = Vec<(String, Arc<dyn Scheme>)>;
 
 /// Choose the smallest-output scheme for `col` among
 /// [`default_candidates`].
@@ -128,7 +132,7 @@ fn parse_candidates(candidates: &[&str]) -> Result<Candidates> {
     }
     texts
         .into_iter()
-        .map(|text| Ok((text.to_string(), parse_expr(text)?.build()?)))
+        .map(|text| Ok((text.to_string(), Arc::from(parse_expr(text)?.build()?))))
         .collect()
 }
 
@@ -171,8 +175,10 @@ fn choose(col: &ColumnData, candidates: &Candidates) -> Result<Choice> {
         .collect();
     // Stable: equal sizes stay in list order, so the winner leads.
     ranking.sort_by_key(|(_, size)| (size.bytes().is_none(), size.bytes()));
+    let (expr, scheme) = &candidates[index];
     Ok(Choice {
-        expr: candidates[index].0.clone(),
+        expr: expr.clone(),
+        scheme: Arc::clone(scheme),
         compressed,
         bytes,
         ranking,

@@ -19,7 +19,7 @@
 //! ```
 //!
 //! A column's segments may share a dictionary (`dict[dict=shared,...]`,
-//! decided by `table::segment_column`): it is stored once, as a
+//! decided by `table::encode_columns`): it is stored once, as a
 //! dictionary record of the column's file, entries at the column's
 //! element width. A segment's `dict` is `1 + k` for the column's
 //! `k`-th dictionary, `0` for none, and its frame holds only a
@@ -285,9 +285,11 @@ pub fn save_table(table: &Table, dir: &Path) -> Result<()> {
 
 /// Append a row batch to a saved table **without rewriting any
 /// existing frame**: the batch is chunked by the table's segment
-/// height, compressed per column under `policies` (align them with the
-/// schema; [`crate::CompressionPolicy::Auto`] re-runs the scheme chooser per
-/// segment), the new records are appended to each `<name>.col` file,
+/// height and compressed per column under `policies` (align them with
+/// the schema; [`crate::CompressionPolicy::Auto`] re-runs the scheme
+/// chooser per segment) — all of it first, segment-tall row ranges in
+/// parallel on the host's cores, as [`Table::build`] does. Then the new
+/// records are appended to each `<name>.col` file, column by column,
 /// and the manifest is rewritten last — temp file, rename, checksum
 /// trailing — so a write torn *anywhere* leaves a directory that
 /// either opens as the pre-append snapshot or is rejected on open,
@@ -311,8 +313,9 @@ pub fn append_table(
     if batch_rows == 0 {
         return Ok(num_rows);
     }
-    for ((col, manifest_col), policy) in columns.iter().zip(manifest_cols.iter_mut()).zip(policies)
-    {
+    let encoded =
+        crate::table::encode_columns(columns, policies, seg_rows, crate::par::host_width())?;
+    for (segments, manifest_col) in encoded.into_iter().zip(manifest_cols.iter_mut()) {
         let path = dir.join(column_file(&manifest_col.schema.name));
         let expected = recorded_end(manifest_col);
         let mut file = fs::OpenOptions::new().read(true).write(true).open(&path)?;
@@ -335,8 +338,8 @@ pub fn append_table(
         let mut tail = Vec::new();
         let mut dicts = Dictionaries::default();
         let stored = manifest_col.dicts.len() as u32;
-        for segment in crate::table::segment_column(col, policy, seg_rows)? {
-            manifest_col.push(&segment, &mut dicts, &mut tail, expected, stored)?;
+        for segment in &segments {
+            manifest_col.push(segment, &mut dicts, &mut tail, expected, stored)?;
         }
         file.write_all(&tail)?;
         // Frames durable before the manifest that references them.

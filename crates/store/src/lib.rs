@@ -84,7 +84,11 @@
 //! segments in the same flat column, in two halves: the encode
 //! ([`Table::encode_batch`]), which compresses, and the attach
 //! ([`Table::attach`]), which only lists the new segments after the
-//! runs they were encoded for. [`Catalog::ingest`] encodes against a
+//! runs they were encoded for. Every write path ([`Table::build`],
+//! the encode, [`file::append_table`]) compresses through one
+//! segmentation that encodes segment-tall row ranges in parallel on the
+//! host's cores, storing the serial build's bytes; a batch one segment
+//! tall stays on the calling thread. [`Catalog::ingest`] encodes against a
 //! snapshot outside every catalog lock, one part per shard's run the
 //! batch lands in (by key range with [`Catalog::register_sharded_keyed`]),
 //! and publishes them through one attach under the write lock with one
@@ -112,6 +116,7 @@ pub mod fault;
 pub mod file;
 pub(crate) mod hash;
 pub(crate) mod le;
+pub(crate) mod par;
 pub mod predicate;
 pub mod query;
 pub mod schema;

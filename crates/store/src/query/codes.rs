@@ -393,7 +393,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let mut segments = vec![dict_segment(keys(0)), dict_segment(keys(7))];
-        share_dictionary(&mut segments).unwrap();
+        share_dictionary(&mut segments, 1).unwrap();
         let segments: Vec<Arc<Segment>> = segments.into_iter().map(Arc::new).collect();
         let shared = |seg: &Segment| Arc::clone(seg.compressed.shared_dict().expect("shared"));
         assert!(Arc::ptr_eq(&shared(&segments[0]), &shared(&segments[1])));
@@ -430,7 +430,7 @@ mod tests {
     #[test]
     fn narrow_sums_spill_when_segments_add_up() {
         let mut segments = vec![dict_segment(vec![1 << 40; 1000]); 2];
-        share_dictionary(&mut segments).unwrap();
+        share_dictionary(&mut segments, 1).unwrap();
         let segments: Vec<Arc<Segment>> = segments.into_iter().map(Arc::new).collect();
         let wide = (1u64 << 54) - 1;
         let values = Segment::build(&ColumnData::U64(vec![wide; 1000]), &CompressionPolicy::Auto);

@@ -66,7 +66,7 @@ use crate::source::Column;
 use crate::table::Table;
 use crate::{Result, StoreError};
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How a compiled plan should be driven: worker count and prefetch
@@ -168,16 +168,6 @@ const LEASES_PER_SLOT: usize = 4;
 /// the cadence at which a session notices an expired deadline or a
 /// vanished client while its query executes.
 const WAIT_TICK: Duration = Duration::from_millis(25);
-
-/// The width in-process jobs run under: never more leases than
-/// hardware threads — extra workers cannot run concurrently and only
-/// pay spawn/switch overhead. Asked of the OS once: the answer costs
-/// more than a point query (it reads the cgroup quota files).
-fn local_width() -> usize {
-    static WIDTH: OnceLock<usize> = OnceLock::new();
-    *WIDTH
-        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
-}
 
 /// Fires a job's token on drop; see [`Job::run`].
 struct ScanOver<'j>(&'j CancelToken);
@@ -300,7 +290,7 @@ impl Job {
     /// A job over one already-compiled plan, for in-process execution.
     pub(crate) fn over_plan(plan: PhysicalPlan, opts: &ExecOptions) -> Job {
         let cancel = Arc::new(CancelToken::unbounded());
-        Job::new(plan, opts, local_width(), cancel)
+        Job::new(plan, opts, crate::par::host_width(), cancel)
     }
 
     fn new(plan: PhysicalPlan, opts: &ExecOptions, width: usize, cancel: Arc<CancelToken>) -> Job {

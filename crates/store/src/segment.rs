@@ -8,9 +8,10 @@
 //! ([`Segment::sum`]), so a fully selected segment can answer an
 //! aggregate from that summary without its payload.
 //!
-//! The expression is parsed once, when the segment is built or read:
-//! the segment holds the built [`Scheme`] every decode goes through and
-//! the [`SchemeKind`] every tier ladder matches on.
+//! The expression is parsed at most once, when the segment is built or
+//! read (a chosen segment keeps the chooser's built scheme): the
+//! segment holds the built [`Scheme`] every decode goes through and the
+//! [`SchemeKind`] every tier ladder matches on.
 
 use crate::agg::aggregate_plain;
 use crate::hash::IntMap;
@@ -66,6 +67,12 @@ impl SchemeKind {
     /// The kind of a scheme expression's text.
     pub fn of_expr(text: &str) -> Result<SchemeKind> {
         Ok(SchemeKind::of_name(&parse_expr(text)?.name))
+    }
+
+    /// The kind of a built scheme, from its name's outer scheme (the
+    /// name up to its parameters or parts).
+    fn of_scheme(scheme: &dyn Scheme) -> SchemeKind {
+        SchemeKind::of_name(scheme.name().split(['(', '[']).next().unwrap_or_default())
     }
 
     fn of_name(name: &str) -> SchemeKind {
@@ -124,18 +131,23 @@ impl Segment {
             summary.max.unwrap_or(-1),
             summary.sum,
         );
-        let expr = match policy {
-            CompressionPolicy::None => "id",
-            CompressionPolicy::Fixed(text) => text,
+        let fixed = |expr: &str| -> Result<_> {
+            let (scheme, kind) = parse(expr)?;
+            Ok((scheme.compress(rows)?, expr.to_string(), scheme, kind))
+        };
+        let (compressed, expr, scheme, kind) = match policy {
+            CompressionPolicy::None => fixed("id")?,
+            CompressionPolicy::Fixed(text) => fixed(text)?,
+            // The chooser built the winner: keep it, parse nothing.
             CompressionPolicy::Auto => {
                 let choice = chooser::choose_best(rows)?;
-                return Segment::summarised(choice.compressed, choice.expr, min, max, Some(sum));
+                let kind = SchemeKind::of_scheme(choice.scheme.as_ref());
+                (choice.compressed, choice.expr, choice.scheme, kind)
             }
         };
-        let (scheme, kind) = parse(expr)?;
         Ok(Segment {
-            compressed: scheme.compress(rows)?,
-            expr: expr.to_string(),
+            compressed,
+            expr,
             min,
             max,
             summary: Some((min, max, sum)),
@@ -196,7 +208,7 @@ impl Segment {
         self.compressed.compressed_bytes()
     }
 
-    /// The segment's scheme, built once from `expr`.
+    /// The segment's scheme, built once: from `expr`, or by the chooser.
     pub fn scheme(&self) -> &dyn Scheme {
         self.scheme.as_ref()
     }
@@ -398,7 +410,7 @@ const SHARED_DICT: &str = "dict[dict=shared,codes=ns]";
 /// Share one sorted dictionary between the `dict[codes=ns]` segments
 /// of a column where that makes the column smaller — the write path's
 /// one decision, taken after the chooser picked each segment's scheme
-/// (`table::segment_column` under [`CompressionPolicy::Auto`]).
+/// (`table::encode_columns` under [`CompressionPolicy::Auto`]).
 ///
 /// With fewer than two such segments nothing is shared, and nothing is
 /// computed. Otherwise the dictionaries' union is the candidate, and it
@@ -406,9 +418,10 @@ const SHARED_DICT: &str = "dict[dict=shared,codes=ns]";
 /// segment's codes repacked at the width their largest new code needs
 /// — are fewer than the segments' own dictionaries and codes. Each
 /// segment then maps its codes through its old → new table and
-/// repacks them ([`SHARED_DICT`]); no segment re-runs the chooser or
-/// re-encodes its values.
-pub(crate) fn share_dictionary(segments: &mut [Segment]) -> Result<()> {
+/// repacks them ([`SHARED_DICT`]) — on up to `width` threads, in
+/// segment order ([`crate::par::ordered_map`]); no segment re-runs the
+/// chooser or re-encodes its values.
+pub(crate) fn share_dictionary(segments: &mut [Segment], width: usize) -> Result<()> {
     let picked = |seg: &&Segment| seg.expr == OWN_DICT;
     let picks: Vec<&Segment> = segments.iter().filter(picked).collect();
     let Some(dtype) = picks.get(1).map(|seg| seg.compressed.dtype) else {
@@ -462,9 +475,14 @@ pub(crate) fn share_dictionary(segments: &mut [Segment]) -> Result<()> {
     }
     let dict = SharedDict::new(union);
     let shared = parse(SHARED_DICT)?;
-    let picks = segments.iter_mut().filter(|seg| seg.expr == OWN_DICT);
-    for (seg, remap) in picks.zip(&remaps) {
-        *seg = seg.with_shared(&dict, remap, &shared)?;
+    let picks: Vec<_> = picks.into_iter().zip(remaps).collect();
+    let repacked = crate::par::ordered_map(&picks, width, |(seg, remap)| {
+        seg.with_shared(&dict, remap, &shared)
+    });
+    drop(picks);
+    let targets = segments.iter_mut().filter(|seg| seg.expr == OWN_DICT);
+    for (seg, new) in targets.zip(repacked) {
+        *seg = new?;
     }
     Ok(())
 }
@@ -576,6 +594,20 @@ mod tests {
             s.expr
         );
         assert_eq!(s.decompress().unwrap(), rows());
+    }
+
+    /// An `Auto` segment takes its kind from the chooser's built scheme,
+    /// not from its parsed expression: the two agree on every candidate.
+    #[test]
+    fn a_built_schemes_kind_is_its_expressions() {
+        for text in chooser::default_candidates()
+            .into_iter()
+            .chain([SHARED_DICT])
+        {
+            let scheme = parse_expr(text).unwrap().build().unwrap();
+            let kind = SchemeKind::of_scheme(scheme.as_ref());
+            assert_eq!(kind, SchemeKind::of_expr(text).unwrap(), "{text}");
+        }
     }
 
     #[test]

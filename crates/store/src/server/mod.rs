@@ -115,7 +115,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            threads: crate::par::host_width(),
             max_inflight: 32,
             session_timeout: Duration::from_secs(10),
             default_deadline_ms: None,

@@ -12,6 +12,7 @@
 //! sees the same [`Column`] either way and only pays I/O for segments
 //! its pushdown tiers actually touch.
 
+use crate::par;
 use crate::schema::TableSchema;
 use crate::segment::{share_dictionary, CompressionPolicy, Segment};
 use crate::source::{Column, SegmentMeta};
@@ -38,7 +39,9 @@ pub struct Table {
 impl Table {
     /// Build a table from whole columns, compressing each column's
     /// segments under its own policy. All columns must have equal length;
-    /// `policies` must align with `schema.columns`.
+    /// `policies` must align with `schema.columns`. Segment-tall row
+    /// ranges are encoded in parallel on the host's cores, and the
+    /// table is bit for bit the one a serial build stores.
     pub fn build(
         schema: TableSchema,
         columns: &[ColumnData],
@@ -46,11 +49,7 @@ impl Table {
         seg_rows: usize,
     ) -> Result<Table> {
         check_batch(&schema, columns, Some(policies))?;
-        let segments = columns
-            .iter()
-            .zip(policies)
-            .map(|(col, policy)| segment_column(col, policy, seg_rows))
-            .collect::<Result<Vec<_>>>()?;
+        let segments = encode_columns(columns, policies, seg_rows, par::host_width())?;
         Table::from_segments(schema, segments, seg_rows)
     }
 
@@ -166,7 +165,9 @@ impl Table {
     /// [`Table::build`]. The batch is chunked by this table's segment
     /// height and each chunk goes through the per-column scheme chooser
     /// ([`CompressionPolicy::Auto`]), so appended segments carry zone
-    /// maps and scheme tags exactly like built ones.
+    /// maps and scheme tags exactly like built ones. As in a build, the
+    /// chunks are encoded in parallel; a batch one segment tall is
+    /// encoded on the calling thread.
     ///
     /// An append is its two halves in a row: [`Table::encode_batch`],
     /// which does all the compression and reads nothing of the table
@@ -218,17 +219,17 @@ impl Table {
     /// entry) instead of the last.
     pub(crate) fn encode_run(&self, run: usize, columns: &[ColumnData]) -> Result<EncodedBatch> {
         let rows = check_batch(&self.schema, columns, None)?;
-        let columns = columns
-            .iter()
-            .map(|col| {
-                let segments = segment_column(col, &CompressionPolicy::Auto, self.seg_rows)?;
-                let metas = segments.iter().map(|s| Arc::new(SegmentMeta::of(s)));
-                Ok(EncodedColumn {
-                    metas: metas.collect(),
-                    segments: segments.into_iter().map(Arc::new).collect(),
-                })
+        let auto = vec![CompressionPolicy::Auto; columns.len()];
+        let columns = encode_columns(columns, &auto, self.seg_rows, par::host_width())?
+            .into_iter()
+            .map(|segments| EncodedColumn {
+                metas: segments
+                    .iter()
+                    .map(|s| Arc::new(SegmentMeta::of(s)))
+                    .collect(),
+                segments: segments.into_iter().map(Arc::new).collect(),
             })
-            .collect::<Result<_>>()?;
+            .collect();
         Ok(EncodedBatch {
             schema: self.schema.clone(),
             seg_rows: self.seg_rows,
@@ -506,39 +507,86 @@ fn compressed_bytes(column: &Column) -> usize {
     segments + column.dictionary_bytes()
 }
 
-/// Cut `col` into `seg_rows`-tall chunks (the last may be shorter) and
-/// compress each under `policy` — the one segmentation every write path
-/// (build, in-memory append, on-disk append) shares. Under
-/// [`CompressionPolicy::Auto`] the chunks' DICT picks then share one
-/// dictionary where that is smaller ([`share_dictionary`]).
-pub(crate) fn segment_column(
-    col: &ColumnData,
-    policy: &CompressionPolicy,
+/// Compress `columns` — [`check_batch`]ed, one policy each — into
+/// `seg_rows`-tall segments (the last may be shorter), one list per
+/// column: the one segmentation every write path (build, in-memory
+/// append, on-disk append) shares. The batch is cut into segment-tall
+/// row ranges, which up to `width` threads claim one at a time, each
+/// encoding every column of its range ([`par::ordered_map`]; a
+/// one-segment batch stays on the calling thread). Under
+/// [`CompressionPolicy::Auto`] each column's DICT picks then share one
+/// dictionary where that is smaller ([`share_dictionary`]), repacked
+/// at the same width.
+///
+/// The segments are the serial loop's at every width, and so is an
+/// error: the first failure in column-then-segment order.
+pub(crate) fn encode_columns(
+    columns: &[ColumnData],
+    policies: &[CompressionPolicy],
     seg_rows: usize,
-) -> Result<Vec<Segment>> {
-    let seg_rows = seg_rows.max(1);
-    let rows = col.len();
-    let mut segments = Vec::with_capacity(rows.div_ceil(seg_rows));
-    for start in (0..rows).step_by(seg_rows) {
-        let end = (start + seg_rows).min(rows);
-        let segment = Segment::build(&slice_column(col, start, end), policy)?;
-        segment.check_rows(end - start)?;
-        segments.push(segment);
+    width: usize,
+) -> Result<Vec<Vec<Segment>>> {
+    let ranges = row_ranges(columns.first().map_or(0, ColumnData::len), seg_rows);
+    // Per range: each column's segment up to the first that fails, and
+    // that failure.
+    let encoded = par::ordered_map(&ranges, width, |rows| {
+        let mut segments = Vec::with_capacity(columns.len());
+        for (col, policy) in columns.iter().zip(policies) {
+            let segment = Segment::build(&slice_column(col, rows.clone()), policy)
+                .and_then(|segment| segment.check_rows(rows.len()).map(|()| segment));
+            match segment {
+                Ok(segment) => segments.push(segment),
+                Err(e) => return (segments, Some(e)),
+            }
+        }
+        (segments, None)
+    });
+    let mut out: Vec<Vec<Segment>> = (columns.iter())
+        .map(|_| Vec::with_capacity(ranges.len()))
+        .collect();
+    // The lowest failing column, and in it the first range.
+    let mut failure: Option<(usize, StoreError)> = None;
+    for (segments, error) in encoded {
+        let col = segments.len();
+        if let Some(error) = error.filter(|_| failure.as_ref().is_none_or(|f| col < f.0)) {
+            failure = Some((col, error));
+        }
+        for (column, segment) in out.iter_mut().zip(segments) {
+            column.push(segment);
+        }
     }
-    if *policy == CompressionPolicy::Auto {
-        share_dictionary(&mut segments)?;
+    // Columns before the first failure share as the serial loop would
+    // have, before it reached that failure.
+    let failed_at = failure.as_ref().map_or(columns.len(), |&(col, _)| col);
+    for (segments, policy) in out.iter_mut().zip(policies).take(failed_at) {
+        if *policy == CompressionPolicy::Auto {
+            share_dictionary(segments, width)?;
+        }
     }
-    Ok(segments)
+    match failure {
+        Some((_, error)) => Err(error),
+        None => Ok(out),
+    }
 }
 
-/// Copy `col[start..end]` out as an owned column (one chunk for
-/// [`segment_column`]).
-fn slice_column(col: &ColumnData, start: usize, end: usize) -> ColumnData {
+/// `rows` rows cut into `seg_rows`-tall ranges, the last possibly
+/// shorter.
+fn row_ranges(rows: usize, seg_rows: usize) -> Vec<Range<usize>> {
+    let seg_rows = seg_rows.max(1);
+    (0..rows)
+        .step_by(seg_rows)
+        .map(|start| start..(start + seg_rows).min(rows))
+        .collect()
+}
+
+/// Copy `col[rows]` out as an owned column (one segment's rows for
+/// [`encode_columns`]).
+fn slice_column(col: &ColumnData, rows: Range<usize>) -> ColumnData {
     match col {
-        ColumnData::U32(v) => ColumnData::U32(v[start..end].to_vec()),
-        ColumnData::U64(v) => ColumnData::U64(v[start..end].to_vec()),
-        ColumnData::I32(v) => ColumnData::I32(v[start..end].to_vec()),
-        ColumnData::I64(v) => ColumnData::I64(v[start..end].to_vec()),
+        ColumnData::U32(v) => ColumnData::U32(v[rows].to_vec()),
+        ColumnData::U64(v) => ColumnData::U64(v[rows].to_vec()),
+        ColumnData::I32(v) => ColumnData::I32(v[rows].to_vec()),
+        ColumnData::I64(v) => ColumnData::I64(v[rows].to_vec()),
     }
 }
 
@@ -816,6 +864,105 @@ mod tests {
             assert!(t.attach(vec![encoded]).is_err());
         }
         assert!(t.encode_batch(&batch).unwrap().fits(&t));
+    }
+
+    /// Every segment of every column as the write path stores it: its
+    /// expression, frame, metadata and shared dictionary's entries.
+    type Stored = Vec<(String, Vec<u8>, SegmentMeta, Option<ColumnData>)>;
+
+    fn stored(columns: &[Vec<Segment>]) -> Vec<Stored> {
+        let record = |seg: &Segment| {
+            let frame = lcdc_core::bytes::to_bytes(&seg.compressed);
+            let dict = seg.compressed.shared_dict().map(|d| d.values().clone());
+            (seg.expr.clone(), frame, SegmentMeta::of(seg), dict)
+        };
+        (columns.iter())
+            .map(|segments| segments.iter().map(record).collect())
+            .collect()
+    }
+
+    /// The parallel encode stores the serial one's bytes: an `Auto`
+    /// column whose DICT picks share a dictionary, a `Fixed` one and an
+    /// `Auto` one, over nine full segments and a ragged tenth.
+    #[test]
+    fn encode_columns_is_the_serial_encode_at_every_width() {
+        let rows = 9 * 256 + 77;
+        let keys: Vec<u64> = (0..60u64).map(|k| k * 1_000_003 + k * k % 97).collect();
+        let key = ColumnData::U64(
+            (0..rows as u64)
+                .map(|i| keys[(i * 2_654_435_761 % 60) as usize])
+                .collect(),
+        );
+        let delta = ColumnData::I64((0..rows as i64).map(|i| i * 3 - 500).collect());
+        let day = ColumnData::U32((0..rows as u32).map(|i| 17_000 + i / 90).collect());
+        let columns = [key, delta, day];
+        let policies = [
+            CompressionPolicy::Auto,
+            CompressionPolicy::Fixed("delta[deltas=ns_zz]".into()),
+            CompressionPolicy::Auto,
+        ];
+        let serial = stored(&encode_columns(&columns, &policies, 256, 1).unwrap());
+        assert_eq!(serial[0].len(), 10);
+        assert_eq!(serial[0][9].2.rows, 77, "a ragged last segment");
+        let shared = serial[0].iter().filter(|s| s.3.is_some()).count();
+        assert!(shared >= 2, "the key column shares its dictionary");
+        assert!(serial[1].iter().all(|s| s.0 == "delta[deltas=ns_zz]"));
+        for width in [2, 3, 7] {
+            let parallel = stored(&encode_columns(&columns, &policies, 256, width).unwrap());
+            assert_eq!(parallel, serial, "width {width}");
+        }
+    }
+
+    /// An error is the serial loop's at every width: the first failure
+    /// in column-then-segment order, though a later column fails in an
+    /// earlier segment.
+    #[test]
+    fn encode_columns_fails_as_the_serial_encode_does() {
+        // `const` fails at rows 3 * 16 + 7 and 5 * 16 + 11; `ns` (no
+        // negatives) at segment 1.
+        let steady = ColumnData::U64(
+            (0..8 * 16u64)
+                .map(|i| if i == 55 || i == 91 { 6 } else { 5 })
+                .collect(),
+        );
+        let signed = ColumnData::I64(
+            (0..8 * 16i64)
+                .map(|i| if i == 20 { -42 } else { i })
+                .collect(),
+        );
+        let plain = ColumnData::U64((0..8 * 16u64).collect());
+        let columns = [steady, signed, plain];
+        let policies = [
+            CompressionPolicy::Fixed("const".into()),
+            CompressionPolicy::Fixed("ns".into()),
+            CompressionPolicy::Auto,
+        ];
+        for width in [1, 2, 3, 7] {
+            let first = encode_columns(&columns, &policies, 16, width).unwrap_err();
+            assert!(
+                first.to_string().contains("not constant at element 7"),
+                "width {width}: {first}"
+            );
+            let second = encode_columns(&columns[1..], &policies[1..], 16, width).unwrap_err();
+            assert!(
+                second.to_string().contains("min = -42"),
+                "width {width}: {second}"
+            );
+        }
+    }
+
+    /// A batch one segment tall is encoded on the calling thread at any
+    /// width; a taller one spreads over up to one thread per segment.
+    #[test]
+    fn a_one_segment_batch_gets_one_thread() {
+        let threads = |rows, width| par::threads(row_ranges(rows, 256).len(), width);
+        for width in [1, 2, 3, 7, 64] {
+            for rows in [0, 1, 255, 256] {
+                assert_eq!(threads(rows, width), 1, "{rows} rows at width {width}");
+            }
+            assert_eq!(threads(257, width), width.min(2));
+            assert_eq!(threads(10 * 256, width), width.min(10));
+        }
     }
 
     #[test]
